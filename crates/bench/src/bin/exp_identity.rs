@@ -1,13 +1,11 @@
-//! Determinism gate: drives the standard scan across the engine's
-//! supported execution shapes — the single-threaded reference, the fed
-//! 1-shard pipeline, and truly concurrent 4- and 8-sender topologies
-//! (the 8-sender shape also exercises receiver multiplexing, 3 workers
-//! driving 8 worlds) — in plain and resilience-hardened profiles, and
-//! asserts that everything the scan is specified to produce
-//! deterministically — per-host results, the Table 1 summary, open
-//! ports, MTU results, and the canonical metrics snapshot — is
-//! byte-identical across all of them. This is the gate the sharded
-//! TX/RX engine is held to; the process exits non-zero on divergence.
+//! Determinism gate: drives the standard scan on `Topology::threads`
+//! 1 (the reference), 4 and 8 — one self-generating shard world per
+//! thread — in plain and resilience-hardened profiles, and asserts that
+//! everything the scan is specified to produce deterministically —
+//! per-host results, the Table 1 summary, open ports, MTU results, and
+//! the canonical metrics snapshot — is byte-identical across all of
+//! them. This is the gate the sharded engine is held to; the process
+//! exits non-zero on divergence.
 //!
 //! Virtual `duration` is reported but not compared: the sharded figure
 //! is the max over per-shard clocks, and a single shard pacing the
@@ -20,36 +18,13 @@ use iw_internet::Population;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// The execution shapes under test. The first is the reference; every
-/// later shape must reproduce its bytes exactly.
-const SHAPES: [(&str, Topology); 4] = [
-    ("single", Topology::Single),
-    (
-        "threads 1",
-        Topology::Threads {
-            senders: 1,
-            receivers: 1,
-        },
-    ),
-    (
-        "threads 4",
-        Topology::Threads {
-            senders: 4,
-            receivers: 4,
-        },
-    ),
-    (
-        "threads 8x3",
-        Topology::Threads {
-            senders: 8,
-            receivers: 3,
-        },
-    ),
-];
+/// The thread counts under test. The first is the reference; every
+/// later one must reproduce its bytes exactly.
+const THREADS: [u32; 3] = [1, 4, 8];
 
 /// The canonical dump: byte-identical across execution shapes, or the
 /// gate fails.
-fn dump(population: &Arc<Population>, topology: Topology, hardened: bool) -> String {
+fn dump(population: &Arc<Population>, threads: u32, hardened: bool) -> String {
     let mut config = ScanConfig::study(Protocol::Http, population.space_size(), SEED);
     config.rate_pps = 4_000_000;
     config.telemetry.record_events = true;
@@ -59,7 +34,7 @@ fn dump(population: &Arc<Population>, topology: Topology, hardened: bool) -> Str
     }
     let out = ScanRunner::new(population)
         .config(config)
-        .topology(topology)
+        .topology(Topology::threads(threads))
         .run();
     println!("duration (not compared): {:?}", out.duration);
     let mut s = String::new();
@@ -79,20 +54,21 @@ fn main() {
     for hardened in [false, true] {
         let profile = if hardened { "hardened" } else { "plain" };
         let mut reference: Option<String> = None;
-        for (label, topology) in SHAPES {
+        for threads in THREADS {
+            let label = format!("threads {threads}");
             println!("== {label} {profile}");
-            let d = dump(&population, topology, hardened);
+            let d = dump(&population, threads, hardened);
             match &reference {
                 None => {
                     reference = Some(d);
                 }
                 Some(r) if *r == d => {
-                    println!("{profile}: {label} matches single ({} bytes)", d.len());
+                    println!("{profile}: {label} matches threads 1 ({} bytes)", d.len());
                 }
                 Some(r) => {
                     let at = r.lines().zip(d.lines()).position(|(a, b)| a != b);
                     eprintln!(
-                        "{profile}: {label} DIVERGES from single (first differing line: {at:?})"
+                        "{profile}: {label} DIVERGES from threads 1 (first differing line: {at:?})"
                     );
                     failures += 1;
                 }

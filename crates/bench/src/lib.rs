@@ -1,8 +1,8 @@
 //! # iw-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/exp_*.rs`),
-//! plus Criterion benches. This library holds the shared machinery:
-//! standard populations, scan runners, and paper-vs-measured reporting.
+//! One binary per table/figure of the paper (see `src/bin/exp_*.rs`).
+//! This library holds the shared machinery: standard populations, scan
+//! runners, and paper-vs-measured reporting.
 //!
 //! Scale is controlled by the `IW_SCALE` environment variable:
 //! `small` (CI/tests, default), `medium`, or `large` (closest to the
@@ -92,9 +92,8 @@ pub fn threads() -> u32 {
         .min(16)
 }
 
-/// The standard bench topology: all cores ([`Topology::threads`] maps
-/// one core to [`Topology::Single`], so results stay byte-identical
-/// either way).
+/// The standard bench topology: all cores (results are byte-identical
+/// at every thread count).
 pub fn bench_topology() -> Topology {
     Topology::threads(threads())
 }

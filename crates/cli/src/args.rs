@@ -24,10 +24,8 @@ SCAN FLAGS:
     --scale <small|medium|large>     world size        [default: small]
     --seed <u64>                     scan + world seed [default: 319033367]
     --sample <0.0..=1.0>             fraction of the space to probe [default: 1]
-    --threads <n>                    sender + receiver threads [default: all cores]
+    --threads <n>                    shard worlds, one thread each [default: all cores]
     --shards <n>                     alias for --threads
-    --senders <n>                    TX feeder threads (overrides --threads)
-    --receivers <n>                  receiver workers  [default: senders]
     --loss <factor>                  link-loss scale   [default: 0]
     --json <path>                    write per-host results as JSON
     --quiet                          suppress the histogram
@@ -114,10 +112,6 @@ pub struct ScanArgs {
     pub sample: f64,
     /// Shard threads (0 = auto). `--shards` is an alias.
     pub threads: u32,
-    /// Explicit TX feeder count (0 = derive from `threads`).
-    pub senders: u32,
-    /// Explicit receiver-worker count (0 = match the sender count).
-    pub receivers: u32,
     /// Link-loss scale.
     pub loss: f64,
     /// Optional JSON output path.
@@ -168,8 +162,6 @@ impl Default for ScanArgs {
             seed: 0x1307_2017,
             sample: 1.0,
             threads: 0,
-            senders: 0,
-            receivers: 0,
             loss: 0.0,
             json: None,
             quiet: false,
@@ -349,8 +341,6 @@ impl Cli {
                         "--sample",
                         "--threads",
                         "--shards",
-                        "--senders",
-                        "--receivers",
                         "--loss",
                         "--json",
                         "--metrics-out",
@@ -391,12 +381,6 @@ impl Cli {
                 }
                 if let Some(v) = get("--shards") {
                     args.threads = parse_num("--shards", &v)?;
-                }
-                if let Some(v) = get("--senders") {
-                    args.senders = parse_num("--senders", &v)?;
-                }
-                if let Some(v) = get("--receivers") {
-                    args.receivers = parse_num("--receivers", &v)?;
                 }
                 if let Some(v) = get("--loss") {
                     args.loss = parse_num("--loss", &v)?;
@@ -702,28 +686,23 @@ mod tests {
 
     #[test]
     fn scan_topology_flags() {
-        let cli = Cli::parse(&argv("scan --senders 4 --receivers 2")).unwrap();
-        match cli.command {
-            Command::Scan(a) => {
-                assert_eq!(a.senders, 4);
-                assert_eq!(a.receivers, 2);
-                assert_eq!(a.threads, 0);
-            }
-            other => panic!("{other:?}"),
-        }
         // --shards is a plain alias for --threads.
-        match Cli::parse(&argv("scan --shards 8")).unwrap().command {
-            Command::Scan(a) => {
-                assert_eq!(a.threads, 8);
-                assert_eq!(a.senders, 0);
-                assert_eq!(a.receivers, 0);
+        for flag in ["--threads", "--shards"] {
+            match Cli::parse(&argv(&format!("scan {flag} 8")))
+                .unwrap()
+                .command
+            {
+                Command::Scan(a) => assert_eq!(a.threads, 8),
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
         }
-        assert_eq!(
-            Cli::parse(&argv("probe --senders 4")).unwrap_err(),
-            ParseError::UnknownFlag("--senders".into())
-        );
+        // The thread count is the only run-shape flag.
+        for command in ["probe", "scan"] {
+            assert_eq!(
+                Cli::parse(&argv(&format!("{command} --senders 4"))).unwrap_err(),
+                ParseError::UnknownFlag("--senders".into())
+            );
+        }
     }
 
     #[test]

@@ -63,31 +63,15 @@ fn build_population(args: &ScanArgs) -> Result<Arc<Population>, CmdError> {
     })))
 }
 
-/// Resolve the sender-shard count: `--senders` wins, then
-/// `--threads`/`--shards`, then (for the full-space commands) all cores.
-fn senders(args: &ScanArgs, auto_cores: bool) -> u32 {
-    if args.senders > 0 {
-        args.senders
-    } else if args.threads > 0 {
+/// Resolve the shard count: `--threads`/`--shards`, else all cores for
+/// the full-space commands and one for lists (they are small).
+fn shard_count(args: &ScanArgs, auto_cores: bool) -> u32 {
+    if args.threads > 0 {
         args.threads
     } else if auto_cores {
         std::thread::available_parallelism().map_or(4, |n| n.get() as u32)
     } else {
         1
-    }
-}
-
-/// Map a resolved sender count (plus the optional explicit
-/// `--receivers`) onto a driver topology: one sender runs on the
-/// calling thread, more spread across real TX/RX threads.
-fn scan_topology(senders: u32, receivers: u32) -> Topology {
-    if senders <= 1 {
-        Topology::Single
-    } else {
-        Topology::Threads {
-            senders,
-            receivers: if receivers > 0 { receivers } else { senders },
-        }
     }
 }
 
@@ -337,10 +321,10 @@ fn cmd_scan(args: &ScanArgs) -> Result<i32, CmdError> {
     config.rate_pps = 4_000_000;
     apply_resilience(&mut config, args);
     apply_telemetry(&mut config, args);
-    let (control, shards) = durable_setup(args, "scan", &config, senders(args, true))?;
+    let (control, shards) = durable_setup(args, "scan", &config, shard_count(args, true))?;
     let out = ScanRunner::new(&population)
         .config(config)
-        .topology(scan_topology(shards, args.receivers))
+        .topology(Topology::threads(shards))
         .control(control)
         .run();
     let label = args.protocol.to_uppercase();
@@ -358,12 +342,12 @@ fn cmd_alexa(args: &ScanArgs) -> Result<i32, CmdError> {
     config.rate_pps = 4_000_000;
     apply_resilience(&mut config, args);
     apply_telemetry(&mut config, args);
-    // Lists default to one shard (they are small); explicit flags
-    // still fan the round-robin partitions across threads.
-    let (control, shards) = durable_setup(args, "alexa", &config, senders(args, false))?;
+    // Lists default to one shard; an explicit --threads still fans the
+    // round-robin partitions across threads.
+    let (control, shards) = durable_setup(args, "alexa", &config, shard_count(args, false))?;
     let out = ScanRunner::new(&population)
         .config(config)
-        .topology(scan_topology(shards, args.receivers))
+        .topology(Topology::threads(shards))
         .control(control)
         .run();
     conclude(&out, args, |out, args| report(out, args, "ALEXA"))
@@ -376,10 +360,10 @@ fn cmd_mtu(args: &ScanArgs) -> Result<i32, CmdError> {
     config.rate_pps = 4_000_000;
     apply_resilience(&mut config, args);
     apply_telemetry(&mut config, args);
-    let (control, shards) = durable_setup(args, "mtu", &config, senders(args, true))?;
+    let (control, shards) = durable_setup(args, "mtu", &config, shard_count(args, true))?;
     let out = ScanRunner::new(&population)
         .config(config)
-        .topology(scan_topology(shards, args.receivers))
+        .topology(Topology::threads(shards))
         .control(control)
         .run();
     conclude(&out, args, |out, args| {
@@ -597,39 +581,16 @@ mod tests {
     }
 
     #[test]
-    fn topology_mapping_from_flags() {
-        // One sender stays on the calling thread: the golden baseline
-        // (`--threads 1`) must keep its exact single-shard shape.
-        assert_eq!(scan_topology(0, 0), Topology::Single);
-        assert_eq!(scan_topology(1, 0), Topology::Single);
-        assert_eq!(scan_topology(1, 4), Topology::Single);
-        assert_eq!(
-            scan_topology(4, 0),
-            Topology::Threads {
-                senders: 4,
-                receivers: 4
-            }
-        );
-        assert_eq!(
-            scan_topology(4, 2),
-            Topology::Threads {
-                senders: 4,
-                receivers: 2
-            }
-        );
-        // --senders beats --threads; lists only auto-shard when asked.
-        let args = ScanArgs {
-            threads: 8,
-            senders: 3,
-            ..ScanArgs::default()
-        };
-        assert_eq!(senders(&args, true), 3);
+    fn shard_count_from_flags() {
+        // Lists only shard when asked; full-space commands default to
+        // every core.
         let args = ScanArgs {
             threads: 8,
             ..ScanArgs::default()
         };
-        assert_eq!(senders(&args, false), 8);
-        assert_eq!(senders(&ScanArgs::default(), false), 1);
+        assert_eq!(shard_count(&args, true), 8);
+        assert_eq!(shard_count(&args, false), 8);
+        assert_eq!(shard_count(&ScanArgs::default(), false), 1);
     }
 
     #[test]

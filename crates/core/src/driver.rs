@@ -1,15 +1,13 @@
 //! Glue: run a scanner against a synthetic population, on the calling
-//! thread or split across real sender/receiver threads
-//! ([`Topology::Threads`]): ZMap-style cycle-striding shards, each a
-//! TX feeder generating targets over a bounded ring into an
-//! independently deterministic scan world, merged by shard index
-//! afterwards — so results stay byte-identical at every thread count.
+//! thread or as `n` ZMap-style cycle-striding shard worlds on `n` real
+//! threads ([`Topology::threads`]). Every world generates, paces and
+//! probes its own partition and is a pure function of
+//! `(config, shard i of n)`; outputs merge by shard index afterwards —
+//! so results stay byte-identical at every thread count.
 
 use crate::checkpoint::{CampaignCheckpoint, ConfigDigest, RunDisposition, ShardCheckpoint};
 use crate::results::{HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol, ScanSummary};
-use crate::ring::{self, FeedReceiver};
 use crate::scanner::{ScanConfig, Scanner};
-use crate::txrx;
 use iw_internet::population::{Population, PopulationFactory};
 use iw_netsim::sim::SimStats;
 use iw_netsim::{Duration, Sim, SimConfig, Trace};
@@ -90,54 +88,18 @@ pub struct ScanTelemetry {
     pub icmp: IcmpHarvest,
 }
 
-/// How a scan maps onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Topology {
-    /// Everything on the calling thread (the default): the scanner
-    /// generates its own targets while pacing. The configured
-    /// `ScanConfig::shard` tuple is honored as-is, so a caller can
-    /// still drive one sub-shard by hand.
-    #[default]
-    Single,
-    /// The ZMap-style split on real threads: `senders` TX feeder
-    /// threads walk disjoint cyclic-group partitions of the target
-    /// space and push admitted targets over bounded rings into fed
-    /// shard worlds; `receivers` worker threads drive those worlds
-    /// (pacing at `rate_pps / senders` each, probing, inferring) and
-    /// the per-world outputs merge deterministically by shard index.
-    /// Zero values are clamped to one; more receivers than senders are
-    /// capped at the sender count.
-    Threads {
-        /// TX feeder threads = shard count (the unit checkpoints and
-        /// byte-identity are phrased in).
-        senders: u32,
-        /// Receiver workers sharing the shard worlds.
-        receivers: u32,
-    },
-}
+/// How a scan maps onto OS threads: a shard-world count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Topology(u32);
 
 impl Topology {
-    /// The symmetric shorthand: `n` senders feeding `n` receivers.
-    /// `n <= 1` is [`Topology::Single`] — one shard needs no ring (use
-    /// `Topology::Threads { senders: 1, .. }` explicitly to force the
-    /// fed path, e.g. for identity testing).
+    /// `n` self-generating shard worlds on `n` scoped threads, world `i`
+    /// scanning partition `(i, n)` at `rate::shard_rate(rate_pps, i, n)`.
+    /// `n <= 1` runs one world on the calling thread and honors the
+    /// configured `ScanConfig::shard` tuple as-is, so a caller can still
+    /// drive one sub-shard by hand.
     pub fn threads(n: u32) -> Topology {
-        if n <= 1 {
-            Topology::Single
-        } else {
-            Topology::Threads {
-                senders: n,
-                receivers: n,
-            }
-        }
-    }
-
-    /// Sender-shard count this topology partitions the space into.
-    pub(crate) fn senders(self) -> u32 {
-        match self {
-            Topology::Single => 1,
-            Topology::Threads { senders, .. } => senders.max(1),
-        }
+        Topology(n.max(1))
     }
 }
 
@@ -151,14 +113,13 @@ impl Topology {
 /// # let population: Arc<Population> = unimplemented!();
 /// let output = ScanRunner::new(&population)
 ///     .config(ScanConfig::study(Protocol::Http, population.space_size(), 7))
-///     .topology(Topology::Threads { senders: 4, receivers: 2 })
+///     .topology(Topology::threads(4))
 ///     .run();
 /// ```
 ///
-/// This builder is the entire entry surface — the free functions
-/// (`run_scan`, `run_scan_sharded`) it once shimmed are gone. The
-/// default configuration is the paper's HTTP study over the
-/// population's full space with seed 0, on [`Topology::Single`].
+/// This builder is the entire entry surface. The default configuration
+/// is the paper's HTTP study over the population's full space with
+/// seed 0, on one thread.
 pub struct ScanRunner {
     population: Arc<Population>,
     config: ScanConfig,
@@ -172,7 +133,7 @@ impl ScanRunner {
         ScanRunner {
             config: ScanConfig::study(Protocol::Http, population.space_size(), 0),
             population: population.clone(),
-            topology: Topology::Single,
+            topology: Topology::threads(1),
             control: RunControl::default(),
         }
     }
@@ -183,8 +144,7 @@ impl ScanRunner {
         self
     }
 
-    /// Choose how the scan maps onto threads (default
-    /// [`Topology::Single`]).
+    /// Choose how the scan maps onto threads (default: one).
     pub fn topology(mut self, topology: Topology) -> ScanRunner {
         self.topology = topology;
         self
@@ -199,6 +159,7 @@ impl ScanRunner {
 
     /// Run to completion and merge.
     pub fn run(self) -> ScanOutput {
+        let Topology(shards) = self.topology;
         // Resume pre-flight: the checkpoint must describe this very
         // campaign, or the replay would diverge by construction. Fail
         // before any replay work starts, with the offending field named.
@@ -207,92 +168,43 @@ impl ScanRunner {
             if let Some(detail) = ckpt.config.first_mismatch(&digest) {
                 return diverged_output(detail);
             }
-            // Receiver workers are pure scheduling — any count replays
-            // the same per-shard event streams — but the sender count is
-            // the partition the checkpoint cursors are phrased in.
-            let senders = self.topology.senders();
-            if ckpt.threads != senders {
+            // The shard count is the partition the checkpoint cursors
+            // are phrased in.
+            if ckpt.threads != shards {
                 return diverged_output(format!(
-                    "checkpoint was taken with {} sender shard(s), this run has {}",
-                    ckpt.threads, senders
+                    "checkpoint was taken with {} shard(s), this run has {}",
+                    ckpt.threads, shards
                 ));
             }
         }
-        match self.topology {
-            Topology::Single => run_single(&self.population, self.config, &self.control),
-            Topology::Threads { senders, receivers } => run_scan_sharded(
-                &self.population,
-                self.config,
-                &self.control,
-                senders.max(1),
-                receivers.max(1),
-            ),
+        if shards == 1 {
+            return run_shard(&self.population, self.config, &self.control);
         }
+        let (population, control) = (&self.population, &self.control);
+        let outputs: Vec<ScanOutput> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..shards)
+                .map(|i| {
+                    let mut config = self.config.clone();
+                    config.shard = (i, shards);
+                    if i > 0 {
+                        // One progress monitor is enough; shard 0 reports
+                        // for all (interleaved per-shard lines would be
+                        // unreadable anyway).
+                        config.telemetry.monitor = None;
+                    }
+                    scope.spawn(move || run_shard(population, config, control))
+                })
+                .collect();
+            // Joined in spawn order, so the merge sees shard 0..n no
+            // matter which world finishes first. A world panic must
+            // propagate, not be silently merged into partial results.
+            workers
+                .into_iter()
+                .map(|h| h.join().expect("shard world panicked")) // iw-lint: allow(panic-budget)
+                .collect()
+        });
+        merge(outputs)
     }
-}
-
-/// The threaded engine behind [`Topology::Threads`]: spawn `senders` TX
-/// feeder threads, each generating one shard's targets into a bounded
-/// ring, plus `receivers` worker threads driving the fed shard worlds
-/// (worker `j` owns worlds `i ≡ j (mod receivers)` and runs each to
-/// completion in index order — a deferred world's feeder simply blocks
-/// on its full ring until the world starts consuming, so there is no
-/// circular wait). Outputs merge deterministically by shard index, which
-/// is why every thread count produces identical bytes.
-fn run_scan_sharded(
-    population: &Arc<Population>,
-    config: ScanConfig,
-    control: &RunControl,
-    senders: u32,
-    receivers: u32,
-) -> ScanOutput {
-    let receivers = receivers.min(senders);
-    let outputs: Vec<ScanOutput> = crossbeam::thread::scope(|scope| {
-        let mut feeders = Vec::new();
-        let mut worker_inputs: Vec<Vec<(u32, ScanConfig, FeedReceiver)>> =
-            (0..receivers).map(|_| Vec::new()).collect();
-        for i in 0..senders {
-            let mut shard_config = config.clone();
-            shard_config.shard = (i, senders);
-            if i > 0 {
-                // One progress monitor is enough; shard 0 reports for
-                // all (interleaved per-shard lines would be
-                // unreadable anyway).
-                shard_config.telemetry.monitor = None;
-            }
-            let (feed_tx, feed_rx) = ring::feed(txrx::FEED_CAPACITY);
-            let feeder_config = shard_config.clone();
-            feeders.push(scope.spawn(move |_| txrx::run_feeder(&feeder_config, feed_tx)));
-            worker_inputs[(i % receivers) as usize].push((i, shard_config, feed_rx));
-        }
-        let mut workers = Vec::new();
-        for worlds in worker_inputs {
-            let pop = population.clone();
-            let ctl = control.clone();
-            workers.push(scope.spawn(move |_| {
-                worlds
-                    .into_iter()
-                    .map(|(i, cfg, feed_rx)| (i, run_world(&pop, cfg, &ctl, feed_rx)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        let mut outputs: Vec<(u32, ScanOutput)> = workers
-            .into_iter()
-            // A worker panic must propagate, not be silently merged
-            // into partial results. iw-lint: allow(panic-budget)
-            .flat_map(|h| h.join().expect("receiver worker panicked"))
-            .collect();
-        for h in feeders {
-            // Feeders end once their ring closes (or its world is
-            // dropped by a kill/abort). iw-lint: allow(panic-budget)
-            h.join().expect("TX feeder panicked");
-        }
-        outputs.sort_by_key(|(i, _)| *i);
-        outputs.into_iter().map(|(_, out)| out).collect()
-    })
-    // Scope errors are rethrown thread panics; same policy as above.
-    .expect("crossbeam scope"); // iw-lint: allow(panic-budget)
-    merge(outputs)
 }
 
 /// The empty output of a run refused before it started.
@@ -311,57 +223,37 @@ fn diverged_output(detail: String) -> ScanOutput {
     }
 }
 
-/// Run one self-generating scan world to completion on the current
-/// thread ([`Topology::Single`]).
-fn run_single(
-    population: &Arc<Population>,
-    config: ScanConfig,
-    control: &RunControl,
-) -> ScanOutput {
-    drive(population, Scanner::new(config), control)
-}
-
-/// Run one fed shard world to completion on the current thread: same
-/// event loop as [`run_single`], but targets arrive from a TX feeder
-/// over the ring instead of being generated in-world.
-fn run_world(
-    population: &Arc<Population>,
-    config: ScanConfig,
-    control: &RunControl,
-    feed: FeedReceiver,
-) -> ScanOutput {
-    drive(population, Scanner::with_feed(config, feed), control)
-}
-
-/// The shared event loop: drive a prepared scanner against the
-/// population with the durable-campaign hooks, then harvest.
-fn drive(population: &Arc<Population>, scanner: Scanner, control: &RunControl) -> ScanOutput {
-    let seed = scanner.config().seed;
-    let record_trace = scanner.config().record_trace;
-    let shard_index = scanner.config().shard.0;
-    // The sim profiles its own hot path whenever span tracing is on.
-    let profile = scanner.config().telemetry.record_spans;
+/// Run one shard world to completion on the current thread: drive a
+/// self-generating scanner against the population with the
+/// durable-campaign hooks, then harvest.
+fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunControl) -> ScanOutput {
+    let shard_index = config.shard.0;
+    let sim_config = SimConfig {
+        seed: config.seed,
+        record_trace: config.record_trace,
+        // The sim profiles its own hot path whenever span tracing is on.
+        profile: config.telemetry.record_spans,
+    };
     let factory = PopulationFactory::new(population.clone());
-    let mut sim = Sim::new(
-        scanner,
-        factory,
-        SimConfig {
-            seed,
-            record_trace,
-            profile,
-        },
-    );
+    let mut sim = Sim::new(Scanner::new(config), factory, sim_config);
     sim.kick_scanner(|s, now, fx| s.start(now, fx));
 
     // Stepwise event loop with the durable-campaign hooks. The replay
     // barrier, the kill point and the periodic captures are all phrased
     // in (event count, virtual time), so every run — uninterrupted,
     // killed or resumed — walks the exact same sequence of states.
-    let barrier = control
+    let mut barrier = control
         .resume
         .as_ref()
         .and_then(|c| c.shard(shard_index))
         .cloned();
+    if let Some(b) = &mut barrier {
+        // A counter this build no longer registers (a feeder-era file
+        // carries `shard.tx.*`, zero in every capture) cannot be
+        // replayed; every counter the build does register is compared.
+        b.counters
+            .retain(|(name, _)| iw_telemetry::manifest::lookup(name).is_some());
+    }
     let mut validated = barrier.is_none();
     let every = control.checkpoint_every.map_or(0, |d| d.as_nanos());
     let mut next_capture = every;

@@ -45,12 +45,10 @@ pub mod prime;
 pub mod probe;
 pub mod rate;
 pub mod results;
-mod ring;
 pub mod scanner;
 pub mod session;
 pub mod table;
 pub mod testbed;
-mod txrx;
 
 /// The stable scan-entry surface in one import: build a config, pick a
 /// [`prelude::Topology`], run via [`prelude::ScanRunner`].

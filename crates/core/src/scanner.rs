@@ -14,7 +14,6 @@ use crate::cookie::{self, CookieKey, SynAckCheck};
 use crate::permutation::{Permutation, ShardIter};
 use crate::rate::{shard_rate, TokenBucket};
 use crate::results::{ErrorKind, HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol};
-use crate::ring::FeedReceiver;
 use crate::session::{HostSession, SessionOutput, SessionParams};
 use crate::table::IpMap;
 use iw_internet::util::mix;
@@ -398,14 +397,6 @@ impl ScanConfigBuilder {
 enum TargetIter {
     Perm(ShardIter),
     List(std::vec::IntoIter<(u32, Option<String>)>),
-    /// Targets arrive pre-generated from a TX feeder thread over the
-    /// bounded ring (`Topology::Threads`). `cursor` mirrors the feeder's
-    /// generator state as of the last consumed target, so checkpoints
-    /// look exactly like a self-generating scanner's.
-    Feed {
-        feed: FeedReceiver,
-        cursor: (u64, u64),
-    },
 }
 
 impl TargetIter {
@@ -413,21 +404,6 @@ impl TargetIter {
         match self {
             TargetIter::Perm(iter) => iter.next().map(|ip| (ip as u32, None)),
             TargetIter::List(iter) => iter.next(),
-            TargetIter::Feed { feed, cursor } => match feed.recv() {
-                Some(msg) => {
-                    *cursor = msg.cursor;
-                    Some((msg.ip, msg.domain))
-                }
-                None => {
-                    // Exhausted: adopt the feeder's terminal cursor (the
-                    // partition fully walked, trailing rejects included),
-                    // matching what a self-generating iterator would hold.
-                    if let Some(fin) = feed.finished() {
-                        *cursor = fin.cursor;
-                    }
-                    None
-                }
-            },
         }
     }
 
@@ -438,7 +414,6 @@ impl TargetIter {
         match self {
             TargetIter::Perm(iter) => iter.cursor(),
             TargetIter::List(iter) => (iter.len() as u64, 0),
-            TargetIter::Feed { cursor, .. } => *cursor,
         }
     }
 }
@@ -475,17 +450,6 @@ const SWEEP_PERIOD: Duration = Duration::from_secs(1);
 /// A SYN-timestamp entry older than this belongs to a host that will
 /// never SYN-ACK; the sweep drops it (satellite: the `syn_ts` leak).
 const RTT_EXPIRY: Duration = Duration::from_secs(8);
-
-/// The deterministic per-target sampling decision, shared by the
-/// self-generating scanner and the TX feeders (`txrx`): a target's
-/// admission depends only on `(seed, salt, ip)`, never on who asks.
-pub(crate) fn sample_admits(config: &ScanConfig, ip: u32) -> bool {
-    if config.sample_fraction >= 1.0 {
-        return true;
-    }
-    let h = mix(&[config.seed, config.sample_salt, u64::from(ip)]);
-    ((h >> 11) as f64 / (1u64 << 53) as f64) < config.sample_fraction
-}
 
 /// Array index of an [`OutcomeKind`] in the per-outcome counter blocks.
 fn kind_index(kind: OutcomeKind) -> usize {
@@ -558,11 +522,6 @@ struct Metrics {
     trace_spans_scan: CounterId,
     trace_spans_shard: CounterId,
     trace_span_nanos: HistogramId,
-    /// TX-feeder accounting (`Topology::Threads`), folded in from the
-    /// ring's terminal state at harvest; zero for self-generating
-    /// topologies. Shard-scoped: production counts depend on the split.
-    tx_targets: CounterId,
-    tx_batches: CounterId,
     /// Event-loop kernel counters, filled from `SimStats` at harvest.
     /// Shard-scoped: each shard runs its own simulator instance.
     sim_events: CounterId,
@@ -618,8 +577,6 @@ impl Metrics {
         let trace_spans_scan = r.register_counter(&manifest::TRACE_SPANS_SCAN);
         let trace_spans_shard = r.register_counter(&manifest::TRACE_SPANS_SHARD);
         let trace_span_nanos = r.register_histogram(&manifest::TRACE_SPAN_NANOS);
-        let tx_targets = r.register_counter(&manifest::SHARD_TX_TARGETS);
-        let tx_batches = r.register_counter(&manifest::SHARD_TX_BATCHES);
         let sim_events = r.register_counter(&manifest::SIM_QUEUE_EVENTS);
         let sim_packets = r.register_counter(&manifest::SIM_QUEUE_PACKETS);
         let sim_pool_allocations = r.register_counter(&manifest::SIM_QUEUE_POOL_ALLOCATIONS);
@@ -667,8 +624,6 @@ impl Metrics {
             trace_spans_scan,
             trace_spans_shard,
             trace_span_nanos,
-            tx_targets,
-            tx_batches,
             sim_events,
             sim_packets,
             sim_pool_allocations,
@@ -758,38 +713,34 @@ pub struct Scanner {
 
 impl Scanner {
     /// Build a self-generating scanner: it walks its own shard of the
-    /// permutation (or its target list) while pacing.
+    /// permutation (or its round-robin slice of the target list) while
+    /// pacing.
     pub fn new(config: ScanConfig) -> Scanner {
-        let targets = match &config.targets {
+        let (index, count) = (config.shard.0, config.shard.1.max(1));
+        // `targets_total` is the monitor's estimate of what this shard
+        // will probe.
+        let (targets, targets_total) = match &config.targets {
             TargetSpec::FullSpace { size } => {
                 let perm = Permutation::new(u64::from(*size), config.seed);
-                TargetIter::Perm(perm.shard(config.shard.0, config.shard.1))
+                let per_shard = u64::from(*size) / u64::from(count);
+                (
+                    TargetIter::Perm(perm.shard(index, count)),
+                    (per_shard as f64 * config.sample_fraction.clamp(0.0, 1.0)) as u64,
+                )
             }
-            TargetSpec::List(list) => TargetIter::List(list.clone().into_iter()),
-        };
-        Scanner::build(config, targets)
-    }
-
-    /// Build a scanner fed by a TX thread over the bounded ring
-    /// (`Topology::Threads`): pacing, probing and inference stay here,
-    /// target generation happens in `txrx::run_feeder`. The initial
-    /// cursor is the feeder's starting generator state so checkpoints
-    /// taken before the first target are well-formed.
-    pub(crate) fn with_feed(config: ScanConfig, feed: FeedReceiver) -> Scanner {
-        let cursor = match &config.targets {
-            TargetSpec::FullSpace { size } => {
-                let perm = Permutation::new(u64::from(*size), config.seed);
-                perm.shard(config.shard.0, config.shard.1).cursor()
+            TargetSpec::List(list) => {
+                // Entry `k` belongs to shard `k % count`, so `count`
+                // worlds cover the list exactly once.
+                let slice: Vec<(u32, Option<String>)> = list
+                    .iter()
+                    .skip(index as usize)
+                    .step_by(count as usize)
+                    .cloned()
+                    .collect();
+                let total = slice.len() as u64;
+                (TargetIter::List(slice.into_iter()), total)
             }
-            TargetSpec::List(list) => (
-                crate::txrx::list_partition_len(list.len(), config.shard.0, config.shard.1),
-                0,
-            ),
         };
-        Scanner::build(config, TargetIter::Feed { feed, cursor })
-    }
-
-    fn build(config: ScanConfig, targets: TargetIter) -> Scanner {
         let params = SessionParams {
             protocol: config.protocol,
             probes_per_mss: config.probes_per_mss,
@@ -809,13 +760,6 @@ impl Scanner {
         // monitor's configured-pps line.
         let pace_pps = shard_rate(config.rate_pps, config.shard.0, config.shard.1);
         let bucket = TokenBucket::new(pace_pps, (pace_pps / 100).max(16), Instant::ZERO);
-        let targets_total = match &config.targets {
-            TargetSpec::FullSpace { size } => {
-                let per_shard = u64::from(*size) / u64::from(config.shard.1.max(1));
-                (per_shard as f64 * config.sample_fraction.clamp(0.0, 1.0)) as u64
-            }
-            TargetSpec::List(list) => list.len() as u64,
-        };
         let monitor = config
             .telemetry
             .monitor
@@ -992,7 +936,6 @@ impl Scanner {
     /// (even mid-interval, with error-kind tallies) and flush the last
     /// streaming snapshot so delta sums equal final totals.
     pub fn finish_observability(&mut self, sim_tracer: Tracer, now: Instant) {
-        self.note_feed_stats();
         self.tracer.merge(&sim_tracer);
         if self.tracer.is_enabled() {
             let m = &mut self.metrics;
@@ -1033,28 +976,6 @@ impl Scanner {
     /// Take the captured progress status lines.
     pub fn take_status_lines(&mut self) -> Vec<String> {
         std::mem::take(&mut self.status_lines)
-    }
-
-    /// The configuration this scanner runs under.
-    pub(crate) fn config(&self) -> &ScanConfig {
-        &self.config
-    }
-
-    /// Fold the TX feeder's terminal production stats into the
-    /// shard-scoped `shard.tx.*` counters. Runs at harvest (after the
-    /// event loop drains, before the final snapshot) so periodic
-    /// checkpoint captures never see them — a `Threads {1, 1}` world's
-    /// checkpoint trail stays byte-identical to `Single`'s. Ring-stall
-    /// counts are wall-clock scheduling facts and deliberately stay out
-    /// of the registry.
-    fn note_feed_stats(&mut self) {
-        if let TargetIter::Feed { feed, .. } = &self.targets {
-            if let Some(fin) = feed.finished() {
-                let m = &mut self.metrics;
-                m.registry.add(m.tx_targets, fin.slots);
-                m.registry.add(m.tx_batches, fin.batches);
-            }
-        }
     }
 
     /// Capture this shard's observable state as a [`ShardCheckpoint`]
@@ -1149,8 +1070,16 @@ impl Scanner {
         }
     }
 
+    /// The deterministic per-target sampling decision: a target's
+    /// admission depends only on `(seed, salt, ip)`, never on which
+    /// shard asks.
     fn sample_admits(&self, ip: u32) -> bool {
-        sample_admits(&self.config, ip)
+        let c = &self.config;
+        if c.sample_fraction >= 1.0 {
+            return true;
+        }
+        let h = mix(&[c.seed, c.sample_salt, u64::from(ip)]);
+        ((h >> 11) as f64 / (1u64 << 53) as f64) < c.sample_fraction
     }
 
     fn pace(&mut self, now: Instant, fx: &mut Effects) {
@@ -2129,6 +2058,29 @@ mod tests {
         });
         for ip in 0..1000 {
             assert_eq!(s.sample_admits(ip), s2.sample_admits(ip));
+        }
+    }
+
+    #[test]
+    fn list_shard_holds_its_round_robin_slice() {
+        let list: Vec<(u32, Option<String>)> = (0..10u32).map(|k| (100 + k, None)).collect();
+        for i in 0..3u32 {
+            let mut config = ScanConfig::study(Protocol::Http, 1 << 16, 7);
+            config.targets = TargetSpec::List(list.clone());
+            config.shard = (i, 3);
+            let mut s = Scanner::new(config);
+            let want: Vec<u32> = (0..10).filter(|k| k % 3 == i).map(|k| 100 + k).collect();
+            assert_eq!(s.targets_total, want.len() as u64);
+            let mut got = Vec::new();
+            loop {
+                // The cursor counts what is left of this shard's slice.
+                assert_eq!(s.targets.cursor(), ((want.len() - got.len()) as u64, 0));
+                match s.targets.next() {
+                    Some((ip, _)) => got.push(ip),
+                    None => break,
+                }
+            }
+            assert_eq!(got, want, "shard {i}/3");
         }
     }
 

@@ -287,6 +287,42 @@ fn resume_rejects_tampered_shard_state() {
     assert!(resumed.results.is_empty(), "diverged run must not report");
 }
 
+/// A file written before the TX feeders were removed carries their
+/// `shard.tx.*` counters (zero in every capture). The barrier skips
+/// names this build does not register and still compares the rest, so
+/// such a campaign resumes byte-identically.
+#[test]
+fn resume_skips_counters_this_build_no_longer_registers() {
+    let pop = small_world(0x7a3);
+    let config = durable_config(pop.space_size(), 0x7a3);
+    let baseline = run(&pop, &config, 2, RunControl::default());
+    let killed = run(
+        &pop,
+        &config,
+        2,
+        RunControl {
+            kill_after_events: 400,
+            ..RunControl::default()
+        },
+    );
+    let mut caps = latest_per_shard(&killed, 2);
+    for cap in &mut caps {
+        cap.counters.push(("shard.tx.batches".to_string(), 0));
+        cap.counters.push(("shard.tx.targets".to_string(), 0));
+    }
+    let resumed = run(
+        &pop,
+        &config,
+        2,
+        RunControl {
+            resume: Some(Arc::new(campaign_file(&config, caps))),
+            ..RunControl::default()
+        },
+    );
+    assert_eq!(resumed.disposition, RunDisposition::Completed);
+    assert_eq!(fingerprint(&resumed), fingerprint(&baseline));
+}
+
 #[test]
 fn resume_rejects_config_and_shard_mismatch() {
     let pop = small_world(0x9b1);

@@ -1,10 +1,10 @@
-//! Gates for the sharded TX/RX topology: cursor seek-after-merge over
-//! the cyclic-group partitions, byte-identity of the threaded engine
-//! against the single-threaded reference, and checkpoint-trail
-//! equivalence of the fed single-shard pipeline.
+//! Gates for the sharded engine: cursor seek-after-merge over the
+//! cyclic-group partitions, byte-identity of `Topology::threads(n)`
+//! against the single-threaded reference, world `i` of `n` as a pure
+//! function of `(config, shard)`, and exact-once list partitioning.
 
 use iw_core::permutation::Permutation;
-use iw_core::{Protocol, RunControl, ScanConfig, ScanRunner, Topology};
+use iw_core::{Protocol, RunControl, ScanConfig, ScanRunner, TargetSpec, Topology};
 use iw_internet::{Population, PopulationConfig};
 use iw_netsim::Duration;
 use std::sync::Arc;
@@ -92,22 +92,12 @@ fn thread_topologies_match_the_single_threaded_reference() {
     let pop = population();
     let mut config = study_config(&pop, 7);
     config.telemetry.record_events = true;
-    let single = ScanRunner::new(&pop).config(config.clone()).run();
+    let single = ScanRunner::new(&pop)
+        .config(config.clone())
+        .topology(Topology::threads(1))
+        .run();
     assert!(!single.results.is_empty());
-    for topology in [
-        Topology::Threads {
-            senders: 1,
-            receivers: 1,
-        },
-        Topology::Threads {
-            senders: 3,
-            receivers: 2,
-        },
-        Topology::Threads {
-            senders: 4,
-            receivers: 4,
-        },
-    ] {
+    for topology in [Topology::threads(3), Topology::threads(4)] {
         let out = ScanRunner::new(&pop)
             .config(config.clone())
             .topology(topology)
@@ -131,33 +121,79 @@ fn thread_topologies_match_the_single_threaded_reference() {
     }
 }
 
-/// A fed world's checkpoints must be byte-identical to the
-/// self-generating path: the ring hands each world the same cursors its
-/// own generator would have produced, so a campaign checkpointed under
-/// one topology can resume under the other.
+/// The claim the whole design leans on: a world is a pure function of
+/// `(config, shard i of n)`. Each shard's checkpoint trail out of
+/// `threads(3)` is byte-identical to a one-thread run with the shard
+/// tuple set by hand, so scheduling worlds differently can never change
+/// what they compute.
 #[test]
-fn fed_pipeline_checkpoints_match_the_self_generating_path() {
+fn world_i_of_n_equals_a_hand_sharded_world() {
     let pop = population();
     let config = study_config(&pop, 11);
     let control = RunControl {
         checkpoint_every: Some(Duration::from_secs(5)),
         ..RunControl::default()
     };
-    let direct = ScanRunner::new(&pop)
+    let threaded = ScanRunner::new(&pop)
         .config(config.clone())
+        .topology(Topology::threads(3))
         .control(control.clone())
         .run();
-    let fed = ScanRunner::new(&pop)
-        .config(config)
-        .topology(Topology::Threads {
-            senders: 1,
-            receivers: 1,
-        })
-        .control(control)
-        .run();
-    assert!(!direct.checkpoints.is_empty());
-    assert_eq!(direct.checkpoints.len(), fed.checkpoints.len());
-    for (a, b) in direct.checkpoints.iter().zip(&fed.checkpoints) {
-        assert_eq!(a.canonical_json(), b.canonical_json());
+    for i in 0..3 {
+        let mut by_hand = config.clone();
+        by_hand.shard = (i, 3);
+        let world = ScanRunner::new(&pop)
+            .config(by_hand)
+            .topology(Topology::threads(1))
+            .control(control.clone())
+            .run();
+        let trail: Vec<String> = threaded
+            .checkpoints
+            .iter()
+            .filter(|c| c.shard == i)
+            .map(|c| c.canonical_json())
+            .collect();
+        let want: Vec<String> = world
+            .checkpoints
+            .iter()
+            .map(|c| c.canonical_json())
+            .collect();
+        assert!(trail.len() > 1, "shard {i}: periodic captures expected");
+        assert_eq!(trail, want, "shard {i}");
     }
+}
+
+/// An explicit target list is round-robin partitioned across worlds:
+/// every entry is probed by exactly one of them, so a sharded list scan
+/// reports what the one-thread scan does.
+#[test]
+fn list_targets_partition_exactly_once_across_worlds() {
+    let pop = population();
+    let responsive: Vec<u32> = (0..pop.space_size())
+        .filter(|ip| pop.ground_truth(*ip).is_some_and(|gt| gt.http))
+        .take(10)
+        .collect();
+    assert_eq!(responsive.len(), 10);
+    let mut config = study_config(&pop, 5);
+    config.targets = TargetSpec::List(
+        responsive
+            .iter()
+            .map(|ip| (*ip, Some(format!("host{ip}.example"))))
+            .collect(),
+    );
+    let single = ScanRunner::new(&pop).config(config.clone()).run();
+    let sharded = ScanRunner::new(&pop)
+        .config(config)
+        .topology(Topology::threads(3))
+        .run();
+    assert_eq!(single.summary.targets, 10);
+    assert!(!single.results.is_empty());
+    assert_eq!(
+        format!("{:?}", single.summary),
+        format!("{:?}", sharded.summary)
+    );
+    assert_eq!(
+        format!("{:?}", single.results),
+        format!("{:?}", sharded.results)
+    );
 }

@@ -1,7 +1,7 @@
 //! Declared-intent concurrency manifest.
 //!
-//! The sharded TX/RX pipeline (ROADMAP item 1) brings real threads into
-//! a codebase whose headline guarantee is byte-identical determinism.
+//! The sharded engine (`Topology::threads`) brings real threads into a
+//! codebase whose headline guarantee is byte-identical determinism.
 //! This module is where concurrency *intent* is declared as data, the
 //! same way `machines.rs` declares state machines — and the
 //! `shared-state-audit`, `hot-path-purity` and `channel-discipline`
@@ -95,7 +95,7 @@ pub fn project_concurrency() -> ConcurrencySpec {
                 name: "inner",
                 kind: "RefCell",
                 role: "single-threaded slab free-list behind BufferPool handles; \
-                       becomes per-shard state when the TX/RX split lands",
+                       one pool per shard world",
                 rank: Some(10),
             },
             SharedStateSpec {
@@ -105,15 +105,6 @@ pub fn project_concurrency() -> ConcurrencySpec {
                 role: "refcount on a frozen PacketBuf so fan-out clones share \
                        one backing slab without copying bytes",
                 rank: None,
-            },
-            SharedStateSpec {
-                file: "crates/core/src/ring.rs",
-                name: "inner",
-                kind: "Mutex",
-                role: "bounded target ring between a TX feeder thread and \
-                       its scan world; the recv side swaps the whole queue \
-                       out so the hot path takes the lock once per batch",
-                rank: Some(15),
             },
             SharedStateSpec {
                 file: "crates/cli/src/commands.rs",
@@ -188,28 +179,18 @@ pub fn project_concurrency() -> ConcurrencySpec {
                 why: "trait fan-out, as for on_packet",
             },
         ],
-        channels: vec![
-            ChannelEndpoint {
-                name: "feed",
-                role: "admitted targets + generator cursors flowing from a \
-                       TX feeder thread into its scan world's TargetIter",
-                tx_files: &["crates/core/src/txrx.rs"],
-                rx_files: &["crates/core/src/scanner.rs"],
-            },
-            ChannelEndpoint {
-                name: "fx",
-                role: "Effects sink: packets and timer arms emitted by \
+        channels: vec![ChannelEndpoint {
+            name: "fx",
+            role: "Effects sink: packets and timer arms emitted by \
                        endpoints, drained by the sim loop inside each \
                        shard's world",
-                tx_files: &[
-                    "crates/core/src/scanner.rs",
-                    "crates/hoststack/src/host.rs",
-                    "crates/hoststack/src/chaos.rs",
-                    "crates/bench/src/bin/exp_eventloop.rs",
-                ],
-                rx_files: &["crates/netsim/src/sim.rs"],
-            },
-        ],
+            tx_files: &[
+                "crates/core/src/scanner.rs",
+                "crates/hoststack/src/host.rs",
+                "crates/hoststack/src/chaos.rs",
+            ],
+            rx_files: &["crates/netsim/src/sim.rs"],
+        }],
     }
 }
 

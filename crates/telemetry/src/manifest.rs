@@ -282,12 +282,6 @@ pub const SHARD_PACE_TOKEN_WAIT_NANOS: MetricDef =
 /// Peak live sessions.
 pub const SHARD_SESSIONS_LIVE_PEAK: MetricDef =
     MetricDef::gauge("shard.sessions.live_peak", Scope::Shard);
-/// Targets a TX feeder thread produced for this shard's world
-/// (`Topology::Threads`; zero when the scanner generates its own
-/// targets). Folded in from the ring's terminal state at harvest.
-pub const SHARD_TX_TARGETS: MetricDef = MetricDef::counter("shard.tx.targets", Scope::Shard);
-/// Batches the TX feeder pushed into the bounded ring.
-pub const SHARD_TX_BATCHES: MetricDef = MetricDef::counter("shard.tx.batches", Scope::Shard);
 
 // ---------------------------------------------------------------------------
 // Simulation kernel (shard scope: each shard drives its own event loop,
@@ -350,7 +344,7 @@ pub const ICMP_UNREACHABLE_CODE_COUNTERS: [&MetricDef; 4] = [
 ];
 
 /// Every declared metric. Order matches declaration order above.
-pub const ALL: [&MetricDef; 61] = [
+pub const ALL: [&MetricDef; 59] = [
     &SCAN_TARGETS_SENT,
     &SCAN_SYNACKS_VALIDATED,
     &SCAN_REFUSED,
@@ -405,8 +399,6 @@ pub const ALL: [&MetricDef; 61] = [
     &SHARD_PACE_TICKS,
     &SHARD_PACE_TOKEN_WAIT_NANOS,
     &SHARD_SESSIONS_LIVE_PEAK,
-    &SHARD_TX_TARGETS,
-    &SHARD_TX_BATCHES,
     &SIM_QUEUE_EVENTS,
     &SIM_QUEUE_PACKETS,
     &SIM_QUEUE_POOL_ALLOCATIONS,
