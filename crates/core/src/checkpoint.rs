@@ -34,8 +34,12 @@ use iw_telemetry::{parse_json, JsonValue};
 use std::fmt;
 use std::fmt::Write as _;
 
-/// Current checkpoint schema version.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// Current checkpoint schema version. The barrier is phrased in event
+/// counts, so the version also moves when a build renumbers events:
+/// 2 = retry FIFOs (hardened campaigns process far fewer events than
+/// under version 1, whose files this build refuses by name instead of
+/// replaying them into a `Diverged` barrier).
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// The `kind` discriminator in the file header.
 pub const CHECKPOINT_KIND: &str = "iwscan-campaign-checkpoint";
@@ -801,6 +805,13 @@ mod tests {
         assert_eq!(
             CampaignCheckpoint::parse(&json).unwrap_err(),
             CheckpointError::UnknownVersion(CHECKPOINT_VERSION + 1)
+        );
+        // A file from before the retry FIFOs numbers its events
+        // differently: refused cleanly, never replayed to a divergence.
+        ckpt.version = 1;
+        assert_eq!(
+            CampaignCheckpoint::parse(&ckpt.to_canonical_json()).unwrap_err(),
+            CheckpointError::UnknownVersion(1)
         );
     }
 

@@ -23,8 +23,9 @@
 //!
 //! [`session`] chains the six probes per host (3 × MSS 64 + 3 × MSS 128),
 //! applies the majority-of-maximum vote and the §4.2 byte-limit
-//! detection; [`scanner`] is the event-driven engine; [`driver`] wires it
-//! to `iw-netsim`/`iw-internet` and runs sharded scans on real threads.
+//! detection; [`scanner`] is the event-driven engine ([`retry`] holds its
+//! SYN-retransmission FIFOs); [`driver`] wires it to
+//! `iw-netsim`/`iw-internet` and runs sharded scans on real threads.
 //!
 //! Observability rides on `iw-telemetry` (re-exported as [`telemetry`]):
 //! the scanner always feeds an allocation-free metrics registry, and
@@ -45,6 +46,7 @@ pub mod prime;
 pub mod probe;
 pub mod rate;
 pub mod results;
+pub mod retry;
 pub mod scanner;
 pub mod session;
 pub mod table;

@@ -14,6 +14,7 @@ use crate::cookie::{self, CookieKey, SynAckCheck};
 use crate::permutation::{Permutation, ShardIter};
 use crate::rate::{shard_rate, TokenBucket};
 use crate::results::{ErrorKind, HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol};
+use crate::retry::RetryQueue;
 use crate::session::{HostSession, SessionOutput, SessionParams};
 use crate::table::IpMap;
 use iw_internet::util::mix;
@@ -72,8 +73,9 @@ pub struct ScanConfig {
     pub record_trace: bool,
     /// Stateless-first hybrid mode (ZBanner-style): discovery SYNs carry
     /// their whole per-flow state in the source port + ISN cookie, and a
-    /// target only earns scanner memory once its SYN-ACK validates and it
-    /// is promoted to a full stateful IW-inference session. Applies to
+    /// target only earns a table entry once its SYN-ACK validates and it
+    /// is promoted to a full stateful IW-inference session (until then
+    /// it costs at most one retry-FIFO entry per backoff window). Applies to
     /// the TCP inference protocols (`Http`/`Tls`); `PortScan` is already
     /// stateless and `IcmpMtu` has no handshake.
     pub stateless_first: bool,
@@ -427,21 +429,24 @@ const MONITOR_TOKEN: TimerToken = u64::MAX - 1;
 const SWEEP_TOKEN: TimerToken = u64::MAX - 2;
 /// Timer token for the streaming-telemetry snapshot tick.
 const STREAM_TOKEN: TimerToken = u64::MAX - 3;
-/// Per-IP timer namespaces in bits 32..40 of the token (bits ..32 carry
-/// the IP): 0 = session wake-up, 1 = SYN retry, 2 = session watchdog,
-/// 3 = discovery retransmit. The scanner-global tokens above live at the
-/// very top of the space and are matched by equality first.
+/// Timer namespaces in bits 32..40 of the token: 0 = session wake-up,
+/// 1 = stateful SYN-retry drain, 2 = session watchdog, 3 = discovery
+/// retry drain. Session wake-ups and watchdogs are per responder (bits
+/// ..32 carry the IP); the two retry namespaces carry no IP — one timer
+/// per backoff level (bits 40..) drains that level's [`RetryQueue`].
+/// The scanner-global tokens above live at the very top of the space
+/// and are matched by equality first.
 const SYN_RETRY_NS: u64 = 1 << 32;
 /// See [`SYN_RETRY_NS`].
 const WATCHDOG_NS: u64 = 2 << 32;
-/// Discovery-retransmit namespace; the attempt index rides in bits 40..
-/// so the timer itself carries the whole retry state — no `pending`
-/// entry exists for a discovery-phase target.
+/// Discovery-retry drain namespace. Level `k` holds the targets whose
+/// retransmission `k + 1` is due `syn_backoff << k` after they were
+/// queued; no `pending` entry exists for a discovery-phase target.
 const DISCOVERY_NS: u64 = 3 << 32;
 
-/// Token for discovery retransmission `attempt` of target `ip`.
-fn discovery_token(attempt: u32, ip: u32) -> TimerToken {
-    DISCOVERY_NS | (u64::from(attempt) << 40) | u64::from(ip)
+/// Token of the drain timer for backoff `level` in retry namespace `ns`.
+fn retry_token(ns: u64, level: usize) -> TimerToken {
+    ns | ((level as u64) << 40)
 }
 /// Pacing tick length.
 const TICK: Duration = Duration::from_millis(5);
@@ -651,6 +656,16 @@ pub struct Scanner {
     /// already spent. Populated only when `resilience.syn_retries > 0`;
     /// entries leave on SYN-ACK/RST/ICMP or retry exhaustion.
     pending: IpMap<u32>,
+    /// Stateful SYN retransmissions waiting out their backoff, one FIFO
+    /// per level (level = retries already spent; the last level is the
+    /// give-up deadline). Grown on first use, so empty without retries.
+    syn_retry_queues: Vec<RetryQueue>,
+    /// Discovery retransmissions (stateless-first mode), one FIFO per
+    /// level: 16 B per silent target for the length of a backoff window,
+    /// the only per-target state the discovery phase holds.
+    discovery_retry_queues: Vec<RetryQueue>,
+    /// Set by [`Self::begin_drain`]: no response opens new work.
+    draining: bool,
     /// Session creation order (oldest first) for `max_sessions` eviction.
     /// Maintained only when a cap is configured; may hold stale entries
     /// for already-finished sessions (skipped on eviction, lazily
@@ -797,6 +812,9 @@ impl Scanner {
             exhausted: false,
             sessions: IpMap::new(),
             pending: IpMap::new(),
+            syn_retry_queues: Vec::new(),
+            discovery_retry_queues: Vec::new(),
+            draining: false,
             session_order: VecDeque::new(),
             promotions: VecDeque::new(),
             promoted_inflight: IpMap::new(),
@@ -883,6 +901,18 @@ impl Scanner {
     /// keeps this O(live sessions), not O(total sessions started)).
     pub fn eviction_queue_len(&self) -> usize {
         self.session_order.len()
+    }
+
+    /// Retransmissions queued behind their backoff, over every level of
+    /// both retry paths (diagnostics; the honest per-target footprint of
+    /// a hardened scan — at most `rate × (backoff window)` entries, and
+    /// zero once the scan drains).
+    pub fn retry_backlog(&self) -> usize {
+        self.syn_retry_queues
+            .iter()
+            .chain(&self.discovery_retry_queues)
+            .map(RetryQueue::len)
+            .sum()
     }
 
     /// Fold the simulation kernel's counters into the shard-scoped
@@ -1029,21 +1059,29 @@ impl Scanner {
         self.metrics.registry.inc(self.metrics.checkpoints_taken);
     }
 
-    /// Graceful-shutdown drain: stop target generation, drop pending SYN
-    /// retries and force-conclude every live session (recorded as
-    /// [`ErrorKind::CollectTimeout`]) so the event loop winds down on its
-    /// own. Every state entry cut short counts into
+    /// Graceful-shutdown drain: stop target generation, drop every queued
+    /// retransmission and promotion, and force-conclude every live
+    /// session (recorded as [`ErrorKind::CollectTimeout`]) so the event
+    /// loop winds down on its own; from here on no response opens new
+    /// work. Every state entry cut short counts into
     /// `scan.checkpoint.drain_forced`.
     pub fn begin_drain(&mut self, now: Instant, fx: &mut Effects) {
         self.exhausted = true;
+        self.draining = true;
         self.pending.retain(|_, _| false);
-        // Queued responders are cut short exactly like pending retries:
-        // each dropped promotion is forced-drain pressure.
-        for _ in 0..self.promotions.len() {
-            self.metrics
-                .registry
-                .inc(self.metrics.checkpoint_drain_forced);
-        }
+        // Queued retransmissions and queued responders are cut short
+        // alike: each dropped entry is forced-drain pressure. (The
+        // levels' outstanding drain timers fire into empty queues.)
+        let dropped_retries: usize = self
+            .syn_retry_queues
+            .iter_mut()
+            .chain(&mut self.discovery_retry_queues)
+            .map(RetryQueue::clear)
+            .sum();
+        self.metrics.registry.add(
+            self.metrics.checkpoint_drain_forced,
+            (dropped_retries + self.promotions.len()) as u64,
+        );
         self.promotions.clear();
         // In-flight promoted handshakes are cut off with them: their
         // SYN-ACKs may still arrive, but no further slots are gated.
@@ -1151,13 +1189,13 @@ impl Scanner {
             _ if self.discovery_active() => {
                 // Stateless-first: the SYN's source port and cookie ISN
                 // carry the whole flow state. No `pending` entry, no RTT
-                // stamp, no recorder ring — a target earns memory only at
-                // promotion. Retransmission state rides in the timer
-                // token itself (attempt in bits 40..).
+                // stamp, no recorder ring — a target earns table memory
+                // only at promotion. Its retransmission is one FIFO entry
+                // whose level names the attempt.
                 self.metrics.registry.inc(self.metrics.discovery_syns);
                 self.emit_discovery_syn(ip, 0, fx);
                 if self.discovery_retry_budget() > 0 {
-                    fx.arm(self.config.resilience.syn_backoff, discovery_token(1, ip));
+                    self.queue_retry(DISCOVERY_NS, 0, ip, now, fx);
                 }
             }
             _ => self.send_stateful_syn(ip, now, fx),
@@ -1184,7 +1222,7 @@ impl Scanner {
     /// Send the stateful SYN for a target — directly in classic mode, or
     /// at promotion time in stateless-first mode. From here on the
     /// target follows the exact classic lifecycle (pending entry, RTT
-    /// stamp, recorder ring, `SYN_RETRY_NS` timers), which is what keeps
+    /// stamp, recorder ring, stateful retry queue), which is what keeps
     /// responder verdicts byte-identical across the two modes.
     fn send_stateful_syn(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
         // The SYN timestamp serves both the RTT histogram and the
@@ -1200,10 +1238,56 @@ impl Scanner {
         self.emit_syn(ip, now, fx);
         if self.config.resilience.syn_retries > 0 {
             self.pending.insert(ip, 0);
-            fx.arm(
-                self.config.resilience.syn_backoff,
-                SYN_RETRY_NS | u64::from(ip),
-            );
+            self.queue_retry(SYN_RETRY_NS, 0, ip, now, fx);
+        }
+    }
+
+    /// The FIFOs of retry namespace `ns`, one per backoff level.
+    fn retry_queues(&mut self, ns: u64) -> &mut Vec<RetryQueue> {
+        if ns == DISCOVERY_NS {
+            &mut self.discovery_retry_queues
+        } else {
+            &mut self.syn_retry_queues
+        }
+    }
+
+    /// Queue `ip` for the retransmission of backoff `level`, due
+    /// `syn_backoff << level` from now (the doubling schedule both retry
+    /// paths share), arming the level's drain timer if none is
+    /// outstanding.
+    fn queue_retry(&mut self, ns: u64, level: usize, ip: u32, now: Instant, fx: &mut Effects) {
+        let delay = Duration::from_nanos(self.config.resilience.syn_backoff.as_nanos() << level);
+        let queues = self.retry_queues(ns);
+        if queues.len() <= level {
+            queues.resize_with(level + 1, RetryQueue::default);
+        }
+        if queues[level].push(now + delay, ip) {
+            fx.arm(delay, retry_token(ns, level));
+        }
+    }
+
+    /// A level's drain timer fired: run the retry body for every entry
+    /// due by now — one wheel event per pacing batch, not one per target
+    /// — and re-arm at the new head's due time. A fire queues its target
+    /// onto the *next* level, never this one, so the level stays sorted.
+    fn drain_retries(&mut self, ns: u64, level: usize, now: Instant, fx: &mut Effects) {
+        while let Some(ip) = self
+            .retry_queues(ns)
+            .get_mut(level)
+            .and_then(|q| q.pop_due(now))
+        {
+            if ns == DISCOVERY_NS {
+                self.discovery_retry_fire(ip, level, now, fx);
+            } else {
+                self.syn_retry_fire(ip, now, fx);
+            }
+        }
+        if let Some(delay) = self
+            .retry_queues(ns)
+            .get_mut(level)
+            .and_then(|q| q.rearm(now))
+        {
+            fx.arm(delay, retry_token(ns, level));
         }
     }
 
@@ -1224,28 +1308,23 @@ impl Scanner {
         );
     }
 
-    /// A discovery-retransmit timer fired: the attempt to send now rides
-    /// in the token. Retransmit on a fresh source port unless the target
-    /// already answered (discovered, promoted into the session table, or
-    /// mid-promotion in the pending map).
-    fn discovery_retry_fire(&mut self, ip: u32, attempt: u32, now: Instant, fx: &mut Effects) {
-        let _ = now;
-        if attempt == 0 || attempt > self.discovery_retry_budget() {
+    /// A target's level-`level` discovery backoff elapsed: send attempt
+    /// `level + 1` on a fresh source port unless the target already
+    /// answered, and queue the next level while budget remains.
+    fn discovery_retry_fire(&mut self, ip: u32, level: usize, now: Instant, fx: &mut Effects) {
+        // One table probe per silent target: in stateless-first mode
+        // `sessions` and `pending` only ever hold promoted targets, and a
+        // target enters `discovered` (never to leave) before it can be
+        // promoted — so "discovered" already covers all three.
+        if self.discovered.contains_key(ip) {
             return;
         }
-        if self.discovered.contains_key(ip)
-            || self.sessions.contains_key(ip)
-            || self.pending.contains_key(ip)
-        {
-            return;
-        }
+        debug_assert!(!self.sessions.contains_key(ip) && !self.pending.contains_key(ip));
+        let attempt = level as u32 + 1;
         self.metrics.registry.inc(self.metrics.discovery_retries);
         self.emit_discovery_syn(ip, attempt, fx);
         if attempt < self.discovery_retry_budget() {
-            // Same doubling schedule as the stateful SYN retry path.
-            let backoff =
-                Duration::from_nanos(self.config.resilience.syn_backoff.as_nanos() << attempt);
-            fx.arm(backoff, discovery_token(attempt + 1, ip));
+            self.queue_retry(DISCOVERY_NS, level + 1, ip, now, fx);
         }
     }
 
@@ -1259,6 +1338,11 @@ impl Scanner {
         now: Instant,
         fx: &mut Effects,
     ) {
+        if self.draining {
+            // A graceful drain is winding the scan down: late answers
+            // earn neither a teardown RST nor a promotion.
+            return;
+        }
         let ip = src.to_u32();
         let Some(attempt) = cookie::discovery_attempt(seg.dst_port) else {
             return;
@@ -1325,6 +1409,9 @@ impl Scanner {
     /// queue is the back-pressure buffer, and concluded sessions pull the
     /// next responder in.
     fn try_drain_promotions(&mut self, now: Instant, fx: &mut Effects) {
+        if self.draining {
+            return;
+        }
         let cap = self.config.resilience.max_sessions;
         while let Some(&ip) = self.promotions.front() {
             // In-flight promotions hold a slot too: their sessions only
@@ -1355,7 +1442,10 @@ impl Scanner {
     /// holding pre-session state — queued responders plus promoted
     /// handshakes in flight. `pending` and `syn_ts` entries only exist
     /// for those same targets in stateless-first mode, so the gauge
-    /// bounds them too: O(validated responders), never O(targets).
+    /// bounds them too: O(validated responders), never O(targets). (The
+    /// retry FIFOs are the other per-target cost — 16 B per silent
+    /// target per backoff window, bounded by the rate; see
+    /// [`Self::retry_backlog`].)
     fn note_discovery_state(&mut self) {
         let footprint = (self.promotions.len() + self.promoted_inflight.len()) as u64;
         self.metrics
@@ -1388,8 +1478,8 @@ impl Scanner {
         );
     }
 
-    /// A SYN-retry timer fired: retransmit if the target is still silent
-    /// and budget remains, with doubled backoff.
+    /// A target's stateful SYN backoff elapsed: retransmit if it is still
+    /// silent and budget remains, and queue the next (doubled) level.
     fn syn_retry_fire(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
         if self.sessions.contains_key(ip) {
             self.pending.remove(ip);
@@ -1428,9 +1518,7 @@ impl Scanner {
         // rather than attributing whole backoff periods to the wire.
         self.syn_ts.remove(ip);
         self.emit_syn(ip, now, fx);
-        let backoff =
-            Duration::from_nanos(self.config.resilience.syn_backoff.as_nanos() << (attempts + 1));
-        fx.arm(backoff, SYN_RETRY_NS | u64::from(ip));
+        self.queue_retry(SYN_RETRY_NS, attempts as usize + 1, ip, now, fx);
     }
 
     /// The per-session watchdog fired: if the session is somehow still
@@ -1758,10 +1846,12 @@ impl Scanner {
             self.apply_session_output(ip, out, now, fx);
             return;
         }
-        // No session: a valid SYN-ACK for (probe 0, conn 0) creates one.
+        // No session: a valid SYN-ACK for (probe 0, conn 0) creates one
+        // — unless a graceful drain is under way, which opens no new work.
         let sport = self.params.sport(0, 0, 0);
         let dport = self.config.protocol.port();
-        if seg.dst_port == sport
+        if !self.draining
+            && seg.dst_port == sport
             && seg.src_port == dport
             && seg.flags.contains(Flags::SYN)
             && seg.flags.contains(Flags::ACK)
@@ -2013,18 +2103,18 @@ impl Endpoint for Scanner {
             return;
         }
         let ip = token as u32;
-        // The namespace sits in bits 32..40; bits 40.. carry per-namespace
-        // payload (the discovery attempt), so mask before dispatching.
-        match (token >> 32) & 0xff {
+        // The namespace sits in bits 32..40; bits 40.. carry the backoff
+        // level of the two retry-drain namespaces.
+        let ns = token & (0xff << 32);
+        match ns >> 32 {
             0 => {
                 if let Some(session) = self.sessions.get_mut(ip) {
                     let out = session.on_timer(now);
                     self.apply_session_output(ip, out, now, fx);
                 }
             }
-            1 => self.syn_retry_fire(ip, now, fx),
+            1 | 3 => self.drain_retries(ns, (token >> 40) as usize, now, fx),
             2 => self.watchdog_fire(ip, now, fx),
-            3 => self.discovery_retry_fire(ip, (token >> 40) as u32, now, fx),
             _ => {}
         }
     }

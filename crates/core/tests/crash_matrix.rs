@@ -410,6 +410,57 @@ fn graceful_abort_drains_and_checkpoints() {
     assert_eq!(last.results_recorded, out.results.len() as u64);
 }
 
+/// Regression: the drain used to leave every in-flight target's discovery
+/// retransmission armed, so a stateless-first hardened scan kept SYNing
+/// the silent space for three more virtual seconds after the abort and
+/// promoted late answers into brand-new sessions.
+#[test]
+fn graceful_abort_stops_discovery_retransmissions_and_promotions() {
+    use iw_internet::population::PopulationFactory;
+    use iw_netsim::{Instant, Sim, SimConfig};
+
+    let pop = small_world(0xab07);
+    let mut config = durable_config(pop.space_size(), 0xab07);
+    config.stateless_first = true;
+    let sim_config = SimConfig {
+        seed: config.seed,
+        ..SimConfig::default()
+    };
+    let scanner = iw_core::Scanner::new(config);
+    let mut sim = Sim::new(scanner, PopulationFactory::new(pop.clone()), sim_config);
+    sim.kick_scanner(|s, now, fx| s.start(now, fx));
+    // 50 ms in: every target has its first SYN out and its retry queued,
+    // and the first responders are mid-discovery and mid-promotion.
+    sim.run_until(Instant::ZERO + Duration::from_millis(50));
+    assert!(sim.scanner().retry_backlog() > 0, "retries in flight");
+    sim.kick_scanner(|s, now, fx| s.begin_drain(now, fx));
+    let sessions_started =
+        |s: &iw_core::Scanner| s.metrics_snapshot().counter("scan.sessions_started");
+    let (tx, started) = (sim.stats().scanner_tx, sessions_started(sim.scanner()));
+    assert_eq!(sim.scanner().retry_backlog(), 0, "drain empties the FIFOs");
+    let dropped = sim
+        .scanner()
+        .metrics_snapshot()
+        .counter("scan.checkpoint.drain_forced");
+    assert!(
+        dropped >= 1 << 13,
+        "dropped retries count as drain pressure"
+    );
+
+    sim.run_to_completion();
+    assert_eq!(
+        sim.stats().scanner_tx,
+        tx,
+        "the scanner transmitted after the drain"
+    );
+    assert_eq!(
+        sessions_started(sim.scanner()),
+        started,
+        "a session started after the drain"
+    );
+    assert_eq!(sim.scanner().live_sessions(), 0);
+}
+
 // ---------------------------------------------------------------------
 // File-format properties: round-trip byte-identity, clean rejection.
 // ---------------------------------------------------------------------
@@ -519,10 +570,15 @@ fn corrupt_checkpoint_files_rejected_without_panic() {
             let _ = CampaignCheckpoint::parse(&text);
         }
     }
-    // An unknown future version is refused by name, not misread.
-    let future = bytes.replace("\"version\":1", "\"version\":999");
-    assert!(matches!(
-        CampaignCheckpoint::parse(&future),
-        Err(iw_core::CheckpointError::UnknownVersion(999))
-    ));
+    // An unknown future version is refused by name, not misread — and
+    // so is a version-1 file, whose event numbering predates this build.
+    let current = format!("\"version\":{CHECKPOINT_VERSION}");
+    assert!(bytes.contains(&current));
+    for other in [999, 1] {
+        let foreign = bytes.replace(&current, &format!("\"version\":{other}"));
+        assert!(matches!(
+            CampaignCheckpoint::parse(&foreign),
+            Err(iw_core::CheckpointError::UnknownVersion(v)) if v == other
+        ));
+    }
 }

@@ -763,6 +763,41 @@ fn stateless_discovery_state_is_bounded_by_responders() {
         state_peak < u64::from(space) / 32,
         "state peak {state_peak} scales with the population, not responders"
     );
+
+    // The honest half of the gate: the gauge above counts table entries,
+    // but every silent target also waits in a retry FIFO for the length
+    // of its backoff window. Sample the backlog at every event of a
+    // paper-rate-like sweep (slow enough that the bound is far below the
+    // space): level 0 holds one second of targets, level 1 two — never
+    // more than `rate × 3 s` plus the pacing tick in flight.
+    let rate = 20_000u64;
+    let mut config = ScanConfig::study(Protocol::Http, space, 0x1b1b);
+    config.rate_pps = rate;
+    config.resilience = ResilienceConfig::hardened();
+    config.stateless_first = true;
+    let sim_config = SimConfig {
+        seed: config.seed,
+        ..SimConfig::default()
+    };
+    let factory = iw_internet::population::PopulationFactory::new(pop.clone());
+    let mut sim = Sim::new(Scanner::new(config), factory, sim_config);
+    sim.kick_scanner(|s, now, fx| s.start(now, fx));
+    let mut backlog_peak = 0;
+    while sim.step() {
+        backlog_peak = backlog_peak.max(sim.scanner().retry_backlog());
+    }
+    let bound = (rate * 3 + rate / 200) as usize;
+    assert!(
+        backlog_peak <= bound,
+        "retry backlog peaked at {backlog_peak} entries, above rate × 3 s + one tick = {bound}"
+    );
+    assert!(
+        backlog_peak > bound / 2 && bound < space as usize / 2,
+        "the sweep must fill the backoff window for the bound to mean anything \
+         (peak {backlog_peak}, bound {bound})"
+    );
+    assert_eq!(sim.scanner().retry_backlog(), 0, "backlog drains to zero");
+    assert_eq!(sim.scanner().results().len() as u64, responders);
 }
 
 // ---------------------------------------------------------------------

@@ -371,3 +371,106 @@ fn non_tcp_garbage_never_panics_the_scanner() {
     }
     assert_eq!(scanner.live_sessions(), 0);
 }
+
+// ---------------------------------------------------------------------
+// Retry FIFOs: retransmissions ride per-level queues, not per-target
+// wheel timers — same packets at the same virtual instants, O(ticks)
+// events.
+// ---------------------------------------------------------------------
+
+/// Scan one silent (unrouted) list target with the hardened retry budget
+/// and return every SYN the scanner put on the wire as `(virtual nanos,
+/// source port)`, plus the drained scanner's metrics.
+fn silent_target_syns(stateless_first: bool) -> (Vec<(u64, u16)>, iw_core::telemetry::Snapshot) {
+    use iw_core::ResilienceConfig;
+    use iw_netsim::{Sim, SimConfig};
+
+    let mut cfg = config(Protocol::Http);
+    cfg.targets = TargetSpec::List(vec![(42, None)]);
+    cfg.resilience = ResilienceConfig::hardened();
+    cfg.stateless_first = stateless_first;
+    let sim_config = SimConfig {
+        seed: cfg.seed,
+        record_trace: true,
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::new(Scanner::new(cfg), |_ip: u32| None, sim_config);
+    sim.kick_scanner(|s, now, fx| s.start(now, fx));
+    sim.run_to_completion();
+    let syns = sim
+        .trace()
+        .entries()
+        .iter()
+        .map(|e| {
+            let ip = ipv4::Packet::new_checked(&e.bytes[..]).unwrap();
+            assert_eq!(ip.dst_addr().to_u32(), 42);
+            let seg = tcp::Packet::new_checked(ip.payload()).unwrap();
+            assert_eq!(seg.flags(), Flags::SYN);
+            (e.at.as_nanos(), seg.src_port())
+        })
+        .collect();
+    assert_eq!(sim.scanner().retry_backlog(), 0, "queues empty at harvest");
+    (syns, sim.scanner().metrics_snapshot())
+}
+
+#[test]
+fn silent_target_retransmits_on_the_backoff_schedule_in_both_modes() {
+    const SEC: u64 = 1_000_000_000;
+    // Discovery: each attempt names itself in the source port.
+    let (syns, metrics) = silent_target_syns(true);
+    let t0 = syns[0].0;
+    assert_eq!(
+        syns,
+        vec![(t0, 39000), (t0 + SEC, 39001), (t0 + 3 * SEC, 39002)]
+    );
+    assert_eq!(metrics.counter("scan.discovery.syns"), 1);
+    assert_eq!(metrics.counter("scan.discovery.retries"), 2);
+    assert_eq!(metrics.counter("scan.syn_retries"), 0);
+    // Stateful: the fixed (probe 0, conn 0) port, same schedule.
+    let (syns, metrics) = silent_target_syns(false);
+    let t0 = syns[0].0;
+    assert_eq!(
+        syns,
+        vec![(t0, 40000), (t0 + SEC, 40000), (t0 + 3 * SEC, 40000)]
+    );
+    assert_eq!(metrics.counter("scan.syn_retries"), 2);
+    assert_eq!(metrics.counter("scan.discovery.retries"), 0);
+}
+
+#[test]
+fn silent_space_costs_events_per_tick_not_per_target() {
+    use iw_core::ResilienceConfig;
+    use iw_netsim::{Sim, SimConfig};
+
+    // 2^16 silent targets, stateless-first + hardened, at the study's
+    // 150 kpps: three SYNs per target, yet the event count follows the
+    // pacing ticks (one pacing event and one drain per level per tick),
+    // not the ~131 k per-target timers this used to cost.
+    let space = 1u32 << 16;
+    let mut cfg = ScanConfig::study(Protocol::Http, space, 0x51e7);
+    cfg.stateless_first = true;
+    cfg.resilience = ResilienceConfig::hardened();
+    let sim_config = SimConfig {
+        seed: cfg.seed,
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::new(Scanner::new(cfg), |_ip: u32| None, sim_config);
+    sim.kick_scanner(|s, now, fx| s.start(now, fx));
+    sim.run_to_completion();
+
+    let stats = sim.stats();
+    let metrics = sim.scanner().metrics_snapshot();
+    assert_eq!(sim.scanner().targets_sent(), u64::from(space));
+    assert_eq!(
+        metrics.counter("scan.discovery.retries"),
+        2 * u64::from(space)
+    );
+    assert_eq!(stats.scanner_tx, 3 * u64::from(space));
+    let ticks = metrics.counter("shard.pace.ticks");
+    assert!(
+        stats.events <= 4 * ticks + 16,
+        "{} events for {ticks} pacing ticks: retries are back on the wheel",
+        stats.events
+    );
+    assert_eq!(sim.scanner().retry_backlog(), 0, "queues empty at harvest");
+}
