@@ -236,7 +236,7 @@ mod tests {
         let mut now = t0;
         let mut zero_grants = 0u64;
         for tick in 1..=50_000u64 {
-            now = now + Duration::from_nanos(97 + tick % 211);
+            now += Duration::from_nanos(97 + tick % 211);
             if bucket.take(now, u64::MAX) == 0 {
                 zero_grants += 1;
                 let wait = bucket.next_available();

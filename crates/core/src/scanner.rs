@@ -26,7 +26,7 @@ use iw_telemetry::{
 };
 use iw_wire::ipv4::Ipv4Addr;
 use iw_wire::tcp::{self, Flags};
-use iw_wire::{icmp, ipv4, IpProtocol};
+use iw_wire::{icmp, ipv4, IpProtocol, SynTemplate};
 use std::collections::VecDeque;
 
 /// What to scan.
@@ -696,13 +696,11 @@ pub struct Scanner {
     targets_sent: u64,
     refused: u64,
     ident: u16,
-    /// Prebuilt initial-SYN segment (4-tuple and MSS option are fixed for
-    /// the whole scan); only `seq` is rewritten per target, so the probe
-    /// fan-out never re-allocates the options vector.
-    syn_template: tcp::Repr,
-    /// Prebuilt discovery-SYN segment (stateless-first mode): `src_port`
-    /// carries the attempt, `seq` the cookie; everything else is fixed.
-    discovery_template: tcp::Repr,
+    /// Prebuilt SYN datagram (source, destination port, window and MSS
+    /// option are fixed for the whole scan). Per target only the address,
+    /// the IPv4 ident, the source port (discovery: the attempt) and the
+    /// cookie ISN are patched in.
+    syn_template: SynTemplate,
     metrics: Metrics,
     events: EventLog,
     /// SYN send times for RTT measurement (populated only when
@@ -789,20 +787,14 @@ impl Scanner {
         let tracer = Tracer::new(config.telemetry.record_spans);
         let recorder = FlightRecorder::new(config.telemetry.flight_recorder, DEFAULT_RING_CAPACITY);
         let sink = TelemetrySink::new(config.telemetry.stream.is_some());
-        let syn_template = tcp::Repr {
-            src_port: params.sport(0, 0, 0),
-            dst_port: config.protocol.port(),
-            seq: 0,
-            ack: 0,
-            flags: Flags::SYN,
-            window: 65535,
-            options: vec![tcp::TcpOption::Mss(*config.mss_list.first().unwrap_or(&64))],
-            payload: Vec::new(),
-        };
-        let discovery_template = tcp::Repr {
-            src_port: cookie::DISCOVERY_BASE_SPORT,
-            ..syn_template.clone()
-        };
+        let syn_template = SynTemplate::new(
+            config.source,
+            &tcp::Repr {
+                options: vec![tcp::TcpOption::Mss(*config.mss_list.first().unwrap_or(&64))],
+                ..tcp::Repr::bare(0, config.protocol.port(), 0, 0, Flags::SYN, 65535)
+            },
+            64,
+        );
         Scanner {
             config,
             params,
@@ -828,7 +820,6 @@ impl Scanner {
             refused: 0,
             ident: 1,
             syn_template,
-            discovery_template,
             metrics: Metrics::new(),
             events,
             syn_ts: IpMap::new(),
@@ -1296,16 +1287,17 @@ impl Scanner {
     /// so the eventual SYN-ACK names the transmission it answers.
     fn emit_discovery_syn(&mut self, ip: u32, attempt: u32, fx: &mut Effects) {
         let sport = cookie::discovery_sport(attempt);
-        let dport = self.discovery_template.dst_port;
-        self.discovery_template.src_port = sport;
-        self.discovery_template.seq = self.cookie.isn(ip, sport, dport);
-        Self::emit_datagram(
-            self.config.source,
-            &mut self.ident,
-            Ipv4Addr::from_u32(ip),
-            &self.discovery_template,
-            fx,
-        );
+        let isn = self.cookie.isn(ip, sport, self.config.protocol.port());
+        self.send_syn(ip, sport, isn, fx);
+    }
+
+    /// Patch the SYN template for one target and send it.
+    fn send_syn(&mut self, ip: u32, sport: u16, isn: u32, fx: &mut Effects) {
+        let mut buf = fx.buffer();
+        self.syn_template
+            .emit_into(&mut buf, Ipv4Addr::from_u32(ip), self.ident, sport, isn);
+        self.ident = self.ident.wrapping_add(1);
+        fx.send(buf.freeze());
     }
 
     /// A target's level-`level` discovery backoff elapsed: send attempt
@@ -1357,7 +1349,7 @@ impl Scanner {
                     // holds a half-open connection we will never use.
                     let rst =
                         tcp::Repr::bare(seg.dst_port, seg.src_port, seg.ack, 0, Flags::RST, 0);
-                    Self::emit_datagram(self.config.source, &mut self.ident, src, &rst, fx);
+                    self.emit_datagram(src, &rst, fx);
                     if self.discovered.contains_key(ip) {
                         self.metrics.registry.inc(self.metrics.discovery_duplicates);
                         return;
@@ -1457,25 +1449,11 @@ impl Scanner {
     /// the identical 4-tuple and ISN, so a SYN-ACK to any attempt
     /// validates against the same cookie.
     fn emit_syn(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
-        let dport = self.syn_template.dst_port;
-        let sport = self.syn_template.src_port;
-        self.syn_template.seq = self.cookie.isn(ip, sport, dport);
-        self.recorder.note_wire(
-            ip,
-            now.as_nanos(),
-            true,
-            Flags::SYN.bits(),
-            self.syn_template.seq,
-            0,
-            0,
-        );
-        Self::emit_datagram(
-            self.config.source,
-            &mut self.ident,
-            Ipv4Addr::from_u32(ip),
-            &self.syn_template,
-            fx,
-        );
+        let sport = self.params.sport(0, 0, 0);
+        let isn = self.cookie.isn(ip, sport, self.config.protocol.port());
+        self.recorder
+            .note_wire(ip, now.as_nanos(), true, Flags::SYN.bits(), isn, 0, 0);
+        self.send_syn(ip, sport, isn, fx);
     }
 
     /// A target's stateful SYN backoff elapsed: retransmit if it is still
@@ -1571,19 +1549,13 @@ impl Scanner {
             seg.ack,
             seg.payload.len() as u32,
         );
-        Self::emit_datagram(self.config.source, &mut self.ident, dst, seg, fx);
+        self.emit_datagram(dst, seg, fx);
     }
 
-    /// Emit one TCP segment as a pooled IPv4 datagram. An associated fn
-    /// (not a method) so callers can hold a borrow on another `Scanner`
-    /// field — e.g. the SYN template — across the call.
-    fn emit_datagram(
-        src: Ipv4Addr,
-        ident: &mut u16,
-        dst: Ipv4Addr,
-        seg: &tcp::Repr,
-        fx: &mut Effects,
-    ) {
+    /// Emit one TCP segment as a pooled IPv4 datagram, built from scratch
+    /// (everything but the SYNs, which [`Self::send_syn`] templates).
+    fn emit_datagram(&mut self, dst: Ipv4Addr, seg: &tcp::Repr, fx: &mut Effects) {
+        let src = self.config.source;
         let mut buf = fx.buffer();
         ipv4::build_datagram_into(
             &ipv4::Repr {
@@ -1593,11 +1565,11 @@ impl Scanner {
                 payload_len: seg.buffer_len(),
                 ttl: 64,
             },
-            *ident,
+            self.ident,
             &mut buf,
             |l4| seg.emit_into(src, dst, l4),
         );
-        *ident = ident.wrapping_add(1);
+        self.ident = self.ident.wrapping_add(1);
         fx.send(buf.freeze());
     }
 

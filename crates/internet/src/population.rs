@@ -126,9 +126,8 @@ impl Population {
         if density.next_f64() >= spec.density {
             return None;
         }
-        let weights = spec.cohort_weights();
         let mut pick = HashStream::new(self.config.seed, ip, purpose::COHORT);
-        let idx = pick.weighted_index(&weights);
+        let idx = pick.weighted_index(spec.cohort_weights());
         Some((spec, &spec.class.cohorts()[idx]))
     }
 

@@ -865,13 +865,12 @@ impl AsSpec {
     /// operators of the same class deploy similar but not identical device
     /// mixes — this spread is what gives Fig. 5's DBSCAN both clusters and
     /// noise points.
-    pub fn cohort_weights(&self) -> Vec<f64> {
-        let cohorts = self.class.cohorts();
+    pub fn cohort_weights(&self) -> impl Iterator<Item = f64> + Clone {
         let mut s = HashStream::new(self.jitter, self.asn, 0xa5a5);
-        cohorts
+        self.class
+            .cohorts()
             .iter()
-            .map(|c| c.weight * (0.45 + 1.3 * s.next_f64()))
-            .collect()
+            .map(move |c| c.weight * (0.45 + 1.3 * s.next_f64()))
     }
 
     /// Render the PTR record for a host, if the convention has one.
@@ -895,6 +894,13 @@ impl AsSpec {
 #[derive(Debug, Clone)]
 pub struct Registry {
     ases: Vec<AsSpec>,
+    /// `ases[i].start`, packed: what [`Registry::as_of`] searches (4 B a
+    /// probe instead of an `AsSpec` cache line and a half).
+    starts: Vec<u32>,
+    /// The routed extent `[first block's start, end of the last block)`.
+    /// Almost every address of a sparse space lies outside it, and is
+    /// answered without a search.
+    routed: std::ops::Range<u32>,
     space_size: u32,
 }
 
@@ -974,7 +980,8 @@ impl Registry {
     /// class's density. The remaining space is unrouted.
     pub fn build(space_size: u32, target_responsive: u32, seed: u64) -> Registry {
         let mut ases = Vec::new();
-        let mut cursor: u64 = 1024; // skip a small reserved region
+        let first: u64 = 1024; // skip a small reserved region
+        let mut cursor = first; // blocks are laid end to end from here
         let mut next_filler_asn = 100_000u32;
 
         for class in NetClass::ALL {
@@ -1029,7 +1036,12 @@ impl Registry {
             "scan space {space_size} too small for the target population \
              (need at least {cursor} addresses)"
         );
-        Registry { ases, space_size }
+        Registry {
+            starts: ases.iter().map(|a| a.start).collect(),
+            ases,
+            routed: first as u32..cursor as u32, // cursor < space_size, asserted above
+            space_size,
+        }
     }
 
     /// All ASes, ordered by block start.
@@ -1047,13 +1059,14 @@ impl Registry {
         self.ases.iter().map(|a| u64::from(a.len)).sum()
     }
 
-    /// Find the AS containing `ip`, if any (binary search).
+    /// Find the AS containing `ip`, if any: O(1) outside the routed
+    /// extent, a binary search over the block starts inside it.
     pub fn as_of(&self, ip: u32) -> Option<&AsSpec> {
-        let idx = self.ases.partition_point(|a| a.start <= ip);
-        if idx == 0 {
+        if !self.routed.contains(&ip) {
             return None;
         }
-        let candidate = &self.ases[idx - 1];
+        let idx = self.starts.partition_point(|start| *start <= ip);
+        let candidate = &self.ases[idx.checked_sub(1)?];
         candidate.contains(ip).then_some(candidate)
     }
 
@@ -1129,6 +1142,28 @@ mod tests {
     }
 
     #[test]
+    fn as_lookup_equals_a_linear_scan_everywhere() {
+        // The smallest space the population builds: every address, which
+        // takes in 0, the reserved region's end (1023/1024), every block
+        // seam, the last routed address and the first unrouted one.
+        let reg = Registry::build(1 << 13, 400, 7);
+        let (first, end) = (reg.routed.start, reg.routed.end);
+        assert_eq!(first, 1024);
+        assert!(end < reg.space_size());
+        for ip in 0..reg.space_size() {
+            let linear = reg.ases().iter().find(|a| a.contains(ip));
+            assert_eq!(
+                reg.as_of(ip).map(|a| a.asn),
+                linear.map(|a| a.asn),
+                "address {ip}"
+            );
+            assert_eq!(linear.is_some(), (first..end).contains(&ip), "address {ip}");
+        }
+        // And at the ends of `u32`, far outside any space.
+        assert!(reg.as_of(u32::MAX).is_none());
+    }
+
+    #[test]
     fn exemplars_present() {
         let reg = registry();
         for asn in [16509, 13335, 20940, 8075, 26496, 7922, 8151] {
@@ -1157,7 +1192,7 @@ mod tests {
             .filter(|a| a.class == NetClass::Access)
             .take(2)
             .collect();
-        assert_ne!(access[0].cohort_weights(), access[1].cohort_weights());
+        assert!(!access[0].cohort_weights().eq(access[1].cohort_weights()));
     }
 
     #[test]

@@ -54,26 +54,29 @@ impl HashStream {
     }
 
     /// Pick an index by weight from `weights` (must be non-empty; weights
-    /// need not be normalized).
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+    /// need not be normalized). Two passes over the iterator, total then
+    /// pick, both summing left to right: no buffer, and the draw is the
+    /// one a slice of the same weights gives.
+    pub fn weighted_index(&mut self, weights: impl Iterator<Item = f64> + Clone) -> usize {
+        let total: f64 = weights.clone().sum();
         debug_assert!(total > 0.0, "weights must not all be zero");
         let mut target = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if target < *w {
+        let mut last = 0;
+        for (i, w) in weights.enumerate() {
+            if target < w {
                 return i;
             }
             target -= w;
+            last = i;
         }
-        weights.len() - 1
+        last
     }
 }
 
 /// Sample from piecewise-uniform buckets `(lo, hi, weight)`; the value is
 /// uniform inside the chosen bucket, `hi` exclusive.
 pub fn bucket_sample(stream: &mut HashStream, buckets: &[(u32, u32, f64)]) -> u32 {
-    let weights: Vec<f64> = buckets.iter().map(|b| b.2).collect();
-    let idx = stream.weighted_index(&weights);
+    let idx = stream.weighted_index(buckets.iter().map(|b| b.2));
     let (lo, hi, _) = buckets[idx];
     stream.next_range(
         u64::from(lo),
@@ -124,15 +127,42 @@ mod tests {
         let mut s = HashStream::new(1, 1, 1);
         let weights = [0.0, 10.0, 0.0];
         for _ in 0..100 {
-            assert_eq!(s.weighted_index(&weights), 1);
+            assert_eq!(s.weighted_index(weights.iter().copied()), 1);
         }
         let weights = [1.0, 3.0];
         let mut counts = [0usize; 2];
         for _ in 0..10_000 {
-            counts[s.weighted_index(&weights)] += 1;
+            counts[s.weighted_index(weights.iter().copied())] += 1;
         }
         let frac = counts[1] as f64 / 10_000.0;
         assert!((0.70..0.80).contains(&frac), "got {frac}");
+    }
+
+    #[test]
+    fn weighted_index_draws_what_the_buffered_form_drew() {
+        // The slice form this replaced, kept as the reference.
+        fn buffered(s: &mut HashStream, weights: &[f64]) -> usize {
+            let total: f64 = weights.iter().sum();
+            let mut target = s.next_f64() * total;
+            for (i, w) in weights.iter().enumerate() {
+                if target < *w {
+                    return i;
+                }
+                target -= w;
+            }
+            weights.len() - 1
+        }
+        let mut gen = HashStream::new(3, 3, 3);
+        for round in 0..10_000u32 {
+            let weights: Vec<f64> = (0..1 + round % 9).map(|_| gen.next_f64() * 3.0).collect();
+            let mut a = HashStream::new(4, round, 4);
+            let mut b = a.clone();
+            assert_eq!(
+                a.weighted_index(weights.iter().copied()),
+                buffered(&mut b, &weights),
+                "{weights:?}"
+            );
+        }
     }
 
     #[test]

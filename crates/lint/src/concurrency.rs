@@ -100,10 +100,28 @@ pub fn project_concurrency() -> ConcurrencySpec {
             },
             SharedStateSpec {
                 file: "crates/wire/src/pool.rs",
+                name: "inner",
+                kind: "Rc",
+                role: "the handle BufferPool clones share; every slab holds its \
+                       Weak to find the way home, so a pool may die first",
+                rank: None,
+            },
+            SharedStateSpec {
+                file: "crates/wire/src/pool.rs",
+                name: "free",
+                kind: "Rc",
+                role: "parked buffers: each entry is the only handle to its \
+                       refcount shell and slab, which is what lets `take` \
+                       reuse both without allocating",
+                rank: None,
+            },
+            SharedStateSpec {
+                file: "crates/wire/src/pool.rs",
                 name: "shared",
                 kind: "Rc",
-                role: "refcount on a frozen PacketBuf so fan-out clones share \
-                       one backing slab without copying bytes",
+                role: "refcount shell around a slab so fan-out clones share \
+                       it without copying bytes; parked on the free list \
+                       together with the slab, never reallocated",
                 rank: None,
             },
             SharedStateSpec {
@@ -139,8 +157,15 @@ pub fn project_concurrency() -> ConcurrencySpec {
             HotPathRoot {
                 file: "crates/wire/src/pool.rs",
                 func: "BufferPool::take",
-                why: "per-packet buffer checkout; the pool exists so the \
-                      steady state never allocates",
+                why: "per-packet buffer checkout: a free-list pop of slab \
+                      and refcount shell; only the declared miss arm may \
+                      allocate (crates/core/tests/alloc_budget.rs counts it)",
+            },
+            HotPathRoot {
+                file: "crates/wire/src/pool.rs",
+                func: "PacketBuf::freeze",
+                why: "per-packet hand-off to the wire, not reachable by name \
+                      across `dyn Endpoint`; must stay a move",
             },
         ],
         cold_boundaries: vec![

@@ -18,7 +18,9 @@
 //! * **`rng-hygiene`** — randomness is always seeded from scan/session
 //!   configuration, never from OS entropy.
 //! * **`unsafe-forbidden`** — every library crate carries
-//!   `#![forbid(unsafe_code)]`.
+//!   `#![forbid(unsafe_code)]`, and no integration-test target (its own
+//!   crate, which that attribute does not reach) says `unsafe` unless
+//!   `allowlist.txt` names its path.
 //! * **`shared-state-audit`** — every interior-mutability primitive
 //!   (`static`, `Mutex`, `RwLock`, `Atomic*`, `Rc`, `RefCell`) in the
 //!   audited crates is declared in the concurrency manifest
@@ -102,7 +104,10 @@ pub const RULES: &[(&str, &str)] = &[
         "rng-hygiene",
         "RNGs must be seeded from configuration, not entropy",
     ),
-    ("unsafe-forbidden", "library crates must forbid unsafe code"),
+    (
+        "unsafe-forbidden",
+        "library crates must forbid unsafe code; test targets must not use it",
+    ),
     (
         "shared-state-audit",
         "interior mutability must be declared in the concurrency manifest",
@@ -347,6 +352,29 @@ pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     Ok(files)
 }
 
+/// Collect every integration-test target `crates/*/tests/*.rs` under
+/// `root`, sorted by path. Top level only: fixture trees live deeper.
+/// These are separate crates that a library's `#![forbid(unsafe_code)]`
+/// does not reach, so `unsafe-forbidden` reads them; no other rule does.
+pub fn collect_test_targets(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(root.join("crates"))? {
+        let tests = entry?.path().join("tests");
+        if !tests.is_dir() {
+            continue;
+        }
+        for entry in fs::read_dir(&tests)? {
+            let path = entry?.path();
+            if path.is_file() && path.extension().is_some_and(|e| e == "rs") {
+                let content = fs::read_to_string(&path)?;
+                files.push(SourceFile::parse(&rel_path(root, &path), &content));
+            }
+        }
+    }
+    files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
+    Ok(files)
+}
+
 fn walk_rs(dir: &Path, f: &mut dyn FnMut(&Path) -> io::Result<()>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -406,12 +434,23 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
 /// (unsuppressed) diagnostics, sorted by path, line, rule.
 pub fn run(root: &Path, config: &LintConfig) -> io::Result<Vec<Diagnostic>> {
     let files = collect_workspace(root)?;
-    Ok(check_files(&files, config))
+    let tests = collect_test_targets(root)?;
+    Ok(check_with_tests(&files, &tests, config))
 }
 
-/// Lint pre-collected files — the engine behind [`run`], used directly
-/// by the fixture tests.
+/// Lint pre-collected source files (no test targets) — what the
+/// fixture tests call.
 pub fn check_files(files: &[SourceFile], config: &LintConfig) -> Vec<Diagnostic> {
+    check_with_tests(files, &[], config)
+}
+
+/// The engine behind [`run`]: every rule over `files`, plus
+/// `unsafe-forbidden` over the integration-test targets `tests`.
+pub fn check_with_tests(
+    files: &[SourceFile],
+    tests: &[SourceFile],
+    config: &LintConfig,
+) -> Vec<Diagnostic> {
     let analysis = analyze(files);
     let mut diags = Vec::new();
     rules::no_wall_clock(files, config, &mut diags);
@@ -420,12 +459,13 @@ pub fn check_files(files: &[SourceFile], config: &LintConfig) -> Vec<Diagnostic>
     rules::state_machine(files, config, &mut diags);
     rules::panic_budget(files, config, &mut diags);
     rules::rng_hygiene(files, config, &mut diags);
-    rules::unsafe_forbidden(files, config, &mut diags);
+    rules::unsafe_forbidden(files, tests, &mut diags);
     rules::shared_state_audit(files, config, &analysis, &mut diags);
     rules::hot_path_purity(files, config, &analysis, &mut diags);
     rules::channel_discipline(files, config, &analysis, &mut diags);
-    allowlist_hygiene(files, config, &mut diags);
-    diags.retain(|d| !suppressed(d, files, config));
+    let all = files.iter().chain(tests);
+    allowlist_hygiene(all.clone(), config, &mut diags);
+    diags.retain(|d| !suppressed(d, all.clone(), config));
     diags.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     diags
 }
@@ -433,7 +473,11 @@ pub fn check_files(files: &[SourceFile], config: &LintConfig) -> Vec<Diagnostic>
 /// The `allowlist-hygiene` meta rule: every allowlist entry must still
 /// suppress something plausible — known rule, existing path, and a
 /// substring that still occurs in that file.
-fn allowlist_hygiene(files: &[SourceFile], config: &LintConfig, diags: &mut Vec<Diagnostic>) {
+fn allowlist_hygiene<'a>(
+    files: impl IntoIterator<Item = &'a SourceFile> + Clone,
+    config: &LintConfig,
+    diags: &mut Vec<Diagnostic>,
+) {
     let help = "remove the stale entry from crates/lint/allowlist.txt \
                 (or fix its rule/path/substring)";
     for entry in &config.allowlist {
@@ -454,7 +498,8 @@ fn allowlist_hygiene(files: &[SourceFile], config: &LintConfig, diags: &mut Vec<
             ));
             continue;
         }
-        let Some(file) = files.iter().find(|f| f.rel_path == entry.path) else {
+        let mut files = files.clone().into_iter();
+        let Some(file) = files.find(|f| f.rel_path == entry.path) else {
             stale(format!(
                 "allowlist entry path `{}` matches no workspace file",
                 entry.path
@@ -470,9 +515,13 @@ fn allowlist_hygiene(files: &[SourceFile], config: &LintConfig, diags: &mut Vec<
     }
 }
 
-fn suppressed(d: &Diagnostic, files: &[SourceFile], config: &LintConfig) -> bool {
+fn suppressed<'a>(
+    d: &Diagnostic,
+    files: impl IntoIterator<Item = &'a SourceFile>,
+    config: &LintConfig,
+) -> bool {
     if d.line > 0 {
-        if let Some(file) = files.iter().find(|f| f.rel_path == d.path) {
+        if let Some(file) = files.into_iter().find(|f| f.rel_path == d.path) {
             if file.allowed(d.line - 1, d.rule) {
                 return true;
             }

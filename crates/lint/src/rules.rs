@@ -131,8 +131,22 @@ pub fn panic_budget(files: &[SourceFile], config: &LintConfig, diags: &mut Vec<D
 }
 
 /// `unsafe-forbidden`: every library crate's `lib.rs` carries
-/// `#![forbid(unsafe_code)]`.
-pub fn unsafe_forbidden(files: &[SourceFile], _config: &LintConfig, diags: &mut Vec<Diagnostic>) {
+/// `#![forbid(unsafe_code)]`, and no integration-test target uses the
+/// `unsafe` keyword.
+pub fn unsafe_forbidden(files: &[SourceFile], tests: &[SourceFile], diags: &mut Vec<Diagnostic>) {
+    for file in tests {
+        for tok in file.tokens.iter().filter(|t| t.is_ident("unsafe")) {
+            diags.push(Diagnostic {
+                rule: "unsafe-forbidden",
+                path: file.rel_path.clone(),
+                line: tok.line,
+                message: "`unsafe` in a test target".to_owned(),
+                snippet: file.raw.get(tok.line - 1).cloned().unwrap_or_default(),
+                help: "test without it; a test that must (a counting global allocator) gets \
+                       its path allow-listed in crates/lint/allowlist.txt",
+            });
+        }
+    }
     for file in files {
         if !file.rel_path.ends_with("/src/lib.rs") {
             continue;
@@ -480,6 +494,8 @@ fn purity_patterns() -> Vec<PurityPattern> {
     };
     vec![
         mk("Box::new(", "allocation"),
+        mk("Rc::new(", "allocation"),
+        mk("Arc::new(", "allocation"),
         mk("format!(", "allocation"),
         mk(".to_string(", "allocation"),
         mk(".to_owned(", "allocation"),

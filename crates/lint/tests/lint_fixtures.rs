@@ -343,6 +343,13 @@ fn concurrency_config() -> LintConfig {
                     role: "stale on purpose",
                     rank: Some(30),
                 },
+                SharedStateSpec {
+                    file: "crates/sim/src/pool.rs",
+                    name: "shared",
+                    kind: "Rc",
+                    role: "fixture",
+                    rank: None,
+                },
             ],
             hot_path_roots: vec![
                 HotPathRoot {
@@ -354,6 +361,11 @@ fn concurrency_config() -> LintConfig {
                     file: "crates/sim/src/lib.rs",
                     func: "Engine::gone",
                     why: "stale on purpose",
+                },
+                HotPathRoot {
+                    file: "crates/sim/src/pool.rs",
+                    func: "PacketBuf::freeze",
+                    why: "fixture",
                 },
             ],
             cold_boundaries: Vec::new(),
@@ -443,6 +455,20 @@ fn hot_path_purity_reaches_transitive_callees() {
 }
 
 #[test]
+fn hot_path_purity_sees_a_refcount_shell_allocation() {
+    // The per-packet `Rc::new` the pool used to make in `freeze`: a
+    // reference-count shell is a heap allocation like any `Box`.
+    let diags = lint_fixture("concurrency", &concurrency_config());
+    assert_fires(
+        &diags,
+        "hot-path-purity",
+        "crates/sim/src/pool.rs",
+        19,
+        "hot-path allocation: `Rc::new(` in hot-path root `PacketBuf::freeze`",
+    );
+}
+
+#[test]
 fn channel_discipline_checks_endpoints_and_sides() {
     let diags = lint_fixture("concurrency", &concurrency_config());
     let chan = "crates/sim/src/chan.rs";
@@ -482,11 +508,11 @@ fn channel_discipline_checks_endpoints_and_sides() {
 fn concurrency_fixture_has_no_false_positives() {
     let diags = lint_fixture("concurrency", &concurrency_config());
     // 3 shared-state (undeclared + stale + lock-order)
-    // + 2 hot-path (transitive format! + stale root)
+    // + 3 hot-path (transitive format! + stale root + Rc::new in freeze)
     // + 3 channel (wrong side + undeclared + stale endpoint).
     assert_eq!(
         diags.len(),
-        8,
+        9,
         "unexpected diagnostics:\n{}",
         diags
             .iter()
@@ -542,6 +568,45 @@ fn inline_and_allowlist_suppressions_work() {
         14,
         ".unwrap()",
     );
+}
+
+#[test]
+fn unsafe_in_a_test_target_fires_unless_its_path_is_allow_listed() {
+    // An integration test is its own crate: the library's
+    // `#![forbid(unsafe_code)]` does not reach it, the lint does.
+    let files = collect_workspace(&fixture_root("suppressed")).unwrap();
+    let target = "crates/app/tests/alloc.rs";
+    let tests = [iw_lint::SourceFile::parse(
+        target,
+        "struct Counting; // not unsafe here\nunsafe impl Sync for Counting {}\n",
+    )];
+    let mut config = suppressed_config(true);
+    let diags = iw_lint::check_with_tests(&files, &tests, &config);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_fires(
+        &diags,
+        "unsafe-forbidden",
+        target,
+        2,
+        "`unsafe` in a test target",
+    );
+    config.allowlist.push(AllowEntry {
+        rule: "unsafe-forbidden".into(),
+        path: target.into(),
+        needle: "unsafe".into(),
+        line: 2,
+    });
+    let diags = iw_lint::check_with_tests(&files, &tests, &config);
+    assert!(diags.is_empty(), "allow-listed by path: {diags:?}");
+    // The real workspace has exactly one such target.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let with_unsafe: Vec<String> = iw_lint::collect_test_targets(&root)
+        .unwrap()
+        .into_iter()
+        .filter(|f| f.tokens.iter().any(|t| t.is_ident("unsafe")))
+        .map(|f| f.rel_path)
+        .collect();
+    assert_eq!(with_unsafe, ["crates/core/tests/alloc_budget.rs"]);
 }
 
 #[test]

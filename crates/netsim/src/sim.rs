@@ -61,23 +61,13 @@ pub struct Effects {
     /// The endpoint is done and may be deallocated (hosts only; the
     /// scanner ignores this flag).
     pub finished: bool,
-    /// The buffer pool emissions should draw from. `Effects::default()`
-    /// gives a private pool (tests, standalone endpoints); the kernel
-    /// hands every endpoint a handle to the simulation's shared pool.
+    /// The buffer pool emissions draw from. Every `Effects` brings its
+    /// own: the kernel keeps one `Effects` per simulation, so that pool is
+    /// the world's; a test's `Effects::default()` gets a private one.
     pool: BufferPool,
 }
 
 impl Effects {
-    /// Effects drawing buffers from `pool` (the kernel's constructor).
-    pub fn with_pool(pool: BufferPool) -> Effects {
-        Effects {
-            tx: Vec::new(),
-            timers: Vec::new(),
-            finished: false,
-            pool,
-        }
-    }
-
     /// Check out a recycled packet buffer to emit into; send the frozen
     /// result with [`Effects::send`].
     pub fn buffer(&self) -> PacketBuf {
@@ -210,9 +200,12 @@ pub struct Sim<S: Endpoint, F: HostFactory> {
     /// its loss-process state, including scripted drop counters) exists
     /// independently of whether the endpoint is in memory.
     links: AddrMap<Link>,
-    /// Shared packet-buffer arena every endpoint emits into; buffers
-    /// recycle through the free list instead of hitting the allocator.
-    pool: BufferPool,
+    /// The one `Effects` every endpoint call writes into, drained after
+    /// each call: its vectors keep the capacity of the largest batch so
+    /// far, so a pacing tick's hundreds of SYNs never regrow them. It
+    /// holds the world's packet-buffer pool, so every endpoint emits into
+    /// the same arena and buffers recycle through one free list.
+    fx: Effects,
     stats: SimStats,
     trace: Trace,
     /// Hot-path span tracer (enabled by [`SimConfig::profile`]).
@@ -232,7 +225,7 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
             next_seq: 0,
             hosts: AddrMap::default(),
             links: AddrMap::default(),
-            pool: BufferPool::new(),
+            fx: Effects::default(),
             stats: SimStats::default(),
             trace: Trace::new(),
             tracer,
@@ -247,7 +240,7 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
     /// Accumulated statistics, including the pool counters as of now.
     pub fn stats(&self) -> SimStats {
         let mut stats = self.stats;
-        let pool = self.pool.stats();
+        let pool = self.fx.pool.stats();
         stats.pool_allocations = pool.allocated;
         stats.pool_recycled = pool.recycled;
         stats.pool_outstanding = pool.outstanding;
@@ -256,7 +249,7 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
 
     /// Raw counters from the shared packet-buffer pool (leak checks).
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.fx.pool.stats()
     }
 
     /// The recorded trace (empty unless `record_trace` was set).
@@ -293,9 +286,8 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
     /// Invoke the scanner directly (e.g. to start the scan) and apply the
     /// effects it produces.
     pub fn kick_scanner(&mut self, f: impl FnOnce(&mut S, Instant, &mut Effects)) {
-        let mut fx = Effects::with_pool(self.pool.clone());
-        f(&mut self.scanner, self.now, &mut fx);
-        self.apply_scanner_effects(fx);
+        f(&mut self.scanner, self.now, &mut self.fx);
+        self.apply_scanner_effects();
     }
 
     fn schedule(&mut self, delay: Duration, kind: EventKind) {
@@ -303,32 +295,45 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
         self.next_seq += 1;
     }
 
-    fn apply_scanner_effects(&mut self, fx: Effects) {
-        for (delay, token) in fx.timers {
+    /// Schedule and route what the scanner just wrote into `self.fx`.
+    /// The vectors are lent out for the drain (routing needs `&mut self`)
+    /// and handed back empty with their capacity.
+    fn apply_scanner_effects(&mut self) {
+        let mut timers = std::mem::take(&mut self.fx.timers);
+        for (delay, token) in timers.drain(..) {
             self.schedule(delay, EventKind::ScannerTimer { token });
         }
+        self.fx.timers = timers;
+        let mut tx = std::mem::take(&mut self.fx.tx);
         // A multi-packet batch is the fan-out hot path (pacing grants);
         // single replies are too common to be worth a span each.
-        if self.tracer.is_enabled() && fx.tx.len() >= 2 {
+        if self.tracer.is_enabled() && tx.len() >= 2 {
             self.tracer
-                .instant_shard(self.now.as_nanos(), 0, "sim.fanout", fx.tx.len() as u64);
+                .instant_shard(self.now.as_nanos(), 0, "sim.fanout", tx.len() as u64);
         }
-        for pkt in fx.tx {
+        for pkt in tx.drain(..) {
             self.route_from_scanner(pkt);
         }
+        self.fx.tx = tx;
+        self.fx.finished = false; // hosts only; the scanner's is ignored
     }
 
-    fn apply_host_effects(&mut self, ip: u32, fx: Effects) {
-        if fx.finished {
+    /// As [`Self::apply_scanner_effects`], for the host at `ip`.
+    fn apply_host_effects(&mut self, ip: u32) {
+        let mut timers = std::mem::take(&mut self.fx.timers);
+        if std::mem::take(&mut self.fx.finished) {
             self.hosts.remove(&ip);
-        } else {
-            for (delay, token) in fx.timers {
-                self.schedule(delay, EventKind::HostTimer { ip, token });
-            }
+            timers.clear();
         }
-        for pkt in fx.tx {
+        for (delay, token) in timers.drain(..) {
+            self.schedule(delay, EventKind::HostTimer { ip, token });
+        }
+        self.fx.timers = timers;
+        let mut tx = std::mem::take(&mut self.fx.tx);
+        for pkt in tx.drain(..) {
             self.route_from_host(ip, pkt);
         }
+        self.fx.tx = tx;
     }
 
     fn route_from_scanner(&mut self, pkt: Packet) {
@@ -428,14 +433,12 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
             EventKind::ToScanner { pkt } => {
                 self.stats.scanner_rx += 1;
                 self.stats.scanner_rx_bytes += pkt.len() as u64;
-                let mut fx = Effects::with_pool(self.pool.clone());
-                self.scanner.on_packet(&pkt, self.now, &mut fx);
-                self.apply_scanner_effects(fx);
+                self.scanner.on_packet(&pkt, self.now, &mut self.fx);
+                self.apply_scanner_effects();
             }
             EventKind::ScannerTimer { token } => {
-                let mut fx = Effects::with_pool(self.pool.clone());
-                self.scanner.on_timer(token, self.now, &mut fx);
-                self.apply_scanner_effects(fx);
+                self.scanner.on_timer(token, self.now, &mut self.fx);
+                self.apply_scanner_effects();
             }
             EventKind::ToHost { ip, pkt } => {
                 // A despawned host is a memory optimization, not a
@@ -447,16 +450,14 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
                 }
                 if let Some(slot) = self.hosts.get_mut(&ip) {
                     self.stats.host_rx += 1;
-                    let mut fx = Effects::with_pool(self.pool.clone());
-                    slot.endpoint.on_packet(&pkt, self.now, &mut fx);
-                    self.apply_host_effects(ip, fx);
+                    slot.endpoint.on_packet(&pkt, self.now, &mut self.fx);
+                    self.apply_host_effects(ip);
                 }
             }
             EventKind::HostTimer { ip, token } => {
                 if let Some(slot) = self.hosts.get_mut(&ip) {
-                    let mut fx = Effects::with_pool(self.pool.clone());
-                    slot.endpoint.on_timer(token, self.now, &mut fx);
-                    self.apply_host_effects(ip, fx);
+                    slot.endpoint.on_timer(token, self.now, &mut self.fx);
+                    self.apply_host_effects(ip);
                 }
             }
         }

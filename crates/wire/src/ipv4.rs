@@ -308,15 +308,20 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         self.buffer.as_mut()[field::DST_ADDR].copy_from_slice(&addr.octets());
     }
 
+    /// Store a header checksum computed elsewhere.
+    pub fn set_header_checksum(&mut self, sum: u16) {
+        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&sum.to_be_bytes());
+    }
+
     /// Compute and store the header checksum (over the header only).
     pub fn fill_checksum(&mut self) {
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
+        self.set_header_checksum(0);
         let sum = {
             let data = self.buffer.as_ref();
             let hlen = (data[field::VER_IHL] & 0x0f) as usize * 4;
             checksum::checksum(&data[..hlen])
         };
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&sum.to_be_bytes());
+        self.set_header_checksum(sum);
     }
 
     /// Mutable access to the payload region.

@@ -21,6 +21,8 @@
 //!   the paper compiles from Safari/Firefox/Chrome + censys.
 //! * [`pool`] — the pooled packet-buffer arena the hot path emits into
 //!   (fixed-size slabs, free-list recycling, refcounted shared packets).
+//! * [`syn`] — the scanner's SYN as a pre-built datagram template, patched
+//!   and checksummed per target from stored partial sums.
 //!
 //! Everything is `no_std`-shaped in spirit (no I/O, no globals) but uses
 //! `alloc` types freely since the scanner is a host application.
@@ -34,12 +36,14 @@ pub mod http;
 pub mod icmp;
 pub mod ipv4;
 pub mod pool;
+pub mod syn;
 pub mod tcp;
 pub mod tls;
 
 pub use error::{Error, Result};
 pub use ipv4::Ipv4Addr;
 pub use pool::{BufferPool, Packet as PooledPacket, PacketBuf, PoolStats};
+pub use syn::SynTemplate;
 
 /// IP protocol numbers used by this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

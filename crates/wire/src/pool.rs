@@ -3,12 +3,15 @@
 //! Every packet the scanner or a simulated host emits used to be a fresh
 //! `Vec<u8>`, and every link-level duplicate a deep clone — between two
 //! and three heap allocations per packet on the hot path. The pool turns
-//! that into amortized zero: buffers are fixed-capacity slabs drawn from
-//! a free list, writable while building ([`PacketBuf`]), then frozen
-//! into cheaply clonable, immutable [`Packet`]s for routing (a clone is
-//! a reference-count bump, which is what link fan-out and duplication
-//! want). When the last reference drops, the slab returns to the free
-//! list of the pool it came from.
+//! that into zero once warm: a buffer is a fixed-capacity slab *inside
+//! its reference-count shell* (`Rc<Slab>`), drawn from a free list,
+//! writable while uniquely owned ([`PacketBuf`]), then frozen into a
+//! cheaply clonable, immutable [`Packet`] for routing (a clone is a
+//! reference-count bump, which is what link fan-out and duplication
+//! want). Freezing is a move, not an allocation: the shell travels with
+//! the slab. When the last reference drops, shell and slab return to the
+//! free list of the pool they came from; if that pool is already gone
+//! they are simply freed.
 //!
 //! The pool is deliberately single-threaded (`Rc`/`RefCell`): a
 //! simulation shard — scanner, hosts, links, queue — lives entirely on
@@ -18,7 +21,7 @@
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Default slab capacity: one MTU-sized packet plus headroom, so no scan
 /// packet ever forces a mid-build reallocation.
@@ -37,9 +40,20 @@ pub struct PoolStats {
     pub high_water: u64,
 }
 
+/// One buffer and the way home: `inner` is the owning pool's
+/// [`BufferPool::inner`] (dangling for an unpooled buffer), held weakly
+/// so that parked slabs do not keep their own pool alive and a pool may
+/// die before its packets.
+#[derive(Debug)]
+struct Slab {
+    data: Vec<u8>,
+    inner: Weak<RefCell<PoolInner>>,
+}
+
 #[derive(Debug, Default)]
 struct PoolInner {
-    free: Vec<Vec<u8>>,
+    /// Parked buffers, each the sole owner of its slab.
+    free: Vec<Rc<Slab>>,
     stats: PoolStats,
 }
 
@@ -61,25 +75,29 @@ impl BufferPool {
         // the RefCell is the pool's own declared state (rank 10):
         // iw-lint: allow(hot-path-purity): single-threaded borrow, released before return
         let mut inner = self.inner.borrow_mut();
-        let data = match inner.free.pop() {
-            Some(mut v) => {
-                v.clear();
+        let mut shared = match inner.free.pop() {
+            Some(shared) => {
                 inner.stats.recycled += 1;
-                v
+                shared
             }
             None => {
                 inner.stats.allocated += 1;
-                // steady state recycles and never reaches this arm:
+                // the only allocations a pooled packet ever costs (slab and
+                // shell, once); a warm pool recycles and never reaches this arm:
                 // iw-lint: allow(hot-path-purity): pool-miss slab growth
-                Vec::with_capacity(SLAB_CAPACITY)
+                Rc::new(Slab {
+                    // iw-lint: allow(hot-path-purity): pool-miss slab growth
+                    data: Vec::with_capacity(SLAB_CAPACITY),
+                    inner: Rc::downgrade(&self.inner),
+                })
             }
         };
         inner.stats.outstanding += 1;
         inner.stats.high_water = inner.stats.high_water.max(inner.stats.outstanding);
         drop(inner);
+        unique(&mut shared).clear();
         PacketBuf {
-            data,
-            pool: Some(self.clone()),
+            packet: Packet { shared },
         }
     }
 
@@ -87,12 +105,13 @@ impl BufferPool {
     pub fn stats(&self) -> PoolStats {
         self.inner.borrow().stats
     }
+}
 
-    fn put_back(&self, data: Vec<u8>) {
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.outstanding -= 1;
-        inner.free.push(data);
-    }
+/// The bytes of a slab nothing else references: fresh, just popped off
+/// the free list, or still being built.
+fn unique(shared: &mut Rc<Slab>) -> &mut Vec<u8> {
+    // iw-lint: allow(panic-budget): the free list and `PacketBuf` each hold the only handle
+    &mut Rc::get_mut(shared).expect("slab has one owner").data
 }
 
 /// A writable packet buffer checked out of a [`BufferPool`] (or
@@ -100,47 +119,43 @@ impl BufferPool {
 /// usual emit paths work unchanged; freeze it into a [`Packet`] to send.
 #[derive(Debug)]
 pub struct PacketBuf {
-    data: Vec<u8>,
-    pool: Option<BufferPool>,
+    /// Not yet shared: this is the only handle until [`Self::freeze`].
+    packet: Packet,
 }
 
 impl PacketBuf {
     /// A pool-less buffer (dropped, not recycled).
     pub fn from_vec(data: Vec<u8>) -> PacketBuf {
-        PacketBuf { data, pool: None }
+        let inner = Weak::new();
+        PacketBuf {
+            packet: Packet {
+                shared: Rc::new(Slab { data, inner }),
+            },
+        }
     }
 
     /// Grow to `len` bytes, zero-filling — the emit-into idiom.
     pub fn resize_zeroed(&mut self, len: usize) {
-        self.data.resize(len, 0);
+        self.resize(len, 0);
     }
 
-    /// Freeze into an immutable, cheaply clonable packet.
+    /// Freeze into an immutable, cheaply clonable packet. Allocates
+    /// nothing: the buffer already lives inside its shared shell.
     pub fn freeze(self) -> Packet {
-        Packet {
-            shared: Rc::new(self),
-        }
-    }
-}
-
-impl Drop for PacketBuf {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.put_back(std::mem::take(&mut self.data));
-        }
+        self.packet
     }
 }
 
 impl Deref for PacketBuf {
     type Target = Vec<u8>;
     fn deref(&self) -> &Vec<u8> {
-        &self.data
+        &self.packet.shared.data
     }
 }
 
 impl DerefMut for PacketBuf {
     fn deref_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.data
+        unique(&mut self.packet.shared)
     }
 }
 
@@ -149,7 +164,7 @@ impl DerefMut for PacketBuf {
 /// returns to its pool when the last reference drops.
 #[derive(Debug, Clone)]
 pub struct Packet {
-    shared: Rc<PacketBuf>,
+    shared: Rc<Slab>,
 }
 
 impl Packet {
@@ -162,6 +177,21 @@ impl Packet {
     /// The packet bytes.
     pub fn bytes(&self) -> &[u8] {
         &self.shared.data
+    }
+}
+
+impl Drop for Packet {
+    fn drop(&mut self) {
+        // Only the last handle sends the slab home, and only if home still
+        // exists. The free list takes a second handle here; ours is
+        // released right after this body, leaving the parked one unique.
+        if Rc::strong_count(&self.shared) == 1 {
+            if let Some(inner) = self.shared.inner.upgrade() {
+                let mut pool = inner.borrow_mut();
+                pool.stats.outstanding -= 1;
+                pool.free.push(Rc::clone(&self.shared));
+            }
+        }
     }
 }
 
@@ -245,6 +275,62 @@ mod tests {
         let mut buf = PacketBuf::from_vec(Vec::new());
         buf.resize_zeroed(4);
         assert_eq!(&*buf.freeze(), &[0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn freeze_and_clone_cost_no_slab_once_warm() {
+        let pool = BufferPool::new();
+        for i in 0..100_000u32 {
+            let mut buf = pool.take();
+            buf.extend_from_slice(&i.to_be_bytes());
+            let p = buf.freeze();
+            let q = p.clone();
+            assert_eq!(&*q, &i.to_be_bytes());
+            drop(p);
+            drop(q);
+        }
+        let s = pool.stats();
+        assert_eq!(s.allocated, 1, "one slab serves every cycle");
+        assert_eq!(s.recycled, 99_999);
+        assert_eq!((s.outstanding, s.high_water), (0, 1));
+    }
+
+    #[test]
+    fn only_the_last_clone_parks_the_slab() {
+        let pool = BufferPool::new();
+        let p = pool.take().freeze();
+        let q = p.clone();
+        drop(p);
+        // Were the slab parked already, this checkout would recycle it
+        // from under `q`.
+        let other = pool.take();
+        assert_eq!(pool.stats().allocated, 2, "first drop parked nothing");
+        drop(q);
+        assert_eq!(pool.stats().outstanding, 1, "last drop did");
+        drop(other);
+        assert_eq!(pool.inner.borrow().free.len(), 2);
+    }
+
+    #[test]
+    fn pool_dropped_before_its_packets_frees_them() {
+        let pool = BufferPool::new();
+        let parked = pool.take();
+        let mut buf = pool.take();
+        drop(parked);
+        buf.extend_from_slice(b"orphan");
+        let p = buf.freeze();
+        let q = p.clone();
+        let pool_state = Rc::downgrade(&pool.inner);
+        drop(pool);
+        assert!(
+            pool_state.upgrade().is_none(),
+            "neither parked nor in-flight slabs keep the pool alive"
+        );
+        assert_eq!(&*q, b"orphan", "bytes outlive the pool");
+        let slab = Rc::downgrade(&q.shared);
+        drop(p);
+        drop(q);
+        assert!(slab.upgrade().is_none(), "homeless slab is freed");
     }
 
     #[test]

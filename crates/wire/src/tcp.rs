@@ -382,11 +382,16 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         self.buffer.as_mut()[field::URGENT].copy_from_slice(&v.to_be_bytes());
     }
 
+    /// Store a checksum computed elsewhere.
+    pub fn set_checksum(&mut self, sum: u16) {
+        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&sum.to_be_bytes());
+    }
+
     /// Compute and store the checksum (pseudo-header + segment).
     pub fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
+        self.set_checksum(0);
         let sum = ipv4::l4_checksum(src, dst, 6, self.buffer.as_ref());
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&sum.to_be_bytes());
+        self.set_checksum(sum);
     }
 }
 
