@@ -23,7 +23,7 @@
 use crate::results::ErrorKind;
 use iw_netsim::{Duration, Instant};
 use iw_wire::ipv4::Ipv4Addr;
-use iw_wire::tcp::{self, Flags, TcpOption};
+use iw_wire::tcp::{self, Flags};
 
 /// Static parameters of one inference connection.
 #[derive(Debug, Clone)]
@@ -41,7 +41,9 @@ pub struct ConnConfig {
     /// Our ISN (the stateless validation cookie).
     pub isn: u32,
     /// Request payload to send once established. Empty = port-scan mode:
-    /// report `Open` on SYN-ACK and RST immediately.
+    /// report `Open` on SYN-ACK and RST immediately. Never copied: the
+    /// segment that carries it is emitted with these bytes on loan (see
+    /// [`TxSegment::carries_request`]).
     pub request: Vec<u8>,
     /// Give up on the SYN after this long.
     pub syn_timeout: Duration,
@@ -142,11 +144,64 @@ pub enum ConnNote {
     VerifyAckSent,
 }
 
+/// One segment to transmit: its header, and whether its payload is the
+/// connection's request ([`ConnConfig::request`], which the emitter lends
+/// at emission time) or nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TxSegment {
+    /// Everything but the payload.
+    pub header: tcp::Segment<'static>,
+    /// The payload is the connection's request bytes.
+    pub carries_request: bool,
+}
+
+/// The segments one event transmits, held inline: never more than two
+/// (a teardown RST and the next connection's SYN).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TxBatch {
+    len: u8,
+    segs: [TxSegment; 2],
+}
+
+impl TxBatch {
+    /// Append a payload-less segment.
+    pub(crate) fn push(&mut self, header: tcp::Segment<'static>) {
+        self.push_segment(TxSegment {
+            header,
+            carries_request: false,
+        });
+    }
+
+    fn push_segment(&mut self, seg: TxSegment) {
+        debug_assert!(
+            usize::from(self.len) < self.segs.len(),
+            "an event transmits at most two segments"
+        );
+        self.segs[usize::from(self.len)] = seg;
+        self.len += 1;
+    }
+
+    /// Append everything `other` holds, in order.
+    pub(crate) fn extend(&mut self, other: TxBatch) {
+        for seg in other.iter() {
+            self.push_segment(*seg);
+        }
+    }
+}
+
+impl std::ops::Deref for TxBatch {
+    type Target = [TxSegment];
+
+    fn deref(&self) -> &[TxSegment] {
+        &self.segs[..usize::from(self.len)]
+    }
+}
+
 /// Effects of feeding one event into the machine.
 #[derive(Debug, Default)]
 pub struct ConnOutput {
     /// Segments to transmit.
-    pub tx: Vec<tcp::Repr>,
+    pub tx: TxBatch,
     /// Absolute deadline to be woken at (stale wakes are no-ops).
     pub deadline: Option<Instant>,
     /// Present exactly once, when the connection concludes.
@@ -176,10 +231,10 @@ pub struct InferenceConn {
     data_base: u32,
     /// Received payload ranges, as [start, end) offsets, sorted, merged.
     ranges: Vec<(u32, u32)>,
-    /// Reassembled in-order prefix.
+    /// Response bytes, each fragment at its stream offset (bounded by
+    /// [`RESPONSE_CAP`]; gaps between fragments read zero until filled).
+    /// What is valid is the in-order prefix `ranges` describes.
     response: Vec<u8>,
-    /// Stashed out-of-order fragments (offset → bytes), bounded.
-    stash: Vec<(u32, Vec<u8>)>,
     max_seg: u32,
     fin_seen: bool,
     reordered: bool,
@@ -192,25 +247,36 @@ pub struct InferenceConn {
 impl InferenceConn {
     /// Create the machine and the SYN to transmit.
     pub fn new(cfg: ConnConfig, now: Instant) -> (InferenceConn, ConnOutput) {
-        let syn = tcp::Repr {
-            src_port: cfg.src_port,
-            dst_port: cfg.dst_port,
-            seq: cfg.isn,
-            ack: 0,
-            flags: Flags::SYN,
-            window: 65535,
-            // A tiny MSS and *no* SACK-permitted (tail-loss probes off).
-            options: vec![TcpOption::Mss(cfg.mss)],
-            payload: Vec::new(),
-        };
+        Self::open(cfg, Vec::new(), Vec::new(), now)
+    }
+
+    /// Start over as a fresh connection for `cfg`, keeping this one's
+    /// reassembly storage: the range list, and `spare` (a finished
+    /// connection's [`ConnResult::response`], handed back) as the response
+    /// buffer. Returns the SYN to transmit, like [`Self::new`].
+    pub fn restart(&mut self, cfg: ConnConfig, spare: Vec<u8>, now: Instant) -> ConnOutput {
+        let ranges = std::mem::take(&mut self.ranges);
+        let (conn, first) = Self::open(cfg, ranges, spare, now);
+        *self = conn;
+        first
+    }
+
+    /// A connection in `SynSent` on (emptied) `ranges`/`response` storage.
+    fn open(
+        cfg: ConnConfig,
+        mut ranges: Vec<(u32, u32)>,
+        mut response: Vec<u8>,
+        now: Instant,
+    ) -> (InferenceConn, ConnOutput) {
+        ranges.clear();
+        response.clear();
         let deadline = now + cfg.syn_timeout;
         let conn = InferenceConn {
             cfg,
             phase: Phase::SynSent,
             data_base: 0,
-            ranges: Vec::new(),
-            response: Vec::new(),
-            stash: Vec::new(),
+            ranges,
+            response,
             max_seg: 0,
             fin_seen: false,
             reordered: false,
@@ -218,14 +284,34 @@ impl InferenceConn {
             frozen_loss: false,
             deadline: Some(deadline),
         };
-        (
-            conn,
-            ConnOutput {
-                tx: vec![syn],
-                deadline: Some(deadline),
-                ..ConnOutput::default()
-            },
+        let mut out = ConnOutput {
+            deadline: Some(deadline),
+            ..ConnOutput::default()
+        };
+        out.tx.push(tcp::Segment {
+            // A tiny MSS and *no* SACK-permitted (tail-loss probes off).
+            mss: Some(conn.cfg.mss),
+            ..conn.header(conn.cfg.isn, 0, Flags::SYN, 65535)
+        });
+        (conn, out)
+    }
+
+    /// A payload-less segment of this connection.
+    fn header(&self, seq: u32, ack: u32, flags: Flags, window: u16) -> tcp::Segment<'static> {
+        tcp::Segment::bare(
+            self.cfg.src_port,
+            self.cfg.dst_port,
+            seq,
+            ack,
+            flags,
+            window,
         )
+    }
+
+    /// The request this connection sends once established (what a
+    /// [`TxSegment::carries_request`] segment carries).
+    pub fn request(&self) -> &[u8] {
+        &self.cfg.request
     }
 
     /// Whether the connection has concluded.
@@ -256,7 +342,7 @@ impl InferenceConn {
         // overwhelmingly common in-order arrivals. Neither opens the
         // reordering case (that needs `end` at or below the frontier),
         // and both leave the set sorted and coalesced, so the general
-        // sort-and-merge below is reserved for hole-filling stragglers.
+        // in-place merge below is reserved for hole-filling stragglers.
         match self.ranges.last().copied() {
             None => {
                 self.ranges.push((start, end));
@@ -277,56 +363,65 @@ impl InferenceConn {
                 }
             }
         }
-        // Out-of-order if it doesn't extend the current frontier.
-        if start > self.highest_end() {
-            // creates a hole
-        } else if start < self.highest_end() && end <= self.highest_end() {
-            // fills (part of) an earlier hole → reordering happened
+        // A hole-filling straggler: it starts below the frontier, and
+        // unless it also reaches past it, reordering happened. Coalesce
+        // it in place with every range it overlaps or touches.
+        if end <= self.highest_end() {
             self.reordered = true;
         }
-        self.ranges.push((start, end));
-        self.ranges.sort_unstable();
-        let mut merged: Vec<(u32, u32)> = Vec::with_capacity(self.ranges.len());
-        for (s, e) in self.ranges.drain(..) {
-            match merged.last_mut() {
-                Some((_, le)) if s <= *le => *le = (*le).max(e),
-                _ => merged.push((s, e)),
-            }
+        let first = self.ranges.partition_point(|(_, e)| *e < start);
+        let past = first
+            + self.ranges[first..]
+                .iter()
+                .take_while(|(s, _)| *s <= end)
+                .count();
+        if first == past {
+            self.ranges.insert(first, (start, end));
+        } else {
+            self.ranges[first] = (
+                start.min(self.ranges[first].0),
+                end.max(self.ranges[past - 1].1),
+            );
+            self.ranges.drain(first + 1..past);
         }
-        self.ranges = merged;
         false
     }
 
+    /// Write a fragment at its offset of `response` (what lies past
+    /// [`RESPONSE_CAP`] is dropped).
     fn buffer_payload(&mut self, offset: u32, data: &[u8]) {
-        let off = offset as usize;
-        if off == self.response.len() {
-            let room = RESPONSE_CAP.saturating_sub(self.response.len());
-            self.response
-                .extend_from_slice(&data[..data.len().min(room)]);
-            // Drain any stashed fragments that now connect.
-            loop {
-                let next = self
-                    .stash
-                    .iter()
-                    .position(|(o, _)| *o as usize <= self.response.len());
-                let Some(idx) = next else { break };
-                let (o, frag) = self.stash.swap_remove(idx);
-                let skip = self.response.len() - o as usize;
-                if skip < frag.len() {
-                    let room = RESPONSE_CAP.saturating_sub(self.response.len());
-                    let slice = &frag[skip..];
-                    self.response
-                        .extend_from_slice(&slice[..slice.len().min(room)]);
-                }
-            }
-        } else if off > self.response.len() && off < RESPONSE_CAP && self.stash.len() < 64 {
-            self.stash.push((offset, data.to_vec()));
+        let at = offset as usize;
+        if at >= RESPONSE_CAP {
+            return;
+        }
+        let end = (at + data.len()).min(RESPONSE_CAP);
+        if self.response.len() < end {
+            self.response.resize(end, 0);
+        }
+        self.response[at..end].copy_from_slice(&data[..end - at]);
+    }
+
+    /// Length of the in-order response prefix: what `ranges` says is
+    /// contiguous from offset zero, within the buffer's bound.
+    fn prefix_len(&self) -> usize {
+        match self.ranges.first() {
+            Some((0, end)) => (*end as usize).min(RESPONSE_CAP),
+            _ => 0,
+        }
+    }
+
+    /// Conclude: the result with the in-order response prefix.
+    fn conclude(&mut self, outcome: RawOutcome) -> ConnResult {
+        self.phase = Phase::Done;
+        self.deadline = None;
+        self.response.truncate(self.prefix_len());
+        ConnResult {
+            outcome,
+            response: std::mem::take(&mut self.response),
         }
     }
 
     fn finish(&mut self, outcome: RawOutcome) -> ConnOutput {
-        self.phase = Phase::Done;
-        self.deadline = None;
         let mut out = ConnOutput::default();
         // End the exchange abortively, like the scanner does (Fig. 1) —
         // unless there is no connection to reset (no handshake completed)
@@ -337,20 +432,15 @@ impl InferenceConn {
                 | RawOutcome::Error(ErrorKind::HandshakeTimeout)
                 | RawOutcome::Error(ErrorKind::IcmpUnreachable)
         ) {
-            out.tx.push(tcp::Repr::bare(
-                self.cfg.src_port,
-                self.cfg.dst_port,
-                self.cfg.isn.wrapping_add(1 + self.cfg.request.len() as u32),
-                0,
-                Flags::RST,
-                0,
-            ));
+            out.tx.push(self.header(self.snd_nxt(), 0, Flags::RST, 0));
         }
-        out.result = Some(ConnResult {
-            outcome,
-            response: std::mem::take(&mut self.response),
-        });
+        out.result = Some(self.conclude(outcome));
         out
+    }
+
+    /// Our sequence number once the request is out.
+    fn snd_nxt(&self) -> u32 {
+        self.cfg.isn.wrapping_add(1 + self.cfg.request.len() as u32)
     }
 
     fn few_data_outcome(&self) -> RawOutcome {
@@ -369,7 +459,8 @@ impl InferenceConn {
     }
 
     /// Feed an inbound segment.
-    pub fn on_segment(&mut self, seg: &tcp::Repr, now: Instant) -> ConnOutput {
+    pub fn on_segment<'a>(&mut self, seg: impl Into<tcp::Segment<'a>>, now: Instant) -> ConnOutput {
+        let seg = &seg.into();
         match self.phase {
             Phase::Done => ConnOutput::default(),
             Phase::SynSent => self.on_segment_synsent(seg, now),
@@ -378,7 +469,7 @@ impl InferenceConn {
         }
     }
 
-    fn on_segment_synsent(&mut self, seg: &tcp::Repr, now: Instant) -> ConnOutput {
+    fn on_segment_synsent(&mut self, seg: &tcp::Segment<'_>, now: Instant) -> ConnOutput {
         if seg.flags.contains(Flags::RST) {
             return self.finish(RawOutcome::Unreachable);
         }
@@ -399,24 +490,23 @@ impl InferenceConn {
         self.phase = Phase::Collecting;
         let deadline = now + self.cfg.collect_timeout;
         self.deadline = Some(deadline);
-        let request = tcp::Repr {
-            src_port: self.cfg.src_port,
-            dst_port: self.cfg.dst_port,
-            seq: self.cfg.isn.wrapping_add(1),
-            ack: self.data_base,
-            flags: Flags::ACK | Flags::PSH,
-            window: 65535,
-            options: Vec::new(),
-            payload: self.cfg.request.clone(),
-        };
-        ConnOutput {
-            tx: vec![request],
+        let mut out = ConnOutput {
             deadline: Some(deadline),
             ..ConnOutput::default()
-        }
+        };
+        out.tx.push_segment(TxSegment {
+            header: self.header(
+                self.cfg.isn.wrapping_add(1),
+                self.data_base,
+                Flags::ACK | Flags::PSH,
+                65535,
+            ),
+            carries_request: true,
+        });
+        out
     }
 
-    fn on_segment_collecting(&mut self, seg: &tcp::Repr, now: Instant) -> ConnOutput {
+    fn on_segment_collecting(&mut self, seg: &tcp::Segment<'_>, now: Instant) -> ConnOutput {
         if seg.flags.contains(Flags::RST) {
             return self.finish(RawOutcome::Error(ErrorKind::MidConnectionReset));
         }
@@ -443,7 +533,7 @@ impl InferenceConn {
         self.max_seg = self.max_seg.max(seg.payload.len() as u32);
         let is_retransmission = self.merge_range(offset, end);
         if !is_retransmission {
-            self.buffer_payload(offset, &seg.payload);
+            self.buffer_payload(offset, seg.payload);
         }
 
         if !is_retransmission {
@@ -485,23 +575,21 @@ impl InferenceConn {
         self.phase = Phase::Verifying;
         let deadline = now + self.cfg.verify_timeout;
         self.deadline = Some(deadline);
-        let ack = tcp::Repr::bare(
-            self.cfg.src_port,
-            self.cfg.dst_port,
-            self.cfg.isn.wrapping_add(1 + self.cfg.request.len() as u32),
-            self.data_base.wrapping_add(self.highest_end()),
-            Flags::ACK,
-            (2 * self.max_seg).min(65535) as u16,
-        );
-        ConnOutput {
-            tx: vec![ack],
+        let mut out = ConnOutput {
             deadline: Some(deadline),
             notes: vec![retransmit_note, ConnNote::VerifyAckSent],
             ..ConnOutput::default()
-        }
+        };
+        out.tx.push(self.header(
+            self.snd_nxt(),
+            self.data_base.wrapping_add(self.highest_end()),
+            Flags::ACK,
+            (2 * self.max_seg).min(65535) as u16,
+        ));
+        out
     }
 
-    fn on_segment_verifying(&mut self, seg: &tcp::Repr) -> ConnOutput {
+    fn on_segment_verifying(&mut self, seg: &tcp::Segment<'_>) -> ConnOutput {
         if seg.flags.contains(Flags::RST) {
             // We already have the data; treat like silence.
             return self.finish(self.few_data_outcome());
@@ -572,13 +660,8 @@ impl InferenceConn {
         }
         if self.phase == Phase::SynSent {
             // No connection exists yet: conclude silently, no RST.
-            self.phase = Phase::Done;
-            self.deadline = None;
             return ConnOutput {
-                result: Some(ConnResult {
-                    outcome: RawOutcome::Error(kind),
-                    response: std::mem::take(&mut self.response),
-                }),
+                result: Some(self.conclude(RawOutcome::Error(kind))),
                 ..ConnOutput::default()
             };
         }
@@ -589,6 +672,7 @@ impl InferenceConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iw_wire::tcp::TcpOption;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 7);
@@ -642,14 +726,14 @@ mod tests {
     fn establish() -> (InferenceConn, Instant) {
         let (mut c, out) = conn();
         assert_eq!(out.tx.len(), 1);
-        assert!(out.tx[0].flags.contains(Flags::SYN));
-        assert_eq!(out.tx[0].mss(), Some(64));
-        assert!(!out.tx[0].sack_permitted(), "SACK must stay off");
+        assert!(out.tx[0].header.flags.contains(Flags::SYN));
+        assert_eq!(out.tx[0].header.mss, Some(64));
+        assert!(!out.tx[0].header.sack_permitted, "SACK must stay off");
         let now = Instant::ZERO + Duration::from_millis(20);
         let out = c.on_segment(&syn_ack(), now);
         assert_eq!(out.tx.len(), 1, "ACK+request in one packet");
-        assert!(!out.tx[0].payload.is_empty());
-        assert_eq!(out.tx[0].ack, 50_001);
+        assert!(out.tx[0].carries_request);
+        assert_eq!(out.tx[0].header.ack, 50_001);
         (c, now)
     }
 
@@ -666,7 +750,7 @@ mod tests {
         let out = c.on_segment(&data(0, 64, false), now + Duration::from_secs(1));
         assert!(out.result.is_none());
         assert_eq!(out.tx.len(), 1, "verification ACK");
-        let ack = &out.tx[0];
+        let ack = &out.tx[0].header;
         assert_eq!(ack.ack, 50_001 + 640);
         assert_eq!(ack.window, 128, "2×MSS window");
         // New data released → success.
@@ -689,7 +773,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Connection torn down with RST.
-        assert!(out.tx.iter().any(|s| s.flags.contains(Flags::RST)));
+        assert!(out.tx.iter().any(|s| s.header.flags.contains(Flags::RST)));
     }
 
     #[test]
@@ -895,7 +979,7 @@ mod tests {
             out.result.unwrap().outcome,
             RawOutcome::Error(ErrorKind::CollectTimeout)
         );
-        assert!(out.tx.iter().any(|s| s.flags.contains(Flags::RST)));
+        assert!(out.tx.iter().any(|s| s.header.flags.contains(Flags::RST)));
         assert!(c.is_done());
         // Failing again is a no-op.
         assert!(c.fail(ErrorKind::CollectTimeout).result.is_none());
@@ -942,7 +1026,7 @@ mod tests {
         let (mut conn, _) = InferenceConn::new(c, Instant::ZERO);
         let out = conn.on_segment(&syn_ack(), Instant::ZERO);
         assert_eq!(out.result.unwrap().outcome, RawOutcome::Open);
-        assert!(out.tx.iter().any(|s| s.flags.contains(Flags::RST)));
+        assert!(out.tx.iter().any(|s| s.header.flags.contains(Flags::RST)));
     }
 
     #[test]
@@ -964,6 +1048,148 @@ mod tests {
         let out = c.on_timer(now + cfg().collect_timeout);
         let result = out.result.unwrap();
         assert_eq!(result.response, b"HELLOWORLD");
+    }
+
+    #[test]
+    fn a_fragment_overlapping_the_prefix_still_advances_it() {
+        let (mut c, now) = establish();
+        let mk = |offset: u32, body: &[u8]| tcp::Repr {
+            payload: body.to_vec(),
+            ..tcp::Repr::bare(80, 40000, 50_001 + offset, 7019, Flags::ACK, 65535)
+        };
+        c.on_segment(&mk(0, b"HELLO"), now);
+        // Starts inside what is already in order and reaches past it.
+        c.on_segment(&mk(3, b"LOWORLD"), now);
+        let out = c.on_timer(now + cfg().collect_timeout);
+        assert_eq!(out.result.unwrap().response, b"HELLOWORLD");
+    }
+
+    #[test]
+    fn more_out_of_order_fragments_than_any_stash_held_all_land() {
+        let (mut c, now) = establish();
+        // 100 one-byte fragments, every other offset first, then the rest
+        // downwards: far more pieces in flight than the 64 once kept.
+        let offsets = (0..100u32)
+            .filter(|o| o % 2 == 1)
+            .chain((0..100u32).rev().filter(|o| o % 2 == 0));
+        for offset in offsets {
+            let byte = [offset as u8];
+            let seg = tcp::Segment {
+                payload: &byte,
+                ..tcp::Segment::bare(80, 40000, 50_001 + offset, 7019, Flags::ACK, 65535)
+            };
+            assert!(c.on_segment(seg, now).result.is_none());
+        }
+        let out = c.on_timer(now + cfg().collect_timeout);
+        let expect: Vec<u8> = (0..100u8).collect();
+        assert_eq!(out.result.unwrap().response, expect);
+    }
+
+    /// The reference the reassembly is checked against: one flag per
+    /// stream byte.
+    struct ByteMap {
+        seen: Vec<bool>,
+        reordered: bool,
+    }
+
+    impl ByteMap {
+        /// Maximal runs of seen bytes, as `[start, end)`.
+        fn ranges(&self) -> Vec<(u32, u32)> {
+            let mut runs: Vec<(u32, u32)> = Vec::new();
+            for (i, _) in self.seen.iter().enumerate().filter(|(_, seen)| **seen) {
+                let i = i as u32;
+                match runs.last_mut() {
+                    Some((_, end)) if *end == i => *end = i + 1,
+                    _ => runs.push((i, i + 1)),
+                }
+            }
+            runs
+        }
+
+        /// Note `[start, end)`; true if every byte was there already.
+        /// `reordered` follows the machine's rule, stated on the map: a
+        /// new fragment that neither starts past the frontier nor extends
+        /// the last run, and ends at or below the frontier.
+        fn note(&mut self, start: u32, end: u32) -> bool {
+            let span = start as usize..end as usize;
+            if self.seen[span.clone()].iter().all(|seen| *seen) {
+                return true;
+            }
+            if let Some((last_start, frontier)) = self.ranges().last().copied() {
+                let appends = start > frontier || (start >= last_start && end > frontier);
+                if !appends && end <= frontier {
+                    self.reordered = true;
+                }
+            }
+            self.seen[span].fill(true);
+            false
+        }
+    }
+
+    fn stream_byte(offset: u32) -> u8 {
+        (offset ^ (offset >> 7)).wrapping_mul(167) as u8
+    }
+
+    #[test]
+    fn reassembly_matches_a_byte_map_under_reordering_duplication_and_overlap() {
+        let mut rng = iw_internet::util::HashStream::new(0x7ea5_5e3b, 0, 0);
+        for round in 0..400 {
+            let (mut c, _) = establish();
+            // Streams on both sides of the response cap.
+            let len = rng.next_range(1, if round % 2 == 0 { 3_000 } else { 14_000 }) as u32;
+            let mut model = ByteMap {
+                seen: vec![false; len as usize],
+                reordered: false,
+            };
+            // An MSS-sized segmentation of the stream, shuffled, some
+            // pieces dropped, then arbitrary overlapping spans and exact
+            // duplicates mixed in.
+            let mss = [64, 128, 536, 1460][rng.next_range(0, 3) as usize];
+            let mut pieces: Vec<(u32, u32)> = (0..len)
+                .step_by(mss)
+                .map(|s| (s, (s + mss as u32).min(len)))
+                .filter(|_| rng.next_range(0, 7) != 0)
+                .collect();
+            for _ in 0..rng.next_range(0, 11) {
+                let start = rng.next_range(0, u64::from(len) - 1) as u32;
+                let end = (start + rng.next_range(1, 2_000) as u32).min(len);
+                pieces.push((start, end));
+            }
+            for _ in 0..rng.next_range(0, 3) {
+                if let Some(piece) = pieces.get(rng.next_range(0, pieces.len() as u64) as usize) {
+                    pieces.push(*piece);
+                }
+            }
+            let swaps = match rng.next_range(0, 2) {
+                0 => 0,
+                1 => 3.min(pieces.len()),
+                _ => pieces.len() * 2,
+            };
+            for _ in 0..swaps {
+                let last = pieces.len() as u64 - 1;
+                let (a, b) = (rng.next_range(0, last), rng.next_range(0, last));
+                pieces.swap(a as usize, b as usize);
+            }
+            for (start, end) in pieces {
+                let data: Vec<u8> = (start..end).map(stream_byte).collect();
+                let duplicate = c.merge_range(start, end);
+                assert_eq!(duplicate, model.note(start, end), "round {round}");
+                if !duplicate {
+                    c.buffer_payload(start, &data);
+                }
+                assert_eq!(c.ranges, model.ranges(), "round {round}");
+                assert_eq!(c.reordered, model.reordered, "round {round}");
+            }
+            let runs = model.ranges();
+            let loss_suspected = runs.len() > 1 || runs.first().is_some_and(|(s, _)| *s != 0);
+            assert_eq!(c.has_hole(), loss_suspected, "round {round}");
+            let prefix = model.seen.iter().take_while(|seen| **seen).count();
+            let expect: Vec<u8> = (0..prefix.min(RESPONSE_CAP) as u32)
+                .map(stream_byte)
+                .collect();
+            let result = c.conclude(RawOutcome::Open);
+            assert_eq!(result.response, expect, "round {round}");
+        }
     }
 
     #[test]

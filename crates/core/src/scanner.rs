@@ -1326,7 +1326,7 @@ impl Scanner {
     fn on_discovery_segment(
         &mut self,
         src: Ipv4Addr,
-        seg: &tcp::Repr,
+        seg: &tcp::Segment<'_>,
         now: Instant,
         fx: &mut Effects,
     ) {
@@ -1348,8 +1348,8 @@ impl Scanner {
                     // Tear the stateless flow down either way: the host
                     // holds a half-open connection we will never use.
                     let rst =
-                        tcp::Repr::bare(seg.dst_port, seg.src_port, seg.ack, 0, Flags::RST, 0);
-                    self.emit_datagram(src, &rst, fx);
+                        tcp::Segment::bare(seg.dst_port, seg.src_port, seg.ack, 0, Flags::RST, 0);
+                    fx.send(rst.datagram(self.config.source, src, &mut self.ident, fx.buffer()));
                     if self.discovered.contains_key(ip) {
                         self.metrics.registry.inc(self.metrics.discovery_duplicates);
                         return;
@@ -1539,38 +1539,16 @@ impl Scanner {
         }
     }
 
-    fn emit_segment(&mut self, dst: Ipv4Addr, seg: &tcp::Repr, now: Instant, fx: &mut Effects) {
-        self.recorder.note_wire(
-            dst.to_u32(),
-            now.as_nanos(),
-            true,
-            seg.flags.bits(),
-            seg.seq,
-            seg.ack,
-            seg.payload.len() as u32,
-        );
-        self.emit_datagram(dst, seg, fx);
-    }
-
-    /// Emit one TCP segment as a pooled IPv4 datagram, built from scratch
-    /// (everything but the SYNs, which [`Self::send_syn`] templates).
-    fn emit_datagram(&mut self, dst: Ipv4Addr, seg: &tcp::Repr, fx: &mut Effects) {
-        let src = self.config.source;
-        let mut buf = fx.buffer();
-        ipv4::build_datagram_into(
-            &ipv4::Repr {
-                src_addr: src,
-                dst_addr: dst,
-                protocol: IpProtocol::Tcp,
-                payload_len: seg.buffer_len(),
-                ttl: 64,
-            },
-            self.ident,
-            &mut buf,
-            |l4| seg.emit_into(src, dst, l4),
-        );
-        self.ident = self.ident.wrapping_add(1);
-        fx.send(buf.freeze());
+    /// Record one outgoing segment in the flight recorder and emit it.
+    fn emit_segment(
+        &mut self,
+        dst: Ipv4Addr,
+        seg: &tcp::Segment<'_>,
+        now: Instant,
+        fx: &mut Effects,
+    ) {
+        note_wire(&mut self.recorder, dst.to_u32(), now, true, seg);
+        fx.send(seg.datagram(self.config.source, dst, &mut self.ident, fx.buffer()));
     }
 
     fn send_echo(&mut self, ip: u32, total_len: u32, fx: &mut Effects) {
@@ -1605,8 +1583,20 @@ impl Scanner {
         fx: &mut Effects,
     ) {
         let dst = Ipv4Addr::from_u32(ip);
-        for seg in &out.tx {
-            self.emit_segment(dst, seg, now, fx);
+        for tx in out.tx.iter() {
+            // The session lends its request for the length of the emit.
+            let payload = if tx.carries_request {
+                self.sessions.get(ip).map_or(&[][..], HostSession::request)
+            } else {
+                &[]
+            };
+            debug_assert_eq!(tx.carries_request, !payload.is_empty());
+            let seg = tcp::Segment {
+                payload,
+                ..tx.header
+            };
+            note_wire(&mut self.recorder, ip, now, true, &seg);
+            fx.send(seg.datagram(self.config.source, dst, &mut self.ident, fx.buffer()));
         }
         for ev in &out.events {
             self.note_session_event(ip, *ev, now);
@@ -1757,17 +1747,9 @@ impl Scanner {
         }
     }
 
-    fn on_tcp(&mut self, src: Ipv4Addr, seg: &tcp::Repr, now: Instant, fx: &mut Effects) {
+    fn on_tcp(&mut self, src: Ipv4Addr, seg: &tcp::Segment<'_>, now: Instant, fx: &mut Effects) {
         let ip = src.to_u32();
-        self.recorder.note_wire(
-            ip,
-            now.as_nanos(),
-            false,
-            seg.flags.bits(),
-            seg.seq,
-            seg.ack,
-            seg.payload.len() as u32,
-        );
+        note_wire(&mut self.recorder, ip, now, false, seg);
 
         if self.config.protocol == Protocol::PortScan {
             let sport = self.params.sport(0, 0, 0);
@@ -1783,7 +1765,7 @@ impl Scanner {
                 self.pending.remove(ip);
                 self.observe_event(ip, SessionEvent::SynAckValidated, now);
                 self.open_ports.push(ip);
-                let rst = tcp::Repr::bare(sport, seg.src_port, seg.ack, 0, Flags::RST, 0);
+                let rst = tcp::Segment::bare(sport, seg.src_port, seg.ack, 0, Flags::RST, 0);
                 self.emit_segment(src, &rst, now, fx);
                 self.sink.note_result(now.as_nanos(), ip, "open");
                 self.recorder.conclude(ip, now.as_nanos(), None);
@@ -2025,6 +2007,25 @@ impl Scanner {
     }
 }
 
+/// Note one segment on the wire in the flight recorder.
+fn note_wire(
+    recorder: &mut FlightRecorder,
+    ip: u32,
+    now: Instant,
+    outbound: bool,
+    seg: &tcp::Segment<'_>,
+) {
+    recorder.note_wire(
+        ip,
+        now.as_nanos(),
+        outbound,
+        seg.flags.bits(),
+        seg.seq,
+        seg.ack,
+        seg.payload.len() as u32,
+    );
+}
+
 impl Endpoint for Scanner {
     fn on_packet(&mut self, pkt: &[u8], now: Instant, fx: &mut Effects) {
         let Ok(packet) = ipv4::Packet::new_checked(pkt) else {
@@ -2042,7 +2043,8 @@ impl Endpoint for Scanner {
                 let Ok(seg_packet) = tcp::Packet::new_checked(payload) else {
                     return;
                 };
-                let Ok(seg) = tcp::Repr::parse(&seg_packet, ip_repr.src_addr, ip_repr.dst_addr)
+                // The segment borrows its payload from the packet.
+                let Ok(seg) = tcp::Segment::parse(&seg_packet, ip_repr.src_addr, ip_repr.dst_addr)
                 else {
                     return;
                 };

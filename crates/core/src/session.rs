@@ -9,7 +9,7 @@
 //! sent after each other."
 
 use crate::cookie::CookieKey;
-use crate::inference::{ConnConfig, ConnNote, ConnOutput, InferenceConn};
+use crate::inference::{ConnConfig, ConnNote, ConnOutput, InferenceConn, TxBatch};
 use crate::probe::http::HttpProbe;
 use crate::probe::tls::TlsProbe;
 use crate::probe::{ProbeDriver, ProbeStep};
@@ -80,8 +80,9 @@ impl SessionParams {
 /// Output of feeding an event to a session.
 #[derive(Debug, Default)]
 pub struct SessionOutput {
-    /// Segments to transmit to the session's host.
-    pub tx: Vec<tcp::Repr>,
+    /// Segments to transmit to the session's host. One that carries the
+    /// request is emitted with [`HostSession::request`] as its payload.
+    pub tx: TxBatch,
     /// Deadline to be woken at.
     pub deadline: Option<Instant>,
     /// Present once: the finished host record.
@@ -96,8 +97,10 @@ pub struct HostSession {
     ip: Ipv4Addr,
     params: SessionParams,
     cookie: CookieKey,
-    /// Optional known domain (Alexa scans): Host header + SNI.
-    domain: Option<String>,
+    /// What the probes name the server by. HTTP: the Host header, a known
+    /// domain (Alexa scans) or else the literal address, formatted once
+    /// here. TLS: the SNI, offered only when a domain is known.
+    server_name: Option<String>,
     probe_idx: u32,
     conn_idx: u8,
     /// Retry attempt of the current probe (0 = first try). Strides the
@@ -110,6 +113,10 @@ pub struct HostSession {
     retry_at: Option<Instant>,
     driver: Box<dyn ProbeDriver + Send>,
     conn: InferenceConn,
+    /// The last finished connection's response buffer, kept (one per
+    /// session, not one per connection) for the next connection to
+    /// reassemble into.
+    spare: Vec<u8>,
     /// Outcomes per MSS run.
     runs: Vec<(u16, Vec<ProbeOutcome>)>,
     done: bool,
@@ -139,7 +146,11 @@ impl HostSession {
         for mss in &params.mss_list {
             runs.push((*mss, Vec::new()));
         }
-        let mut driver = make_driver(&params, ip, &domain, 0);
+        let server_name = match params.protocol {
+            Protocol::Http | Protocol::PortScan => Some(domain.unwrap_or_else(|| ip.to_string())),
+            _ => domain,
+        };
+        let mut driver = make_driver(&params, ip, &server_name, 0);
         let request = driver.initial_request();
         let cfg = conn_config(&params, &cookie, ip, 0, 0, 0, request);
         // Reconstruct the conn machine in SynSent; discard its duplicate
@@ -149,7 +160,7 @@ impl HostSession {
             ip,
             params,
             cookie,
-            domain,
+            server_name,
             probe_idx: 0,
             conn_idx: 0,
             attempt: 0,
@@ -157,6 +168,7 @@ impl HostSession {
             retry_at: None,
             driver,
             conn,
+            spare: Vec::new(),
             runs,
             done: false,
             started: now,
@@ -197,8 +209,14 @@ impl HostSession {
         true
     }
 
+    /// The current connection's request: the payload of an output segment
+    /// marked as carrying it.
+    pub fn request(&self) -> &[u8] {
+        self.conn.request()
+    }
+
     /// Feed an inbound segment (already parsed; src is this host).
-    pub fn on_segment(&mut self, seg: &tcp::Repr, now: Instant) -> SessionOutput {
+    pub fn on_segment(&mut self, seg: &tcp::Segment<'_>, now: Instant) -> SessionOutput {
         if self.done {
             return SessionOutput::default();
         }
@@ -216,7 +234,7 @@ impl HostSession {
             // current port yet, so any straggler is from a dead connection.
             return SessionOutput::default();
         }
-        let out = self.conn.on_segment(seg, now);
+        let out = self.conn.on_segment(*seg, now);
         self.absorb(out, now)
     }
 
@@ -238,12 +256,9 @@ impl HostSession {
         self.absorb(out, now)
     }
 
-    /// The backoff expired: open a fresh connection for the current probe
-    /// on the next attempt's source port.
-    fn launch_retry(&mut self, now: Instant) -> SessionOutput {
-        self.retry_at = None;
-        self.driver = make_driver(&self.params, self.ip, &self.domain, self.probe_idx);
-        let request = self.driver.initial_request();
+    /// Open the next connection (the current probe/conn/attempt indices)
+    /// with `request`, on the storage the previous one left behind.
+    fn connect(&mut self, request: Vec<u8>, now: Instant) -> ConnOutput {
         let cfg = conn_config(
             &self.params,
             &self.cookie,
@@ -253,8 +268,21 @@ impl HostSession {
             self.attempt,
             request,
         );
-        let (conn, first) = InferenceConn::new(cfg, now);
-        self.conn = conn;
+        self.conn.restart(cfg, std::mem::take(&mut self.spare), now)
+    }
+
+    /// Open the first connection of the current probe on a fresh driver.
+    fn start_probe(&mut self, now: Instant) -> ConnOutput {
+        self.driver = make_driver(&self.params, self.ip, &self.server_name, self.probe_idx);
+        let request = self.driver.initial_request();
+        self.connect(request, now)
+    }
+
+    /// The backoff expired: open a fresh connection for the current probe
+    /// on the next attempt's source port.
+    fn launch_retry(&mut self, now: Instant) -> SessionOutput {
+        self.retry_at = None;
+        let first = self.start_probe(now);
         SessionOutput {
             tx: first.tx,
             deadline: first.deadline,
@@ -320,23 +348,15 @@ impl HostSession {
         let Some(result) = out.result else {
             return session_out;
         };
-        match self.driver.next_step(&result) {
+        let step = self.driver.next_step(&result);
+        self.spare = result.response;
+        match step {
             ProbeStep::FollowUp(request) => {
                 self.conn_idx += 1;
                 session_out
                     .events
                     .push(SessionEvent::FollowUpStarted { probe });
-                let cfg = conn_config(
-                    &self.params,
-                    &self.cookie,
-                    self.ip,
-                    self.probe_idx,
-                    self.conn_idx,
-                    self.attempt,
-                    request,
-                );
-                let (conn, first) = InferenceConn::new(cfg, now);
-                self.conn = conn;
+                let first = self.connect(request, now);
                 session_out.tx.extend(first.tx);
                 session_out.deadline = first.deadline;
             }
@@ -400,19 +420,7 @@ impl HostSession {
                         probe: self.probe_idx as u8,
                         mss: self.current_mss(),
                     });
-                    self.driver = make_driver(&self.params, self.ip, &self.domain, self.probe_idx);
-                    let request = self.driver.initial_request();
-                    let cfg = conn_config(
-                        &self.params,
-                        &self.cookie,
-                        self.ip,
-                        self.probe_idx,
-                        self.conn_idx,
-                        self.attempt,
-                        request,
-                    );
-                    let (conn, first) = InferenceConn::new(cfg, now);
-                    self.conn = conn;
+                    let first = self.start_probe(now);
                     session_out.tx.extend(first.tx);
                     session_out.deadline = first.deadline;
                 }
@@ -442,13 +450,12 @@ impl HostSession {
 fn make_driver(
     params: &SessionParams,
     ip: Ipv4Addr,
-    domain: &Option<String>,
+    server_name: &Option<String>,
     probe_idx: u32,
 ) -> Box<dyn ProbeDriver + Send> {
     match params.protocol {
         Protocol::Http | Protocol::PortScan => {
-            let host = domain.clone().unwrap_or_else(|| ip.to_string());
-            Box::new(HttpProbe::new(host))
+            Box::new(HttpProbe::new(server_name.clone().unwrap_or_default()))
         }
         Protocol::Tls => {
             let mut random = [0u8; 32];
@@ -456,7 +463,7 @@ fn make_driver(
             for (i, b) in random.iter_mut().enumerate() {
                 *b = (h >> (8 * (i % 8))) as u8 ^ i as u8;
             }
-            Box::new(TlsProbe::new(domain.clone(), random))
+            Box::new(TlsProbe::new(server_name.clone(), random))
         }
         // Callers route ICMP targets to the MTU prober, never here.
         // iw-lint: allow(panic-budget)
@@ -729,10 +736,10 @@ mod tests {
         // At the deadline a fresh SYN goes out on a new source port.
         let retry = s.on_timer(at);
         assert_eq!(retry.tx.len(), 1);
-        assert!(retry.tx[0].flags.contains(tcp::Flags::SYN));
+        assert!(retry.tx[0].header.flags.contains(tcp::Flags::SYN));
         let base = s.params.sport(0, 0, 0);
-        assert_eq!(retry.tx[0].src_port, s.params.sport(0, 0, 1));
-        assert_ne!(retry.tx[0].src_port, base);
+        assert_eq!(retry.tx[0].header.src_port, s.params.sport(0, 0, 1));
+        assert_ne!(retry.tx[0].header.src_port, base);
     }
 
     #[test]
@@ -757,7 +764,7 @@ mod tests {
             }
         ));
         assert_eq!(out.tx.len(), 1);
-        assert_eq!(out.tx[0].src_port, s.params.sport(1, 0, 0));
+        assert_eq!(out.tx[0].header.src_port, s.params.sport(1, 0, 0));
     }
 
     #[test]

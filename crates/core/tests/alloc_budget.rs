@@ -1,14 +1,23 @@
-//! The allocation budget of the transmit path, counted at the allocator.
+//! The allocation budget of the packet paths, counted at the allocator.
 //!
 //! `wire.pool_allocs_per_packet` counts slab misses, which is how the
 //! pool could call itself "amortized zero" while `freeze` made one
 //! `Rc::new` per packet. This target counts what the allocator is
 //! actually asked for: a silent address must cost one templated,
-//! pooled SYN per transmission and no heap traffic at all.
+//! pooled SYN per transmission and no heap traffic at all, and a data
+//! segment must cost none on either side of a session (segments borrow
+//! from the pooled packet on receive and from the send buffer on
+//! transmit); what a responder still allocates is per connection.
 
+use iw_core::cookie::CookieKey;
 use iw_core::{Protocol, ResilienceConfig, ScanConfig, ScanRunner, Scanner};
+use iw_hoststack::{Host, HostConfig};
 use iw_internet::{Population, PopulationConfig};
-use iw_netsim::{Sim, SimConfig};
+use iw_netsim::{Duration, Effects, Endpoint, Instant, Sim, SimConfig};
+use iw_wire::http::Request;
+use iw_wire::ipv4::{self, Ipv4Addr};
+use iw_wire::tcp::{self, Flags, TcpOption};
+use iw_wire::IpProtocol;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -83,9 +92,10 @@ fn silent_sweep_allocates_nothing_per_syn() {
 }
 
 #[test]
-fn http_scan_allocation_count_is_recorded() {
-    // The session side is the next per-packet target (ROADMAP item 4);
-    // this prints its census so a change can quote it. Not gated yet.
+fn http_scan_allocations_per_responder_fit_the_budget() {
+    // A whole small HTTP campaign, population and harvest included. What
+    // a responder costs is per connection now (TCB, application, probe
+    // driver, request and response head), six or more connections each.
     let pop = Arc::new(Population::new(PopulationConfig {
         seed: 0xabc,
         space_size: 1 << 14,
@@ -104,4 +114,151 @@ fn http_scan_allocation_count_is_recorded() {
         spent / reachable,
         out.sim_stats.events
     );
+    assert!(
+        spent / reachable <= 220,
+        "{} allocations per responder: the session path allocates per segment again",
+        spent / reachable
+    );
+}
+
+const SCANNER: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 1);
+const HOST: Ipv4Addr = Ipv4Addr::new(10, 1, 2, 3);
+
+/// A datagram from `src` to `dst` around `seg`.
+fn datagram(src: Ipv4Addr, dst: Ipv4Addr, seg: &tcp::Repr) -> Vec<u8> {
+    let l4 = seg.emit(src, dst);
+    ipv4::build_datagram(
+        &ipv4::Repr {
+            src_addr: src,
+            dst_addr: dst,
+            protocol: IpProtocol::Tcp,
+            payload_len: l4.len(),
+            ttl: 64,
+        },
+        7,
+        &l4,
+    )
+}
+
+/// The TCP segment inside a datagram the endpoint under test emitted.
+fn sent(pkt: &[u8]) -> tcp::Repr {
+    let ip = ipv4::Packet::new_checked(pkt).expect("valid IPv4");
+    let seg = tcp::Packet::new_checked(ip.payload()).expect("valid TCP");
+    tcp::Repr::parse(&seg, ip.src_addr(), ip.dst_addr()).expect("valid segment")
+}
+
+#[test]
+fn a_reordered_flight_costs_the_scanner_no_allocation() {
+    let config = ScanConfig::study(Protocol::Http, 1 << 14, 0x5e55);
+    let key = CookieKey::new(config.seed);
+    assert_eq!(config.source, SCANNER);
+    let mut scanner = Scanner::new(config);
+    let mut fx = Effects::default();
+    let now = Instant::ZERO + Duration::from_millis(20);
+    let from_host = |sport: u16, flags, seq: u32, ack: u32, payload: Vec<u8>| {
+        let seg = tcp::Repr {
+            payload,
+            ..tcp::Repr::bare(80, sport, seq, ack, flags, 65535)
+        };
+        datagram(HOST, SCANNER, &seg)
+    };
+    // Ten 64-byte segments, every other one first: five ranges open
+    // before the stragglers close them.
+    let order = [1u32, 3, 5, 7, 9, 8, 0, 6, 2, 4];
+
+    // Two connections of one session, each: SYN-ACK in, request out, the
+    // flight, its retransmission (verify ACK out), the released segment
+    // (RST and the next connection's SYN out).
+    for (conn, sport) in [40000u16, 40002].into_iter().enumerate() {
+        let isn = key.isn(HOST.to_u32(), sport, 80);
+        let synack = tcp::Repr {
+            options: vec![TcpOption::Mss(64)],
+            ..tcp::Repr::bare(
+                80,
+                sport,
+                5000,
+                isn.wrapping_add(1),
+                Flags::SYN | Flags::ACK,
+                65535,
+            )
+        };
+        fx.tx.clear();
+        scanner.on_packet(&datagram(HOST, SCANNER, &synack), now, &mut fx);
+        let request = sent(fx.tx.last().expect("request sent"));
+        assert_eq!(request.src_port, sport);
+        assert!(request.payload.starts_with(b"GET / HTTP/1.1\r\n"));
+        let acked = isn.wrapping_add(1 + request.payload.len() as u32);
+
+        let flight: Vec<Vec<u8>> = order
+            .iter()
+            .map(|i| from_host(sport, Flags::ACK, 5001 + i * 64, acked, vec![0xaa; 64]))
+            .collect();
+        fx.tx.clear();
+        let before = allocs();
+        for pkt in &flight {
+            scanner.on_packet(pkt, now, &mut fx);
+        }
+        let spent = allocs() - before;
+        assert!(fx.tx.is_empty(), "data is never acknowledged");
+        if conn == 1 {
+            // The first connection sized the session's buffers.
+            assert_eq!(spent, 0, "a data segment allocates on the scanner side");
+        }
+
+        let later = now + Duration::from_secs(1);
+        let rtx = from_host(sport, Flags::ACK, 5001, acked, vec![0xaa; 64]);
+        scanner.on_packet(&rtx, later, &mut fx);
+        let verify = sent(fx.tx.last().expect("verify ACK sent"));
+        assert_eq!((verify.ack, verify.window), (5001 + 640, 128));
+        let released = from_host(sport, Flags::ACK, 5001 + 640, acked, vec![0xaa; 64]);
+        fx.tx.clear();
+        scanner.on_packet(&released, later, &mut fx);
+        assert_eq!(fx.tx.len(), 2, "RST, then the next probe's SYN");
+        assert!(sent(&fx.tx[0]).flags.contains(Flags::RST));
+        assert_eq!(sent(&fx.tx[1]).src_port, sport + 2);
+    }
+}
+
+#[test]
+fn a_host_answers_a_probe_request_within_ten_allocations() {
+    let mut host = Host::new(HOST, HostConfig::simple_web(50_000), 1);
+    let mut fx = Effects::default();
+    // Two connections; the first warms the packet pool and the effects
+    // vectors, the second is measured from its request to its flight.
+    for sport in [40000u16, 40002] {
+        let syn = tcp::Repr {
+            options: vec![TcpOption::Mss(64)],
+            ..tcp::Repr::bare(sport, 80, 100, 0, Flags::SYN, 65535)
+        };
+        fx.tx.clear();
+        host.on_packet(&datagram(SCANNER, HOST, &syn), Instant::ZERO, &mut fx);
+        let synack = sent(&fx.tx[0]);
+        let request = tcp::Repr {
+            payload: Request::probe_get("/", "10.1.2.3").to_bytes(),
+            ..tcp::Repr::bare(
+                sport,
+                80,
+                101,
+                synack.seq.wrapping_add(1),
+                Flags::ACK | Flags::PSH,
+                65535,
+            )
+        };
+        let request = datagram(SCANNER, HOST, &request);
+        fx.tx.clear();
+        let before = allocs();
+        host.on_packet(&request, Instant::ZERO, &mut fx);
+        let spent = allocs() - before;
+        assert_eq!(fx.tx.len(), 10, "the IW10 flight");
+        assert!(fx.tx.iter().all(|pkt| sent(pkt).payload.len() == 64));
+        println!("alloc_budget: host answer: {spent} allocations for request + flight");
+        if sport != 40000 {
+            // Response head (two), one growth of the send buffer for the
+            // flight's filler, one of the in-flight queue.
+            assert!(
+                spent <= 10,
+                "{spent} allocations to answer one request: the host allocates per segment again"
+            );
+        }
+    }
 }

@@ -91,7 +91,7 @@ fn exact_duplicate_of_any_covered_segment_ends_collection() {
     // Verification ACK goes out; connection is in Verifying.
     assert!(out.result.is_none());
     assert_eq!(out.tx.len(), 1);
-    assert_eq!(out.tx[0].window, 128);
+    assert_eq!(out.tx[0].header.window, 128);
 }
 
 #[test]

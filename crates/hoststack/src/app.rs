@@ -99,9 +99,38 @@ pub fn fill_pattern_continue(out: &mut Vec<u8>, base: usize, mut n: usize) {
 
 /// A connection-scoped application (one instance per TCP connection).
 pub trait App {
-    /// In-order stream bytes arrived. Return `Some` once a complete
+    /// In-order stream bytes arrived; each chunk is handed over exactly
+    /// once, so an application that needs more than one chunk keeps what
+    /// it has seen ([`PartialRequest::feed`]). Return `Some` once a complete
     /// request has been assembled; `None` keeps buffering.
     fn on_data(&mut self, data: &[u8]) -> Option<AppResponse>;
+}
+
+/// What an application has received of a request it could not parse
+/// yet. A request that arrives whole (every probe's does) is parsed where
+/// it lies in the packet and never copied here.
+#[derive(Debug, Default)]
+pub struct PartialRequest {
+    held: Vec<u8>,
+}
+
+impl PartialRequest {
+    /// Run `parse` over the request bytes received so far: `data` itself
+    /// while nothing is held back, else everything held with `data`
+    /// appended. `None` from `parse` means "incomplete": the bytes are
+    /// kept for the next chunk.
+    pub fn feed<T>(&mut self, data: &[u8], parse: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
+        if self.held.is_empty() {
+            let parsed = parse(data);
+            if parsed.is_none() {
+                self.held.extend_from_slice(data);
+            }
+            parsed
+        } else {
+            self.held.extend_from_slice(data);
+            parse(&self.held)
+        }
+    }
 }
 
 /// An application that never answers — the "no data" hosts of Table 2.

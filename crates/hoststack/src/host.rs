@@ -3,8 +3,10 @@
 //! `iw-netsim` as an [`Endpoint`].
 
 use crate::app::App;
-use crate::config::{ports, HostConfig};
+use crate::config::{ports, HostConfig, HttpConfig, TlsConfig};
 use crate::http_app::HttpApp;
+use crate::os::OsProfile;
+use crate::policy::IwPolicy;
 use crate::tcb::{Tcb, TcbOutput};
 use crate::tls_app::TlsApp;
 use iw_netsim::{Effects, Endpoint, Instant, TimerToken};
@@ -13,6 +15,7 @@ use iw_wire::tcp::{self, Flags};
 use iw_wire::{icmp, ipv4, IpProtocol};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::rc::Rc;
 
 /// Connection key: (peer address, peer port, local port).
 type ConnKey = (u32, u16, u16);
@@ -20,7 +23,14 @@ type ConnKey = (u32, u16, u16);
 /// A simulated host at a fixed IPv4 address.
 pub struct Host {
     ip: Ipv4Addr,
-    config: HostConfig,
+    os: OsProfile,
+    iw: IwPolicy,
+    // Each service's configuration is shared with the connections it
+    // serves (a probe session opens six or more per host).
+    http: Option<Rc<HttpConfig>>,
+    tls: Option<Rc<TlsConfig>>,
+    path_mtu: u32,
+    icmp: bool,
     // Live connections. A probe host holds at most a couple at a time
     // (the scanner walks its connections sequentially), so a linear-scan
     // vector beats a hash map on every per-packet lookup.
@@ -34,7 +44,12 @@ impl Host {
     pub fn new(ip: Ipv4Addr, config: HostConfig, seed: u64) -> Host {
         Host {
             ip,
-            config,
+            os: config.os,
+            iw: config.iw,
+            http: config.http.map(Rc::new),
+            tls: config.tls.map(Rc::new),
+            path_mtu: config.path_mtu,
+            icmp: config.icmp,
             conns: Vec::new(),
             rng: SmallRng::seed_from_u64(seed ^ u64::from(ip.to_u32())),
             ip_ident: 1,
@@ -61,12 +76,10 @@ impl Host {
     fn app_for_port(&self, port: u16) -> Option<Box<dyn App>> {
         match port {
             ports::HTTP => self
-                .config
                 .http
                 .as_ref()
                 .map(|c| Box::new(HttpApp::new(c.clone())) as Box<dyn App>),
             ports::TLS => self
-                .config
                 .tls
                 .as_ref()
                 .map(|c| Box::new(TlsApp::new(c.clone())) as Box<dyn App>),
@@ -74,36 +87,9 @@ impl Host {
         }
     }
 
-    fn emit_segment(&mut self, peer: Ipv4Addr, repr: &tcp::Repr, fx: &mut Effects) {
-        let ip = self.ip;
-        let mut buf = fx.buffer();
-        ipv4::build_datagram_into(
-            &ipv4::Repr {
-                src_addr: ip,
-                dst_addr: peer,
-                protocol: IpProtocol::Tcp,
-                payload_len: repr.buffer_len(),
-                ttl: 64,
-            },
-            self.ip_ident,
-            &mut buf,
-            |l4| repr.emit_into(ip, peer, l4),
-        );
-        self.ip_ident = self.ip_ident.wrapping_add(1);
-        fx.send(buf.freeze());
-    }
-
-    fn apply_tcb_output(
-        &mut self,
-        key: ConnKey,
-        peer: Ipv4Addr,
-        out: TcbOutput,
-        now: Instant,
-        fx: &mut Effects,
-    ) {
-        for repr in &out.tx {
-            self.emit_segment(peer, repr, fx);
-        }
+    /// What a TCB event leaves to the host: arm its deadline, retire the
+    /// connection once closed.
+    fn settle(&mut self, key: ConnKey, out: TcbOutput, now: Instant, fx: &mut Effects) {
         if let Some(deadline) = out.deadline {
             if deadline > now
                 && self
@@ -127,15 +113,19 @@ impl Host {
         let Ok(packet) = tcp::Packet::new_checked(payload) else {
             return;
         };
-        let Ok(seg) = tcp::Repr::parse(&packet, ip_repr.src_addr, ip_repr.dst_addr) else {
+        let Ok(seg) = tcp::Segment::parse(&packet, ip_repr.src_addr, ip_repr.dst_addr) else {
             return;
         };
         let peer = ip_repr.src_addr;
         let key: ConnKey = (peer.to_u32(), seg.src_port, seg.dst_port);
+        let ip = self.ip;
 
-        if let Some(tcb) = self.conn_mut(key) {
-            let out = tcb.on_segment(&seg, now);
-            self.apply_tcb_output(key, peer, out, now, fx);
+        if let Some((_, tcb)) = self.conns.iter_mut().find(|(k, _)| *k == key) {
+            let ident = &mut self.ip_ident;
+            let out = tcb.on_segment(seg, now, &mut |tx| {
+                fx.send(tx.datagram(ip, peer, ident, fx.buffer()))
+            });
+            self.settle(key, out, now, fx);
             return;
         }
 
@@ -143,20 +133,22 @@ impl Host {
         if seg.flags.contains(Flags::SYN) && !seg.flags.contains(Flags::ACK) {
             if let Some(app) = self.app_for_port(seg.dst_port) {
                 let isn: u32 = self.rng.gen();
+                let ident = &mut self.ip_ident;
                 let (tcb, out) = Tcb::accept(
-                    self.ip,
+                    ip,
                     peer,
                     seg.dst_port,
                     seg.src_port,
-                    self.config.os.clone(),
-                    self.config.iw,
+                    self.os.clone(),
+                    self.iw,
                     app,
-                    &seg,
+                    seg,
                     isn,
                     now,
+                    &mut |tx| fx.send(tx.datagram(ip, peer, ident, fx.buffer())),
                 );
                 self.conns.push((key, tcb));
-                self.apply_tcb_output(key, peer, out, now, fx);
+                self.settle(key, out, now, fx);
                 return;
             }
         }
@@ -172,14 +164,15 @@ impl Host {
                     Flags::RST | Flags::ACK,
                 )
             };
-            let rst = tcp::Repr::bare(seg.dst_port, seg.src_port, rst_seq, rst_ack, rst_flags, 0);
-            self.emit_segment(peer, &rst, fx);
+            let rst =
+                tcp::Segment::bare(seg.dst_port, seg.src_port, rst_seq, rst_ack, rst_flags, 0);
+            fx.send(rst.datagram(ip, peer, &mut self.ip_ident, fx.buffer()));
         }
         fx.finished = self.conns.is_empty();
     }
 
     fn handle_icmp(&mut self, ip_repr: &ipv4::Repr, payload: &[u8], fx: &mut Effects) {
-        if !self.config.icmp {
+        if !self.icmp {
             fx.finished = self.conns.is_empty();
             return;
         }
@@ -193,11 +186,11 @@ impl Host {
         } = msg
         {
             let total_len = (ipv4::HEADER_LEN + icmp::HEADER_LEN + payload_len) as u32;
-            let reply = if total_len > self.config.path_mtu {
+            let reply = if total_len > self.path_mtu {
                 // A constricting router on the path reports its MTU
                 // (RFC 1191); we stand in for it.
                 icmp::Message::FragNeeded {
-                    mtu: self.config.path_mtu as u16,
+                    mtu: self.path_mtu as u16,
                 }
             } else {
                 icmp::Message::EchoReply {
@@ -261,9 +254,12 @@ impl Endpoint for Host {
     fn on_timer(&mut self, token: TimerToken, now: Instant, fx: &mut Effects) {
         let key = key_for(token);
         let peer = Ipv4Addr::from_u32(key.0);
-        if let Some(tcb) = self.conn_mut(key) {
-            let out = tcb.on_timer(now);
-            self.apply_tcb_output(key, peer, out, now, fx);
+        let (ip, ident) = (self.ip, &mut self.ip_ident);
+        if let Some((_, tcb)) = self.conns.iter_mut().find(|(k, _)| *k == key) {
+            let out = tcb.on_timer(now, &mut |tx| {
+                fx.send(tx.datagram(ip, peer, ident, fx.buffer()))
+            });
+            self.settle(key, out, now, fx);
         } else {
             fx.finished = self.conns.is_empty();
         }
@@ -364,6 +360,65 @@ mod tests {
         assert_eq!(fx2.tx.len(), 10);
         let segs: Vec<_> = fx2.tx.iter().map(|p| parse_reply(p)).collect();
         assert!(segs.iter().all(|s| s.payload.len() == 64));
+    }
+
+    /// Handshake with a fresh `config` host on `port`, send `chunks` as
+    /// consecutive segments, and return every payload byte the host sent
+    /// back in order plus whether it reset the connection.
+    fn answer(config: &HostConfig, port: u16, chunks: &[&[u8]]) -> (Vec<u8>, bool) {
+        let mut host = Host::new(HOSTIP, config.clone(), 1);
+        let mut fx = Effects::default();
+        host.on_packet(&datagram(&syn(port)), Instant::ZERO, &mut fx);
+        let synack = parse_reply(&fx.tx[0]);
+        let mut seq = 101u32;
+        let mut fx = Effects::default();
+        for chunk in chunks {
+            let seg = tcp::Repr {
+                payload: chunk.to_vec(),
+                ..tcp::Repr::bare(
+                    40000,
+                    port,
+                    seq,
+                    synack.seq.wrapping_add(1),
+                    Flags::ACK | Flags::PSH,
+                    65535,
+                )
+            };
+            seq = seq.wrapping_add(chunk.len() as u32);
+            host.on_packet(&datagram(&seg), Instant::ZERO, &mut fx);
+        }
+        let replies: Vec<_> = fx.tx.iter().map(|p| parse_reply(p)).collect();
+        let reset = replies.iter().any(|r| r.flags.contains(Flags::RST));
+        let bytes = replies.into_iter().flat_map(|r| r.payload).collect();
+        (bytes, reset)
+    }
+
+    #[test]
+    fn a_request_cut_anywhere_gets_the_answer_of_the_whole_request() {
+        let get = iw_wire::http::Request::probe_get("/", "198.51.100.1").to_bytes();
+        let hello = iw_wire::tls::ClientHello::probe([1; 32], None).to_record_bytes();
+        let mut tls_host = HostConfig::simple_web(50_000);
+        tls_host.tls = Some(crate::TlsConfig {
+            behavior: crate::TlsBehavior::Serve,
+            cipher: iw_wire::tls::CipherSuite::ECDHE_RSA_AES128_GCM,
+            cert_lens: vec![1200, 986],
+            ocsp_len: Some(471),
+            sni_iw: Vec::new(),
+        });
+        for (config, port, request) in [
+            (HostConfig::simple_web(50_000), 80, get),
+            (tls_host, 443, hello),
+        ] {
+            let (whole, reset) = answer(&config, port, &[&request]);
+            assert!(!reset);
+            assert_eq!(whole.len(), 640, "an IW10 flight at MSS 64");
+            for cut in 1..request.len() {
+                let (head, tail) = request.split_at(cut);
+                let (bytes, reset) = answer(&config, port, &[head, tail]);
+                assert!(!reset, "port {port}: reset when cut at {cut}");
+                assert_eq!(bytes, whole, "port {port}: cut at {cut}");
+            }
+        }
     }
 
     #[test]

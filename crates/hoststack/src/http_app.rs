@@ -7,42 +7,42 @@
 //! queueing a FIN behind the response — which is exactly the signal the
 //! scanner uses to detect an unexhausted IW.
 
-use crate::app::{App, AppResponse};
+use crate::app::{App, AppResponse, PartialRequest};
 use crate::config::{HttpBehavior, HttpConfig};
 use iw_wire::http::{Request, ResponseBuilder};
 use iw_wire::Error;
+use std::rc::Rc;
 
 /// One HTTP connection's application state.
 pub struct HttpApp {
-    config: HttpConfig,
-    buffer: Vec<u8>,
+    /// The host's service configuration, shared with its connections.
+    config: Rc<HttpConfig>,
+    partial: PartialRequest,
 }
 
 impl HttpApp {
     /// New connection against this host config.
-    pub fn new(config: HttpConfig) -> HttpApp {
+    pub fn new(config: Rc<HttpConfig>) -> HttpApp {
         HttpApp {
             config,
-            buffer: Vec::new(),
+            partial: PartialRequest::default(),
         }
     }
 
-    fn respond(&self, req: &Request) -> AppResponse {
+    fn respond(config: &HttpConfig, req: &Request<'_>) -> AppResponse {
         let close = req
-            .headers
-            .iter()
+            .headers()
             .any(|(k, v)| k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close"));
         // Configured properties (Akamai-style): a Host header naming a
         // known service serves that service's real content with its own
         // IW configuration — which is exactly why the paper's anonymous
         // scan cannot see these without a curated URL list (§4.3/§5).
-        if let Some((_, policy)) = self
-            .config
+        if let Some((_, policy)) = config
             .vhost_iw
             .iter()
             .find(|(host, _)| req.host.eq_ignore_ascii_case(host))
         {
-            let (head, fill) = self.ok_page(12_000);
+            let (head, fill) = Self::ok_page(config, 12_000);
             let mut response = if close {
                 AppResponse::send_and_close(head)
             } else {
@@ -52,15 +52,15 @@ impl HttpApp {
             response.iw_override = Some(*policy);
             return response;
         }
-        let (resp, fill) = match &self.config.behavior {
+        let (resp, fill) = match &config.behavior {
             HttpBehavior::Direct {
                 root_size,
                 echo_404,
             } => {
                 if req.uri == "/" {
-                    self.ok_page(*root_size as usize)
+                    Self::ok_page(config, *root_size as usize)
                 } else {
-                    (self.not_found_page(64, *echo_404, &req.uri), 0)
+                    (Self::not_found_page(config, 64, *echo_404, req.uri), 0)
                 }
             }
             HttpBehavior::Redirect {
@@ -68,11 +68,11 @@ impl HttpApp {
                 path,
                 target_size,
             } => {
-                if req.uri == *path && (req.host == *host || req.host.is_empty()) {
-                    self.ok_page(*target_size as usize)
+                if req.uri == path && (req.host == host || req.host.is_empty()) {
+                    Self::ok_page(config, *target_size as usize)
                 } else {
                     let moved = ResponseBuilder::new(301, "Moved Permanently")
-                        .header("Server", &self.config.server_header)
+                        .header("Server", &config.server_header)
                         .header("Location", format!("http://{host}{path}"))
                         .body(b"<html>Moved</html>".to_vec())
                         .build();
@@ -83,7 +83,7 @@ impl HttpApp {
                 base_size,
                 echo_uri,
             } => (
-                self.not_found_page(*base_size as usize, *echo_uri, &req.uri),
+                Self::not_found_page(config, *base_size as usize, *echo_uri, req.uri),
                 0,
             ),
             // The remaining variants are handled in on_data before parsing.
@@ -99,8 +99,7 @@ impl HttpApp {
         response.fill = fill;
         // Per-service IW (Akamai-style): the property named by the Host
         // header may carry its own initial-window configuration.
-        response.iw_override = self
-            .config
+        response.iw_override = config
             .vhost_iw
             .iter()
             .find(|(host, _)| req.host.eq_ignore_ascii_case(host))
@@ -113,9 +112,9 @@ impl HttpApp {
     /// materializes it lazily as the peer's window pulls it, which is
     /// what makes multi-hundred-kilobyte pages free for a probe that
     /// resets after the initial flight.
-    fn ok_page(&self, size: usize) -> (Vec<u8>, usize) {
+    fn ok_page(config: &HttpConfig, size: usize) -> (Vec<u8>, usize) {
         let head = ResponseBuilder::new(200, "OK")
-            .header("Server", &self.config.server_header)
+            .header("Server", &config.server_header)
             .header("Content-Type", "text/html")
             .head_only(size);
         (head, size)
@@ -123,12 +122,12 @@ impl HttpApp {
 
     /// A 404 whose body optionally embeds the request URI — longer URIs
     /// beget longer error pages, the §3.2 bloating lever.
-    fn not_found_page(&self, base: usize, echo: bool, uri: &str) -> Vec<u8> {
+    fn not_found_page(config: &HttpConfig, base: usize, echo: bool, uri: &str) -> Vec<u8> {
         const PREFIX: &[u8] = b"<html><body>404 Not Found";
         const SUFFIX: &[u8] = b"</body></html>";
         let body_len = PREFIX.len() + if echo { 2 + uri.len() } else { 0 } + base + SUFFIX.len();
         let mut out = ResponseBuilder::new(404, "Not Found")
-            .header("Server", &self.config.server_header)
+            .header("Server", &config.server_header)
             .head(body_len);
         out.extend_from_slice(PREFIX);
         if echo {
@@ -173,13 +172,14 @@ impl App for HttpApp {
             HttpBehavior::Reset => return Some(AppResponse::abort()),
             _ => {}
         }
-        self.buffer.extend_from_slice(data);
-        match Request::parse(&self.buffer) {
-            Ok(req) => Some(self.respond(&req)),
-            Err(Error::Truncated) => None,
-            // Unparseable request: behave like a grumpy server.
-            Err(_) => Some(AppResponse::abort()),
-        }
+        let config = &self.config;
+        self.partial
+            .feed(data, |bytes| match Request::parse(bytes) {
+                Ok(req) => Some(Self::respond(config, &req)),
+                Err(Error::Truncated) => None,
+                // Unparseable request: behave like a grumpy server.
+                Err(_) => Some(AppResponse::abort()),
+            })
     }
 }
 
@@ -196,13 +196,17 @@ mod tests {
         }
     }
 
+    fn http_app(config: HttpConfig) -> HttpApp {
+        HttpApp::new(Rc::new(config))
+    }
+
     fn get(uri: &str, host: &str) -> Vec<u8> {
         Request::probe_get(uri, host).to_bytes()
     }
 
     #[test]
     fn direct_serves_root() {
-        let mut app = HttpApp::new(cfg(HttpBehavior::Direct {
+        let mut app = http_app(cfg(HttpBehavior::Direct {
             root_size: 5000,
             echo_404: true,
         }));
@@ -220,7 +224,7 @@ mod tests {
             path: "/index.html".into(),
             target_size: 9000,
         };
-        let mut app = HttpApp::new(cfg(behavior.clone()));
+        let mut app = http_app(cfg(behavior.clone()));
         let resp = app.on_data(&get("/", "1.2.3.4")).unwrap();
         let head = ResponseHead::parse(&resp.data).unwrap();
         assert_eq!(head.status, 301);
@@ -229,7 +233,7 @@ mod tests {
             Some("http://www.example.com/index.html")
         );
         // Fresh connection, following the redirect with the right host.
-        let mut app2 = HttpApp::new(cfg(behavior));
+        let mut app2 = http_app(cfg(behavior));
         let resp2 = app2
             .on_data(&get("/index.html", "www.example.com"))
             .unwrap();
@@ -240,12 +244,12 @@ mod tests {
 
     #[test]
     fn not_found_echoes_uri_making_page_grow() {
-        let mut app = HttpApp::new(cfg(HttpBehavior::NotFound {
+        let mut app = http_app(cfg(HttpBehavior::NotFound {
             base_size: 100,
             echo_uri: true,
         }));
         let short = app.on_data(&get("/x", "h")).unwrap().data.len();
-        let mut app = HttpApp::new(cfg(HttpBehavior::NotFound {
+        let mut app = http_app(cfg(HttpBehavior::NotFound {
             base_size: 100,
             echo_uri: true,
         }));
@@ -256,7 +260,7 @@ mod tests {
 
     #[test]
     fn akamai_style_no_echo_keeps_page_small() {
-        let mut app = HttpApp::new(cfg(HttpBehavior::NotFound {
+        let mut app = http_app(cfg(HttpBehavior::NotFound {
             base_size: 100,
             echo_uri: false,
         }));
@@ -267,7 +271,7 @@ mod tests {
 
     #[test]
     fn partial_request_buffers() {
-        let mut app = HttpApp::new(cfg(HttpBehavior::Direct {
+        let mut app = http_app(cfg(HttpBehavior::Direct {
             root_size: 10,
             echo_404: true,
         }));
@@ -279,17 +283,17 @@ mod tests {
 
     #[test]
     fn terminal_behaviours() {
-        let mut mute = HttpApp::new(cfg(HttpBehavior::Mute));
+        let mut mute = http_app(cfg(HttpBehavior::Mute));
         assert!(mute.on_data(&get("/", "h")).is_none());
-        let mut closer = HttpApp::new(cfg(HttpBehavior::SilentClose));
+        let mut closer = http_app(cfg(HttpBehavior::SilentClose));
         assert_eq!(closer.on_data(b"x"), Some(AppResponse::silent_close()));
-        let mut rster = HttpApp::new(cfg(HttpBehavior::Reset));
+        let mut rster = http_app(cfg(HttpBehavior::Reset));
         assert_eq!(rster.on_data(b"x"), Some(AppResponse::abort()));
     }
 
     #[test]
     fn garbage_request_aborts() {
-        let mut app = HttpApp::new(cfg(HttpBehavior::Direct {
+        let mut app = http_app(cfg(HttpBehavior::Direct {
             root_size: 10,
             echo_404: true,
         }));
@@ -311,21 +315,21 @@ mod tests {
             ("www.customer-a.example".into(), IwPolicy::Segments(16)),
             ("www.customer-b.example".into(), IwPolicy::Segments(32)),
         ];
-        let mut app = HttpApp::new(config.clone());
+        let mut app = http_app(config.clone());
         let resp = app.on_data(&get("/", "www.customer-b.example")).unwrap();
         assert_eq!(resp.iw_override, Some(IwPolicy::Segments(32)));
         // Case-insensitive match, unknown host gets the default.
-        let mut app = HttpApp::new(config.clone());
+        let mut app = http_app(config.clone());
         let resp = app.on_data(&get("/", "WWW.CUSTOMER-A.EXAMPLE")).unwrap();
         assert_eq!(resp.iw_override, Some(IwPolicy::Segments(16)));
-        let mut app = HttpApp::new(config);
+        let mut app = http_app(config);
         let resp = app.on_data(&get("/", "1.2.3.4")).unwrap();
         assert_eq!(resp.iw_override, None);
     }
 
     #[test]
     fn keepalive_request_does_not_close() {
-        let mut app = HttpApp::new(cfg(HttpBehavior::Direct {
+        let mut app = http_app(cfg(HttpBehavior::Direct {
             root_size: 10,
             echo_404: true,
         }));

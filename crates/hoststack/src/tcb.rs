@@ -17,13 +17,18 @@
 //! Out-of-order data from the peer is not reassembled (the scanner only
 //! ever sends tiny in-order requests); it is acknowledged at `rcv_nxt`
 //! like any mainstream stack would (duplicate ACK).
+//!
+//! Nothing is copied per segment in either direction: an inbound
+//! payload is handed to the application where it lies in the packet, and
+//! every outbound segment goes to the caller's [`Sink`] with its payload
+//! borrowed from the connection's send buffer.
 
 use crate::app::{App, AppResponse};
 use crate::os::OsProfile;
 use crate::policy::IwPolicy;
 use iw_netsim::{Duration, Instant};
 use iw_wire::ipv4::Ipv4Addr;
-use iw_wire::tcp::{self, seq, Flags, TcpOption};
+use iw_wire::tcp::{self, seq, Flags};
 use std::collections::VecDeque;
 
 /// Connection lifecycle states (server side only; no active open).
@@ -61,11 +66,14 @@ impl InflightSeg {
     }
 }
 
-/// Output of a TCB event: segments to emit and the next timer deadline.
+/// Where a TCB event hands the segments it transmits, in order. The
+/// payload borrows the connection's send buffer, so the sink writes it
+/// out (the host: straight into a pooled packet) before it returns.
+pub type Sink<'s> = dyn FnMut(tcp::Segment<'_>) + 's;
+
+/// Output of a TCB event besides the segments its [`Sink`] received.
 #[derive(Debug, Default)]
 pub struct TcbOutput {
-    /// Segments to transmit, in order.
-    pub tx: Vec<tcp::Repr>,
     /// Absolute deadline at which `on_timer` should be invoked (the host
     /// arms a simulator timer; stale timers are harmless).
     pub deadline: Option<Instant>,
@@ -116,9 +124,6 @@ pub struct Tcb {
     close_pending: bool,
     fin_sent: bool,
 
-    // Receive-side request assembly.
-    rx_stream: Vec<u8>,
-
     // Retransmission state.
     rto: Duration,
     rto_deadline: Option<Instant>,
@@ -132,12 +137,12 @@ pub struct Tcb {
 }
 
 impl Tcb {
-    /// Accept a SYN: build the TCB and the SYN-ACK to send.
+    /// Accept a SYN: build the TCB and send the SYN-ACK.
     ///
     /// `syn` must have the SYN flag; `isn` is the server's initial
     /// sequence number (chosen by the host's RNG).
     #[allow(clippy::too_many_arguments)]
-    pub fn accept(
+    pub fn accept<'a>(
         local_addr: Ipv4Addr,
         peer_addr: Ipv4Addr,
         local_port: u16,
@@ -145,12 +150,14 @@ impl Tcb {
         os: OsProfile,
         iw: IwPolicy,
         app: Box<dyn App>,
-        syn: &tcp::Repr,
+        syn: impl Into<tcp::Segment<'a>>,
         isn: u32,
         now: Instant,
+        sink: &mut Sink<'_>,
     ) -> (Tcb, TcbOutput) {
+        let syn = syn.into();
         debug_assert!(syn.flags.contains(Flags::SYN));
-        let mss = os.effective_mss(syn.mss());
+        let mss = os.effective_mss(syn.mss);
         let iw_bytes = iw.initial_cwnd(mss);
         let rto = os.initial_rto;
         let mut tcb = Tcb {
@@ -177,7 +184,6 @@ impl Tcb {
             inflight: VecDeque::new(),
             close_pending: false,
             fin_sent: false,
-            rx_stream: Vec::new(),
             rto,
             rto_deadline: None,
             retries: 0,
@@ -185,24 +191,30 @@ impl Tcb {
             retransmit_count: 0,
         };
         let mut out = TcbOutput::default();
-        out.tx.push(tcb.syn_ack());
+        sink(tcb.syn_ack());
         tcb.arm_rto(now, &mut out);
         (tcb, out)
     }
 
-    fn syn_ack(&self) -> tcp::Repr {
-        tcp::Repr {
-            src_port: self.local_port,
-            dst_port: self.peer_port,
-            seq: self.iss,
-            ack: self.rcv_nxt,
-            flags: Flags::SYN | Flags::ACK,
-            window: 65535,
+    /// A payload-less segment of this connection acknowledging `rcv_nxt`.
+    fn header(&self, seq: u32, flags: Flags, window: u16) -> tcp::Segment<'static> {
+        tcp::Segment::bare(
+            self.local_port,
+            self.peer_port,
+            seq,
+            self.rcv_nxt,
+            flags,
+            window,
+        )
+    }
+
+    fn syn_ack(&self) -> tcp::Segment<'static> {
+        tcp::Segment {
             // The server advertises its own MSS; answering with the
             // clamped value is what lets the scanner observe the real
             // segment size early (it still verifies against data).
-            options: vec![TcpOption::Mss(self.mss.min(65535) as u16)],
-            payload: Vec::new(),
+            mss: Some(self.mss.min(65535) as u16),
+            ..self.header(self.iss, Flags::SYN | Flags::ACK, 65535)
         }
     }
 
@@ -232,7 +244,13 @@ impl Tcb {
     }
 
     /// Handle an inbound segment.
-    pub fn on_segment(&mut self, seg: &tcp::Repr, now: Instant) -> TcbOutput {
+    pub fn on_segment<'a>(
+        &mut self,
+        seg: impl Into<tcp::Segment<'a>>,
+        now: Instant,
+        sink: &mut Sink<'_>,
+    ) -> TcbOutput {
+        let seg = seg.into();
         let mut out = TcbOutput::default();
         if self.state == State::Closed {
             return out;
@@ -244,7 +262,7 @@ impl Tcb {
         // A retransmitted SYN in SynRcvd: re-send the SYN-ACK.
         if seg.flags.contains(Flags::SYN) {
             if self.state == State::SynRcvd {
-                out.tx.push(self.syn_ack());
+                sink(self.syn_ack());
                 self.arm_rto(now, &mut out);
             }
             return out;
@@ -260,17 +278,14 @@ impl Tcb {
             self.state = State::Established;
         }
 
-        // Data processing (only in-order data is consumed).
+        // Data processing: only in-order data is consumed, and the
+        // application sees each chunk once (it does its own buffering).
         let mut should_ack = false;
         if !seg.payload.is_empty() {
             if seg.seq == self.rcv_nxt {
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-                self.rx_stream.extend_from_slice(&seg.payload);
-                let consumed = std::mem::take(&mut self.rx_stream);
-                if let Some(resp) = self.app.on_data(&consumed) {
-                    self.apply_app_response(resp, &mut out);
-                } else {
-                    self.rx_stream = consumed;
+                if let Some(resp) = self.app.on_data(seg.payload) {
+                    self.apply_app_response(resp, sink);
                 }
             }
             should_ack = true;
@@ -290,27 +305,20 @@ impl Tcb {
         }
 
         // Try to transmit whatever the window now admits.
-        let sent_any = self.pump_send(&mut out);
+        let sent_any = self.pump_send(sink);
 
         // Pure ACK if we consumed sequence space but sent no data.
         if should_ack && !sent_any {
-            out.tx.push(self.bare_ack());
+            sink(self.header(self.snd_nxt, Flags::ACK, 65535));
         }
 
         self.update_rto_timer(now, &mut out);
         out
     }
 
-    fn apply_app_response(&mut self, resp: AppResponse, out: &mut TcbOutput) {
+    fn apply_app_response(&mut self, resp: AppResponse, sink: &mut Sink<'_>) {
         if resp.reset {
-            out.tx.push(tcp::Repr::bare(
-                self.local_port,
-                self.peer_port,
-                self.snd_nxt,
-                self.rcv_nxt,
-                Flags::RST | Flags::ACK,
-                0,
-            ));
+            sink(self.header(self.snd_nxt, Flags::RST | Flags::ACK, 0));
             self.state = State::Closed;
             return;
         }
@@ -405,23 +413,24 @@ impl Tcb {
     /// Transmit as much of the send queue as cwnd and the peer window
     /// allow; attach the FIN to the segment that drains the queue.
     /// Returns true if any segment (data or FIN) was emitted.
-    fn pump_send(&mut self, out: &mut TcbOutput) -> bool {
+    fn pump_send(&mut self, sink: &mut Sink<'_>) -> bool {
         if self.state == State::SynRcvd {
             return false; // wait for the handshake ACK
         }
+        let inflight_bytes = seq::dist(self.snd_una, self.snd_nxt);
+        let allowance = self.cwnd.min(self.peer_wnd).saturating_sub(inflight_bytes);
+        let mss = self.mss as usize;
+        debug_assert!(mss > 0, "OsProfile floors the MSS");
+        // The whole flight at once: its filler is materialized in one
+        // growth step of `send_buf`, its bookkeeping in one of `inflight`.
+        let mut left = self.unsent().min(allowance as usize);
+        self.materialize_fill(self.sent + left);
+        self.inflight.reserve(left.div_ceil(mss));
         let mut sent_any = false;
-        loop {
-            let inflight_bytes = seq::dist(self.snd_una, self.snd_nxt);
-            let wnd = self.cwnd.min(self.peer_wnd);
-            let allowance = wnd.saturating_sub(inflight_bytes);
-            if self.unsent() == 0 || allowance == 0 {
-                break;
-            }
-            let take = (self.mss as usize)
-                .min(self.unsent())
-                .min(allowance as usize);
+        while left > 0 {
+            let take = mss.min(left);
+            left -= take;
             let start = self.sent;
-            self.materialize_fill(start + take);
             self.sent += take;
             let drained = self.unsent() == 0;
             let fin = drained && self.close_pending && !self.fin_sent;
@@ -434,16 +443,10 @@ impl Tcb {
                 self.fin_sent = true;
                 self.state = State::FinWait;
             }
-            let repr = tcp::Repr {
-                src_port: self.local_port,
-                dst_port: self.peer_port,
-                seq: self.snd_nxt,
-                ack: self.rcv_nxt,
-                flags,
-                window: 65535,
-                options: Vec::new(),
-                payload: self.send_buf[start..start + take].to_vec(),
-            };
+            sink(tcp::Segment {
+                payload: &self.send_buf[start..start + take],
+                ..self.header(self.snd_nxt, flags, 65535)
+            });
             self.inflight.push_back(InflightSeg {
                 seq: self.snd_nxt,
                 start,
@@ -451,7 +454,6 @@ impl Tcb {
                 fin,
             });
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32 + u32::from(fin));
-            out.tx.push(repr);
             sent_any = true;
         }
         // A FIN with no data left to carry it: bare FIN segment.
@@ -460,14 +462,7 @@ impl Tcb {
             && self.unsent() == 0
             && self.state == State::Established
         {
-            let repr = tcp::Repr::bare(
-                self.local_port,
-                self.peer_port,
-                self.snd_nxt,
-                self.rcv_nxt,
-                Flags::FIN | Flags::ACK,
-                65535,
-            );
+            sink(self.header(self.snd_nxt, Flags::FIN | Flags::ACK, 65535));
             self.inflight.push_back(InflightSeg {
                 seq: self.snd_nxt,
                 start: self.send_buf.len(),
@@ -477,21 +472,9 @@ impl Tcb {
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
             self.fin_sent = true;
             self.state = State::FinWait;
-            out.tx.push(repr);
             sent_any = true;
         }
         sent_any
-    }
-
-    fn bare_ack(&self) -> tcp::Repr {
-        tcp::Repr::bare(
-            self.local_port,
-            self.peer_port,
-            self.snd_nxt,
-            self.rcv_nxt,
-            Flags::ACK,
-            65535,
-        )
     }
 
     fn arm_rto(&mut self, now: Instant, out: &mut TcbOutput) {
@@ -511,7 +494,7 @@ impl Tcb {
     }
 
     /// Handle a timer event. Stale timers (deadline moved/cleared) no-op.
-    pub fn on_timer(&mut self, now: Instant) -> TcbOutput {
+    pub fn on_timer(&mut self, now: Instant, sink: &mut Sink<'_>) -> TcbOutput {
         let mut out = TcbOutput::default();
         let Some(deadline) = self.rto_deadline else {
             return out;
@@ -529,9 +512,7 @@ impl Tcb {
         self.retransmit_count += 1;
 
         match self.state {
-            State::SynRcvd => {
-                out.tx.push(self.syn_ack());
-            }
+            State::SynRcvd => sink(self.syn_ack()),
             State::Established | State::FinWait => {
                 if let Some(first) = self.inflight.front().copied() {
                     // RFC 5681 on timeout: collapse to one segment and
@@ -547,15 +528,9 @@ impl Tcb {
                     if first.len > 0 {
                         flags |= Flags::PSH;
                     }
-                    out.tx.push(tcp::Repr {
-                        src_port: self.local_port,
-                        dst_port: self.peer_port,
-                        seq: first.seq,
-                        ack: self.rcv_nxt,
-                        flags,
-                        window: 65535,
-                        options: Vec::new(),
-                        payload: self.send_buf[first.start..first.start + first.len].to_vec(),
+                    sink(tcp::Segment {
+                        payload: &self.send_buf[first.start..first.start + first.len],
+                        ..self.header(first.seq, flags, 65535)
                     });
                 }
             }
@@ -590,6 +565,7 @@ impl Tcb {
 mod tests {
     use super::*;
     use crate::app::SilentApp;
+    use iw_wire::tcp::TcpOption;
 
     const HOST: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
     const SCAN: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
@@ -610,6 +586,66 @@ mod tests {
         }
     }
 
+    /// What one TCB event transmitted (owned copies) and its deadline.
+    struct Sent {
+        tx: Vec<tcp::Repr>,
+        deadline: Option<Instant>,
+    }
+
+    /// Run one TCB event against a collecting sink.
+    fn collect<R>(event: impl FnOnce(&mut Sink<'_>) -> R) -> (R, Vec<tcp::Repr>) {
+        let mut tx = Vec::new();
+        let r = event(&mut |seg| tx.push(tcp::Repr::from(seg)));
+        (r, tx)
+    }
+
+    fn segment(tcb: &mut Tcb, seg: &tcp::Repr, now: Instant) -> Sent {
+        let (out, tx) = collect(|sink| tcb.on_segment(seg, now, sink));
+        Sent {
+            tx,
+            deadline: out.deadline,
+        }
+    }
+
+    fn timer(tcb: &mut Tcb, now: Instant) -> Sent {
+        let (out, tx) = collect(|sink| tcb.on_timer(now, sink));
+        Sent {
+            tx,
+            deadline: out.deadline,
+        }
+    }
+
+    /// Accept `syn` on `port` with the test addresses.
+    fn accept(
+        port: u16,
+        os: OsProfile,
+        iw: IwPolicy,
+        app: Box<dyn App>,
+        syn: &tcp::Repr,
+        isn: u32,
+    ) -> (Tcb, Sent) {
+        let ((tcb, out), tx) = collect(|sink| {
+            Tcb::accept(
+                HOST,
+                SCAN,
+                port,
+                40000,
+                os,
+                iw,
+                app,
+                syn,
+                isn,
+                Instant::ZERO,
+                sink,
+            )
+        });
+        let sent = Sent {
+            tx,
+            deadline: out.deadline,
+        };
+        (tcb, sent)
+    }
+
     fn syn(mss: u16) -> tcp::Repr {
         tcp::Repr {
             src_port: 40000,
@@ -623,18 +659,14 @@ mod tests {
         }
     }
 
-    fn establish(n_bytes: usize, close: bool, iw: IwPolicy, mss: u16) -> (Tcb, TcbOutput) {
-        let (mut tcb, out) = Tcb::accept(
-            HOST,
-            SCAN,
+    fn establish(n_bytes: usize, close: bool, iw: IwPolicy, mss: u16) -> (Tcb, Sent) {
+        let (mut tcb, out) = accept(
             80,
-            40000,
             OsProfile::linux(),
             iw,
             Box::new(FixedApp { n: n_bytes, close }),
             &syn(mss),
             5000,
-            Instant::ZERO,
         );
         assert_eq!(out.tx.len(), 1);
         assert!(out.tx[0].flags.contains(Flags::SYN | Flags::ACK));
@@ -649,7 +681,7 @@ mod tests {
             options: vec![],
             payload: b"GET / HTTP/1.1\r\n\r\n".to_vec(),
         };
-        let out = tcb.on_segment(&req, Instant::ZERO + Duration::from_millis(20));
+        let out = segment(&mut tcb, &req, Instant::ZERO + Duration::from_millis(20));
         (tcb, out)
     }
 
@@ -666,11 +698,8 @@ mod tests {
 
     #[test]
     fn windows_mss_floor_blows_up_segment_size() {
-        let (mut tcb, o) = Tcb::accept(
-            HOST,
-            SCAN,
+        let (mut tcb, o) = accept(
             80,
-            40000,
             OsProfile::windows(),
             IwPolicy::Segments(4),
             Box::new(FixedApp {
@@ -679,7 +708,6 @@ mod tests {
             }),
             &syn(64),
             9,
-            Instant::ZERO,
         );
         assert_eq!(o.tx[0].mss(), Some(536));
         let req = tcp::Repr {
@@ -692,7 +720,7 @@ mod tests {
             options: vec![],
             payload: b"x".to_vec(),
         };
-        let out = tcb.on_segment(&req, Instant::ZERO);
+        let out = segment(&mut tcb, &req, Instant::ZERO);
         assert_eq!(tcb.effective_mss(), 536);
         assert_eq!(out.tx.len(), 4);
         assert!(out.tx.iter().all(|s| s.payload.len() == 536));
@@ -720,7 +748,7 @@ mod tests {
         let (mut tcb, out) = establish(10_000, true, IwPolicy::Segments(10), 64);
         let first_seq = out.tx[0].seq;
         let deadline = out.deadline.expect("rto armed");
-        let out2 = tcb.on_timer(deadline);
+        let out2 = timer(&mut tcb, deadline);
         assert_eq!(out2.tx.len(), 1, "exactly the first segment again");
         assert_eq!(out2.tx[0].seq, first_seq);
         assert_eq!(out2.tx[0].payload.len(), 64);
@@ -735,7 +763,7 @@ mod tests {
         let deadline = out.deadline.unwrap();
         let early = Instant::ZERO + Duration::from_millis(100);
         assert!(early < deadline);
-        let out2 = tcb.on_timer(early);
+        let out2 = timer(&mut tcb, early);
         assert!(out2.tx.is_empty());
     }
 
@@ -743,11 +771,11 @@ mod tests {
     fn ack_after_retransmit_releases_limited_new_data() {
         let (mut tcb, out) = establish(10_000, true, IwPolicy::Segments(10), 64);
         let deadline = out.deadline.unwrap();
-        let _ = tcb.on_timer(deadline);
+        let _ = timer(&mut tcb, deadline);
         // The scanner now ACKs the whole flight with a 2-MSS window.
         let last_seq = out.tx[9].seq.wrapping_add(64);
         let ack = tcp::Repr::bare(40000, 80, 1019, last_seq, Flags::ACK, 128);
-        let out3 = tcb.on_segment(&ack, deadline + Duration::from_millis(20));
+        let out3 = segment(&mut tcb, &ack, deadline + Duration::from_millis(20));
         // The host had more data: new segments flow, capped by rwnd=128.
         let new_bytes: usize = out3.tx.iter().map(|s| s.payload.len()).sum();
         assert!(new_bytes > 0, "host was IW-limited; must release more");
@@ -760,7 +788,7 @@ mod tests {
         let last = &out.tx[3];
         let end = last.seq.wrapping_add(last.seq_len());
         let ack = tcp::Repr::bare(40000, 80, 1019, end, Flags::ACK, 128);
-        let out2 = tcb.on_segment(&ack, Instant::ZERO + Duration::from_millis(50));
+        let out2 = segment(&mut tcb, &ack, Instant::ZERO + Duration::from_millis(50));
         assert!(out2.tx.iter().all(|s| s.payload.is_empty()));
         assert!(tcb.is_closed(), "FIN acked, connection done");
     }
@@ -769,7 +797,7 @@ mod tests {
     fn rst_kills_connection() {
         let (mut tcb, _out) = establish(10_000, true, IwPolicy::Segments(10), 64);
         let rst = tcp::Repr::bare(40000, 80, 1019, 0, Flags::RST, 0);
-        tcb.on_segment(&rst, Instant::ZERO + Duration::from_millis(30));
+        segment(&mut tcb, &rst, Instant::ZERO + Duration::from_millis(30));
         assert!(tcb.is_closed());
     }
 
@@ -783,17 +811,13 @@ mod tests {
 
     #[test]
     fn mute_app_acks_but_sends_nothing() {
-        let (mut tcb, out) = Tcb::accept(
-            HOST,
-            SCAN,
+        let (mut tcb, out) = accept(
             80,
-            40000,
             OsProfile::linux(),
             IwPolicy::Segments(10),
             Box::new(SilentApp::default()),
             &syn(64),
             77,
-            Instant::ZERO,
         );
         assert_eq!(out.tx.len(), 1);
         let req = tcp::Repr {
@@ -806,7 +830,7 @@ mod tests {
             options: vec![],
             payload: b"hello?".to_vec(),
         };
-        let out2 = tcb.on_segment(&req, Instant::ZERO);
+        let out2 = segment(&mut tcb, &req, Instant::ZERO);
         assert_eq!(out2.tx.len(), 1);
         assert!(out2.tx[0].payload.is_empty());
         assert!(out2.tx[0].flags.contains(Flags::ACK));
@@ -815,11 +839,8 @@ mod tests {
 
     #[test]
     fn silent_close_sends_bare_fin() {
-        let (mut tcb, _) = Tcb::accept(
-            HOST,
-            SCAN,
+        let (mut tcb, _) = accept(
             443,
-            40000,
             OsProfile::linux(),
             IwPolicy::Segments(10),
             Box::new(SilentApp {
@@ -827,7 +848,6 @@ mod tests {
             }),
             &syn(64),
             77,
-            Instant::ZERO,
         );
         let req = tcp::Repr {
             src_port: 40000,
@@ -839,7 +859,7 @@ mod tests {
             options: vec![],
             payload: b"\x16\x03\x01".to_vec(),
         };
-        let out = tcb.on_segment(&req, Instant::ZERO);
+        let out = segment(&mut tcb, &req, Instant::ZERO);
         assert!(out.tx.iter().any(|s| s.flags.contains(Flags::FIN)));
         assert!(out.tx.iter().all(|s| s.payload.is_empty()));
     }
@@ -852,17 +872,13 @@ mod tests {
                 Some(AppResponse::abort())
             }
         }
-        let (mut tcb, _) = Tcb::accept(
-            HOST,
-            SCAN,
+        let (mut tcb, _) = accept(
             80,
-            40000,
             OsProfile::linux(),
             IwPolicy::Segments(10),
             Box::new(RstApp),
             &syn(64),
             77,
-            Instant::ZERO,
         );
         let req = tcp::Repr {
             src_port: 40000,
@@ -874,26 +890,22 @@ mod tests {
             options: vec![],
             payload: b"x".to_vec(),
         };
-        let out = tcb.on_segment(&req, Instant::ZERO);
+        let out = segment(&mut tcb, &req, Instant::ZERO);
         assert!(out.tx.iter().any(|s| s.flags.contains(Flags::RST)));
         assert!(tcb.is_closed());
     }
 
     #[test]
     fn syn_retransmission_repeats_syn_ack() {
-        let (mut tcb, _) = Tcb::accept(
-            HOST,
-            SCAN,
+        let (mut tcb, _) = accept(
             80,
-            40000,
             OsProfile::linux(),
             IwPolicy::Segments(2),
             Box::new(SilentApp::default()),
             &syn(64),
             77,
-            Instant::ZERO,
         );
-        let out = tcb.on_segment(&syn(64), Instant::ZERO + Duration::from_millis(5));
+        let out = segment(&mut tcb, &syn(64), Instant::ZERO + Duration::from_millis(5));
         assert_eq!(out.tx.len(), 1);
         assert!(out.tx[0].flags.contains(Flags::SYN | Flags::ACK));
     }
@@ -903,13 +915,13 @@ mod tests {
         let (mut tcb, out) = establish(10_000, true, IwPolicy::Segments(10), 64);
         let mut deadline = out.deadline.unwrap();
         for _ in 0..MAX_RETRIES {
-            let o = tcb.on_timer(deadline);
+            let o = timer(&mut tcb, deadline);
             deadline = match o.deadline {
                 Some(d) => d,
                 None => break,
             };
         }
-        let final_out = tcb.on_timer(deadline);
+        let final_out = timer(&mut tcb, deadline);
         assert!(final_out.tx.is_empty());
         assert!(tcb.is_closed());
     }
@@ -927,7 +939,7 @@ mod tests {
             options: vec![],
             payload: b"stray".to_vec(),
         };
-        let out = tcb.on_segment(&ooo, Instant::ZERO + Duration::from_millis(40));
+        let out = segment(&mut tcb, &ooo, Instant::ZERO + Duration::from_millis(40));
         // Dup-ACK at the old rcv_nxt (or piggybacked equivalently).
         assert!(out.tx.iter().any(|s| s.flags.contains(Flags::ACK)));
     }

@@ -6,31 +6,33 @@
 //! fails in one of the ways the paper attributes the TLS "few data" and
 //! "no data" buckets to: missing SNI and cipher mismatch.
 
-use crate::app::{App, AppResponse};
+use crate::app::{App, AppResponse, PartialRequest};
 use crate::config::{TlsBehavior, TlsConfig};
 use iw_wire::tls::handshake::{ClientHello, ServerFlight};
 use iw_wire::tls::record::{self, ContentType, ProtocolVersion};
 use iw_wire::tls::Alert;
 use iw_wire::Error;
+use std::rc::Rc;
 
 /// One TLS connection's application state.
 pub struct TlsApp {
-    config: TlsConfig,
-    buffer: Vec<u8>,
+    /// The host's service configuration, shared with its connections.
+    config: Rc<TlsConfig>,
+    partial: PartialRequest,
     answered: bool,
 }
 
 impl TlsApp {
     /// New connection against this host config.
-    pub fn new(config: TlsConfig) -> TlsApp {
+    pub fn new(config: Rc<TlsConfig>) -> TlsApp {
         TlsApp {
             config,
-            buffer: Vec::new(),
+            partial: PartialRequest::default(),
             answered: false,
         }
     }
 
-    fn alert(&self, alert: Alert) -> AppResponse {
+    fn alert(alert: Alert) -> AppResponse {
         let rec = record::Record::emit(
             ContentType::Alert,
             ProtocolVersion::TLS12,
@@ -42,7 +44,7 @@ impl TlsApp {
     fn serve(&self, hello: &ClientHello) -> AppResponse {
         // Choose our configured suite iff the client offered it.
         if !hello.cipher_suites.contains(&self.config.cipher) {
-            return self.alert(Alert::HANDSHAKE_FAILURE);
+            return Self::alert(Alert::HANDSHAKE_FAILURE);
         }
         let ske = if self.config.cipher.has_server_key_exchange() {
             // ECDHE params + signature: a realistic ~333 bytes.
@@ -104,21 +106,26 @@ impl App for TlsApp {
             // the handshake — the probe never continues it).
             return None;
         }
-        self.buffer.extend_from_slice(data);
-        let (records, _used) = match record::parse_stream(&self.buffer) {
-            Ok(r) => r,
-            Err(_) => return Some(AppResponse::abort()),
-        };
-        let Some(handshake) = records
-            .iter()
-            .find(|r| r.content_type == ContentType::Handshake)
-        else {
-            return None; // keep buffering
-        };
-        let hello = match ClientHello::parse(handshake.payload) {
+        // A ClientHello, or the answer to a stream that will never hold one.
+        let hello = self.partial.feed(data, |bytes| {
+            let (records, _used) = match record::parse_stream(bytes) {
+                Ok(r) => r,
+                Err(_) => return Some(Err(AppResponse::abort())),
+            };
+            let hello = records
+                .iter()
+                .find(|r| r.content_type == ContentType::Handshake)
+                .map(|handshake| ClientHello::parse(handshake.payload));
+            match hello {
+                Some(Ok(h)) => Some(Ok(h)),
+                // No (whole) ClientHello yet: keep buffering.
+                None | Some(Err(Error::Truncated)) => None,
+                Some(Err(_)) => Some(Err(Self::alert(Alert::HANDSHAKE_FAILURE))),
+            }
+        })?;
+        let hello = match hello {
             Ok(h) => h,
-            Err(Error::Truncated) => return None,
-            Err(_) => return Some(self.alert(Alert::HANDSHAKE_FAILURE)),
+            Err(response) => return Some(response),
         };
         self.answered = true;
         let resp = match self.config.behavior {
@@ -127,7 +134,7 @@ impl App for TlsApp {
                 if hello.server_name().is_some() {
                     self.serve(&hello)
                 } else {
-                    self.alert(Alert::UNRECOGNIZED_NAME)
+                    Self::alert(Alert::UNRECOGNIZED_NAME)
                 }
             }
             TlsBehavior::CloseWithoutSni => {
@@ -137,7 +144,7 @@ impl App for TlsApp {
                     AppResponse::silent_close()
                 }
             }
-            TlsBehavior::CipherMismatch => self.alert(Alert::HANDSHAKE_FAILURE),
+            TlsBehavior::CipherMismatch => Self::alert(Alert::HANDSHAKE_FAILURE),
             // iw-lint: allow(panic-budget)
             TlsBehavior::Mute | TlsBehavior::Reset => unreachable!("handled above"),
         };
@@ -161,13 +168,17 @@ mod tests {
         }
     }
 
+    fn tls_app(config: TlsConfig) -> TlsApp {
+        TlsApp::new(Rc::new(config))
+    }
+
     fn hello(sni: Option<&str>) -> Vec<u8> {
         ClientHello::probe([1; 32], sni).to_record_bytes()
     }
 
     #[test]
     fn serves_full_flight() {
-        let mut app = TlsApp::new(cfg(TlsBehavior::Serve));
+        let mut app = tls_app(cfg(TlsBehavior::Serve));
         let resp = app.on_data(&hello(None)).unwrap();
         assert!(!resp.close, "server awaits client key exchange");
         let (records, _) = parse_stream(&resp.data).unwrap();
@@ -181,18 +192,18 @@ mod tests {
         let mut c = cfg(TlsBehavior::Serve);
         c.cipher = CipherSuite::RSA_AES128_CBC;
         c.ocsp_len = None;
-        let mut app = TlsApp::new(c);
+        let mut app = tls_app(c);
         let resp = app.on_data(&hello(None)).unwrap();
         let mut c2 = cfg(TlsBehavior::Serve);
         c2.ocsp_len = None;
-        let mut app2 = TlsApp::new(c2);
+        let mut app2 = tls_app(c2);
         let resp2 = app2.on_data(&hello(None)).unwrap();
         assert!(resp.data.len() + 300 <= resp2.data.len());
     }
 
     #[test]
     fn sni_required_alerts_without_name() {
-        let mut app = TlsApp::new(cfg(TlsBehavior::AlertWithoutSni));
+        let mut app = tls_app(cfg(TlsBehavior::AlertWithoutSni));
         let resp = app.on_data(&hello(None)).unwrap();
         assert!(resp.close);
         let (records, _) = parse_stream(&resp.data).unwrap();
@@ -202,21 +213,21 @@ mod tests {
             Some(Alert::UNRECOGNIZED_NAME)
         );
         // With SNI it serves.
-        let mut app = TlsApp::new(cfg(TlsBehavior::AlertWithoutSni));
+        let mut app = tls_app(cfg(TlsBehavior::AlertWithoutSni));
         let resp = app.on_data(&hello(Some("www.example.com"))).unwrap();
         assert!(resp.data.len() > 2000);
     }
 
     #[test]
     fn close_without_sni_sends_nothing() {
-        let mut app = TlsApp::new(cfg(TlsBehavior::CloseWithoutSni));
+        let mut app = tls_app(cfg(TlsBehavior::CloseWithoutSni));
         let resp = app.on_data(&hello(None)).unwrap();
         assert!(resp.close && resp.data.is_empty());
     }
 
     #[test]
     fn cipher_mismatch_alerts() {
-        let mut app = TlsApp::new(cfg(TlsBehavior::CipherMismatch));
+        let mut app = tls_app(cfg(TlsBehavior::CipherMismatch));
         let resp = app.on_data(&hello(Some("x"))).unwrap();
         let (records, _) = parse_stream(&resp.data).unwrap();
         assert_eq!(
@@ -229,7 +240,7 @@ mod tests {
     fn unoffered_cipher_alerts_even_when_serving() {
         let mut c = cfg(TlsBehavior::Serve);
         c.cipher = CipherSuite(0xfefe); // not in the probe's 40
-        let mut app = TlsApp::new(c);
+        let mut app = tls_app(c);
         let resp = app.on_data(&hello(None)).unwrap();
         assert!(resp.close);
         let (records, _) = parse_stream(&resp.data).unwrap();
@@ -238,7 +249,7 @@ mod tests {
 
     #[test]
     fn partial_hello_buffers() {
-        let mut app = TlsApp::new(cfg(TlsBehavior::Serve));
+        let mut app = tls_app(cfg(TlsBehavior::Serve));
         let h = hello(None);
         let (a, b) = h.split_at(20);
         assert!(app.on_data(a).is_none());
@@ -249,21 +260,21 @@ mod tests {
     fn ocsp_only_when_requested() {
         // Our probe always requests stapling; a hand-built hello without
         // the extension gets a smaller flight.
-        let mut with_ocsp = TlsApp::new(cfg(TlsBehavior::Serve));
+        let mut with_ocsp = tls_app(cfg(TlsBehavior::Serve));
         let big = with_ocsp.on_data(&hello(None)).unwrap().data.len();
         let bare = ClientHello {
             random: [1; 32],
             cipher_suites: iw_wire::tls::browser_union_ciphers(),
             extensions: vec![],
         };
-        let mut without = TlsApp::new(cfg(TlsBehavior::Serve));
+        let mut without = tls_app(cfg(TlsBehavior::Serve));
         let small = without.on_data(&bare.to_record_bytes()).unwrap().data.len();
         assert!(big >= small + 471);
     }
 
     #[test]
     fn garbage_aborts() {
-        let mut app = TlsApp::new(cfg(TlsBehavior::Serve));
+        let mut app = tls_app(cfg(TlsBehavior::Serve));
         // A syntactically valid record carrying a non-ClientHello body.
         let rec = record::Record::emit(
             ContentType::Handshake,
@@ -279,19 +290,19 @@ mod tests {
         use crate::policy::IwPolicy;
         let mut config = cfg(TlsBehavior::Serve);
         config.sni_iw = vec![("media.customer.example".into(), IwPolicy::Segments(32))];
-        let mut app = TlsApp::new(config.clone());
+        let mut app = tls_app(config.clone());
         let resp = app.on_data(&hello(Some("media.customer.example"))).unwrap();
         assert_eq!(resp.iw_override, Some(IwPolicy::Segments(32)));
-        let mut app = TlsApp::new(config);
+        let mut app = tls_app(config);
         let resp = app.on_data(&hello(Some("other.example"))).unwrap();
         assert_eq!(resp.iw_override, None);
     }
 
     #[test]
     fn mute_and_reset() {
-        let mut mute = TlsApp::new(cfg(TlsBehavior::Mute));
+        let mut mute = tls_app(cfg(TlsBehavior::Mute));
         assert!(mute.on_data(&hello(None)).is_none());
-        let mut rst = TlsApp::new(cfg(TlsBehavior::Reset));
+        let mut rst = tls_app(cfg(TlsBehavior::Reset));
         assert_eq!(rst.on_data(b"x"), Some(AppResponse::abort()));
     }
 }

@@ -66,6 +66,7 @@ fn drive_handshake(
         &syn,
         5000,
         Instant::ZERO,
+        &mut |_synack| {},
     );
     let req = tcp::Repr {
         src_port: 40000,
@@ -77,8 +78,11 @@ fn drive_handshake(
         options: vec![],
         payload: b"GET / HTTP/1.1\r\n\r\n".to_vec(),
     };
-    let out = tcb.on_segment(&req, Instant::ZERO + Duration::from_millis(1));
-    (tcb, out.tx)
+    let mut flight = Vec::new();
+    tcb.on_segment(&req, Instant::ZERO + Duration::from_millis(1), &mut |seg| {
+        flight.push(tcp::Repr::from(seg))
+    });
+    (tcb, flight)
 }
 
 proptest! {
@@ -143,10 +147,13 @@ proptest! {
     ) {
         let (mut tcb, flight) = drive_handshake(OsProfile::linux(), iw, data, 64);
         prop_assume!(!flight.is_empty());
-        let out = tcb.on_timer(Instant::ZERO + Duration::from_secs(2));
-        prop_assert_eq!(out.tx.len(), 1);
-        prop_assert_eq!(out.tx[0].seq, flight[0].seq);
-        prop_assert_eq!(&out.tx[0].payload, &flight[0].payload);
+        let mut tx = Vec::new();
+        tcb.on_timer(Instant::ZERO + Duration::from_secs(2), &mut |seg| {
+            tx.push(tcp::Repr::from(seg))
+        });
+        prop_assert_eq!(tx.len(), 1);
+        prop_assert_eq!(tx[0].seq, flight[0].seq);
+        prop_assert_eq!(&tx[0].payload, &flight[0].payload);
     }
 
     /// effective_mss is monotone in the peer's advertisement and never

@@ -125,6 +125,39 @@ pub fn project_concurrency() -> ConcurrencySpec {
                 rank: None,
             },
             SharedStateSpec {
+                file: "crates/hoststack/src/host.rs",
+                name: "http",
+                kind: "Rc",
+                role: "the host's HTTP service configuration, immutable once \
+                       built; every connection's HttpApp holds a clone of the \
+                       handle instead of a copy of the strings",
+                rank: None,
+            },
+            SharedStateSpec {
+                file: "crates/hoststack/src/host.rs",
+                name: "tls",
+                kind: "Rc",
+                role: "the host's TLS service configuration, shared with its \
+                       TlsApps the same way",
+                rank: None,
+            },
+            SharedStateSpec {
+                file: "crates/hoststack/src/http_app.rs",
+                name: "config",
+                kind: "Rc",
+                role: "a connection's handle on its host's HttpConfig \
+                       (read-only; host and connections live in one world)",
+                rank: None,
+            },
+            SharedStateSpec {
+                file: "crates/hoststack/src/tls_app.rs",
+                name: "config",
+                kind: "Rc",
+                role: "a connection's handle on its host's TlsConfig \
+                       (read-only; host and connections live in one world)",
+                rank: None,
+            },
+            SharedStateSpec {
                 file: "crates/cli/src/commands.rs",
                 name: "slots",
                 kind: "Mutex",

@@ -13,54 +13,86 @@
 //! dialects and the prober only ever needs the status code and one header.
 
 use crate::{Error, Result};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
-/// An outgoing HTTP request (only what the prober emits).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// Request method; the prober only uses `GET`.
-    pub method: String,
-    /// Request target (origin-form URI).
-    pub uri: String,
-    /// `Host` header value.
-    pub host: String,
-    /// Additional headers in order.
-    pub headers: Vec<(String, String)>,
+/// Split the header block of a head (everything after its first line)
+/// into trimmed `(name, value)` pairs; a non-empty line without a colon
+/// is a syntax error.
+fn header_lines(block: &str) -> impl Iterator<Item = Result<(&str, &str)>> {
+    block
+        .split("\r\n")
+        .filter(|line| !line.is_empty())
+        .map(|line| {
+            let (k, v) = line.split_once(':').ok_or(Error::HttpSyntax)?;
+            Ok((k.trim(), v.trim()))
+        })
 }
 
-impl Request {
-    /// A probe `GET` with `Connection: close` (so a FIN marks "out of
-    /// data", §3.2) and a `User-Agent` identifying the research scan.
-    pub fn probe_get(uri: &str, host: &str) -> Request {
+/// The first line of a head and the header block behind it.
+fn split_head(data: &[u8]) -> Result<(&str, &str, usize)> {
+    let head_end = find_head_end(data).ok_or(Error::Truncated)?;
+    let head = std::str::from_utf8(&data[..head_end]).map_err(|_| Error::HttpSyntax)?;
+    let (first, block) = head.split_once("\r\n").unwrap_or((head, ""));
+    Ok((first, block, head_end))
+}
+
+/// What a probe `GET` sends besides `Host`: `Connection: close` (so a
+/// FIN marks "out of data", §3.2) and a `User-Agent` identifying the
+/// research scan.
+const PROBE_HEADERS: &str = "User-Agent: iw-scan/0.1 (research scan; see DESIGN.md)\r\n\
+                             Accept: */*\r\n\
+                             Connection: close";
+
+/// An HTTP request head, borrowed: the prober's own (`probe_get`) or one
+/// a simulated server parsed out of its receive buffer. Header lines stay
+/// text and are split when asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Request<'a> {
+    /// Request method; the prober only uses `GET`.
+    pub method: &'a str,
+    /// Request target (origin-form URI).
+    pub uri: &'a str,
+    /// `Host` header value (empty when the request carried none).
+    pub host: &'a str,
+    /// The header block as it stands on the wire.
+    block: &'a str,
+}
+
+impl<'a> Request<'a> {
+    /// A probe `GET` for `uri` with the given `Host` value.
+    pub fn probe_get(uri: &'a str, host: &'a str) -> Request<'a> {
         Request {
-            method: "GET".into(),
-            uri: uri.into(),
-            host: host.into(),
-            headers: vec![
-                (
-                    "User-Agent".into(),
-                    "iw-scan/0.1 (research scan; see DESIGN.md)".into(),
-                ),
-                ("Accept".into(), "*/*".into()),
-                ("Connection".into(), "close".into()),
-            ],
+            method: "GET",
+            uri,
+            host,
+            block: PROBE_HEADERS,
         }
+    }
+
+    /// Headers other than `Host`, in order, as `(name, value)`.
+    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        header_lines(self.block)
+            .filter_map(|line| line.ok())
+            .filter(|(k, _)| !k.eq_ignore_ascii_case("host"))
     }
 
     /// Serialize onto the wire.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = format!(
-            "{} {} HTTP/1.1\r\nHost: {}\r\n",
-            self.method, self.uri, self.host
+        // 32 covers the fixed text around the three fields and the block.
+        let mut out = Vec::with_capacity(
+            self.method.len() + self.uri.len() + self.host.len() + self.block.len() + 32,
         );
-        for (k, v) in &self.headers {
-            out.push_str(k);
-            out.push_str(": ");
-            out.push_str(v);
-            out.push_str("\r\n");
+        for part in [self.method, " ", self.uri, " HTTP/1.1\r\nHost: ", self.host] {
+            out.extend_from_slice(part.as_bytes());
         }
-        out.push_str("\r\n");
-        out.into_bytes()
+        out.extend_from_slice(b"\r\n");
+        for (k, v) in self.headers() {
+            for part in [k, ": ", v, "\r\n"] {
+                out.extend_from_slice(part.as_bytes());
+            }
+        }
+        out.extend_from_slice(b"\r\n");
+        out
     }
 
     /// Parse a request head (used by the simulated HTTP servers).
@@ -68,61 +100,49 @@ impl Request {
     /// Expects the full head (terminated by an empty line) to be present;
     /// returns `Error::Truncated` until it is, so servers can keep
     /// buffering.
-    pub fn parse(data: &[u8]) -> Result<Request> {
-        let head_end = find_head_end(data).ok_or(Error::Truncated)?;
-        let head = std::str::from_utf8(&data[..head_end]).map_err(|_| Error::HttpSyntax)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().ok_or(Error::HttpSyntax)?;
+    pub fn parse(data: &'a [u8]) -> Result<Request<'a>> {
+        let (request_line, block, _) = split_head(data)?;
         let mut parts = request_line.split(' ');
-        let method = parts.next().ok_or(Error::HttpSyntax)?.to_string();
-        let uri = parts.next().ok_or(Error::HttpSyntax)?.to_string();
+        let method = parts.next().ok_or(Error::HttpSyntax)?;
+        let uri = parts.next().ok_or(Error::HttpSyntax)?;
         let version = parts.next().ok_or(Error::HttpSyntax)?;
         if !version.starts_with("HTTP/1.") {
             return Err(Error::HttpSyntax);
         }
-        let mut host = String::new();
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line.split_once(':').ok_or(Error::HttpSyntax)?;
-            let (k, v) = (k.trim(), v.trim());
+        let mut host = "";
+        for line in header_lines(block) {
+            let (k, v) = line?;
             if k.eq_ignore_ascii_case("host") {
-                host = v.to_string();
-            } else {
-                headers.push((k.to_string(), v.to_string()));
+                host = v;
             }
         }
         Ok(Request {
             method,
             uri,
             host,
-            headers,
+            block,
         })
     }
 }
 
-/// A parsed HTTP response head (what the prober inspects).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResponseHead {
+/// A parsed HTTP response head (what the prober inspects), borrowed from
+/// the response bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResponseHead<'a> {
     /// Numeric status code.
     pub status: u16,
-    /// Headers, lower-cased keys, in order of appearance.
-    pub headers: Vec<(String, String)>,
     /// Offset of the body within the parsed buffer.
     pub body_offset: usize,
+    /// The header block as it stands on the wire.
+    block: &'a str,
 }
 
-impl ResponseHead {
+impl<'a> ResponseHead<'a> {
     /// Parse a response head out of (possibly partial) stream data.
     ///
     /// Returns `Error::Truncated` while the blank line has not arrived.
-    pub fn parse(data: &[u8]) -> Result<ResponseHead> {
-        let head_end = find_head_end(data).ok_or(Error::Truncated)?;
-        let head = std::str::from_utf8(&data[..head_end]).map_err(|_| Error::HttpSyntax)?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().ok_or(Error::HttpSyntax)?;
+    pub fn parse(data: &'a [u8]) -> Result<ResponseHead<'a>> {
+        let (status_line, block, head_end) = split_head(data)?;
         let mut parts = status_line.splitn(3, ' ');
         let version = parts.next().ok_or(Error::HttpSyntax)?;
         if !version.starts_with("HTTP/") {
@@ -133,32 +153,30 @@ impl ResponseHead {
             .ok_or(Error::HttpSyntax)?
             .parse()
             .map_err(|_| Error::HttpSyntax)?;
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line.split_once(':').ok_or(Error::HttpSyntax)?;
-            headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
+        for line in header_lines(block) {
+            line?;
         }
         Ok(ResponseHead {
             status,
-            headers,
             body_offset: head_end + 4,
+            block,
         })
     }
 
+    /// Headers in order of appearance, as `(name, value)`.
+    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        header_lines(self.block).filter_map(|line| line.ok())
+    }
+
     /// First value of a (case-insensitive) header.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        self.headers()
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
     }
 
     /// Whether this is a redirect carrying a usable `Location`.
-    pub fn redirect_location(&self) -> Option<&str> {
+    pub fn redirect_location(&self) -> Option<&'a str> {
         if (300..400).contains(&self.status) {
             self.header("location")
         } else {
@@ -189,27 +207,32 @@ pub fn split_location(location: &str) -> (String, String) {
 
 /// Build a response head + body (used by the simulated servers).
 #[derive(Debug, Clone)]
-pub struct ResponseBuilder {
+pub struct ResponseBuilder<'a> {
     status: u16,
     reason: &'static str,
-    headers: BTreeMap<String, String>,
+    /// Sorted by name: the order the head is written in.
+    headers: Vec<(&'a str, Cow<'a, str>)>,
     body: Vec<u8>,
 }
 
-impl ResponseBuilder {
+impl<'a> ResponseBuilder<'a> {
     /// Start a response with a status code and reason phrase.
     pub fn new(status: u16, reason: &'static str) -> Self {
         ResponseBuilder {
             status,
             reason,
-            headers: BTreeMap::new(),
+            headers: Vec::new(),
             body: Vec::new(),
         }
     }
 
     /// Add/overwrite a header.
-    pub fn header(mut self, k: &str, v: impl Into<String>) -> Self {
-        self.headers.insert(k.to_string(), v.into());
+    pub fn header(mut self, k: &'a str, v: impl Into<Cow<'a, str>>) -> Self {
+        let v = v.into();
+        match self.headers.binary_search_by(|(name, _)| (*name).cmp(k)) {
+            Ok(at) => self.headers[at].1 = v,
+            Err(at) => self.headers.insert(at, (k, v)),
+        }
         self
     }
 
@@ -292,13 +315,13 @@ mod tests {
     #[test]
     fn request_round_trip() {
         let req = Request::probe_get("/probe", "example.com");
-        let parsed = Request::parse(&req.to_bytes()).unwrap();
+        let bytes = req.to_bytes();
+        let parsed = Request::parse(&bytes).unwrap();
         assert_eq!(parsed.method, "GET");
         assert_eq!(parsed.uri, "/probe");
         assert_eq!(parsed.host, "example.com");
         assert!(parsed
-            .headers
-            .iter()
+            .headers()
             .any(|(k, v)| k == "Connection" && v == "close"));
     }
 

@@ -4,6 +4,11 @@
 //! has a `Packet<T: AsRef<[u8]>>` view that validates and exposes header
 //! fields in place, and a `Repr` ("representation") struct that captures the
 //! semantic content of a header and can be emitted back into a buffer.
+//! TCP has two representations on one reader and one writer: the borrowed
+//! [`tcp::Segment`] the engine parses and emits (payload left where it
+//! lies), and the owned [`tcp::Repr`] that tests, the chaos hosts and the
+//! benchmark build by hand. The HTTP types borrow the same way: a parsed
+//! head is slices of the bytes it was parsed from.
 //!
 //! The crate covers everything the scanner and the simulated hosts put on
 //! the (virtual) wire:

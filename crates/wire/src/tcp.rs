@@ -6,7 +6,7 @@
 //! that is plain header/option manipulation implemented here.
 
 use crate::ipv4::{self, Ipv4Addr};
-use crate::{Error, Result};
+use crate::{Error, IpProtocol, PacketBuf, PooledPacket, Result};
 use core::fmt;
 
 /// Minimum TCP header length (no options).
@@ -395,7 +395,196 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     }
 }
 
-/// High-level representation of a TCP segment.
+/// A TCP segment whose payload is borrowed: what the engine parses out
+/// of a pooled packet and what it emits from a send buffer. Of the
+/// options only the two the methodology reads are kept (the MSS and
+/// whether SACK was offered); [`Repr`] is the owned form that keeps them
+/// all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Segment<'a> {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Sequence number.
+    pub seq: u32,
+    /// Acknowledgment number (meaningful when ACK flag set).
+    pub ack: u32,
+    /// Flags.
+    pub flags: Flags,
+    /// Advertised window.
+    pub window: u16,
+    /// The MSS option value, if present (the first one wins).
+    pub mss: Option<u16>,
+    /// Whether SACK-permitted was offered.
+    pub sack_permitted: bool,
+    /// Payload bytes.
+    pub payload: &'a [u8],
+}
+
+/// Length of an options region after padding to a 4-byte boundary.
+fn padded_options_len(options: impl Iterator<Item = TcpOption>) -> usize {
+    let raw: usize = options.map(|o| o.buffer_len()).sum();
+    (raw + 3) & !3
+}
+
+/// The one segment reader: verify the checksum, walk the options
+/// (handing every real one to `each`), read the fixed header.
+fn read_segment<'a, T: AsRef<[u8]>>(
+    packet: &'a Packet<T>,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    mut each: impl FnMut(TcpOption),
+) -> Result<Segment<'a>> {
+    if !packet.verify_checksum(src, dst) {
+        return Err(Error::Checksum);
+    }
+    let mut mss = None;
+    let mut sack_permitted = false;
+    for opt in packet.options() {
+        match opt? {
+            TcpOption::EndOfList => break,
+            TcpOption::Nop => {}
+            o => {
+                match o {
+                    TcpOption::Mss(v) if mss.is_none() => mss = Some(v),
+                    TcpOption::SackPermitted => sack_permitted = true,
+                    _ => {}
+                }
+                each(o);
+            }
+        }
+    }
+    Ok(Segment {
+        src_port: packet.src_port(),
+        dst_port: packet.dst_port(),
+        seq: packet.seq_number(),
+        ack: packet.ack_number(),
+        flags: packet.flags(),
+        window: packet.window(),
+        mss,
+        sack_permitted,
+        payload: packet.payload(),
+    })
+}
+
+/// The one segment writer: `options` in emission order, then the
+/// payload, then the fixed header and the checksum over all of it. `buf`
+/// is zeroed and exactly header + options + payload long.
+fn write_segment(
+    seg: &Segment<'_>,
+    options: impl Iterator<Item = TcpOption> + Clone,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    buf: &mut [u8],
+) {
+    let header_len = HEADER_LEN + padded_options_len(options.clone());
+    debug_assert!(header_len <= MAX_HEADER_LEN, "too many TCP options");
+    debug_assert_eq!(buf.len(), header_len + seg.payload.len());
+    let mut cursor = HEADER_LEN;
+    for opt in options {
+        cursor += opt.emit(&mut buf[cursor..]);
+    }
+    // Remaining bytes up to header_len stay zero = EndOfList padding.
+    buf[header_len..].copy_from_slice(seg.payload);
+    let mut packet = Packet::new_unchecked(buf);
+    packet.set_src_port(seg.src_port);
+    packet.set_dst_port(seg.dst_port);
+    packet.set_seq_number(seg.seq);
+    packet.set_ack_number(seg.ack);
+    packet.set_header_len_flags(header_len as u8, seg.flags);
+    packet.set_window(seg.window);
+    packet.set_urgent(0);
+    packet.fill_checksum(src, dst);
+}
+
+impl<'a> Segment<'a> {
+    /// A bare segment with no options and no payload.
+    pub const fn bare(
+        src_port: u16,
+        dst_port: u16,
+        seq: u32,
+        ack: u32,
+        flags: Flags,
+        window: u16,
+    ) -> Self {
+        Segment {
+            src_port,
+            dst_port,
+            seq,
+            ack,
+            flags,
+            window,
+            mss: None,
+            sack_permitted: false,
+            payload: &[],
+        }
+    }
+
+    /// Parse a segment in place; checksum is verified against the
+    /// pseudo-header. The payload stays where the packet holds it.
+    pub fn parse<T: AsRef<[u8]>>(
+        packet: &'a Packet<T>,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> Result<Segment<'a>> {
+        read_segment(packet, src, dst, |_| {})
+    }
+
+    /// The options this segment emits: MSS, then SACK-permitted.
+    fn options(&self) -> impl Iterator<Item = TcpOption> + Clone {
+        let mss = self.mss.map(TcpOption::Mss);
+        let sack = self.sack_permitted.then_some(TcpOption::SackPermitted);
+        mss.into_iter().chain(sack)
+    }
+
+    /// Total emitted segment length.
+    pub fn buffer_len(&self) -> usize {
+        HEADER_LEN + padded_options_len(self.options()) + self.payload.len()
+    }
+
+    /// Emit into a zeroed buffer of exactly [`Self::buffer_len`] bytes,
+    /// checksummed: the pooled hot path.
+    pub fn emit_into(&self, src: Ipv4Addr, dst: Ipv4Addr, buf: &mut [u8]) {
+        write_segment(self, self.options(), src, dst, buf);
+    }
+
+    /// This segment as a whole IPv4 datagram from `src` to `dst` (TTL 64,
+    /// what every endpoint here sends), built in the pooled `buf`: the
+    /// payload goes from wherever it is borrowed straight into the
+    /// packet. Takes the sender's IP identification counter and steps it.
+    pub fn datagram(
+        &self,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        ident: &mut u16,
+        mut buf: PacketBuf,
+    ) -> PooledPacket {
+        let ip = ipv4::Repr {
+            src_addr: src,
+            dst_addr: dst,
+            protocol: IpProtocol::Tcp,
+            payload_len: self.buffer_len(),
+            ttl: 64,
+        };
+        ipv4::build_datagram_into(&ip, *ident, &mut buf, |l4| self.emit_into(src, dst, l4));
+        *ident = ident.wrapping_add(1);
+        buf.freeze()
+    }
+
+    /// Number of sequence-space units this segment occupies
+    /// (payload + 1 for SYN + 1 for FIN).
+    pub fn seq_len(&self) -> u32 {
+        self.payload.len() as u32
+            + u32::from(self.flags.contains(Flags::SYN))
+            + u32::from(self.flags.contains(Flags::FIN))
+    }
+}
+
+/// The owned form of a TCP segment: every option, payload in a `Vec`.
+/// The value type tests, the chaos hosts and the benchmark build by hand;
+/// the engine itself parses and emits [`Segment`]s, and this type reads
+/// and writes through the same code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Repr {
     /// Source port.
@@ -416,6 +605,37 @@ pub struct Repr {
     pub payload: Vec<u8>,
 }
 
+impl<'a> From<&'a Repr> for Segment<'a> {
+    fn from(repr: &'a Repr) -> Segment<'a> {
+        Segment {
+            src_port: repr.src_port,
+            dst_port: repr.dst_port,
+            seq: repr.seq,
+            ack: repr.ack,
+            flags: repr.flags,
+            window: repr.window,
+            mss: repr.mss(),
+            sack_permitted: repr.sack_permitted(),
+            payload: &repr.payload,
+        }
+    }
+}
+
+impl From<Segment<'_>> for Repr {
+    fn from(seg: Segment<'_>) -> Repr {
+        Repr {
+            src_port: seg.src_port,
+            dst_port: seg.dst_port,
+            seq: seg.seq,
+            ack: seg.ack,
+            flags: seg.flags,
+            window: seg.window,
+            options: seg.options().collect(),
+            payload: seg.payload.to_vec(),
+        }
+    }
+}
+
 impl Repr {
     /// A bare segment with no options and no payload.
     pub fn bare(
@@ -426,47 +646,28 @@ impl Repr {
         flags: Flags,
         window: u16,
     ) -> Self {
-        Repr {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags,
-            window,
-            options: Vec::new(),
-            payload: Vec::new(),
-        }
+        Segment::bare(src_port, dst_port, seq, ack, flags, window).into()
     }
 
     /// Parse a segment; checksum is verified against the pseudo-header.
     pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>, src: Ipv4Addr, dst: Ipv4Addr) -> Result<Repr> {
-        if !packet.verify_checksum(src, dst) {
-            return Err(Error::Checksum);
-        }
         let mut options = Vec::new();
-        for opt in packet.options() {
-            match opt? {
-                TcpOption::EndOfList => break,
-                TcpOption::Nop => {}
-                o => options.push(o),
-            }
-        }
+        let seg = read_segment(packet, src, dst, |o| options.push(o))?;
         Ok(Repr {
-            src_port: packet.src_port(),
-            dst_port: packet.dst_port(),
-            seq: packet.seq_number(),
-            ack: packet.ack_number(),
-            flags: packet.flags(),
-            window: packet.window(),
+            src_port: seg.src_port,
+            dst_port: seg.dst_port,
+            seq: seg.seq,
+            ack: seg.ack,
+            flags: seg.flags,
+            window: seg.window,
             options,
-            payload: packet.payload().to_vec(),
+            payload: seg.payload.to_vec(),
         })
     }
 
     /// Length of the options region after padding to a 4-byte boundary.
     pub fn options_len(&self) -> usize {
-        let raw: usize = self.options.iter().map(|o| o.buffer_len()).sum();
-        (raw + 3) & !3
+        padded_options_len(self.options.iter().copied())
     }
 
     /// Total emitted segment length.
@@ -482,28 +683,9 @@ impl Repr {
     }
 
     /// Emit into a zeroed buffer of exactly [`Self::buffer_len`] bytes,
-    /// checksummed — the pooled hot path; [`Self::emit`] wraps this.
+    /// checksummed; [`Self::emit`] wraps this.
     pub fn emit_into(&self, src: Ipv4Addr, dst: Ipv4Addr, buf: &mut [u8]) {
-        let header_len = HEADER_LEN + self.options_len();
-        debug_assert!(header_len <= MAX_HEADER_LEN, "too many TCP options");
-        debug_assert_eq!(buf.len(), self.buffer_len());
-        {
-            let mut cursor = HEADER_LEN;
-            for opt in &self.options {
-                cursor += opt.emit(&mut buf[cursor..]);
-            }
-            // Remaining bytes up to header_len stay zero = EndOfList padding.
-        }
-        buf[header_len..].copy_from_slice(&self.payload);
-        let mut packet = Packet::new_unchecked(buf);
-        packet.set_src_port(self.src_port);
-        packet.set_dst_port(self.dst_port);
-        packet.set_seq_number(self.seq);
-        packet.set_ack_number(self.ack);
-        packet.set_header_len_flags(header_len as u8, self.flags);
-        packet.set_window(self.window);
-        packet.set_urgent(0);
-        packet.fill_checksum(src, dst);
+        write_segment(&self.into(), self.options.iter().copied(), src, dst, buf);
     }
 
     /// The MSS option value, if present.
@@ -524,14 +706,7 @@ impl Repr {
     /// Number of sequence-space units this segment occupies
     /// (payload + 1 for SYN + 1 for FIN).
     pub fn seq_len(&self) -> u32 {
-        let mut len = self.payload.len() as u32;
-        if self.flags.contains(Flags::SYN) {
-            len += 1;
-        }
-        if self.flags.contains(Flags::FIN) {
-            len += 1;
-        }
-        len
+        Segment::from(self).seq_len()
     }
 }
 

@@ -129,9 +129,10 @@ proptest! {
     fn http_request_round_trip(uri_tail in "[a-zA-Z0-9_/\\-]{0,64}", host in "[a-z0-9.\\-]{1,32}") {
         let uri = format!("/{uri_tail}");
         let req = Request::probe_get(&uri, &host);
-        let parsed = Request::parse(&req.to_bytes()).unwrap();
-        prop_assert_eq!(parsed.uri, uri);
-        prop_assert_eq!(parsed.host, host);
+        let bytes = req.to_bytes();
+        let parsed = Request::parse(&bytes).unwrap();
+        prop_assert_eq!(parsed.uri, uri.as_str());
+        prop_assert_eq!(parsed.host, host.as_str());
     }
 
     #[test]
