@@ -12,6 +12,7 @@ use iw_analysis::histogram::IwHistogram;
 use iw_analysis::sampling::repeated_sample_stats;
 use iw_analysis::tables::{Table1, Table2, Table3};
 use iw_bench::{alexa_scan, banner, full_scan, standard_population, Scale, SEED};
+use iw_core::telemetry::json::{push_bool_field, push_key, push_str_literal};
 use iw_core::{HostVerdict, Protocol};
 use iw_internet::certs;
 use std::collections::HashMap;
@@ -161,19 +162,34 @@ fn main() {
         export::histogram_csv(&ah, b)
     })
     .expect("fig4 csv");
-    let json = serde_json::json!({
-        "scale": format!("{scale:?}"),
-        "http_summary": http.summary,
-        "tls_summary": tls.summary,
-        "checks": all_checks.iter().map(|c| {
-            serde_json::json!({"name": c.name, "pass": c.pass, "detail": c.detail})
-        }).collect::<Vec<_>>(),
-    });
-    std::fs::write(
-        dir.join("exp_all.json"),
-        serde_json::to_string_pretty(&json).expect("serialize"),
-    )
-    .expect("write results");
+    let mut json = String::from("{");
+    push_key(&mut json, "scale");
+    push_str_literal(&mut json, &format!("{scale:?}"));
+    for (key, summary) in [
+        ("http_summary", &http.summary),
+        ("tls_summary", &tls.summary),
+    ] {
+        json.push(',');
+        push_key(&mut json, key);
+        summary.write_json(&mut json);
+    }
+    json.push_str(",\"checks\":[");
+    for (i, c) in all_checks.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        json.push('{');
+        push_key(&mut json, "name");
+        push_str_literal(&mut json, &c.name);
+        json.push(',');
+        push_bool_field(&mut json, "pass", c.pass);
+        json.push(',');
+        push_key(&mut json, "detail");
+        push_str_literal(&mut json, &c.detail);
+        json.push('}');
+    }
+    json.push_str("]}");
+    std::fs::write(dir.join("exp_all.json"), json).expect("write results");
     println!("results written to target/experiments/exp_all.json");
     std::process::exit(i32::from(failed > 0));
 }

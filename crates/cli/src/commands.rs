@@ -269,8 +269,7 @@ fn report(out: &iw_core::ScanOutput, args: &ScanArgs, label: &str) -> Result<(),
         print!("{}", render_iw_bars(label, &hist, 0.001, false));
     }
     if let Some(path) = &args.json {
-        let json = serde_json::to_string_pretty(&out.results)
-            .map_err(|e| err(format!("serialize: {e}")))?;
+        let json = iw_core::HostResult::array_to_json(&out.results);
         output::write_atomic(path, json).map_err(|e| err(format!("write {path}: {e}")))?;
         println!("\nper-host results written to {path}");
     }

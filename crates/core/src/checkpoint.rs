@@ -29,7 +29,7 @@
 
 use crate::results::Protocol;
 use crate::scanner::{ScanConfig, TargetSpec};
-use iw_telemetry::json::{push_key, push_str_literal, push_u64_field};
+use iw_telemetry::json::{push_bool_field, push_key, push_str_literal, push_u64_field};
 use iw_telemetry::{parse_json, JsonValue};
 use std::fmt;
 use std::fmt::Write as _;
@@ -673,11 +673,6 @@ impl CampaignCheckpoint {
     pub fn shard(&self, index: u32) -> Option<&ShardCheckpoint> {
         self.shards.iter().find(|s| s.shard == index)
     }
-}
-
-fn push_bool_field(out: &mut String, key: &str, value: bool) {
-    push_key(out, key);
-    out.push_str(if value { "true" } else { "false" });
 }
 
 fn req_u64(value: &JsonValue, key: &str) -> Result<u64, CheckpointError> {

@@ -112,7 +112,7 @@ pub fn primitive_root(p: u64, seed: u64) -> u64 {
     let phi = p - 1;
     let factors = factorize(phi);
     // Walk candidates deterministically from a well-mixed seed offset.
-    let mixed = iw_internet::util::splitmix64(seed);
+    let mixed = iw_netsim::rng::splitmix64(seed);
     let mut candidate = 2 + mixed % (p - 3).max(1);
     loop {
         if is_primitive_root(candidate, p, phi, &factors) {

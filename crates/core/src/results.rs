@@ -1,10 +1,11 @@
 //! Result types for probes, hosts and whole scans.
 
+use iw_telemetry::json::{push_bool_field, push_u64_field};
 use iw_telemetry::OutcomeKind;
-use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// What a scan probes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// HTTP on 80/tcp (§3.2).
     Http,
@@ -29,7 +30,7 @@ impl Protocol {
 }
 
 /// Why a probe errored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
     /// RST after the handshake completed.
     MidConnectionReset,
@@ -86,7 +87,7 @@ impl ErrorKind {
 }
 
 /// Per-[`ErrorKind`] probe counts: the loss-mode composition of a scan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ErrorKindCounts {
     /// Counts parallel to [`ErrorKind::ALL`].
     pub counts: [u64; 6],
@@ -118,7 +119,7 @@ impl std::ops::AddAssign<&ErrorKindCounts> for ErrorKindCounts {
 }
 
 /// The outcome of one probe (one or two TCP connections).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProbeOutcome {
     /// The IW was filled and verified exhausted.
     Success {
@@ -186,7 +187,7 @@ impl ProbeOutcome {
 }
 
 /// The per-MSS verdict after the 2-of-3-maximum vote (§4 "Dataset").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MssVerdict {
     /// IW estimated (segments).
     Success(u32),
@@ -211,7 +212,7 @@ impl MssVerdict {
 }
 
 /// Cross-MSS interpretation of a host's IW configuration (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostVerdict {
     /// IW configured in segments: same count at both MSS values.
     SegmentBased(u32),
@@ -230,7 +231,7 @@ pub enum HostVerdict {
 }
 
 /// The complete record for one probed host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostResult {
     /// Target address (scan-space coordinates).
     pub ip: u32,
@@ -260,7 +261,7 @@ impl HostResult {
 }
 
 /// Result of an ICMP path-MTU probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MtuResult {
     /// Target address.
     pub ip: u32,
@@ -269,7 +270,7 @@ pub struct MtuResult {
 }
 
 /// Aggregate counts for one scan — the raw material of Table 1.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ScanSummary {
     /// Targets probed (SYNs to distinct addresses).
     pub targets: u64,
@@ -285,7 +286,6 @@ pub struct ScanSummary {
     pub refused: u64,
     /// Per-kind breakdown of errored probes across all runs (not hosts:
     /// one host contributes up to `total_probes` entries).
-    #[serde(default)]
     pub error_kinds: ErrorKindCounts,
 }
 
@@ -310,6 +310,183 @@ impl ScanSummary {
             self.few_data as f64 / d * 100.0,
             self.error as f64 / d * 100.0,
         )
+    }
+}
+
+// The on-disk JSON of `iwscan scan --json` and `exp_all.json`: compact,
+// members in declaration order, enums externally tagged (a unit variant
+// is its name as a string, a data variant `{"Name":payload}`; `{:?}` of a
+// unit variant of `Protocol` or `ErrorKind` is that name). The shapes are
+// pinned by `json_shapes_are_stable` and `tests/golden`.
+
+/// `"k":n` members then `"k":bool` members, comma-separated.
+fn push_members(out: &mut String, nums: &[(&str, u64)], flags: &[(&str, bool)]) {
+    for (i, (key, value)) in nums.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64_field(out, key, *value);
+    }
+    for (key, value) in flags {
+        out.push(',');
+        push_bool_field(out, key, *value);
+    }
+}
+
+/// `{"tag":n}`.
+fn push_tagged_u32(out: &mut String, tag: &str, value: u32) {
+    out.push('{');
+    push_u64_field(out, tag, u64::from(value));
+    out.push('}');
+}
+
+impl ProbeOutcome {
+    fn write_json(&self, out: &mut String) {
+        match *self {
+            ProbeOutcome::Success {
+                segments,
+                bytes,
+                max_seg,
+                loss_suspected,
+                reordered,
+                redirected,
+            } => {
+                out.push_str("{\"Success\":{");
+                push_members(
+                    out,
+                    &[
+                        ("segments", u64::from(segments)),
+                        ("bytes", u64::from(bytes)),
+                        ("max_seg", u64::from(max_seg)),
+                    ],
+                    &[
+                        ("loss_suspected", loss_suspected),
+                        ("reordered", reordered),
+                        ("redirected", redirected),
+                    ],
+                );
+                out.push_str("}}");
+            }
+            ProbeOutcome::FewData {
+                lower_bound,
+                bytes,
+                max_seg,
+                fin_seen,
+                redirected,
+            } => {
+                out.push_str("{\"FewData\":{");
+                push_members(
+                    out,
+                    &[
+                        ("lower_bound", u64::from(lower_bound)),
+                        ("bytes", u64::from(bytes)),
+                        ("max_seg", u64::from(max_seg)),
+                    ],
+                    &[("fin_seen", fin_seen), ("redirected", redirected)],
+                );
+                out.push_str("}}");
+            }
+            ProbeOutcome::Error { kind } => {
+                let _ = write!(out, "{{\"Error\":{{\"kind\":\"{kind:?}\"}}}}");
+            }
+            ProbeOutcome::Unreachable => out.push_str("\"Unreachable\""),
+        }
+    }
+}
+
+impl MssVerdict {
+    fn write_json(self, out: &mut String) {
+        match self {
+            MssVerdict::Success(iw) => push_tagged_u32(out, "Success", iw),
+            MssVerdict::FewData(bound) => push_tagged_u32(out, "FewData", bound),
+            MssVerdict::Error => out.push_str("\"Error\""),
+            MssVerdict::Unreachable => out.push_str("\"Unreachable\""),
+        }
+    }
+}
+
+impl HostVerdict {
+    fn write_json(self, out: &mut String) {
+        match self {
+            HostVerdict::SegmentBased(iw) => push_tagged_u32(out, "SegmentBased", iw),
+            HostVerdict::ByteBased(bytes) => push_tagged_u32(out, "ByteBased", bytes),
+            HostVerdict::OtherScaling { at_64, at_128 } => {
+                out.push_str("{\"OtherScaling\":{");
+                push_members(
+                    out,
+                    &[("at_64", u64::from(at_64)), ("at_128", u64::from(at_128))],
+                    &[],
+                );
+                out.push_str("}}");
+            }
+            HostVerdict::Unclassified => out.push_str("\"Unclassified\""),
+        }
+    }
+}
+
+/// `[a,b,...]`, each element written by `item`.
+fn push_array<T>(out: &mut String, items: &[T], mut item: impl FnMut(&T, &mut String)) {
+    out.push('[');
+    for (i, value) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(value, out);
+    }
+    out.push(']');
+}
+
+impl HostResult {
+    /// Append this record as one compact JSON object.
+    pub fn write_json(&self, out: &mut String) {
+        out.push('{');
+        push_u64_field(out, "ip", u64::from(self.ip));
+        let _ = write!(out, ",\"protocol\":\"{:?}\",\"runs\":", self.protocol);
+        push_array(out, &self.runs, |(mss, probes), out| {
+            let _ = write!(out, "[{mss},");
+            push_array(out, probes, ProbeOutcome::write_json);
+            out.push(']');
+        });
+        out.push_str(",\"verdicts\":");
+        push_array(out, &self.verdicts, |(mss, verdict), out| {
+            let _ = write!(out, "[{mss},");
+            verdict.write_json(out);
+            out.push(']');
+        });
+        out.push_str(",\"host_verdict\":");
+        self.host_verdict.write_json(out);
+        out.push('}');
+    }
+
+    /// The `--json` file: `results` as one compact JSON array.
+    pub fn array_to_json(results: &[HostResult]) -> String {
+        let mut out = String::new();
+        push_array(&mut out, results, HostResult::write_json);
+        out
+    }
+}
+
+impl ScanSummary {
+    /// Append the summary as one compact JSON object.
+    pub fn write_json(&self, out: &mut String) {
+        out.push('{');
+        push_members(
+            out,
+            &[
+                ("targets", self.targets),
+                ("reachable", self.reachable),
+                ("success", self.success),
+                ("few_data", self.few_data),
+                ("error", self.error),
+                ("refused", self.refused),
+            ],
+            &[],
+        );
+        out.push_str(",\"error_kinds\":{\"counts\":");
+        push_array(out, &self.error_kinds.counts, |count, out| {
+            let _ = write!(out, "{count}");
+        });
+        out.push_str("}}");
     }
 }
 
@@ -425,9 +602,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn serde_round_trip() {
-        let r = HostResult {
+    fn few_data_result() -> HostResult {
+        HostResult {
             ip: 42,
             protocol: Protocol::Http,
             runs: vec![(
@@ -442,12 +618,131 @@ mod tests {
             )],
             verdicts: vec![(64, MssVerdict::FewData(7))],
             host_verdict: HostVerdict::Unclassified,
+        }
+    }
+
+    #[test]
+    fn json_round_trip() {
+        use iw_telemetry::json::{parse_json, JsonValue};
+        let mut json = String::new();
+        few_data_result().write_json(&mut json);
+        assert_eq!(
+            json,
+            "{\"ip\":42,\"protocol\":\"Http\",\"runs\":[[64,[{\"FewData\":{\"lower_bound\":7,\
+             \"bytes\":470,\"max_seg\":64,\"fin_seen\":true,\"redirected\":false}}]]],\
+             \"verdicts\":[[64,{\"FewData\":7}]],\"host_verdict\":\"Unclassified\"}"
+        );
+        let back = parse_json(&json).expect("the writer emits the parser's dialect");
+        assert_eq!(back.get("ip").and_then(JsonValue::as_u64), Some(42));
+        assert_eq!(
+            back.get("verdicts").and_then(JsonValue::as_arr),
+            Some(
+                &[JsonValue::Arr(vec![
+                    JsonValue::Num(64),
+                    JsonValue::Obj(vec![("FewData".into(), JsonValue::Num(7))]),
+                ])][..]
+            )
+        );
+        assert_eq!(
+            back.get("host_verdict").and_then(JsonValue::as_str),
+            Some("Unclassified")
+        );
+
+        let two = HostResult::array_to_json(&[few_data_result(), few_data_result()]);
+        assert_eq!(two, format!("[{json},{json}]"));
+        assert_eq!(HostResult::array_to_json(&[]), "[]");
+    }
+
+    /// Every variant renders as the `serde` derive it replaced rendered it
+    /// (strings recorded from that build).
+    #[test]
+    fn json_shapes_are_stable() {
+        fn json(write: impl FnOnce(&mut String)) -> String {
+            let mut out = String::new();
+            write(&mut out);
+            out
+        }
+        let success = ProbeOutcome::Success {
+            segments: 10,
+            bytes: 640,
+            max_seg: 64,
+            loss_suspected: false,
+            reordered: true,
+            redirected: false,
         };
-        let json = serde_json::to_string(&r).unwrap();
-        let back: HostResult = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.ip, 42);
-        assert_eq!(back.primary_verdict(), Some(MssVerdict::FewData(7)));
-        assert_eq!(back.iw_estimate(), None);
+        assert_eq!(
+            json(|o| success.write_json(o)),
+            "{\"Success\":{\"segments\":10,\"bytes\":640,\"max_seg\":64,\
+             \"loss_suspected\":false,\"reordered\":true,\"redirected\":false}}"
+        );
+        assert_eq!(
+            json(|o| ProbeOutcome::Unreachable.write_json(o)),
+            "\"Unreachable\""
+        );
+        let kinds = [
+            "MidConnectionReset",
+            "Malformed",
+            "Inconsistent",
+            "HandshakeTimeout",
+            "CollectTimeout",
+            "IcmpUnreachable",
+        ];
+        for (kind, name) in ErrorKind::ALL.into_iter().zip(kinds) {
+            assert_eq!(
+                json(|o| ProbeOutcome::Error { kind }.write_json(o)),
+                format!("{{\"Error\":{{\"kind\":\"{name}\"}}}}")
+            );
+        }
+        for (verdict, want) in [
+            (MssVerdict::Success(10), "{\"Success\":10}"),
+            (MssVerdict::FewData(7), "{\"FewData\":7}"),
+            (MssVerdict::Error, "\"Error\""),
+            (MssVerdict::Unreachable, "\"Unreachable\""),
+        ] {
+            assert_eq!(json(|o| verdict.write_json(o)), want);
+        }
+        for (verdict, want) in [
+            (HostVerdict::SegmentBased(10), "{\"SegmentBased\":10}"),
+            (HostVerdict::ByteBased(640), "{\"ByteBased\":640}"),
+            (
+                HostVerdict::OtherScaling {
+                    at_64: 10,
+                    at_128: 7,
+                },
+                "{\"OtherScaling\":{\"at_64\":10,\"at_128\":7}}",
+            ),
+            (HostVerdict::Unclassified, "\"Unclassified\""),
+        ] {
+            assert_eq!(json(|o| verdict.write_json(o)), want);
+        }
+        for (protocol, want) in [
+            (Protocol::Http, "Http"),
+            (Protocol::Tls, "Tls"),
+            (Protocol::PortScan, "PortScan"),
+            (Protocol::IcmpMtu, "IcmpMtu"),
+        ] {
+            let record = HostResult {
+                protocol,
+                ..few_data_result()
+            };
+            let head = format!("{{\"ip\":42,\"protocol\":\"{want}\",\"runs\":");
+            assert!(json(|o| record.write_json(o)).starts_with(&head));
+        }
+        let mut summary = ScanSummary {
+            targets: 1000,
+            reachable: 200,
+            success: 100,
+            few_data: 96,
+            error: 4,
+            refused: 10,
+            ..ScanSummary::default()
+        };
+        summary.error_kinds.note(ErrorKind::HandshakeTimeout);
+        assert_eq!(
+            json(|o| summary.write_json(o)),
+            "{\"targets\":1000,\"reachable\":200,\"success\":100,\"few_data\":96,\"error\":4,\
+             \"refused\":10,\"error_kinds\":{\"counts\":[0,0,0,1,0,0]}}"
+        );
     }
 
     #[test]

@@ -9,12 +9,11 @@ use crate::os::OsProfile;
 use crate::policy::IwPolicy;
 use crate::tcb::{Tcb, TcbOutput};
 use crate::tls_app::TlsApp;
+use iw_netsim::rng::SmallRng;
 use iw_netsim::{Effects, Endpoint, Instant, TimerToken};
 use iw_wire::ipv4::Ipv4Addr;
 use iw_wire::tcp::{self, Flags};
 use iw_wire::{icmp, ipv4, IpProtocol};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::rc::Rc;
 
 /// Connection key: (peer address, peer port, local port).
@@ -132,7 +131,7 @@ impl Host {
         // No connection: a SYN to an open port creates one.
         if seg.flags.contains(Flags::SYN) && !seg.flags.contains(Flags::ACK) {
             if let Some(app) = self.app_for_port(seg.dst_port) {
-                let isn: u32 = self.rng.gen();
+                let isn = self.rng.next_u32();
                 let ident = &mut self.ip_ident;
                 let (tcb, out) = Tcb::accept(
                     ip,

@@ -4,14 +4,7 @@
 //! population never needs to be materialized. SplitMix64 provides the
 //! avalanche; a few helpers turn hashes into weighted choices.
 
-/// SplitMix64 finalizer — a fast, well-distributed 64-bit mixer.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use iw_netsim::rng::splitmix64;
 
 /// Mix several values into one hash.
 pub fn mix(values: &[u64]) -> u64 {
@@ -173,14 +166,5 @@ mod tests {
             let v = bucket_sample(&mut s, &buckets);
             assert!((10..20).contains(&v) || (100..200).contains(&v));
         }
-    }
-
-    #[test]
-    fn splitmix_avalanche() {
-        // Flipping one input bit changes roughly half the output bits.
-        let a = splitmix64(0x1234);
-        let b = splitmix64(0x1235);
-        let diff = (a ^ b).count_ones();
-        assert!((16..=48).contains(&diff), "poor avalanche: {diff}");
     }
 }

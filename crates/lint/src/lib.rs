@@ -255,7 +255,8 @@ pub struct LintConfig {
     pub wall_clock_crates: Vec<String>,
     /// Path prefixes where `no-unordered-iteration` applies.
     pub unordered_paths: Vec<String>,
-    /// Crates exempt from `panic-budget` (experiment harnesses).
+    /// Crates exempt from `panic-budget` (the experiment harness; the
+    /// property-test runner, which reports a failed property by panicking).
     pub panic_exempt_crates: Vec<String>,
     /// File-level suppressions (see `crates/lint/allowlist.txt`).
     pub allowlist: Vec<AllowEntry>,
@@ -284,7 +285,7 @@ impl LintConfig {
             ]
             .map(String::from)
             .to_vec(),
-            panic_exempt_crates: ["bench"].map(String::from).to_vec(),
+            panic_exempt_crates: ["bench", "propcheck"].map(String::from).to_vec(),
             allowlist: Vec::new(),
             manifest_path: "crates/telemetry/src/manifest.rs".to_owned(),
             metric_families: ["scan.", "shard.", "sim.", "trace."]

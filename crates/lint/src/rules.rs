@@ -103,7 +103,7 @@ pub fn rng_hygiene(files: &[SourceFile], _config: &LintConfig, diags: &mut Vec<D
         ],
         "rng-hygiene",
         &|p| format!("entropy-seeded randomness `{p}`"),
-        "seed RNGs from ScanConfig/session seeds (e.g. SmallRng::seed_from_u64) so runs replay",
+        "seed RNGs from ScanConfig/session seeds (iw_netsim::rng::SmallRng::seed_from_u64) so runs replay",
         diags,
     );
 }

@@ -12,7 +12,8 @@
 //!   O(1) amortized at millions of in-flight events;
 //! * per-path link impairments ([`link::Link`]) — propagation delay,
 //!   jitter, Bernoulli loss, duplication, plus scripted drops for exact
-//!   tail-loss experiments (paper §3.5);
+//!   tail-loss experiments (paper §3.5), all drawn from the one seeded
+//!   generator ([`rng::SmallRng`]);
 //! * packet traces ([`trace::Trace`]) standing in for the tcpdump captures
 //!   the authors inspected manually — exportable as real pcap files
 //!   ([`pcap`]) for Wireshark.
@@ -26,6 +27,7 @@
 
 pub mod link;
 pub mod pcap;
+pub mod rng;
 pub mod sim;
 pub mod time;
 pub mod trace;

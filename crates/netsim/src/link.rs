@@ -7,9 +7,8 @@
 //! scripted per-index drops so tests can hit *exact* packets (e.g. "drop
 //! the last data segment" = tail loss).
 
+use crate::rng::SmallRng;
 use crate::time::Duration;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Static description of a path's behaviour.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,18 +193,18 @@ impl Link {
         if drops.contains(&index) {
             return Arrivals::default();
         }
-        if config.loss > 0.0 && st.rng.gen::<f64>() < config.loss {
+        if config.loss > 0.0 && st.rng.next_f64() < config.loss {
             return Arrivals::default();
         }
         let mut arrivals = Arrivals::default();
         let jitter = if config.jitter > Duration::ZERO {
-            config.jitter.mul_f64(st.rng.gen::<f64>())
+            config.jitter.mul_f64(st.rng.next_f64())
         } else {
             Duration::ZERO
         };
         arrivals.push(config.latency + jitter);
-        if config.dup > 0.0 && st.rng.gen::<f64>() < config.dup {
-            let jitter2 = config.jitter.mul_f64(st.rng.gen::<f64>());
+        if config.dup > 0.0 && st.rng.next_f64() < config.dup {
+            let jitter2 = config.jitter.mul_f64(st.rng.next_f64());
             arrivals.push(config.latency + jitter2 + Duration::from_micros(50));
         }
         arrivals
@@ -303,6 +302,29 @@ mod tests {
             seen_distinct.insert(d.as_nanos());
         }
         assert!(seen_distinct.len() > 10, "jitter should vary");
+    }
+
+    #[test]
+    fn impaired_transit_draws_the_recorded_stream() {
+        // Counts and delay sum recorded before `rand` left the tree: an
+        // added, dropped or reordered draw in `transit` moves them.
+        let mut cfg = LinkConfig::default()
+            .with_loss(0.02)
+            .with_jitter(Duration::from_millis(5));
+        cfg.dup = 0.01;
+        let mut link = Link::new(cfg, 7);
+        let (mut lost, mut duplicated, mut delay_ns) = (0u32, 0u32, 0u64);
+        for i in 0..10_000 {
+            let arr = link.transit(if i % 2 == 0 {
+                Direction::Forward
+            } else {
+                Direction::Reverse
+            });
+            lost += u32::from(arr.is_empty());
+            duplicated += u32::from(arr.len() == 2);
+            delay_ns += arr.iter().map(|d| d.as_nanos()).sum::<u64>();
+        }
+        assert_eq!((lost, duplicated, delay_ns), (202, 97, 222_472_068_368));
     }
 
     #[test]

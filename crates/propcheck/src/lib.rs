@@ -1,8 +1,11 @@
-//! Offline stand-in for `proptest`: the slice of its API this workspace's
-//! `tests/proptests.rs` files use, functional enough to compile and run
-//! them. Inputs come from a generator seeded by the test's name (every
-//! run draws the same cases); there is no shrinking — a failure prints
-//! the inputs of the failing case.
+//! In-tree stand-in for `proptest`: the slice of its API this workspace's
+//! `tests/proptests.rs` files use (they import it under that name).
+//! Inputs come from a generator seeded by the test's name, so every run
+//! draws the same cases. A failing case is shrunk by halving: cases are
+//! re-drawn under a size budget halved again and again (integer spans
+//! toward the range start, collection lengths toward their minimum) until
+//! no smaller failing case turns up, and the failure prints the smallest
+//! failing inputs next to the original ones.
 //!
 //! Covered: `proptest!` (with `#![proptest_config(..)]`), `prop_assert!`,
 //! `prop_assert_eq!`, `prop_assert_ne!`, `prop_assume!`, `prop_oneof!`,
@@ -11,11 +14,18 @@
 //! `&str` patterns made of literals and `[classes]` with `{m,n}` / `*` /
 //! `+` / `?` repetition.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Debug;
 use std::ops::{Range, RangeFrom, RangeInclusive};
 
-/// splitmix64 seeded from the test's name.
-pub struct TestRng(u64);
+/// splitmix64 seeded from the test's name. `halvings` is the shrinker's
+/// size budget: every span drawn through [`TestRng::below`] is divided by
+/// `2^halvings` (zero while cases are first drawn).
+pub struct TestRng {
+    state: u64,
+    halvings: u32,
+}
 
 impl TestRng {
     pub fn from_name(name: &str) -> TestRng {
@@ -23,28 +33,34 @@ impl TestRng {
         for b in name.bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
-        TestRng(h)
+        TestRng {
+            state: h,
+            halvings: 0,
+        }
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
+        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
 
-    /// Uniform in `[0, n)`; `n == 0` means the whole `u64` range.
+    /// Uniform in `[0, n)`, shrunk toward 0 under a halved budget;
+    /// `n == 0` means the whole `u64` range.
     pub fn below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            self.next_u64()
-        } else {
-            self.next_u64() % n
+        let max = n.wrapping_sub(1).checked_shr(self.halvings).unwrap_or(0);
+        match max.checked_add(1) {
+            Some(span) => self.next_u64() % span,
+            None => self.next_u64(),
         }
     }
 
+    /// Uniform in `[0, 1)`, shrunk toward 0 under a halved budget.
     pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        unit / 2f64.powi(self.halvings as i32)
     }
 }
 
@@ -129,7 +145,7 @@ impl<T: Arbitrary> Strategy for Any<T> {
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> bool {
-        rng.next_u64() & 1 == 1
+        rng.below(2) == 1
     }
 }
 
@@ -143,7 +159,7 @@ macro_rules! int_strategies {
     ($($t:ty),*) => {$(
         impl Arbitrary for $t {
             fn arbitrary(rng: &mut TestRng) -> $t {
-                rng.next_u64() as $t
+                rng.below((<$t>::MAX as u64).wrapping_add(1)) as $t
             }
         }
         impl Strategy for Range<$t> {
@@ -388,8 +404,9 @@ pub mod test_runner {
         Fail(String),
     }
 
-    /// Run `case` until `config.cases` draws passed; a failure panics with
-    /// the inputs `case` reported.
+    /// Run `case` until `config.cases` draws passed. A failure is shrunk
+    /// (see [`shrink`]) and panics with the smallest failing inputs found
+    /// and the original ones.
     pub fn run(
         name: &str,
         config: &Config,
@@ -408,10 +425,40 @@ pub mod test_runner {
                     );
                 }
                 (inputs, Err(TestCaseError::Fail(why))) => {
-                    panic!("{name} failed after {passed} passing cases: {why}\n  inputs: {inputs}")
+                    let (smallest, why) =
+                        shrink(&mut rng, config.cases, &mut case).unwrap_or((inputs.clone(), why));
+                    panic!(
+                        "{name} failed after {passed} passing cases: {why}\n  \
+                         smallest failing inputs: {smallest}\n  \
+                         original failing inputs: {inputs}"
+                    )
                 }
             }
         }
+    }
+
+    /// Shrink by halving: draw up to `attempts` cases under a size budget
+    /// halved once more each round, keep a round's first failure, and stop
+    /// at the first round that finds none (or finds the same inputs again).
+    /// Returns the last failure's inputs and message.
+    fn shrink(
+        rng: &mut super::TestRng,
+        attempts: u32,
+        case: &mut impl FnMut(&mut super::TestRng) -> (String, Result<(), TestCaseError>),
+    ) -> Option<(String, String)> {
+        let mut smallest: Option<(String, String)> = None;
+        for halvings in 1..=u64::BITS {
+            rng.halvings = halvings;
+            let failure = (0..attempts).find_map(|_| match case(rng) {
+                (inputs, Err(TestCaseError::Fail(why))) => Some((inputs, why)),
+                _ => None,
+            });
+            match failure {
+                Some(f) if smallest.as_ref().map(|s| &s.0) != Some(&f.0) => smallest = Some(f),
+                _ => break,
+            }
+        }
+        smallest
     }
 }
 
@@ -507,4 +554,83 @@ macro_rules! prop_oneof {
     ($($arm:expr),+ $(,)?) => {
         $crate::Union(vec![$($crate::Strategy::boxed($arm)),+])
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+    use crate::TestRng;
+
+    // Properties that do not hold, for the runner to fail on.
+    proptest! {
+        fn small_numbers_only(x in 0u32..1000) {
+            prop_assert!(x < 10);
+        }
+
+        fn short_vectors_only(v in crate::collection::vec(any::<u8>(), 1..40)) {
+            prop_assert!(v.len() < 5);
+        }
+
+        fn never_satisfied(x in any::<u8>()) {
+            prop_assume!(u16::from(x) > 255);
+        }
+    }
+
+    /// The text after `label` on the failure message's line that has it.
+    fn reported(property: fn(), label: &str) -> String {
+        let payload = std::panic::catch_unwind(property).expect_err("the property must fail");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the runner panics with a formatted message");
+        let line = message.lines().find_map(|l| l.trim().strip_prefix(label));
+        line.unwrap_or_else(|| panic!("no {label:?} line in {message:?}"))
+            .to_string()
+    }
+
+    #[test]
+    fn integer_failure_shrinks_to_within_twice_the_threshold() {
+        let smallest = reported(small_numbers_only, "smallest failing inputs: x = ");
+        let x: u32 = smallest.parse().expect("an integer input");
+        assert!((10..=19).contains(&x), "reported x = {x}");
+        let original = reported(small_numbers_only, "original failing inputs: x = ");
+        assert!(original.parse::<u32>().expect("an integer input") >= x);
+    }
+
+    #[test]
+    fn vec_failure_shrinks_to_within_twice_the_minimal_length() {
+        let smallest = reported(short_vectors_only, "smallest failing inputs: v = ");
+        let len = smallest.split(',').count();
+        assert!((5..=10).contains(&len), "reported {smallest}");
+    }
+
+    #[test]
+    #[should_panic(expected = "never_satisfied: too many rejected cases")]
+    fn assume_exhaustion_names_the_test() {
+        never_satisfied();
+    }
+
+    #[test]
+    fn class_repetition_honours_its_bounds() {
+        let mut rng = TestRng::from_name("class_repetition");
+        for round in 0..400 {
+            rng.halvings = round / 100;
+            let s = "x[a-c]{2,5}".generate(&mut rng);
+            let tail = s.strip_prefix('x').expect("the literal comes first");
+            assert!((2..=5).contains(&tail.len()), "{s:?}");
+            assert!(tail.chars().all(|c| ('a'..='c').contains(&c)), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn same_name_draws_the_same_cases() {
+        let strategy = (any::<u64>(), crate::collection::vec(0u16..500, 0..9));
+        let draw = |name: &str| {
+            let mut rng = TestRng::from_name(name);
+            (0..50)
+                .map(|_| strategy.generate(&mut rng))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(draw("a_test"), draw("a_test"));
+        assert_ne!(draw("a_test"), draw("another_test"));
+    }
 }

@@ -47,6 +47,12 @@ pub fn push_u64_field(out: &mut String, key: &str, value: u64) {
     let _ = write!(out, "{value}");
 }
 
+/// Append a `"key":true|false` pair.
+pub fn push_bool_field(out: &mut String, key: &str, value: bool) {
+    push_key(out, key);
+    out.push_str(if value { "true" } else { "false" });
+}
+
 /// A parsed JSON value (the emitter's dialect; see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JsonValue {
