@@ -218,6 +218,19 @@ enum Phase {
     Done,
 }
 
+/// Every edge the machine may take. SYN sent → collecting the response
+/// burst → verifying via the delayed ACK → done, and `Done` straight
+/// from every live phase: timeouts, the watchdog, eviction and
+/// mid-connection errors must be able to conclude wherever it stands.
+/// [`InferenceConn::set_phase`] asserts membership in debug builds.
+const TRANSITIONS: &[(Phase, Phase)] = &[
+    (Phase::SynSent, Phase::Collecting),
+    (Phase::Collecting, Phase::Verifying),
+    (Phase::SynSent, Phase::Done),
+    (Phase::Collecting, Phase::Done),
+    (Phase::Verifying, Phase::Done),
+];
+
 /// Cap on buffered in-order response bytes (enough for any HTTP head or
 /// TLS alert we need to inspect).
 const RESPONSE_CAP: usize = 8192;
@@ -294,6 +307,16 @@ impl InferenceConn {
             ..conn.header(conn.cfg.isn, 0, Flags::SYN, 65535)
         });
         (conn, out)
+    }
+
+    /// The one place the phase changes: only along a declared edge.
+    fn set_phase(&mut self, to: Phase) {
+        debug_assert!(
+            TRANSITIONS.contains(&(self.phase, to)),
+            "undeclared Phase edge {:?} -> {to:?}",
+            self.phase
+        );
+        self.phase = to;
     }
 
     /// A payload-less segment of this connection.
@@ -412,7 +435,7 @@ impl InferenceConn {
 
     /// Conclude: the result with the in-order response prefix.
     fn conclude(&mut self, outcome: RawOutcome) -> ConnResult {
-        self.phase = Phase::Done;
+        self.set_phase(Phase::Done);
         self.deadline = None;
         self.response.truncate(self.prefix_len());
         ConnResult {
@@ -487,7 +510,7 @@ impl InferenceConn {
             return self.finish(RawOutcome::Open);
         }
 
-        self.phase = Phase::Collecting;
+        self.set_phase(Phase::Collecting);
         let deadline = now + self.cfg.collect_timeout;
         self.deadline = Some(deadline);
         let mut out = ConnOutput {
@@ -572,7 +595,7 @@ impl InferenceConn {
         // a two-segment window (§3.1).
         self.frozen_bytes = self.total_bytes();
         self.frozen_loss = self.has_hole();
-        self.phase = Phase::Verifying;
+        self.set_phase(Phase::Verifying);
         let deadline = now + self.cfg.verify_timeout;
         self.deadline = Some(deadline);
         let mut out = ConnOutput {
@@ -1209,5 +1232,54 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Every variant. The match in the test stops compiling when one is
+    /// added; listed here, the test then demands its edges.
+    const ALL: [Phase; 4] = [
+        Phase::SynSent,
+        Phase::Collecting,
+        Phase::Verifying,
+        Phase::Done,
+    ];
+
+    #[test]
+    fn phase_transitions_are_closed() {
+        let (initial, terminal) = (Phase::SynSent, Phase::Done);
+        let mut reached = vec![initial];
+        let mut next = 0;
+        while let Some(&at) = reached.get(next) {
+            for &(from, to) in TRANSITIONS {
+                if from == at && !reached.contains(&to) {
+                    reached.push(to);
+                }
+            }
+            next += 1;
+        }
+        for s in ALL {
+            match s {
+                Phase::SynSent | Phase::Collecting | Phase::Verifying | Phase::Done => {}
+            }
+            assert!(
+                reached.contains(&s),
+                "{s:?} is unreachable from {initial:?}"
+            );
+            if s == terminal {
+                let out = TRANSITIONS.iter().find(|(from, _)| *from == terminal);
+                assert_eq!(out, None, "the terminal state is a sink");
+            } else {
+                // What lets a forced conclusion end it from anywhere.
+                let forced = TRANSITIONS.contains(&(s, terminal));
+                assert!(forced, "{s:?} has no direct edge to {terminal:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "undeclared Phase edge SynSent -> Verifying")]
+    fn an_undeclared_phase_edge_panics_in_debug_builds() {
+        let (mut c, _) = conn();
+        c.set_phase(Phase::Verifying);
     }
 }

@@ -33,7 +33,7 @@ impl RetryQueue {
             self.entries.back().is_none_or(|&(last, _)| last <= due),
             "constant delay + monotonic now keeps a level FIFO-ordered"
         );
-        // iw-lint: allow(hot-path-purity): amortised ring growth, 16 B per in-flight target
+        // amortised ring growth, 16 B per in-flight target
         self.entries.push_back((due, ip));
         !std::mem::replace(&mut self.armed, true)
     }

@@ -153,7 +153,7 @@ pub struct TelemetryConfig {
     /// map, so it shares `record_rtt`'s per-target memory cost.
     pub record_spans: bool,
     /// Keep a bounded per-session flight-recorder ring of wire and
-    /// state-machine activity; sessions ending in an error dump theirs
+    /// state-transition activity; sessions ending in an error dump theirs
     /// as a JSONL black box.
     pub flight_recorder: bool,
     /// Append streaming JSONL telemetry (metric deltas + per-target

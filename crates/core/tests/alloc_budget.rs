@@ -13,7 +13,7 @@ use iw_core::cookie::CookieKey;
 use iw_core::{Protocol, ResilienceConfig, ScanConfig, ScanRunner, Scanner};
 use iw_hoststack::{Host, HostConfig};
 use iw_internet::{Population, PopulationConfig};
-use iw_netsim::{Duration, Effects, Endpoint, Instant, Sim, SimConfig};
+use iw_netsim::{Duration, Effects, Endpoint, Instant, LinkConfig, Sim, SimConfig};
 use iw_wire::http::Request;
 use iw_wire::ipv4::{self, Ipv4Addr};
 use iw_wire::tcp::{self, Flags, TcpOption};
@@ -88,6 +88,69 @@ fn silent_sweep_allocates_nothing_per_syn() {
     assert!(
         spent <= 512,
         "{spent} allocations for {syns} SYNs: the transmit path allocates per packet again"
+    );
+}
+
+/// An endpoint that never answers, and (when `leaky`) puts every
+/// datagram's length in a fresh `Box`: the allocation a pattern rule
+/// over the scanner's sources cannot see, because the kernel reaches
+/// hosts only through `dyn Endpoint`.
+struct Sink {
+    leaky: bool,
+    last_len: Box<usize>,
+}
+
+impl Endpoint for Sink {
+    fn on_packet(&mut self, pkt: &[u8], _now: Instant, _fx: &mut Effects) {
+        if self.leaky {
+            // The needless allocation is the point (and `black_box` keeps
+            // clippy from folding it into a store).
+            self.last_len = std::hint::black_box(Box::new(pkt.len()));
+        }
+    }
+
+    fn on_timer(&mut self, _token: iw_netsim::TimerToken, _now: Instant, _fx: &mut Effects) {}
+}
+
+#[test]
+fn the_counter_sees_an_allocation_behind_dyn_endpoint() {
+    // The same hardened sweep twice, every address routed to a `Sink`:
+    // all that differs is one `Box::new` per delivered datagram.
+    let sweep = |leaky: bool| {
+        let mut cfg = ScanConfig::study(Protocol::Http, 1 << 12, 0x51e7);
+        cfg.stateless_first = true;
+        cfg.resilience = ResilienceConfig::hardened();
+        let sim_config = SimConfig {
+            seed: cfg.seed,
+            ..SimConfig::default()
+        };
+        let factory = move |_ip: u32| {
+            let host: Box<dyn Endpoint> = Box::new(Sink {
+                leaky,
+                last_len: Box::new(0),
+            });
+            Some((host, LinkConfig::default()))
+        };
+        let mut sim = Sim::new(Scanner::new(cfg), factory, sim_config);
+        sim.kick_scanner(|s, now, fx| s.start(now, fx));
+        let before = allocs();
+        sim.run_to_completion();
+        (allocs() - before, sim.stats().host_rx)
+    };
+    let (quiet, delivered) = sweep(false);
+    let (leaky, delivered_leaky) = sweep(true);
+    assert_eq!(delivered, delivered_leaky, "the sweeps are the same scan");
+    assert!(
+        delivered >= 3 << 12,
+        "three SYNs per silent host: {delivered}"
+    );
+    println!(
+        "alloc_budget: dyn endpoint: {quiet} allocations quiet, {leaky} leaky, \
+         {delivered} datagrams delivered"
+    );
+    assert!(
+        leaky >= quiet + delivered,
+        "{leaky} vs {quiet}: the counter missed an allocation per packet behind dyn Endpoint"
     );
 }
 

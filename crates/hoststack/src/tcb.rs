@@ -44,6 +44,19 @@ pub enum State {
     Closed,
 }
 
+/// Every edge the machine may take. Handshake → established → FIN-wait
+/// → closed, and `Closed` straight from every live state: a RST, the
+/// application's reset and retransmission exhaustion must be able to
+/// end the connection wherever it stands. [`Tcb::set_state`] asserts
+/// membership in debug builds.
+const TRANSITIONS: &[(State, State)] = &[
+    (State::SynRcvd, State::Established),
+    (State::Established, State::FinWait),
+    (State::FinWait, State::Closed),
+    (State::SynRcvd, State::Closed),
+    (State::Established, State::Closed),
+];
+
 /// Maximum RTO-backoff retransmissions before giving up.
 const MAX_RETRIES: u32 = 6;
 
@@ -223,6 +236,16 @@ impl Tcb {
         self.state
     }
 
+    /// The one place the state changes: only along a declared edge.
+    fn set_state(&mut self, to: State) {
+        debug_assert!(
+            TRANSITIONS.contains(&(self.state, to)),
+            "undeclared State edge {:?} -> {to:?}",
+            self.state
+        );
+        self.state = to;
+    }
+
     /// Whether this TCB can be discarded.
     pub fn is_closed(&self) -> bool {
         self.state == State::Closed
@@ -256,7 +279,7 @@ impl Tcb {
             return out;
         }
         if seg.flags.contains(Flags::RST) {
-            self.state = State::Closed;
+            self.set_state(State::Closed);
             return out;
         }
         // A retransmitted SYN in SynRcvd: re-send the SYN-ACK.
@@ -275,7 +298,7 @@ impl Tcb {
         self.peer_wnd = u32::from(seg.window);
 
         if self.state == State::SynRcvd && seq::lt(self.iss, seg.ack) {
-            self.state = State::Established;
+            self.set_state(State::Established);
         }
 
         // Data processing: only in-order data is consumed, and the
@@ -319,7 +342,7 @@ impl Tcb {
     fn apply_app_response(&mut self, resp: AppResponse, sink: &mut Sink<'_>) {
         if resp.reset {
             sink(self.header(self.snd_nxt, Flags::RST | Flags::ACK, 0));
-            self.state = State::Closed;
+            self.set_state(State::Closed);
             return;
         }
         // Per-service IW (Akamai-style, §4.3): the edge applies the
@@ -386,7 +409,7 @@ impl Tcb {
         if self.inflight.is_empty() {
             self.rto_deadline = None;
             if self.state == State::FinWait && self.fin_sent {
-                self.state = State::Closed;
+                self.set_state(State::Closed);
             }
         }
     }
@@ -441,7 +464,7 @@ impl Tcb {
             if fin {
                 flags |= Flags::FIN;
                 self.fin_sent = true;
-                self.state = State::FinWait;
+                self.set_state(State::FinWait);
             }
             sink(tcp::Segment {
                 payload: &self.send_buf[start..start + take],
@@ -471,7 +494,7 @@ impl Tcb {
             });
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
             self.fin_sent = true;
-            self.state = State::FinWait;
+            self.set_state(State::FinWait);
             sent_any = true;
         }
         sent_any
@@ -504,7 +527,7 @@ impl Tcb {
             return out;
         }
         if self.retries >= MAX_RETRIES {
-            self.state = State::Closed;
+            self.set_state(State::Closed);
             return out;
         }
         self.retries += 1;
@@ -942,5 +965,54 @@ mod tests {
         let out = segment(&mut tcb, &ooo, Instant::ZERO + Duration::from_millis(40));
         // Dup-ACK at the old rcv_nxt (or piggybacked equivalently).
         assert!(out.tx.iter().any(|s| s.flags.contains(Flags::ACK)));
+    }
+
+    /// Every variant. The match in the test stops compiling when one is
+    /// added; listed here, the test then demands its edges.
+    const ALL: [State; 4] = [
+        State::SynRcvd,
+        State::Established,
+        State::FinWait,
+        State::Closed,
+    ];
+
+    #[test]
+    fn tcb_transitions_are_closed() {
+        let (initial, terminal) = (State::SynRcvd, State::Closed);
+        let mut reached = vec![initial];
+        let mut next = 0;
+        while let Some(&at) = reached.get(next) {
+            for &(from, to) in TRANSITIONS {
+                if from == at && !reached.contains(&to) {
+                    reached.push(to);
+                }
+            }
+            next += 1;
+        }
+        for s in ALL {
+            match s {
+                State::SynRcvd | State::Established | State::FinWait | State::Closed => {}
+            }
+            assert!(
+                reached.contains(&s),
+                "{s:?} is unreachable from {initial:?}"
+            );
+            if s == terminal {
+                let out = TRANSITIONS.iter().find(|(from, _)| *from == terminal);
+                assert_eq!(out, None, "the terminal state is a sink");
+            } else {
+                // What lets a forced conclusion end it from anywhere.
+                let forced = TRANSITIONS.contains(&(s, terminal));
+                assert!(forced, "{s:?} has no direct edge to {terminal:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "undeclared State edge Established -> SynRcvd")]
+    fn an_undeclared_tcb_edge_panics_in_debug_builds() {
+        let (mut tcb, _) = establish(10_000, true, IwPolicy::Segments(10), 64);
+        tcb.set_state(State::SynRcvd);
     }
 }

@@ -150,7 +150,7 @@ mod tests {
         let out = to_sarif(&sample());
         assert!(out.contains("sarif-schema-2.1.0.json"));
         assert!(out.contains("\"name\": \"iw-lint\""));
-        // All ten rules are published even when only two fire.
+        // Every rule is published even when only two fire.
         for (name, _) in RULES {
             assert!(out.contains(&format!("\"id\": \"{name}\"")), "{name}");
         }

@@ -7,10 +7,11 @@
 //! literals. This module lexes whole files instead, producing
 //!
 //! * a token stream ([`Tok`]) with 1-based line numbers — what the
-//!   rules, item extractor and call-graph builder match against, and
+//!   pattern rules match against,
 //! * blanked *code lines* (same line count as the input, comments
-//!   removed, literal contents erased) — kept for snippet display and
-//!   the line-oriented suppression machinery.
+//!   removed, literal contents erased) — for the line-oriented
+//!   metrics-manifest rule, and
+//! * the text of every line comment — where inline suppressions live.
 //!
 //! The lexer is deliberately not a full Rust frontend: it distinguishes
 //! identifiers, lifetimes, literals and single-character punctuation,
@@ -67,6 +68,9 @@ pub struct Lexed {
     /// One entry per input line: the line with comments removed and
     /// string/char-literal contents blanked.
     pub code: Vec<String>,
+    /// Every `//` line comment (doc comments included): its 1-based line
+    /// and the text after the two slashes.
+    pub comments: Vec<(usize, String)>,
 }
 
 /// Lex `content` into tokens plus blanked code lines.
@@ -80,6 +84,7 @@ struct Lexer {
     line: usize,
     tokens: Vec<Tok>,
     code: Vec<String>,
+    comments: Vec<(usize, String)>,
     cur: String,
 }
 
@@ -91,6 +96,7 @@ impl Lexer {
             line: 1,
             tokens: Vec::new(),
             code: Vec::new(),
+            comments: Vec::new(),
             cur: String::new(),
         }
     }
@@ -121,12 +127,11 @@ impl Lexer {
         while let Some(c) = self.peek(0) {
             if c == '/' && self.peek(1) == Some('/') {
                 // Line comment (incl. doc): drop up to the newline.
-                while let Some(c) = self.peek(0) {
-                    if c == '\n' {
-                        break;
-                    }
-                    self.bump(false);
-                }
+                let end = self.chars[self.i..].iter().position(|&c| c == '\n');
+                let end = end.map_or(self.chars.len(), |n| self.i + n);
+                let text = self.chars[self.i + 2..end].iter().collect();
+                self.comments.push((self.line, text));
+                self.i = end;
             } else if c == '/' && self.peek(1) == Some('*') {
                 self.block_comment();
             } else if c == '"' {
@@ -150,6 +155,7 @@ impl Lexer {
         Lexed {
             tokens: self.tokens,
             code: self.code,
+            comments: self.comments,
         }
     }
 

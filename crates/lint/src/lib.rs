@@ -10,9 +10,6 @@
 //! * **`metrics-manifest`** — every metric call site must agree with
 //!   the single-source-of-truth manifest in
 //!   `crates/telemetry/src/manifest.rs` (name, kind, scope).
-//! * **`state-machine`** — the session state machines' transition
-//!   tables (see [`machines`]) are internally exhaustive and in sync
-//!   with the enums that implement them.
 //! * **`panic-budget`** — library code does not `unwrap`/`expect`/
 //!   `panic!` except at sites with a justified suppression.
 //! * **`rng-hygiene`** — randomness is always seeded from scan/session
@@ -21,56 +18,50 @@
 //!   `#![forbid(unsafe_code)]`, and no integration-test target (its own
 //!   crate, which that attribute does not reach) says `unsafe` unless
 //!   `allowlist.txt` names its path.
-//! * **`shared-state-audit`** — every interior-mutability primitive
-//!   (`static`, `Mutex`, `RwLock`, `Atomic*`, `Rc`, `RefCell`) in the
-//!   audited crates is declared in the concurrency manifest
-//!   ([`concurrency`]) with a role, and lock acquisitions nest in
-//!   declared rank order.
-//! * **`hot-path-purity`** — functions reachable in the call graph
-//!   from declared hot-path roots must not allocate, lock or perform
-//!   I/O without an annotated suppression.
-//! * **`channel-discipline`** — cross-shard send/recv sites must use a
-//!   declared channel endpoint from files the manifest allows.
+//! * **`no-shared-state`** — the simulation crates name no primitive
+//!   that lets two shard worlds mutate one value (`Mutex`, `RwLock`,
+//!   `Condvar`, `Atomic*`, `mpsc`, `static mut`, `thread_local!`).
+//!   `Arc` stays legal: without those it can only share immutable data.
+//!   `Rc`/`RefCell` need no rule: `rustc` refuses to send them across
+//!   `thread::scope`.
+//!
+//! What the linter does *not* do, because something else does it
+//! better: allocations on the packet paths are counted at the allocator
+//! by `crates/core/tests/alloc_budget.rs`, and the session state
+//! machines are `const TRANSITIONS` tables next to their enums, asserted
+//! on every state change in debug builds and closed under a unit test
+//! each (DESIGN §13 has the decision record).
 //!
 //! ## Pipeline
 //!
-//! Since iw-lint v2 the engine is no longer line-regex scanning: every
-//! file is run through a small Rust lexer ([`lexer`], which handles
-//! nested block comments, raw strings, char literals and multi-line
-//! strings), items and `impl` owners are extracted from the token
-//! stream ([`items`]), and an approximate name-resolved call graph is
-//! built over the whole workspace ([`callgraph`]). Pattern rules match
-//! token subsequences, so formatting, comments and string contents can
-//! neither hide nor fake a violation.
+//! Every file is run through a small Rust lexer ([`lexer`], which
+//! handles nested block comments, raw strings, char literals and
+//! multi-line strings). Pattern rules match token subsequences, so
+//! formatting, comments and string contents can neither hide nor fake a
+//! violation; `metrics-manifest` reads the blanked code lines.
 //!
 //! ## Suppressions
 //!
-//! A diagnostic is suppressed by `// iw-lint: allow(<rule>)` on the
-//! offending line or the line directly above it (a reason after the
-//! marker is encouraged), or by an entry in
+//! A diagnostic is suppressed by a line comment that starts with
+//! `iw-lint: allow(<rule>)` on the offending line or the line directly
+//! above it (a reason after the marker is encouraged), or by an entry in
 //! `crates/lint/allowlist.txt` (`<rule> <path> <substring>` per line).
-//! Allowlist entries are themselves audited: an entry whose rule, path
-//! or substring no longer matches anything is reported by the
-//! `allowlist-hygiene` meta rule, so suppressions cannot outlive the
-//! code they excused.
+//! Both kinds are themselves audited by the `allowlist-hygiene` meta
+//! rule: an allowlist entry whose rule, path or substring no longer
+//! matches anything, and an inline marker that names an unknown rule or
+//! suppresses no diagnostic, are reported, so suppressions cannot
+//! outlive the code they excused.
 //!
 //! ## Scope and limits
 //!
-//! The analyzer is still heuristic where a full compiler would not be:
-//! call resolution is name-based (same file preferred, then same
-//! crate), and everything at or below a file's first `#[cfg(test)]`
-//! line is treated as test code, which most rules exempt. Both
-//! heuristics are deliberate — the codebase keeps unit tests in a
-//! trailing `mod tests` — and keep the linter fast, dependency-free
-//! and obvious.
+//! Everything at or below a file's first `#[cfg(test)]` line is treated
+//! as test code, which the rules exempt. The heuristic is deliberate —
+//! the codebase keeps unit tests in a trailing `mod tests` — and keeps
+//! the linter fast, dependency-free and obvious.
 #![forbid(unsafe_code)]
 
-pub mod callgraph;
-pub mod concurrency;
 pub mod emit;
-pub mod items;
 pub mod lexer;
-pub mod machines;
 pub mod rules;
 
 use std::fmt;
@@ -93,10 +84,6 @@ pub const RULES: &[(&str, &str)] = &[
         "metric call sites must match the telemetry manifest",
     ),
     (
-        "state-machine",
-        "session state machines must be exhaustive and in sync",
-    ),
-    (
         "panic-budget",
         "library code must not panic without a justified allow",
     ),
@@ -109,22 +96,15 @@ pub const RULES: &[(&str, &str)] = &[
         "library crates must forbid unsafe code; test targets must not use it",
     ),
     (
-        "shared-state-audit",
-        "interior mutability must be declared in the concurrency manifest",
-    ),
-    (
-        "hot-path-purity",
-        "hot-path call trees must not allocate, lock or do I/O",
-    ),
-    (
-        "channel-discipline",
-        "send/recv sites must use declared channel endpoints",
+        "no-shared-state",
+        "simulation crates must not name a cross-thread mutation primitive",
     ),
 ];
 
-/// The meta rule auditing `allowlist.txt` itself. Not in [`RULES`]
-/// (it lints the lint configuration, not the workspace) but accepted
-/// by `--rule` and reported like any other diagnostic.
+/// The meta rule auditing the suppressions themselves (`allowlist.txt`
+/// and inline markers). Not in [`RULES`] (it lints the lint
+/// configuration, not the workspace) but accepted by `--rule` and
+/// reported like any other diagnostic.
 pub const ALLOWLIST_RULE: &str = "allowlist-hygiene";
 
 /// Workspace-relative path of the allowlist file.
@@ -175,9 +155,11 @@ pub struct SourceFile {
     /// (derived from the lexer) — for line-oriented checks and
     /// snippets.
     pub code: Vec<String>,
-    /// The token stream — what pattern rules and the structural passes
-    /// match against.
+    /// The token stream — what pattern rules match against.
     pub tokens: Vec<lexer::Tok>,
+    /// Inline suppressions: the 0-based line and rule name of every
+    /// line comment that starts with `iw-lint: allow(<rule>)`.
+    pub allows: Vec<(usize, String)>,
     /// 0-based index of the first test line (the `#[cfg(test)]`
     /// attribute), or `usize::MAX` if the file has no test module.
     pub test_start: usize,
@@ -199,11 +181,20 @@ impl SourceFile {
             .iter()
             .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
             .unwrap_or(usize::MAX);
+        let allows = lexed
+            .comments
+            .iter()
+            .filter_map(|(line, text)| {
+                let rest = text.trim_start().strip_prefix("iw-lint: allow(")?;
+                Some((line - 1, rest[..rest.find(')')?].to_owned()))
+            })
+            .collect();
         SourceFile {
             rel_path: rel_path.to_owned(),
             raw,
             code,
             tokens: lexed.tokens,
+            allows,
             test_start,
         }
     }
@@ -223,14 +214,13 @@ impl SourceFile {
         idx >= self.test_start
     }
 
-    /// Is `rule` suppressed at the 0-based line index? Looks for
-    /// `iw-lint: allow(<rule>)` on the line itself or the line above
-    /// (comments included — suppressions live in comments).
+    /// Is `rule` suppressed at the 0-based line index? Looks for an
+    /// `iw-lint: allow(<rule>)` comment on the line itself or the line
+    /// above.
     pub fn allowed(&self, idx: usize, rule: &str) -> bool {
-        let marker = format!("iw-lint: allow({rule})");
-        let here = self.raw.get(idx).is_some_and(|l| l.contains(&marker));
-        let above = idx > 0 && self.raw[idx - 1].contains(&marker);
-        here || above
+        self.allows
+            .iter()
+            .any(|(at, r)| r == rule && (*at == idx || *at + 1 == idx))
     }
 }
 
@@ -265,10 +255,8 @@ pub struct LintConfig {
     /// Allowed metric-name families (`scan.` etc.); empty disables the
     /// family check.
     pub metric_families: Vec<String>,
-    /// State machines to check.
-    pub machines: Vec<machines::MachineSpec>,
-    /// Declared concurrency intent (shared state, hot paths, channels).
-    pub concurrency: concurrency::ConcurrencySpec,
+    /// Crates where `no-shared-state` applies (crate dir names).
+    pub shared_state_crates: Vec<String>,
 }
 
 impl LintConfig {
@@ -291,8 +279,16 @@ impl LintConfig {
             metric_families: ["scan.", "shard.", "sim.", "trace."]
                 .map(String::from)
                 .to_vec(),
-            machines: machines::project_machines(),
-            concurrency: concurrency::project_concurrency(),
+            shared_state_crates: [
+                "core",
+                "netsim",
+                "wire",
+                "hoststack",
+                "telemetry",
+                "internet",
+            ]
+            .map(String::from)
+            .to_vec(),
         }
     }
 }
@@ -399,38 +395,6 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// The structural view of the workspace the concurrency rules run
-/// against: extracted items and the approximate call graph.
-#[derive(Debug)]
-pub struct Analysis {
-    /// Every fn in the workspace; `FnItem::file` indexes the file list
-    /// the analysis was built from.
-    pub fns: Vec<items::FnItem>,
-    /// Every `static` item declaration.
-    pub statics: Vec<items::StaticItem>,
-    /// Call graph over `fns`.
-    pub graph: callgraph::CallGraph,
-}
-
-/// Extract items from all files and build the call graph.
-pub fn analyze(files: &[SourceFile]) -> Analysis {
-    let mut fns = Vec::new();
-    let mut statics = Vec::new();
-    for (i, f) in files.iter().enumerate() {
-        let fi = items::extract(i, &f.tokens);
-        fns.extend(fi.fns);
-        statics.extend(fi.statics);
-    }
-    let toks: Vec<&[lexer::Tok]> = files.iter().map(|f| f.tokens.as_slice()).collect();
-    let paths: Vec<&str> = files.iter().map(|f| f.rel_path.as_str()).collect();
-    let graph = callgraph::CallGraph::build(&fns, &toks, &paths);
-    Analysis {
-        fns,
-        statics,
-        graph,
-    }
-}
-
 /// Lint the workspace at `root` with `config`. Returns the surviving
 /// (unsuppressed) diagnostics, sorted by path, line, rule.
 pub fn run(root: &Path, config: &LintConfig) -> io::Result<Vec<Diagnostic>> {
@@ -452,28 +416,33 @@ pub fn check_with_tests(
     tests: &[SourceFile],
     config: &LintConfig,
 ) -> Vec<Diagnostic> {
-    let analysis = analyze(files);
     let mut diags = Vec::new();
     rules::no_wall_clock(files, config, &mut diags);
     rules::no_unordered_iteration(files, config, &mut diags);
     rules::metrics_manifest(files, config, &mut diags);
-    rules::state_machine(files, config, &mut diags);
     rules::panic_budget(files, config, &mut diags);
     rules::rng_hygiene(files, config, &mut diags);
     rules::unsafe_forbidden(files, tests, &mut diags);
-    rules::shared_state_audit(files, config, &analysis, &mut diags);
-    rules::hot_path_purity(files, config, &analysis, &mut diags);
-    rules::channel_discipline(files, config, &analysis, &mut diags);
+    rules::no_shared_state(files, config, &mut diags);
     let all = files.iter().chain(tests);
-    allowlist_hygiene(all.clone(), config, &mut diags);
+    // Hygiene reads the unsuppressed diagnostics (an inline marker is
+    // live only if it excuses one) and is not itself suppressible.
+    let mut hygiene = Vec::new();
+    allowlist_hygiene(all.clone(), config, &mut hygiene);
+    inline_hygiene(files, &diags, &mut hygiene);
     diags.retain(|d| !suppressed(d, all.clone(), config));
+    diags.append(&mut hygiene);
     diags.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     diags
 }
 
-/// The `allowlist-hygiene` meta rule: every allowlist entry must still
-/// suppress something plausible — known rule, existing path, and a
-/// substring that still occurs in that file.
+fn known_rule(name: &str) -> bool {
+    RULES.iter().any(|(n, _)| *n == name)
+}
+
+/// The `allowlist-hygiene` meta rule over `allowlist.txt`: every entry
+/// must still suppress something plausible — known rule, existing path,
+/// and a substring that still occurs in that file.
 fn allowlist_hygiene<'a>(
     files: impl IntoIterator<Item = &'a SourceFile> + Clone,
     config: &LintConfig,
@@ -492,7 +461,7 @@ fn allowlist_hygiene<'a>(
                 help,
             });
         };
-        if !RULES.iter().any(|(n, _)| *n == entry.rule) {
+        if !known_rule(&entry.rule) {
             stale(format!(
                 "allowlist entry names unknown rule `{}`",
                 entry.rule
@@ -512,6 +481,37 @@ fn allowlist_hygiene<'a>(
                 "allowlist substring {:?} no longer occurs in `{}`",
                 entry.needle, entry.path
             ));
+        }
+    }
+}
+
+/// The `allowlist-hygiene` meta rule over inline markers: outside test
+/// code, an `iw-lint: allow(<rule>)` comment must name a known rule and
+/// excuse one of the (unsuppressed) diagnostics in `found`.
+fn inline_hygiene(files: &[SourceFile], found: &[Diagnostic], diags: &mut Vec<Diagnostic>) {
+    for file in files {
+        for (idx, rule) in file.allows.iter().filter(|(idx, _)| !file.is_test(*idx)) {
+            let live = found.iter().any(|d| {
+                d.rule == rule
+                    && d.path == file.rel_path
+                    && (d.line == idx + 1 || d.line == idx + 2)
+            });
+            if live {
+                continue;
+            }
+            let message = if known_rule(rule) {
+                format!("inline suppression of `{rule}` suppresses no diagnostic")
+            } else {
+                format!("inline suppression names unknown rule `{rule}`")
+            };
+            diags.push(Diagnostic {
+                rule: ALLOWLIST_RULE,
+                path: file.rel_path.clone(),
+                line: idx + 1,
+                message,
+                snippet: file.raw[*idx].clone(),
+                help: "delete the marker (keep the reason as a plain comment if it still says why)",
+            });
         }
     }
 }
@@ -594,7 +594,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(names.len(), sorted.len());
-        assert_eq!(names.len(), 10);
+        assert_eq!(names.len(), 7);
         assert!(!names.contains(&ALLOWLIST_RULE));
     }
 
@@ -636,8 +636,7 @@ mod tests {
             ],
             manifest_path: "none".into(),
             metric_families: Vec::new(),
-            machines: Vec::new(),
-            concurrency: concurrency::ConcurrencySpec::default(),
+            shared_state_crates: Vec::new(),
         };
         let mut diags = Vec::new();
         allowlist_hygiene(&files, &config, &mut diags);

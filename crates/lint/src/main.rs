@@ -1,72 +1,93 @@
 //! `cargo run -p iw-lint` — lint the workspace, exit nonzero on
 //! violations. See the library docs for the rules.
 
-use iw_lint::{
-    analyze, collect_workspace, emit, load_allowlist, run, LintConfig, ALLOWLIST_RULE, RULES,
-};
+use iw_lint::{emit, load_allowlist, run, LintConfig, ALLOWLIST_RULE, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage: iw-lint [--root <dir>] [--rule <name>]... [--format <fmt>]
-               [--graph dot] [--list-rules]
+               [--list-rules]
 
-Checks the workspace's determinism, metrics-manifest, state-machine and
-concurrency invariants. Exits 0 when clean, 1 on violations, 2 on
+Checks the workspace's determinism, metrics-manifest, panic-budget and
+no-shared-state invariants. Exits 0 when clean, 1 on violations, 2 on
 usage/IO errors.
 
   --root <dir>    workspace root (default: walk up from the cwd)
   --rule <name>   only report this rule (repeatable)
   --format <fmt>  output format: text (default), json, sarif
-  --graph dot     print the approximate call graph as DOT and exit
   --list-rules    print the rule names and exit";
 
-fn main() -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut format = String::from("text");
-    let mut graph = false;
-    let mut args = std::env::args().skip(1);
+/// What the command line asked for.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    root: Option<PathBuf>,
+    only: Vec<String>,
+    format: String,
+    list_rules: bool,
+    help: bool,
+}
+
+/// Parse the arguments after the program name; `Err` is a usage error.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        format: String::from("text"),
+        ..Args::default()
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--list-rules" => {
-                for (name, desc) in RULES {
-                    println!("{name:24} {desc}");
-                }
-                return ExitCode::SUCCESS;
-            }
+            "--list-rules" => parsed.list_rules = true,
             "--root" => match args.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => return usage_error("--root needs a directory"),
+                Some(dir) => parsed.root = Some(PathBuf::from(dir)),
+                None => return Err("--root needs a directory".to_owned()),
             },
             "--rule" => match args.next() {
                 Some(name) => {
                     let known = RULES.iter().any(|(n, _)| *n == name) || name == ALLOWLIST_RULE;
                     if !known {
-                        return usage_error(&format!("unknown rule `{name}`"));
+                        return Err(format!("unknown rule `{name}`"));
                     }
-                    only.push(name);
+                    parsed.only.push(name);
                 }
-                None => return usage_error("--rule needs a rule name"),
+                None => return Err("--rule needs a rule name".to_owned()),
             },
             "--format" => match args.next() {
-                Some(fmt) if matches!(fmt.as_str(), "text" | "json" | "sarif") => format = fmt,
-                Some(fmt) => {
-                    return usage_error(&format!("unknown format `{fmt}` (text|json|sarif)"))
+                Some(fmt) if matches!(fmt.as_str(), "text" | "json" | "sarif") => {
+                    parsed.format = fmt;
                 }
-                None => return usage_error("--format needs text, json or sarif"),
+                Some(fmt) => return Err(format!("unknown format `{fmt}` (text|json|sarif)")),
+                None => return Err("--format needs text, json or sarif".to_owned()),
             },
-            "--graph" => match args.next() {
-                Some(kind) if kind == "dot" => graph = true,
-                Some(kind) => return usage_error(&format!("unknown graph format `{kind}`")),
-                None => return usage_error("--graph needs a format (dot)"),
-            },
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage_error(&format!("unknown argument `{other}`")),
+            "-h" | "--help" => parsed.help = true,
+            other => return Err(format!("unknown argument `{other}`")),
         }
+    }
+    Ok(parsed)
+}
+
+fn main() -> ExitCode {
+    let Args {
+        root,
+        only,
+        format,
+        list_rules,
+        help,
+    } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("iw-lint: {msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    if help {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    if list_rules {
+        for (name, desc) in RULES {
+            println!("{name:24} {desc}");
+        }
+        return ExitCode::SUCCESS;
     }
 
     let root = match root.map(Ok).unwrap_or_else(find_root) {
@@ -76,20 +97,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if graph {
-        let files = match collect_workspace(&root) {
-            Ok(files) => files,
-            Err(e) => {
-                eprintln!("iw-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let analysis = analyze(&files);
-        let paths: Vec<&str> = files.iter().map(|f| f.rel_path.as_str()).collect();
-        print!("{}", analysis.graph.to_dot(&analysis.fns, &paths));
-        return ExitCode::SUCCESS;
-    }
 
     let mut config = LintConfig::project();
     config.allowlist = match load_allowlist(&root) {
@@ -131,11 +138,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("iw-lint: {msg}\n{USAGE}");
-    ExitCode::from(2)
-}
-
 /// Walk up from the cwd to the directory whose `Cargo.toml` declares
 /// `[workspace]`.
 fn find_root() -> Result<PathBuf, String> {
@@ -151,5 +153,33 @@ fn find_root() -> Result<PathBuf, String> {
         if !dir.pop() {
             return Err("no workspace root found above the current directory".to_owned());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn deleted_rules_and_the_graph_flag_are_usage_errors() {
+        for gone in [
+            "shared-state-audit",
+            "hot-path-purity",
+            "channel-discipline",
+            "state-machine",
+        ] {
+            let err = parse(&["--rule", gone]).unwrap_err();
+            assert_eq!(err, format!("unknown rule `{gone}`"));
+        }
+        assert_eq!(
+            parse(&["--graph", "dot"]).unwrap_err(),
+            "unknown argument `--graph`"
+        );
+        let ok = parse(&["--rule", "no-shared-state", "--rule", ALLOWLIST_RULE]).unwrap();
+        assert_eq!(ok.only, ["no-shared-state", ALLOWLIST_RULE]);
     }
 }

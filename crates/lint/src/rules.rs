@@ -1,12 +1,9 @@
-//! The rules. Each takes the prepared sources plus the config (the
-//! concurrency rules also take the structural [`Analysis`]) and appends
-//! [`Diagnostic`]s; suppression filtering happens centrally in
-//! [`crate::check_files`].
+//! The rules. Each takes the prepared sources plus the config and
+//! appends [`Diagnostic`]s; suppression filtering happens centrally in
+//! [`crate::check_with_tests`].
 
-use crate::concurrency::{ChannelEndpoint, SharedStateSpec};
-use crate::lexer::{self, Kind, Tok};
-use crate::machines::MachineSpec;
-use crate::{Analysis, Diagnostic, LintConfig, SourceFile};
+use crate::lexer::{self, Tok};
+use crate::{Diagnostic, LintConfig, SourceFile};
 
 // ---------------------------------------------------------------------
 // Pattern rules (token-sequence matching)
@@ -108,6 +105,43 @@ pub fn rng_hygiene(files: &[SourceFile], _config: &LintConfig, diags: &mut Vec<D
     );
 }
 
+/// `no-shared-state`: nothing is shared between shard worlds (DESIGN
+/// §14), so the simulation crates name no primitive through which two
+/// threads could mutate one value. `Arc` is absent on purpose: without
+/// these it shares only immutable data (`driver.rs` shares the
+/// `Population` that way); `Rc`/`RefCell` are `rustc`'s to police.
+pub fn no_shared_state(files: &[SourceFile], config: &LintConfig, diags: &mut Vec<Diagnostic>) {
+    scan_patterns(
+        files,
+        &|f| config.shared_state_crates.iter().any(|c| c == f.krate()),
+        &[
+            "Mutex",
+            "RwLock",
+            "Condvar",
+            "mpsc",
+            "static mut",
+            "thread_local!",
+            "AtomicBool",
+            "AtomicPtr",
+            "AtomicU8",
+            "AtomicU16",
+            "AtomicU32",
+            "AtomicU64",
+            "AtomicUsize",
+            "AtomicI8",
+            "AtomicI16",
+            "AtomicI32",
+            "AtomicI64",
+            "AtomicIsize",
+        ],
+        "no-shared-state",
+        &|p| format!("cross-thread mutation primitive `{p}` in a simulation crate"),
+        "keep state inside one shard world and merge at harvest (DESIGN §14); \
+         share immutable data through `Arc`",
+        diags,
+    );
+}
+
 /// `panic-budget`: library code must not panic except at sites with a
 /// justified suppression.
 pub fn panic_budget(files: &[SourceFile], config: &LintConfig, diags: &mut Vec<Diagnostic>) {
@@ -163,606 +197,6 @@ pub fn unsafe_forbidden(files: &[SourceFile], tests: &[SourceFile], diags: &mut 
                 message: format!("crate `{}` does not forbid unsafe code", file.krate()),
                 snippet: String::new(),
                 help: "add `#![forbid(unsafe_code)]` to the crate root",
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Concurrency rule pack (driven by crates/lint/src/concurrency.rs)
-// ---------------------------------------------------------------------
-
-/// Interior-mutability kinds the audit recognizes, and the priority
-/// used when one declaration names several (`Rc<RefCell<_>>` is a
-/// `RefCell` site — the lockable wrapper is what needs the rank).
-fn state_kind(t: &Tok) -> Option<&'static str> {
-    if t.kind != Kind::Ident {
-        return None;
-    }
-    match t.text.as_str() {
-        "Mutex" => Some("Mutex"),
-        "RwLock" => Some("RwLock"),
-        "RefCell" => Some("RefCell"),
-        "Rc" => Some("Rc"),
-        s if s.starts_with("Atomic") && s.len() > "Atomic".len() => Some("Atomic"),
-        _ => None,
-    }
-}
-
-fn kind_priority(kind: &str) -> u32 {
-    match kind {
-        "Mutex" => 5,
-        "RwLock" => 4,
-        "RefCell" => 3,
-        "Atomic" => 2,
-        "Rc" => 1,
-        _ => 0,
-    }
-}
-
-fn lockable(kind: &str) -> bool {
-    matches!(kind, "Mutex" | "RwLock" | "RefCell")
-}
-
-/// One detected shared-state site.
-struct StateSite {
-    name: Option<String>,
-    kind: &'static str,
-    line: usize,
-}
-
-/// The binding/field a statement introduces: `let NAME`,
-/// `static NAME`, or the nearest `NAME:` field/struct-literal label
-/// before the kind token.
-fn stmt_name(tokens: &[Tok], start: usize, at: usize) -> Option<String> {
-    for j in start..at {
-        if tokens[j].is_ident("let") || tokens[j].is_ident("static") {
-            let mut k = j + 1;
-            if tokens.get(k).is_some_and(|t| t.is_ident("mut")) {
-                k += 1;
-            }
-            if let Some(n) = tokens.get(k).filter(|t| t.kind == Kind::Ident) {
-                return Some(n.text.clone());
-            }
-        }
-    }
-    for j in (start + 1..at).rev() {
-        if tokens[j].is_punct(':')
-            && tokens[j - 1].kind == Kind::Ident
-            && !tokens.get(j + 1).is_some_and(|t| t.is_punct(':'))
-        {
-            return Some(tokens[j - 1].text.clone());
-        }
-    }
-    None
-}
-
-/// Detect interior-mutability sites in one file's token stream.
-fn state_sites(file: &SourceFile) -> Vec<StateSite> {
-    let tokens = &file.tokens;
-    let boundary =
-        |t: &Tok| t.is_punct(';') || t.is_punct('{') || t.is_punct('}') || t.is_punct(',');
-    // (statement start, site) — used to collapse `Rc<RefCell<_>>` into
-    // one site of the highest-priority kind.
-    let mut per_stmt: Vec<(usize, StateSite)> = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
-        let Some(kind) = state_kind(tok) else {
-            continue;
-        };
-        if file.is_test(tok.line - 1) {
-            continue;
-        }
-        let mut s = i;
-        while s > 0 && !boundary(&tokens[s - 1]) {
-            s -= 1;
-        }
-        // Imports, fn signatures and `static` items (audited separately
-        // via the item extractor) are not declaration sites.
-        let skip = tokens[s..i]
-            .iter()
-            .any(|t| t.is_ident("use") || t.is_ident("fn") || t.is_ident("static"));
-        if skip {
-            continue;
-        }
-        let site = StateSite {
-            name: stmt_name(tokens, s, i),
-            kind,
-            line: tok.line,
-        };
-        match per_stmt.iter_mut().find(|(st, _)| *st == s) {
-            Some((_, prev)) => {
-                if kind_priority(kind) > kind_priority(prev.kind) {
-                    *prev = site;
-                }
-            }
-            None => per_stmt.push((s, site)),
-        }
-    }
-    per_stmt.into_iter().map(|(_, s)| s).collect()
-}
-
-const STATE_HELP: &str = "declare it with a role (and a lock-order rank, if lockable) in \
-                          crates/lint/src/concurrency.rs, or remove the shared state";
-
-/// Lock/borrow acquisition methods recognized by lock-order checking.
-const ACQUIRE_METHODS: &[&str] = &[
-    "lock",
-    "try_lock",
-    "read",
-    "try_read",
-    "write",
-    "try_write",
-    "borrow",
-    "borrow_mut",
-    "try_borrow",
-    "try_borrow_mut",
-];
-
-/// `shared-state-audit`: every `static`/`Mutex`/`RwLock`/`Atomic*`/
-/// `Rc`/`RefCell` in the audited crates appears in the concurrency
-/// manifest with a role; lockable entries carry a rank; acquisitions
-/// nest in ascending rank order; stale manifest entries are reported.
-pub fn shared_state_audit(
-    files: &[SourceFile],
-    config: &LintConfig,
-    analysis: &Analysis,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let spec = &config.concurrency;
-    if spec.state_crates.is_empty() {
-        return;
-    }
-    let in_scope = |f: &SourceFile| spec.state_crates.contains(&f.krate());
-    let mut matched = vec![false; spec.shared_state.len()];
-
-    // Manifest self-checks: lockable kinds need a rank.
-    for e in &spec.shared_state {
-        if lockable(e.kind) && e.rank.is_none() {
-            diags.push(Diagnostic {
-                rule: "shared-state-audit",
-                path: e.file.to_owned(),
-                line: 0,
-                message: format!(
-                    "concurrency manifest entry `{}` ({}) has no lock-order rank",
-                    e.name, e.kind
-                ),
-                snippet: String::new(),
-                help: "assign a unique rank in crates/lint/src/concurrency.rs; acquisitions \
-                       must nest in ascending rank order",
-            });
-        }
-    }
-
-    // Interior-mutability sites from the token streams.
-    for file in files.iter().filter(|f| in_scope(f)) {
-        for site in state_sites(file) {
-            let hit = spec.shared_state.iter().position(|e| {
-                e.file == file.rel_path
-                    && match &site.name {
-                        Some(n) => e.name == n && e.kind == site.kind,
-                        None => e.kind == site.kind,
-                    }
-            });
-            match hit {
-                Some(i) => matched[i] = true,
-                None => {
-                    let message = match &site.name {
-                        Some(n) => format!(
-                            "undeclared shared state: `{n}` ({}) is not in the concurrency \
-                             manifest",
-                            site.kind
-                        ),
-                        None => format!(
-                            "undeclared shared state: {} site is not in the concurrency \
-                             manifest",
-                            site.kind
-                        ),
-                    };
-                    diags.push(Diagnostic {
-                        rule: "shared-state-audit",
-                        path: file.rel_path.clone(),
-                        line: site.line,
-                        message,
-                        snippet: file.raw.get(site.line - 1).cloned().unwrap_or_default(),
-                        help: STATE_HELP,
-                    });
-                }
-            }
-        }
-    }
-
-    // `static` items from the structural pass.
-    for st in &analysis.statics {
-        let file = &files[st.file];
-        if st.is_test || !in_scope(file) {
-            continue;
-        }
-        let hit = spec
-            .shared_state
-            .iter()
-            .position(|e| e.file == file.rel_path && e.name == st.name && e.kind == "static");
-        match hit {
-            Some(i) => matched[i] = true,
-            None => diags.push(Diagnostic {
-                rule: "shared-state-audit",
-                path: file.rel_path.clone(),
-                line: st.line,
-                message: format!(
-                    "undeclared shared state: `static {}` is not in the concurrency manifest",
-                    st.name
-                ),
-                snippet: file.raw.get(st.line - 1).cloned().unwrap_or_default(),
-                help: STATE_HELP,
-            }),
-        }
-    }
-
-    // Stale manifest entries — the declared-intent promise runs both
-    // ways: the manifest must not describe state that no longer exists.
-    for (i, e) in spec.shared_state.iter().enumerate() {
-        if !matched[i] {
-            diags.push(Diagnostic {
-                rule: "shared-state-audit",
-                path: e.file.to_owned(),
-                line: 0,
-                message: format!(
-                    "stale concurrency manifest entry: `{}` ({}) matches no site in {}",
-                    e.name, e.kind, e.file
-                ),
-                snippet: String::new(),
-                help: "remove the entry from crates/lint/src/concurrency.rs or fix its \
-                       file/name/kind",
-            });
-        }
-    }
-
-    // Lock-order: within each fn body, textually later acquisitions of
-    // ranked state must not have a lower rank than an earlier one.
-    for f in &analysis.fns {
-        if f.is_test {
-            continue;
-        }
-        let Some((b0, b1)) = f.body else { continue };
-        let file = &files[f.file];
-        if !in_scope(file) {
-            continue;
-        }
-        let ranked: Vec<&SharedStateSpec> = spec
-            .shared_state
-            .iter()
-            .filter(|e| e.file == file.rel_path && e.rank.is_some())
-            .collect();
-        if ranked.is_empty() {
-            continue;
-        }
-        let tokens = &file.tokens;
-        let mut held: Vec<(&SharedStateSpec, usize)> = Vec::new();
-        for k in b0..b1.min(tokens.len()) {
-            let acq = k + 3 < tokens.len()
-                && tokens[k].kind == Kind::Ident
-                && tokens[k + 1].is_punct('.')
-                && tokens[k + 2].kind == Kind::Ident
-                && ACQUIRE_METHODS.contains(&tokens[k + 2].text.as_str())
-                && tokens[k + 3].is_punct('(');
-            if !acq {
-                continue;
-            }
-            let Some(entry) = ranked.iter().find(|e| e.name == tokens[k].text) else {
-                continue;
-            };
-            let line = tokens[k + 2].line;
-            for (earlier, _) in &held {
-                if entry.rank < earlier.rank {
-                    diags.push(Diagnostic {
-                        rule: "shared-state-audit",
-                        path: file.rel_path.clone(),
-                        line,
-                        message: format!(
-                            "lock-order violation in `{}`: `{}` (rank {}) acquired after `{}` \
-                             (rank {})",
-                            f.qname(),
-                            entry.name,
-                            entry.rank.unwrap_or(0),
-                            earlier.name,
-                            earlier.rank.unwrap_or(0)
-                        ),
-                        snippet: file.raw.get(line - 1).cloned().unwrap_or_default(),
-                        help: "acquire locks in ascending declared rank order (see \
-                               crates/lint/src/concurrency.rs)",
-                    });
-                }
-            }
-            if !held.iter().any(|(e, _)| e.name == entry.name) {
-                held.push((entry, line));
-            }
-        }
-    }
-}
-
-/// Purity-violation categories for `hot-path-purity`.
-struct PurityPattern {
-    display: &'static str,
-    category: &'static str,
-    toks: Vec<Tok>,
-}
-
-fn purity_patterns() -> Vec<PurityPattern> {
-    let mk = |display: &'static str, category: &'static str| PurityPattern {
-        display,
-        category,
-        toks: lexer::compile(display),
-    };
-    vec![
-        mk("Box::new(", "allocation"),
-        mk("Rc::new(", "allocation"),
-        mk("Arc::new(", "allocation"),
-        mk("format!(", "allocation"),
-        mk(".to_string(", "allocation"),
-        mk(".to_owned(", "allocation"),
-        mk("String::new(", "allocation"),
-        mk("String::from(", "allocation"),
-        mk("String::with_capacity(", "allocation"),
-        mk("Vec::with_capacity(", "allocation"),
-        mk("vec![", "allocation"),
-        mk(".collect(", "allocation"),
-        mk(".lock(", "lock"),
-        mk(".try_lock(", "lock"),
-        mk("println!(", "I/O"),
-        mk("eprintln!(", "I/O"),
-        mk("print!(", "I/O"),
-        mk("eprint!(", "I/O"),
-        mk("std::fs::", "I/O"),
-        mk("std::io::", "I/O"),
-        mk("File::open(", "I/O"),
-        mk("File::create(", "I/O"),
-    ]
-}
-
-/// `hot-path-purity`: every function reachable in the call graph from
-/// a declared hot-path root (stopping at declared cold boundaries)
-/// must not allocate, lock or perform I/O.
-pub fn hot_path_purity(
-    files: &[SourceFile],
-    config: &LintConfig,
-    analysis: &Analysis,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let spec = &config.concurrency;
-    if spec.hot_path_roots.is_empty() {
-        return;
-    }
-    const HELP: &str = "hot paths must stay allocation-, lock- and I/O-free: move the work \
-                        behind a declared cold boundary (crates/lint/src/concurrency.rs) or \
-                        add `// iw-lint: allow(hot-path-purity): <why>`";
-    let mut roots = Vec::new();
-    for r in &spec.hot_path_roots {
-        let hit = analysis
-            .fns
-            .iter()
-            .position(|f| !f.is_test && f.qname() == r.func && files[f.file].rel_path == r.file);
-        match hit {
-            Some(i) => roots.push(i),
-            None => diags.push(Diagnostic {
-                rule: "hot-path-purity",
-                path: r.file.to_owned(),
-                line: 0,
-                message: format!(
-                    "stale hot-path root: `{}` matches no function in {}",
-                    r.func, r.file
-                ),
-                snippet: String::new(),
-                help: "update crates/lint/src/concurrency.rs to the fn's current name/file",
-            }),
-        }
-    }
-    let is_boundary = |i: usize| {
-        let f = &analysis.fns[i];
-        spec.cold_boundaries
-            .iter()
-            .any(|b| b.func == f.qname() || b.func == f.name)
-    };
-    let parents = analysis.graph.reach(&roots, &is_boundary);
-    let patterns = purity_patterns();
-    let lock_names: Vec<&str> = spec
-        .shared_state
-        .iter()
-        .filter(|e| e.rank.is_some())
-        .map(|e| e.name)
-        .collect();
-    let borrow_ops = ["borrow", "borrow_mut", "read", "write"];
-    let growth_ops = ["push", "extend", "extend_from_slice", "resize", "insert"];
-    let vec_new = lexer::compile("Vec::new(");
-
-    for &idx in parents.keys() {
-        if is_boundary(idx) && !roots.contains(&idx) {
-            continue; // declared cold: reached but not audited
-        }
-        let f = &analysis.fns[idx];
-        let Some((b0, b1)) = f.body else { continue };
-        let file = &files[f.file];
-        let tokens = &file.tokens;
-        let body = &tokens[b0..b1.min(tokens.len())];
-        let chain = chain_to(idx, &parents, analysis);
-        let place = if roots.contains(&idx) {
-            format!("hot-path root `{}`", f.qname())
-        } else {
-            format!("`{}` (reached via {chain})", f.qname())
-        };
-        let mut push = |display: &str, category: &str, line: usize| {
-            diags.push(Diagnostic {
-                rule: "hot-path-purity",
-                path: file.rel_path.clone(),
-                line,
-                message: format!("hot-path {category}: `{display}` in {place}"),
-                snippet: file.raw.get(line - 1).cloned().unwrap_or_default(),
-                help: HELP,
-            });
-        };
-        for p in &patterns {
-            for at in lexer::find_seq(body, &p.toks) {
-                push(p.display, p.category, body[at].line);
-            }
-        }
-        // `Vec::new()` is only a violation when the same body grows the
-        // vec — a fixed-size scratch Vec that never pushes is fine.
-        let grows = body.windows(2).any(|w| {
-            w[0].is_punct('.')
-                && w[1].kind == Kind::Ident
-                && growth_ops.contains(&w[1].text.as_str())
-        });
-        if grows {
-            for at in lexer::find_seq(body, &vec_new) {
-                push("Vec::new() + push", "allocation", body[at].line);
-            }
-        }
-        // Borrow/RwLock acquisitions count as locks only on receivers
-        // the manifest declares as ranked state — `.read(`/`.write(`
-        // on an io stream is I/O, not locking, and is caught above.
-        for k in 0..body.len().saturating_sub(3) {
-            if body[k].kind == Kind::Ident
-                && lock_names.contains(&body[k].text.as_str())
-                && body[k + 1].is_punct('.')
-                && body[k + 2].kind == Kind::Ident
-                && borrow_ops.contains(&body[k + 2].text.as_str())
-                && body[k + 3].is_punct('(')
-            {
-                let display = format!(".{}(", body[k + 2].text);
-                push(&display, "lock", body[k + 2].line);
-            }
-        }
-    }
-}
-
-/// Render the shortest call path `root -> … -> idx` recorded by the
-/// BFS parent map.
-fn chain_to(
-    idx: usize,
-    parents: &std::collections::BTreeMap<usize, usize>,
-    analysis: &Analysis,
-) -> String {
-    let mut names = vec![analysis.fns[idx].qname()];
-    let mut cur = idx;
-    while let Some(&p) = parents.get(&cur) {
-        if p == usize::MAX {
-            break;
-        }
-        names.push(analysis.fns[p].qname());
-        cur = p;
-    }
-    names.reverse();
-    names.join(" -> ")
-}
-
-/// `channel-discipline`: every send/recv call site in the channel
-/// crates names a declared endpoint, from a file the manifest lists on
-/// the right side of that endpoint.
-pub fn channel_discipline(
-    files: &[SourceFile],
-    config: &LintConfig,
-    _analysis: &Analysis,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let spec = &config.concurrency;
-    if spec.channel_crates.is_empty() {
-        return;
-    }
-    const HELP: &str = "declare the endpoint (name, role, tx/rx files) in \
-                        crates/lint/src/concurrency.rs so the channel topology stays data \
-                        the linter verifies";
-    let tx_ops = ["send", "try_send"];
-    let rx_ops = ["recv", "try_recv"];
-    let mut used = vec![false; spec.channels.len()];
-    for file in files {
-        if !spec.channel_crates.contains(&file.krate()) {
-            continue;
-        }
-        let tokens = &file.tokens;
-        for k in 0..tokens.len().saturating_sub(2) {
-            let op_at = k + 1;
-            if !(tokens[k].is_punct('.')
-                && tokens[op_at].kind == Kind::Ident
-                && tokens.get(op_at + 1).is_some_and(|t| t.is_punct('(')))
-            {
-                continue;
-            }
-            let op = tokens[op_at].text.as_str();
-            let is_tx = tx_ops.contains(&op);
-            let is_rx = rx_ops.contains(&op);
-            if !is_tx && !is_rx {
-                continue;
-            }
-            let line = tokens[op_at].line;
-            if file.is_test(line - 1) {
-                continue;
-            }
-            let receiver = (k > 0)
-                .then(|| &tokens[k - 1])
-                .filter(|t| t.kind == Kind::Ident);
-            let Some(receiver) = receiver else {
-                diags.push(Diagnostic {
-                    rule: "channel-discipline",
-                    path: file.rel_path.clone(),
-                    line,
-                    message: format!(
-                        "channel op `.{op}()` with an unresolvable receiver — bind the \
-                         endpoint to a name first"
-                    ),
-                    snippet: file.raw.get(line - 1).cloned().unwrap_or_default(),
-                    help: HELP,
-                });
-                continue;
-            };
-            let Some(i) = spec.channels.iter().position(|c| c.name == receiver.text) else {
-                diags.push(Diagnostic {
-                    rule: "channel-discipline",
-                    path: file.rel_path.clone(),
-                    line,
-                    message: format!(
-                        "channel op `{}.{op}()` on undeclared endpoint `{}`",
-                        receiver.text, receiver.text
-                    ),
-                    snippet: file.raw.get(line - 1).cloned().unwrap_or_default(),
-                    help: HELP,
-                });
-                continue;
-            };
-            used[i] = true;
-            let c: &ChannelEndpoint = &spec.channels[i];
-            let allowed = if is_tx { c.tx_files } else { c.rx_files };
-            if !allowed.contains(&file.rel_path.as_str()) {
-                let side = if is_tx { "tx" } else { "rx" };
-                diags.push(Diagnostic {
-                    rule: "channel-discipline",
-                    path: file.rel_path.clone(),
-                    line,
-                    message: format!(
-                        "`{}.{op}()` outside the declared {side} files for endpoint `{}`",
-                        c.name, c.name
-                    ),
-                    snippet: file.raw.get(line - 1).cloned().unwrap_or_default(),
-                    help: HELP,
-                });
-            }
-        }
-    }
-    for (i, c) in spec.channels.iter().enumerate() {
-        if !used[i] {
-            let at = c
-                .tx_files
-                .first()
-                .or_else(|| c.rx_files.first())
-                .copied()
-                .unwrap_or("crates/lint/src/concurrency.rs");
-            diags.push(Diagnostic {
-                rule: "channel-discipline",
-                path: at.to_owned(),
-                line: 0,
-                message: format!(
-                    "stale channel endpoint: `{}` is declared but has no send/recv sites",
-                    c.name
-                ),
-                snippet: String::new(),
-                help: "remove the endpoint from crates/lint/src/concurrency.rs or fix its name",
             });
         }
     }
@@ -1124,230 +558,5 @@ fn site_diag(file: &SourceFile, idx: usize, message: String) -> Diagnostic {
         snippet: file.raw[idx].clone(),
         help: "declare metrics in crates/telemetry/src/manifest.rs and register via \
                register_counter/register_gauge/register_histogram",
-    }
-}
-
-// ---------------------------------------------------------------------
-// state-machine
-// ---------------------------------------------------------------------
-
-/// `state-machine`: each configured machine's transition table is
-/// internally exhaustive and in sync with its enum.
-pub fn state_machine(files: &[SourceFile], config: &LintConfig, diags: &mut Vec<Diagnostic>) {
-    for spec in &config.machines {
-        check_machine(spec, files, diags);
-    }
-}
-
-fn machine_diag(spec: &MachineSpec, line: usize, snippet: String, message: String) -> Diagnostic {
-    Diagnostic {
-        rule: "state-machine",
-        path: spec.file.to_owned(),
-        line,
-        message,
-        snippet,
-        help: "keep crates/lint/src/machines.rs and the enum/transition code in sync",
-    }
-}
-
-fn check_machine(spec: &MachineSpec, files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
-    let mut fail = |msg: String| diags.push(machine_diag(spec, 0, String::new(), msg));
-
-    // -- internal consistency of the table ---------------------------
-    let known = |s: &str| spec.states.contains(&s);
-    if !known(spec.initial) {
-        fail(format!(
-            "machine `{}`: initial state `{}` is not in the state list",
-            spec.name, spec.initial
-        ));
-    }
-    for t in spec.terminal {
-        if !known(t) {
-            fail(format!(
-                "machine `{}`: terminal state `{t}` is not in the state list",
-                spec.name
-            ));
-        }
-    }
-    for tr in spec.transitions {
-        for s in [tr.from, tr.to] {
-            if !known(s) {
-                fail(format!(
-                    "machine `{}`: transition {} -> {} references unknown state `{s}`",
-                    spec.name, tr.from, tr.to
-                ));
-            }
-        }
-        if spec.terminal.contains(&tr.from) {
-            fail(format!(
-                "machine `{}`: terminal state `{}` has an outgoing transition to `{}`",
-                spec.name, tr.from, tr.to
-            ));
-        }
-    }
-    // Reachability from the initial state.
-    let mut reached = vec![false; spec.states.len()];
-    if let Some(i) = spec.states.iter().position(|s| *s == spec.initial) {
-        reached[i] = true;
-        let mut frontier = vec![spec.initial];
-        while let Some(from) = frontier.pop() {
-            for tr in spec.transitions.iter().filter(|t| t.from == from) {
-                if let Some(j) = spec.states.iter().position(|s| *s == tr.to) {
-                    if !reached[j] {
-                        reached[j] = true;
-                        frontier.push(tr.to);
-                    }
-                }
-            }
-        }
-    }
-    for (i, s) in spec.states.iter().enumerate() {
-        if !reached[i] {
-            fail(format!(
-                "machine `{}`: state `{s}` is unreachable from `{}`",
-                spec.name, spec.initial
-            ));
-        }
-    }
-    // Every non-terminal state needs a forced conclusion to a terminal
-    // state — this is the watchdog/force_conclude coverage guarantee.
-    for s in spec.states.iter().filter(|s| !spec.terminal.contains(s)) {
-        let covered = spec
-            .transitions
-            .iter()
-            .any(|t| t.force && t.from == *s && spec.terminal.contains(&t.to));
-        if !covered {
-            fail(format!(
-                "machine `{}`: non-terminal state `{s}` has no forced transition \
-                 to a terminal state (watchdog/force_conclude would leak it)",
-                spec.name
-            ));
-        }
-    }
-
-    // -- sync with the source ----------------------------------------
-    let Some(file) = files.iter().find(|f| f.rel_path == spec.file) else {
-        fail(format!(
-            "machine `{}`: file {} not found in the workspace",
-            spec.name, spec.file
-        ));
-        return;
-    };
-    let Some(decl_start) = file.code.iter().position(|l| {
-        (l.contains(&format!("enum {} ", spec.name))
-            || l.contains(&format!("enum {}{{", spec.name)))
-            && !l.trim_start().starts_with("//")
-    }) else {
-        fail(format!(
-            "machine `{}`: no `enum {}` declaration in {}",
-            spec.name, spec.name, spec.file
-        ));
-        return;
-    };
-    // Collect variants until the closing brace.
-    let mut variants = Vec::new();
-    let mut decl_end = decl_start;
-    for (idx, code) in file.code.iter().enumerate().skip(decl_start + 1) {
-        let t = code.trim();
-        if t.starts_with('}') {
-            decl_end = idx;
-            break;
-        }
-        let ident: String = t
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if ident.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-            variants.push(ident);
-        }
-    }
-    for v in &variants {
-        if !known(v) {
-            diags.push(machine_diag(
-                spec,
-                decl_start + 1,
-                file.raw[decl_start].clone(),
-                format!(
-                    "machine `{}`: enum variant `{v}` is missing from the transition table",
-                    spec.name
-                ),
-            ));
-        }
-    }
-    for s in spec.states {
-        if !variants.iter().any(|v| v == s) {
-            diags.push(machine_diag(
-                spec,
-                decl_start + 1,
-                file.raw[decl_start].clone(),
-                format!(
-                    "machine `{}`: table state `{s}` is not a variant of the enum",
-                    spec.name
-                ),
-            ));
-        }
-    }
-    // Every state must be produced (assigned/constructed) and handled
-    // (matched/compared) somewhere outside the declaration.
-    for s in spec.states {
-        let token = format!("{}::{s}", spec.name);
-        let mut produced = false;
-        let mut handled = false;
-        for (idx, code) in file.code.iter().enumerate() {
-            if file.is_test(idx) {
-                break;
-            }
-            if idx >= decl_start && idx <= decl_end {
-                continue;
-            }
-            let mut from = 0;
-            while let Some(pos) = code[from..].find(&token) {
-                let at = from + pos;
-                let prefix = code[..at].trim_end();
-                let suffix = code[at + token.len()..].trim_start();
-                if prefix.ends_with("==")
-                    || prefix.ends_with("!=")
-                    || prefix.ends_with('|')
-                    || suffix.starts_with("=>")
-                    || suffix.starts_with('|')
-                {
-                    handled = true;
-                } else if prefix.ends_with("=>")
-                    || prefix.ends_with('=')
-                    || prefix.ends_with(':')
-                    || prefix.ends_with('{')
-                    || prefix.ends_with('(')
-                    || prefix.ends_with(',')
-                    || prefix.is_empty()
-                {
-                    produced = true;
-                }
-                from = at + token.len();
-            }
-        }
-        if !produced {
-            diags.push(machine_diag(
-                spec,
-                decl_start + 1,
-                file.raw[decl_start].clone(),
-                format!(
-                    "machine `{}`: state `{s}` is never produced (no `= {token}` / \
-                     `: {token}` site)",
-                    spec.name
-                ),
-            ));
-        }
-        if !handled {
-            diags.push(machine_diag(
-                spec,
-                decl_start + 1,
-                file.raw[decl_start].clone(),
-                format!(
-                    "machine `{}`: state `{s}` is never handled (no `{token} =>` arm or \
-                     comparison)",
-                    spec.name
-                ),
-            ));
-        }
     }
 }

@@ -20,7 +20,7 @@
 //!   JSON (Perfetto-loadable) with a byte-identical canonical form
 //!   across shard counts;
 //! * a **flight recorder** ([`recorder`]) — bounded per-session rings of
-//!   wire and state-machine activity, dumped as JSONL black boxes for
+//!   wire and state-transition activity, dumped as JSONL black boxes for
 //!   sessions that end in an error;
 //! * a **streaming sink** ([`sink`]) — JSONL metric deltas and
 //!   per-target results emitted while the scan runs;

@@ -1,7 +1,7 @@
 //! Per-session flight recorder: a black box for sessions that crash.
 //!
 //! For every in-flight target the recorder keeps a small bounded ring of
-//! the most recent wire-level segments and state-machine transitions.
+//! the most recent wire-level segments and state transitions.
 //! When the session concludes *cleanly* the ring is dropped — the happy
 //! path leaves no residue. When it ends in an `ErrorKind` the ring is
 //! frozen into a [`FlightDump`]: the last N things that happened to that
@@ -36,7 +36,7 @@ const WIRE_FLAGS: [(u16, char); 6] = [
     (0x020, 'U'),
 ];
 
-/// One ring entry: either a state-machine transition or a wire segment.
+/// One ring entry: either a state transition or a wire segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightEntry {
     /// A session lifecycle event.
@@ -273,7 +273,7 @@ impl FlightRecorder {
         self.enabled
     }
 
-    /// Record a state-machine transition; creates the target's ring.
+    /// Record a state transition; creates the target's ring.
     /// `SessionFinished` marks death, not a phase: the ring keeps the
     /// phase the session died *in*, which is what a dump should name.
     #[inline]

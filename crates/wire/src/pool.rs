@@ -72,8 +72,7 @@ impl BufferPool {
 
     /// Check out a writable, empty buffer (recycled when possible).
     pub fn take(&self) -> PacketBuf {
-        // the RefCell is the pool's own declared state (rank 10):
-        // iw-lint: allow(hot-path-purity): single-threaded borrow, released before return
+        // single-threaded borrow, released before return
         let mut inner = self.inner.borrow_mut();
         let mut shared = match inner.free.pop() {
             Some(shared) => {
@@ -83,10 +82,8 @@ impl BufferPool {
             None => {
                 inner.stats.allocated += 1;
                 // the only allocations a pooled packet ever costs (slab and
-                // shell, once); a warm pool recycles and never reaches this arm:
-                // iw-lint: allow(hot-path-purity): pool-miss slab growth
+                // shell, once); a warm pool recycles and never reaches this arm
                 Rc::new(Slab {
-                    // iw-lint: allow(hot-path-purity): pool-miss slab growth
                     data: Vec::with_capacity(SLAB_CAPACITY),
                     inner: Rc::downgrade(&self.inner),
                 })
