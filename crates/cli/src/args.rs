@@ -23,7 +23,7 @@ SCAN FLAGS:
     --protocol <http|tls|portscan>   protocol module   [default: http]
     --scale <small|medium|large>     world size        [default: small]
     --seed <u64>                     scan + world seed [default: 319033367]
-    --sample <0.0..=1.0>             fraction of the space to probe [default: 1]
+    --sample <(0, 1]>                fraction of the space to probe [default: 1]
     --threads <n>                    shard worlds, one thread each [default: all cores]
     --shards <n>                     alias for --threads
     --loss <factor>                  link-loss scale   [default: 0]
@@ -36,7 +36,7 @@ SCAN FLAGS:
                                      discovery, stateful sessions for responders
     --syn-retries <n>                SYN retransmits for silent targets [default: 0]
     --probe-retries <n>              retry budget per probe connection  [default: 0]
-    --watchdog <secs>                per-session deadline, 0 = off      [default: 0]
+    --watchdog <secs>                per-session deadline, ≥ 17 or 0 = off [default: 0]
     --max-sessions <n>               live-session cap, 0 = unbounded    [default: 0]
     --trace-out <path>               write session spans as Chrome trace JSON
     --stream-out <path>              stream metric deltas + results as JSONL

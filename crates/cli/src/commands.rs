@@ -88,6 +88,14 @@ fn apply_resilience(config: &mut ScanConfig, args: &ScanArgs) {
     config.stateless_first = args.stateless_first;
 }
 
+/// Reject a configuration the scanner would run without measuring
+/// anything (see [`ScanConfig::validate`]): a usage error, exit 2.
+fn validate(config: &ScanConfig) -> Result<(), CmdError> {
+    config
+        .validate()
+        .map_err(|e| err(format!("invalid scan configuration: {e}")))
+}
+
 /// Wire the scan-style telemetry flags into a scan config.
 fn apply_telemetry(config: &mut ScanConfig, args: &ScanArgs) {
     config.record_trace = args.pcap.is_some();
@@ -320,6 +328,7 @@ fn cmd_scan(args: &ScanArgs) -> Result<i32, CmdError> {
     config.rate_pps = 4_000_000;
     apply_resilience(&mut config, args);
     apply_telemetry(&mut config, args);
+    validate(&config)?;
     let (control, shards) = durable_setup(args, "scan", &config, shard_count(args, true))?;
     let out = ScanRunner::new(&population)
         .config(config)
@@ -341,6 +350,7 @@ fn cmd_alexa(args: &ScanArgs) -> Result<i32, CmdError> {
     config.rate_pps = 4_000_000;
     apply_resilience(&mut config, args);
     apply_telemetry(&mut config, args);
+    validate(&config)?;
     // Lists default to one shard; an explicit --threads still fans the
     // round-robin partitions across threads.
     let (control, shards) = durable_setup(args, "alexa", &config, shard_count(args, false))?;
@@ -359,6 +369,7 @@ fn cmd_mtu(args: &ScanArgs) -> Result<i32, CmdError> {
     config.rate_pps = 4_000_000;
     apply_resilience(&mut config, args);
     apply_telemetry(&mut config, args);
+    validate(&config)?;
     let (control, shards) = durable_setup(args, "mtu", &config, shard_count(args, true))?;
     let out = ScanRunner::new(&population)
         .config(config)
@@ -614,6 +625,55 @@ mod tests {
         let mut config = ScanConfig::study(Protocol::Http, 1 << 10, 1);
         apply_resilience(&mut config, &ScanArgs::default());
         assert_eq!(config.resilience, Default::default());
+    }
+
+    #[test]
+    fn scans_the_validator_rejects_are_usage_errors() {
+        type Cmd = fn(&ScanArgs) -> Result<i32, CmdError>;
+        let reject = |cmds: &[Cmd], args: ScanArgs, why: &str| {
+            for cmd in cmds {
+                let msg = cmd(&args).expect_err(why).to_string();
+                assert!(msg.contains(why), "{msg}");
+            }
+        };
+        // Every session would be force-concluded long before its
+        // timeouts could end it: the scan would report 100 % Error.
+        let watchdog = ScanArgs {
+            watchdog_secs: 1,
+            ..ScanArgs::default()
+        };
+        reject(
+            &[cmd_scan, cmd_alexa, cmd_mtu],
+            watchdog,
+            "single-attempt floor",
+        );
+        // A sample of nothing, or of more than everything (a list scan
+        // takes no `--sample`).
+        for sample in [0.0, 1.5] {
+            let args = ScanArgs {
+                sample,
+                ..ScanArgs::default()
+            };
+            reject(&[cmd_scan, cmd_mtu], args, "outside (0, 1]");
+        }
+    }
+
+    #[test]
+    fn the_default_scan_config_is_valid() {
+        let mut config = ScanConfig::study(Protocol::Http, 1 << 10, 1);
+        apply_resilience(&mut config, &ScanArgs::default());
+        apply_telemetry(&mut config, &ScanArgs::default());
+        assert!(validate(&config).is_ok());
+        // So are the documented hardened flags.
+        let hardened = ScanArgs {
+            syn_retries: 2,
+            probe_retries: 2,
+            watchdog_secs: 75,
+            max_sessions: 65_536,
+            ..ScanArgs::default()
+        };
+        apply_resilience(&mut config, &hardened);
+        assert!(validate(&config).is_ok());
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod testbed;
 /// ```
 pub mod prelude {
     pub use crate::driver::{RunControl, ScanOutput, ScanRunner, Topology};
-    pub use crate::scanner::{ScanConfig, ScanConfigBuilder};
+    pub use crate::scanner::ScanConfig;
 }
 
 pub use checkpoint::{
@@ -80,6 +80,6 @@ pub use results::{
     ScanSummary,
 };
 pub use scanner::{
-    ConfigError, MonitorSink, MonitorSpec, ResilienceConfig, ScanConfig, ScanConfigBuilder,
-    Scanner, TargetSpec, TelemetryConfig, WATCHDOG_FLOOR,
+    ConfigError, MonitorSink, MonitorSpec, ResilienceConfig, ScanConfig, Scanner, TargetSpec,
+    TelemetryConfig, WATCHDOG_FLOOR,
 };

@@ -20,9 +20,9 @@ use crate::table::IpMap;
 use iw_internet::util::mix;
 use iw_netsim::{Duration, Effects, Endpoint, Instant, TimerToken};
 use iw_telemetry::{
-    manifest, BufferSink, CounterId, EventLog, FlightRecorder, GaugeId, HistogramId, IcmpHarvest,
-    MetricsRegistry, OutcomeKind, ProgressMonitor, ProgressSample, SessionEvent, Snapshot,
-    StdoutSink, TelemetrySink, Tracer, DEFAULT_RING_CAPACITY,
+    BufferSink, Counter, EventLog, FlightRecorder, Gauge, Hist, IcmpHarvest, MetricsRegistry,
+    OutcomeKind, ProgressMonitor, ProgressSample, SessionEvent, Snapshot, StdoutSink,
+    TelemetrySink, Tracer, DEFAULT_RING_CAPACITY,
 };
 use iw_wire::ipv4::Ipv4Addr;
 use iw_wire::tcp::{self, Flags};
@@ -211,20 +211,42 @@ impl ScanConfig {
         }
     }
 
-    /// Validated construction: study defaults plus checked overrides.
-    ///
-    /// The struct's fields stay public (the experiment binaries tweak
-    /// them freely), but configurations assembled through the builder
-    /// are guaranteed internally consistent at `build()` time.
-    pub fn builder(protocol: Protocol, space: u32, seed: u64) -> ScanConfigBuilder {
-        ScanConfigBuilder {
-            config: ScanConfig::study(protocol, space, seed),
-            explicit_session_cap: false,
+    /// Reject a configuration that would run but measure nothing (no MSS,
+    /// no probes, no rate, an empty sample) or force-conclude healthy
+    /// sessions (a watchdog below [`WATCHDOG_FLOOR`]). The fields stay
+    /// public, so a caller that takes them from a user checks first.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.mss_list.is_empty() {
+            return Err(ConfigError::EmptyMssList);
         }
+        if self.mss_list.contains(&0) {
+            return Err(ConfigError::ZeroMss);
+        }
+        if self.probes_per_mss == 0 {
+            return Err(ConfigError::ZeroProbes);
+        }
+        if self.rate_pps == 0 {
+            return Err(ConfigError::ZeroRate);
+        }
+        if !(self.sample_fraction > 0.0 && self.sample_fraction <= 1.0) {
+            return Err(ConfigError::SampleFraction(self.sample_fraction));
+        }
+        let r = &self.resilience;
+        if let Some(deadline) = r.session_deadline {
+            if deadline < WATCHDOG_FLOOR {
+                return Err(ConfigError::WatchdogBelowFloor(deadline));
+            }
+        }
+        if (r.syn_retries > 0 && r.syn_backoff == Duration::ZERO)
+            || (r.probe_retries > 0 && r.probe_backoff == Duration::ZERO)
+        {
+            return Err(ConfigError::ZeroBackoff);
+        }
+        Ok(())
     }
 }
 
-/// A scan configuration rejected by [`ScanConfigBuilder::build`].
+/// A scan configuration rejected by [`ScanConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// The MSS run list is empty: the scan would probe nothing.
@@ -238,10 +260,6 @@ pub enum ConfigError {
     ZeroRate,
     /// `sample_fraction` outside `(0, 1]`.
     SampleFraction(f64),
-    /// An explicit session cap of zero would evict every session on
-    /// admission. Leave [`ResilienceConfig::max_sessions`] untouched
-    /// for an unbounded table instead.
-    ZeroSessionCap,
     /// The watchdog would fire before a single connection attempt can
     /// exhaust its own timeouts (SYN 4 s + collect 10 s + verify 3 s),
     /// force-concluding perfectly healthy sessions.
@@ -265,13 +283,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::SampleFraction(v) => {
                 write!(f, "sample_fraction {v} outside (0, 1]")
             }
-            ConfigError::ZeroSessionCap => {
-                write!(f, "explicit max_sessions of 0 (omit it for unbounded)")
-            }
             ConfigError::WatchdogBelowFloor(d) => write!(
                 f,
-                "session watchdog {:?} below the {:?} single-attempt floor",
-                d, WATCHDOG_FLOOR
+                "session watchdog {d} below the {WATCHDOG_FLOOR} single-attempt floor"
             ),
             ConfigError::ZeroBackoff => {
                 write!(f, "retries configured with a zero backoff")
@@ -281,120 +295,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Checked builder for [`ScanConfig`]; see [`ScanConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ScanConfigBuilder {
-    config: ScanConfig,
-    explicit_session_cap: bool,
-}
-
-impl ScanConfigBuilder {
-    /// Target generation rate in packets/second of virtual time.
-    pub fn rate_pps(mut self, rate: u64) -> Self {
-        self.config.rate_pps = rate;
-        self
-    }
-
-    /// Announced MSS values, in run order.
-    pub fn mss_list(mut self, mss_list: Vec<u16>) -> Self {
-        self.config.mss_list = mss_list;
-        self
-    }
-
-    /// Probes per MSS value (the study uses 3).
-    pub fn probes_per_mss(mut self, probes: u32) -> Self {
-        self.config.probes_per_mss = probes;
-        self
-    }
-
-    /// Probe only this fraction of admitted targets, salted.
-    pub fn sample(mut self, fraction: f64, salt: u64) -> Self {
-        self.config.sample_fraction = fraction;
-        self.config.sample_salt = salt;
-        self
-    }
-
-    /// Toggle the 2·MSS exhaustion-verification ACK (ablation knob).
-    pub fn verify_exhaustion(mut self, on: bool) -> Self {
-        self.config.verify_exhaustion = on;
-        self
-    }
-
-    /// Record the simulated wire traffic for pcap export.
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.config.record_trace = on;
-        self
-    }
-
-    /// Toggle stateless-first hybrid discovery (ZBanner-style).
-    pub fn stateless_first(mut self, on: bool) -> Self {
-        self.config.stateless_first = on;
-        self
-    }
-
-    /// Replace the telemetry knobs wholesale.
-    pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.config.telemetry = telemetry;
-        self
-    }
-
-    /// Replace the resilience knobs wholesale. A zero `max_sessions`
-    /// here still means "unbounded" (only [`Self::max_sessions`] makes
-    /// zero an error, because there it is necessarily deliberate).
-    pub fn resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.config.resilience = resilience;
-        self
-    }
-
-    /// Cap the live-session table (explicit zero is rejected at build).
-    pub fn max_sessions(mut self, cap: usize) -> Self {
-        self.config.resilience.max_sessions = cap;
-        self.explicit_session_cap = true;
-        self
-    }
-
-    /// Arm the per-session watchdog.
-    pub fn watchdog(mut self, deadline: Duration) -> Self {
-        self.config.resilience.session_deadline = Some(deadline);
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<ScanConfig, ConfigError> {
-        let c = &self.config;
-        if c.mss_list.is_empty() {
-            return Err(ConfigError::EmptyMssList);
-        }
-        if c.mss_list.contains(&0) {
-            return Err(ConfigError::ZeroMss);
-        }
-        if c.probes_per_mss == 0 {
-            return Err(ConfigError::ZeroProbes);
-        }
-        if c.rate_pps == 0 {
-            return Err(ConfigError::ZeroRate);
-        }
-        if !(c.sample_fraction > 0.0 && c.sample_fraction <= 1.0) {
-            return Err(ConfigError::SampleFraction(c.sample_fraction));
-        }
-        if self.explicit_session_cap && c.resilience.max_sessions == 0 {
-            return Err(ConfigError::ZeroSessionCap);
-        }
-        if let Some(deadline) = c.resilience.session_deadline {
-            if deadline < WATCHDOG_FLOOR {
-                return Err(ConfigError::WatchdogBelowFloor(deadline));
-            }
-        }
-        let r = &c.resilience;
-        if (r.syn_retries > 0 && r.syn_backoff == Duration::ZERO)
-            || (r.probe_retries > 0 && r.probe_backoff == Duration::ZERO)
-        {
-            return Err(ConfigError::ZeroBackoff);
-        }
-        Ok(self.config)
-    }
-}
 
 enum TargetIter {
     Perm(ShardIter),
@@ -456,185 +356,25 @@ const SWEEP_PERIOD: Duration = Duration::from_secs(1);
 /// never SYN-ACK; the sweep drops it (satellite: the `syn_ts` leak).
 const RTT_EXPIRY: Duration = Duration::from_secs(8);
 
-/// Array index of an [`OutcomeKind`] in the per-outcome counter blocks.
-fn kind_index(kind: OutcomeKind) -> usize {
+/// The `(scan.probes.*, scan.sessions.*)` counters of an [`OutcomeKind`].
+fn outcome_counters(kind: OutcomeKind) -> (Counter, Counter) {
     match kind {
-        OutcomeKind::Success => 0,
-        OutcomeKind::FewData => 1,
-        OutcomeKind::Error => 2,
-        OutcomeKind::Unreachable => 3,
+        OutcomeKind::Success => (Counter::ProbesSuccess, Counter::SessionsSuccess),
+        OutcomeKind::FewData => (Counter::ProbesFewData, Counter::SessionsFewData),
+        OutcomeKind::Error => (Counter::ProbesError, Counter::SessionsError),
+        OutcomeKind::Unreachable => (Counter::ProbesUnreachable, Counter::SessionsUnreachable),
     }
 }
 
-/// The scanner's metric schema: every counter/gauge/histogram the engine
-/// records, registered once at construction so the hot path is pure index
-/// arithmetic. `scan.*` metrics are population-determined and merge exactly
-/// across shard counts; `shard.*` metrics are scheduling-determined.
-struct Metrics {
-    registry: MetricsRegistry,
-    targets_sent: CounterId,
-    synacks_validated: CounterId,
-    refused: CounterId,
-    sessions_started: CounterId,
-    retransmits_detected: CounterId,
-    verify_acks_sent: CounterId,
-    /// Per-probe terminal outcomes, indexed by [`kind_index`].
-    probes: [CounterId; 4],
-    /// Per-session (primary-verdict) outcomes, indexed by [`kind_index`].
-    sessions_finished: [CounterId; 4],
-    rtt_nanos: HistogramId,
-    session_lifetime_nanos: HistogramId,
-    retransmit_bytes: HistogramId,
-    pace_ticks: CounterId,
-    token_wait_nanos: HistogramId,
-    live_peak: GaugeId,
-    syn_retries: CounterId,
-    probes_retried: CounterId,
-    /// Eviction is scheduling-determined (which session is oldest depends
-    /// on shard interleaving), so it lives in the shard scope and stays
-    /// out of the canonical cross-shard snapshot.
-    sessions_evicted: CounterId,
-    watchdog_forced: CounterId,
-    icmp_unreachable: CounterId,
-    /// Terminal `ProbeOutcome::Error` kinds, indexed by [`ErrorKind::index`].
-    error_kinds: [CounterId; 6],
-    /// ICMP control-plane harvest: every message, unreachable subtypes
-    /// (indexed by [`IcmpHarvest::unreachable_code_index`]), frag-needed.
-    icmp_messages: CounterId,
-    icmp_unreachable_codes: [CounterId; 4],
-    icmp_frag_needed: CounterId,
-    icmp_source_quench: CounterId,
-    /// Stateless-first discovery accounting (Scan scope: responses are
-    /// population-determined) plus the per-shard state-peak gauge.
-    discovery_syns: CounterId,
-    discovery_retries: CounterId,
-    discovery_validated: CounterId,
-    discovery_promoted: CounterId,
-    discovery_duplicates: CounterId,
-    discovery_cookie_mismatch: CounterId,
-    discovery_raw_isn_echo: CounterId,
-    discovery_spoofed_rst: CounterId,
-    discovery_state_peak: GaugeId,
-    /// RSTs dropped on any verdict path for failing cookie validation.
-    rst_ignored: CounterId,
-    /// Durable-campaign accounting. Shard-scoped: capture cadence and
-    /// drain pressure depend on per-shard event interleaving.
-    checkpoints_taken: CounterId,
-    checkpoint_drain_forced: CounterId,
-    /// Flight-recorder dumps (sessions that ended in an error).
-    flight_dumps: CounterId,
-    /// Span-tracer accounting, folded in at harvest.
-    trace_spans_scan: CounterId,
-    trace_spans_shard: CounterId,
-    trace_span_nanos: HistogramId,
-    /// Event-loop kernel counters, filled from `SimStats` at harvest.
-    /// Shard-scoped: each shard runs its own simulator instance.
-    sim_events: CounterId,
-    sim_packets: CounterId,
-    sim_pool_allocations: CounterId,
-    sim_pool_recycled: CounterId,
-    sim_pool_outstanding: GaugeId,
-}
-
-impl Metrics {
-    fn new() -> Metrics {
-        let mut r = MetricsRegistry::new();
-        let targets_sent = r.register_counter(&manifest::SCAN_TARGETS_SENT);
-        let synacks_validated = r.register_counter(&manifest::SCAN_SYNACKS_VALIDATED);
-        let refused = r.register_counter(&manifest::SCAN_REFUSED);
-        let sessions_started = r.register_counter(&manifest::SCAN_SESSIONS_STARTED);
-        let retransmits_detected = r.register_counter(&manifest::SCAN_RETRANSMITS_DETECTED);
-        let verify_acks_sent = r.register_counter(&manifest::SCAN_VERIFY_ACKS_SENT);
-        let probes = manifest::PROBE_OUTCOME_COUNTERS.map(|def| r.register_counter(def));
-        let sessions_finished =
-            manifest::SESSION_OUTCOME_COUNTERS.map(|def| r.register_counter(def));
-        let rtt_nanos = r.register_histogram(&manifest::SCAN_RTT_NANOS);
-        let session_lifetime_nanos = r.register_histogram(&manifest::SCAN_SESSION_LIFETIME_NANOS);
-        let retransmit_bytes = r.register_histogram(&manifest::SCAN_RETRANSMIT_BYTES_IN_FLIGHT);
-        let pace_ticks = r.register_counter(&manifest::SHARD_PACE_TICKS);
-        let token_wait_nanos = r.register_histogram(&manifest::SHARD_PACE_TOKEN_WAIT_NANOS);
-        let live_peak = r.register_gauge(&manifest::SHARD_SESSIONS_LIVE_PEAK);
-        let syn_retries = r.register_counter(&manifest::SCAN_SYN_RETRIES);
-        let probes_retried = r.register_counter(&manifest::SCAN_PROBES_RETRIED);
-        let sessions_evicted = r.register_counter(&manifest::SCAN_SESSIONS_EVICTED);
-        let watchdog_forced = r.register_counter(&manifest::SCAN_SESSIONS_WATCHDOG_FORCED);
-        let icmp_unreachable = r.register_counter(&manifest::SCAN_ICMP_UNREACHABLE);
-        let error_kinds = manifest::ERROR_KIND_COUNTERS.map(|def| r.register_counter(def));
-        let icmp_messages = r.register_counter(&manifest::SCAN_ICMP_MESSAGES);
-        let icmp_unreachable_codes =
-            manifest::ICMP_UNREACHABLE_CODE_COUNTERS.map(|def| r.register_counter(def));
-        let icmp_frag_needed = r.register_counter(&manifest::SCAN_ICMP_FRAG_NEEDED);
-        let icmp_source_quench = r.register_counter(&manifest::SCAN_ICMP_SOURCE_QUENCH);
-        let discovery_syns = r.register_counter(&manifest::SCAN_DISCOVERY_SYNS);
-        let discovery_retries = r.register_counter(&manifest::SCAN_DISCOVERY_RETRIES);
-        let discovery_validated = r.register_counter(&manifest::SCAN_DISCOVERY_VALIDATED);
-        let discovery_promoted = r.register_counter(&manifest::SCAN_DISCOVERY_PROMOTED);
-        let discovery_duplicates = r.register_counter(&manifest::SCAN_DISCOVERY_DUPLICATES);
-        let discovery_cookie_mismatch =
-            r.register_counter(&manifest::SCAN_DISCOVERY_COOKIE_MISMATCH);
-        let discovery_raw_isn_echo = r.register_counter(&manifest::SCAN_DISCOVERY_RAW_ISN_ECHO);
-        let discovery_spoofed_rst = r.register_counter(&manifest::SCAN_DISCOVERY_SPOOFED_RST);
-        let discovery_state_peak = r.register_gauge(&manifest::SCAN_DISCOVERY_STATE_PEAK);
-        let rst_ignored = r.register_counter(&manifest::SCAN_RST_IGNORED);
-        let checkpoints_taken = r.register_counter(&manifest::SCAN_CHECKPOINTS_TAKEN);
-        let checkpoint_drain_forced = r.register_counter(&manifest::SCAN_CHECKPOINT_DRAIN_FORCED);
-        let flight_dumps = r.register_counter(&manifest::SCAN_FLIGHT_DUMPS);
-        let trace_spans_scan = r.register_counter(&manifest::TRACE_SPANS_SCAN);
-        let trace_spans_shard = r.register_counter(&manifest::TRACE_SPANS_SHARD);
-        let trace_span_nanos = r.register_histogram(&manifest::TRACE_SPAN_NANOS);
-        let sim_events = r.register_counter(&manifest::SIM_QUEUE_EVENTS);
-        let sim_packets = r.register_counter(&manifest::SIM_QUEUE_PACKETS);
-        let sim_pool_allocations = r.register_counter(&manifest::SIM_QUEUE_POOL_ALLOCATIONS);
-        let sim_pool_recycled = r.register_counter(&manifest::SIM_QUEUE_POOL_RECYCLED);
-        let sim_pool_outstanding = r.register_gauge(&manifest::SIM_QUEUE_POOL_OUTSTANDING);
-        Metrics {
-            registry: r,
-            targets_sent,
-            synacks_validated,
-            refused,
-            sessions_started,
-            retransmits_detected,
-            verify_acks_sent,
-            probes,
-            sessions_finished,
-            rtt_nanos,
-            session_lifetime_nanos,
-            retransmit_bytes,
-            pace_ticks,
-            token_wait_nanos,
-            live_peak,
-            syn_retries,
-            probes_retried,
-            sessions_evicted,
-            watchdog_forced,
-            icmp_unreachable,
-            error_kinds,
-            icmp_messages,
-            icmp_unreachable_codes,
-            icmp_frag_needed,
-            icmp_source_quench,
-            discovery_syns,
-            discovery_retries,
-            discovery_validated,
-            discovery_promoted,
-            discovery_duplicates,
-            discovery_cookie_mismatch,
-            discovery_raw_isn_echo,
-            discovery_spoofed_rst,
-            discovery_state_peak,
-            rst_ignored,
-            checkpoints_taken,
-            checkpoint_drain_forced,
-            flight_dumps,
-            trace_spans_scan,
-            trace_spans_shard,
-            trace_span_nanos,
-            sim_events,
-            sim_packets,
-            sim_pool_allocations,
-            sim_pool_recycled,
-            sim_pool_outstanding,
-        }
+/// The `scan.probes.error_kinds.*` counter of an [`ErrorKind`].
+fn error_counter(kind: ErrorKind) -> Counter {
+    match kind {
+        ErrorKind::MidConnectionReset => Counter::ErrMidConnectionReset,
+        ErrorKind::Malformed => Counter::ErrMalformed,
+        ErrorKind::Inconsistent => Counter::ErrInconsistent,
+        ErrorKind::HandshakeTimeout => Counter::ErrHandshakeTimeout,
+        ErrorKind::CollectTimeout => Counter::ErrCollectTimeout,
+        ErrorKind::IcmpUnreachable => Counter::ErrIcmpUnreachable,
     }
 }
 
@@ -701,7 +441,10 @@ pub struct Scanner {
     /// the IPv4 ident, the source port (discovery: the attempt) and the
     /// cookie ISN are patched in.
     syn_template: SynTemplate,
-    metrics: Metrics,
+    /// Every manifest metric, recorded through its `Counter`/`Gauge`/`Hist`
+    /// variant. `Scope::Scan` metrics are population-determined and merge
+    /// exactly across shard counts; `Scope::Shard` ones depend on scheduling.
+    metrics: MetricsRegistry,
     events: EventLog,
     /// SYN send times for RTT measurement (populated only when
     /// `telemetry.record_rtt`; entries are consumed on first response).
@@ -820,7 +563,7 @@ impl Scanner {
             refused: 0,
             ident: 1,
             syn_template,
-            metrics: Metrics::new(),
+            metrics: MetricsRegistry::from_manifest(),
             events,
             syn_ts: IpMap::new(),
             monitor,
@@ -911,19 +654,16 @@ impl Scanner {
     /// event loop drains.
     pub fn note_sim_stats(&mut self, stats: &iw_netsim::sim::SimStats) {
         let m = &mut self.metrics;
-        m.registry.add(m.sim_events, stats.events);
-        m.registry
-            .add(m.sim_packets, stats.scanner_rx + stats.host_rx);
-        m.registry
-            .add(m.sim_pool_allocations, stats.pool_allocations);
-        m.registry.add(m.sim_pool_recycled, stats.pool_recycled);
-        m.registry
-            .gauge_set(m.sim_pool_outstanding, stats.pool_outstanding);
+        m.add(Counter::SimEvents, stats.events);
+        m.add(Counter::SimPackets, stats.scanner_rx + stats.host_rx);
+        m.add(Counter::SimPoolAllocations, stats.pool_allocations);
+        m.add(Counter::SimPoolRecycled, stats.pool_recycled);
+        m.gauge_set(Gauge::SimPoolOutstanding, stats.pool_outstanding);
     }
 
     /// Frozen metrics snapshot (merge across shards via [`Snapshot::merge`]).
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.metrics.registry.snapshot()
+        self.metrics.snapshot()
     }
 
     /// Take the session event log (leaves a disabled, empty log behind).
@@ -960,22 +700,17 @@ impl Scanner {
         self.tracer.merge(&sim_tracer);
         if self.tracer.is_enabled() {
             let m = &mut self.metrics;
-            m.registry
-                .add(m.trace_spans_scan, self.tracer.scan_span_count());
-            m.registry
-                .add(m.trace_spans_shard, self.tracer.shard_span_total());
+            m.add(Counter::TraceSpansScan, self.tracer.scan_span_count());
+            m.add(Counter::TraceSpansShard, self.tracer.shard_span_total());
             for s in self.tracer.spans() {
-                m.registry.observe(m.trace_span_nanos, s.dur_nanos);
+                m.observe(Hist::SpanNanos, s.dur_nanos);
             }
         }
         if let Some(mut monitor) = self.monitor.take() {
             let sample = self.progress_sample(now);
             let errors: Vec<(&'static str, u64)> = ErrorKind::ALL
                 .iter()
-                .map(|k| {
-                    let id = self.metrics.error_kinds[k.index()];
-                    (k.name(), self.metrics.registry.counter_value(id))
-                })
+                .map(|k| (k.name(), self.metrics.counter_value(error_counter(*k))))
                 .collect();
             match self.monitor_sink {
                 MonitorSink::Stdout => monitor.final_report(&sample, &errors, &mut StdoutSink),
@@ -988,7 +723,7 @@ impl Scanner {
             self.monitor = Some(monitor);
         }
         if self.sink.is_enabled() {
-            let snap = self.metrics.registry.snapshot();
+            let snap = self.metrics.snapshot();
             self.sink
                 .note_snapshot(now.as_nanos(), self.config.shard.0, &snap);
         }
@@ -1014,7 +749,7 @@ impl Scanner {
         let mut sessions: Vec<u32> = self.sessions.iter().map(|(ip, _)| ip).collect();
         sessions.extend(self.mtu_states.iter().map(|(ip, _)| ip));
         sessions.sort_unstable();
-        let snap = self.metrics.registry.snapshot();
+        let snap = self.metrics.snapshot();
         let counters: Vec<(String, u64)> = snap
             .counters
             .iter()
@@ -1047,7 +782,7 @@ impl Scanner {
     /// validation captures do not count — a resumed run only has to
     /// reproduce the periodic cadence to stay byte-identical.
     pub fn note_checkpoint_taken(&mut self) {
-        self.metrics.registry.inc(self.metrics.checkpoints_taken);
+        self.metrics.inc(Counter::CheckpointsTaken);
     }
 
     /// Graceful-shutdown drain: stop target generation, drop every queued
@@ -1069,8 +804,8 @@ impl Scanner {
             .chain(&mut self.discovery_retry_queues)
             .map(RetryQueue::clear)
             .sum();
-        self.metrics.registry.add(
-            self.metrics.checkpoint_drain_forced,
+        self.metrics.add(
+            Counter::CheckpointDrainForced,
             (dropped_retries + self.promotions.len()) as u64,
         );
         self.promotions.clear();
@@ -1084,18 +819,14 @@ impl Scanner {
                 continue;
             };
             let out = session.force_conclude(ErrorKind::CollectTimeout);
-            self.metrics
-                .registry
-                .inc(self.metrics.checkpoint_drain_forced);
+            self.metrics.inc(Counter::CheckpointDrainForced);
             self.apply_session_output(ip, out, now, fx);
         }
         let mut mtu_ips: Vec<u32> = self.mtu_states.iter().map(|(ip, _)| ip).collect();
         mtu_ips.sort_unstable();
         for ip in mtu_ips {
             self.mtu_states.remove(ip);
-            self.metrics
-                .registry
-                .inc(self.metrics.checkpoint_drain_forced);
+            self.metrics.inc(Counter::CheckpointDrainForced);
         }
     }
 
@@ -1115,7 +846,7 @@ impl Scanner {
         if self.exhausted {
             return;
         }
-        self.metrics.registry.inc(self.metrics.pace_ticks);
+        self.metrics.inc(Counter::PaceTicks);
         // Per tick, ask for this shard's slice of the rate (the bucket
         // carries `shard_rate(..)`, not the global figure).
         let want = (self.bucket.rate_pps() / 200).max(1);
@@ -1134,8 +865,8 @@ impl Scanner {
         }
         if grant < want {
             // The bucket throttled us: record how long until the next token.
-            self.metrics.registry.observe(
-                self.metrics.token_wait_nanos,
+            self.metrics.observe(
+                Hist::PaceTokenWaitNanos,
                 self.bucket.next_available().as_nanos(),
             );
         }
@@ -1149,7 +880,7 @@ impl Scanner {
                     continue;
                 }
                 self.targets_sent += 1;
-                self.metrics.registry.inc(self.metrics.targets_sent);
+                self.metrics.inc(Counter::TargetsSent);
                 if let Some(d) = domain {
                     self.domains.insert(ip, d);
                 }
@@ -1183,7 +914,7 @@ impl Scanner {
                 // stamp, no recorder ring — a target earns table memory
                 // only at promotion. Its retransmission is one FIFO entry
                 // whose level names the attempt.
-                self.metrics.registry.inc(self.metrics.discovery_syns);
+                self.metrics.inc(Counter::DiscoverySyns);
                 self.emit_discovery_syn(ip, 0, fx);
                 if self.discovery_retry_budget() > 0 {
                     self.queue_retry(DISCOVERY_NS, 0, ip, now, fx);
@@ -1313,7 +1044,7 @@ impl Scanner {
         }
         debug_assert!(!self.sessions.contains_key(ip) && !self.pending.contains_key(ip));
         let attempt = level as u32 + 1;
-        self.metrics.registry.inc(self.metrics.discovery_retries);
+        self.metrics.inc(Counter::DiscoveryRetries);
         self.emit_discovery_syn(ip, attempt, fx);
         if attempt < self.discovery_retry_budget() {
             self.queue_retry(DISCOVERY_NS, level + 1, ip, now, fx);
@@ -1351,24 +1082,20 @@ impl Scanner {
                         tcp::Segment::bare(seg.dst_port, seg.src_port, seg.ack, 0, Flags::RST, 0);
                     fx.send(rst.datagram(self.config.source, src, &mut self.ident, fx.buffer()));
                     if self.discovered.contains_key(ip) {
-                        self.metrics.registry.inc(self.metrics.discovery_duplicates);
+                        self.metrics.inc(Counter::DiscoveryDuplicates);
                         return;
                     }
                     self.discovered.insert(ip, attempt);
-                    self.metrics.registry.inc(self.metrics.discovery_validated);
+                    self.metrics.inc(Counter::DiscoveryValidated);
                     self.promotions.push_back(ip);
                     self.note_discovery_state();
                     self.try_drain_promotions(now, fx);
                 }
                 SynAckCheck::RawIsnEcho => {
-                    self.metrics
-                        .registry
-                        .inc(self.metrics.discovery_raw_isn_echo);
+                    self.metrics.inc(Counter::DiscoveryRawIsnEcho);
                 }
                 SynAckCheck::Mismatch => {
-                    self.metrics
-                        .registry
-                        .inc(self.metrics.discovery_cookie_mismatch);
+                    self.metrics.inc(Counter::DiscoveryCookieMismatch);
                 }
             }
         } else if seg.flags.contains(Flags::RST) {
@@ -1376,9 +1103,7 @@ impl Scanner {
                 .cookie
                 .validate(ip, seg.dst_port, seg.src_port, seg.ack)
             {
-                self.metrics
-                    .registry
-                    .inc(self.metrics.discovery_spoofed_rst);
+                self.metrics.inc(Counter::DiscoverySpoofedRst);
                 return;
             }
             if self.discovered.contains_key(ip) {
@@ -1388,7 +1113,7 @@ impl Scanner {
             // closed — same as the stateful path, no promotion needed.
             self.discovered.insert(ip, attempt);
             self.refused += 1;
-            self.metrics.registry.inc(self.metrics.refused);
+            self.metrics.inc(Counter::Refused);
             self.observe_event(ip, SessionEvent::Refused, now);
             self.sink.note_result(now.as_nanos(), ip, "refused");
             self.recorder.conclude(ip, now.as_nanos(), None);
@@ -1413,7 +1138,7 @@ impl Scanner {
             }
             self.promotions.pop_front();
             self.promoted_inflight.insert(ip, ());
-            self.metrics.registry.inc(self.metrics.discovery_promoted);
+            self.metrics.inc(Counter::DiscoveryPromoted);
             self.send_stateful_syn(ip, now, fx);
             self.note_discovery_state();
         }
@@ -1440,9 +1165,7 @@ impl Scanner {
     /// [`Self::retry_backlog`].)
     fn note_discovery_state(&mut self) {
         let footprint = (self.promotions.len() + self.promoted_inflight.len()) as u64;
-        self.metrics
-            .registry
-            .gauge_set(self.metrics.discovery_state_peak, footprint);
+        self.metrics.gauge_set(Gauge::DiscoveryStatePeak, footprint);
     }
 
     /// Emit the stateless (probe 0, conn 0) SYN for a target. Retries use
@@ -1477,7 +1200,7 @@ impl Scanner {
                 .recorder
                 .conclude(ip, now.as_nanos(), Some("handshake_timeout"))
             {
-                self.metrics.registry.inc(self.metrics.flight_dumps);
+                self.metrics.inc(Counter::FlightDumps);
             }
             self.promotion_slot_freed(ip, now, fx);
             return;
@@ -1616,9 +1339,7 @@ impl Scanner {
             for (_, outcomes) in &result.runs {
                 for o in outcomes {
                     if let ProbeOutcome::Error { kind } = o {
-                        self.metrics
-                            .registry
-                            .inc(self.metrics.error_kinds[kind.index()]);
+                        self.metrics.inc(error_counter(*kind));
                         first_error = first_error.or(Some(*kind));
                     }
                 }
@@ -1645,13 +1366,12 @@ impl Scanner {
                 None => first_error.map(ErrorKind::name),
             };
             if self.recorder.conclude(ip, now.as_nanos(), error_name) {
-                self.metrics.registry.inc(self.metrics.flight_dumps);
+                self.metrics.inc(Counter::FlightDumps);
             }
             self.results.push(result);
             self.sessions.remove(ip);
             self.metrics
-                .registry
-                .gauge_set(self.metrics.live_peak, self.sessions.len() as u64);
+                .gauge_set(Gauge::SessionsLivePeak, self.sessions.len() as u64);
             // Lazily compact the eviction deque: normally-concluded
             // sessions leave stale entries behind, and without this the
             // deque grows O(total sessions started) over a long
@@ -1678,29 +1398,29 @@ impl Scanner {
             SessionEvent::RetransmitDetected {
                 bytes_in_flight, ..
             } => {
-                m.registry.inc(m.retransmits_detected);
-                m.registry.observe(m.retransmit_bytes, bytes_in_flight);
+                m.inc(Counter::RetransmitsDetected);
+                m.observe(Hist::RetransmitBytesInFlight, bytes_in_flight);
             }
-            SessionEvent::VerifyAckSent { .. } => m.registry.inc(m.verify_acks_sent),
+            SessionEvent::VerifyAckSent { .. } => m.inc(Counter::VerifyAcksSent),
             SessionEvent::ProbeConcluded { outcome, .. } => {
-                m.registry.inc(m.probes[kind_index(outcome)]);
+                m.inc(outcome_counters(outcome).0);
             }
             SessionEvent::SessionFinished { outcome } => {
-                m.registry.inc(m.sessions_finished[kind_index(outcome)]);
+                m.inc(outcome_counters(outcome).1);
                 // The session is still in the map here (removal happens
                 // after its events are folded in).
                 if let Some(session) = self.sessions.get(ip) {
-                    m.registry.observe(
-                        m.session_lifetime_nanos,
+                    m.observe(
+                        Hist::SessionLifetimeNanos,
                         (now - session.started()).as_nanos(),
                     );
                 }
             }
-            SessionEvent::SynRetried { .. } => m.registry.inc(m.syn_retries),
-            SessionEvent::ProbeRetried { .. } => m.registry.inc(m.probes_retried),
-            SessionEvent::WatchdogForced => m.registry.inc(m.watchdog_forced),
-            SessionEvent::SessionEvicted => m.registry.inc(m.sessions_evicted),
-            SessionEvent::IcmpUnreachable => m.registry.inc(m.icmp_unreachable),
+            SessionEvent::SynRetried { .. } => m.inc(Counter::SynRetries),
+            SessionEvent::ProbeRetried { .. } => m.inc(Counter::ProbesRetried),
+            SessionEvent::WatchdogForced => m.inc(Counter::SessionsWatchdogForced),
+            SessionEvent::SessionEvicted => m.inc(Counter::SessionsEvicted),
+            SessionEvent::IcmpUnreachable => m.inc(Counter::IcmpUnreachable),
             _ => {}
         }
         self.observe_event(ip, ev, now);
@@ -1722,8 +1442,7 @@ impl Scanner {
                     self.tracer.close(ip, 1, n, "probe", u64::from(probe));
                 }
                 SessionEvent::SessionFinished { outcome } => {
-                    self.tracer
-                        .close(ip, 2, n, "session", kind_index(outcome) as u64);
+                    self.tracer.close(ip, 2, n, "session", outcome as u64);
                     self.tracer.discard(ip, 1);
                 }
                 _ => {}
@@ -1738,9 +1457,7 @@ impl Scanner {
     fn consume_syn_ts(&mut self, ip: u32, now: Instant) {
         if let Some(t0) = self.syn_ts.remove(ip) {
             if self.config.telemetry.record_rtt {
-                self.metrics
-                    .registry
-                    .observe(self.metrics.rtt_nanos, (now - t0).as_nanos());
+                self.metrics.observe(Hist::RttNanos, (now - t0).as_nanos());
             }
             self.tracer
                 .record_scan(t0.as_nanos(), now.as_nanos(), ip, "handshake", 0);
@@ -1760,7 +1477,7 @@ impl Scanner {
                 && seg.flags.contains(Flags::ACK)
                 && self.cookie.validate(ip, sport, seg.src_port, seg.ack)
             {
-                self.metrics.registry.inc(self.metrics.synacks_validated);
+                self.metrics.inc(Counter::SynacksValidated);
                 self.consume_syn_ts(ip, now);
                 self.pending.remove(ip);
                 self.observe_event(ip, SessionEvent::SynAckValidated, now);
@@ -1774,11 +1491,11 @@ impl Scanner {
                 // SYN-ACK path: a RST acks our ISN+1 iff it answers our
                 // SYN. Spoofed/backscatter RSTs produce no verdict.
                 if !self.cookie.validate(ip, sport, seg.src_port, seg.ack) {
-                    self.metrics.registry.inc(self.metrics.rst_ignored);
+                    self.metrics.inc(Counter::RstIgnored);
                     return;
                 }
                 self.refused += 1;
-                self.metrics.registry.inc(self.metrics.refused);
+                self.metrics.inc(Counter::Refused);
                 self.syn_ts.remove(ip);
                 self.pending.remove(ip);
                 self.observe_event(ip, SessionEvent::Refused, now);
@@ -1815,13 +1532,13 @@ impl Scanner {
             if cap > 0 && self.sessions.len() >= cap {
                 self.evict_oldest(now, fx);
             }
-            self.metrics.registry.inc(self.metrics.synacks_validated);
+            self.metrics.inc(Counter::SynacksValidated);
             self.consume_syn_ts(ip, now);
             self.pending.remove(ip);
             // The in-flight slot becomes the session's slot (net
             // occupancy unchanged, so no promotion drain here).
             self.promoted_inflight.remove(ip);
-            self.metrics.registry.inc(self.metrics.sessions_started);
+            self.metrics.inc(Counter::SessionsStarted);
             self.observe_event(ip, SessionEvent::SynAckValidated, now);
             self.observe_event(ip, SessionEvent::SessionStarted, now);
             let domain = self.domains.get(ip).cloned();
@@ -1843,19 +1560,18 @@ impl Scanner {
                 fx.arm(deadline, WATCHDOG_NS | u64::from(ip));
             }
             self.metrics
-                .registry
-                .gauge_set(self.metrics.live_peak, self.sessions.len() as u64);
+                .gauge_set(Gauge::SessionsLivePeak, self.sessions.len() as u64);
             self.apply_session_output(ip, out, now, fx);
         } else if seg.flags.contains(Flags::RST) && seg.dst_port == sport {
             if !self.cookie.validate(ip, sport, dport, seg.ack) {
                 // Reached our port but does not ack our cookie: spoofed
                 // or stale — drop without a verdict (mirrors the
                 // PortScan-path gate).
-                self.metrics.registry.inc(self.metrics.rst_ignored);
+                self.metrics.inc(Counter::RstIgnored);
                 return;
             }
             self.refused += 1;
-            self.metrics.registry.inc(self.metrics.refused);
+            self.metrics.inc(Counter::Refused);
             self.syn_ts.remove(ip);
             self.pending.remove(ip);
             self.observe_event(ip, SessionEvent::Refused, now);
@@ -1873,15 +1589,16 @@ impl Scanner {
             elapsed_nanos: now.as_nanos(),
             targets_sent: self.targets_sent,
             targets_total: self.targets_total,
-            hits: m.registry.counter_value(m.synacks_validated) + self.mtu_results.len() as u64,
+            hits: m.counter_value(Counter::SynacksValidated) + self.mtu_results.len() as u64,
             live_sessions: (self.sessions.len() + self.mtu_states.len()) as u64,
             configured_pps: self.config.rate_pps,
             verdicts: [
-                m.registry.counter_value(m.sessions_finished[0]),
-                m.registry.counter_value(m.sessions_finished[1]),
-                m.registry.counter_value(m.sessions_finished[2]),
-                m.registry.counter_value(m.sessions_finished[3]),
-            ],
+                OutcomeKind::Success,
+                OutcomeKind::FewData,
+                OutcomeKind::Error,
+                OutcomeKind::Unreachable,
+            ]
+            .map(|k| m.counter_value(outcome_counters(k).1)),
         }
     }
 
@@ -1917,7 +1634,7 @@ impl Scanner {
         let Some(interval) = self.config.telemetry.stream else {
             return;
         };
-        let snap = self.metrics.registry.snapshot();
+        let snap = self.metrics.snapshot();
         self.sink
             .note_snapshot(now.as_nanos(), self.config.shard.0, &snap);
         if !(self.exhausted && self.sessions.is_empty()) {
@@ -1930,24 +1647,22 @@ impl Scanner {
         // Control-plane harvest: classify every ICMP message before any
         // mode-specific handling, so the `scan.icmp.*` family and the
         // manifest section see the scan's full side-traffic.
-        self.metrics.registry.inc(self.metrics.icmp_messages);
+        self.metrics.inc(Counter::IcmpMessages);
         match msg {
             icmp::Message::DstUnreachable { code } => {
                 self.icmp_harvest.note_unreachable(ip, *code);
-                self.metrics.registry.inc(
-                    self.metrics.icmp_unreachable_codes[IcmpHarvest::unreachable_code_index(*code)],
-                );
+                self.metrics.inc(IcmpHarvest::unreachable_counter(*code));
             }
             icmp::Message::FragNeeded { .. } => {
                 self.icmp_harvest.note_frag_needed(ip);
-                self.metrics.registry.inc(self.metrics.icmp_frag_needed);
+                self.metrics.inc(Counter::IcmpFragNeeded);
             }
             icmp::Message::EchoReply { .. } => self.icmp_harvest.note_echo_reply(ip),
             icmp::Message::SourceQuench => {
                 // Advisory rate-limiting signature (RFC 6633 deprecates
                 // acting on it): classify, never fast-fail the target.
                 self.icmp_harvest.note_source_quench(ip);
-                self.metrics.registry.inc(self.metrics.icmp_source_quench);
+                self.metrics.inc(Counter::IcmpSourceQuench);
             }
             _ => self.icmp_harvest.note_other(ip),
         }
@@ -1977,7 +1692,7 @@ impl Scanner {
                     .recorder
                     .conclude(ip, now.as_nanos(), Some("icmp_unreachable"))
                 {
-                    self.metrics.registry.inc(self.metrics.flight_dumps);
+                    self.metrics.inc(Counter::FlightDumps);
                 }
                 self.promotion_slot_freed(ip, now, fx);
             }
@@ -2166,33 +1881,11 @@ mod tests {
 
     #[test]
     fn manifest_error_kind_counters_match_error_kind_order() {
-        // The scanner indexes `Metrics::error_kinds` by `ErrorKind::index()`,
-        // so the manifest block must enumerate the kinds in exactly that
-        // order, under the names `scan.probes.error_kinds.<kind name>`.
-        assert_eq!(manifest::ERROR_KIND_COUNTERS.len(), ErrorKind::ALL.len());
-        for (def, kind) in manifest::ERROR_KIND_COUNTERS.iter().zip(ErrorKind::ALL) {
-            assert_eq!(
-                def.name,
-                format!("scan.probes.error_kinds.{}", kind.name()),
-                "manifest order drifted from ErrorKind::index()"
-            );
+        // Each kind counts into the manifest row named after it.
+        for kind in ErrorKind::ALL {
+            let (_, name, _) = iw_telemetry::manifest::COUNTERS[error_counter(kind) as usize];
+            assert_eq!(name, format!("scan.probes.error_kinds.{}", kind.name()));
         }
-    }
-
-    #[test]
-    fn every_manifest_metric_is_registered_by_the_scanner() {
-        // 100 % manifest coverage: the engine registers every declared
-        // metric, so snapshots (and the iw-lint conformance rule) see the
-        // same universe of names in one place.
-        let snap = Metrics::new().registry.snapshot();
-        for def in manifest::ALL {
-            let present = snap.counters.contains_key(def.name)
-                || snap.gauges.contains_key(def.name)
-                || snap.histograms.contains_key(def.name);
-            assert!(present, "manifest metric {} never registered", def.name);
-        }
-        let total = snap.counters.len() + snap.gauges.len() + snap.histograms.len();
-        assert_eq!(total, manifest::ALL.len(), "undeclared metric registered");
     }
 
     #[test]

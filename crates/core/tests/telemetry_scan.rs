@@ -5,8 +5,10 @@
 //! metrics and event-log summaries must be byte-identical between a
 //! sharded run and a single-thread run of the same scan.
 
-use iw_core::telemetry::OutcomeKind;
-use iw_core::{MonitorSink, MonitorSpec, Protocol, ScanConfig, ScanRunner, Topology};
+use iw_core::telemetry::{manifest, OutcomeKind, Scope};
+use iw_core::{
+    MonitorSink, MonitorSpec, Protocol, ResilienceConfig, ScanConfig, ScanRunner, Topology,
+};
 use iw_internet::{Population, PopulationConfig};
 use iw_netsim::Duration;
 use std::sync::Arc;
@@ -186,4 +188,48 @@ fn config_record_trace_captures_the_scan() {
     config.record_trace = false;
     let quiet = ScanRunner::new(&pop).config(config).run();
     assert!(quiet.trace.is_empty());
+}
+
+#[test]
+fn a_scan_snapshot_holds_exactly_the_manifest() {
+    // Every metric a scan reports is a manifest row, and every row is
+    // reported: a registration by name anywhere in a scan's life (or a
+    // row the registry skipped) makes the two sets differ.
+    let pop = population(0x5ca7, 1 << 14, 300);
+    let mut config = telemetry_config(pop.space_size(), 0x5ca7);
+    config.stateless_first = true;
+    config.resilience = ResilienceConfig::hardened();
+    let out = ScanRunner::new(&pop)
+        .config(config)
+        .topology(Topology::threads(2))
+        .run();
+    let m = &out.telemetry.metrics;
+    assert!(
+        m.counter("scan.discovery.promoted") > 0,
+        "the scan did work"
+    );
+    let mut reported: Vec<(&str, &str, Scope)> = m
+        .counters
+        .iter()
+        .map(|(name, (scope, _))| (name.as_str(), "counter", *scope))
+        .chain(m.gauges.iter().map(|(n, (s, _))| (n.as_str(), "gauge", *s)))
+        .chain(
+            m.histograms
+                .iter()
+                .map(|(n, h)| (n.as_str(), "histogram", h.scope)),
+        )
+        .collect();
+    let mut declared: Vec<(&str, &str, Scope)> = manifest::COUNTERS
+        .iter()
+        .map(|&(_, name, scope)| (name, "counter", scope))
+        .chain(manifest::GAUGES.iter().map(|&(_, n, s)| (n, "gauge", s)))
+        .chain(
+            manifest::HISTOGRAMS
+                .iter()
+                .map(|&(_, n, s)| (n, "histogram", s)),
+        )
+        .collect();
+    declared.sort_by_key(|&(name, kind, _)| (kind, name));
+    reported.sort_by_key(|&(name, kind, _)| (kind, name));
+    assert_eq!(reported, declared);
 }

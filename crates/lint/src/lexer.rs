@@ -6,11 +6,8 @@
 //! line), nested block comments (`/* /* */ */`), and multi-line string
 //! literals. This module lexes whole files instead, producing
 //!
-//! * a token stream ([`Tok`]) with 1-based line numbers — what the
-//!   pattern rules match against,
-//! * blanked *code lines* (same line count as the input, comments
-//!   removed, literal contents erased) — for the line-oriented
-//!   metrics-manifest rule, and
+//! * a token stream ([`Tok`]) with 1-based line numbers — what every
+//!   rule matches against, and
 //! * the text of every line comment — where inline suppressions live.
 //!
 //! The lexer is deliberately not a full Rust frontend: it distinguishes
@@ -65,15 +62,12 @@ impl Tok {
 pub struct Lexed {
     /// The token stream, in source order.
     pub tokens: Vec<Tok>,
-    /// One entry per input line: the line with comments removed and
-    /// string/char-literal contents blanked.
-    pub code: Vec<String>,
     /// Every `//` line comment (doc comments included): its 1-based line
     /// and the text after the two slashes.
     pub comments: Vec<(usize, String)>,
 }
 
-/// Lex `content` into tokens plus blanked code lines.
+/// Lex `content` into tokens plus line comments.
 pub fn lex(content: &str) -> Lexed {
     Lexer::new(content).run()
 }
@@ -83,9 +77,7 @@ struct Lexer {
     i: usize,
     line: usize,
     tokens: Vec<Tok>,
-    code: Vec<String>,
     comments: Vec<(usize, String)>,
-    cur: String,
 }
 
 impl Lexer {
@@ -95,9 +87,7 @@ impl Lexer {
             i: 0,
             line: 1,
             tokens: Vec::new(),
-            code: Vec::new(),
             comments: Vec::new(),
-            cur: String::new(),
         }
     }
 
@@ -105,16 +95,12 @@ impl Lexer {
         self.chars.get(self.i + ahead).copied()
     }
 
-    /// Consume one character, maintaining the line counter and code
-    /// buffer (`emit` controls whether it lands in the code view).
-    fn bump(&mut self, emit: bool) -> Option<char> {
+    /// Consume one character, maintaining the line counter.
+    fn bump(&mut self) -> Option<char> {
         let c = *self.chars.get(self.i)?;
         self.i += 1;
         if c == '\n' {
-            self.code.push(std::mem::take(&mut self.cur));
             self.line += 1;
-        } else if emit {
-            self.cur.push(c);
         }
         Some(c)
     }
@@ -144,42 +130,37 @@ impl Lexer {
                 self.ident_or_prefixed_literal();
             } else {
                 let line = self.line;
-                self.bump(true);
+                self.bump();
                 if !c.is_whitespace() {
                     self.push_tok(Kind::Punct, c.to_string(), line);
                 }
             }
         }
-        // Final (unterminated) line.
-        self.code.push(std::mem::take(&mut self.cur));
         Lexed {
             tokens: self.tokens,
-            code: self.code,
             comments: self.comments,
         }
     }
 
     /// Nested block comment: `/* /* */ */` must consume both closers.
     fn block_comment(&mut self) {
-        self.bump(false);
-        self.bump(false);
-        // Keep tokens from gluing together across the removed span.
-        self.cur.push(' ');
+        self.bump();
+        self.bump();
         let mut depth = 1usize;
         while depth > 0 {
             match (self.peek(0), self.peek(1)) {
                 (Some('/'), Some('*')) => {
                     depth += 1;
-                    self.bump(false);
-                    self.bump(false);
+                    self.bump();
+                    self.bump();
                 }
                 (Some('*'), Some('/')) => {
                     depth -= 1;
-                    self.bump(false);
-                    self.bump(false);
+                    self.bump();
+                    self.bump();
                 }
                 (Some(_), _) => {
-                    self.bump(false);
+                    self.bump();
                 }
                 (None, _) => break,
             }
@@ -190,15 +171,15 @@ impl Lexer {
     /// raw strings, 0 plus `raw = false` for ordinary ones.
     fn string_contents(&mut self, raw: bool, hashes: usize) -> String {
         let mut text = String::new();
-        self.bump(true); // opening quote
+        self.bump(); // opening quote
         loop {
             match self.peek(0) {
                 None => break,
                 Some('\\') if !raw => {
-                    self.bump(false);
+                    self.bump();
                     if let Some(e) = self.peek(0) {
                         text.push(e);
-                        self.bump(false);
+                        self.bump();
                     }
                 }
                 Some('"') => {
@@ -212,22 +193,22 @@ impl Lexer {
                             }
                         }
                         if ok {
-                            self.bump(true);
+                            self.bump();
                             for _ in 0..hashes {
-                                self.bump(true);
+                                self.bump();
                             }
                             break;
                         }
                         text.push('"');
-                        self.bump(false);
+                        self.bump();
                     } else {
-                        self.bump(true);
+                        self.bump();
                         break;
                     }
                 }
                 Some(c) => {
                     text.push(c);
-                    self.bump(false);
+                    self.bump();
                 }
             }
         }
@@ -249,7 +230,7 @@ impl Lexer {
         }
         if self.peek(hashes) == Some('"') {
             for _ in 0..hashes {
-                self.bump(true);
+                self.bump();
             }
             Some(hashes)
         } else {
@@ -269,39 +250,38 @@ impl Lexer {
                 len += 1;
             }
             if self.peek(1 + len) != Some('\'') {
-                self.bump(true); // '
+                self.bump(); // '
                 let mut name = String::new();
                 for _ in 0..len {
                     if let Some(c) = self.peek(0) {
                         name.push(c);
                     }
-                    self.bump(true);
+                    self.bump();
                 }
                 self.push_tok(Kind::Lifetime, name, line);
                 return;
             }
         }
         // Char literal: consume to the closing quote, honoring escapes.
-        self.bump(false);
-        self.cur.push_str("' '");
+        self.bump();
         let mut text = String::new();
         loop {
             match self.peek(0) {
                 None => break,
                 Some('\\') => {
-                    self.bump(false);
+                    self.bump();
                     if let Some(e) = self.peek(0) {
                         text.push(e);
-                        self.bump(false);
+                        self.bump();
                     }
                 }
                 Some('\'') => {
-                    self.bump(false);
+                    self.bump();
                     break;
                 }
                 Some(c) => {
                     text.push(c);
-                    self.bump(false);
+                    self.bump();
                 }
             }
         }
@@ -314,14 +294,14 @@ impl Lexer {
         while let Some(c) = self.peek(0) {
             if c.is_alphanumeric() || c == '_' {
                 text.push(c);
-                self.bump(true);
+                self.bump();
             } else if c == '.'
                 && self.peek(1).is_some_and(|d| d.is_ascii_digit())
                 && !text.contains('.')
             {
                 // `1.5`, but not the range `0..n`.
                 text.push(c);
-                self.bump(true);
+                self.bump();
             } else {
                 break;
             }
@@ -335,7 +315,7 @@ impl Lexer {
         while let Some(c) = self.peek(0) {
             if c.is_alphanumeric() || c == '_' {
                 text.push(c);
-                self.bump(true);
+                self.bump();
             } else {
                 break;
             }
@@ -453,8 +433,6 @@ mod tests {
     fn multi_line_strings_span_lines() {
         let src = "let s = \"line one\n  SystemTime::now()\n\"; s.len()";
         assert_eq!(idents(src), ["let", "s", "s", "len"]);
-        // The code view still has one entry per input line.
-        assert_eq!(lex(src).code.len(), 3);
     }
 
     #[test]

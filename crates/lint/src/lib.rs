@@ -7,9 +7,6 @@
 //!   time; all time comes from the simulator's virtual clock.
 //! * **`no-unordered-iteration`** — result/analysis/telemetry paths
 //!   must not iterate hash containers (ordering leaks into output).
-//! * **`metrics-manifest`** — every metric call site must agree with
-//!   the single-source-of-truth manifest in
-//!   `crates/telemetry/src/manifest.rs` (name, kind, scope).
 //! * **`panic-budget`** — library code does not `unwrap`/`expect`/
 //!   `panic!` except at sites with a justified suppression.
 //! * **`rng-hygiene`** — randomness is always seeded from scan/session
@@ -27,18 +24,20 @@
 //!
 //! What the linter does *not* do, because something else does it
 //! better: allocations on the packet paths are counted at the allocator
-//! by `crates/core/tests/alloc_budget.rs`, and the session state
-//! machines are `const TRANSITIONS` tables next to their enums, asserted
-//! on every state change in debug builds and closed under a unit test
-//! each (DESIGN §13 has the decision record).
+//! by `crates/core/tests/alloc_budget.rs`; the session state machines
+//! are `const TRANSITIONS` tables next to their enums, asserted on every
+//! state change in debug builds and closed under a unit test each; and
+//! the metric set is written once, as enums and tables in
+//! `crates/telemetry/src/manifest.rs` that the compiler checks (DESIGN
+//! §13 has the decision records).
 //!
 //! ## Pipeline
 //!
 //! Every file is run through a small Rust lexer ([`lexer`], which
 //! handles nested block comments, raw strings, char literals and
-//! multi-line strings). Pattern rules match token subsequences, so
+//! multi-line strings). Every rule matches token subsequences, so
 //! formatting, comments and string contents can neither hide nor fake a
-//! violation; `metrics-manifest` reads the blanked code lines.
+//! violation.
 //!
 //! ## Suppressions
 //!
@@ -78,10 +77,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "no-unordered-iteration",
         "output paths must not iterate hash containers",
-    ),
-    (
-        "metrics-manifest",
-        "metric call sites must match the telemetry manifest",
     ),
     (
         "panic-budget",
@@ -151,11 +146,7 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Raw lines, as read.
     pub raw: Vec<String>,
-    /// Lines with comments removed and string-literal contents blanked
-    /// (derived from the lexer) — for line-oriented checks and
-    /// snippets.
-    pub code: Vec<String>,
-    /// The token stream — what pattern rules match against.
+    /// The token stream — what the rules match against.
     pub tokens: Vec<lexer::Tok>,
     /// Inline suppressions: the 0-based line and rule name of every
     /// line comment that starts with `iw-lint: allow(<rule>)`.
@@ -172,11 +163,6 @@ impl SourceFile {
     pub fn parse(rel_path: &str, content: &str) -> SourceFile {
         let raw: Vec<String> = content.lines().map(str::to_owned).collect();
         let lexed = lexer::lex(content);
-        let mut code = lexed.code;
-        // The lexer counts a trailing newline as starting one more
-        // (empty) line than `str::lines` reports; keep them aligned.
-        code.truncate(raw.len().max(1));
-        code.resize(raw.len(), String::new());
         let test_start = raw
             .iter()
             .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
@@ -192,7 +178,6 @@ impl SourceFile {
         SourceFile {
             rel_path: rel_path.to_owned(),
             raw,
-            code,
             tokens: lexed.tokens,
             allows,
             test_start,
@@ -250,11 +235,6 @@ pub struct LintConfig {
     pub panic_exempt_crates: Vec<String>,
     /// File-level suppressions (see `crates/lint/allowlist.txt`).
     pub allowlist: Vec<AllowEntry>,
-    /// Workspace-relative path of the metrics manifest.
-    pub manifest_path: String,
-    /// Allowed metric-name families (`scan.` etc.); empty disables the
-    /// family check.
-    pub metric_families: Vec<String>,
     /// Crates where `no-shared-state` applies (crate dir names).
     pub shared_state_crates: Vec<String>,
 }
@@ -275,10 +255,6 @@ impl LintConfig {
             .to_vec(),
             panic_exempt_crates: ["bench", "propcheck"].map(String::from).to_vec(),
             allowlist: Vec::new(),
-            manifest_path: "crates/telemetry/src/manifest.rs".to_owned(),
-            metric_families: ["scan.", "shard.", "sim.", "trace."]
-                .map(String::from)
-                .to_vec(),
             shared_state_crates: [
                 "core",
                 "netsim",
@@ -419,7 +395,6 @@ pub fn check_with_tests(
     let mut diags = Vec::new();
     rules::no_wall_clock(files, config, &mut diags);
     rules::no_unordered_iteration(files, config, &mut diags);
-    rules::metrics_manifest(files, config, &mut diags);
     rules::panic_budget(files, config, &mut diags);
     rules::rng_hygiene(files, config, &mut diags);
     rules::unsafe_forbidden(files, tests, &mut diags);
@@ -540,35 +515,33 @@ fn suppressed<'a>(
 mod tests {
     use super::*;
 
+    fn texts(f: &SourceFile) -> Vec<&str> {
+        f.tokens.iter().map(|t| t.text.as_str()).collect()
+    }
+
     #[test]
     fn parse_blanks_comments_and_string_contents() {
         let f = SourceFile::parse("crates/x/src/lib.rs", "let x = 1; // Instant::now()\n");
-        assert_eq!(f.code[0], "let x = 1; ");
+        assert_eq!(texts(&f), ["let", "x", "=", "1", ";"]);
         let f = SourceFile::parse("crates/x/src/lib.rs", r#"let p = ".unwrap()"; p.len()"#);
-        assert_eq!(f.code[0], r#"let p = ""; p.len()"#);
+        assert_eq!(
+            texts(&f),
+            ["let", "p", "=", ".unwrap()", ";", "p", ".", "len", "(", ")"]
+        );
+        assert_eq!(f.tokens[3].kind, lexer::Kind::Str);
         assert!(!f.tokens.iter().any(|t| t.is_ident("unwrap")));
     }
 
     #[test]
     fn parse_handles_char_literals_and_lifetimes() {
         let f = SourceFile::parse("crates/x/src/lib.rs", "if c == '\"' { x.unwrap() }");
-        assert_eq!(f.code[0], "if c == ' ' { x.unwrap() }");
+        assert_eq!(f.tokens[4].kind, lexer::Kind::Char);
+        assert_eq!(
+            texts(&f)[4..],
+            ["\"", "{", "x", ".", "unwrap", "(", ")", "}"]
+        );
         let f = SourceFile::parse("crates/x/src/lib.rs", "fn f<'a>(s: &'a str) {}");
         assert!(f.tokens.iter().any(|t| t.kind == lexer::Kind::Lifetime));
-    }
-
-    #[test]
-    fn code_lines_align_with_raw_lines() {
-        for src in [
-            "",
-            "fn a() {}",
-            "fn a() {}\n",
-            "let s = \"multi\nline\";\nfn b() {}\n",
-            "/* spans\ntwo lines */ fn c() {}",
-        ] {
-            let f = SourceFile::parse("crates/x/src/lib.rs", src);
-            assert_eq!(f.code.len(), f.raw.len(), "misaligned for {src:?}");
-        }
     }
 
     #[test]
@@ -594,7 +567,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(names.len(), sorted.len());
-        assert_eq!(names.len(), 7);
+        assert_eq!(names.len(), 6);
         assert!(!names.contains(&ALLOWLIST_RULE));
     }
 
@@ -634,8 +607,6 @@ mod tests {
                     line: 4,
                 },
             ],
-            manifest_path: "none".into(),
-            metric_families: Vec::new(),
             shared_state_crates: Vec::new(),
         };
         let mut diags = Vec::new();

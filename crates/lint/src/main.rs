@@ -9,7 +9,7 @@ const USAGE: &str = "\
 usage: iw-lint [--root <dir>] [--rule <name>]... [--format <fmt>]
                [--list-rules]
 
-Checks the workspace's determinism, metrics-manifest, panic-budget and
+Checks the workspace's determinism, panic-budget, unsafe-forbidden and
 no-shared-state invariants. Exits 0 when clean, 1 on violations, 2 on
 usage/IO errors.
 
@@ -171,6 +171,7 @@ mod tests {
             "hot-path-purity",
             "channel-discipline",
             "state-machine",
+            "metrics-manifest",
         ] {
             let err = parse(&["--rule", gone]).unwrap_err();
             assert_eq!(err, format!("unknown rule `{gone}`"));

@@ -181,15 +181,12 @@ pub fn unsafe_forbidden(files: &[SourceFile], tests: &[SourceFile], diags: &mut 
             });
         }
     }
+    let forbid = lexer::compile("#![forbid(unsafe_code)]");
     for file in files {
         if !file.rel_path.ends_with("/src/lib.rs") {
             continue;
         }
-        let has = file
-            .code
-            .iter()
-            .any(|l| l.contains("#![forbid(unsafe_code)]"));
-        if !has {
+        if lexer::find_seq(&file.tokens, &forbid).is_empty() {
             diags.push(Diagnostic {
                 rule: "unsafe-forbidden",
                 path: file.rel_path.clone(),
@@ -199,364 +196,5 @@ pub fn unsafe_forbidden(files: &[SourceFile], tests: &[SourceFile], diags: &mut 
                 help: "add `#![forbid(unsafe_code)]` to the crate root",
             });
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// metrics-manifest
-// ---------------------------------------------------------------------
-
-/// One parsed `pub const NAME: MetricDef = MetricDef::kind("…", Scope::…);`.
-#[derive(Debug, Clone)]
-pub struct ManifestEntry {
-    /// Const identifier (`SCAN_TARGETS_SENT`).
-    pub ident: String,
-    /// Metric name (`scan.targets_sent`).
-    pub name: String,
-    /// `counter` / `gauge` / `histogram`.
-    pub kind: &'static str,
-    /// `Scan` / `Shard`.
-    pub scope: String,
-    /// 1-based declaration line.
-    pub line: usize,
-}
-
-const KINDS: [&str; 3] = ["counter", "gauge", "histogram"];
-
-fn ident_after(text: &str, marker: &str) -> Option<String> {
-    let at = text.find(marker)? + marker.len();
-    let rest = &text[at..];
-    let ident: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    if ident.is_empty() {
-        None
-    } else {
-        Some(ident)
-    }
-}
-
-fn first_string_literal(text: &str) -> Option<String> {
-    let start = text.find('"')? + 1;
-    let end = text[start..].find('"')? + start;
-    Some(text[start..end].to_owned())
-}
-
-/// Does `ident` occur in `text` as a whole token?
-fn has_token(text: &str, ident: &str) -> bool {
-    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(ident) {
-        let at = from + pos;
-        let before_ok = at == 0 || !text[..at].ends_with(is_ident);
-        let after = &text[at + ident.len()..];
-        let after_ok = !after.starts_with(is_ident);
-        if before_ok && after_ok {
-            return true;
-        }
-        from = at + ident.len();
-    }
-    false
-}
-
-/// Result of [`parse_manifest`]: scalar entries, aggregation arrays
-/// (array ident plus member idents), and declaration diagnostics.
-pub type ParsedManifest = (
-    Vec<ManifestEntry>,
-    Vec<(String, Vec<String>)>,
-    Vec<Diagnostic>,
-);
-
-/// Parse the manifest: scalar `MetricDef` consts and `[&MetricDef; N]`
-/// aggregation arrays (array use marks every member as used).
-pub fn parse_manifest(file: &SourceFile) -> ParsedManifest {
-    let mut entries = Vec::new();
-    let mut arrays: Vec<(String, Vec<String>)> = Vec::new();
-    let mut diags = Vec::new();
-    for (idx, code) in file.code.iter().enumerate() {
-        if file.is_test(idx) {
-            break;
-        }
-        if !code.contains("pub const ") {
-            continue;
-        }
-        // Join the declaration up to its terminating `;` (rustfmt may
-        // wrap it) from the raw lines, so the metric name survives.
-        // A `;` inside the type (`[&MetricDef; 4]`) is not the end of
-        // the declaration — only a trailing `;` is.
-        let mut joined = String::new();
-        for raw in file.raw.iter().skip(idx) {
-            joined.push_str(raw);
-            joined.push(' ');
-            if raw.trim_end().ends_with(';') {
-                break;
-            }
-        }
-        let Some(ident) = ident_after(code, "pub const ") else {
-            continue;
-        };
-        if code.contains(": MetricDef") && !code.contains("[&MetricDef") {
-            let kind = KINDS
-                .iter()
-                .find(|k| joined.contains(&format!("MetricDef::{k}(")))
-                .copied();
-            let name = first_string_literal(&joined);
-            let scope = ident_after(&joined, "Scope::");
-            match (kind, name, scope) {
-                (Some(kind), Some(name), Some(scope)) => {
-                    if !name
-                        .chars()
-                        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._".contains(c))
-                    {
-                        diags.push(manifest_diag(
-                            file,
-                            idx,
-                            format!("metric name {name:?} is not lowercase dotted"),
-                        ));
-                    }
-                    entries.push(ManifestEntry {
-                        ident,
-                        name,
-                        kind,
-                        scope,
-                        line: idx + 1,
-                    });
-                }
-                _ => diags.push(manifest_diag(
-                    file,
-                    idx,
-                    format!(
-                        "could not parse manifest declaration `{ident}` \
-                         (expected MetricDef::<kind>(\"name\", Scope::…))"
-                    ),
-                )),
-            }
-        } else if code.contains("[&MetricDef") {
-            let members: Vec<String> = joined
-                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                .filter(|t| {
-                    t.len() > 1
-                        && t.chars()
-                            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-                        && t.chars().any(|c| c.is_ascii_uppercase())
-                        && *t != ident
-                })
-                .map(str::to_owned)
-                .collect();
-            arrays.push((ident, members));
-        }
-    }
-    // Duplicate metric names defeat the whole point of a manifest.
-    for (i, e) in entries.iter().enumerate() {
-        if let Some(first) = entries[..i].iter().find(|p| p.name == e.name) {
-            diags.push(manifest_diag(
-                file,
-                e.line - 1,
-                format!(
-                    "metric name {:?} already declared as `{}`",
-                    e.name, first.ident
-                ),
-            ));
-        }
-    }
-    (entries, arrays, diags)
-}
-
-fn manifest_diag(file: &SourceFile, idx: usize, message: String) -> Diagnostic {
-    Diagnostic {
-        rule: "metrics-manifest",
-        path: file.rel_path.clone(),
-        line: idx + 1,
-        message,
-        snippet: file.raw[idx].clone(),
-        help: "keep crates/telemetry/src/manifest.rs the single source of truth for metrics",
-    }
-}
-
-/// `metrics-manifest`: every metric call site in the workspace agrees
-/// with the manifest (name exists, kind matches the method, scope
-/// matches the declaration), `register_*` constants exist with the
-/// right kind, every declared metric is registered somewhere, and
-/// every name sits inside a declared family prefix.
-pub fn metrics_manifest(files: &[SourceFile], config: &LintConfig, diags: &mut Vec<Diagnostic>) {
-    let Some(manifest) = files.iter().find(|f| f.rel_path == config.manifest_path) else {
-        diags.push(Diagnostic {
-            rule: "metrics-manifest",
-            path: config.manifest_path.clone(),
-            line: 0,
-            message: "metrics manifest not found".to_owned(),
-            snippet: String::new(),
-            help: "declare all metrics in the manifest; see crates/telemetry/src/manifest.rs",
-        });
-        return;
-    };
-    let (entries, arrays, parse_diags) = parse_manifest(manifest);
-    diags.extend(parse_diags);
-
-    // Every well-formed name must live in a declared family — the
-    // dotted prefix is how downstream tooling (inspect, manifest
-    // sections) groups metrics. Malformed names already got a
-    // diagnostic above; don't report them twice.
-    if !config.metric_families.is_empty() {
-        for e in &entries {
-            let well_formed = e
-                .name
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._".contains(c));
-            if well_formed
-                && !config
-                    .metric_families
-                    .iter()
-                    .any(|f| e.name.starts_with(f.as_str()))
-            {
-                diags.push(manifest_diag(
-                    manifest,
-                    e.line - 1,
-                    format!(
-                        "metric {:?} is outside the declared families ({})",
-                        e.name,
-                        config.metric_families.join(", ")
-                    ),
-                ));
-            }
-        }
-    }
-
-    let mut used: Vec<bool> = vec![false; entries.len()];
-    let mut array_used: Vec<bool> = vec![false; arrays.len()];
-
-    for file in files {
-        if file.rel_path == manifest.rel_path {
-            continue;
-        }
-        for (idx, code) in file.code.iter().enumerate() {
-            if file.is_test(idx) {
-                break;
-            }
-            let raw = &file.raw[idx];
-            // Literal call sites: .counter("…"), .gauge("…"), .histogram("…").
-            for kind in KINDS {
-                let call = format!(".{kind}(\"");
-                let Some(at) = code.find(&call) else { continue };
-                let Some(name) = raw
-                    .find(&format!(".{kind}("))
-                    .and_then(|p| first_string_literal(&raw[p..]))
-                else {
-                    continue;
-                };
-                match entries.iter().find(|e| e.name == name) {
-                    None => diags.push(site_diag(
-                        file,
-                        idx,
-                        format!("metric {name:?} is not declared in the manifest"),
-                    )),
-                    Some(entry) => {
-                        if entry.kind != kind {
-                            diags.push(site_diag(
-                                file,
-                                idx,
-                                format!(
-                                    "metric {name:?} is a {} in the manifest, used here as a {kind}",
-                                    entry.kind
-                                ),
-                            ));
-                        }
-                        // A Scope argument makes this a registration —
-                        // it must match the declared scope.
-                        if let Some(scope) = ident_after(&code[at..], "Scope::") {
-                            if scope != entry.scope {
-                                diags.push(site_diag(
-                                    file,
-                                    idx,
-                                    format!(
-                                        "metric {name:?} is Scope::{} in the manifest, \
-                                         registered here as Scope::{scope}",
-                                        entry.scope
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            // register_counter(&manifest::IDENT) and friends.
-            for kind in KINDS {
-                let call = format!("register_{kind}(");
-                let Some(at) = code.find(&call) else { continue };
-                let Some(ident) = ident_after(&code[at..], "manifest::") else {
-                    continue;
-                };
-                match entries.iter().find(|e| e.ident == ident) {
-                    None => diags.push(site_diag(
-                        file,
-                        idx,
-                        format!("`manifest::{ident}` is not a declared metric"),
-                    )),
-                    Some(entry) => {
-                        if entry.kind != kind {
-                            diags.push(site_diag(
-                                file,
-                                idx,
-                                format!(
-                                    "`manifest::{ident}` is a {} but is registered with \
-                                     register_{kind}",
-                                    entry.kind
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-            // Usage tracking (non-test references outside the manifest).
-            for (i, e) in entries.iter().enumerate() {
-                if !used[i] && has_token(code, &e.ident) {
-                    used[i] = true;
-                }
-            }
-            for (i, (ident, _)) in arrays.iter().enumerate() {
-                if !array_used[i] && has_token(code, ident) {
-                    array_used[i] = true;
-                }
-            }
-        }
-    }
-
-    // A metric referenced only through a used aggregation array counts.
-    for (i, (_, members)) in arrays.iter().enumerate() {
-        if array_used[i] {
-            for m in members {
-                if let Some(j) = entries.iter().position(|e| &e.ident == m) {
-                    used[j] = true;
-                }
-            }
-        }
-    }
-    for (i, e) in entries.iter().enumerate() {
-        if !used[i] {
-            diags.push(Diagnostic {
-                rule: "metrics-manifest",
-                path: manifest.rel_path.clone(),
-                line: e.line,
-                message: format!(
-                    "metric {:?} (`{}`) is declared but never registered",
-                    e.name, e.ident
-                ),
-                snippet: manifest.raw[e.line - 1].clone(),
-                help: "register it (register_counter(&manifest::…)) or delete the declaration",
-            });
-        }
-    }
-}
-
-fn site_diag(file: &SourceFile, idx: usize, message: String) -> Diagnostic {
-    Diagnostic {
-        rule: "metrics-manifest",
-        path: file.rel_path.clone(),
-        line: idx + 1,
-        message,
-        snippet: file.raw[idx].clone(),
-        help: "declare metrics in crates/telemetry/src/manifest.rs and register via \
-               register_counter/register_gauge/register_histogram",
     }
 }

@@ -1,5 +1,5 @@
-//! Fixture: one violation per pattern rule (and no unsafe forbid).
-
+//! Fixture: one violation per pattern rule; the unsafe forbid is only quoted (line 2).
+const _: &str = "#![forbid(unsafe_code)]"; // #![forbid(unsafe_code)]
 use std::time::SystemTime;
 
 pub fn wall() -> SystemTime {

@@ -21,8 +21,6 @@ fn dirty_config() -> LintConfig {
         unordered_paths: vec!["crates/app/src/".into()],
         panic_exempt_crates: vec!["harness".into()],
         allowlist: Vec::new(),
-        manifest_path: "crates/metrics/src/manifest.rs".into(),
-        metric_families: vec!["fix.".into()],
         shared_state_crates: vec!["netsim".into()],
     }
 }
@@ -53,6 +51,8 @@ fn pattern_rules_fire_with_the_right_spans() {
     assert_fires(&diags, "no-unordered-iteration", lib, 10, "HashMap");
     assert_fires(&diags, "panic-budget", lib, 16, ".unwrap()");
     assert_fires(&diags, "rng-hygiene", lib, 20, "thread_rng");
+    // Line 2 spells `#![forbid(unsafe_code)]` inside a string and a
+    // comment; neither is the attribute.
     assert_fires(
         &diags,
         "unsafe-forbidden",
@@ -158,87 +158,13 @@ fn inline_suppressions_cannot_outlive_what_they_excused() {
 }
 
 #[test]
-fn metrics_manifest_rule_checks_declarations_and_call_sites() {
-    let diags = lint_fixture("dirty", &dirty_config());
-    let man = "crates/metrics/src/manifest.rs";
-    let sites = "crates/metrics/src/sites.rs";
-    assert_fires(
-        &diags,
-        "metrics-manifest",
-        man,
-        7,
-        "already declared as `GOOD`",
-    );
-    assert_fires(&diags, "metrics-manifest", man, 8, "not lowercase dotted");
-    assert_fires(
-        &diags,
-        "metrics-manifest",
-        man,
-        6,
-        "declared but never registered",
-    );
-    assert_fires(
-        &diags,
-        "metrics-manifest",
-        sites,
-        5,
-        "not declared in the manifest",
-    );
-    assert_fires(&diags, "metrics-manifest", sites, 6, "used here as a gauge");
-    assert_fires(
-        &diags,
-        "metrics-manifest",
-        sites,
-        7,
-        "registered here as Scope::Shard",
-    );
-    assert_fires(
-        &diags,
-        "metrics-manifest",
-        sites,
-        8,
-        "registered with register_counter",
-    );
-    assert_fires(
-        &diags,
-        "metrics-manifest",
-        sites,
-        9,
-        "not a declared metric",
-    );
-    // VIA_GROUP is referenced only through the GROUP array — the array
-    // use must mark it as registered (no unused diag at line 5).
-    assert!(
-        diags.iter().all(|d| !(d.path == man && d.line == 5)),
-        "array-propagated usage must count"
-    );
-    // STRAY is registered with the right kind but its name sits outside
-    // the configured `fix.` family; BADNAME is malformed and must not
-    // be reported a second time by the family check.
-    assert_fires(
-        &diags,
-        "metrics-manifest",
-        man,
-        9,
-        "outside the declared families (fix.)",
-    );
-    assert!(
-        diags
-            .iter()
-            .all(|d| !(d.line == 8 && d.message.contains("families"))),
-        "malformed names are reported once, not per check"
-    );
-}
-
-#[test]
 fn dirty_fixture_has_no_false_positives() {
     let diags = lint_fixture("dirty", &dirty_config());
     // 8 in lib.rs (two HashMap hits on line 10) + 1 in hidden.rs
-    // + 4 manifest + 5 call sites + 2 no-shared-state + 2 stale
-    // inline suppressions.
+    // + 2 no-shared-state + 2 stale inline suppressions.
     assert_eq!(
         diags.len(),
-        22,
+        13,
         "unexpected diagnostics:\n{}",
         diags
             .iter()
@@ -263,8 +189,6 @@ fn suppressed_config(with_allowlist: bool) -> LintConfig {
         } else {
             Vec::new()
         },
-        manifest_path: "crates/app/src/lib.rs".into(),
-        metric_families: Vec::new(),
         shared_state_crates: Vec::new(),
     }
 }
@@ -332,20 +256,6 @@ fn unsafe_in_a_test_target_fires_unless_its_path_is_allow_listed() {
         .map(|f| f.rel_path)
         .collect();
     assert_eq!(with_unsafe, ["crates/core/tests/alloc_budget.rs"]);
-}
-
-#[test]
-fn missing_manifest_is_reported() {
-    let mut config = suppressed_config(true);
-    config.manifest_path = "crates/metrics/src/manifest.rs".into();
-    let diags = lint_fixture("suppressed", &config);
-    assert_fires(
-        &diags,
-        "metrics-manifest",
-        "crates/metrics/src/manifest.rs",
-        0,
-        "manifest not found",
-    );
 }
 
 #[test]

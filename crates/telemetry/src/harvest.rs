@@ -15,6 +15,7 @@
 //! for any shard count. Mirrored into the `scan.icmp.*` metric family.
 
 use crate::json::{push_key, push_u64_field};
+use crate::manifest::Counter;
 use std::collections::BTreeMap;
 
 /// A source this chatty is treated as rate-limiting signature material.
@@ -54,24 +55,23 @@ pub struct IcmpHarvest {
 }
 
 impl IcmpHarvest {
-    /// Index of a destination-unreachable `code` into the four
-    /// subtype counters: 0 = net, 1 = host, 2 = port, 3 = other.
-    /// Shared with the `scan.icmp.unreachable_*` manifest block.
-    pub fn unreachable_code_index(code: u8) -> usize {
+    /// The `scan.icmp.unreachable_*` counter a destination-unreachable
+    /// `code` falls into: net (0), host (1), port (3) or other.
+    pub fn unreachable_counter(code: u8) -> Counter {
         match code {
-            0 => 0,
-            1 => 1,
-            3 => 2,
-            _ => 3,
+            0 => Counter::IcmpUnreachableNet,
+            1 => Counter::IcmpUnreachableHost,
+            3 => Counter::IcmpUnreachablePort,
+            _ => Counter::IcmpUnreachableOther,
         }
     }
 
     /// Note a destination-unreachable from `src` with the given code.
     pub fn note_unreachable(&mut self, src: u32, code: u8) {
-        match Self::unreachable_code_index(code) {
-            0 => self.unreachable_net += 1,
-            1 => self.unreachable_host += 1,
-            2 => self.unreachable_port += 1,
+        match Self::unreachable_counter(code) {
+            Counter::IcmpUnreachableNet => self.unreachable_net += 1,
+            Counter::IcmpUnreachableHost => self.unreachable_host += 1,
+            Counter::IcmpUnreachablePort => self.unreachable_port += 1,
             _ => self.unreachable_other += 1,
         }
         self.note_source(src);

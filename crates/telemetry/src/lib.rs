@@ -4,11 +4,14 @@
 //! and failure modes tell the operator whether a campaign is healthy long
 //! before the results land ("Ten Years of ZMap" calls the live status
 //! monitor essential operational machinery). This crate is that layer for
-//! the IW scanner, in three parts:
+//! the IW scanner:
 //!
 //! * a cheap **metrics registry** ([`registry`]) — named monotonic
 //!   counters, gauges and log₂-bucketed histograms with a deterministic
 //!   JSON snapshot format and exact shard merging;
+//! * the **metrics manifest** ([`manifest`]) — the scanner's metric set,
+//!   written once: one enum per instrument kind whose variants index a
+//!   table of names and scopes, and are themselves registry handles;
 //! * a structured **session event log** ([`events`]) — per-host lifecycle
 //!   transitions (SYN sent → SYN-ACK validated → retransmit detected →
 //!   verify-ACK → verdict) that tests can assert on exactly;
@@ -36,7 +39,8 @@
 //!
 //! ## Determinism contract
 //!
-//! Metrics are registered with a [`registry::Scope`]:
+//! Metrics are registered with a [`registry::Scope`] (for the scanner's
+//! metrics, the one in their manifest row):
 //!
 //! * [`Scope::Scan`](registry::Scope::Scan) metrics describe the scanned
 //!   population (verdicts, RTTs, session lifetimes). They are defined to
@@ -63,7 +67,7 @@ pub mod trace;
 pub use events::{EventLog, EventRecord, OutcomeKind, SessionEvent};
 pub use harvest::IcmpHarvest;
 pub use json::{parse_json, JsonError, JsonValue};
-pub use manifest::{MetricDef, MetricKind};
+pub use manifest::{Counter, Gauge, Hist};
 pub use monitor::{BufferSink, ProgressMonitor, ProgressSample, StatusSink, StdoutSink};
 pub use recorder::{FlightDump, FlightEntry, FlightRecorder, DEFAULT_RING_CAPACITY};
 pub use registry::{

@@ -2,11 +2,14 @@
 //!
 //! Metrics are registered once up front (returning a typed index handle)
 //! and recorded through the handle — the hot path is an array index plus
-//! an integer add, with zero allocation and zero hashing. Snapshots are
-//! name-keyed, mergeable, and serialize to deterministic JSON.
+//! an integer add, with zero allocation and zero hashing. A registry built
+//! by [`MetricsRegistry::from_manifest`] holds every [`manifest`] metric at
+//! its variant's slot, so a [`manifest::Counter`] (or gauge, histogram)
+//! is itself a handle. Snapshots are name-keyed, mergeable, and serialize
+//! to deterministic JSON.
 
 use crate::json::{push_key, push_u64_field};
-use crate::manifest::{MetricDef, MetricKind};
+use crate::manifest;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -32,6 +35,24 @@ pub struct GaugeId(usize);
 /// Handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramId(usize);
+
+impl From<manifest::Counter> for CounterId {
+    fn from(c: manifest::Counter) -> CounterId {
+        CounterId(c as usize)
+    }
+}
+
+impl From<manifest::Gauge> for GaugeId {
+    fn from(g: manifest::Gauge) -> GaugeId {
+        GaugeId(g as usize)
+    }
+}
+
+impl From<manifest::Hist> for HistogramId {
+    fn from(h: manifest::Hist) -> HistogramId {
+        HistogramId(h as usize)
+    }
+}
 
 /// Number of log₂ buckets: index 0 holds the value 0, index `i ≥ 1` holds
 /// values in `[2^(i-1), 2^i)`; u64::MAX lands in index 64.
@@ -136,6 +157,22 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// Every [`manifest`] metric, registered in table order: each
+    /// variant's discriminant is its slot, so the variant is the handle.
+    pub fn from_manifest() -> MetricsRegistry {
+        let mut r = MetricsRegistry::new();
+        for (_, name, scope) in manifest::COUNTERS {
+            r.counter(name, scope);
+        }
+        for (_, name, scope) in manifest::GAUGES {
+            r.gauge(name, scope);
+        }
+        for (_, name, scope) in manifest::HISTOGRAMS {
+            r.histogram(name, scope);
+        }
+        r
+    }
+
     /// Register a monotonic counter. Names must be unique per registry.
     pub fn counter(&mut self, name: &'static str, scope: Scope) -> CounterId {
         debug_assert!(self.counters.iter().all(|m| m.name != name), "{name}");
@@ -169,70 +206,40 @@ impl MetricsRegistry {
         HistogramId(self.histograms.len() - 1)
     }
 
-    /// Register a counter declared in the [`crate::manifest`]. This is
-    /// the preferred registration path: name and scope come from the
-    /// manifest's single declaration and cannot drift.
-    pub fn register_counter(&mut self, def: &'static MetricDef) -> CounterId {
-        assert_eq!(
-            def.kind,
-            MetricKind::Counter,
-            "{} is not a counter",
-            def.name
-        );
-        self.counter(def.name, def.scope)
-    }
-
-    /// Register a gauge declared in the [`crate::manifest`].
-    pub fn register_gauge(&mut self, def: &'static MetricDef) -> GaugeId {
-        assert_eq!(def.kind, MetricKind::Gauge, "{} is not a gauge", def.name);
-        self.gauge(def.name, def.scope)
-    }
-
-    /// Register a histogram declared in the [`crate::manifest`].
-    pub fn register_histogram(&mut self, def: &'static MetricDef) -> HistogramId {
-        assert_eq!(
-            def.kind,
-            MetricKind::Histogram,
-            "{} is not a histogram",
-            def.name
-        );
-        self.histogram(def.name, def.scope)
-    }
-
     /// Increment a counter by one.
     #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        self.counters[id.0].value += 1;
+    pub fn inc(&mut self, id: impl Into<CounterId>) {
+        self.counters[id.into().0].value += 1;
     }
 
     /// Add to a counter.
     #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0].value += n;
+    pub fn add(&mut self, id: impl Into<CounterId>, n: u64) {
+        self.counters[id.into().0].value += n;
     }
 
     /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
+    pub fn counter_value(&self, id: impl Into<CounterId>) -> u64 {
+        self.counters[id.into().0].value
     }
 
     /// Set a gauge (peak is kept automatically).
     #[inline]
-    pub fn gauge_set(&mut self, id: GaugeId, value: u64) {
-        let g = &mut self.gauges[id.0].value;
+    pub fn gauge_set(&mut self, id: impl Into<GaugeId>, value: u64) {
+        let g = &mut self.gauges[id.into().0].value;
         g.value = value;
         g.peak = g.peak.max(value);
     }
 
     /// Record a histogram sample.
     #[inline]
-    pub fn observe(&mut self, id: HistogramId, value: u64) {
-        self.histograms[id.0].value.observe(value);
+    pub fn observe(&mut self, id: impl Into<HistogramId>, value: u64) {
+        self.histograms[id.into().0].value.observe(value);
     }
 
     /// Read a histogram back (for reporting and tests).
-    pub fn histogram_value(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].value
+    pub fn histogram_value(&self, id: impl Into<HistogramId>) -> &Histogram {
+        &self.histograms[id.into().0].value
     }
 
     /// Produce a name-keyed, mergeable snapshot.
@@ -659,29 +666,6 @@ mod tests {
         // Canonical form is exactly the scan section.
         let canon = r.snapshot().to_canonical_json();
         assert!(json.contains(&canon), "canonical is a substring");
-    }
-
-    #[test]
-    fn manifest_registration_uses_declared_name_and_scope() {
-        use crate::manifest;
-        let mut r = MetricsRegistry::new();
-        let c = r.register_counter(&manifest::SCAN_TARGETS_SENT);
-        let g = r.register_gauge(&manifest::SHARD_SESSIONS_LIVE_PEAK);
-        let h = r.register_histogram(&manifest::SCAN_RTT_NANOS);
-        r.add(c, 3);
-        r.gauge_set(g, 2);
-        r.observe(h, 9);
-        let snap = r.snapshot();
-        assert_eq!(snap.counters["scan.targets_sent"], (Scope::Scan, 3));
-        assert_eq!(snap.gauges["shard.sessions.live_peak"], (Scope::Shard, 2));
-        assert_eq!(snap.histogram("scan.rtt_nanos").unwrap().scope, Scope::Scan);
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a gauge")]
-    fn manifest_registration_checks_kind() {
-        let mut r = MetricsRegistry::new();
-        let _ = r.register_gauge(&crate::manifest::SCAN_TARGETS_SENT);
     }
 
     #[test]
