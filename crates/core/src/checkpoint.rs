@@ -35,11 +35,14 @@ use std::fmt;
 use std::fmt::Write as _;
 
 /// Current checkpoint schema version. The barrier is phrased in event
-/// counts, so the version also moves when a build renumbers events:
-/// 2 = retry FIFOs (hardened campaigns process far fewer events than
-/// under version 1, whose files this build refuses by name instead of
-/// replaying them into a `Diverged` barrier).
-pub const CHECKPOINT_VERSION: u64 = 2;
+/// counts and captured state, so the version moves when a build
+/// renumbers events or reshapes the capture: 2 = retry FIFOs (hardened
+/// campaigns process far fewer events than under version 1); 3 = one
+/// target table (`pending` lists every handshake, promoted ones without
+/// SYN retries included, and `scan.late_answers` joins the counters).
+/// Older files are refused by name instead of being replayed into a
+/// `Diverged` barrier.
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// The `kind` discriminator in the file header.
 pub const CHECKPOINT_KIND: &str = "iwscan-campaign-checkpoint";
@@ -404,9 +407,10 @@ pub struct ShardCheckpoint {
     pub exhausted: bool,
     /// SYNs sent (admitted targets actually probed).
     pub targets_sent: u64,
-    /// Pending SYN-retry targets as sorted `(ip, retries_used)` pairs.
+    /// Targets awaiting their SYN-ACK (`Handshake`) as sorted
+    /// `(ip, retries_used)` pairs.
     pub pending: Vec<(u32, u32)>,
-    /// Live stateful-session target addresses, sorted.
+    /// Live session and path-MTU probe addresses, sorted.
     pub sessions: Vec<u32>,
     /// Responders queued for promotion to a stateful session
     /// (stateless-first mode), in queue order — promotion is FIFO, so
@@ -801,13 +805,16 @@ mod tests {
             CampaignCheckpoint::parse(&json).unwrap_err(),
             CheckpointError::UnknownVersion(CHECKPOINT_VERSION + 1)
         );
-        // A file from before the retry FIFOs numbers its events
-        // differently: refused cleanly, never replayed to a divergence.
-        ckpt.version = 1;
-        assert_eq!(
-            CampaignCheckpoint::parse(&ckpt.to_canonical_json()).unwrap_err(),
-            CheckpointError::UnknownVersion(1)
-        );
+        // Files from before the retry FIFOs (1) or the one target table
+        // (2) capture different events or state: refused cleanly, never
+        // replayed to a divergence.
+        for old in [1, 2] {
+            ckpt.version = old;
+            assert_eq!(
+                CampaignCheckpoint::parse(&ckpt.to_canonical_json()).unwrap_err(),
+                CheckpointError::UnknownVersion(old)
+            );
+        }
     }
 
     #[test]

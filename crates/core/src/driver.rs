@@ -382,9 +382,6 @@ fn harvest(
     results.sort_by_key(|r| r.ip);
     let mut open_ports = scanner.open_ports().to_vec();
     open_ports.sort_unstable();
-    // A host that answers several probes lands in the list once per
-    // SYN-ACK; the report wants the set of open ports, not the tally.
-    open_ports.dedup();
     let mut mtu_results = scanner.mtu_results().to_vec();
     mtu_results.sort_by_key(|r| r.ip);
     let summary = summarize(&results, scanner.targets_sent(), scanner.refused());
@@ -471,7 +468,6 @@ fn merge(outputs: Vec<ScanOutput>) -> ScanOutput {
     }
     results.sort_by_key(|r| r.ip);
     open_ports.sort_unstable();
-    open_ports.dedup();
     mtu_results.sort_by_key(|r| r.ip);
     checkpoints.sort_by_key(|c| (c.shard, c.events, c.at_nanos));
     ScanOutput {

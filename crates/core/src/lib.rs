@@ -23,7 +23,8 @@
 //!
 //! [`session`] chains the six probes per host (3 × MSS 64 + 3 × MSS 128),
 //! applies the majority-of-maximum vote and the §4.2 byte-limit
-//! detection; [`scanner`] is the event-driven engine ([`retry`] holds its
+//! detection; [`scanner`] is the event-driven engine (`target.rs` holds
+//! its one lifecycle per target address, [`retry`] its
 //! SYN-retransmission FIFOs); [`driver`] wires it to
 //! `iw-netsim`/`iw-internet` and runs sharded scans on real threads.
 //!
@@ -50,6 +51,7 @@ pub mod retry;
 pub mod scanner;
 pub mod session;
 pub mod table;
+mod target;
 pub mod testbed;
 
 /// The stable scan-entry surface in one import: build a config, pick a

@@ -17,6 +17,8 @@ use crate::results::{ErrorKind, HostResult, MssVerdict, MtuResult, ProbeOutcome,
 use crate::retry::RetryQueue;
 use crate::session::{HostSession, SessionOutput, SessionParams};
 use crate::table::IpMap;
+use crate::target::{Target, Targets};
+use iw_hoststack::{tcb::synack_retransmit_span, OsProfile};
 use iw_internet::util::mix;
 use iw_netsim::{Duration, Effects, Endpoint, Instant, TimerToken};
 use iw_telemetry::{
@@ -341,7 +343,7 @@ const SYN_RETRY_NS: u64 = 1 << 32;
 const WATCHDOG_NS: u64 = 2 << 32;
 /// Discovery-retry drain namespace. Level `k` holds the targets whose
 /// retransmission `k + 1` is due `syn_backoff << k` after they were
-/// queued; no `pending` entry exists for a discovery-phase target.
+/// queued; a discovery-phase target has no table entry.
 const DISCOVERY_NS: u64 = 3 << 32;
 
 /// Token of the drain timer for backoff `level` in retry namespace `ns`.
@@ -378,9 +380,22 @@ fn error_counter(kind: ErrorKind) -> Counter {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct MtuProbe {
-    current_total: u32,
+/// How long a concluded target absorbs late answers. Its last SYN left
+/// within the SYN-retry window, the slowest host stack retransmits its
+/// SYN-ACK for [`synack_retransmit_span`] after that, and [`RTT_EXPIRY`]
+/// covers the path. Derived, never configured.
+fn concluded_hold(r: &ResilienceConfig) -> Duration {
+    // (Clamped only to keep the shift in range: 2^32 backoffs outlast
+    // any scan.)
+    let window = r
+        .syn_backoff
+        .saturating_mul((1 << r.syn_retries.min(32)) - 1);
+    let slowest = OsProfile::all()
+        .iter()
+        .map(|os| synack_retransmit_span(os.initial_rto))
+        .max()
+        .unwrap_or_default();
+    window + slowest + RTT_EXPIRY
 }
 
 /// The scanner endpoint.
@@ -389,13 +404,12 @@ pub struct Scanner {
     params: SessionParams,
     cookie: CookieKey,
     bucket: TokenBucket,
-    targets: TargetIter,
+    generator: TargetIter,
     exhausted: bool,
-    sessions: IpMap<HostSession>,
-    /// Targets probed but not yet answered, with the number of SYN retries
-    /// already spent. Populated only when `resilience.syn_retries > 0`;
-    /// entries leave on SYN-ACK/RST/ICMP or retry exhaustion.
-    pending: IpMap<u32>,
+    /// Every tracked address's one [`Target`] state, and the live
+    /// sessions. A silent classic target has an entry only while it owes
+    /// a SYN retry, a discovery-phase target none at all.
+    targets: Targets,
     /// Stateful SYN retransmissions waiting out their backoff, one FIFO
     /// per level (level = retries already spent; the last level is the
     /// give-up deadline). Grown on first use, so empty without retries.
@@ -411,27 +425,16 @@ pub struct Scanner {
     /// for already-finished sessions (skipped on eviction, lazily
     /// compacted on conclusion so it stays O(live sessions)).
     session_order: VecDeque<u32>,
-    /// Responders awaiting promotion to a stateful session, in discovery
-    /// order (stateless-first mode). Drained FIFO whenever the session
-    /// table has room under `max_sessions`.
+    /// `Queued` responders in discovery order (stateless-first mode).
+    /// Drained FIFO whenever live sessions plus promoted handshakes in
+    /// flight leave room under `max_sessions`: a session only appears
+    /// when the SYN-ACK returns, so gating on sessions alone would flush
+    /// the whole queue in one burst and evict everything past the cap.
     promotions: VecDeque<u32>,
-    /// Promoted targets whose stateful handshake is still in flight (SYN
-    /// sent, session not yet created). The promotion drain counts these
-    /// against `max_sessions` — a session only appears when the SYN-ACK
-    /// returns, so gating on the session table alone would flush the
-    /// whole queue in one burst and the admission path would then evict
-    /// everything past the cap. Entries leave on session creation,
-    /// refusal, ICMP fast-fail or SYN-retry exhaustion.
-    promoted_inflight: IpMap<()>,
-    /// Targets whose discovery SYN-ACK (or RST) already validated, with
-    /// the attempt that elicited it: blind retransmissions can draw
-    /// duplicate responses, and a responder must be promoted exactly
-    /// once. O(responders) by construction.
-    discovered: IpMap<u32>,
+    /// Known domains of list targets, until their session takes them.
     domains: IpMap<String>,
     results: Vec<HostResult>,
     open_ports: Vec<u32>,
-    mtu_states: IpMap<MtuProbe>,
     mtu_results: Vec<MtuResult>,
     targets_sent: u64,
     refused: u64,
@@ -447,7 +450,8 @@ pub struct Scanner {
     metrics: MetricsRegistry,
     events: EventLog,
     /// SYN send times for RTT measurement (populated only when
-    /// `telemetry.record_rtt`; entries are consumed on first response).
+    /// `telemetry.record_rtt` or `record_spans`; consumed on first
+    /// response, and gone once the target leaves `Handshake`).
     syn_ts: IpMap<Instant>,
     monitor: Option<ProgressMonitor>,
     monitor_sink: MonitorSink,
@@ -475,7 +479,7 @@ impl Scanner {
         let (index, count) = (config.shard.0, config.shard.1.max(1));
         // `targets_total` is the monitor's estimate of what this shard
         // will probe.
-        let (targets, targets_total) = match &config.targets {
+        let (generator, targets_total) = match &config.targets {
             TargetSpec::FullSpace { size } => {
                 let perm = Permutation::new(u64::from(*size), config.seed);
                 let per_shard = u64::from(*size) / u64::from(count);
@@ -486,9 +490,13 @@ impl Scanner {
             }
             TargetSpec::List(list) => {
                 // Entry `k` belongs to shard `k % count`, so `count`
-                // worlds cover the list exactly once.
+                // worlds cover the list exactly once. An address listed
+                // again (first entry kept) would start a second lifecycle
+                // for a target that already has one.
+                let mut seen = std::collections::HashSet::new();
                 let slice: Vec<(u32, Option<String>)> = list
                     .iter()
+                    .filter(|(ip, _)| seen.insert(*ip))
                     .skip(index as usize)
                     .step_by(count as usize)
                     .cloned()
@@ -530,6 +538,7 @@ impl Scanner {
         let tracer = Tracer::new(config.telemetry.record_spans);
         let recorder = FlightRecorder::new(config.telemetry.flight_recorder, DEFAULT_RING_CAPACITY);
         let sink = TelemetrySink::new(config.telemetry.stream.is_some());
+        let targets = Targets::new(concluded_hold(&config.resilience));
         let syn_template = SynTemplate::new(
             config.source,
             &tcp::Repr {
@@ -543,21 +552,17 @@ impl Scanner {
             params,
             cookie,
             bucket,
-            targets,
+            generator,
             exhausted: false,
-            sessions: IpMap::new(),
-            pending: IpMap::new(),
+            targets,
             syn_retry_queues: Vec::new(),
             discovery_retry_queues: Vec::new(),
             draining: false,
             session_order: VecDeque::new(),
             promotions: VecDeque::new(),
-            promoted_inflight: IpMap::new(),
-            discovered: IpMap::new(),
             domains: IpMap::new(),
             results: Vec::new(),
             open_ports: Vec::new(),
-            mtu_states: IpMap::new(),
             mtu_results: Vec::new(),
             targets_sent: 0,
             refused: 0,
@@ -622,7 +627,7 @@ impl Scanner {
 
     /// Sessions still in flight (diagnostics).
     pub fn live_sessions(&self) -> usize {
-        self.sessions.len()
+        self.targets.live()
     }
 
     /// SYN timestamps still held for RTT measurement (diagnostics; the
@@ -739,15 +744,16 @@ impl Scanner {
     /// capture is the durable-campaign barrier token: a resumed replay
     /// reaching `events` must reproduce these bytes exactly.
     pub fn checkpoint(&self, events: u64, now: Instant) -> ShardCheckpoint {
-        let (cursor_next, cursor_produced) = self.targets.cursor();
-        let mut pending: Vec<(u32, u32)> = self
-            .pending
-            .iter()
-            .map(|(ip, retries)| (ip, *retries))
-            .collect();
+        let (cursor_next, cursor_produced) = self.generator.cursor();
+        let (mut pending, mut sessions) = (Vec::new(), Vec::new());
+        for (ip, target) in self.targets.iter() {
+            match target {
+                Target::Handshake { attempts, .. } => pending.push((ip, attempts)),
+                Target::Live(_) | Target::Mtu { .. } => sessions.push(ip),
+                Target::Queued | Target::Concluded => {}
+            }
+        }
         pending.sort_unstable();
-        let mut sessions: Vec<u32> = self.sessions.iter().map(|(ip, _)| ip).collect();
-        sessions.extend(self.mtu_states.iter().map(|(ip, _)| ip));
         sessions.sort_unstable();
         let snap = self.metrics.snapshot();
         let counters: Vec<(String, u64)> = snap
@@ -789,12 +795,11 @@ impl Scanner {
     /// retransmission and promotion, and force-conclude every live
     /// session (recorded as [`ErrorKind::CollectTimeout`]) so the event
     /// loop winds down on its own; from here on no response opens new
-    /// work. Every state entry cut short counts into
-    /// `scan.checkpoint.drain_forced`.
+    /// work. Every queued entry, session and MTU probe cut short counts
+    /// into `scan.checkpoint.drain_forced`.
     pub fn begin_drain(&mut self, now: Instant, fx: &mut Effects) {
         self.exhausted = true;
         self.draining = true;
-        self.pending.retain(|_, _| false);
         // Queued retransmissions and queued responders are cut short
         // alike: each dropped entry is forced-drain pressure. (The
         // levels' outstanding drain timers fire into empty queues.)
@@ -809,24 +814,41 @@ impl Scanner {
             (dropped_retries + self.promotions.len()) as u64,
         );
         self.promotions.clear();
-        // In-flight promoted handshakes are cut off with them: their
-        // SYN-ACKs may still arrive, but no further slots are gated.
-        self.promoted_inflight.retain(|_, _| false);
-        let mut ips: Vec<u32> = self.sessions.iter().map(|(ip, _)| ip).collect();
-        ips.sort_unstable();
-        for ip in ips {
-            let Some(session) = self.sessions.get_mut(ip) else {
-                continue;
-            };
-            let out = session.force_conclude(ErrorKind::CollectTimeout);
-            self.metrics.inc(Counter::CheckpointDrainForced);
-            self.apply_session_output(ip, out, now, fx);
+        // Handshakes in flight are cut off with them (their SYN-ACKs may
+        // still arrive, but open nothing), and live work is concluded.
+        let mut open: Vec<(u32, Target)> = self
+            .targets
+            .iter()
+            .filter(|(_, target)| *target != Target::Concluded)
+            .collect();
+        open.sort_unstable_by_key(|(ip, _)| *ip);
+        for (ip, target) in open {
+            match self.targets.session_mut(ip) {
+                Some(session) => {
+                    let out = session.force_conclude(ErrorKind::CollectTimeout);
+                    self.metrics.inc(Counter::CheckpointDrainForced);
+                    self.apply_session_output(ip, out, now, fx);
+                }
+                None => {
+                    if matches!(target, Target::Mtu { .. }) {
+                        self.metrics.inc(Counter::CheckpointDrainForced);
+                    }
+                    self.set_target(ip, None, now);
+                }
+            }
         }
-        let mut mtu_ips: Vec<u32> = self.mtu_states.iter().map(|(ip, _)| ip).collect();
-        mtu_ips.sort_unstable();
-        for ip in mtu_ips {
-            self.mtu_states.remove(ip);
-            self.metrics.inc(Counter::CheckpointDrainForced);
+    }
+
+    /// Move `ip` to `to` along a declared edge (see [`Targets::set`]).
+    /// A target outside `Handshake` holds no RTT stamp, and a concluded
+    /// one no domain.
+    fn set_target(&mut self, ip: u32, to: Option<Target>, now: Instant) {
+        self.targets.set(ip, to, now);
+        if !matches!(to, Some(Target::Handshake { .. })) {
+            self.syn_ts.remove(ip);
+        }
+        if to == Some(Target::Concluded) {
+            self.domains.remove(ip);
         }
     }
 
@@ -872,7 +894,7 @@ impl Scanner {
         }
         for _ in 0..grant {
             loop {
-                let Some((ip, domain)) = self.targets.next() else {
+                let Some((ip, domain)) = self.generator.next() else {
                     self.exhausted = true;
                     return; // no re-arm: receive path finishes the scan
                 };
@@ -900,17 +922,12 @@ impl Scanner {
         match self.config.protocol {
             Protocol::IcmpMtu => {
                 let total = 1500u32;
-                self.mtu_states.insert(
-                    ip,
-                    MtuProbe {
-                        current_total: total,
-                    },
-                );
+                self.set_target(ip, Some(Target::Mtu { total }), now);
                 self.send_echo(ip, total, fx);
             }
             _ if self.discovery_active() => {
                 // Stateless-first: the SYN's source port and cookie ISN
-                // carry the whole flow state. No `pending` entry, no RTT
+                // carry the whole flow state. No table entry, no RTT
                 // stamp, no recorder ring — a target earns table memory
                 // only at promotion. Its retransmission is one FIFO entry
                 // whose level names the attempt.
@@ -920,7 +937,7 @@ impl Scanner {
                     self.queue_retry(DISCOVERY_NS, 0, ip, now, fx);
                 }
             }
-            _ => self.send_stateful_syn(ip, now, fx),
+            _ => self.send_stateful_syn(ip, false, now, fx),
         }
     }
 
@@ -943,10 +960,18 @@ impl Scanner {
 
     /// Send the stateful SYN for a target — directly in classic mode, or
     /// at promotion time in stateless-first mode. From here on the
-    /// target follows the exact classic lifecycle (pending entry, RTT
+    /// target follows the exact classic lifecycle (`Handshake` entry, RTT
     /// stamp, recorder ring, stateful retry queue), which is what keeps
     /// responder verdicts byte-identical across the two modes.
-    fn send_stateful_syn(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
+    fn send_stateful_syn(&mut self, ip: u32, promoted: bool, now: Instant, fx: &mut Effects) {
+        let retries = self.config.resilience.syn_retries > 0;
+        if retries || promoted {
+            let handshake = Target::Handshake {
+                attempts: 0,
+                promoted,
+            };
+            self.set_target(ip, Some(handshake), now);
+        }
         // The SYN timestamp serves both the RTT histogram and the
         // handshake span, so either knob populates the map (the
         // sweep bounds it for silent targets in both cases).
@@ -958,8 +983,7 @@ impl Scanner {
         self.events
             .record(now.as_nanos(), ip, SessionEvent::SynSent);
         self.emit_syn(ip, now, fx);
-        if self.config.resilience.syn_retries > 0 {
-            self.pending.insert(ip, 0);
+        if retries {
             self.queue_retry(SYN_RETRY_NS, 0, ip, now, fx);
         }
     }
@@ -1035,14 +1059,12 @@ impl Scanner {
     /// `level + 1` on a fresh source port unless the target already
     /// answered, and queue the next level while budget remains.
     fn discovery_retry_fire(&mut self, ip: u32, level: usize, now: Instant, fx: &mut Effects) {
-        // One table probe per silent target: in stateless-first mode
-        // `sessions` and `pending` only ever hold promoted targets, and a
-        // target enters `discovered` (never to leave) before it can be
-        // promoted — so "discovered" already covers all three.
-        if self.discovered.contains_key(ip) {
+        // One table probe per silent target: in stateless-first mode a
+        // target has an entry only once an answer validated, and keeps it
+        // for far longer than the retry schedule runs.
+        if self.targets.get(ip).is_some() {
             return;
         }
-        debug_assert!(!self.sessions.contains_key(ip) && !self.pending.contains_key(ip));
         let attempt = level as u32 + 1;
         self.metrics.inc(Counter::DiscoveryRetries);
         self.emit_discovery_syn(ip, attempt, fx);
@@ -1067,9 +1089,10 @@ impl Scanner {
             return;
         }
         let ip = src.to_u32();
-        let Some(attempt) = cookie::discovery_attempt(seg.dst_port) else {
-            return;
-        };
+        // Blind retransmissions draw duplicate answers, and every answer
+        // after the first finds the target tracked: a responder is
+        // promoted (or refused) exactly once.
+        let known = self.targets.get(ip).is_some();
         if seg.flags.contains(Flags::SYN) && seg.flags.contains(Flags::ACK) {
             match self
                 .cookie
@@ -1081,11 +1104,11 @@ impl Scanner {
                     let rst =
                         tcp::Segment::bare(seg.dst_port, seg.src_port, seg.ack, 0, Flags::RST, 0);
                     fx.send(rst.datagram(self.config.source, src, &mut self.ident, fx.buffer()));
-                    if self.discovered.contains_key(ip) {
+                    if known {
                         self.metrics.inc(Counter::DiscoveryDuplicates);
                         return;
                     }
-                    self.discovered.insert(ip, attempt);
+                    self.set_target(ip, Some(Target::Queued), now);
                     self.metrics.inc(Counter::DiscoveryValidated);
                     self.promotions.push_back(ip);
                     self.note_discovery_state();
@@ -1106,18 +1129,25 @@ impl Scanner {
                 self.metrics.inc(Counter::DiscoverySpoofedRst);
                 return;
             }
-            if self.discovered.contains_key(ip) {
-                return;
+            // Same verdict as on the stateful path, no promotion needed.
+            if !known {
+                self.refusal(ip, now, fx);
             }
-            // A cookie-valid refusal is a terminal verdict: host up, port
-            // closed — same as the stateful path, no promotion needed.
-            self.discovered.insert(ip, attempt);
-            self.refused += 1;
-            self.metrics.inc(Counter::Refused);
-            self.observe_event(ip, SessionEvent::Refused, now);
-            self.sink.note_result(now.as_nanos(), ip, "refused");
-            self.recorder.conclude(ip, now.as_nanos(), None);
         }
+    }
+
+    /// A cookie-valid RST answered the target's SYN: host up, port
+    /// closed. A terminal verdict with no session behind it.
+    fn refusal(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
+        self.refused += 1;
+        self.metrics.inc(Counter::Refused);
+        self.observe_event(ip, SessionEvent::Refused, now);
+        self.sink.note_result(now.as_nanos(), ip, "refused");
+        // A refusal is a clean conclusion: the black box is dropped.
+        self.recorder.conclude(ip, now.as_nanos(), None);
+        self.set_target(ip, Some(Target::Concluded), now);
+        // A promoted handshake's slot frees up.
+        self.try_drain_promotions(now, fx);
     }
 
     /// Promote queued responders into stateful sessions while the
@@ -1133,38 +1163,27 @@ impl Scanner {
         while let Some(&ip) = self.promotions.front() {
             // In-flight promotions hold a slot too: their sessions only
             // materialize one RTT later, when the SYN-ACK comes back.
-            if cap > 0 && self.sessions.len() + self.promoted_inflight.len() >= cap {
+            if cap > 0 && self.targets.live() + self.targets.promoted() >= cap {
                 return;
             }
             self.promotions.pop_front();
-            self.promoted_inflight.insert(ip, ());
             self.metrics.inc(Counter::DiscoveryPromoted);
-            self.send_stateful_syn(ip, now, fx);
+            self.send_stateful_syn(ip, true, now, fx);
             self.note_discovery_state();
-        }
-    }
-
-    /// A promoted target left the in-flight set without producing a live
-    /// session (refusal, ICMP fast-fail, SYN-retry exhaustion): its
-    /// `max_sessions` slot frees up, so pull the next queued responder.
-    fn promotion_slot_freed(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
-        if self.promoted_inflight.remove(ip).is_some() && !self.promotions.is_empty() {
-            self.try_drain_promotions(now, fx);
         }
     }
 
     /// Record the current per-target discovery footprint into the
     /// `scan.discovery.state_peak` gauge (the registry keeps the peak).
     /// This is the memory-model gate: the gauge counts distinct targets
-    /// holding pre-session state — queued responders plus promoted
-    /// handshakes in flight. `pending` and `syn_ts` entries only exist
-    /// for those same targets in stateless-first mode, so the gauge
-    /// bounds them too: O(validated responders), never O(targets). (The
-    /// retry FIFOs are the other per-target cost — 16 B per silent
-    /// target per backoff window, bounded by the rate; see
-    /// [`Self::retry_backlog`].)
+    /// holding pre-session state — `Queued` responders plus promoted
+    /// `Handshake`s. RTT stamps only exist for those same targets in
+    /// stateless-first mode, so the gauge bounds them too: O(validated
+    /// responders), never O(targets). (The retry FIFOs are the other
+    /// per-target cost — 16 B per silent target per backoff window,
+    /// bounded by the rate; see [`Self::retry_backlog`].)
     fn note_discovery_state(&mut self) {
-        let footprint = (self.promotions.len() + self.promoted_inflight.len()) as u64;
+        let footprint = (self.promotions.len() + self.targets.promoted()) as u64;
         self.metrics.gauge_set(Gauge::DiscoveryStatePeak, footprint);
     }
 
@@ -1182,30 +1201,30 @@ impl Scanner {
     /// A target's stateful SYN backoff elapsed: retransmit if it is still
     /// silent and budget remains, and queue the next (doubled) level.
     fn syn_retry_fire(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
-        if self.sessions.contains_key(ip) {
-            self.pending.remove(ip);
-            return;
-        }
-        let Some(attempts) = self.pending.get(ip).copied() else {
+        let Some(Target::Handshake { attempts, promoted }) = self.targets.get(ip) else {
             return;
         };
         if attempts >= self.config.resilience.syn_retries {
-            // Budget spent and still silent: give up on the target and
-            // drop its RTT timestamp (it will never be consumed). The
-            // flight recorder dumps the ring — a SYN-blackholed target is
-            // a failure worth a black box even though no session existed.
-            self.pending.remove(ip);
-            self.syn_ts.remove(ip);
+            // Budget spent and still silent: give up on the target (its
+            // RTT stamp goes with the entry). The flight recorder dumps
+            // the ring — a SYN-blackholed target is a failure worth a
+            // black box even though no session existed. A promoted target
+            // concludes: its discovery answer was already spent.
             if self
                 .recorder
                 .conclude(ip, now.as_nanos(), Some("handshake_timeout"))
             {
                 self.metrics.inc(Counter::FlightDumps);
             }
-            self.promotion_slot_freed(ip, now, fx);
+            self.set_target(ip, promoted.then_some(Target::Concluded), now);
+            self.try_drain_promotions(now, fx);
             return;
         }
-        self.pending.insert(ip, attempts + 1);
+        let handshake = Target::Handshake {
+            attempts: attempts + 1,
+            promoted,
+        };
+        self.set_target(ip, Some(handshake), now);
         self.note_session_event(
             ip,
             SessionEvent::SynRetried {
@@ -1225,7 +1244,7 @@ impl Scanner {
     /// The per-session watchdog fired: if the session is somehow still
     /// running, force-conclude it (tarpit/dribbler defense).
     fn watchdog_fire(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
-        let Some(session) = self.sessions.get_mut(ip) else {
+        let Some(session) = self.targets.session_mut(ip) else {
             return;
         };
         let out = session.force_conclude(ErrorKind::CollectTimeout);
@@ -1236,7 +1255,7 @@ impl Scanner {
     /// Evict the oldest live session to stay under `max_sessions`.
     fn evict_oldest(&mut self, now: Instant, fx: &mut Effects) {
         while let Some(ip) = self.session_order.pop_front() {
-            let Some(session) = self.sessions.get_mut(ip) else {
+            let Some(session) = self.targets.session_mut(ip) else {
                 continue; // stale entry: that session already finished
             };
             let out = session.force_conclude(ErrorKind::CollectTimeout);
@@ -1254,9 +1273,9 @@ impl Scanner {
         // a conclusion age out on the same schedule; live sessions keep
         // theirs (a black box must survive until the verdict).
         let cutoff = now.as_nanos().saturating_sub(RTT_EXPIRY.as_nanos());
-        let sessions = &self.sessions;
+        let targets = &self.targets;
         self.recorder
-            .expire_stale(cutoff, |ip| sessions.contains_key(ip));
+            .expire_stale(cutoff, |ip| targets.session(ip).is_some());
         if !(self.exhausted && self.syn_ts.is_empty() && self.recorder.live_rings() == 0) {
             fx.arm(SWEEP_PERIOD, SWEEP_TOKEN);
         }
@@ -1309,7 +1328,9 @@ impl Scanner {
         for tx in out.tx.iter() {
             // The session lends its request for the length of the emit.
             let payload = if tx.carries_request {
-                self.sessions.get(ip).map_or(&[][..], HostSession::request)
+                self.targets
+                    .session(ip)
+                    .map_or(&[][..], HostSession::request)
             } else {
                 &[]
             };
@@ -1327,8 +1348,8 @@ impl Scanner {
         if let Some(deadline) = out.deadline {
             if deadline > now
                 && self
-                    .sessions
-                    .get_mut(ip)
+                    .targets
+                    .session_mut(ip)
                     .is_none_or(|session| session.should_arm(deadline))
             {
                 fx.arm(deadline - now, u64::from(ip));
@@ -1369,25 +1390,22 @@ impl Scanner {
                 self.metrics.inc(Counter::FlightDumps);
             }
             self.results.push(result);
-            self.sessions.remove(ip);
-            self.metrics
-                .gauge_set(Gauge::SessionsLivePeak, self.sessions.len() as u64);
+            self.set_target(ip, Some(Target::Concluded), now);
+            let live = self.targets.live();
+            self.metrics.gauge_set(Gauge::SessionsLivePeak, live as u64);
             // Lazily compact the eviction deque: normally-concluded
             // sessions leave stale entries behind, and without this the
             // deque grows O(total sessions started) over a long
             // campaign. Compacting only past 2× live (+ slack) keeps the
             // amortized cost O(1) per conclusion.
-            if self.config.resilience.max_sessions > 0
-                && self.session_order.len() > self.sessions.len() * 2 + 16
-            {
-                let sessions = &self.sessions;
-                self.session_order.retain(|ip| sessions.contains_key(*ip));
+            if self.config.resilience.max_sessions > 0 && self.session_order.len() > live * 2 + 16 {
+                let targets = &self.targets;
+                self.session_order
+                    .retain(|ip| targets.session(*ip).is_some());
             }
             // A concluded session frees a `max_sessions` slot: pull the
             // next queued responder in (stateless-first mode).
-            if !self.promotions.is_empty() {
-                self.try_drain_promotions(now, fx);
-            }
+            self.try_drain_promotions(now, fx);
         }
     }
 
@@ -1407,9 +1425,9 @@ impl Scanner {
             }
             SessionEvent::SessionFinished { outcome } => {
                 m.inc(outcome_counters(outcome).1);
-                // The session is still in the map here (removal happens
-                // after its events are folded in).
-                if let Some(session) = self.sessions.get(ip) {
+                // The session is still live here (it concludes after its
+                // events are folded in).
+                if let Some(session) = self.targets.session(ip) {
                     m.observe(
                         Hist::SessionLifetimeNanos,
                         (now - session.started()).as_nanos(),
@@ -1464,122 +1482,134 @@ impl Scanner {
         }
     }
 
+    /// Dispatch one inbound segment on its target's state.
     fn on_tcp(&mut self, src: Ipv4Addr, seg: &tcp::Segment<'_>, now: Instant, fx: &mut Effects) {
         let ip = src.to_u32();
         note_wire(&mut self.recorder, ip, now, false, seg);
-
-        if self.config.protocol == Protocol::PortScan {
-            let sport = self.params.sport(0, 0, 0);
-            if seg.dst_port != sport {
-                return;
-            }
-            if seg.flags.contains(Flags::SYN)
-                && seg.flags.contains(Flags::ACK)
-                && self.cookie.validate(ip, sport, seg.src_port, seg.ack)
-            {
-                self.metrics.inc(Counter::SynacksValidated);
-                self.consume_syn_ts(ip, now);
-                self.pending.remove(ip);
-                self.observe_event(ip, SessionEvent::SynAckValidated, now);
-                self.open_ports.push(ip);
-                let rst = tcp::Segment::bare(sport, seg.src_port, seg.ack, 0, Flags::RST, 0);
-                self.emit_segment(src, &rst, now, fx);
-                self.sink.note_result(now.as_nanos(), ip, "open");
-                self.recorder.conclude(ip, now.as_nanos(), None);
-            } else if seg.flags.contains(Flags::RST) {
-                // Cookie-gate the refusal verdict exactly like the
-                // SYN-ACK path: a RST acks our ISN+1 iff it answers our
-                // SYN. Spoofed/backscatter RSTs produce no verdict.
-                if !self.cookie.validate(ip, sport, seg.src_port, seg.ack) {
-                    self.metrics.inc(Counter::RstIgnored);
-                    return;
-                }
-                self.refused += 1;
-                self.metrics.inc(Counter::Refused);
-                self.syn_ts.remove(ip);
-                self.pending.remove(ip);
-                self.observe_event(ip, SessionEvent::Refused, now);
-                self.sink.note_result(now.as_nanos(), ip, "refused");
-                self.recorder.conclude(ip, now.as_nanos(), None);
-            }
-            return;
-        }
-
         // Stateless-first discovery flows live in their own source-port
         // block, so the destination port alone routes the segment.
         if self.discovery_active() && cookie::discovery_attempt(seg.dst_port).is_some() {
             self.on_discovery_segment(src, seg, now, fx);
             return;
         }
-
-        if let Some(session) = self.sessions.get_mut(ip) {
-            let out = session.on_segment(seg, now);
-            self.apply_session_output(ip, out, now, fx);
-            return;
+        match self.targets.get(ip) {
+            Some(Target::Live(index)) => {
+                if let Some(session) = self.targets.session_at(index) {
+                    let out = session.on_segment(seg, now);
+                    self.apply_session_output(ip, out, now, fx);
+                }
+            }
+            // Outside a session only the flow of the target's first SYN
+            // (probe 0, conn 0) carries an answer.
+            _ if seg.dst_port != self.params.sport(0, 0, 0) => {}
+            None | Some(Target::Handshake { .. }) => self.on_answer(src, seg, false, now, fx),
+            Some(Target::Concluded) => self.on_answer(src, seg, true, now, fx),
+            Some(Target::Queued | Target::Mtu { .. }) => {}
         }
-        // No session: a valid SYN-ACK for (probe 0, conn 0) creates one
-        // — unless a graceful drain is under way, which opens no new work.
-        let sport = self.params.sport(0, 0, 0);
-        let dport = self.config.protocol.port();
-        if !self.draining
-            && seg.dst_port == sport
-            && seg.src_port == dport
-            && seg.flags.contains(Flags::SYN)
-            && seg.flags.contains(Flags::ACK)
-            && self.cookie.validate(ip, sport, dport, seg.ack)
-        {
-            let cap = self.config.resilience.max_sessions;
-            if cap > 0 && self.sessions.len() >= cap {
-                self.evict_oldest(now, fx);
-            }
-            self.metrics.inc(Counter::SynacksValidated);
-            self.consume_syn_ts(ip, now);
-            self.pending.remove(ip);
-            // The in-flight slot becomes the session's slot (net
-            // occupancy unchanged, so no promotion drain here).
-            self.promoted_inflight.remove(ip);
-            self.metrics.inc(Counter::SessionsStarted);
-            self.observe_event(ip, SessionEvent::SynAckValidated, now);
-            self.observe_event(ip, SessionEvent::SessionStarted, now);
-            let domain = self.domains.get(ip).cloned();
-            let mut session = HostSession::new(src, self.params.clone(), self.cookie, domain, now);
-            self.observe_event(
-                ip,
-                SessionEvent::ProbeStarted {
-                    probe: 0,
-                    mss: session.current_mss(),
-                },
-                now,
-            );
-            let out = session.on_segment(seg, now);
-            self.sessions.insert(ip, session);
-            if cap > 0 {
-                self.session_order.push_back(ip);
-            }
-            if let Some(deadline) = self.config.resilience.session_deadline {
-                fx.arm(deadline, WATCHDOG_NS | u64::from(ip));
-            }
-            self.metrics
-                .gauge_set(Gauge::SessionsLivePeak, self.sessions.len() as u64);
-            self.apply_session_output(ip, out, now, fx);
-        } else if seg.flags.contains(Flags::RST) && seg.dst_port == sport {
-            if !self.cookie.validate(ip, sport, dport, seg.ack) {
-                // Reached our port but does not ack our cookie: spoofed
-                // or stale — drop without a verdict (mirrors the
-                // PortScan-path gate).
-                self.metrics.inc(Counter::RstIgnored);
+    }
+
+    /// A segment on the flow of the target's first SYN, with no session
+    /// open. Only a cookie-valid one (acking the cookie ISN + 1) counts: a
+    /// SYN-ACK opens the session (a port scan records the open port), an
+    /// RST records the refusal. If the target has its verdict already,
+    /// the answer is late — its host retransmitting because ours was
+    /// lost: the SYN-ACK is reset, both are counted, neither mints a
+    /// second verdict.
+    fn on_answer(
+        &mut self,
+        src: Ipv4Addr,
+        seg: &tcp::Segment<'_>,
+        concluded: bool,
+        now: Instant,
+        fx: &mut Effects,
+    ) {
+        let ip = src.to_u32();
+        let (sport, dport) = (self.params.sport(0, 0, 0), self.config.protocol.port());
+        if seg.flags.contains(Flags::SYN) && seg.flags.contains(Flags::ACK) {
+            if seg.src_port != dport || !self.cookie.validate(ip, sport, dport, seg.ack) {
                 return;
             }
-            self.refused += 1;
-            self.metrics.inc(Counter::Refused);
-            self.syn_ts.remove(ip);
-            self.pending.remove(ip);
-            self.observe_event(ip, SessionEvent::Refused, now);
-            self.sink.note_result(now.as_nanos(), ip, "refused");
-            // A refusal is a clean conclusion: the black box is dropped.
-            self.recorder.conclude(ip, now.as_nanos(), None);
-            self.promotion_slot_freed(ip, now, fx);
+            if concluded {
+                self.reset(src, seg, now, fx);
+                self.metrics.inc(Counter::LateAnswers);
+            } else if self.config.protocol == Protocol::PortScan {
+                self.open_port(src, seg, now, fx);
+            } else if !self.draining {
+                // A graceful drain opens no new work.
+                self.open_session(src, seg, now, fx);
+            }
+        } else if seg.flags.contains(Flags::RST) {
+            if !self.cookie.validate(ip, sport, dport, seg.ack) {
+                // Spoofed or stale: counted, no verdict.
+                self.metrics.inc(Counter::RstIgnored);
+            } else if concluded {
+                self.metrics.inc(Counter::LateAnswers);
+            } else {
+                self.refusal(ip, now, fx);
+            }
         }
+    }
+
+    /// Reset the half-open connection a SYN-ACK announced.
+    fn reset(&mut self, src: Ipv4Addr, seg: &tcp::Segment<'_>, now: Instant, fx: &mut Effects) {
+        let rst = tcp::Segment::bare(seg.dst_port, seg.src_port, seg.ack, 0, Flags::RST, 0);
+        self.emit_segment(src, &rst, now, fx);
+    }
+
+    /// A port scan's verdict: the SYN-ACK proves the port open.
+    fn open_port(&mut self, src: Ipv4Addr, seg: &tcp::Segment<'_>, now: Instant, fx: &mut Effects) {
+        let ip = src.to_u32();
+        self.metrics.inc(Counter::SynacksValidated);
+        self.consume_syn_ts(ip, now);
+        self.observe_event(ip, SessionEvent::SynAckValidated, now);
+        self.open_ports.push(ip);
+        self.reset(src, seg, now, fx);
+        self.sink.note_result(now.as_nanos(), ip, "open");
+        self.recorder.conclude(ip, now.as_nanos(), None);
+        self.set_target(ip, Some(Target::Concluded), now);
+    }
+
+    /// The SYN-ACK opens the target's measurement session.
+    fn open_session(
+        &mut self,
+        src: Ipv4Addr,
+        seg: &tcp::Segment<'_>,
+        now: Instant,
+        fx: &mut Effects,
+    ) {
+        let ip = src.to_u32();
+        let cap = self.config.resilience.max_sessions;
+        if cap > 0 && self.targets.live() >= cap {
+            self.evict_oldest(now, fx);
+        }
+        self.metrics.inc(Counter::SynacksValidated);
+        self.consume_syn_ts(ip, now);
+        self.metrics.inc(Counter::SessionsStarted);
+        self.observe_event(ip, SessionEvent::SynAckValidated, now);
+        self.observe_event(ip, SessionEvent::SessionStarted, now);
+        let domain = self.domains.remove(ip);
+        let mut session = HostSession::new(src, self.params.clone(), self.cookie, domain, now);
+        self.observe_event(
+            ip,
+            SessionEvent::ProbeStarted {
+                probe: 0,
+                mss: session.current_mss(),
+            },
+            now,
+        );
+        let out = session.on_segment(seg, now);
+        // A promoted handshake's slot becomes the session's slot (net
+        // occupancy unchanged, so no promotion drain here).
+        self.targets.open(ip, session, now);
+        if cap > 0 {
+            self.session_order.push_back(ip);
+        }
+        if let Some(deadline) = self.config.resilience.session_deadline {
+            fx.arm(deadline, WATCHDOG_NS | u64::from(ip));
+        }
+        self.metrics
+            .gauge_set(Gauge::SessionsLivePeak, self.targets.live() as u64);
+        self.apply_session_output(ip, out, now, fx);
     }
 
     /// A point-in-time progress reading for the monitor.
@@ -1590,7 +1620,12 @@ impl Scanner {
             targets_sent: self.targets_sent,
             targets_total: self.targets_total,
             hits: m.counter_value(Counter::SynacksValidated) + self.mtu_results.len() as u64,
-            live_sessions: (self.sessions.len() + self.mtu_states.len()) as u64,
+            // An MTU scan's table holds nothing but its probes in flight.
+            live_sessions: if self.config.protocol == Protocol::IcmpMtu {
+                self.targets.len()
+            } else {
+                self.targets.live()
+            } as u64,
             configured_pps: self.config.rate_pps,
             verdicts: [
                 OutcomeKind::Success,
@@ -1623,7 +1658,7 @@ impl Scanner {
         // is done and the stateful sessions drained, let the sim wind down.
         // (Unanswered MTU probes hold no timers, so they do not keep the
         // monitor alive either.)
-        if !(self.exhausted && self.sessions.is_empty()) {
+        if !(self.exhausted && self.targets.live() == 0) {
             fx.arm(Duration::from_nanos(interval), MONITOR_TOKEN);
         }
     }
@@ -1637,7 +1672,7 @@ impl Scanner {
         let snap = self.metrics.snapshot();
         self.sink
             .note_snapshot(now.as_nanos(), self.config.shard.0, &snap);
-        if !(self.exhausted && self.sessions.is_empty()) {
+        if !(self.exhausted && self.targets.live() == 0) {
             fx.arm(interval, STREAM_TOKEN);
         }
     }
@@ -1666,24 +1701,41 @@ impl Scanner {
             }
             _ => self.icmp_harvest.note_other(ip),
         }
-        if self.config.protocol != Protocol::IcmpMtu {
-            // TCP scan modes: a destination-unreachable from the target
-            // fast-fails it instead of waiting out the SYN/collect
-            // timeouts. (No quoted datagram in the sim's ICMP; the source
-            // address identifies the target.)
-            let icmp::Message::DstUnreachable { .. } = msg else {
-                return;
-            };
-            let was_pending = self.pending.remove(ip).is_some();
-            let had_syn_ts = self.syn_ts.remove(ip).is_some();
-            if !was_pending && !had_syn_ts && !self.sessions.contains_key(ip) {
-                return;
+        // What the message means depends on where its source stands. (No
+        // quoted datagram in the sim's ICMP; the source address
+        // identifies the target.)
+        match (self.targets.get(ip), msg) {
+            (Some(Target::Mtu { total }), icmp::Message::FragNeeded { mtu }) => {
+                let mtu = u32::from(*mtu);
+                if mtu > 0 && mtu < total {
+                    self.set_target(ip, Some(Target::Mtu { total: mtu }), now);
+                    self.send_echo(ip, mtu, fx);
+                }
             }
-            self.note_session_event(ip, SessionEvent::IcmpUnreachable, now);
-            if let Some(session) = self.sessions.get_mut(ip) {
-                let out = session.force_conclude(ErrorKind::IcmpUnreachable);
-                self.apply_session_output(ip, out, now, fx);
-            } else {
+            (Some(Target::Mtu { total }), icmp::Message::EchoReply { .. }) => {
+                self.sink.note_result(now.as_nanos(), ip, "mtu");
+                self.mtu_results.push(MtuResult { ip, mtu: total });
+                self.set_target(ip, None, now);
+            }
+            // A destination-unreachable fast-fails a TCP target instead of
+            // letting it wait out the SYN/collect timeouts.
+            (Some(Target::Live(index)), icmp::Message::DstUnreachable { .. }) => {
+                self.note_session_event(ip, SessionEvent::IcmpUnreachable, now);
+                if let Some(session) = self.targets.session_at(index) {
+                    let out = session.force_conclude(ErrorKind::IcmpUnreachable);
+                    self.apply_session_output(ip, out, now, fx);
+                }
+            }
+            (
+                state @ (None | Some(Target::Handshake { .. })),
+                icmp::Message::DstUnreachable { .. },
+            ) => {
+                // An untracked target was probed statefully only if it
+                // holds an RTT stamp (no SYN retries, so no entry).
+                if self.syn_ts.remove(ip).is_none() && state.is_none() {
+                    return;
+                }
+                self.note_session_event(ip, SessionEvent::IcmpUnreachable, now);
                 // Fast-failed before a session existed: no HostResult will
                 // record this target, so the black box (and the stream)
                 // carry the explanation.
@@ -1694,28 +1746,10 @@ impl Scanner {
                 {
                     self.metrics.inc(Counter::FlightDumps);
                 }
-                self.promotion_slot_freed(ip, now, fx);
-            }
-            return;
-        }
-        let Some(state) = self.mtu_states.get(ip).copied() else {
-            return;
-        };
-        match msg {
-            icmp::Message::FragNeeded { mtu } => {
-                let mtu = u32::from(*mtu);
-                if mtu > 0 && mtu < state.current_total {
-                    self.mtu_states.insert(ip, MtuProbe { current_total: mtu });
-                    self.send_echo(ip, mtu, fx);
+                if let Some(Target::Handshake { promoted, .. }) = state {
+                    self.set_target(ip, promoted.then_some(Target::Concluded), now);
+                    self.try_drain_promotions(now, fx);
                 }
-            }
-            icmp::Message::EchoReply { .. } => {
-                self.sink.note_result(now.as_nanos(), ip, "mtu");
-                self.mtu_results.push(MtuResult {
-                    ip,
-                    mtu: state.current_total,
-                });
-                self.mtu_states.remove(ip);
             }
             _ => {}
         }
@@ -1797,7 +1831,7 @@ impl Endpoint for Scanner {
         let ns = token & (0xff << 32);
         match ns >> 32 {
             0 => {
-                if let Some(session) = self.sessions.get_mut(ip) {
+                if let Some(session) = self.targets.session_mut(ip) {
                     let out = session.on_timer(now);
                     self.apply_session_output(ip, out, now, fx);
                 }
@@ -1853,14 +1887,24 @@ mod tests {
             let mut got = Vec::new();
             loop {
                 // The cursor counts what is left of this shard's slice.
-                assert_eq!(s.targets.cursor(), ((want.len() - got.len()) as u64, 0));
-                match s.targets.next() {
+                assert_eq!(s.generator.cursor(), ((want.len() - got.len()) as u64, 0));
+                match s.generator.next() {
                     Some((ip, _)) => got.push(ip),
                     None => break,
                 }
             }
             assert_eq!(got, want, "shard {i}/3");
         }
+    }
+
+    #[test]
+    fn a_repeated_list_address_is_probed_once() {
+        let mut config = ScanConfig::study(Protocol::Http, 1 << 16, 7);
+        config.targets = TargetSpec::List(vec![(5, None), (6, None), (5, Some("x".into()))]);
+        let mut s = Scanner::new(config);
+        assert_eq!(s.generator.next(), Some((5, None)));
+        assert_eq!(s.generator.next(), Some((6, None)));
+        assert_eq!(s.generator.next(), None);
     }
 
     #[test]

@@ -12,8 +12,12 @@ use iw_core::{
     summarize, ErrorKind, HostResult, MssVerdict, Protocol, ResilienceConfig, ScanConfig, Scanner,
 };
 use iw_hoststack::{ChaosHost, ChaosMode, Host, HostConfig, IwPolicy};
-use iw_netsim::{Duration, Endpoint, LinkConfig, Sim, SimConfig};
-use iw_wire::ipv4::Ipv4Addr;
+use iw_netsim::{Duration, Effects, Endpoint, Instant, LinkConfig, Sim, SimConfig, TimerToken};
+use iw_wire::ipv4::{self, Ipv4Addr};
+use iw_wire::tcp::{self, Flags};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Ground-truth IW assignment: a deterministic mix of common policies.
 fn iw_for(ip: u32) -> u32 {
@@ -52,6 +56,11 @@ where
     sim.run_to_completion();
     let scanner = sim.scanner_mut();
     assert_eq!(scanner.live_sessions(), 0, "sessions must drain");
+    let mut ips: Vec<u32> = scanner.results().iter().map(|r| r.ip).collect();
+    ips.extend(scanner.open_ports());
+    ips.sort_unstable();
+    let twice = ips.windows(2).find(|w| w[0] == w[1]);
+    assert_eq!(twice, None, "an address holds two records");
     let mut results = scanner.results().to_vec();
     results.sort_by_key(|r| r.ip);
     let snapshot = scanner.metrics_snapshot();
@@ -622,44 +631,136 @@ fn stateless_adversarial_cohorts_merge_identically_at_four_shards() {
     assert_eq!(format!("{single:?}"), format!("{merged_results:?}"));
 }
 
+/// A [`ChaosHost`] that replays each SYN-ACK, behind a tap counting the
+/// scanner RSTs that answer a replay: an RST arriving after the replay
+/// on its flow, whose sequence number is the replay's ack.
+struct ReplayTap {
+    host: ChaosHost,
+    /// Scanner port of each replayed flow → the replay's ack.
+    replayed: HashMap<u16, u32>,
+    rsts: Rc<Cell<u64>>,
+}
+
+fn tcp_segment(pkt: &[u8]) -> Option<tcp::Repr> {
+    let ip = ipv4::Packet::new_checked(pkt).ok()?;
+    let seg = tcp::Packet::new_checked(ip.payload()).ok()?;
+    tcp::Repr::parse(&seg, ip.src_addr(), ip.dst_addr()).ok()
+}
+
+impl Endpoint for ReplayTap {
+    fn on_packet(&mut self, pkt: &[u8], now: Instant, fx: &mut Effects) {
+        if let Some(seg) = tcp_segment(pkt) {
+            if seg.flags.contains(Flags::RST) && self.replayed.get(&seg.src_port) == Some(&seg.seq)
+            {
+                self.rsts.set(self.rsts.get() + 1);
+            }
+        }
+        self.host.on_packet(pkt, now, fx);
+        // Stay up for the answers: a respawned host would forget its flows.
+        fx.finished = false;
+    }
+
+    fn on_timer(&mut self, token: TimerToken, now: Instant, fx: &mut Effects) {
+        let before = fx.tx.len();
+        self.host.on_timer(token, now, fx);
+        for pkt in &fx.tx[before..] {
+            if let Some(seg) = tcp_segment(pkt) {
+                self.replayed.insert(seg.dst_port, seg.ack);
+            }
+        }
+        fx.finished = false;
+    }
+}
+
 #[test]
 fn replayed_synacks_promote_exactly_once() {
+    // A replayed SYN-ACK is the host retransmitting it because the answer
+    // to the first was lost. Each row replays every SYN-ACK either while
+    // the target's session is live or after it concluded (but within the
+    // hold, which outlasts the slowest host's SYN-ACK schedule). `late`
+    // counts the replays per host that find the target already answered
+    // on the flow of a first SYN: those of the discovery flow, of probe
+    // 0 after the verdict, and a port scan's (it concludes on its first
+    // SYN-ACK). Each must draw exactly one RST and no second record.
+    // The probes' own flows close with the session and are not counted.
+    struct Row {
+        label: &'static str,
+        protocol: Protocol,
+        stateless: bool,
+        after: Duration,
+        late: u64,
+    }
+    let (live, concluded) = (Duration::from_millis(20), Duration::from_secs(100));
+    #[rustfmt::skip]
+    let rows = [
+        Row { label: "classic, live", protocol: Protocol::Http, stateless: false, after: live, late: 0 },
+        Row { label: "classic, concluded", protocol: Protocol::Http, stateless: false, after: concluded, late: 1 },
+        Row { label: "stateless-first, live", protocol: Protocol::Http, stateless: true, after: live, late: 1 },
+        Row { label: "stateless-first, concluded", protocol: Protocol::Http, stateless: true, after: concluded, late: 2 },
+        Row { label: "port scan, live", protocol: Protocol::PortScan, stateless: false, after: live, late: 1 },
+        Row { label: "port scan, concluded", protocol: Protocol::PortScan, stateless: false, after: concluded, late: 1 },
+    ];
     let space = 64u32;
     let seed = 0x4e91;
-    let mut config = stateless_config(space, seed);
-    config.resilience = ResilienceConfig::hardened();
-    let (results, metrics, ..) = run_matrix(config, |ip| {
-        Some((
-            Box::new(ChaosHost::new(
+    for row in rows {
+        let label = row.label;
+        let mut config = ScanConfig::study(row.protocol, space, seed);
+        config.rate_pps = 2_000_000;
+        config.stateless_first = row.stateless;
+        config.resilience = ResilienceConfig::hardened();
+        let rsts = Rc::new(Cell::new(0));
+        let tap = rsts.clone();
+        // `run_matrix` holds every row to one record per address.
+        let (results, metrics, ..) = run_matrix(config, move |ip| {
+            let host = ChaosHost::new(
                 Ipv4Addr::from_u32(ip),
-                ChaosMode::SynAckReplayed {
-                    after: Duration::from_millis(20),
-                },
+                ChaosMode::SynAckReplayed { after: row.after },
                 seed,
-            )) as Box<dyn Endpoint>,
-            LinkConfig::testbed(),
-        ))
-    });
-    // Every host validated once and was promoted once; the stale replay
-    // of the discovery SYN-ACK is recognized and dropped.
-    assert_eq!(
-        metrics.counter("scan.discovery.validated"),
-        u64::from(space)
-    );
-    assert_eq!(metrics.counter("scan.discovery.promoted"), u64::from(space));
-    assert_eq!(
-        metrics.counter("scan.discovery.duplicates"),
-        u64::from(space)
-    );
-    // No verdict inflation: one record per host, none claiming success
-    // (the replayer never sends data).
-    assert_eq!(results.len(), space as usize);
-    for w in results.windows(2) {
-        assert_ne!(w[0].ip, w[1].ip, "duplicate verdict for {}", w[0].ip);
+            );
+            let tap = ReplayTap {
+                host,
+                replayed: HashMap::new(),
+                rsts: tap.clone(),
+            };
+            Some((Box::new(tap) as Box<dyn Endpoint>, LinkConfig::testbed()))
+        });
+        let hosts = u64::from(space);
+        assert_eq!(
+            rsts.get(),
+            row.late * hosts,
+            "{label}: one RST per late SYN-ACK"
+        );
+        if row.protocol == Protocol::PortScan {
+            assert!(results.is_empty(), "{label}");
+            assert_eq!(metrics.counter("scan.synacks_validated"), hosts, "{label}");
+        } else {
+            // One record per host, none claiming success (the replayer
+            // never sends data).
+            assert_eq!(results.len(), space as usize, "{label}");
+            assert!(
+                results
+                    .iter()
+                    .all(|r| !matches!(r.primary_verdict(), Some(MssVerdict::Success(_)))),
+                "{label}"
+            );
+            assert_eq!(metrics.counter("scan.sessions_started"), hosts, "{label}");
+        }
+        if row.stateless {
+            // Every host validated once and was promoted once; the
+            // replayed discovery SYN-ACK is a duplicate.
+            assert_eq!(
+                metrics.counter("scan.discovery.validated"),
+                hosts,
+                "{label}"
+            );
+            assert_eq!(metrics.counter("scan.discovery.promoted"), hosts, "{label}");
+            assert_eq!(
+                metrics.counter("scan.discovery.duplicates"),
+                hosts,
+                "{label}"
+            );
+        }
     }
-    assert!(results
-        .iter()
-        .all(|r| !matches!(r.primary_verdict(), Some(MssVerdict::Success(_)))));
 }
 
 #[test]

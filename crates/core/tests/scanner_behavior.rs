@@ -194,16 +194,16 @@ fn port_scan_mode_records_and_rsts() {
 }
 
 #[test]
-fn port_scan_open_ports_deduplicated_at_harvest() {
+fn port_scan_records_each_open_port_once() {
     use iw_core::ScanRunner;
     use iw_internet::{Population, PopulationConfig};
     use std::sync::Arc;
 
     // A lossy world: when the scanner's RST is dropped, the host's TCB
     // sits in SYN-RCVD and retransmits its SYN-ACK, and the stateless
-    // cookie check happily validates the duplicate. Each validation
-    // pushes the host onto the raw open-ports list, so harvest() must
-    // dedup, not just sort.
+    // cookie check happily validates the duplicate. The target has
+    // concluded by then, so the duplicate is reset and counted, and the
+    // open-ports list holds each host once without a dedup at harvest.
     let pop = Arc::new(Population::new(PopulationConfig {
         seed: 0x5151,
         space_size: 1 << 14,
@@ -219,14 +219,16 @@ fn port_scan_open_ports_deduplicated_at_harvest() {
         out.open_ports.windows(2).all(|w| w[0] < w[1]),
         "open_ports must be sorted and free of duplicates"
     );
-    // The regression is only meaningful if duplicates actually arrived:
-    // more SYN-ACKs validated than distinct open hosts reported.
-    let validated = out.telemetry.metrics.counter("scan.synacks_validated");
+    let metrics = &out.telemetry.metrics;
+    assert_eq!(
+        metrics.counter("scan.synacks_validated"),
+        out.open_ports.len() as u64,
+        "one validated SYN-ACK per open port"
+    );
+    // The regression is only meaningful if duplicates actually arrived.
     assert!(
-        validated > out.open_ports.len() as u64,
-        "expected duplicate SYN-ACKs to exercise the dedup \
-         (validated {validated}, open {})",
-        out.open_ports.len()
+        metrics.counter("scan.late_answers") > 0,
+        "expected retransmitted SYN-ACKs after the verdict"
     );
 }
 

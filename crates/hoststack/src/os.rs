@@ -65,6 +65,16 @@ impl OsProfile {
         }
     }
 
+    /// Every personality a simulated host can have.
+    pub fn all() -> [OsProfile; 4] {
+        [
+            OsProfile::linux(),
+            OsProfile::windows(),
+            OsProfile::embedded(),
+            OsProfile::bsd(),
+        ]
+    }
+
     /// The effective MSS this stack uses against a peer-advertised value
     /// (`None` = the peer sent no MSS option → RFC 1122 default 536).
     pub fn effective_mss(&self, peer_mss: Option<u16>) -> u32 {

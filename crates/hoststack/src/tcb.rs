@@ -60,6 +60,12 @@ const TRANSITIONS: &[(State, State)] = &[
 /// Maximum RTO-backoff retransmissions before giving up.
 const MAX_RETRIES: u32 = 6;
 
+/// How long after its first SYN-ACK a stack whose initial RTO is `rto`
+/// may still retransmit it: `MAX_RETRIES` timeouts, each twice the last.
+pub fn synack_retransmit_span(rto: Duration) -> Duration {
+    rto.saturating_mul((1 << MAX_RETRIES) - 1)
+}
+
 /// A segment in flight, kept for retransmission.
 ///
 /// Payload bytes are not stored here: a segment is a `[start, start+len)`
@@ -931,6 +937,37 @@ mod tests {
         let out = segment(&mut tcb, &syn(64), Instant::ZERO + Duration::from_millis(5));
         assert_eq!(out.tx.len(), 1);
         assert!(out.tx[0].flags.contains(Flags::SYN | Flags::ACK));
+    }
+
+    #[test]
+    fn synack_retransmit_span_is_the_last_syn_ack() {
+        // The scanner holds a concluded target this long: a stack whose
+        // handshake never completes sends its last SYN-ACK exactly here.
+        let os = OsProfile::windows();
+        let span = synack_retransmit_span(os.initial_rto);
+        assert_eq!(span, Duration::from_secs(189));
+        let (mut tcb, out) = accept(
+            80,
+            os,
+            IwPolicy::Segments(2),
+            Box::new(SilentApp::default()),
+            &syn(64),
+            77,
+        );
+        let mut last = Instant::ZERO;
+        let mut deadline = out.deadline;
+        while let Some(at) = deadline {
+            let o = timer(&mut tcb, at);
+            if o.tx
+                .iter()
+                .any(|s| s.flags.contains(Flags::SYN | Flags::ACK))
+            {
+                last = at;
+            }
+            deadline = o.deadline;
+        }
+        assert!(tcb.is_closed());
+        assert_eq!(last, Instant::ZERO + span);
     }
 
     #[test]

@@ -99,6 +99,9 @@ pub enum Counter {
     DiscoverySpoofedRst,
     /// RSTs on any verdict path dropped for failing cookie validation.
     RstIgnored,
+    /// Cookie-valid SYN-ACKs and RSTs for a target that already has its
+    /// verdict: the SYN-ACK is reset, neither mints a second one.
+    LateAnswers,
     /// Periodic campaign checkpoints this shard captured.
     CheckpointsTaken,
     /// State entries cut short by a graceful-shutdown drain.
@@ -149,7 +152,7 @@ pub enum Hist {
 
 /// Name and scope of every [`Counter`], row `i` for discriminant `i`.
 #[rustfmt::skip]
-pub const COUNTERS: [(Counter, &str, Scope); 51] = [
+pub const COUNTERS: [(Counter, &str, Scope); 52] = [
     (Counter::TargetsSent, "scan.targets_sent", Scope::Scan),
     (Counter::SynacksValidated, "scan.synacks_validated", Scope::Scan),
     (Counter::Refused, "scan.refused", Scope::Scan),
@@ -196,6 +199,7 @@ pub const COUNTERS: [(Counter, &str, Scope); 51] = [
     (Counter::DiscoveryRawIsnEcho, "scan.discovery.raw_isn_echo", Scope::Scan),
     (Counter::DiscoverySpoofedRst, "scan.discovery.spoofed_rst", Scope::Scan),
     (Counter::RstIgnored, "scan.rst_ignored", Scope::Scan),
+    (Counter::LateAnswers, "scan.late_answers", Scope::Scan),
     // When a checkpoint fires is a per-shard scheduling fact (each shard
     // crosses virtual-time boundaries on its own event stream).
     (Counter::CheckpointsTaken, "scan.checkpoint.taken", Scope::Shard),
@@ -266,7 +270,7 @@ mod tests {
                 "{name} has invalid characters"
             );
         }
-        assert_eq!(seen.len(), 59);
+        assert_eq!(seen.len(), 60);
     }
 
     #[test]
@@ -327,6 +331,7 @@ mod tests {
             | Counter::DiscoveryRawIsnEcho
             | Counter::DiscoverySpoofedRst
             | Counter::RstIgnored
+            | Counter::LateAnswers
             | Counter::CheckpointsTaken
             | Counter::CheckpointDrainForced
             | Counter::FlightDumps
