@@ -928,7 +928,7 @@ impl Scanner {
             _ if self.discovery_active() => {
                 // Stateless-first: the SYN's source port and cookie ISN
                 // carry the whole flow state. No table entry, no RTT
-                // stamp, no recorder ring — a target earns table memory
+                // stamp, no recorder stamp — a target earns table memory
                 // only at promotion. Its retransmission is one FIFO entry
                 // whose level names the attempt.
                 self.metrics.inc(Counter::DiscoverySyns);
@@ -961,7 +961,7 @@ impl Scanner {
     /// Send the stateful SYN for a target — directly in classic mode, or
     /// at promotion time in stateless-first mode. From here on the
     /// target follows the exact classic lifecycle (`Handshake` entry, RTT
-    /// stamp, recorder ring, stateful retry queue), which is what keeps
+    /// stamp, recorder stamp, stateful retry queue), which is what keeps
     /// responder verdicts byte-identical across the two modes.
     fn send_stateful_syn(&mut self, ip: u32, promoted: bool, now: Instant, fx: &mut Effects) {
         let retries = self.config.resilience.syn_retries > 0;
@@ -978,11 +978,10 @@ impl Scanner {
         if self.config.telemetry.record_rtt || self.config.telemetry.record_spans {
             self.syn_ts.insert(ip, now);
         }
-        self.recorder
-            .note_state(ip, now.as_nanos(), SessionEvent::SynSent);
         self.events
             .record(now.as_nanos(), ip, SessionEvent::SynSent);
-        self.emit_syn(ip, now, fx);
+        let isn = self.emit_syn(ip, fx);
+        self.recorder.note_syn(ip, now.as_nanos(), isn);
         if retries {
             self.queue_retry(SYN_RETRY_NS, 0, ip, now, fx);
         }
@@ -1187,15 +1186,14 @@ impl Scanner {
         self.metrics.gauge_set(Gauge::DiscoveryStatePeak, footprint);
     }
 
-    /// Emit the stateless (probe 0, conn 0) SYN for a target. Retries use
-    /// the identical 4-tuple and ISN, so a SYN-ACK to any attempt
-    /// validates against the same cookie.
-    fn emit_syn(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
+    /// Emit the stateless (probe 0, conn 0) SYN for a target and return
+    /// its ISN. Retries use the identical 4-tuple and ISN, so a SYN-ACK
+    /// to any attempt validates against the same cookie.
+    fn emit_syn(&mut self, ip: u32, fx: &mut Effects) -> u32 {
         let sport = self.params.sport(0, 0, 0);
         let isn = self.cookie.isn(ip, sport, self.config.protocol.port());
-        self.recorder
-            .note_wire(ip, now.as_nanos(), true, Flags::SYN.bits(), isn, 0, 0);
         self.send_syn(ip, sport, isn, fx);
+        isn
     }
 
     /// A target's stateful SYN backoff elapsed: retransmit if it is still
@@ -1237,7 +1235,9 @@ impl Scanner {
         // sample (and the handshake span it would start) is dropped
         // rather than attributing whole backoff periods to the wire.
         self.syn_ts.remove(ip);
-        self.emit_syn(ip, now, fx);
+        let isn = self.emit_syn(ip, fx);
+        self.recorder
+            .note_wire(ip, now.as_nanos(), true, Flags::SYN.bits(), isn, 0, 0);
         self.queue_retry(SYN_RETRY_NS, attempts as usize + 1, ip, now, fx);
     }
 
@@ -1269,13 +1269,23 @@ impl Scanner {
     /// belong to hosts that never answered and would otherwise leak.
     fn sweep_rtt(&mut self, now: Instant, fx: &mut Effects) {
         self.syn_ts.retain(|_, t0| now - *t0 < RTT_EXPIRY);
-        // Flight-recorder rings of hosts that went silent before reaching
-        // a conclusion age out on the same schedule; live sessions keep
-        // theirs (a black box must survive until the verdict).
+        // Flight-recorder histories of hosts that went silent before
+        // reaching a conclusion age out on the same schedule. A target
+        // headed for one keeps its history, since a black box must
+        // survive until the verdict: a live session, and a handshake that
+        // owes a SYN retry or its give-up, which from the fourth retry on
+        // waits longer than the expiry. Without retries nothing gives up
+        // on a (promoted) silent `Handshake`, and keeping its history
+        // would keep this sweep armed forever.
         let cutoff = now.as_nanos().saturating_sub(RTT_EXPIRY.as_nanos());
+        let retries = self.config.resilience.syn_retries > 0;
         let targets = &self.targets;
         self.recorder
-            .expire_stale(cutoff, |ip| targets.session(ip).is_some());
+            .expire_stale(cutoff, |ip| match targets.get(ip) {
+                Some(Target::Live(_)) => true,
+                Some(Target::Handshake { .. }) => retries,
+                _ => false,
+            });
         if !(self.exhausted && self.syn_ts.is_empty() && self.recorder.live_rings() == 0) {
             fx.arm(SWEEP_PERIOD, SWEEP_TOKEN);
         }

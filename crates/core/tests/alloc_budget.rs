@@ -91,6 +91,35 @@ fn silent_sweep_allocates_nothing_per_syn() {
     );
 }
 
+#[test]
+fn a_silent_target_costs_the_flight_recorder_no_allocation() {
+    // The same classic sweep of a silent 2^14 space with the recorder off
+    // and on. A target that never answers holds a stamp in the
+    // recorder's map, not a ring of its own, so what the recorder adds is
+    // the map's growth, never one allocation per SYN.
+    let sweep = |flight_recorder: bool| {
+        let mut cfg = ScanConfig::study(Protocol::Http, 1 << 14, 0x51e7);
+        cfg.telemetry.flight_recorder = flight_recorder;
+        let sim_config = SimConfig {
+            seed: cfg.seed,
+            ..SimConfig::default()
+        };
+        let mut sim = Sim::new(Scanner::new(cfg), |_ip: u32| None, sim_config);
+        sim.kick_scanner(|s, now, fx| s.start(now, fx));
+        let before = allocs();
+        sim.run_to_completion();
+        let spent = allocs() - before;
+        assert_eq!(sim.stats().scanner_tx, 1 << 14, "one SYN per target");
+        spent
+    };
+    let (off, on) = (sweep(false), sweep(true));
+    println!("alloc_budget: silent sweep: {off} allocations without the recorder, {on} with it");
+    assert!(
+        on <= off + 64,
+        "{on} vs {off} allocations: the recorder allocates per silent target"
+    );
+}
+
 /// An endpoint that never answers, and (when `leaky`) puts every
 /// datagram's length in a fresh `Box`: the allocation a pattern rule
 /// over the scanner's sources cannot see, because the kernel reaches

@@ -199,6 +199,31 @@ fn silent_space_with_retries_dumps_handshake_timeouts() {
 }
 
 #[test]
+fn silent_space_with_four_retries_still_dumps_handshake_timeouts() {
+    // The fourth retry's backoff (16 s) outlasts the recorder's 8 s
+    // staleness expiry: a target still owed its give-up must keep its
+    // history until it gets it.
+    let space = 32u32;
+    let mut config = ScanConfig::study(Protocol::Http, space, 0x51e7);
+    config.rate_pps = 2_000_000;
+    config.resilience.syn_retries = 4;
+    config.telemetry.flight_recorder = true;
+    let (_, metrics, recorder) = run_with_factory(config, |_| None);
+    assert_eq!(recorder.dumps().len(), space as usize);
+    assert_eq!(recorder.live_rings(), 0, "no history survives the scan");
+    for dump in recorder.dumps() {
+        assert_eq!(dump.error, "handshake_timeout", "{dump:?}");
+        assert_eq!(dump.phase, "syn_wait", "{dump:?}");
+        // The first SYN and four retries, each a transition plus a segment.
+        assert_eq!(dump.entries.len(), 10, "{dump:?}");
+    }
+    assert_eq!(
+        metrics.counter("scan.flight_recorder.dumps"),
+        u64::from(space)
+    );
+}
+
+#[test]
 fn clean_scans_leave_no_flight_dumps() {
     // Every session concludes with a clean verdict: the recorder must
     // drop every ring and dump nothing.

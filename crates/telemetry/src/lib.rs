@@ -54,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod addr;
 pub mod events;
 pub mod harvest;
 pub mod json;
@@ -64,6 +65,7 @@ pub mod registry;
 pub mod sink;
 pub mod trace;
 
+pub use addr::AddrHasher;
 pub use events::{EventLog, EventRecord, OutcomeKind, SessionEvent};
 pub use harvest::IcmpHarvest;
 pub use json::{parse_json, JsonError, JsonValue};

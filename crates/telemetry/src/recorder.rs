@@ -8,27 +8,39 @@
 //! host, plus the lifecycle phase it died in, exported as one JSONL line
 //! per casualty for offline triage (`iw-cli inspect`).
 //!
-//! Memory discipline: each ring is a fixed-capacity `VecDeque` that
-//! evicts its oldest entry instead of growing, so a warm ring never
-//! reallocates (asserted by tests). Rings for targets that fall silent
-//! without any conclusion are expired by the scanner's periodic sweep.
-//! Everything is keyed and ordered deterministically — dumps merge
-//! across shards by `(conclusion time, address)`, which is
+//! Memory discipline: most targets never answer, so a target whose only
+//! history is its first SYN holds a 16-byte stamp (send time and ISN),
+//! not a ring. The ring — a fixed-capacity `VecDeque` that evicts its
+//! oldest entry instead of growing, so a warm ring never reallocates
+//! (asserted by tests) — is built when the target's second event
+//! arrives, and starts with the two entries the stamp stands for, so a
+//! dump cannot tell the difference. Stamps and rings live in two hashed
+//! maps, so the one probed on every segment holds only the targets that
+//! answered. Those of targets that fall silent without any conclusion
+//! are expired by the scanner's periodic sweep. Nothing read from the
+//! maps in hash order reaches output: dumps are appended at conclusion
+//! and merge across shards by `(conclusion time, address)`, which is
 //! population-determined, so a sharded scan dumps the same casualties in
 //! the same order as a single-threaded one.
 
+use crate::addr::AddrHasher;
 use crate::events::SessionEvent;
 use crate::json::{push_key, push_str_literal, push_u64_field};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::fmt::Write;
+use std::hash::BuildHasherDefault;
 
 /// Default per-session ring capacity (entries).
 pub const DEFAULT_RING_CAPACITY: usize = 32;
 
+/// The SYN bit of [`FlightEntry::Wire::flags`].
+const SYN: u16 = 0x002;
+
 /// TCP flag bits as carried in [`FlightEntry::Wire::flags`] (the low bits
 /// of the TCP flags word; matches the wire layout).
 const WIRE_FLAGS: [(u16, char); 6] = [
-    (0x002, 'S'),
+    (SYN, 'S'),
     (0x010, 'A'),
     (0x001, 'F'),
     (0x004, 'R'),
@@ -187,6 +199,79 @@ struct Ring {
     last_at: u64,
 }
 
+impl Ring {
+    fn new(capacity: usize) -> Ring {
+        Ring {
+            entries: VecDeque::with_capacity(capacity),
+            evicted: 0,
+            phase: "created",
+            last_at: 0,
+        }
+    }
+
+    /// Push with oldest-first eviction at the capacity bound; the deque
+    /// never grows past its initial allocation.
+    fn push(&mut self, entry: FlightEntry) {
+        if self.entries.len() >= self.entries.capacity() {
+            self.entries.pop_front();
+            self.evicted += 1;
+        }
+        self.last_at = entry.at_nanos();
+        self.entries.push_back(entry);
+    }
+
+    /// `SessionFinished` marks death, not a phase: the ring keeps the
+    /// phase the session died *in*, which is what a dump should name.
+    fn note_state(&mut self, at_nanos: u64, event: SessionEvent) {
+        if !matches!(event, SessionEvent::SessionFinished { .. }) {
+            self.phase = phase_after(&event);
+        }
+        self.push(FlightEntry::State { at_nanos, event });
+    }
+
+    /// A first SYN: its `SynSent` transition and the segment itself.
+    fn note_syn(&mut self, at_nanos: u64, isn: u32) {
+        self.note_state(at_nanos, SessionEvent::SynSent);
+        self.push(FlightEntry::Wire {
+            at_nanos,
+            tx: true,
+            flags: SYN,
+            seq: isn,
+            ack: 0,
+            payload_len: 0,
+        });
+    }
+}
+
+/// A target whose only history is its first SYN: the `SynSent`
+/// transition and the SYN segment, both at `at_nanos`, ISN `isn`. What a
+/// silent target costs.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    at_nanos: u64,
+    isn: u32,
+}
+
+const _: () = assert!(
+    std::mem::size_of::<Stamp>() == 16,
+    "a silent target's stamp is 16 bytes"
+);
+
+impl Stamp {
+    /// The ring the stamp stands for.
+    fn into_ring(self, capacity: usize) -> Ring {
+        let mut ring = Ring::new(capacity);
+        ring.note_syn(self.at_nanos, self.isn);
+        ring
+    }
+}
+
+/// The per-target stores. No iteration over them reaches output: dumps
+/// are appended at conclusion and merged by `(at, ip)`, and the expiry
+/// sweep and the shard merge do not depend on the order they visit.
+// iw-lint: allow(no-unordered-iteration): no iteration reaches output, see above
+type AddrMap<V> = std::collections::HashMap<u32, V, BuildHasherDefault<AddrHasher>>;
+
 /// A frozen ring: the black box of a session that ended in an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightDump {
@@ -251,7 +336,11 @@ fn ip_str(ip: u32) -> String {
 pub struct FlightRecorder {
     enabled: bool,
     capacity: usize,
-    rings: BTreeMap<u32, Ring>,
+    /// Targets whose only history is their first SYN.
+    stamps: AddrMap<Stamp>,
+    /// Targets with more, their rings inline. Only answers land here, so
+    /// the table every segment's lookup probes stays small.
+    rings: AddrMap<Ring>,
     dumps: Vec<FlightDump>,
 }
 
@@ -262,7 +351,8 @@ impl FlightRecorder {
         FlightRecorder {
             enabled,
             capacity: capacity.max(1),
-            rings: BTreeMap::new(),
+            stamps: AddrMap::default(),
+            rings: AddrMap::default(),
             dumps: Vec::new(),
         }
     }
@@ -273,25 +363,44 @@ impl FlightRecorder {
         self.enabled
     }
 
+    /// Record a target's first SYN: its `SynSent` transition and the SYN
+    /// segment with ISN `isn`, both at `at_nanos`. A target with no
+    /// history yet gets a stamp, not a ring.
+    #[inline]
+    pub fn note_syn(&mut self, ip: u32, at_nanos: u64, isn: u32) {
+        if !self.enabled {
+            return;
+        }
+        if let Some(ring) = self.rings.get_mut(&ip) {
+            ring.note_syn(at_nanos, isn);
+            return;
+        }
+        match self.stamps.entry(ip) {
+            Entry::Vacant(slot) => {
+                slot.insert(Stamp { at_nanos, isn });
+            }
+            Entry::Occupied(slot) => {
+                let mut ring = slot.remove().into_ring(self.capacity);
+                ring.note_syn(at_nanos, isn);
+                self.rings.insert(ip, ring);
+            }
+        }
+    }
+
     /// Record a state transition; creates the target's ring.
-    /// `SessionFinished` marks death, not a phase: the ring keeps the
-    /// phase the session died *in*, which is what a dump should name.
     #[inline]
     pub fn note_state(&mut self, ip: u32, at_nanos: u64, event: SessionEvent) {
         if !self.enabled {
             return;
         }
-        let terminal = matches!(event, SessionEvent::SessionFinished { .. });
-        let phase = phase_after(&event);
-        let ring = self.ring_mut(ip);
-        if !terminal {
-            ring.phase = phase;
+        if let Some(ring) = self.ring_mut(ip, true) {
+            ring.note_state(at_nanos, event);
         }
-        push_bounded(ring, FlightEntry::State { at_nanos, event });
     }
 
-    /// Record a wire segment. No-op unless the target already has a ring
-    /// (stray traffic for targets we never probed is not recorded).
+    /// Record a wire segment. No-op unless the target already has a
+    /// history (stray traffic for targets we never probed is not
+    /// recorded).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn note_wire(
@@ -307,29 +416,30 @@ impl FlightRecorder {
         if !self.enabled {
             return;
         }
-        if let Some(ring) = self.rings.get_mut(&ip) {
-            push_bounded(
-                ring,
-                FlightEntry::Wire {
-                    at_nanos,
-                    tx,
-                    flags,
-                    seq,
-                    ack,
-                    payload_len,
-                },
-            );
+        if let Some(ring) = self.ring_mut(ip, false) {
+            ring.push(FlightEntry::Wire {
+                at_nanos,
+                tx,
+                flags,
+                seq,
+                ack,
+                payload_len,
+            });
         }
     }
 
-    /// Conclude a target: `Some(error)` freezes the ring into a dump,
+    /// Conclude a target: `Some(error)` freezes its history into a dump,
     /// `None` (clean verdict) drops it. Returns true if a dump was kept.
     pub fn conclude(&mut self, ip: u32, at_nanos: u64, error: Option<&'static str>) -> bool {
         if !self.enabled {
             return false;
         }
-        let Some(ring) = self.rings.remove(&ip) else {
-            return false;
+        let ring = match self.rings.remove(&ip) {
+            Some(ring) => ring,
+            None => match self.stamps.remove(&ip) {
+                Some(stamp) => stamp.into_ring(self.capacity),
+                None => return false,
+            },
         };
         let Some(error) = error else {
             return false;
@@ -345,13 +455,16 @@ impl FlightRecorder {
         true
     }
 
-    /// Drop rings whose most recent entry predates `cutoff_nanos`, except
-    /// targets `keep` vouches for (live sessions). Bounds memory when
-    /// targets fall silent without ever concluding.
+    /// Drop the stamps and rings whose most recent entry predates
+    /// `cutoff_nanos`, except targets `keep` vouches for (those still
+    /// headed for a conclusion). Bounds memory when targets fall silent
+    /// without ever concluding.
     pub fn expire_stale(&mut self, cutoff_nanos: u64, keep: impl Fn(u32) -> bool) {
         if !self.enabled {
             return;
         }
+        self.stamps
+            .retain(|ip, stamp| stamp.at_nanos >= cutoff_nanos || keep(*ip));
         self.rings
             .retain(|ip, ring| ring.last_at >= cutoff_nanos || keep(*ip));
     }
@@ -361,13 +474,14 @@ impl FlightRecorder {
         &self.dumps
     }
 
-    /// Rings currently live (diagnostics).
+    /// Targets with a live history, stamped or ringed (diagnostics).
     pub fn live_rings(&self) -> usize {
-        self.rings.len()
+        self.stamps.len() + self.rings.len()
     }
 
-    /// `(len, deque capacity, evicted)` of a target's ring, for tests
-    /// asserting the no-reallocation guarantee.
+    /// `(len, deque capacity, evicted)` of a target's ring (`None` for a
+    /// target that has only a stamp), for tests asserting the
+    /// no-reallocation guarantee.
     pub fn ring_stats(&self, ip: u32) -> Option<(usize, usize, u64)> {
         self.rings
             .get(&ip)
@@ -385,9 +499,9 @@ impl FlightRecorder {
         self.enabled |= other.enabled;
         self.capacity = self.capacity.max(other.capacity);
         self.dumps.extend(other.dumps.iter().cloned());
-        for (ip, ring) in &other.rings {
-            self.rings.insert(*ip, ring.clone());
-        }
+        self.stamps.extend(&other.stamps);
+        self.rings
+            .extend(other.rings.iter().map(|(ip, ring)| (*ip, ring.clone())));
         self.dumps.sort_by_key(|d| (d.at_nanos, d.ip));
     }
 
@@ -402,26 +516,21 @@ impl FlightRecorder {
         out
     }
 
-    fn ring_mut(&mut self, ip: u32) -> &mut Ring {
-        let capacity = self.capacity;
-        self.rings.entry(ip).or_insert_with(|| Ring {
-            entries: VecDeque::with_capacity(capacity),
-            evicted: 0,
-            phase: "created",
-            last_at: 0,
-        })
+    /// The target's ring: built from its stamp if it has one, else new
+    /// when `create`, else none.
+    fn ring_mut(&mut self, ip: u32, create: bool) -> Option<&mut Ring> {
+        match self.rings.entry(ip) {
+            Entry::Occupied(ring) => Some(ring.into_mut()),
+            Entry::Vacant(slot) => {
+                let ring = match self.stamps.remove(&ip) {
+                    Some(stamp) => stamp.into_ring(self.capacity),
+                    None if create => Ring::new(self.capacity),
+                    None => return None,
+                };
+                Some(slot.insert(ring))
+            }
+        }
     }
-}
-
-/// Push with oldest-first eviction at the capacity bound; the deque
-/// never grows past its initial allocation.
-fn push_bounded(ring: &mut Ring, entry: FlightEntry) {
-    if ring.entries.len() >= ring.entries.capacity() {
-        ring.entries.pop_front();
-        ring.evicted += 1;
-    }
-    ring.last_at = entry.at_nanos();
-    ring.entries.push_back(entry);
 }
 
 #[cfg(test)]
@@ -437,6 +546,7 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let mut r = FlightRecorder::new(false, 8);
+        r.note_syn(2, 9, 77);
         r.note_state(1, 10, SessionEvent::SynSent);
         r.note_wire(1, 11, true, 0x002, 1, 0, 0);
         assert!(!r.conclude(1, 12, Some("collect_timeout")));
@@ -545,5 +655,220 @@ mod tests {
             line.contains("\"detail\":\"probe=2 outcome=error\""),
             "{line}"
         );
+    }
+
+    #[test]
+    fn a_first_syn_is_a_stamp_until_the_next_event() {
+        let mut r = FlightRecorder::new(true, 32);
+        r.note_syn(4, 10, 0xabcd);
+        assert_eq!(r.live_rings(), 1);
+        assert_eq!(r.ring_stats(4), None, "a silent target holds no ring");
+        r.note_wire(4, 12, false, 0x012, 5, 0xabce, 0);
+        let (len, cap, evicted) = r.ring_stats(4).expect("the answer builds the ring");
+        assert_eq!((len, evicted), (3, 0));
+        assert_eq!(cap, 32);
+        assert!(r.conclude(4, 13, Some("malformed")));
+        let entries = &r.dumps()[0].entries;
+        assert_eq!(
+            entries[0],
+            FlightEntry::State {
+                at_nanos: 10,
+                event: SessionEvent::SynSent
+            }
+        );
+        assert_eq!(
+            entries[1],
+            FlightEntry::Wire {
+                at_nanos: 10,
+                tx: true,
+                flags: SYN,
+                seq: 0xabcd,
+                ack: 0,
+                payload_len: 0
+            }
+        );
+    }
+
+    /// The recorder before stamps, kept as the reference: every target
+    /// gets a ring at its first event, in an ordered map. A ring is its
+    /// entries, its eviction count and its phase.
+    struct Eager {
+        capacity: usize,
+        rings: std::collections::BTreeMap<u32, (VecDeque<FlightEntry>, u64, &'static str)>,
+        dumps: Vec<FlightDump>,
+    }
+
+    impl Eager {
+        fn push(ring: &mut (VecDeque<FlightEntry>, u64, &'static str), entry: FlightEntry) {
+            if ring.0.len() >= ring.0.capacity() {
+                ring.0.pop_front();
+                ring.1 += 1;
+            }
+            ring.0.push_back(entry);
+        }
+
+        fn note_state(&mut self, ip: u32, at_nanos: u64, event: SessionEvent) {
+            let capacity = self.capacity;
+            let ring = self
+                .rings
+                .entry(ip)
+                .or_insert_with(|| (VecDeque::with_capacity(capacity), 0, "created"));
+            if !matches!(event, SessionEvent::SessionFinished { .. }) {
+                ring.2 = phase_after(&event);
+            }
+            Eager::push(ring, FlightEntry::State { at_nanos, event });
+        }
+
+        fn note_wire(&mut self, ip: u32, entry: FlightEntry) {
+            if let Some(ring) = self.rings.get_mut(&ip) {
+                Eager::push(ring, entry);
+            }
+        }
+
+        fn conclude(&mut self, ip: u32, at_nanos: u64, error: Option<&'static str>) -> bool {
+            let (Some((entries, evicted, phase)), Some(error)) = (self.rings.remove(&ip), error)
+            else {
+                return false;
+            };
+            self.dumps.push(FlightDump {
+                at_nanos,
+                ip,
+                error,
+                phase,
+                evicted,
+                entries: entries.into_iter().collect(),
+            });
+            true
+        }
+
+        fn expire_stale(&mut self, cutoff_nanos: u64, keep: impl Fn(u32) -> bool) {
+            self.rings.retain(|ip, (entries, ..)| {
+                entries.back().map_or(0, FlightEntry::at_nanos) >= cutoff_nanos || keep(*ip)
+            });
+        }
+    }
+
+    /// SplitMix64: the seeded call sequences.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    #[test]
+    fn recorder_matches_the_eager_model() {
+        let events = [
+            SessionEvent::SynAckValidated,
+            SessionEvent::SessionStarted,
+            SessionEvent::ProbeStarted { probe: 1, mss: 64 },
+            SessionEvent::RetransmitDetected {
+                probe: 1,
+                bytes_in_flight: 640,
+            },
+            SessionEvent::VerifyAckSent { probe: 1 },
+            SessionEvent::SessionFinished {
+                outcome: OutcomeKind::Error,
+            },
+            SessionEvent::Refused,
+            SessionEvent::IcmpUnreachable,
+        ];
+        // What the sequences must have reached, counted on the stamped
+        // targets: [silence expired, silence concluded, an answer, a SYN
+        // retry, an expiry sweep with a target exactly at its cutoff].
+        let mut seen = [0u32; 5];
+        for seed in 0..400u64 {
+            let mut rng = Rng(seed);
+            let capacity = [1, 2, 3, 32][seed as usize % 4];
+            let mut r = FlightRecorder::new(true, capacity);
+            let mut m = Eager {
+                capacity,
+                rings: Default::default(),
+                dumps: Vec::new(),
+            };
+            let mut t = 0u64;
+            for _ in 0..300 {
+                let ip = rng.below(6) as u32;
+                t += rng.below(3);
+                let stamped = r.stamps.contains_key(&ip);
+                let syn = |isn: u32| FlightEntry::Wire {
+                    at_nanos: t,
+                    tx: true,
+                    flags: SYN,
+                    seq: isn,
+                    ack: 0,
+                    payload_len: 0,
+                };
+                match rng.below(10) {
+                    0 | 1 => {
+                        let isn = rng.below(1 << 32) as u32;
+                        r.note_syn(ip, t, isn);
+                        m.note_state(ip, t, SessionEvent::SynSent);
+                        m.note_wire(ip, syn(isn));
+                    }
+                    2 => {
+                        let event = events[rng.below(events.len() as u64) as usize];
+                        r.note_state(ip, t, event);
+                        m.note_state(ip, t, event);
+                    }
+                    3 | 4 => {
+                        let tx = rng.below(2) == 0;
+                        let (flags, seq) = (rng.below(0x40) as u16, rng.below(1 << 32) as u32);
+                        r.note_wire(ip, t, tx, flags, seq, 7, 64);
+                        let entry = FlightEntry::Wire {
+                            at_nanos: t,
+                            tx,
+                            flags,
+                            seq,
+                            ack: 7,
+                            payload_len: 64,
+                        };
+                        m.note_wire(ip, entry);
+                        seen[2] += u32::from(stamped && !tx);
+                    }
+                    5 => {
+                        let isn = rng.below(1 << 32) as u32;
+                        let retried = SessionEvent::SynRetried { attempt: 1 };
+                        r.note_state(ip, t, retried);
+                        r.note_wire(ip, t, true, SYN, isn, 0, 0);
+                        m.note_state(ip, t, retried);
+                        m.note_wire(ip, syn(isn));
+                        seen[3] += u32::from(stamped);
+                    }
+                    6 | 7 => {
+                        let error = [None, Some("handshake_timeout")][rng.below(2) as usize];
+                        assert_eq!(r.conclude(ip, t, error), m.conclude(ip, t, error));
+                        seen[1] += u32::from(stamped && error.is_some());
+                    }
+                    _ => {
+                        let cutoff = t.saturating_sub(rng.below(4));
+                        let kept = rng.below(1 << 6);
+                        let keep = |ip: u32| kept >> ip & 1 == 1;
+                        let at_cutoff = r.stamps.values().any(|s| s.at_nanos == cutoff)
+                            || r.rings.values().any(|ring| ring.last_at == cutoff);
+                        let before = r.stamps.len();
+                        r.expire_stale(cutoff, keep);
+                        m.expire_stale(cutoff, keep);
+                        seen[0] += (before - r.stamps.len()) as u32;
+                        seen[4] += u32::from(at_cutoff);
+                    }
+                }
+                assert_eq!(r.live_rings(), m.rings.len(), "seed {seed}");
+            }
+            // Whatever is still held must hold the same history.
+            for ip in 0..6 {
+                assert_eq!(
+                    r.conclude(ip, t, Some("end")),
+                    m.conclude(ip, t, Some("end"))
+                );
+            }
+            assert_eq!(r.dumps(), &m.dumps[..], "seed {seed}");
+        }
+        assert!(seen.iter().all(|&n| n > 0), "unreached cases: {seen:?}");
     }
 }
