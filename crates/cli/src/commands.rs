@@ -232,11 +232,7 @@ fn write_telemetry(out: &iw_core::ScanOutput, args: &ScanArgs) -> Result<(), Cmd
         println!("telemetry snapshot written to {path}");
     }
     if let Some(path) = &args.pcap {
-        // The pcap exporter writes the file itself, so stage it at the
-        // temp path and promote it once complete.
-        iw_netsim::pcap::save_pcap(&out.trace, std::path::Path::new(&output::tmp_path(path)))
-            .map_err(|e| err(format!("write {path}: {e}")))?;
-        output::commit_tmp(path).map_err(|e| err(format!("write {path}: {e}")))?;
+        output::write_pcap(path, &out.trace).map_err(|e| err(format!("write {path}: {e}")))?;
         println!("scan trace saved to {path} ({} packets)", out.trace.len());
     }
     if let Some(path) = &args.trace_out {
@@ -449,8 +445,7 @@ fn cmd_probe(args: &ProbeArgs) -> Result<i32, CmdError> {
         None => println!("host did not answer"),
     }
     if let Some(path) = &args.pcap {
-        iw_netsim::pcap::save_pcap(&trace, std::path::Path::new(path))
-            .map_err(|e| err(format!("write {path}: {e}")))?;
+        output::write_pcap(path, &trace).map_err(|e| err(format!("write {path}: {e}")))?;
         println!("packet trace saved to {path} ({} packets)", trace.len());
     }
     Ok(0)
@@ -938,14 +933,33 @@ mod tests {
         let dir = std::env::temp_dir().join("iwscan-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("probe.pcap");
+        let name = path.to_string_lossy().into_owned();
+        // A previous capture in the way, with a second name: replacing it
+        // whole (rename) leaves that name on the old bytes, where writing
+        // in place would rewrite the file both names share.
+        let old = dir.join("probe.pcap.old");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&old);
+        std::fs::write(&path, b"previous capture").unwrap();
+        std::fs::hard_link(&path, &old).unwrap();
         let args = ProbeArgs {
-            pcap: Some(path.to_string_lossy().into_owned()),
+            pcap: Some(name.clone()),
             ..ProbeArgs::default()
         };
         assert_eq!(cmd_probe(&args).unwrap(), 0);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[0..4], &0xa1b2_c3d4u32.to_le_bytes());
         assert!(bytes.len() > 24, "records present");
+        assert_eq!(
+            std::fs::read(&old).unwrap(),
+            b"previous capture",
+            "the old file is replaced, not written through"
+        );
+        assert!(
+            !std::path::Path::new(&output::tmp_path(&name)).exists(),
+            "no staged sibling is left behind"
+        );
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&old);
     }
 }

@@ -4,6 +4,7 @@
 //! behind — the destination either holds the previous complete version
 //! or the new complete version.
 
+use iw_netsim::{pcap, Trace};
 use std::fs;
 use std::io;
 
@@ -20,10 +21,10 @@ pub fn write_atomic(path: &str, contents: impl AsRef<[u8]>) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// Promote an already-staged `<path>.tmp` (written by a third-party
-/// writer such as the pcap exporter) into place.
-pub fn commit_tmp(path: &str) -> io::Result<()> {
-    fs::rename(tmp_path(path), path)
+/// Atomically replace `path` with `trace` in pcap format: the one way
+/// `scan` and `probe` save their packets.
+pub fn write_pcap(path: &str, trace: &Trace) -> io::Result<()> {
+    write_atomic(path, pcap::to_pcap_bytes(trace))
 }
 
 #[cfg(test)]
@@ -39,18 +40,6 @@ mod tests {
         assert_eq!(fs::read_to_string(&path).unwrap(), "first");
         write_atomic(&path, "second").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "second");
-        assert!(!std::path::Path::new(&tmp_path(&path)).exists());
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn commit_promotes_a_staged_file() {
-        let dir = std::env::temp_dir().join("iwscan-output-test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("staged.bin").to_string_lossy().into_owned();
-        fs::write(tmp_path(&path), b"payload").unwrap();
-        commit_tmp(&path).unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"payload");
         assert!(!std::path::Path::new(&tmp_path(&path)).exists());
         let _ = fs::remove_file(&path);
     }

@@ -1047,11 +1047,11 @@ impl Scanner {
 
     /// Patch the SYN template for one target and send it.
     fn send_syn(&mut self, ip: u32, sport: u16, isn: u32, fx: &mut Effects) {
-        let mut buf = fx.buffer();
-        self.syn_template
-            .emit_into(&mut buf, Ipv4Addr::from_u32(ip), self.ident, sport, isn);
-        self.ident = self.ident.wrapping_add(1);
-        fx.send(buf.freeze());
+        let dst = Ipv4Addr::from_u32(ip);
+        fx.send(
+            self.syn_template
+                .datagram(dst, &mut self.ident, sport, isn, fx.pool()),
+        );
     }
 
     /// A target's level-`level` discovery backoff elapsed: send attempt
@@ -1102,7 +1102,7 @@ impl Scanner {
                     // holds a half-open connection we will never use.
                     let rst =
                         tcp::Segment::bare(seg.dst_port, seg.src_port, seg.ack, 0, Flags::RST, 0);
-                    fx.send(rst.datagram(self.config.source, src, &mut self.ident, fx.buffer()));
+                    fx.send(rst.datagram(self.config.source, src, &mut self.ident, fx.pool()));
                     if known {
                         self.metrics.inc(Counter::DiscoveryDuplicates);
                         return;
@@ -1300,7 +1300,7 @@ impl Scanner {
         fx: &mut Effects,
     ) {
         note_wire(&mut self.recorder, dst.to_u32(), now, true, seg);
-        fx.send(seg.datagram(self.config.source, dst, &mut self.ident, fx.buffer()));
+        fx.send(seg.datagram(self.config.source, dst, &mut self.ident, fx.pool()));
     }
 
     fn send_echo(&mut self, ip: u32, total_len: u32, fx: &mut Effects) {
@@ -1310,21 +1310,8 @@ impl Scanner {
             seq: 1,
             payload_len,
         };
-        let mut buf = fx.buffer();
-        ipv4::build_datagram_into(
-            &ipv4::Repr {
-                src_addr: self.config.source,
-                dst_addr: Ipv4Addr::from_u32(ip),
-                protocol: IpProtocol::Icmp,
-                payload_len: msg.buffer_len(),
-                ttl: 64,
-            },
-            self.ident,
-            &mut buf,
-            |l4| msg.emit_into(l4),
-        );
-        self.ident = self.ident.wrapping_add(1);
-        fx.send(buf.freeze());
+        let dst = Ipv4Addr::from_u32(ip);
+        fx.send(msg.datagram(self.config.source, dst, &mut self.ident, fx.pool()));
     }
 
     fn apply_session_output(
@@ -1350,7 +1337,7 @@ impl Scanner {
                 ..tx.header
             };
             note_wire(&mut self.recorder, ip, now, true, &seg);
-            fx.send(seg.datagram(self.config.source, dst, &mut self.ident, fx.buffer()));
+            fx.send(seg.datagram(self.config.source, dst, &mut self.ident, fx.pool()));
         }
         for ev in &out.events {
             self.note_session_event(ip, *ev, now);

@@ -7,7 +7,9 @@
 //! pooled SYN per transmission and no heap traffic at all, and a data
 //! segment must cost none on either side of a session (segments borrow
 //! from the pooled packet on receive and from the send buffer on
-//! transmit); what a responder still allocates is per connection.
+//! transmit); what a responder still allocates is per connection. The
+//! same allocator keeps live bytes too, so what a responder holds at a
+//! campaign's peak is a gate as well.
 
 use iw_core::cookie::CookieKey;
 use iw_core::{Protocol, ResilienceConfig, ScanConfig, ScanRunner, Scanner};
@@ -25,20 +27,31 @@ use std::sync::Arc;
 thread_local! {
     /// Allocator calls made by this thread (each test runs on its own).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed. Signed: a block
+    /// allocated elsewhere and freed here counts against it.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since the last [`reset_peak`].
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator with a per-thread call count. `realloc` and
-/// `alloc_zeroed` keep their default bodies, which go through `alloc`.
+/// The system allocator with per-thread call and byte counts. `realloc`
+/// and `alloc_zeroed` keep their default bodies, which go through `alloc`
+/// and `dealloc`.
 struct Counting;
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // A thread being torn down has no counter left; nothing to count.
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = LIVE.try_with(|live| {
+            live.set(live.get() + layout.size() as i64);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -48,6 +61,17 @@ static GLOBAL: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes this thread holds now; the peak restarts from here.
+fn reset_peak() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+fn peak() -> i64 {
+    PEAK.with(Cell::get)
 }
 
 #[test]
@@ -210,6 +234,39 @@ fn http_scan_allocations_per_responder_fit_the_budget() {
         spent / reachable <= 220,
         "{} allocations per responder: the session path allocates per segment again",
         spent / reachable
+    );
+}
+
+#[test]
+fn http_scan_peak_heap_per_responder_fits_the_budget() {
+    // The campaign above: its 941 responders are all in session at once,
+    // so the peak is what one live responder holds (host, TCBs, scanner
+    // session, packets in flight) plus the results kept so far.
+    let pop = Arc::new(Population::new(PopulationConfig {
+        seed: 0xabc,
+        space_size: 1 << 14,
+        target_responsive: 256,
+        loss_scale: 0.0,
+    }));
+    let runner =
+        ScanRunner::new(&pop).config(ScanConfig::study(Protocol::Http, pop.space_size(), 0xabc));
+    let before = reset_peak();
+    let out = runner.run();
+    let held = peak() - before;
+    let reachable = out.summary.reachable;
+    assert!(reachable > 100, "reachable {reachable}");
+    let per_responder = held / reachable as i64;
+    println!(
+        "alloc_budget: http scan: peak heap {held} bytes above the start for {reachable} \
+         responders ({per_responder} per responder)"
+    );
+    // Measured 5 354 with size-classed packet slabs and an exact
+    // per-host connection table; 2 KB slabs for every datagram and a
+    // four-entry table per host held 9 171.
+    assert!(
+        per_responder <= 5_880,
+        "{per_responder} bytes per responder at the peak: packets or per-host \
+         state are sized by capacity again, not by what they hold"
     );
 }
 

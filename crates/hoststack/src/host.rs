@@ -32,7 +32,10 @@ pub struct Host {
     icmp: bool,
     // Live connections. A probe host holds at most a couple at a time
     // (the scanner walks its connections sequentially), so a linear-scan
-    // vector beats a hash map on every per-packet lookup.
+    // vector beats a hash map on every per-packet lookup. It grows one
+    // entry at a time on accept: a responder-dense scan keeps every host
+    // live at once, and the amortized first push would reserve four
+    // 248-byte entries for the one most hosts ever hold.
     conns: Vec<(ConnKey, Tcb)>,
     rng: SmallRng,
     ip_ident: u16,
@@ -122,7 +125,7 @@ impl Host {
         if let Some((_, tcb)) = self.conns.iter_mut().find(|(k, _)| *k == key) {
             let ident = &mut self.ip_ident;
             let out = tcb.on_segment(seg, now, &mut |tx| {
-                fx.send(tx.datagram(ip, peer, ident, fx.buffer()))
+                fx.send(tx.datagram(ip, peer, ident, fx.pool()))
             });
             self.settle(key, out, now, fx);
             return;
@@ -144,8 +147,9 @@ impl Host {
                     seg,
                     isn,
                     now,
-                    &mut |tx| fx.send(tx.datagram(ip, peer, ident, fx.buffer())),
+                    &mut |tx| fx.send(tx.datagram(ip, peer, ident, fx.pool())),
                 );
+                self.conns.reserve_exact(1);
                 self.conns.push((key, tcb));
                 self.settle(key, out, now, fx);
                 return;
@@ -165,7 +169,7 @@ impl Host {
             };
             let rst =
                 tcp::Segment::bare(seg.dst_port, seg.src_port, rst_seq, rst_ack, rst_flags, 0);
-            fx.send(rst.datagram(ip, peer, &mut self.ip_ident, fx.buffer()));
+            fx.send(rst.datagram(ip, peer, &mut self.ip_ident, fx.pool()));
         }
         fx.finished = self.conns.is_empty();
     }
@@ -198,21 +202,8 @@ impl Host {
                     payload_len,
                 }
             };
-            let mut buf = fx.buffer();
-            ipv4::build_datagram_into(
-                &ipv4::Repr {
-                    src_addr: self.ip,
-                    dst_addr: ip_repr.src_addr,
-                    protocol: IpProtocol::Icmp,
-                    payload_len: reply.buffer_len(),
-                    ttl: 64,
-                },
-                self.ip_ident,
-                &mut buf,
-                |l4| reply.emit_into(l4),
-            );
-            self.ip_ident = self.ip_ident.wrapping_add(1);
-            fx.send(buf.freeze());
+            let peer = ip_repr.src_addr;
+            fx.send(reply.datagram(self.ip, peer, &mut self.ip_ident, fx.pool()));
         }
         fx.finished = self.conns.is_empty();
     }
@@ -256,7 +247,7 @@ impl Endpoint for Host {
         let (ip, ident) = (self.ip, &mut self.ip_ident);
         if let Some((_, tcb)) = self.conns.iter_mut().find(|(k, _)| *k == key) {
             let out = tcb.on_timer(now, &mut |tx| {
-                fx.send(tx.datagram(ip, peer, ident, fx.buffer()))
+                fx.send(tx.datagram(ip, peer, ident, fx.pool()))
             });
             self.settle(key, out, now, fx);
         } else {
@@ -322,6 +313,21 @@ mod tests {
         assert_eq!(host.conn_count(), 1);
         assert!(!fx.finished);
         assert!(!fx.timers.is_empty(), "SYN-ACK retransmit timer armed");
+    }
+
+    #[test]
+    fn the_connection_table_holds_exactly_its_connections() {
+        let mut host = web_host();
+        let mut fx = Effects::default();
+        host.on_packet(&datagram(&syn(80)), Instant::ZERO, &mut fx);
+        assert_eq!(host.conns.capacity(), 1, "one accept, one entry");
+        let second = tcp::Repr {
+            src_port: 40002,
+            ..syn(80)
+        };
+        host.on_packet(&datagram(&second), Instant::ZERO, &mut fx);
+        assert_eq!(host.conn_count(), 2);
+        assert_eq!(host.conns.capacity(), 2, "a concurrent second, one more");
     }
 
     #[test]

@@ -43,10 +43,17 @@ pub struct Effects {
 }
 
 impl Effects {
-    /// Check out a recycled packet buffer to emit into; send the frozen
-    /// result with [`Effects::send`].
+    /// Check out a recycled small-class packet buffer to emit into; send
+    /// the frozen result with [`Effects::send`]. The `iw_wire` datagram
+    /// builders take [`Effects::pool`] instead and size the slab to the
+    /// datagram.
     pub fn buffer(&self) -> PacketBuf {
         self.pool.take()
+    }
+
+    /// The pool emissions draw from.
+    pub fn pool(&self) -> &BufferPool {
+        &self.pool
     }
 
     /// Queue a datagram for transmission (a frozen [`PacketBuf`], or a

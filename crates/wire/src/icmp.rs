@@ -5,7 +5,8 @@
 //! we implement Echo Request/Reply and Destination Unreachable.
 
 use crate::checksum;
-use crate::{Error, Result};
+use crate::ipv4::{self, Ipv4Addr};
+use crate::{BufferPool, Error, IpProtocol, PooledPacket, Result};
 
 /// ICMP message types we handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,8 +71,28 @@ impl Message {
         buf
     }
 
+    /// This message as a whole IPv4 datagram from `src` to `dst` (TTL 64),
+    /// built in a slab of `pool` sized to it. Takes the sender's IP
+    /// identification counter and steps it.
+    pub fn datagram(
+        &self,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        ident: &mut u16,
+        pool: &BufferPool,
+    ) -> PooledPacket {
+        let ip = ipv4::Repr {
+            src_addr: src,
+            dst_addr: dst,
+            protocol: IpProtocol::Icmp,
+            payload_len: self.buffer_len(),
+            ttl: 64,
+        };
+        ipv4::pooled_datagram(&ip, ident, pool, |l4| self.emit_into(l4))
+    }
+
     /// Emit into a zeroed buffer of exactly [`Self::buffer_len`] bytes
-    /// (the pooled hot path; [`Self::emit`] wraps this).
+    /// ([`Self::emit`] and [`Self::datagram`] wrap this).
     pub fn emit_into(&self, buf: &mut [u8]) {
         debug_assert_eq!(buf.len(), self.buffer_len());
         match self {

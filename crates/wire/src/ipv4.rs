@@ -5,7 +5,7 @@
 //! them.
 
 use crate::checksum::{self, Checksum};
-use crate::{Error, IpProtocol, Result};
+use crate::{BufferPool, Error, IpProtocol, PooledPacket, Result};
 use core::fmt;
 
 /// An IPv4 address.
@@ -410,6 +410,21 @@ pub fn build_datagram_into(
     fill(&mut datagram[HEADER_LEN..]);
     let mut packet = Packet::new_unchecked(datagram);
     repr.emit(&mut packet, ident);
+}
+
+/// [`build_datagram_into`] a slab of `pool` sized to the datagram, with
+/// the sender's IP identification counter, which it steps: what the
+/// TCP and ICMP `datagram` builders share.
+pub(crate) fn pooled_datagram(
+    repr: &Repr,
+    ident: &mut u16,
+    pool: &BufferPool,
+    fill: impl FnOnce(&mut [u8]),
+) -> PooledPacket {
+    let mut buf = pool.take_for(HEADER_LEN + repr.payload_len);
+    build_datagram_into(repr, *ident, &mut buf, fill);
+    *ident = ident.wrapping_add(1);
+    buf.freeze()
 }
 
 /// Compute the TCP/ICMP payload checksum helper used by sibling modules.

@@ -13,6 +13,16 @@
 //! free list of the pool they came from; if that pool is already gone
 //! they are simply freed.
 //!
+//! Slabs come in two classes, each with its own free list:
+//! [`SMALL_SLAB_CAPACITY`] bytes for the SYNs, ACKs, RSTs, requests and
+//! 64-byte data segments that make up nearly every datagram of a scan,
+//! and [`SLAB_CAPACITY`] bytes for the few that are larger. A checkout
+//! names the length it is about to write ([`BufferPool::take_for`]) and
+//! gets the smallest class that holds it; a dropped slab goes back to
+//! the list of the class it holds without growing. So a warm pool still
+//! neither allocates nor reallocates, and the packets in flight at a
+//! scan's peak cost what they carry rather than 2 KB each.
+//!
 //! The pool is deliberately single-threaded (`Rc`/`RefCell`): a
 //! simulation shard — scanner, hosts, links, queue — lives entirely on
 //! one thread, and sharded scans give each shard its own pool. Nothing
@@ -23,9 +33,34 @@ use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::rc::{Rc, Weak};
 
-/// Default slab capacity: one MTU-sized packet plus headroom, so no scan
-/// packet ever forces a mid-build reallocation.
+/// The small class: datagrams up to 256 bytes, which is nearly all of a
+/// scan (SYNs, ACKs, RSTs, the GET and the 217-byte TLS ClientHello,
+/// data segments at the probed MSS of 64 or 128).
+pub const SMALL_SLAB_CAPACITY: usize = 256;
+
+/// The large class: one MTU-sized packet plus headroom, for the few
+/// larger datagrams (the 1 562-byte bloat-URI GET, segments at a larger
+/// MSS, the MTU prober's echoes), so no scan packet ever forces a
+/// mid-build reallocation.
 pub const SLAB_CAPACITY: usize = 2048;
+
+/// Slab capacity per class, smallest first; a class is an index here
+/// and into [`PoolInner::free`].
+const CLASSES: [usize; 2] = [SMALL_SLAB_CAPACITY, SLAB_CAPACITY];
+
+/// The class a checkout for a `len`-byte datagram draws from: the
+/// smallest that holds it.
+fn class_for(len: usize) -> usize {
+    usize::from(len > SMALL_SLAB_CAPACITY)
+}
+
+/// The class a slab of `capacity` bytes goes home to: the largest whose
+/// checkouts it holds without growing. A small slab written past its
+/// class (an unsized [`BufferPool::take`]) joins the large list once it
+/// has grown that far, and is never handed out to a length it lacks.
+fn home_class(capacity: usize) -> usize {
+    usize::from(capacity >= SLAB_CAPACITY)
+}
 
 /// Allocation counters for one pool (monotonic except `outstanding`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,8 +87,8 @@ struct Slab {
 
 #[derive(Debug, Default)]
 struct PoolInner {
-    /// Parked buffers, each the sole owner of its slab.
-    free: Vec<Rc<Slab>>,
+    /// Parked buffers per class, each the sole owner of its slab.
+    free: [Vec<Rc<Slab>>; 2],
     stats: PoolStats,
 }
 
@@ -70,11 +105,22 @@ impl BufferPool {
         BufferPool::default()
     }
 
-    /// Check out a writable, empty buffer (recycled when possible).
+    /// Check out a writable, empty small-class buffer, for a writer that
+    /// does not name its length; it grows if written past
+    /// [`SMALL_SLAB_CAPACITY`].
     pub fn take(&self) -> PacketBuf {
+        self.take_for(0)
+    }
+
+    /// Check out a writable, empty buffer of the smallest class that
+    /// holds `len` bytes (recycled when possible). The datagram builders
+    /// (`tcp::Segment::datagram`, `SynTemplate::datagram`,
+    /// `icmp::Message::datagram`) call this with their length.
+    pub(crate) fn take_for(&self, len: usize) -> PacketBuf {
+        let class = class_for(len);
         // single-threaded borrow, released before return
         let mut inner = self.inner.borrow_mut();
-        let mut shared = match inner.free.pop() {
+        let mut shared = match inner.free[class].pop() {
             Some(shared) => {
                 inner.stats.recycled += 1;
                 shared
@@ -84,7 +130,7 @@ impl BufferPool {
                 // the only allocations a pooled packet ever costs (slab and
                 // shell, once); a warm pool recycles and never reaches this arm
                 Rc::new(Slab {
-                    data: Vec::with_capacity(SLAB_CAPACITY),
+                    data: Vec::with_capacity(CLASSES[class]),
                     inner: Rc::downgrade(&self.inner),
                 })
             }
@@ -186,7 +232,8 @@ impl Drop for Packet {
             if let Some(inner) = self.shared.inner.upgrade() {
                 let mut pool = inner.borrow_mut();
                 pool.stats.outstanding -= 1;
-                pool.free.push(Rc::clone(&self.shared));
+                let class = home_class(self.shared.data.capacity());
+                pool.free[class].push(Rc::clone(&self.shared));
             }
         }
     }
@@ -233,7 +280,90 @@ mod tests {
         let b = pool.take();
         assert_eq!(pool.stats().recycled, 1, "free-list hit");
         assert_eq!(pool.stats().allocated, 1, "no second slab");
-        assert_eq!(b.capacity(), SLAB_CAPACITY);
+        assert_eq!(
+            b.capacity(),
+            SMALL_SLAB_CAPACITY,
+            "an unsized take is small"
+        );
+    }
+
+    #[test]
+    fn a_checkout_gets_the_smallest_class_that_holds_it() {
+        let pool = BufferPool::new();
+        for (len, capacity) in [
+            (0, SMALL_SLAB_CAPACITY),
+            (40, SMALL_SLAB_CAPACITY),
+            (256, SMALL_SLAB_CAPACITY),
+            (257, SLAB_CAPACITY),
+            (1_562, SLAB_CAPACITY),
+            (2_048, SLAB_CAPACITY),
+        ] {
+            let mut buf = pool.take_for(len);
+            assert_eq!(buf.capacity(), capacity, "{len} bytes");
+            buf.resize_zeroed(len);
+            assert_eq!(buf.capacity(), capacity, "{len} bytes fit without growing");
+        }
+    }
+
+    #[test]
+    fn a_dropped_slab_serves_only_its_own_class() {
+        let pool = BufferPool::new();
+        drop(pool.take_for(40));
+        let large = pool.take_for(1_562);
+        assert_eq!(
+            pool.stats().allocated,
+            2,
+            "a parked small slab is no large one"
+        );
+        drop(large);
+        let parked = |class: usize| pool.inner.borrow().free[class].len();
+        assert_eq!((parked(0), parked(1)), (1, 1));
+        let small = pool.take_for(100);
+        assert_eq!(small.capacity(), SMALL_SLAB_CAPACITY);
+        let large = pool.take_for(300);
+        assert_eq!(large.capacity(), SLAB_CAPACITY);
+        assert_eq!(pool.stats().allocated, 2);
+        assert_eq!(pool.stats().recycled, 2);
+    }
+
+    #[test]
+    fn a_warm_pool_of_mixed_lengths_allocates_no_slab() {
+        let pool = BufferPool::new();
+        let lengths = [40, 1_562, 60, 217, 300, 104, 2_048, 0];
+        let cycle = || {
+            let held: Vec<Packet> = lengths
+                .iter()
+                .map(|&len| {
+                    let mut buf = pool.take_for(len);
+                    buf.resize_zeroed(len);
+                    buf.freeze()
+                })
+                .collect();
+            for (pkt, &len) in held.iter().zip(&lengths) {
+                assert_eq!(pkt.shared.data.capacity(), CLASSES[class_for(len)]);
+            }
+        };
+        cycle();
+        let warm = pool.stats().allocated;
+        assert_eq!(warm, lengths.len() as u64);
+        for _ in 0..1_000 {
+            cycle();
+        }
+        let s = pool.stats();
+        assert_eq!(s.allocated, warm, "a warm pool allocates no slab");
+        assert_eq!(s.outstanding, 0);
+    }
+
+    #[test]
+    fn a_small_slab_grown_past_its_class_moves_up() {
+        let pool = BufferPool::new();
+        let mut buf = pool.take();
+        buf.resize_zeroed(SLAB_CAPACITY);
+        drop(buf);
+        let parked = |class: usize| pool.inner.borrow().free[class].len();
+        assert_eq!((parked(0), parked(1)), (0, 1));
+        assert!(pool.take_for(1_562).capacity() >= SLAB_CAPACITY);
+        assert_eq!(pool.stats().allocated, 1);
     }
 
     #[test]
@@ -305,29 +435,45 @@ mod tests {
         drop(q);
         assert_eq!(pool.stats().outstanding, 1, "last drop did");
         drop(other);
-        assert_eq!(pool.inner.borrow().free.len(), 2);
+        assert_eq!(pool.inner.borrow().free[0].len(), 2);
     }
 
     #[test]
     fn pool_dropped_before_its_packets_frees_them() {
         let pool = BufferPool::new();
-        let parked = pool.take();
-        let mut buf = pool.take();
+        let in_flight: Vec<(Packet, Packet)> = [40, 1_562]
+            .into_iter()
+            .map(|len| {
+                let mut buf = pool.take_for(len);
+                buf.extend_from_slice(b"orphan");
+                let p = buf.freeze();
+                (p.clone(), p)
+            })
+            .collect();
+        // One parked slab per class; nothing checks them out again (a
+        // checkout needs the slab's only handle, weak ones included).
+        let parked = [pool.take_for(40), pool.take_for(1_562)];
+        let parked_slabs = parked
+            .each_ref()
+            .map(|buf| Rc::downgrade(&buf.packet.shared));
         drop(parked);
-        buf.extend_from_slice(b"orphan");
-        let p = buf.freeze();
-        let q = p.clone();
         let pool_state = Rc::downgrade(&pool.inner);
         drop(pool);
         assert!(
             pool_state.upgrade().is_none(),
             "neither parked nor in-flight slabs keep the pool alive"
         );
-        assert_eq!(&*q, b"orphan", "bytes outlive the pool");
-        let slab = Rc::downgrade(&q.shared);
-        drop(p);
-        drop(q);
-        assert!(slab.upgrade().is_none(), "homeless slab is freed");
+        assert!(
+            parked_slabs.iter().all(|slab| slab.upgrade().is_none()),
+            "both classes' parked slabs are freed with the pool"
+        );
+        for (p, q) in in_flight {
+            assert_eq!(&*q, b"orphan", "bytes outlive the pool");
+            let slab = Rc::downgrade(&q.shared);
+            drop(p);
+            drop(q);
+            assert!(slab.upgrade().is_none(), "homeless slab is freed");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::checksum::Checksum;
 use crate::ipv4::{self, Ipv4Addr};
-use crate::{tcp, IpProtocol};
+use crate::{tcp, BufferPool, IpProtocol, PooledPacket};
 
 /// A SYN datagram with destination, identification, source port and
 /// sequence number left open.
@@ -67,6 +67,22 @@ impl SynTemplate {
             ip_sum,
             tcp_sum,
         }
+    }
+
+    /// The SYN for one target, built in a slab of `pool` sized to it.
+    /// Takes the sender's IP identification counter and steps it.
+    pub fn datagram(
+        &self,
+        dst: Ipv4Addr,
+        ident: &mut u16,
+        sport: u16,
+        isn: u32,
+        pool: &BufferPool,
+    ) -> PooledPacket {
+        let mut buf = pool.take_for(self.bytes.len());
+        self.emit_into(&mut buf, dst, *ident, sport, isn);
+        *ident = ident.wrapping_add(1);
+        buf.freeze()
     }
 
     /// Append the SYN for one target to `buf` (which should arrive

@@ -6,7 +6,7 @@
 //! that is plain header/option manipulation implemented here.
 
 use crate::ipv4::{self, Ipv4Addr};
-use crate::{Error, IpProtocol, PacketBuf, PooledPacket, Result};
+use crate::{BufferPool, Error, IpProtocol, PooledPacket, Result};
 use core::fmt;
 
 /// Minimum TCP header length (no options).
@@ -550,15 +550,16 @@ impl<'a> Segment<'a> {
     }
 
     /// This segment as a whole IPv4 datagram from `src` to `dst` (TTL 64,
-    /// what every endpoint here sends), built in the pooled `buf`: the
-    /// payload goes from wherever it is borrowed straight into the
-    /// packet. Takes the sender's IP identification counter and steps it.
+    /// what every endpoint here sends), built in a slab of `pool` sized
+    /// to it: the payload goes from wherever it is borrowed straight
+    /// into the packet. Takes the sender's IP identification counter and
+    /// steps it.
     pub fn datagram(
         &self,
         src: Ipv4Addr,
         dst: Ipv4Addr,
         ident: &mut u16,
-        mut buf: PacketBuf,
+        pool: &BufferPool,
     ) -> PooledPacket {
         let ip = ipv4::Repr {
             src_addr: src,
@@ -567,9 +568,7 @@ impl<'a> Segment<'a> {
             payload_len: self.buffer_len(),
             ttl: 64,
         };
-        ipv4::build_datagram_into(&ip, *ident, &mut buf, |l4| self.emit_into(src, dst, l4));
-        *ident = ident.wrapping_add(1);
-        buf.freeze()
+        ipv4::pooled_datagram(&ip, ident, pool, |l4| self.emit_into(src, dst, l4))
     }
 
     /// Number of sequence-space units this segment occupies
