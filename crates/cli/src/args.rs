@@ -26,7 +26,7 @@ SCAN FLAGS:
     --sample <(0, 1]>                fraction of the space to probe [default: 1]
     --threads <n>                    shard worlds, one thread each [default: all cores]
     --shards <n>                     alias for --threads
-    --loss <factor>                  link-loss scale   [default: 0]
+    --loss <factor>                  link-loss scale, finite and ≥ 0 [default: 0]
     --json <path>                    write per-host results as JSON
     --quiet                          suppress the histogram
     --monitor                        print ZMap-style progress lines
@@ -59,7 +59,7 @@ PROBE FLAGS:
     --os <linux|windows|embedded|bsd>                  [default: linux]
     --protocol <http|tls>                              [default: http]
     --body <bytes>                   response size     [default: 50000]
-    --loss <0.0..1.0>                random loss       [default: 0]
+    --loss <0..=1>                   random loss probability [default: 0]
     --pcap <path>                    save the packet trace as pcap
     --seed <u64>                                       [default: 7]
 
@@ -82,6 +82,8 @@ pub enum ParseError {
     MissingValue(String),
     /// A value failed to parse.
     BadValue(String, String),
+    /// A value parsed but means nothing: `(flag, value, what it must be)`.
+    OutOfRange(String, String, &'static str),
     /// No subcommand given.
     NoCommand,
 }
@@ -94,6 +96,9 @@ impl fmt::Display for ParseError {
             ParseError::UnknownFlag(flag) => write!(f, "unknown flag '{flag}'"),
             ParseError::MissingValue(flag) => write!(f, "flag '{flag}' needs a value"),
             ParseError::BadValue(flag, v) => write!(f, "bad value '{v}' for '{flag}'"),
+            ParseError::OutOfRange(flag, v, must) => {
+                write!(f, "bad value '{v}' for '{flag}': must be {must}")
+            }
             ParseError::NoCommand => write!(f, "no command given"),
         }
     }
@@ -260,6 +265,22 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, ParseError>
         .map_err(|_| ParseError::BadValue(flag.to_string(), v.to_string()))
 }
 
+/// Parse a float that must satisfy `ok` (described by `must` in the
+/// error): `f64` parsing also accepts `NaN`, `inf` and negatives.
+fn parse_bounded(
+    flag: &str,
+    v: &str,
+    ok: fn(f64) -> bool,
+    must: &'static str,
+) -> Result<f64, ParseError> {
+    let x: f64 = parse_num(flag, v)?;
+    if ok(x) {
+        Ok(x)
+    } else {
+        Err(ParseError::OutOfRange(flag.to_string(), v.to_string(), must))
+    }
+}
+
 impl Cli {
     /// Parse an argv slice (without the program name).
     pub fn parse(argv: &[String]) -> Result<Cli, ParseError> {
@@ -383,7 +404,8 @@ impl Cli {
                     args.threads = parse_num("--shards", &v)?;
                 }
                 if let Some(v) = get("--loss") {
-                    args.loss = parse_num("--loss", &v)?;
+                    let scale = |x: f64| x.is_finite() && x >= 0.0;
+                    args.loss = parse_bounded("--loss", &v, scale, "a finite factor ≥ 0")?;
                 }
                 if let Some(v) = get("--syn-retries") {
                     args.syn_retries = parse_num("--syn-retries", &v)?;
@@ -460,7 +482,8 @@ impl Cli {
                     args.body = parse_num("--body", &v)?;
                 }
                 if let Some(v) = get("--loss") {
-                    args.loss = parse_num("--loss", &v)?;
+                    let probability = |x: f64| (0.0..=1.0).contains(&x);
+                    args.loss = parse_bounded("--loss", &v, probability, "a probability in [0, 1]")?;
                 }
                 if let Some(v) = get("--seed") {
                     args.seed = parse_num("--seed", &v)?;
@@ -750,6 +773,33 @@ mod tests {
             Cli::parse(&argv("help")).unwrap_err(),
             ParseError::HelpRequested
         );
+    }
+
+    #[test]
+    fn loss_values_that_mean_nothing_are_usage_errors() {
+        // A scan's loss scales the links' calibrated loss: any finite
+        // factor ≥ 0. A probe's is a probability.
+        for (command, bad, must) in [
+            ("scan", "-1", "a finite factor ≥ 0"),
+            ("scan", "NaN", "a finite factor ≥ 0"),
+            ("scan", "inf", "a finite factor ≥ 0"),
+            ("probe", "2", "a probability in [0, 1]"),
+            ("probe", "-0.5", "a probability in [0, 1]"),
+            ("probe", "NaN", "a probability in [0, 1]"),
+        ] {
+            let err = Cli::parse(&argv(&format!("{command} --loss {bad}"))).unwrap_err();
+            assert_eq!(
+                err,
+                ParseError::OutOfRange("--loss".into(), bad.into(), must),
+                "{command} --loss {bad}"
+            );
+            // The CLI exits 2 with the reason and the usage.
+            let msg = crate::run(&argv(&format!("{command} --loss {bad}"))).unwrap_err();
+            assert!(msg.starts_with(&format!("bad value '{bad}' for '--loss': must be")));
+        }
+        for (command, good) in [("scan", "0"), ("scan", "2.5"), ("probe", "0"), ("probe", "1")] {
+            assert!(Cli::parse(&argv(&format!("{command} --loss {good}"))).is_ok());
+        }
     }
 
     #[test]

@@ -39,10 +39,12 @@ use std::fmt::Write as _;
 /// renumbers events or reshapes the capture: 2 = retry FIFOs (hardened
 /// campaigns process far fewer events than under version 1); 3 = one
 /// target table (`pending` lists every handshake, promoted ones without
-/// SYN retries included, and `scan.late_answers` joins the counters).
-/// Older files are refused by name instead of being replayed into a
-/// `Diverged` barrier.
-pub const CHECKPOINT_VERSION: u64 = 3;
+/// SYN retries included, and `scan.late_answers` joins the counters);
+/// 4 = keyed timers (a timer that can no longer do work is cancelled
+/// instead of firing, so every run processes fewer events). Older files
+/// are refused by name instead of being replayed into a `Diverged`
+/// barrier.
+pub const CHECKPOINT_VERSION: u64 = 4;
 
 /// The `kind` discriminator in the file header.
 pub const CHECKPOINT_KIND: &str = "iwscan-campaign-checkpoint";
@@ -805,10 +807,10 @@ mod tests {
             CampaignCheckpoint::parse(&json).unwrap_err(),
             CheckpointError::UnknownVersion(CHECKPOINT_VERSION + 1)
         );
-        // Files from before the retry FIFOs (1) or the one target table
-        // (2) capture different events or state: refused cleanly, never
-        // replayed to a divergence.
-        for old in [1, 2] {
+        // Files from before the retry FIFOs (1), the one target table (2)
+        // or keyed timers (3) capture different events or state: refused
+        // cleanly, never replayed to a divergence.
+        for old in [1, 2, 3] {
             ckpt.version = old;
             assert_eq!(
                 CampaignCheckpoint::parse(&ckpt.to_canonical_json()).unwrap_err(),

@@ -1353,6 +1353,10 @@ impl Scanner {
             }
         }
         if let Some(result) = out.result {
+            // Neither the session's wake-up nor its watchdog can do work
+            // any more.
+            fx.cancel(u64::from(ip));
+            fx.cancel(WATCHDOG_NS | u64::from(ip));
             let mut first_error: Option<ErrorKind> = None;
             for (_, outcomes) in &result.runs {
                 for o in outcomes {

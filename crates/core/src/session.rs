@@ -123,10 +123,11 @@ pub struct HostSession {
     /// When the session was created (SYN-ACK arrival); session-lifetime
     /// telemetry measures from here.
     started: Instant,
-    /// The deadline the scanner last armed a simulator timer for. Stale
-    /// timer fires are no-ops by construction, so arming a second timer
-    /// for the same instant buys nothing — the scanner consults this to
-    /// skip duplicate arms and keep the event queue lean.
+    /// The deadline the scanner last armed the session's timer for. An
+    /// arm moves the one pending timer the session's token names, so the
+    /// scanner consults this to arm only when the deadline changed: an
+    /// unchanged one is already pending. The scanner cancels the timer
+    /// when the session concludes.
     armed: Option<Instant>,
 }
 
@@ -197,10 +198,9 @@ impl HostSession {
         self.done
     }
 
-    /// Whether a simulator timer must be armed for `deadline`: true the
+    /// Whether the session's timer must be armed for `deadline`: true the
     /// first time each distinct deadline is reported, false for repeats
-    /// (one pending timer per instant is enough — extra ones would fire
-    /// as no-ops).
+    /// (the timer is already pending for it).
     pub fn should_arm(&mut self, deadline: Instant) -> bool {
         if self.armed == Some(deadline) {
             return false;

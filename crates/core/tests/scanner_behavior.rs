@@ -272,6 +272,46 @@ fn pace_timer_backs_off_at_low_rates() {
 }
 
 #[test]
+fn a_hardened_scan_ends_at_its_last_session_event() {
+    use iw_core::{ResilienceConfig, ScanRunner};
+    use iw_internet::{Population, PopulationConfig};
+    use std::sync::Arc;
+
+    // Every session arms a 75 s watchdog. One that concludes on its own
+    // cancels it, so once the last session event is logged only that
+    // session's RST is left to cross its path. A watchdog left to fire
+    // into a concluded session would stretch the scan to 75 s after that
+    // session's start.
+    let pop = Arc::new(Population::new(PopulationConfig {
+        seed: 0x1307_2017,
+        space_size: 1 << 13,
+        target_responsive: 200,
+        loss_scale: 0.0,
+    }));
+    let mut cfg = ScanConfig::study(Protocol::Http, pop.space_size(), 0x1307_2017);
+    cfg.rate_pps = 4_000_000;
+    cfg.telemetry.record_events = true;
+    cfg.resilience = ResilienceConfig::hardened();
+    let out = ScanRunner::new(&pop).config(cfg).run();
+    let records = out.telemetry.events.records();
+    let last = records.iter().map(|r| r.at_nanos).max().unwrap();
+    let forced = records
+        .iter()
+        .filter(|r| r.event == iw_core::telemetry::SessionEvent::WatchdogForced)
+        .count();
+    println!(
+        "duration {:?}, last session event at {last} ns, {forced} watchdog-forced",
+        out.duration
+    );
+    assert!(forced > 0, "the 75 s watchdog must bound some session");
+    let tail = out.duration.as_nanos() - last;
+    assert!(
+        tail < 1_000_000_000,
+        "the scan ran {tail} ns past its last session event"
+    );
+}
+
+#[test]
 fn pacing_respects_blacklist_and_whitelist() {
     let mut cfg = config(Protocol::Http);
     cfg.targets = TargetSpec::FullSpace { size: 1 << 10 };

@@ -235,15 +235,16 @@ impl ChaosHost {
                 let isn = self.isn(peer.to_u32(), seg.src_port, seg.dst_port);
                 self.send_syn_ack(peer, seg, isn, fx);
                 let token = (u64::from(seg.src_port) << 16) | u64::from(seg.dst_port);
-                self.conns.insert(
-                    token,
-                    ChaosConn {
-                        peer: peer.to_u32(),
-                        isn,
-                        ack: seg.seq.wrapping_add(1),
-                    },
-                );
-                fx.arm(after, token);
+                let conn = ChaosConn {
+                    peer: peer.to_u32(),
+                    isn,
+                    ack: seg.seq.wrapping_add(1),
+                };
+                // A retransmitted SYN finds its flow's timer running; it
+                // still fires `after` the first SYN (an arm would move it).
+                if self.conns.insert(token, conn).is_none() {
+                    fx.arm(after, token);
+                }
             }
         }
     }

@@ -68,13 +68,6 @@ impl Host {
         self.conns.len()
     }
 
-    fn conn_mut(&mut self, key: ConnKey) -> Option<&mut Tcb> {
-        self.conns
-            .iter_mut()
-            .find(|(k, _)| *k == key)
-            .map(|(_, tcb)| tcb)
-    }
-
     fn app_for_port(&self, port: u16) -> Option<Box<dyn App>> {
         match port {
             ports::HTTP => self
@@ -89,24 +82,19 @@ impl Host {
         }
     }
 
-    /// What a TCB event leaves to the host: arm its deadline, retire the
-    /// connection once closed.
+    /// What a TCB event leaves to the host: arm its deadline, or retire
+    /// the connection and cancel its timer once closed.
     fn settle(&mut self, key: ConnKey, out: TcbOutput, now: Instant, fx: &mut Effects) {
-        if let Some(deadline) = out.deadline {
-            if deadline > now
-                && self
-                    .conn_mut(key)
-                    .is_none_or(|tcb| tcb.should_arm(deadline))
-            {
-                fx.arm(deadline - now, token_for(key));
+        if let Some(pos) = self.conns.iter().position(|(k, _)| *k == key) {
+            let tcb = &mut self.conns[pos].1;
+            if tcb.is_closed() {
+                self.conns.swap_remove(pos);
+                fx.cancel(token_for(key));
+            } else if let Some(deadline) = out.deadline {
+                if deadline > now && tcb.should_arm(deadline) {
+                    fx.arm(deadline - now, token_for(key));
+                }
             }
-        }
-        if let Some(pos) = self
-            .conns
-            .iter()
-            .position(|(k, tcb)| *k == key && tcb.is_closed())
-        {
-            self.conns.swap_remove(pos);
         }
         fx.finished = self.conns.is_empty();
     }

@@ -147,8 +147,10 @@ pub struct Tcb {
     rto: Duration,
     rto_deadline: Option<Instant>,
     retries: u32,
-    /// The deadline the host last armed a simulator timer for; used to
-    /// suppress duplicate timer arms (stale fires are no-ops anyway).
+    /// The deadline the host last armed the connection's timer for. An
+    /// arm moves the one pending timer the connection's token names, so
+    /// the host arms only when the RTO deadline changed; it cancels the
+    /// timer when the connection closes.
     armed: Option<Instant>,
 
     // Diagnostics.

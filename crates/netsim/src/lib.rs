@@ -8,8 +8,8 @@
 //!   integer arithmetic, no wall clock anywhere;
 //! * an event queue ([`sim::Sim`]) delivering packets and timers in
 //!   deterministic order (ties broken by insertion sequence), backed by a
-//!   hierarchical timer wheel ([`wheel::TimerWheel`]) so scheduling stays
-//!   O(1) amortized at millions of in-flight events;
+//!   hierarchical timer wheel ([`wheel::TimerWheel`]) so scheduling and
+//!   cancelling stay O(1) amortized at millions of in-flight events;
 //! * per-path link impairments ([`link::Link`]) — propagation delay,
 //!   jitter, Bernoulli loss, duplication, plus scripted drops for exact
 //!   tail-loss experiments (paper §3.5), all drawn from the one seeded
@@ -37,4 +37,4 @@ pub use link::{Arrivals, Link, LinkConfig};
 pub use sim::{AddrMap, Effects, Endpoint, HostFactory, Sim, SimConfig, TimerToken};
 pub use time::{Duration, Instant};
 pub use trace::{Dir, Trace, TraceEntry};
-pub use wheel::TimerWheel;
+pub use wheel::{TimerId, TimerWheel};

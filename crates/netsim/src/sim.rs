@@ -12,27 +12,38 @@
 use crate::link::{Direction, Link, LinkConfig};
 use crate::time::{Duration, Instant};
 use crate::trace::{Dir, Trace};
-use crate::wheel::TimerWheel;
+use crate::wheel::{TimerId, TimerWheel};
 use iw_telemetry::trace::Tracer;
 use iw_telemetry::AddrHasher;
 use iw_wire::pool::{BufferPool, Packet, PacketBuf, PoolStats};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-/// Opaque timer identifier, namespaced per endpoint; endpoints must treat
-/// stale timers (state moved on) as no-ops — there is no cancellation.
+/// Names one timer of one endpoint: each endpoint has at most one
+/// pending timer per token. Arming a token that is pending moves that
+/// timer ([`Effects::arm`]); [`Effects::cancel`] removes it; a host that
+/// despawns takes its pending timers with it. A fire is delivered to the
+/// endpoint that armed it, which still checks its own state — a timer
+/// can come due for a deadline the endpoint has not reported as moved.
 pub type TimerToken = u64;
 
 /// A `HashMap` keyed by host-order IPv4 address, using [`AddrHasher`].
 pub type AddrMap<V> = HashMap<u32, V, BuildHasherDefault<AddrHasher>>;
 
 /// What an endpoint wants done after handling an event.
+///
+/// The kernel applies the cancels first, then the arms in order, then
+/// the transmissions: cancelling and re-arming a token in one call
+/// leaves it armed.
 #[derive(Debug, Default)]
 pub struct Effects {
     /// IPv4 datagrams to transmit (routed by destination address).
     pub tx: Vec<Packet>,
     /// Timers to arm, as (delay, token).
     pub timers: Vec<(Duration, TimerToken)>,
+    /// Pending timers to remove, by token.
+    pub cancels: Vec<TimerToken>,
     /// The endpoint is done and may be deallocated (hosts only; the
     /// scanner ignores this flag).
     pub finished: bool,
@@ -62,9 +73,16 @@ impl Effects {
         self.tx.push(pkt.into());
     }
 
-    /// Arm a timer.
+    /// Arm the timer `token` names to fire `delay` from now, moving it if
+    /// it is pending. A move to the instant it is already due at keeps
+    /// its place among same-instant events.
     pub fn arm(&mut self, delay: Duration, token: TimerToken) {
         self.timers.push((delay, token));
+    }
+
+    /// Remove the pending timer `token` names (nothing if none is).
+    pub fn cancel(&mut self, token: TimerToken) {
+        self.cancels.push(token);
     }
 }
 
@@ -72,7 +90,8 @@ impl Effects {
 pub trait Endpoint {
     /// An IPv4 datagram addressed to this endpoint arrived.
     fn on_packet(&mut self, pkt: &[u8], now: Instant, fx: &mut Effects);
-    /// A previously armed timer fired.
+    /// The timer `token` came due. It is no longer pending: keeping it
+    /// running means arming it again.
     fn on_timer(&mut self, token: TimerToken, now: Instant, fx: &mut Effects);
 }
 
@@ -167,7 +186,13 @@ enum EventKind {
 
 struct HostSlot {
     endpoint: Box<dyn Endpoint>,
+    /// The host's pending timers, one per token (a host holds about one
+    /// per live connection).
+    timers: Vec<(TimerToken, TimerId)>,
 }
+
+/// The scanner's pending timers, one per token.
+type TokenMap = HashMap<TimerToken, TimerId, BuildHasherDefault<AddrHasher>>;
 
 /// The simulation: one scanner endpoint `S`, hosts from factory `F`.
 pub struct Sim<S: Endpoint, F: HostFactory> {
@@ -177,6 +202,7 @@ pub struct Sim<S: Endpoint, F: HostFactory> {
     now: Instant,
     queue: TimerWheel<EventKind>,
     next_seq: u64,
+    scanner_timers: TokenMap,
     hosts: AddrMap<HostSlot>,
     /// Links persist across host despawn/respawn: the network path (and
     /// its loss-process state, including scripted drop counters) exists
@@ -205,6 +231,7 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
             now: Instant::ZERO,
             queue: TimerWheel::new(),
             next_seq: 0,
+            scanner_timers: TokenMap::default(),
             hosts: AddrMap::default(),
             links: AddrMap::default(),
             fx: Effects::default(),
@@ -278,14 +305,27 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
     }
 
     /// Schedule and route what the scanner just wrote into `self.fx`.
-    /// The vectors are lent out for the drain (routing needs `&mut self`)
-    /// and handed back empty with their capacity.
+    /// The vectors are drained in place, except `tx`, which is lent out
+    /// for the drain (routing needs `&mut self`) and handed back empty
+    /// with its capacity.
     fn apply_scanner_effects(&mut self) {
-        let mut timers = std::mem::take(&mut self.fx.timers);
-        for (delay, token) in timers.drain(..) {
-            self.schedule(delay, EventKind::ScannerTimer { token });
+        for token in self.fx.cancels.drain(..) {
+            if let Some(id) = self.scanner_timers.remove(&token) {
+                self.queue.cancel(id);
+            }
         }
-        self.fx.timers = timers;
+        for (delay, token) in self.fx.timers.drain(..) {
+            let (at, kind) = (self.now + delay, EventKind::ScannerTimer { token });
+            match self.scanner_timers.entry(token) {
+                Entry::Occupied(mut e) => {
+                    let id = arm(&mut self.queue, &mut self.next_seq, at, Some(*e.get()), kind);
+                    e.insert(id);
+                }
+                Entry::Vacant(e) => {
+                    e.insert(arm(&mut self.queue, &mut self.next_seq, at, None, kind));
+                }
+            }
+        }
         let mut tx = std::mem::take(&mut self.fx.tx);
         // A multi-packet batch is the fan-out hot path (pacing grants);
         // single replies are too common to be worth a span each.
@@ -301,16 +341,36 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
     }
 
     /// As [`Self::apply_scanner_effects`], for the host at `ip`.
+    /// A host that finished is dropped with its pending timers, and what
+    /// it armed or cancelled in the same call is moot.
     fn apply_host_effects(&mut self, ip: u32) {
-        let mut timers = std::mem::take(&mut self.fx.timers);
         if std::mem::take(&mut self.fx.finished) {
-            self.hosts.remove(&ip);
-            timers.clear();
+            if let Some(slot) = self.hosts.remove(&ip) {
+                for (_, id) in slot.timers {
+                    self.queue.cancel(id);
+                }
+            }
+        } else if let Some(slot) = self.hosts.get_mut(&ip) {
+            for token in self.fx.cancels.drain(..) {
+                if let Some(k) = slot.timers.iter().position(|(t, _)| *t == token) {
+                    self.queue.cancel(slot.timers.swap_remove(k).1);
+                }
+            }
+            for (delay, token) in self.fx.timers.drain(..) {
+                let (at, kind) = (self.now + delay, EventKind::HostTimer { ip, token });
+                let (queue, seq) = (&mut self.queue, &mut self.next_seq);
+                match slot.timers.iter_mut().find(|(t, _)| *t == token) {
+                    Some((_, id)) => *id = arm(queue, seq, at, Some(*id), kind),
+                    None => {
+                        let id = arm(queue, seq, at, None, kind);
+                        slot.timers.reserve_exact(1);
+                        slot.timers.push((token, id));
+                    }
+                }
+            }
         }
-        for (delay, token) in timers.drain(..) {
-            self.schedule(delay, EventKind::HostTimer { ip, token });
-        }
-        self.fx.timers = timers;
+        self.fx.cancels.clear();
+        self.fx.timers.clear();
         let mut tx = std::mem::take(&mut self.fx.tx);
         for pkt in tx.drain(..) {
             self.route_from_host(ip, pkt);
@@ -384,7 +444,13 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
                 self.links
                     .entry(ip)
                     .or_insert_with(|| Link::new(link_config, self.config.seed ^ u64::from(ip)));
-                self.hosts.insert(ip, HostSlot { endpoint });
+                self.hosts.insert(
+                    ip,
+                    HostSlot {
+                        endpoint,
+                        timers: Vec::new(),
+                    },
+                );
                 self.stats.hosts_spawned += 1;
                 true
             }
@@ -419,6 +485,7 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
                 self.apply_scanner_effects();
             }
             EventKind::ScannerTimer { token } => {
+                self.scanner_timers.remove(&token);
                 self.scanner.on_timer(token, self.now, &mut self.fx);
                 self.apply_scanner_effects();
             }
@@ -437,7 +504,12 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
                 }
             }
             EventKind::HostTimer { ip, token } => {
+                // A despawned host's timers left with it, so the slot is
+                // the one that armed this timer.
                 if let Some(slot) = self.hosts.get_mut(&ip) {
+                    if let Some(k) = slot.timers.iter().position(|(t, _)| *t == token) {
+                        slot.timers.swap_remove(k);
+                    }
                     slot.endpoint.on_timer(token, self.now, &mut self.fx);
                     self.apply_host_effects(ip);
                 }
@@ -469,6 +541,29 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
         }
         n
     }
+}
+
+/// Arm a keyed timer for `at`: push it, or move the entry `pending`
+/// names. A move to the instant it is already due at keeps that entry,
+/// and with it its place among same-instant events. Every arm takes a
+/// sequence number, so the entries that are pushed carry the numbers an
+/// unkeyed queue would give them.
+fn arm(
+    queue: &mut TimerWheel<EventKind>,
+    next_seq: &mut u64,
+    at: Instant,
+    pending: Option<TimerId>,
+    kind: EventKind,
+) -> TimerId {
+    let seq = *next_seq;
+    *next_seq += 1;
+    if let Some(id) = pending {
+        if queue.deadline(id) == Some(at) {
+            return id;
+        }
+        queue.cancel(id);
+    }
+    queue.push_cancellable(at, seq, kind)
 }
 
 fn dst_addr(pkt: &[u8]) -> Option<u32> {
@@ -515,14 +610,16 @@ mod tests {
     struct TestScanner {
         replies: Vec<u8>,
         timer_fired: Vec<TimerToken>,
+        fired_at: Vec<Instant>,
     }
 
     impl Endpoint for TestScanner {
         fn on_packet(&mut self, pkt: &[u8], _now: Instant, _fx: &mut Effects) {
             self.replies.push(pkt[20]);
         }
-        fn on_timer(&mut self, token: TimerToken, _now: Instant, fx: &mut Effects) {
+        fn on_timer(&mut self, token: TimerToken, now: Instant, fx: &mut Effects) {
             self.timer_fired.push(token);
+            self.fired_at.push(now);
             if token == 7 {
                 fx.arm(Duration::from_millis(1), 8);
             }
@@ -595,6 +692,114 @@ mod tests {
         sim.kick_scanner(|_, _, fx| fx.send(fake_pkt(5, 0)));
         sim.run_to_completion();
         assert_eq!(sim.live_hosts(), 0);
+    }
+
+    fn ms(n: u64) -> Instant {
+        Instant::ZERO + Duration::from_millis(n)
+    }
+
+    #[test]
+    fn a_rearm_fires_once_at_the_new_deadline() {
+        // Later and earlier alike: the token names one timer, and the
+        // arm moves it.
+        for (first, second) in [(5, 9), (9, 5)] {
+            let mut sim = Sim::new(TestScanner::default(), echo_factory, SimConfig::default());
+            sim.kick_scanner(|_, _, fx| fx.arm(Duration::from_millis(first), 1));
+            sim.kick_scanner(|_, _, fx| fx.arm(Duration::from_millis(second), 1));
+            sim.run_to_completion();
+            assert_eq!(sim.scanner().timer_fired, vec![1]);
+            assert_eq!(sim.scanner().fired_at, vec![ms(second)]);
+        }
+    }
+
+    #[test]
+    fn a_rearm_to_the_same_instant_keeps_its_sequence() {
+        let mut sim = Sim::new(TestScanner::default(), echo_factory, SimConfig::default());
+        sim.kick_scanner(|_, _, fx| {
+            fx.arm(Duration::from_millis(5), 1);
+            fx.arm(Duration::from_millis(5), 2);
+        });
+        // Armed again for the instant it is due at: still ahead of 2.
+        sim.kick_scanner(|_, _, fx| fx.arm(Duration::from_millis(5), 1));
+        sim.run_to_completion();
+        assert_eq!(sim.scanner().timer_fired, vec![1, 2]);
+    }
+
+    #[test]
+    fn cancel_removes_the_timer_before_the_arms_of_the_call() {
+        let mut sim = Sim::new(TestScanner::default(), echo_factory, SimConfig::default());
+        sim.kick_scanner(|_, _, fx| {
+            fx.arm(Duration::from_millis(5), 1);
+            fx.arm(Duration::from_millis(6), 2);
+            fx.arm(Duration::from_millis(7), 3);
+        });
+        sim.kick_scanner(|_, _, fx| {
+            fx.cancel(1);
+            fx.cancel(4); // nothing pending: nothing happens
+            // Cancels apply first, so this pair moves 3 to 8 ms.
+            fx.arm(Duration::from_millis(8), 3);
+            fx.cancel(3);
+        });
+        sim.run_to_completion();
+        assert_eq!(sim.scanner().timer_fired, vec![2, 3]);
+        assert_eq!(sim.scanner().fired_at, vec![ms(6), ms(8)]);
+    }
+
+    #[test]
+    fn events_count_only_fired_timers() {
+        let mut sim = Sim::new(TestScanner::default(), echo_factory, SimConfig::default());
+        sim.kick_scanner(|_, _, fx| {
+            for token in 0..10 {
+                fx.arm(Duration::from_millis(5 + token), token);
+            }
+            fx.arm(Duration::from_millis(30), 0);
+        });
+        sim.kick_scanner(|_, _, fx| (1..9).for_each(|token| fx.cancel(token)));
+        sim.run_to_completion();
+        assert_eq!(sim.scanner().timer_fired, vec![9, 0]);
+        assert_eq!(sim.stats().events, 2, "moved and cancelled entries are no events");
+    }
+
+    #[test]
+    fn a_despawned_hosts_timers_never_fire() {
+        // Tag 0 arms a one-second timer, tag 1 finishes the host, tag 2
+        // just arrives. The host despawns with its timer pending and is
+        // respawned before the deadline: the new host never armed it.
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        struct Armer(Rc<RefCell<Vec<TimerToken>>>);
+        impl Endpoint for Armer {
+            fn on_packet(&mut self, pkt: &[u8], _n: Instant, fx: &mut Effects) {
+                match pkt[20] {
+                    0 => fx.arm(Duration::from_secs(1), 9),
+                    1 => fx.finished = true,
+                    _ => {}
+                }
+            }
+            fn on_timer(&mut self, token: TimerToken, _n: Instant, _fx: &mut Effects) {
+                self.0.borrow_mut().push(token);
+            }
+        }
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let log = fired.clone();
+        let factory = move |_ip: u32| {
+            Some((
+                Box::new(Armer(log.clone())) as Box<dyn Endpoint>,
+                LinkConfig::testbed(),
+            ))
+        };
+        let mut sim = Sim::new(TestScanner::default(), factory, SimConfig::default());
+        sim.kick_scanner(|_, _, fx| {
+            fx.send(fake_pkt(1, 0));
+            fx.send(fake_pkt(1, 1));
+        });
+        sim.run_until(ms(100));
+        assert_eq!(sim.live_hosts(), 0, "the host finished");
+        sim.kick_scanner(|_, _, fx| fx.send(fake_pkt(1, 2)));
+        sim.run_to_completion();
+        assert_eq!(sim.live_hosts(), 1, "respawned");
+        assert!(fired.borrow().is_empty(), "{:?}", fired.borrow());
+        assert_eq!(sim.stats().events, 3, "three deliveries");
     }
 
     #[test]

@@ -23,9 +23,21 @@
 //!   every event still out on the wheel has a strictly larger deadline
 //!   than anything in `due` (its tick, hence its `at`, is larger).
 //!
-//! There is no cancel operation for the same reason the heap never had
-//! one: endpoints treat stale timer tokens as no-ops, which *is* O(1)
-//! cancellation — the entry fires into a dead token and is dropped.
+//! Cancellation is O(1). [`TimerWheel::push_cancellable`] gives its entry
+//! a slot in a slab and returns a generation-tagged [`TimerId`] naming
+//! it; the slot records the entry's deadline and its position in its
+//! bucket. Where the entry is follows from its deadline and the cursor
+//! (see [`bucket_of`]), so [`TimerWheel::cancel`] of an entry out on the
+//! wheel is a swap-remove. An entry already in `due` is marked and
+//! skipped when it surfaces; it never fires. A slot is reused only after
+//! its entry has left every structure, and its generation moves on each
+//! release, so a stale `TimerId` cancels nothing. [`TimerWheel::push`]
+//! files an entry nobody will cancel (a packet in flight) without a
+//! slot, so it costs what it did before timers could be cancelled.
+//!
+//! Entries, the slab and `due` keep their capacity; a drained bucket
+//! keeps its buffer up to [`KEPT_BUCKET_BYTES`], so steady-state filing
+//! allocates nothing and a burst does not pin its peak.
 
 use crate::time::Instant;
 use std::cmp::Reverse;
@@ -44,13 +56,36 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// every representable deadline has a home bucket, so there is no
 /// overflow path to get wrong.
 const LEVELS: usize = 8;
+/// The largest buffer a drained bucket keeps for its next lap. Larger
+/// ones are freed, so one burst does not pin its peak in all 512
+/// buckets.
+const KEPT_BUCKET_BYTES: usize = 4 << 10;
+
+/// [`Entry::slot`] of an entry pushed without one.
+const NO_SLOT: u32 = u32::MAX;
+/// End of the free list.
+const NIL: u32 = u32::MAX;
+/// [`Slot::pos`] of an entry cancelled while it waits in `due`.
+const CANCELLED: u32 = u32::MAX - 1;
+
+/// Names one entry pushed with [`TimerWheel::push_cancellable`]: a slab
+/// index and the generation it was issued under. Once the entry fires or
+/// is cancelled the id is stale, and every operation given it is a
+/// no-op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId {
+    index: u32,
+    gen: u32,
+}
 
 /// A scheduled entry: the deadline, the global insertion sequence that
-/// breaks deadline ties, and the caller's payload.
+/// breaks deadline ties, its slab slot (or [`NO_SLOT`]) and the caller's
+/// payload.
 #[derive(Debug)]
 struct Entry<T> {
     at: Instant,
     seq: u64,
+    slot: u32,
     item: T,
 }
 
@@ -69,6 +104,17 @@ impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
+}
+
+/// Where a cancellable entry is.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    at: Instant,
+    /// Moves every time the slot is released or its entry cancelled.
+    gen: u32,
+    /// The entry's index in its bucket while on the wheel, [`CANCELLED`],
+    /// or the next free slot while free.
+    pos: u32,
 }
 
 /// One wheel level: 64 buckets plus an occupancy bitmap so the next
@@ -96,15 +142,38 @@ impl<T> Level<T> {
 #[derive(Debug)]
 pub struct TimerWheel<T> {
     levels: [Level<T>; LEVELS],
-    /// Entries whose tick the cursor has reached, in exact pop order.
+    /// The slab of cancellable entries' locations.
+    slab: Vec<Slot>,
+    /// Head of the free list threaded through [`Slot::pos`].
+    free: u32,
+    /// Entries whose tick the cursor has reached, in exact pop order
+    /// (cancelled ones included until they surface).
     due: BinaryHeap<Reverse<Entry<T>>>,
+    /// Cancelled entries still in `due`.
+    due_cancelled: usize,
     /// The cursor: every entry on the wheel has `tick(at) > cur_tick`.
     cur_tick: u64,
+    /// Pending entries (cancelled ones excluded).
     len: usize,
 }
 
 const fn tick_of(at: Instant) -> u64 {
     at.as_nanos() >> TICK_SHIFT
+}
+
+/// The `(level, slot)` of the bucket an entry due at `tick` is filed in
+/// when the cursor is at `cur_tick < tick`: the level is chosen by the
+/// highest bit in which the two differ, so the entry's slot within that
+/// level is always ahead of the cursor's. An entry stays in that bucket
+/// until it drains: the cursor only moves by draining the earliest
+/// occupied bucket, and never past an entry's bucket without draining it,
+/// so this is also where a pending entry *is*.
+fn bucket_of(tick: u64, cur_tick: u64) -> (usize, usize) {
+    let differing = tick ^ cur_tick;
+    let top_bit = 63 - differing.leading_zeros();
+    let level = (top_bit / SLOT_BITS) as usize;
+    let slot = (tick >> (level as u32 * SLOT_BITS)) as usize & (SLOTS - 1);
+    (level, slot)
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -118,7 +187,10 @@ impl<T> TimerWheel<T> {
     pub fn new() -> TimerWheel<T> {
         TimerWheel {
             levels: std::array::from_fn(|_| Level::new()),
+            slab: Vec::new(),
+            free: NIL,
             due: BinaryHeap::new(),
+            due_cancelled: 0,
             cur_tick: 0,
             len: 0,
         }
@@ -134,29 +206,113 @@ impl<T> TimerWheel<T> {
         self.len == 0
     }
 
-    /// Schedule `item` for `at`, with tie-break sequence `seq`.
+    /// Schedule `item` for `at`, with tie-break sequence `seq`. It cannot
+    /// be cancelled.
     pub fn push(&mut self, at: Instant, seq: u64, item: T) {
-        self.len += 1;
-        let tick = tick_of(at);
-        if tick <= self.cur_tick {
-            self.due.push(Reverse(Entry { at, seq, item }));
-            return;
-        }
-        self.file(Entry { at, seq, item }, tick);
+        self.insert(Entry {
+            at,
+            seq,
+            slot: NO_SLOT,
+            item,
+        });
     }
 
-    /// File a future entry (tick strictly beyond the cursor) on the wheel:
-    /// the level is chosen by the highest bit in which the entry's tick
-    /// differs from the cursor, so the entry's slot index within that
-    /// level is always ahead of the cursor's.
-    fn file(&mut self, entry: Entry<T>, tick: u64) {
-        let differing = tick ^ self.cur_tick;
-        let top_bit = 63 - differing.leading_zeros();
-        let level = (top_bit / SLOT_BITS) as usize;
-        let slot = (tick >> (level as u32 * SLOT_BITS)) as usize & (SLOTS - 1);
+    /// As [`Self::push`], returning the id that cancels the entry.
+    pub fn push_cancellable(&mut self, at: Instant, seq: u64, item: T) -> TimerId {
+        let slot = Slot { at, gen: 0, pos: 0 };
+        let index = if self.free == NIL {
+            self.slab.push(slot);
+            (self.slab.len() - 1) as u32
+        } else {
+            let index = self.free;
+            let free = &mut self.slab[index as usize];
+            self.free = free.pos;
+            free.at = at;
+            index
+        };
+        let gen = self.slab[index as usize].gen;
+        self.insert(Entry {
+            at,
+            seq,
+            slot: index,
+            item,
+        });
+        TimerId { index, gen }
+    }
+
+    fn insert(&mut self, entry: Entry<T>) {
+        self.len += 1;
+        let tick = tick_of(entry.at);
+        if tick <= self.cur_tick {
+            self.due.push(Reverse(entry));
+        } else {
+            self.file(entry, tick);
+        }
+    }
+
+    /// The deadline of the pending entry `id` names, `None` once it fired
+    /// or was cancelled.
+    pub fn deadline(&self, id: TimerId) -> Option<Instant> {
+        self.live(id).map(|slot| slot.at)
+    }
+
+    /// Remove the pending entry `id` names; it will never pop. False (and
+    /// nothing happens) when it already fired or was cancelled, even if
+    /// its slab slot now holds another entry.
+    pub fn cancel(&mut self, id: TimerId) -> bool {
+        let Some(&Slot { at, pos, .. }) = self.live(id) else {
+            return false;
+        };
+        self.len -= 1;
+        let index = id.index as usize;
+        let tick = tick_of(at);
+        if tick <= self.cur_tick {
+            // In `due`: a heap has no cheap removal, so mark it.
+            let slot = &mut self.slab[index];
+            slot.gen = slot.gen.wrapping_add(1);
+            slot.pos = CANCELLED;
+            self.due_cancelled += 1;
+            return true;
+        }
+        let (level, bucket) = bucket_of(tick, self.cur_tick);
         let l = &mut self.levels[level];
-        l.slots[slot].push(entry);
-        l.occupied |= 1 << slot;
+        let entries = &mut l.slots[bucket];
+        let pos = pos as usize;
+        entries.swap_remove(pos);
+        match entries.get(pos) {
+            Some(moved) if moved.slot != NO_SLOT => self.slab[moved.slot as usize].pos = pos as u32,
+            Some(_) => {}
+            None if entries.is_empty() => l.occupied &= !(1 << bucket),
+            None => {}
+        }
+        self.release(index);
+        true
+    }
+
+    /// The slot `id` names, if its entry is still pending.
+    fn live(&self, id: TimerId) -> Option<&Slot> {
+        self.slab
+            .get(id.index as usize)
+            .filter(|slot| slot.gen == id.gen && slot.pos != CANCELLED)
+    }
+
+    /// Put a slot whose entry left every structure on the free list.
+    fn release(&mut self, index: usize) {
+        let slot = &mut self.slab[index];
+        slot.gen = slot.gen.wrapping_add(1);
+        slot.pos = self.free;
+        self.free = index as u32;
+    }
+
+    /// File a future entry (tick strictly beyond the cursor) on the wheel.
+    fn file(&mut self, entry: Entry<T>, tick: u64) {
+        let (level, bucket) = bucket_of(tick, self.cur_tick);
+        let l = &mut self.levels[level];
+        if entry.slot != NO_SLOT {
+            self.slab[entry.slot as usize].pos = l.slots[bucket].len() as u32;
+        }
+        l.slots[bucket].push(entry);
+        l.occupied |= 1 << bucket;
     }
 
     /// The deadline of the next entry, advancing the cursor as needed.
@@ -170,36 +326,59 @@ impl<T> TimerWheel<T> {
         self.advance_to_due();
         let Reverse(e) = self.due.pop()?;
         self.len -= 1;
+        if e.slot != NO_SLOT {
+            self.release(e.slot as usize);
+        }
         Some((e.at, e.item))
     }
 
-    /// Advance the cursor until `due` holds the next entry (or the wheel
-    /// is empty). Each iteration drains the earliest occupied bucket.
+    /// Advance the cursor until the head of `due` is a pending entry (or
+    /// nothing is pending). Cancelled entries at the head are dropped;
+    /// each iteration otherwise drains the earliest occupied bucket.
     fn advance_to_due(&mut self) {
-        while self.due.is_empty() && self.len > 0 {
-            let Some((level, slot)) = self.next_occupied() else {
+        loop {
+            while self.due_cancelled > 0 {
+                match self.due.peek() {
+                    Some(Reverse(e))
+                        if e.slot != NO_SLOT && self.slab[e.slot as usize].pos == CANCELLED => {}
+                    _ => break,
+                }
+                if let Some(Reverse(e)) = self.due.pop() {
+                    self.due_cancelled -= 1;
+                    self.release(e.slot as usize);
+                }
+            }
+            if !self.due.is_empty() || self.len == 0 {
+                return;
+            }
+            let Some((level, bucket)) = self.next_occupied() else {
                 debug_assert!(false, "wheel accounting broken: len > 0, no bucket");
                 return;
             };
             let l = &mut self.levels[level];
-            let entries = std::mem::take(&mut l.slots[slot]);
-            l.occupied &= !(1 << slot);
+            let mut entries = std::mem::take(&mut l.slots[bucket]);
+            l.occupied &= !(1 << bucket);
             // Move the cursor to the bucket's base tick. Every drained
             // entry lands at or beyond it, and every other pending entry
             // is in a strictly later bucket.
             let span = level as u32 * SLOT_BITS;
             let mut base = self.cur_tick;
             base &= !(((1u64 << SLOT_BITS) - 1) << span); // clear slot field
-            base |= (slot as u64) << span; // set to drained slot
+            base |= (bucket as u64) << span; // set to drained slot
             base &= !((1u64 << span) - 1); // clear all lower fields
             self.cur_tick = base;
-            for e in entries {
+            for e in entries.drain(..) {
                 let tick = tick_of(e.at);
                 if tick <= self.cur_tick {
                     self.due.push(Reverse(e));
                 } else {
                     self.file(e, tick); // re-files into a lower level
                 }
+            }
+            // Re-filing only reaches lower levels, so the bucket is still
+            // empty: hand it back its buffer unless a burst grew it.
+            if entries.capacity() * std::mem::size_of::<Entry<T>>() <= KEPT_BUCKET_BYTES {
+                self.levels[level].slots[bucket] = entries;
             }
         }
     }
@@ -229,6 +408,7 @@ impl<T> TimerWheel<T> {
 mod tests {
     use super::*;
     use crate::time::Duration;
+    use std::collections::BTreeMap;
 
     /// Deterministic xorshift PRNG — no external dependencies, fully
     /// reproducible property runs.
@@ -244,18 +424,31 @@ mod tests {
         }
     }
 
-    /// Reference model: the heap the wheel replaced.
+    /// Reference model: an ordered map standing in for the heap the wheel
+    /// replaced, so an entry can also be removed by key.
     #[derive(Default)]
-    struct HeapModel {
-        heap: BinaryHeap<Reverse<Entry<u64>>>,
+    struct Model {
+        pending: BTreeMap<(Instant, u64), u64>,
     }
-    impl HeapModel {
+    impl Model {
         fn push(&mut self, at: Instant, seq: u64, item: u64) {
-            self.heap.push(Reverse(Entry { at, seq, item }));
+            self.pending.insert((at, seq), item);
         }
         fn pop(&mut self) -> Option<(Instant, u64)> {
-            self.heap.pop().map(|Reverse(e)| (e.at, e.item))
+            self.pending.pop_first().map(|((at, _), item)| (at, item))
         }
+    }
+
+    /// A deadline at or after `now`: same tick, a few ticks, level-1/2
+    /// territory or deep in the wheel.
+    fn deadline(rng: &mut Rng, now: u64) -> Instant {
+        let horizon = match rng.next() % 4 {
+            0 => 1 << 10,
+            1 => 1 << 22,
+            2 => 1 << 28,
+            _ => 1 << 36,
+        };
+        Instant::from_nanos(now + rng.next() % horizon)
     }
 
     #[test]
@@ -281,22 +474,14 @@ mod tests {
         for seed in 1..=10u64 {
             let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let mut wheel = TimerWheel::new();
-            let mut model = HeapModel::default();
+            let mut model = Model::default();
             let mut seq = 0u64;
             let mut now = 0u64; // last popped deadline: schedule floor
             let mut pending = 0i64;
             for _ in 0..5_000 {
                 let spawn = pending == 0 || rng.next() % 100 < 55;
                 if spawn {
-                    // Mix of near (same tick), mid and far deadlines,
-                    // spanning several level boundaries.
-                    let horizon = match rng.next() % 4 {
-                        0 => 1 << 10, // sub-tick
-                        1 => 1 << 22, // a few ticks
-                        2 => 1 << 28, // level-1/2 territory
-                        _ => 1 << 36, // deep wheel
-                    };
-                    let at = Instant::from_nanos(now + rng.next() % horizon);
+                    let at = deadline(&mut rng, now);
                     wheel.push(at, seq, seq);
                     model.push(at, seq, seq);
                     seq += 1;
@@ -321,12 +506,119 @@ mod tests {
     }
 
     #[test]
+    fn cancels_and_rearms_match_the_heap_model() {
+        // Property: under random pushes, pops, cancels and re-arms (a
+        // cancel plus a push with a fresh sequence, as the kernel moves a
+        // keyed timer), cancelled entries never pop, the rest pop in
+        // `(at, seq)` order, and `len` stays exact after every step.
+        for seed in 1..=10u64 {
+            let mut rng = Rng(seed.wrapping_mul(0xd1b5_4a32_d192_ed03) | 1);
+            let mut wheel = TimerWheel::new();
+            let mut model = Model::default();
+            // Ids of pending entries, with their model keys.
+            let mut live: Vec<(TimerId, Instant, u64)> = Vec::new();
+            // Ids that fired or were cancelled.
+            let mut stale: Vec<TimerId> = Vec::new();
+            // Sequences of the entries pushed without an id.
+            let mut plain: Vec<u64> = Vec::new();
+            let (mut seq, mut now) = (0u64, 0u64);
+            for _ in 0..6_000 {
+                match rng.next() % 100 {
+                    0..=34 => {
+                        let at = deadline(&mut rng, now);
+                        live.push((wheel.push_cancellable(at, seq, seq), at, seq));
+                        model.push(at, seq, seq);
+                        seq += 1;
+                    }
+                    35..=39 => {
+                        // Entries nobody can cancel share the buckets.
+                        let at = deadline(&mut rng, now);
+                        wheel.push(at, seq, seq);
+                        model.push(at, seq, seq);
+                        plain.push(seq);
+                        seq += 1;
+                    }
+                    40..=64 if !live.is_empty() => {
+                        let (id, at, s) = live.swap_remove(rng.next() as usize % live.len());
+                        assert!(wheel.cancel(id), "seed {seed}: a pending id cancels");
+                        assert!(model.pending.remove(&(at, s)).is_some());
+                        stale.push(id);
+                    }
+                    65..=79 if !live.is_empty() => {
+                        let k = rng.next() as usize % live.len();
+                        let (id, at, s) = live[k];
+                        assert_eq!(wheel.deadline(id), Some(at));
+                        assert!(wheel.cancel(id));
+                        model.pending.remove(&(at, s));
+                        let at = deadline(&mut rng, now);
+                        live[k] = (wheel.push_cancellable(at, seq, seq), at, seq);
+                        model.push(at, seq, seq);
+                        seq += 1;
+                        stale.push(id);
+                    }
+                    80..=84 if !stale.is_empty() => {
+                        let id = stale[rng.next() as usize % stale.len()];
+                        assert!(!wheel.cancel(id), "seed {seed}: a stale id cancels nothing");
+                        assert_eq!(wheel.deadline(id), None);
+                    }
+                    _ => {
+                        let got = wheel.pop();
+                        assert_eq!(got, model.pop(), "seed {seed}");
+                        if let Some((at, item)) = got {
+                            now = at.as_nanos();
+                            match live.iter().position(|e| e.2 == item) {
+                                Some(k) => stale.push(live.swap_remove(k).0),
+                                None => plain.retain(|s| *s != item),
+                            }
+                        }
+                    }
+                }
+                assert_eq!(wheel.len(), model.pending.len(), "seed {seed}");
+                assert_eq!(wheel.len(), live.len() + plain.len());
+            }
+            loop {
+                let got = wheel.pop();
+                assert_eq!(got, model.pop(), "seed {seed} (drain)");
+                if got.is_none() {
+                    break;
+                }
+            }
+            assert!(wheel.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_stale_id_cannot_cancel_the_entry_that_reused_its_slot() {
+        let mut w = TimerWheel::new();
+        let at = Instant::from_nanos(1 << 30);
+        let old = w.push_cancellable(at, 0, "old");
+        assert!(w.cancel(old));
+        let new = w.push_cancellable(at, 1, "new");
+        assert_eq!(new.index, old.index, "the freed slot is reused");
+        assert!(!w.cancel(old), "the stale generation cancels nothing");
+        assert_eq!(w.deadline(new), Some(at));
+        assert_eq!(w.pop(), Some((at, "new")));
+        assert!(!w.cancel(new), "a fired entry cancels nothing");
+        // The same holds for an entry cancelled while already due.
+        let due = w.push_cancellable(at, 2, "due");
+        assert_eq!(w.peek_at(), Some(at));
+        assert!(w.cancel(due));
+        assert!(!w.cancel(due));
+        assert_eq!(w.len(), 0);
+        assert_eq!(w.pop(), None);
+        let after = w.push_cancellable(at, 3, "after");
+        assert!(!w.cancel(due));
+        assert_eq!(w.pop(), Some((at, "after")));
+        assert!(!w.cancel(after));
+    }
+
+    #[test]
     fn tick_boundary_wraparound() {
         // Entries straddling every level's wrap boundary: one just below
         // and one just above each power-of-two tick boundary, plus the
         // slot-wrap lap where the level-0 window turns over.
         let mut w = TimerWheel::new();
-        let mut model = HeapModel::default();
+        let mut model = Model::default();
         let mut seq = 0;
         for level in 0..LEVELS as u32 {
             let bits = TICK_SHIFT + level * SLOT_BITS + SLOT_BITS - 1;
@@ -385,5 +677,42 @@ mod tests {
         w.push(at + Duration::from_nanos(1), 2, 2u64);
         assert_eq!(w.pop().unwrap().1, 2);
         assert_eq!(w.pop().unwrap().1, 1);
+    }
+
+    #[test]
+    fn a_drained_bucket_keeps_a_bounded_buffer() {
+        let mut w = TimerWheel::new();
+        let at = |i: u64| Instant::from_nanos((5 << TICK_SHIFT) + i);
+        for i in 0..8 {
+            w.push(at(i), i, i);
+        }
+        while w.pop().is_some() {}
+        assert_eq!(w.levels[0].slots[5].capacity(), 8, "a small buffer stays");
+        let burst = (KEPT_BUCKET_BYTES / std::mem::size_of::<Entry<u64>>()) as u64 + 1;
+        let late = |i: u64| Instant::from_nanos((70 << TICK_SHIFT) + i);
+        for i in 0..burst {
+            w.push(late(i), 8 + i, i);
+        }
+        while w.pop().is_some() {}
+        assert_eq!(w.levels[0].slots[6].capacity(), 0, "a burst's is freed");
+    }
+
+    #[test]
+    fn cancellable_and_plain_entries_share_one_order() {
+        // A cancel swap-removes inside a bucket that also holds entries
+        // without a slot; the moved entry keeps its place in the order.
+        let mut w = TimerWheel::new();
+        let at = |ms: u64| Instant::ZERO + Duration::from_millis(ms);
+        let a = w.push_cancellable(at(40), 0, "a");
+        w.push(at(41), 1, "plain");
+        let b = w.push_cancellable(at(42), 2, "b");
+        w.push(at(43), 3, "plain too");
+        assert!(w.cancel(a));
+        assert_eq!(w.deadline(b), Some(at(42)));
+        assert_eq!(w.len(), 3);
+        assert_eq!(w.pop(), Some((at(41), "plain")));
+        assert!(w.cancel(b));
+        assert_eq!(w.pop(), Some((at(43), "plain too")));
+        assert_eq!(w.pop(), None);
     }
 }
