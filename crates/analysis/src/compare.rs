@@ -7,8 +7,11 @@
 //! host counts are scaled and not compared.
 
 use crate::classify::Service;
+use crate::figures::{Fig2, Fig5};
 use crate::histogram::IwHistogram;
-use crate::tables::{Table1, Table2, Table3};
+use crate::sampling::{repeated_sample_stats, subsample_histogram};
+use crate::tables::{ByteLimits, Table1, Table2, Table3};
+use iw_core::{Confusion, HostResult};
 
 /// Paper Table 1: (reachable millions, success %, few-data %, error %).
 pub const PAPER_TABLE1_HTTP: (f64, f64, f64, f64) = (48.3, 50.8, 47.6, 1.6);
@@ -273,6 +276,178 @@ pub fn check_fig4(
     ]
 }
 
+/// Fig. 2 calibration: the chain-length sample's mean and its coverage
+/// of `MSS 64 · IW 10` and `MSS 64 · IW 34`.
+pub fn check_fig2(fig: &Fig2) -> Vec<Check> {
+    let (mean, at_640, at_2176) = (fig.ccdf.mean(), fig.ccdf.at(640), fig.ccdf.at(2176));
+    let (paper_mean, paper_640, paper_2176) = PAPER_FIG2;
+    vec![Check::new(
+        "F2: censys statistics calibrated",
+        (mean - paper_mean).abs() < 250.0
+            && (at_640 - paper_640).abs() < 0.03
+            && (at_2176 - paper_2176).abs() < 0.03,
+        format!(
+            "mean {mean:.0} (paper 2186), P(>=640) {at_640:.3} (paper 0.86), \
+             P(>=2176) {at_2176:.3} (paper 0.50)"
+        ),
+    )]
+}
+
+/// §4.1's "scanning 1 % is enough" on the result set (Fig. 3's sampling
+/// panel): 30 samples at `fraction` stay within a binomial 3.5σ of every
+/// bar of at least 1 %, a 30 % subsample is within L1 0.12, and the
+/// range of 20 samples at 20 % brackets every dominant bar.
+pub fn check_sampling(results: &[HostResult], fraction: f64) -> Vec<Check> {
+    let full = IwHistogram::from_results(results);
+    let worst = repeated_sample_stats(results, fraction, 30, 0xfade)
+        .iter()
+        .filter(|b| full.fraction(b.iw) >= 0.01)
+        .map(|b| {
+            let f = full.fraction(b.iw);
+            (b.max - f).abs().max((b.min - f).abs())
+        })
+        .fold(0.0f64, f64::max);
+    // The paper's 1 % of 24 M hosts gives σ ≈ 0.001; a scaled sample of
+    // n hosts is judged against its own binomial σ.
+    let n = (full.total() as f64 * fraction).max(1.0);
+    let band = 3.5 * (0.25 / n).sqrt();
+    let l1_30 = full.l1_distance(&subsample_histogram(results, 0.3, 99));
+    let ranges = repeated_sample_stats(results, 0.2, 20, 7);
+    let outside: Vec<u32> = full
+        .dominant(0.05)
+        .into_iter()
+        .filter(|(iw, f)| {
+            !ranges
+                .iter()
+                .any(|b| b.iw == *iw && b.min <= *f && *f <= b.max)
+        })
+        .map(|(iw, _)| iw)
+        .collect();
+    vec![
+        Check::new(
+            &format!(
+                "F3 sampling: 30 × {:.0}% samples within 3.5σ on every bar ≥1%",
+                fraction * 100.0
+            ),
+            worst < band,
+            format!("worst bar deviation {worst:.4} vs 3.5σ {band:.4} at n={n:.0}"),
+        ),
+        Check::new(
+            "F3 sampling: a 30% subsample is within L1 0.12",
+            l1_30 < 0.12,
+            format!("measured L1 {l1_30:.4}"),
+        ),
+        Check::new(
+            "F3 sampling: 20 × 20% samples bracket every dominant bar",
+            outside.is_empty(),
+            format!("bars outside the sample range: {outside:?}"),
+        ),
+    ]
+}
+
+/// §4.1's claim on the address space: a scan of a sample of the space
+/// reads IW 1/2/4/10 within 8 points of the full scan.
+pub fn check_space_sample(full: &IwHistogram, sample: &IwHistogram) -> Vec<Check> {
+    let gap = [1u32, 2, 4, 10]
+        .iter()
+        .map(|iw| (full.fraction(*iw) - sample.fraction(*iw)).abs())
+        .fold(0.0f64, f64::max);
+    vec![Check::new(
+        "F3 space sample: within 8 points of the full scan on IW 1/2/4/10",
+        gap < 0.08,
+        format!(
+            "largest gap {:.1} points (sample n={}, full n={})",
+            gap * 100.0,
+            sample.total(),
+            full.total()
+        ),
+    )]
+}
+
+/// Fig. 5 shape. Per protocol: ≥ 3 clusters covering > 40 % of the
+/// measured hosts, whose four largest have ≥ 2 distinct leading IWs, one
+/// of them IW10. On HTTP also: the largest cluster is IW10-led (content
+/// infrastructure) and some cluster is IW2-led (access and legacy).
+pub fn check_fig5(http: &Fig5, tls: &Fig5) -> Vec<Check> {
+    let mut out = Vec::new();
+    for (label, fig) in [("HTTP", http), ("TLS", tls)] {
+        let mut top: Vec<&str> = fig.leads().into_iter().take(4).collect();
+        top.sort_unstable();
+        top.dedup();
+        out.push(Check::new(
+            &format!("F5: {label} forms ≥3 AS clusters"),
+            fig.clusters.len() >= 3,
+            format!("{} clusters (paper: 3 each)", fig.clusters.len()),
+        ));
+        out.push(Check::new(
+            &format!("F5: {label} clusters cover >40% of hosts"),
+            fig.coverage() > 0.40,
+            format!("paper ≈49%; measured {:.0}%", fig.coverage() * 100.0),
+        ));
+        out.push(Check::new(
+            &format!("F5: {label} top clusters have ≥2 leads, one IW10"),
+            top.len() >= 2 && top.contains(&"IW10"),
+            format!("distinct leads {top:?}"),
+        ));
+    }
+    let leads = http.leads();
+    out.push(Check::new(
+        "F5: the largest HTTP cluster is IW10-led",
+        leads.first() == Some(&"IW10"),
+        format!("leads by size {leads:?}"),
+    ));
+    out.push(Check::new(
+        "F5: an HTTP cluster is IW2-led",
+        leads.contains(&"IW2"),
+        format!("leads by size {leads:?}"),
+    ));
+    out
+}
+
+/// §4.2 shape: the dual-MSS scan finds both byte-budget groups (4 kB and
+/// 1 536 B), byte-configured hosts are a small minority (paper ≈1 %),
+/// and GoDaddy-style IW48 hosts read as segment-configured.
+pub fn check_bytelimit(limits: &ByteLimits) -> Vec<Check> {
+    let share = limits.byte_share();
+    vec![
+        Check::new(
+            "S42: both byte-limit groups detected",
+            limits.at(4096) > 0 && limits.at(1536) > 0,
+            format!("4kB {}, 1536B {}", limits.at(4096), limits.at(1536)),
+        ),
+        Check::new(
+            "S42: byte-configured share within 0.2–4%",
+            (0.2..=4.0).contains(&share),
+            format!("paper ≈1%; measured {share:.1}%"),
+        ),
+        Check::new(
+            "S42: a static IW48 fleet is segment-configured",
+            limits.iw48_static > 0,
+            format!("{} hosts SegmentBased(48)", limits.iw48_static),
+        ),
+    ]
+}
+
+/// §3.5 on full scans of a lossless population: no verdict exceeds the
+/// configured window and no record is spurious; without loss nothing is
+/// underestimated, missed or duplicated either.
+pub fn check_confusion(http: &Confusion, tls: &Confusion) -> Vec<Check> {
+    let mut out = Vec::new();
+    for (label, c) in [("HTTP", http), ("TLS", tls)] {
+        out.push(Check::new(
+            &format!("S35: {label} never overestimates and has no spurious record"),
+            c.overestimate == 0 && c.spurious == 0,
+            format!("{c:?}"),
+        ));
+        out.push(Check::new(
+            &format!("S35: {label} lossless: no underestimate, miss or duplicate"),
+            c.underestimate == 0 && c.missed == 0 && c.duplicate == 0,
+            format!("{c:?}"),
+        ));
+    }
+    out
+}
+
 /// Render a check list as a pass/fail table.
 pub fn render_checks(checks: &[Check]) -> String {
     let mut out = String::new();
@@ -290,6 +465,7 @@ pub fn render_checks(checks: &[Check]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dbscan::ClusterSummary;
 
     #[test]
     fn paper_constants_are_self_consistent() {
@@ -321,6 +497,101 @@ mod tests {
         let flat = IwHistogram::from_estimates([1, 2, 4, 10, 20, 30, 40, 50]);
         let checks = check_fig3(&flat, &flat);
         assert!(checks.iter().any(|c| !c.pass));
+    }
+
+    fn passes(checks: &[Check]) -> bool {
+        checks.iter().all(|c| c.pass)
+    }
+
+    #[test]
+    fn fig2_check_needs_all_three_bands() {
+        // Mean 2186 B, 86 % at or above 640 B, 50 % at or above 2176 B.
+        let calibrated = [vec![100; 14], vec![1000; 36], vec![3624; 50]].concat();
+        assert!(passes(&check_fig2(&Fig2::new(calibrated))));
+        assert!(!passes(&check_fig2(&Fig2::new(vec![2186; 100]))));
+    }
+
+    #[test]
+    fn sampling_checks_pass_on_a_large_set_and_fail_on_a_tiny_one() {
+        let result = |ip: u32, iw: u32| HostResult {
+            ip,
+            protocol: iw_core::Protocol::Http,
+            runs: vec![],
+            verdicts: vec![(64, iw_core::MssVerdict::Success(iw))],
+            host_verdict: iw_core::HostVerdict::SegmentBased(iw),
+        };
+        let layout = [10, 10, 10, 10, 10, 2, 2, 2, 4, 1];
+        let large: Vec<HostResult> = (0..20_000)
+            .map(|i| result(i, layout[i as usize % 10]))
+            .collect();
+        let checks = check_sampling(&large, 0.1);
+        assert!(passes(&checks), "{}", render_checks(&checks));
+        let tiny: Vec<HostResult> = (0..10).map(|i| result(i, i + 1)).collect();
+        assert!(!passes(&check_sampling(&tiny, 0.1)));
+    }
+
+    #[test]
+    fn space_sample_check_allows_eight_points() {
+        let full = IwHistogram::from_estimates([10, 10, 10, 10, 10, 2, 2, 2, 4, 1]);
+        let close = IwHistogram::from_estimates([10, 10, 10, 10, 10, 10, 2, 2, 4, 1]);
+        let far = IwHistogram::from_estimates([2, 2, 2, 2, 10]);
+        assert!(!passes(&check_space_sample(&full, &close)), "10 points off");
+        assert!(passes(&check_space_sample(&full, &full)));
+        assert!(!passes(&check_space_sample(&full, &far)));
+    }
+
+    #[test]
+    fn fig5_checks_want_three_clusters_led_by_iw10_and_iw2() {
+        let cluster = |id: usize, hosts: u64, centroid: [f64; 5]| ClusterSummary {
+            id,
+            members: vec![],
+            hosts,
+            centroid,
+        };
+        let fig = |clusters: Vec<ClusterSummary>| Fig5 {
+            points: vec![],
+            clusters,
+            hosts: 1_200,
+        };
+        let paper = fig(vec![
+            cluster(0, 500, [0.0, 0.0, 0.1, 0.9, 0.0]),
+            cluster(1, 300, [0.1, 0.7, 0.2, 0.0, 0.0]),
+            cluster(2, 200, [0.0, 0.1, 0.8, 0.1, 0.0]),
+        ]);
+        assert!(passes(&check_fig5(&paper, &paper)));
+        let one = fig(vec![cluster(0, 500, [0.0, 0.0, 0.1, 0.9, 0.0])]);
+        assert!(!passes(&check_fig5(&one, &paper)));
+        assert!(!passes(&check_fig5(&paper, &one)));
+    }
+
+    #[test]
+    fn bytelimit_checks_want_both_groups_a_small_share_and_iw48() {
+        let mut limits = ByteLimits {
+            classified: 1_000,
+            budgets: [(4096, 10), (1536, 2)].into(),
+            iw48_static: 3,
+        };
+        assert!(passes(&check_bytelimit(&limits)));
+        limits.budgets.remove(&1536);
+        assert!(!passes(&check_bytelimit(&limits)));
+        assert!(!passes(&check_bytelimit(&ByteLimits::default())));
+    }
+
+    #[test]
+    fn confusion_checks_fail_on_any_error_cell() {
+        let clean = Confusion {
+            exact: 10,
+            inconclusive: 5,
+            ..Confusion::default()
+        };
+        assert!(passes(&check_confusion(&clean, &clean)));
+        let over = Confusion {
+            overestimate: 1,
+            ..clean
+        };
+        assert!(!passes(&check_confusion(&over, &clean)));
+        let missed = Confusion { missed: 1, ..clean };
+        assert!(!passes(&check_confusion(&clean, &missed)));
     }
 
     #[test]

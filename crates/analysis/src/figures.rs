@@ -1,9 +1,12 @@
 //! Data series and plain-text renderings for the paper's figures.
 
 use crate::ccdf::Ccdf;
-use crate::dbscan::ClusterSummary;
+use crate::dbscan::{dbscan, summarize, AsPoint, ClusterSummary};
 use crate::histogram::IwHistogram;
 use crate::sampling::BarStats;
+use iw_core::HostResult;
+use iw_internet::Population;
+use std::collections::BTreeMap;
 
 /// Figure 2: CCDF of certificate chain lengths, annotated with the byte
 /// thresholds `IW · MSS` the paper overlays.
@@ -104,41 +107,99 @@ pub fn render_sampling_panel(
     out
 }
 
-/// Render Fig. 5: cluster summaries + named-AS bars.
-pub fn render_fig5(
-    clusters: &[ClusterSummary],
-    named: &[(String, [f64; 5])],
-    total_hosts: u64,
-) -> String {
-    let mut out = String::from("DBSCAN clusters (features: IW1/IW2/IW4/IW10/other)\n");
-    let clustered: u64 = clusters.iter().map(|c| c.hosts).sum();
-    out.push_str(&format!(
-        "clustered hosts: {} of {} ({:.0}%)\n",
-        clustered,
-        total_hosts,
-        clustered as f64 / total_hosts.max(1) as f64 * 100.0
-    ));
-    for c in clusters {
-        out.push_str(&format!(
-            "cluster {}: {} ASes, {} hosts, centroid [{:.2} {:.2} {:.2} {:.2} {:.2}]\n",
-            c.id,
-            c.members.len(),
-            c.hosts,
-            c.centroid[0],
-            c.centroid[1],
-            c.centroid[2],
-            c.centroid[3],
-            c.centroid[4]
-        ));
+/// Figure 5: DBSCAN over the per-AS IW feature vectors (IW 1/2/4/10/
+/// other) of every AS with at least three estimates.
+pub struct Fig5 {
+    /// One point per AS.
+    pub points: Vec<AsPoint>,
+    /// Clusters, largest first.
+    pub clusters: Vec<ClusterSummary>,
+    /// Hosts with an estimate in a known AS: the coverage denominator.
+    pub hosts: u64,
+}
+
+impl Fig5 {
+    /// Cluster the estimates in `results` by the AS `population` places
+    /// them in.
+    pub fn new(results: &[HostResult], population: &Population) -> Fig5 {
+        let mut per_as: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
+        let mut hosts = 0u64;
+        for r in results {
+            if let (Some(iw), Some(meta)) = (r.iw_estimate(), population.meta(r.ip)) {
+                *per_as.entry(meta.asn).or_default().entry(iw).or_insert(0) += 1;
+                hosts += 1;
+            }
+        }
+        let points: Vec<AsPoint> = per_as
+            .into_iter()
+            .filter(|(_, counts)| counts.values().sum::<u64>() >= 3)
+            .map(|(asn, counts)| AsPoint::from_counts(asn, &counts.into_iter().collect::<Vec<_>>()))
+            .collect();
+        let clusters = summarize(&points, &dbscan(&points, 0.12, 5));
+        Fig5 {
+            points,
+            clusters,
+            hosts,
+        }
     }
-    out.push_str("\nrepresentative ASes (IW1/IW2/IW4/IW10/other):\n");
-    for (name, f) in named {
-        out.push_str(&format!(
-            "{name:<22} [{:.2} {:.2} {:.2} {:.2} {:.2}]\n",
-            f[0], f[1], f[2], f[3], f[4]
-        ));
+
+    /// Share of `hosts` inside a cluster.
+    pub fn coverage(&self) -> f64 {
+        self.clusters.iter().map(|c| c.hosts).sum::<u64>() as f64 / self.hosts.max(1) as f64
     }
-    out
+
+    /// Each cluster's leading feature ("IW1", "IW2", "IW4", "IW10" or
+    /// "other"), largest cluster first.
+    pub fn leads(&self) -> Vec<&'static str> {
+        const FEATURES: [&str; 5] = ["IW1", "IW2", "IW4", "IW10", "other"];
+        self.clusters
+            .iter()
+            .map(|c| {
+                let lead = (0..5).max_by(|&a, &b| c.centroid[a].total_cmp(&c.centroid[b]));
+                FEATURES[lead.unwrap_or(4)]
+            })
+            .collect()
+    }
+
+    /// Render the clusters and the paper's named representatives.
+    pub fn render(&self, population: &Population) -> String {
+        let mut out = String::from("DBSCAN clusters (features: IW1/IW2/IW4/IW10/other)\n");
+        let clustered: u64 = self.clusters.iter().map(|c| c.hosts).sum();
+        out.push_str(&format!(
+            "clustered hosts: {clustered} of {} ({:.0}%)\n",
+            self.hosts,
+            self.coverage() * 100.0
+        ));
+        let bars = |f: &[f64; 5]| {
+            format!(
+                "[{:.2} {:.2} {:.2} {:.2} {:.2}]",
+                f[0], f[1], f[2], f[3], f[4]
+            )
+        };
+        for c in &self.clusters {
+            out.push_str(&format!(
+                "cluster {}: {} ASes, {} hosts, centroid {}\n",
+                c.id,
+                c.members.len(),
+                c.hosts,
+                bars(&c.centroid)
+            ));
+        }
+        out.push_str("\nrepresentative ASes (IW1/IW2/IW4/IW10/other):\n");
+        // Amazon, Comcast, GoDaddy, backbone, Cloudflare, Vodafone IT,
+        // Akamai, Korea Telecom: the ASes the paper names.
+        for asn in [16509u32, 7922, 26496, 9121, 13335, 30722, 20940, 4766] {
+            let Some(p) = self.points.iter().find(|p| p.asn == asn) else {
+                continue;
+            };
+            let name = population
+                .registry()
+                .by_asn(asn)
+                .map_or_else(|| format!("AS{asn}"), |a| a.name.clone());
+            out.push_str(&format!("{name:<22} {}\n", bars(&p.features)));
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::classify::{Classifier, Service};
 use crate::histogram::IwHistogram;
-use iw_core::{HostResult, MssVerdict, ScanSummary};
+use iw_core::{HostResult, HostVerdict, MssVerdict, ScanSummary};
 use iw_internet::population::Population;
 // Keyed by `Service` (Ord): deterministic iteration keeps the rendered
 // tables byte-stable (iw-lint: no-unordered-iteration).
@@ -170,10 +170,73 @@ impl Table3 {
     }
 }
 
+/// §4.2: the hosts whose two MSS runs show how their IW is configured.
+#[derive(Debug, Clone, Default)]
+pub struct ByteLimits {
+    /// Hosts with a segment- or byte-based verdict.
+    pub classified: u64,
+    /// Byte-configured hosts per byte budget.
+    pub budgets: BTreeMap<u32, u64>,
+    /// Segment-configured hosts at IW48 (GoDaddy's static fleet).
+    pub iw48_static: u64,
+}
+
+impl ByteLimits {
+    /// Count the cross-MSS verdicts in `results`.
+    pub fn new(results: &[HostResult]) -> ByteLimits {
+        let mut out = ByteLimits::default();
+        for r in results {
+            match r.host_verdict {
+                HostVerdict::ByteBased(bytes) => *out.budgets.entry(bytes).or_insert(0) += 1,
+                HostVerdict::SegmentBased(iw) => out.iw48_static += u64::from(iw == 48),
+                _ => continue,
+            }
+            out.classified += 1;
+        }
+        out
+    }
+
+    /// Byte-configured hosts with `bytes` of budget.
+    pub fn at(&self, bytes: u32) -> u64 {
+        self.budgets.get(&bytes).copied().unwrap_or(0)
+    }
+
+    /// Byte-configured share of the classified hosts, in percent.
+    pub fn byte_share(&self) -> f64 {
+        self.budgets.values().sum::<u64>() as f64 / self.classified.max(1) as f64 * 100.0
+    }
+
+    /// Render the breakdown.
+    pub fn render(&self) -> String {
+        let bytes: u64 = self.budgets.values().sum();
+        let mut out = format!(
+            "hosts classified at both MSS values: {}\nsegment-configured: {}\n\
+             byte-configured: {bytes} ({:.1}%; paper ≈1%)\n",
+            self.classified,
+            self.classified - bytes,
+            self.byte_share()
+        );
+        for (budget, n) in &self.budgets {
+            out.push_str(&format!(
+                "  {budget} B budget: {n} hosts ({} segs @64 / {} @128)\n",
+                budget / 64,
+                budget / 128
+            ));
+        }
+        out.push_str(&format!(
+            "4 kB share of byte-configured: {:.1}% (paper ≈50%)\n\
+             static IW48 hosts (MSS-independent): {}\n",
+            self.at(4096) as f64 / bytes.max(1) as f64 * 100.0,
+            self.iw48_static
+        ));
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iw_core::{HostVerdict, Protocol};
+    use iw_core::Protocol;
 
     fn result(ip: u32, verdict: MssVerdict) -> HostResult {
         HostResult {

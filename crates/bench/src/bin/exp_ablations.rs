@@ -8,31 +8,8 @@
 //! 3. **Exhaustion verification** — without the 2·MSS-window ACK check,
 //!    out-of-data hosts are silently misreported as confident successes.
 
-use iw_bench::{banner, standard_population, Scale, SEED};
-use iw_core::{MssVerdict, Protocol, ScanConfig, ScanRunner};
-use iw_internet::{Population, PopulationConfig};
-use std::sync::Arc;
-
-fn accuracy(pop: &Arc<Population>, out: &iw_core::ScanOutput) -> (u64, u64, u64) {
-    let mut exact = 0u64;
-    let mut wrong = 0u64;
-    let mut inconclusive = 0u64;
-    for r in &out.results {
-        let gt = pop.ground_truth(r.ip).expect("scanned host exists");
-        let mss = pop
-            .host_config(r.ip)
-            .expect("host exists")
-            .os
-            .effective_mss(Some(64));
-        let truth = gt.iw.initial_segments(mss);
-        match r.primary_verdict() {
-            Some(MssVerdict::Success(est)) if est == truth => exact += 1,
-            Some(MssVerdict::Success(_)) => wrong += 1,
-            _ => inconclusive += 1,
-        }
-    }
-    (exact, wrong, inconclusive)
-}
+use iw_bench::{banner, lossy_population, standard_population, Scale, SEED};
+use iw_core::{Confusion, Protocol, ScanConfig, ScanRunner};
 
 fn main() {
     let scale = Scale::from_env();
@@ -70,14 +47,8 @@ fn main() {
 
     // ---- 2. probes per host under loss ----
     println!("\nablation 2: probes per MSS under calibrated loss (exact-recovery rate)");
-    let (space, hosts) = scale.dimensions();
-    let lossy = Arc::new(Population::new(PopulationConfig {
-        seed: SEED,
-        space_size: space,
-        target_responsive: hosts,
-        loss_scale: 1.5,
-    }));
-    println!("  probes  exact  wrong  inconclusive");
+    let lossy = lossy_population(scale, 1.5);
+    println!("  probes  exact  wrong  inconclusive  missed");
     let mut exact_at = Vec::new();
     for probes in [1u32, 3] {
         let mut config = ScanConfig::study(Protocol::Http, lossy.space_size(), SEED);
@@ -88,9 +59,13 @@ fn main() {
             .config(config)
             .topology(iw_bench::bench_topology())
             .run();
-        let (exact, wrong, inconclusive) = accuracy(&lossy, &out);
-        println!("  {probes:<7} {exact:<6} {wrong:<6} {inconclusive}");
-        exact_at.push((probes, exact, wrong));
+        let c = Confusion::of_population(&lossy, Protocol::Http, &out.results);
+        let wrong = c.underestimate + c.overestimate;
+        println!(
+            "  {probes:<7} {:<6} {wrong:<6} {:<13} {}",
+            c.exact, c.inconclusive, c.missed
+        );
+        exact_at.push((probes, c.exact, wrong));
     }
     let wrong_ratio_1 = exact_at[0].2 as f64 / (exact_at[0].1 + exact_at[0].2).max(1) as f64;
     let wrong_ratio_3 = exact_at[1].2 as f64 / (exact_at[1].1 + exact_at[1].2).max(1) as f64;
@@ -117,8 +92,9 @@ fn main() {
             .config(config)
             .topology(iw_bench::bench_topology())
             .run();
-        let (exact, wrong, inconclusive) = accuracy(&pop, &out);
-        println!("  {verify:<7} {exact:<6} {wrong:<6} {inconclusive}");
+        let c = Confusion::of_population(&pop, Protocol::Tls, &out.results);
+        let wrong = c.underestimate + c.overestimate;
+        println!("  {verify:<7} {:<6} {wrong:<6} {}", c.exact, c.inconclusive);
         wrongs.push(wrong);
     }
     if wrongs[1] > wrongs[0] * 3 {

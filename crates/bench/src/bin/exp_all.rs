@@ -1,167 +1,177 @@
-//! Run every experiment in sequence, sharing the scans, and print a
-//! combined paper-vs-measured report — the generator behind
-//! EXPERIMENTS.md. Writes machine-readable results to
-//! `target/experiments/` as JSON.
+//! The paper's acceptance run: every scan once ([`Reproduction`]), every
+//! table and figure rendered against the paper's numbers, every shape
+//! check judged — the generator behind EXPERIMENTS.md. Writes CSV series
+//! and `exp_all.json` (summaries, confusion matrices, checks) to
+//! `target/experiments/`, and exits 1 if any check fails.
 
+use iw_analysis::classify::{rdns_encodes_ip, rdns_is_access};
 use iw_analysis::compare::{
-    check_fig3, check_fig4, check_table1, check_table2, check_table3, render_checks, Check,
+    render_checks, PAPER_TABLE2_HTTP, PAPER_TABLE2_TLS, PAPER_TABLE3_HTTP, PAPER_TABLE3_TLS,
 };
-use iw_analysis::dbscan::{dbscan, summarize, AsPoint};
-use iw_analysis::figures::{render_iw_bars, Fig2};
+use iw_analysis::export;
+use iw_analysis::figures::{render_iw_bars, render_sampling_panel, Fig5};
 use iw_analysis::histogram::IwHistogram;
-use iw_analysis::sampling::repeated_sample_stats;
-use iw_analysis::tables::{Table1, Table2, Table3};
-use iw_bench::{alexa_scan, banner, full_scan, standard_population, Scale, SEED};
+use iw_analysis::sampling::{repeated_sample_stats, subsample_histogram};
+use iw_analysis::tables::{ByteLimits, Table1, Table2, Table3};
+use iw_bench::{banner, Reproduction, Scale};
 use iw_core::telemetry::json::{push_bool_field, push_key, push_str_literal};
-use iw_core::{HostVerdict, Protocol};
-use iw_internet::certs;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 
 fn main() {
     let scale = Scale::from_env();
     banner(&format!(
         "Full reproduction run ({scale:?} scale; IW_SCALE=medium|large for more)"
     ));
-    let population = standard_population(scale);
-    let mut all_checks: Vec<Check> = Vec::new();
+    let r = Reproduction::run(scale);
+    let pop = &r.population;
+    let (http, tls) = (&r.http, &r.tls);
 
-    println!("\nscanning HTTP + TLS (full space) ...");
-    let http = full_scan(&population, Protocol::Http);
-    let tls = full_scan(&population, Protocol::Tls);
-
-    // ---- Table 1 ----
     banner("Table 1");
-    let t1 = Table1::new(&[("HTTP", &http.summary), ("TLS", &tls.summary)]);
-    print!("{}", t1.render());
-    all_checks.extend(check_table1(&t1));
+    print!(
+        "{}",
+        Table1::new(&[("HTTP", &http.summary), ("TLS", &tls.summary)]).render()
+    );
+    // §4.1: 7 M dual-protocol hosts, 6.2 M of them agree.
+    let http_iw: BTreeMap<u32, u32> = http
+        .results
+        .iter()
+        .filter_map(|h| Some((h.ip, h.iw_estimate()?)))
+        .collect();
+    let dual: Vec<bool> = tls
+        .results
+        .iter()
+        .filter_map(|t| Some(*http_iw.get(&t.ip)? == t.iw_estimate()?))
+        .collect();
+    let agree = dual.iter().filter(|a| **a).count();
+    println!(
+        "dual-protocol hosts with estimates: {}; agreeing: {agree} ({:.1}%; paper 6.2M/7M = 88.6%)",
+        dual.len(),
+        agree as f64 / dual.len().max(1) as f64 * 100.0
+    );
 
-    // ---- Table 2 ----
     banner("Table 2");
-    let t2h = Table2::new(&http.results);
-    let t2t = Table2::new(&tls.results);
-    print!("{}", t2h.render("HTTP"));
-    print!("{}", t2t.render("TLS"));
-    all_checks.extend(check_table2(&t2h, &t2t));
+    print!("{}", Table2::new(&http.results).render("HTTP"));
+    print!("{}", Table2::new(&tls.results).render("TLS"));
+    for (label, row) in [("HTTP", PAPER_TABLE2_HTTP), ("TLS", PAPER_TABLE2_TLS)] {
+        let cells: Vec<String> = row.iter().map(|v| format!("{v:>4.1}%")).collect();
+        println!("paper {label:<5} {}", cells.join(" "));
+    }
 
-    // ---- Table 3 ----
     banner("Table 3");
-    let t3h = Table3::new(&http.results, &population);
-    let t3t = Table3::new(&tls.results, &population);
-    println!("HTTP:\n{}", t3h.render());
-    println!("TLS:\n{}", t3t.render());
-    all_checks.extend(check_table3(&t3h, &t3t));
+    for (label, out, paper) in [
+        ("HTTP", http, PAPER_TABLE3_HTTP),
+        ("TLS", tls, PAPER_TABLE3_TLS),
+    ] {
+        println!(
+            "measured {label}:\n{}",
+            Table3::new(&out.results, pop).render()
+        );
+        println!("paper {label} (IW1, IW2, IW4, IW10):");
+        for (svc, vals) in paper {
+            println!(
+                "  {svc:?} {}",
+                vals.map_or("–".into(), |v| format!("{v:?}"))
+            );
+        }
+    }
+    // §4.3: 38.6 % (62.5 %) of HTTP (TLS) IPs encode their address in the
+    // PTR record; the access heuristic classifies 16 % (18.1 %).
+    println!("\nreverse-DNS statistics (paper: encode 38.6/62.5, access 16.0/18.1):");
+    for (label, out) in [("HTTP", http), ("TLS", tls)] {
+        let ptrs: Vec<(u32, Option<String>)> = out
+            .results
+            .iter()
+            .filter_map(|h| Some((h.ip, pop.meta(h.ip)?.rdns)))
+            .collect();
+        let share = |f: fn(&str, u32) -> bool| {
+            let hits = ptrs
+                .iter()
+                .filter(|(ip, rdns)| rdns.as_deref().is_some_and(|name| f(name, *ip)))
+                .count();
+            hits as f64 / ptrs.len().max(1) as f64 * 100.0
+        };
+        println!(
+            "  {label}: IP-encoded PTR {:.1}%, classified access {:.1}% (n={})",
+            share(rdns_encodes_ip),
+            share(rdns_is_access),
+            ptrs.len()
+        );
+    }
 
-    // ---- Figure 2 ----
     banner("Figure 2");
-    let fig2 = Fig2::new(certs::censys_sample(SEED, 200_000));
-    print!("{}", fig2.render());
-    all_checks.push(Check {
-        name: "F2: censys statistics calibrated".into(),
-        pass: (fig2.ccdf.mean() - 2186.0).abs() < 250.0 && (fig2.ccdf.at(640) - 0.86).abs() < 0.03,
-        detail: format!(
-            "mean {:.0} (paper 2186), P(>=640) {:.2} (paper 0.86)",
-            fig2.ccdf.mean(),
-            fig2.ccdf.at(640)
-        ),
-    });
+    print!("{}", r.censys.render());
 
-    // ---- Figure 3 ----
     banner("Figure 3");
     let h_http = IwHistogram::from_results(&http.results);
     let h_tls = IwHistogram::from_results(&tls.results);
     print!("{}", render_iw_bars("HTTP", &h_http, 0.001, false));
     print!("{}", render_iw_bars("TLS", &h_tls, 0.001, false));
-    all_checks.extend(check_fig3(&h_http, &h_tls));
-    let _ = repeated_sample_stats(&http.results, 0.1, 10, 1);
+    let small = r.sample_fraction();
+    let subsamples: Vec<(String, IwHistogram)> = [0.5, 0.3, small]
+        .iter()
+        .map(|f| {
+            let h = subsample_histogram(&http.results, *f, 0xfeed);
+            (format!("{:.0}%", f * 100.0), h)
+        })
+        .collect();
+    let stats = repeated_sample_stats(&http.results, small, 30, 0xfade);
+    println!(
+        "\nHTTP sampling panel (last two columns: 30 samples at {:.0}%):",
+        small * 100.0
+    );
+    print!("{}", render_sampling_panel(&h_http, &subsamples, &stats));
 
-    // ---- Figure 4 ----
     banner("Figure 4 (Alexa)");
-    let a_http = alexa_scan(&population, Protocol::Http, scale.alexa_n());
-    let a_tls = alexa_scan(&population, Protocol::Tls, scale.alexa_n());
+    let (a_http, a_tls) = (&r.alexa_http, &r.alexa_tls);
     let ah = IwHistogram::from_results(&a_http.results);
     let at = IwHistogram::from_results(&a_tls.results);
     print!("{}", render_iw_bars("Alexa HTTP", &ah, 0.0, true));
     print!("{}", render_iw_bars("Alexa TLS", &at, 0.0, true));
-    all_checks.extend(check_fig4(&ah, &at, &h_http));
+    println!(
+        "success rate: HTTP {:.1}% (paper 80), TLS {:.1}% (paper 85)",
+        a_http.summary.rates().0,
+        a_tls.summary.rates().0
+    );
+    rank_quartiles(&r);
 
-    // ---- Figure 5 ----
     banner("Figure 5 (DBSCAN)");
-    for (label, out) in [("HTTP", &http), ("TLS", &tls)] {
-        let mut per_as: HashMap<u32, HashMap<u32, u64>> = HashMap::new();
-        for r in &out.results {
-            if let (Some(iw), Some(meta)) = (r.iw_estimate(), population.meta(r.ip)) {
-                *per_as.entry(meta.asn).or_default().entry(iw).or_insert(0) += 1;
-            }
-        }
-        let points: Vec<AsPoint> = per_as
-            .into_iter()
-            .filter(|(_, c)| c.values().sum::<u64>() >= 3)
-            .map(|(asn, c)| AsPoint::from_counts(asn, &c.into_iter().collect::<Vec<_>>()))
-            .collect();
-        let labels = dbscan(&points, 0.12, 5);
-        let clusters = summarize(&points, &labels);
+    for (label, out) in [("HTTP", http), ("TLS", tls)] {
         println!(
-            "{label}: {} clusters over {} ASes",
-            clusters.len(),
-            points.len()
+            "--- {label} ---\n{}",
+            Fig5::new(&out.results, pop).render(pop)
         );
-        all_checks.push(Check {
-            name: format!("F5: {label} forms ≥3 AS clusters"),
-            pass: clusters.len() >= 3,
-            detail: format!("{} clusters (paper: 3 each)", clusters.len()),
-        });
     }
 
-    // ---- §4.2 byte limits ----
-    banner("§4.2 byte-limited hosts");
-    let mut four_k = 0u64;
-    let mut mtu_fill = 0u64;
-    for r in &http.results {
-        match r.host_verdict {
-            HostVerdict::ByteBased(4096) => four_k += 1,
-            HostVerdict::ByteBased(1536) => mtu_fill += 1,
-            _ => {}
-        }
-    }
-    println!("4096 B hosts: {four_k}; 1536 B hosts: {mtu_fill}");
-    all_checks.push(Check {
-        name: "S42: both byte-limit groups detected".into(),
-        pass: four_k > 0 && mtu_fill > 0,
-        detail: format!("4kB {four_k}, 1536B {mtu_fill}"),
-    });
+    banner("§4.2 byte-limited hosts (HTTP)");
+    print!("{}", ByteLimits::new(&http.results).render());
 
-    // ---- Verdict ----
+    banner("§3.5 verdicts against ground truth");
+    println!("HTTP: {:?}\nTLS:  {:?}", r.http_confusion, r.tls_confusion);
+
     banner("combined shape-check verdict");
-    print!("{}", render_checks(&all_checks));
-    let failed = all_checks.iter().filter(|c| !c.pass).count();
+    let checks = r.checks();
+    print!("{}", render_checks(&checks));
+    let failed = checks.iter().filter(|c| !c.pass).count();
     println!(
         "\n{} of {} checks passed",
-        all_checks.len() - failed,
-        all_checks.len()
+        checks.len() - failed,
+        checks.len()
     );
 
-    // Machine-readable dump.
     let dir = std::path::Path::new("target/experiments");
     std::fs::create_dir_all(dir).expect("create target/experiments");
-    // CSV series for external plotting.
-    use iw_analysis::export;
     let thresholds: Vec<u32> = (0..=65).map(|k| k * 1000).collect();
     export::to_file(&dir.join("fig2_ccdf.csv"), |b| {
-        export::ccdf_csv(&fig2.ccdf, &thresholds, b)
+        export::ccdf_csv(&r.censys.ccdf, &thresholds, b)
     })
     .expect("fig2 csv");
-    export::to_file(&dir.join("fig3_http.csv"), |b| {
-        export::histogram_csv(&h_http, b)
-    })
-    .expect("fig3 http csv");
-    export::to_file(&dir.join("fig3_tls.csv"), |b| {
-        export::histogram_csv(&h_tls, b)
-    })
-    .expect("fig3 tls csv");
-    export::to_file(&dir.join("fig4_alexa_http.csv"), |b| {
-        export::histogram_csv(&ah, b)
-    })
-    .expect("fig4 csv");
+    for (name, h) in [
+        ("fig3_http.csv", &h_http),
+        ("fig3_tls.csv", &h_tls),
+        ("fig4_alexa_http.csv", &ah),
+    ] {
+        export::to_file(&dir.join(name), |b| export::histogram_csv(h, b)).expect(name);
+    }
     let mut json = String::from("{");
     push_key(&mut json, "scale");
     push_str_literal(&mut json, &format!("{scale:?}"));
@@ -173,8 +183,16 @@ fn main() {
         push_key(&mut json, key);
         summary.write_json(&mut json);
     }
-    json.push_str(",\"checks\":[");
-    for (i, c) in all_checks.iter().enumerate() {
+    json.push(',');
+    push_key(&mut json, "confusion");
+    json.push('{');
+    push_key(&mut json, "http");
+    r.http_confusion.write_json(&mut json);
+    json.push(',');
+    push_key(&mut json, "tls");
+    r.tls_confusion.write_json(&mut json);
+    json.push_str("},\"checks\":[");
+    for (i, c) in checks.iter().enumerate() {
         if i > 0 {
             json.push(',');
         }
@@ -192,4 +210,32 @@ fn main() {
     std::fs::write(dir.join("exp_all.json"), json).expect("write results");
     println!("results written to target/experiments/exp_all.json");
     std::process::exit(i32::from(failed > 0));
+}
+
+/// The paper's rank observation: IW10 is more pronounced at the top of
+/// the list. The list is rank-ordered, so quartile slices show the
+/// gradient.
+fn rank_quartiles(r: &Reproduction) {
+    let n = r.scale.alexa_n();
+    let list = iw_internet::alexa::build(&r.population, n, 1);
+    println!("IW10 share by rank quartile (rank 1 = most popular):");
+    for q in 0..4 {
+        let ips: HashSet<u32> = list[q * n / 4..(q + 1) * n / 4]
+            .iter()
+            .map(|e| e.ip)
+            .collect();
+        let h = IwHistogram::from_estimates(
+            r.alexa_http
+                .results
+                .iter()
+                .filter(|h| ips.contains(&h.ip))
+                .filter_map(|h| h.iw_estimate()),
+        );
+        println!(
+            "  Q{} {:>5.1}%  (n={})",
+            q + 1,
+            h.fraction(10) * 100.0,
+            h.total()
+        );
+    }
 }

@@ -13,7 +13,7 @@
 //! construction (the gap predates the timer-wheel engine).
 
 use iw_bench::{standard_population, Scale, SEED};
-use iw_core::{Protocol, ResilienceConfig, ScanConfig, ScanRunner, Topology};
+use iw_core::{Confusion, Protocol, ResilienceConfig, ScanConfig, ScanRunner, Topology};
 use iw_internet::Population;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -37,6 +37,12 @@ fn dump(population: &Arc<Population>, threads: u32, hardened: bool) -> String {
         .topology(Topology::threads(threads))
         .run();
     println!("duration (not compared): {:?}", out.duration);
+    let c = Confusion::of_population(population, Protocol::Http, &out.results);
+    assert_eq!(
+        (c.overestimate, c.spurious),
+        (0, 0),
+        "against ground truth: {c:?}"
+    );
     let mut s = String::new();
     writeln!(s, "summary: {:?}", out.summary).unwrap();
     writeln!(s, "open_ports: {:?}", out.open_ports).unwrap();

@@ -1,16 +1,25 @@
 //! # iw-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/exp_*.rs`).
-//! This library holds the shared machinery: standard populations, scan
-//! runners, and paper-vs-measured reporting.
+//! [`Reproduction`] runs every scan the paper's tables and figures read,
+//! once each, and [`Reproduction::checks`] holds them against the paper's
+//! shapes. `exp_all` prints and writes that report and `tests/pipeline.rs`
+//! asserts it; the other `src/bin/exp_*.rs` binaries are the studies
+//! outside it (§3.4 efficiency, §3.5 testbed validation, ablations,
+//! path-MTU support, curated lists, weekly scans, the determinism gate).
 //!
-//! Scale is controlled by the `IW_SCALE` environment variable:
-//! `small` (CI/tests, default), `medium`, or `large` (closest to the
-//! paper's relative numbers; takes minutes).
+//! Scale is controlled by the `IW_SCALE` environment variable: `smoke`,
+//! `small` (CI/tests, the default when unset), `medium`, or `large`
+//! (closest to the paper's relative numbers; takes minutes). Any other
+//! value is an error. `smoke` is a throughput population: the shape
+//! checks are specified at `small` and above.
 #![forbid(unsafe_code)]
 
-use iw_core::{Protocol, ScanConfig, ScanOutput, ScanRunner, TargetSpec, Topology};
-use iw_internet::{alexa, Population, PopulationConfig};
+use iw_analysis::compare::{self, Check};
+use iw_analysis::figures::{Fig2, Fig5};
+use iw_analysis::histogram::IwHistogram;
+use iw_analysis::tables::{ByteLimits, Table1, Table2, Table3};
+use iw_core::{Confusion, Protocol, ScanConfig, ScanOutput, ScanRunner, TargetSpec, Topology};
+use iw_internet::{alexa, certs, Population, PopulationConfig};
 use std::sync::Arc;
 
 /// Experiment scale presets.
@@ -27,15 +36,32 @@ pub enum Scale {
     Large,
 }
 
-impl Scale {
-    /// Read from `IW_SCALE` (default small).
-    pub fn from_env() -> Scale {
-        match std::env::var("IW_SCALE").as_deref() {
-            Ok("large") => Scale::Large,
-            Ok("medium") => Scale::Medium,
-            Ok("smoke") => Scale::Smoke,
-            _ => Scale::Small,
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Scale, String> {
+        match name {
+            "smoke" => Ok(Scale::Smoke),
+            "small" => Ok(Scale::Small),
+            "medium" => Ok(Scale::Medium),
+            "large" => Ok(Scale::Large),
+            _ => Err(format!(
+                "IW_SCALE={name:?} is not a scale: use smoke, small, medium or large"
+            )),
         }
+    }
+}
+
+impl Scale {
+    /// Read from `IW_SCALE` (small when unset); exit 2 on any other name.
+    pub fn from_env() -> Scale {
+        let Some(name) = std::env::var_os("IW_SCALE") else {
+            return Scale::Small;
+        };
+        name.to_string_lossy().parse().unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     /// `(space_size, target_responsive)`.
@@ -62,18 +88,13 @@ impl Scale {
 /// The default experiment seed (fixed: experiments must be reproducible).
 pub const SEED: u64 = 0x1307_2017;
 
-/// Build the standard population at a scale.
+/// Build the standard (lossless) population at a scale.
 pub fn standard_population(scale: Scale) -> Arc<Population> {
-    let (space_size, target_responsive) = scale.dimensions();
-    Arc::new(Population::new(PopulationConfig {
-        seed: SEED,
-        space_size,
-        target_responsive,
-        loss_scale: 0.0,
-    }))
+    lossy_population(scale, 0.0)
 }
 
-/// A population with calibrated link loss enabled (validation studies).
+/// The standard population with calibrated link loss scaled by
+/// `loss_scale` (validation studies).
 pub fn lossy_population(scale: Scale, loss_scale: f64) -> Arc<Population> {
     let (space_size, target_responsive) = scale.dimensions();
     Arc::new(Population::new(PopulationConfig {
@@ -108,19 +129,6 @@ pub fn full_scan(population: &Arc<Population>, protocol: Protocol) -> ScanOutput
         .run()
 }
 
-/// Run a full-space scan at the paper's real packet rate (for the §3.4
-/// efficiency numbers, where virtual duration matters).
-pub fn paced_scan(population: &Arc<Population>, protocol: Protocol, rate_pps: u64) -> ScanOutput {
-    let config = ScanConfig {
-        rate_pps,
-        ..ScanConfig::study(protocol, population.space_size(), SEED)
-    };
-    ScanRunner::new(population)
-        .config(config)
-        .topology(bench_topology())
-        .run()
-}
-
 /// Scan the synthetic Alexa list (domains known → Host header + SNI).
 pub fn alexa_scan(population: &Arc<Population>, protocol: Protocol, n: usize) -> ScanOutput {
     let list = alexa::build(population, n, 1);
@@ -134,12 +142,114 @@ pub fn alexa_scan(population: &Arc<Population>, protocol: Protocol, n: usize) ->
     ScanRunner::new(population).config(config).run()
 }
 
-/// Write an experiment's telemetry snapshot next to its report.
-///
-/// Every `exp_*` binary drops a `BENCH_<label>.metrics.json` with the
-/// full metrics snapshot (scan + shard scope) and the event-log summary,
-/// so runs can be diffed and regressions spotted without re-reading the
-/// human-oriented stdout tables.
+/// Every scan the paper's shape checks read, each run once at one scale.
+pub struct Reproduction {
+    /// The scale everything ran at.
+    pub scale: Scale,
+    /// The standard population at that scale.
+    pub population: Arc<Population>,
+    /// Full-space HTTP scan (Tables 1–3, Figs. 3 and 5, §4.2).
+    pub http: ScanOutput,
+    /// Full-space TLS scan.
+    pub tls: ScanOutput,
+    /// The synthetic Alexa list over HTTP (Fig. 4).
+    pub alexa_http: ScanOutput,
+    /// The Alexa list over TLS.
+    pub alexa_tls: ScanOutput,
+    /// HTTP over a 20 % sample of the address space (§4.1).
+    pub space_sample: ScanOutput,
+    /// The certificate-chain sample behind Fig. 2.
+    pub censys: Fig2,
+    /// `http` against the population's ground truth (§3.5).
+    pub http_confusion: Confusion,
+    /// `tls` against the ground truth.
+    pub tls_confusion: Confusion,
+}
+
+impl Reproduction {
+    /// Run every scan at `scale`.
+    pub fn run(scale: Scale) -> Reproduction {
+        let population = standard_population(scale);
+        let http = full_scan(&population, Protocol::Http);
+        let tls = full_scan(&population, Protocol::Tls);
+        let mut config = ScanConfig::study(Protocol::Http, population.space_size(), SEED);
+        config.rate_pps = 4_000_000;
+        config.sample_fraction = 0.2;
+        config.sample_salt = 5;
+        let space_sample = ScanRunner::new(&population)
+            .config(config)
+            .topology(bench_topology())
+            .run();
+        Reproduction {
+            scale,
+            alexa_http: alexa_scan(&population, Protocol::Http, scale.alexa_n()),
+            alexa_tls: alexa_scan(&population, Protocol::Tls, scale.alexa_n()),
+            space_sample,
+            censys: Fig2::new(certs::censys_sample(SEED, 200_000)),
+            http_confusion: Confusion::of_population(&population, Protocol::Http, &http.results),
+            tls_confusion: Confusion::of_population(&population, Protocol::Tls, &tls.results),
+            http,
+            tls,
+            population,
+        }
+    }
+
+    /// Share of the HTTP results each F3 sampling draw takes: the
+    /// paper's 1 % needs a population of its size, so smaller scales
+    /// sample more.
+    pub fn sample_fraction(&self) -> f64 {
+        match self.scale {
+            Scale::Smoke | Scale::Small => 0.10,
+            Scale::Medium => 0.05,
+            Scale::Large => 0.01,
+        }
+    }
+
+    /// Every shape check, section by section (the name's prefix up to
+    /// the colon names the section).
+    pub fn checks(&self) -> Vec<Check> {
+        let (http, tls) = (&self.http.results, &self.tls.results);
+        let pop = &self.population;
+        let h_http = IwHistogram::from_results(http);
+        let h_tls = IwHistogram::from_results(tls);
+        let mut out = compare::check_table1(&Table1::new(&[
+            ("HTTP", &self.http.summary),
+            ("TLS", &self.tls.summary),
+        ]));
+        out.extend(compare::check_table2(&Table2::new(http), &Table2::new(tls)));
+        out.extend(compare::check_table3(
+            &Table3::new(http, pop),
+            &Table3::new(tls, pop),
+        ));
+        out.extend(compare::check_fig2(&self.censys));
+        out.extend(compare::check_fig3(&h_http, &h_tls));
+        out.extend(compare::check_sampling(http, self.sample_fraction()));
+        out.extend(compare::check_space_sample(
+            &h_http,
+            &IwHistogram::from_results(&self.space_sample.results),
+        ));
+        out.extend(compare::check_fig4(
+            &IwHistogram::from_results(&self.alexa_http.results),
+            &IwHistogram::from_results(&self.alexa_tls.results),
+            &h_http,
+        ));
+        out.extend(compare::check_fig5(
+            &Fig5::new(http, pop),
+            &Fig5::new(tls, pop),
+        ));
+        out.extend(compare::check_bytelimit(&ByteLimits::new(http)));
+        out.extend(compare::check_confusion(
+            &self.http_confusion,
+            &self.tls_confusion,
+        ));
+        out
+    }
+}
+
+/// Write an experiment's telemetry snapshot next to its report: a
+/// `BENCH_<label>.metrics.json` with the full metrics snapshot (scan +
+/// shard scope) and the event-log summary, so runs can be diffed and
+/// regressions spotted without re-reading the stdout tables.
 pub fn write_metrics_snapshot(label: &str, out: &ScanOutput) {
     let path = format!("BENCH_{label}.metrics.json");
     let body = format!(
@@ -172,11 +282,24 @@ mod tests {
 
     #[test]
     fn scale_dimensions_are_ordered() {
+        let (x, xh) = Scale::Smoke.dimensions();
         let (s, sh) = Scale::Small.dimensions();
         let (m, mh) = Scale::Medium.dimensions();
         let (l, lh) = Scale::Large.dimensions();
-        assert!(s < m && m < l);
-        assert!(sh < mh && mh < lh);
+        assert!(x < s && s < m && m < l);
+        assert!(xh < sh && sh < mh && mh < lh);
+    }
+
+    #[test]
+    fn scale_names_parse_strictly() {
+        assert_eq!("smoke".parse(), Ok(Scale::Smoke));
+        assert_eq!("small".parse(), Ok(Scale::Small));
+        assert_eq!("medium".parse(), Ok(Scale::Medium));
+        assert_eq!("large".parse(), Ok(Scale::Large));
+        for typo in ["meduim", "Medium", "", " small"] {
+            let err = typo.parse::<Scale>().expect_err(typo);
+            assert!(err.contains("smoke, small, medium or large"), "{err}");
+        }
     }
 
     #[test]

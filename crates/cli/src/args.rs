@@ -277,7 +277,11 @@ fn parse_bounded(
     if ok(x) {
         Ok(x)
     } else {
-        Err(ParseError::OutOfRange(flag.to_string(), v.to_string(), must))
+        Err(ParseError::OutOfRange(
+            flag.to_string(),
+            v.to_string(),
+            must,
+        ))
     }
 }
 
@@ -483,7 +487,8 @@ impl Cli {
                 }
                 if let Some(v) = get("--loss") {
                     let probability = |x: f64| (0.0..=1.0).contains(&x);
-                    args.loss = parse_bounded("--loss", &v, probability, "a probability in [0, 1]")?;
+                    args.loss =
+                        parse_bounded("--loss", &v, probability, "a probability in [0, 1]")?;
                 }
                 if let Some(v) = get("--seed") {
                     args.seed = parse_num("--seed", &v)?;
@@ -797,7 +802,12 @@ mod tests {
             let msg = crate::run(&argv(&format!("{command} --loss {bad}"))).unwrap_err();
             assert!(msg.starts_with(&format!("bad value '{bad}' for '--loss': must be")));
         }
-        for (command, good) in [("scan", "0"), ("scan", "2.5"), ("probe", "0"), ("probe", "1")] {
+        for (command, good) in [
+            ("scan", "0"),
+            ("scan", "2.5"),
+            ("probe", "0"),
+            ("probe", "1"),
+        ] {
             assert!(Cli::parse(&argv(&format!("{command} --loss {good}"))).is_ok());
         }
     }

@@ -78,8 +78,8 @@ pub use checkpoint::{
 pub use driver::{summarize, RunControl, ScanOutput, ScanRunner, ScanTelemetry, Topology};
 pub use iw_telemetry as telemetry;
 pub use results::{
-    ErrorKind, ErrorKindCounts, HostResult, HostVerdict, MssVerdict, ProbeOutcome, Protocol,
-    ScanSummary,
+    Confusion, ErrorKind, ErrorKindCounts, HostResult, HostVerdict, MssVerdict, ProbeOutcome,
+    Protocol, ScanSummary,
 };
 pub use scanner::{
     ConfigError, MonitorSink, MonitorSpec, ResilienceConfig, ScanConfig, Scanner, TargetSpec,

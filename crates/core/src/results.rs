@@ -313,6 +313,112 @@ impl ScanSummary {
     }
 }
 
+/// A scan's records against the ground truth (§3.5's validation): every
+/// host that offers the protocol and every record lands in one cell.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Confusion {
+    /// Primary verdict `Success(n)` with `n` equal to the truth.
+    pub exact: u64,
+    /// `Success(n)` below the truth (the paper's tail-loss mode).
+    pub underestimate: u64,
+    /// `Success(n)` above the truth, or a `FewData(lb)` bound above it.
+    pub overestimate: u64,
+    /// Any other primary verdict: a bound at or below the truth, an
+    /// error, or no verdict.
+    pub inconclusive: u64,
+    /// A host without a record.
+    pub missed: u64,
+    /// A record at an address where no such host lives.
+    pub spurious: u64,
+    /// A second record for a host that already has one.
+    pub duplicate: u64,
+}
+
+impl Confusion {
+    /// Tally `results` against `hosts`, the ascending addresses of every
+    /// host offering the scanned protocol. `truth(ip, mss)` is the window
+    /// in segments the host at `ip` sends at `mss`; it is asked at the
+    /// MSS of the record's primary verdict.
+    pub fn new(
+        hosts: impl IntoIterator<Item = u32>,
+        results: &[HostResult],
+        truth: impl Fn(u32, u16) -> u32,
+    ) -> Confusion {
+        let mut records: Vec<&HostResult> = results.iter().collect();
+        records.sort_by_key(|r| r.ip);
+        let mut records = records.into_iter().peekable();
+        let mut c = Confusion::default();
+        for ip in hosts {
+            while records.next_if(|r| r.ip < ip).is_some() {
+                c.spurious += 1;
+            }
+            let Some(record) = records.next_if(|r| r.ip == ip) else {
+                c.missed += 1;
+                continue;
+            };
+            let cell = match record.verdicts.first() {
+                Some(&(mss, MssVerdict::Success(n))) => match n.cmp(&truth(ip, mss)) {
+                    std::cmp::Ordering::Equal => &mut c.exact,
+                    std::cmp::Ordering::Less => &mut c.underestimate,
+                    std::cmp::Ordering::Greater => &mut c.overestimate,
+                },
+                Some(&(mss, MssVerdict::FewData(lb))) if lb > truth(ip, mss) => &mut c.overestimate,
+                _ => &mut c.inconclusive,
+            };
+            *cell += 1;
+            while records.next_if(|r| r.ip == ip).is_some() {
+                c.duplicate += 1;
+            }
+        }
+        c.spurious += records.count() as u64;
+        c
+    }
+
+    /// Tally a scan of `population` for `protocol`, walking the whole
+    /// address space for the hosts that offer it.
+    pub fn of_population(
+        population: &iw_internet::Population,
+        protocol: Protocol,
+        results: &[HostResult],
+    ) -> Confusion {
+        let offers = |ip: &u32| {
+            population
+                .ground_truth(*ip)
+                .is_some_and(|gt| match protocol {
+                    Protocol::Tls => gt.tls,
+                    _ => gt.http,
+                })
+        };
+        let hosts = (0..population.space_size()).filter(offers);
+        // `hosts` yields only addresses where a host lives; a window of 0
+        // would turn any estimate there into an overestimate.
+        Confusion::new(hosts, results, |ip, mss| {
+            population.host_config(ip).map_or(0, |host| {
+                host.iw.initial_segments(host.os.effective_mss(Some(mss)))
+            })
+        })
+    }
+
+    /// Append the cells as one compact JSON object.
+    pub fn write_json(&self, out: &mut String) {
+        out.push('{');
+        push_members(
+            out,
+            &[
+                ("exact", self.exact),
+                ("underestimate", self.underestimate),
+                ("overestimate", self.overestimate),
+                ("inconclusive", self.inconclusive),
+                ("missed", self.missed),
+                ("spurious", self.spurious),
+                ("duplicate", self.duplicate),
+            ],
+            &[],
+        );
+        out.push('}');
+    }
+}
+
 // The on-disk JSON of `iwscan scan --json` and `exp_all.json`: compact,
 // members in declaration order, enums externally tagged (a unit variant
 // is its name as a string, a data variant `{"Name":payload}`; `{:?}` of a
@@ -742,6 +848,41 @@ mod tests {
             json(|o| summary.write_json(o)),
             "{\"targets\":1000,\"reachable\":200,\"success\":100,\"few_data\":96,\"error\":4,\
              \"refused\":10,\"error_kinds\":{\"counts\":[0,0,0,1,0,0]}}"
+        );
+    }
+
+    #[test]
+    fn confusion_puts_each_record_in_one_cell() {
+        let record = |ip: u32, mss: u16, verdict: MssVerdict| HostResult {
+            ip,
+            protocol: Protocol::Http,
+            runs: vec![],
+            verdicts: vec![(mss, verdict)],
+            host_verdict: HostVerdict::Unclassified,
+        };
+        // Out of address order on purpose; 7 has no record, 8 has two,
+        // 0 and 100 are no host's.
+        let results = [
+            record(100, 64, MssVerdict::Success(10)),
+            record(2, 64, MssVerdict::Success(9)),
+            record(1, 64, MssVerdict::Success(10)),
+            record(3, 64, MssVerdict::Success(11)),
+            record(4, 64, MssVerdict::FewData(12)),
+            record(5, 64, MssVerdict::FewData(7)),
+            record(6, 64, MssVerdict::Error),
+            record(8, 64, MssVerdict::Success(10)),
+            record(8, 64, MssVerdict::Success(10)),
+            record(9, 128, MssVerdict::Success(5)),
+            record(0, 64, MssVerdict::Unreachable),
+        ];
+        // A byte-configured fleet: 10 segments at MSS 64, 5 at MSS 128.
+        let truth = |_ip: u32, mss: u16| 640 / u32::from(mss);
+        let mut json = String::new();
+        Confusion::new(1..=9, &results, truth).write_json(&mut json);
+        assert_eq!(
+            json,
+            "{\"exact\":3,\"underestimate\":1,\"overestimate\":2,\"inconclusive\":2,\
+             \"missed\":1,\"spurious\":2,\"duplicate\":1}"
         );
     }
 

@@ -9,7 +9,7 @@
 //! properties and the graceful-shutdown drain path.
 
 use iw_core::{
-    CampaignCheckpoint, ConfigDigest, ErrorKind, Protocol, ResilienceConfig, RunControl,
+    CampaignCheckpoint, ConfigDigest, Confusion, ErrorKind, Protocol, ResilienceConfig, RunControl,
     RunDisposition, ScanConfig, ScanOutput, ScanRunner, ShardCheckpoint, Topology,
     CHECKPOINT_VERSION,
 };
@@ -158,6 +158,12 @@ fn kill_resume_matrix(
             resumed.disposition,
             RunDisposition::Completed,
             "resume from kill at {k}"
+        );
+        let c = Confusion::of_population(pop, config.protocol, &resumed.results);
+        assert_eq!(
+            (c.overestimate, c.spurious),
+            (0, 0),
+            "resumed from {k}: {c:?}"
         );
         let got = fingerprint(&resumed);
         assert_eq!(got.0, want.0, "results diverged resuming from event {k}");

@@ -1,7 +1,7 @@
 //! End-to-end scans of small synthetic populations: the scanner must
 //! recover configured initial windows through real packet exchanges.
 
-use iw_core::{HostVerdict, Protocol, ScanConfig, ScanRunner, Topology};
+use iw_core::{Confusion, HostVerdict, Protocol, ScanConfig, ScanOutput, ScanRunner, Topology};
 use iw_hoststack::IwPolicy;
 use iw_internet::{Population, PopulationConfig};
 use std::sync::Arc;
@@ -15,10 +15,29 @@ fn tiny_population(seed: u64) -> Arc<Population> {
     }))
 }
 
-fn scan(pop: &Arc<Population>, protocol: Protocol, seed: u64) -> iw_core::ScanOutput {
+fn scan(pop: &Arc<Population>, protocol: Protocol, seed: u64) -> ScanOutput {
     let mut config = ScanConfig::study(protocol, pop.space_size(), seed);
     config.rate_pps = 2_000_000; // compress virtual time for tests
     ScanRunner::new(pop).config(config).run()
+}
+
+/// A lossless world: every verdict is exact or inconclusive, and every
+/// host has exactly one record.
+fn assert_recovers_ground_truth(pop: &Population, protocol: Protocol, out: &ScanOutput) {
+    let c = Confusion::of_population(pop, protocol, &out.results);
+    let errors = (
+        c.underestimate,
+        c.overestimate,
+        c.missed,
+        c.spurious,
+        c.duplicate,
+    );
+    assert!(c.exact > 50, "expected many exact recoveries: {c:?}");
+    assert_eq!(
+        errors,
+        (0, 0, 0, 0, 0),
+        "lossless world must be exact: {c:?}"
+    );
 }
 
 #[test]
@@ -30,38 +49,7 @@ fn http_scan_recovers_ground_truth_iws() {
         "reachable {}",
         out.summary.reachable
     );
-    let mut correct = 0u32;
-    let mut wrong = 0u32;
-    for r in &out.results {
-        let gt = pop.ground_truth(r.ip).expect("scanned host exists");
-        if let Some(est) = r.iw_estimate() {
-            let expected = gt.iw.initial_segments(effective_mss(&pop, r.ip, 64));
-            if est == expected {
-                correct += 1;
-            } else {
-                wrong += 1;
-                assert!(
-                    wrong < 5,
-                    "ip {} est {est} expected {expected} (policy {:?}, cohort {})",
-                    r.ip,
-                    gt.iw,
-                    gt.cohort
-                );
-            }
-        }
-    }
-    assert!(
-        correct > 50,
-        "expected many exact recoveries, got {correct}"
-    );
-    assert_eq!(wrong, 0, "lossless world must recover IWs exactly");
-}
-
-fn effective_mss(pop: &Arc<Population>, ip: u32, announced: u16) -> u32 {
-    pop.host_config(ip)
-        .expect("host exists")
-        .os
-        .effective_mss(Some(announced))
+    assert_recovers_ground_truth(&pop, Protocol::Http, &out);
 }
 
 #[test]
@@ -73,13 +61,7 @@ fn tls_scan_recovers_ground_truth_iws() {
     assert!(success > 50.0, "TLS success rate {success}");
     assert!(few < 45.0, "TLS few-data rate {few}");
     assert!(err < 20.0, "TLS error rate {err}");
-    for r in &out.results {
-        if let Some(est) = r.iw_estimate() {
-            let gt = pop.ground_truth(r.ip).unwrap();
-            let expected = gt.iw.initial_segments(effective_mss(&pop, r.ip, 64));
-            assert_eq!(est, expected, "ip {} cohort {}", r.ip, gt.cohort);
-        }
-    }
+    assert_recovers_ground_truth(&pop, Protocol::Tls, &out);
 }
 
 #[test]

@@ -9,7 +9,8 @@
 use iw_core::telemetry::Snapshot;
 use iw_core::testbed::{probe_host, TestbedSpec};
 use iw_core::{
-    summarize, ErrorKind, HostResult, MssVerdict, Protocol, ResilienceConfig, ScanConfig, Scanner,
+    summarize, Confusion, ErrorKind, HostResult, MssVerdict, Protocol, ResilienceConfig,
+    ScanConfig, Scanner,
 };
 use iw_hoststack::{ChaosHost, ChaosMode, Host, HostConfig, IwPolicy};
 use iw_netsim::{Duration, Effects, Endpoint, Instant, LinkConfig, Sim, SimConfig, TimerToken};
@@ -70,14 +71,8 @@ where
 
 /// Fraction of results whose primary verdict matches the ground truth.
 fn accuracy(results: &[HostResult]) -> f64 {
-    if results.is_empty() {
-        return 0.0;
-    }
-    let correct = results
-        .iter()
-        .filter(|r| r.primary_verdict() == Some(MssVerdict::Success(iw_for(r.ip))))
-        .count();
-    correct as f64 / results.len() as f64
+    let c = Confusion::new(results.iter().map(|r| r.ip), results, |ip, _| iw_for(ip));
+    c.exact as f64 / results.len().max(1) as f64
 }
 
 // ---------------------------------------------------------------------

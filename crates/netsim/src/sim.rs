@@ -318,7 +318,13 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
             let (at, kind) = (self.now + delay, EventKind::ScannerTimer { token });
             match self.scanner_timers.entry(token) {
                 Entry::Occupied(mut e) => {
-                    let id = arm(&mut self.queue, &mut self.next_seq, at, Some(*e.get()), kind);
+                    let id = arm(
+                        &mut self.queue,
+                        &mut self.next_seq,
+                        at,
+                        Some(*e.get()),
+                        kind,
+                    );
                     e.insert(id);
                 }
                 Entry::Vacant(e) => {
@@ -736,7 +742,7 @@ mod tests {
         sim.kick_scanner(|_, _, fx| {
             fx.cancel(1);
             fx.cancel(4); // nothing pending: nothing happens
-            // Cancels apply first, so this pair moves 3 to 8 ms.
+                          // Cancels apply first, so this pair moves 3 to 8 ms.
             fx.arm(Duration::from_millis(8), 3);
             fx.cancel(3);
         });
@@ -757,7 +763,11 @@ mod tests {
         sim.kick_scanner(|_, _, fx| (1..9).for_each(|token| fx.cancel(token)));
         sim.run_to_completion();
         assert_eq!(sim.scanner().timer_fired, vec![9, 0]);
-        assert_eq!(sim.stats().events, 2, "moved and cancelled entries are no events");
+        assert_eq!(
+            sim.stats().events,
+            2,
+            "moved and cancelled entries are no events"
+        );
     }
 
     #[test]

@@ -1,17 +1,79 @@
-//! The full measurement → analysis pipeline on a small world: every
-//! table and figure artifact must be constructible from a real scan and
-//! satisfy the paper's shape checks.
+//! The paper is the acceptance test: one small-scale [`Reproduction`]
+//! (every scan once), and one test per section of the paper asserting
+//! that section's shape checks.
 
 use iw_analysis::classify::{Classifier, Service};
-use iw_analysis::compare;
-use iw_analysis::dbscan::{dbscan, summarize, AsPoint};
+use iw_analysis::compare::render_checks;
+use iw_analysis::figures::Fig5;
 use iw_analysis::histogram::IwHistogram;
-use iw_analysis::sampling;
-use iw_analysis::tables::{Table1, Table2, Table3};
-use iw_core::{Protocol, ScanConfig, ScanOutput, ScanRunner, Topology};
+use iw_analysis::tables::Table2;
+use iw_bench::{Reproduction, Scale};
 use iw_internet::{Population, PopulationConfig};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+fn reproduction() -> &'static Reproduction {
+    static RUN: OnceLock<Reproduction> = OnceLock::new();
+    RUN.get_or_init(|| Reproduction::run(Scale::Small))
+}
+
+/// Assert every check of `section` passes, and that it has at least one.
+fn assert_section(section: &str) {
+    let checks: Vec<_> = reproduction()
+        .checks()
+        .into_iter()
+        .filter(|c| c.name.split(':').next() == Some(section))
+        .collect();
+    assert!(!checks.is_empty(), "no checks in section {section}");
+    assert!(checks.iter().all(|c| c.pass), "{}", render_checks(&checks));
+}
+
+/// One test per section, each asserting its checks and then `$extra`;
+/// `SECTIONS` lists the sections the tests cover.
+macro_rules! sections {
+    ($($test:ident: $section:literal $extra:block)*) => {
+        const SECTIONS: &[&str] = &[$($section),*];
+        $(
+            #[test]
+            fn $test() {
+                assert_section($section);
+                $extra
+            }
+        )*
+    };
+}
+
+sections! {
+    table1_scan_overview: "T1" {}
+    table2_rows_reflect_configured_page_model: "T2" {
+        let t2 = Table2::new(&reproduction().http.results);
+        assert!(t2.total > 300, "few-data set size {}", t2.total);
+    }
+    table3_service_signatures: "T3" {}
+    fig2_certificate_chains: "F2" {}
+    fig3_iw_distribution: "F3" {}
+    subsampling_study_on_real_scan: "F3 sampling" {}
+    // §4.1's experiment samples the address space, not the result set.
+    one_percent_of_space_scan_matches_full_distribution: "F3 space sample" {
+        let sample = IwHistogram::from_results(&reproduction().space_sample.results);
+        assert!(sample.total() > 150, "sample produced {}", sample.total());
+    }
+    fig4_alexa_top_list: "F4" {}
+    dbscan_separates_network_families_on_scan_data: "F5" {
+        let r = reproduction();
+        let fig = Fig5::new(&r.http.results, &r.population);
+        assert!(fig.points.len() > 40, "{} ASes with data", fig.points.len());
+    }
+    byte_limited_hosts_are_found: "S42" {}
+    verdicts_match_ground_truth: "S35" {}
+}
+
+#[test]
+fn every_check_belongs_to_a_tested_section() {
+    for c in reproduction().checks() {
+        let section = c.name.split(':').next().unwrap_or_default();
+        assert!(SECTIONS.contains(&section), "untested section: {}", c.name);
+    }
+}
 
 fn world() -> Arc<Population> {
     Arc::new(Population::new(PopulationConfig {
@@ -20,45 +82,6 @@ fn world() -> Arc<Population> {
         target_responsive: 2_500,
         loss_scale: 0.0,
     }))
-}
-
-fn scan(pop: &Arc<Population>, protocol: Protocol) -> ScanOutput {
-    let mut config = ScanConfig::study(protocol, pop.space_size(), 0x13072017);
-    config.rate_pps = 4_000_000;
-    ScanRunner::new(pop)
-        .config(config)
-        .topology(Topology::threads(4))
-        .run()
-}
-
-#[test]
-fn tables_and_figures_pass_paper_shape_checks() {
-    let pop = world();
-    let http = scan(&pop, Protocol::Http);
-    let tls = scan(&pop, Protocol::Tls);
-
-    // Table 1.
-    let t1 = Table1::new(&[("HTTP", &http.summary), ("TLS", &tls.summary)]);
-    let c1 = compare::check_table1(&t1);
-    assert!(c1.iter().all(|c| c.pass), "{}", compare::render_checks(&c1));
-
-    // Table 2.
-    let t2h = Table2::new(&http.results);
-    let t2t = Table2::new(&tls.results);
-    let c2 = compare::check_table2(&t2h, &t2t);
-    assert!(c2.iter().all(|c| c.pass), "{}", compare::render_checks(&c2));
-
-    // Table 3.
-    let t3h = Table3::new(&http.results, &pop);
-    let t3t = Table3::new(&tls.results, &pop);
-    let c3 = compare::check_table3(&t3h, &t3t);
-    assert!(c3.iter().all(|c| c.pass), "{}", compare::render_checks(&c3));
-
-    // Figure 3.
-    let h_http = IwHistogram::from_results(&http.results);
-    let h_tls = IwHistogram::from_results(&tls.results);
-    let c4 = compare::check_fig3(&h_http, &h_tls);
-    assert!(c4.iter().all(|c| c.pass), "{}", compare::render_checks(&c4));
 }
 
 #[test]
@@ -87,110 +110,4 @@ fn classifier_never_reads_ground_truth_yet_matches_it() {
     }
     assert!(checked > 1000);
     assert_eq!(disagreements, 0, "published ranges must classify exactly");
-}
-
-#[test]
-fn dbscan_separates_network_families_on_scan_data() {
-    let pop = world();
-    let http = scan(&pop, Protocol::Http);
-    let mut per_as: HashMap<u32, HashMap<u32, u64>> = HashMap::new();
-    for r in &http.results {
-        if let (Some(iw), Some(meta)) = (r.iw_estimate(), pop.meta(r.ip)) {
-            *per_as.entry(meta.asn).or_default().entry(iw).or_insert(0) += 1;
-        }
-    }
-    let points: Vec<AsPoint> = per_as
-        .into_iter()
-        .filter(|(_, c)| c.values().sum::<u64>() >= 3)
-        .map(|(asn, c)| AsPoint::from_counts(asn, &c.into_iter().collect::<Vec<_>>()))
-        .collect();
-    assert!(points.len() > 40, "{} ASes with data", points.len());
-    let labels = dbscan(&points, 0.12, 5);
-    let clusters = summarize(&points, &labels);
-    assert!(clusters.len() >= 3, "{} clusters", clusters.len());
-    // The biggest cluster must be IW10-led (content infrastructure), and
-    // some cluster must be IW2-led (legacy/access).
-    let leads: Vec<usize> = clusters
-        .iter()
-        .map(|c| {
-            c.centroid
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(i, _)| i)
-                .expect("non-empty")
-        })
-        .collect();
-    assert_eq!(leads[0], 3, "largest cluster is IW10-led");
-    assert!(leads.contains(&1), "an IW2-led cluster exists");
-}
-
-#[test]
-fn subsampling_study_on_real_scan() {
-    let pop = world();
-    let http = scan(&pop, Protocol::Http);
-    let full = IwHistogram::from_results(&http.results);
-    // 30% subsamples track the full distribution tightly.
-    let h30 = sampling::subsample_histogram(&http.results, 0.3, 99);
-    assert!(full.l1_distance(&h30) < 0.12, "{}", full.l1_distance(&h30));
-    // Repeated small samples bracket every dominant bar.
-    let stats = sampling::repeated_sample_stats(&http.results, 0.2, 20, 7);
-    for (iw, frac) in full.dominant(0.05) {
-        let bar = stats
-            .iter()
-            .find(|b| b.iw == iw)
-            .unwrap_or_else(|| panic!("IW{iw} missing from samples"));
-        assert!(
-            bar.min <= frac && frac <= bar.max,
-            "IW{iw}: full {frac} outside sample range [{}, {}]",
-            bar.min,
-            bar.max
-        );
-    }
-}
-
-#[test]
-fn one_percent_of_space_scan_matches_full_distribution() {
-    // The actual §4.1 experiment: sample the address space (not the
-    // result set) and compare distributions.
-    let pop = world();
-    let full = scan(&pop, Protocol::Http);
-    let mut cfg = ScanConfig::study(Protocol::Http, pop.space_size(), 0x13072017);
-    cfg.rate_pps = 4_000_000;
-    cfg.sample_fraction = 0.2;
-    cfg.sample_salt = 5;
-    let sampled = ScanRunner::new(&pop)
-        .config(cfg)
-        .topology(Topology::threads(4))
-        .run();
-
-    let fh = IwHistogram::from_results(&full.results);
-    let sh = IwHistogram::from_results(&sampled.results);
-    assert!(sh.total() > 150, "sample produced {}", sh.total());
-    for iw in [1u32, 2, 4, 10] {
-        assert!(
-            (fh.fraction(iw) - sh.fraction(iw)).abs() < 0.08,
-            "IW{iw}: {} vs {}",
-            fh.fraction(iw),
-            sh.fraction(iw)
-        );
-    }
-}
-
-#[test]
-fn table2_rows_reflect_configured_page_model() {
-    // The HTTP few-data histogram must inherit the content model's
-    // IW7 peak (paper: default error pages of 448–511 B).
-    let pop = world();
-    let http = scan(&pop, Protocol::Http);
-    let t2 = Table2::new(&http.results);
-    let peak = t2
-        .iw
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-        .map(|(i, _)| i + 1)
-        .expect("rows");
-    assert_eq!(peak, 7);
-    assert!(t2.total > 300, "few-data set size {}", t2.total);
 }

@@ -4,7 +4,7 @@
 
 use iw_core::blacklist::{CidrSet, ScanFilter};
 use iw_core::testbed::{probe_host, TestbedSpec};
-use iw_core::{MssVerdict, Protocol, ScanConfig, ScanRunner};
+use iw_core::{Confusion, MssVerdict, Protocol, ScanConfig, ScanRunner};
 use iw_hoststack::{HostConfig, IwPolicy};
 use iw_internet::{Population, PopulationConfig};
 use iw_netsim::{Duration, LinkConfig};
@@ -175,21 +175,12 @@ fn lossy_population_scan_remains_sane() {
     config.rate_pps = 2_000_000;
     let out = ScanRunner::new(&pop).config(config).run();
     assert!(out.summary.reachable > 100);
-    let mut overestimates = 0;
-    for r in &out.results {
-        if let Some(est) = r.iw_estimate() {
-            let gt = pop.ground_truth(r.ip).expect("host exists");
-            let mss = pop
-                .host_config(r.ip)
-                .expect("host exists")
-                .os
-                .effective_mss(Some(64));
-            if est > gt.iw.initial_segments(mss) {
-                overestimates += 1;
-            }
-        }
-    }
-    assert_eq!(overestimates, 0, "loss must never inflate estimates");
+    let c = Confusion::of_population(&pop, Protocol::Http, &out.results);
+    assert_eq!(
+        c.overestimate, 0,
+        "loss must never inflate estimates: {c:?}"
+    );
+    assert_eq!(c.spurious, 0, "{c:?}");
 }
 
 #[test]
