@@ -6,8 +6,16 @@
 //! level's due times arrive already sorted. A plain FIFO per level plus
 //! **one** wheel timer per level (armed at the head's due time) does the
 //! work of one wheel timer per target: the wheel holds O(levels) retry
-//! timers and an entry costs 16 bytes for the length of its backoff
-//! window.
+//! timers.
+//!
+//! The due times are stored run-length: every SYN of one pacing tick,
+//! and every retry one drain re-queues, is pushed at the same `now`, so
+//! one `(due, count)` run covers the whole batch (~375 entries at
+//! 150 kpps over two shards). The addresses sit in fixed-size blocks,
+//! and a drained block is freed at once: a drain hands its targets on
+//! to the next level while this one shrinks, where a ring per level
+//! would keep its high-water capacity. A queued target costs its bare
+//! 4-byte address for the length of its backoff window.
 //!
 //! The queue never touches [`iw_netsim::Effects`] itself — `push` and
 //! `rearm` tell the caller when, and for how long, to arm the level's
@@ -16,10 +24,20 @@
 use iw_netsim::{Duration, Instant};
 use std::collections::VecDeque;
 
+/// Addresses per block (32 KiB).
+const BLOCK: usize = 8192;
+
 /// One backoff level's pending retransmissions, oldest first.
 #[derive(Debug, Default)]
 pub struct RetryQueue {
-    entries: VecDeque<(Instant, u32)>,
+    /// Queued addresses, oldest first. Every block but the last is full;
+    /// the first is consumed from `head`.
+    blocks: VecDeque<Vec<u32>>,
+    /// Entries of the first block already popped.
+    head: usize,
+    /// `(due, count)`: the next `count` queued addresses are due at
+    /// `due`. Counts are never zero.
+    runs: VecDeque<(Instant, u32)>,
     /// A drain timer for this level is outstanding on the wheel.
     armed: bool,
 }
@@ -30,53 +48,78 @@ impl RetryQueue {
     /// outstanding); `false` when an earlier entry's timer covers it.
     pub fn push(&mut self, due: Instant, ip: u32) -> bool {
         debug_assert!(
-            self.entries.back().is_none_or(|&(last, _)| last <= due),
+            self.runs.back().is_none_or(|&(last, _)| last <= due),
             "constant delay + monotonic now keeps a level FIFO-ordered"
         );
-        // amortised ring growth, 16 B per in-flight target
-        self.entries.push_back((due, ip));
+        match self.blocks.back_mut() {
+            Some(block) if block.len() < BLOCK => block.push(ip),
+            _ => {
+                // one allocation per BLOCK targets
+                let mut block = Vec::with_capacity(BLOCK);
+                block.push(ip);
+                self.blocks.push_back(block);
+            }
+        }
+        match self.runs.back_mut() {
+            Some((last, count)) if *last == due => *count += 1,
+            _ => self.runs.push_back((due, 1)),
+        }
         !std::mem::replace(&mut self.armed, true)
     }
 
     /// Pop the oldest entry if it is due at `now`.
     pub fn pop_due(&mut self, now: Instant) -> Option<u32> {
-        match self.entries.front() {
-            Some(&(due, ip)) if due <= now => {
-                self.entries.pop_front();
-                Some(ip)
-            }
-            _ => None,
+        let (due, count) = self.runs.front_mut()?;
+        if *due > now {
+            return None;
         }
+        *count -= 1;
+        if *count == 0 {
+            self.runs.pop_front();
+        }
+        // A run counts queued addresses, so the block is there.
+        let block = self.blocks.front()?;
+        let ip = block[self.head];
+        self.head += 1;
+        if self.head == BLOCK {
+            self.blocks.pop_front();
+            self.head = 0;
+        }
+        Some(ip)
     }
 
     /// The level's drain timer fired and every due entry was popped:
     /// the delay to re-arm it at the new head, or `None` (and disarmed)
     /// when the level is empty.
     pub fn rearm(&mut self, now: Instant) -> Option<Duration> {
-        let delay = self
-            .entries
-            .front()
-            .map(|&(due, _)| due.duration_since(now));
+        let delay = self.runs.front().map(|&(due, _)| due.duration_since(now));
         self.armed = delay.is_some();
         delay
     }
 
     /// Entries waiting for their backoff to elapse.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.blocks.iter().map(Vec::len).sum::<usize>() - self.head
     }
 
     /// Whether no retransmission is queued.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.runs.is_empty()
+    }
+
+    /// The queued addresses, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.blocks.iter().flatten().skip(self.head).copied()
     }
 
     /// Drop every queued retransmission (graceful drain), returning how
     /// many were cut short. An outstanding drain timer stays `armed`: it
     /// fires once more, finds nothing due and disarms through `rearm`.
     pub fn clear(&mut self) -> usize {
-        let dropped = self.entries.len();
-        self.entries.clear();
+        let dropped = self.len();
+        self.blocks.clear();
+        self.head = 0;
+        self.runs.clear();
         dropped
     }
 }
@@ -84,6 +127,7 @@ impl RetryQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iw_internet::util::mix;
 
     fn at(ms: u64) -> Instant {
         Instant::ZERO + Duration::from_millis(ms)
@@ -144,5 +188,109 @@ mod tests {
         assert_eq!(q.rearm(at(1005)), Some(Duration::from_millis(5)));
         assert_eq!(q.pop_due(at(1010)), Some(13));
         assert_eq!(q.rearm(at(1010)), None, "empty level disarms");
+    }
+
+    #[test]
+    fn a_batch_pushed_at_one_instant_is_one_run() {
+        let mut q = RetryQueue::default();
+        for ip in 0..375 {
+            q.push(at(1000), ip);
+        }
+        q.push(at(1005), 375);
+        assert_eq!((q.len(), q.runs.len()), (376, 2));
+        assert!(q.iter().eq(0..376), "iteration is queue order");
+    }
+
+    /// The queue this one replaced: one `(due, ip)` per entry.
+    #[derive(Default)]
+    struct Model {
+        entries: VecDeque<(Instant, u32)>,
+        armed: bool,
+    }
+
+    impl Model {
+        fn push(&mut self, due: Instant, ip: u32) -> bool {
+            self.entries.push_back((due, ip));
+            !std::mem::replace(&mut self.armed, true)
+        }
+
+        fn pop_due(&mut self, now: Instant) -> Option<u32> {
+            match self.entries.front() {
+                Some(&(due, ip)) if due <= now => {
+                    self.entries.pop_front();
+                    Some(ip)
+                }
+                _ => None,
+            }
+        }
+
+        fn rearm(&mut self, now: Instant) -> Option<Duration> {
+            let delay = self
+                .entries
+                .front()
+                .map(|&(due, _)| due.duration_since(now));
+            self.armed = delay.is_some();
+            delay
+        }
+
+        fn clear(&mut self) -> usize {
+            let dropped = self.entries.len();
+            self.entries.clear();
+            dropped
+        }
+    }
+
+    #[test]
+    fn run_length_queue_matches_the_per_entry_model() {
+        for seed in 0..48u64 {
+            let (mut q, mut model) = (RetryQueue::default(), Model::default());
+            // `due` only moves forward (the FIFO invariant) and often
+            // stays put, so runs of equal and of distinct due times mix;
+            // batches of thousands cross block boundaries.
+            let (mut now, mut due) = (0u64, 0u64);
+            let (mut cleared_armed, mut blocks) = (false, 0);
+            for step in 0..300u64 {
+                let r = mix(&[seed, step]);
+                let ctx = format!("seed {seed} step {step}");
+                let pick = |shift: u32, of: &[u64]| of[(r >> shift) as usize % of.len()];
+                match r % 16 {
+                    0..=7 => {
+                        for k in 0..pick(4, &[1, 1, 3, 500, 9000]) {
+                            due =
+                                (due + pick(12, &[0, 0, 0, 1, 5]) * u64::from(k % 7 == 0)).max(now);
+                            let ip = mix(&[r, k]) as u32;
+                            assert_eq!(q.push(at(due), ip), model.push(at(due), ip), "{ctx}");
+                        }
+                    }
+                    8..=12 => {
+                        now += pick(8, &[0, 1, 2, 5]);
+                        for _ in 0..pick(16, &[1, 10, 3000, u64::MAX]) {
+                            let popped = q.pop_due(at(now));
+                            assert_eq!(popped, model.pop_due(at(now)), "{ctx}");
+                            if popped.is_none() {
+                                break;
+                            }
+                        }
+                    }
+                    13 | 14 => assert_eq!(q.rearm(at(now)), model.rearm(at(now)), "{ctx}"),
+                    _ => {
+                        cleared_armed |= model.armed && !model.entries.is_empty();
+                        assert_eq!(q.clear(), model.clear(), "{ctx}");
+                    }
+                }
+                assert_eq!(q.len(), model.entries.len(), "{ctx}");
+                assert_eq!(q.is_empty(), model.entries.is_empty(), "{ctx}");
+                assert_eq!(q.armed, model.armed, "{ctx}");
+                blocks = blocks.max(q.blocks.len());
+                if step % 16 == 0 {
+                    assert!(
+                        q.iter().eq(model.entries.iter().map(|&(_, ip)| ip)),
+                        "{ctx}"
+                    );
+                }
+            }
+            assert!(cleared_armed, "seed {seed}: no clear while armed");
+            assert!(blocks > 1, "seed {seed}: never crossed a block");
+        }
     }
 }

@@ -77,9 +77,9 @@ pub struct ScanConfig {
     /// their whole per-flow state in the source port + ISN cookie, and a
     /// target only earns a table entry once its SYN-ACK validates and it
     /// is promoted to a full stateful IW-inference session (until then
-    /// it costs at most one retry-FIFO entry per backoff window). Applies to
-    /// the TCP inference protocols (`Http`/`Tls`); `PortScan` is already
-    /// stateless and `IcmpMtu` has no handshake.
+    /// it costs at most its 4-byte address in a retry FIFO per backoff
+    /// window). Applies to the TCP inference protocols (`Http`/`Tls`);
+    /// `PortScan` is already stateless and `IcmpMtu` has no handshake.
     pub stateless_first: bool,
     /// Telemetry knobs (event log, RTT tracking, progress monitor).
     pub telemetry: TelemetryConfig,
@@ -407,16 +407,17 @@ pub struct Scanner {
     generator: TargetIter,
     exhausted: bool,
     /// Every tracked address's one [`Target`] state, and the live
-    /// sessions. A silent classic target has an entry only while it owes
-    /// a SYN retry, a discovery-phase target none at all.
+    /// sessions. A silent target has no entry: while it owes a retry its
+    /// address waits in a retry FIFO, whose level is its attempt count.
     targets: Targets,
     /// Stateful SYN retransmissions waiting out their backoff, one FIFO
     /// per level (level = retries already spent; the last level is the
     /// give-up deadline). Grown on first use, so empty without retries.
     syn_retry_queues: Vec<RetryQueue>,
     /// Discovery retransmissions (stateless-first mode), one FIFO per
-    /// level: 16 B per silent target for the length of a backoff window,
-    /// the only per-target state the discovery phase holds.
+    /// level. Like the stateful ones, they hold a silent target's 4-byte
+    /// address for the length of a backoff window: the only per-target
+    /// state a silent target costs.
     discovery_retry_queues: Vec<RetryQueue>,
     /// Set by [`Self::begin_drain`]: no response opens new work.
     draining: bool,
@@ -451,7 +452,9 @@ pub struct Scanner {
     events: EventLog,
     /// SYN send times for RTT measurement (populated only when
     /// `telemetry.record_rtt` or `record_spans`; consumed on first
-    /// response, and gone once the target leaves `Handshake`).
+    /// response, dropped at the first SYN retry (Karn's rule, so before
+    /// any give-up) or a drain, and whenever the target's entry moves to
+    /// any state but `Handshake`).
     syn_ts: IpMap<Instant>,
     monitor: Option<ProgressMonitor>,
     monitor_sink: MonitorSink,
@@ -745,12 +748,24 @@ impl Scanner {
     /// reaching `events` must reproduce these bytes exactly.
     pub fn checkpoint(&self, events: u64, now: Instant) -> ShardCheckpoint {
         let (cursor_next, cursor_produced) = self.generator.cursor();
+        // Pending: every unanswered stateful SYN with the retries it has
+        // sent. A target owed a retry waits in the FIFO of that level,
+        // silent (no entry, or a promoted `Handshake`) unless its answer
+        // came first; without retries only promoted handshakes are held.
         let (mut pending, mut sessions) = (Vec::new(), Vec::new());
+        for (level, queue) in self.syn_retry_queues.iter().enumerate() {
+            for ip in queue.iter() {
+                if matches!(self.targets.get(ip), None | Some(Target::Handshake)) {
+                    pending.push((ip, level as u32));
+                }
+            }
+        }
+        let retries = self.config.resilience.syn_retries > 0;
         for (ip, target) in self.targets.iter() {
             match target {
-                Target::Handshake { attempts, .. } => pending.push((ip, attempts)),
+                Target::Handshake if !retries => pending.push((ip, 0)),
                 Target::Live(_) | Target::Mtu { .. } => sessions.push(ip),
-                Target::Queued | Target::Concluded => {}
+                Target::Queued | Target::Handshake | Target::Concluded => {}
             }
         }
         pending.sort_unstable();
@@ -802,7 +817,11 @@ impl Scanner {
         self.draining = true;
         // Queued retransmissions and queued responders are cut short
         // alike: each dropped entry is forced-drain pressure. (The
-        // levels' outstanding drain timers fire into empty queues.)
+        // levels' outstanding drain timers fire into empty queues.) A
+        // silent target cut off here loses its RTT stamp too.
+        for ip in self.syn_retry_queues.iter().flat_map(RetryQueue::iter) {
+            self.syn_ts.remove(ip);
+        }
         let dropped_retries: usize = self
             .syn_retry_queues
             .iter_mut()
@@ -840,11 +859,11 @@ impl Scanner {
     }
 
     /// Move `ip` to `to` along a declared edge (see [`Targets::set`]).
-    /// A target outside `Handshake` holds no RTT stamp, and a concluded
-    /// one no domain.
+    /// A target with an entry outside `Handshake` holds no RTT stamp, and
+    /// a concluded one no domain.
     fn set_target(&mut self, ip: u32, to: Option<Target>, now: Instant) {
         self.targets.set(ip, to, now);
-        if !matches!(to, Some(Target::Handshake { .. })) {
+        if to != Some(Target::Handshake) {
             self.syn_ts.remove(ip);
         }
         if to == Some(Target::Concluded) {
@@ -949,6 +968,17 @@ impl Scanner {
             && matches!(self.config.protocol, Protocol::Http | Protocol::Tls)
     }
 
+    /// Whether an untracked address may be a silent target still owed a
+    /// stateful SYN retry or its give-up: a classic TCP scan with SYN
+    /// retries, before a drain cut them off. (The discovery phase's own
+    /// retries are stateless, and a promoted target has an entry.)
+    fn untracked_owes_retry(&self) -> bool {
+        self.config.resilience.syn_retries > 0
+            && !self.draining
+            && !self.discovery_active()
+            && self.config.protocol != Protocol::IcmpMtu
+    }
+
     /// Discovery retransmission budget: the configured SYN retries,
     /// clamped so the attempt always fits the source-port encoding.
     fn discovery_retry_budget(&self) -> u32 {
@@ -960,17 +990,13 @@ impl Scanner {
 
     /// Send the stateful SYN for a target — directly in classic mode, or
     /// at promotion time in stateless-first mode. From here on the
-    /// target follows the exact classic lifecycle (`Handshake` entry, RTT
-    /// stamp, recorder stamp, stateful retry queue), which is what keeps
-    /// responder verdicts byte-identical across the two modes.
+    /// target follows the exact classic lifecycle (RTT stamp, recorder
+    /// stamp, stateful retry queue), which is what keeps responder
+    /// verdicts byte-identical across the two modes. Only a promoted
+    /// target takes an entry (`Handshake`, for its `max_sessions` slot).
     fn send_stateful_syn(&mut self, ip: u32, promoted: bool, now: Instant, fx: &mut Effects) {
-        let retries = self.config.resilience.syn_retries > 0;
-        if retries || promoted {
-            let handshake = Target::Handshake {
-                attempts: 0,
-                promoted,
-            };
-            self.set_target(ip, Some(handshake), now);
+        if promoted {
+            self.set_target(ip, Some(Target::Handshake), now);
         }
         // The SYN timestamp serves both the RTT histogram and the
         // handshake span, so either knob populates the map (the
@@ -982,7 +1008,7 @@ impl Scanner {
             .record(now.as_nanos(), ip, SessionEvent::SynSent);
         let isn = self.emit_syn(ip, fx);
         self.recorder.note_syn(ip, now.as_nanos(), isn);
-        if retries {
+        if self.config.resilience.syn_retries > 0 {
             self.queue_retry(SYN_RETRY_NS, 0, ip, now, fx);
         }
     }
@@ -1024,7 +1050,7 @@ impl Scanner {
             if ns == DISCOVERY_NS {
                 self.discovery_retry_fire(ip, level, now, fx);
             } else {
-                self.syn_retry_fire(ip, now, fx);
+                self.syn_retry_fire(ip, level, now, fx);
             }
         }
         if let Some(delay) = self
@@ -1179,8 +1205,8 @@ impl Scanner {
     /// `Handshake`s. RTT stamps only exist for those same targets in
     /// stateless-first mode, so the gauge bounds them too: O(validated
     /// responders), never O(targets). (The retry FIFOs are the other
-    /// per-target cost — 16 B per silent target per backoff window,
-    /// bounded by the rate; see [`Self::retry_backlog`].)
+    /// per-target cost — a silent target's 4-byte address per backoff
+    /// window, bounded by the rate; see [`Self::retry_backlog`].)
     fn note_discovery_state(&mut self) {
         let footprint = (self.promotions.len() + self.targets.promoted()) as u64;
         self.metrics.gauge_set(Gauge::DiscoveryStatePeak, footprint);
@@ -1196,33 +1222,37 @@ impl Scanner {
         isn
     }
 
-    /// A target's stateful SYN backoff elapsed: retransmit if it is still
-    /// silent and budget remains, and queue the next (doubled) level.
-    fn syn_retry_fire(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
-        let Some(Target::Handshake { attempts, promoted }) = self.targets.get(ip) else {
-            return;
+    /// A target's level-`level` stateful SYN backoff elapsed: retransmit
+    /// if it is still silent and budget remains, and queue the next
+    /// (doubled) level. The level is the retries already sent; a silent
+    /// target has no entry, or a `Handshake` one if it was promoted, and
+    /// any other entry means its answer (or an ICMP fast-fail) came first.
+    fn syn_retry_fire(&mut self, ip: u32, level: usize, now: Instant, fx: &mut Effects) {
+        let promoted = match self.targets.get(ip) {
+            None => false,
+            Some(Target::Handshake) => true,
+            Some(_) => return,
         };
+        let attempts = level as u32;
         if attempts >= self.config.resilience.syn_retries {
             // Budget spent and still silent: give up on the target (its
-            // RTT stamp goes with the entry). The flight recorder dumps
-            // the ring — a SYN-blackholed target is a failure worth a
-            // black box even though no session existed. A promoted target
-            // concludes: its discovery answer was already spent.
+            // RTT stamp went with the first retry, by Karn's rule). The
+            // flight recorder dumps the ring — a SYN-blackholed target is
+            // a failure worth a black box even though no session existed.
+            // A promoted target concludes: its discovery answer was
+            // already spent.
             if self
                 .recorder
                 .conclude(ip, now.as_nanos(), Some("handshake_timeout"))
             {
                 self.metrics.inc(Counter::FlightDumps);
             }
-            self.set_target(ip, promoted.then_some(Target::Concluded), now);
-            self.try_drain_promotions(now, fx);
+            if promoted {
+                self.set_target(ip, Some(Target::Concluded), now);
+                self.try_drain_promotions(now, fx);
+            }
             return;
         }
-        let handshake = Target::Handshake {
-            attempts: attempts + 1,
-            promoted,
-        };
-        self.set_target(ip, Some(handshake), now);
         self.note_session_event(
             ip,
             SessionEvent::SynRetried {
@@ -1238,7 +1268,7 @@ impl Scanner {
         let isn = self.emit_syn(ip, fx);
         self.recorder
             .note_wire(ip, now.as_nanos(), true, Flags::SYN.bits(), isn, 0, 0);
-        self.queue_retry(SYN_RETRY_NS, attempts as usize + 1, ip, now, fx);
+        self.queue_retry(SYN_RETRY_NS, level + 1, ip, now, fx);
     }
 
     /// The per-session watchdog fired: if the session is somehow still
@@ -1274,16 +1304,23 @@ impl Scanner {
         // headed for one keeps its history, since a black box must
         // survive until the verdict: a live session, and a handshake that
         // owes a SYN retry or its give-up, which from the fourth retry on
-        // waits longer than the expiry. Without retries nothing gives up
-        // on a (promoted) silent `Handshake`, and keeping its history
-        // would keep this sweep armed forever.
+        // waits longer than the expiry. A promoted one is `Handshake`; a
+        // classic one is untracked, and while classic retries run every
+        // untracked history is one (a probed target's history otherwise
+        // leaves at its verdict or give-up, and inbound noise starts
+        // none). Without retries nothing gives up on a (promoted) silent
+        // `Handshake`, after a drain nothing is owed, and in the discovery
+        // phase no untracked target is owed a stateful retry: keeping
+        // those histories would keep this sweep armed forever.
         let cutoff = now.as_nanos().saturating_sub(RTT_EXPIRY.as_nanos());
         let retries = self.config.resilience.syn_retries > 0;
+        let untracked_owed = self.untracked_owes_retry();
         let targets = &self.targets;
         self.recorder
             .expire_stale(cutoff, |ip| match targets.get(ip) {
                 Some(Target::Live(_)) => true,
-                Some(Target::Handshake { .. }) => retries,
+                Some(Target::Handshake) => retries,
+                None => untracked_owed,
                 _ => false,
             });
         if !(self.exhausted && self.syn_ts.is_empty() && self.recorder.live_rings() == 0) {
@@ -1503,7 +1540,7 @@ impl Scanner {
             // Outside a session only the flow of the target's first SYN
             // (probe 0, conn 0) carries an answer.
             _ if seg.dst_port != self.params.sport(0, 0, 0) => {}
-            None | Some(Target::Handshake { .. }) => self.on_answer(src, seg, false, now, fx),
+            None | Some(Target::Handshake) => self.on_answer(src, seg, false, now, fx),
             Some(Target::Concluded) => self.on_answer(src, seg, true, now, fx),
             Some(Target::Queued | Target::Mtu { .. }) => {}
         }
@@ -1727,13 +1764,14 @@ impl Scanner {
                     self.apply_session_output(ip, out, now, fx);
                 }
             }
-            (
-                state @ (None | Some(Target::Handshake { .. })),
-                icmp::Message::DstUnreachable { .. },
-            ) => {
-                // An untracked target was probed statefully only if it
-                // holds an RTT stamp (no SYN retries, so no entry).
-                if self.syn_ts.remove(ip).is_none() && state.is_none() {
+            (state @ (None | Some(Target::Handshake)), icmp::Message::DstUnreachable { .. }) => {
+                // A promoted handshake is in flight, and so is an
+                // untracked source while classic SYN retries run (a
+                // silent target keeps no entry). Otherwise an untracked
+                // target was probed statefully only if it holds an RTT
+                // stamp.
+                let in_flight = state.is_some() || self.untracked_owes_retry();
+                if self.syn_ts.remove(ip).is_none() && !in_flight {
                     return;
                 }
                 self.note_session_event(ip, SessionEvent::IcmpUnreachable, now);
@@ -1747,8 +1785,11 @@ impl Scanner {
                 {
                     self.metrics.inc(Counter::FlightDumps);
                 }
-                if let Some(Target::Handshake { promoted, .. }) = state {
-                    self.set_target(ip, promoted.then_some(Target::Concluded), now);
+                // Concluding stops the retries the target is owed, and a
+                // SYN-ACK that still arrives is a late answer: the stream
+                // already carries this target's verdict.
+                if in_flight {
+                    self.set_target(ip, Some(Target::Concluded), now);
                     self.try_drain_promotions(now, fx);
                 }
             }

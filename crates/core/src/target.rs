@@ -1,11 +1,13 @@
 //! One lifecycle per target address.
 //!
 //! Every address the scanner holds state for has one [`Target`] entry in
-//! one table, changed only along an edge of `TRANSITIONS`. A concluded
-//! target keeps its entry for a bounded hold, so an answer that arrives
-//! after its verdict — a host retransmitting a SYN-ACK whose ACK was
-//! lost — finds it concluded and mints nothing. Sessions live in a
-//! vector that `Live` entries index, which keeps an entry at 8 bytes.
+//! one table, changed only along an edge of `TRANSITIONS`. A silent
+//! target is the exception: it holds no entry, only its address in a
+//! retry FIFO while a retransmission is owed. A concluded target keeps
+//! its entry for a bounded hold, so an answer that arrives after its
+//! verdict — a host retransmitting a SYN-ACK whose ACK was lost — finds
+//! it concluded and mints nothing. Sessions live in a vector that `Live`
+//! entries index, which keeps an entry at 8 bytes.
 
 use crate::retry::RetryQueue;
 use crate::session::HostSession;
@@ -17,14 +19,11 @@ use iw_netsim::{Duration, Instant};
 pub enum Target {
     /// Its discovery SYN-ACK validated; it waits in the promotion queue.
     Queued,
-    /// Its stateful SYN is unanswered. Held only while a SYN retry or a
-    /// promotion slot depends on it.
-    Handshake {
-        /// SYN retransmissions already sent.
-        attempts: u32,
-        /// Promoted from discovery: it holds a `max_sessions` slot.
-        promoted: bool,
-    },
+    /// It was promoted from discovery and its stateful SYN is
+    /// unanswered: it holds a `max_sessions` slot. (A silent classic
+    /// target has no entry; its SYN-retry FIFO level is its attempt
+    /// count, and a promoted target reads its count there too.)
+    Handshake,
     /// A measurement session runs at this index.
     Live(u32),
     /// A path-MTU echo of this total length is in flight.
@@ -39,8 +38,9 @@ pub enum Target {
 
 const _: () = assert!(
     std::mem::size_of::<Target>() <= 8,
-    "a Target must fit a 12-byte table slot: widening the SYN-retry map's \
-     slot from 12 to 24 bytes took campaign_2t's peak RSS from 130 to 172 MB"
+    "a Target must fit a 12-byte table slot: the table holds every \
+     responder until its hold expires, and a 24-byte slot once took \
+     campaign_2t's peak RSS from 130 to 172 MB"
 );
 
 /// A [`Target`] variant without its payload, or no entry at all.
@@ -58,7 +58,7 @@ fn stage(target: Option<Target>) -> Stage {
     match target {
         None => Stage::Untracked,
         Some(Target::Queued) => Stage::Queued,
-        Some(Target::Handshake { .. }) => Stage::Handshake,
+        Some(Target::Handshake) => Stage::Handshake,
         Some(Target::Live(_)) => Stage::Live,
         Some(Target::Mtu { .. }) => Stage::Mtu,
         Some(Target::Concluded) => Stage::Concluded,
@@ -66,20 +66,18 @@ fn stage(target: Option<Target>) -> Stage {
 }
 
 /// Every edge a target may take. A verdict (session result, open port,
-/// refusal) and a promoted handshake's failure conclude; a classic
-/// handshake that fails, a finished MTU probe and a graceful drain drop
-/// the entry. `Concluded` leaves only when its hold expires, so nothing
-/// reopens a target that has its verdict. [`Targets::set`] asserts
-/// membership in debug builds.
+/// refusal), a promoted handshake's give-up and an ICMP fast-fail
+/// conclude; a finished MTU probe and a graceful drain drop the entry.
+/// `Concluded` leaves only when its hold expires, so nothing reopens a
+/// target that has its verdict. [`Targets::set`] asserts membership in
+/// debug builds.
 const TRANSITIONS: &[(Stage, Stage)] = &[
     (Stage::Untracked, Stage::Queued),
-    (Stage::Untracked, Stage::Handshake),
     (Stage::Untracked, Stage::Live),
     (Stage::Untracked, Stage::Mtu),
     (Stage::Untracked, Stage::Concluded),
     (Stage::Queued, Stage::Handshake),
     (Stage::Queued, Stage::Untracked),
-    (Stage::Handshake, Stage::Handshake),
     (Stage::Handshake, Stage::Live),
     (Stage::Handshake, Stage::Concluded),
     (Stage::Handshake, Stage::Untracked),
@@ -186,7 +184,7 @@ impl Targets {
         };
         assert_edge(from, to);
         match from {
-            Some(Target::Handshake { promoted: true, .. }) => self.promoted -= 1,
+            Some(Target::Handshake) => self.promoted -= 1,
             Some(Target::Live(index)) => {
                 self.sessions.swap_remove(index as usize);
                 if let Some(moved) = self.sessions.get(index as usize) {
@@ -196,7 +194,7 @@ impl Targets {
             _ => {}
         }
         match to {
-            Some(Target::Handshake { promoted: true, .. }) => self.promoted += 1,
+            Some(Target::Handshake) => self.promoted += 1,
             Some(Target::Concluded) => {
                 while let Some(expired) = self.hold.pop_due(now) {
                     assert_edge(self.map.remove(expired), None);
@@ -292,19 +290,12 @@ mod tests {
 
     #[test]
     fn promoted_handshakes_are_counted_until_they_leave() {
-        let handshake = |attempts| {
-            Some(Target::Handshake {
-                attempts,
-                promoted: true,
-            })
-        };
         let mut targets = Targets::new(Duration::from_secs(1));
         for ip in [1, 2] {
             targets.set(ip, Some(Target::Queued), Instant::ZERO);
-            targets.set(ip, handshake(0), Instant::ZERO);
+            targets.set(ip, Some(Target::Handshake), Instant::ZERO);
         }
-        targets.set(1, handshake(1), Instant::ZERO);
-        assert_eq!(targets.promoted(), 2, "a retry keeps its slot");
+        assert_eq!(targets.promoted(), 2);
         targets.set(1, Some(Target::Concluded), Instant::ZERO);
         targets.set(2, None, Instant::ZERO);
         assert_eq!(targets.promoted(), 0);

@@ -107,9 +107,11 @@ fn silent_sweep_allocates_nothing_per_syn() {
     println!("alloc_budget: silent sweep: {spent} allocations for {syns} SYNs after warm-up");
     // What is left is neither per SYN nor per event (~260 events): a
     // drained wheel bucket keeps its buffer, so filing a timer allocates
-    // only the first time a bucket is used, and the retry FIFOs double up
-    // to a backoff window. Measured 113; a bucket that dropped its
-    // buffer at every drain cost one allocation per event (321).
+    // only the first time a bucket is used, and a retry FIFO takes one
+    // 32 KiB block per 8 192 targets it queues. Measured 121 (113 when
+    // each FIFO was one ring doubling up to a backoff window); a bucket
+    // that dropped its buffer at every drain cost one allocation per
+    // event (321).
     assert!(
         spent <= 140,
         "{spent} allocations for {syns} SYNs: the transmit path allocates per packet again"
@@ -143,6 +145,49 @@ fn a_silent_target_costs_the_flight_recorder_no_allocation() {
         on <= off + 64,
         "{on} vs {off} allocations: the recorder allocates per silent target"
     );
+}
+
+#[test]
+fn a_queued_silent_target_costs_at_most_eight_bytes() {
+    // A silent 2^16 space at the study's 150 kpps with the hardened
+    // budget: every target waits out two backoffs in a retry FIFO (three
+    // in classic mode, whose last level is the give-up), and the scan
+    // holds nothing else per target. The heap it holds above the start
+    // at its peak, per target queued at the backlog's peak, is what a
+    // silent target costs.
+    for stateless_first in [false, true] {
+        let mut cfg = ScanConfig::study(Protocol::Http, 1 << 16, 0x51e7);
+        cfg.stateless_first = stateless_first;
+        cfg.resilience = ResilienceConfig::hardened();
+        let sim_config = SimConfig {
+            seed: cfg.seed,
+            ..SimConfig::default()
+        };
+        let mut sim = Sim::new(Scanner::new(cfg), |_ip: u32| None, sim_config);
+        sim.kick_scanner(|s, now, fx| s.start(now, fx));
+        // The start is the first tick that sends: it warms the packet
+        // pool and the kernel's scratch, which no target holds.
+        while sim.stats().scanner_tx == 0 {
+            assert!(sim.step(), "the scan must send before it ends");
+        }
+        let before = reset_peak();
+        let mut backlog = 0;
+        while sim.step() {
+            backlog = backlog.max(sim.scanner().retry_backlog());
+        }
+        let held = peak() - before;
+        assert_eq!(backlog, 1 << 16, "every silent target queued at once");
+        let per_target = held as f64 / backlog as f64;
+        println!(
+            "alloc_budget: silent sweep (stateless_first={stateless_first}): peak heap \
+             {held} bytes above the start for a backlog of {backlog} ({per_target:.2} per target)"
+        );
+        assert!(
+            per_target <= 8.0,
+            "{per_target:.2} bytes per queued silent target (stateless_first={stateless_first}): \
+             a silent target holds more than its address"
+        );
+    }
 }
 
 /// An endpoint that never answers, and (when `leaky`) puts every

@@ -991,3 +991,66 @@ fn default_resilience_is_inert_on_clean_links() {
     assert_eq!(hard_m.counter("scan.sessions.evicted"), 0);
     assert!((accuracy(&base) - 1.0).abs() < f64::EPSILON);
 }
+
+// ---------------------------------------------------------------------
+// Untracked silent targets: a silent classic target keeps no table
+// entry, so nothing it leaves behind may outlive the retries it is owed.
+// ---------------------------------------------------------------------
+
+/// Run `config` with the flight recorder on over a space whose even
+/// addresses answer across a 100 ms link and whose odd ones are
+/// unrouted, draining at `drain_at` if given, for a virtual hour.
+/// Returns whether events were still queued then, and the recorder's
+/// live histories.
+fn flight_scan(mut config: ScanConfig, drain_at: Option<Duration>) -> (bool, usize) {
+    config.telemetry.flight_recorder = true;
+    let seed = config.seed;
+    let link = LinkConfig {
+        latency: Duration::from_millis(100),
+        ..LinkConfig::testbed()
+    };
+    let factory = move |ip: u32| {
+        ip.is_multiple_of(2)
+            .then(|| (web_host(ip, seed), link.clone()))
+    };
+    let sim_config = SimConfig {
+        seed,
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::new(Scanner::new(config), factory, sim_config);
+    sim.kick_scanner(|s, now, fx| s.start(now, fx));
+    if let Some(at) = drain_at {
+        sim.run_until(Instant::ZERO + at);
+        sim.kick_scanner(|s, now, fx| s.begin_drain(now, fx));
+    }
+    // Far past every timeout: a scan still busy here never ends.
+    sim.run_until(Instant::ZERO + Duration::from_secs(3600));
+    let busy = sim.step();
+    (busy, sim.scanner_mut().take_flight_recorder().live_rings())
+}
+
+#[test]
+fn stateless_first_flight_scan_with_retries_terminates() {
+    let mut config = stateless_config(256, 0xf117);
+    config.resilience.syn_retries = 2;
+    let (busy, live) = flight_scan(config, None);
+    assert!(!busy, "the scan never went idle");
+    assert_eq!(live, 0, "a history outlived the scan");
+}
+
+#[test]
+fn a_graceful_drain_leaves_no_flight_history() {
+    // Four retries: a silent target's history goes stale (8 s) before its
+    // give-up, so only the sweep's rule decides whether it stays.
+    for stateless_first in [false, true] {
+        let mut config = scan_config(256, 0xd7a1);
+        config.stateless_first = stateless_first;
+        config.resilience.syn_retries = 4;
+        // 300 ms in: silent targets owe their first retry, and promoted
+        // responders are mid-handshake.
+        let (busy, live) = flight_scan(config, Some(Duration::from_millis(300)));
+        let mode = format!("stateless_first={stateless_first}");
+        assert!(!busy, "{mode}: the drained scan never went idle");
+        assert_eq!(live, 0, "{mode}: the drain left histories behind");
+    }
+}

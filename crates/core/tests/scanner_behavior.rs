@@ -516,3 +516,132 @@ fn silent_space_costs_events_per_tick_not_per_target() {
     );
     assert_eq!(sim.scanner().retry_backlog(), 0, "queues empty at harvest");
 }
+
+// ---------------------------------------------------------------------
+// A silent classic target keeps no table entry while it owes SYN
+// retries: an ICMP unreachable must still stop them for good.
+// ---------------------------------------------------------------------
+
+/// Answers the scanner's first SYN with an ICMP destination-unreachable
+/// and, when `then_synack` is set, 200 ms later (inside the first
+/// backoff) with a cookie-valid SYN-ACK as well.
+struct UnreachableHost {
+    ip: Ipv4Addr,
+    then_synack: bool,
+    syn: Option<tcp::Repr>,
+}
+
+impl UnreachableHost {
+    fn send(&self, protocol: IpProtocol, l4: &[u8], fx: &mut Effects) {
+        let repr = ipv4::Repr {
+            src_addr: self.ip,
+            dst_addr: SCANNER_IP,
+            protocol,
+            payload_len: l4.len(),
+            ttl: 64,
+        };
+        fx.send(ipv4::build_datagram(&repr, 1, l4));
+    }
+}
+
+impl iw_netsim::Endpoint for UnreachableHost {
+    fn on_packet(&mut self, pkt: &[u8], _now: Instant, fx: &mut Effects) {
+        fx.finished = false;
+        let Ok(ip) = ipv4::Packet::new_checked(pkt) else {
+            return;
+        };
+        let Ok(seg) = tcp::Packet::new_checked(ip.payload()) else {
+            return;
+        };
+        let Ok(seg) = tcp::Repr::parse(&seg, ip.src_addr(), ip.dst_addr()) else {
+            return;
+        };
+        if seg.flags == Flags::SYN && self.syn.is_none() {
+            let unreachable = iw_wire::icmp::Message::DstUnreachable { code: 1 };
+            self.send(IpProtocol::Icmp, &unreachable.emit(), fx);
+            if self.then_synack {
+                fx.arm(iw_netsim::Duration::from_millis(200), 0);
+            }
+            self.syn = Some(seg);
+        }
+    }
+
+    fn on_timer(&mut self, _token: iw_netsim::TimerToken, _now: Instant, fx: &mut Effects) {
+        fx.finished = false;
+        let Some(syn) = &self.syn else {
+            return;
+        };
+        let synack = tcp::Repr {
+            options: vec![TcpOption::Mss(1460)],
+            ..tcp::Repr::bare(
+                syn.dst_port,
+                syn.src_port,
+                5000,
+                syn.seq.wrapping_add(1),
+                Flags::SYN | Flags::ACK,
+                65535,
+            )
+        };
+        self.send(IpProtocol::Tcp, &synack.emit(self.ip, SCANNER_IP), fx);
+    }
+}
+
+#[test]
+fn an_icmp_unreachable_inside_the_retry_window_ends_the_target() {
+    use iw_core::ResilienceConfig;
+    use iw_netsim::{LinkConfig, Sim, SimConfig};
+
+    // 41 answers with ICMP only, 42 with ICMP and then a SYN-ACK, 43 is
+    // silent: the hardened budget owes each two retries.
+    let mut cfg = config(Protocol::Http);
+    cfg.targets = TargetSpec::List(vec![(41, None), (42, None), (43, None)]);
+    cfg.resilience = ResilienceConfig::hardened();
+    let sim_config = SimConfig {
+        seed: cfg.seed,
+        record_trace: true,
+        ..SimConfig::default()
+    };
+    let factory = |ip: u32| {
+        let host = UnreachableHost {
+            ip: Ipv4Addr::from_u32(ip),
+            then_synack: ip == 42,
+            syn: None,
+        };
+        (ip != 43).then(|| {
+            let host: Box<dyn iw_netsim::Endpoint> = Box::new(host);
+            (host, LinkConfig::testbed())
+        })
+    };
+    let mut sim = Sim::new(Scanner::new(cfg), factory, sim_config);
+    sim.kick_scanner(|s, now, fx| s.start(now, fx));
+    sim.run_to_completion();
+
+    let sent_to = |dst: u32| -> Vec<Flags> {
+        let trace = sim.trace().entries().iter();
+        trace
+            .filter_map(|e| {
+                let ip = ipv4::Packet::new_checked(&e.bytes[..]).unwrap();
+                if (ip.src_addr(), ip.dst_addr().to_u32()) != (SCANNER_IP, dst) {
+                    return None;
+                }
+                Some(tcp::Packet::new_checked(ip.payload()).unwrap().flags())
+            })
+            .collect()
+    };
+    // The ICMP freezes what the scanner sends the target: its first SYN,
+    // no retry, and (for 42) one RST for the SYN-ACK that came after.
+    assert_eq!(sent_to(41), [Flags::SYN]);
+    assert_eq!(sent_to(42), [Flags::SYN, Flags::RST]);
+    assert_eq!(sent_to(43), [Flags::SYN; 3], "the silent control retries");
+    let scanner = sim.scanner();
+    assert!(
+        scanner.results().is_empty(),
+        "an unreachable target mints no record"
+    );
+    let metrics = scanner.metrics_snapshot();
+    assert_eq!(metrics.counter("scan.icmp_unreachable"), 2);
+    assert_eq!(metrics.counter("scan.syn_retries"), 2);
+    assert_eq!(metrics.counter("scan.late_answers"), 1);
+    assert_eq!(metrics.counter("scan.sessions_started"), 0);
+    assert_eq!(scanner.retry_backlog(), 0);
+}
