@@ -448,6 +448,57 @@ pub fn check_confusion(http: &Confusion, tls: &Confusion) -> Vec<Check> {
     out
 }
 
+/// Confident verdicts that are wrong: under- plus overestimates.
+pub fn wrong_verdicts(c: &Confusion) -> u64 {
+    c.underestimate + c.overestimate
+}
+
+/// Share of confident verdicts that are wrong: (under + over) ÷
+/// (exact + under + over).
+pub fn wrong_share(c: &Confusion) -> f64 {
+    let wrong = wrong_verdicts(c);
+    wrong as f64 / (c.exact + wrong).max(1) as f64
+}
+
+/// The ablations of the three starred choices (DESIGN §5): each one
+/// must make a difference. `success` is the HTTP success rate (%) at
+/// MSS 64 and at MSS 1336; `votes` the confusion under loss with one
+/// probe and with three; `verification` TLS with the 2·MSS exhaustion
+/// check and without it.
+pub fn check_ablations(
+    success: (f64, f64),
+    votes: (&Confusion, &Confusion),
+    verification: (&Confusion, &Confusion),
+) -> Vec<Check> {
+    let (s64, s1336) = success;
+    let (one, three) = (wrong_share(votes.0), wrong_share(votes.1));
+    let (verified, unverified) = (
+        wrong_verdicts(verification.0),
+        wrong_verdicts(verification.1),
+    );
+    vec![
+        Check::new(
+            "ABL: MSS 64 beats MSS 1336 by >15 points of success",
+            s64 > s1336 + 15.0,
+            format!("{s64:.1}% vs {s1336:.1}%"),
+        ),
+        Check::new(
+            "ABL: three probes cut the wrong share under loss",
+            three < one,
+            format!(
+                "1 probe {:.2}% → 3 probes {:.2}%",
+                one * 100.0,
+                three * 100.0
+            ),
+        ),
+        Check::new(
+            "ABL: unverified TLS has >3× the wrong verdicts",
+            unverified > verified * 3,
+            format!("verified {verified}, unverified {unverified}"),
+        ),
+    ]
+}
+
 /// Render a check list as a pass/fail table.
 pub fn render_checks(checks: &[Check]) -> String {
     let mut out = String::new();
@@ -592,6 +643,30 @@ mod tests {
         assert!(!passes(&check_confusion(&over, &clean)));
         let missed = Confusion { missed: 1, ..clean };
         assert!(!passes(&check_confusion(&clean, &missed)));
+    }
+
+    #[test]
+    fn ablation_checks_fail_when_the_choice_makes_no_difference() {
+        let cells = |exact, underestimate| Confusion {
+            exact,
+            underestimate,
+            ..Confusion::default()
+        };
+        // The small-scale measurement: 55.2 vs 21.1 %, 6.15 → 0.80 %
+        // wrong, 0 vs 18 wrong TLS verdicts.
+        let (one, three) = (cells(1_000, 66), cells(1_000, 8));
+        let (verified, unverified) = (cells(500, 0), cells(500, 18));
+        let measured = check_ablations((55.2, 21.1), (&one, &three), (&verified, &unverified));
+        assert!(passes(&measured), "{}", render_checks(&measured));
+        let defects = [
+            check_ablations((55.2, 55.2), (&one, &three), (&verified, &unverified)),
+            check_ablations((55.2, 21.1), (&one, &one), (&verified, &unverified)),
+            check_ablations((55.2, 21.1), (&one, &three), (&unverified, &unverified)),
+        ];
+        for (i, checks) in defects.iter().enumerate() {
+            let failed: Vec<usize> = (0..3).filter(|k| !checks[*k].pass).collect();
+            assert_eq!(failed, [i], "{}", render_checks(checks));
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! # iw-bench — the experiment harness
 //!
-//! [`Reproduction`] runs every scan the paper's tables and figures read,
-//! once each, and [`Reproduction::checks`] holds them against the paper's
-//! shapes. `exp_all` prints and writes that report and `tests/pipeline.rs`
-//! asserts it; the other `src/bin/exp_*.rs` binaries are the studies
-//! outside it (§3.4 efficiency, §3.5 testbed validation, ablations,
-//! path-MTU support, curated lists, weekly scans, the determinism gate).
+//! [`Reproduction`] runs every scan the paper's tables, figures and
+//! methodology ablations read, once each, and [`Reproduction::checks`]
+//! holds them against the paper's shapes. `exp_all` prints and writes
+//! that report and `tests/pipeline.rs` asserts it; `exp_identity` is the
+//! thread-count byte-identity gate. A result is a check or it goes: the
+//! testbed studies live in the test suites.
 //!
 //! Scale is controlled by the `IW_SCALE` environment variable: `smoke`,
 //! `small` (CI/tests, the default when unset), `medium`, or `large`
@@ -119,27 +119,99 @@ pub fn bench_topology() -> Topology {
     Topology::threads(threads())
 }
 
-/// Run a full-space scan of one protocol with study parameters.
-pub fn full_scan(population: &Arc<Population>, protocol: Protocol) -> ScanOutput {
+/// Scan with study parameters, after `edit` has changed the
+/// configuration.
+fn study_scan(
+    population: &Arc<Population>,
+    protocol: Protocol,
+    edit: impl FnOnce(&mut ScanConfig),
+) -> ScanOutput {
     let mut config = ScanConfig::study(protocol, population.space_size(), SEED);
     config.rate_pps = 4_000_000; // virtual pps: compress virtual time
+    edit(&mut config);
     ScanRunner::new(population)
         .config(config)
         .topology(bench_topology())
         .run()
 }
 
+/// Run a full-space scan of one protocol with study parameters.
+pub fn full_scan(population: &Arc<Population>, protocol: Protocol) -> ScanOutput {
+    study_scan(population, protocol, |_| {})
+}
+
 /// Scan the synthetic Alexa list (domains known → Host header + SNI).
 pub fn alexa_scan(population: &Arc<Population>, protocol: Protocol, n: usize) -> ScanOutput {
     let list = alexa::build(population, n, 1);
-    let targets: Vec<(u32, Option<String>)> =
-        list.into_iter().map(|e| (e.ip, Some(e.domain))).collect();
-    let mut config = ScanConfig::study(protocol, population.space_size(), SEED);
-    config.targets = TargetSpec::List(targets);
-    config.rate_pps = 4_000_000;
-    // One shard: list experiments are small and their reports cite the
-    // single-world ordering.
-    ScanRunner::new(population).config(config).run()
+    let targets = list.into_iter().map(|e| (e.ip, Some(e.domain))).collect();
+    study_scan(population, protocol, |c| {
+        c.targets = TargetSpec::List(targets)
+    })
+}
+
+/// Scan `fraction` of the address space (salt 5) with study parameters,
+/// after `ablate` has changed the configuration.
+fn sample_scan(
+    population: &Arc<Population>,
+    protocol: Protocol,
+    fraction: f64,
+    ablate: impl FnOnce(&mut ScanConfig),
+) -> ScanOutput {
+    study_scan(population, protocol, |c| {
+        c.sample_fraction = fraction;
+        c.sample_salt = 5;
+        ablate(c);
+    })
+}
+
+/// Share of the address space the ablation scans sample.
+pub const ABLATION_SAMPLE: f64 = 0.1;
+
+/// The methodology's three starred choices (DESIGN §5), each switched
+/// off on one [`ABLATION_SAMPLE`] of the address space.
+pub struct Ablations {
+    /// HTTP success rate (%) when only MSS 1336 is announced.
+    pub mss1336_success: f64,
+    /// HTTP at MSS 64 on the population with 1.5× calibrated loss, one
+    /// probe per MSS.
+    pub one_probe: Confusion,
+    /// The same with the study's three probes.
+    pub three_probes: Confusion,
+    /// TLS without the 2·MSS exhaustion check.
+    pub unverified_tls: Confusion,
+}
+
+impl Ablations {
+    /// Run the four ablation scans; `population` is the standard one at
+    /// `scale`.
+    fn run(scale: Scale, population: &Arc<Population>) -> Ablations {
+        let lossy = lossy_population(scale, 1.5);
+        let voted = |probes| {
+            let out = sample_scan(&lossy, Protocol::Http, ABLATION_SAMPLE, |c| {
+                c.mss_list = vec![64];
+                c.probes_per_mss = probes;
+            });
+            Confusion::of_population(&lossy, Protocol::Http, &out.results)
+        };
+        let unverified = sample_scan(population, Protocol::Tls, ABLATION_SAMPLE, |c| {
+            c.verify_exhaustion = false;
+        });
+        Ablations {
+            mss1336_success: sample_scan(population, Protocol::Http, ABLATION_SAMPLE, |c| {
+                c.mss_list = vec![1336];
+            })
+            .summary
+            .rates()
+            .0,
+            one_probe: voted(1),
+            three_probes: voted(3),
+            unverified_tls: Confusion::of_population(
+                population,
+                Protocol::Tls,
+                &unverified.results,
+            ),
+        }
+    }
 }
 
 /// Every scan the paper's shape checks read, each run once at one scale.
@@ -164,6 +236,9 @@ pub struct Reproduction {
     pub http_confusion: Confusion,
     /// `tls` against the ground truth.
     pub tls_confusion: Confusion,
+    /// The methodology ablations; the MSS one compares against `http`,
+    /// the verification one against `tls_confusion`.
+    pub ablations: Ablations,
 }
 
 impl Reproduction {
@@ -172,19 +247,12 @@ impl Reproduction {
         let population = standard_population(scale);
         let http = full_scan(&population, Protocol::Http);
         let tls = full_scan(&population, Protocol::Tls);
-        let mut config = ScanConfig::study(Protocol::Http, population.space_size(), SEED);
-        config.rate_pps = 4_000_000;
-        config.sample_fraction = 0.2;
-        config.sample_salt = 5;
-        let space_sample = ScanRunner::new(&population)
-            .config(config)
-            .topology(bench_topology())
-            .run();
         Reproduction {
             scale,
             alexa_http: alexa_scan(&population, Protocol::Http, scale.alexa_n()),
             alexa_tls: alexa_scan(&population, Protocol::Tls, scale.alexa_n()),
-            space_sample,
+            space_sample: sample_scan(&population, Protocol::Http, 0.2, |_| {}),
+            ablations: Ablations::run(scale, &population),
             censys: Fig2::new(certs::censys_sample(SEED, 200_000)),
             http_confusion: Confusion::of_population(&population, Protocol::Http, &http.results),
             tls_confusion: Confusion::of_population(&population, Protocol::Tls, &tls.results),
@@ -242,25 +310,13 @@ impl Reproduction {
             &self.http_confusion,
             &self.tls_confusion,
         ));
+        let a = &self.ablations;
+        out.extend(compare::check_ablations(
+            (self.http.summary.rates().0, a.mss1336_success),
+            (&a.one_probe, &a.three_probes),
+            (&self.tls_confusion, &a.unverified_tls),
+        ));
         out
-    }
-}
-
-/// Write an experiment's telemetry snapshot next to its report: a
-/// `BENCH_<label>.metrics.json` with the full metrics snapshot (scan +
-/// shard scope) and the event-log summary, so runs can be diffed and
-/// regressions spotted without re-reading the stdout tables.
-pub fn write_metrics_snapshot(label: &str, out: &ScanOutput) {
-    let path = format!("BENCH_{label}.metrics.json");
-    let body = format!(
-        "{{\"metrics\":{},\"events\":{}}}\n",
-        out.telemetry.metrics.to_json(),
-        out.telemetry.events.summary_json()
-    );
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("telemetry snapshot written to {path}");
     }
 }
 
@@ -269,11 +325,6 @@ pub fn banner(title: &str) {
     println!("==============================================================");
     println!("{title}");
     println!("==============================================================");
-}
-
-/// Report a numeric comparison line.
-pub fn compare_line(metric: &str, paper: f64, measured: f64, unit: &str) {
-    println!("  {metric:<44} paper {paper:>8.1}{unit}   measured {measured:>8.1}{unit}");
 }
 
 #[cfg(test)]

@@ -100,23 +100,25 @@ mod tests {
 
     #[test]
     fn insufficient_data_detected() {
-        // A 300 B page on an IW10 host, with URI echo off so the bloat
-        // retry cannot rescue the probe: the estimate must degrade to a
-        // lower bound.
-        let mut host = HostConfig::simple_web(300);
-        host.iw = IwPolicy::Segments(10);
-        if let Some(http) = &mut host.http {
-            http.behavior = iw_hoststack::HttpBehavior::Direct {
-                root_size: 300,
-                echo_404: false,
-            };
-        }
-        let spec = TestbedSpec::new(host, Protocol::Http);
-        let (result, _) = probe_host(&spec);
-        let result = result.expect("host answered");
-        match result.primary_verdict().unwrap() {
-            MssVerdict::FewData(lb) => assert!(lb >= 4, "bound {lb}"),
-            other => panic!("{other:?}"),
+        // Pages too small for IW10 at MSS 64, with URI echo off so the
+        // bloat retry cannot rescue the probe: the estimate must degrade
+        // to the lower bound the page fills, never read as a window.
+        for (body, bound) in [(120, 3), (300, 5), (400, 7)] {
+            let mut host = HostConfig::simple_web(body);
+            host.iw = IwPolicy::Segments(10);
+            if let Some(http) = &mut host.http {
+                http.behavior = iw_hoststack::HttpBehavior::Direct {
+                    root_size: body,
+                    echo_404: false,
+                };
+            }
+            let spec = TestbedSpec::new(host, Protocol::Http);
+            let (result, _) = probe_host(&spec);
+            let result = result.expect("host answered");
+            match result.primary_verdict().unwrap() {
+                MssVerdict::FewData(lb) => assert_eq!(lb, bound, "{body} B"),
+                other => panic!("{body} B: {other:?}"),
+            }
         }
     }
 
@@ -166,14 +168,73 @@ mod tests {
         }
     }
 
+    /// The first probe of `trace`, one line per packet up to the
+    /// scanner's RST: direction, flags, the SYN's MSS option, the
+    /// scanner's ACK number and window, and the host's data as
+    /// `len@offset` from its first byte.
+    fn first_probe_exchange(trace: &Trace) -> Vec<String> {
+        use iw_netsim::Dir;
+        use iw_wire::{ipv4, tcp};
+        let mut data_start = 0u32;
+        let mut lines = Vec::new();
+        for e in trace.entries() {
+            let ip = ipv4::Packet::new_checked(&e.bytes[..]).expect("ipv4");
+            let seg = tcp::Packet::new_checked(ip.payload()).expect("tcp");
+            let flags = seg.flags();
+            let mss = seg.options().flatten().find_map(|o| match o {
+                tcp::TcpOption::Mss(mss) => Some(mss),
+                _ => None,
+            });
+            lines.push(match (e.dir, mss) {
+                (Dir::HostToScanner, _) if flags.contains(tcp::Flags::SYN) => {
+                    data_start = seg.seq_number().wrapping_add(1);
+                    format!("<- {flags}")
+                }
+                (Dir::HostToScanner, _) => format!(
+                    "<- {}@{}",
+                    seg.payload().len(),
+                    seg.seq_number().wrapping_sub(data_start)
+                ),
+                _ if flags.contains(tcp::Flags::RST) => format!("-> {flags}"),
+                (_, Some(mss)) => format!("-> {flags} [MSS={mss}]"),
+                _ if !seg.payload().is_empty() => format!("-> {flags} request"),
+                _ => format!(
+                    "-> {flags} ack=@{} win={}",
+                    seg.ack_number().wrapping_sub(data_start),
+                    seg.window()
+                ),
+            });
+            if flags.contains(tcp::Flags::RST) {
+                break;
+            }
+        }
+        lines
+    }
+
     #[test]
     fn trace_recording_shows_fig1_exchange() {
         let mut spec = TestbedSpec::new(HostConfig::simple_web(50_000), Protocol::Http);
         spec.record_trace = true;
         let (_, trace) = probe_host(&spec);
-        let rendered = trace.render_tcp();
-        assert!(rendered.contains("SYN"), "{rendered}");
-        assert!(rendered.contains("[MSS=64]"), "{rendered}");
-        assert!(rendered.contains("RST"), "{rendered}");
+        // Fig. 1: handshake at MSS 64, the request, the IW10 flight, the
+        // first segment's retransmission, the 2·MSS window that releases
+        // two more segments, and the RST.
+        let flight = (0..10).map(|k| format!("<- 64@{}", k * 64));
+        let want: Vec<String> = ["-> SYN [MSS=64]", "<- SYN|ACK", "-> PSH|ACK request"]
+            .into_iter()
+            .map(String::from)
+            .chain(flight)
+            .chain(
+                [
+                    "<- 64@0",
+                    "-> ACK ack=@640 win=128",
+                    "<- 64@640",
+                    "<- 64@704",
+                    "-> RST",
+                ]
+                .map(String::from),
+            )
+            .collect();
+        assert_eq!(first_probe_exchange(&trace), want, "{}", trace.render_tcp());
     }
 }

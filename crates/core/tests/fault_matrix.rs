@@ -69,10 +69,19 @@ where
     (results, snapshot, sent, refused)
 }
 
-/// Fraction of results whose primary verdict matches the ground truth.
-fn accuracy(results: &[HostResult]) -> f64 {
+/// Fraction of results whose primary verdict matches the ground truth,
+/// and the confusion it is read from.
+fn accuracy(results: &[HostResult]) -> (f64, Confusion) {
     let c = Confusion::new(results.iter().map(|r| r.ip), results, |ip, _| iw_for(ip));
-    c.exact as f64 / results.len().max(1) as f64
+    (c.exact as f64 / results.len().max(1) as f64, c)
+}
+
+/// Faults only take segments away or shuffle them: no verdict may exceed
+/// the truth, and at most `underestimates` fall short — the count each
+/// caller measures on its fixed seed.
+fn assert_faults_bounded(c: &Confusion, underestimates: u64) {
+    assert_eq!(c.overestimate, 0, "{c:?}");
+    assert!(c.underestimate <= underestimates, "{c:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -90,6 +99,7 @@ fn identical_seeds_give_byte_identical_outcomes() {
     };
     let (r1, m1, sent1, refused1) = run();
     let (r2, m2, sent2, refused2) = run();
+    assert_faults_bounded(&accuracy(&r1).1, 0);
     assert_eq!(format!("{r1:?}"), format!("{r2:?}"));
     assert_eq!(m1.to_canonical_json(), m2.to_canonical_json());
     let s1 = summarize(&r1, sent1, refused1);
@@ -126,8 +136,9 @@ fn bernoulli_loss_with_retries_meets_accuracy_floor() {
     );
     // The §4 design goal under 2 % loss: ≥95 % of responding hosts
     // classified correctly when retries are enabled.
-    let acc = accuracy(&on_results);
+    let (acc, c) = accuracy(&on_results);
     assert!(acc >= 0.95, "accuracy {acc:.3} below 0.95 at 2% loss");
+    assert_faults_bounded(&c, 0);
     // With SYN retries every target is eventually discovered here: the
     // chance of three straight SYN/SYN-ACK losses at 2 % is negligible
     // and the seed is fixed.
@@ -191,8 +202,9 @@ fn duplication_and_jitter_degrade_gracefully() {
     // Every host is discovered and every session concludes; reordering
     // may degrade individual probes but must not wedge or crash the scan.
     assert_eq!(results.len(), space as usize);
-    let acc = accuracy(&results);
+    let (acc, c) = accuracy(&results);
     assert!(acc >= 0.80, "accuracy {acc:.3} collapsed under dup+jitter");
+    assert_faults_bounded(&c, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -225,7 +237,7 @@ fn unreachable_cohort_fast_fails_pending_targets() {
     assert_eq!(metrics.counter("scan.syn_retries"), 0);
     // The responsive cohort is measured perfectly on clean links.
     assert_eq!(results.len(), (space as usize) - cohort as usize);
-    let acc = accuracy(&results);
+    let (acc, _) = accuracy(&results);
     assert!((acc - 1.0).abs() < f64::EPSILON, "accuracy {acc}");
 }
 
@@ -283,7 +295,7 @@ fn source_quench_cohort_is_classified_not_fast_failed() {
     let mut results = scanner.results().to_vec();
     results.sort_by_key(|r| r.ip);
     assert_eq!(results.len(), (space as usize) - cohort as usize);
-    let acc = accuracy(&results);
+    let (acc, _) = accuracy(&results);
     assert!((acc - 1.0).abs() < f64::EPSILON, "accuracy {acc}");
 }
 
@@ -464,7 +476,7 @@ fn spoofed_rsts_mint_no_refusal_verdicts() {
             Protocol::PortScan => assert!(results.is_empty()),
             _ => {
                 assert_eq!(results.len(), (space - cohort as u32) as usize);
-                let acc = accuracy(&results);
+                let (acc, _) = accuracy(&results);
                 assert!((acc - 1.0).abs() < f64::EPSILON, "accuracy {acc}");
             }
         }
@@ -544,7 +556,7 @@ fn check_adversarial(
     // Only the honest quarter is measured — and perfectly.
     assert_eq!(results.len(), cohort as usize, "{label}");
     assert!(results.iter().all(|r| r.ip % 4 == 0), "{label}");
-    let acc = accuracy(results);
+    let (acc, _) = accuracy(results);
     assert!((acc - 1.0).abs() < f64::EPSILON, "{label}: accuracy {acc}");
     // No refusal verdicts from cookie-less RSTs.
     assert_eq!(refused, 0, "{label}: spoofed RSTs minted refusals");
@@ -773,7 +785,7 @@ fn stateless_promotion_waits_out_session_cap_pressure() {
     // responders and concluded sessions pull the next one in. Nobody is
     // evicted, nobody is lost, and the live set respects the cap.
     assert_eq!(results.len(), space as usize);
-    let acc = accuracy(&results);
+    let (acc, _) = accuracy(&results);
     assert!((acc - 1.0).abs() < f64::EPSILON, "accuracy {acc}");
     assert_eq!(refused, 0);
     assert_eq!(metrics.counter("scan.sessions.evicted"), 0);
@@ -911,6 +923,8 @@ fn karn_rule_drops_retransmit_rtt_samples() {
         Some((web_host(ip, 0x6a51), LinkConfig::default().with_loss(0.05)))
     });
     assert!(!results.is_empty());
+    // 5 % loss: 4 of 256 hosts read short.
+    assert_faults_bounded(&accuracy(&results).1, 4);
     // Losses actually forced SYN retransmissions…
     assert!(metrics.counter("scan.syn_retries") > 0);
     let rtt = metrics
@@ -989,7 +1003,7 @@ fn default_resilience_is_inert_on_clean_links() {
     assert_eq!(hard_m.counter("scan.syn_retries"), 0);
     assert_eq!(hard_m.counter("scan.probes.retried"), 0);
     assert_eq!(hard_m.counter("scan.sessions.evicted"), 0);
-    assert!((accuracy(&base) - 1.0).abs() < f64::EPSILON);
+    assert!((accuracy(&base).0 - 1.0).abs() < f64::EPSILON);
 }
 
 // ---------------------------------------------------------------------

@@ -56,6 +56,7 @@ fn full_matrix_of_os_and_iw_policies() {
         for iw in [
             IwPolicy::Segments(1),
             IwPolicy::Segments(2),
+            IwPolicy::Segments(3),
             IwPolicy::Segments(4),
             IwPolicy::Segments(10),
             IwPolicy::Segments(25),
@@ -169,6 +170,36 @@ fn sni_gate_flips_with_domain_knowledge() {
     assert_eq!(
         result.unwrap().primary_verdict(),
         Some(MssVerdict::Success(10))
+    );
+}
+
+#[test]
+fn vhost_iw_flips_with_domain_knowledge() {
+    // A CDN edge (§4.3): IW 4 by default, per-property windows only a
+    // request naming the property reaches.
+    let mut host = http_host(OsProfile::linux(), IwPolicy::Segments(4), 80_000);
+    if let Some(http) = &mut host.http {
+        http.vhost_iw = vec![
+            ("www.site.example".into(), IwPolicy::Segments(16)),
+            ("media.site.example".into(), IwPolicy::Segments(32)),
+        ];
+    }
+    let verdict = |domain: Option<&str>| {
+        let mut spec = TestbedSpec::new(host.clone(), Protocol::Http);
+        spec.domain = domain.map(Into::into);
+        probe_host(&spec)
+            .0
+            .expect("host answered")
+            .primary_verdict()
+    };
+    assert_eq!(verdict(None), Some(MssVerdict::Success(4)), "anonymous");
+    assert_eq!(
+        verdict(Some("www.site.example")),
+        Some(MssVerdict::Success(16))
+    );
+    assert_eq!(
+        verdict(Some("media.site.example")),
+        Some(MssVerdict::Success(32))
     );
 }
 

@@ -8,8 +8,7 @@ use iw_analysis::figures::Fig5;
 use iw_analysis::histogram::IwHistogram;
 use iw_analysis::tables::Table2;
 use iw_bench::{Reproduction, Scale};
-use iw_internet::{Population, PopulationConfig};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 fn reproduction() -> &'static Reproduction {
     static RUN: OnceLock<Reproduction> = OnceLock::new();
@@ -65,6 +64,7 @@ sections! {
     }
     byte_limited_hosts_are_found: "S42" {}
     verdicts_match_ground_truth: "S35" {}
+    starred_choices_earn_their_keep: "ABL" {}
 }
 
 #[test]
@@ -75,19 +75,10 @@ fn every_check_belongs_to_a_tested_section() {
     }
 }
 
-fn world() -> Arc<Population> {
-    Arc::new(Population::new(PopulationConfig {
-        seed: 0x13072017,
-        space_size: 1 << 17,
-        target_responsive: 2_500,
-        loss_scale: 0.0,
-    }))
-}
-
 #[test]
 fn classifier_never_reads_ground_truth_yet_matches_it() {
-    let pop = world();
-    let classifier = Classifier::new(&pop);
+    let pop = &reproduction().population;
+    let classifier = Classifier::new(pop);
     let mut disagreements = 0u32;
     let mut checked = 0u32;
     for ip in 0..pop.space_size() {

@@ -78,8 +78,9 @@ fn moderate_loss_mostly_recovered_by_voting() {
             correct += 1;
         }
     }
+    // Seeds 300–329 recover 25; seeds 340–739 recovered 348 of 400.
     assert!(
-        correct >= trials * 3 / 4,
+        correct >= trials * 8 / 10,
         "only {correct}/{trials} correct under 2% loss"
     );
 }
@@ -185,6 +186,21 @@ fn lossy_population_scan_remains_sane() {
 
 #[test]
 fn tail_loss_is_the_known_failure_mode_and_only_that() {
+    // Tail loss on the first probe alone: that probe reads one segment
+    // short, undetectably (§3.5), and the maximum vote rescues it.
+    let mut spec = TestbedSpec::new(iw10_host(), Protocol::Http);
+    spec.link = LinkConfig::testbed().with_reverse_drop(10);
+    let result = probe_host(&spec).0.unwrap();
+    assert!(
+        matches!(
+            result.runs[0].1[0],
+            iw_core::ProbeOutcome::Success { segments: 9, .. }
+        ),
+        "{:?}",
+        result.runs[0]
+    );
+    assert_eq!(result.primary_verdict(), Some(MssVerdict::Success(10)));
+
     // With tail loss on all three probes of the MSS-64 run, the vote
     // converges on the (wrong) consistent underestimate — exactly what
     // the paper warns about. The test pins the failure mode.
