@@ -6,12 +6,12 @@
 //! so results stay byte-identical at every thread count.
 
 use crate::checkpoint::{CampaignCheckpoint, ConfigDigest, RunDisposition, ShardCheckpoint};
+use crate::observe::ScanTelemetry;
 use crate::results::{HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol, ScanSummary};
 use crate::scanner::{ScanConfig, Scanner};
 use iw_internet::population::{Population, PopulationFactory};
 use iw_netsim::sim::SimStats;
 use iw_netsim::{Duration, Sim, SimConfig, Trace};
-use iw_telemetry::{EventLog, FlightRecorder, IcmpHarvest, Snapshot, TelemetrySink, Tracer};
 use std::sync::Arc;
 
 /// Everything a scan produces.
@@ -29,7 +29,7 @@ pub struct ScanOutput {
     pub sim_stats: SimStats,
     /// Virtual time the scan took (§3.4's metric).
     pub duration: Duration,
-    /// Metrics, events and monitor output.
+    /// Metrics and every telemetry product, merged across shards.
     pub telemetry: ScanTelemetry,
     /// Recorded wire traffic (empty unless `record_trace`).
     pub trace: Trace,
@@ -66,27 +66,6 @@ pub struct RunControl {
 
 /// Checkpoint-capture callback: `(shard index, capture)`.
 pub type CheckpointSink = Arc<dyn Fn(u32, &ShardCheckpoint) + Send + Sync>;
-
-/// The observability products of a scan, merged across shards.
-#[derive(Debug, Clone, Default)]
-pub struct ScanTelemetry {
-    /// Merged metrics snapshot (scan scope merges exactly; see
-    /// [`Snapshot::to_canonical_json`]).
-    pub metrics: Snapshot,
-    /// Merged session event log (empty unless `telemetry.record_events`).
-    pub events: EventLog,
-    /// Captured progress-monitor lines (empty unless a capture monitor ran).
-    pub status_lines: Vec<String>,
-    /// Merged span tracer (empty unless `telemetry.record_spans`).
-    pub tracer: Tracer,
-    /// Flight-recorder dumps for failed sessions (empty unless
-    /// `telemetry.flight_recorder`).
-    pub flight: FlightRecorder,
-    /// Streaming JSONL telemetry (empty unless `telemetry.stream`).
-    pub stream: TelemetrySink,
-    /// ICMP control-plane harvest (always collected; cheap).
-    pub icmp: IcmpHarvest,
-}
 
 /// How a scan maps onto OS threads: a shard-world count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -350,34 +329,11 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
         checkpoints.push(capture);
     }
 
-    let end = sim.now();
-    let duration = end - iw_netsim::Instant::ZERO;
-    let stats = sim.stats();
+    let duration = sim.now() - iw_netsim::Instant::ZERO;
+    let sim_stats = sim.stats();
     let trace = sim.trace().clone();
-    let sim_tracer = sim.take_tracer();
-    harvest(
-        sim.scanner_mut(),
-        stats,
-        duration,
-        trace,
-        sim_tracer,
-        end,
-        checkpoints,
-        disposition,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn harvest(
-    scanner: &mut Scanner,
-    sim_stats: SimStats,
-    duration: Duration,
-    trace: Trace,
-    sim_tracer: Tracer,
-    end: iw_netsim::Instant,
-    checkpoints: Vec<ShardCheckpoint>,
-    disposition: RunDisposition,
-) -> ScanOutput {
+    let telemetry = Scanner::harvest(&mut sim);
+    let scanner = sim.scanner_mut();
     let mut results = scanner.results().to_vec();
     results.sort_by_key(|r| r.ip);
     let mut open_ports = scanner.open_ports().to_vec();
@@ -385,19 +341,6 @@ fn harvest(
     let mut mtu_results = scanner.mtu_results().to_vec();
     mtu_results.sort_by_key(|r| r.ip);
     let summary = summarize(&results, scanner.targets_sent(), scanner.refused());
-    scanner.note_sim_stats(&sim_stats);
-    // Fold trace counters and flush the final stream snapshot *before*
-    // the canonical metrics snapshot so both see the same totals.
-    scanner.finish_observability(sim_tracer, end);
-    let telemetry = ScanTelemetry {
-        metrics: scanner.metrics_snapshot(),
-        events: scanner.take_events(),
-        status_lines: scanner.take_status_lines(),
-        tracer: scanner.take_tracer(),
-        flight: scanner.take_flight_recorder(),
-        stream: scanner.take_stream(),
-        icmp: scanner.take_icmp_harvest(),
-    };
     ScanOutput {
         results,
         open_ports,
@@ -455,13 +398,7 @@ fn merge(outputs: Vec<ScanOutput>) -> ScanOutput {
         summary += &out.summary;
         sim_stats += out.sim_stats;
         duration = duration.max(out.duration);
-        telemetry.metrics.merge(&out.telemetry.metrics);
-        telemetry.events.merge(&out.telemetry.events);
-        telemetry.status_lines.extend(out.telemetry.status_lines);
-        telemetry.tracer.merge(&out.telemetry.tracer);
-        telemetry.flight.merge(&out.telemetry.flight);
-        telemetry.stream.merge(&out.telemetry.stream);
-        telemetry.icmp.merge(&out.telemetry.icmp);
+        telemetry.merge(out.telemetry);
         trace.merge(&out.trace);
         checkpoints.extend(out.checkpoints);
         disposition = disposition.merge(out.disposition);

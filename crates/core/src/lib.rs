@@ -42,6 +42,7 @@ pub mod checkpoint;
 pub mod cookie;
 pub mod driver;
 pub mod inference;
+mod observe;
 pub mod permutation;
 pub mod prime;
 pub mod probe;
@@ -75,8 +76,9 @@ pub use checkpoint::{
     CampaignCheckpoint, CheckpointError, ConfigDigest, RunDisposition, ShardCheckpoint,
     CHECKPOINT_KIND, CHECKPOINT_VERSION,
 };
-pub use driver::{summarize, RunControl, ScanOutput, ScanRunner, ScanTelemetry, Topology};
+pub use driver::{summarize, RunControl, ScanOutput, ScanRunner, Topology};
 pub use iw_telemetry as telemetry;
+pub use observe::ScanTelemetry;
 pub use results::{
     Confusion, ErrorKind, ErrorKindCounts, HostResult, HostVerdict, MssVerdict, ProbeOutcome,
     Protocol, ScanSummary,

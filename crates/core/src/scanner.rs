@@ -11,6 +11,7 @@
 use crate::blacklist::ScanFilter;
 use crate::checkpoint::ShardCheckpoint;
 use crate::cookie::{self, CookieKey, SynAckCheck};
+use crate::observe::{error_counter, outcome_counters, Event, Observer, ScanTelemetry};
 use crate::permutation::{Permutation, ShardIter};
 use crate::rate::{shard_rate, TokenBucket};
 use crate::results::{ErrorKind, HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol};
@@ -20,12 +21,8 @@ use crate::table::IpMap;
 use crate::target::{Target, Targets};
 use iw_hoststack::{tcb::synack_retransmit_span, OsProfile};
 use iw_internet::util::mix;
-use iw_netsim::{Duration, Effects, Endpoint, Instant, TimerToken};
-use iw_telemetry::{
-    BufferSink, Counter, EventLog, FlightRecorder, Gauge, Hist, IcmpHarvest, MetricsRegistry,
-    OutcomeKind, ProgressMonitor, ProgressSample, SessionEvent, Snapshot, StdoutSink,
-    TelemetrySink, Tracer, DEFAULT_RING_CAPACITY,
-};
+use iw_netsim::{Duration, Effects, Endpoint, HostFactory, Instant, Sim, TimerToken};
+use iw_telemetry::{Counter, Gauge, Hist, OutcomeKind, ProgressSample, SessionEvent, Snapshot};
 use iw_wire::ipv4::Ipv4Addr;
 use iw_wire::tcp::{self, Flags};
 use iw_wire::{icmp, ipv4, IpProtocol, SynTemplate};
@@ -138,9 +135,11 @@ impl ResilienceConfig {
     }
 }
 
-/// Telemetry knobs for a scan. Everything defaults to off: the metrics
-/// registry always runs (it is allocation-free), but the event log and the
-/// SYN-timestamp map cost memory per host and are opt-in.
+/// Telemetry knobs for a scan: which products the scan's observer
+/// (`observe.rs`) records into. Everything defaults to off: the metrics
+/// registry and the ICMP harvest always run (both are cheap), but the
+/// other products and the SYN-timestamp map cost memory per host and
+/// are opt-in.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryConfig {
     /// Record per-session lifecycle events into the scan event log.
@@ -358,28 +357,6 @@ const SWEEP_PERIOD: Duration = Duration::from_secs(1);
 /// never SYN-ACK; the sweep drops it (satellite: the `syn_ts` leak).
 const RTT_EXPIRY: Duration = Duration::from_secs(8);
 
-/// The `(scan.probes.*, scan.sessions.*)` counters of an [`OutcomeKind`].
-fn outcome_counters(kind: OutcomeKind) -> (Counter, Counter) {
-    match kind {
-        OutcomeKind::Success => (Counter::ProbesSuccess, Counter::SessionsSuccess),
-        OutcomeKind::FewData => (Counter::ProbesFewData, Counter::SessionsFewData),
-        OutcomeKind::Error => (Counter::ProbesError, Counter::SessionsError),
-        OutcomeKind::Unreachable => (Counter::ProbesUnreachable, Counter::SessionsUnreachable),
-    }
-}
-
-/// The `scan.probes.error_kinds.*` counter of an [`ErrorKind`].
-fn error_counter(kind: ErrorKind) -> Counter {
-    match kind {
-        ErrorKind::MidConnectionReset => Counter::ErrMidConnectionReset,
-        ErrorKind::Malformed => Counter::ErrMalformed,
-        ErrorKind::Inconsistent => Counter::ErrInconsistent,
-        ErrorKind::HandshakeTimeout => Counter::ErrHandshakeTimeout,
-        ErrorKind::CollectTimeout => Counter::ErrCollectTimeout,
-        ErrorKind::IcmpUnreachable => Counter::ErrIcmpUnreachable,
-    }
-}
-
 /// How long a concluded target absorbs late answers. Its last SYN left
 /// within the SYN-retry window, the slowest host stack retransmits its
 /// SYN-ACK for [`synack_retransmit_span`] after that, and [`RTT_EXPIRY`]
@@ -437,41 +414,23 @@ pub struct Scanner {
     results: Vec<HostResult>,
     open_ports: Vec<u32>,
     mtu_results: Vec<MtuResult>,
-    targets_sent: u64,
-    refused: u64,
     ident: u16,
     /// Prebuilt SYN datagram (source, destination port, window and MSS
     /// option are fixed for the whole scan). Per target only the address,
     /// the IPv4 ident, the source port (discovery: the attempt) and the
     /// cookie ISN are patched in.
     syn_template: SynTemplate,
-    /// Every manifest metric, recorded through its `Counter`/`Gauge`/`Hist`
-    /// variant. `Scope::Scan` metrics are population-determined and merge
-    /// exactly across shard counts; `Scope::Shard` ones depend on scheduling.
-    metrics: MetricsRegistry,
-    events: EventLog,
+    /// The metrics and every telemetry product, fed through
+    /// [`Observer::emit`].
+    obs: Observer,
     /// SYN send times for RTT measurement (populated only when
     /// `telemetry.record_rtt` or `record_spans`; consumed on first
     /// response, dropped at the first SYN retry (Karn's rule, so before
     /// any give-up) or a drain, and whenever the target's entry moves to
     /// any state but `Handshake`).
     syn_ts: IpMap<Instant>,
-    monitor: Option<ProgressMonitor>,
-    monitor_sink: MonitorSink,
-    status_lines: Vec<String>,
     /// Estimated targets this shard will probe (0 = unknown).
     targets_total: u64,
-    /// Session-phase span tracer (scan scope) plus this shard's pacing
-    /// spans; the sim kernel's hot-path spans merge in at harvest.
-    tracer: Tracer,
-    /// Per-session flight recorder (black-box rings + error dumps).
-    recorder: FlightRecorder,
-    /// Streaming JSONL sink (snapshot deltas + per-target results).
-    sink: TelemetrySink,
-    /// Classified ICMP side-traffic.
-    icmp_harvest: IcmpHarvest,
-    /// End of the previous pacing tick (for the `pace.tick` span).
-    last_pace_at: Instant,
 }
 
 impl Scanner {
@@ -527,20 +486,7 @@ impl Scanner {
         // monitor's configured-pps line.
         let pace_pps = shard_rate(config.rate_pps, config.shard.0, config.shard.1);
         let bucket = TokenBucket::new(pace_pps, (pace_pps / 100).max(16), Instant::ZERO);
-        let monitor = config
-            .telemetry
-            .monitor
-            .as_ref()
-            .map(|spec| ProgressMonitor::new(spec.interval.as_nanos()));
-        let monitor_sink = config
-            .telemetry
-            .monitor
-            .as_ref()
-            .map_or(MonitorSink::Capture, |spec| spec.sink);
-        let events = EventLog::new(config.telemetry.record_events);
-        let tracer = Tracer::new(config.telemetry.record_spans);
-        let recorder = FlightRecorder::new(config.telemetry.flight_recorder, DEFAULT_RING_CAPACITY);
-        let sink = TelemetrySink::new(config.telemetry.stream.is_some());
+        let obs = Observer::new(&config.telemetry, config.shard.0);
         let targets = Targets::new(concluded_hold(&config.resilience));
         let syn_template = SynTemplate::new(
             config.source,
@@ -567,29 +513,18 @@ impl Scanner {
             results: Vec::new(),
             open_ports: Vec::new(),
             mtu_results: Vec::new(),
-            targets_sent: 0,
-            refused: 0,
             ident: 1,
             syn_template,
-            metrics: MetricsRegistry::from_manifest(),
-            events,
+            obs,
             syn_ts: IpMap::new(),
-            monitor,
-            monitor_sink,
-            status_lines: Vec::new(),
             targets_total,
-            tracer,
-            recorder,
-            sink,
-            icmp_harvest: IcmpHarvest::default(),
-            last_pace_at: Instant::ZERO,
         }
     }
 
     /// Begin scanning (call once via `Sim::kick_scanner`).
     pub fn start(&mut self, now: Instant, fx: &mut Effects) {
-        if let Some(m) = &self.monitor {
-            fx.arm(Duration::from_nanos(m.interval_nanos()), MONITOR_TOKEN);
+        if let Some(interval) = self.monitor_interval() {
+            fx.arm(interval, MONITOR_TOKEN);
         }
         // The sweep also bounds the SYN-timestamp map when it serves the
         // span tracer, and expires flight-recorder rings of silent hosts.
@@ -620,12 +555,12 @@ impl Scanner {
 
     /// SYNs answered by RST (host up, port closed).
     pub fn refused(&self) -> u64 {
-        self.refused
+        self.obs.metrics.counter_value(Counter::Refused)
     }
 
     /// Distinct targets probed.
     pub fn targets_sent(&self) -> u64 {
-        self.targets_sent
+        self.obs.metrics.counter_value(Counter::TargetsSent)
     }
 
     /// Sessions still in flight (diagnostics).
@@ -657,89 +592,20 @@ impl Scanner {
             .sum()
     }
 
-    /// Fold the simulation kernel's counters into the shard-scoped
-    /// `sim.queue.*` metrics. Called once per shard at harvest, after the
-    /// event loop drains.
-    pub fn note_sim_stats(&mut self, stats: &iw_netsim::sim::SimStats) {
-        let m = &mut self.metrics;
-        m.add(Counter::SimEvents, stats.events);
-        m.add(Counter::SimPackets, stats.scanner_rx + stats.host_rx);
-        m.add(Counter::SimPoolAllocations, stats.pool_allocations);
-        m.add(Counter::SimPoolRecycled, stats.pool_recycled);
-        m.gauge_set(Gauge::SimPoolOutstanding, stats.pool_outstanding);
-    }
-
     /// Frozen metrics snapshot (merge across shards via [`Snapshot::merge`]).
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.metrics.snapshot()
+        self.obs.metrics.snapshot()
     }
 
-    /// Take the session event log (leaves a disabled, empty log behind).
-    pub fn take_events(&mut self) -> EventLog {
-        std::mem::replace(&mut self.events, EventLog::new(false))
-    }
-
-    /// Take the span tracer (merge across shards via [`Tracer::merge`]).
-    pub fn take_tracer(&mut self) -> Tracer {
-        std::mem::take(&mut self.tracer)
-    }
-
-    /// Take the flight recorder (merge via [`FlightRecorder::merge`]).
-    pub fn take_flight_recorder(&mut self) -> FlightRecorder {
-        std::mem::take(&mut self.recorder)
-    }
-
-    /// Take the streaming sink (merge via [`TelemetrySink::merge`]).
-    pub fn take_stream(&mut self) -> TelemetrySink {
-        std::mem::take(&mut self.sink)
-    }
-
-    /// Take the ICMP harvest (merge via [`IcmpHarvest::merge`]).
-    pub fn take_icmp_harvest(&mut self) -> IcmpHarvest {
-        std::mem::take(&mut self.icmp_harvest)
-    }
-
-    /// Close out the observability layer at harvest time, after the event
-    /// loop drains: merge the sim kernel's hot-path spans, fold the span
-    /// accounting into the `trace.*` metrics, emit the final progress line
-    /// (even mid-interval, with error-kind tallies) and flush the last
-    /// streaming snapshot so delta sums equal final totals.
-    pub fn finish_observability(&mut self, sim_tracer: Tracer, now: Instant) {
-        self.tracer.merge(&sim_tracer);
-        if self.tracer.is_enabled() {
-            let m = &mut self.metrics;
-            m.add(Counter::TraceSpansScan, self.tracer.scan_span_count());
-            m.add(Counter::TraceSpansShard, self.tracer.shard_span_total());
-            for s in self.tracer.spans() {
-                m.observe(Hist::SpanNanos, s.dur_nanos);
-            }
-        }
-        if let Some(mut monitor) = self.monitor.take() {
-            let sample = self.progress_sample(now);
-            let errors: Vec<(&'static str, u64)> = ErrorKind::ALL
-                .iter()
-                .map(|k| (k.name(), self.metrics.counter_value(error_counter(*k))))
-                .collect();
-            match self.monitor_sink {
-                MonitorSink::Stdout => monitor.final_report(&sample, &errors, &mut StdoutSink),
-                MonitorSink::Capture => {
-                    let mut sink = BufferSink::default();
-                    monitor.final_report(&sample, &errors, &mut sink);
-                    self.status_lines.extend(sink.lines);
-                }
-            }
-            self.monitor = Some(monitor);
-        }
-        if self.sink.is_enabled() {
-            let snap = self.metrics.snapshot();
-            self.sink
-                .note_snapshot(now.as_nanos(), self.config.shard.0, &snap);
-        }
-    }
-
-    /// Take the captured progress status lines.
-    pub fn take_status_lines(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.status_lines)
+    /// Close out the scanner of a drained `sim` and hand over its
+    /// telemetry: the sim's counters and hot-path spans fold in, the
+    /// monitor prints its final line and the stream takes its last
+    /// snapshot.
+    pub fn harvest<F: HostFactory>(sim: &mut Sim<Scanner, F>) -> ScanTelemetry {
+        let (now, stats, sim_spans) = (sim.now(), sim.stats(), sim.take_tracer());
+        let scanner = sim.scanner_mut();
+        let last = scanner.progress_sample(now);
+        scanner.obs.harvest(now, &stats, sim_spans, &last)
     }
 
     /// Capture this shard's observable state as a [`ShardCheckpoint`]
@@ -770,7 +636,7 @@ impl Scanner {
         }
         pending.sort_unstable();
         sessions.sort_unstable();
-        let snap = self.metrics.snapshot();
+        let snap = self.obs.metrics.snapshot();
         let counters: Vec<(String, u64)> = snap
             .counters
             .iter()
@@ -783,7 +649,7 @@ impl Scanner {
             cursor_next,
             cursor_produced,
             exhausted: self.exhausted,
-            targets_sent: self.targets_sent,
+            targets_sent: self.targets_sent(),
             pending,
             sessions,
             // Queue order is state (promotion is FIFO), so the capture
@@ -792,7 +658,7 @@ impl Scanner {
             promotions: self.promotions.iter().copied().collect(),
             results_recorded: (self.results.len() + self.open_ports.len() + self.mtu_results.len())
                 as u64,
-            stream_records: self.sink.len() as u64,
+            stream_records: self.obs.stream_len() as u64,
             counters,
         }
     }
@@ -803,7 +669,7 @@ impl Scanner {
     /// validation captures do not count — a resumed run only has to
     /// reproduce the periodic cadence to stay byte-identical.
     pub fn note_checkpoint_taken(&mut self) {
-        self.metrics.inc(Counter::CheckpointsTaken);
+        self.obs.metrics.inc(Counter::CheckpointsTaken);
     }
 
     /// Graceful-shutdown drain: stop target generation, drop every queued
@@ -828,7 +694,7 @@ impl Scanner {
             .chain(&mut self.discovery_retry_queues)
             .map(RetryQueue::clear)
             .sum();
-        self.metrics.add(
+        self.obs.metrics.add(
             Counter::CheckpointDrainForced,
             (dropped_retries + self.promotions.len()) as u64,
         );
@@ -845,12 +711,12 @@ impl Scanner {
             match self.targets.session_mut(ip) {
                 Some(session) => {
                     let out = session.force_conclude(ErrorKind::CollectTimeout);
-                    self.metrics.inc(Counter::CheckpointDrainForced);
+                    self.obs.metrics.inc(Counter::CheckpointDrainForced);
                     self.apply_session_output(ip, out, now, fx);
                 }
                 None => {
                     if matches!(target, Target::Mtu { .. }) {
-                        self.metrics.inc(Counter::CheckpointDrainForced);
+                        self.obs.metrics.inc(Counter::CheckpointDrainForced);
                     }
                     self.set_target(ip, None, now);
                 }
@@ -887,26 +753,14 @@ impl Scanner {
         if self.exhausted {
             return;
         }
-        self.metrics.inc(Counter::PaceTicks);
         // Per tick, ask for this shard's slice of the rate (the bucket
         // carries `shard_rate(..)`, not the global figure).
         let want = (self.bucket.rate_pps() / 200).max(1);
         let grant = self.bucket.take(now, want);
-        if self.tracer.is_enabled() {
-            // One shard-scoped span per tick: the inter-tick gap with the
-            // grant size as its argument (hot-path cadence profile).
-            self.tracer.record_shard(
-                self.last_pace_at.as_nanos(),
-                now.as_nanos(),
-                0,
-                "pace.tick",
-                grant,
-            );
-            self.last_pace_at = now;
-        }
+        self.obs.emit(now, 0, Event::Pace(grant));
         if grant < want {
             // The bucket throttled us: record how long until the next token.
-            self.metrics.observe(
+            self.obs.metrics.observe(
                 Hist::PaceTokenWaitNanos,
                 self.bucket.next_available().as_nanos(),
             );
@@ -920,8 +774,7 @@ impl Scanner {
                 if !self.config.filter.admits(ip) || !self.sample_admits(ip) {
                     continue;
                 }
-                self.targets_sent += 1;
-                self.metrics.inc(Counter::TargetsSent);
+                self.obs.metrics.inc(Counter::TargetsSent);
                 if let Some(d) = domain {
                     self.domains.insert(ip, d);
                 }
@@ -950,7 +803,7 @@ impl Scanner {
                 // stamp, no recorder stamp — a target earns table memory
                 // only at promotion. Its retransmission is one FIFO entry
                 // whose level names the attempt.
-                self.metrics.inc(Counter::DiscoverySyns);
+                self.obs.metrics.inc(Counter::DiscoverySyns);
                 self.emit_discovery_syn(ip, 0, fx);
                 if self.discovery_retry_budget() > 0 {
                     self.queue_retry(DISCOVERY_NS, 0, ip, now, fx);
@@ -1004,10 +857,8 @@ impl Scanner {
         if self.config.telemetry.record_rtt || self.config.telemetry.record_spans {
             self.syn_ts.insert(ip, now);
         }
-        self.events
-            .record(now.as_nanos(), ip, SessionEvent::SynSent);
         let isn = self.emit_syn(ip, fx);
-        self.recorder.note_syn(ip, now.as_nanos(), isn);
+        self.obs.emit(now, ip, Event::Syn(isn));
         if self.config.resilience.syn_retries > 0 {
             self.queue_retry(SYN_RETRY_NS, 0, ip, now, fx);
         }
@@ -1091,7 +942,7 @@ impl Scanner {
             return;
         }
         let attempt = level as u32 + 1;
-        self.metrics.inc(Counter::DiscoveryRetries);
+        self.obs.metrics.inc(Counter::DiscoveryRetries);
         self.emit_discovery_syn(ip, attempt, fx);
         if attempt < self.discovery_retry_budget() {
             self.queue_retry(DISCOVERY_NS, level + 1, ip, now, fx);
@@ -1130,20 +981,20 @@ impl Scanner {
                         tcp::Segment::bare(seg.dst_port, seg.src_port, seg.ack, 0, Flags::RST, 0);
                     fx.send(rst.datagram(self.config.source, src, &mut self.ident, fx.pool()));
                     if known {
-                        self.metrics.inc(Counter::DiscoveryDuplicates);
+                        self.obs.metrics.inc(Counter::DiscoveryDuplicates);
                         return;
                     }
                     self.set_target(ip, Some(Target::Queued), now);
-                    self.metrics.inc(Counter::DiscoveryValidated);
+                    self.obs.metrics.inc(Counter::DiscoveryValidated);
                     self.promotions.push_back(ip);
                     self.note_discovery_state();
                     self.try_drain_promotions(now, fx);
                 }
                 SynAckCheck::RawIsnEcho => {
-                    self.metrics.inc(Counter::DiscoveryRawIsnEcho);
+                    self.obs.metrics.inc(Counter::DiscoveryRawIsnEcho);
                 }
                 SynAckCheck::Mismatch => {
-                    self.metrics.inc(Counter::DiscoveryCookieMismatch);
+                    self.obs.metrics.inc(Counter::DiscoveryCookieMismatch);
                 }
             }
         } else if seg.flags.contains(Flags::RST) {
@@ -1151,7 +1002,7 @@ impl Scanner {
                 .cookie
                 .validate(ip, seg.dst_port, seg.src_port, seg.ack)
             {
-                self.metrics.inc(Counter::DiscoverySpoofedRst);
+                self.obs.metrics.inc(Counter::DiscoverySpoofedRst);
                 return;
             }
             // Same verdict as on the stateful path, no promotion needed.
@@ -1164,12 +1015,10 @@ impl Scanner {
     /// A cookie-valid RST answered the target's SYN: host up, port
     /// closed. A terminal verdict with no session behind it.
     fn refusal(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
-        self.refused += 1;
-        self.metrics.inc(Counter::Refused);
-        self.observe_event(ip, SessionEvent::Refused, now);
-        self.sink.note_result(now.as_nanos(), ip, "refused");
+        self.obs
+            .emit(now, ip, Event::Session(SessionEvent::Refused));
         // A refusal is a clean conclusion: the black box is dropped.
-        self.recorder.conclude(ip, now.as_nanos(), None);
+        self.obs.emit(now, ip, Event::Verdict("refused", None));
         self.set_target(ip, Some(Target::Concluded), now);
         // A promoted handshake's slot frees up.
         self.try_drain_promotions(now, fx);
@@ -1192,7 +1041,7 @@ impl Scanner {
                 return;
             }
             self.promotions.pop_front();
-            self.metrics.inc(Counter::DiscoveryPromoted);
+            self.obs.metrics.inc(Counter::DiscoveryPromoted);
             self.send_stateful_syn(ip, true, now, fx);
             self.note_discovery_state();
         }
@@ -1209,7 +1058,9 @@ impl Scanner {
     /// window, bounded by the rate; see [`Self::retry_backlog`].)
     fn note_discovery_state(&mut self) {
         let footprint = (self.promotions.len() + self.targets.promoted()) as u64;
-        self.metrics.gauge_set(Gauge::DiscoveryStatePeak, footprint);
+        self.obs
+            .metrics
+            .gauge_set(Gauge::DiscoveryStatePeak, footprint);
     }
 
     /// Emit the stateless (probe 0, conn 0) SYN for a target and return
@@ -1241,24 +1092,18 @@ impl Scanner {
             // a failure worth a black box even though no session existed.
             // A promoted target concludes: its discovery answer was
             // already spent.
-            if self
-                .recorder
-                .conclude(ip, now.as_nanos(), Some("handshake_timeout"))
-            {
-                self.metrics.inc(Counter::FlightDumps);
-            }
+            self.obs.emit(now, ip, Event::GaveUp);
             if promoted {
                 self.set_target(ip, Some(Target::Concluded), now);
                 self.try_drain_promotions(now, fx);
             }
             return;
         }
-        self.note_session_event(
-            ip,
-            SessionEvent::SynRetried {
-                attempt: (attempts + 1) as u8,
-            },
+        let attempt = (attempts + 1) as u8;
+        self.obs.emit(
             now,
+            ip,
+            Event::Session(SessionEvent::SynRetried { attempt }),
         );
         // Karn's rule: once a SYN is retransmitted, a later SYN-ACK is
         // ambiguous — it may answer either transmission — so the RTT
@@ -1266,8 +1111,9 @@ impl Scanner {
         // rather than attributing whole backoff periods to the wire.
         self.syn_ts.remove(ip);
         let isn = self.emit_syn(ip, fx);
-        self.recorder
-            .note_wire(ip, now.as_nanos(), true, Flags::SYN.bits(), isn, 0, 0);
+        let (sport, dport) = (self.params.sport(0, 0, 0), self.config.protocol.port());
+        let syn = tcp::Segment::bare(sport, dport, isn, 0, Flags::SYN, 65535);
+        self.obs.emit(now, ip, Event::Wire(true, &syn));
         self.queue_retry(SYN_RETRY_NS, level + 1, ip, now, fx);
     }
 
@@ -1278,7 +1124,8 @@ impl Scanner {
             return;
         };
         let out = session.force_conclude(ErrorKind::CollectTimeout);
-        self.note_session_event(ip, SessionEvent::WatchdogForced, now);
+        self.obs
+            .emit(now, ip, Event::Session(SessionEvent::WatchdogForced));
         self.apply_session_output(ip, out, now, fx);
     }
 
@@ -1289,7 +1136,8 @@ impl Scanner {
                 continue; // stale entry: that session already finished
             };
             let out = session.force_conclude(ErrorKind::CollectTimeout);
-            self.note_session_event(ip, SessionEvent::SessionEvicted, now);
+            self.obs
+                .emit(now, ip, Event::Session(SessionEvent::SessionEvicted));
             self.apply_session_output(ip, out, now, fx);
             return;
         }
@@ -1316,19 +1164,19 @@ impl Scanner {
         let retries = self.config.resilience.syn_retries > 0;
         let untracked_owed = self.untracked_owes_retry();
         let targets = &self.targets;
-        self.recorder
-            .expire_stale(cutoff, |ip| match targets.get(ip) {
-                Some(Target::Live(_)) => true,
-                Some(Target::Handshake) => retries,
-                None => untracked_owed,
-                _ => false,
-            });
-        if !(self.exhausted && self.syn_ts.is_empty() && self.recorder.live_rings() == 0) {
+        let keep = |ip| match targets.get(ip) {
+            Some(Target::Live(_)) => true,
+            Some(Target::Handshake) => retries,
+            None => untracked_owed,
+            _ => false,
+        };
+        self.obs.emit(now, 0, Event::Expire(cutoff, &keep));
+        if !(self.exhausted && self.syn_ts.is_empty() && self.obs.live_histories() == 0) {
             fx.arm(SWEEP_PERIOD, SWEEP_TOKEN);
         }
     }
 
-    /// Record one outgoing segment in the flight recorder and emit it.
+    /// Observe one outgoing segment and send it.
     fn emit_segment(
         &mut self,
         dst: Ipv4Addr,
@@ -1336,7 +1184,7 @@ impl Scanner {
         now: Instant,
         fx: &mut Effects,
     ) {
-        note_wire(&mut self.recorder, dst.to_u32(), now, true, seg);
+        self.obs.emit(now, dst.to_u32(), Event::Wire(true, seg));
         fx.send(seg.datagram(self.config.source, dst, &mut self.ident, fx.pool()));
     }
 
@@ -1373,11 +1221,11 @@ impl Scanner {
                 payload,
                 ..tx.header
             };
-            note_wire(&mut self.recorder, ip, now, true, &seg);
+            self.obs.emit(now, ip, Event::Wire(true, &seg));
             fx.send(seg.datagram(self.config.source, dst, &mut self.ident, fx.pool()));
         }
         for ev in &out.events {
-            self.note_session_event(ip, *ev, now);
+            self.obs.emit(now, ip, Event::Session(*ev));
         }
         if let Some(deadline) = out.deadline {
             if deadline > now
@@ -1398,15 +1246,19 @@ impl Scanner {
             for (_, outcomes) in &result.runs {
                 for o in outcomes {
                     if let ProbeOutcome::Error { kind } = o {
-                        self.metrics.inc(error_counter(*kind));
+                        self.obs.metrics.inc(error_counter(*kind));
                         first_error = first_error.or(Some(*kind));
                     }
                 }
             }
+            if let Some(session) = self.targets.session(ip) {
+                let lifetime = (now - session.started()).as_nanos();
+                self.obs
+                    .metrics
+                    .observe(Hist::SessionLifetimeNanos, lifetime);
+            }
             let primary = result.primary_verdict();
             let outcome = primary.map(|v| v.outcome_kind());
-            let verdict = outcome.map_or("unknown", OutcomeKind::name);
-            self.sink.note_result(now.as_nanos(), ip, verdict);
             // Clean verdicts drop their black box; error verdicts dump it,
             // named after the first failing probe's error kind. Two more
             // shapes are diagnosable failures, not clean conclusions: a
@@ -1414,7 +1266,7 @@ impl Scanner {
             // succeeded and the host then sent nothing usable — the
             // SYN-ACK-blackhole signature), and a verdict-less session
             // whose probes recorded errors.
-            let error_name = match outcome {
+            let error = match outcome {
                 Some(OutcomeKind::Success) => None,
                 Some(OutcomeKind::FewData) => match primary {
                     Some(MssVerdict::FewData(0)) => Some("no_data"),
@@ -1424,13 +1276,14 @@ impl Scanner {
                 Some(OutcomeKind::Error) => Some(first_error.map_or("error", ErrorKind::name)),
                 None => first_error.map(ErrorKind::name),
             };
-            if self.recorder.conclude(ip, now.as_nanos(), error_name) {
-                self.metrics.inc(Counter::FlightDumps);
-            }
+            let label = outcome.map_or("unknown", OutcomeKind::name);
+            self.obs.emit(now, ip, Event::Verdict(label, error));
             self.results.push(result);
             self.set_target(ip, Some(Target::Concluded), now);
             let live = self.targets.live();
-            self.metrics.gauge_set(Gauge::SessionsLivePeak, live as u64);
+            self.obs
+                .metrics
+                .gauge_set(Gauge::SessionsLivePeak, live as u64);
             // Lazily compact the eviction deque: normally-concluded
             // sessions leave stale entries behind, and without this the
             // deque grows O(total sessions started) over a long
@@ -1447,83 +1300,17 @@ impl Scanner {
         }
     }
 
-    /// Fold one session lifecycle event into the metrics and the event log.
-    fn note_session_event(&mut self, ip: u32, ev: SessionEvent, now: Instant) {
-        let m = &mut self.metrics;
-        match ev {
-            SessionEvent::RetransmitDetected {
-                bytes_in_flight, ..
-            } => {
-                m.inc(Counter::RetransmitsDetected);
-                m.observe(Hist::RetransmitBytesInFlight, bytes_in_flight);
-            }
-            SessionEvent::VerifyAckSent { .. } => m.inc(Counter::VerifyAcksSent),
-            SessionEvent::ProbeConcluded { outcome, .. } => {
-                m.inc(outcome_counters(outcome).0);
-            }
-            SessionEvent::SessionFinished { outcome } => {
-                m.inc(outcome_counters(outcome).1);
-                // The session is still live here (it concludes after its
-                // events are folded in).
-                if let Some(session) = self.targets.session(ip) {
-                    m.observe(
-                        Hist::SessionLifetimeNanos,
-                        (now - session.started()).as_nanos(),
-                    );
-                }
-            }
-            SessionEvent::SynRetried { .. } => m.inc(Counter::SynRetries),
-            SessionEvent::ProbeRetried { .. } => m.inc(Counter::ProbesRetried),
-            SessionEvent::WatchdogForced => m.inc(Counter::SessionsWatchdogForced),
-            SessionEvent::SessionEvicted => m.inc(Counter::SessionsEvicted),
-            SessionEvent::IcmpUnreachable => m.inc(Counter::IcmpUnreachable),
-            _ => {}
-        }
-        self.observe_event(ip, ev, now);
-    }
-
-    /// Fold one lifecycle event into the span tracer, the flight recorder
-    /// and the event log (no metrics — callers that need counters go
-    /// through [`Self::note_session_event`]).
-    fn observe_event(&mut self, ip: u32, ev: SessionEvent, now: Instant) {
-        let n = now.as_nanos();
-        if self.tracer.is_enabled() {
-            // Span slots per target: 1 = current probe, 2 = the session.
-            // (The handshake span comes from the SYN-timestamp map, so
-            // silent targets leave nothing behind in the tracer.)
-            match ev {
-                SessionEvent::SessionStarted => self.tracer.open(ip, 2, n),
-                SessionEvent::ProbeStarted { .. } => self.tracer.open(ip, 1, n),
-                SessionEvent::ProbeConcluded { probe, .. } => {
-                    self.tracer.close(ip, 1, n, "probe", u64::from(probe));
-                }
-                SessionEvent::SessionFinished { outcome } => {
-                    self.tracer.close(ip, 2, n, "session", outcome as u64);
-                    self.tracer.discard(ip, 1);
-                }
-                _ => {}
-            }
-        }
-        self.recorder.note_state(ip, n, ev);
-        self.events.record(n, ip, ev);
-    }
-
-    /// Consume a SYN timestamp: feed the RTT histogram (when tracking)
-    /// and close the handshake span (when tracing).
+    /// Consume a SYN timestamp: the RTT sample and the handshake span.
     fn consume_syn_ts(&mut self, ip: u32, now: Instant) {
-        if let Some(t0) = self.syn_ts.remove(ip) {
-            if self.config.telemetry.record_rtt {
-                self.metrics.observe(Hist::RttNanos, (now - t0).as_nanos());
-            }
-            self.tracer
-                .record_scan(t0.as_nanos(), now.as_nanos(), ip, "handshake", 0);
+        if let Some(syn_at) = self.syn_ts.remove(ip) {
+            self.obs.emit(now, ip, Event::Rtt(syn_at));
         }
     }
 
     /// Dispatch one inbound segment on its target's state.
     fn on_tcp(&mut self, src: Ipv4Addr, seg: &tcp::Segment<'_>, now: Instant, fx: &mut Effects) {
         let ip = src.to_u32();
-        note_wire(&mut self.recorder, ip, now, false, seg);
+        self.obs.emit(now, ip, Event::Wire(false, seg));
         // Stateless-first discovery flows live in their own source-port
         // block, so the destination port alone routes the segment.
         if self.discovery_active() && cookie::discovery_attempt(seg.dst_port).is_some() {
@@ -1569,7 +1356,7 @@ impl Scanner {
             }
             if concluded {
                 self.reset(src, seg, now, fx);
-                self.metrics.inc(Counter::LateAnswers);
+                self.obs.metrics.inc(Counter::LateAnswers);
             } else if self.config.protocol == Protocol::PortScan {
                 self.open_port(src, seg, now, fx);
             } else if !self.draining {
@@ -1579,9 +1366,9 @@ impl Scanner {
         } else if seg.flags.contains(Flags::RST) {
             if !self.cookie.validate(ip, sport, dport, seg.ack) {
                 // Spoofed or stale: counted, no verdict.
-                self.metrics.inc(Counter::RstIgnored);
+                self.obs.metrics.inc(Counter::RstIgnored);
             } else if concluded {
-                self.metrics.inc(Counter::LateAnswers);
+                self.obs.metrics.inc(Counter::LateAnswers);
             } else {
                 self.refusal(ip, now, fx);
             }
@@ -1597,13 +1384,12 @@ impl Scanner {
     /// A port scan's verdict: the SYN-ACK proves the port open.
     fn open_port(&mut self, src: Ipv4Addr, seg: &tcp::Segment<'_>, now: Instant, fx: &mut Effects) {
         let ip = src.to_u32();
-        self.metrics.inc(Counter::SynacksValidated);
         self.consume_syn_ts(ip, now);
-        self.observe_event(ip, SessionEvent::SynAckValidated, now);
+        self.obs
+            .emit(now, ip, Event::Session(SessionEvent::SynAckValidated));
         self.open_ports.push(ip);
         self.reset(src, seg, now, fx);
-        self.sink.note_result(now.as_nanos(), ip, "open");
-        self.recorder.conclude(ip, now.as_nanos(), None);
+        self.obs.emit(now, ip, Event::Verdict("open", None));
         self.set_target(ip, Some(Target::Concluded), now);
     }
 
@@ -1620,20 +1406,17 @@ impl Scanner {
         if cap > 0 && self.targets.live() >= cap {
             self.evict_oldest(now, fx);
         }
-        self.metrics.inc(Counter::SynacksValidated);
         self.consume_syn_ts(ip, now);
-        self.metrics.inc(Counter::SessionsStarted);
-        self.observe_event(ip, SessionEvent::SynAckValidated, now);
-        self.observe_event(ip, SessionEvent::SessionStarted, now);
+        for ev in [SessionEvent::SynAckValidated, SessionEvent::SessionStarted] {
+            self.obs.emit(now, ip, Event::Session(ev));
+        }
         let domain = self.domains.remove(ip);
         let mut session = HostSession::new(src, self.params.clone(), self.cookie, domain, now);
-        self.observe_event(
-            ip,
-            SessionEvent::ProbeStarted {
-                probe: 0,
-                mss: session.current_mss(),
-            },
+        let mss = session.current_mss();
+        self.obs.emit(
             now,
+            ip,
+            Event::Session(SessionEvent::ProbeStarted { probe: 0, mss }),
         );
         let out = session.on_segment(seg, now);
         // A promoted handshake's slot becomes the session's slot (net
@@ -1645,17 +1428,18 @@ impl Scanner {
         if let Some(deadline) = self.config.resilience.session_deadline {
             fx.arm(deadline, WATCHDOG_NS | u64::from(ip));
         }
-        self.metrics
+        self.obs
+            .metrics
             .gauge_set(Gauge::SessionsLivePeak, self.targets.live() as u64);
         self.apply_session_output(ip, out, now, fx);
     }
 
     /// A point-in-time progress reading for the monitor.
     fn progress_sample(&self, now: Instant) -> ProgressSample {
-        let m = &self.metrics;
+        let m = &self.obs.metrics;
         ProgressSample {
             elapsed_nanos: now.as_nanos(),
-            targets_sent: self.targets_sent,
+            targets_sent: self.targets_sent(),
             targets_total: self.targets_total,
             hits: m.counter_value(Counter::SynacksValidated) + self.mtu_results.len() as u64,
             // An MTU scan's table holds nothing but its probes in flight.
@@ -1675,29 +1459,24 @@ impl Scanner {
         }
     }
 
+    /// The progress monitor's reporting interval, if one runs.
+    fn monitor_interval(&self) -> Option<Duration> {
+        let spec = self.config.telemetry.monitor.as_ref()?;
+        Some(spec.interval.max(Duration::from_nanos(1)))
+    }
+
+    /// Progress-monitor tick. Keeps ticking while the scan can still make
+    /// progress; once sending is done and the stateful sessions drained,
+    /// the sim winds down. (Unanswered MTU probes hold no timers, so they
+    /// do not keep the monitor alive either.)
     fn monitor_tick(&mut self, now: Instant, fx: &mut Effects) {
-        let Some(mut monitor) = self.monitor.take() else {
+        let Some(interval) = self.monitor_interval() else {
             return;
         };
         let sample = self.progress_sample(now);
-        if monitor.due(sample.elapsed_nanos) {
-            match self.monitor_sink {
-                MonitorSink::Stdout => monitor.report(&sample, &mut StdoutSink),
-                MonitorSink::Capture => {
-                    let mut sink = BufferSink::default();
-                    monitor.report(&sample, &mut sink);
-                    self.status_lines.extend(sink.lines);
-                }
-            }
-        }
-        let interval = monitor.interval_nanos();
-        self.monitor = Some(monitor);
-        // Keep ticking while the scan can still make progress; once sending
-        // is done and the stateful sessions drained, let the sim wind down.
-        // (Unanswered MTU probes hold no timers, so they do not keep the
-        // monitor alive either.)
+        self.obs.emit(now, 0, Event::Progress(&sample));
         if !(self.exhausted && self.targets.live() == 0) {
-            fx.arm(Duration::from_nanos(interval), MONITOR_TOKEN);
+            fx.arm(interval, MONITOR_TOKEN);
         }
     }
 
@@ -1707,9 +1486,7 @@ impl Scanner {
         let Some(interval) = self.config.telemetry.stream else {
             return;
         };
-        let snap = self.metrics.snapshot();
-        self.sink
-            .note_snapshot(now.as_nanos(), self.config.shard.0, &snap);
+        self.obs.emit(now, 0, Event::Snapshot);
         if !(self.exhausted && self.targets.live() == 0) {
             fx.arm(interval, STREAM_TOKEN);
         }
@@ -1719,26 +1496,10 @@ impl Scanner {
         let ip = src.to_u32();
         // Control-plane harvest: classify every ICMP message before any
         // mode-specific handling, so the `scan.icmp.*` family and the
-        // manifest section see the scan's full side-traffic.
-        self.metrics.inc(Counter::IcmpMessages);
-        match msg {
-            icmp::Message::DstUnreachable { code } => {
-                self.icmp_harvest.note_unreachable(ip, *code);
-                self.metrics.inc(IcmpHarvest::unreachable_counter(*code));
-            }
-            icmp::Message::FragNeeded { .. } => {
-                self.icmp_harvest.note_frag_needed(ip);
-                self.metrics.inc(Counter::IcmpFragNeeded);
-            }
-            icmp::Message::EchoReply { .. } => self.icmp_harvest.note_echo_reply(ip),
-            icmp::Message::SourceQuench => {
-                // Advisory rate-limiting signature (RFC 6633 deprecates
-                // acting on it): classify, never fast-fail the target.
-                self.icmp_harvest.note_source_quench(ip);
-                self.metrics.inc(Counter::IcmpSourceQuench);
-            }
-            _ => self.icmp_harvest.note_other(ip),
-        }
+        // manifest section see the scan's full side-traffic. (A source
+        // quench is an advisory rate-limiting signature — RFC 6633
+        // deprecates acting on it: classified, never a fast-fail.)
+        self.obs.emit(now, ip, Event::Icmp(*msg));
         // What the message means depends on where its source stands. (No
         // quoted datagram in the sim's ICMP; the source address
         // identifies the target.)
@@ -1751,14 +1512,15 @@ impl Scanner {
                 }
             }
             (Some(Target::Mtu { total }), icmp::Message::EchoReply { .. }) => {
-                self.sink.note_result(now.as_nanos(), ip, "mtu");
+                self.obs.emit(now, ip, Event::Verdict("mtu", None));
                 self.mtu_results.push(MtuResult { ip, mtu: total });
                 self.set_target(ip, None, now);
             }
             // A destination-unreachable fast-fails a TCP target instead of
             // letting it wait out the SYN/collect timeouts.
             (Some(Target::Live(index)), icmp::Message::DstUnreachable { .. }) => {
-                self.note_session_event(ip, SessionEvent::IcmpUnreachable, now);
+                self.obs
+                    .emit(now, ip, Event::Session(SessionEvent::IcmpUnreachable));
                 if let Some(session) = self.targets.session_at(index) {
                     let out = session.force_conclude(ErrorKind::IcmpUnreachable);
                     self.apply_session_output(ip, out, now, fx);
@@ -1774,17 +1536,16 @@ impl Scanner {
                 if self.syn_ts.remove(ip).is_none() && !in_flight {
                     return;
                 }
-                self.note_session_event(ip, SessionEvent::IcmpUnreachable, now);
+                self.obs
+                    .emit(now, ip, Event::Session(SessionEvent::IcmpUnreachable));
                 // Fast-failed before a session existed: no HostResult will
                 // record this target, so the black box (and the stream)
                 // carry the explanation.
-                self.sink.note_result(now.as_nanos(), ip, "unreachable");
-                if self
-                    .recorder
-                    .conclude(ip, now.as_nanos(), Some("icmp_unreachable"))
-                {
-                    self.metrics.inc(Counter::FlightDumps);
-                }
+                self.obs.emit(
+                    now,
+                    ip,
+                    Event::Verdict("unreachable", Some("icmp_unreachable")),
+                );
                 // Concluding stops the retries the target is owed, and a
                 // SYN-ACK that still arrives is a late answer: the stream
                 // already carries this target's verdict.
@@ -1796,25 +1557,6 @@ impl Scanner {
             _ => {}
         }
     }
-}
-
-/// Note one segment on the wire in the flight recorder.
-fn note_wire(
-    recorder: &mut FlightRecorder,
-    ip: u32,
-    now: Instant,
-    outbound: bool,
-    seg: &tcp::Segment<'_>,
-) {
-    recorder.note_wire(
-        ip,
-        now.as_nanos(),
-        outbound,
-        seg.flags.bits(),
-        seg.seq,
-        seg.ack,
-        seg.payload.len() as u32,
-    );
 }
 
 impl Endpoint for Scanner {

@@ -6,18 +6,18 @@
 //! Every scenario is deterministic per seed: identical configurations
 //! must produce byte-identical results and canonical metrics.
 
-use iw_core::telemetry::Snapshot;
+use iw_core::telemetry::{OutcomeKind, SessionEvent, Snapshot};
 use iw_core::testbed::{probe_host, TestbedSpec};
 use iw_core::{
     summarize, Confusion, ErrorKind, HostResult, MssVerdict, Protocol, ResilienceConfig,
-    ScanConfig, Scanner,
+    ScanConfig, ScanTelemetry, Scanner,
 };
-use iw_hoststack::{ChaosHost, ChaosMode, Host, HostConfig, IwPolicy};
+use iw_hoststack::{ChaosHost, ChaosMode, Host, HostConfig, HttpBehavior, IwPolicy};
 use iw_netsim::{Duration, Effects, Endpoint, Instant, LinkConfig, Sim, SimConfig, TimerToken};
 use iw_wire::ipv4::{self, Ipv4Addr};
 use iw_wire::tcp::{self, Flags};
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 /// Ground-truth IW assignment: a deterministic mix of common policies.
@@ -272,9 +272,9 @@ fn source_quench_cohort_is_classified_not_fast_failed() {
     );
     sim.kick_scanner(|s, now, fx| s.start(now, fx));
     sim.run_to_completion();
+    let harvest = Scanner::harvest(&mut sim).icmp;
     let scanner = sim.scanner_mut();
     let metrics = scanner.metrics_snapshot();
-    let harvest = scanner.take_icmp_harvest();
     let cohort = (0..space).filter(|ip| quenched(*ip)).count() as u64;
     // 3 SYNs (initial + 2 retries) × burst 3 = 9 quenches per target.
     assert_eq!(metrics.counter("scan.icmp.source_quench"), cohort * 9);
@@ -1040,7 +1040,7 @@ fn flight_scan(mut config: ScanConfig, drain_at: Option<Duration>) -> (bool, usi
     // Far past every timeout: a scan still busy here never ends.
     sim.run_until(Instant::ZERO + Duration::from_secs(3600));
     let busy = sim.step();
-    (busy, sim.scanner_mut().take_flight_recorder().live_rings())
+    (busy, Scanner::harvest(&mut sim).flight.live_rings())
 }
 
 #[test]
@@ -1066,5 +1066,182 @@ fn a_graceful_drain_leaves_no_flight_history() {
         let mode = format!("stateless_first={stateless_first}");
         assert!(!busy, "{mode}: the drained scan never went idle");
         assert_eq!(live, 0, "{mode}: the drain left histories behind");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The observability spine: every counter that counts an event is derived
+// from the event itself, so the log and the counters cannot drift apart.
+// ---------------------------------------------------------------------
+
+/// Run `config` with the event log and the flight recorder on and return
+/// the harvest.
+fn observed_scan<F>(mut config: ScanConfig, factory: F) -> ScanTelemetry
+where
+    F: FnMut(u32) -> Option<(Box<dyn Endpoint>, LinkConfig)>,
+{
+    config.telemetry.record_events = true;
+    config.telemetry.flight_recorder = true;
+    let seed = config.seed;
+    let sim_config = SimConfig {
+        seed,
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::new(Scanner::new(config), factory, sim_config);
+    sim.kick_scanner(|s, now, fx| s.start(now, fx));
+    sim.run_to_completion();
+    Scanner::harvest(&mut sim)
+}
+
+fn chaos(ip: u32, mode: ChaosMode, seed: u64) -> Box<dyn Endpoint> {
+    Box::new(ChaosHost::new(Ipv4Addr::from_u32(ip), mode, seed))
+}
+
+/// A host that resets its first connection mid-flight and answers every
+/// later SYN with a RST: each probe, retries spent, concludes
+/// `Unreachable`, and so does the session.
+struct ResetsEverything {
+    first: Option<u16>,
+    host: Box<dyn Endpoint>,
+    ident: u16,
+}
+
+impl Endpoint for ResetsEverything {
+    fn on_packet(&mut self, pkt: &[u8], now: Instant, fx: &mut Effects) {
+        if let (Some(seg), Ok(ip)) = (tcp_segment(pkt), ipv4::Packet::new_checked(pkt)) {
+            if seg.flags == Flags::SYN && *self.first.get_or_insert(seg.src_port) != seg.src_port {
+                let ack = seg.seq.wrapping_add(1);
+                let rst = tcp::Segment::bare(
+                    seg.dst_port,
+                    seg.src_port,
+                    0,
+                    ack,
+                    Flags::RST | Flags::ACK,
+                    0,
+                );
+                fx.send(rst.datagram(ip.dst_addr(), ip.src_addr(), &mut self.ident, fx.pool()));
+                fx.finished = false;
+                return;
+            }
+        }
+        self.host.on_packet(pkt, now, fx);
+        fx.finished = false;
+    }
+
+    fn on_timer(&mut self, token: TimerToken, now: Instant, fx: &mut Effects) {
+        self.host.on_timer(token, now, fx);
+        fx.finished = false;
+    }
+}
+
+#[test]
+fn counters_are_derived_from_events() {
+    const PAIRS: [(&str, &str); 10] = [
+        ("syn_ack_validated", "scan.synacks_validated"),
+        ("session_started", "scan.sessions_started"),
+        ("refused", "scan.refused"),
+        ("retransmit_detected", "scan.retransmits_detected"),
+        ("verify_ack_sent", "scan.verify_acks_sent"),
+        ("syn_retried", "scan.syn_retries"),
+        ("probe_retried", "scan.probes.retried"),
+        ("watchdog_forced", "scan.sessions.watchdog_forced"),
+        ("session_evicted", "scan.sessions.evicted"),
+        ("icmp_unreachable", "scan.icmp_unreachable"),
+    ];
+    let hardened = |space, seed| {
+        let mut config = scan_config(space, seed);
+        config.resilience = ResilienceConfig::hardened();
+        config
+    };
+    let mut flood = hardened(400, 0xf100d);
+    flood.resilience.max_sessions = 64;
+    let reset = ChaosMode::SynAckThenRst {
+        after: Duration::from_millis(50),
+    };
+    let scans = [
+        // Loss: SYN retries, and sessions that measure.
+        observed_scan(hardened(300, 0x10_55), |ip| {
+            Some((web_host(ip, 0x10_55), LinkConfig::default().with_loss(0.02)))
+        }),
+        // Mid-connection resets: every probe burns its retries.
+        observed_scan(hardened(64, 0x27), |ip| {
+            Some((chaos(ip, reset, 0x27), LinkConfig::testbed()))
+        }),
+        // A SYN-ACK flood past the session cap: evictions, and the
+        // watchdog for the sessions left holding a slot.
+        observed_scan(flood, |ip| {
+            Some((
+                chaos(ip, ChaosMode::SynAckBlackhole, 0xf100d),
+                LinkConfig::testbed(),
+            ))
+        }),
+        // Cohorts: ICMP-unreachable, closed port, silent, too little
+        // data, and resets throughout.
+        observed_scan(hardened(160, 0x1c3), |ip| {
+            let host = match ip % 5 {
+                0 => chaos(ip, ChaosMode::IcmpUnreachable { code: 1 }, 0x1c3),
+                1 => {
+                    let mut closed = HostConfig::simple_web(60_000);
+                    closed.http = None;
+                    Box::new(Host::new(Ipv4Addr::from_u32(ip), closed, 0x1c3))
+                }
+                2 => return None,
+                3 => {
+                    // A 100-byte page and no 404 echo to fall back on.
+                    let mut small = HostConfig::simple_web(100);
+                    if let Some(http) = &mut small.http {
+                        http.behavior = HttpBehavior::Direct {
+                            root_size: 100,
+                            echo_404: false,
+                        };
+                    }
+                    Box::new(Host::new(Ipv4Addr::from_u32(ip), small, 0x1c3))
+                }
+                _ => Box::new(ResetsEverything {
+                    first: None,
+                    host: chaos(ip, reset, 0x1c3),
+                    ident: 1,
+                }),
+            };
+            Some((host, LinkConfig::testbed()))
+        }),
+    ];
+    let kinds = [
+        OutcomeKind::Success,
+        OutcomeKind::FewData,
+        OutcomeKind::Error,
+        OutcomeKind::Unreachable,
+    ];
+    let mut seen: BTreeMap<String, u64> = BTreeMap::new();
+    for (i, t) in scans.iter().enumerate() {
+        let (events, m) = (t.events.counts_by_name(), &t.metrics);
+        for (event, counter) in PAIRS {
+            let n = events.get(event).copied().unwrap_or(0);
+            assert_eq!(n, m.counter(counter), "scan {i}: {event} vs {counter}");
+            *seen.entry(event.to_string()).or_default() += n;
+        }
+        for kind in kinds {
+            let count = |probe: bool| {
+                let records = t.events.records().iter();
+                records
+                    .filter(|r| match r.event {
+                        SessionEvent::ProbeConcluded { outcome, .. } => probe && outcome == kind,
+                        SessionEvent::SessionFinished { outcome } => !probe && outcome == kind,
+                        _ => false,
+                    })
+                    .count() as u64
+            };
+            for (probe, family) in [(true, "probes"), (false, "sessions")] {
+                let counter = format!("scan.{family}.{}", kind.name());
+                assert_eq!(count(probe), m.counter(&counter), "scan {i}: {counter}");
+                *seen.entry(counter).or_default() += count(probe);
+            }
+        }
+        let dumps = t.flight.dumps().len() as u64;
+        assert_eq!(dumps, m.counter("scan.flight_recorder.dumps"), "scan {i}");
+        *seen.entry("dumps".into()).or_default() += dumps;
+    }
+    for (what, n) in &seen {
+        assert!(*n > 0, "no scan exercised {what}: {seen:?}");
     }
 }

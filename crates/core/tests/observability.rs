@@ -55,7 +55,7 @@ where
     let mut results = scanner.results().to_vec();
     results.sort_by_key(|r| r.ip);
     let snapshot = scanner.metrics_snapshot();
-    let recorder = scanner.take_flight_recorder();
+    let recorder = Scanner::harvest(&mut sim).flight;
     (results, snapshot, recorder)
 }
 

@@ -11,6 +11,7 @@ use iw_core::{
 };
 use iw_internet::{Population, PopulationConfig};
 use iw_netsim::Duration;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn population(seed: u64, space: u32, responsive: u32) -> Arc<Population> {
@@ -139,6 +140,29 @@ fn event_log_records_exact_session_lifecycles() {
         .filter(|n| **n == "retransmit_detected")
         .count();
     assert!(retransmits >= 1, "{names:?}");
+}
+
+#[test]
+fn sharded_event_log_keeps_each_hosts_causal_order() {
+    // A host lives in exactly one shard, so merging the shards' logs must
+    // not reorder its events: same-instant transitions (SYN-ACK validated
+    // → session started → probe started) stay in the order they happened.
+    let pop = population(0xcafe, 1 << 13, 150);
+    let config = telemetry_config(pop.space_size(), 0xcafe);
+    let by_host = |threads: u32| {
+        let out = ScanRunner::new(&pop)
+            .config(config.clone())
+            .topology(Topology::threads(threads))
+            .run();
+        let mut hosts: BTreeMap<u32, Vec<&'static str>> = BTreeMap::new();
+        for r in out.telemetry.events.records() {
+            hosts.entry(r.ip).or_default().push(r.event.name());
+        }
+        hosts
+    };
+    let single = by_host(1);
+    assert!(single.len() > 100, "{} hosts", single.len());
+    assert_eq!(single, by_host(4));
 }
 
 #[test]

@@ -9,7 +9,6 @@
 
 use crate::json::{push_key, push_u64_field};
 use std::collections::BTreeMap;
-use std::fmt::Write;
 
 /// Terminal classification of a probe or session, mirroring the scanner's
 /// outcome/verdict taxonomy without depending on the core crate.
@@ -158,11 +157,6 @@ impl EventLog {
         }
     }
 
-    /// Whether this log is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Append an event (no-op when disabled).
     #[inline]
     pub fn record(&mut self, at_nanos: u64, ip: u32, event: SessionEvent) {
@@ -200,13 +194,14 @@ impl EventLog {
     }
 
     /// Merge another shard's log into this one, restoring the canonical
-    /// global order (by time, ties broken by ip then event name). After a
-    /// merge the log is deterministic regardless of shard count.
+    /// global order: by time, ties broken by ip. The sort is stable and
+    /// each host lives in exactly one shard, so a host's same-instant
+    /// events keep their causal order. After a merge the log is
+    /// deterministic regardless of shard count.
     pub fn merge(&mut self, other: &EventLog) {
         self.enabled |= other.enabled;
         self.records.extend_from_slice(&other.records);
-        self.records
-            .sort_by_key(|r| (r.at_nanos, r.ip, r.event.name()));
+        self.records.sort_by_key(|r| (r.at_nanos, r.ip));
     }
 
     /// Count of `SessionFinished` events by outcome — the event log's own
@@ -261,57 +256,6 @@ impl EventLog {
         out.push_str("}}");
         out
     }
-
-    /// Render one record as a human-readable line (for `--monitor`-style
-    /// debugging and pcap cross-referencing).
-    pub fn render_record(r: &EventRecord) -> String {
-        let mut line = String::new();
-        let secs = r.at_nanos / 1_000_000_000;
-        let millis = (r.at_nanos / 1_000_000) % 1_000;
-        let o = [
-            (r.ip >> 24) & 0xff,
-            (r.ip >> 16) & 0xff,
-            (r.ip >> 8) & 0xff,
-            r.ip & 0xff,
-        ];
-        let _ = write!(
-            line,
-            "{secs}.{millis:03} {}.{}.{}.{} {}",
-            o[0],
-            o[1],
-            o[2],
-            o[3],
-            r.event.name()
-        );
-        match r.event {
-            SessionEvent::ProbeStarted { probe, mss } => {
-                let _ = write!(line, " probe={probe} mss={mss}");
-            }
-            SessionEvent::FollowUpStarted { probe } | SessionEvent::VerifyAckSent { probe } => {
-                let _ = write!(line, " probe={probe}");
-            }
-            SessionEvent::RetransmitDetected {
-                probe,
-                bytes_in_flight,
-            } => {
-                let _ = write!(line, " probe={probe} bytes_in_flight={bytes_in_flight}");
-            }
-            SessionEvent::ProbeConcluded { probe, outcome } => {
-                let _ = write!(line, " probe={probe} outcome={}", outcome.name());
-            }
-            SessionEvent::SessionFinished { outcome } => {
-                let _ = write!(line, " outcome={}", outcome.name());
-            }
-            SessionEvent::SynRetried { attempt } => {
-                let _ = write!(line, " attempt={attempt}");
-            }
-            SessionEvent::ProbeRetried { probe, attempt } => {
-                let _ = write!(line, " probe={probe} attempt={attempt}");
-            }
-            _ => {}
-        }
-        line
-    }
 }
 
 #[cfg(test)]
@@ -331,7 +275,6 @@ mod tests {
         let mut log = EventLog::new(false);
         log.record(1, 2, SessionEvent::SynSent);
         assert!(log.is_empty());
-        assert!(!log.is_enabled());
     }
 
     #[test]
@@ -365,6 +308,7 @@ mod tests {
         let mut a = EventLog::new(true);
         a.record(30, 1, SessionEvent::SynSent);
         a.record(50, 1, SessionEvent::SynAckValidated);
+        a.record(50, 1, SessionEvent::SessionStarted);
         let mut b = EventLog::new(true);
         b.record(10, 2, SessionEvent::SynSent);
         b.record(40, 2, SessionEvent::SynAckValidated);
@@ -375,7 +319,11 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab.records(), ba.records(), "merge is order-independent");
         let times: Vec<u64> = ab.records().iter().map(|r| r.at_nanos).collect();
-        assert_eq!(times, vec![10, 30, 40, 50]);
+        assert_eq!(times, vec![10, 30, 40, 50, 50]);
+        // One host's same-instant events keep their causal order, not
+        // their names' alphabetical one.
+        let last: Vec<&str> = ab.records()[3..].iter().map(|r| r.event.name()).collect();
+        assert_eq!(last, ["syn_ack_validated", "session_started"]);
     }
 
     #[test]
@@ -398,22 +346,6 @@ mod tests {
         assert_eq!(
             single.summary_json(),
             "{\"events\":{\"session_finished\":3},\"verdicts\":{\"success\":2,\"few_data\":1}}"
-        );
-    }
-
-    #[test]
-    fn render_record_is_readable() {
-        let r = EventRecord {
-            at_nanos: 1_234_000_000,
-            ip: 0x0a000001,
-            event: SessionEvent::RetransmitDetected {
-                probe: 1,
-                bytes_in_flight: 14600,
-            },
-        };
-        assert_eq!(
-            EventLog::render_record(&r),
-            "1.234 10.0.0.1 retransmit_detected probe=1 bytes_in_flight=14600"
         );
     }
 }

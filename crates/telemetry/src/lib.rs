@@ -31,6 +31,12 @@
 //!   side-traffic (unreachable subtypes, per-source counts,
 //!   rate-limiting signatures) for the results manifest.
 //!
+//! The products know nothing of the scanner. The scanner's observer
+//! (`crates/core/src/observe.rs`) owns one of each and feeds them: the
+//! scanner reports each observation once, and one `match` fans it out
+//! and increments the counters that count it, so the counters are
+//! derived from the events.
+//!
 //! The crate is dependency-free by design: every recording operation is
 //! allocation-free (array index + integer add), and the JSON emitters are
 //! hand-rolled so snapshots are byte-stable across platforms and shard

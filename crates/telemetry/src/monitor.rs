@@ -97,11 +97,6 @@ impl ProgressMonitor {
         }
     }
 
-    /// The reporting interval in nanoseconds.
-    pub fn interval_nanos(&self) -> u64 {
-        self.interval_nanos
-    }
-
     /// Whether a report is due at `elapsed_nanos`.
     pub fn due(&self, elapsed_nanos: u64) -> bool {
         elapsed_nanos >= self.next_at

@@ -357,12 +357,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Is recording on?
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record a target's first SYN: its `SynSent` transition and the SYN
     /// segment with ISN `isn`, both at `at_nanos`. A target with no
     /// history yet gets a stamp, not a ring.

@@ -16,8 +16,8 @@
 //! * [`SpanScope::Shard`] — scheduling-determined spans from the event
 //!   loop hot path (timer-wheel advances, packet fan-out batches, pacing
 //!   ticks). These depend on how the scan was sharded and are therefore
-//!   kept out of the canonical export; [`Tracer::to_chrome_json_full`]
-//!   includes them for single-shard deep dives.
+//!   kept out of the canonical export; they are counted into the
+//!   `trace.*` metrics and kept in [`Tracer::spans`].
 //!
 //! The tracer is ~zero-cost when disabled: every recording entry point
 //! checks one `bool` and returns. Nesting needs no explicit stack —
@@ -201,11 +201,6 @@ impl Tracer {
         &self.spans
     }
 
-    /// Retained scan-scoped spans.
-    pub fn scan_spans(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(|s| s.scope == SpanScope::Scan)
-    }
-
     /// Retained shard-scoped spans.
     pub fn shard_spans(&self) -> impl Iterator<Item = &SpanRecord> {
         self.spans.iter().filter(|s| s.scope == SpanScope::Shard)
@@ -256,17 +251,6 @@ impl Tracer {
     /// across runs **and across shard counts**. Load in
     /// `chrome://tracing` or <https://ui.perfetto.dev>.
     pub fn to_chrome_json(&self) -> String {
-        self.chrome_json(false)
-    }
-
-    /// Full export including shard-scoped hot-path spans (`pid` 2). The
-    /// shard section depends on thread count; diff-stable only for a
-    /// fixed sharding.
-    pub fn to_chrome_json_full(&self) -> String {
-        self.chrome_json(true)
-    }
-
-    fn chrome_json(&self, include_shard: bool) -> String {
         let mut out = String::new();
         out.push('{');
         push_key(&mut out, "displayTimeUnit");
@@ -274,61 +258,38 @@ impl Tracer {
         push_key(&mut out, "traceEvents");
         out.push('[');
         push_meta(&mut out, 1, "scan sessions");
-        if include_shard {
-            out.push(',');
-            push_meta(&mut out, 2, "event-loop hot path");
-        }
         let mut sorted: Vec<&SpanRecord> = self
             .spans
             .iter()
-            .filter(|s| include_shard || s.scope == SpanScope::Scan)
+            .filter(|s| s.scope == SpanScope::Scan)
             .collect();
-        let mut base: BTreeMap<u32, u64> = BTreeMap::new();
-        if include_shard {
-            sorted.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        } else {
-            // Canonical order is track-major: absolute order across
-            // tracks is scheduling-determined, order *within* a track is
-            // not. The earliest span per track becomes its time base.
-            sorted.sort_by_key(|s| (s.key, s.start_nanos, s.name, s.dur_nanos, s.arg));
-            for s in &sorted {
-                base.entry(s.key)
-                    .and_modify(|m| *m = (*m).min(s.start_nanos))
-                    .or_insert(s.start_nanos);
-            }
-        }
+        // Canonical order is track-major: absolute order across tracks is
+        // scheduling-determined, order *within* a track is not. The
+        // earliest span per track, its first, becomes its time base.
+        sorted.sort_by_key(|s| (s.key, s.start_nanos, s.name, s.dur_nanos, s.arg));
+        let mut track: Option<(u32, u64)> = None;
         for s in sorted {
+            let base = match track {
+                Some((key, base)) if key == s.key => base,
+                _ => track.insert((s.key, s.start_nanos)).1,
+            };
             out.push(',');
             out.push('{');
             push_key(&mut out, "name");
             push_str_literal(&mut out, s.name);
             out.push(',');
             push_key(&mut out, "cat");
-            push_str_literal(
-                &mut out,
-                match s.scope {
-                    SpanScope::Scan => "scan",
-                    SpanScope::Shard => "shard",
-                },
-            );
+            push_str_literal(&mut out, "scan");
             out.push(',');
             push_key(&mut out, "ph");
             out.push_str("\"X\",");
             push_key(&mut out, "ts");
-            let rebase = base.get(&s.key).copied().unwrap_or(0);
-            push_micros(&mut out, s.start_nanos - rebase);
+            push_micros(&mut out, s.start_nanos - base);
             out.push(',');
             push_key(&mut out, "dur");
             push_micros(&mut out, s.dur_nanos);
             out.push(',');
-            push_u64_field(
-                &mut out,
-                "pid",
-                match s.scope {
-                    SpanScope::Scan => 1,
-                    SpanScope::Shard => 2,
-                },
-            );
+            push_u64_field(&mut out, "pid", 1);
             out.push(',');
             push_u64_field(&mut out, "tid", u64::from(s.key));
             out.push(',');
@@ -409,7 +370,8 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab.spans(), ba.spans());
-        assert_eq!(ab.to_chrome_json_full(), ba.to_chrome_json_full());
+        assert_eq!(ab.to_chrome_json(), ba.to_chrome_json());
+        assert_eq!(ab.shard_span_total(), 2);
     }
 
     #[test]
@@ -428,17 +390,17 @@ mod tests {
         // Valid trace shape: object with a traceEvents array.
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.ends_with("]}"));
-        // The full export keeps the hot path under its own pid.
-        let full = t.to_chrome_json_full();
-        assert!(full.contains("pace.tick"), "{full}");
-        assert!(full.contains("\"pid\":2"), "{full}");
+        // The hot path stays in the tracer, shard-scoped.
+        let shard: Vec<&str> = t.shard_spans().map(|s| s.name).collect();
+        assert_eq!(shard, ["pace.tick"]);
     }
 
     #[test]
     fn canonical_export_is_translation_invariant_per_track() {
         // The same session recorded at a different absolute time (as
         // happens when another shard paces the target later) exports
-        // identically; the full export keeps absolute placement.
+        // identically; the spans keep their absolute placement. Each
+        // track is re-based on its own.
         let mut a = Tracer::new(true);
         a.record_scan(1_000, 3_000, 1, "session", 0);
         a.record_scan(1_200, 1_900, 1, "probe", 0);
@@ -446,7 +408,15 @@ mod tests {
         b.record_scan(501_000, 503_000, 1, "session", 0);
         b.record_scan(501_200, 501_900, 1, "probe", 0);
         assert_eq!(a.to_chrome_json(), b.to_chrome_json());
-        assert_ne!(a.to_chrome_json_full(), b.to_chrome_json_full());
+        assert_ne!(a.spans(), b.spans());
+        a.record_scan(9_000, 9_400, 2, "session", 0);
+        let json = a.to_chrome_json();
+        assert!(
+            json.ends_with(
+                "\"ts\":0.000,\"dur\":0.400,\"pid\":1,\"tid\":2,\"args\":{\"arg\":0}}]}"
+            ),
+            "{json}"
+        );
     }
 
     #[test]
