@@ -75,8 +75,8 @@ fn shard_count(args: &ScanArgs, auto_cores: bool) -> u32 {
     }
 }
 
-/// Wire the resilience flags into a scan config. Backoff intervals are
-/// not exposed as flags: the §4 study values are already the defaults.
+/// Wire the resilience flags into a scan config. The backoff intervals
+/// are constants (`iw_core::config::SYN_BACKOFF`, `PROBE_BACKOFF`).
 fn apply_resilience(config: &mut ScanConfig, args: &ScanArgs) {
     config.resilience.syn_retries = args.syn_retries;
     config.resilience.probe_retries = args.probe_retries;

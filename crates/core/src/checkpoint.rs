@@ -27,8 +27,8 @@
 //! and `version` header. Unknown versions and corrupted bytes are
 //! rejected with a typed [`CheckpointError`], never a panic.
 
+use crate::config::{ScanConfig, TargetSpec};
 use crate::results::Protocol;
-use crate::scanner::{ScanConfig, TargetSpec};
 use iw_telemetry::json::{push_bool_field, push_key, push_str_literal, push_u64_field};
 use iw_telemetry::{parse_json, JsonValue};
 use std::fmt;
@@ -41,10 +41,11 @@ use std::fmt::Write as _;
 /// target table (`pending` lists every handshake, promoted ones without
 /// SYN retries included, and `scan.late_answers` joins the counters);
 /// 4 = keyed timers (a timer that can no longer do work is cancelled
-/// instead of firing, so every run processes fewer events). Older files
-/// are refused by name instead of being replayed into a `Diverged`
-/// barrier.
-pub const CHECKPOINT_VERSION: u64 = 4;
+/// instead of firing, so every run processes fewer events); 5 = the
+/// SYN and probe backoffs are constants, and the config digest no
+/// longer carries them. Older files are refused by name instead of being
+/// replayed into a `Diverged` barrier.
+pub const CHECKPOINT_VERSION: u64 = 5;
 
 /// The `kind` discriminator in the file header.
 pub const CHECKPOINT_KIND: &str = "iwscan-campaign-checkpoint";
@@ -164,12 +165,8 @@ pub struct ConfigDigest {
     pub stateless_first: bool,
     /// SYN retry budget.
     pub syn_retries: u32,
-    /// First SYN backoff in nanoseconds.
-    pub syn_backoff_nanos: u64,
     /// Probe retry budget.
     pub probe_retries: u32,
-    /// First probe backoff in nanoseconds.
-    pub probe_backoff_nanos: u64,
     /// Session watchdog in nanoseconds (0 = off).
     pub watchdog_nanos: u64,
     /// Live-session cap (0 = unbounded).
@@ -217,9 +214,7 @@ impl ConfigDigest {
             record_trace: config.record_trace,
             stateless_first: config.stateless_first,
             syn_retries: config.resilience.syn_retries,
-            syn_backoff_nanos: config.resilience.syn_backoff.as_nanos(),
             probe_retries: config.resilience.probe_retries,
-            probe_backoff_nanos: config.resilience.probe_backoff.as_nanos(),
             watchdog_nanos: config
                 .resilience
                 .session_deadline
@@ -280,11 +275,7 @@ impl ConfigDigest {
         out.push(',');
         push_u64_field(out, "syn_retries", u64::from(self.syn_retries));
         out.push(',');
-        push_u64_field(out, "syn_backoff_nanos", self.syn_backoff_nanos);
-        out.push(',');
         push_u64_field(out, "probe_retries", u64::from(self.probe_retries));
-        out.push(',');
-        push_u64_field(out, "probe_backoff_nanos", self.probe_backoff_nanos);
         out.push(',');
         push_u64_field(out, "watchdog_nanos", self.watchdog_nanos);
         out.push(',');
@@ -329,9 +320,7 @@ impl ConfigDigest {
             record_trace: req_bool(value, "record_trace")?,
             stateless_first: req_bool(value, "stateless_first")?,
             syn_retries: req_u32(value, "syn_retries")?,
-            syn_backoff_nanos: req_u64(value, "syn_backoff_nanos")?,
             probe_retries: req_u32(value, "probe_retries")?,
-            probe_backoff_nanos: req_u64(value, "probe_backoff_nanos")?,
             watchdog_nanos: req_u64(value, "watchdog_nanos")?,
             max_sessions: req_u64(value, "max_sessions")?,
             record_events: req_bool(value, "record_events")?,
@@ -375,9 +364,7 @@ impl ConfigDigest {
         check!(record_trace);
         check!(stateless_first);
         check!(syn_retries);
-        check!(syn_backoff_nanos);
         check!(probe_retries);
-        check!(probe_backoff_nanos);
         check!(watchdog_nanos);
         check!(max_sessions);
         check!(record_events);
@@ -719,7 +706,7 @@ fn req_arr<'v>(value: &'v JsonValue, key: &str) -> Result<&'v [JsonValue], Check
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scanner::{ScanConfig, TargetSpec, TelemetryConfig};
+    use crate::config::{ScanConfig, TargetSpec, TelemetryConfig};
     use crate::ResilienceConfig;
     use iw_wire::ipv4::Ipv4Addr;
 
@@ -807,10 +794,10 @@ mod tests {
             CampaignCheckpoint::parse(&json).unwrap_err(),
             CheckpointError::UnknownVersion(CHECKPOINT_VERSION + 1)
         );
-        // Files from before the retry FIFOs (1), the one target table (2)
-        // or keyed timers (3) capture different events or state: refused
-        // cleanly, never replayed to a divergence.
-        for old in [1, 2, 3] {
+        // Files from before the retry FIFOs (1), the one target table (2),
+        // keyed timers (3) or the constant backoffs (4) capture different
+        // events or state: refused cleanly, never replayed to a divergence.
+        for old in [1, 2, 3, 4] {
             ckpt.version = old;
             assert_eq!(
                 CampaignCheckpoint::parse(&ckpt.to_canonical_json()).unwrap_err(),

@@ -1,0 +1,315 @@
+//! What a scan is asked to do: targets, protocol, pacing, the resilience
+//! budgets and the telemetry switches, and the one check that rejects a
+//! configuration which would run but measure nothing.
+
+use crate::blacklist::ScanFilter;
+use crate::cookie;
+use crate::results::Protocol;
+use iw_netsim::Duration;
+use iw_wire::ipv4::Ipv4Addr;
+
+/// What to scan.
+#[derive(Debug, Clone)]
+pub enum TargetSpec {
+    /// The whole scaled address space (permutation order).
+    FullSpace {
+        /// Space size in addresses.
+        size: u32,
+    },
+    /// An explicit list (e.g. Alexa): `(ip, known domain)`.
+    List(Vec<(u32, Option<String>)>),
+}
+
+/// Scan configuration.
+#[derive(Debug, Clone)]
+pub struct ScanConfig {
+    /// Seed for permutation, cookies and probe randomness.
+    pub seed: u64,
+    /// Protocol module.
+    pub protocol: Protocol,
+    /// Target generation rate (packets/second, virtual time).
+    pub rate_pps: u64,
+    /// Targets.
+    pub targets: TargetSpec,
+    /// White/blacklists.
+    pub filter: ScanFilter,
+    /// Probe only this fraction of admitted targets (1.0 = all); the
+    /// "1 % is enough" experiments use 0.01.
+    pub sample_fraction: f64,
+    /// Salt distinguishing independent random samples.
+    pub sample_salt: u64,
+    /// `(index, count)` cycle-striding shard.
+    pub shard: (u32, u32),
+    /// Probes per MSS (3 in the study).
+    pub probes_per_mss: u32,
+    /// Announced MSS values in run order.
+    pub mss_list: Vec<u16>,
+    /// Scanner source address.
+    pub source: Ipv4Addr,
+    /// Exhaustion-verification knob (ablation; on in the study).
+    pub verify_exhaustion: bool,
+    /// Record the simulated wire traffic (pcap export).
+    pub record_trace: bool,
+    /// Stateless-first hybrid mode (ZBanner-style): discovery SYNs carry
+    /// their whole per-flow state in the source port + ISN cookie, and a
+    /// target only earns a table entry once its SYN-ACK validates and it
+    /// is promoted to a full stateful IW-inference session (until then
+    /// it costs at most its 4-byte address in a retry FIFO per backoff
+    /// window). Applies to the TCP inference protocols (`Http`/`Tls`);
+    /// `PortScan` is already stateless and `IcmpMtu` has no handshake.
+    pub stateless_first: bool,
+    /// Telemetry knobs (event log, RTT tracking, progress monitor).
+    pub telemetry: TelemetryConfig,
+    /// Resilience knobs (retries, watchdog, concurrency cap).
+    pub resilience: ResilienceConfig,
+}
+
+/// Delay before the first SYN retry (both the stateful and the discovery
+/// path); doubles per attempt.
+pub const SYN_BACKOFF: Duration = Duration::from_secs(1);
+
+/// Delay before the first probe retry connection; doubles per attempt.
+pub const PROBE_BACKOFF: Duration = Duration::from_millis(500);
+
+/// The largest SYN or probe retry budget [`ScanConfig::validate`]
+/// accepts: a discovery SYN names its attempt in one of
+/// [`cookie::DISCOVERY_MAX_ATTEMPTS`] source ports, and the doubling
+/// backoffs and the probe source-port strides stay in range far beyond it.
+pub const MAX_RETRIES: u32 = cookie::DISCOVERY_MAX_ATTEMPTS - 1;
+
+/// Resilience knobs: retry budgets, the per-session watchdog and the
+/// concurrency cap. Everything defaults to off so the baseline scan is
+/// byte-identical with and without this layer compiled in.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ResilienceConfig {
+    /// SYN retransmissions for silent targets (0 = single SYN, ZMap
+    /// style), at most [`MAX_RETRIES`]. Retry `k` waits
+    /// [`SYN_BACKOFF`]` << k`.
+    pub syn_retries: u32,
+    /// Per-probe connection retries for `Error`/`Unreachable` outcomes
+    /// (0 = record the failure immediately), at most [`MAX_RETRIES`].
+    /// Retry `k` waits [`PROBE_BACKOFF`]` << k`.
+    pub probe_retries: u32,
+    /// Hard per-session deadline: a session still running this long after
+    /// its SYN-ACK is force-concluded (tarpit defense). `None` = no watchdog.
+    pub session_deadline: Option<Duration>,
+    /// Maximum live sessions; above this the oldest session is evicted
+    /// (0 = unbounded).
+    pub max_sessions: usize,
+}
+
+impl ResilienceConfig {
+    /// A hardened profile for hostile networks: 2 SYN retries, 2 probe
+    /// retries, a 75 s watchdog and a 64 Ki session cap.
+    pub fn hardened() -> ResilienceConfig {
+        ResilienceConfig {
+            syn_retries: 2,
+            probe_retries: 2,
+            session_deadline: Some(Duration::from_secs(75)),
+            max_sessions: 65_536,
+        }
+    }
+}
+
+/// Telemetry knobs for a scan: which products the scan's observer
+/// (`observe.rs`) records into. Everything defaults to off: the metrics
+/// registry and the ICMP harvest always run (both are cheap), but the
+/// other products and the SYN-timestamp map cost memory per host and
+/// are opt-in.
+#[derive(Debug, Clone, Default)]
+pub struct TelemetryConfig {
+    /// Record per-session lifecycle events into the scan event log.
+    pub record_events: bool,
+    /// Track SYN send times to measure the SYN → SYN-ACK RTT (one map
+    /// entry per in-flight target).
+    pub record_rtt: bool,
+    /// Emit periodic ZMap-style progress lines.
+    pub monitor: Option<MonitorSpec>,
+    /// Record virtual-time session-phase spans (handshake, probes,
+    /// session lifetime) for Chrome-trace export. Uses the SYN-timestamp
+    /// map, so it shares `record_rtt`'s per-target memory cost.
+    pub record_spans: bool,
+    /// Keep a bounded per-session flight-recorder ring of wire and
+    /// state-transition activity; sessions ending in an error dump theirs
+    /// as a JSONL black box.
+    pub flight_recorder: bool,
+    /// Append streaming JSONL telemetry (metric deltas + per-target
+    /// results) on this virtual-time interval.
+    pub stream: Option<Duration>,
+}
+
+/// Progress-monitor configuration.
+#[derive(Debug, Clone)]
+pub struct MonitorSpec {
+    /// Virtual-time reporting interval.
+    pub interval: Duration,
+    /// Where the status lines go.
+    pub sink: MonitorSink,
+}
+
+impl Default for MonitorSpec {
+    fn default() -> MonitorSpec {
+        MonitorSpec {
+            interval: Duration::from_secs(1),
+            sink: MonitorSink::Capture,
+        }
+    }
+}
+
+/// Status-line destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MonitorSink {
+    /// Print lines as they are produced (the CLI's `--monitor`).
+    Stdout,
+    /// Collect lines for later retrieval (tests; sharded runs).
+    Capture,
+}
+
+impl ScanConfig {
+    /// Study defaults against a full space.
+    pub fn study(protocol: Protocol, space: u32, seed: u64) -> ScanConfig {
+        ScanConfig {
+            seed,
+            protocol,
+            rate_pps: 150_000,
+            targets: TargetSpec::FullSpace { size: space },
+            filter: ScanFilter::default(),
+            sample_fraction: 1.0,
+            sample_salt: 0,
+            shard: (0, 1),
+            probes_per_mss: 3,
+            mss_list: vec![64, 128],
+            source: Ipv4Addr::new(198, 18, 0, 1),
+            verify_exhaustion: true,
+            record_trace: false,
+            stateless_first: false,
+            telemetry: TelemetryConfig::default(),
+            resilience: ResilienceConfig::default(),
+        }
+    }
+
+    /// Reject a configuration that would run but measure nothing (no MSS,
+    /// no probes, no rate, an empty sample), force-conclude healthy
+    /// sessions (a watchdog below [`WATCHDOG_FLOOR`]) or overrun the
+    /// retry schedules (a budget above [`MAX_RETRIES`]). The fields stay
+    /// public, so a caller that takes them from a user checks first.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.mss_list.is_empty() {
+            return Err(ConfigError::EmptyMssList);
+        }
+        if self.mss_list.contains(&0) {
+            return Err(ConfigError::ZeroMss);
+        }
+        if self.probes_per_mss == 0 {
+            return Err(ConfigError::ZeroProbes);
+        }
+        if self.rate_pps == 0 {
+            return Err(ConfigError::ZeroRate);
+        }
+        if !(self.sample_fraction > 0.0 && self.sample_fraction <= 1.0) {
+            return Err(ConfigError::SampleFraction(self.sample_fraction));
+        }
+        let r = &self.resilience;
+        if let Some(deadline) = r.session_deadline {
+            if deadline < WATCHDOG_FLOOR {
+                return Err(ConfigError::WatchdogBelowFloor(deadline));
+            }
+        }
+        for (knob, retries) in [
+            ("syn_retries", r.syn_retries),
+            ("probe_retries", r.probe_retries),
+        ] {
+            if retries > MAX_RETRIES {
+                return Err(ConfigError::TooManyRetries(knob, retries));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A scan configuration rejected by [`ScanConfig::validate`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// The MSS run list is empty: the scan would probe nothing.
+    EmptyMssList,
+    /// An announced MSS of zero (the TCP option cannot express it and
+    /// every segment-count division would be by zero).
+    ZeroMss,
+    /// `probes_per_mss` of zero: no probes, no verdicts.
+    ZeroProbes,
+    /// A target rate of zero packets/second never sends the first SYN.
+    ZeroRate,
+    /// `sample_fraction` outside `(0, 1]`.
+    SampleFraction(f64),
+    /// The watchdog would fire before a single connection attempt can
+    /// exhaust its own timeouts (SYN 4 s + collect 10 s + verify 3 s),
+    /// force-concluding perfectly healthy sessions.
+    WatchdogBelowFloor(Duration),
+    /// A retry budget (`syn_retries` or `probe_retries`, named) above
+    /// [`MAX_RETRIES`]: past it a discovery attempt has no source port
+    /// of its own, and further on the doubling backoff overflows.
+    TooManyRetries(&'static str, u32),
+}
+
+/// Minimum useful watchdog: one full connection attempt's timeout
+/// budget (`syn_timeout + collect_timeout + verify_timeout` defaults).
+pub const WATCHDOG_FLOOR: Duration = Duration::from_secs(4 + 10 + 3);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::EmptyMssList => write!(f, "mss_list must not be empty"),
+            ConfigError::ZeroMss => write!(f, "mss_list must not contain 0"),
+            ConfigError::ZeroProbes => write!(f, "probes_per_mss must be at least 1"),
+            ConfigError::ZeroRate => write!(f, "rate_pps must be at least 1"),
+            ConfigError::SampleFraction(v) => {
+                write!(f, "sample_fraction {v} outside (0, 1]")
+            }
+            ConfigError::WatchdogBelowFloor(d) => write!(
+                f,
+                "session watchdog {d} below the {WATCHDOG_FLOOR} single-attempt floor"
+            ),
+            ConfigError::TooManyRetries(knob, n) => {
+                write!(f, "{knob} {n} above the maximum of {MAX_RETRIES}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn config_study_defaults() {
+        let c = ScanConfig::study(Protocol::Http, 1 << 20, 7);
+        assert_eq!(c.rate_pps, 150_000);
+        assert_eq!(c.mss_list, vec![64, 128]);
+        assert_eq!(c.probes_per_mss, 3);
+        assert_eq!(c.shard, (0, 1));
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn retry_budgets_above_the_maximum_are_rejected() {
+        let mut c = ScanConfig::study(Protocol::Http, 1 << 20, 7);
+        c.resilience.syn_retries = MAX_RETRIES;
+        c.resilience.probe_retries = MAX_RETRIES;
+        assert_eq!(c.validate(), Ok(()), "the maximum itself is accepted");
+        c.resilience.syn_retries = MAX_RETRIES + 1;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyRetries("syn_retries", 16))
+        );
+        c.resilience.syn_retries = 2;
+        c.resilience.probe_retries = u32::MAX;
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, ConfigError::TooManyRetries("probe_retries", u32::MAX));
+        assert_eq!(
+            err.to_string(),
+            format!("probe_retries {} above the maximum of 15", u32::MAX)
+        );
+    }
+}

@@ -6,9 +6,10 @@
 //! so results stay byte-identical at every thread count.
 
 use crate::checkpoint::{CampaignCheckpoint, ConfigDigest, RunDisposition, ShardCheckpoint};
+use crate::config::ScanConfig;
 use crate::observe::ScanTelemetry;
 use crate::results::{HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol, ScanSummary};
-use crate::scanner::{ScanConfig, Scanner};
+use crate::scanner::Scanner;
 use iw_internet::population::{Population, PopulationFactory};
 use iw_netsim::sim::SimStats;
 use iw_netsim::{Duration, Sim, SimConfig, Trace};

@@ -23,14 +23,20 @@
 //!
 //! [`session`] chains the six probes per host (3 × MSS 64 + 3 × MSS 128),
 //! applies the majority-of-maximum vote and the §4.2 byte-limit
-//! detection; [`scanner`] is the event-driven engine (`target.rs` holds
-//! its one lifecycle per target address, [`retry`] its
-//! SYN-retransmission FIFOs); [`driver`] wires it to
-//! `iw-netsim`/`iw-internet` and runs sharded scans on real threads.
+//! detection. [`config`] says what a scan is asked to do and rejects
+//! what it cannot measure. [`scanner`] is the event-driven engine: its
+//! file is the dispatch by target state, and its submodules own the rest
+//! of its state — `discovery` (the stateless-first phase and its
+//! promotion queue), `resilience` (SYN retries, eviction, watchdog),
+//! `mtu` (the path-MTU prober) and `timer` (the timer-token layout).
+//! `target.rs` holds its one lifecycle per target address and `retry.rs`
+//! the per-level retransmission FIFOs both retry paths use. [`driver`]
+//! wires it to `iw-netsim`/`iw-internet` and runs sharded scans on real
+//! threads.
 //!
 //! Observability rides on `iw-telemetry` (re-exported as [`telemetry`]):
 //! the scanner always feeds an allocation-free metrics registry, and
-//! [`scanner::TelemetryConfig`] opts into the session event log, SYN→
+//! [`config::TelemetryConfig`] opts into the session event log, SYN→
 //! SYN-ACK RTT tracking and the ZMap-style progress monitor. Scan-scoped
 //! metrics merge byte-identically across shard counts.
 
@@ -39,6 +45,7 @@
 
 pub mod blacklist;
 pub mod checkpoint;
+pub mod config;
 pub mod cookie;
 pub mod driver;
 pub mod inference;
@@ -48,7 +55,7 @@ pub mod prime;
 pub mod probe;
 pub mod rate;
 pub mod results;
-pub mod retry;
+mod retry;
 pub mod scanner;
 pub mod session;
 pub mod table;
@@ -68,13 +75,17 @@ pub mod testbed;
 ///     .run();
 /// ```
 pub mod prelude {
+    pub use crate::config::ScanConfig;
     pub use crate::driver::{RunControl, ScanOutput, ScanRunner, Topology};
-    pub use crate::scanner::ScanConfig;
 }
 
 pub use checkpoint::{
     CampaignCheckpoint, CheckpointError, ConfigDigest, RunDisposition, ShardCheckpoint,
     CHECKPOINT_KIND, CHECKPOINT_VERSION,
+};
+pub use config::{
+    ConfigError, MonitorSink, MonitorSpec, ResilienceConfig, ScanConfig, TargetSpec,
+    TelemetryConfig, WATCHDOG_FLOOR,
 };
 pub use driver::{summarize, RunControl, ScanOutput, ScanRunner, Topology};
 pub use iw_telemetry as telemetry;
@@ -83,7 +94,4 @@ pub use results::{
     Confusion, ErrorKind, ErrorKindCounts, HostResult, HostVerdict, MssVerdict, ProbeOutcome,
     Protocol, ScanSummary,
 };
-pub use scanner::{
-    ConfigError, MonitorSink, MonitorSpec, ResilienceConfig, ScanConfig, Scanner, TargetSpec,
-    TelemetryConfig, WATCHDOG_FLOOR,
-};
+pub use scanner::Scanner;

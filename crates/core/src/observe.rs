@@ -14,8 +14,8 @@
 //! [`Observer::harvest`] hands it over and [`ScanTelemetry::merge`] folds
 //! the shards.
 
+use crate::config::{MonitorSink, TelemetryConfig};
 use crate::results::ErrorKind;
-use crate::scanner::{MonitorSink, TelemetryConfig};
 use iw_netsim::sim::SimStats;
 use iw_netsim::Instant;
 use iw_telemetry::{

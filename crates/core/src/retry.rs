@@ -2,7 +2,7 @@
 //! the timer wheel.
 //!
 //! Every retransmission at backoff level `k` waits the same constant
-//! delay (`syn_backoff << k`) and is queued at a monotonic `now`, so a
+//! delay (`SYN_BACKOFF << k`) and is queued at a monotonic `now`, so a
 //! level's due times arrive already sorted. A plain FIFO per level plus
 //! **one** wheel timer per level (armed at the head's due time) does the
 //! work of one wheel timer per target: the wheel holds O(levels) retry
@@ -17,11 +17,15 @@
 //! would keep its high-water capacity. A queued target costs its bare
 //! 4-byte address for the length of its backoff window.
 //!
-//! The queue never touches [`iw_netsim::Effects`] itself — `push` and
-//! `rearm` tell the caller when, and for how long, to arm the level's
+//! [`RetryQueue`] never touches [`iw_netsim::Effects`] itself — `push`
+//! and `rearm` tell the caller when, and for how long, to arm the level's
 //! timer, so the `armed` flag is the single guard against arming twice.
+//! [`RetryLevels`] is one retry path's stack of levels and does the
+//! arming with the drain-timer token its owner names per level; the
+//! stateful SYN path and the discovery path each hold one.
 
-use iw_netsim::{Duration, Instant};
+use crate::config::SYN_BACKOFF;
+use iw_netsim::{Duration, Effects, Instant, TimerToken};
 use std::collections::VecDeque;
 
 /// Addresses per block (32 KiB).
@@ -102,11 +106,6 @@ impl RetryQueue {
         self.blocks.iter().map(Vec::len).sum::<usize>() - self.head
     }
 
-    /// Whether no retransmission is queued.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
     /// The queued addresses, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.blocks.iter().flatten().skip(self.head).copied()
@@ -121,6 +120,68 @@ impl RetryQueue {
         self.head = 0;
         self.runs.clear();
         dropped
+    }
+}
+
+/// One retry path's FIFOs, one [`RetryQueue`] per backoff level: level
+/// `k` holds the targets that have spent `k` retries, each due
+/// [`SYN_BACKOFF`]` << k` after it was queued. Levels are grown on first
+/// use, so a scan without retries holds none.
+pub struct RetryLevels {
+    levels: Vec<RetryQueue>,
+    /// The drain timer of a level.
+    timer: fn(usize) -> TimerToken,
+}
+
+impl RetryLevels {
+    /// No levels yet; level `k` drains on timer `timer(k)`.
+    pub fn new(timer: fn(usize) -> TimerToken) -> RetryLevels {
+        RetryLevels {
+            levels: Vec::new(),
+            timer,
+        }
+    }
+
+    /// Queue `ip` at backoff `level`, arming the level's drain timer if
+    /// none is outstanding.
+    pub fn push(&mut self, level: usize, ip: u32, now: Instant, fx: &mut Effects) {
+        let delay = Duration::from_nanos(SYN_BACKOFF.as_nanos() << level);
+        if self.levels.len() <= level {
+            self.levels.resize_with(level + 1, RetryQueue::default);
+        }
+        if self.levels[level].push(now + delay, ip) {
+            fx.arm(delay, (self.timer)(level));
+        }
+    }
+
+    /// Pop the oldest entry of `level` if it is due at `now`.
+    pub fn pop_due(&mut self, level: usize, now: Instant) -> Option<u32> {
+        self.levels.get_mut(level)?.pop_due(now)
+    }
+
+    /// Every due entry of `level` was popped: re-arm its drain timer at
+    /// the new head, or leave the level disarmed when it is empty.
+    pub fn rearm(&mut self, level: usize, now: Instant, fx: &mut Effects) {
+        if let Some(delay) = self.levels.get_mut(level).and_then(|q| q.rearm(now)) {
+            fx.arm(delay, (self.timer)(level));
+        }
+    }
+
+    /// Entries waiting for their backoff, over every level.
+    pub fn len(&self) -> usize {
+        self.levels.iter().map(RetryQueue::len).sum()
+    }
+
+    /// Every queued `(level, ip)`, level by level, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let levels = self.levels.iter().enumerate();
+        levels.flat_map(|(level, q)| q.iter().map(move |ip| (level, ip)))
+    }
+
+    /// Drop every queued retransmission (graceful drain), returning how
+    /// many were cut short.
+    pub fn clear(&mut self) -> usize {
+        self.levels.iter_mut().map(RetryQueue::clear).sum()
     }
 }
 
@@ -145,7 +206,7 @@ mod tests {
             out.push(ip);
         }
         assert_eq!(out, vec![7, 3, 9, 1], "push order, not address order");
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -279,7 +340,7 @@ mod tests {
                     }
                 }
                 assert_eq!(q.len(), model.entries.len(), "{ctx}");
-                assert_eq!(q.is_empty(), model.entries.is_empty(), "{ctx}");
+                assert_eq!(q.runs.is_empty(), model.entries.is_empty(), "{ctx}");
                 assert_eq!(q.armed, model.armed, "{ctx}");
                 blocks = blocks.max(q.blocks.len());
                 if step % 16 == 0 {
@@ -292,5 +353,28 @@ mod tests {
             assert!(cleared_armed, "seed {seed}: no clear while armed");
             assert!(blocks > 1, "seed {seed}: never crossed a block");
         }
+    }
+    #[test]
+    fn levels_wait_doubling_backoffs_and_arm_their_own_timer() {
+        let mut levels = RetryLevels::new(|level| 100 + level as u64);
+        let mut fx = Effects::default();
+        levels.push(0, 7, at(0), &mut fx);
+        levels.push(2, 8, at(0), &mut fx);
+        levels.push(2, 9, at(10), &mut fx);
+        // One timer per level, at SYN_BACKOFF << level.
+        assert_eq!(
+            fx.timers,
+            [(Duration::from_secs(1), 100), (Duration::from_secs(4), 102)]
+        );
+        assert_eq!(levels.len(), 3);
+        assert!(levels.iter().eq([(0, 7), (2, 8), (2, 9)]));
+        assert_eq!(levels.pop_due(1, at(1_000_000)), None, "no such level");
+        assert_eq!(levels.pop_due(2, at(4000)), Some(8));
+        assert_eq!(levels.pop_due(2, at(4000)), None);
+        let mut fx = Effects::default();
+        levels.rearm(2, at(4000), &mut fx);
+        assert_eq!(fx.timers, [(Duration::from_millis(10), 102)]);
+        assert_eq!(levels.clear(), 2);
+        assert_eq!(levels.len(), 0);
     }
 }

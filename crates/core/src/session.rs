@@ -8,6 +8,7 @@
 //! temporal changes at the host, all six probes (three for each MSS) are
 //! sent after each other."
 
+use crate::config::PROBE_BACKOFF;
 use crate::cookie::CookieKey;
 use crate::inference::{ConnConfig, ConnNote, ConnOutput, InferenceConn, TxBatch};
 use crate::probe::http::HttpProbe;
@@ -39,9 +40,8 @@ pub struct SessionParams {
     pub verify_exhaustion: bool,
     /// How many times an `Error`/`Unreachable` probe outcome is retried on
     /// a fresh connection before being recorded (0 = record immediately).
+    /// Retry `k` waits [`PROBE_BACKOFF`]` << k`.
     pub probe_retries: u32,
-    /// Delay before a retry connection; doubles with every attempt.
-    pub probe_backoff: Duration,
 }
 
 impl SessionParams {
@@ -56,7 +56,6 @@ impl SessionParams {
             seed,
             verify_exhaustion: true,
             probe_retries: 0,
-            probe_backoff: Duration::from_millis(500),
         }
     }
 
@@ -380,7 +379,7 @@ impl HostSession {
                     self.attempt += 1;
                     self.conn_idx = 0;
                     let shift = self.retries_used - 1;
-                    let delay = Duration::from_nanos(self.params.probe_backoff.as_nanos() << shift);
+                    let delay = Duration::from_nanos(PROBE_BACKOFF.as_nanos() << shift);
                     session_out.events.push(SessionEvent::ProbeRetried {
                         probe,
                         attempt: self.attempt as u8,

@@ -7,8 +7,9 @@
 //! with scripted drops for exact tail loss), and optionally a full
 //! packet trace for inspection.
 
+use crate::config::{ScanConfig, TargetSpec};
 use crate::results::{HostResult, Protocol};
-use crate::scanner::{ScanConfig, Scanner, TargetSpec};
+use crate::scanner::Scanner;
 use iw_hoststack::{Host, HostConfig};
 use iw_netsim::{Endpoint, LinkConfig, Sim, SimConfig, Trace};
 use iw_wire::ipv4::Ipv4Addr;

@@ -242,6 +242,43 @@ fn unreachable_cohort_fast_fails_pending_targets() {
 }
 
 #[test]
+fn an_icmp_fast_fail_does_not_depend_on_telemetry_switches() {
+    // Without SYN retries an unreachable target is not owed anything, so
+    // its ICMP mints no verdict; RTT tracking and spans (which stamp
+    // every SYN) must not change that.
+    let space = 128u32;
+    let scan = |telemetry: bool| {
+        let mut config = scan_config(space, 0x1c3);
+        config.telemetry.record_rtt = telemetry;
+        config.telemetry.record_spans = telemetry;
+        let (results, metrics, ..) = run_matrix(config, |ip| {
+            let host: Box<dyn Endpoint> = if ip.is_multiple_of(4) {
+                chaos(ip, ChaosMode::IcmpUnreachable { code: 1 }, 0x1c3)
+            } else {
+                web_host(ip, 0x1c3)
+            };
+            Some((host, LinkConfig::testbed()))
+        });
+        let counters: Vec<(String, u64)> = metrics
+            .counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("scan."))
+            .map(|(name, (_, value))| (name, value))
+            .collect();
+        (counters, format!("{results:?}"))
+    };
+    let (quiet, observed) = (scan(false), scan(true));
+    assert_eq!(quiet.0, observed.0, "scan.* counters");
+    assert!(quiet.1 == observed.1, "results differ");
+    let counter = |name: &str| quiet.0.iter().find(|(n, _)| n == name).map(|c| c.1);
+    assert_eq!(
+        counter("scan.icmp.unreachable_host"),
+        Some(u64::from(space / 4))
+    );
+    assert_eq!(counter("scan.icmp_unreachable"), Some(0));
+}
+
+#[test]
 fn source_quench_cohort_is_classified_not_fast_failed() {
     let space = 64u32;
     let quenched = |ip: u32| ip.is_multiple_of(4); // 25 % cohort

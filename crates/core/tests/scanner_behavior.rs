@@ -645,3 +645,86 @@ fn an_icmp_unreachable_inside_the_retry_window_ends_the_target() {
     assert_eq!(metrics.counter("scan.sessions_started"), 0);
     assert_eq!(scanner.retry_backlog(), 0);
 }
+
+// ---------------------------------------------------------------------
+// The MTU prober accepts only answers to what it sent.
+// ---------------------------------------------------------------------
+
+const MTU_TARGET: u32 = 7;
+
+/// An MTU scanner of one list target, its first 1500-byte echo sent.
+fn mtu_scanner() -> Scanner {
+    let mut cfg = config(Protocol::IcmpMtu);
+    cfg.targets = TargetSpec::List(vec![(MTU_TARGET, None)]);
+    let mut scanner = Scanner::new(cfg);
+    let sent = kick_until_sent(&mut scanner);
+    assert_eq!(sent.len(), 1);
+    assert_eq!(sent[0].len(), 1500);
+    scanner
+}
+
+/// Deliver `msg` from the MTU target; returns what the scanner sent back.
+fn icmp_from_target(scanner: &mut Scanner, msg: iw_wire::icmp::Message) -> Vec<usize> {
+    let l4 = msg.emit();
+    let repr = ipv4::Repr {
+        src_addr: Ipv4Addr::from_u32(MTU_TARGET),
+        dst_addr: SCANNER_IP,
+        protocol: IpProtocol::Icmp,
+        payload_len: l4.len(),
+        ttl: 64,
+    };
+    let mut fx = Effects::default();
+    let at = Instant::ZERO + iw_netsim::Duration::from_secs(1);
+    scanner.on_packet(&ipv4::build_datagram(&repr, 1, &l4), at, &mut fx);
+    fx.tx.iter().map(|pkt| pkt.len()).collect()
+}
+
+/// The echo reply the target's host would send: its ident is the
+/// scanner's cookie for the target.
+fn echo_reply(ident: u16) -> iw_wire::icmp::Message {
+    iw_wire::icmp::Message::EchoReply {
+        ident,
+        seq: 1,
+        payload_len: 0,
+    }
+}
+
+fn probe_ident() -> u16 {
+    let cookie = CookieKey::new(config(Protocol::IcmpMtu).seed);
+    (cookie.isn(MTU_TARGET, 0, 0) & 0xffff) as u16
+}
+
+#[test]
+fn an_mtu_report_below_the_ipv4_minimum_is_ignored() {
+    use iw_wire::icmp::Message::FragNeeded;
+    let mut scanner = mtu_scanner();
+    // Below 68 B no IPv4 link exists, and below 28 B the echo's own
+    // headers would not fit: no re-probe either way.
+    for mtu in [20, 67] {
+        assert!(icmp_from_target(&mut scanner, FragNeeded { mtu }).is_empty());
+    }
+    // The minimum itself re-probes at exactly that size.
+    assert_eq!(icmp_from_target(&mut scanner, FragNeeded { mtu: 68 }), [68]);
+    icmp_from_target(&mut scanner, echo_reply(probe_ident()));
+    let want = iw_core::results::MtuResult {
+        ip: MTU_TARGET,
+        mtu: 68,
+    };
+    assert_eq!(scanner.mtu_results(), [want]);
+}
+
+#[test]
+fn an_echo_reply_counts_only_with_the_probe_ident() {
+    let mut scanner = mtu_scanner();
+    icmp_from_target(&mut scanner, echo_reply(probe_ident().wrapping_add(1)));
+    assert!(
+        scanner.mtu_results().is_empty(),
+        "a reply to an echo the scanner never sent"
+    );
+    icmp_from_target(&mut scanner, echo_reply(probe_ident()));
+    let want = iw_core::results::MtuResult {
+        ip: MTU_TARGET,
+        mtu: 1500,
+    };
+    assert_eq!(scanner.mtu_results(), [want]);
+}

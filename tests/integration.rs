@@ -273,7 +273,7 @@ fn mute_and_reset_hosts_categorized() {
 
 #[test]
 fn ablation_disabling_verification_misclassifies() {
-    use iw_core::scanner::{ScanConfig, TargetSpec};
+    use iw_core::{ScanConfig, TargetSpec};
     // A TLS host that runs out of data but never FINs (waits for the
     // client): without the exhaustion check this becomes a false
     // "success" with an underestimate. Static RSA, no OCSP — the whole
