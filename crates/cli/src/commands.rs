@@ -8,9 +8,8 @@ use iw_analysis::histogram::IwHistogram;
 use iw_analysis::tables::Table1;
 use iw_core::testbed::{probe_host, TestbedSpec};
 use iw_core::{
-    CampaignCheckpoint, ConfigDigest, MonitorSink, MonitorSpec, Protocol, RunControl,
-    RunDisposition, ScanConfig, ScanRunner, ShardCheckpoint, TargetSpec, Topology,
-    CHECKPOINT_VERSION,
+    CampaignCheckpoint, MonitorSink, MonitorSpec, Protocol, RunControl, RunDisposition, ScanConfig,
+    ScanRunner, ShardCheckpoint, TargetSpec, Topology,
 };
 use iw_hoststack::{HostConfig, HttpBehavior, HttpConfig, IwPolicy, OsProfile};
 use iw_internet::{alexa, Population, PopulationConfig};
@@ -200,10 +199,9 @@ fn durable_setup(
         let writer = Arc::new(CheckpointWriter {
             path: out_path.clone(),
             header: CampaignCheckpoint {
-                version: CHECKPOINT_VERSION,
                 threads: shards,
                 checkpoint_every_nanos: every_nanos,
-                config: ConfigDigest::from_config(config),
+                config: config.digest(),
                 extra,
                 shards: Vec::new(),
             },
@@ -810,10 +808,9 @@ mod tests {
         // Resume rejects a checkpoint from a different world (scale).
         let resume_path = dir.join("foreign.ckpt").to_string_lossy().into_owned();
         let foreign = CampaignCheckpoint {
-            version: CHECKPOINT_VERSION,
             threads: 3,
             checkpoint_every_nanos: 0,
-            config: ConfigDigest::from_config(&config),
+            config: config.digest(),
             extra: campaign_extra(
                 &ScanArgs {
                     scale: "medium".into(),

@@ -25,11 +25,11 @@
 //! The file is the canonical-JSON dialect of [`iw_telemetry::json`]
 //! (sorted construction order, integers only) with an explicit `kind`
 //! and `version` header. Unknown versions and corrupted bytes are
-//! rejected with a typed [`CheckpointError`], never a panic.
+//! rejected with a typed [`CheckpointError`], never a panic. The config
+//! digest is declared once, as named values beside the configuration
+//! ([`crate::config::ScanConfig::digest`]); the codec loops over them.
 
-use crate::config::{ScanConfig, TargetSpec};
-use crate::results::Protocol;
-use iw_telemetry::json::{push_bool_field, push_key, push_str_literal, push_u64_field};
+use iw_telemetry::json::{push_array, push_str_literal, push_u64_field, push_value};
 use iw_telemetry::{parse_json, JsonValue};
 use std::fmt;
 use std::fmt::Write as _;
@@ -43,9 +43,11 @@ use std::fmt::Write as _;
 /// 4 = keyed timers (a timer that can no longer do work is cancelled
 /// instead of firing, so every run processes fewer events); 5 = the
 /// SYN and probe backoffs are constants, and the config digest no
-/// longer carries them. Older files are refused by name instead of being
-/// replayed into a `Diverged` barrier.
-pub const CHECKPOINT_VERSION: u64 = 5;
+/// longer carries them; 6 = a promoted handshake without SYN retries
+/// gives up (stateless-first runs without SYN retries process its
+/// give-up timer and count its `GaveUp`). Older files are refused by
+/// name instead of being replayed into a `Diverged` barrier.
+pub const CHECKPOINT_VERSION: u64 = 6;
 
 /// The `kind` discriminator in the file header.
 pub const CHECKPOINT_KIND: &str = "iwscan-campaign-checkpoint";
@@ -127,253 +129,53 @@ impl RunDisposition {
     }
 }
 
-/// A digest of every configuration field that shapes the simulation.
+/// A digest of every configuration field that shapes the simulation:
+/// named values in the order [`crate::config::ScanConfig::digest`] lists
+/// them, written to the file as one JSON object.
 ///
 /// Resuming under a different configuration would replay a *different*
 /// campaign, so the digest is compared verbatim before any replay work
 /// starts. Fields are stored individually (not hashed) so a mismatch can
-/// be reported legibly.
+/// be reported legibly; a field missing from the file, or one this build
+/// does not know, is a mismatch like any other.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigDigest {
-    /// Permutation / cookie / probe seed.
-    pub seed: u64,
-    /// Protocol module name (`http`, `tls`, `portscan`, `icmp_mtu`).
-    pub protocol: String,
-    /// Target spec summary: `full:<size>` or `list:<len>`.
-    pub targets: String,
-    /// `sample_fraction` as IEEE-754 bits (exact, no float formatting).
-    pub sample_bits: u64,
-    /// Sampling salt.
-    pub sample_salt: u64,
-    /// Token-bucket rate (packets/second).
-    pub rate_pps: u64,
-    /// Probes per announced MSS.
-    pub probes_per_mss: u32,
-    /// Announced MSS values in run order.
-    pub mss_list: Vec<u16>,
-    /// Scanner source address.
-    pub source: u32,
-    /// Addresses covered by the whitelist.
-    pub whitelist_addrs: u64,
-    /// Addresses covered by the blacklist.
-    pub blacklist_addrs: u64,
-    /// Exhaustion-verification knob.
-    pub verify_exhaustion: bool,
-    /// Wire-trace recording knob.
-    pub record_trace: bool,
-    /// Stateless-first hybrid discovery knob.
-    pub stateless_first: bool,
-    /// SYN retry budget.
-    pub syn_retries: u32,
-    /// Probe retry budget.
-    pub probe_retries: u32,
-    /// Session watchdog in nanoseconds (0 = off).
-    pub watchdog_nanos: u64,
-    /// Live-session cap (0 = unbounded).
-    pub max_sessions: u64,
-    /// Event-log knob.
-    pub record_events: bool,
-    /// RTT-tracking knob.
-    pub record_rtt: bool,
-    /// Span-recording knob.
-    pub record_spans: bool,
-    /// Flight-recorder knob.
-    pub flight_recorder: bool,
-    /// Progress-monitor interval in nanoseconds (0 = off).
-    pub monitor_nanos: u64,
-    /// Streaming-telemetry interval in nanoseconds (0 = off).
-    pub stream_nanos: u64,
-}
+pub struct ConfigDigest(pub(crate) Vec<(String, JsonValue)>);
 
 impl ConfigDigest {
-    /// Capture the digest of a scan configuration.
-    pub fn from_config(config: &ScanConfig) -> ConfigDigest {
-        let protocol = match config.protocol {
-            Protocol::Http => "http",
-            Protocol::Tls => "tls",
-            Protocol::PortScan => "portscan",
-            Protocol::IcmpMtu => "icmp_mtu",
-        };
-        let targets = match &config.targets {
-            TargetSpec::FullSpace { size } => format!("full:{size}"),
-            TargetSpec::List(list) => format!("list:{}", list.len()),
-        };
-        ConfigDigest {
-            seed: config.seed,
-            protocol: protocol.to_string(),
-            targets,
-            sample_bits: config.sample_fraction.to_bits(),
-            sample_salt: config.sample_salt,
-            rate_pps: config.rate_pps,
-            probes_per_mss: config.probes_per_mss,
-            mss_list: config.mss_list.clone(),
-            source: config.source.to_u32(),
-            whitelist_addrs: config.filter.whitelist.address_count(),
-            blacklist_addrs: config.filter.blacklist.address_count(),
-            verify_exhaustion: config.verify_exhaustion,
-            record_trace: config.record_trace,
-            stateless_first: config.stateless_first,
-            syn_retries: config.resilience.syn_retries,
-            probe_retries: config.resilience.probe_retries,
-            watchdog_nanos: config
-                .resilience
-                .session_deadline
-                .map_or(0, |d| d.as_nanos()),
-            max_sessions: config.resilience.max_sessions as u64,
-            record_events: config.telemetry.record_events,
-            record_rtt: config.telemetry.record_rtt,
-            record_spans: config.telemetry.record_spans,
-            flight_recorder: config.telemetry.flight_recorder,
-            monitor_nanos: config
-                .telemetry
-                .monitor
-                .as_ref()
-                .map_or(0, |m| m.interval.as_nanos()),
-            stream_nanos: config.telemetry.stream.map_or(0, |d| d.as_nanos()),
-        }
+    /// A digest of these named values, in this order.
+    pub(crate) fn new<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> ConfigDigest {
+        ConfigDigest(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
-    fn emit(&self, out: &mut String) {
-        out.push('{');
-        push_u64_field(out, "seed", self.seed);
-        out.push(',');
-        push_key(out, "protocol");
-        push_str_literal(out, &self.protocol);
-        out.push(',');
-        push_key(out, "targets");
-        push_str_literal(out, &self.targets);
-        out.push(',');
-        push_u64_field(out, "sample_bits", self.sample_bits);
-        out.push(',');
-        push_u64_field(out, "sample_salt", self.sample_salt);
-        out.push(',');
-        push_u64_field(out, "rate_pps", self.rate_pps);
-        out.push(',');
-        push_u64_field(out, "probes_per_mss", u64::from(self.probes_per_mss));
-        out.push(',');
-        push_key(out, "mss_list");
-        out.push('[');
-        for (i, mss) in self.mss_list.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    fn get(&self, key: &str) -> Option<&JsonValue> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Describe the first field that differs from `current`, is missing
+    /// from one side or is extra on it, with both values as JSON.
+    pub fn first_mismatch(&self, current: &ConfigDigest) -> Option<String> {
+        let render = |value: Option<&JsonValue>| {
+            let mut out = String::new();
+            match value {
+                Some(value) => push_value(&mut out, value),
+                None => out.push_str("(missing)"),
             }
-            let _ = write!(out, "{mss}");
-        }
-        out.push(']');
-        out.push(',');
-        push_u64_field(out, "source", u64::from(self.source));
-        out.push(',');
-        push_u64_field(out, "whitelist_addrs", self.whitelist_addrs);
-        out.push(',');
-        push_u64_field(out, "blacklist_addrs", self.blacklist_addrs);
-        out.push(',');
-        push_bool_field(out, "verify_exhaustion", self.verify_exhaustion);
-        out.push(',');
-        push_bool_field(out, "record_trace", self.record_trace);
-        out.push(',');
-        push_bool_field(out, "stateless_first", self.stateless_first);
-        out.push(',');
-        push_u64_field(out, "syn_retries", u64::from(self.syn_retries));
-        out.push(',');
-        push_u64_field(out, "probe_retries", u64::from(self.probe_retries));
-        out.push(',');
-        push_u64_field(out, "watchdog_nanos", self.watchdog_nanos);
-        out.push(',');
-        push_u64_field(out, "max_sessions", self.max_sessions);
-        out.push(',');
-        push_bool_field(out, "record_events", self.record_events);
-        out.push(',');
-        push_bool_field(out, "record_rtt", self.record_rtt);
-        out.push(',');
-        push_bool_field(out, "record_spans", self.record_spans);
-        out.push(',');
-        push_bool_field(out, "flight_recorder", self.flight_recorder);
-        out.push(',');
-        push_u64_field(out, "monitor_nanos", self.monitor_nanos);
-        out.push(',');
-        push_u64_field(out, "stream_nanos", self.stream_nanos);
-        out.push('}');
-    }
-
-    fn from_value(value: &JsonValue) -> Result<ConfigDigest, CheckpointError> {
-        let mss_list = req_arr(value, "mss_list")?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u16::try_from(n).ok())
-                    .ok_or_else(|| CheckpointError::MissingField("mss_list".to_string()))
-            })
-            .collect::<Result<Vec<u16>, CheckpointError>>()?;
-        Ok(ConfigDigest {
-            seed: req_u64(value, "seed")?,
-            protocol: req_str(value, "protocol")?,
-            targets: req_str(value, "targets")?,
-            sample_bits: req_u64(value, "sample_bits")?,
-            sample_salt: req_u64(value, "sample_salt")?,
-            rate_pps: req_u64(value, "rate_pps")?,
-            probes_per_mss: req_u32(value, "probes_per_mss")?,
-            mss_list,
-            source: req_u32(value, "source")?,
-            whitelist_addrs: req_u64(value, "whitelist_addrs")?,
-            blacklist_addrs: req_u64(value, "blacklist_addrs")?,
-            verify_exhaustion: req_bool(value, "verify_exhaustion")?,
-            record_trace: req_bool(value, "record_trace")?,
-            stateless_first: req_bool(value, "stateless_first")?,
-            syn_retries: req_u32(value, "syn_retries")?,
-            probe_retries: req_u32(value, "probe_retries")?,
-            watchdog_nanos: req_u64(value, "watchdog_nanos")?,
-            max_sessions: req_u64(value, "max_sessions")?,
-            record_events: req_bool(value, "record_events")?,
-            record_rtt: req_bool(value, "record_rtt")?,
-            record_spans: req_bool(value, "record_spans")?,
-            flight_recorder: req_bool(value, "flight_recorder")?,
-            monitor_nanos: req_u64(value, "monitor_nanos")?,
-            stream_nanos: req_u64(value, "stream_nanos")?,
-        })
-    }
-
-    /// Describe the first field that differs from `other`, if any.
-    pub fn first_mismatch(&self, other: &ConfigDigest) -> Option<String> {
-        if self == other {
-            return None;
-        }
-        macro_rules! check {
-            ($field:ident) => {
-                if self.$field != other.$field {
-                    return Some(format!(
-                        "config field `{}`: checkpoint {:?} vs current {:?}",
-                        stringify!($field),
-                        self.$field,
-                        other.$field
-                    ));
-                }
-            };
-        }
-        check!(seed);
-        check!(protocol);
-        check!(targets);
-        check!(sample_bits);
-        check!(sample_salt);
-        check!(rate_pps);
-        check!(probes_per_mss);
-        check!(mss_list);
-        check!(source);
-        check!(whitelist_addrs);
-        check!(blacklist_addrs);
-        check!(verify_exhaustion);
-        check!(record_trace);
-        check!(stateless_first);
-        check!(syn_retries);
-        check!(probe_retries);
-        check!(watchdog_nanos);
-        check!(max_sessions);
-        check!(record_events);
-        check!(record_rtt);
-        check!(record_spans);
-        check!(flight_recorder);
-        check!(monitor_nanos);
-        check!(stream_nanos);
-        Some("config digests differ".to_string())
+            out
+        };
+        let keys = current.0.iter().chain(&self.0).map(|(key, _)| key);
+        let (key, recorded, now) = keys
+            .map(|key| (key, self.get(key), current.get(key)))
+            .find(|(_, recorded, now)| recorded != now)?;
+        Some(format!(
+            "config field `{key}`: checkpoint {} vs current {}",
+            render(recorded),
+            render(now)
+        ))
     }
 }
 
@@ -423,137 +225,73 @@ impl ShardCheckpoint {
     }
 
     fn emit(&self, out: &mut String) {
-        out.push('{');
-        push_u64_field(out, "shard", u64::from(self.shard));
-        out.push(',');
-        push_u64_field(out, "events", self.events);
-        out.push(',');
-        push_u64_field(out, "at_nanos", self.at_nanos);
-        out.push(',');
-        push_u64_field(out, "cursor_next", self.cursor_next);
-        out.push(',');
-        push_u64_field(out, "cursor_produced", self.cursor_produced);
-        out.push(',');
-        push_bool_field(out, "exhausted", self.exhausted);
-        out.push(',');
-        push_u64_field(out, "targets_sent", self.targets_sent);
-        out.push(',');
-        push_key(out, "pending");
-        out.push('[');
-        for (i, (ip, retries)) in self.pending.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let _ = write!(
+            out,
+            "{{\"shard\":{},\"events\":{},\"at_nanos\":{},\"cursor_next\":{},\
+             \"cursor_produced\":{},\"exhausted\":{},\"targets_sent\":{},\"pending\":",
+            self.shard,
+            self.events,
+            self.at_nanos,
+            self.cursor_next,
+            self.cursor_produced,
+            self.exhausted,
+            self.targets_sent
+        );
+        push_array(out, &self.pending, |(ip, retries), out| {
             let _ = write!(out, "[{ip},{retries}]");
-        }
-        out.push(']');
-        out.push(',');
-        push_key(out, "sessions");
-        out.push('[');
-        for (i, ip) in self.sessions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        });
+        let push_ip = |ip: &u32, out: &mut String| {
             let _ = write!(out, "{ip}");
-        }
-        out.push(']');
-        out.push(',');
-        push_key(out, "promotions");
-        out.push('[');
-        for (i, ip) in self.promotions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{ip}");
-        }
-        out.push(']');
-        out.push(',');
-        push_u64_field(out, "results_recorded", self.results_recorded);
-        out.push(',');
-        push_u64_field(out, "stream_records", self.stream_records);
-        out.push(',');
-        push_key(out, "counters");
-        out.push('{');
+        };
+        out.push_str(",\"sessions\":");
+        push_array(out, &self.sessions, push_ip);
+        out.push_str(",\"promotions\":");
+        push_array(out, &self.promotions, push_ip);
+        let _ = write!(
+            out,
+            ",\"results_recorded\":{},\"stream_records\":{},\"counters\":{{",
+            self.results_recorded, self.stream_records
+        );
         for (i, (name, value)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             push_u64_field(out, name, *value);
         }
-        out.push('}');
-        out.push('}');
+        out.push_str("}}");
     }
 
     fn from_value(value: &JsonValue) -> Result<ShardCheckpoint, CheckpointError> {
-        let pending = req_arr(value, "pending")?
-            .iter()
-            .map(|pair| {
-                let items = pair.as_arr().unwrap_or(&[]);
-                match items {
-                    [ip, retries] => match (ip.as_u64(), retries.as_u64()) {
-                        (Some(ip), Some(retries)) => {
-                            match (u32::try_from(ip), u32::try_from(retries)) {
-                                (Ok(ip), Ok(retries)) => Ok((ip, retries)),
-                                _ => Err(CheckpointError::MissingField("pending".to_string())),
-                            }
-                        }
-                        _ => Err(CheckpointError::MissingField("pending".to_string())),
-                    },
-                    _ => Err(CheckpointError::MissingField("pending".to_string())),
-                }
-            })
-            .collect::<Result<Vec<(u32, u32)>, CheckpointError>>()?;
-        let sessions = req_arr(value, "sessions")?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| CheckpointError::MissingField("sessions".to_string()))
-            })
-            .collect::<Result<Vec<u32>, CheckpointError>>()?;
-        let promotions = req_arr(value, "promotions")?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| CheckpointError::MissingField("promotions".to_string()))
-            })
-            .collect::<Result<Vec<u32>, CheckpointError>>()?;
-        let counters = value
-            .get("counters")
-            .and_then(JsonValue::as_obj)
-            .ok_or_else(|| CheckpointError::MissingField("counters".to_string()))?
-            .iter()
-            .map(|(name, v)| {
-                v.as_u64()
-                    .map(|n| (name.clone(), n))
-                    .ok_or_else(|| CheckpointError::MissingField("counters".to_string()))
-            })
-            .collect::<Result<Vec<(String, u64)>, CheckpointError>>()?;
+        let pair = |item: &JsonValue| match item.as_arr()? {
+            [ip, retries] => Some((as_u32(ip)?, as_u32(retries)?)),
+            _ => None,
+        };
+        let counter = |(name, n): &(String, JsonValue)| Some((name.clone(), n.as_u64()?));
         Ok(ShardCheckpoint {
-            shard: req_u32(value, "shard")?,
-            events: req_u64(value, "events")?,
-            at_nanos: req_u64(value, "at_nanos")?,
-            cursor_next: req_u64(value, "cursor_next")?,
-            cursor_produced: req_u64(value, "cursor_produced")?,
-            exhausted: req_bool(value, "exhausted")?,
-            targets_sent: req_u64(value, "targets_sent")?,
-            pending,
-            sessions,
-            promotions,
-            results_recorded: req_u64(value, "results_recorded")?,
-            stream_records: req_u64(value, "stream_records")?,
-            counters,
+            shard: req(value, "shard", as_u32)?,
+            events: req(value, "events", JsonValue::as_u64)?,
+            at_nanos: req(value, "at_nanos", JsonValue::as_u64)?,
+            cursor_next: req(value, "cursor_next", JsonValue::as_u64)?,
+            cursor_produced: req(value, "cursor_produced", JsonValue::as_u64)?,
+            exhausted: req(value, "exhausted", JsonValue::as_bool)?,
+            targets_sent: req(value, "targets_sent", JsonValue::as_u64)?,
+            pending: req(value, "pending", list(pair))?,
+            sessions: req(value, "sessions", list(as_u32))?,
+            promotions: req(value, "promotions", list(as_u32))?,
+            results_recorded: req(value, "results_recorded", JsonValue::as_u64)?,
+            stream_records: req(value, "stream_records", JsonValue::as_u64)?,
+            counters: req(value, "counters", |v| {
+                v.as_obj()?.iter().map(counter).collect()
+            })?,
         })
     }
 }
 
 /// The whole campaign's durable state: header, config digest, per-shard
-/// snapshots and free-form CLI context (`extra`).
+/// snapshots and free-form CLI context (`extra`). The file's `version`
+/// is always [`CHECKPOINT_VERSION`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignCheckpoint {
-    /// Schema version ([`CHECKPOINT_VERSION`]).
-    pub version: u64,
     /// Shard/thread count the campaign runs with.
     pub threads: u32,
     /// Periodic checkpoint interval in virtual nanoseconds (0 = final /
@@ -572,52 +310,30 @@ impl CampaignCheckpoint {
     /// Serialise to canonical bytes (the exact file format).
     pub fn to_canonical_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push('{');
-        push_key(&mut out, "kind");
+        out.push_str("{\"kind\":");
         push_str_literal(&mut out, CHECKPOINT_KIND);
-        out.push(',');
-        push_u64_field(&mut out, "version", self.version);
-        out.push(',');
-        push_u64_field(&mut out, "threads", u64::from(self.threads));
-        out.push(',');
-        push_u64_field(
-            &mut out,
-            "checkpoint_every_nanos",
-            self.checkpoint_every_nanos,
+        let _ = write!(
+            out,
+            ",\"version\":{CHECKPOINT_VERSION},\"threads\":{},\"checkpoint_every_nanos\":{},\
+             \"config\":",
+            self.threads, self.checkpoint_every_nanos
         );
-        out.push(',');
-        push_key(&mut out, "config");
-        self.config.emit(&mut out);
-        out.push(',');
-        push_key(&mut out, "extra");
-        out.push('{');
-        let mut extra: Vec<&(String, String)> = self.extra.iter().collect();
+        push_value(&mut out, &JsonValue::Obj(self.config.0.clone()));
+        let mut extra = self.extra.clone();
         extra.sort();
-        for (i, (key, value)) in extra.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_key(&mut out, key);
-            push_str_literal(&mut out, value);
-        }
-        out.push('}');
-        out.push(',');
-        push_key(&mut out, "shards");
-        out.push('[');
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            shard.emit(&mut out);
-        }
-        out.push(']');
-        out.push('}');
-        out.push('\n');
+        let extra = extra.into_iter().map(|(key, value)| (key, value.into()));
+        out.push_str(",\"extra\":");
+        push_value(&mut out, &JsonValue::Obj(extra.collect()));
+        out.push_str(",\"shards\":");
+        push_array(&mut out, &self.shards, |shard, out| shard.emit(out));
+        out.push_str("}\n");
         out
     }
 
     /// Parse checkpoint bytes, rejecting unknown versions, foreign kinds
-    /// and malformed JSON with a typed error (never a panic).
+    /// and malformed JSON with a typed error (never a panic). The config
+    /// digest is taken as written: whether it names every field this
+    /// build records is for [`ConfigDigest::first_mismatch`] to say.
     pub fn parse(text: &str) -> Result<CampaignCheckpoint, CheckpointError> {
         let value = parse_json(text).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         let kind = value
@@ -627,37 +343,22 @@ impl CampaignCheckpoint {
         if kind != CHECKPOINT_KIND {
             return Err(CheckpointError::WrongKind(kind.to_string()));
         }
-        let version = req_u64(&value, "version")?;
+        let version = req(&value, "version", JsonValue::as_u64)?;
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnknownVersion(version));
         }
-        let config = ConfigDigest::from_value(
-            value
-                .get("config")
-                .ok_or_else(|| CheckpointError::MissingField("config".to_string()))?,
-        )?;
-        let extra = value
-            .get("extra")
-            .and_then(JsonValue::as_obj)
-            .ok_or_else(|| CheckpointError::MissingField("extra".to_string()))?
-            .iter()
-            .map(|(key, v)| {
-                v.as_str()
-                    .map(|s| (key.clone(), s.to_string()))
-                    .ok_or_else(|| CheckpointError::MissingField("extra".to_string()))
-            })
-            .collect::<Result<Vec<(String, String)>, CheckpointError>>()?;
-        let mut shards = req_arr(&value, "shards")?
-            .iter()
+        let context = |(key, v): &(String, JsonValue)| Some((key.clone(), v.as_str()?.to_string()));
+        let mut shards = (req(&value, "shards", JsonValue::as_arr)?.iter())
             .map(ShardCheckpoint::from_value)
-            .collect::<Result<Vec<ShardCheckpoint>, CheckpointError>>()?;
+            .collect::<Result<Vec<_>, _>>()?;
         shards.sort_by_key(|s| s.shard);
         Ok(CampaignCheckpoint {
-            version,
-            threads: req_u32(&value, "threads")?,
-            checkpoint_every_nanos: req_u64(&value, "checkpoint_every_nanos")?,
-            config,
-            extra,
+            threads: req(&value, "threads", as_u32)?,
+            checkpoint_every_nanos: req(&value, "checkpoint_every_nanos", JsonValue::as_u64)?,
+            config: ConfigDigest(req(&value, "config", |v| v.as_obj().map(<[_]>::to_vec))?),
+            extra: req(&value, "extra", |v| {
+                v.as_obj()?.iter().map(context).collect()
+            })?,
             shards,
         })
     }
@@ -668,45 +369,33 @@ impl CampaignCheckpoint {
     }
 }
 
-fn req_u64(value: &JsonValue, key: &str) -> Result<u64, CheckpointError> {
+/// Member `key` of `value`, read by `read`; a missing member, or one
+/// `read` refuses, is named in the error.
+fn req<'v, T>(
+    value: &'v JsonValue,
+    key: &str,
+    read: impl FnOnce(&'v JsonValue) -> Option<T>,
+) -> Result<T, CheckpointError> {
     value
         .get(key)
-        .and_then(JsonValue::as_u64)
+        .and_then(read)
         .ok_or_else(|| CheckpointError::MissingField(key.to_string()))
 }
 
-fn req_u32(value: &JsonValue, key: &str) -> Result<u32, CheckpointError> {
-    req_u64(value, key)?
-        .try_into()
-        .map_err(|_| CheckpointError::MissingField(key.to_string()))
+/// A reader of arrays whose every element `item` accepts.
+fn list<T>(item: impl Fn(&JsonValue) -> Option<T>) -> impl FnOnce(&JsonValue) -> Option<Vec<T>> {
+    move |value| value.as_arr()?.iter().map(item).collect()
 }
 
-fn req_str(value: &JsonValue, key: &str) -> Result<String, CheckpointError> {
-    value
-        .get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| CheckpointError::MissingField(key.to_string()))
-}
-
-fn req_bool(value: &JsonValue, key: &str) -> Result<bool, CheckpointError> {
-    value
-        .get(key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| CheckpointError::MissingField(key.to_string()))
-}
-
-fn req_arr<'v>(value: &'v JsonValue, key: &str) -> Result<&'v [JsonValue], CheckpointError> {
-    value
-        .get(key)
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| CheckpointError::MissingField(key.to_string()))
+fn as_u32(value: &JsonValue) -> Option<u32> {
+    value.as_u64()?.try_into().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ScanConfig, TargetSpec, TelemetryConfig};
+    use crate::results::Protocol;
     use crate::ResilienceConfig;
     use iw_wire::ipv4::Ipv4Addr;
 
@@ -733,10 +422,9 @@ mod tests {
 
     fn sample_checkpoint() -> CampaignCheckpoint {
         CampaignCheckpoint {
-            version: CHECKPOINT_VERSION,
             threads: 2,
             checkpoint_every_nanos: 5_000_000_000,
-            config: ConfigDigest::from_config(&sample_config()),
+            config: sample_config().digest(),
             extra: vec![
                 ("scale".to_string(), "small".to_string()),
                 ("command".to_string(), "scan".to_string()),
@@ -787,21 +475,21 @@ mod tests {
 
     #[test]
     fn unknown_version_rejected() {
-        let mut ckpt = sample_checkpoint();
-        ckpt.version = CHECKPOINT_VERSION + 1;
-        let json = ckpt.to_canonical_json();
-        assert_eq!(
-            CampaignCheckpoint::parse(&json).unwrap_err(),
-            CheckpointError::UnknownVersion(CHECKPOINT_VERSION + 1)
+        let json = sample_checkpoint().to_canonical_json();
+        let current = format!("\"version\":{CHECKPOINT_VERSION},");
+        assert!(
+            json.contains(&current),
+            "the writer writes the current version"
         );
         // Files from before the retry FIFOs (1), the one target table (2),
-        // keyed timers (3) or the constant backoffs (4) capture different
-        // events or state: refused cleanly, never replayed to a divergence.
-        for old in [1, 2, 3, 4] {
-            ckpt.version = old;
+        // keyed timers (3), the constant backoffs (4) or the promoted
+        // handshake's give-up (5) capture different events or state:
+        // refused cleanly, never replayed to a divergence.
+        for other in [1, 2, 3, 4, 5, CHECKPOINT_VERSION + 1] {
+            let foreign = json.replace(&current, &format!("\"version\":{other},"));
             assert_eq!(
-                CampaignCheckpoint::parse(&ckpt.to_canonical_json()).unwrap_err(),
-                CheckpointError::UnknownVersion(old)
+                CampaignCheckpoint::parse(&foreign).unwrap_err(),
+                CheckpointError::UnknownVersion(other)
             );
         }
     }
@@ -831,24 +519,52 @@ mod tests {
 
     #[test]
     fn missing_fields_are_named() {
-        let json = sample_checkpoint()
-            .to_canonical_json()
-            .replace("\"rate_pps\":100000,", "");
+        let json = sample_checkpoint().to_canonical_json();
+        let without_cursor = json.replace("\"cursor_next\":99,", "");
         assert_eq!(
-            CampaignCheckpoint::parse(&json).unwrap_err(),
-            CheckpointError::MissingField("rate_pps".to_string())
+            CampaignCheckpoint::parse(&without_cursor).unwrap_err(),
+            CheckpointError::MissingField("cursor_next".to_string())
+        );
+        // A digest field is not the parser's to require: the file parses,
+        // and the resume pre-flight names the field it lacks.
+        let without_rate = json.replace("\"rate_pps\":100000,", "");
+        let parsed = CampaignCheckpoint::parse(&without_rate).unwrap();
+        assert_eq!(
+            parsed.config.first_mismatch(&sample_config().digest()),
+            Some("config field `rate_pps`: checkpoint (missing) vs current 100000".to_string())
         );
     }
 
     #[test]
     fn digest_mismatch_is_legible() {
-        let a = ConfigDigest::from_config(&sample_config());
-        let mut altered = sample_config();
-        altered.seed = 1;
-        let b = ConfigDigest::from_config(&altered);
-        assert!(a.first_mismatch(&a.clone()).is_none());
-        let msg = a.first_mismatch(&b).unwrap();
-        assert!(msg.contains("seed"), "{msg}");
+        let recorded = sample_config().digest();
+        assert!(recorded.first_mismatch(&recorded.clone()).is_none());
+        // Both values are rendered as JSON.
+        let mut tls = sample_config();
+        tls.protocol = Protocol::Tls;
+        tls.mss_list = vec![536];
+        assert_eq!(
+            recorded.first_mismatch(&tls.digest()).unwrap(),
+            "config field `protocol`: checkpoint \"http\" vs current \"tls\""
+        );
+        let mut mss = sample_config();
+        mss.mss_list = vec![536];
+        assert_eq!(
+            recorded.first_mismatch(&mss.digest()).unwrap(),
+            "config field `mss_list`: checkpoint [64,1460] vs current [536]"
+        );
+        // A field the file lacks, and one this build does not record.
+        let missing = ConfigDigest(recorded.0[1..].to_vec());
+        assert_eq!(
+            missing.first_mismatch(&recorded).unwrap(),
+            "config field `seed`: checkpoint (missing) vs current 65261"
+        );
+        let mut extra = recorded.clone();
+        extra.0.push(("shard_tx".to_string(), 0u64.into()));
+        assert_eq!(
+            extra.first_mismatch(&recorded).unwrap(),
+            "config field `shard_tx`: checkpoint 0 vs current (missing)"
+        );
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! configuration which would run but measure nothing.
 
 use crate::blacklist::ScanFilter;
+use crate::checkpoint::ConfigDigest;
 use crate::cookie;
 use crate::results::Protocol;
 use iw_netsim::Duration;
+use iw_telemetry::JsonValue;
 use iw_wire::ipv4::Ipv4Addr;
 
 /// What to scan.
@@ -188,6 +190,51 @@ impl ScanConfig {
         }
     }
 
+    /// Every knob that shapes the simulation, one named value each, in
+    /// file order: the digest a checkpoint records and a resume must
+    /// match. A knob that shapes a run is added here, and nowhere else.
+    pub fn digest(&self) -> ConfigDigest {
+        let (r, t, f) = (&self.resilience, &self.telemetry, &self.filter);
+        let nanos = |d: Option<Duration>| JsonValue::from(d.map_or(0, |d| d.as_nanos()));
+        let monitor = t.monitor.as_ref().map(|m| m.interval);
+        let protocol = match self.protocol {
+            Protocol::Http => "http",
+            Protocol::Tls => "tls",
+            Protocol::PortScan => "portscan",
+            Protocol::IcmpMtu => "icmp_mtu",
+        };
+        let targets = match &self.targets {
+            TargetSpec::FullSpace { size } => format!("full:{size}"),
+            TargetSpec::List(list) => format!("list:{}", list.len()),
+        };
+        ConfigDigest::new([
+            ("seed", self.seed.into()),
+            ("protocol", protocol.into()),
+            ("targets", targets.into()),
+            ("sample_bits", self.sample_fraction.to_bits().into()),
+            ("sample_salt", self.sample_salt.into()),
+            ("rate_pps", self.rate_pps.into()),
+            ("probes_per_mss", self.probes_per_mss.into()),
+            ("mss_list", self.mss_list.as_slice().into()),
+            ("source", self.source.to_u32().into()),
+            ("whitelist_addrs", f.whitelist.address_count().into()),
+            ("blacklist_addrs", f.blacklist.address_count().into()),
+            ("verify_exhaustion", self.verify_exhaustion.into()),
+            ("record_trace", self.record_trace.into()),
+            ("stateless_first", self.stateless_first.into()),
+            ("syn_retries", r.syn_retries.into()),
+            ("probe_retries", r.probe_retries.into()),
+            ("watchdog_nanos", nanos(r.session_deadline)),
+            ("max_sessions", (r.max_sessions as u64).into()),
+            ("record_events", t.record_events.into()),
+            ("record_rtt", t.record_rtt.into()),
+            ("record_spans", t.record_spans.into()),
+            ("flight_recorder", t.flight_recorder.into()),
+            ("monitor_nanos", nanos(monitor)),
+            ("stream_nanos", nanos(t.stream)),
+        ])
+    }
+
     /// Reject a configuration that would run but measure nothing (no MSS,
     /// no probes, no rate, an empty sample), force-conclude healthy
     /// sessions (a watchdog below [`WATCHDOG_FLOOR`]) or overrun the
@@ -281,6 +328,8 @@ impl std::error::Error for ConfigError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blacklist::CidrSet;
+    use iw_wire::ipv4::Cidr;
 
     #[test]
     fn config_study_defaults() {
@@ -311,5 +360,67 @@ mod tests {
             err.to_string(),
             format!("probe_retries {} above the maximum of 15", u32::MAX)
         );
+    }
+
+    #[test]
+    fn each_knob_is_named_by_the_digest() {
+        // One row per digest input: changing that knob alone makes
+        // `first_mismatch` name it.
+        type Change = fn(&mut ScanConfig);
+        let rows: [(&str, Change); 24] = [
+            ("seed", |c| c.seed = 1),
+            ("protocol", |c| c.protocol = Protocol::Tls),
+            ("targets", |c| c.targets = TargetSpec::List(vec![(1, None)])),
+            ("sample_bits", |c| c.sample_fraction = 0.5),
+            ("sample_salt", |c| c.sample_salt += 1),
+            ("rate_pps", |c| c.rate_pps += 1),
+            ("probes_per_mss", |c| c.probes_per_mss += 1),
+            ("mss_list", |c| c.mss_list.push(536)),
+            ("source", |c| c.source = Ipv4Addr::new(10, 0, 0, 2)),
+            ("whitelist_addrs", |c| {
+                c.filter.whitelist =
+                    CidrSet::from_cidrs(&[Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 24)])
+            }),
+            ("blacklist_addrs", |c| {
+                c.filter.blacklist =
+                    CidrSet::from_cidrs(&[Cidr::new(Ipv4Addr::new(10, 0, 1, 0), 30)])
+            }),
+            ("verify_exhaustion", |c| c.verify_exhaustion = false),
+            ("record_trace", |c| c.record_trace = true),
+            ("stateless_first", |c| c.stateless_first = true),
+            ("syn_retries", |c| c.resilience.syn_retries += 1),
+            ("probe_retries", |c| c.resilience.probe_retries += 1),
+            ("watchdog_nanos", |c| {
+                c.resilience.session_deadline = Some(Duration::from_secs(100))
+            }),
+            ("max_sessions", |c| c.resilience.max_sessions += 1),
+            ("record_events", |c| c.telemetry.record_events = true),
+            ("record_rtt", |c| c.telemetry.record_rtt = true),
+            ("record_spans", |c| c.telemetry.record_spans = true),
+            ("flight_recorder", |c| c.telemetry.flight_recorder = true),
+            ("monitor_nanos", |c| {
+                c.telemetry.monitor = Some(MonitorSpec::default())
+            }),
+            ("stream_nanos", |c| {
+                c.telemetry.stream = Some(Duration::from_secs(2))
+            }),
+        ];
+        let base = ScanConfig::study(Protocol::Http, 1 << 12, 7);
+        let recorded = base.digest();
+        let names: Vec<&str> = recorded.0.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(
+            names,
+            rows.map(|(name, _)| name),
+            "one row per digest field"
+        );
+        for (name, change) in rows {
+            let mut config = base.clone();
+            change(&mut config);
+            let msg = recorded.first_mismatch(&config.digest()).unwrap();
+            assert!(
+                msg.starts_with(&format!("config field `{name}`: ")),
+                "{msg}"
+            );
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! `(config, shard i of n)`; outputs merge by shard index afterwards —
 //! so results stay byte-identical at every thread count.
 
-use crate::checkpoint::{CampaignCheckpoint, ConfigDigest, RunDisposition, ShardCheckpoint};
+use crate::checkpoint::{CampaignCheckpoint, RunDisposition, ShardCheckpoint};
 use crate::config::ScanConfig;
 use crate::observe::ScanTelemetry;
 use crate::results::{HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol, ScanSummary};
@@ -144,8 +144,7 @@ impl ScanRunner {
         // campaign, or the replay would diverge by construction. Fail
         // before any replay work starts, with the offending field named.
         if let Some(ckpt) = &self.control.resume {
-            let digest = ConfigDigest::from_config(&self.config);
-            if let Some(detail) = ckpt.config.first_mismatch(&digest) {
+            if let Some(detail) = ckpt.config.first_mismatch(&self.config.digest()) {
                 return diverged_output(detail);
             }
             // The shard count is the partition the checkpoint cursors
@@ -222,18 +221,7 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
     // barrier, the kill point and the periodic captures are all phrased
     // in (event count, virtual time), so every run — uninterrupted,
     // killed or resumed — walks the exact same sequence of states.
-    let mut barrier = control
-        .resume
-        .as_ref()
-        .and_then(|c| c.shard(shard_index))
-        .cloned();
-    if let Some(b) = &mut barrier {
-        // A counter this build no longer registers (a feeder-era file
-        // carries `shard.tx.*`, zero in every capture) cannot be
-        // replayed; every counter the build does register is compared.
-        b.counters
-            .retain(|(name, _)| iw_telemetry::manifest::lookup(name).is_some());
-    }
+    let barrier = control.resume.as_ref().and_then(|c| c.shard(shard_index));
     let mut validated = barrier.is_none();
     let every = control.checkpoint_every.map_or(0, |d| d.as_nanos());
     let mut next_capture = every;
@@ -243,7 +231,7 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
     let mut disposition = RunDisposition::Completed;
     let mut checkpoints: Vec<ShardCheckpoint> = Vec::new();
     loop {
-        if let Some(b) = &barrier {
+        if let Some(b) = barrier {
             if !validated && processed == b.events {
                 let now = sim.now();
                 let replayed = sim.scanner_mut().checkpoint(processed, now);
@@ -304,7 +292,7 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
             }
         }
     }
-    if let Some(b) = &barrier {
+    if let Some(b) = barrier {
         if !validated && disposition == RunDisposition::Completed {
             disposition = RunDisposition::Diverged {
                 detail: format!(

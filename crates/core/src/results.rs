@@ -1,6 +1,6 @@
 //! Result types for probes, hosts and whole scans.
 
-use iw_telemetry::json::{push_bool_field, push_u64_field};
+use iw_telemetry::json::{push_array, push_bool_field, push_u64_field};
 use iw_telemetry::OutcomeKind;
 use std::fmt::Write;
 
@@ -528,18 +528,6 @@ impl HostVerdict {
             HostVerdict::Unclassified => out.push_str("\"Unclassified\""),
         }
     }
-}
-
-/// `[a,b,...]`, each element written by `item`.
-fn push_array<T>(out: &mut String, items: &[T], mut item: impl FnMut(&T, &mut String)) {
-    out.push('[');
-    for (i, value) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        item(value, out);
-    }
-    out.push(']');
 }
 
 impl HostResult {

@@ -146,6 +146,20 @@ impl RetryLevels {
     /// none is outstanding.
     pub fn push(&mut self, level: usize, ip: u32, now: Instant, fx: &mut Effects) {
         let delay = Duration::from_nanos(SYN_BACKOFF.as_nanos() << level);
+        self.push_after(delay, level, ip, now, fx);
+    }
+
+    /// Queue `ip` at `level` to wait `delay` instead of the level's
+    /// backoff. A level stays FIFO-ordered only while all its entries
+    /// wait the same delay, so an owner queues a level one way only.
+    pub fn push_after(
+        &mut self,
+        delay: Duration,
+        level: usize,
+        ip: u32,
+        now: Instant,
+        fx: &mut Effects,
+    ) {
         if self.levels.len() <= level {
             self.levels.resize_with(level + 1, RetryQueue::default);
         }

@@ -22,7 +22,7 @@ mod resilience;
 mod timer;
 
 use crate::checkpoint::ShardCheckpoint;
-use crate::config::{ResilienceConfig, ScanConfig, TargetSpec, SYN_BACKOFF};
+use crate::config::{ScanConfig, TargetSpec, SYN_BACKOFF};
 use crate::cookie::{self, CookieKey};
 use crate::observe::{error_counter, outcome_counters, Event, Observer, ScanTelemetry};
 use crate::permutation::{Permutation, ShardIter};
@@ -75,11 +75,11 @@ const SWEEP_PERIOD: Duration = Duration::from_secs(1);
 const RTT_EXPIRY: Duration = Duration::from_secs(8);
 
 /// How long a concluded target absorbs late answers. Its last SYN left
-/// within the SYN-retry window, the slowest host stack retransmits its
-/// SYN-ACK for [`synack_retransmit_span`] after that, and [`RTT_EXPIRY`]
-/// covers the path. Derived, never configured.
-fn concluded_hold(r: &ResilienceConfig) -> Duration {
-    let window = SYN_BACKOFF.saturating_mul((1 << r.syn_retries) - 1);
+/// within the SYN-retry window of `syn_retries`, the slowest host stack
+/// retransmits its SYN-ACK for [`synack_retransmit_span`] after that,
+/// and [`RTT_EXPIRY`] covers the path. Derived, never configured.
+fn concluded_hold(syn_retries: u32) -> Duration {
+    let window = SYN_BACKOFF.saturating_mul((1 << syn_retries) - 1);
     let slowest = OsProfile::all()
         .iter()
         .map(|os| synack_retransmit_span(os.initial_rto))
@@ -186,7 +186,7 @@ impl Scanner {
         let pace_pps = shard_rate(config.rate_pps, config.shard.0, config.shard.1);
         let bucket = TokenBucket::new(pace_pps, (pace_pps / 100).max(16), Instant::ZERO);
         let obs = Observer::new(&config.telemetry, config.shard.0);
-        let targets = Targets::new(concluded_hold(&config.resilience));
+        let targets = Targets::new(concluded_hold(config.resilience.syn_retries));
         let discovery = (config.stateless_first
             && matches!(config.protocol, Protocol::Http | Protocol::Tls))
         .then(Discovery::new);

@@ -4,12 +4,13 @@
 //! A silent classic target keeps no table entry: while it owes a SYN
 //! retry (or, once the budget is spent, its give-up) its address waits in
 //! the SYN-retry FIFO whose level is the retries it has sent. A promoted
-//! target reads its count there too, beside its `Handshake` entry.
+//! target reads its count there too, beside its `Handshake` entry; one
+//! promoted without SYN retries waits at level 0 for its give-up alone.
 //! [`Scanner::retry_owed`] is the one answer to "does this address still
 //! owe a SYN retry or its give-up?", which the ICMP fast-fail, the
 //! flight-history sweep and the checkpoint's `pending` list all ask.
 
-use super::{Scanner, Timer};
+use super::{concluded_hold, Scanner, Timer};
 use crate::observe::Event;
 use crate::results::{ErrorKind, Protocol};
 use crate::retry::RetryLevels;
@@ -53,28 +54,29 @@ impl Scanner {
     }
 
     /// Whether an address in a given state still owes a SYN retry or its
-    /// give-up. Only while retries run and no drain has cut them off: a
-    /// promoted `Handshake` does, and so does an untracked address in a
-    /// classic TCP scan, where a silent target keeps no entry. (The
-    /// discovery phase's own retries are stateless, an MTU probe sends no
-    /// SYN, and every other state has its answer.) The answer is a
-    /// closure, so a caller can ask it while it holds the scanner's
-    /// fields.
+    /// give-up. A promoted `Handshake` always does (a drain untracks
+    /// them all), and so does an untracked address in a classic TCP scan
+    /// while retries run and no drain has cut them off, since a silent
+    /// target keeps no entry. (The discovery phase's own retries are
+    /// stateless, an MTU probe sends no SYN, and every other state has
+    /// its answer.) The answer is a closure, so a caller can ask it while
+    /// it holds the scanner's fields.
     pub(super) fn retry_owed(&self) -> impl Fn(Option<Target>) -> bool {
-        let retries = self.config.resilience.syn_retries > 0 && !self.draining;
-        let untracked =
-            retries && self.discovery.is_none() && self.config.protocol != Protocol::IcmpMtu;
+        let untracked = self.config.resilience.syn_retries > 0
+            && !self.draining
+            && self.discovery.is_none()
+            && self.config.protocol != Protocol::IcmpMtu;
         move |target| match target {
             None => untracked,
-            Some(Target::Handshake) => retries,
+            Some(Target::Handshake) => true,
             Some(_) => false,
         }
     }
 
     /// Every unanswered stateful SYN with the retries it has sent, in
-    /// address order: the checkpoint's `pending` list. A target owed a
-    /// retry waits in the FIFO of that level unless its answer came
-    /// first; a promoted handshake owed none sits in no FIFO.
+    /// address order: the checkpoint's `pending` list. Each waits in the
+    /// FIFO of that level, for its next retry or its give-up, unless its
+    /// answer came first.
     pub(super) fn pending_syns(&self) -> Vec<(u32, u32)> {
         let owed = self.retry_owed();
         let queued = self.resilience.syn_retries.iter();
@@ -82,12 +84,6 @@ impl Scanner {
             .filter(|&(_, ip)| owed(self.targets.get(ip)))
             .map(|(level, ip)| (ip, level as u32))
             .collect();
-        let handshakes = self.targets.iter();
-        pending.extend(
-            handshakes
-                .filter(|&(_, target)| target == Target::Handshake && !owed(Some(target)))
-                .map(|(ip, _)| (ip, 0)),
-        );
         pending.sort_unstable();
         pending
     }
@@ -118,6 +114,14 @@ impl Scanner {
         self.obs.emit(now, ip, Event::Syn(isn));
         if self.config.resilience.syn_retries > 0 {
             self.resilience.syn_retries.push(0, ip, now, fx);
+        } else if promoted {
+            // Nothing retransmits this SYN, so only its give-up frees the
+            // `max_sessions` slot when the SYN or its SYN-ACK is lost. It
+            // waits as long as a concluded target absorbs late answers:
+            // a shorter wait ends hosts whose SYN-ACK retransmission is
+            // still on its way.
+            let give_up = concluded_hold(0);
+            (self.resilience.syn_retries).push_after(give_up, 0, ip, now, fx);
         }
     }
 

@@ -9,7 +9,7 @@
 //! properties and the graceful-shutdown drain path.
 
 use iw_core::{
-    CampaignCheckpoint, ConfigDigest, Confusion, ErrorKind, Protocol, ResilienceConfig, RunControl,
+    CampaignCheckpoint, Confusion, ErrorKind, Protocol, ResilienceConfig, RunControl,
     RunDisposition, ScanConfig, ScanOutput, ScanRunner, ShardCheckpoint, Topology,
     CHECKPOINT_VERSION,
 };
@@ -89,10 +89,9 @@ fn latest_per_shard(out: &ScanOutput, shards: u32) -> Vec<ShardCheckpoint> {
 fn campaign_file(config: &ScanConfig, shards: Vec<ShardCheckpoint>) -> CampaignCheckpoint {
     let threads = shards.len() as u32;
     let campaign = CampaignCheckpoint {
-        version: CHECKPOINT_VERSION,
         threads,
         checkpoint_every_nanos: checkpoint_cadence().as_nanos(),
-        config: ConfigDigest::from_config(config),
+        config: config.digest(),
         extra: vec![("command".to_string(), "scan".to_string())],
         shards,
     };
@@ -294,15 +293,15 @@ fn resume_rejects_tampered_shard_state() {
     assert!(resumed.results.is_empty(), "diverged run must not report");
 }
 
-/// A file written before the TX feeders were removed carries their
-/// `shard.tx.*` counters (zero in every capture). The barrier skips
-/// names this build does not register and still compares the rest, so
-/// such a campaign resumes byte-identically.
+/// A capture carrying counters this build does not register (the TX
+/// feeders' `shard.tx.*`, say) is a capture of another build: the barrier
+/// compares every counter, so the resume diverges instead of skipping
+/// them. (A build that drops a counter changes the capture, and with it
+/// the checkpoint version.)
 #[test]
-fn resume_skips_counters_this_build_no_longer_registers() {
+fn resume_refuses_counters_this_build_no_longer_registers() {
     let pop = small_world(0x7a3);
     let config = durable_config(pop.space_size(), 0x7a3);
-    let baseline = run(&pop, &config, 2, RunControl::default());
     let killed = run(
         &pop,
         &config,
@@ -326,8 +325,13 @@ fn resume_skips_counters_this_build_no_longer_registers() {
             ..RunControl::default()
         },
     );
-    assert_eq!(resumed.disposition, RunDisposition::Completed);
-    assert_eq!(fingerprint(&resumed), fingerprint(&baseline));
+    match resumed.disposition {
+        RunDisposition::Diverged { detail } => {
+            assert!(detail.contains("does not match"), "{detail}")
+        }
+        other => panic!("a foreign counter was not compared: {other:?}"),
+    }
+    assert!(resumed.results.is_empty(), "diverged run must not report");
 }
 
 #[test]
@@ -361,6 +365,32 @@ fn resume_rejects_config_and_shard_mismatch() {
     match resumed.disposition {
         RunDisposition::Diverged { detail } => assert!(detail.contains("seed"), "{detail}"),
         other => panic!("foreign-config resume accepted: {other:?}"),
+    }
+
+    // A file whose digest lacks a field parses, and is refused by the
+    // same pre-flight check, with the missing field named.
+    let bytes = file.to_canonical_json();
+    let rate = format!("\"rate_pps\":{},", config.rate_pps);
+    assert!(bytes.contains(&rate));
+    let lacking = CampaignCheckpoint::parse(&bytes.replace(&rate, "")).unwrap();
+    let resumed = run(
+        &pop,
+        &config,
+        1,
+        RunControl {
+            resume: Some(Arc::new(lacking)),
+            ..RunControl::default()
+        },
+    );
+    match resumed.disposition {
+        RunDisposition::Diverged { detail } => assert_eq!(
+            detail,
+            format!(
+                "config field `rate_pps`: checkpoint (missing) vs current {}",
+                config.rate_pps
+            )
+        ),
+        other => panic!("a digest without `rate_pps` resumed: {other:?}"),
     }
 
     // Different shard count → cursors would never line up.
@@ -521,10 +551,9 @@ fn random_campaign(rng: &mut u64) -> CampaignCheckpoint {
     config.rate_pps = 1 + splitmix(rng) % 10_000_000;
     config.resilience.syn_retries = (splitmix(rng) % 4) as u32;
     CampaignCheckpoint {
-        version: CHECKPOINT_VERSION,
         threads,
         checkpoint_every_nanos: splitmix(rng),
-        config: ConfigDigest::from_config(&config),
+        config: config.digest(),
         // Keys needing JSON escaping must survive the round trip too.
         extra: vec![
             ("command".to_string(), "scan".to_string()),

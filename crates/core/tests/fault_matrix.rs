@@ -843,6 +843,46 @@ fn stateless_promotion_waits_out_session_cap_pressure() {
     assert!(state_peak > 0, "state peak gauge never sampled");
 }
 
+#[test]
+fn a_lost_promoted_handshake_frees_its_slot_without_syn_retries() {
+    // Without SYN retries nothing retransmits a promoted target's
+    // stateful SYN: when it or its SYN-ACK is lost, only the give-up
+    // frees the slot the handshake holds under `max_sessions`. Lost
+    // handshakes that never gave up would fill the cap for good and
+    // strand every responder still queued.
+    let space = 256u32;
+    let seed = 0x9e1d;
+    let run = |cap: usize| {
+        let mut config = stateless_config(space, seed);
+        config.resilience.max_sessions = cap;
+        run_matrix(config, |ip| {
+            Some((web_host(ip, seed), LinkConfig::testbed().with_loss(0.05)))
+        })
+    };
+    let (uncapped, metrics, ..) = run(0);
+    let validated = metrics.counter("scan.discovery.validated");
+    assert_eq!(metrics.counter("scan.discovery.promoted"), validated);
+    assert!(
+        (uncapped.len() as u64) < validated,
+        "the loss must cost some validated responders their result"
+    );
+    let (capped, metrics, ..) = run(8);
+    assert_eq!(metrics.counter("scan.discovery.validated"), validated);
+    assert_eq!(
+        metrics.counter("scan.discovery.promoted"),
+        validated,
+        "every validated responder is promoted under the cap"
+    );
+    // The same hosts get results, with the same host verdicts. (Loss
+    // draws follow the wire order, which the cap reshuffles, so single
+    // probe outcomes may differ.)
+    let verdicts = |results: &[HostResult]| {
+        let verdict = |r: &HostResult| format!("{} {:?}", r.ip, r.host_verdict);
+        results.iter().map(verdict).collect::<Vec<_>>()
+    };
+    assert_eq!(verdicts(&capped), verdicts(&uncapped));
+}
+
 // ---------------------------------------------------------------------
 // The memory-model gate: over a large, mostly-silent space the
 // stateless front-end holds per-target state only for promoted

@@ -53,6 +53,42 @@ pub fn push_bool_field(out: &mut String, key: &str, value: bool) {
     out.push_str(if value { "true" } else { "false" });
 }
 
+/// Append `[a,b,...]` to `out`, each element written by `item`.
+pub fn push_array<T>(out: &mut String, items: &[T], mut item: impl FnMut(&T, &mut String)) {
+    out.push('[');
+    for (i, value) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(value, out);
+    }
+    out.push(']');
+}
+
+/// Append `value` in the emitter's dialect: the inverse of [`parse_json`].
+pub fn push_value(out: &mut String, value: &JsonValue) {
+    match value {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Num(n) => {
+            let _ = write!(out, "{n}");
+        }
+        JsonValue::Str(s) => push_str_literal(out, s),
+        JsonValue::Arr(items) => push_array(out, items, |item, out| push_value(out, item)),
+        JsonValue::Obj(members) => {
+            out.push('{');
+            for (i, (key, member)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_key(out, key);
+                push_value(out, member);
+            }
+            out.push('}');
+        }
+    }
+}
+
 /// A parsed JSON value (the emitter's dialect; see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JsonValue {
@@ -68,6 +104,48 @@ pub enum JsonValue {
     Arr(Vec<JsonValue>),
     /// An object as `(key, value)` pairs in document order.
     Obj(Vec<(String, JsonValue)>),
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> JsonValue {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> JsonValue {
+        JsonValue::Num(n)
+    }
+}
+
+impl From<u32> for JsonValue {
+    fn from(n: u32) -> JsonValue {
+        JsonValue::Num(n.into())
+    }
+}
+
+impl From<u16> for JsonValue {
+    fn from(n: u16) -> JsonValue {
+        JsonValue::Num(n.into())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> JsonValue {
+        JsonValue::Str(s)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> JsonValue {
+        JsonValue::Str(s.to_owned())
+    }
+}
+
+impl<T: Clone + Into<JsonValue>> From<&[T]> for JsonValue {
+    fn from(items: &[T]) -> JsonValue {
+        JsonValue::Arr(items.iter().cloned().map(Into::into).collect())
+    }
 }
 
 impl JsonValue {
@@ -396,6 +474,51 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn push_value_is_the_inverse_of_parse_json() {
+        let obj = |members: &[(&str, JsonValue)]| {
+            JsonValue::Obj(
+                members
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
+            )
+        };
+        let leaves = [
+            JsonValue::Null,
+            true.into(),
+            false.into(),
+            0u64.into(),
+            u64::MAX.into(),
+            "".into(),
+            "q\"uote\\ tab\t nl\n \u{1} £".into(),
+        ];
+        let inner = JsonValue::Arr(leaves.to_vec());
+        let nested = obj(&[
+            ("leaves", inner.clone()),
+            ("empty_arr", JsonValue::Arr(Vec::new())),
+            ("empty_obj", obj(&[])),
+            (
+                "deep",
+                JsonValue::Arr(vec![
+                    obj(&[("k\"ey", inner)]),
+                    [64u16, 1460].as_slice().into(),
+                ]),
+            ),
+        ]);
+        for value in leaves.iter().chain([&nested]) {
+            let mut text = String::new();
+            push_value(&mut text, value);
+            assert_eq!(parse_json(&text).as_ref(), Ok(value), "{text}");
+        }
+        let mut text = String::new();
+        push_value(
+            &mut text,
+            &obj(&[("a", 1u64.into()), ("b", [2u32].as_slice().into())]),
+        );
+        assert_eq!(text, "{\"a\":1,\"b\":[2]}");
     }
 
     #[test]

@@ -236,17 +236,6 @@ pub const HISTOGRAMS: [(Hist, &str, Scope); 5] = [
     (Hist::PaceTokenWaitNanos, "shard.pace.token_wait_nanos", Scope::Shard),
 ];
 
-/// The scope of a declared metric, by snapshot name.
-pub fn lookup(name: &str) -> Option<Scope> {
-    let counters = COUNTERS.iter().map(|&(_, n, s)| (n, s));
-    let gauges = GAUGES.iter().map(|&(_, n, s)| (n, s));
-    let histograms = HISTOGRAMS.iter().map(|&(_, n, s)| (n, s));
-    counters
-        .chain(gauges)
-        .chain(histograms)
-        .find_map(|(n, s)| (n == name).then_some(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,14 +345,6 @@ mod tests {
         assert!(last_counter(COUNTERS[COUNTERS.len() - 1].0));
         assert!(last_gauge(GAUGES[GAUGES.len() - 1].0));
         assert!(last_hist(HISTOGRAMS[HISTOGRAMS.len() - 1].0));
-    }
-
-    #[test]
-    fn lookup_finds_declared_metrics() {
-        assert_eq!(lookup("scan.rtt_nanos"), Some(Scope::Scan));
-        assert_eq!(lookup("scan.sessions.evicted"), Some(Scope::Shard));
-        assert_eq!(lookup("sim.queue.pool_outstanding"), Some(Scope::Shard));
-        assert_eq!(lookup("no.such.metric"), None);
     }
 
     #[test]
