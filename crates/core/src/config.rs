@@ -116,20 +116,22 @@ impl ResilienceConfig {
 /// Telemetry knobs for a scan: which products the scan's observer
 /// (`observe.rs`) records into. Everything defaults to off: the metrics
 /// registry and the ICMP harvest always run (both are cheap), but the
-/// other products and the SYN-timestamp map cost memory per host and
-/// are opt-in.
+/// other products cost memory per live host and are opt-in. However many
+/// of `record_rtt`, `record_spans` and `flight_recorder` are on, a target
+/// that has sent only its SYN holds one 12-byte stamp.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryConfig {
-    /// Record per-session lifecycle events into the scan event log.
+    /// Tally per-session lifecycle events in the scan event log (a
+    /// fixed-size count per event and per verdict).
     pub record_events: bool,
-    /// Track SYN send times to measure the SYN → SYN-ACK RTT (one map
-    /// entry per in-flight target).
+    /// Stamp SYN send times to measure the SYN → SYN-ACK RTT (one stamp
+    /// per in-flight target).
     pub record_rtt: bool,
     /// Emit periodic ZMap-style progress lines.
     pub monitor: Option<MonitorSpec>,
     /// Record virtual-time session-phase spans (handshake, probes,
-    /// session lifetime) for Chrome-trace export. Uses the SYN-timestamp
-    /// map, so it shares `record_rtt`'s per-target memory cost.
+    /// session lifetime) for Chrome-trace export. The handshake span is
+    /// timed from the SYN stamp `record_rtt` uses.
     pub record_spans: bool,
     /// Keep a bounded per-session flight-recorder ring of wire and
     /// state-transition activity; sessions ending in an error dump theirs

@@ -13,6 +13,7 @@ use crate::scanner::Scanner;
 use iw_internet::population::{Population, PopulationFactory};
 use iw_netsim::sim::SimStats;
 use iw_netsim::{Duration, Sim, SimConfig, Trace};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Everything a scan produces.
@@ -63,6 +64,10 @@ pub struct RunControl {
     /// Invoked on every capture as it happens (the CLI persists the
     /// assembled campaign file from here; called on shard threads).
     pub on_checkpoint: Option<CheckpointSink>,
+    /// Addresses whose every session event the event log keeps as a
+    /// record (`ScanTelemetry::events.records()`); the log of any other
+    /// address is a tally.
+    pub watch: BTreeSet<u32>,
 }
 
 /// Checkpoint-capture callback: `(shard index, capture)`.
@@ -215,6 +220,7 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
     };
     let factory = PopulationFactory::new(population.clone());
     let mut sim = Sim::new(Scanner::new(config), factory, sim_config);
+    sim.scanner_mut().watch(control.watch.iter().copied());
     sim.kick_scanner(|s, now, fx| s.start(now, fx));
 
     // Stepwise event loop with the durable-campaign hooks. The replay

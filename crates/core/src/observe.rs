@@ -10,12 +10,27 @@
 //! observations (pacing waits, discovery bookkeeping, checkpoint
 //! captures) stay with the scanner, through [`Observer::metrics`].
 //!
+//! Telemetry holds what is live, not what happened. A target whose only
+//! history is its first SYN holds one stamp in total, whatever products
+//! need it: the RTT histogram and the handshake span time the SYN's
+//! answer from it, and the flight recorder builds the target's ring from
+//! it when the target's second event arrives. The stamp is a 12-byte
+//! [`IpMap`] slot, an index into the shard's deque of distinct SYN send
+//! instants (a pacing tick sends hundreds of SYNs at one instant) plus
+//! one bit per product still holding it; the ring's ISN is derived from
+//! the cookie, not stored. It lives until its last holder lets go: the
+//! answer is timed, or Karn's rule, an ICMP error, a drain or any state
+//! but `Handshake` makes it untimable; the recorder builds the ring or
+//! the target concludes; or the sweep expires it.
+//!
 //! A shard's recording and a run's output are one type, [`ScanTelemetry`]:
 //! [`Observer::harvest`] hands it over and [`ScanTelemetry::merge`] folds
-//! the shards.
+//! the shards. It holds output only: no stamp, no live ring.
 
 use crate::config::{MonitorSink, TelemetryConfig};
+use crate::cookie::CookieKey;
 use crate::results::ErrorKind;
+use crate::table::IpMap;
 use iw_netsim::sim::SimStats;
 use iw_netsim::Instant;
 use iw_telemetry::{
@@ -24,20 +39,27 @@ use iw_telemetry::{
     TelemetrySink, Tracer, DEFAULT_RING_CAPACITY,
 };
 use iw_wire::{icmp, tcp};
+use std::collections::VecDeque;
 
 /// One observation, stamped by [`Observer::emit`] with its virtual time
 /// and the target address (0 for scanner-global ones).
 pub(crate) enum Event<'a> {
     /// A session lifecycle transition.
     Session(SessionEvent),
-    /// The target's first stateful SYN left, carrying this cookie ISN.
+    /// The target's first stateful SYN left, carrying this cookie ISN:
+    /// its stamp.
     Syn(u32),
     /// A TCP segment crossed the wire for this target (`true` = sent by
     /// the scanner).
     Wire(bool, &'a tcp::Segment<'a>),
-    /// The SYN sent at this instant was answered: one RTT sample and the
-    /// handshake span.
-    Rtt(Instant),
+    /// The target's SYN was answered: one RTT sample and the handshake
+    /// span, if its stamp still times the answer.
+    SynAnswered,
+    /// The target's SYN can no longer be timed (the scan drains, an ICMP
+    /// error arrived, or the target left `Handshake`): its stamp stops
+    /// holding for the RTT. (A retransmitted SYN is untimed by its
+    /// `SynRetried`, Karn's rule.)
+    Untimed,
     /// The target's terminal verdict: its stream label, and the error its
     /// black box dumps under (`None` = a clean conclusion, dropped).
     Verdict(&'static str, Option<&'static str>),
@@ -46,14 +68,15 @@ pub(crate) enum Event<'a> {
     GaveUp,
     /// An ICMP message arrived from the target.
     Icmp(icmp::Message),
-    /// A pacing tick granted this many send tokens.
-    Pace(u64),
+    /// A pacing tick fired.
+    Pace,
     /// The progress monitor's timer fired.
     Progress(&'a ProgressSample),
     /// The streaming sink's timer fired.
     Snapshot,
-    /// Drop the flight histories last touched before this many virtual
-    /// nanoseconds, except the targets the predicate still vouches for.
+    /// The sweep: drop the flight histories untouched for this many
+    /// virtual nanoseconds, except the targets the predicate still vouches
+    /// for, and stop timing the SYNs at least that old.
     Expire(u64, &'a dyn Fn(u32) -> bool),
 }
 
@@ -86,10 +109,12 @@ pub(crate) struct Observer {
     /// exactly across shard counts; `Scope::Shard` ones depend on scheduling.
     pub(crate) metrics: MetricsRegistry,
     record_rtt: bool,
+    /// The SYN's answer feeds the RTT histogram or the handshake span.
+    time_answers: bool,
     shard: u32,
     log: EventLog,
-    /// Session-phase spans (scan scope) plus this shard's pacing spans;
-    /// the sim kernel's hot-path spans merge in at harvest.
+    /// Session-phase spans (scan scope) plus the count of this shard's
+    /// pacing spans; the sim kernel's hot-path counts merge in at harvest.
     tracer: Tracer,
     flight: FlightRecorder,
     stream: TelemetrySink,
@@ -99,15 +124,121 @@ pub(crate) struct Observer {
     captured: BufferSink,
     /// End of the previous pacing tick (for the `pace.tick` span).
     last_pace_at: u64,
+    /// One stamp per target whose first SYN a product still holds.
+    stamps: Stamps,
+    /// The flow of every target's first SYN (the ISN of a ring built from
+    /// a stamp).
+    syn_flow: SynFlow,
+}
+
+/// The flow of every target's first stateful SYN: its ISN is the cookie
+/// of `(ip, sport, dport)`, so a stamp need not store it.
+#[derive(Clone, Copy)]
+pub(crate) struct SynFlow {
+    pub(crate) cookie: CookieKey,
+    pub(crate) sport: u16,
+    pub(crate) dport: u16,
+}
+
+impl SynFlow {
+    fn isn(&self, ip: u32) -> u32 {
+        self.cookie.isn(ip, self.sport, self.dport)
+    }
+}
+
+/// A stamp's hold for the RTT histogram and the handshake span: the
+/// SYN's answer is still to be timed.
+const TIMED: u32 = 1 << 31;
+/// A stamp's hold for the flight recorder: the target's ring is still to
+/// be built from it.
+const FLIGHT: u32 = 1 << 30;
+/// The rest of a slot: the absolute index of the SYN's send instant.
+const INSTANT: u32 = FLIGHT - 1;
+
+const _: () = assert!(
+    std::mem::size_of::<Option<(u32, u32)>>() == 12,
+    "a stamp is a 12-byte table slot"
+);
+
+/// The one table of first-SYN stamps (see module docs).
+#[derive(Default)]
+struct Stamps {
+    /// Per target: its holds (the top bits) and its send instant's index.
+    slots: IpMap<u32>,
+    /// The distinct send instants, oldest first; the sweep trims the ones
+    /// no stamp refers to.
+    instants: VecDeque<u64>,
+    /// The absolute index of `instants[0]` (wrapping within [`INSTANT`]).
+    base: u32,
+}
+
+impl Stamps {
+    /// Stamp the target's SYN sent at `at` with `holds`, replacing any
+    /// stamp it had. Virtual time never runs backwards, so the deque
+    /// stays sorted.
+    fn insert(&mut self, ip: u32, at: u64, holds: u32) {
+        if self.instants.back() != Some(&at) {
+            self.instants.push_back(at);
+        }
+        let index = self.base.wrapping_add(self.instants.len() as u32 - 1) & INSTANT;
+        self.slots.insert(ip, holds | index);
+    }
+
+    /// The send instant of a slot.
+    fn at(&self, slot: u32) -> u64 {
+        self.instants[(slot.wrapping_sub(self.base) & INSTANT) as usize]
+    }
+
+    /// Let go of `hold` on the target's stamp, dropping a stamp nothing
+    /// holds any more. Returns the SYN's send time if the hold was there.
+    fn release(&mut self, ip: u32, hold: u32) -> Option<u64> {
+        let slot = *self.slots.get(ip)?;
+        if slot & hold == 0 {
+            return None;
+        }
+        let left = slot & !hold;
+        if left & !INSTANT == 0 {
+            self.slots.remove(ip);
+        } else if let Some(held) = self.slots.get_mut(ip) {
+            *held = left;
+        }
+        Some(self.at(slot))
+    }
+
+    /// Keep of each stamp the holds `keep(ip, send time, holds)` returns,
+    /// drop the stamps left with none, then the instants no stamp refers
+    /// to.
+    fn sweep(&mut self, mut keep: impl FnMut(u32, u64, u32) -> u32) {
+        let (instants, base) = (&self.instants, self.base);
+        let mut oldest = INSTANT;
+        self.slots.retain(|&ip, slot| {
+            let offset = slot.wrapping_sub(base) & INSTANT;
+            let holds = keep(ip, instants[offset as usize], *slot & !INSTANT);
+            *slot = holds | (*slot & INSTANT);
+            if holds != 0 {
+                oldest = oldest.min(offset);
+            }
+            holds != 0
+        });
+        let unused = (oldest as usize).min(self.instants.len());
+        self.instants.drain(..unused);
+        self.base = self.base.wrapping_add(unused as u32) & INSTANT;
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
 }
 
 impl Observer {
-    /// The observer of shard `shard` under `config`: every product is
-    /// built, enabled or not, so recording never has to ask.
-    pub(crate) fn new(config: &TelemetryConfig, shard: u32) -> Observer {
+    /// The observer of shard `shard` under `config`, whose targets' first
+    /// SYNs go out on `syn_flow`: every product is built, enabled or not,
+    /// so recording never has to ask.
+    pub(crate) fn new(config: &TelemetryConfig, shard: u32, syn_flow: SynFlow) -> Observer {
         Observer {
             metrics: MetricsRegistry::from_manifest(),
             record_rtt: config.record_rtt,
+            time_answers: config.record_rtt || config.record_spans,
             shard,
             log: EventLog::new(config.record_events),
             tracer: Tracer::new(config.record_spans),
@@ -120,7 +251,14 @@ impl Observer {
                 .map(|spec| (ProgressMonitor::new(spec.interval.as_nanos()), spec.sink)),
             captured: BufferSink::default(),
             last_pace_at: 0,
+            stamps: Stamps::default(),
+            syn_flow,
         }
+    }
+
+    /// Keep every later event of these addresses as a record.
+    pub(crate) fn watch(&mut self, ips: impl IntoIterator<Item = u32>) {
+        self.log.watch(ips);
     }
 
     /// Record one observation in every product that subscribes to it.
@@ -147,7 +285,13 @@ impl Observer {
                     SessionEvent::SessionFinished { outcome } => {
                         m.inc(outcome_counters(outcome).1);
                     }
-                    SessionEvent::SynRetried { .. } => m.inc(Counter::SynRetries),
+                    SessionEvent::SynRetried { .. } => {
+                        m.inc(Counter::SynRetries);
+                        // Karn's rule: once a SYN is retransmitted, a later
+                        // SYN-ACK may answer either transmission, so it
+                        // is not timed.
+                        self.stamps.release(ip, TIMED);
+                    }
                     SessionEvent::ProbeRetried { .. } => m.inc(Counter::ProbesRetried),
                     SessionEvent::WatchdogForced => m.inc(Counter::SessionsWatchdogForced),
                     SessionEvent::SessionEvicted => m.inc(Counter::SessionsEvicted),
@@ -158,7 +302,7 @@ impl Observer {
                 }
                 if self.tracer.is_enabled() {
                     // Span slots per target: 1 = current probe, 2 = the
-                    // session. (The handshake span comes from `Rtt`, so
+                    // session. (The handshake span comes from `SynAnswered`, so
                     // silent targets leave nothing behind in the tracer.)
                     let t = &mut self.tracer;
                     match ev {
@@ -174,37 +318,52 @@ impl Observer {
                         _ => {}
                     }
                 }
-                self.flight.note_state(ip, n, ev);
+                if self.flight.is_enabled() {
+                    self.flight_ring(ip);
+                    self.flight.note_state(ip, n, ev);
+                }
                 self.log.record(n, ip, ev);
             }
             Event::Syn(isn) => {
                 self.log.record(n, ip, SessionEvent::SynSent);
-                self.flight.note_syn(ip, n, isn);
+                let mut holds = if self.time_answers { TIMED } else { 0 };
+                if self.flight.is_enabled() {
+                    // A first SYN is the target's stamp; a later one joins
+                    // the ring the stamp became.
+                    if self.flight_ring(ip) {
+                        self.flight.note_syn(ip, n, isn);
+                    } else {
+                        holds |= FLIGHT;
+                    }
+                }
+                if holds != 0 {
+                    self.stamps.insert(ip, n, holds);
+                }
             }
             Event::Wire(tx, seg) => {
-                let len = seg.payload.len() as u32;
-                let flags = seg.flags.bits();
-                self.flight
-                    .note_wire(ip, n, tx, flags, seg.seq, seg.ack, len);
-            }
-            Event::Rtt(syn_at) => {
-                if self.record_rtt {
-                    m.observe(Hist::RttNanos, (now - syn_at).as_nanos());
+                if self.flight.is_enabled() && self.flight_ring(ip) {
+                    let len = seg.payload.len() as u32;
+                    let flags = seg.flags.bits();
+                    self.flight
+                        .note_wire(ip, n, tx, flags, seg.seq, seg.ack, len);
                 }
-                self.tracer
-                    .record_scan(syn_at.as_nanos(), n, ip, "handshake", 0);
+            }
+            Event::SynAnswered => {
+                if let Some(syn_at) = self.stamps.release(ip, TIMED) {
+                    if self.record_rtt {
+                        m.observe(Hist::RttNanos, n - syn_at);
+                    }
+                    self.tracer.record_scan(syn_at, n, ip, "handshake", 0);
+                }
+            }
+            Event::Untimed => {
+                self.stamps.release(ip, TIMED);
             }
             Event::Verdict(label, error) => {
                 self.stream.note_result(n, ip, label);
-                if self.flight.conclude(ip, n, error) {
-                    m.inc(Counter::FlightDumps);
-                }
+                self.conclude_flight(ip, n, error);
             }
-            Event::GaveUp => {
-                if self.flight.conclude(ip, n, Some("handshake_timeout")) {
-                    m.inc(Counter::FlightDumps);
-                }
-            }
+            Event::GaveUp => self.conclude_flight(ip, n, Some("handshake_timeout")),
             Event::Icmp(msg) => {
                 m.inc(Counter::IcmpMessages);
                 let h = &mut self.icmp;
@@ -225,13 +384,11 @@ impl Observer {
                     _ => h.note_other(ip),
                 }
             }
-            Event::Pace(grant) => {
+            Event::Pace => {
                 m.inc(Counter::PaceTicks);
                 if self.tracer.is_enabled() {
-                    // One shard-scoped span per tick: the inter-tick gap
-                    // with the grant size as its argument.
-                    self.tracer
-                        .record_shard(self.last_pace_at, n, 0, "pace.tick", grant);
+                    // One shard-scoped span per tick: the inter-tick gap.
+                    self.tracer.record_shard(self.last_pace_at, n, "pace.tick");
                     self.last_pace_at = n;
                 }
             }
@@ -241,7 +398,49 @@ impl Observer {
                 }
             }),
             Event::Snapshot => self.snapshot(n),
-            Event::Expire(before, keep) => self.flight.expire_stale(before, keep),
+            Event::Expire(expiry, keep) => {
+                let cutoff = n.saturating_sub(expiry);
+                self.flight.expire_stale(cutoff, keep);
+                self.stamps.sweep(|ip, at, holds| {
+                    let mut kept = 0;
+                    if holds & TIMED != 0 && n - at < expiry {
+                        kept |= TIMED;
+                    }
+                    if holds & FLIGHT != 0 && (at >= cutoff || keep(ip)) {
+                        kept |= FLIGHT;
+                    }
+                    kept
+                });
+            }
+        }
+    }
+
+    /// Does the target have a flight ring? Builds it from the target's
+    /// stamp first if the recorder still holds one.
+    fn flight_ring(&mut self, ip: u32) -> bool {
+        if self.flight.has_ring(ip) {
+            return true;
+        }
+        let Some(at) = self.stamps.release(ip, FLIGHT) else {
+            return false;
+        };
+        self.flight.note_syn(ip, at, self.syn_flow.isn(ip));
+        true
+    }
+
+    /// Conclude the target's black box: an error dumps it (built from its
+    /// stamp if need be), a clean verdict drops it.
+    fn conclude_flight(&mut self, ip: u32, n: u64, error: Option<&'static str>) {
+        if !self.flight.is_enabled() {
+            return;
+        }
+        if error.is_some() {
+            self.flight_ring(ip);
+        } else {
+            self.stamps.release(ip, FLIGHT);
+        }
+        if self.flight.conclude(ip, n, error) {
+            self.metrics.inc(Counter::FlightDumps);
         }
     }
 
@@ -250,14 +449,14 @@ impl Observer {
         self.stream.len()
     }
 
-    /// Targets whose flight history is still live.
+    /// Targets holding a stamp or a flight ring.
     pub(crate) fn live_histories(&self) -> usize {
-        self.flight.live_rings()
+        self.stamps.len() + self.flight.live_rings()
     }
 
     /// Close out the shard when its event loop drains at `now` and hand
-    /// over its recording. The sim kernel's counters and hot-path spans
-    /// fold in, span accounting reaches the `trace.*` metrics, the
+    /// over its output. The sim kernel's counters and hot-path span
+    /// counts fold in, span accounting reaches the `trace.*` metrics, the
     /// monitor prints its final line for `last` (even mid-interval, with
     /// error-kind tallies), and the stream takes its last snapshot, so
     /// delta sums equal final totals.
@@ -278,9 +477,7 @@ impl Observer {
         if self.tracer.is_enabled() {
             m.add(Counter::TraceSpansScan, self.tracer.scan_span_count());
             m.add(Counter::TraceSpansShard, self.tracer.shard_span_total());
-            for s in self.tracer.spans() {
-                m.observe(Hist::SpanNanos, s.dur_nanos);
-            }
+            m.merge_histogram(Hist::SpanNanos, self.tracer.durations());
         }
         let errors: Vec<(&'static str, u64)> = ErrorKind::ALL
             .iter()
@@ -293,7 +490,7 @@ impl Observer {
             events: std::mem::take(&mut self.log),
             status_lines: std::mem::take(&mut self.captured.lines),
             tracer: std::mem::take(&mut self.tracer),
-            flight: std::mem::take(&mut self.flight),
+            flight: self.flight.harvest(),
             stream: std::mem::take(&mut self.stream),
             icmp: std::mem::take(&mut self.icmp),
         }
@@ -324,11 +521,13 @@ pub struct ScanTelemetry {
     /// Metrics snapshot (scan scope merges exactly; see
     /// [`Snapshot::to_canonical_json`]).
     pub metrics: Snapshot,
-    /// Session event log (empty unless `telemetry.record_events`).
+    /// Session event tally (empty unless `telemetry.record_events`), and
+    /// the records of the watched addresses.
     pub events: EventLog,
     /// Captured progress-monitor lines (empty unless a capture monitor ran).
     pub status_lines: Vec<String>,
-    /// Span tracer (empty unless `telemetry.record_spans`).
+    /// Scan spans and hot-path span counts (empty unless
+    /// `telemetry.record_spans`).
     pub tracer: Tracer,
     /// Flight-recorder dumps for failed sessions (empty unless
     /// `telemetry.flight_recorder`).
@@ -350,5 +549,252 @@ impl ScanTelemetry {
         self.flight.merge(&other.flight);
         self.stream.merge(&other.stream);
         self.icmp.merge(&other.icmp);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iw_telemetry::registry::Histogram;
+    use iw_telemetry::FlightEntry;
+    use iw_wire::tcp::Flags;
+    use std::collections::BTreeMap;
+
+    fn flow() -> SynFlow {
+        SynFlow {
+            cookie: CookieKey::new(7),
+            sport: 40000,
+            dport: 443,
+        }
+    }
+
+    fn observer(record_rtt: bool, record_spans: bool, flight_recorder: bool) -> Observer {
+        let config = TelemetryConfig {
+            record_rtt,
+            record_spans,
+            flight_recorder,
+            ..TelemetryConfig::default()
+        };
+        Observer::new(&config, 0, flow())
+    }
+
+    #[test]
+    fn a_first_syn_is_a_stamp_until_the_next_event() {
+        let mut obs = observer(true, true, true);
+        let (ip, isn) = (4, flow().isn(4));
+        obs.emit(Instant::from_nanos(10), ip, Event::Syn(isn));
+        assert_eq!(obs.live_histories(), 1, "a silent target holds one stamp");
+        assert!(!obs.flight.has_ring(ip), "and no ring");
+        let synack = Flags::SYN | Flags::ACK;
+        let answer = tcp::Segment::bare(443, 40000, 5, isn.wrapping_add(1), synack, 65535);
+        obs.emit(Instant::from_nanos(12), ip, Event::Wire(false, &answer));
+        assert!(obs.flight.has_ring(ip), "the answer builds the ring");
+        assert_eq!(obs.stamps.len(), 1, "the RTT still holds the stamp");
+        obs.emit(Instant::from_nanos(12), ip, Event::SynAnswered);
+        assert_eq!(obs.stamps.len(), 0, "the last holder let go");
+        assert_eq!(obs.metrics.histogram_value(Hist::RttNanos).sum(), 2);
+        assert_eq!(obs.tracer.spans()[0].start_nanos, 10);
+        obs.emit(
+            Instant::from_nanos(13),
+            ip,
+            Event::Verdict("x", Some("malformed")),
+        );
+        assert_eq!(obs.live_histories(), 0);
+        let entries = &obs.flight.dumps()[0].entries;
+        assert_eq!(entries.len(), 3);
+        assert_eq!(
+            entries[0],
+            FlightEntry::State {
+                at_nanos: 10,
+                event: SessionEvent::SynSent
+            }
+        );
+        assert_eq!(
+            entries[1],
+            FlightEntry::Wire {
+                at_nanos: 10,
+                tx: true,
+                flags: 0x002,
+                seq: isn,
+                ack: 0,
+                payload_len: 0
+            }
+        );
+    }
+
+    #[test]
+    fn stamps_share_instants_and_wrap_their_index() {
+        let mut stamps = Stamps {
+            base: INSTANT - 1,
+            ..Stamps::default()
+        };
+        // Two pacing ticks of three SYNs each, then a third tick: the
+        // indices wrap past `INSTANT`.
+        for (ip, at) in [(1, 100), (2, 100), (3, 100), (4, 200), (5, 200), (6, 300)] {
+            stamps.insert(ip, at, TIMED | FLIGHT);
+        }
+        assert_eq!(stamps.instants.len(), 3, "one instant per tick");
+        assert_eq!(stamps.release(5, FLIGHT), Some(200));
+        assert_eq!(stamps.release(5, FLIGHT), None, "a hold is let go once");
+        assert_eq!(stamps.release(5, TIMED), Some(200));
+        assert_eq!(stamps.len(), 5);
+        // The sweep keeps what the predicate keeps and trims the instants
+        // nothing refers to any more.
+        stamps.sweep(|ip, _, holds| if ip == 4 || ip == 6 { holds } else { 0 });
+        assert_eq!(stamps.len(), 2);
+        assert_eq!(stamps.instants, [200, 300]);
+        assert_eq!(stamps.base, INSTANT);
+        assert_eq!(stamps.release(6, TIMED | FLIGHT), Some(300));
+        assert_eq!(stamps.release(4, TIMED | FLIGHT), Some(200));
+        stamps.sweep(|_, _, holds| holds);
+        assert!(stamps.instants.is_empty());
+        assert_eq!(stamps.base, 1, "the base wrapped");
+        stamps.insert(9, 400, FLIGHT);
+        assert_eq!(stamps.release(9, FLIGHT), Some(400));
+    }
+
+    /// SplitMix64: the seeded call sequences.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    #[test]
+    fn one_stamp_table_matches_the_two_it_replaced() {
+        // The reference is the two stores the stamp table replaced: the
+        // RTT map (every SYN stamped; dropped at a retry, an untimed SYN,
+        // an answer or past the expiry) and a recorder that opens every
+        // target's ring at its first SYN.
+        let events = [
+            SessionEvent::SynAckValidated,
+            SessionEvent::SessionStarted,
+            SessionEvent::ProbeStarted { probe: 1, mss: 64 },
+            SessionEvent::SynRetried { attempt: 1 },
+            SessionEvent::SessionFinished {
+                outcome: OutcomeKind::Error,
+            },
+            SessionEvent::Refused,
+            SessionEvent::IcmpUnreachable,
+        ];
+        // What the sequences must have reached: [an answer timed, an
+        // answer timed past the expiry before a sweep, a ring built from
+        // a stamp, a stamp expired by the sweep, a stamp kept past its
+        // cutoff by the predicate].
+        let mut seen = [0u32; 5];
+        for seed in 0..400u64 {
+            let mut rng = Rng(seed);
+            let (rtt, spans, flight) = [
+                (true, true, true),
+                (true, false, false),
+                (false, true, true),
+                (false, false, true),
+            ][seed as usize % 4];
+            let mut obs = observer(rtt, spans, flight);
+            let mut syn_ts: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut eager = FlightRecorder::new(flight, DEFAULT_RING_CAPACITY);
+            let (mut samples, mut handshakes) = (Histogram::default(), Vec::new());
+            let mut t = 0u64;
+            for _ in 0..300 {
+                let ip = rng.below(6) as u32;
+                t += rng.below(3) * 1_000;
+                let now = Instant::from_nanos(t);
+                let flight_held = obs.stamps.slots.get(ip).is_some_and(|s| s & FLIGHT != 0);
+                match rng.below(12) {
+                    0 | 1 => {
+                        let isn = flow().isn(ip);
+                        obs.emit(now, ip, Event::Syn(isn));
+                        if rtt || spans {
+                            syn_ts.insert(ip, t);
+                        }
+                        eager.note_syn(ip, t, isn);
+                    }
+                    2 | 3 => {
+                        let ev = events[rng.below(events.len() as u64) as usize];
+                        obs.emit(now, ip, Event::Session(ev));
+                        eager.note_state(ip, t, ev);
+                        if matches!(ev, SessionEvent::SynRetried { .. }) {
+                            syn_ts.remove(&ip);
+                        }
+                        seen[2] += u32::from(flight_held);
+                    }
+                    4 => {
+                        let (tx, seq) = (rng.below(2) == 0, rng.below(1 << 32) as u32);
+                        let seg = tcp::Segment::bare(443, 40000, seq, 7, Flags::ACK, 0);
+                        obs.emit(now, ip, Event::Wire(tx, &seg));
+                        eager.note_wire(ip, t, tx, Flags::ACK.bits(), seq, 7, 0);
+                        seen[2] += u32::from(flight_held);
+                    }
+                    5 | 6 => {
+                        obs.emit(now, ip, Event::SynAnswered);
+                        if let Some(at) = syn_ts.remove(&ip) {
+                            if rtt {
+                                samples.observe(t - at);
+                            }
+                            if spans {
+                                handshakes.push((at, t - at, ip));
+                            }
+                            seen[0] += 1;
+                            seen[1] += u32::from(t - at >= 4_000);
+                        }
+                    }
+                    7 => {
+                        obs.emit(now, ip, Event::Untimed);
+                        syn_ts.remove(&ip);
+                    }
+                    8 | 9 => {
+                        let error = [None, Some("malformed")][rng.below(2) as usize];
+                        obs.emit(now, ip, Event::Verdict("x", error));
+                        eager.conclude(ip, t, error);
+                    }
+                    _ => {
+                        let expiry = 4_000 + rng.below(3) * 1_000;
+                        let kept = rng.below(1 << 6);
+                        let keep = |ip: u32| kept >> ip & 1 == 1;
+                        let cutoff = t.saturating_sub(expiry);
+                        let before = obs.stamps.len();
+                        seen[4] += obs
+                            .stamps
+                            .slots
+                            .iter()
+                            .filter(|&(ip, &slot)| {
+                                slot & FLIGHT != 0 && obs.stamps.at(slot) < cutoff && keep(ip)
+                            })
+                            .count() as u32;
+                        obs.emit(now, 0, Event::Expire(expiry, &keep));
+                        syn_ts.retain(|_, at| t - *at < expiry);
+                        eager.expire_stale(cutoff, keep);
+                        seen[3] += (before - obs.stamps.len()) as u32;
+                    }
+                }
+                assert!(obs.stamps.len() <= 6, "seed {seed}: one stamp per target");
+            }
+            // Whatever is still held must hold the same history.
+            let now = Instant::from_nanos(t);
+            for ip in 0..6 {
+                obs.emit(now, ip, Event::Verdict("end", Some("end")));
+                eager.conclude(ip, t, Some("end"));
+            }
+            assert_eq!(obs.flight.dumps(), eager.dumps(), "seed {seed}");
+            assert_eq!(obs.metrics.histogram_value(Hist::RttNanos), &samples);
+            let timed: Vec<(u64, u64, u32)> = (obs.tracer.spans().iter())
+                .filter(|s| s.name == "handshake")
+                .map(|s| (s.start_nanos, s.dur_nanos, s.key))
+                .collect();
+            assert_eq!(timed, handshakes, "seed {seed}");
+            // Only the SYNs still to be timed hold stamps now, and a late
+            // enough sweep empties the table and its instants.
+            assert_eq!(obs.stamps.len(), syn_ts.len(), "seed {seed}");
+            obs.emit(Instant::from_nanos(t + 1), 0, Event::Expire(1, &|_| false));
+            assert_eq!(obs.live_histories(), 0);
+            assert!(obs.stamps.instants.is_empty());
+        }
+        assert!(seen.iter().all(|&n| n > 0), "unreached cases: {seen:?}");
     }
 }

@@ -24,7 +24,7 @@ mod timer;
 use crate::checkpoint::ShardCheckpoint;
 use crate::config::{ScanConfig, TargetSpec, SYN_BACKOFF};
 use crate::cookie::{self, CookieKey};
-use crate::observe::{error_counter, outcome_counters, Event, Observer, ScanTelemetry};
+use crate::observe::{error_counter, outcome_counters, Event, Observer, ScanTelemetry, SynFlow};
 use crate::permutation::{Permutation, ShardIter};
 use crate::rate::{shard_rate, TokenBucket};
 use crate::results::{ErrorKind, HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol};
@@ -68,10 +68,11 @@ impl TargetIter {
 
 /// Pacing tick length.
 const TICK: Duration = Duration::from_millis(5);
-/// Period of the SYN-timestamp sweep.
+/// Period of the telemetry sweep.
 const SWEEP_PERIOD: Duration = Duration::from_secs(1);
-/// A SYN-timestamp entry older than this belongs to a host that will
-/// never SYN-ACK; the sweep drops it (satellite: the `syn_ts` leak).
+/// A SYN stamp older than this belongs to a host that will never
+/// SYN-ACK; the sweep stops timing it (and expires stale flight
+/// histories on the same schedule).
 const RTT_EXPIRY: Duration = Duration::from_secs(8);
 
 /// How long a concluded target absorbs late answers. Its last SYN left
@@ -120,15 +121,10 @@ pub struct Scanner {
     /// cookie ISN are patched in.
     syn_template: SynTemplate,
     /// The metrics and every telemetry product, fed through
-    /// [`Observer::emit`].
+    /// [`Observer::emit`]. It holds the one stamp of each target whose
+    /// first SYN a product still needs; telemetry only, no decision
+    /// reads it.
     obs: Observer,
-    /// SYN send times for RTT measurement (populated only when
-    /// `telemetry.record_rtt` or `record_spans`; consumed on first
-    /// response, dropped at the first SYN retry (Karn's rule, so before
-    /// any give-up), an ICMP unreachable or a drain, and whenever the
-    /// target's entry moves to any state but `Handshake`). Telemetry
-    /// only: no decision reads it.
-    syn_ts: IpMap<Instant>,
     /// Estimated targets this shard will probe (0 = unknown).
     targets_total: u64,
 }
@@ -185,7 +181,12 @@ impl Scanner {
         // monitor's configured-pps line.
         let pace_pps = shard_rate(config.rate_pps, config.shard.0, config.shard.1);
         let bucket = TokenBucket::new(pace_pps, (pace_pps / 100).max(16), Instant::ZERO);
-        let obs = Observer::new(&config.telemetry, config.shard.0);
+        let syn_flow = SynFlow {
+            cookie,
+            sport: params.sport(0, 0, 0),
+            dport: config.protocol.port(),
+        };
+        let obs = Observer::new(&config.telemetry, config.shard.0, syn_flow);
         let targets = Targets::new(concluded_hold(config.resilience.syn_retries));
         let discovery = (config.stateless_first
             && matches!(config.protocol, Protocol::Http | Protocol::Tls))
@@ -216,7 +217,6 @@ impl Scanner {
             ident: 1,
             syn_template,
             obs,
-            syn_ts: IpMap::new(),
             targets_total,
         }
     }
@@ -226,8 +226,8 @@ impl Scanner {
         if let Some(interval) = self.monitor_interval() {
             fx.arm(interval, Timer::Monitor.token());
         }
-        // The sweep also bounds the SYN-timestamp map when it serves the
-        // span tracer, and expires flight-recorder rings of silent hosts.
+        // The sweep bounds the SYN stamps and expires the flight-recorder
+        // rings of silent hosts.
         let t = &self.config.telemetry;
         if t.record_rtt || t.record_spans || t.flight_recorder {
             fx.arm(SWEEP_PERIOD, Timer::Sweep.token());
@@ -263,10 +263,16 @@ impl Scanner {
         self.targets.live()
     }
 
-    /// SYN timestamps still held for RTT measurement (diagnostics; the
+    /// Targets holding a SYN stamp or a flight ring (diagnostics; the
     /// sweep keeps this bounded even when targets never answer).
-    pub fn rtt_pending(&self) -> usize {
-        self.syn_ts.len()
+    pub fn live_histories(&self) -> usize {
+        self.obs.live_histories()
+    }
+
+    /// Keep every later session event of these addresses as a record in
+    /// the event log (what `RunControl::watch` does for a runner's scan).
+    pub fn watch(&mut self, ips: impl IntoIterator<Item = u32>) {
+        self.obs.watch(ips);
     }
 
     /// Retransmissions queued behind their backoff, over every level of
@@ -358,7 +364,8 @@ impl Scanner {
         // Queued retransmissions and queued responders are cut short
         // alike: each dropped entry is forced-drain pressure. (The
         // levels' outstanding drain timers fire into empty queues.)
-        let dropped = self.drop_syn_retries() + self.discovery.as_mut().map_or(0, Discovery::clear);
+        let dropped =
+            self.drop_syn_retries(now) + self.discovery.as_mut().map_or(0, Discovery::clear);
         self.obs
             .metrics
             .add(Counter::CheckpointDrainForced, dropped as u64);
@@ -388,12 +395,12 @@ impl Scanner {
     }
 
     /// Move `ip` to `to` along a declared edge (see [`Targets::set`]).
-    /// A target with an entry outside `Handshake` holds no RTT stamp, and
-    /// a concluded one no domain.
+    /// A target with an entry outside `Handshake` has no SYN left to
+    /// time, and a concluded one no domain.
     fn set_target(&mut self, ip: u32, to: Option<Target>, now: Instant) {
         self.targets.set(ip, to, now);
         if to != Some(Target::Handshake) {
-            self.syn_ts.remove(ip);
+            self.obs.emit(now, ip, Event::Untimed);
         }
         if to == Some(Target::Concluded) {
             self.domains.remove(ip);
@@ -420,7 +427,7 @@ impl Scanner {
         // carries `shard_rate(..)`, not the global figure).
         let want = (self.bucket.rate_pps() / 200).max(1);
         let grant = self.bucket.take(now, want);
-        self.obs.emit(now, 0, Event::Pace(grant));
+        self.obs.emit(now, 0, Event::Pace);
         if grant < want {
             // The bucket throttled us: record how long until the next token.
             self.obs.metrics.observe(
@@ -487,28 +494,26 @@ impl Scanner {
         self.try_drain_promotions(now, fx);
     }
 
-    /// Periodic sweep of the SYN-timestamp map: entries past the expiry
-    /// belong to hosts that never answered and would otherwise leak.
-    fn sweep_rtt(&mut self, now: Instant, fx: &mut Effects) {
-        self.syn_ts.retain(|_, t0| now - *t0 < RTT_EXPIRY);
-        // Flight-recorder histories of hosts that went silent before
-        // reaching a conclusion age out on the same schedule. A target
-        // headed for one keeps its history, since a black box must
-        // survive until the verdict: a live session, and a target that
-        // still owes a SYN retry or its give-up, which from the fourth
-        // retry on waits longer than the expiry (a probed target's
-        // history otherwise leaves at its verdict or give-up, and inbound
-        // noise starts none). Keeping any other history would keep this
-        // sweep armed forever.
-        let cutoff = now.as_nanos().saturating_sub(RTT_EXPIRY.as_nanos());
+    /// Periodic telemetry sweep: SYN stamps past the expiry belong to
+    /// hosts that never answered and would otherwise leak. Flight-recorder
+    /// histories of hosts that went silent before reaching a conclusion
+    /// age out on the same schedule. A target headed for one keeps its
+    /// history, since a black box must survive until the verdict: a live
+    /// session, and a target that still owes a SYN retry or its give-up,
+    /// which from the fourth retry on waits longer than the expiry (a
+    /// probed target's history otherwise leaves at its verdict or
+    /// give-up, and inbound noise starts none). Keeping any other history
+    /// would keep this sweep armed forever.
+    fn sweep(&mut self, now: Instant, fx: &mut Effects) {
         let owed = self.retry_owed();
         let targets = &self.targets;
         let keep = |ip| match targets.get(ip) {
             Some(Target::Live(_)) => true,
             state => owed(state),
         };
-        self.obs.emit(now, 0, Event::Expire(cutoff, &keep));
-        if !(self.exhausted && self.syn_ts.is_empty() && self.obs.live_histories() == 0) {
+        self.obs
+            .emit(now, 0, Event::Expire(RTT_EXPIRY.as_nanos(), &keep));
+        if !(self.exhausted && self.obs.live_histories() == 0) {
             fx.arm(SWEEP_PERIOD, Timer::Sweep.token());
         }
     }
@@ -617,13 +622,6 @@ impl Scanner {
         }
     }
 
-    /// Consume a SYN timestamp: the RTT sample and the handshake span.
-    fn consume_syn_ts(&mut self, ip: u32, now: Instant) {
-        if let Some(syn_at) = self.syn_ts.remove(ip) {
-            self.obs.emit(now, ip, Event::Rtt(syn_at));
-        }
-    }
-
     /// Dispatch one inbound segment on its target's state.
     fn on_tcp(&mut self, src: Ipv4Addr, seg: &tcp::Segment<'_>, now: Instant, fx: &mut Effects) {
         let ip = src.to_u32();
@@ -701,7 +699,7 @@ impl Scanner {
     /// A port scan's verdict: the SYN-ACK proves the port open.
     fn open_port(&mut self, src: Ipv4Addr, seg: &tcp::Segment<'_>, now: Instant, fx: &mut Effects) {
         let ip = src.to_u32();
-        self.consume_syn_ts(ip, now);
+        self.obs.emit(now, ip, Event::SynAnswered);
         self.obs
             .emit(now, ip, Event::Session(SessionEvent::SynAckValidated));
         self.open_ports.push(ip);
@@ -720,7 +718,7 @@ impl Scanner {
     ) {
         let ip = src.to_u32();
         self.admit_session(ip, now, fx);
-        self.consume_syn_ts(ip, now);
+        self.obs.emit(now, ip, Event::SynAnswered);
         for ev in [SessionEvent::SynAckValidated, SessionEvent::SessionStarted] {
             self.obs.emit(now, ip, Event::Session(ev));
         }
@@ -828,7 +826,7 @@ impl Scanner {
             }
             (state @ (None | Some(Target::Handshake)), icmp::Message::DstUnreachable { .. }) => {
                 // The SYN it answers earns no RTT sample either way.
-                self.syn_ts.remove(ip);
+                self.obs.emit(now, ip, Event::Untimed);
                 // A promoted handshake is in flight, and so is an
                 // untracked source still owed a SYN retry or its give-up
                 // (a silent classic target keeps no entry). Any other
@@ -895,7 +893,7 @@ impl Endpoint for Scanner {
         match Timer::decode(token) {
             Some(Timer::Pacing) => self.pace(now, fx),
             Some(Timer::Monitor) => self.monitor_tick(now, fx),
-            Some(Timer::Sweep) => self.sweep_rtt(now, fx),
+            Some(Timer::Sweep) => self.sweep(now, fx),
             Some(Timer::Stream) => self.stream_tick(now, fx),
             Some(Timer::Session(ip)) => {
                 if let Some(session) = self.targets.session_mut(ip) {

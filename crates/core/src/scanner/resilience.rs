@@ -90,8 +90,8 @@ impl Scanner {
 
     /// Send the stateful SYN for a target — directly in classic mode, or
     /// at promotion time in stateless-first mode. From here on the
-    /// target follows the exact classic lifecycle (RTT stamp, recorder
-    /// stamp, stateful retry queue), which is what keeps responder
+    /// target follows the exact classic lifecycle (its one SYN stamp,
+    /// stateful retry queue), which is what keeps responder
     /// verdicts byte-identical across the two modes. Only a promoted
     /// target takes an entry (`Handshake`, for its `max_sessions` slot).
     pub(super) fn send_stateful_syn(
@@ -103,12 +103,6 @@ impl Scanner {
     ) {
         if promoted {
             self.set_target(ip, Some(Target::Handshake), now);
-        }
-        // The SYN timestamp serves both the RTT histogram and the
-        // handshake span, so either knob populates the map (the
-        // sweep bounds it for silent targets in both cases).
-        if self.config.telemetry.record_rtt || self.config.telemetry.record_spans {
-            self.syn_ts.insert(ip, now);
         }
         let isn = self.emit_syn(ip, fx);
         self.obs.emit(now, ip, Event::Syn(isn));
@@ -136,10 +130,10 @@ impl Scanner {
     }
 
     /// Drop every queued SYN retransmission (graceful drain), with the
-    /// RTT stamps of the silent targets cut off; returns how many.
-    pub(super) fn drop_syn_retries(&mut self) -> usize {
+    /// SYNs of the silent targets no longer timed; returns how many.
+    pub(super) fn drop_syn_retries(&mut self, now: Instant) -> usize {
         for (_, ip) in self.resilience.syn_retries.iter() {
-            self.syn_ts.remove(ip);
+            self.obs.emit(now, ip, Event::Untimed);
         }
         self.resilience.syn_retries.clear()
     }
@@ -169,7 +163,8 @@ impl Scanner {
         let attempts = level as u32;
         if attempts >= self.config.resilience.syn_retries {
             // Budget spent and still silent: give up on the target (its
-            // RTT stamp went with the first retry, by Karn's rule). The
+            // SYN stopped being timed at the first retry, by Karn's
+            // rule). The
             // flight recorder dumps the ring — a SYN-blackholed target is
             // a failure worth a black box even though no session existed.
             // A promoted target concludes: its discovery answer was
@@ -187,11 +182,9 @@ impl Scanner {
             ip,
             Event::Session(SessionEvent::SynRetried { attempt }),
         );
-        // Karn's rule: once a SYN is retransmitted, a later SYN-ACK is
-        // ambiguous — it may answer either transmission — so the RTT
-        // sample (and the handshake span it would start) is dropped
-        // rather than attributing whole backoff periods to the wire.
-        self.syn_ts.remove(ip);
+        // The observer applies Karn's rule to the `SynRetried`: a later
+        // SYN-ACK may answer either transmission, so it earns no RTT
+        // sample and no handshake span.
         let isn = self.emit_syn(ip, fx);
         let (sport, dport) = (self.params.sport(0, 0, 0), self.config.protocol.port());
         let syn = tcp::Segment::bare(sport, dport, isn, 0, Flags::SYN, 65535);

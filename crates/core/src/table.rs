@@ -1,8 +1,8 @@
 //! Open-addressed hash table keyed by IPv4 address.
 //!
 //! It backs the scanner's one target table (`target::Targets`, hit once
-//! or twice for every packet on the wire) and its two telemetry-side
-//! maps (RTT stamps, list domains). All of them key on
+//! or twice for every packet on the wire), the observer's table of SYN
+//! stamps and the list targets' domains. All of them key on
 //! the one component of the 4-tuple that actually varies during a scan —
 //! the 32-bit target address; source address and both ports are fixed by
 //! the session-parameter schedule. `IpMap` exploits that: a flat

@@ -9,10 +9,11 @@
 //! from the pooled packet on receive and from the send buffer on
 //! transmit); what a responder still allocates is per connection. The
 //! same allocator keeps live bytes too, so what a responder holds at a
-//! campaign's peak is a gate as well.
+//! campaign's peak is a gate as well, and so is what telemetry makes a
+//! silent target hold.
 
 use iw_core::cookie::CookieKey;
-use iw_core::{Protocol, ResilienceConfig, ScanConfig, ScanRunner, Scanner};
+use iw_core::{Protocol, ResilienceConfig, ScanConfig, ScanRunner, Scanner, TelemetryConfig};
 use iw_hoststack::{Host, HostConfig};
 use iw_internet::{Population, PopulationConfig};
 use iw_netsim::{Duration, Effects, Endpoint, Instant, LinkConfig, Sim, SimConfig};
@@ -121,9 +122,9 @@ fn silent_sweep_allocates_nothing_per_syn() {
 #[test]
 fn a_silent_target_costs_the_flight_recorder_no_allocation() {
     // The same classic sweep of a silent 2^14 space with the recorder off
-    // and on. A target that never answers holds a stamp in the
-    // recorder's map, not a ring of its own, so what the recorder adds is
-    // the map's growth, never one allocation per SYN.
+    // and on. A target that never answers holds one stamp in the
+    // observer's stamp table, not a ring of its own, so what the recorder
+    // adds is the table's growth, never one allocation per SYN.
     let sweep = |flight_recorder: bool| {
         let mut cfg = ScanConfig::study(Protocol::Http, 1 << 14, 0x51e7);
         cfg.telemetry.flight_recorder = flight_recorder;
@@ -188,6 +189,108 @@ fn a_queued_silent_target_costs_at_most_eight_bytes() {
              a silent target holds more than its address"
         );
     }
+}
+
+/// Peak heap above the first sending tick, per target, of a classic
+/// sweep of a silent 2^16 space at the study's 150 kpps under `telemetry`
+/// (the sim profiles its hot path when spans are on, as the runner's does).
+fn silent_sweep_peak_per_target(telemetry: TelemetryConfig) -> f64 {
+    let mut cfg = ScanConfig::study(Protocol::Http, 1 << 16, 0x51e7);
+    let profile = telemetry.record_spans;
+    cfg.telemetry = telemetry;
+    let sim_config = SimConfig {
+        seed: cfg.seed,
+        profile,
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::new(Scanner::new(cfg), |_ip: u32| None, sim_config);
+    sim.kick_scanner(|s, now, fx| s.start(now, fx));
+    while sim.stats().scanner_tx == 0 {
+        assert!(sim.step(), "the scan must send before it ends");
+    }
+    let before = reset_peak();
+    sim.run_to_completion();
+    assert_eq!(sim.stats().scanner_tx, 1 << 16, "one SYN per target");
+    assert_eq!(
+        sim.scanner().live_histories(),
+        0,
+        "a history outlived the scan"
+    );
+    (peak() - before) as f64 / f64::from(1u32 << 16)
+}
+
+#[test]
+fn a_silent_target_holds_one_stamp_across_all_products() {
+    // At 150 kpps the whole space is sent within the 8 s the SYN stamps
+    // live, so every target's telemetry is alive at once: what the sweep
+    // holds at its peak, per target, is what telemetry makes a silent
+    // target cost. Each product alone, then all four together.
+    // `(events, rtt, spans, flight)`
+    let products = [
+        ("events", (true, false, false, false)),
+        ("rtt", (false, true, false, false)),
+        ("spans", (false, false, true, false)),
+        ("flight", (false, false, false, true)),
+        ("all four", (true, true, true, true)),
+    ];
+    let mut all = 0.0;
+    for (name, (record_events, record_rtt, record_spans, flight_recorder)) in products {
+        all = silent_sweep_peak_per_target(TelemetryConfig {
+            record_events,
+            record_rtt,
+            record_spans,
+            flight_recorder,
+            ..TelemetryConfig::default()
+        });
+        println!(
+            "alloc_budget: silent 2^16 sweep with {name}: peak heap {all:.1} bytes per target"
+        );
+    }
+    // Measured 36.0 with each product alone and with all four: the one
+    // stamp table's 12-byte slots, 2^16 of them and 2^17 while it grows.
+    // Before the stamp table, the tally and the unstored hot-path spans,
+    // the four held 154.2: an event record (47.6 alone), an RTT map slot
+    // (71.8), the same slot for the handshake span plus the stored
+    // hot-path spans (72.0) and a flight-recorder stamp (74.8).
+    assert!(
+        all <= 39.6,
+        "{all:.1} bytes per silent target: a product holds more than the one stamp"
+    );
+}
+
+#[test]
+fn the_event_tally_costs_no_heap() {
+    // A small TLS campaign with the event log on and off: the tally is a
+    // fixed count per event and per verdict, so it adds nothing per target
+    // or per event to the campaign's peak heap.
+    let pop = Arc::new(Population::new(PopulationConfig {
+        seed: 0x7150,
+        space_size: 1 << 14,
+        target_responsive: 256,
+        loss_scale: 0.0,
+    }));
+    let peak_with = |record_events: bool| {
+        let mut config = ScanConfig::study(Protocol::Tls, pop.space_size(), 0x7150);
+        config.telemetry.record_events = record_events;
+        let runner = ScanRunner::new(&pop).config(config);
+        let before = reset_peak();
+        let out = runner.run();
+        assert!(
+            out.summary.reachable > 100,
+            "reachable {}",
+            out.summary.reachable
+        );
+        assert_eq!(out.telemetry.events.is_empty(), !record_events);
+        peak() - before
+    };
+    // Measured equal; a log that kept every event as a record held
+    // 2.6 MB more here.
+    let (off, on) = (peak_with(false), peak_with(true));
+    println!("alloc_budget: tls scan: peak heap {off} bytes with products off, {on} with events");
+    assert!(
+        on <= off + 4096,
+        "{on} vs {off} bytes: the event log holds memory per event again"
+    );
 }
 
 /// An endpoint that never answers, and (when `leaky`) puts every

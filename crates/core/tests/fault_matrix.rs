@@ -442,7 +442,7 @@ fn rst_injection_is_retried_and_classified() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: the syn_ts RTT map must stay bounded over silent space.
+// The SYN stamps must stay bounded over silent space.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -468,9 +468,9 @@ fn rtt_map_is_bounded_after_scanning_silent_space() {
         let scanner = sim.scanner_mut();
         assert_eq!(scanner.targets_sent(), 1 << 10);
         assert_eq!(
-            scanner.rtt_pending(),
+            scanner.live_histories(),
             0,
-            "syn_ts leaked with syn_retries={retries}"
+            "a SYN stamp leaked with syn_retries={retries}"
         );
     }
 }
@@ -1091,8 +1091,8 @@ fn default_resilience_is_inert_on_clean_links() {
 /// Run `config` with the flight recorder on over a space whose even
 /// addresses answer across a 100 ms link and whose odd ones are
 /// unrouted, draining at `drain_at` if given, for a virtual hour.
-/// Returns whether events were still queued then, and the recorder's
-/// live histories.
+/// Returns whether events were still queued then, and the live
+/// histories (SYN stamps and flight rings) the scanner still held.
 fn flight_scan(mut config: ScanConfig, drain_at: Option<Duration>) -> (bool, usize) {
     config.telemetry.flight_recorder = true;
     let seed = config.seed;
@@ -1117,7 +1117,7 @@ fn flight_scan(mut config: ScanConfig, drain_at: Option<Duration>) -> (bool, usi
     // Far past every timeout: a scan still busy here never ends.
     sim.run_until(Instant::ZERO + Duration::from_secs(3600));
     let busy = sim.step();
-    (busy, Scanner::harvest(&mut sim).flight.live_rings())
+    (busy, sim.scanner().live_histories())
 }
 
 #[test]
@@ -1151,9 +1151,10 @@ fn a_graceful_drain_leaves_no_flight_history() {
 // from the event itself, so the log and the counters cannot drift apart.
 // ---------------------------------------------------------------------
 
-/// Run `config` with the event log and the flight recorder on and return
-/// the harvest.
-fn observed_scan<F>(mut config: ScanConfig, factory: F) -> ScanTelemetry
+/// Run `config` over a space of `space` addresses, every one of them
+/// watched, with the event log and the flight recorder on, and return the
+/// harvest.
+fn observed_scan<F>(space: u32, mut config: ScanConfig, factory: F) -> ScanTelemetry
 where
     F: FnMut(u32) -> Option<(Box<dyn Endpoint>, LinkConfig)>,
 {
@@ -1165,6 +1166,7 @@ where
         ..SimConfig::default()
     };
     let mut sim = Sim::new(Scanner::new(config), factory, sim_config);
+    sim.scanner_mut().watch(0..space);
     sim.kick_scanner(|s, now, fx| s.start(now, fx));
     sim.run_to_completion();
     Scanner::harvest(&mut sim)
@@ -1237,16 +1239,16 @@ fn counters_are_derived_from_events() {
     };
     let scans = [
         // Loss: SYN retries, and sessions that measure.
-        observed_scan(hardened(300, 0x10_55), |ip| {
+        observed_scan(300, hardened(300, 0x10_55), |ip| {
             Some((web_host(ip, 0x10_55), LinkConfig::default().with_loss(0.02)))
         }),
         // Mid-connection resets: every probe burns its retries.
-        observed_scan(hardened(64, 0x27), |ip| {
+        observed_scan(64, hardened(64, 0x27), |ip| {
             Some((chaos(ip, reset, 0x27), LinkConfig::testbed()))
         }),
         // A SYN-ACK flood past the session cap: evictions, and the
         // watchdog for the sessions left holding a slot.
-        observed_scan(flood, |ip| {
+        observed_scan(400, flood, |ip| {
             Some((
                 chaos(ip, ChaosMode::SynAckBlackhole, 0xf100d),
                 LinkConfig::testbed(),
@@ -1254,7 +1256,7 @@ fn counters_are_derived_from_events() {
         }),
         // Cohorts: ICMP-unreachable, closed port, silent, too little
         // data, and resets throughout.
-        observed_scan(hardened(160, 0x1c3), |ip| {
+        observed_scan(160, hardened(160, 0x1c3), |ip| {
             let host = match ip % 5 {
                 0 => chaos(ip, ChaosMode::IcmpUnreachable { code: 1 }, 0x1c3),
                 1 => {
@@ -1292,6 +1294,9 @@ fn counters_are_derived_from_events() {
     let mut seen: BTreeMap<String, u64> = BTreeMap::new();
     for (i, t) in scans.iter().enumerate() {
         let (events, m) = (t.events.counts_by_name(), &t.metrics);
+        // Every address is watched: the records hold every tallied event.
+        let recorded = t.events.records().len() as u64;
+        assert_eq!(recorded, t.events.len(), "scan {i}: records vs tally");
         for (event, counter) in PAIRS {
             let n = events.get(event).copied().unwrap_or(0);
             assert_eq!(n, m.counter(counter), "scan {i}: {event} vs {counter}");

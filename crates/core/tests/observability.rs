@@ -27,7 +27,8 @@ fn web_host(ip: u32, seed: u64) -> Box<dyn Endpoint> {
 }
 
 /// Run a scan against a custom host factory with the flight recorder
-/// on; returns results, the metrics snapshot and the recorder.
+/// on; returns results, the metrics snapshot, the harvested recorder and
+/// the histories (SYN stamps and flight rings) the scanner still held.
 fn run_with_factory<F>(
     config: ScanConfig,
     factory: F,
@@ -35,6 +36,7 @@ fn run_with_factory<F>(
     Vec<HostResult>,
     Snapshot,
     iw_core::telemetry::FlightRecorder,
+    usize,
 )
 where
     F: FnMut(u32) -> Option<(Box<dyn Endpoint>, LinkConfig)>,
@@ -55,8 +57,9 @@ where
     let mut results = scanner.results().to_vec();
     results.sort_by_key(|r| r.ip);
     let snapshot = scanner.metrics_snapshot();
+    let live = scanner.live_histories();
     let recorder = Scanner::harvest(&mut sim).flight;
-    (results, snapshot, recorder)
+    (results, snapshot, recorder, live)
 }
 
 // ---------------------------------------------------------------------
@@ -113,7 +116,7 @@ fn trace_export_is_byte_identical_across_runs_and_shard_counts() {
         spans,
         "scan span counter matches the tracer"
     );
-    // The duration histogram covers scan spans plus the retained
+    // The duration histogram covers scan spans plus the counted
     // hot-path spans from the sim's own profiler.
     assert!(
         single
@@ -140,7 +143,7 @@ fn synack_blackhole_produces_flight_dumps_naming_the_phase() {
     let mut config = ScanConfig::study(Protocol::Http, space, 0xb1ac);
     config.rate_pps = 2_000_000;
     config.telemetry.flight_recorder = true;
-    let (results, metrics, recorder) = run_with_factory(config, |ip| {
+    let (results, metrics, recorder, live) = run_with_factory(config, |ip| {
         Some((
             Box::new(ChaosHost::new(
                 Ipv4Addr::from_u32(ip),
@@ -156,7 +159,7 @@ fn synack_blackhole_produces_flight_dumps_naming_the_phase() {
         space as usize,
         "every blackholed session must dump"
     );
-    assert_eq!(recorder.live_rings(), 0, "no ring survives the scan");
+    assert_eq!(live, 0, "no ring survives the scan");
     for dump in recorder.dumps() {
         assert_eq!(
             dump.phase, "probe_done",
@@ -184,7 +187,7 @@ fn silent_space_with_retries_dumps_handshake_timeouts() {
     config.rate_pps = 2_000_000;
     config.resilience.syn_retries = 1;
     config.telemetry.flight_recorder = true;
-    let (_, metrics, recorder) = run_with_factory(config, |_| None);
+    let (_, metrics, recorder, _) = run_with_factory(config, |_| None);
     assert_eq!(recorder.dumps().len(), space as usize);
     for dump in recorder.dumps() {
         assert_eq!(dump.error, "handshake_timeout", "{dump:?}");
@@ -208,9 +211,9 @@ fn silent_space_with_four_retries_still_dumps_handshake_timeouts() {
     config.rate_pps = 2_000_000;
     config.resilience.syn_retries = 4;
     config.telemetry.flight_recorder = true;
-    let (_, metrics, recorder) = run_with_factory(config, |_| None);
+    let (_, metrics, recorder, live) = run_with_factory(config, |_| None);
     assert_eq!(recorder.dumps().len(), space as usize);
-    assert_eq!(recorder.live_rings(), 0, "no history survives the scan");
+    assert_eq!(live, 0, "no history survives the scan");
     for dump in recorder.dumps() {
         assert_eq!(dump.error, "handshake_timeout", "{dump:?}");
         assert_eq!(dump.phase, "syn_wait", "{dump:?}");
@@ -230,7 +233,7 @@ fn clean_scans_leave_no_flight_dumps() {
     let mut config = ScanConfig::study(Protocol::Http, 64, 0xc1ea);
     config.rate_pps = 2_000_000;
     config.telemetry.flight_recorder = true;
-    let (results, metrics, recorder) = run_with_factory(config, |ip| {
+    let (results, metrics, recorder, live) = run_with_factory(config, |ip| {
         Some((web_host(ip, 0xc1ea), LinkConfig::testbed()))
     });
     assert!(!results.is_empty());
@@ -239,7 +242,7 @@ fn clean_scans_leave_no_flight_dumps() {
         "clean verdicts must not dump: {:?}",
         recorder.dumps().first()
     );
-    assert_eq!(recorder.live_rings(), 0);
+    assert_eq!(live, 0);
     assert_eq!(metrics.counter("scan.flight_recorder.dumps"), 0);
 }
 

@@ -273,7 +273,7 @@ fn pace_timer_backs_off_at_low_rates() {
 
 #[test]
 fn a_hardened_scan_ends_at_its_last_session_event() {
-    use iw_core::{ResilienceConfig, ScanRunner};
+    use iw_core::{ResilienceConfig, RunControl, ScanRunner};
     use iw_internet::{Population, PopulationConfig};
     use std::sync::Arc;
 
@@ -292,13 +292,21 @@ fn a_hardened_scan_ends_at_its_last_session_event() {
     cfg.rate_pps = 4_000_000;
     cfg.telemetry.record_events = true;
     cfg.resilience = ResilienceConfig::hardened();
-    let out = ScanRunner::new(&pop).config(cfg).run();
+    // Every address is watched, so the records hold every event.
+    let control = RunControl {
+        watch: (0..pop.space_size()).collect(),
+        ..RunControl::default()
+    };
+    let out = ScanRunner::new(&pop).config(cfg).control(control).run();
     let records = out.telemetry.events.records();
+    assert_eq!(records.len() as u64, out.telemetry.events.len());
     let last = records.iter().map(|r| r.at_nanos).max().unwrap();
     let forced = records
         .iter()
         .filter(|r| r.event == iw_core::telemetry::SessionEvent::WatchdogForced)
         .count();
+    let tallied = out.telemetry.events.counts_by_name();
+    assert_eq!(Some(&(forced as u64)), tallied.get("watchdog_forced"));
     println!(
         "duration {:?}, last session event at {last} ns, {forced} watchdog-forced",
         out.duration

@@ -1,5 +1,6 @@
-//! Scan-level telemetry: the metrics snapshot, the session event log and
-//! the progress monitor, exercised through full simulated scans.
+//! Scan-level telemetry: the metrics snapshot, the session event log (a
+//! tally, plus the records of a watch set) and the progress monitor,
+//! exercised through full simulated scans.
 //!
 //! The load-bearing property is the determinism contract: scan-scoped
 //! metrics and event-log summaries must be byte-identical between a
@@ -7,7 +8,8 @@
 
 use iw_core::telemetry::{manifest, OutcomeKind, Scope};
 use iw_core::{
-    MonitorSink, MonitorSpec, Protocol, ResilienceConfig, ScanConfig, ScanRunner, Topology,
+    MonitorSink, MonitorSpec, Protocol, ResilienceConfig, RunControl, ScanConfig, ScanRunner,
+    Topology,
 };
 use iw_internet::{Population, PopulationConfig};
 use iw_netsim::Duration;
@@ -21,6 +23,14 @@ fn population(seed: u64, space: u32, responsive: u32) -> Arc<Population> {
         target_responsive: responsive,
         loss_scale: 0.0,
     }))
+}
+
+/// A control that keeps the records of `ips`.
+fn watching(ips: impl IntoIterator<Item = u32>) -> RunControl {
+    RunControl {
+        watch: ips.into_iter().collect(),
+        ..RunControl::default()
+    }
 }
 
 fn telemetry_config(space: u32, seed: u64) -> ScanConfig {
@@ -109,16 +119,27 @@ fn summarize_matches_event_log_terminal_counts() {
 fn event_log_records_exact_session_lifecycles() {
     let pop = population(0xcafe, 1 << 13, 150);
     let config = telemetry_config(pop.space_size(), 0xcafe);
-    let out = ScanRunner::new(&pop).config(config).run();
+    let out = ScanRunner::new(&pop).config(config.clone()).run();
+    assert!(out.telemetry.events.records().is_empty(), "nothing watched");
 
-    // Pick a host that concluded successfully and replay its lifecycle.
+    // Pick a host that concluded successfully and replay its lifecycle:
+    // the same scan again, watching that one host.
     let success_ip = out
         .results
         .iter()
         .find(|r| r.iw_estimate().is_some())
         .expect("some host succeeded")
         .ip;
-    let events = out.telemetry.events.for_ip(success_ip);
+    let watched = ScanRunner::new(&pop)
+        .config(config)
+        .control(watching([success_ip]))
+        .run();
+    assert_eq!(
+        format!("{:?}", watched.results),
+        format!("{:?}", out.results)
+    );
+    let events = watched.telemetry.events.for_ip(success_ip);
+    assert_eq!(events, watched.telemetry.events.records());
     let names: Vec<&str> = events.iter().map(|r| r.event.name()).collect();
     assert_eq!(names[0], "syn_sent", "{names:?}");
     assert_eq!(names[1], "syn_ack_validated", "{names:?}");
@@ -147,12 +168,16 @@ fn sharded_event_log_keeps_each_hosts_causal_order() {
     // A host lives in exactly one shard, so merging the shards' logs must
     // not reorder its events: same-instant transitions (SYN-ACK validated
     // → session started → probe started) stay in the order they happened.
+    // Every responder is watched.
     let pop = population(0xcafe, 1 << 13, 150);
     let config = telemetry_config(pop.space_size(), 0xcafe);
+    let responders = (0..pop.space_size()).filter(|&ip| pop.host_config(ip).is_some());
+    let control = watching(responders);
     let by_host = |threads: u32| {
         let out = ScanRunner::new(&pop)
             .config(config.clone())
             .topology(Topology::threads(threads))
+            .control(control.clone())
             .run();
         let mut hosts: BTreeMap<u32, Vec<&'static str>> = BTreeMap::new();
         for r in out.telemetry.events.records() {

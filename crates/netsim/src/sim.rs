@@ -120,8 +120,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Record a packet trace (validation runs only; costs memory).
     pub record_trace: bool,
-    /// Profile the event loop: record shard-scoped spans (timer-wheel
-    /// advances, packet fan-out batches) into the kernel's [`Tracer`].
+    /// Profile the event loop: count shard-scoped spans (timer-wheel
+    /// advances, packet fan-out batches) in the kernel's [`Tracer`].
     pub profile: bool,
 }
 
@@ -336,8 +336,7 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
         // A multi-packet batch is the fan-out hot path (pacing grants);
         // single replies are too common to be worth a span each.
         if self.tracer.is_enabled() && tx.len() >= 2 {
-            self.tracer
-                .instant_shard(self.now.as_nanos(), 0, "sim.fanout", tx.len() as u64);
+            self.tracer.instant_shard(self.now.as_nanos(), "sim.fanout");
         }
         for pkt in tx.drain(..) {
             self.route_from_scanner(pkt);
@@ -471,15 +470,8 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
         };
         debug_assert!(at >= self.now, "time must not run backwards");
         if self.tracer.is_enabled() && at > self.now {
-            // The wheel advanced: idle virtual time between events. The
-            // arg carries the index of the event that ended the gap.
-            self.tracer.record_shard(
-                self.now.as_nanos(),
-                at.as_nanos(),
-                0,
-                "wheel.advance",
-                self.stats.events,
-            );
+            // The wheel advanced: idle virtual time between events.
+            (self.tracer).record_shard(self.now.as_nanos(), at.as_nanos(), "wheel.advance");
         }
         self.now = at;
         self.stats.events += 1;
@@ -953,9 +945,17 @@ mod tests {
             fx.send(fake_pkt(2, 0));
         });
         sim.run_to_completion();
-        let names: Vec<&str> = sim.tracer().shard_spans().map(|s| s.name).collect();
-        assert!(names.contains(&"sim.fanout"), "{names:?}");
-        assert!(names.contains(&"wheel.advance"), "{names:?}");
+        let tracer = sim.tracer();
+        for name in ["sim.fanout", "wheel.advance"] {
+            assert!(tracer.shard_spans_named(name) > 0, "{name}: {tracer:?}");
+        }
+        let named =
+            tracer.shard_spans_named("sim.fanout") + tracer.shard_spans_named("wheel.advance");
+        assert_eq!(
+            named,
+            tracer.shard_span_total(),
+            "every span is counted by name"
+        );
         // Profiling off (the default): the tracer stays empty.
         let mut quiet = Sim::new(TestScanner::default(), echo_factory, SimConfig::default());
         quiet.kick_scanner(|_, _, fx| fx.send(fake_pkt(1, 0)));

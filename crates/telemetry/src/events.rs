@@ -1,14 +1,19 @@
-//! The structured session event log.
+//! The session event log: a tally, plus full records for a watch set.
 //!
 //! Every per-host probe session emits lifecycle transitions as it runs:
 //! SYN sent → SYN-ACK validated → probe started → retransmit detected →
-//! verify-ACK sent → probe concluded → session finished. The log is a flat
-//! vector of time-stamped records, cheap to append to, mergeable across
-//! shards by concatenation + sort, and precise enough for tests to assert
-//! on exact sequences (the §3.5 "manual inspection" made mechanical).
+//! verify-ACK sent → probe concluded → session finished. The log keeps
+//! what is live, not what happened: one count per [`SessionEvent`]
+//! variant and one per `SessionFinished` outcome, a fixed-size tally that
+//! costs the same for 2^16 targets as for 2^32. That is everything
+//! [`EventLog::summary_json`] prints. Whole lifecycles are kept only for
+//! the addresses in the log's **watch set**, as time-stamped records
+//! precise enough for tests to assert on exact sequences (the §3.5
+//! "manual inspection" made mechanical) and for one host's causal story
+//! to be told.
 
 use crate::json::{push_key, push_u64_field};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Terminal classification of a probe or session, mirroring the scanner's
 /// outcome/verdict taxonomy without depending on the core crate.
@@ -25,6 +30,14 @@ pub enum OutcomeKind {
 }
 
 impl OutcomeKind {
+    /// Every kind, in `Ord` order (the order `verdicts` prints in).
+    pub const ALL: [OutcomeKind; 4] = [
+        OutcomeKind::Success,
+        OutcomeKind::FewData,
+        OutcomeKind::Error,
+        OutcomeKind::Unreachable,
+    ];
+
     /// Stable lowercase name used in JSON and status lines.
     pub fn name(self) -> &'static str {
         match self {
@@ -104,25 +117,49 @@ pub enum SessionEvent {
     IcmpUnreachable,
 }
 
+/// Every variant's name, indexed by [`SessionEvent::index`].
+const EVENT_NAMES: [&str; 15] = [
+    "syn_sent",
+    "syn_ack_validated",
+    "refused",
+    "session_started",
+    "probe_started",
+    "follow_up_started",
+    "retransmit_detected",
+    "verify_ack_sent",
+    "probe_concluded",
+    "session_finished",
+    "syn_retried",
+    "probe_retried",
+    "watchdog_forced",
+    "session_evicted",
+    "icmp_unreachable",
+];
+
 impl SessionEvent {
     /// Stable snake_case name of the event variant.
     pub fn name(&self) -> &'static str {
+        EVENT_NAMES[self.index()]
+    }
+
+    /// The variant's position in declaration order (its tally slot).
+    fn index(&self) -> usize {
         match self {
-            SessionEvent::SynSent => "syn_sent",
-            SessionEvent::SynAckValidated => "syn_ack_validated",
-            SessionEvent::Refused => "refused",
-            SessionEvent::SessionStarted => "session_started",
-            SessionEvent::ProbeStarted { .. } => "probe_started",
-            SessionEvent::FollowUpStarted { .. } => "follow_up_started",
-            SessionEvent::RetransmitDetected { .. } => "retransmit_detected",
-            SessionEvent::VerifyAckSent { .. } => "verify_ack_sent",
-            SessionEvent::ProbeConcluded { .. } => "probe_concluded",
-            SessionEvent::SessionFinished { .. } => "session_finished",
-            SessionEvent::SynRetried { .. } => "syn_retried",
-            SessionEvent::ProbeRetried { .. } => "probe_retried",
-            SessionEvent::WatchdogForced => "watchdog_forced",
-            SessionEvent::SessionEvicted => "session_evicted",
-            SessionEvent::IcmpUnreachable => "icmp_unreachable",
+            SessionEvent::SynSent => 0,
+            SessionEvent::SynAckValidated => 1,
+            SessionEvent::Refused => 2,
+            SessionEvent::SessionStarted => 3,
+            SessionEvent::ProbeStarted { .. } => 4,
+            SessionEvent::FollowUpStarted { .. } => 5,
+            SessionEvent::RetransmitDetected { .. } => 6,
+            SessionEvent::VerifyAckSent { .. } => 7,
+            SessionEvent::ProbeConcluded { .. } => 8,
+            SessionEvent::SessionFinished { .. } => 9,
+            SessionEvent::SynRetried { .. } => 10,
+            SessionEvent::ProbeRetried { .. } => 11,
+            SessionEvent::WatchdogForced => 12,
+            SessionEvent::SessionEvicted => 13,
+            SessionEvent::IcmpUnreachable => 14,
         }
     }
 }
@@ -138,29 +175,49 @@ pub struct EventRecord {
     pub event: SessionEvent,
 }
 
-/// An append-only log of session lifecycle events.
+/// The session event log: a tally of every event, and the records of
+/// the watched addresses. See module docs.
 ///
-/// Recording is gated on `enabled` so the scanner can carry a log
-/// unconditionally and pay nothing when event capture is off.
+/// Tallying is gated on `enabled` so the scanner can carry a log
+/// unconditionally and pay nothing when event capture is off; records
+/// are kept for watched addresses whether or not the tally runs.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     enabled: bool,
+    /// Events per variant, by [`SessionEvent::index`].
+    by_event: [u64; EVENT_NAMES.len()],
+    /// `SessionFinished` events per outcome, by `OutcomeKind as usize`.
+    by_verdict: [u64; OutcomeKind::ALL.len()],
+    /// The addresses whose every event is kept as a record.
+    watch: BTreeSet<u32>,
+    /// The watched addresses' events (per shard: chronological).
     records: Vec<EventRecord>,
 }
 
 impl EventLog {
-    /// A log that records (`enabled = true`) or discards everything.
+    /// A log that tallies (`enabled = true`) or discards everything.
     pub fn new(enabled: bool) -> EventLog {
         EventLog {
             enabled,
-            records: Vec::new(),
+            ..EventLog::default()
         }
     }
 
-    /// Append an event (no-op when disabled).
+    /// Keep every later event of these addresses as a record.
+    pub fn watch(&mut self, ips: impl IntoIterator<Item = u32>) {
+        self.watch.extend(ips);
+    }
+
+    /// Count an event, and keep it if its address is watched.
     #[inline]
     pub fn record(&mut self, at_nanos: u64, ip: u32, event: SessionEvent) {
         if self.enabled {
+            self.by_event[event.index()] += 1;
+            if let SessionEvent::SessionFinished { outcome } = event {
+                self.by_verdict[outcome as usize] += 1;
+            }
+        }
+        if !self.watch.is_empty() && self.watch.contains(&ip) {
             self.records.push(EventRecord {
                 at_nanos,
                 ip,
@@ -169,22 +226,22 @@ impl EventLog {
         }
     }
 
-    /// All records, in insertion order (per shard: chronological).
+    /// The watched addresses' records, in canonical order after a merge.
     pub fn records(&self) -> &[EventRecord] {
         &self.records
     }
 
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
+    /// Events tallied.
+    pub fn len(&self) -> u64 {
+        self.by_event.iter().sum()
     }
 
-    /// True when no events were recorded.
+    /// True when no event was tallied.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
-    /// All records for one host, in order.
+    /// One watched host's records, in order.
     pub fn for_ip(&self, ip: u32) -> Vec<EventRecord> {
         self.records
             .iter()
@@ -193,36 +250,42 @@ impl EventLog {
             .collect()
     }
 
-    /// Merge another shard's log into this one, restoring the canonical
-    /// global order: by time, ties broken by ip. The sort is stable and
-    /// each host lives in exactly one shard, so a host's same-instant
-    /// events keep their causal order. After a merge the log is
-    /// deterministic regardless of shard count.
+    /// Merge another shard's log into this one: the tallies add, and the
+    /// records restore the canonical global order, by time with ties
+    /// broken by ip. The sort is stable and each host lives in exactly
+    /// one shard, so a host's same-instant events keep their causal
+    /// order, and the records do not depend on the shard count.
     pub fn merge(&mut self, other: &EventLog) {
         self.enabled |= other.enabled;
-        self.records.extend_from_slice(&other.records);
-        self.records.sort_by_key(|r| (r.at_nanos, r.ip));
+        for (mine, theirs) in self.by_event.iter_mut().zip(other.by_event) {
+            *mine += theirs;
+        }
+        for (mine, theirs) in self.by_verdict.iter_mut().zip(other.by_verdict) {
+            *mine += theirs;
+        }
+        if !other.records.is_empty() {
+            self.records.extend_from_slice(&other.records);
+            self.records.sort_by_key(|r| (r.at_nanos, r.ip));
+        }
     }
 
     /// Count of `SessionFinished` events by outcome — the event log's own
     /// verdict mix, cross-checkable against `summarize()`.
     pub fn terminal_counts(&self) -> BTreeMap<OutcomeKind, u64> {
-        let mut counts = BTreeMap::new();
-        for r in &self.records {
-            if let SessionEvent::SessionFinished { outcome } = r.event {
-                *counts.entry(outcome).or_insert(0) += 1;
-            }
-        }
-        counts
+        OutcomeKind::ALL
+            .into_iter()
+            .zip(self.by_verdict)
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// Count of events by variant name.
     pub fn counts_by_name(&self) -> BTreeMap<&'static str, u64> {
-        let mut counts = BTreeMap::new();
-        for r in &self.records {
-            *counts.entry(r.event.name()).or_insert(0) += 1;
-        }
-        counts
+        EVENT_NAMES
+            .into_iter()
+            .zip(self.by_event)
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// Serialize the per-variant and per-verdict counts as a JSON object:
@@ -233,41 +296,38 @@ impl EventLog {
         let mut out = String::new();
         out.push('{');
         push_key(&mut out, "events");
-        out.push('{');
-        let mut first = true;
-        for (name, n) in self.counts_by_name() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            push_u64_field(&mut out, name, n);
-        }
-        out.push_str("},");
+        push_counts(&mut out, self.counts_by_name());
+        out.push(',');
         push_key(&mut out, "verdicts");
-        out.push('{');
-        let mut first = true;
-        for (kind, n) in self.terminal_counts() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            push_u64_field(&mut out, kind.name(), n);
-        }
-        out.push_str("}}");
+        push_counts(
+            &mut out,
+            self.terminal_counts()
+                .into_iter()
+                .map(|(k, n)| (k.name(), n)),
+        );
+        out.push('}');
         out
     }
+}
+
+/// Append `{"name":n,...}` in the order given.
+fn push_counts(out: &mut String, counts: impl IntoIterator<Item = (&'static str, u64)>) {
+    out.push('{');
+    for (i, (name, n)) in counts.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64_field(out, name, n);
+    }
+    out.push('}');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn finished(at: u64, ip: u32, outcome: OutcomeKind) -> EventRecord {
-        EventRecord {
-            at_nanos: at,
-            ip,
-            event: SessionEvent::SessionFinished { outcome },
-        }
+    fn finished(outcome: OutcomeKind) -> SessionEvent {
+        SessionEvent::SessionFinished { outcome }
     }
 
     #[test]
@@ -275,41 +335,63 @@ mod tests {
         let mut log = EventLog::new(false);
         log.record(1, 2, SessionEvent::SynSent);
         assert!(log.is_empty());
+        assert!(log.records().is_empty());
+    }
+
+    #[test]
+    fn names_follow_the_variant_order() {
+        let probe = SessionEvent::ProbeRetried {
+            probe: 1,
+            attempt: 2,
+        };
+        assert_eq!(probe.name(), "probe_retried");
+        assert_eq!(SessionEvent::IcmpUnreachable.name(), "icmp_unreachable");
+        assert_eq!(finished(OutcomeKind::Error).name(), "session_finished");
+        // A verdict's tally slot is its discriminant.
+        for (slot, kind) in OutcomeKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, slot, "{kind:?}");
+        }
     }
 
     #[test]
     fn terminal_counts_and_filtering() {
         let mut log = EventLog::new(true);
+        log.watch([1]);
         log.record(10, 1, SessionEvent::SynSent);
         log.record(20, 1, SessionEvent::SynAckValidated);
-        log.record(
-            30,
-            1,
-            SessionEvent::SessionFinished {
-                outcome: OutcomeKind::Success,
-            },
-        );
-        log.record(
-            40,
-            2,
-            SessionEvent::SessionFinished {
-                outcome: OutcomeKind::Error,
-            },
-        );
+        log.record(30, 1, finished(OutcomeKind::Success));
+        log.record(40, 2, finished(OutcomeKind::Error));
         let counts = log.terminal_counts();
         assert_eq!(counts[&OutcomeKind::Success], 1);
         assert_eq!(counts[&OutcomeKind::Error], 1);
+        assert_eq!(log.len(), 4);
         assert_eq!(log.for_ip(1).len(), 3);
+        assert!(
+            log.for_ip(2).is_empty(),
+            "an unwatched host keeps no record"
+        );
         assert_eq!(log.counts_by_name()["syn_sent"], 1);
+    }
+
+    #[test]
+    fn a_watched_host_is_recorded_without_the_tally() {
+        let mut log = EventLog::new(false);
+        log.watch([7]);
+        log.record(5, 7, SessionEvent::SynSent);
+        log.record(6, 8, SessionEvent::SynSent);
+        assert!(log.is_empty());
+        assert_eq!(log.records().len(), 1);
     }
 
     #[test]
     fn merge_restores_global_order() {
         let mut a = EventLog::new(true);
+        a.watch([1, 2]);
         a.record(30, 1, SessionEvent::SynSent);
         a.record(50, 1, SessionEvent::SynAckValidated);
         a.record(50, 1, SessionEvent::SessionStarted);
         let mut b = EventLog::new(true);
+        b.watch([1, 2]);
         b.record(10, 2, SessionEvent::SynSent);
         b.record(40, 2, SessionEvent::SynAckValidated);
 
@@ -318,6 +400,7 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab.records(), ba.records(), "merge is order-independent");
+        assert_eq!(ab.summary_json(), ba.summary_json());
         let times: Vec<u64> = ab.records().iter().map(|r| r.at_nanos).collect();
         assert_eq!(times, vec![10, 30, 40, 50, 50]);
         // One host's same-instant events keep their causal order, not
@@ -329,23 +412,27 @@ mod tests {
     #[test]
     fn summary_json_is_deterministic_across_sharding() {
         let mut single = EventLog::new(true);
-        single.records = vec![
-            finished(5, 3, OutcomeKind::Success),
-            finished(7, 4, OutcomeKind::FewData),
-            finished(9, 5, OutcomeKind::Success),
-        ];
+        for (at, ip, outcome) in [
+            (5, 3, OutcomeKind::Success),
+            (7, 4, OutcomeKind::FewData),
+            (9, 5, OutcomeKind::Success),
+        ] {
+            single.record(at, ip, finished(outcome));
+        }
         let mut shard_a = EventLog::new(true);
-        shard_a.records = vec![finished(7, 4, OutcomeKind::FewData)];
+        shard_a.record(7, 4, finished(OutcomeKind::FewData));
         let mut shard_b = EventLog::new(true);
-        shard_b.records = vec![
-            finished(5, 3, OutcomeKind::Success),
-            finished(9, 5, OutcomeKind::Success),
-        ];
+        shard_b.record(5, 3, finished(OutcomeKind::Success));
+        shard_b.record(9, 5, finished(OutcomeKind::Success));
         shard_a.merge(&shard_b);
         assert_eq!(single.summary_json(), shard_a.summary_json());
         assert_eq!(
             single.summary_json(),
             "{\"events\":{\"session_finished\":3},\"verdicts\":{\"success\":2,\"few_data\":1}}"
+        );
+        assert_eq!(
+            EventLog::new(true).summary_json(),
+            "{\"events\":{},\"verdicts\":{}}"
         );
     }
 }

@@ -12,16 +12,17 @@
 //! * the **metrics manifest** ([`manifest`]) — the scanner's metric set,
 //!   written once: one enum per instrument kind whose variants index a
 //!   table of names and scopes, and are themselves registry handles;
-//! * a structured **session event log** ([`events`]) — per-host lifecycle
-//!   transitions (SYN sent → SYN-ACK validated → retransmit detected →
-//!   verify-ACK → verdict) that tests can assert on exactly;
+//! * a **session event log** ([`events`]) — a fixed-size tally of the
+//!   per-host lifecycle transitions (SYN sent → SYN-ACK validated →
+//!   retransmit detected → verify-ACK → verdict), plus the exact records
+//!   of a watch set of addresses that tests assert on;
 //! * a **progress monitor** ([`monitor`]) — periodic ZMap-style status
 //!   lines (send progress, hit rate, pps, verdict mix, ETA) through a
 //!   pluggable sink;
 //! * a **span tracer** ([`trace`]) — virtual-time spans over session
-//!   phases and the event-loop hot path, exported as Chrome trace-event
-//!   JSON (Perfetto-loadable) with a byte-identical canonical form
-//!   across shard counts;
+//!   phases, exported as Chrome trace-event JSON (Perfetto-loadable) with
+//!   a byte-identical canonical form across shard counts, and the
+//!   event-loop hot path's spans, counted but not stored;
 //! * a **flight recorder** ([`recorder`]) — bounded per-session rings of
 //!   wire and state-transition activity, dumped as JSONL black boxes for
 //!   sessions that end in an error;
@@ -82,4 +83,4 @@ pub use registry::{
     CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricsRegistry, Scope, Snapshot,
 };
 pub use sink::TelemetrySink;
-pub use trace::{SpanRecord, SpanScope, Tracer};
+pub use trace::{SpanRecord, Tracer};

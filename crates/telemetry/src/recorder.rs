@@ -8,25 +8,27 @@
 //! host, plus the lifecycle phase it died in, exported as one JSONL line
 //! per casualty for offline triage (`iw-cli inspect`).
 //!
-//! Memory discipline: most targets never answer, so a target whose only
-//! history is its first SYN holds a 16-byte stamp (send time and ISN),
-//! not a ring. The ring — a fixed-capacity `VecDeque` that evicts its
-//! oldest entry instead of growing, so a warm ring never reallocates
-//! (asserted by tests) — is built when the target's second event
-//! arrives, and starts with the two entries the stamp stands for, so a
-//! dump cannot tell the difference. Stamps and rings live in two hashed
-//! maps, so the one probed on every segment holds only the targets that
-//! answered. Those of targets that fall silent without any conclusion
-//! are expired by the scanner's periodic sweep. Nothing read from the
-//! maps in hash order reaches output: dumps are appended at conclusion
-//! and merge across shards by `(conclusion time, address)`, which is
-//! population-determined, so a sharded scan dumps the same casualties in
-//! the same order as a single-threaded one.
+//! Memory discipline: most targets never answer, and a target whose only
+//! history is its first SYN holds no ring. The recorder never sees such a
+//! target: its owner keeps one stamp per SYN-ed target for every product
+//! that needs the SYN (the scanner's observer), and calls
+//! [`FlightRecorder::note_syn`] with the stamp's send time and the ISN it
+//! derives from the cookie when the target's second event arrives. The
+//! ring — a fixed-capacity `VecDeque` that evicts its oldest entry
+//! instead of growing, so a warm ring never reallocates (asserted by
+//! tests) — then starts with the two entries the stamp stands for, so a
+//! dump cannot tell the difference. Rings live in one hashed map that
+//! holds only the targets that answered; those of targets that fall
+//! silent without any conclusion are expired by the scanner's periodic
+//! sweep. Nothing read from the map in hash order reaches output: dumps
+//! are appended at conclusion and merge across shards by `(conclusion
+//! time, address)`, which is population-determined, so a sharded scan
+//! dumps the same casualties in the same order as a single-threaded one.
+//! A run hands over its dumps only ([`FlightRecorder::harvest`]).
 
 use crate::addr::AddrHasher;
 use crate::events::SessionEvent;
 use crate::json::{push_key, push_str_literal, push_u64_field};
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::fmt::Write;
 use std::hash::BuildHasherDefault;
@@ -243,32 +245,9 @@ impl Ring {
     }
 }
 
-/// A target whose only history is its first SYN: the `SynSent`
-/// transition and the SYN segment, both at `at_nanos`, ISN `isn`. What a
-/// silent target costs.
-#[derive(Debug, Clone, Copy)]
-struct Stamp {
-    at_nanos: u64,
-    isn: u32,
-}
-
-const _: () = assert!(
-    std::mem::size_of::<Stamp>() == 16,
-    "a silent target's stamp is 16 bytes"
-);
-
-impl Stamp {
-    /// The ring the stamp stands for.
-    fn into_ring(self, capacity: usize) -> Ring {
-        let mut ring = Ring::new(capacity);
-        ring.note_syn(self.at_nanos, self.isn);
-        ring
-    }
-}
-
-/// The per-target stores. No iteration over them reaches output: dumps
-/// are appended at conclusion and merged by `(at, ip)`, and the expiry
-/// sweep and the shard merge do not depend on the order they visit.
+/// The ring store. No iteration over it reaches output: dumps are
+/// appended at conclusion and merged by `(at, ip)`, and the expiry sweep
+/// does not depend on the order it visits.
 // iw-lint: allow(no-unordered-iteration): no iteration reaches output, see above
 type AddrMap<V> = std::collections::HashMap<u32, V, BuildHasherDefault<AddrHasher>>;
 
@@ -336,10 +315,7 @@ fn ip_str(ip: u32) -> String {
 pub struct FlightRecorder {
     enabled: bool,
     capacity: usize,
-    /// Targets whose only history is their first SYN.
-    stamps: AddrMap<Stamp>,
-    /// Targets with more, their rings inline. Only answers land here, so
-    /// the table every segment's lookup probes stays small.
+    /// Targets with a history past their first SYN, their rings inline.
     rings: AddrMap<Ring>,
     dumps: Vec<FlightDump>,
 }
@@ -351,50 +327,44 @@ impl FlightRecorder {
         FlightRecorder {
             enabled,
             capacity: capacity.max(1),
-            stamps: AddrMap::default(),
             rings: AddrMap::default(),
             dumps: Vec::new(),
         }
     }
 
-    /// Record a target's first SYN: its `SynSent` transition and the SYN
-    /// segment with ISN `isn`, both at `at_nanos`. A target with no
-    /// history yet gets a stamp, not a ring.
+    /// Is recording on?
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Does the target have a ring?
+    #[inline]
+    pub fn has_ring(&self, ip: u32) -> bool {
+        self.rings.contains_key(&ip)
+    }
+
+    /// Record a SYN to the target: its `SynSent` transition and the SYN
+    /// segment with ISN `isn`, both at `at_nanos`; opens the target's
+    /// ring. The owner reports a first SYN only when the target's second
+    /// event arrives, from the SYN's stamp (see module docs).
     #[inline]
     pub fn note_syn(&mut self, ip: u32, at_nanos: u64, isn: u32) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(ring) = self.rings.get_mut(&ip) {
+        if let Some(ring) = self.ring_mut(ip) {
             ring.note_syn(at_nanos, isn);
-            return;
-        }
-        match self.stamps.entry(ip) {
-            Entry::Vacant(slot) => {
-                slot.insert(Stamp { at_nanos, isn });
-            }
-            Entry::Occupied(slot) => {
-                let mut ring = slot.remove().into_ring(self.capacity);
-                ring.note_syn(at_nanos, isn);
-                self.rings.insert(ip, ring);
-            }
         }
     }
 
-    /// Record a state transition; creates the target's ring.
+    /// Record a state transition; opens the target's ring.
     #[inline]
     pub fn note_state(&mut self, ip: u32, at_nanos: u64, event: SessionEvent) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(ring) = self.ring_mut(ip, true) {
+        if let Some(ring) = self.ring_mut(ip) {
             ring.note_state(at_nanos, event);
         }
     }
 
-    /// Record a wire segment. No-op unless the target already has a
-    /// history (stray traffic for targets we never probed is not
-    /// recorded).
+    /// Record a wire segment. No-op unless the target already has a ring
+    /// (stray traffic for targets we never probed is not recorded).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn note_wire(
@@ -407,10 +377,7 @@ impl FlightRecorder {
         ack: u32,
         payload_len: u32,
     ) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(ring) = self.ring_mut(ip, false) {
+        if let Some(ring) = self.rings.get_mut(&ip) {
             ring.push(FlightEntry::Wire {
                 at_nanos,
                 tx,
@@ -422,20 +389,10 @@ impl FlightRecorder {
         }
     }
 
-    /// Conclude a target: `Some(error)` freezes its history into a dump,
+    /// Conclude a target: `Some(error)` freezes its ring into a dump,
     /// `None` (clean verdict) drops it. Returns true if a dump was kept.
     pub fn conclude(&mut self, ip: u32, at_nanos: u64, error: Option<&'static str>) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let ring = match self.rings.remove(&ip) {
-            Some(ring) => ring,
-            None => match self.stamps.remove(&ip) {
-                Some(stamp) => stamp.into_ring(self.capacity),
-                None => return false,
-            },
-        };
-        let Some(error) = error else {
+        let (Some(ring), Some(error)) = (self.rings.remove(&ip), error) else {
             return false;
         };
         self.dumps.push(FlightDump {
@@ -449,16 +406,11 @@ impl FlightRecorder {
         true
     }
 
-    /// Drop the stamps and rings whose most recent entry predates
-    /// `cutoff_nanos`, except targets `keep` vouches for (those still
-    /// headed for a conclusion). Bounds memory when targets fall silent
-    /// without ever concluding.
+    /// Drop the rings whose most recent entry predates `cutoff_nanos`,
+    /// except targets `keep` vouches for (those still headed for a
+    /// conclusion). Bounds memory when targets fall silent without ever
+    /// concluding.
     pub fn expire_stale(&mut self, cutoff_nanos: u64, keep: impl Fn(u32) -> bool) {
-        if !self.enabled {
-            return;
-        }
-        self.stamps
-            .retain(|ip, stamp| stamp.at_nanos >= cutoff_nanos || keep(*ip));
         self.rings
             .retain(|ip, ring| ring.last_at >= cutoff_nanos || keep(*ip));
     }
@@ -468,14 +420,13 @@ impl FlightRecorder {
         &self.dumps
     }
 
-    /// Targets with a live history, stamped or ringed (diagnostics).
+    /// Targets with a live ring (diagnostics).
     pub fn live_rings(&self) -> usize {
-        self.stamps.len() + self.rings.len()
+        self.rings.len()
     }
 
-    /// `(len, deque capacity, evicted)` of a target's ring (`None` for a
-    /// target that has only a stamp), for tests asserting the
-    /// no-reallocation guarantee.
+    /// `(len, deque capacity, evicted)` of a target's ring, for tests
+    /// asserting the no-reallocation guarantee.
     pub fn ring_stats(&self, ip: u32) -> Option<(usize, usize, u64)> {
         self.rings
             .get(&ip)
@@ -487,15 +438,21 @@ impl FlightRecorder {
         self.dumps.is_empty()
     }
 
-    /// Merge another shard's recorder. Dump order is canonical:
+    /// Hand over the recorder's output: a recorder holding this one's
+    /// dumps and nothing else. The live rings stay behind.
+    pub fn harvest(&mut self) -> FlightRecorder {
+        FlightRecorder {
+            dumps: std::mem::take(&mut self.dumps),
+            ..FlightRecorder::new(self.enabled, self.capacity)
+        }
+    }
+
+    /// Merge another shard's dumps. Dump order is canonical:
     /// `(conclusion time, address)`, both population-determined.
     pub fn merge(&mut self, other: &FlightRecorder) {
         self.enabled |= other.enabled;
         self.capacity = self.capacity.max(other.capacity);
         self.dumps.extend(other.dumps.iter().cloned());
-        self.stamps.extend(&other.stamps);
-        self.rings
-            .extend(other.rings.iter().map(|(ip, ring)| (*ip, ring.clone())));
         self.dumps.sort_by_key(|d| (d.at_nanos, d.ip));
     }
 
@@ -510,20 +467,13 @@ impl FlightRecorder {
         out
     }
 
-    /// The target's ring: built from its stamp if it has one, else new
-    /// when `create`, else none.
-    fn ring_mut(&mut self, ip: u32, create: bool) -> Option<&mut Ring> {
-        match self.rings.entry(ip) {
-            Entry::Occupied(ring) => Some(ring.into_mut()),
-            Entry::Vacant(slot) => {
-                let ring = match self.stamps.remove(&ip) {
-                    Some(stamp) => stamp.into_ring(self.capacity),
-                    None if create => Ring::new(self.capacity),
-                    None => return None,
-                };
-                Some(slot.insert(ring))
-            }
+    /// The target's ring, opened if it has none; none when disabled.
+    fn ring_mut(&mut self, ip: u32) -> Option<&mut Ring> {
+        if !self.enabled {
+            return None;
         }
+        let capacity = self.capacity;
+        Some(self.rings.entry(ip).or_insert_with(|| Ring::new(capacity)))
     }
 }
 
@@ -652,16 +602,15 @@ mod tests {
     }
 
     #[test]
-    fn a_first_syn_is_a_stamp_until_the_next_event() {
+    fn a_first_syn_opens_the_ring_with_its_two_entries() {
         let mut r = FlightRecorder::new(true, 32);
         r.note_syn(4, 10, 0xabcd);
-        assert_eq!(r.live_rings(), 1);
-        assert_eq!(r.ring_stats(4), None, "a silent target holds no ring");
+        let (len, cap, evicted) = r.ring_stats(4).expect("the SYN opens the ring");
+        assert_eq!((len, cap, evicted), (2, 32, 0));
         r.note_wire(4, 12, false, 0x012, 5, 0xabce, 0);
-        let (len, cap, evicted) = r.ring_stats(4).expect("the answer builds the ring");
-        assert_eq!((len, evicted), (3, 0));
-        assert_eq!(cap, 32);
+        assert_eq!(r.ring_stats(4).map(|(len, ..)| len), Some(3));
         assert!(r.conclude(4, 13, Some("malformed")));
+        assert_eq!(r.live_rings(), 0);
         let entries = &r.dumps()[0].entries;
         assert_eq!(
             entries[0],
@@ -683,9 +632,21 @@ mod tests {
         );
     }
 
-    /// The recorder before stamps, kept as the reference: every target
-    /// gets a ring at its first event, in an ordered map. A ring is its
-    /// entries, its eviction count and its phase.
+    #[test]
+    fn a_harvest_hands_over_the_dumps_only() {
+        let mut r = FlightRecorder::new(true, 4);
+        r.note_syn(1, 1, 7);
+        r.note_syn(2, 1, 8);
+        assert!(r.conclude(1, 2, Some("malformed")));
+        let out = r.harvest();
+        assert_eq!((out.dumps().len(), out.live_rings()), (1, 0));
+        assert!(out.is_enabled());
+        assert_eq!((r.dumps().len(), r.live_rings()), (0, 1));
+    }
+
+    /// The recorder as a reference model: every target gets a ring at its
+    /// first event, in an ordered map. A ring is its entries, its
+    /// eviction count and its phase.
     struct Eager {
         capacity: usize,
         rings: std::collections::BTreeMap<u32, (VecDeque<FlightEntry>, u64, &'static str)>,
@@ -772,9 +733,9 @@ mod tests {
             SessionEvent::Refused,
             SessionEvent::IcmpUnreachable,
         ];
-        // What the sequences must have reached, counted on the stamped
-        // targets: [silence expired, silence concluded, an answer, a SYN
-        // retry, an expiry sweep with a target exactly at its cutoff].
+        // What the sequences must have reached, counted on targets with a
+        // ring: [a ring expired, a ring dumped, an answer, a SYN retry, an
+        // expiry sweep with a target exactly at its cutoff].
         let mut seen = [0u32; 5];
         for seed in 0..400u64 {
             let mut rng = Rng(seed);
@@ -789,7 +750,7 @@ mod tests {
             for _ in 0..300 {
                 let ip = rng.below(6) as u32;
                 t += rng.below(3);
-                let stamped = r.stamps.contains_key(&ip);
+                let ringed = r.ring_stats(ip).is_some();
                 let syn = |isn: u32| FlightEntry::Wire {
                     at_nanos: t,
                     tx: true,
@@ -823,7 +784,7 @@ mod tests {
                             payload_len: 64,
                         };
                         m.note_wire(ip, entry);
-                        seen[2] += u32::from(stamped && !tx);
+                        seen[2] += u32::from(ringed && !tx);
                     }
                     5 => {
                         let isn = rng.below(1 << 32) as u32;
@@ -832,23 +793,22 @@ mod tests {
                         r.note_wire(ip, t, true, SYN, isn, 0, 0);
                         m.note_state(ip, t, retried);
                         m.note_wire(ip, syn(isn));
-                        seen[3] += u32::from(stamped);
+                        seen[3] += u32::from(ringed);
                     }
                     6 | 7 => {
                         let error = [None, Some("handshake_timeout")][rng.below(2) as usize];
                         assert_eq!(r.conclude(ip, t, error), m.conclude(ip, t, error));
-                        seen[1] += u32::from(stamped && error.is_some());
+                        seen[1] += u32::from(ringed && error.is_some());
                     }
                     _ => {
                         let cutoff = t.saturating_sub(rng.below(4));
                         let kept = rng.below(1 << 6);
                         let keep = |ip: u32| kept >> ip & 1 == 1;
-                        let at_cutoff = r.stamps.values().any(|s| s.at_nanos == cutoff)
-                            || r.rings.values().any(|ring| ring.last_at == cutoff);
-                        let before = r.stamps.len();
+                        let at_cutoff = r.rings.values().any(|ring| ring.last_at == cutoff);
+                        let before = r.live_rings();
                         r.expire_stale(cutoff, keep);
                         m.expire_stale(cutoff, keep);
-                        seen[0] += (before - r.stamps.len()) as u32;
+                        seen[0] += (before - r.live_rings()) as u32;
                         seen[4] += u32::from(at_cutoff);
                     }
                 }

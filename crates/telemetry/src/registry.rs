@@ -104,6 +104,18 @@ impl Histogram {
         self.buckets[bucket_index(value)] += 1;
     }
 
+    /// Fold another histogram's samples in: the result is what observing
+    /// both sample sets, in any order, would have given.
+    pub fn merge(&mut self, other: &Histogram) {
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets) {
+            *mine += theirs;
+        }
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -235,6 +247,11 @@ impl MetricsRegistry {
     #[inline]
     pub fn observe(&mut self, id: impl Into<HistogramId>, value: u64) {
         self.histograms[id.into().0].value.observe(value);
+    }
+
+    /// Fold a histogram recorded elsewhere into a registry histogram.
+    pub fn merge_histogram(&mut self, id: impl Into<HistogramId>, samples: &Histogram) {
+        self.histograms[id.into().0].value.merge(samples);
     }
 
     /// Read a histogram back (for reporting and tests).
@@ -533,6 +550,20 @@ mod tests {
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(1000));
         assert!((h.mean().unwrap() - 202.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merged_histograms_equal_one_observing_both() {
+        let (mut a, mut b, mut both) = Default::default();
+        for (i, v) in [0u64, 7, 7, 3_000, u64::MAX, 12].into_iter().enumerate() {
+            Histogram::observe(if i % 2 == 0 { &mut a } else { &mut b }, v);
+            Histogram::observe(&mut both, v);
+        }
+        a.merge(&b);
+        assert_eq!(a, both);
+        // An empty side changes nothing, min included.
+        a.merge(&Histogram::default());
+        assert_eq!(a, both);
     }
 
     #[test]

@@ -1,23 +1,29 @@
 //! Virtual-time span tracing: the scan's flame graph.
 //!
-//! A [`Tracer`] collects [`SpanRecord`]s — named intervals of **virtual**
-//! time (the simulator clock, never the wall clock) — and exports them as
-//! Chrome trace-event JSON loadable in `chrome://tracing` or Perfetto.
-//! Spans come in two determinism classes, mirroring the metric scopes in
+//! A [`Tracer`] collects named intervals of **virtual** time (the
+//! simulator clock, never the wall clock) and exports them as Chrome
+//! trace-event JSON loadable in `chrome://tracing` or Perfetto. Spans
+//! come in two determinism classes, mirroring the metric scopes in
 //! [`crate::registry::Scope`]:
 //!
-//! * [`SpanScope::Scan`] — population-determined spans (session phases,
+//! * **Scan** spans — population-determined (session phases,
 //!   handshakes, inference probes). Keyed by target address, these
 //!   partition across ZMap shards exactly, and a target's timeline is
 //!   translation-invariant (every event is an offset from its SYN), so
 //!   the canonical export — which re-bases each track to its first
 //!   event — is **byte-identical** whether the scan ran on one thread
-//!   or many.
-//! * [`SpanScope::Shard`] — scheduling-determined spans from the event
-//!   loop hot path (timer-wheel advances, packet fan-out batches, pacing
-//!   ticks). These depend on how the scan was sharded and are therefore
-//!   kept out of the canonical export; they are counted into the
-//!   `trace.*` metrics and kept in [`Tracer::spans`].
+//!   or many. They are stored as [`SpanRecord`]s: they are the export.
+//! * **Shard** spans — scheduling-determined, from the event loop hot
+//!   path (timer-wheel advances, packet fan-out batches, pacing ticks).
+//!   They depend on how the scan was sharded, so the canonical export
+//!   leaves them out, and they are counted, not stored: each one bumps
+//!   a count per span name, and the first [`SHARD_SPAN_CAP`] of them
+//!   feed their durations into the tracer's histogram as they arrive.
+//!   A hot path that advances the wheel millions of times costs a fixed
+//!   few hundred bytes.
+//!
+//! [`Tracer::durations`] holds every scan span's duration and those of
+//! the counted shard spans: the `trace.span_nanos` histogram.
 //!
 //! The tracer is ~zero-cost when disabled: every recording entry point
 //! checks one `bool` and returns. Nesting needs no explicit stack —
@@ -25,41 +31,29 @@
 //! the same track, and each target gets its own track (`tid` = address).
 
 use crate::json::{push_key, push_str_literal, push_u64_field};
+use crate::registry::Histogram;
 use std::collections::BTreeMap;
 
-/// Determinism class of a span (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SpanScope {
-    /// Population-determined: merges byte-identically across shard counts.
-    Scan,
-    /// Scheduling-determined: excluded from the canonical export.
-    Shard,
-}
-
-/// One named interval of virtual time.
+/// One named, scan-scoped interval of virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Determinism class.
-    pub scope: SpanScope,
     /// Start of the interval, nanoseconds of virtual time.
     pub start_nanos: u64,
     /// Length of the interval in nanoseconds (0 = instant event).
     pub dur_nanos: u64,
-    /// Track key: the target address for session spans, 0 for
-    /// scanner/simulator-global spans.
+    /// Track key: the target address.
     pub key: u32,
     /// Span name (static so the hot path never allocates).
     pub name: &'static str,
-    /// One free argument (probe index, batch size, grant count, ...).
+    /// One free argument (probe index, outcome, ...).
     pub arg: u64,
 }
 
 impl SpanRecord {
-    /// Sort key: virtual-time order with deterministic tie-breaks, scan
-    /// spans ahead of shard spans.
-    fn sort_key(&self) -> (SpanScope, u64, u32, &'static str, u64, u64) {
+    /// Sort key: virtual-time order with deterministic tie-breaks. It
+    /// covers every field, so an unstable sort gives one order.
+    fn sort_key(&self) -> (u64, u32, &'static str, u64, u64) {
         (
-            self.scope,
             self.start_nanos,
             self.key,
             self.name,
@@ -69,26 +63,28 @@ impl SpanRecord {
     }
 }
 
-/// Upper bound on retained shard-scoped (hot-path) spans. The event loop
-/// can advance the wheel millions of times in a large scan; past the cap
-/// the tracer keeps counting but stops storing, so memory stays bounded.
+/// How many shard-scoped (hot-path) spans per tracer feed the duration
+/// histogram. Past the cap the tracer keeps counting them by name, and
+/// the histogram stays what it was.
 pub const SHARD_SPAN_CAP: usize = 1 << 16;
 
 /// Span collector and Chrome trace-event exporter. See module docs.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     enabled: bool,
+    /// Scan spans, canonical order after a merge.
     spans: Vec<SpanRecord>,
     /// Begin timestamps of spans opened but not yet closed, keyed by
     /// `(track key, slot)`. Ordered map: iteration order never leaks into
     /// output, but determinism is cheap to keep everywhere.
     open: BTreeMap<(u32, u8), u64>,
-    /// Shard-scoped spans retained in `spans` (≤ [`SHARD_SPAN_CAP`]).
-    shard_retained: usize,
+    /// Durations of every scan span and of the first [`SHARD_SPAN_CAP`]
+    /// shard spans.
+    durations: Histogram,
     /// Shard-scoped spans recorded (including any past [`SHARD_SPAN_CAP`]).
     shard_total: u64,
-    /// Shard-scoped spans dropped by the cap.
-    shard_dropped: u64,
+    /// Shard-scoped spans recorded, per name (a handful of names).
+    shard_names: Vec<(&'static str, u64)>,
 }
 
 impl Tracer {
@@ -119,50 +115,39 @@ impl Tracer {
         if !self.enabled {
             return;
         }
+        let dur_nanos = end_nanos.saturating_sub(start_nanos);
+        self.durations.observe(dur_nanos);
         self.spans.push(SpanRecord {
-            scope: SpanScope::Scan,
             start_nanos,
-            dur_nanos: end_nanos.saturating_sub(start_nanos),
+            dur_nanos,
             key,
             name,
             arg,
         });
     }
 
-    /// Record a finished shard-scoped (hot-path) span. Counted always,
-    /// stored only up to [`SHARD_SPAN_CAP`].
+    /// Count a finished shard-scoped (hot-path) span: by name always, its
+    /// duration only up to [`SHARD_SPAN_CAP`]. Nothing is stored.
     #[inline]
-    pub fn record_shard(
-        &mut self,
-        start_nanos: u64,
-        end_nanos: u64,
-        key: u32,
-        name: &'static str,
-        arg: u64,
-    ) {
+    pub fn record_shard(&mut self, start_nanos: u64, end_nanos: u64, name: &'static str) {
         if !self.enabled {
             return;
         }
         self.shard_total += 1;
-        if self.shard_retained >= SHARD_SPAN_CAP {
-            self.shard_dropped += 1;
-            return;
+        match self.shard_names.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, count)) => *count += 1,
+            None => self.shard_names.push((name, 1)),
         }
-        self.shard_retained += 1;
-        self.spans.push(SpanRecord {
-            scope: SpanScope::Shard,
-            start_nanos,
-            dur_nanos: end_nanos.saturating_sub(start_nanos),
-            key,
-            name,
-            arg,
-        });
+        if self.shard_total <= SHARD_SPAN_CAP as u64 {
+            self.durations
+                .observe(end_nanos.saturating_sub(start_nanos));
+        }
     }
 
-    /// Record an instant (zero-duration) shard-scoped event.
+    /// Count an instant (zero-duration) shard-scoped event.
     #[inline]
-    pub fn instant_shard(&mut self, at_nanos: u64, key: u32, name: &'static str, arg: u64) {
-        self.record_shard(at_nanos, at_nanos, key, name, arg);
+    pub fn instant_shard(&mut self, at_nanos: u64, name: &'static str) {
+        self.record_shard(at_nanos, at_nanos, name);
     }
 
     /// Open a nestable scan span on `(key, slot)` at `start_nanos`.
@@ -196,24 +181,20 @@ impl Tracer {
         self.open.remove(&(key, slot));
     }
 
-    /// All retained spans, canonical order.
+    /// All scan spans, canonical order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
     }
 
-    /// Retained shard-scoped spans.
-    pub fn shard_spans(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(|s| s.scope == SpanScope::Shard)
+    /// The `trace.span_nanos` samples: every scan span's duration and
+    /// those of the counted shard spans.
+    pub fn durations(&self) -> &Histogram {
+        &self.durations
     }
 
     /// Number of scan-scoped spans recorded.
     pub fn scan_span_count(&self) -> u64 {
-        (self.spans.len() - self.shard_retained) as u64
-    }
-
-    /// Number of shard-scoped spans *retained* (≤ [`SHARD_SPAN_CAP`]).
-    pub fn shard_span_count(&self) -> usize {
-        self.shard_retained
+        self.spans.len() as u64
     }
 
     /// Number of shard-scoped spans *recorded*, including capped ones.
@@ -221,35 +202,46 @@ impl Tracer {
         self.shard_total
     }
 
-    /// Shard-scoped spans dropped by [`SHARD_SPAN_CAP`].
-    pub fn shard_spans_dropped(&self) -> u64 {
-        self.shard_dropped
+    /// Shard-scoped spans recorded under `name`.
+    pub fn shard_spans_named(&self, name: &str) -> u64 {
+        self.shard_names
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, count)| *count)
     }
 
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.spans.is_empty() && self.shard_total == 0
     }
 
-    /// Merge another shard's spans and restore canonical order. Because
-    /// scan spans partition across shards by target address, merging N
-    /// shard tracers reproduces the single-shard span list exactly.
+    /// Merge another tracer's spans and counts and restore canonical
+    /// order. Because scan spans partition across shards by target
+    /// address, merging N shard tracers reproduces the single-shard span
+    /// list exactly.
     pub fn merge(&mut self, other: &Tracer) {
         self.enabled |= other.enabled;
-        self.spans.extend_from_slice(&other.spans);
-        self.shard_retained += other.shard_retained;
+        self.durations.merge(&other.durations);
         self.shard_total += other.shard_total;
-        self.shard_dropped += other.shard_dropped;
-        self.spans.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        for &(name, count) in &other.shard_names {
+            match self.shard_names.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, mine)) => *mine += count,
+                None => self.shard_names.push((name, count)),
+            }
+        }
+        if !other.spans.is_empty() {
+            self.spans.extend_from_slice(&other.spans);
+            self.spans.sort_unstable_by_key(SpanRecord::sort_key);
+        }
     }
 
-    /// Canonical Chrome trace-event export: **scan-scoped spans only**,
-    /// each track (target) re-based to its own first event. A target's
-    /// session timeline is translation-invariant — every event is an
-    /// offset from its SYN — while its absolute placement depends on
-    /// which shard paced it, so re-basing makes the bytes identical
-    /// across runs **and across shard counts**. Load in
-    /// `chrome://tracing` or <https://ui.perfetto.dev>.
+    /// Canonical Chrome trace-event export, each track (target) re-based
+    /// to its own first event. A target's session timeline is
+    /// translation-invariant — every event is an offset from its SYN —
+    /// while its absolute placement depends on which shard paced it, so
+    /// re-basing makes the bytes identical across runs **and across
+    /// shard counts**. Load in `chrome://tracing` or
+    /// <https://ui.perfetto.dev>.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::new();
         out.push('{');
@@ -258,11 +250,7 @@ impl Tracer {
         push_key(&mut out, "traceEvents");
         out.push('[');
         push_meta(&mut out, 1, "scan sessions");
-        let mut sorted: Vec<&SpanRecord> = self
-            .spans
-            .iter()
-            .filter(|s| s.scope == SpanScope::Scan)
-            .collect();
+        let mut sorted: Vec<&SpanRecord> = self.spans.iter().collect();
         // Canonical order is track-major: absolute order across tracks is
         // scheduling-determined, order *within* a track is not. The
         // earliest span per track, its first, becomes its time base.
@@ -334,7 +322,7 @@ mod tests {
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::new(false);
         t.record_scan(0, 10, 1, "session", 0);
-        t.record_shard(0, 10, 0, "pace.tick", 3);
+        t.record_shard(0, 10, "pace.tick");
         t.open(1, 0, 5);
         t.close(1, 0, 9, "probe", 0);
         assert!(t.is_empty());
@@ -360,10 +348,10 @@ mod tests {
     fn merge_is_order_insensitive() {
         let mut a = Tracer::new(true);
         a.record_scan(10, 20, 2, "session", 0);
-        a.record_shard(0, 5, 0, "wheel", 1);
+        a.record_shard(0, 5, "wheel");
         let mut b = Tracer::new(true);
         b.record_scan(5, 9, 1, "session", 0);
-        b.record_shard(6, 8, 0, "wheel", 1);
+        b.record_shard(6, 8, "wheel");
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -372,6 +360,9 @@ mod tests {
         assert_eq!(ab.spans(), ba.spans());
         assert_eq!(ab.to_chrome_json(), ba.to_chrome_json());
         assert_eq!(ab.shard_span_total(), 2);
+        assert_eq!(ab.shard_spans_named("wheel"), 2);
+        assert_eq!(ab.durations(), ba.durations());
+        assert_eq!(ab.durations().count(), 4);
     }
 
     #[test]
@@ -379,7 +370,7 @@ mod tests {
         let mut t = Tracer::new(true);
         t.record_scan(1_000, 2_000, 0x0a000001, "handshake", 0);
         t.record_scan(1_500, 1_800, 0x0a000001, "probe", 1);
-        t.record_shard(0, 500, 0, "pace.tick", 9);
+        t.record_shard(0, 500, "pace.tick");
         let json = t.to_chrome_json();
         assert!(json.contains("\"handshake\""), "{json}");
         assert!(!json.contains("pace.tick"), "{json}");
@@ -390,9 +381,10 @@ mod tests {
         // Valid trace shape: object with a traceEvents array.
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.ends_with("]}"));
-        // The hot path stays in the tracer, shard-scoped.
-        let shard: Vec<&str> = t.shard_spans().map(|s| s.name).collect();
-        assert_eq!(shard, ["pace.tick"]);
+        // The hot path is counted, not stored.
+        assert_eq!(t.spans().len(), 2);
+        assert_eq!(t.shard_spans_named("pace.tick"), 1);
+        assert_eq!(t.durations().count(), 3);
     }
 
     #[test]
@@ -423,11 +415,16 @@ mod tests {
     fn shard_span_cap_bounds_memory() {
         let mut t = Tracer::new(true);
         for i in 0..(SHARD_SPAN_CAP as u64 + 100) {
-            t.record_shard(i, i + 1, 0, "wheel", 0);
+            t.record_shard(i, i + 1 + (i >= SHARD_SPAN_CAP as u64) as u64, "wheel");
         }
-        assert_eq!(t.shard_span_count(), SHARD_SPAN_CAP);
-        assert_eq!(t.shard_span_total(), SHARD_SPAN_CAP as u64 + 100);
-        assert_eq!(t.shard_spans_dropped(), 100);
+        t.instant_shard(7, "fanout");
+        assert_eq!(t.shard_span_total(), SHARD_SPAN_CAP as u64 + 101);
+        assert_eq!(t.shard_spans_named("wheel"), SHARD_SPAN_CAP as u64 + 100);
+        assert_eq!(t.shard_spans_named("fanout"), 1);
+        // Only the first spans' durations (all 1 ns) were counted.
+        let d = t.durations();
+        assert_eq!((d.count(), d.max()), (SHARD_SPAN_CAP as u64, Some(1)));
+        assert!(t.spans().is_empty(), "no shard span is stored");
     }
 
     #[test]
