@@ -41,10 +41,14 @@ pub struct ConnConfig {
     /// Our ISN (the stateless validation cookie).
     pub isn: u32,
     /// Request payload to send once established. Empty = port-scan mode:
-    /// report `Open` on SYN-ACK and RST immediately. Never copied: the
-    /// segment that carries it is emitted with these bytes on loan (see
-    /// [`TxSegment::carries_request`]).
+    /// report `Open` on SYN-ACK and RST immediately. Never copied, and
+    /// kept only until it is sent: the output whose segment carries it
+    /// takes the bytes ([`ConnOutput::request`]).
     pub request: Vec<u8>,
+    /// What of the response the probe layer reads once the connection
+    /// concludes: the only bytes worth storing. Every byte is counted
+    /// either way.
+    pub reads: Reads,
     /// Give up on the SYN after this long.
     pub syn_timeout: Duration,
     /// Give up waiting for the retransmission signal after this long.
@@ -77,12 +81,25 @@ impl ConnConfig {
             mss,
             isn,
             request,
+            reads: Reads::Nothing,
             syn_timeout: Duration::from_secs(4),
             collect_timeout: Duration::from_secs(10),
             verify_timeout: Duration::from_secs(3),
             verify_exhaustion: true,
         }
     }
+}
+
+/// What a probe driver reads of a connection's response. The paper's
+/// method counts response bytes and never reads them (§3.1, §3.3); only
+/// the HTTP probe looks at the head of its first connection (§3.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reads {
+    /// Nothing: the connection stores no payload.
+    Nothing,
+    /// The HTTP head: the in-order prefix up to and including its first
+    /// blank line, if that completes within [`RESPONSE_CAP`] bytes.
+    HttpHead,
 }
 
 /// Raw result of one connection (before probe-level interpretation).
@@ -120,13 +137,15 @@ pub enum RawOutcome {
     Unreachable,
 }
 
-/// A finished connection: outcome + the reassembled in-order response
-/// prefix (the probe layer parses HTTP heads / TLS alerts out of it).
+/// A finished connection: outcome + what the probe reads of the
+/// response ([`ConnConfig::reads`]).
 #[derive(Debug, Clone)]
 pub struct ConnResult {
     /// The raw outcome.
     pub outcome: RawOutcome,
-    /// In-order response bytes from offset 0 (bounded).
+    /// The in-order response prefix from offset 0, cut to what the probe
+    /// reads: empty for [`Reads::Nothing`]; for [`Reads::HttpHead`] the
+    /// head once complete, else the prefix up to [`RESPONSE_CAP`].
     pub response: Vec<u8>,
 }
 
@@ -145,8 +164,8 @@ pub enum ConnNote {
 }
 
 /// One segment to transmit: its header, and whether its payload is the
-/// connection's request ([`ConnConfig::request`], which the emitter lends
-/// at emission time) or nothing.
+/// connection's request ([`ConnOutput::request`] of the same output) or
+/// nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxSegment {
     /// Everything but the payload.
@@ -202,6 +221,9 @@ impl std::ops::Deref for TxBatch {
 pub struct ConnOutput {
     /// Segments to transmit.
     pub tx: TxBatch,
+    /// The request bytes, in the output whose segment carries them
+    /// ([`TxSegment::carries_request`]); empty in every other.
+    pub request: Vec<u8>,
     /// Absolute deadline to be woken at (stale wakes are no-ops).
     pub deadline: Option<Instant>,
     /// Present exactly once, when the connection concludes.
@@ -231,9 +253,9 @@ const TRANSITIONS: &[(Phase, Phase)] = &[
     (Phase::Verifying, Phase::Done),
 ];
 
-/// Cap on buffered in-order response bytes (enough for any HTTP head or
-/// TLS alert we need to inspect).
-const RESPONSE_CAP: usize = 8192;
+/// Cap on stored response bytes: an HTTP head that has not completed
+/// within this many bytes is not parsed.
+pub const RESPONSE_CAP: usize = 8192;
 
 /// The inference machine for one connection.
 #[derive(Debug)]
@@ -242,12 +264,21 @@ pub struct InferenceConn {
     phase: Phase,
     /// Server's ISS (+1 = first payload byte), set on SYN-ACK.
     data_base: u32,
+    /// Length of the request, which outlives its bytes (sequence numbers
+    /// after it count it).
+    request_len: u32,
     /// Received payload ranges, as [start, end) offsets, sorted, merged.
     ranges: Vec<(u32, u32)>,
-    /// Response bytes, each fragment at its stream offset (bounded by
-    /// [`RESPONSE_CAP`]; gaps between fragments read zero until filled).
-    /// What is valid is the in-order prefix `ranges` describes.
+    /// The stored bytes: those of `ranges` below `keep`, concatenated in
+    /// stream order with no gaps, so the in-order prefix comes first and
+    /// a fragment past a hole costs its own length, not the hole's.
     response: Vec<u8>,
+    /// Bytes at or past this offset are counted, not stored: zero when
+    /// the probe reads nothing; while an HTTP head is incomplete, the
+    /// lowest end of a blank line seen in any fragment (the head ends at
+    /// or before it) or else [`RESPONSE_CAP`]; the head's length once the
+    /// prefix holds it.
+    keep: u32,
     max_seg: u32,
     fin_seen: bool,
     reordered: bool,
@@ -284,12 +315,18 @@ impl InferenceConn {
         ranges.clear();
         response.clear();
         let deadline = now + cfg.syn_timeout;
+        let keep = match cfg.reads {
+            Reads::Nothing => 0,
+            Reads::HttpHead => RESPONSE_CAP as u32,
+        };
         let conn = InferenceConn {
+            request_len: cfg.request.len() as u32,
             cfg,
             phase: Phase::SynSent,
             data_base: 0,
             ranges,
             response,
+            keep,
             max_seg: 0,
             fin_seen: false,
             reordered: false,
@@ -329,12 +366,6 @@ impl InferenceConn {
             flags,
             window,
         )
-    }
-
-    /// The request this connection sends once established (what a
-    /// [`TxSegment::carries_request`] segment carries).
-    pub fn request(&self) -> &[u8] {
-        &self.cfg.request
     }
 
     /// Whether the connection has concluded.
@@ -410,27 +441,92 @@ impl InferenceConn {
         false
     }
 
-    /// Write a fragment at its offset of `response` (what lies past
-    /// [`RESPONSE_CAP`] is dropped).
-    fn buffer_payload(&mut self, offset: u32, data: &[u8]) {
-        let at = offset as usize;
-        if at >= RESPONSE_CAP {
-            return;
+    /// Note a fragment at `offset`: count it, store what the probe reads
+    /// of it. Returns true if every byte was already present (i.e. this
+    /// segment is a retransmission).
+    fn receive(&mut self, offset: u32, data: &[u8]) -> bool {
+        let grown_from = self.prefix_len();
+        if offset < self.keep {
+            // The head ends at the stream's first blank line, so a blank
+            // line anywhere bounds it, in order or not.
+            if let Some(len) = iw_wire::http::head_len(data) {
+                self.lower_keep(offset + len as u32);
+            }
+            self.store(offset, data);
         }
-        let end = (at + data.len()).min(RESPONSE_CAP);
-        if self.response.len() < end {
-            self.response.resize(end, 0);
-        }
-        self.response[at..end].copy_from_slice(&data[..end - at]);
+        let is_retransmission = self.merge_range(offset, offset + data.len() as u32);
+        self.close_head(grown_from);
+        is_retransmission
     }
 
-    /// Length of the in-order response prefix: what `ranges` says is
-    /// contiguous from offset zero, within the buffer's bound.
+    /// Store the bytes of the fragment `data` at `offset` that lie below
+    /// `keep` and are not stored yet, each where it belongs in the
+    /// gap-free `response`. Runs before [`Self::merge_range`] notes the
+    /// fragment: the holes of the current `ranges` are what is new.
+    fn store(&mut self, offset: u32, data: &[u8]) {
+        let end = (offset + data.len() as u32).min(self.keep);
+        // Stored bytes below the hole under consideration, and the hole's
+        // start; every byte stored by this call so far lies below it too.
+        let (mut below, mut hole) = (0, 0);
+        for i in 0..=self.ranges.len() {
+            let (next, next_end) = self.ranges.get(i).copied().unwrap_or((u32::MAX, u32::MAX));
+            let (from, to) = (offset.max(hole), end.min(next));
+            if from < to {
+                let at = below as usize;
+                let new = &data[(from - offset) as usize..(to - offset) as usize];
+                let old_len = self.response.len();
+                // Exact growth: the session keeps this buffer for all its
+                // connections, so slack would stay for all of them.
+                self.response.reserve_exact(new.len());
+                self.response.resize(old_len + new.len(), 0);
+                self.response.copy_within(at..old_len, at + new.len());
+                self.response[at..at + new.len()].copy_from_slice(new);
+                below += to - from;
+            }
+            if next >= end {
+                break;
+            }
+            below += next_end.min(self.keep) - next.min(self.keep);
+            hole = next_end;
+        }
+    }
+
+    /// Length of the stored in-order prefix: what `ranges` says is
+    /// contiguous from offset zero, below `keep`.
     fn prefix_len(&self) -> usize {
         match self.ranges.first() {
-            Some((0, end)) => (*end as usize).min(RESPONSE_CAP),
+            Some((0, end)) => (*end).min(self.keep) as usize,
             _ => 0,
         }
+    }
+
+    /// Stop storing once the in-order prefix holds a whole HTTP head:
+    /// nothing past its blank line is read. `grown_from` is the prefix's
+    /// length before the last fragment; only what it added is searched.
+    fn close_head(&mut self, grown_from: usize) {
+        let prefix = self.prefix_len();
+        if prefix <= grown_from {
+            return;
+        }
+        let from = grown_from.saturating_sub(3);
+        if let Some(len) = iw_wire::http::head_len(&self.response[from..prefix]) {
+            self.lower_keep((from + len) as u32);
+        }
+    }
+
+    /// Store nothing at or past `bound` any more, and drop what is stored
+    /// there (the tail of the gap-free `response`).
+    fn lower_keep(&mut self, bound: u32) {
+        if bound >= self.keep {
+            return;
+        }
+        self.keep = bound;
+        let below: u32 = self
+            .ranges
+            .iter()
+            .map(|&(s, e)| e.min(bound) - s.min(bound))
+            .sum();
+        self.response.truncate(below as usize);
     }
 
     /// Conclude: the result with the in-order response prefix.
@@ -463,7 +559,7 @@ impl InferenceConn {
 
     /// Our sequence number once the request is out.
     fn snd_nxt(&self) -> u32 {
-        self.cfg.isn.wrapping_add(1 + self.cfg.request.len() as u32)
+        self.cfg.isn.wrapping_add(1 + self.request_len)
     }
 
     fn few_data_outcome(&self) -> RawOutcome {
@@ -515,6 +611,7 @@ impl InferenceConn {
         self.deadline = Some(deadline);
         let mut out = ConnOutput {
             deadline: Some(deadline),
+            request: std::mem::take(&mut self.cfg.request),
             ..ConnOutput::default()
         };
         out.tx.push_segment(TxSegment {
@@ -552,14 +649,8 @@ impl InferenceConn {
                 ..ConnOutput::default()
             };
         }
-        let end = offset + seg.payload.len() as u32;
         self.max_seg = self.max_seg.max(seg.payload.len() as u32);
-        let is_retransmission = self.merge_range(offset, end);
-        if !is_retransmission {
-            self.buffer_payload(offset, seg.payload);
-        }
-
-        if !is_retransmission {
+        if !self.receive(offset, seg.payload) {
             return ConnOutput {
                 deadline: self.deadline,
                 ..ConnOutput::default()
@@ -747,7 +838,12 @@ mod tests {
     }
 
     fn establish() -> (InferenceConn, Instant) {
-        let (mut c, out) = conn();
+        establish_reading(Reads::Nothing)
+    }
+
+    /// An established connection that stores what `reads` asks for.
+    fn establish_reading(reads: Reads) -> (InferenceConn, Instant) {
+        let (mut c, out) = InferenceConn::new(ConnConfig { reads, ..cfg() }, Instant::ZERO);
         assert_eq!(out.tx.len(), 1);
         assert!(out.tx[0].header.flags.contains(Flags::SYN));
         assert_eq!(out.tx[0].header.mss, Some(64));
@@ -756,6 +852,11 @@ mod tests {
         let out = c.on_segment(&syn_ack(), now);
         assert_eq!(out.tx.len(), 1, "ACK+request in one packet");
         assert!(out.tx[0].carries_request);
+        assert_eq!(
+            out.request, b"GET / HTTP/1.1\r\n\r\n",
+            "the request leaves with it"
+        );
+        assert!(c.cfg.request.is_empty());
         assert_eq!(out.tx[0].header.ack, 50_001);
         (c, now)
     }
@@ -1054,7 +1155,7 @@ mod tests {
 
     #[test]
     fn response_reassembly_handles_reordering() {
-        let (mut c, now) = establish();
+        let (mut c, now) = establish_reading(Reads::HttpHead);
         let mk = |offset: u32, body: &[u8]| tcp::Repr {
             src_port: 80,
             dst_port: 40000,
@@ -1075,7 +1176,7 @@ mod tests {
 
     #[test]
     fn a_fragment_overlapping_the_prefix_still_advances_it() {
-        let (mut c, now) = establish();
+        let (mut c, now) = establish_reading(Reads::HttpHead);
         let mk = |offset: u32, body: &[u8]| tcp::Repr {
             payload: body.to_vec(),
             ..tcp::Repr::bare(80, 40000, 50_001 + offset, 7019, Flags::ACK, 65535)
@@ -1089,7 +1190,7 @@ mod tests {
 
     #[test]
     fn more_out_of_order_fragments_than_any_stash_held_all_land() {
-        let (mut c, now) = establish();
+        let (mut c, now) = establish_reading(Reads::HttpHead);
         // 100 one-byte fragments, every other offset first, then the rest
         // downwards: far more pieces in flight than the 64 once kept.
         let offsets = (0..100u32)
@@ -1149,25 +1250,86 @@ mod tests {
         }
     }
 
-    fn stream_byte(offset: u32) -> u8 {
-        (offset ^ (offset >> 7)).wrapping_mul(167) as u8
+    /// A response stream shaped like what HTTP servers send, and unlike
+    /// it: a status line (sometimes garbage), headers (a `Location`
+    /// sometimes, one long enough to push the head past the cap
+    /// sometimes), a blank line (usually), then a body that may hold
+    /// blank lines of its own.
+    fn http_stream(rng: &mut iw_internet::util::HashStream) -> Vec<u8> {
+        let mut out = Vec::new();
+        let status = [200u64, 301, 302, 404, 500][rng.next_range(0, 4) as usize];
+        if rng.next_range(0, 9) == 0 {
+            out.extend_from_slice(b"garbage\r\n");
+        } else {
+            out.extend_from_slice(format!("HTTP/1.1 {status} Reason\r\n").as_bytes());
+        }
+        for i in 0..rng.next_range(0, 4) {
+            let len = match rng.next_range(0, 7) {
+                0 => rng.next_range(2_000, 9_000),
+                _ => rng.next_range(0, 80),
+            } as usize;
+            let name = if i == 0 && rng.next_range(0, 1) == 0 {
+                "Location".to_string()
+            } else {
+                format!("X-H{i}")
+            };
+            let value: String = (0..len).map(|j| (b'a' + (j % 26) as u8) as char).collect();
+            out.extend_from_slice(format!("{name}: http://{value}/p\r\n").as_bytes());
+        }
+        if rng.next_range(0, 7) != 0 {
+            out.extend_from_slice(b"\r\n");
+        }
+        for _ in 0..rng.next_range(0, 3) {
+            let len = rng.next_range(0, 4_000) as usize;
+            out.extend((0..len).map(|j| b"body "[j % 5]));
+            out.extend_from_slice(b"\r\n\r\n");
+        }
+        out
+    }
+
+    /// What the compact store holds for `ranges`: their bytes below
+    /// `keep`, concatenated.
+    fn stored(stream: &[u8], ranges: &[(u32, u32)], keep: u32) -> Vec<u8> {
+        ranges
+            .iter()
+            .flat_map(|&(s, e)| {
+                stream[s.min(keep) as usize..e.min(keep) as usize]
+                    .iter()
+                    .copied()
+            })
+            .collect()
+    }
+
+    /// What the probe layer learns from a response prefix.
+    fn parsed(response: &[u8]) -> Result<(u16, Option<&str>, usize), iw_wire::Error> {
+        iw_wire::http::ResponseHead::parse(response)
+            .map(|h| (h.status, h.header("location"), h.body_offset))
     }
 
     #[test]
     fn reassembly_matches_a_byte_map_under_reordering_duplication_and_overlap() {
         let mut rng = iw_internet::util::HashStream::new(0x7ea5_5e3b, 0, 0);
         for round in 0..400 {
-            let (mut c, _) = establish();
+            // The same fragments into a connection reading the head and
+            // one reading nothing.
+            let (mut c, _) = establish_reading(Reads::HttpHead);
+            let (mut counted, _) = establish_reading(Reads::Nothing);
             // Streams on both sides of the response cap.
-            let len = rng.next_range(1, if round % 2 == 0 { 3_000 } else { 14_000 }) as u32;
+            let stream = http_stream(&mut rng);
+            let len = stream.len() as u32;
             let mut model = ByteMap {
                 seen: vec![false; len as usize],
                 reordered: false,
             };
             // An MSS-sized segmentation of the stream, shuffled, some
             // pieces dropped, then arbitrary overlapping spans and exact
-            // duplicates mixed in.
-            let mss = [64, 128, 536, 1460][rng.next_range(0, 3) as usize];
+            // duplicates mixed in. One round in three cuts the head's
+            // blank line in two, so the prefix completes it across pieces.
+            let head = iw_wire::http::head_len(&stream).filter(|h| *h < RESPONSE_CAP);
+            let mss = match head {
+                Some(h) if rng.next_range(0, 2) == 0 => h - rng.next_range(1, 3) as usize,
+                _ => [64, 128, 536, 1460][rng.next_range(0, 3) as usize],
+            };
             let mut pieces: Vec<(u32, u32)> = (0..len)
                 .step_by(mss)
                 .map(|s| (s, (s + mss as u32).min(len)))
@@ -1193,25 +1355,44 @@ mod tests {
                 let (a, b) = (rng.next_range(0, last), rng.next_range(0, last));
                 pieces.swap(a as usize, b as usize);
             }
+            // The lowest end of a blank line any fragment held.
+            let mut bound = RESPONSE_CAP;
             for (start, end) in pieces {
-                let data: Vec<u8> = (start..end).map(stream_byte).collect();
-                let duplicate = c.merge_range(start, end);
-                assert_eq!(duplicate, model.note(start, end), "round {round}");
-                if !duplicate {
-                    c.buffer_payload(start, &data);
+                let data = &stream[start as usize..end as usize];
+                if let Some(len) = iw_wire::http::head_len(data) {
+                    bound = bound.min(start as usize + len);
                 }
+                let duplicate = c.receive(start, data);
+                assert_eq!(duplicate, model.note(start, end), "round {round}");
+                assert_eq!(counted.receive(start, data), duplicate, "round {round}");
                 assert_eq!(c.ranges, model.ranges(), "round {round}");
+                assert_eq!(counted.ranges, c.ranges, "round {round}");
                 assert_eq!(c.reordered, model.reordered, "round {round}");
+                // Storing stops at the first blank line of the prefix, and
+                // before that at any blank line a fragment held.
+                let prefix = model.seen.iter().take_while(|seen| **seen).count();
+                let in_order = &stream[..prefix.min(RESPONSE_CAP)];
+                let keep = iw_wire::http::head_len(in_order).unwrap_or(bound);
+                assert_eq!(c.keep as usize, keep, "round {round}");
+                assert_eq!(
+                    c.response,
+                    stored(&stream, &c.ranges, c.keep),
+                    "round {round}"
+                );
+                assert!(counted.response.is_empty(), "round {round}");
             }
             let runs = model.ranges();
             let loss_suspected = runs.len() > 1 || runs.first().is_some_and(|(s, _)| *s != 0);
             assert_eq!(c.has_hole(), loss_suspected, "round {round}");
             let prefix = model.seen.iter().take_while(|seen| **seen).count();
-            let expect: Vec<u8> = (0..prefix.min(RESPONSE_CAP) as u32)
-                .map(stream_byte)
-                .collect();
-            let result = c.conclude(RawOutcome::Open);
-            assert_eq!(result.response, expect, "round {round}");
+            let in_order = &stream[..prefix.min(RESPONSE_CAP)];
+            let kept = c.conclude(RawOutcome::Open).response;
+            assert_eq!(parsed(&kept), parsed(in_order), "round {round}");
+            assert!(kept.len() <= in_order.len(), "round {round}");
+            assert!(
+                counted.conclude(RawOutcome::Open).response.is_empty(),
+                "round {round}"
+            );
         }
     }
 

@@ -9,7 +9,7 @@
 //! data".
 
 use super::{better, outcome_from_raw, ProbeDriver, ProbeStep};
-use crate::inference::ConnResult;
+use crate::inference::{ConnResult, Reads};
 use crate::results::ProbeOutcome;
 use iw_wire::http::{split_location, Request, ResponseHead};
 
@@ -53,6 +53,15 @@ impl HttpProbe {
 impl ProbeDriver for HttpProbe {
     fn initial_request(&mut self) -> Vec<u8> {
         Request::probe_get("/", &self.host).to_bytes()
+    }
+
+    /// The first connection's head decides the follow-up; the follow-up
+    /// itself is only counted.
+    fn reads(&self) -> Reads {
+        match self.stage {
+            Stage::Initial => Reads::HttpHead,
+            Stage::Followed => Reads::Nothing,
+        }
     }
 
     fn next_step(&mut self, result: &ConnResult) -> ProbeStep {
@@ -194,6 +203,16 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn only_the_first_connection_reads_the_head() {
+        let mut p = HttpProbe::new("1.2.3.4".into());
+        p.initial_request();
+        assert_eq!(p.reads(), Reads::HttpHead);
+        let step = p.next_step(&few_data(b"HTTP/1.1 404 Not Found\r\n\r\n"));
+        assert!(matches!(step, ProbeStep::FollowUp(_)));
+        assert_eq!(p.reads(), Reads::Nothing, "the follow-up is only counted");
     }
 
     #[test]

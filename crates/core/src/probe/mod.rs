@@ -8,7 +8,7 @@
 pub mod http;
 pub mod tls;
 
-use crate::inference::{ConnResult, RawOutcome};
+use crate::inference::{ConnResult, RawOutcome, Reads};
 use crate::results::{ErrorKind, ProbeOutcome};
 
 /// What to do after a connection concludes.
@@ -24,6 +24,9 @@ pub enum ProbeStep {
 pub trait ProbeDriver {
     /// The request payload for the initial connection.
     fn initial_request(&mut self) -> Vec<u8>;
+    /// What [`Self::next_step`] will read of the response of the
+    /// connection opened now: all that connection stores.
+    fn reads(&self) -> Reads;
     /// Decide the next step from a finished connection.
     fn next_step(&mut self, result: &ConnResult) -> ProbeStep;
 }

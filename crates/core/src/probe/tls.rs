@@ -7,7 +7,7 @@
 //! — the generic ACK-release check decides success.
 
 use super::{outcome_from_raw, ProbeDriver, ProbeStep};
-use crate::inference::ConnResult;
+use crate::inference::{ConnResult, Reads};
 use iw_wire::tls::handshake::ClientHello;
 
 /// One TLS probe attempt.
@@ -30,6 +30,11 @@ impl TlsProbe {
 impl ProbeDriver for TlsProbe {
     fn initial_request(&mut self) -> Vec<u8> {
         ClientHello::probe(self.random, self.sni.as_deref()).to_record_bytes()
+    }
+
+    /// The server flight is counted, never read (§3.3).
+    fn reads(&self) -> Reads {
+        Reads::Nothing
     }
 
     fn next_step(&mut self, result: &ConnResult) -> ProbeStep {

@@ -539,11 +539,10 @@ impl Scanner {
     ) {
         let dst = Ipv4Addr::from_u32(ip);
         for tx in out.tx.iter() {
-            // The session lends its request for the length of the emit.
+            // The request leaves the session with the output that sends
+            // it, and is dropped once sent.
             let payload = if tx.carries_request {
-                self.targets
-                    .session(ip)
-                    .map_or(&[][..], HostSession::request)
+                &out.request[..]
             } else {
                 &[]
             };

@@ -80,8 +80,11 @@ impl SessionParams {
 #[derive(Debug, Default)]
 pub struct SessionOutput {
     /// Segments to transmit to the session's host. One that carries the
-    /// request is emitted with [`HostSession::request`] as its payload.
+    /// request is emitted with `request` as its payload.
     pub tx: TxBatch,
+    /// The request bytes the segment marked as carrying them sends
+    /// ([`ConnOutput::request`]).
+    pub request: Vec<u8>,
     /// Deadline to be woken at.
     pub deadline: Option<Instant>,
     /// Present once: the finished host record.
@@ -152,7 +155,8 @@ impl HostSession {
         };
         let mut driver = make_driver(&params, ip, &server_name, 0);
         let request = driver.initial_request();
-        let cfg = conn_config(&params, &cookie, ip, 0, 0, 0, request);
+        let mut cfg = conn_config(&params, &cookie, ip, 0, 0, 0, request);
+        cfg.reads = driver.reads();
         // Reconstruct the conn machine in SynSent; discard its duplicate
         // SYN (already on the wire).
         let (conn, _discard) = InferenceConn::new(cfg, now);
@@ -208,12 +212,6 @@ impl HostSession {
         true
     }
 
-    /// The current connection's request: the payload of an output segment
-    /// marked as carrying it.
-    pub fn request(&self) -> &[u8] {
-        self.conn.request()
-    }
-
     /// Feed an inbound segment (already parsed; src is this host).
     pub fn on_segment(&mut self, seg: &tcp::Segment<'_>, now: Instant) -> SessionOutput {
         if self.done {
@@ -256,9 +254,10 @@ impl HostSession {
     }
 
     /// Open the next connection (the current probe/conn/attempt indices)
-    /// with `request`, on the storage the previous one left behind.
+    /// with `request`, on the storage the previous one left behind,
+    /// storing what the driver will read of it.
     fn connect(&mut self, request: Vec<u8>, now: Instant) -> ConnOutput {
-        let cfg = conn_config(
+        let mut cfg = conn_config(
             &self.params,
             &self.cookie,
             self.ip,
@@ -267,6 +266,7 @@ impl HostSession {
             self.attempt,
             request,
         );
+        cfg.reads = self.driver.reads();
         self.conn.restart(cfg, std::mem::take(&mut self.spare), now)
     }
 
@@ -284,6 +284,7 @@ impl HostSession {
         let first = self.start_probe(now);
         SessionOutput {
             tx: first.tx,
+            request: first.request,
             deadline: first.deadline,
             result: None,
             events: Vec::new(),
@@ -328,6 +329,7 @@ impl HostSession {
         let probe = self.probe_idx as u8;
         let mut session_out = SessionOutput {
             tx: out.tx,
+            request: out.request,
             deadline: out.deadline,
             result: None,
             events: out

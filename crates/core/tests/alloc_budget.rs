@@ -6,8 +6,9 @@
 //! actually asked for: a silent address must cost one templated,
 //! pooled SYN per transmission and no heap traffic at all, and a data
 //! segment must cost none on either side of a session (segments borrow
-//! from the pooled packet on receive and from the send buffer on
-//! transmit); what a responder still allocates is per connection. The
+//! from the pooled packet on receive and are written into it from the
+//! send stream on transmit); what a responder still allocates is per
+//! connection. The
 //! same allocator keeps live bytes too, so what a responder holds at a
 //! campaign's peak is a gate as well, and so is what telemetry makes a
 //! silent target hold.
@@ -379,7 +380,8 @@ fn http_scan_allocations_per_responder_fit_the_budget() {
         spent / reachable,
         out.sim_stats.events
     );
-    // Measured 147; 191 while every drained wheel bucket dropped its
+    // Measured 143; 149 while the scanner stored every response and the
+    // host its filler; 191 while every drained wheel bucket dropped its
     // buffer and a timer that could no longer fire still took a slot.
     assert!(
         spent / reachable <= 160,
@@ -411,14 +413,49 @@ fn http_scan_peak_heap_per_responder_fits_the_budget() {
         "alloc_budget: http scan: peak heap {held} bytes above the start for {reachable} \
          responders ({per_responder} per responder)"
     );
-    // Measured 5 048 with keyed, cancellable timers (5 354 while every
-    // timer stayed queued until its deadline), size-classed packet slabs
-    // and an exact per-host connection table; 2 KB slabs for every
-    // datagram and a four-entry table per host held 9 171.
+    // Measured 3 925 with neither end storing response bytes it does not
+    // read: the host writes its filler into each packet, the scanner keeps
+    // only the head of a first connection and drops each request once
+    // sent. 5 076 while both ends stored them, 5 354 while every timer
+    // stayed queued until its deadline; 2 KB slabs for every datagram and
+    // a four-entry table per host held 9 171.
     assert!(
-        per_responder <= 5_880,
-        "{per_responder} bytes per responder at the peak: packets or per-host \
-         state are sized by capacity again, not by what they hold"
+        per_responder <= 4_310,
+        "{per_responder} bytes per responder at the peak: response bytes, packets \
+         or per-host state are stored by capacity again, not by what is read"
+    );
+}
+
+#[test]
+fn tls_scan_peak_heap_per_responder_fits_the_budget() {
+    // A small TLS campaign, its responders all in session at once. A host
+    // holds its server flight as a description and the scanner counts the
+    // flight without storing it, so what a live responder holds is its
+    // connection state, not its certificate chain.
+    let pop = Arc::new(Population::new(PopulationConfig {
+        seed: 0x7150,
+        space_size: 1 << 14,
+        target_responsive: 256,
+        loss_scale: 0.0,
+    }));
+    let runner =
+        ScanRunner::new(&pop).config(ScanConfig::study(Protocol::Tls, pop.space_size(), 0x7150));
+    let before = reset_peak();
+    let out = runner.run();
+    let held = peak() - before;
+    let reachable = out.summary.reachable;
+    assert!(reachable > 100, "reachable {reachable}");
+    let per_responder = held / reachable as i64;
+    println!(
+        "alloc_budget: tls scan: peak heap {held} bytes above the start for {reachable} \
+         responders ({per_responder} per responder)"
+    );
+    // Measured 3 881; 7 540 while every connection's flight was built as
+    // records and kept until the connection closed.
+    assert!(
+        per_responder <= 4_260,
+        "{per_responder} bytes per responder at the peak: a server flight is stored \
+         as records again"
     );
 }
 
@@ -554,8 +591,9 @@ fn a_host_answers_a_probe_request_within_ten_allocations() {
         assert!(fx.tx.iter().all(|pkt| sent(pkt).payload.len() == 64));
         println!("alloc_budget: host answer: {spent} allocations for request + flight");
         if sport != 40000 {
-            // Response head (two), one growth of the send buffer for the
-            // flight's filler, one of the in-flight queue.
+            // Measured 3: the response head (two) and one growth of the
+            // in-flight queue. The filler is written into each packet, so
+            // the send buffer no longer grows for it (4 while it did).
             assert!(
                 spent <= 10,
                 "{spent} allocations to answer one request: the host allocates per segment again"

@@ -12,18 +12,18 @@
 //! configuration once it knows which property is being served (Host
 //! header / SNI), i.e. just before the first data flight.
 
+use iw_wire::tls::handshake::ServerFlight;
+
 /// What the application wants done after producing (or not producing) a
 /// response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppResponse {
-    /// Bytes to transmit. May be empty (e.g. a silent close).
+    /// Stored bytes to transmit first: a head, or a page whose bytes
+    /// depend on the request. May be empty (e.g. a silent close).
     pub data: Vec<u8>,
-    /// Deterministic filler appended (lazily) after `data`: this many
-    /// bytes of [`FILL_PATTERN`], cycled from position zero. The TCB
-    /// materializes them only as the peer's window pulls them, so a
-    /// server can promise a multi-hundred-kilobyte page while a probe
-    /// that RSTs after the initial flight never pays for the tail.
-    pub fill: usize,
+    /// Bytes to transmit after `data` that the host's configuration
+    /// alone determines: described, never stored.
+    pub body: Body,
     /// Graceful close: queue a FIN behind the data.
     pub close: bool,
     /// Abortive close: send a RST instead of anything else.
@@ -38,7 +38,7 @@ impl AppResponse {
     pub fn send(data: Vec<u8>) -> AppResponse {
         AppResponse {
             data,
-            fill: 0,
+            body: Body::Empty,
             close: false,
             reset: false,
             iw_override: None,
@@ -48,52 +48,82 @@ impl AppResponse {
     /// Respond, then close gracefully once the data drained.
     pub fn send_and_close(data: Vec<u8>) -> AppResponse {
         AppResponse {
-            data,
-            fill: 0,
             close: true,
-            reset: false,
-            iw_override: None,
+            ..AppResponse::send(data)
         }
     }
 
     /// Close immediately without sending anything.
     pub fn silent_close() -> AppResponse {
-        AppResponse {
-            data: Vec::new(),
-            fill: 0,
-            close: true,
-            reset: false,
-            iw_override: None,
-        }
+        AppResponse::send_and_close(Vec::new())
     }
 
     /// Abort the connection.
     pub fn abort() -> AppResponse {
         AppResponse {
-            data: Vec::new(),
-            fill: 0,
-            close: false,
             reset: true,
-            iw_override: None,
+            ..AppResponse::send(Vec::new())
+        }
+    }
+}
+
+/// The part of a response that is a pure function of the host's
+/// configuration. The TCB writes each segment's share of it straight
+/// into the packet from `(description, offset)`, so a server can promise
+/// a multi-hundred-kilobyte page or a 60 KB certificate chain while
+/// holding a few bytes per connection.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum Body {
+    /// No bytes.
+    #[default]
+    Empty,
+    /// This many bytes of [`FILL_PATTERN`], cycled from position zero.
+    Fill(usize),
+    /// A TLS server flight, as records. Boxed: every TCB holds a body,
+    /// and the flight's description is five times the size of the rest.
+    Tls(Box<ServerFlight>),
+}
+
+impl Body {
+    /// Length in bytes.
+    pub fn len(&self) -> usize {
+        match self {
+            Body::Empty => 0,
+            Body::Fill(n) => *n,
+            Body::Tls(flight) => flight.record_len(),
+        }
+    }
+
+    /// Whether there are no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Write bytes `offset..offset + out.len()` of the body into `out`.
+    pub fn write_at(&self, offset: usize, out: &mut [u8]) {
+        debug_assert!(offset + out.len() <= self.len());
+        match self {
+            Body::Empty => {}
+            Body::Fill(_) => write_fill(offset, out),
+            Body::Tls(flight) => flight.write_at(offset, out),
         }
     }
 }
 
 /// The deterministic filler the simulated servers pad pages with.
-///
-/// [`AppResponse::fill`] counts bytes of this pattern, cycled from
-/// position zero; the TCB materializes them on demand.
 pub const FILL_PATTERN: &[u8] = b"The quick brown fox jumps over the lazy dog. ";
 
-/// Append `n` bytes continuing the filler cycle of the region that
-/// starts at `base` (i.e. `out[base]` holds pattern position zero).
-pub fn fill_pattern_continue(out: &mut Vec<u8>, base: usize, mut n: usize) {
-    out.reserve(n);
-    while n > 0 {
-        let pos = (out.len() - base) % FILL_PATTERN.len();
-        let take = (FILL_PATTERN.len() - pos).min(n);
-        out.extend_from_slice(&FILL_PATTERN[pos..pos + take]);
-        n -= take;
+/// Write the filler cycle's bytes from position `offset` into `out`.
+pub fn write_fill(offset: usize, out: &mut [u8]) {
+    let mut pos = offset % FILL_PATTERN.len();
+    for chunk in out.chunks_mut(FILL_PATTERN.len()) {
+        // Each chunk is a pattern's length, so it starts where the last
+        // one did: the tail of the pattern from `pos`, then its head.
+        let tail = (FILL_PATTERN.len() - pos).min(chunk.len());
+        chunk[..tail].copy_from_slice(&FILL_PATTERN[pos..pos + tail]);
+        let head = chunk.len() - tail;
+        chunk[tail..].copy_from_slice(&FILL_PATTERN[..head]);
+        pos = (pos + chunk.len()) % FILL_PATTERN.len();
     }
 }
 
@@ -160,7 +190,7 @@ mod tests {
             AppResponse::send(vec![1]),
             AppResponse {
                 data: vec![1],
-                fill: 0,
+                body: Body::Empty,
                 close: false,
                 reset: false,
                 iw_override: None,
@@ -170,6 +200,18 @@ mod tests {
         assert!(AppResponse::abort().reset);
         let s = AppResponse::silent_close();
         assert!(s.close && s.data.is_empty());
+    }
+
+    #[test]
+    fn fill_is_the_pattern_cycled_from_any_offset() {
+        let cycled: Vec<u8> = FILL_PATTERN.iter().copied().cycle().take(400).collect();
+        for offset in [0, 1, 44, 45, 46, 200] {
+            for len in [0, 1, 44, 45, 46, 130] {
+                let mut out = vec![0; len];
+                write_fill(offset, &mut out);
+                assert_eq!(out, cycled[offset..offset + len], "{offset}+{len}");
+            }
+        }
     }
 
     #[test]

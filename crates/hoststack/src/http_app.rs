@@ -7,7 +7,7 @@
 //! queueing a FIN behind the response — which is exactly the signal the
 //! scanner uses to detect an unexhausted IW.
 
-use crate::app::{App, AppResponse, PartialRequest};
+use crate::app::{write_fill, App, AppResponse, Body, PartialRequest};
 use crate::config::{HttpBehavior, HttpConfig};
 use iw_wire::http::{Request, ResponseBuilder};
 use iw_wire::Error;
@@ -42,17 +42,17 @@ impl HttpApp {
             .iter()
             .find(|(host, _)| req.host.eq_ignore_ascii_case(host))
         {
-            let (head, fill) = Self::ok_page(config, 12_000);
+            let (head, body) = Self::ok_page(config, 12_000);
             let mut response = if close {
                 AppResponse::send_and_close(head)
             } else {
                 AppResponse::send(head)
             };
-            response.fill = fill;
+            response.body = body;
             response.iw_override = Some(*policy);
             return response;
         }
-        let (resp, fill) = match &config.behavior {
+        let (resp, body) = match &config.behavior {
             HttpBehavior::Direct {
                 root_size,
                 echo_404,
@@ -60,7 +60,10 @@ impl HttpApp {
                 if req.uri == "/" {
                     Self::ok_page(config, *root_size as usize)
                 } else {
-                    (Self::not_found_page(config, 64, *echo_404, req.uri), 0)
+                    (
+                        Self::not_found_page(config, 64, *echo_404, req.uri),
+                        Body::Empty,
+                    )
                 }
             }
             HttpBehavior::Redirect {
@@ -76,7 +79,7 @@ impl HttpApp {
                         .header("Location", format!("http://{host}{path}"))
                         .body(b"<html>Moved</html>".to_vec())
                         .build();
-                    (moved, 0)
+                    (moved, Body::Empty)
                 }
             }
             HttpBehavior::NotFound {
@@ -84,7 +87,7 @@ impl HttpApp {
                 echo_uri,
             } => (
                 Self::not_found_page(config, *base_size as usize, *echo_uri, req.uri),
-                0,
+                Body::Empty,
             ),
             // The remaining variants are handled in on_data before parsing.
             HttpBehavior::Mute | HttpBehavior::SilentClose | HttpBehavior::Reset => {
@@ -96,7 +99,7 @@ impl HttpApp {
         } else {
             AppResponse::send(resp)
         };
-        response.fill = fill;
+        response.body = body;
         // Per-service IW (Akamai-style): the property named by the Host
         // header may carry its own initial-window configuration.
         response.iw_override = config
@@ -107,21 +110,22 @@ impl HttpApp {
         response
     }
 
-    /// Head of a `200` whose body is `size` bytes of filler, returned as
-    /// `(head, fill)`: the body itself is never built here — the TCB
-    /// materializes it lazily as the peer's window pulls it, which is
-    /// what makes multi-hundred-kilobyte pages free for a probe that
-    /// resets after the initial flight.
-    fn ok_page(config: &HttpConfig, size: usize) -> (Vec<u8>, usize) {
+    /// A `200` whose body is `size` bytes of filler, returned as its
+    /// stored head and its described body: the TCB writes the body into
+    /// each segment as the peer's window pulls it, so a
+    /// multi-hundred-kilobyte page costs a probe that resets after the
+    /// initial flight nothing but the head.
+    fn ok_page(config: &HttpConfig, size: usize) -> (Vec<u8>, Body) {
         let head = ResponseBuilder::new(200, "OK")
             .header("Server", &config.server_header)
             .header("Content-Type", "text/html")
             .head_only(size);
-        (head, size)
+        (head, Body::Fill(size))
     }
 
     /// A 404 whose body optionally embeds the request URI — longer URIs
-    /// beget longer error pages, the §3.2 bloating lever.
+    /// beget longer error pages, the §3.2 bloating lever. Its bytes depend
+    /// on the request, so the page is stored whole.
     fn not_found_page(config: &HttpConfig, base: usize, echo: bool, uri: &str) -> Vec<u8> {
         const PREFIX: &[u8] = b"<html><body>404 Not Found";
         const SUFFIX: &[u8] = b"</body></html>";
@@ -134,33 +138,11 @@ impl HttpApp {
             out.extend_from_slice(b": ");
             out.extend_from_slice(uri.as_bytes());
         }
-        fill_into(&mut out, base);
+        let at = out.len();
+        out.resize(at + base, 0);
+        write_fill(0, &mut out[at..]);
         out.extend_from_slice(SUFFIX);
         out
-    }
-}
-
-/// Append `n` bytes of deterministic printable filler in place.
-///
-/// Seeds one copy of the pattern, then doubles the filled region with
-/// `extend_from_within` — O(log n) bulk copies instead of a bounds check
-/// per pattern repetition. Every doubling source starts at `base` (cycle
-/// position zero) and every extension lands on a pattern-aligned offset,
-/// so the cyclic sequence is preserved byte for byte.
-fn fill_into(out: &mut Vec<u8>, n: usize) {
-    use crate::app::FILL_PATTERN as PATTERN;
-    if n < PATTERN.len() {
-        out.extend_from_slice(&PATTERN[..n]);
-        return;
-    }
-    let base = out.len();
-    let end = base + n;
-    out.reserve(n);
-    out.extend_from_slice(PATTERN);
-    while out.len() < end {
-        let written = out.len() - base;
-        let take = written.min(end - out.len());
-        out.extend_from_within(base..base + take);
     }
 }
 
@@ -214,7 +196,7 @@ mod tests {
         assert!(resp.close, "Connection: close honored");
         let head = ResponseHead::parse(&resp.data).unwrap();
         assert_eq!(head.status, 200);
-        assert_eq!(resp.data.len() + resp.fill - head.body_offset, 5000);
+        assert_eq!(resp.data.len() + resp.body.len() - head.body_offset, 5000);
     }
 
     #[test]
@@ -239,7 +221,10 @@ mod tests {
             .unwrap();
         let head2 = ResponseHead::parse(&resp2.data).unwrap();
         assert_eq!(head2.status, 200);
-        assert_eq!(resp2.data.len() + resp2.fill - head2.body_offset, 9000);
+        assert_eq!(
+            resp2.data.len() + resp2.body.len() - head2.body_offset,
+            9000
+        );
     }
 
     #[test]

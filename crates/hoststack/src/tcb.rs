@@ -20,15 +20,19 @@
 //!
 //! Nothing is copied per segment in either direction: an inbound
 //! payload is handed to the application where it lies in the packet, and
-//! every outbound segment goes to the caller's [`Sink`] with its payload
-//! borrowed from the connection's send buffer.
+//! every outbound segment goes to the caller's [`Sink`] as an
+//! [`Outgoing`]: a header plus the stretch of the send stream its payload
+//! is, which the sink writes straight into the packet. What the stream
+//! holds of a response is its stored bytes (a head); the body is written
+//! from its description at each emission ([`Body`]).
 
-use crate::app::{App, AppResponse};
+use crate::app::{App, AppResponse, Body};
 use crate::os::OsProfile;
 use crate::policy::IwPolicy;
 use iw_netsim::{Duration, Instant};
 use iw_wire::ipv4::Ipv4Addr;
 use iw_wire::tcp::{self, seq, Flags};
+use iw_wire::{BufferPool, PooledPacket};
 use std::collections::VecDeque;
 
 /// Connection lifecycle states (server side only; no active open).
@@ -69,8 +73,8 @@ pub fn synack_retransmit_span(rto: Duration) -> Duration {
 /// A segment in flight, kept for retransmission.
 ///
 /// Payload bytes are not stored here: a segment is a `[start, start+len)`
-/// window into the connection's flat `send_buf`, so queueing a response,
-/// segmentizing it and retransmitting it all share one copy of the data.
+/// window into the connection's [`SendStream`], so queueing a response,
+/// segmentizing it and retransmitting it all read the same description.
 #[derive(Debug, Clone, Copy)]
 struct InflightSeg {
     seq: u32,
@@ -85,10 +89,107 @@ impl InflightSeg {
     }
 }
 
-/// Where a TCB event hands the segments it transmits, in order. The
-/// payload borrows the connection's send buffer, so the sink writes it
+/// Everything the application has queued, in stream order: stored
+/// bytes, then a described body.
+#[derive(Debug, Default)]
+struct SendStream {
+    stored: Vec<u8>,
+    body: Body,
+}
+
+impl SendStream {
+    fn len(&self) -> usize {
+        self.stored.len() + self.body.len()
+    }
+
+    /// Queue `data`, then `body`, behind what is queued. A body already
+    /// queued is written out into the stored bytes first, so the stream
+    /// stays stored bytes then one body. In a probe exchange that never
+    /// happens: a connection answers one request.
+    fn push(&mut self, data: Vec<u8>, body: Body) {
+        if data.is_empty() && body.is_empty() {
+            return;
+        }
+        if self.len() == 0 {
+            // The first response: adopt the application's buffer
+            // instead of copying it.
+            *self = SendStream { stored: data, body };
+            return;
+        }
+        let queued = std::mem::replace(&mut self.body, body);
+        let at = self.stored.len();
+        self.stored.resize(at + queued.len(), 0);
+        queued.write_at(0, &mut self.stored[at..]);
+        self.stored.extend_from_slice(&data);
+    }
+
+    /// Write stream bytes `offset..offset + out.len()` into `out`.
+    fn write_at(&self, offset: usize, out: &mut [u8]) {
+        let split = self.stored.len().saturating_sub(offset).min(out.len());
+        let (stored, body) = out.split_at_mut(split);
+        if !stored.is_empty() {
+            stored.copy_from_slice(&self.stored[offset..offset + split]);
+        }
+        if !body.is_empty() {
+            self.body.write_at(offset + split - self.stored.len(), body);
+        }
+    }
+}
+
+/// One segment a TCB event transmits: its header, and the stretch of the
+/// connection's send stream that is its payload.
+#[derive(Clone, Copy)]
+pub struct Outgoing<'a> {
+    /// Everything but the payload.
+    pub header: tcp::Segment<'static>,
+    stream: &'a SendStream,
+    start: usize,
+    len: usize,
+}
+
+impl Outgoing<'_> {
+    /// Write the payload into `out` (exactly `len` long).
+    fn write_payload(&self, out: &mut [u8]) {
+        self.stream.write_at(self.start, out);
+    }
+
+    /// This segment as a pooled IPv4 datagram (see
+    /// [`tcp::Segment::datagram`]): the payload is written into the
+    /// packet, never into a buffer of its own.
+    pub fn datagram(
+        &self,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        ident: &mut u16,
+        pool: &BufferPool,
+    ) -> PooledPacket {
+        self.header.datagram_with(
+            self.len,
+            |out| self.write_payload(out),
+            src,
+            dst,
+            ident,
+            pool,
+        )
+    }
+}
+
+impl From<Outgoing<'_>> for tcp::Repr {
+    /// The segment with its payload copied out.
+    fn from(seg: Outgoing<'_>) -> tcp::Repr {
+        let mut payload = vec![0; seg.len];
+        seg.write_payload(&mut payload);
+        tcp::Repr {
+            payload,
+            ..tcp::Repr::from(seg.header)
+        }
+    }
+}
+
+/// Where a TCB event hands the segments it transmits, in order. A
+/// segment borrows the connection's send stream, so the sink writes it
 /// out (the host: straight into a pooled packet) before it returns.
-pub type Sink<'s> = dyn FnMut(tcp::Segment<'_>) + 's;
+pub type Sink<'s> = dyn FnMut(Outgoing<'_>) + 's;
 
 /// Output of a TCB event besides the segments its [`Sink`] received.
 #[derive(Debug, Default)]
@@ -128,17 +229,11 @@ pub struct Tcb {
 
     // Send machinery: every byte the application has queued, in order.
     // `sent` marks the segmentation frontier; bytes before it are covered
-    // by `inflight` windows until acknowledged. The buffer is retained
+    // by `inflight` windows until acknowledged. The stream is retained
     // whole for the connection's (short) lifetime, so no per-segment
     // copies or shifts ever happen on this path.
-    send_buf: Vec<u8>,
+    send: SendStream,
     sent: usize,
-    /// Lazy tail: this many bytes of [`crate::app::FILL_PATTERN`] still
-    /// owed behind `send_buf`, materialized only as the window pulls
-    /// them ([`AppResponse::fill`]). `fill_base` is the offset where the
-    /// current fill region's pattern cycle starts.
-    fill_remaining: usize,
-    fill_base: usize,
     inflight: VecDeque<InflightSeg>,
     close_pending: bool,
     fin_sent: bool,
@@ -198,10 +293,8 @@ impl Tcb {
             peer_wnd: u32::from(syn.window),
             cwnd: iw_bytes,
             ssthresh: u32::MAX,
-            send_buf: Vec::new(),
+            send: SendStream::default(),
             sent: 0,
-            fill_remaining: 0,
-            fill_base: 0,
             inflight: VecDeque::new(),
             close_pending: false,
             fin_sent: false,
@@ -212,7 +305,7 @@ impl Tcb {
             retransmit_count: 0,
         };
         let mut out = TcbOutput::default();
-        sink(tcb.syn_ack());
+        sink(tcb.bare(tcb.syn_ack()));
         tcb.arm_rto(now, &mut out);
         (tcb, out)
     }
@@ -227,6 +320,21 @@ impl Tcb {
             flags,
             window,
         )
+    }
+
+    /// A segment that carries no payload.
+    fn bare(&self, header: tcp::Segment<'static>) -> Outgoing<'_> {
+        self.carrying(header, 0, 0)
+    }
+
+    /// A segment whose payload is stream bytes `start..start + len`.
+    fn carrying(&self, header: tcp::Segment<'static>, start: usize, len: usize) -> Outgoing<'_> {
+        Outgoing {
+            header,
+            stream: &self.send,
+            start,
+            len,
+        }
     }
 
     fn syn_ack(&self) -> tcp::Segment<'static> {
@@ -293,7 +401,7 @@ impl Tcb {
         // A retransmitted SYN in SynRcvd: re-send the SYN-ACK.
         if seg.flags.contains(Flags::SYN) {
             if self.state == State::SynRcvd {
-                sink(self.syn_ack());
+                sink(self.bare(self.syn_ack()));
                 self.arm_rto(now, &mut out);
             }
             return out;
@@ -340,7 +448,7 @@ impl Tcb {
 
         // Pure ACK if we consumed sequence space but sent no data.
         if should_ack && !sent_any {
-            sink(self.header(self.snd_nxt, Flags::ACK, 65535));
+            sink(self.bare(self.header(self.snd_nxt, Flags::ACK, 65535)));
         }
 
         self.update_rto_timer(now, &mut out);
@@ -349,7 +457,7 @@ impl Tcb {
 
     fn apply_app_response(&mut self, resp: AppResponse, sink: &mut Sink<'_>) {
         if resp.reset {
-            sink(self.header(self.snd_nxt, Flags::RST | Flags::ACK, 0));
+            sink(self.bare(self.header(self.snd_nxt, Flags::RST | Flags::ACK, 0)));
             self.set_state(State::Closed);
             return;
         }
@@ -362,24 +470,7 @@ impl Tcb {
                 self.iw_bytes = self.cwnd;
             }
         }
-        if resp.fill > 0 || !resp.data.is_empty() {
-            // A later response queued behind an unfinished lazy tail
-            // must not interleave with it: settle the tail first. In a
-            // probe exchange this never triggers (one response per
-            // connection).
-            self.materialize_fill(self.send_buf.len() + self.fill_remaining);
-        }
-        if self.send_buf.is_empty() {
-            // First (and in a probe exchange, only) response: adopt the
-            // application's buffer instead of copying it.
-            self.send_buf = resp.data;
-        } else {
-            self.send_buf.extend_from_slice(&resp.data);
-        }
-        if resp.fill > 0 {
-            self.fill_base = self.send_buf.len();
-            self.fill_remaining = resp.fill;
-        }
+        self.send.push(resp.data, resp.body);
         if resp.close {
             self.close_pending = true;
         }
@@ -422,23 +513,10 @@ impl Tcb {
         }
     }
 
-    /// Unsent bytes remaining in the send stream (materialized or owed
-    /// as lazy filler).
+    /// Unsent bytes remaining in the send stream.
     #[inline]
     fn unsent(&self) -> usize {
-        self.send_buf.len() - self.sent + self.fill_remaining
-    }
-
-    /// Grow `send_buf` to at least `upto` bytes by materializing owed
-    /// filler. Never exceeds the promised stream length.
-    fn materialize_fill(&mut self, upto: usize) {
-        let take = upto
-            .saturating_sub(self.send_buf.len())
-            .min(self.fill_remaining);
-        if take > 0 {
-            crate::app::fill_pattern_continue(&mut self.send_buf, self.fill_base, take);
-            self.fill_remaining -= take;
-        }
+        self.send.len() - self.sent
     }
 
     /// Transmit as much of the send queue as cwnd and the peer window
@@ -452,10 +530,8 @@ impl Tcb {
         let allowance = self.cwnd.min(self.peer_wnd).saturating_sub(inflight_bytes);
         let mss = self.mss as usize;
         debug_assert!(mss > 0, "OsProfile floors the MSS");
-        // The whole flight at once: its filler is materialized in one
-        // growth step of `send_buf`, its bookkeeping in one of `inflight`.
+        // The whole flight's bookkeeping in one growth step of `inflight`.
         let mut left = self.unsent().min(allowance as usize);
-        self.materialize_fill(self.sent + left);
         self.inflight.reserve(left.div_ceil(mss));
         let mut sent_any = false;
         while left > 0 {
@@ -474,10 +550,7 @@ impl Tcb {
                 self.fin_sent = true;
                 self.set_state(State::FinWait);
             }
-            sink(tcp::Segment {
-                payload: &self.send_buf[start..start + take],
-                ..self.header(self.snd_nxt, flags, 65535)
-            });
+            sink(self.carrying(self.header(self.snd_nxt, flags, 65535), start, take));
             self.inflight.push_back(InflightSeg {
                 seq: self.snd_nxt,
                 start,
@@ -493,10 +566,10 @@ impl Tcb {
             && self.unsent() == 0
             && self.state == State::Established
         {
-            sink(self.header(self.snd_nxt, Flags::FIN | Flags::ACK, 65535));
+            sink(self.bare(self.header(self.snd_nxt, Flags::FIN | Flags::ACK, 65535)));
             self.inflight.push_back(InflightSeg {
                 seq: self.snd_nxt,
-                start: self.send_buf.len(),
+                start: self.send.len(),
                 len: 0,
                 fin: true,
             });
@@ -543,7 +616,7 @@ impl Tcb {
         self.retransmit_count += 1;
 
         match self.state {
-            State::SynRcvd => sink(self.syn_ack()),
+            State::SynRcvd => sink(self.bare(self.syn_ack())),
             State::Established | State::FinWait => {
                 if let Some(first) = self.inflight.front().copied() {
                     // RFC 5681 on timeout: collapse to one segment and
@@ -559,10 +632,8 @@ impl Tcb {
                     if first.len > 0 {
                         flags |= Flags::PSH;
                     }
-                    sink(tcp::Segment {
-                        payload: &self.send_buf[first.start..first.start + first.len],
-                        ..self.header(first.seq, flags, 65535)
-                    });
+                    let header = self.header(first.seq, flags, 65535);
+                    sink(self.carrying(header, first.start, first.len));
                 }
             }
             State::Closed => {}

@@ -6,7 +6,7 @@
 //! fails in one of the ways the paper attributes the TLS "few data" and
 //! "no data" buckets to: missing SNI and cipher mismatch.
 
-use crate::app::{App, AppResponse, PartialRequest};
+use crate::app::{App, AppResponse, Body, PartialRequest};
 use crate::config::{TlsBehavior, TlsConfig};
 use iw_wire::tls::handshake::{ClientHello, ServerFlight};
 use iw_wire::tls::record::{self, ContentType, ProtocolVersion};
@@ -46,32 +46,20 @@ impl TlsApp {
         if !hello.cipher_suites.contains(&self.config.cipher) {
             return Self::alert(Alert::HANDSHAKE_FAILURE);
         }
-        let ske = if self.config.cipher.has_server_key_exchange() {
-            // ECDHE params + signature: a realistic ~333 bytes.
-            Some(vec![0x5a; 333])
-        } else {
-            None
-        };
-        let ocsp = match (hello.wants_ocsp(), self.config.ocsp_len) {
-            (true, Some(n)) => Some(vec![0x0c; n as usize]),
-            _ => None,
-        };
         let flight = ServerFlight {
             cipher: self.config.cipher,
             random: [0x42; 32],
-            certificates: self
-                .config
-                .cert_lens
-                .iter()
-                .map(|n| cert_filler(*n as usize))
-                .collect(),
-            ocsp_response: ocsp,
-            key_exchange: ske,
+            cert_lens: self.config.cert_lens.clone(),
+            ocsp_len: self.config.ocsp_len.filter(|_| hello.wants_ocsp()),
+            // ECDHE params + signature: a realistic ~333 bytes.
+            key_exchange_len: self.config.cipher.has_server_key_exchange().then_some(333),
         };
         // The flight is followed by silence: the server now waits for the
         // client's key exchange, so the connection stays open (the
-        // scanner will RST it once the estimate is done).
-        let mut response = AppResponse::send(flight.to_record_bytes());
+        // scanner will RST it once the estimate is done). It is sent
+        // from its description: the TCB writes each segment's records.
+        let mut response = AppResponse::send(Vec::new());
+        response.body = Body::Tls(Box::new(flight));
         // Per-SNI IW override (Akamai-style per-service configuration).
         if let Some(name) = hello.server_name() {
             response.iw_override = self
@@ -83,15 +71,6 @@ impl TlsApp {
         }
         response
     }
-}
-
-/// Deterministic DER-looking filler (0x30 SEQUENCE tag up front).
-fn cert_filler(n: usize) -> Vec<u8> {
-    let mut v = vec![0xd3; n];
-    if n > 0 {
-        v[0] = 0x30;
-    }
-    v
 }
 
 impl App for TlsApp {
@@ -172,6 +151,16 @@ mod tests {
         TlsApp::new(Rc::new(config))
     }
 
+    /// Every byte a response puts on the wire, the flight built whole.
+    fn sent(resp: &AppResponse) -> Vec<u8> {
+        let mut bytes = resp.data.clone();
+        match &resp.body {
+            Body::Tls(flight) => bytes.extend(flight.to_record_bytes()),
+            body => assert!(body.is_empty(), "{body:?}"),
+        }
+        bytes
+    }
+
     fn hello(sni: Option<&str>) -> Vec<u8> {
         ClientHello::probe([1; 32], sni).to_record_bytes()
     }
@@ -181,10 +170,11 @@ mod tests {
         let mut app = tls_app(cfg(TlsBehavior::Serve));
         let resp = app.on_data(&hello(None)).unwrap();
         assert!(!resp.close, "server awaits client key exchange");
-        let (records, _) = parse_stream(&resp.data).unwrap();
+        let bytes = sent(&resp);
+        let (records, _) = parse_stream(&bytes).unwrap();
         assert!(!records.is_empty());
         // Flight exceeds chain + OCSP + SKE.
-        assert!(resp.data.len() > 1200 + 986 + 471 + 333);
+        assert!(sent(&resp).len() > 1200 + 986 + 471 + 333);
     }
 
     #[test]
@@ -198,7 +188,7 @@ mod tests {
         c2.ocsp_len = None;
         let mut app2 = tls_app(c2);
         let resp2 = app2.on_data(&hello(None)).unwrap();
-        assert!(resp.data.len() + 300 <= resp2.data.len());
+        assert!(sent(&resp).len() + 300 <= sent(&resp2).len());
     }
 
     #[test]
@@ -206,7 +196,8 @@ mod tests {
         let mut app = tls_app(cfg(TlsBehavior::AlertWithoutSni));
         let resp = app.on_data(&hello(None)).unwrap();
         assert!(resp.close);
-        let (records, _) = parse_stream(&resp.data).unwrap();
+        let bytes = sent(&resp);
+        let (records, _) = parse_stream(&bytes).unwrap();
         assert_eq!(records[0].content_type, ContentType::Alert);
         assert_eq!(
             Alert::parse(records[0].payload),
@@ -215,21 +206,22 @@ mod tests {
         // With SNI it serves.
         let mut app = tls_app(cfg(TlsBehavior::AlertWithoutSni));
         let resp = app.on_data(&hello(Some("www.example.com"))).unwrap();
-        assert!(resp.data.len() > 2000);
+        assert!(sent(&resp).len() > 2000);
     }
 
     #[test]
     fn close_without_sni_sends_nothing() {
         let mut app = tls_app(cfg(TlsBehavior::CloseWithoutSni));
         let resp = app.on_data(&hello(None)).unwrap();
-        assert!(resp.close && resp.data.is_empty());
+        assert!(resp.close && sent(&resp).is_empty());
     }
 
     #[test]
     fn cipher_mismatch_alerts() {
         let mut app = tls_app(cfg(TlsBehavior::CipherMismatch));
         let resp = app.on_data(&hello(Some("x"))).unwrap();
-        let (records, _) = parse_stream(&resp.data).unwrap();
+        let bytes = sent(&resp);
+        let (records, _) = parse_stream(&bytes).unwrap();
         assert_eq!(
             Alert::parse(records[0].payload),
             Some(Alert::HANDSHAKE_FAILURE)
@@ -243,7 +235,8 @@ mod tests {
         let mut app = tls_app(c);
         let resp = app.on_data(&hello(None)).unwrap();
         assert!(resp.close);
-        let (records, _) = parse_stream(&resp.data).unwrap();
+        let bytes = sent(&resp);
+        let (records, _) = parse_stream(&bytes).unwrap();
         assert_eq!(records[0].content_type, ContentType::Alert);
     }
 
@@ -261,14 +254,14 @@ mod tests {
         // Our probe always requests stapling; a hand-built hello without
         // the extension gets a smaller flight.
         let mut with_ocsp = tls_app(cfg(TlsBehavior::Serve));
-        let big = with_ocsp.on_data(&hello(None)).unwrap().data.len();
+        let big = sent(&with_ocsp.on_data(&hello(None)).unwrap()).len();
         let bare = ClientHello {
             random: [1; 32],
             cipher_suites: iw_wire::tls::browser_union_ciphers(),
             extensions: vec![],
         };
         let mut without = tls_app(cfg(TlsBehavior::Serve));
-        let small = without.on_data(&bare.to_record_bytes()).unwrap().data.len();
+        let small = sent(&without.on_data(&bare.to_record_bytes()).unwrap()).len();
         assert!(big >= small + 471);
     }
 

@@ -252,14 +252,13 @@ impl<'a> ResponseBuilder<'a> {
 
     /// Serialize just the head (with `Content-Length: content_length`),
     /// reserving room for the body. The caller appends the body bytes
-    /// directly into the returned buffer — the zero-copy path for the
-    /// simulated servers' bulk pages.
+    /// directly into the returned buffer — for a page stored whole.
     pub fn head(self, content_length: usize) -> Vec<u8> {
         self.serialize_head(content_length, content_length)
     }
 
     /// Serialize just the head, without reserving body capacity — for
-    /// responses whose body is produced lazily (never all at once).
+    /// responses whose body is written from a description, never stored.
     pub fn head_only(self, content_length: usize) -> Vec<u8> {
         self.serialize_head(content_length, 0)
     }
@@ -278,6 +277,13 @@ impl<'a> ResponseBuilder<'a> {
         let _ = write!(out, "Content-Length: {content_length}\r\n\r\n");
         out.into_bytes()
     }
+}
+
+/// Length of the response head at the front of `data`, up to and
+/// including its first blank line: every byte [`ResponseHead::parse`]
+/// reads. `None` while the blank line has not arrived.
+pub fn head_len(data: &[u8]) -> Option<usize> {
+    find_head_end(data).map(|end| end + 4)
 }
 
 fn find_head_end(data: &[u8]) -> Option<usize> {

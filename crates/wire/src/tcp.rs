@@ -469,24 +469,25 @@ fn read_segment<'a, T: AsRef<[u8]>>(
 }
 
 /// The one segment writer: `options` in emission order, then the
-/// payload, then the fixed header and the checksum over all of it. `buf`
-/// is zeroed and exactly header + options + payload long.
+/// payload (`write_payload` fills what follows the options), then the
+/// fixed header and the checksum over all of it. `buf` is zeroed and
+/// exactly header + options + payload long; `seg.payload` is not read.
 fn write_segment(
     seg: &Segment<'_>,
     options: impl Iterator<Item = TcpOption> + Clone,
+    write_payload: impl FnOnce(&mut [u8]),
     src: Ipv4Addr,
     dst: Ipv4Addr,
     buf: &mut [u8],
 ) {
     let header_len = HEADER_LEN + padded_options_len(options.clone());
     debug_assert!(header_len <= MAX_HEADER_LEN, "too many TCP options");
-    debug_assert_eq!(buf.len(), header_len + seg.payload.len());
     let mut cursor = HEADER_LEN;
     for opt in options {
         cursor += opt.emit(&mut buf[cursor..]);
     }
     // Remaining bytes up to header_len stay zero = EndOfList padding.
-    buf[header_len..].copy_from_slice(seg.payload);
+    write_payload(&mut buf[header_len..]);
     let mut packet = Packet::new_unchecked(buf);
     packet.set_src_port(seg.src_port);
     packet.set_dst_port(seg.dst_port);
@@ -546,7 +547,16 @@ impl<'a> Segment<'a> {
     /// Emit into a zeroed buffer of exactly [`Self::buffer_len`] bytes,
     /// checksummed: the pooled hot path.
     pub fn emit_into(&self, src: Ipv4Addr, dst: Ipv4Addr, buf: &mut [u8]) {
-        write_segment(self, self.options(), src, dst, buf);
+        debug_assert_eq!(buf.len(), self.buffer_len());
+        let payload = self.payload;
+        write_segment(
+            self,
+            self.options(),
+            |out| out.copy_from_slice(payload),
+            src,
+            dst,
+            buf,
+        );
     }
 
     /// This segment as a whole IPv4 datagram from `src` to `dst` (TTL 64,
@@ -561,14 +571,48 @@ impl<'a> Segment<'a> {
         ident: &mut u16,
         pool: &BufferPool,
     ) -> PooledPacket {
+        let payload = self.payload;
+        let header = Segment {
+            payload: &[],
+            ..*self
+        };
+        header.datagram_with(
+            payload.len(),
+            |out| out.copy_from_slice(payload),
+            src,
+            dst,
+            ident,
+            pool,
+        )
+    }
+
+    /// [`Self::datagram`] for a payload that is written, not borrowed:
+    /// `write_payload` fills the `payload_len` bytes behind the header in
+    /// the pooled packet itself, so a sender that computes its bytes
+    /// never stores them. `self.payload` must be empty.
+    pub fn datagram_with(
+        &self,
+        payload_len: usize,
+        write_payload: impl FnOnce(&mut [u8]),
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        ident: &mut u16,
+        pool: &BufferPool,
+    ) -> PooledPacket {
+        debug_assert!(
+            self.payload.is_empty(),
+            "the payload is written, not borrowed"
+        );
         let ip = ipv4::Repr {
             src_addr: src,
             dst_addr: dst,
             protocol: IpProtocol::Tcp,
-            payload_len: self.buffer_len(),
+            payload_len: self.buffer_len() + payload_len,
             ttl: 64,
         };
-        ipv4::pooled_datagram(&ip, ident, pool, |l4| self.emit_into(src, dst, l4))
+        ipv4::pooled_datagram(&ip, ident, pool, |l4| {
+            write_segment(self, self.options(), write_payload, src, dst, l4)
+        })
     }
 
     /// Number of sequence-space units this segment occupies
@@ -684,7 +728,15 @@ impl Repr {
     /// Emit into a zeroed buffer of exactly [`Self::buffer_len`] bytes,
     /// checksummed; [`Self::emit`] wraps this.
     pub fn emit_into(&self, src: Ipv4Addr, dst: Ipv4Addr, buf: &mut [u8]) {
-        write_segment(&self.into(), self.options.iter().copied(), src, dst, buf);
+        debug_assert_eq!(buf.len(), self.buffer_len());
+        write_segment(
+            &self.into(),
+            self.options.iter().copied(),
+            |out| out.copy_from_slice(&self.payload),
+            src,
+            dst,
+            buf,
+        );
     }
 
     /// The MSS option value, if present.

@@ -277,24 +277,36 @@ impl ClientHello {
 /// Description of the server's first flight, used by the simulated TLS
 /// server to synthesize ServerHello + Certificate (+ CertificateStatus,
 /// + ServerKeyExchange) + ServerHelloDone as one byte stream.
+///
+/// Only lengths matter for the IW study, so the opaque parts are given
+/// by length and written as deterministic filler: each certificate is a
+/// DER SEQUENCE tag (`0x30`) then `0xd3` bytes, the OCSP response is
+/// `0x0c` bytes and the key exchange `0x5a` bytes. The description is
+/// all a server holds: [`Self::write_at`] writes any window of the
+/// record stream from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerFlight {
     /// Chosen cipher suite.
     pub cipher: CipherSuite,
     /// Server random.
     pub random: [u8; 32],
-    /// Certificate chain: each certificate is an opaque DER blob; only
-    /// lengths matter for the IW study, so the population model supplies
-    /// deterministic filler bytes of calibrated lengths.
-    pub certificates: Vec<Vec<u8>>,
-    /// OCSP response to staple (CertificateStatus), if any.
-    pub ocsp_response: Option<Vec<u8>>,
-    /// ServerKeyExchange body for (EC)DHE suites, if applicable.
-    pub key_exchange: Option<Vec<u8>>,
+    /// Certificate chain: the DER length of each certificate, leaf first.
+    pub cert_lens: Vec<u32>,
+    /// Length of the OCSP response to staple (CertificateStatus), if any.
+    pub ocsp_len: Option<u32>,
+    /// Length of the ServerKeyExchange body for (EC)DHE suites, if any.
+    pub key_exchange_len: Option<u32>,
 }
 
+/// Filler bytes of a flight's opaque parts (see [`ServerFlight`]).
+const CERT_TAG: u8 = 0x30;
+const CERT_FILL: u8 = 0xd3;
+const OCSP_FILL: u8 = 0x0c;
+const SKE_FILL: u8 = 0x5a;
+
 impl ServerFlight {
-    /// Serialize the flight into TLS records ready for the TCP stream.
+    /// Serialize the whole flight into TLS records: the reference that
+    /// [`Self::write_at`] reproduces window by window.
     pub fn to_record_bytes(&self) -> Vec<u8> {
         let mut hs = Vec::new();
 
@@ -310,27 +322,32 @@ impl ServerFlight {
         append_handshake(&mut hs, HandshakeType::ServerHello, &sh);
 
         // Certificate
-        let chain_len: usize = self.certificates.iter().map(|c| 3 + c.len()).sum();
+        let chain_len: usize = self.cert_lens.iter().map(|n| 3 + *n as usize).sum();
         let mut cert = Vec::with_capacity(3 + chain_len);
         push_u24(&mut cert, chain_len);
-        for c in &self.certificates {
-            push_u24(&mut cert, c.len());
-            cert.extend_from_slice(c);
+        for &n in &self.cert_lens {
+            push_u24(&mut cert, n as usize);
+            let at = cert.len();
+            cert.resize(at + n as usize, CERT_FILL);
+            if n > 0 {
+                cert[at] = CERT_TAG;
+            }
         }
         append_handshake(&mut hs, HandshakeType::Certificate, &cert);
 
         // CertificateStatus (OCSP stapling)
-        if let Some(ocsp) = &self.ocsp_response {
-            let mut st = Vec::with_capacity(4 + ocsp.len());
+        if let Some(n) = self.ocsp_len {
+            let mut st = Vec::with_capacity(4 + n as usize);
             st.push(1); // status_type ocsp
-            push_u24(&mut st, ocsp.len());
-            st.extend_from_slice(ocsp);
+            push_u24(&mut st, n as usize);
+            st.resize(4 + n as usize, OCSP_FILL);
             append_handshake(&mut hs, HandshakeType::CertificateStatus, &st);
         }
 
         // ServerKeyExchange
-        if let Some(ke) = &self.key_exchange {
-            append_handshake(&mut hs, HandshakeType::ServerKeyExchange, ke);
+        if let Some(n) = self.key_exchange_len {
+            let ke = vec![SKE_FILL; n as usize];
+            append_handshake(&mut hs, HandshakeType::ServerKeyExchange, &ke);
         }
 
         // ServerHelloDone
@@ -339,10 +356,145 @@ impl ServerFlight {
         record::emit_fragmented(ContentType::Handshake, ProtocolVersion::TLS12, &hs)
     }
 
+    /// Length of the record stream [`Self::to_record_bytes`] builds.
+    pub fn record_len(&self) -> usize {
+        let hs = self.handshake_len();
+        hs + record::HEADER_LEN * hs.div_ceil(record::MAX_FRAGMENT)
+    }
+
+    /// Write `to_record_bytes()[offset..offset + out.len()]` into `out`
+    /// without building the flight: the records' headers and the
+    /// handshake messages' framing are computed, the opaque parts are
+    /// filler runs.
+    pub fn write_at(&self, offset: usize, out: &mut [u8]) {
+        debug_assert!(offset + out.len() <= self.record_len());
+        let hs_len = self.handshake_len();
+        let mut window = Window::new(offset, out);
+        for start in (0..hs_len).step_by(record::MAX_FRAGMENT) {
+            let len = (hs_len - start).min(record::MAX_FRAGMENT);
+            window.bytes(&record::header(
+                ContentType::Handshake,
+                ProtocolVersion::TLS12,
+                len,
+            ));
+            window.put(len, |dst, from| self.write_handshake_at(start + from, dst));
+        }
+    }
+
+    /// Length of the handshake messages, before record framing.
+    fn handshake_len(&self) -> usize {
+        let chain: usize = self.cert_lens.iter().map(|n| 3 + *n as usize).sum();
+        let ocsp = self.ocsp_len.map_or(0, |n| 4 + 4 + n as usize);
+        let ske = self.key_exchange_len.map_or(0, |n| 4 + n as usize);
+        SERVER_HELLO_LEN + 4 + 3 + chain + ocsp + ske + 4
+    }
+
+    /// Write `out.len()` bytes of the handshake messages from `offset`.
+    fn write_handshake_at(&self, offset: usize, out: &mut [u8]) {
+        let mut window = Window::new(offset, out);
+        window.bytes(&self.server_hello());
+        let chain: usize = self.cert_lens.iter().map(|n| 3 + *n as usize).sum();
+        window.bytes(&message_header(HandshakeType::Certificate, 3 + chain));
+        window.bytes(&u24(chain));
+        for &n in &self.cert_lens {
+            window.bytes(&u24(n as usize));
+            window.run(n as usize, CERT_TAG, CERT_FILL);
+        }
+        if let Some(n) = self.ocsp_len {
+            let n = n as usize;
+            window.bytes(&message_header(HandshakeType::CertificateStatus, 4 + n));
+            window.bytes(&[1]); // status_type ocsp
+            window.bytes(&u24(n));
+            window.run(n, OCSP_FILL, OCSP_FILL);
+        }
+        if let Some(n) = self.key_exchange_len {
+            let n = n as usize;
+            window.bytes(&message_header(HandshakeType::ServerKeyExchange, n));
+            window.run(n, SKE_FILL, SKE_FILL);
+        }
+        window.bytes(&message_header(HandshakeType::ServerHelloDone, 0));
+    }
+
+    /// The ServerHello message, framing included.
+    fn server_hello(&self) -> [u8; SERVER_HELLO_LEN] {
+        let mut sh = [0; SERVER_HELLO_LEN];
+        sh[..4].copy_from_slice(&message_header(
+            HandshakeType::ServerHello,
+            SERVER_HELLO_LEN - 4,
+        ));
+        sh[4..6].copy_from_slice(&[3, 3]);
+        sh[6..38].copy_from_slice(&self.random);
+        // Then an empty session id, the suite, null compression and no
+        // extensions.
+        sh[39..41].copy_from_slice(&self.cipher.0.to_be_bytes());
+        sh
+    }
+
     /// Total certificate-chain length in bytes (the Fig. 2 metric: the sum
     /// of DER lengths, what censys reports).
     pub fn chain_len(&self) -> usize {
-        self.certificates.iter().map(|c| c.len()).sum()
+        self.cert_lens.iter().map(|n| *n as usize).sum()
+    }
+}
+
+/// ServerHello with an empty session id and no extensions: the 4-byte
+/// message header, version, random, session id length, suite,
+/// compression and extensions length.
+const SERVER_HELLO_LEN: usize = 4 + 2 + 32 + 1 + 2 + 1 + 2;
+
+fn u24(v: usize) -> [u8; 3] {
+    debug_assert!(v < 1 << 24);
+    [(v >> 16) as u8, (v >> 8) as u8, v as u8]
+}
+
+fn message_header(ty: HandshakeType, len: usize) -> [u8; 4] {
+    let [a, b, c] = u24(len);
+    [ty.to_u8(), a, b, c]
+}
+
+/// The window `[offset, offset + out.len())` of a stream that is
+/// written piece by piece, in stream order: each piece lands in `out`
+/// where it overlaps the window and is skipped elsewhere.
+struct Window<'a> {
+    /// Stream offset of the next piece.
+    at: usize,
+    offset: usize,
+    out: &'a mut [u8],
+}
+
+impl<'a> Window<'a> {
+    fn new(offset: usize, out: &'a mut [u8]) -> Self {
+        Window { at: 0, offset, out }
+    }
+
+    /// The next `len` stream bytes: `write(dst, from)` fills `dst` with
+    /// the piece's bytes from its own offset `from`, where they overlap.
+    fn put(&mut self, len: usize, write: impl FnOnce(&mut [u8], usize)) {
+        let start = self.at.max(self.offset);
+        let end = (self.at + len).min(self.offset + self.out.len());
+        if start < end {
+            write(
+                &mut self.out[start - self.offset..end - self.offset],
+                start - self.at,
+            );
+        }
+        self.at += len;
+    }
+
+    fn bytes(&mut self, piece: &[u8]) {
+        self.put(piece.len(), |dst, from| {
+            dst.copy_from_slice(&piece[from..from + dst.len()])
+        });
+    }
+
+    /// `len` bytes: `lead`, then `fill` for the rest.
+    fn run(&mut self, len: usize, lead: u8, fill: u8) {
+        self.put(len, |dst, from| {
+            dst.fill(fill);
+            if from == 0 {
+                dst[0] = lead;
+            }
+        });
     }
 }
 
@@ -405,9 +557,9 @@ mod tests {
         let flight = ServerFlight {
             cipher: CipherSuite::ECDHE_RSA_AES128_GCM,
             random: [9u8; 32],
-            certificates: vec![vec![0xaa; 1200], vec![0xbb; 900]],
-            ocsp_response: Some(vec![0xcc; 471]),
-            key_exchange: Some(vec![0xdd; 300]),
+            cert_lens: vec![1200, 900],
+            ocsp_len: Some(471),
+            key_exchange_len: Some(300),
         };
         assert_eq!(flight.chain_len(), 2100);
         let bytes = flight.to_record_bytes();
@@ -423,9 +575,9 @@ mod tests {
         let flight = ServerFlight {
             cipher: CipherSuite::RSA_AES128_CBC,
             random: [0u8; 32],
-            certificates: vec![vec![0x11; 65_000]],
-            ocsp_response: None,
-            key_exchange: None,
+            cert_lens: vec![65_000],
+            ocsp_len: None,
+            key_exchange_len: None,
         };
         let bytes = flight.to_record_bytes();
         let (records, _) = parse_stream(&bytes).unwrap();
@@ -438,9 +590,9 @@ mod tests {
         let flight = ServerFlight {
             cipher: CipherSuite::RSA_RC4_SHA,
             random: [2u8; 32],
-            certificates: vec![vec![0x22; 36]],
-            ocsp_response: None,
-            key_exchange: None,
+            cert_lens: vec![36],
+            ocsp_len: None,
+            key_exchange_len: None,
         };
         let bytes = flight.to_record_bytes();
         let (records, used) = parse_stream(&bytes).unwrap();

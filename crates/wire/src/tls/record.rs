@@ -105,24 +105,30 @@ impl<'a> Record<'a> {
     pub fn emit(content_type: ContentType, version: ProtocolVersion, payload: &[u8]) -> Vec<u8> {
         assert!(payload.len() <= MAX_RECORD_LEN, "record payload too long");
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.push(content_type.to_u8());
-        out.push(version.0);
-        out.push(version.1);
-        out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+        out.extend_from_slice(&header(content_type, version, payload.len()));
         out.extend_from_slice(payload);
         out
     }
 }
 
+/// The header of a record carrying `len` payload bytes.
+pub fn header(content_type: ContentType, version: ProtocolVersion, len: usize) -> [u8; HEADER_LEN] {
+    let [hi, lo] = (len as u16).to_be_bytes();
+    [content_type.to_u8(), version.0, version.1, hi, lo]
+}
+
+/// The most payload one record of [`emit_fragmented`] carries (2^14).
+pub const MAX_FRAGMENT: usize = 1 << 14;
+
 /// Frame a (possibly long) payload into as many records as needed, each at
-/// most 2^14 bytes — how servers ship big certificate chains.
+/// most [`MAX_FRAGMENT`] bytes — how servers ship big certificate chains.
 pub fn emit_fragmented(
     content_type: ContentType,
     version: ProtocolVersion,
     payload: &[u8],
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + HEADER_LEN);
-    for chunk in payload.chunks(1 << 14) {
+    for chunk in payload.chunks(MAX_FRAGMENT) {
         out.extend_from_slice(&Record::emit(content_type, version, chunk));
     }
     if payload.is_empty() {

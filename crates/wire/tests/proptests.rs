@@ -153,16 +153,16 @@ proptest! {
     #[test]
     fn server_flight_framing_is_parseable(
         nchain in 1usize..4,
-        cert_len in 12usize..4000,
-        ocsp in proptest::option::of(1usize..600),
-        ske in proptest::option::of(1usize..400),
+        cert_len in 12u32..4000,
+        ocsp in proptest::option::of(1u32..600),
+        ske in proptest::option::of(1u32..400),
     ) {
         let flight = ServerFlight {
             cipher: CipherSuite::ECDHE_RSA_AES128_GCM,
             random: [3; 32],
-            certificates: (0..nchain).map(|i| vec![i as u8; cert_len]).collect(),
-            ocsp_response: ocsp.map(|n| vec![0xcc; n]),
-            key_exchange: ske.map(|n| vec![0xdd; n]),
+            cert_lens: vec![cert_len; nchain],
+            ocsp_len: ocsp,
+            key_exchange_len: ske,
         };
         let bytes = flight.to_record_bytes();
         let (records, used) = parse_stream(&bytes).unwrap();
@@ -170,6 +170,45 @@ proptest! {
         prop_assert!(!records.is_empty());
         let payload: usize = records.iter().map(|r| r.payload.len()).sum();
         prop_assert!(payload >= flight.chain_len());
+    }
+
+    /// A flight written window by window is the built flight: any
+    /// `(offset, len)`, and the whole stream cut at every MSS the study
+    /// meets. Chains reach past the 16 KB record boundary, OCSP and SKE
+    /// come and go, and a certificate may be empty.
+    #[test]
+    fn server_flight_write_at_is_the_built_flight(
+        cert_lens in proptest::collection::vec(
+            prop_oneof![Just(0u32), 1u32..3_000, 12_000u32..40_000],
+            1..4,
+        ),
+        ocsp in proptest::option::of(0u32..600),
+        ske in proptest::option::of(0u32..400),
+        windows in proptest::collection::vec((any::<u32>(), 0u32..3_000), 1..16),
+    ) {
+        let flight = ServerFlight {
+            cipher: CipherSuite::ECDHE_RSA_AES128_GCM,
+            random: [7; 32],
+            cert_lens,
+            ocsp_len: ocsp,
+            key_exchange_len: ske,
+        };
+        let bytes = flight.to_record_bytes();
+        prop_assert_eq!(flight.record_len(), bytes.len());
+        for (offset, len) in windows {
+            let offset = offset as usize % (bytes.len() + 1);
+            let len = (len as usize).min(bytes.len() - offset);
+            let mut out = vec![0x99; len];
+            flight.write_at(offset, &mut out);
+            prop_assert_eq!(&out[..], &bytes[offset..offset + len], "window {}+{}", offset, len);
+        }
+        for mss in [64, 128, 536, 1460] {
+            let mut out = vec![0x99; bytes.len()];
+            for (i, chunk) in out.chunks_mut(mss).enumerate() {
+                flight.write_at(i * mss, chunk);
+            }
+            prop_assert!(out == bytes, "cut at MSS {}", mss);
+        }
     }
 
     #[test]
