@@ -5,7 +5,7 @@ use crate::histogram::IwHistogram;
 use iw_core::{HostResult, HostVerdict, MssVerdict, ScanSummary};
 use iw_internet::population::Population;
 // Keyed by `Service` (Ord): deterministic iteration keeps the rendered
-// tables byte-stable (iw-lint: no-unordered-iteration).
+// tables byte-stable (this crate's clippy.toml bans hash containers).
 use std::collections::BTreeMap;
 
 /// Table 1: scan data-set overview.

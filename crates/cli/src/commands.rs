@@ -15,7 +15,7 @@ use iw_hoststack::{HostConfig, HttpBehavior, HttpConfig, IwPolicy, OsProfile};
 use iw_internet::{alexa, Population, PopulationConfig};
 use iw_netsim::LinkConfig;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Command-layer failure.
 #[derive(Debug)]
@@ -129,39 +129,61 @@ fn campaign_extra(args: &ScanArgs, command: &str) -> Vec<(String, String)> {
 /// Serializes checkpoint captures from the shard threads into one
 /// atomically refreshed campaign file: the file on disk is always a
 /// complete, parseable checkpoint holding each shard's latest capture.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the shard threads write their captures into the campaign's one file"
+)]
 struct CheckpointWriter {
     path: String,
     header: CampaignCheckpoint,
-    slots: Mutex<Vec<Option<ShardCheckpoint>>>,
+    captures: std::sync::Mutex<Captures>,
+}
+
+struct Captures {
+    slots: Vec<Option<ShardCheckpoint>>,
+    /// The first write that failed, reported when the campaign ends.
+    error: Option<String>,
 }
 
 impl CheckpointWriter {
     fn note(&self, shard: u32, capture: &ShardCheckpoint) {
-        let Ok(mut slots) = self.slots.lock() else {
+        let Ok(mut captures) = self.captures.lock() else {
             return; // a shard panicked mid-write; nothing to persist
         };
-        let Some(slot) = slots.get_mut(shard as usize) else {
+        let Some(slot) = captures.slots.get_mut(shard as usize) else {
             return;
         };
         *slot = Some(capture.clone());
         let mut file = self.header.clone();
-        file.shards = slots.iter().flatten().cloned().collect();
+        file.shards = captures.slots.iter().flatten().cloned().collect();
         // Write while holding the lock so concurrent shard captures
         // cannot interleave their rename steps.
-        let _ = output::write_atomic(&self.path, file.to_canonical_json());
+        if let Err(e) = output::write_atomic(&self.path, file.to_canonical_json()) {
+            let path = &self.path;
+            captures.error.get_or_insert(format!("write {path}: {e}"));
+        }
+    }
+
+    /// The first checkpoint write that failed, as the campaign's error.
+    fn finish(&self) -> Result<(), CmdError> {
+        match self.captures.lock().map(|c| c.error.clone()) {
+            Ok(Some(e)) => Err(err(e)),
+            _ => Ok(()),
+        }
     }
 }
 
 /// Wire the durable-campaign flags into a [`RunControl`], resolving
-/// `--resume` against the checkpoint file. Returns the control block and
+/// `--resume` against the checkpoint file. Returns the control block,
 /// the shard count to run with (a resumed campaign inherits the shard
-/// count and checkpoint interval it was started with).
+/// count and checkpoint interval it was started with) and the
+/// `--checkpoint-out` writer.
 fn durable_setup(
     args: &ScanArgs,
     command: &str,
     config: &ScanConfig,
     default_shards: u32,
-) -> Result<(RunControl, u32), CmdError> {
+) -> Result<(RunControl, u32, Option<Arc<CheckpointWriter>>), CmdError> {
     let mut control = RunControl {
         kill_after_events: args.kill_after_events,
         ..RunControl::default()
@@ -195,9 +217,13 @@ fn durable_setup(
     if every_nanos > 0 {
         control.checkpoint_every = Some(iw_netsim::Duration::from_nanos(every_nanos));
     }
-    if let Some(out_path) = &args.checkpoint_out {
-        let writer = Arc::new(CheckpointWriter {
-            path: out_path.clone(),
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the shard threads write their captures into the campaign's one file"
+    )]
+    let writer = args.checkpoint_out.as_ref().map(|path| {
+        Arc::new(CheckpointWriter {
+            path: path.clone(),
             header: CampaignCheckpoint {
                 threads: shards,
                 checkpoint_every_nanos: every_nanos,
@@ -205,11 +231,37 @@ fn durable_setup(
                 extra,
                 shards: Vec::new(),
             },
-            slots: Mutex::new(vec![None; shards as usize]),
-        });
+            captures: std::sync::Mutex::new(Captures {
+                slots: vec![None; shards as usize],
+                error: None,
+            }),
+        })
+    });
+    if let Some(writer) = writer.clone() {
         control.on_checkpoint = Some(Arc::new(move |shard, capture| writer.note(shard, capture)));
     }
-    Ok((control, shards))
+    Ok((control, shards, writer))
+}
+
+/// Run a campaign under the durable-campaign flags. A checkpoint that
+/// could not be written fails the run.
+fn run_durable(
+    args: &ScanArgs,
+    command: &str,
+    population: &Arc<Population>,
+    config: ScanConfig,
+    default_shards: u32,
+) -> Result<iw_core::ScanOutput, CmdError> {
+    let (control, shards, writer) = durable_setup(args, command, &config, default_shards)?;
+    let out = ScanRunner::new(population)
+        .config(config)
+        .topology(Topology::threads(shards))
+        .control(control)
+        .run();
+    if let Some(writer) = writer {
+        writer.finish()?;
+    }
+    Ok(out)
 }
 
 /// Exit status for a killed campaign (mirrors `128+SIGKILL` convention).
@@ -323,12 +375,7 @@ fn cmd_scan(args: &ScanArgs) -> Result<i32, CmdError> {
     apply_resilience(&mut config, args);
     apply_telemetry(&mut config, args);
     validate(&config)?;
-    let (control, shards) = durable_setup(args, "scan", &config, shard_count(args, true))?;
-    let out = ScanRunner::new(&population)
-        .config(config)
-        .topology(Topology::threads(shards))
-        .control(control)
-        .run();
+    let out = run_durable(args, "scan", &population, config, shard_count(args, true))?;
     let label = args.protocol.to_uppercase();
     conclude(&out, args, |out, args| report(out, args, &label))
 }
@@ -347,12 +394,7 @@ fn cmd_alexa(args: &ScanArgs) -> Result<i32, CmdError> {
     validate(&config)?;
     // Lists default to one shard; an explicit --threads still fans the
     // round-robin partitions across threads.
-    let (control, shards) = durable_setup(args, "alexa", &config, shard_count(args, false))?;
-    let out = ScanRunner::new(&population)
-        .config(config)
-        .topology(Topology::threads(shards))
-        .control(control)
-        .run();
+    let out = run_durable(args, "alexa", &population, config, shard_count(args, false))?;
     conclude(&out, args, |out, args| report(out, args, "ALEXA"))
 }
 
@@ -364,12 +406,7 @@ fn cmd_mtu(args: &ScanArgs) -> Result<i32, CmdError> {
     apply_resilience(&mut config, args);
     apply_telemetry(&mut config, args);
     validate(&config)?;
-    let (control, shards) = durable_setup(args, "mtu", &config, shard_count(args, true))?;
-    let out = ScanRunner::new(&population)
-        .config(config)
-        .topology(Topology::threads(shards))
-        .control(control)
-        .run();
+    let out = run_durable(args, "mtu", &population, config, shard_count(args, true))?;
     conclude(&out, args, |out, args| {
         write_telemetry(out, args)?;
         let n = out.mtu_results.len().max(1) as f64;
@@ -754,7 +791,7 @@ mod tests {
         let config = ScanConfig::study(Protocol::Http, 1 << 10, 1);
 
         // No durable flags: inert control, caller's shard count.
-        let (control, shards) = durable_setup(&ScanArgs::default(), "scan", &config, 2).unwrap();
+        let (control, shards, _) = durable_setup(&ScanArgs::default(), "scan", &config, 2).unwrap();
         assert_eq!(shards, 2);
         assert!(control.resume.is_none());
         assert!(control.on_checkpoint.is_none());
@@ -767,7 +804,7 @@ mod tests {
             checkpoint_every_secs: 5,
             ..ScanArgs::default()
         };
-        let (control, _) = durable_setup(&args, "scan", &config, 2).unwrap();
+        let (control, _, _) = durable_setup(&args, "scan", &config, 2).unwrap();
         assert!(control.on_checkpoint.is_some());
         assert_eq!(
             control.checkpoint_every,
@@ -846,7 +883,7 @@ mod tests {
             ..foreign
         };
         std::fs::write(&resume_path, matching.to_canonical_json()).unwrap();
-        let (control, shards) = durable_setup(&args, "scan", &config, 8).unwrap();
+        let (control, shards, _) = durable_setup(&args, "scan", &config, 8).unwrap();
         assert_eq!(shards, 3, "resume inherits the recorded shard count");
         assert!(control.resume.is_some());
         assert_eq!(

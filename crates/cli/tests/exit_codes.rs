@@ -1,4 +1,8 @@
 //! The `iwscan` binary's exit codes for configurations it refuses.
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside the #[test] fns fail their test by panicking"
+)]
 
 use std::process::Command;
 
@@ -23,4 +27,26 @@ fn retry_budgets_above_the_maximum_exit_2() {
             "{flag}: {stderr}"
         );
     }
+}
+
+#[test]
+fn a_checkpoint_that_cannot_be_written_exits_2() {
+    let dir = std::env::temp_dir().join(format!("iwscan-no-such-dir-{}", std::process::id()));
+    let path = dir.join("x.ckpt").to_string_lossy().into_owned();
+    let (code, stderr) = iwscan(&[
+        "scan",
+        "--scale",
+        "small",
+        "--sample",
+        "0.02",
+        "--seed",
+        "7",
+        "--threads",
+        "2",
+        "--quiet",
+        "--checkpoint-out",
+        &path,
+    ]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains(&format!("write {path}: ")), "{stderr}");
 }

@@ -165,6 +165,7 @@ impl ScanRunner {
             return run_shard(&self.population, self.config, &self.control);
         }
         let (population, control) = (&self.population, &self.control);
+        #[expect(clippy::expect_used, reason = "a shard world's panic propagates")]
         let outputs: Vec<ScanOutput> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..shards)
                 .map(|i| {
@@ -184,7 +185,7 @@ impl ScanRunner {
             // propagate, not be silently merged into partial results.
             workers
                 .into_iter()
-                .map(|h| h.join().expect("shard world panicked")) // iw-lint: allow(panic-budget)
+                .map(|h| h.join().expect("shard world panicked"))
                 .collect()
         });
         merge(outputs)

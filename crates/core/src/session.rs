@@ -466,8 +466,10 @@ fn make_driver(
             }
             Box::new(TlsProbe::new(server_name.clone(), random))
         }
-        // Callers route ICMP targets to the MTU prober, never here.
-        // iw-lint: allow(panic-budget)
+        #[expect(
+            clippy::unreachable,
+            reason = "callers route ICMP targets to the MTU prober, never here"
+        )]
         Protocol::IcmpMtu => unreachable!("ICMP probes do not use TCP sessions"),
     }
 }

@@ -12,6 +12,14 @@
 //! same allocator keeps live bytes too, so what a responder holds at a
 //! campaign's peak is a gate as well, and so is what telemetry makes a
 //! silent target hold.
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside the #[test] fns fail their test by panicking"
+)]
+#![expect(
+    clippy::disallowed_macros,
+    reason = "each test runs on its own thread and counts its own allocations"
+)]
 
 use iw_core::cookie::CookieKey;
 use iw_core::{Protocol, ResilienceConfig, ScanConfig, ScanRunner, Scanner, TelemetryConfig};
@@ -41,6 +49,10 @@ thread_local! {
 /// and `dealloc`.
 struct Counting;
 
+#[expect(
+    unsafe_code,
+    reason = "a `GlobalAlloc` impl cannot be written without it"
+)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // A thread being torn down has no counter left; nothing to count.

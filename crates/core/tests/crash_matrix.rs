@@ -7,6 +7,10 @@
 //!
 //! Also here: the checkpoint file format's round-trip/corruption
 //! properties and the graceful-shutdown drain path.
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside the #[test] fns fail their test by panicking"
+)]
 
 use iw_core::{
     CampaignCheckpoint, Confusion, ErrorKind, Protocol, ResilienceConfig, RunControl,

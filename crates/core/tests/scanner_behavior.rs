@@ -2,6 +2,10 @@
 //! gating, duplicate handling, late packets, list targets and filters —
 //! the details that keep an Internet-facing scanner from being confused
 //! by backscatter.
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside the #[test] fns fail their test by panicking"
+)]
 
 use iw_core::blacklist::{CidrSet, ScanFilter};
 use iw_core::cookie::CookieKey;

@@ -89,9 +89,12 @@ impl HttpApp {
                 Self::not_found_page(config, *base_size as usize, *echo_uri, req.uri),
                 Body::Empty,
             ),
-            // The remaining variants are handled in on_data before parsing.
+            #[expect(
+                clippy::unreachable,
+                reason = "the remaining variants are handled in on_data before parsing"
+            )]
             HttpBehavior::Mute | HttpBehavior::SilentClose | HttpBehavior::Reset => {
-                unreachable!("terminal behaviours never build responses") // iw-lint: allow(panic-budget)
+                unreachable!("terminal behaviours never build responses")
             }
         };
         let mut response = if close {

@@ -124,7 +124,7 @@ impl App for TlsApp {
                 }
             }
             TlsBehavior::CipherMismatch => Self::alert(Alert::HANDSHAKE_FAILURE),
-            // iw-lint: allow(panic-budget)
+            #[expect(clippy::unreachable, reason = "both return above")]
             TlsBehavior::Mute | TlsBehavior::Reset => unreachable!("handled above"),
         };
         Some(resp)

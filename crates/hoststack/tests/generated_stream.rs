@@ -3,6 +3,10 @@
 //! filler and a TLS server flight, at every MSS the study meets, through
 //! the initial flight, the RTO retransmission and the data later ACKs
 //! release.
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside the #[test] fns fail their test by panicking"
+)]
 
 use iw_hoststack::app::{App, AppResponse, Body, FILL_PATTERN};
 use iw_hoststack::http_app::HttpApp;

@@ -181,8 +181,11 @@ fn tls_config(
                 TlsTemplate::ServeChain => TlsBehavior::Serve,
                 TlsTemplate::AlertNoSni => TlsBehavior::AlertWithoutSni,
                 TlsTemplate::CloseNoSni => TlsBehavior::CloseWithoutSni,
-                // The outer match arm only covers the three TLS templates.
-                _ => unreachable!(), // iw-lint: allow(panic-budget)
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the outer match arm only covers the three TLS templates"
+                )]
+                _ => unreachable!(),
             };
             TlsConfig {
                 behavior,

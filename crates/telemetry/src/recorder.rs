@@ -248,7 +248,10 @@ impl Ring {
 /// The ring store. No iteration over it reaches output: dumps are
 /// appended at conclusion and merged by `(at, ip)`, and the expiry sweep
 /// does not depend on the order it visits.
-// iw-lint: allow(no-unordered-iteration): no iteration reaches output, see above
+#[expect(
+    clippy::disallowed_types,
+    reason = "no iteration reaches output, see above"
+)]
 type AddrMap<V> = std::collections::HashMap<u32, V, BuildHasherDefault<AddrHasher>>;
 
 /// A frozen ring: the black box of a session that ended in an error.

@@ -26,8 +26,8 @@
 //! The pool is deliberately single-threaded (`Rc`/`RefCell`): a
 //! simulation shard — scanner, hosts, links, queue — lives entirely on
 //! one thread, and sharded scans give each shard its own pool. Nothing
-//! here reads a clock, and there is no `unsafe`; both properties are
-//! enforced by `iw-lint`.
+//! here reads a clock, and there is no `unsafe`; clippy's
+//! `disallowed_methods` and rustc's `unsafe_code` enforce both.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -152,8 +152,11 @@ impl BufferPool {
 
 /// The bytes of a slab nothing else references: fresh, just popped off
 /// the free list, or still being built.
+#[expect(
+    clippy::expect_used,
+    reason = "the free list and `PacketBuf` each hold the only handle"
+)]
 fn unique(shared: &mut Rc<Slab>) -> &mut Vec<u8> {
-    // iw-lint: allow(panic-budget): the free list and `PacketBuf` each hold the only handle
     &mut Rc::get_mut(shared).expect("slab has one owner").data
 }
 
