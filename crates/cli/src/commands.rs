@@ -268,6 +268,8 @@ fn run_durable(
 const EXIT_KILLED: i32 = 9;
 /// Exit status for a gracefully aborted campaign.
 const EXIT_ABORTED: i32 = 3;
+/// Exit status for a campaign with a non-zero `scan.invariant.*` counter.
+const EXIT_VIOLATED: i32 = 4;
 
 /// Write the telemetry products requested by `--metrics-out` / `--pcap`.
 fn write_telemetry(out: &iw_core::ScanOutput, args: &ScanArgs) -> Result<(), CmdError> {
@@ -332,10 +334,10 @@ fn report(out: &iw_core::ScanOutput, args: &ScanArgs, label: &str) -> Result<(),
 }
 
 /// Resolve a finished run's disposition into an exit code, writing the
-/// report/artifacts only when the outputs are trustworthy. `report` runs
-/// for completed and (with a note) gracefully aborted campaigns; a killed
-/// campaign leaves nothing but the persisted checkpoint behind, and a
-/// diverged resume is a hard error.
+/// report/artifacts only when the outputs are trustworthy (or evidence).
+/// `report` runs for completed, violated and (with a note) aborted
+/// campaigns; a killed campaign leaves nothing but the persisted
+/// checkpoint behind, and a diverged resume is a hard error.
 fn conclude(
     out: &iw_core::ScanOutput,
     args: &ScanArgs,
@@ -358,6 +360,13 @@ fn conclude(
                 "\ncampaign aborted at the shutdown deadline; sessions drained, artifacts flushed"
             );
             Ok(EXIT_ABORTED)
+        }
+        RunDisposition::Violated => {
+            render(out, args)?;
+            let violations = out.telemetry.violations();
+            let named: Vec<String> = violations.iter().map(|(n, v)| format!("{n}={v}")).collect();
+            eprintln!("invariant violated: {}", named.join(", "));
+            Ok(EXIT_VIOLATED)
         }
         RunDisposition::Completed => {
             render(out, args)?;
@@ -782,6 +791,47 @@ mod tests {
         ] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    #[test]
+    fn a_violated_run_writes_its_metrics_and_exits_4() {
+        let mut metrics = iw_core::telemetry::MetricsRegistry::from_manifest();
+        metrics.inc(iw_core::telemetry::Counter::InvariantWorkLeft);
+        let out = iw_core::ScanOutput {
+            results: vec![],
+            open_ports: vec![],
+            mtu_results: vec![],
+            summary: Default::default(),
+            sim_stats: Default::default(),
+            duration: iw_netsim::Duration::ZERO,
+            telemetry: iw_core::ScanTelemetry {
+                metrics: metrics.snapshot(),
+                ..Default::default()
+            },
+            trace: Default::default(),
+            checkpoints: vec![],
+            disposition: RunDisposition::Violated,
+        };
+        assert_eq!(
+            out.telemetry.violations(),
+            [("scan.invariant.work_left", 1)]
+        );
+        let dir = std::env::temp_dir().join("iwscan-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let metrics_path = dir.join("violated.metrics.json");
+        let args = ScanArgs {
+            metrics_out: Some(metrics_path.to_string_lossy().into_owned()),
+            quiet: true,
+            ..ScanArgs::default()
+        };
+        let code = conclude(&out, &args, |out, args| report(out, args, "HTTP"));
+        assert_eq!(code.unwrap(), 4);
+        let written = std::fs::read_to_string(&metrics_path).unwrap();
+        assert!(
+            written.contains("\"scan.invariant.work_left\":1"),
+            "{written}"
+        );
+        let _ = std::fs::remove_file(&metrics_path);
     }
 
     #[test]

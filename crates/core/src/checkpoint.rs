@@ -45,9 +45,10 @@ use std::fmt::Write as _;
 /// SYN and probe backoffs are constants, and the config digest no
 /// longer carries them; 6 = a promoted handshake without SYN retries
 /// gives up (stateless-first runs without SYN retries process its
-/// give-up timer and count its `GaveUp`). Older files are refused by
-/// name instead of being replayed into a `Diverged` barrier.
-pub const CHECKPOINT_VERSION: u64 = 6;
+/// give-up timer and count its `GaveUp`); 7 = the `scan.invariant.*`
+/// counters. Older files are refused by name instead of being replayed
+/// into a `Diverged` barrier.
+pub const CHECKPOINT_VERSION: u64 = 7;
 
 /// The `kind` discriminator in the file header.
 pub const CHECKPOINT_KIND: &str = "iwscan-campaign-checkpoint";
@@ -100,6 +101,9 @@ pub enum RunDisposition {
     /// Stopped by the graceful-shutdown deadline: in-flight sessions were
     /// drained and a final checkpoint captured.
     Aborted,
+    /// Drained, but a `scan.invariant.*` counter is not zero
+    /// ([`crate::ScanTelemetry::violations`] names it).
+    Violated,
     /// A resume barrier did not match the replayed state — the
     /// checkpoint belongs to a different run or was corrupted in a way
     /// that still parses.
@@ -111,11 +115,12 @@ pub enum RunDisposition {
 
 impl RunDisposition {
     /// Merge precedence across shards: any divergence poisons the run,
-    /// then a kill, then an abort, then completion.
+    /// then a violation, then a kill, then an abort, then completion.
     pub fn merge(self, other: RunDisposition) -> RunDisposition {
         fn rank(d: &RunDisposition) -> u32 {
             match d {
-                RunDisposition::Diverged { .. } => 3,
+                RunDisposition::Diverged { .. } => 4,
+                RunDisposition::Violated => 3,
                 RunDisposition::Killed { .. } => 2,
                 RunDisposition::Aborted => 1,
                 RunDisposition::Completed => 0,
@@ -482,10 +487,11 @@ mod tests {
             "the writer writes the current version"
         );
         // Files from before the retry FIFOs (1), the one target table (2),
-        // keyed timers (3), the constant backoffs (4) or the promoted
-        // handshake's give-up (5) capture different events or state:
-        // refused cleanly, never replayed to a divergence.
-        for other in [1, 2, 3, 4, 5, CHECKPOINT_VERSION + 1] {
+        // keyed timers (3), the constant backoffs (4), the promoted
+        // handshake's give-up (5) or the invariant counters (6) capture
+        // different events or state: refused cleanly, never replayed to a
+        // divergence.
+        for other in [1, 2, 3, 4, 5, 6, CHECKPOINT_VERSION + 1] {
             let foreign = json.replace(&current, &format!("\"version\":{other},"));
             assert_eq!(
                 CampaignCheckpoint::parse(&foreign).unwrap_err(),

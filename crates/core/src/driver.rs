@@ -310,10 +310,11 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
             };
         }
     }
-    if matches!(
+    let drained = matches!(
         disposition,
         RunDisposition::Completed | RunDisposition::Aborted
-    ) {
+    );
+    if drained {
         // Final capture (no counter: it adds no tick a resumed run would
         // have to reproduce) so the persisted campaign file records the
         // terminal state — exhausted, drained, all results in.
@@ -329,6 +330,9 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
     let sim_stats = sim.stats();
     let trace = sim.trace().clone();
     let telemetry = Scanner::harvest(&mut sim);
+    if drained && !telemetry.violations().is_empty() {
+        disposition = RunDisposition::Violated;
+    }
     let scanner = sim.scanner_mut();
     let mut results = scanner.results().to_vec();
     results.sort_by_key(|r| r.ip);

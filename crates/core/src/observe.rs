@@ -25,7 +25,8 @@
 //!
 //! A shard's recording and a run's output are one type, [`ScanTelemetry`]:
 //! [`Observer::harvest`] hands it over and [`ScanTelemetry::merge`] folds
-//! the shards. It holds output only: no stamp, no live ring.
+//! the shards. It holds output only: no stamp, no live ring. Its eight
+//! `scan.invariant.*` counters keep the books (see [`unbalanced`]).
 
 use crate::config::{MonitorSink, TelemetryConfig};
 use crate::cookie::CookieKey;
@@ -100,6 +101,33 @@ pub(crate) fn error_counter(kind: ErrorKind) -> Counter {
         ErrorKind::CollectTimeout => Counter::ErrCollectTimeout,
         ErrorKind::IcmpUnreachable => Counter::ErrIcmpUnreachable,
     }
+}
+
+/// The harvest-time `scan.invariant.*` counters of a drained world, from
+/// its kernel accounting, the work it left (sessions, promoted
+/// handshakes, retry-FIFO entries, queued promotions), its records'
+/// addresses (results, open ports), its results and sessions started.
+pub(crate) fn unbalanced(
+    s: &SimStats,
+    work_left: u64,
+    mut records: Vec<u32>,
+    results: u64,
+    sessions_started: u64,
+) -> [(Counter, u64); 6] {
+    let to_hosts = (s.scanner_tx + s.dup_fwd).abs_diff(s.host_rx + s.lost_fwd);
+    let to_scanner = (s.host_tx + s.dup_rev).abs_diff(s.scanner_rx + s.lost_rev);
+    records.sort_unstable();
+    let runs = records.chunk_by(|a, b| a == b);
+    let duplicated = runs.filter(|run| run.len() > 1).count() as u64;
+    let unsessioned = results.abs_diff(sessions_started);
+    [
+        (Counter::InvariantUnconservedToHosts, to_hosts),
+        (Counter::InvariantUnconservedToScanner, to_scanner),
+        (Counter::InvariantPoolLeaked, s.pool_outstanding),
+        (Counter::InvariantWorkLeft, work_left),
+        (Counter::InvariantDuplicateRecords, duplicated),
+        (Counter::InvariantUnsessionedRecords, unsessioned),
+    ]
 }
 
 /// One shard's observability: the metrics registry and every product.
@@ -454,20 +482,26 @@ impl Observer {
         self.stamps.len() + self.flight.live_rings()
     }
 
-    /// Close out the shard when its event loop drains at `now` and hand
-    /// over its output. The sim kernel's counters and hot-path span
-    /// counts fold in, span accounting reaches the `trace.*` metrics, the
-    /// monitor prints its final line for `last` (even mid-interval, with
-    /// error-kind tallies), and the stream takes its last snapshot, so
-    /// delta sums equal final totals.
+    /// Close out the shard when its event loop stops at `now` and hand
+    /// over its output. The sim kernel's counters, a drained world's
+    /// `unbalanced` ones and hot-path span counts fold in, span
+    /// accounting reaches the `trace.*` metrics, the monitor prints its
+    /// final line for `last` (even mid-interval, with error-kind tallies),
+    /// and the stream takes its last snapshot, so delta sums equal totals.
     pub(crate) fn harvest(
         &mut self,
         now: Instant,
         sim: &SimStats,
+        unbalanced: Option<[(Counter, u64); 6]>,
         sim_spans: Tracer,
         last: &ProgressSample,
     ) -> ScanTelemetry {
         let m = &mut self.metrics;
+        m.add(Counter::InvariantStaleTimers, sim.stale_timers);
+        m.add(Counter::InvariantUndeclaredEdges, sim.undeclared_edges);
+        for (counter, n) in unbalanced.into_iter().flatten() {
+            m.add(counter, n);
+        }
         m.add(Counter::SimEvents, sim.events);
         m.add(Counter::SimPackets, sim.scanner_rx + sim.host_rx);
         m.add(Counter::SimPoolAllocations, sim.pool_allocations);
@@ -539,6 +573,15 @@ pub struct ScanTelemetry {
 }
 
 impl ScanTelemetry {
+    /// The `scan.invariant.*` counters that are not zero, by name: a run
+    /// with any has wrong books, whatever its verdicts say.
+    pub fn violations(&self) -> Vec<(&str, u64)> {
+        let counters = self.metrics.counters.iter();
+        let named = counters.map(|(k, &(_, n))| (k.as_str(), n));
+        let broken = |&(k, n): &(&str, u64)| n > 0 && k.starts_with("scan.invariant.");
+        named.filter(broken).collect()
+    }
+
     /// Fold another shard's harvest in; each product restores its own
     /// canonical order.
     pub fn merge(&mut self, other: ScanTelemetry) {
@@ -559,6 +602,49 @@ mod tests {
     use iw_telemetry::FlightEntry;
     use iw_wire::tcp::Flags;
     use std::collections::BTreeMap;
+
+    #[test]
+    fn balanced_books_count_zero_and_each_imbalance_names_its_counter() {
+        type Books = (SimStats, u64, Vec<u32>, u64, u64);
+        type Seed = fn(&mut Books);
+        let balanced = || -> Books {
+            // 10 + 1 duplicated = 9 delivered + 2 lost; 8 + 2 = 7 + 3.
+            let sim = SimStats {
+                scanner_tx: 10,
+                dup_fwd: 1,
+                host_rx: 9,
+                lost_fwd: 2,
+                host_tx: 8,
+                dup_rev: 2,
+                scanner_rx: 7,
+                lost_rev: 3,
+                ..SimStats::default()
+            };
+            (sim, 0, vec![3, 1, 2], 3, 3)
+        };
+        let check = |(sim, work, records, results, started): Books| {
+            let counts = unbalanced(&sim, work, records, results, started).into_iter();
+            counts.filter(|&(_, n)| n > 0).collect::<Vec<_>>()
+        };
+        assert_eq!(check(balanced()), []);
+        let seeded: [(Seed, Counter); 6] = [
+            (|b| b.0.host_rx -= 1, Counter::InvariantUnconservedToHosts),
+            (
+                |b| b.0.scanner_rx += 1,
+                Counter::InvariantUnconservedToScanner,
+            ),
+            (|b| b.0.pool_outstanding = 1, Counter::InvariantPoolLeaked),
+            (|b| b.1 = 1, Counter::InvariantWorkLeft),
+            // One address with three records is one duplicated address.
+            (|b| b.2.extend([2, 2]), Counter::InvariantDuplicateRecords),
+            (|b| b.4 += 1, Counter::InvariantUnsessionedRecords),
+        ];
+        for (seed, counter) in seeded {
+            let mut books = balanced();
+            seed(&mut books);
+            assert_eq!(check(books), [(counter, 1)]);
+        }
+    }
 
     fn flow() -> SynFlow {
         SynFlow {

@@ -289,15 +289,25 @@ impl Scanner {
         self.obs.metrics.snapshot()
     }
 
-    /// Close out the scanner of a drained `sim` and hand over its
+    /// Close out the scanner of a stopped `sim` and hand over its
     /// telemetry: the sim's counters and hot-path spans fold in, the
     /// monitor prints its final line and the stream takes its last
-    /// snapshot.
+    /// snapshot. Only a drained `sim` has its books checked.
     pub fn harvest<F: HostFactory>(sim: &mut Sim<Scanner, F>) -> ScanTelemetry {
         let (now, stats, sim_spans) = (sim.now(), sim.stats(), sim.take_tracer());
-        let scanner = sim.scanner_mut();
-        let last = scanner.progress_sample(now);
-        scanner.obs.harvest(now, &stats, sim_spans, &last)
+        let drained = sim.is_drained();
+        let s = sim.scanner_mut();
+        let last = s.progress_sample(now);
+        let unbalanced = drained.then(|| {
+            let promotions = s.discovery.as_ref().map_or(0, |d| d.queued().len());
+            let left = s.targets.live() + s.targets.promoted() + s.retry_backlog() + promotions;
+            let ips = s.results.iter().map(|r| r.ip);
+            let records = ips.chain(s.open_ports.iter().copied()).collect();
+            let started = s.obs.metrics.counter_value(Counter::SessionsStarted);
+            let results = s.results.len() as u64;
+            crate::observe::unbalanced(&stats, left as u64, records, results, started)
+        });
+        s.obs.harvest(now, &stats, unbalanced, sim_spans, &last)
     }
 
     /// Capture this shard's observable state as a [`ShardCheckpoint`]
@@ -394,11 +404,12 @@ impl Scanner {
         }
     }
 
-    /// Move `ip` to `to` along a declared edge (see [`Targets::set`]).
-    /// A target with an entry outside `Handshake` has no SYN left to
-    /// time, and a concluded one no domain.
+    /// Move `ip` to `to`, counting an undeclared edge (see
+    /// [`Targets::set`]). A target with an entry outside `Handshake` has
+    /// no SYN left to time, and a concluded one no domain.
     fn set_target(&mut self, ip: u32, to: Option<Target>, now: Instant) {
-        self.targets.set(ip, to, now);
+        let undeclared = self.targets.set(ip, to, now);
+        (self.obs.metrics).add(Counter::InvariantUndeclaredEdges, undeclared);
         if to != Some(Target::Handshake) {
             self.obs.emit(now, ip, Event::Untimed);
         }
@@ -557,6 +568,8 @@ impl Scanner {
         for ev in &out.events {
             self.obs.emit(now, ip, Event::Session(*ev));
         }
+        let undeclared = u64::from(out.undeclared_edges);
+        (self.obs.metrics).add(Counter::InvariantUndeclaredEdges, undeclared);
         if let Some(deadline) = out.deadline {
             if deadline > now
                 && self
@@ -732,7 +745,8 @@ impl Scanner {
         let out = session.on_segment(seg, now);
         // A promoted handshake's slot becomes the session's slot (net
         // occupancy unchanged, so no promotion drain here).
-        self.targets.open(ip, session, now);
+        let undeclared = self.targets.open(ip, session, now);
+        (self.obs.metrics).add(Counter::InvariantUndeclaredEdges, undeclared);
         if let Some(deadline) = self.config.resilience.session_deadline {
             fx.arm(deadline, Timer::Watchdog(ip).token());
         }
@@ -894,12 +908,13 @@ impl Endpoint for Scanner {
             Some(Timer::Monitor) => self.monitor_tick(now, fx),
             Some(Timer::Sweep) => self.sweep(now, fx),
             Some(Timer::Stream) => self.stream_tick(now, fx),
-            Some(Timer::Session(ip)) => {
-                if let Some(session) = self.targets.session_mut(ip) {
+            Some(Timer::Session(ip)) => match self.targets.session_mut(ip) {
+                Some(session) => {
                     let out = session.on_timer(now);
                     self.apply_session_output(ip, out, now, fx);
                 }
-            }
+                None => self.obs.metrics.inc(Counter::InvariantStaleTimers),
+            },
             Some(Timer::SynRetry(level)) => self.drain_syn_retries(level, now, fx),
             Some(Timer::Watchdog(ip)) => self.watchdog_fire(ip, now, fx),
             Some(Timer::DiscoveryRetry(level)) => self.drain_discovery_retries(level, now, fx),
@@ -911,6 +926,18 @@ impl Endpoint for Scanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_session_timer_without_a_session_is_counted_stale() {
+        let mut s = Scanner::new(ScanConfig::study(Protocol::Http, 1 << 16, 7));
+        let mut fx = Effects::default();
+        for timer in [Timer::Session(5), Timer::Watchdog(5)] {
+            s.on_timer(timer.token(), Instant::ZERO, &mut fx);
+        }
+        let stale = s.obs.metrics.counter_value(Counter::InvariantStaleTimers);
+        assert_eq!(stale, 2);
+        assert!(fx.tx.is_empty() && fx.timers.is_empty());
+    }
 
     #[test]
     fn sampling_fraction_filters_deterministically() {

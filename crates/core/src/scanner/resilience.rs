@@ -16,7 +16,7 @@ use crate::results::{ErrorKind, Protocol};
 use crate::retry::RetryLevels;
 use crate::target::Target;
 use iw_netsim::{Effects, Instant};
-use iw_telemetry::SessionEvent;
+use iw_telemetry::{Counter, SessionEvent};
 use iw_wire::tcp::{self, Flags};
 use std::collections::VecDeque;
 
@@ -192,10 +192,12 @@ impl Scanner {
         self.resilience.syn_retries.push(level + 1, ip, now, fx);
     }
 
-    /// The per-session watchdog fired: if the session is somehow still
-    /// running, force-conclude it (tarpit/dribbler defense).
+    /// The per-session watchdog fired: force-conclude the session
+    /// (tarpit/dribbler defense). A concluded session cancelled its
+    /// watchdog, so a fire without one is stale.
     pub(super) fn watchdog_fire(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
         let Some(session) = self.targets.session_mut(ip) else {
+            self.obs.metrics.inc(Counter::InvariantStaleTimers);
             return;
         };
         let out = session.force_conclude(ErrorKind::CollectTimeout);

@@ -92,6 +92,8 @@ pub struct SessionOutput {
     /// Lifecycle transitions for the scan event log (the scanner stamps
     /// them with host address and virtual time).
     pub events: Vec<SessionEvent>,
+    /// Undeclared phase changes the connection machine took.
+    pub undeclared_edges: u32,
 }
 
 /// A live measurement session against one host.
@@ -286,8 +288,7 @@ impl HostSession {
             tx: first.tx,
             request: first.request,
             deadline: first.deadline,
-            result: None,
-            events: Vec::new(),
+            ..SessionOutput::default()
         }
     }
 
@@ -301,7 +302,8 @@ impl HostSession {
         let mut session_out = SessionOutput::default();
         if self.retry_at.is_none() {
             // A live connection may need an RST on the wire.
-            session_out.tx = self.conn.fail(kind).tx;
+            let out = self.conn.fail(kind);
+            (session_out.tx, session_out.undeclared_edges) = (out.tx, out.undeclared_edges);
         }
         self.retry_at = None;
         while self.probe_idx < self.params.total_probes() {
@@ -345,6 +347,7 @@ impl HostSession {
                     ConnNote::VerifyAckSent => SessionEvent::VerifyAckSent { probe },
                 })
                 .collect(),
+            undeclared_edges: out.undeclared_edges,
         };
         let Some(result) = out.result else {
             return session_out;

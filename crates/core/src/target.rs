@@ -1,13 +1,13 @@
 //! One lifecycle per target address.
 //!
 //! Every address the scanner holds state for has one [`Target`] entry in
-//! one table, changed only along an edge of `TRANSITIONS`. A silent
-//! target is the exception: it holds no entry, only its address in a
-//! retry FIFO while a retransmission is owed. A concluded target keeps
-//! its entry for a bounded hold, so an answer that arrives after its
-//! verdict — a host retransmitting a SYN-ACK whose ACK was lost — finds
-//! it concluded and mints nothing. Sessions live in a vector that `Live`
-//! entries index, which keeps an entry at 8 bytes.
+//! one table, changed along an edge of `TRANSITIONS` (any other edge is
+//! counted). A silent target is the exception: it holds no entry, only
+//! its address in a retry FIFO while a retransmission is owed. A
+//! concluded target keeps its entry for a bounded hold, so an answer that
+//! arrives after its verdict — a host retransmitting a SYN-ACK whose ACK
+//! was lost — finds it concluded and mints nothing. Sessions live in a
+//! vector that `Live` entries index, which keeps an entry at 8 bytes.
 
 use crate::retry::RetryQueue;
 use crate::session::HostSession;
@@ -69,8 +69,8 @@ fn stage(target: Option<Target>) -> Stage {
 /// refusal), a promoted handshake's give-up and an ICMP fast-fail
 /// conclude; a finished MTU probe and a graceful drain drop the entry.
 /// `Concluded` leaves only when its hold expires, so nothing reopens a
-/// target that has its verdict. [`Targets::set`] asserts membership in
-/// debug builds.
+/// target that has its verdict. [`Targets::set`] counts every change it
+/// makes along an edge missing here.
 const TRANSITIONS: &[(Stage, Stage)] = &[
     (Stage::Untracked, Stage::Queued),
     (Stage::Untracked, Stage::Live),
@@ -87,13 +87,9 @@ const TRANSITIONS: &[(Stage, Stage)] = &[
     (Stage::Concluded, Stage::Untracked),
 ];
 
-fn assert_edge(from: Option<Target>, to: Option<Target>) {
-    debug_assert!(
-        TRANSITIONS.contains(&(stage(from), stage(to))),
-        "undeclared Target edge {:?} -> {:?}",
-        stage(from),
-        stage(to)
-    );
+/// 1 if `from -> to` is not declared.
+fn undeclared(from: Option<Target>, to: Option<Target>) -> u64 {
+    u64::from(!TRANSITIONS.contains(&(stage(from), stage(to))))
 }
 
 /// The scanner's one per-address table, the sessions its `Live` entries
@@ -167,22 +163,23 @@ impl Targets {
         self.sessions.get_mut(index as usize)
     }
 
-    /// Make `ip` `Live` with `session`.
-    pub fn open(&mut self, ip: u32, session: HostSession, now: Instant) {
+    /// Make `ip` `Live` with `session`; returns as [`Self::set`] does.
+    pub fn open(&mut self, ip: u32, session: HostSession, now: Instant) -> u64 {
         self.sessions.push(session);
-        self.set(ip, Some(Target::Live(self.sessions.len() as u32 - 1)), now);
+        self.set(ip, Some(Target::Live(self.sessions.len() as u32 - 1)), now)
     }
 
-    /// Move `ip` to `to` (`None` drops its entry), only along a declared
-    /// edge. Leaving `Live` drops the session (the last one moves into its
-    /// index); entering `Concluded` starts the hold, after dropping every
-    /// concluded entry whose hold has run out.
-    pub fn set(&mut self, ip: u32, to: Option<Target>, now: Instant) {
+    /// Move `ip` to `to` (`None` drops its entry). Leaving `Live` drops
+    /// the session (the last one moves into its index); entering
+    /// `Concluded` starts the hold, after dropping every concluded entry
+    /// whose hold has run out. Returns the changes made along an
+    /// undeclared edge (zero in a correct scanner).
+    pub fn set(&mut self, ip: u32, to: Option<Target>, now: Instant) -> u64 {
         let from = match to {
             Some(target) => self.map.insert(ip, target),
             None => self.map.remove(ip),
         };
-        assert_edge(from, to);
+        let mut undeclared_edges = undeclared(from, to);
         match from {
             Some(Target::Handshake) => self.promoted -= 1,
             Some(Target::Live(index)) => {
@@ -197,12 +194,13 @@ impl Targets {
             Some(Target::Handshake) => self.promoted += 1,
             Some(Target::Concluded) => {
                 while let Some(expired) = self.hold.pop_due(now) {
-                    assert_edge(self.map.remove(expired), None);
+                    undeclared_edges += undeclared(self.map.remove(expired), None);
                 }
                 self.hold.push(now + self.hold_for, ip);
             }
             _ => {}
         }
+        undeclared_edges
     }
 }
 
@@ -227,17 +225,7 @@ mod tests {
 
     /// The stages `from` reaches along declared edges, itself included.
     fn reach(from: Stage) -> Vec<Stage> {
-        let mut reached = vec![from];
-        let mut next = 0;
-        while let Some(&at) = reached.get(next) {
-            for &(a, b) in TRANSITIONS {
-                if a == at && !reached.contains(&b) {
-                    reached.push(b);
-                }
-            }
-            next += 1;
-        }
-        reached
+        proptest::reachable(TRANSITIONS, from)
     }
 
     #[test]
@@ -267,12 +255,11 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "undeclared Target edge Concluded -> Live")]
-    fn an_undeclared_target_edge_panics_in_debug_builds() {
+    fn an_undeclared_target_edge_is_taken_and_counted() {
         let mut targets = Targets::new(Duration::from_secs(1));
-        targets.set(7, Some(Target::Concluded), Instant::ZERO);
-        targets.set(7, Some(Target::Live(0)), Instant::ZERO);
+        assert_eq!(targets.set(7, Some(Target::Concluded), Instant::ZERO), 0);
+        assert_eq!(targets.set(7, Some(Target::Live(0)), Instant::ZERO), 1);
+        assert_eq!(targets.get(7), Some(Target::Live(0)));
     }
 
     #[test]

@@ -499,7 +499,7 @@ fn graceful_abort_stops_discovery_retransmissions_and_promotions() {
         started,
         "a session started after the drain"
     );
-    assert_eq!(sim.scanner().live_sessions(), 0);
+    assert_eq!(iw_core::Scanner::harvest(&mut sim).violations(), []);
 }
 
 // ---------------------------------------------------------------------

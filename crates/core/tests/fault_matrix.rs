@@ -38,7 +38,7 @@ fn scan_config(space: u32, seed: u64) -> ScanConfig {
 }
 
 /// Run a scan against a custom host factory; returns sorted results and
-/// the metrics snapshot.
+/// the metrics snapshot of a world whose books balance.
 fn run_matrix<F>(config: ScanConfig, factory: F) -> (Vec<HostResult>, Snapshot, u64, u64)
 where
     F: FnMut(u32) -> Option<(Box<dyn Endpoint>, LinkConfig)>,
@@ -55,18 +55,13 @@ where
     );
     sim.kick_scanner(|s, now, fx| s.start(now, fx));
     sim.run_to_completion();
-    let scanner = sim.scanner_mut();
-    assert_eq!(scanner.live_sessions(), 0, "sessions must drain");
-    let mut ips: Vec<u32> = scanner.results().iter().map(|r| r.ip).collect();
-    ips.extend(scanner.open_ports());
-    ips.sort_unstable();
-    let twice = ips.windows(2).find(|w| w[0] == w[1]);
-    assert_eq!(twice, None, "an address holds two records");
+    let telemetry = Scanner::harvest(&mut sim);
+    assert_eq!(telemetry.violations(), []);
+    let scanner = sim.scanner();
     let mut results = scanner.results().to_vec();
     results.sort_by_key(|r| r.ip);
-    let snapshot = scanner.metrics_snapshot();
     let (sent, refused) = (scanner.targets_sent(), scanner.refused());
-    (results, snapshot, sent, refused)
+    (results, telemetry.metrics, sent, refused)
 }
 
 /// Fraction of results whose primary verdict matches the ground truth,
@@ -1042,8 +1037,8 @@ fn eviction_queue_is_bounded_over_long_campaigns() {
     );
     sim.kick_scanner(|s, now, fx| s.start(now, fx));
     sim.run_to_completion();
-    let scanner = sim.scanner_mut();
-    assert_eq!(scanner.live_sessions(), 0);
+    assert_eq!(Scanner::harvest(&mut sim).violations(), []);
+    let scanner = sim.scanner();
     assert_eq!(scanner.results().len(), space as usize);
     // Normally-concluded sessions leave stale deque entries behind; the
     // lazy compaction keeps the queue O(live), so after the drain it

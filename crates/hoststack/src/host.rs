@@ -82,11 +82,13 @@ impl Host {
         }
     }
 
-    /// What a TCB event leaves to the host: arm its deadline, or retire
-    /// the connection and cancel its timer once closed.
+    /// What a TCB event leaves to the host: report its undeclared state
+    /// changes, then arm its deadline, or retire the connection and
+    /// cancel its timer once closed.
     fn settle(&mut self, key: ConnKey, out: TcbOutput, now: Instant, fx: &mut Effects) {
         if let Some(pos) = self.conns.iter().position(|(k, _)| *k == key) {
             let tcb = &mut self.conns[pos].1;
+            fx.undeclared_edges += u64::from(std::mem::take(&mut tcb.undeclared_edges));
             if tcb.is_closed() {
                 self.conns.swap_remove(pos);
                 fx.cancel(token_for(key));

@@ -47,6 +47,8 @@ pub struct Effects {
     /// The endpoint is done and may be deallocated (hosts only; the
     /// scanner ignores this flag).
     pub finished: bool,
+    /// Undeclared state changes (hosts only; into [`SimStats::undeclared_edges`]).
+    pub undeclared_edges: u64,
     /// The buffer pool emissions draw from. Every `Effects` brings its
     /// own: the kernel keeps one `Effects` per simulation, so that pool is
     /// the world's; a test's `Effects::default()` gets a private one.
@@ -139,8 +141,16 @@ pub struct SimStats {
     pub host_tx: u64,
     /// Datagrams delivered to hosts.
     pub host_rx: u64,
-    /// Datagrams lost on links (either direction).
+    /// Datagrams lost on the way to hosts (link drop, no host, unparseable).
+    pub lost_fwd: u64,
+    /// Datagrams lost on the way to the scanner.
+    pub lost_rev: u64,
+    /// Datagrams lost in either direction: `lost_fwd + lost_rev`.
     pub lost: u64,
+    /// Extra copies links delivered to hosts (link duplication).
+    pub dup_fwd: u64,
+    /// Extra copies links delivered to the scanner.
+    pub dup_rev: u64,
     /// Bytes the scanner transmitted.
     pub scanner_tx_bytes: u64,
     /// Bytes delivered to the scanner.
@@ -157,6 +167,10 @@ pub struct SimStats {
     /// Pool buffers checked out and not yet returned. Zero once a scan
     /// drains; anything else is a leak.
     pub pool_outstanding: u64,
+    /// Host timers that came due for a host that is not live.
+    pub stale_timers: u64,
+    /// Undeclared state changes hosts reported ([`Effects::undeclared_edges`]).
+    pub undeclared_edges: u64,
 }
 
 impl std::ops::AddAssign for SimStats {
@@ -165,7 +179,11 @@ impl std::ops::AddAssign for SimStats {
         self.scanner_rx += rhs.scanner_rx;
         self.host_tx += rhs.host_tx;
         self.host_rx += rhs.host_rx;
+        self.lost_fwd += rhs.lost_fwd;
+        self.lost_rev += rhs.lost_rev;
         self.lost += rhs.lost;
+        self.dup_fwd += rhs.dup_fwd;
+        self.dup_rev += rhs.dup_rev;
         self.scanner_tx_bytes += rhs.scanner_tx_bytes;
         self.scanner_rx_bytes += rhs.scanner_rx_bytes;
         self.hosts_spawned += rhs.hosts_spawned;
@@ -173,6 +191,8 @@ impl std::ops::AddAssign for SimStats {
         self.pool_allocations += rhs.pool_allocations;
         self.pool_recycled += rhs.pool_recycled;
         self.pool_outstanding += rhs.pool_outstanding;
+        self.stale_timers += rhs.stale_timers;
+        self.undeclared_edges += rhs.undeclared_edges;
     }
 }
 
@@ -249,6 +269,7 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
     /// Accumulated statistics, including the pool counters as of now.
     pub fn stats(&self) -> SimStats {
         let mut stats = self.stats;
+        stats.lost = stats.lost_fwd + stats.lost_rev;
         let pool = self.fx.pool.stats();
         stats.pool_allocations = pool.allocated;
         stats.pool_recycled = pool.recycled;
@@ -290,6 +311,11 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
     /// Number of live host endpoints (diagnostic).
     pub fn live_hosts(&self) -> usize {
         self.hosts.len()
+    }
+
+    /// Whether nothing is scheduled: the world has drained.
+    pub fn is_drained(&self) -> bool {
+        self.queue.is_empty()
     }
 
     /// Invoke the scanner directly (e.g. to start the scan) and apply the
@@ -376,6 +402,7 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
         }
         self.fx.cancels.clear();
         self.fx.timers.clear();
+        self.stats.undeclared_edges += std::mem::take(&mut self.fx.undeclared_edges);
         let mut tx = std::mem::take(&mut self.fx.tx);
         for pkt in tx.drain(..) {
             self.route_from_host(ip, pkt);
@@ -389,26 +416,26 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
         // Destination address straight out of the IPv4 header; a full parse
         // happens at the receiving endpoint.
         let Some(dst) = dst_addr(&pkt) else {
-            self.stats.lost += 1;
+            self.stats.lost_fwd += 1;
             return;
         };
         if self.config.record_trace {
             self.trace.record(self.now, Dir::ScannerToHost, &pkt);
         }
         if !self.hosts.contains_key(&dst) && !self.spawn_host(dst) {
-            self.stats.lost += 1;
+            self.stats.lost_fwd += 1;
             return;
         }
-        // `spawn_host` just succeeded, so the link exists; a miss would be
-        // simulator corruption, but counting the packet as lost keeps the
-        // run alive and visible in the stats instead of aborting.
+        // A live host's link exists: links are built before the slot and
+        // never removed. A miss goes uncounted, for the conservation
+        // invariant to report.
         let Some(link) = self.links.get_mut(&dst) else {
-            self.stats.lost += 1;
             return;
         };
         let arrivals = link.transit(Direction::Forward);
-        if arrivals.is_empty() {
-            self.stats.lost += 1;
+        match arrivals.len() {
+            0 => self.stats.lost_fwd += 1,
+            n => self.stats.dup_fwd += n as u64 - 1,
         }
         for delay in arrivals {
             self.schedule(
@@ -426,15 +453,14 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
         if self.config.record_trace {
             self.trace.record(self.now, Dir::HostToScanner, &pkt);
         }
+        // As in `route_from_scanner`, a miss goes uncounted.
         let Some(link) = self.links.get_mut(&ip) else {
-            // No link was ever built (shouldn't happen for a live host);
-            // deliver with a default delay rather than lose the packet.
-            self.schedule(LinkConfig::default().latency, EventKind::ToScanner { pkt });
             return;
         };
         let arrivals = link.transit(Direction::Reverse);
-        if arrivals.is_empty() {
-            self.stats.lost += 1;
+        match arrivals.len() {
+            0 => self.stats.lost_rev += 1,
+            n => self.stats.dup_rev += n as u64 - 1,
         }
         for delay in arrivals {
             self.schedule(delay, EventKind::ToScanner { pkt: pkt.clone() });
@@ -503,14 +529,16 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
             }
             EventKind::HostTimer { ip, token } => {
                 // A despawned host's timers left with it, so the slot is
-                // the one that armed this timer.
-                if let Some(slot) = self.hosts.get_mut(&ip) {
-                    if let Some(k) = slot.timers.iter().position(|(t, _)| *t == token) {
-                        slot.timers.swap_remove(k);
-                    }
-                    slot.endpoint.on_timer(token, self.now, &mut self.fx);
-                    self.apply_host_effects(ip);
+                // the one that armed this timer; a fire without one is stale.
+                let Some(slot) = self.hosts.get_mut(&ip) else {
+                    self.stats.stale_timers += 1;
+                    return true;
+                };
+                if let Some(k) = slot.timers.iter().position(|(t, _)| *t == token) {
+                    slot.timers.swap_remove(k);
                 }
+                slot.endpoint.on_timer(token, self.now, &mut self.fx);
+                self.apply_host_effects(ip);
             }
         }
         true
@@ -647,6 +675,38 @@ mod tests {
         assert_eq!(sim.stats().hosts_spawned, 2);
         assert_eq!(sim.stats().scanner_tx, 2);
         assert_eq!(sim.stats().scanner_rx, 2);
+    }
+
+    #[test]
+    fn every_datagram_is_delivered_or_lost_once_per_copy() {
+        let lossy = |ip: u32| -> Option<(Box<dyn Endpoint>, LinkConfig)> {
+            let link = LinkConfig {
+                dup: 0.3,
+                ..LinkConfig::testbed().with_loss(0.3)
+            };
+            Some((Box::new(Echo { my_ip: ip, seen: 0 }), link))
+        };
+        let mut sim = Sim::new(TestScanner::default(), lossy, SimConfig::default());
+        sim.kick_scanner(|_, _, fx| {
+            for ip in 1..=200 {
+                fx.send(fake_pkt(ip, 0));
+            }
+        });
+        sim.run_to_completion();
+        let s = sim.stats();
+        assert!(s.lost_fwd * s.lost_rev * s.dup_fwd * s.dup_rev > 0, "{s:?}");
+        assert_eq!(s.scanner_tx + s.dup_fwd, s.host_rx + s.lost_fwd);
+        assert_eq!(s.host_tx + s.dup_rev, s.scanner_rx + s.lost_rev);
+        assert_eq!(s.lost, s.lost_fwd + s.lost_rev);
+    }
+
+    #[test]
+    fn a_host_timer_without_its_host_is_counted_stale() {
+        let mut sim = Sim::new(TestScanner::default(), echo_factory, SimConfig::default());
+        sim.schedule(Duration::ZERO, EventKind::HostTimer { ip: 9, token: 1 });
+        assert!(sim.step());
+        assert_eq!(sim.stats().stale_timers, 1);
+        assert!(sim.is_drained());
     }
 
     #[test]
@@ -875,6 +935,12 @@ mod tests {
             pool_allocations: 10,
             pool_recycled: 11,
             pool_outstanding: 12,
+            lost_fwd: 13,
+            lost_rev: 14,
+            dup_fwd: 15,
+            dup_rev: 16,
+            stale_timers: 17,
+            undeclared_edges: 18,
         };
         let b = SimStats {
             scanner_tx: 10,
@@ -889,6 +955,12 @@ mod tests {
             pool_allocations: 100,
             pool_recycled: 110,
             pool_outstanding: 120,
+            lost_fwd: 130,
+            lost_rev: 140,
+            dup_fwd: 150,
+            dup_rev: 160,
+            stale_timers: 170,
+            undeclared_edges: 180,
         };
         a += b;
         assert_eq!(
@@ -906,6 +978,12 @@ mod tests {
                 pool_allocations: 110,
                 pool_recycled: 121,
                 pool_outstanding: 132,
+                lost_fwd: 143,
+                lost_rev: 154,
+                dup_fwd: 165,
+                dup_rev: 176,
+                stale_timers: 187,
+                undeclared_edges: 198,
             }
         );
     }

@@ -462,6 +462,20 @@ pub mod test_runner {
     }
 }
 
+/// The states `from` reaches along `edges`, `from` first (a path takes at
+/// most `edges.len()` edges): the walk `TRANSITIONS` tables are tested by.
+pub fn reachable<S: Copy + PartialEq>(edges: &[(S, S)], from: S) -> Vec<S> {
+    let mut reached = vec![from];
+    for _ in edges {
+        for &(a, b) in edges {
+            if reached.contains(&a) && !reached.contains(&b) {
+                reached.push(b);
+            }
+        }
+    }
+    reached
+}
+
 pub mod prelude {
     pub use crate::test_runner::Config as ProptestConfig;
     pub use crate::{any, Arbitrary, BoxedStrategy, Just, Strategy};

@@ -102,6 +102,22 @@ pub enum Counter {
     /// Cookie-valid SYN-ACKs and RSTs for a target that already has its
     /// verdict: the SYN-ACK is reset, neither mints a second one.
     LateAnswers,
+    /// Must be zero, like every `Invariant*`: packets to hosts neither delivered nor lost.
+    InvariantUnconservedToHosts,
+    /// Packets to the scanner neither delivered nor lost.
+    InvariantUnconservedToScanner,
+    /// Pool buffers still checked out when a world drained.
+    InvariantPoolLeaked,
+    /// Sessions, handshakes, retries and promotions left when a world drained.
+    InvariantWorkLeft,
+    /// Addresses holding more than one record.
+    InvariantDuplicateRecords,
+    /// `|results - sessions started|`: records without a validated session.
+    InvariantUnsessionedRecords,
+    /// Session, watchdog or host timers that fired with nothing to fire into.
+    InvariantStaleTimers,
+    /// State changes along an edge missing from a `TRANSITIONS` table.
+    InvariantUndeclaredEdges,
     /// Periodic campaign checkpoints this shard captured.
     CheckpointsTaken,
     /// State entries cut short by a graceful-shutdown drain.
@@ -152,7 +168,7 @@ pub enum Hist {
 
 /// Name and scope of every [`Counter`], row `i` for discriminant `i`.
 #[rustfmt::skip]
-pub const COUNTERS: [(Counter, &str, Scope); 52] = [
+pub const COUNTERS: [(Counter, &str, Scope); 60] = [
     (Counter::TargetsSent, "scan.targets_sent", Scope::Scan),
     (Counter::SynacksValidated, "scan.synacks_validated", Scope::Scan),
     (Counter::Refused, "scan.refused", Scope::Scan),
@@ -200,6 +216,14 @@ pub const COUNTERS: [(Counter, &str, Scope); 52] = [
     (Counter::DiscoverySpoofedRst, "scan.discovery.spoofed_rst", Scope::Scan),
     (Counter::RstIgnored, "scan.rst_ignored", Scope::Scan),
     (Counter::LateAnswers, "scan.late_answers", Scope::Scan),
+    (Counter::InvariantUnconservedToHosts, "scan.invariant.unconserved_to_hosts", Scope::Scan),
+    (Counter::InvariantUnconservedToScanner, "scan.invariant.unconserved_to_scanner", Scope::Scan),
+    (Counter::InvariantPoolLeaked, "scan.invariant.pool_leaked", Scope::Scan),
+    (Counter::InvariantWorkLeft, "scan.invariant.work_left", Scope::Scan),
+    (Counter::InvariantDuplicateRecords, "scan.invariant.duplicate_records", Scope::Scan),
+    (Counter::InvariantUnsessionedRecords, "scan.invariant.unsessioned_records", Scope::Scan),
+    (Counter::InvariantStaleTimers, "scan.invariant.stale_timers", Scope::Scan),
+    (Counter::InvariantUndeclaredEdges, "scan.invariant.undeclared_edges", Scope::Scan),
     // When a checkpoint fires is a per-shard scheduling fact (each shard
     // crosses virtual-time boundaries on its own event stream).
     (Counter::CheckpointsTaken, "scan.checkpoint.taken", Scope::Shard),
@@ -259,7 +283,7 @@ mod tests {
                 "{name} has invalid characters"
             );
         }
-        assert_eq!(seen.len(), 60);
+        assert_eq!(seen.len(), 68);
     }
 
     #[test]
@@ -321,6 +345,14 @@ mod tests {
             | Counter::DiscoverySpoofedRst
             | Counter::RstIgnored
             | Counter::LateAnswers
+            | Counter::InvariantUnconservedToHosts
+            | Counter::InvariantUnconservedToScanner
+            | Counter::InvariantPoolLeaked
+            | Counter::InvariantWorkLeft
+            | Counter::InvariantDuplicateRecords
+            | Counter::InvariantUnsessionedRecords
+            | Counter::InvariantStaleTimers
+            | Counter::InvariantUndeclaredEdges
             | Counter::CheckpointsTaken
             | Counter::CheckpointDrainForced
             | Counter::FlightDumps
