@@ -6,6 +6,7 @@ use crate::blacklist::ScanFilter;
 use crate::checkpoint::ConfigDigest;
 use crate::cookie;
 use crate::results::Protocol;
+use crate::session::MAX_PROBES_PER_HOST;
 use iw_netsim::Duration;
 use iw_telemetry::JsonValue;
 use iw_wire::ipv4::Ipv4Addr;
@@ -238,10 +239,12 @@ impl ScanConfig {
     }
 
     /// Reject a configuration that would run but measure nothing (no MSS,
-    /// no probes, no rate, an empty sample), force-conclude healthy
-    /// sessions (a watchdog below [`WATCHDOG_FLOOR`]) or overrun the
-    /// retry schedules (a budget above [`MAX_RETRIES`]). The fields stay
-    /// public, so a caller that takes them from a user checks first.
+    /// no probes, no rate, an empty sample), outgrow a session's outcome
+    /// store (more than [`MAX_PROBES_PER_HOST`] probes per host),
+    /// force-conclude healthy sessions (a watchdog below
+    /// [`WATCHDOG_FLOOR`]) or overrun the retry schedules (a budget above
+    /// [`MAX_RETRIES`]). The fields stay public, so a caller that takes
+    /// them from a user checks first.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.mss_list.is_empty() {
             return Err(ConfigError::EmptyMssList);
@@ -251,6 +254,13 @@ impl ScanConfig {
         }
         if self.probes_per_mss == 0 {
             return Err(ConfigError::ZeroProbes);
+        }
+        let probes = self
+            .mss_list
+            .len()
+            .saturating_mul(self.probes_per_mss as usize);
+        if probes > MAX_PROBES_PER_HOST {
+            return Err(ConfigError::TooManyProbes(probes));
         }
         if self.rate_pps == 0 {
             return Err(ConfigError::ZeroRate);
@@ -286,6 +296,10 @@ pub enum ConfigError {
     ZeroMss,
     /// `probes_per_mss` of zero: no probes, no verdicts.
     ZeroProbes,
+    /// More probes per host (`mss_list.len() × probes_per_mss`, given)
+    /// than a session's fixed-size outcome store holds,
+    /// [`MAX_PROBES_PER_HOST`].
+    TooManyProbes(usize),
     /// A target rate of zero packets/second never sends the first SYN.
     ZeroRate,
     /// `sample_fraction` outside `(0, 1]`.
@@ -310,6 +324,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyMssList => write!(f, "mss_list must not be empty"),
             ConfigError::ZeroMss => write!(f, "mss_list must not contain 0"),
             ConfigError::ZeroProbes => write!(f, "probes_per_mss must be at least 1"),
+            ConfigError::TooManyProbes(n) => write!(
+                f,
+                "mss_list × probes_per_mss = {n} probes per host, above the maximum of \
+                 {MAX_PROBES_PER_HOST}"
+            ),
             ConfigError::ZeroRate => write!(f, "rate_pps must be at least 1"),
             ConfigError::SampleFraction(v) => {
                 write!(f, "sample_fraction {v} outside (0, 1]")

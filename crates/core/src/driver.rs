@@ -328,17 +328,16 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
 
     let duration = sim.now() - iw_netsim::Instant::ZERO;
     let sim_stats = sim.stats();
-    let trace = sim.trace().clone();
+    let trace = sim.take_trace();
     let telemetry = Scanner::harvest(&mut sim);
     if drained && !telemetry.violations().is_empty() {
         disposition = RunDisposition::Violated;
     }
+    // The world is dropped next: its records leave by move, not by copy.
     let scanner = sim.scanner_mut();
-    let mut results = scanner.results().to_vec();
+    let (mut results, mut open_ports, mut mtu_results) = scanner.take_records();
     results.sort_by_key(|r| r.ip);
-    let mut open_ports = scanner.open_ports().to_vec();
     open_ports.sort_unstable();
-    let mut mtu_results = scanner.mtu_results().to_vec();
     mtu_results.sort_by_key(|r| r.ip);
     let summary = summarize(&results, scanner.targets_sent(), scanner.refused());
     ScanOutput {
@@ -399,7 +398,7 @@ fn merge(outputs: Vec<ScanOutput>) -> ScanOutput {
         sim_stats += out.sim_stats;
         duration = duration.max(out.duration);
         telemetry.merge(out.telemetry);
-        trace.merge(&out.trace);
+        trace.merge(out.trace);
         checkpoints.extend(out.checkpoints);
         disposition = disposition.merge(out.disposition);
     }

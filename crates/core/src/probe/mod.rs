@@ -131,8 +131,8 @@ mod tests {
             reordered: false,
             redirected: true,
         };
-        assert_eq!(better(few3.clone(), few7.clone()), few7);
-        assert_eq!(better(few7.clone(), few3.clone()), few7);
-        assert_eq!(better(few7, succ.clone()), succ);
+        assert_eq!(better(few3, few7), few7);
+        assert_eq!(better(few7, few3), few7);
+        assert_eq!(better(few7, succ), succ);
     }
 }

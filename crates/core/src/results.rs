@@ -119,7 +119,7 @@ impl std::ops::AddAssign<&ErrorKindCounts> for ErrorKindCounts {
 }
 
 /// The outcome of one probe (one or two TCP connections).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProbeOutcome {
     /// The IW was filled and verified exhausted.
     Success {
@@ -244,6 +244,12 @@ pub struct HostResult {
     /// Cross-MSS classification.
     pub host_verdict: HostVerdict,
 }
+
+const _: () = assert!(
+    std::mem::size_of::<HostResult>() <= 72,
+    "a scan holds one HostResult per responder until harvest (~56 M at \
+     the paper's full-IPv4 scale: 56 MB per byte here)"
+);
 
 impl HostResult {
     /// The verdict of the (primary) MSS-64 run.

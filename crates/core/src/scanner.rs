@@ -40,6 +40,7 @@ use iw_wire::ipv4::Ipv4Addr;
 use iw_wire::tcp::{self, Flags};
 use iw_wire::{icmp, ipv4, IpProtocol, SynTemplate};
 use resilience::Resilience;
+use std::sync::Arc;
 use timer::Timer;
 
 enum TargetIter {
@@ -92,8 +93,9 @@ fn concluded_hold(syn_retries: u32) -> Duration {
 /// The scanner endpoint.
 pub struct Scanner {
     config: ScanConfig,
-    params: SessionParams,
-    cookie: CookieKey,
+    /// What every session shares (the cookie key too); each holds a
+    /// reference, not a copy.
+    params: Arc<SessionParams>,
     bucket: TokenBucket,
     generator: TargetIter,
     exhausted: bool,
@@ -163,7 +165,8 @@ impl Scanner {
                 (TargetIter::List(slice.into_iter()), total)
             }
         };
-        let params = SessionParams {
+        let cookie = CookieKey::new(config.seed);
+        let params = Arc::new(SessionParams {
             protocol: config.protocol,
             probes_per_mss: config.probes_per_mss,
             mss_list: config.mss_list.clone(),
@@ -172,8 +175,8 @@ impl Scanner {
             seed: config.seed,
             verify_exhaustion: config.verify_exhaustion,
             probe_retries: config.resilience.probe_retries,
-        };
-        let cookie = CookieKey::new(config.seed);
+            cookie,
+        });
         // Each shard paces at its integer slice of the global rate, so N
         // concurrent shards provably sum to `rate_pps` (see
         // `rate::shard_rate`); with one shard the slice is the whole
@@ -202,7 +205,6 @@ impl Scanner {
         Scanner {
             config,
             params,
-            cookie,
             bucket,
             generator,
             exhausted: false,
@@ -241,6 +243,16 @@ impl Scanner {
     /// Finished host records (harvest after the run).
     pub fn results(&self) -> &[HostResult] {
         &self.results
+    }
+
+    /// Move every finished record out: host records, open ports
+    /// (port-scan mode) and path MTUs (ICMP mode), in conclusion order.
+    pub fn take_records(&mut self) -> (Vec<HostResult>, Vec<u32>, Vec<MtuResult>) {
+        (
+            std::mem::take(&mut self.results),
+            std::mem::take(&mut self.open_ports),
+            std::mem::take(&mut self.mtu_results),
+        )
     }
 
     /// Open ports found (port-scan mode).
@@ -678,7 +690,7 @@ impl Scanner {
         let ip = src.to_u32();
         let (sport, dport) = (self.params.sport(0, 0, 0), self.config.protocol.port());
         if seg.flags.contains(Flags::SYN) && seg.flags.contains(Flags::ACK) {
-            if seg.src_port != dport || !self.cookie.validate(ip, sport, dport, seg.ack) {
+            if seg.src_port != dport || !self.params.cookie.validate(ip, sport, dport, seg.ack) {
                 return;
             }
             if concluded {
@@ -691,7 +703,7 @@ impl Scanner {
                 self.open_session(src, seg, now, fx);
             }
         } else if seg.flags.contains(Flags::RST) {
-            if !self.cookie.validate(ip, sport, dport, seg.ack) {
+            if !self.params.cookie.validate(ip, sport, dport, seg.ack) {
                 // Spoofed or stale: counted, no verdict.
                 self.obs.metrics.inc(Counter::RstIgnored);
             } else if concluded {
@@ -735,7 +747,7 @@ impl Scanner {
             self.obs.emit(now, ip, Event::Session(ev));
         }
         let domain = self.domains.remove(ip);
-        let mut session = HostSession::new(src, self.params.clone(), self.cookie, domain, now);
+        let mut session = HostSession::new(src, self.params.clone(), domain, now);
         let mss = session.current_mss();
         self.obs.emit(
             now,

@@ -73,7 +73,10 @@ impl Scanner {
     /// names the transmission it answers.
     fn send_discovery_attempt(&mut self, ip: u32, attempt: u32, now: Instant, fx: &mut Effects) {
         let sport = cookie::discovery_sport(attempt);
-        let isn = self.cookie.isn(ip, sport, self.config.protocol.port());
+        let isn = self
+            .params
+            .cookie
+            .isn(ip, sport, self.config.protocol.port());
         self.send_syn(ip, sport, isn, fx);
         if attempt < self.config.resilience.syn_retries {
             if let Some(d) = &mut self.discovery {
@@ -133,6 +136,7 @@ impl Scanner {
         let known = self.targets.get(ip).is_some();
         if seg.flags.contains(Flags::SYN) && seg.flags.contains(Flags::ACK) {
             match self
+                .params
                 .cookie
                 .classify_synack(ip, seg.dst_port, seg.src_port, seg.ack)
             {
@@ -163,6 +167,7 @@ impl Scanner {
             }
         } else if seg.flags.contains(Flags::RST) {
             if !self
+                .params
                 .cookie
                 .validate(ip, seg.dst_port, seg.src_port, seg.ack)
             {

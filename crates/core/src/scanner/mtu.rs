@@ -33,7 +33,7 @@ impl Scanner {
 
     /// The echo ident of a target: a cookie, so a reply names its probe.
     fn echo_ident(&self, ip: u32) -> u16 {
-        (self.cookie.isn(ip, 0, 0) & 0xffff) as u16
+        (self.params.cookie.isn(ip, 0, 0) & 0xffff) as u16
     }
 
     fn send_echo(&mut self, ip: u32, total_len: u32, fx: &mut Effects) {

@@ -124,7 +124,10 @@ impl Scanner {
     /// to any attempt validates against the same cookie.
     fn emit_syn(&mut self, ip: u32, fx: &mut Effects) -> u32 {
         let sport = self.params.sport(0, 0, 0);
-        let isn = self.cookie.isn(ip, sport, self.config.protocol.port());
+        let isn = self
+            .params
+            .cookie
+            .isn(ip, sport, self.config.protocol.port());
         self.send_syn(ip, sport, isn, fx);
         isn
     }

@@ -20,8 +20,14 @@ use iw_netsim::{Duration, Instant};
 use iw_telemetry::{OutcomeKind, SessionEvent};
 use iw_wire::ipv4::Ipv4Addr;
 use iw_wire::tcp;
+use std::sync::Arc;
 
-/// Session-wide parameters shared by all hosts of a scan.
+/// The most probes one host is sent (`mss_list.len() × probes_per_mss`;
+/// the study's 2 × 3): what a session's outcome store holds.
+/// [`crate::ScanConfig::validate`] refuses a larger plan.
+pub const MAX_PROBES_PER_HOST: usize = 6;
+
+/// Session-wide parameters: one per scan, shared by every session.
 #[derive(Debug, Clone)]
 pub struct SessionParams {
     /// Protocol under measurement (HTTP or TLS).
@@ -42,6 +48,8 @@ pub struct SessionParams {
     /// a fresh connection before being recorded (0 = record immediately).
     /// Retry `k` waits [`PROBE_BACKOFF`]` << k`.
     pub probe_retries: u32,
+    /// The SYN-cookie key every connection's ISN is drawn from.
+    pub cookie: CookieKey,
 }
 
 impl SessionParams {
@@ -56,6 +64,7 @@ impl SessionParams {
             seed,
             verify_exhaustion: true,
             probe_retries: 0,
+            cookie: CookieKey::new(seed),
         }
     }
 
@@ -99,12 +108,11 @@ pub struct SessionOutput {
 /// A live measurement session against one host.
 pub struct HostSession {
     ip: Ipv4Addr,
-    params: SessionParams,
-    cookie: CookieKey,
-    /// What the probes name the server by. HTTP: the Host header, a known
-    /// domain (Alexa scans) or else the literal address, formatted once
-    /// here. TLS: the SNI, offered only when a domain is known.
-    server_name: Option<String>,
+    params: Arc<SessionParams>,
+    /// The target's known domain (Alexa scans). HTTP names the server by
+    /// it in the Host header, or else by the literal address; TLS offers
+    /// it as the SNI, and no SNI without it.
+    domain: Option<Box<str>>,
     probe_idx: u32,
     conn_idx: u8,
     /// Retry attempt of the current probe (0 = first try). Strides the
@@ -121,8 +129,9 @@ pub struct HostSession {
     /// session, not one per connection) for the next connection to
     /// reassemble into.
     spare: Vec<u8>,
-    /// Outcomes per MSS run.
-    runs: Vec<(u16, Vec<ProbeOutcome>)>,
+    /// Each concluded probe's outcome at its probe index (the first
+    /// `probe_idx` are set): the whole plan in one fixed-size place.
+    outcomes: [ProbeOutcome; MAX_PROBES_PER_HOST],
     done: bool,
     /// When the session was created (SYN-ACK arrival); session-lifetime
     /// telemetry measures from here.
@@ -135,6 +144,14 @@ pub struct HostSession {
     armed: Option<Instant>,
 }
 
+const _: () = assert!(
+    std::mem::size_of::<HostSession>() <= 384,
+    "a responder-dense scan keeps every responder's session live at once \
+     (dense_http: 12 900, so each byte here is ~13 KB there); a session \
+     once added ~250 B of heap to its 368: its own copy of the scan's \
+     parameters, one outcome vector per MSS and a formatted host name"
+);
+
 impl HostSession {
     /// Start a session. The initial SYN for (probe 0, conn 0) was already
     /// sent statelessly by the scanner, so the returned output carries no
@@ -142,22 +159,14 @@ impl HostSession {
     /// [`HostSession::on_segment`].
     pub fn new(
         ip: Ipv4Addr,
-        params: SessionParams,
-        cookie: CookieKey,
+        params: Arc<SessionParams>,
         domain: Option<String>,
         now: Instant,
     ) -> HostSession {
-        let mut runs = Vec::with_capacity(params.mss_list.len());
-        for mss in &params.mss_list {
-            runs.push((*mss, Vec::new()));
-        }
-        let server_name = match params.protocol {
-            Protocol::Http | Protocol::PortScan => Some(domain.unwrap_or_else(|| ip.to_string())),
-            _ => domain,
-        };
-        let mut driver = make_driver(&params, ip, &server_name, 0);
+        let domain = domain.map(String::into_boxed_str);
+        let mut driver = make_driver(&params, ip, domain.as_deref(), 0);
         let request = driver.initial_request();
-        let mut cfg = conn_config(&params, &cookie, ip, 0, 0, 0, request);
+        let mut cfg = conn_config(&params, ip, 0, 0, 0, request);
         cfg.reads = driver.reads();
         // Reconstruct the conn machine in SynSent; discard its duplicate
         // SYN (already on the wire).
@@ -165,8 +174,8 @@ impl HostSession {
         HostSession {
             ip,
             params,
-            cookie,
-            server_name,
+            domain,
+            outcomes: [ProbeOutcome::Unreachable; MAX_PROBES_PER_HOST],
             probe_idx: 0,
             conn_idx: 0,
             attempt: 0,
@@ -175,7 +184,6 @@ impl HostSession {
             driver,
             conn,
             spare: Vec::new(),
-            runs,
             done: false,
             started: now,
             armed: None,
@@ -261,7 +269,6 @@ impl HostSession {
     fn connect(&mut self, request: Vec<u8>, now: Instant) -> ConnOutput {
         let mut cfg = conn_config(
             &self.params,
-            &self.cookie,
             self.ip,
             self.probe_idx,
             self.conn_idx,
@@ -274,7 +281,12 @@ impl HostSession {
 
     /// Open the first connection of the current probe on a fresh driver.
     fn start_probe(&mut self, now: Instant) -> ConnOutput {
-        self.driver = make_driver(&self.params, self.ip, &self.server_name, self.probe_idx);
+        self.driver = make_driver(
+            &self.params,
+            self.ip,
+            self.domain.as_deref(),
+            self.probe_idx,
+        );
         let request = self.driver.initial_request();
         self.connect(request, now)
     }
@@ -311,8 +323,7 @@ impl HostSession {
                 probe: self.probe_idx as u8,
                 outcome: OutcomeKind::Error,
             });
-            let mss_idx = (self.probe_idx / self.params.probes_per_mss) as usize;
-            self.runs[mss_idx].1.push(ProbeOutcome::Error { kind });
+            self.outcomes[self.probe_idx as usize] = ProbeOutcome::Error { kind };
             self.probe_idx += 1;
         }
         let host = self.finalize();
@@ -398,8 +409,7 @@ impl HostSession {
                     probe,
                     outcome: outcome.outcome_kind(),
                 });
-                let mss_idx = (self.probe_idx / self.params.probes_per_mss) as usize;
-                self.runs[mss_idx].1.push(outcome);
+                self.outcomes[self.probe_idx as usize] = outcome;
                 self.probe_idx += 1;
                 self.retries_used = 0;
                 self.attempt = 0;
@@ -435,18 +445,21 @@ impl HostSession {
 
     fn finalize(&mut self) -> HostResult {
         self.done = true;
-        let verdicts: Vec<(u16, MssVerdict)> = self
-            .runs
+        let per_mss = self.params.probes_per_mss as usize;
+        let runs: Vec<(u16, Vec<ProbeOutcome>)> = (self.params.mss_list.iter())
+            .zip(self.outcomes.chunks(per_mss))
+            .map(|(&mss, probes)| (mss, probes.to_vec()))
+            .collect();
+        let verdicts: Vec<(u16, MssVerdict)> = runs
             .iter()
             .map(|(mss, outcomes)| (*mss, vote(outcomes)))
             .collect();
-        let host_verdict = classify_host(&verdicts);
         HostResult {
             ip: self.ip.to_u32(),
             protocol: self.params.protocol,
-            runs: std::mem::take(&mut self.runs),
+            runs,
+            host_verdict: classify_host(&verdicts),
             verdicts,
-            host_verdict,
         }
     }
 }
@@ -454,20 +467,20 @@ impl HostSession {
 fn make_driver(
     params: &SessionParams,
     ip: Ipv4Addr,
-    server_name: &Option<String>,
+    domain: Option<&str>,
     probe_idx: u32,
 ) -> Box<dyn ProbeDriver + Send> {
     match params.protocol {
-        Protocol::Http | Protocol::PortScan => {
-            Box::new(HttpProbe::new(server_name.clone().unwrap_or_default()))
-        }
+        Protocol::Http | Protocol::PortScan => Box::new(HttpProbe::new(
+            domain.map_or_else(|| ip.to_string(), str::to_owned),
+        )),
         Protocol::Tls => {
             let mut random = [0u8; 32];
             let h = mix(&[params.seed, u64::from(ip.to_u32()), u64::from(probe_idx)]);
             for (i, b) in random.iter_mut().enumerate() {
                 *b = (h >> (8 * (i % 8))) as u8 ^ i as u8;
             }
-            Box::new(TlsProbe::new(server_name.clone(), random))
+            Box::new(TlsProbe::new(domain.map(str::to_owned), random))
         }
         #[expect(
             clippy::unreachable,
@@ -479,7 +492,6 @@ fn make_driver(
 
 fn conn_config(
     params: &SessionParams,
-    cookie: &CookieKey,
     ip: Ipv4Addr,
     probe_idx: u32,
     conn_idx: u8,
@@ -490,7 +502,7 @@ fn conn_config(
     let dport = params.protocol.port();
     let mss_idx = (probe_idx / params.probes_per_mss) as usize;
     let mss = params.mss_list[mss_idx];
-    let isn = cookie.isn(ip.to_u32(), sport, dport);
+    let isn = params.cookie.isn(ip.to_u32(), sport, dport);
     let mut cfg = ConnConfig::new(ip, params.source, sport, dport, mss, isn, request);
     cfg.verify_exhaustion = params.verify_exhaustion;
     cfg
@@ -711,7 +723,7 @@ mod tests {
         let mut params = SessionParams::study(Protocol::Http, Ipv4Addr::new(192, 0, 2, 9), 7);
         params.probe_retries = probe_retries;
         let ip = Ipv4Addr::new(198, 51, 100, 1);
-        HostSession::new(ip, params, CookieKey::new(7), None, Instant::ZERO)
+        HostSession::new(ip, Arc::new(params), None, Instant::ZERO)
     }
 
     /// Drive the current connection to a handshake timeout by firing the
@@ -762,9 +774,9 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, SessionEvent::ProbeConcluded { probe: 0, .. })));
-        assert_eq!(s.runs[0].1.len(), 1);
+        assert_eq!(s.probe_idx, 1);
         assert!(matches!(
-            s.runs[0].1[0],
+            s.outcomes[0],
             ProbeOutcome::Error {
                 kind: ErrorKind::HandshakeTimeout
             }
@@ -777,7 +789,7 @@ mod tests {
     fn no_retries_by_default() {
         let mut s = retry_session(0);
         let out = time_out_handshake(&mut s, Instant::ZERO);
-        assert!(s.runs[0].1.len() == 1);
+        assert_eq!(s.probe_idx, 1);
         assert!(out
             .events
             .iter()

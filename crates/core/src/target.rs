@@ -184,6 +184,12 @@ impl Targets {
             Some(Target::Handshake) => self.promoted -= 1,
             Some(Target::Live(index)) => {
                 self.sessions.swap_remove(index as usize);
+                // A slab drained to a quarter gives half its capacity
+                // back: while sessions conclude, results grow, and the
+                // slab's touched tail would otherwise stay resident.
+                if self.sessions.len() <= self.sessions.capacity() / 4 {
+                    self.sessions.shrink_to(self.sessions.capacity() / 2);
+                }
                 if let Some(moved) = self.sessions.get(index as usize) {
                     self.map.insert(moved.ip().to_u32(), Target::Live(index));
                 }
@@ -207,7 +213,6 @@ impl Targets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cookie::CookieKey;
     use crate::results::Protocol;
     use crate::session::SessionParams;
     use iw_wire::ipv4::Ipv4Addr;
@@ -291,15 +296,9 @@ mod tests {
     #[test]
     fn a_concluding_session_hands_its_index_to_the_last_one() {
         let params = SessionParams::study(Protocol::Http, Ipv4Addr::new(192, 0, 2, 1), 7);
-        let session = |ip: u32| {
-            HostSession::new(
-                Ipv4Addr::from_u32(ip),
-                params.clone(),
-                CookieKey::new(7),
-                None,
-                Instant::ZERO,
-            )
-        };
+        let params = std::sync::Arc::new(params);
+        let session =
+            |ip: u32| HostSession::new(Ipv4Addr::from_u32(ip), params.clone(), None, Instant::ZERO);
         let mut targets = Targets::new(Duration::from_secs(1));
         for ip in [10, 11, 12] {
             targets.open(ip, session(ip), Instant::ZERO);

@@ -81,8 +81,8 @@ pub fn probe_host(spec: &TestbedSpec) -> (Option<HostResult>, Trace) {
     );
     sim.kick_scanner(|s, now, fx| s.start(now, fx));
     sim.run_to_completion();
-    let result = sim.scanner().results().first().cloned();
-    (result, sim.trace().clone())
+    let result = sim.scanner_mut().take_records().0.into_iter().next();
+    (result, sim.take_trace())
 }
 
 #[cfg(test)]

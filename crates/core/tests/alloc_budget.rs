@@ -392,12 +392,16 @@ fn http_scan_allocations_per_responder_fit_the_budget() {
         spent / reachable,
         out.sim_stats.events
     );
-    // Measured 143; 149 while the scanner stored every response and the
-    // host its filler; 191 while every drained wheel bucket dropped its
-    // buffer and a timer that could no longer fire still took a slot.
+    // Measured 141: a session shares the scan's parameters and keeps its
+    // outcomes in place. 143 while each session copied the parameters,
+    // formatted the host's address once more and grew one outcome vector
+    // per MSS; 149 while the scanner stored every response and the host
+    // its filler; 191 while every drained wheel bucket dropped its buffer
+    // and a timer that could no longer fire still took a slot.
     assert!(
-        spent / reachable <= 160,
-        "{} allocations per responder: the session path allocates per segment again",
+        spent / reachable <= 142,
+        "{} allocations per responder: a session copies what it could share, or the \
+         session path allocates per segment again",
         spent / reachable
     );
 }
@@ -425,16 +429,21 @@ fn http_scan_peak_heap_per_responder_fits_the_budget() {
         "alloc_budget: http scan: peak heap {held} bytes above the start for {reachable} \
          responders ({per_responder} per responder)"
     );
-    // Measured 3 925 with neither end storing response bytes it does not
-    // read: the host writes its filler into each packet, the scanner keeps
-    // only the head of a first connection and drops each request once
-    // sent. 5 076 while both ends stored them, 5 354 while every timer
-    // stayed queued until its deadline; 2 KB slabs for every datagram and
-    // a four-entry table per host held 9 171.
+    // Measured 3 426 with each live record holding what it reads: shared
+    // scan parameters and in-place outcomes in the session, the initial
+    // RTO instead of the OS profile and 12-byte in-flight entries in the
+    // TCB, fault scripts out of line in the link. 3 925 before that, with
+    // neither end storing response bytes it does not read (the host
+    // writes its filler into each packet, the scanner keeps only the head
+    // of a first connection and drops each request once sent). 5 076
+    // while both ends stored them, 5 354 while every timer stayed queued
+    // until its deadline; 2 KB slabs for every datagram and a four-entry
+    // table per host held 9 171.
     assert!(
-        per_responder <= 4_310,
+        per_responder <= 3_760,
         "{per_responder} bytes per responder at the peak: response bytes, packets \
-         or per-host state are stored by capacity again, not by what is read"
+         or per-host state are stored by capacity again, or a live record holds a \
+         copy of what it could share or never reads"
     );
 }
 
@@ -462,10 +471,11 @@ fn tls_scan_peak_heap_per_responder_fits_the_budget() {
         "alloc_budget: tls scan: peak heap {held} bytes above the start for {reachable} \
          responders ({per_responder} per responder)"
     );
-    // Measured 3 881; 7 540 while every connection's flight was built as
-    // records and kept until the connection closed.
+    // Measured 3 366; 3 881 before each live record held only what it
+    // reads (see the HTTP campaign above); 7 540 while every connection's
+    // flight was built as records and kept until the connection closed.
     assert!(
-        per_responder <= 4_260,
+        per_responder <= 3_700,
         "{per_responder} bytes per responder at the peak: a server flight is stored \
          as records again"
     );

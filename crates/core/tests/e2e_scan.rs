@@ -1,7 +1,10 @@
 //! End-to-end scans of small synthetic populations: the scanner must
 //! recover configured initial windows through real packet exchanges.
 
-use iw_core::{Confusion, HostVerdict, Protocol, ScanConfig, ScanOutput, ScanRunner, Topology};
+use iw_core::session::MAX_PROBES_PER_HOST;
+use iw_core::{
+    ConfigError, Confusion, HostVerdict, Protocol, ScanConfig, ScanOutput, ScanRunner, Topology,
+};
 use iw_hoststack::IwPolicy;
 use iw_internet::{Population, PopulationConfig};
 use std::sync::Arc;
@@ -198,5 +201,71 @@ fn sampling_one_percent_yields_similar_distribution() {
         let f = *fh.get(&iw).unwrap_or(&0) as f64 / fn_ as f64;
         let s = *sh.get(&iw).unwrap_or(&0) as f64 / sn as f64;
         assert!((f - s).abs() < 0.06, "IW{iw}: full {f:.3} vs sample {s:.3}");
+    }
+}
+
+/// FNV-1a, 64 bit: a digest of the `--json` bytes of a scan's records.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One scan of a lossy world with `mss_list` × `probes` per host: its
+/// record count and the digest of its records.
+fn plan_scan(mss_list: &[u16], probes: u32) -> (usize, u64) {
+    let pop = Arc::new(Population::new(PopulationConfig {
+        seed: 0x91a,
+        space_size: 1 << 14,
+        target_responsive: 300,
+        loss_scale: 1.5,
+    }));
+    let mut config = ScanConfig::study(Protocol::Http, pop.space_size(), 0x91a);
+    config.rate_pps = 2_000_000;
+    config.mss_list = mss_list.to_vec();
+    config.probes_per_mss = probes;
+    assert_eq!(config.validate(), Ok(()), "{mss_list:?} x {probes}");
+    let out = ScanRunner::new(&pop).config(config).run();
+    let json = iw_core::HostResult::array_to_json(&out.results);
+    (out.results.len(), fnv1a(json.as_bytes()))
+}
+
+#[test]
+fn probe_plans_fit_the_sessions_outcome_store() {
+    // A session holds its outcomes in place, sized for the study's plan:
+    // two MSS values, three probes each. That capacity is accepted in
+    // any shape; one probe more is refused by name.
+    assert_eq!(MAX_PROBES_PER_HOST, 6);
+    let mut config = ScanConfig::study(Protocol::Http, 1 << 14, 7);
+    assert_eq!(config.validate(), Ok(()));
+    config.mss_list = vec![64];
+    config.probes_per_mss = 6;
+    assert_eq!(config.validate(), Ok(()));
+    config.probes_per_mss = 7;
+    let err = config.validate().unwrap_err();
+    assert_eq!(err, ConfigError::TooManyProbes(7));
+    assert_eq!(
+        err.to_string(),
+        "mss_list × probes_per_mss = 7 probes per host, above the maximum of 6"
+    );
+    config.mss_list = vec![64, 128, 256];
+    config.probes_per_mss = 3;
+    assert_eq!(config.validate(), Err(ConfigError::TooManyProbes(9)));
+
+    // Every plan in use gives the records it gave while a session kept
+    // its outcomes in one vector per MSS (digests recorded from that
+    // build): the study's 2 x 3, the checkpoint test's 2 x 2 and the
+    // ablations' 1 x 1 and 1 x 3, under loss, so that the votes differ.
+    for (mss_list, probes, want) in [
+        (&[64, 128][..], 3, 3_025_215_851_574_969_474),
+        (&[64, 1460][..], 2, 17_145_190_594_417_395_164),
+        (&[64][..], 1, 9_899_054_736_475_314_557),
+        (&[64][..], 3, 11_807_463_095_664_494_118),
+    ] {
+        assert_eq!(
+            plan_scan(mss_list, probes),
+            (982, want),
+            "{mss_list:?} x {probes}"
+        );
     }
 }

@@ -35,7 +35,8 @@ pub struct Host {
     // vector beats a hash map on every per-packet lookup. It grows one
     // entry at a time on accept: a responder-dense scan keeps every host
     // live at once, and the amortized first push would reserve four
-    // 248-byte entries for the one most hosts ever hold.
+    // 192-byte entries (a key and a `Tcb`) for the one most hosts ever
+    // hold.
     conns: Vec<(ConnKey, Tcb)>,
     rng: SmallRng,
     ip_ident: u16,
@@ -131,7 +132,7 @@ impl Host {
                     peer,
                     seg.dst_port,
                     seg.src_port,
-                    self.os.clone(),
+                    &self.os,
                     self.iw,
                     app,
                     seg,

@@ -75,17 +75,26 @@ pub fn synack_retransmit_span(rto: Duration) -> Duration {
 /// Payload bytes are not stored here: a segment is a `[start, start+len)`
 /// window into the connection's [`SendStream`], so queueing a response,
 /// segmentizing it and retransmitting it all read the same description.
+/// Its boundaries are kept, not derived from the MSS: a byte-configured
+/// window ends in a runt. A segment is at most one MSS (≤ 65 535 bytes),
+/// and a probe's response stream is far below 4 GiB.
 #[derive(Debug, Clone, Copy)]
 struct InflightSeg {
     seq: u32,
-    start: usize,
-    len: usize,
+    start: u32,
+    len: u16,
     fin: bool,
 }
 
+const _: () = assert!(
+    std::mem::size_of::<InflightSeg>() <= 12,
+    "every live connection keeps one InflightSeg per segment of its \
+     initial flight: 32-byte entries cost dense_http ~0.8 MB more"
+);
+
 impl InflightSeg {
     fn seq_len(&self) -> u32 {
-        self.len as u32 + u32::from(self.fin)
+        u32::from(self.len) + u32::from(self.fin)
     }
 }
 
@@ -207,14 +216,14 @@ pub struct Tcb {
     local_port: u16,
     peer_port: u16,
 
-    os: OsProfile,
+    /// The stack's initial RTO (all that is read of its `OsProfile`
+    /// after the handshake): a fresh ACK resets the backoff to it.
+    initial_rto: Duration,
     app: Box<dyn App>,
 
     state: State,
     /// Effective MSS after OS quirk rules.
     mss: u32,
-    /// Initial congestion window in bytes (recorded for diagnostics).
-    iw_bytes: u32,
 
     // Sequence variables (RFC 793 names).
     iss: u32,
@@ -233,13 +242,13 @@ pub struct Tcb {
     // whole for the connection's (short) lifetime, so no per-segment
     // copies or shifts ever happen on this path.
     send: SendStream,
-    sent: usize,
+    sent: u32,
     inflight: VecDeque<InflightSeg>,
     close_pending: bool,
     fin_sent: bool,
 
-    // Retransmission state.
-    rto: Duration,
+    // Retransmission state: the RTO is `initial_rto` doubled once per
+    // retry since the last fresh ACK.
     rto_deadline: Option<Instant>,
     retries: u32,
     /// The deadline the host last armed the connection's timer for. An
@@ -248,11 +257,17 @@ pub struct Tcb {
     /// timer when the connection closes.
     armed: Option<Instant>,
 
-    // Diagnostics.
-    retransmit_count: u64,
     /// Undeclared state changes not yet taken by the host (a `u8` fits padding).
     pub(crate) undeclared_edges: u8,
 }
+
+const _: () = assert!(
+    std::mem::size_of::<Tcb>() <= 184,
+    "a host keeps one Tcb per live connection, and a responder-dense scan \
+     keeps every responder live at once: at 240 B (an OsProfile copy, an \
+     RTO field and unread counters) the connection tables cost dense_http \
+     ~1 MB more"
+);
 
 impl Tcb {
     /// Accept a SYN: build the TCB and send the SYN-ACK.
@@ -265,7 +280,7 @@ impl Tcb {
         peer_addr: Ipv4Addr,
         local_port: u16,
         peer_port: u16,
-        os: OsProfile,
+        os: &OsProfile,
         iw: IwPolicy,
         app: Box<dyn App>,
         syn: impl Into<tcp::Segment<'a>>,
@@ -276,35 +291,30 @@ impl Tcb {
         let syn = syn.into();
         debug_assert!(syn.flags.contains(Flags::SYN));
         let mss = os.effective_mss(syn.mss);
-        let iw_bytes = iw.initial_cwnd(mss);
-        let rto = os.initial_rto;
         let mut tcb = Tcb {
             local_addr,
             peer_addr,
             local_port,
             peer_port,
-            os,
+            initial_rto: os.initial_rto,
             app,
             state: State::SynRcvd,
             mss,
-            iw_bytes,
             iss: isn,
             snd_una: isn,
             snd_nxt: isn.wrapping_add(1),
             rcv_nxt: syn.seq.wrapping_add(1),
             peer_wnd: u32::from(syn.window),
-            cwnd: iw_bytes,
+            cwnd: iw.initial_cwnd(mss),
             ssthresh: u32::MAX,
             send: SendStream::default(),
             sent: 0,
             inflight: VecDeque::new(),
             close_pending: false,
             fin_sent: false,
-            rto,
             rto_deadline: None,
             retries: 0,
             armed: None,
-            retransmit_count: 0,
             undeclared_edges: 0,
         };
         let mut out = TcbOutput::default();
@@ -331,11 +341,11 @@ impl Tcb {
     }
 
     /// A segment whose payload is stream bytes `start..start + len`.
-    fn carrying(&self, header: tcp::Segment<'static>, start: usize, len: usize) -> Outgoing<'_> {
+    fn carrying(&self, header: tcp::Segment<'static>, start: u32, len: usize) -> Outgoing<'_> {
         Outgoing {
             header,
             stream: &self.send,
-            start,
+            start: start as usize,
             len,
         }
     }
@@ -370,16 +380,6 @@ impl Tcb {
     /// The effective MSS in use.
     pub fn effective_mss(&self) -> u32 {
         self.mss
-    }
-
-    /// The initial window in bytes this connection started with.
-    pub fn iw_bytes(&self) -> u32 {
-        self.iw_bytes
-    }
-
-    /// Total retransmissions performed (diagnostics / tests).
-    pub fn retransmit_count(&self) -> u64 {
-        self.retransmit_count
     }
 
     /// Handle an inbound segment.
@@ -467,7 +467,6 @@ impl Tcb {
         if let Some(policy) = resp.iw_override {
             if self.inflight.is_empty() && self.unsent() == 0 {
                 self.cwnd = policy.initial_cwnd(self.mss);
-                self.iw_bytes = self.cwnd;
             }
         }
         self.send.push(resp.data, resp.body);
@@ -504,7 +503,6 @@ impl Tcb {
         }
         // Fresh ACK: reset backoff.
         self.retries = 0;
-        self.rto = self.os.initial_rto;
         if self.inflight.is_empty() {
             self.rto_deadline = None;
             if self.state == State::FinWait && self.fin_sent {
@@ -516,7 +514,7 @@ impl Tcb {
     /// Unsent bytes remaining in the send stream.
     #[inline]
     fn unsent(&self) -> usize {
-        self.send.len() - self.sent
+        self.send.len() - self.sent as usize
     }
 
     /// Transmit as much of the send queue as cwnd and the peer window
@@ -538,7 +536,7 @@ impl Tcb {
             let take = mss.min(left);
             left -= take;
             let start = self.sent;
-            self.sent += take;
+            self.sent += take as u32;
             let drained = self.unsent() == 0;
             let fin = drained && self.close_pending && !self.fin_sent;
             let mut flags = Flags::ACK;
@@ -554,7 +552,7 @@ impl Tcb {
             self.inflight.push_back(InflightSeg {
                 seq: self.snd_nxt,
                 start,
-                len: take,
+                len: take as u16,
                 fin,
             });
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32 + u32::from(fin));
@@ -569,7 +567,7 @@ impl Tcb {
             sink(self.bare(self.header(self.snd_nxt, Flags::FIN | Flags::ACK, 65535)));
             self.inflight.push_back(InflightSeg {
                 seq: self.snd_nxt,
-                start: self.send.len(),
+                start: self.sent,
                 len: 0,
                 fin: true,
             });
@@ -582,7 +580,8 @@ impl Tcb {
     }
 
     fn arm_rto(&mut self, now: Instant, out: &mut TcbOutput) {
-        let deadline = now + self.rto;
+        let rto = self.initial_rto.saturating_mul(1 << self.retries);
+        let deadline = now + rto;
         self.rto_deadline = Some(deadline);
         out.deadline = Some(deadline);
     }
@@ -612,8 +611,6 @@ impl Tcb {
             return out;
         }
         self.retries += 1;
-        self.rto = self.rto.saturating_mul(2);
-        self.retransmit_count += 1;
 
         match self.state {
             State::SynRcvd => sink(self.bare(self.syn_ack())),
@@ -633,7 +630,7 @@ impl Tcb {
                         flags |= Flags::PSH;
                     }
                     let header = self.header(first.seq, flags, 65535);
-                    sink(self.carrying(header, first.start, first.len));
+                    sink(self.carrying(header, first.start, usize::from(first.len)));
                 }
             }
             State::Closed => {}
@@ -732,7 +729,7 @@ mod tests {
                 SCAN,
                 port,
                 40000,
-                os,
+                &os,
                 iw,
                 app,
                 syn,
@@ -854,7 +851,6 @@ mod tests {
         assert_eq!(out2.tx.len(), 1, "exactly the first segment again");
         assert_eq!(out2.tx[0].seq, first_seq);
         assert_eq!(out2.tx[0].payload.len(), 64);
-        assert_eq!(tcb.retransmit_count(), 1);
         // Backoff doubled.
         assert!(out2.deadline.unwrap() > deadline + Duration::from_millis(1500));
     }

@@ -83,7 +83,7 @@ fn exchange(app: Box<dyn App>, mss: u16, request: &[u8]) -> Vec<Vec<Vec<u8>>> {
         SCAN,
         80,
         40000,
-        OsProfile::linux(),
+        &OsProfile::linux(),
         IwPolicy::Segments(10),
         app,
         &syn,

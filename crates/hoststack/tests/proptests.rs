@@ -60,7 +60,7 @@ fn drive_handshake(
         SCAN,
         80,
         40000,
-        os,
+        &os,
         iw,
         Box::new(FixedApp { n: data }),
         &syn,

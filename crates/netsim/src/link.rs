@@ -22,17 +22,25 @@ pub struct LinkConfig {
     pub loss: f64,
     /// Independent per-packet duplication probability in `[0, 1]`.
     pub dup: f64,
-    /// Scripted drops on the scanner→host direction: 0-based packet
-    /// indexes silently discarded regardless of `loss`.
-    pub drops_fwd: Vec<u64>,
-    /// Scripted drops on the host→scanner direction — this is how tests
-    /// inflict *exact* tail loss on the server's IW flight.
-    pub drops_rev: Vec<u64>,
-    /// Drop every scanner→host packet from this 0-based index on — the
-    /// path "goes dark" mid-conversation (route flap, middlebox).
-    pub blackhole_fwd_after: Option<u64>,
-    /// Drop every host→scanner packet from this 0-based index on.
-    pub blackhole_rev_after: Option<u64>,
+    /// Scripted faults, usually set through the `with_*` builders. Out
+    /// of line: the simulator keeps a link for every host it ever
+    /// spawned, and only tests script one.
+    pub script: Option<Box<FaultScript>>,
+}
+
+/// Faults scripted on exact packets, per direction (`[forward, reverse]`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FaultScript {
+    /// 0-based packet indexes silently discarded regardless of `loss`.
+    /// Reverse drops are how tests inflict *exact* tail loss on the
+    /// server's IW flight.
+    pub drops: [Vec<u64>; 2],
+    /// Drop every packet from this 0-based index on: the path "goes
+    /// dark" mid-conversation (route flap, middlebox).
+    pub blackhole_after: [Option<u64>; 2],
+    /// Packets each direction of the link has carried so far: the index
+    /// the script is phrased in, counted only on a scripted link.
+    sent: [u64; 2],
 }
 
 impl Default for LinkConfig {
@@ -42,10 +50,7 @@ impl Default for LinkConfig {
             jitter: Duration::ZERO,
             loss: 0.0,
             dup: 0.0,
-            drops_fwd: Vec::new(),
-            drops_rev: Vec::new(),
-            blackhole_fwd_after: None,
-            blackhole_rev_after: None,
+            script: None,
         }
     }
 }
@@ -72,26 +77,27 @@ impl LinkConfig {
     }
 
     /// Script an exact scanner→host packet drop (0-based index).
-    pub fn with_forward_drop(mut self, index: u64) -> Self {
-        self.drops_fwd.push(index);
-        self
+    pub fn with_forward_drop(self, index: u64) -> Self {
+        self.scripted(|s| s.drops[0].push(index))
     }
 
     /// Script an exact host→scanner packet drop (0-based index).
-    pub fn with_reverse_drop(mut self, index: u64) -> Self {
-        self.drops_rev.push(index);
-        self
+    pub fn with_reverse_drop(self, index: u64) -> Self {
+        self.scripted(|s| s.drops[1].push(index))
     }
 
     /// Black-hole the scanner→host direction from packet `index` on.
-    pub fn with_forward_blackhole_after(mut self, index: u64) -> Self {
-        self.blackhole_fwd_after = Some(index);
-        self
+    pub fn with_forward_blackhole_after(self, index: u64) -> Self {
+        self.scripted(|s| s.blackhole_after[0] = Some(index))
     }
 
     /// Black-hole the host→scanner direction from packet `index` on.
-    pub fn with_reverse_blackhole_after(mut self, index: u64) -> Self {
-        self.blackhole_rev_after = Some(index);
+    pub fn with_reverse_blackhole_after(self, index: u64) -> Self {
+        self.scripted(|s| s.blackhole_after[1] = Some(index))
+    }
+
+    fn scripted(mut self, edit: impl FnOnce(&mut FaultScript)) -> Self {
+        edit(self.script.get_or_insert_with(Box::default));
         self
     }
 }
@@ -134,20 +140,20 @@ impl IntoIterator for Arrivals {
     }
 }
 
-/// Per-direction transit state.
-#[derive(Debug)]
-struct DirState {
-    sent: u64,
-    rng: SmallRng,
-}
-
 /// A live link between the scanner and one host.
 #[derive(Debug)]
 pub struct Link {
     config: LinkConfig,
-    fwd: DirState,
-    rev: DirState,
+    /// One random stream per direction (`[forward, reverse]`).
+    rng: [SmallRng; 2],
 }
+
+const _: () = assert!(
+    std::mem::size_of::<Link>() <= 104,
+    "the simulator keeps a Link for every host it ever spawned: at 192 B \
+     (fault scripts and packet counts inline) the link table of a dense \
+     scan cost ~1.3 MB more"
+);
 
 /// The two directions across a link, from the scanner's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,14 +169,10 @@ impl Link {
     pub fn new(config: LinkConfig, seed: u64) -> Link {
         Link {
             config,
-            fwd: DirState {
-                sent: 0,
-                rng: SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-            },
-            rev: DirState {
-                sent: 0,
-                rng: SmallRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d),
-            },
+            rng: [
+                SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
+                SmallRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d),
+            ],
         }
     }
 
@@ -179,32 +181,32 @@ impl Link {
     /// Returns the extra delays (relative to "now") at which copies arrive:
     /// empty = lost, one entry = normal, two = duplicated.
     pub fn transit(&mut self, dir: Direction) -> Arrivals {
-        let config = &self.config;
-        let (st, drops, blackhole) = match dir {
-            Direction::Forward => (&mut self.fwd, &config.drops_fwd, config.blackhole_fwd_after),
-            Direction::Reverse => (&mut self.rev, &config.drops_rev, config.blackhole_rev_after),
+        let side = match dir {
+            Direction::Forward => 0,
+            Direction::Reverse => 1,
         };
-        let index = st.sent;
-        st.sent += 1;
-
-        if blackhole.is_some_and(|after| index >= after) {
-            return Arrivals::default();
+        if let Some(script) = &mut self.config.script {
+            let index = script.sent[side];
+            script.sent[side] += 1;
+            if script.blackhole_after[side].is_some_and(|after| index >= after)
+                || script.drops[side].contains(&index)
+            {
+                return Arrivals::default();
+            }
         }
-        if drops.contains(&index) {
-            return Arrivals::default();
-        }
-        if config.loss > 0.0 && st.rng.next_f64() < config.loss {
+        let (config, rng) = (&self.config, &mut self.rng[side]);
+        if config.loss > 0.0 && rng.next_f64() < config.loss {
             return Arrivals::default();
         }
         let mut arrivals = Arrivals::default();
         let jitter = if config.jitter > Duration::ZERO {
-            config.jitter.mul_f64(st.rng.next_f64())
+            config.jitter.mul_f64(rng.next_f64())
         } else {
             Duration::ZERO
         };
         arrivals.push(config.latency + jitter);
-        if config.dup > 0.0 && st.rng.next_f64() < config.dup {
-            let jitter2 = config.jitter.mul_f64(st.rng.next_f64());
+        if config.dup > 0.0 && rng.next_f64() < config.dup {
+            let jitter2 = config.jitter.mul_f64(rng.next_f64());
             arrivals.push(config.latency + jitter2 + Duration::from_micros(50));
         }
         arrivals

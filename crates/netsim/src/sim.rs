@@ -287,6 +287,11 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
         &self.trace
     }
 
+    /// Take the recorded trace out of the kernel (harvest).
+    pub fn take_trace(&mut self) -> Trace {
+        std::mem::take(&mut self.trace)
+    }
+
     /// The hot-path span tracer (empty unless `profile` was set).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer

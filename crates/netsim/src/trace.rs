@@ -68,8 +68,8 @@ impl Trace {
     /// Fold another capture into this one, restoring global time order
     /// (used when merging per-shard scan traces; the sort is stable, so
     /// same-instant packets keep their per-shard capture order).
-    pub fn merge(&mut self, other: &Trace) {
-        self.entries.extend_from_slice(&other.entries);
+    pub fn merge(&mut self, other: Trace) {
+        self.entries.extend(other.entries);
         self.entries.sort_by_key(|e| e.at);
     }
 
@@ -188,7 +188,7 @@ mod tests {
         let mut b = Trace::new();
         b.record(Instant::from_nanos(10), Dir::ScannerToHost, &[3]);
         b.record(Instant::from_nanos(40), Dir::HostToScanner, &[4]);
-        a.merge(&b);
+        a.merge(b);
         let times: Vec<u64> = a.entries().iter().map(|e| e.at.as_nanos()).collect();
         assert_eq!(times, vec![10, 30, 40, 50]);
     }

@@ -26,8 +26,6 @@ fn heavy_jitter_reordering_does_not_break_estimates() {
         jitter: Duration::from_millis(40),
         loss: 0.0,
         dup: 0.0,
-        drops_fwd: vec![],
-        drops_rev: vec![],
         ..LinkConfig::default()
     };
     for seed in 0..10 {
@@ -52,8 +50,6 @@ fn duplication_does_not_inflate_estimates() {
         jitter: Duration::ZERO,
         loss: 0.0,
         dup: 0.10,
-        drops_fwd: vec![],
-        drops_rev: vec![],
         ..LinkConfig::default()
     };
     for seed in 0..10 {
