@@ -219,7 +219,7 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
         // The sim profiles its own hot path whenever span tracing is on.
         profile: config.telemetry.record_spans,
     };
-    let factory = PopulationFactory::new(population.clone());
+    let factory = PopulationFactory::on_port(population.clone(), config.protocol.port());
     let mut sim = Sim::new(Scanner::new(config), factory, sim_config);
     sim.scanner_mut().watch(control.watch.iter().copied());
     sim.kick_scanner(|s, now, fx| s.start(now, fx));

@@ -269,3 +269,53 @@ fn probe_plans_fit_the_sessions_outcome_store() {
         );
     }
 }
+
+/// `ScanRunner` builds each host with only the scanned port's service.
+/// That changes no record: a scan of the small world writes the same
+/// per-host records under one-service hosts as under hosts built with
+/// every service they deploy.
+fn assert_one_service_hosts_change_no_record(protocol: Protocol) {
+    use iw_core::Scanner;
+    use iw_internet::population::PopulationFactory;
+    use iw_netsim::{Sim, SimConfig};
+
+    let pop = Arc::new(Population::new(PopulationConfig {
+        seed: 0x1307_2017,
+        space_size: 1 << 17,
+        target_responsive: 2_500,
+        loss_scale: 0.0,
+    }));
+    let mut config = ScanConfig::study(protocol, pop.space_size(), 7);
+    config.rate_pps = 2_000_000;
+    let records = |factory: PopulationFactory| {
+        let sim_config = SimConfig {
+            seed: config.seed,
+            ..SimConfig::default()
+        };
+        let mut sim = Sim::new(Scanner::new(config.clone()), factory, sim_config);
+        sim.kick_scanner(|s, now, fx| s.start(now, fx));
+        sim.run_to_completion();
+        assert_eq!(Scanner::harvest(&mut sim).violations(), []);
+        let (results, _, _) = sim.scanner_mut().take_records();
+        let mut json = String::new();
+        for result in &results {
+            result.write_json(&mut json);
+            json.push('\n');
+        }
+        (results.len(), json)
+    };
+    let every = records(PopulationFactory::new(pop.clone()));
+    let one = records(PopulationFactory::on_port(pop.clone(), protocol.port()));
+    assert!(every.0 > 1_000, "{protocol:?}: {} records", every.0);
+    assert!(one == every, "{protocol:?}: the records differ");
+}
+
+#[test]
+fn one_service_hosts_change_no_http_record() {
+    assert_one_service_hosts_change_no_record(Protocol::Http);
+}
+
+#[test]
+fn one_service_hosts_change_no_tls_record() {
+    assert_one_service_hosts_change_no_record(Protocol::Tls);
+}

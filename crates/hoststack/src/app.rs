@@ -12,7 +12,10 @@
 //! configuration once it knows which property is being served (Host
 //! header / SNI), i.e. just before the first data flight.
 
+use crate::config::HttpConfig;
+use crate::http_app::page;
 use iw_wire::tls::handshake::ServerFlight;
+use std::rc::Rc;
 
 /// What the application wants done after producing (or not producing) a
 /// response.
@@ -77,19 +80,26 @@ pub enum Body {
     /// No bytes.
     #[default]
     Empty,
-    /// This many bytes of [`FILL_PATTERN`], cycled from position zero.
-    Fill(usize),
+    /// A whole `200 OK` page whose body is this many bytes of filler: the
+    /// head `ResponseBuilder` serializes for the service's `Server`
+    /// header, then the filler. Neither is stored.
+    Page(u32, Rc<HttpConfig>),
     /// A TLS server flight, as records. Boxed: every TCB holds a body,
     /// and the flight's description is five times the size of the rest.
     Tls(Box<ServerFlight>),
 }
+
+const _: () = assert!(
+    std::mem::size_of::<Body>() <= 16,
+    "every TCB holds a body: a larger one grows the Tcb past its gate"
+);
 
 impl Body {
     /// Length in bytes.
     pub fn len(&self) -> usize {
         match self {
             Body::Empty => 0,
-            Body::Fill(n) => *n,
+            Body::Page(size, config) => page::len(config, *size),
             Body::Tls(flight) => flight.record_len(),
         }
     }
@@ -104,7 +114,7 @@ impl Body {
         debug_assert!(offset + out.len() <= self.len());
         match self {
             Body::Empty => {}
-            Body::Fill(_) => write_fill(offset, out),
+            Body::Page(size, config) => page::write_at(config, *size, offset, out),
             Body::Tls(flight) => flight.write_at(offset, out),
         }
     }

@@ -48,7 +48,7 @@ pub enum HttpBehavior {
 }
 
 /// Configuration of a host's HTTP service.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpConfig {
     /// Response behaviour.
     pub behavior: HttpBehavior,

@@ -29,7 +29,7 @@ impl HttpApp {
         }
     }
 
-    fn respond(config: &HttpConfig, req: &Request<'_>) -> AppResponse {
+    fn respond(config: &Rc<HttpConfig>, req: &Request<'_>) -> AppResponse {
         let close = req
             .headers()
             .any(|(k, v)| k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close"));
@@ -42,13 +42,12 @@ impl HttpApp {
             .iter()
             .find(|(host, _)| req.host.eq_ignore_ascii_case(host))
         {
-            let (head, body) = Self::ok_page(config, 12_000);
             let mut response = if close {
-                AppResponse::send_and_close(head)
+                AppResponse::send_and_close(Vec::new())
             } else {
-                AppResponse::send(head)
+                AppResponse::send(Vec::new())
             };
-            response.body = body;
+            response.body = Self::ok_page(config, 12_000);
             response.iw_override = Some(*policy);
             return response;
         }
@@ -58,7 +57,7 @@ impl HttpApp {
                 echo_404,
             } => {
                 if req.uri == "/" {
-                    Self::ok_page(config, *root_size as usize)
+                    (Vec::new(), Self::ok_page(config, *root_size))
                 } else {
                     (
                         Self::not_found_page(config, 64, *echo_404, req.uri),
@@ -72,7 +71,7 @@ impl HttpApp {
                 target_size,
             } => {
                 if req.uri == path && (req.host == host || req.host.is_empty()) {
-                    Self::ok_page(config, *target_size as usize)
+                    (Vec::new(), Self::ok_page(config, *target_size))
                 } else {
                     let moved = ResponseBuilder::new(301, "Moved Permanently")
                         .header("Server", &config.server_header)
@@ -113,17 +112,12 @@ impl HttpApp {
         response
     }
 
-    /// A `200` whose body is `size` bytes of filler, returned as its
-    /// stored head and its described body: the TCB writes the body into
-    /// each segment as the peer's window pulls it, so a
-    /// multi-hundred-kilobyte page costs a probe that resets after the
-    /// initial flight nothing but the head.
-    fn ok_page(config: &HttpConfig, size: usize) -> (Vec<u8>, Body) {
-        let head = ResponseBuilder::new(200, "OK")
-            .header("Server", &config.server_header)
-            .header("Content-Type", "text/html")
-            .head_only(size);
-        (head, Body::Fill(size))
+    /// A `200` whose body is `size` bytes of filler, head and body
+    /// described ([`page`]): the TCB writes both into each segment as the
+    /// peer's window pulls them, so a page costs a connection no bytes of
+    /// its own.
+    fn ok_page(config: &Rc<HttpConfig>, size: u32) -> Body {
+        Body::Page(size, Rc::clone(config))
     }
 
     /// A 404 whose body optionally embeds the request URI — longer URIs
@@ -168,6 +162,73 @@ impl App for HttpApp {
     }
 }
 
+/// The `200 OK` page of [`Body::Page`], written from `(config, size)`
+/// at any offset without allocating. Its head is the one
+/// `ResponseBuilder::new(200, "OK")` serializes with a `Server` and a
+/// `Content-Type: text/html` header: the status line, the headers sorted
+/// by name, then `Content-Length`.
+pub(crate) mod page {
+    use crate::app::write_fill;
+    use crate::config::HttpConfig;
+
+    /// The head up to the `Server` value.
+    const START: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nServer: ";
+    /// Between the `Server` value and the `Content-Length` value.
+    const LENGTH: &[u8] = b"\r\nContent-Length: ";
+    /// The end of the head.
+    const END: &[u8] = b"\r\n\r\n";
+
+    /// `size` in decimal, right-aligned in a 10-byte buffer, and the
+    /// number of digits.
+    fn decimal(size: u32) -> ([u8; 10], usize) {
+        let (mut digits, mut at, mut rest) = ([0; 10], 10, size);
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                return (digits, 10 - at);
+            }
+        }
+    }
+
+    /// Bytes in the page's head.
+    fn head_len(config: &HttpConfig, size: u32) -> usize {
+        START.len() + config.server_header.len() + LENGTH.len() + decimal(size).1 + END.len()
+    }
+
+    /// Bytes in the page: head and body.
+    pub(crate) fn len(config: &HttpConfig, size: u32) -> usize {
+        head_len(config, size) + size as usize
+    }
+
+    /// Write page bytes `offset..offset + out.len()` into `out`.
+    pub(crate) fn write_at(config: &HttpConfig, size: u32, mut offset: usize, mut out: &mut [u8]) {
+        let (digits, count) = decimal(size);
+        let head = [
+            START,
+            config.server_header.as_bytes(),
+            LENGTH,
+            &digits[10 - count..],
+            END,
+        ];
+        for piece in head {
+            if out.is_empty() {
+                return;
+            }
+            if offset >= piece.len() {
+                offset -= piece.len();
+                continue;
+            }
+            let n = (piece.len() - offset).min(out.len());
+            out[..n].copy_from_slice(&piece[offset..offset + n]);
+            out = &mut out[n..];
+            offset = 0;
+        }
+        write_fill(offset, out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +250,44 @@ mod tests {
         Request::probe_get(uri, host).to_bytes()
     }
 
+    /// Every byte a response puts on the wire, its body written out.
+    fn sent(resp: &AppResponse) -> Vec<u8> {
+        let mut bytes = resp.data.clone();
+        let at = bytes.len();
+        bytes.resize(at + resp.body.len(), 0);
+        resp.body.write_at(0, &mut bytes[at..]);
+        bytes
+    }
+
+    #[test]
+    fn a_page_is_the_head_the_builder_writes_then_filler_from_any_offset() {
+        for (server, size) in [("sim/1.0", 0), ("nginx", 9), ("GHost", 10), ("", 23_456)] {
+            let config = cfg(HttpBehavior::Mute);
+            let config = HttpConfig {
+                server_header: server.into(),
+                ..config
+            };
+            let mut whole = ResponseBuilder::new(200, "OK")
+                .header("Server", server)
+                .header("Content-Type", "text/html")
+                .head_only(size as usize);
+            whole.extend(crate::app::FILL_PATTERN.iter().cycle().take(size as usize));
+            assert_eq!(page::len(&config, size), whole.len(), "{server} {size}");
+            for offset in 0..whole.len().min(120) {
+                for n in [0, 1, 7, 64, whole.len() - offset] {
+                    let n = n.min(whole.len() - offset);
+                    let mut out = vec![0xaa; n];
+                    page::write_at(&config, size, offset, &mut out);
+                    assert_eq!(
+                        out,
+                        whole[offset..offset + n],
+                        "{server} {size} @{offset}+{n}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn direct_serves_root() {
         let mut app = http_app(cfg(HttpBehavior::Direct {
@@ -197,9 +296,11 @@ mod tests {
         }));
         let resp = app.on_data(&get("/", "1.2.3.4")).unwrap();
         assert!(resp.close, "Connection: close honored");
-        let head = ResponseHead::parse(&resp.data).unwrap();
+        assert!(resp.data.is_empty(), "nothing of the page is stored");
+        let bytes = sent(&resp);
+        let head = ResponseHead::parse(&bytes).unwrap();
         assert_eq!(head.status, 200);
-        assert_eq!(resp.data.len() + resp.body.len() - head.body_offset, 5000);
+        assert_eq!(bytes.len() - head.body_offset, 5000);
     }
 
     #[test]
@@ -211,7 +312,8 @@ mod tests {
         };
         let mut app = http_app(cfg(behavior.clone()));
         let resp = app.on_data(&get("/", "1.2.3.4")).unwrap();
-        let head = ResponseHead::parse(&resp.data).unwrap();
+        let bytes = sent(&resp);
+        let head = ResponseHead::parse(&bytes).unwrap();
         assert_eq!(head.status, 301);
         assert_eq!(
             head.redirect_location(),
@@ -222,12 +324,10 @@ mod tests {
         let resp2 = app2
             .on_data(&get("/index.html", "www.example.com"))
             .unwrap();
-        let head2 = ResponseHead::parse(&resp2.data).unwrap();
+        let bytes2 = sent(&resp2);
+        let head2 = ResponseHead::parse(&bytes2).unwrap();
         assert_eq!(head2.status, 200);
-        assert_eq!(
-            resp2.data.len() + resp2.body.len() - head2.body_offset,
-            9000
-        );
+        assert_eq!(bytes2.len() - head2.body_offset, 9000);
     }
 
     #[test]

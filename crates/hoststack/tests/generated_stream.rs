@@ -1,8 +1,9 @@
-//! A response body written from its description at each emission puts
-//! the same bytes on the wire as the body stored whole: an HTTP page of
-//! filler and a TLS server flight, at every MSS the study meets, through
-//! the initial flight, the RTO retransmission and the data later ACKs
-//! release.
+//! A response written from its description at each emission puts the
+//! same bytes on the wire as the response stored whole: an HTTP page
+//! (head and filler) at the root, at a redirect's target and for a
+//! configured virtual host, and a TLS server flight, at every MSS the
+//! study meets, through the initial flight, the RTO retransmission and
+//! the data later ACKs release.
 #![expect(
     clippy::expect_used,
     reason = "helpers outside the #[test] fns fail their test by panicking"
@@ -14,7 +15,7 @@ use iw_hoststack::tcb::{Sink, Tcb};
 use iw_hoststack::tls_app::TlsApp;
 use iw_hoststack::{HttpBehavior, HttpConfig, IwPolicy, OsProfile, TlsBehavior, TlsConfig};
 use iw_netsim::{Duration, Instant};
-use iw_wire::http::Request;
+use iw_wire::http::{Request, ResponseBuilder};
 use iw_wire::ipv4::Ipv4Addr;
 use iw_wire::tcp::{self, Flags, TcpOption};
 use iw_wire::tls::{CipherSuite, ClientHello};
@@ -25,8 +26,9 @@ const HOST: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
 const SCAN: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
 /// The reference: the same application with every response stored
-/// whole, as bytes, before the TCB sees it: the page's filler cycled out
-/// in full, the flight built as records.
+/// whole, as bytes, before the TCB sees it: the page's head serialized
+/// by `ResponseBuilder` and its filler cycled out in full, the flight
+/// built as records.
 struct Materialized<A>(A);
 
 impl<A: App> App for Materialized<A> {
@@ -34,7 +36,16 @@ impl<A: App> App for Materialized<A> {
         let mut resp = self.0.on_data(data)?;
         match std::mem::replace(&mut resp.body, Body::Empty) {
             Body::Empty => {}
-            Body::Fill(n) => resp.data.extend(FILL_PATTERN.iter().cycle().take(n)),
+            Body::Page(size, config) => {
+                resp.data.extend(
+                    ResponseBuilder::new(200, "OK")
+                        .header("Server", &config.server_header)
+                        .header("Content-Type", "text/html")
+                        .head_only(size as usize),
+                );
+                resp.data
+                    .extend(FILL_PATTERN.iter().cycle().take(size as usize));
+            }
             Body::Tls(flight) => resp.data.extend(flight.to_record_bytes()),
         }
         Some(resp)
@@ -136,49 +147,85 @@ fn exchange(app: Box<dyn App>, mss: u16, request: &[u8]) -> Vec<Vec<Vec<u8>>> {
     events
 }
 
+/// `min_payload`: every payload byte but the retransmission's must reach
+/// it, so the ACKs drained the response past the head, across the body
+/// and (TLS) across a record boundary.
 fn assert_same_wire(
     app: impl Fn() -> Box<dyn App>,
     reference: impl Fn() -> Box<dyn App>,
     request: &[u8],
+    min_payload: usize,
     what: &str,
 ) {
     for mss in [64u16, 128, 536, 1460] {
         let described = exchange(app(), mss, request);
         let stored = exchange(reference(), mss, request);
-        // Every payload byte but the retransmission's: both responses are
-        // over 20 KB, and the ACKs drained them past the head, across the
-        // body and (TLS) across a record boundary.
         let payload: usize = (described.iter().enumerate())
             .filter(|(event, _)| *event != 2)
             .flat_map(|(_, pkts)| pkts)
             .map(|pkt| pkt.len() - 40)
             .sum();
         assert!(
-            payload > 20_000,
+            payload >= min_payload,
             "{what} at MSS {mss}: {payload} bytes sent"
         );
         assert_eq!(described, stored, "{what} at MSS {mss}");
     }
 }
 
+/// [`assert_same_wire`] for an HTTP service answering `uri` at `host`.
+fn assert_same_page(config: HttpConfig, uri: &str, host: &str, size: usize, what: &str) {
+    let config = Rc::new(config);
+    let request = Request::probe_get(uri, host).to_bytes();
+    let c = config.clone();
+    assert_same_wire(
+        move || Box::new(HttpApp::new(c.clone())),
+        move || Box::new(Materialized(HttpApp::new(config.clone()))),
+        &request,
+        size,
+        what,
+    );
+}
+
 #[test]
 fn an_http_page_written_per_segment_is_the_stored_page() {
-    let config = Rc::new(HttpConfig {
+    let config = HttpConfig {
         behavior: HttpBehavior::Direct {
             root_size: 23_456,
             echo_404: true,
         },
         server_header: "sim/1.0".into(),
         vhost_iw: Vec::new(),
-    });
-    let request = Request::probe_get("/", "198.51.100.1").to_bytes();
-    let c = config.clone();
-    assert_same_wire(
-        move || Box::new(HttpApp::new(c.clone())),
-        move || Box::new(Materialized(HttpApp::new(config.clone()))),
-        &request,
-        "HTTP page",
-    );
+    };
+    assert_same_page(config, "/", "198.51.100.1", 23_456, "HTTP page");
+}
+
+#[test]
+fn a_redirect_target_written_per_segment_is_the_stored_page() {
+    let config = HttpConfig {
+        behavior: HttpBehavior::Redirect {
+            host: "www.site-00beef.example".into(),
+            path: "/index-4711.html".into(),
+            target_size: 21_007,
+        },
+        server_header: "Apache".into(),
+        vhost_iw: Vec::new(),
+    };
+    let (uri, host) = ("/index-4711.html", "www.site-00beef.example");
+    assert_same_page(config, uri, host, 20_000, "redirect target");
+}
+
+#[test]
+fn a_vhost_page_written_per_segment_is_the_stored_page() {
+    let config = HttpConfig {
+        behavior: HttpBehavior::NotFound {
+            base_size: 300,
+            echo_uri: true,
+        },
+        server_header: "GHost".into(),
+        vhost_iw: vec![("www.customer.example".into(), IwPolicy::Segments(16))],
+    };
+    assert_same_page(config, "/", "www.customer.example", 12_000, "vhost page");
 }
 
 #[test]
@@ -197,6 +244,7 @@ fn a_tls_flight_written_per_segment_is_the_stored_flight() {
         move || Box::new(TlsApp::new(c.clone())),
         move || Box::new(Materialized(TlsApp::new(config.clone()))),
         &request,
+        20_000,
         "TLS flight",
     );
 }

@@ -8,6 +8,7 @@
 use crate::certs;
 use crate::content;
 use crate::util::HashStream;
+use iw_hoststack::config::ports;
 use iw_hoststack::{
     HostConfig, HttpBehavior, HttpConfig, IwPolicy, OsProfile, TlsBehavior, TlsConfig,
 };
@@ -253,11 +254,28 @@ impl CohortSpec {
         canonical_domain: &str,
         path_mtu: u32,
     ) -> HostConfig {
+        self.host_config_on(seed, ip, server_header, canonical_domain, path_mtu, None)
+    }
+
+    /// As [`Self::host_config`], building only the service on `port`
+    /// when one is named (none for a port the study does not probe).
+    /// Each service draws from its own hash streams, so the one built is
+    /// the one [`Self::host_config`] builds.
+    pub fn host_config_on(
+        &self,
+        seed: u64,
+        ip: u32,
+        server_header: &str,
+        canonical_domain: &str,
+        path_mtu: u32,
+        port: Option<u16>,
+    ) -> HostConfig {
+        let serves = |service: u16| port.is_none_or(|port| port == service);
         let overrides = self.service_iw_overrides(canonical_domain);
         HostConfig {
             os: self.os.profile(),
             iw: self.iw,
-            http: self.http.map(|t| {
+            http: self.http.filter(|_| serves(ports::HTTP)).map(|t| {
                 http_config(
                     t,
                     seed,
@@ -267,7 +285,10 @@ impl CohortSpec {
                     overrides.clone(),
                 )
             }),
-            tls: self.tls.map(|t| tls_config(t, seed, ip, overrides.clone())),
+            tls: self
+                .tls
+                .filter(|_| serves(ports::TLS))
+                .map(|t| tls_config(t, seed, ip, overrides.clone())),
             path_mtu,
             icmp: true,
         }

@@ -165,14 +165,21 @@ impl Population {
 
     /// The full host configuration at `ip`.
     pub fn host_config(&self, ip: u32) -> Option<HostConfig> {
+        self.host_config_on(ip, None)
+    }
+
+    /// The host configuration at `ip` with only the service on `port`
+    /// when one is named: what a scan of that port can reach.
+    pub fn host_config_on(&self, ip: u32, port: Option<u16>) -> Option<HostConfig> {
         let (spec, cohort) = self.cohort_at(ip)?;
         let domain = self.canonical_domain(ip)?;
-        Some(cohort.host_config(
+        Some(cohort.host_config_on(
             self.config.seed,
             ip,
             spec.class.server_header(),
             &domain,
             self.path_mtu(ip),
+            port,
         ))
     }
 
@@ -243,12 +250,29 @@ impl Population {
 #[derive(Clone)]
 pub struct PopulationFactory {
     population: Arc<Population>,
+    /// The one port whose service each host is built with, or `None`
+    /// for every service.
+    port: Option<u16>,
 }
 
 impl PopulationFactory {
-    /// Wrap a shared population.
+    /// Wrap a shared population; hosts run every service they deploy.
     pub fn new(population: Arc<Population>) -> PopulationFactory {
-        PopulationFactory { population }
+        PopulationFactory {
+            population,
+            port: None,
+        }
+    }
+
+    /// Wrap a shared population for a scan of `port`: a host is built
+    /// with that port's service only (none for a port the study does not
+    /// probe), so it holds nothing the scan cannot reach. Any other port
+    /// answers a SYN with a RST.
+    pub fn on_port(population: Arc<Population>, port: u16) -> PopulationFactory {
+        PopulationFactory {
+            population,
+            port: Some(port),
+        }
     }
 
     /// The underlying population.
@@ -259,7 +283,7 @@ impl PopulationFactory {
 
 impl HostFactory for PopulationFactory {
     fn create(&mut self, ip: u32) -> Option<(Box<dyn Endpoint>, LinkConfig)> {
-        let config = self.population.host_config(ip)?;
+        let config = self.population.host_config_on(ip, self.port)?;
         let host = Host::new(Ipv4Addr::from_u32(ip), config, self.population.config.seed);
         Some((Box::new(host), self.population.link_config(ip)))
     }
@@ -366,6 +390,62 @@ mod tests {
             }
         }
         assert_eq!((spawned, empty), (20, 20));
+    }
+
+    #[test]
+    fn a_host_built_for_one_port_runs_only_that_service() {
+        use iw_netsim::{Effects, Instant};
+        use iw_wire::tcp::{self, Flags};
+        use iw_wire::{ipv4, IpProtocol};
+
+        let p = pop();
+        let ip = (0..p.space_size())
+            .find(|&ip| p.ground_truth(ip).is_some_and(|gt| gt.http && gt.tls))
+            .unwrap();
+        let http_only = p.host_config_on(ip, Some(80)).unwrap();
+        let full = p.host_config(ip).unwrap();
+        assert_eq!(
+            http_only.http, full.http,
+            "the service built is the full one's"
+        );
+        assert_eq!(http_only.tls, None);
+        let tls_only = p.host_config_on(ip, Some(443)).unwrap();
+        assert_eq!((tls_only.http, tls_only.tls), (None, full.tls));
+        let neither = p.host_config_on(ip, Some(0)).unwrap();
+        assert_eq!((neither.http, neither.tls), (None, None));
+
+        // A SYN to 443: a RST from the host built for port 80, a SYN-ACK
+        // from the one built with every service.
+        let scanner = Ipv4Addr::new(192, 0, 2, 1);
+        let syn = tcp::Repr {
+            options: vec![tcp::TcpOption::Mss(64)],
+            ..tcp::Repr::bare(40000, 443, 100, 0, Flags::SYN, 65535)
+        };
+        let l4 = syn.emit(scanner, Ipv4Addr::from_u32(ip));
+        let repr = ipv4::Repr {
+            src_addr: scanner,
+            dst_addr: Ipv4Addr::from_u32(ip),
+            protocol: IpProtocol::Tcp,
+            payload_len: l4.len(),
+            ttl: 64,
+        };
+        let datagram = ipv4::build_datagram(&repr, 7, &l4);
+        let answer = |factory: &mut PopulationFactory| {
+            let (mut host, _) = factory.create(ip).unwrap();
+            let mut fx = Effects::default();
+            host.on_packet(&datagram, Instant::ZERO, &mut fx);
+            assert_eq!(fx.tx.len(), 1);
+            let packet = ipv4::Packet::new_checked(&fx.tx[0][..]).unwrap();
+            let seg = tcp::Packet::new_checked(packet.payload()).unwrap();
+            tcp::Repr::parse(&seg, packet.src_addr(), packet.dst_addr())
+                .unwrap()
+                .flags
+        };
+        let p = Arc::new(p);
+        let on_80 = answer(&mut PopulationFactory::on_port(p.clone(), 80));
+        assert_eq!(on_80, Flags::RST | Flags::ACK);
+        let every = answer(&mut PopulationFactory::new(p));
+        assert_eq!(every, Flags::SYN | Flags::ACK);
     }
 
     #[test]

@@ -204,6 +204,12 @@ enum EventKind {
     ScannerTimer { token: TimerToken },
 }
 
+const _: () = assert!(
+    crate::wheel::node_bytes::<EventKind>() <= 48,
+    "the wheel keeps one node per pending event, ~33 k at dense_http's \
+     peak: a node past 48 B costs what the index buckets saved"
+);
+
 struct HostSlot {
     endpoint: Box<dyn Endpoint>,
     /// The host's pending timers, one per token (a host holds about one

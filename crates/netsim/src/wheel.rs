@@ -23,20 +23,27 @@
 //!   every event still out on the wheel has a strictly larger deadline
 //!   than anything in `due` (its tick, hence its `at`, is larger).
 //!
-//! Cancellation is O(1). [`TimerWheel::push_cancellable`] gives its entry
-//! a slot in a slab and returns a generation-tagged [`TimerId`] naming
-//! it; the slot records the entry's deadline and its position in its
-//! bucket. Where the entry is follows from its deadline and the cursor
-//! (see [`bucket_of`]), so [`TimerWheel::cancel`] of an entry out on the
-//! wheel is a swap-remove. An entry already in `due` is marked and
-//! skipped when it surfaces; it never fires. A slot is reused only after
-//! its entry has left every structure, and its generation moves on each
-//! release, so a stale `TimerId` cancels nothing. [`TimerWheel::push`]
-//! files an entry nobody will cancel (a packet in flight) without a
-//! slot, so it costs what it did before timers could be cancelled.
+//! Every pending entry lives in one node slab: its deadline, sequence,
+//! generation, position and payload. A bucket holds 4-byte node
+//! indices, and `due` holds `(at, seq, index)` keys, so filing an entry
+//! and cascading a bucket move four bytes, not the entry, and a bucket
+//! that a burst grew costs a tenth of what it did. Nodes are reused
+//! through a free list threaded through [`Node::pos`].
 //!
-//! Entries, the slab and `due` keep their capacity; a drained bucket
-//! keeps its buffer up to [`KEPT_BUCKET_BYTES`], so steady-state filing
+//! Cancellation is O(1). [`TimerWheel::push_cancellable`] returns a
+//! generation-tagged [`TimerId`] naming the entry's node; the node
+//! records its position in its bucket, and where the bucket is follows
+//! from the deadline and the cursor (see [`bucket_of`]), so
+//! [`TimerWheel::cancel`] of an entry out on the wheel is a
+//! swap-remove. An entry already in `due` drops its payload at once and
+//! leaves its key for `pop` to skip. A node is reused only after its key
+//! has left every structure, and its generation moves on each release,
+//! so a stale `TimerId` cancels nothing. [`TimerWheel::push`] files an
+//! entry nobody will cancel (a packet in flight) the same way and hands
+//! out no id.
+//!
+//! The slab and `due` keep their capacity; a drained bucket keeps its
+//! buffer up to [`KEPT_BUCKET_INDICES`], so steady-state filing
 //! allocates nothing and a burst does not pin its peak.
 
 use crate::time::Instant;
@@ -56,19 +63,21 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// every representable deadline has a home bucket, so there is no
 /// overflow path to get wrong.
 const LEVELS: usize = 8;
-/// The largest buffer a drained bucket keeps for its next lap. Larger
-/// ones are freed, so one burst does not pin its peak in all 512
-/// buckets.
-const KEPT_BUCKET_BYTES: usize = 4 << 10;
+/// The most indices a drained bucket keeps room for on its next lap.
+/// Larger buffers are freed, so one burst does not pin its peak in all
+/// 512 buckets.
+const KEPT_BUCKET_INDICES: usize = 1 << 10;
+/// Drained entries whose deadlines a cascade reads before re-filing any.
+const CASCADE_CHUNK: usize = 32;
 
-/// [`Entry::slot`] of an entry pushed without one.
-const NO_SLOT: u32 = u32::MAX;
 /// End of the free list.
 const NIL: u32 = u32::MAX;
-/// [`Slot::pos`] of an entry cancelled while it waits in `due`.
-const CANCELLED: u32 = u32::MAX - 1;
+/// [`Node::pos`] of an entry whose key is in `due`.
+const DUE: u32 = u32::MAX - 1;
+/// [`Node::pos`] of an entry cancelled while its key waits in `due`.
+const CANCELLED: u32 = u32::MAX - 2;
 
-/// Names one entry pushed with [`TimerWheel::push_cancellable`]: a slab
+/// Names one entry pushed with [`TimerWheel::push_cancellable`]: a node
 /// index and the generation it was issued under. Once the entry fires or
 /// is cancelled the id is stale, and every operation given it is a
 /// no-op.
@@ -78,55 +87,39 @@ pub struct TimerId {
     gen: u32,
 }
 
-/// A scheduled entry: the deadline, the global insertion sequence that
-/// breaks deadline ties, its slab slot (or [`NO_SLOT`]) and the caller's
-/// payload.
+/// One slab node: a pending entry, or a free one (`item` is `None`).
 #[derive(Debug)]
-struct Entry<T> {
+struct Node<T> {
     at: Instant,
+    /// The caller's insertion sequence, which breaks deadline ties.
     seq: u64,
-    slot: u32,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Where a cancellable entry is.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    at: Instant,
-    /// Moves every time the slot is released or its entry cancelled.
+    /// Moves every time the node is released or its entry cancelled.
     gen: u32,
-    /// The entry's index in its bucket while on the wheel, [`CANCELLED`],
-    /// or the next free slot while free.
+    /// The entry's index in its bucket while on the wheel, [`DUE`],
+    /// [`CANCELLED`], or the next free node while free.
     pos: u32,
+    item: Option<T>,
 }
 
-/// One wheel level: 64 buckets plus an occupancy bitmap so the next
-/// non-empty bucket is a `trailing_zeros`, not a scan.
+/// Bytes of one node holding a `T`, for the size gates of the wheel's
+/// users.
+pub(crate) const fn node_bytes<T>() -> usize {
+    std::mem::size_of::<Node<T>>()
+}
+
+/// A `due` key: pop order is `(at, seq)`; the index finds the node.
+type DueKey = Reverse<(Instant, u64, u32)>;
+
+/// One wheel level: 64 buckets of node indices plus an occupancy bitmap
+/// so the next non-empty bucket is a `trailing_zeros`, not a scan.
 #[derive(Debug)]
-struct Level<T> {
-    slots: [Vec<Entry<T>>; SLOTS],
+struct Level {
+    slots: [Vec<u32>; SLOTS],
     occupied: u64,
 }
 
-impl<T> Level<T> {
-    fn new() -> Level<T> {
+impl Level {
+    fn new() -> Level {
         Level {
             slots: std::array::from_fn(|_| Vec::new()),
             occupied: 0,
@@ -141,14 +134,14 @@ impl<T> Level<T> {
 /// deadline of the most recently popped entry.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    levels: [Level<T>; LEVELS],
-    /// The slab of cancellable entries' locations.
-    slab: Vec<Slot>,
-    /// Head of the free list threaded through [`Slot::pos`].
+    levels: [Level; LEVELS],
+    /// Every pending entry, and the free nodes between them.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list threaded through [`Node::pos`].
     free: u32,
-    /// Entries whose tick the cursor has reached, in exact pop order
-    /// (cancelled ones included until they surface).
-    due: BinaryHeap<Reverse<Entry<T>>>,
+    /// Keys of the entries whose tick the cursor has reached, in exact
+    /// pop order (cancelled ones included until they surface).
+    due: BinaryHeap<DueKey>,
     /// Cancelled entries still in `due`.
     due_cancelled: usize,
     /// The cursor: every entry on the wheel has `tick(at) > cur_tick`.
@@ -187,7 +180,7 @@ impl<T> TimerWheel<T> {
     pub fn new() -> TimerWheel<T> {
         TimerWheel {
             levels: std::array::from_fn(|_| Level::new()),
-            slab: Vec::new(),
+            nodes: Vec::new(),
             free: NIL,
             due: BinaryHeap::new(),
             due_cancelled: 0,
@@ -209,79 +202,71 @@ impl<T> TimerWheel<T> {
     /// Schedule `item` for `at`, with tie-break sequence `seq`. It cannot
     /// be cancelled.
     pub fn push(&mut self, at: Instant, seq: u64, item: T) {
-        self.insert(Entry {
-            at,
-            seq,
-            slot: NO_SLOT,
-            item,
-        });
+        self.push_cancellable(at, seq, item);
     }
 
     /// As [`Self::push`], returning the id that cancels the entry.
     pub fn push_cancellable(&mut self, at: Instant, seq: u64, item: T) -> TimerId {
-        let slot = Slot { at, gen: 0, pos: 0 };
-        let index = if self.free == NIL {
-            self.slab.push(slot);
-            (self.slab.len() - 1) as u32
+        let (index, gen) = if self.free == NIL {
+            self.nodes.push(Node {
+                at,
+                seq,
+                gen: 0,
+                pos: 0,
+                item: Some(item),
+            });
+            ((self.nodes.len() - 1) as u32, 0)
         } else {
             let index = self.free;
-            let free = &mut self.slab[index as usize];
-            self.free = free.pos;
-            free.at = at;
-            index
+            let node = &mut self.nodes[index as usize];
+            self.free = node.pos;
+            node.at = at;
+            node.seq = seq;
+            node.item = Some(item);
+            (index, node.gen)
         };
-        let gen = self.slab[index as usize].gen;
-        self.insert(Entry {
-            at,
-            seq,
-            slot: index,
-            item,
-        });
-        TimerId { index, gen }
-    }
-
-    fn insert(&mut self, entry: Entry<T>) {
         self.len += 1;
-        let tick = tick_of(entry.at);
+        let tick = tick_of(at);
         if tick <= self.cur_tick {
-            self.due.push(Reverse(entry));
+            self.enqueue_due(index);
         } else {
-            self.file(entry, tick);
+            self.file(index, tick);
         }
+        TimerId { index, gen }
     }
 
     /// The deadline of the pending entry `id` names, `None` once it fired
     /// or was cancelled.
     pub fn deadline(&self, id: TimerId) -> Option<Instant> {
-        self.live(id).map(|slot| slot.at)
+        self.live(id).map(|node| node.at)
     }
 
     /// Remove the pending entry `id` names; it will never pop. False (and
     /// nothing happens) when it already fired or was cancelled, even if
-    /// its slab slot now holds another entry.
+    /// its node now holds another entry.
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        let Some(&Slot { at, pos, .. }) = self.live(id) else {
+        let Some(&Node { at, pos, .. }) = self.live(id) else {
             return false;
         };
         self.len -= 1;
         let index = id.index as usize;
-        let tick = tick_of(at);
-        if tick <= self.cur_tick {
-            // In `due`: a heap has no cheap removal, so mark it.
-            let slot = &mut self.slab[index];
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.pos = CANCELLED;
+        if pos == DUE {
+            // A heap has no cheap removal: drop the payload now and
+            // leave the key for `advance_to_due` to skip.
+            let node = &mut self.nodes[index];
+            node.gen = node.gen.wrapping_add(1);
+            node.pos = CANCELLED;
+            node.item = None;
             self.due_cancelled += 1;
             return true;
         }
-        let (level, bucket) = bucket_of(tick, self.cur_tick);
+        let (level, bucket) = bucket_of(tick_of(at), self.cur_tick);
         let l = &mut self.levels[level];
         let entries = &mut l.slots[bucket];
         let pos = pos as usize;
         entries.swap_remove(pos);
         match entries.get(pos) {
-            Some(moved) if moved.slot != NO_SLOT => self.slab[moved.slot as usize].pos = pos as u32,
-            Some(_) => {}
+            Some(&moved) => self.nodes[moved as usize].pos = pos as u32,
             None if entries.is_empty() => l.occupied &= !(1 << bucket),
             None => {}
         }
@@ -289,47 +274,55 @@ impl<T> TimerWheel<T> {
         true
     }
 
-    /// The slot `id` names, if its entry is still pending.
-    fn live(&self, id: TimerId) -> Option<&Slot> {
-        self.slab
+    /// The node `id` names, if its entry is still pending. A node's
+    /// generation moves when its entry is cancelled and when it is
+    /// released, so it matches only while the entry `id` named is live.
+    fn live(&self, id: TimerId) -> Option<&Node<T>> {
+        self.nodes
             .get(id.index as usize)
-            .filter(|slot| slot.gen == id.gen && slot.pos != CANCELLED)
+            .filter(|node| node.gen == id.gen)
     }
 
-    /// Put a slot whose entry left every structure on the free list.
-    fn release(&mut self, index: usize) {
-        let slot = &mut self.slab[index];
-        slot.gen = slot.gen.wrapping_add(1);
-        slot.pos = self.free;
+    /// Put a node whose key left every structure on the free list,
+    /// returning its payload.
+    fn release(&mut self, index: usize) -> Option<T> {
+        let node = &mut self.nodes[index];
+        node.gen = node.gen.wrapping_add(1);
+        node.pos = self.free;
         self.free = index as u32;
+        node.item.take()
     }
 
-    /// File a future entry (tick strictly beyond the cursor) on the wheel.
-    fn file(&mut self, entry: Entry<T>, tick: u64) {
+    /// Queue node `index`, whose tick the cursor has reached, for `pop`.
+    fn enqueue_due(&mut self, index: u32) {
+        let node = &mut self.nodes[index as usize];
+        node.pos = DUE;
+        self.due.push(Reverse((node.at, node.seq, index)));
+    }
+
+    /// File node `index`, whose tick is strictly beyond the cursor, on
+    /// the wheel.
+    fn file(&mut self, index: u32, tick: u64) {
         let (level, bucket) = bucket_of(tick, self.cur_tick);
         let l = &mut self.levels[level];
-        if entry.slot != NO_SLOT {
-            self.slab[entry.slot as usize].pos = l.slots[bucket].len() as u32;
-        }
-        l.slots[bucket].push(entry);
+        self.nodes[index as usize].pos = l.slots[bucket].len() as u32;
+        l.slots[bucket].push(index);
         l.occupied |= 1 << bucket;
     }
 
     /// The deadline of the next entry, advancing the cursor as needed.
     pub fn peek_at(&mut self) -> Option<Instant> {
         self.advance_to_due();
-        self.due.peek().map(|Reverse(e)| e.at)
+        self.due.peek().map(|Reverse((at, _, _))| *at)
     }
 
     /// Remove and return the next entry in `(at, seq)` order.
     pub fn pop(&mut self) -> Option<(Instant, T)> {
         self.advance_to_due();
-        let Reverse(e) = self.due.pop()?;
+        let Reverse((at, _, index)) = self.due.pop()?;
         self.len -= 1;
-        if e.slot != NO_SLOT {
-            self.release(e.slot as usize);
-        }
-        Some((e.at, e.item))
+        let item = self.release(index as usize)?;
+        Some((at, item))
     }
 
     /// Advance the cursor until the head of `due` is a pending entry (or
@@ -339,13 +332,15 @@ impl<T> TimerWheel<T> {
         loop {
             while self.due_cancelled > 0 {
                 match self.due.peek() {
-                    Some(Reverse(e))
-                        if e.slot != NO_SLOT && self.slab[e.slot as usize].pos == CANCELLED => {}
+                    Some(Reverse((_, _, index)))
+                        if self.nodes[*index as usize].pos == CANCELLED =>
+                    {
+                        let index = *index as usize;
+                        self.due.pop();
+                        self.due_cancelled -= 1;
+                        self.release(index);
+                    }
                     _ => break,
-                }
-                if let Some(Reverse(e)) = self.due.pop() {
-                    self.due_cancelled -= 1;
-                    self.release(e.slot as usize);
                 }
             }
             if !self.due.is_empty() || self.len == 0 {
@@ -367,17 +362,26 @@ impl<T> TimerWheel<T> {
             base |= (bucket as u64) << span; // set to drained slot
             base &= !((1u64 << span) - 1); // clear all lower fields
             self.cur_tick = base;
-            for e in entries.drain(..) {
-                let tick = tick_of(e.at);
-                if tick <= self.cur_tick {
-                    self.due.push(Reverse(e));
-                } else {
-                    self.file(e, tick); // re-files into a lower level
+            // Read a chunk's deadlines before re-filing any of it: the
+            // node reads are independent, so their cache misses overlap
+            // instead of each stalling the re-filing that needs it.
+            for chunk in entries.chunks(CASCADE_CHUNK) {
+                let mut ticks = [0; CASCADE_CHUNK];
+                for (tick, &index) in ticks.iter_mut().zip(chunk) {
+                    *tick = tick_of(self.nodes[index as usize].at);
+                }
+                for (&tick, &index) in ticks.iter().zip(chunk) {
+                    if tick <= self.cur_tick {
+                        self.enqueue_due(index);
+                    } else {
+                        self.file(index, tick); // re-files into a lower level
+                    }
                 }
             }
+            entries.clear();
             // Re-filing only reaches lower levels, so the bucket is still
             // empty: hand it back its buffer unless a burst grew it.
-            if entries.capacity() * std::mem::size_of::<Entry<T>>() <= KEPT_BUCKET_BYTES {
+            if entries.capacity() <= KEPT_BUCKET_INDICES {
                 self.levels[level].slots[bucket] = entries;
             }
         }
@@ -440,13 +444,14 @@ mod tests {
     }
 
     /// A deadline at or after `now`: same tick, a few ticks, level-1/2
-    /// territory or deep in the wheel.
+    /// territory, deep in the wheel, or in its top levels.
     fn deadline(rng: &mut Rng, now: u64) -> Instant {
-        let horizon = match rng.next() % 4 {
+        let horizon = match rng.next() % 5 {
             0 => 1 << 10,
             1 => 1 << 22,
             2 => 1 << 28,
-            _ => 1 << 36,
+            3 => 1 << 36,
+            _ => 1 << 54,
         };
         Instant::from_nanos(now + rng.next() % horizon)
     }
@@ -594,7 +599,7 @@ mod tests {
         let old = w.push_cancellable(at, 0, "old");
         assert!(w.cancel(old));
         let new = w.push_cancellable(at, 1, "new");
-        assert_eq!(new.index, old.index, "the freed slot is reused");
+        assert_eq!(new.index, old.index, "the freed node is reused");
         assert!(!w.cancel(old), "the stale generation cancels nothing");
         assert_eq!(w.deadline(new), Some(at));
         assert_eq!(w.pop(), Some((at, "new")));
@@ -610,6 +615,21 @@ mod tests {
         assert!(!w.cancel(due));
         assert_eq!(w.pop(), Some((at, "after")));
         assert!(!w.cancel(after));
+    }
+
+    #[test]
+    fn a_cancelled_entry_drops_its_payload_at_once() {
+        let payload = std::rc::Rc::new(());
+        let mut w = TimerWheel::new();
+        let at = Instant::from_nanos(1 << 30);
+        let out = w.push_cancellable(at, 0, std::rc::Rc::clone(&payload));
+        let due = w.push_cancellable(at, 1, std::rc::Rc::clone(&payload));
+        assert!(w.cancel(out), "out on the wheel");
+        assert_eq!(w.peek_at(), Some(at));
+        assert!(w.cancel(due), "already due");
+        assert_eq!(std::rc::Rc::strong_count(&payload), 1);
+        assert_eq!(w.pop(), None);
+        assert_eq!(w.nodes.len(), 2, "both nodes are free for reuse");
     }
 
     #[test]
@@ -640,6 +660,29 @@ mod tests {
             model.push(at, seq, seq);
             seq += 1;
         }
+        loop {
+            let got = w.pop();
+            assert_eq!(got, model.pop());
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn a_cascade_longer_than_a_chunk_keeps_the_order() {
+        // 3 × CASCADE_CHUNK + 5 entries in one level-1 bucket, spread over
+        // its 64 ticks and pushed out of order, some sharing a deadline.
+        let mut w = TimerWheel::new();
+        let mut model = Model::default();
+        let n = 3 * CASCADE_CHUNK as u64 + 5;
+        for seq in 0..n {
+            let tick = 64 + (seq * 37) % 64;
+            let at = Instant::from_nanos(tick << TICK_SHIFT | (seq % 3));
+            w.push(at, seq, seq);
+            model.push(at, seq, seq);
+        }
+        assert_eq!(w.levels[1].occupied, 1 << 1, "one level-1 bucket");
         loop {
             let got = w.pop();
             assert_eq!(got, model.pop());
@@ -688,7 +731,7 @@ mod tests {
         }
         while w.pop().is_some() {}
         assert_eq!(w.levels[0].slots[5].capacity(), 8, "a small buffer stays");
-        let burst = (KEPT_BUCKET_BYTES / std::mem::size_of::<Entry<u64>>()) as u64 + 1;
+        let burst = KEPT_BUCKET_INDICES as u64 + 1;
         let late = |i: u64| Instant::from_nanos((70 << TICK_SHIFT) + i);
         for i in 0..burst {
             w.push(late(i), 8 + i, i);
@@ -700,7 +743,7 @@ mod tests {
     #[test]
     fn cancellable_and_plain_entries_share_one_order() {
         // A cancel swap-removes inside a bucket that also holds entries
-        // without a slot; the moved entry keeps its place in the order.
+        // without an id; the moved entry keeps its place in the order.
         let mut w = TimerWheel::new();
         let at = |ms: u64| Instant::ZERO + Duration::from_millis(ms);
         let a = w.push_cancellable(at(40), 0, "a");

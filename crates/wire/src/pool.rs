@@ -13,10 +13,11 @@
 //! free list of the pool they came from; if that pool is already gone
 //! they are simply freed.
 //!
-//! Slabs come in two classes, each with its own free list:
-//! [`SMALL_SLAB_CAPACITY`] bytes for the SYNs, ACKs, RSTs, requests and
-//! 64-byte data segments that make up nearly every datagram of a scan,
-//! and [`SLAB_CAPACITY`] bytes for the few that are larger. A checkout
+//! Slabs come in three classes, each with its own free list:
+//! [`TINY_SLAB_CAPACITY`] bytes for the SYNs, ACKs, RSTs and 64-byte
+//! data segments that make up nearly every datagram of a scan,
+//! [`SMALL_SLAB_CAPACITY`] bytes for requests, ClientHellos and 128-byte
+//! segments, and [`SLAB_CAPACITY`] bytes for the few that are larger. A checkout
 //! names the length it is about to write ([`BufferPool::take_for`]) and
 //! gets the smallest class that holds it; a dropped slab goes back to
 //! the list of the class it holds without growing. So a warm pool still
@@ -33,9 +34,14 @@ use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::rc::{Rc, Weak};
 
-/// The small class: datagrams up to 256 bytes, which is nearly all of a
-/// scan (SYNs, ACKs, RSTs, the GET and the 217-byte TLS ClientHello,
-/// data segments at the probed MSS of 64 or 128).
+/// The tiny class: datagrams up to 128 bytes, which is nearly all of a
+/// scan (44-byte SYNs, ACKs and RSTs, 104-byte data segments at the
+/// probed MSS of 64).
+pub const TINY_SLAB_CAPACITY: usize = 128;
+
+/// The small class: datagrams up to 256 bytes (the GET, the 217-byte TLS
+/// ClientHello, data segments at MSS 128), and what an unsized
+/// [`BufferPool::take`] hands out.
 pub const SMALL_SLAB_CAPACITY: usize = 256;
 
 /// The large class: one MTU-sized packet plus headroom, for the few
@@ -46,20 +52,26 @@ pub const SLAB_CAPACITY: usize = 2048;
 
 /// Slab capacity per class, smallest first; a class is an index here
 /// and into [`PoolInner::free`].
-const CLASSES: [usize; 2] = [SMALL_SLAB_CAPACITY, SLAB_CAPACITY];
+const CLASSES: [usize; 3] = [TINY_SLAB_CAPACITY, SMALL_SLAB_CAPACITY, SLAB_CAPACITY];
 
 /// The class a checkout for a `len`-byte datagram draws from: the
-/// smallest that holds it.
+/// smallest that holds it (the large one for anything longer).
 fn class_for(len: usize) -> usize {
-    usize::from(len > SMALL_SLAB_CAPACITY)
+    CLASSES
+        .iter()
+        .position(|&capacity| len <= capacity)
+        .unwrap_or(CLASSES.len() - 1)
 }
 
 /// The class a slab of `capacity` bytes goes home to: the largest whose
-/// checkouts it holds without growing. A small slab written past its
-/// class (an unsized [`BufferPool::take`]) joins the large list once it
-/// has grown that far, and is never handed out to a length it lacks.
+/// checkouts it holds without growing. A slab written past its class
+/// (an unsized [`BufferPool::take`]) joins a larger list once it has
+/// grown that far, and is never handed out to a length it lacks.
 fn home_class(capacity: usize) -> usize {
-    usize::from(capacity >= SLAB_CAPACITY)
+    CLASSES
+        .iter()
+        .rposition(|&class| capacity >= class)
+        .unwrap_or(0)
 }
 
 /// Allocation counters for one pool (monotonic except `outstanding`).
@@ -88,7 +100,7 @@ struct Slab {
 #[derive(Debug, Default)]
 struct PoolInner {
     /// Parked buffers per class, each the sole owner of its slab.
-    free: [Vec<Rc<Slab>>; 2],
+    free: [Vec<Rc<Slab>>; CLASSES.len()],
     stats: PoolStats,
 }
 
@@ -109,7 +121,7 @@ impl BufferPool {
     /// does not name its length; it grows if written past
     /// [`SMALL_SLAB_CAPACITY`].
     pub fn take(&self) -> PacketBuf {
-        self.take_for(0)
+        self.take_for(SMALL_SLAB_CAPACITY)
     }
 
     /// Check out a writable, empty buffer of the smallest class that
@@ -294,8 +306,12 @@ mod tests {
     fn a_checkout_gets_the_smallest_class_that_holds_it() {
         let pool = BufferPool::new();
         for (len, capacity) in [
-            (0, SMALL_SLAB_CAPACITY),
-            (40, SMALL_SLAB_CAPACITY),
+            (0, TINY_SLAB_CAPACITY),
+            (40, TINY_SLAB_CAPACITY),
+            (104, TINY_SLAB_CAPACITY),
+            (128, TINY_SLAB_CAPACITY),
+            (129, SMALL_SLAB_CAPACITY),
+            (217, SMALL_SLAB_CAPACITY),
             (256, SMALL_SLAB_CAPACITY),
             (257, SLAB_CAPACITY),
             (1_562, SLAB_CAPACITY),
@@ -312,21 +328,28 @@ mod tests {
     fn a_dropped_slab_serves_only_its_own_class() {
         let pool = BufferPool::new();
         drop(pool.take_for(40));
+        let small = pool.take_for(217);
         let large = pool.take_for(1_562);
         assert_eq!(
             pool.stats().allocated,
-            2,
-            "a parked small slab is no large one"
+            3,
+            "a parked tiny slab is no small or large one"
         );
-        drop(large);
+        drop((small, large));
         let parked = |class: usize| pool.inner.borrow().free[class].len();
-        assert_eq!((parked(0), parked(1)), (1, 1));
-        let small = pool.take_for(100);
-        assert_eq!(small.capacity(), SMALL_SLAB_CAPACITY);
+        assert_eq!((parked(0), parked(1), parked(2)), (1, 1, 1));
+        let tiny = pool.take_for(100);
+        assert_eq!(tiny.capacity(), TINY_SLAB_CAPACITY);
+        let small = pool.take();
+        assert_eq!(
+            small.capacity(),
+            SMALL_SLAB_CAPACITY,
+            "an unsized take is small"
+        );
         let large = pool.take_for(300);
         assert_eq!(large.capacity(), SLAB_CAPACITY);
-        assert_eq!(pool.stats().allocated, 2);
-        assert_eq!(pool.stats().recycled, 2);
+        assert_eq!(pool.stats().allocated, 3);
+        assert_eq!(pool.stats().recycled, 3);
     }
 
     #[test]
@@ -362,11 +385,14 @@ mod tests {
         let pool = BufferPool::new();
         let mut buf = pool.take();
         buf.resize_zeroed(SLAB_CAPACITY);
-        drop(buf);
+        let mut tiny = pool.take_for(40);
+        tiny.resize_zeroed(200);
+        drop((buf, tiny));
         let parked = |class: usize| pool.inner.borrow().free[class].len();
-        assert_eq!((parked(0), parked(1)), (0, 1));
+        assert_eq!((parked(0), parked(1), parked(2)), (0, 1, 1));
         assert!(pool.take_for(1_562).capacity() >= SLAB_CAPACITY);
-        assert_eq!(pool.stats().allocated, 1);
+        assert!(pool.take_for(217).capacity() >= SMALL_SLAB_CAPACITY);
+        assert_eq!(pool.stats().allocated, 2);
     }
 
     #[test]
@@ -438,13 +464,13 @@ mod tests {
         drop(q);
         assert_eq!(pool.stats().outstanding, 1, "last drop did");
         drop(other);
-        assert_eq!(pool.inner.borrow().free[0].len(), 2);
+        assert_eq!(pool.inner.borrow().free[1].len(), 2);
     }
 
     #[test]
     fn pool_dropped_before_its_packets_frees_them() {
         let pool = BufferPool::new();
-        let in_flight: Vec<(Packet, Packet)> = [40, 1_562]
+        let in_flight: Vec<(Packet, Packet)> = [40, 217, 1_562]
             .into_iter()
             .map(|len| {
                 let mut buf = pool.take_for(len);
@@ -455,7 +481,7 @@ mod tests {
             .collect();
         // One parked slab per class; nothing checks them out again (a
         // checkout needs the slab's only handle, weak ones included).
-        let parked = [pool.take_for(40), pool.take_for(1_562)];
+        let parked = [pool.take_for(40), pool.take_for(217), pool.take_for(1_562)];
         let parked_slabs = parked
             .each_ref()
             .map(|buf| Rc::downgrade(&buf.packet.shared));
@@ -468,7 +494,7 @@ mod tests {
         );
         assert!(
             parked_slabs.iter().all(|slab| slab.upgrade().is_none()),
-            "both classes' parked slabs are freed with the pool"
+            "every class's parked slabs are freed with the pool"
         );
         for (p, q) in in_flight {
             assert_eq!(&*q, b"orphan", "bytes outlive the pool");
