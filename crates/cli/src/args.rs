@@ -32,8 +32,6 @@ SCAN FLAGS:
     --monitor                        print ZMap-style progress lines
     --metrics-out <path>             write the telemetry snapshot as JSON
     --pcap <path>                    record the scan and save it as pcap
-    --stateless-first                ZBanner-style hybrid mode: stateless cookie
-                                     discovery, stateful sessions for responders
     --syn-retries <n>                SYN retransmits for silent targets [default: 0]
     --probe-retries <n>              retry budget per probe connection  [default: 0]
     --watchdog <secs>                per-session deadline, ≥ 17 or 0 = off [default: 0]
@@ -125,8 +123,6 @@ pub struct ScanArgs {
     pub quiet: bool,
     /// Print ZMap-style progress lines while scanning.
     pub monitor: bool,
-    /// Stateless-first hybrid discovery (ZBanner-style).
-    pub stateless_first: bool,
     /// Optional telemetry-snapshot output path.
     pub metrics_out: Option<String>,
     /// Optional pcap output path (records the scan's wire traffic).
@@ -171,7 +167,6 @@ impl Default for ScanArgs {
             json: None,
             quiet: false,
             monitor: false,
-            stateless_first: false,
             metrics_out: None,
             pcap: None,
             syn_retries: 0,
@@ -342,7 +337,7 @@ impl Cli {
             if !flag.starts_with("--") {
                 return Err(ParseError::UnknownFlag(flag.to_string()));
             }
-            if flag == "--quiet" || flag == "--monitor" || flag == "--stateless-first" {
+            if flag == "--quiet" || flag == "--monitor" {
                 bare.insert(flag.to_string());
                 i += 1;
                 continue;
@@ -445,7 +440,6 @@ impl Cli {
                 args.flight_out = get("--flight-out");
                 args.quiet = bare.contains("--quiet");
                 args.monitor = bare.contains("--monitor");
-                args.stateless_first = bare.contains("--stateless-first");
                 match command.as_str() {
                     "scan" => Command::Scan(args),
                     "alexa" => Command::Alexa(args),
@@ -563,24 +557,6 @@ mod tests {
                 assert_eq!(a.metrics_out, None);
                 assert_eq!(a.pcap, None);
             }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn stateless_first_is_a_bare_flag() {
-        match Cli::parse(&argv("scan --stateless-first --quiet"))
-            .unwrap()
-            .command
-        {
-            Command::Scan(a) => {
-                assert!(a.stateless_first);
-                assert!(a.quiet);
-            }
-            other => panic!("{other:?}"),
-        }
-        match Cli::parse(&argv("scan")).unwrap().command {
-            Command::Scan(a) => assert!(!a.stateless_first),
             other => panic!("{other:?}"),
         }
     }

@@ -84,7 +84,6 @@ fn apply_resilience(config: &mut ScanConfig, args: &ScanArgs) {
             Some(iw_netsim::Duration::from_secs(args.watchdog_secs));
     }
     config.resilience.max_sessions = args.max_sessions;
-    config.stateless_first = args.stateless_first;
 }
 
 /// Reject a configuration the scanner would run without measuring

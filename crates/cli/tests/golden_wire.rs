@@ -1,10 +1,12 @@
-//! The wire goldens of `tests/golden/README.md`, checked where `cargo
-//! test` runs: the flight-recorder scan and the TLS wire scan, run
-//! through the entry point `iwscan` calls, must write `smoke.pcap` and
-//! `smoke.tls.pcap` byte for byte, and the TLS scan's `--json` must not
-//! change at `--threads 4`. Every byte a host sends is written into its
-//! packet from a description (the page head included), so these files
-//! are what hold those bytes.
+//! The goldens of `tests/golden/README.md`, checked where `cargo test`
+//! runs. Each scan runs through the entry point `iwscan` calls and must
+//! write its fixtures byte for byte: the smoke scan its trace, stream,
+//! metrics and results (and the same trace and results at `--threads
+//! 4`), the flight-recorder scan `smoke.flight.jsonl` and `smoke.pcap`,
+//! the TLS wire scan `smoke.tls.pcap` (and the same `--json` at
+//! `--threads 4`). Every byte a host sends is written into its packet
+//! from a description (the page head included), so the pcaps are what
+//! hold those bytes.
 #![expect(
     clippy::expect_used,
     reason = "helpers outside the #[test] fns fail their test by panicking"
@@ -58,6 +60,77 @@ fn golden(name: &str) -> Vec<u8> {
     )
 }
 
+/// `iwscan inspect` summarizes an output file without error.
+fn inspect(dir: &Path, file: &str) {
+    let argv = [
+        "inspect".to_string(),
+        dir.join(file).to_string_lossy().into_owned(),
+    ];
+    assert_eq!(iw_cli::run(&argv), Ok(0), "iwscan {argv:?}");
+}
+
+#[test]
+fn the_smoke_scan_writes_the_golden_telemetry_at_any_thread_count() {
+    let dir = out_dir("smoke");
+    let smoke = |threads: &str, extra: &[&str]| {
+        let mut args = vec![
+            "--scale",
+            "small",
+            "--sample",
+            "0.02",
+            "--seed",
+            "7",
+            "--threads",
+            threads,
+            "--quiet",
+        ];
+        args.extend_from_slice(extra);
+        scan(&dir, &args);
+    };
+    smoke(
+        "1",
+        &[
+            "--json",
+            "@out.results.json",
+            "--trace-out",
+            "@out.trace.json",
+            "--stream-out",
+            "@out.stream.jsonl",
+            "--metrics-out",
+            "@out.metrics.json",
+        ],
+    );
+    smoke(
+        "4",
+        &[
+            "--json",
+            "@out4.results.json",
+            "--trace-out",
+            "@out4.trace.json",
+        ],
+    );
+    for (out, name) in [
+        ("out.trace.json", "smoke.trace.json"),
+        ("out.stream.jsonl", "smoke.stream.jsonl"),
+        ("out.metrics.json", "smoke.metrics.json"),
+        ("out.results.json", "smoke.results.json"),
+        // The canonical trace and the results do not change when the
+        // same scan runs sharded (DESIGN.md §11).
+        ("out4.trace.json", "smoke.trace.json"),
+        ("out4.results.json", "smoke.results.json"),
+    ] {
+        assert_same_bytes(
+            &read(&dir.join(out)),
+            &golden(name),
+            &format!("{out} vs {name}"),
+        );
+    }
+    for file in ["out.trace.json", "out.stream.jsonl"] {
+        inspect(&dir, file);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn the_flight_recorder_scan_writes_the_golden_pcap() {
     let dir = out_dir("flight");
@@ -83,11 +156,13 @@ fn the_flight_recorder_scan_writes_the_golden_pcap() {
             "@out.pcap",
         ],
     );
-    assert_same_bytes(
-        &read(&dir.join("out.pcap")),
-        &golden("smoke.pcap"),
-        "smoke.pcap",
-    );
+    for (out, name) in [
+        ("out.pcap", "smoke.pcap"),
+        ("out.flight.jsonl", "smoke.flight.jsonl"),
+    ] {
+        assert_same_bytes(&read(&dir.join(out)), &golden(name), name);
+    }
+    inspect(&dir, "out.flight.jsonl");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

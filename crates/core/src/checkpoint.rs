@@ -44,11 +44,15 @@ use std::fmt::Write as _;
 /// instead of firing, so every run processes fewer events); 5 = the
 /// SYN and probe backoffs are constants, and the config digest no
 /// longer carries them; 6 = a promoted handshake without SYN retries
-/// gives up (stateless-first runs without SYN retries process its
+/// gives up (discovery-sweep runs without SYN retries process its
 /// give-up timer and count its `GaveUp`); 7 = the `scan.invariant.*`
-/// counters. Older files are refused by name instead of being replayed
-/// into a `Diverged` barrier.
-pub const CHECKPOINT_VERSION: u64 = 7;
+/// counters; 8 = one front-end: the promotion queue and the
+/// `scan.discovery.*` counters are gone, `scan.synack.*` counts rejected
+/// SYN-ACKs, and a silent target waits for its give-up only with the
+/// flight recorder on (so `pending` no longer lists spent budgets, and
+/// hardened runs process fewer events). Older files are refused by name
+/// instead of being replayed into a `Diverged` barrier.
+pub const CHECKPOINT_VERSION: u64 = 8;
 
 /// The `kind` discriminator in the file header.
 pub const CHECKPOINT_KIND: &str = "iwscan-campaign-checkpoint";
@@ -203,15 +207,11 @@ pub struct ShardCheckpoint {
     pub exhausted: bool,
     /// SYNs sent (admitted targets actually probed).
     pub targets_sent: u64,
-    /// Targets awaiting their SYN-ACK (`Handshake`) as sorted
-    /// `(ip, retries_used)` pairs.
+    /// Silent targets still owed a SYN retry (or, with the flight
+    /// recorder on, their give-up) as sorted `(ip, retries_used)` pairs.
     pub pending: Vec<(u32, u32)>,
     /// Live session and path-MTU probe addresses, sorted.
     pub sessions: Vec<u32>,
-    /// Responders queued for promotion to a stateful session
-    /// (stateless-first mode), in queue order — promotion is FIFO, so
-    /// the order is part of the observable state, not a set.
-    pub promotions: Vec<u32>,
     /// Host results recorded so far.
     pub results_recorded: u64,
     /// Streaming-telemetry records emitted so far.
@@ -250,8 +250,6 @@ impl ShardCheckpoint {
         };
         out.push_str(",\"sessions\":");
         push_array(out, &self.sessions, push_ip);
-        out.push_str(",\"promotions\":");
-        push_array(out, &self.promotions, push_ip);
         let _ = write!(
             out,
             ",\"results_recorded\":{},\"stream_records\":{},\"counters\":{{",
@@ -282,7 +280,6 @@ impl ShardCheckpoint {
             targets_sent: req(value, "targets_sent", JsonValue::as_u64)?,
             pending: req(value, "pending", list(pair))?,
             sessions: req(value, "sessions", list(as_u32))?,
-            promotions: req(value, "promotions", list(as_u32))?,
             results_recorded: req(value, "results_recorded", JsonValue::as_u64)?,
             stream_records: req(value, "stream_records", JsonValue::as_u64)?,
             counters: req(value, "counters", |v| {
@@ -419,9 +416,9 @@ mod tests {
             source: Ipv4Addr::new(10, 0, 0, 1),
             verify_exhaustion: true,
             record_trace: false,
-            stateless_first: false,
             telemetry: TelemetryConfig::default(),
             resilience: ResilienceConfig::hardened(),
+            ..ScanConfig::study(Protocol::Http, 1 << 12, 0)
         }
     }
 
@@ -445,7 +442,6 @@ mod tests {
                     targets_sent: 1200,
                     pending: vec![(167772161, 1), (167772170, 0)],
                     sessions: vec![167772162, 167772163],
-                    promotions: vec![167772165, 167772164],
                     results_recorded: 1100,
                     stream_records: 3,
                     counters: vec![
@@ -488,10 +484,10 @@ mod tests {
         );
         // Files from before the retry FIFOs (1), the one target table (2),
         // keyed timers (3), the constant backoffs (4), the promoted
-        // handshake's give-up (5) or the invariant counters (6) capture
-        // different events or state: refused cleanly, never replayed to a
-        // divergence.
-        for other in [1, 2, 3, 4, 5, 6, CHECKPOINT_VERSION + 1] {
+        // handshake's give-up (5), the invariant counters (6) or the one
+        // front-end (7) capture different events or state: refused
+        // cleanly, never replayed to a divergence.
+        for other in [1, 2, 3, 4, 5, 6, 7, CHECKPOINT_VERSION + 1] {
             let foreign = json.replace(&current, &format!("\"version\":{other},"));
             assert_eq!(
                 CampaignCheckpoint::parse(&foreign).unwrap_err(),
@@ -595,10 +591,5 @@ mod tests {
         tweaked.cursor_next += 1;
         assert_ne!(a, tweaked.canonical_json());
         assert_eq!(a, ckpt.shards[0].clone().canonical_json());
-        // Promotion is FIFO, so queue *order* is observable state: the
-        // same set in a different order is a different barrier token.
-        let mut reordered = ckpt.shards[0].clone();
-        reordered.promotions.reverse();
-        assert_ne!(a, reordered.canonical_json());
     }
 }

@@ -4,7 +4,6 @@
 
 use crate::blacklist::ScanFilter;
 use crate::checkpoint::ConfigDigest;
-use crate::cookie;
 use crate::results::Protocol;
 use crate::session::MAX_PROBES_PER_HOST;
 use iw_netsim::Duration;
@@ -53,13 +52,10 @@ pub struct ScanConfig {
     pub verify_exhaustion: bool,
     /// Record the simulated wire traffic (pcap export).
     pub record_trace: bool,
-    /// Stateless-first hybrid mode (ZBanner-style): discovery SYNs carry
-    /// their whole per-flow state in the source port + ISN cookie, and a
-    /// target only earns a table entry once its SYN-ACK validates and it
-    /// is promoted to a full stateful IW-inference session (until then
-    /// it costs at most its 4-byte address in a retry FIFO per backoff
-    /// window). Applies to the TCP inference protocols (`Http`/`Tls`);
-    /// `PortScan` is already stateless and `IcmpMtu` has no handshake.
+    /// Inert: no scan reads it, and the digest does not carry it. The
+    /// scanner has one front-end (DESIGN.md §15); the field stays only
+    /// because the benchmark's campaign adapter still sets it.
+    #[doc(hidden)]
     pub stateless_first: bool,
     /// Telemetry knobs (event log, RTT tracking, progress monitor).
     pub telemetry: TelemetryConfig,
@@ -67,18 +63,17 @@ pub struct ScanConfig {
     pub resilience: ResilienceConfig,
 }
 
-/// Delay before the first SYN retry (both the stateful and the discovery
-/// path); doubles per attempt.
+/// Delay before the first SYN retry; doubles per attempt.
 pub const SYN_BACKOFF: Duration = Duration::from_secs(1);
 
 /// Delay before the first probe retry connection; doubles per attempt.
 pub const PROBE_BACKOFF: Duration = Duration::from_millis(500);
 
 /// The largest SYN or probe retry budget [`ScanConfig::validate`]
-/// accepts: a discovery SYN names its attempt in one of
-/// [`cookie::DISCOVERY_MAX_ATTEMPTS`] source ports, and the doubling
-/// backoffs and the probe source-port strides stay in range far beyond it.
-pub const MAX_RETRIES: u32 = cookie::DISCOVERY_MAX_ATTEMPTS - 1;
+/// accepts: the last SYN retry it allows waits [`SYN_BACKOFF`]` << 14`
+/// (4.5 h), longer than any campaign runs, and the doubling backoffs and
+/// the probe source-port strides stay in range far beyond it.
+pub const MAX_RETRIES: u32 = 15;
 
 /// Resilience knobs: retry budgets, the per-session watchdog and the
 /// concurrency cap. Everything defaults to off so the baseline scan is
@@ -224,7 +219,6 @@ impl ScanConfig {
             ("blacklist_addrs", f.blacklist.address_count().into()),
             ("verify_exhaustion", self.verify_exhaustion.into()),
             ("record_trace", self.record_trace.into()),
-            ("stateless_first", self.stateless_first.into()),
             ("syn_retries", r.syn_retries.into()),
             ("probe_retries", r.probe_retries.into()),
             ("watchdog_nanos", nanos(r.session_deadline)),
@@ -309,8 +303,8 @@ pub enum ConfigError {
     /// force-concluding perfectly healthy sessions.
     WatchdogBelowFloor(Duration),
     /// A retry budget (`syn_retries` or `probe_retries`, named) above
-    /// [`MAX_RETRIES`]: past it a discovery attempt has no source port
-    /// of its own, and further on the doubling backoff overflows.
+    /// [`MAX_RETRIES`]: past it a retry waits longer than any campaign
+    /// runs, and further on the doubling backoff overflows.
     TooManyRetries(&'static str, u32),
 }
 
@@ -388,7 +382,7 @@ mod tests {
         // One row per digest input: changing that knob alone makes
         // `first_mismatch` name it.
         type Change = fn(&mut ScanConfig);
-        let rows: [(&str, Change); 24] = [
+        let rows: [(&str, Change); 23] = [
             ("seed", |c| c.seed = 1),
             ("protocol", |c| c.protocol = Protocol::Tls),
             ("targets", |c| c.targets = TargetSpec::List(vec![(1, None)])),
@@ -408,7 +402,6 @@ mod tests {
             }),
             ("verify_exhaustion", |c| c.verify_exhaustion = false),
             ("record_trace", |c| c.record_trace = true),
-            ("stateless_first", |c| c.stateless_first = true),
             ("syn_retries", |c| c.resilience.syn_retries += 1),
             ("probe_retries", |c| c.resilience.probe_retries += 1),
             ("watchdog_nanos", |c| {

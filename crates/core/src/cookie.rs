@@ -8,46 +8,13 @@
 
 use iw_internet::util::mix;
 
-/// Base source port for stateless discovery SYNs. The retry attempt is
-/// encoded as an offset from this base (ZBanner-style: the flow tuple
-/// *is* the per-target state), so a SYN-ACK's destination port tells us
-/// which transmission elicited it without any `pending` map lookup.
-///
-/// The discovery block `[39000, 39000 + DISCOVERY_MAX_ATTEMPTS)` is
-/// disjoint from the stateful session block (base 40000 upward), so a
-/// segment's destination port alone routes it to the right state
-/// machine.
-pub const DISCOVERY_BASE_SPORT: u16 = 39_000;
-
-/// Width of the discovery source-port block: the attempt counter must
-/// stay below this so decode is unambiguous.
-pub const DISCOVERY_MAX_ATTEMPTS: u32 = 16;
-
-/// The discovery source port encoding `attempt` (0-based transmission
-/// index, capped at [`DISCOVERY_MAX_ATTEMPTS`]`- 1`).
-pub fn discovery_sport(attempt: u32) -> u16 {
-    debug_assert!(attempt < DISCOVERY_MAX_ATTEMPTS);
-    DISCOVERY_BASE_SPORT + (attempt.min(DISCOVERY_MAX_ATTEMPTS - 1) as u16)
-}
-
-/// Decode a segment's destination port back into a discovery attempt,
-/// or `None` if the port lies outside the discovery block.
-pub fn discovery_attempt(dst_port: u16) -> Option<u32> {
-    let offset = dst_port.checked_sub(DISCOVERY_BASE_SPORT)?;
-    if u32::from(offset) < DISCOVERY_MAX_ATTEMPTS {
-        Some(u32::from(offset))
-    } else {
-        None
-    }
-}
-
 /// Taxonomy of a SYN-ACK's acknowledgment number against the cookie.
 ///
 /// Distinguishing *how* validation failed matters operationally: a raw
 /// ISN echo (`ack == isn`, off by exactly the missing `+1`) fingerprints
 /// broken middleboxes and simplistic responders, while an arbitrary
 /// mismatch is stale duplicates or spoofed backscatter. Both are dropped,
-/// but they increment different `scan.discovery.*` counters.
+/// but they increment different `scan.synack.*` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SynAckCheck {
     /// `ack == isn + 1`: the genuine response to our SYN.
@@ -139,45 +106,23 @@ mod tests {
     }
 
     #[test]
-    fn discovery_sport_round_trips_every_attempt() {
-        for attempt in 0..DISCOVERY_MAX_ATTEMPTS {
-            let sport = discovery_sport(attempt);
-            assert_eq!(discovery_attempt(sport), Some(attempt));
-        }
-    }
-
-    #[test]
-    fn discovery_block_is_disjoint_from_session_block() {
-        // Stateful sessions allocate source ports from 40000 upward;
-        // ports outside the discovery block must decode to None.
-        assert_eq!(discovery_attempt(40_000), None);
-        assert_eq!(discovery_attempt(40_001), None);
-        assert_eq!(
-            discovery_attempt(DISCOVERY_BASE_SPORT + DISCOVERY_MAX_ATTEMPTS as u16),
-            None
-        );
-        assert_eq!(discovery_attempt(DISCOVERY_BASE_SPORT - 1), None);
-        assert_eq!(discovery_attempt(0), None);
-    }
-
-    #[test]
     fn synack_taxonomy() {
         let key = CookieKey::new(99);
-        let isn = key.isn(0x0a000001, 39_000, 80);
+        let isn = key.isn(0x0a000001, 40_000, 80);
         assert_eq!(
-            key.classify_synack(0x0a000001, 39_000, 80, isn.wrapping_add(1)),
+            key.classify_synack(0x0a000001, 40_000, 80, isn.wrapping_add(1)),
             SynAckCheck::Valid
         );
         assert_eq!(
-            key.classify_synack(0x0a000001, 39_000, 80, isn),
+            key.classify_synack(0x0a000001, 40_000, 80, isn),
             SynAckCheck::RawIsnEcho
         );
         assert_eq!(
-            key.classify_synack(0x0a000001, 39_000, 80, isn.wrapping_add(2)),
+            key.classify_synack(0x0a000001, 40_000, 80, isn.wrapping_add(2)),
             SynAckCheck::Mismatch
         );
         assert_eq!(
-            key.classify_synack(0x0a000001, 39_000, 80, 0xdead_beef),
+            key.classify_synack(0x0a000001, 40_000, 80, 0xdead_beef),
             SynAckCheck::Mismatch
         );
     }

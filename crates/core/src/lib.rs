@@ -26,11 +26,11 @@
 //! detection. [`config`] says what a scan is asked to do and rejects
 //! what it cannot measure. [`scanner`] is the event-driven engine: its
 //! file is the dispatch by target state, and its submodules own the rest
-//! of its state — `discovery` (the stateless-first phase and its
-//! promotion queue), `resilience` (SYN retries, eviction, watchdog),
-//! `mtu` (the path-MTU prober) and `timer` (the timer-token layout).
+//! of its state — `resilience` (SYN retries, eviction, watchdog), `mtu`
+//! (the path-MTU prober) and `timer` (the timer-token layout).
 //! `target.rs` holds its one lifecycle per target address and `retry.rs`
-//! the per-level retransmission FIFOs both retry paths use. [`driver`]
+//! the per-level retransmission FIFOs the SYN retries and the concluded
+//! hold use. [`driver`]
 //! wires it to `iw-netsim`/`iw-internet` and runs sharded scans on real
 //! threads.
 //!

@@ -7,8 +7,8 @@
 //! and the progress monitor. Each counter that counts an [`Event`] is
 //! incremented in [`Observer::emit`] and nowhere else, so the event log
 //! and the counters cannot drift apart. Counters of things that are not
-//! observations (pacing waits, discovery bookkeeping, checkpoint
-//! captures) stay with the scanner, through [`Observer::metrics`].
+//! observations (pacing waits, rejected answers, checkpoint captures)
+//! stay with the scanner, through [`Observer::metrics`].
 //!
 //! Telemetry holds what is live, not what happened. A target whose only
 //! history is its first SYN holds one stamp in total, whatever products
@@ -19,8 +19,8 @@
 //! instants (a pacing tick sends hundreds of SYNs at one instant) plus
 //! one bit per product still holding it; the ring's ISN is derived from
 //! the cookie, not stored. It lives until its last holder lets go: the
-//! answer is timed, or Karn's rule, an ICMP error, a drain or any state
-//! but `Handshake` makes it untimable; the recorder builds the ring or
+//! answer is timed, or Karn's rule, an ICMP error, a drain or a table
+//! entry makes it untimable; the recorder builds the ring or
 //! the target concludes; or the sweep expires it.
 //!
 //! A shard's recording and a run's output are one type, [`ScanTelemetry`]:
@@ -47,9 +47,10 @@ use std::collections::VecDeque;
 pub(crate) enum Event<'a> {
     /// A session lifecycle transition.
     Session(SessionEvent),
-    /// The target's first stateful SYN left, carrying this cookie ISN:
-    /// its stamp.
-    Syn(u32),
+    /// A SYN of the target's first flow left, carrying this cookie ISN,
+    /// as transmission `attempt`: attempt 0 is the target's stamp, a
+    /// later one a retransmission (`SynRetried`; Karn's rule).
+    Syn(u32, u8),
     /// A TCP segment crossed the wire for this target (`true` = sent by
     /// the scanner).
     Wire(bool, &'a tcp::Segment<'a>),
@@ -57,7 +58,7 @@ pub(crate) enum Event<'a> {
     /// span, if its stamp still times the answer.
     SynAnswered,
     /// The target's SYN can no longer be timed (the scan drains, an ICMP
-    /// error arrived, or the target left `Handshake`): its stamp stops
+    /// error arrived, or the target took a table entry): its stamp stops
     /// holding for the RTT. (A retransmitted SYN is untimed by its
     /// `SynRetried`, Karn's rule.)
     Untimed,
@@ -104,9 +105,9 @@ pub(crate) fn error_counter(kind: ErrorKind) -> Counter {
 }
 
 /// The harvest-time `scan.invariant.*` counters of a drained world, from
-/// its kernel accounting, the work it left (sessions, promoted
-/// handshakes, retry-FIFO entries, queued promotions), its records'
-/// addresses (results, open ports), its results and sessions started.
+/// its kernel accounting, the work it left (sessions, retry-FIFO
+/// entries), its records' addresses (results, open ports), its results
+/// and sessions started.
 pub(crate) fn unbalanced(
     s: &SimStats,
     work_left: u64,
@@ -139,6 +140,9 @@ pub(crate) struct Observer {
     record_rtt: bool,
     /// The SYN's answer feeds the RTT histogram or the handshake span.
     time_answers: bool,
+    /// A product besides the counters reads SYN events: the event log
+    /// (tally or watch set), the RTT stamps or the flight recorder.
+    syn_subscribers: bool,
     shard: u32,
     log: EventLog,
     /// Session-phase spans (scan scope) plus the count of this shard's
@@ -169,7 +173,7 @@ pub(crate) struct SynFlow {
 }
 
 impl SynFlow {
-    fn isn(&self, ip: u32) -> u32 {
+    pub(crate) fn isn(&self, ip: u32) -> u32 {
         self.cookie.isn(ip, self.sport, self.dport)
     }
 }
@@ -267,6 +271,10 @@ impl Observer {
             metrics: MetricsRegistry::from_manifest(),
             record_rtt: config.record_rtt,
             time_answers: config.record_rtt || config.record_spans,
+            syn_subscribers: config.record_events
+                || config.record_rtt
+                || config.record_spans
+                || config.flight_recorder,
             shard,
             log: EventLog::new(config.record_events),
             tracer: Tracer::new(config.record_spans),
@@ -286,12 +294,30 @@ impl Observer {
 
     /// Keep every later event of these addresses as a record.
     pub(crate) fn watch(&mut self, ips: impl IntoIterator<Item = u32>) {
+        let mut ips = ips.into_iter().peekable();
+        self.syn_subscribers |= ips.peek().is_some();
         self.log.watch(ips);
     }
 
     /// Record one observation in every product that subscribes to it.
-    #[inline]
+    /// A SYN is the hottest observation, several per silent target: when
+    /// no product but the counters reads it, it costs a flag and at most
+    /// a counter where it is reported, not a call.
+    #[inline(always)]
     pub(crate) fn emit(&mut self, now: Instant, ip: u32, event: Event<'_>) {
+        match event {
+            Event::Syn(_, attempt) if !self.syn_subscribers => {
+                if attempt > 0 {
+                    self.metrics.inc(Counter::SynRetries);
+                }
+            }
+            event => self.record(now, ip, event),
+        }
+    }
+
+    /// [`Self::emit`], out of line: every product's subscription.
+    #[inline(never)]
+    fn record(&mut self, now: Instant, ip: u32, event: Event<'_>) {
         let n = now.as_nanos();
         let m = &mut self.metrics;
         match event {
@@ -313,18 +339,12 @@ impl Observer {
                     SessionEvent::SessionFinished { outcome } => {
                         m.inc(outcome_counters(outcome).1);
                     }
-                    SessionEvent::SynRetried { .. } => {
-                        m.inc(Counter::SynRetries);
-                        // Karn's rule: once a SYN is retransmitted, a later
-                        // SYN-ACK may answer either transmission, so it
-                        // is not timed.
-                        self.stamps.release(ip, TIMED);
-                    }
                     SessionEvent::ProbeRetried { .. } => m.inc(Counter::ProbesRetried),
                     SessionEvent::WatchdogForced => m.inc(Counter::SessionsWatchdogForced),
                     SessionEvent::SessionEvicted => m.inc(Counter::SessionsEvicted),
                     SessionEvent::IcmpUnreachable => m.inc(Counter::IcmpUnreachable),
                     SessionEvent::SynSent
+                    | SessionEvent::SynRetried { .. }
                     | SessionEvent::ProbeStarted { .. }
                     | SessionEvent::FollowUpStarted { .. } => {}
                 }
@@ -352,7 +372,24 @@ impl Observer {
                 }
                 self.log.record(n, ip, ev);
             }
-            Event::Syn(isn) => {
+            Event::Syn(isn, attempt @ 1..) => {
+                m.inc(Counter::SynRetries);
+                let ev = SessionEvent::SynRetried { attempt };
+                if self.time_answers {
+                    // Karn's rule: once a SYN is retransmitted, a later
+                    // SYN-ACK may answer either transmission, so it is
+                    // not timed.
+                    self.stamps.release(ip, TIMED);
+                }
+                if self.flight.is_enabled() {
+                    self.flight_ring(ip);
+                    self.flight.note_state(ip, n, ev);
+                    let syn = tcp::Flags::SYN.bits();
+                    self.flight.note_wire(ip, n, true, syn, isn, 0, 0);
+                }
+                self.log.record(n, ip, ev);
+            }
+            Event::Syn(isn, 0) => {
                 self.log.record(n, ip, SessionEvent::SynSent);
                 let mut holds = if self.time_answers { TIMED } else { 0 };
                 if self.flight.is_enabled() {
@@ -668,7 +705,7 @@ mod tests {
     fn a_first_syn_is_a_stamp_until_the_next_event() {
         let mut obs = observer(true, true, true);
         let (ip, isn) = (4, flow().isn(4));
-        obs.emit(Instant::from_nanos(10), ip, Event::Syn(isn));
+        obs.emit(Instant::from_nanos(10), ip, Event::Syn(isn, 0));
         assert_eq!(obs.live_histories(), 1, "a silent target holds one stamp");
         assert!(!obs.flight.has_ring(ip), "and no ring");
         let synack = Flags::SYN | Flags::ACK;
@@ -795,7 +832,7 @@ mod tests {
                 match rng.below(12) {
                     0 | 1 => {
                         let isn = flow().isn(ip);
-                        obs.emit(now, ip, Event::Syn(isn));
+                        obs.emit(now, ip, Event::Syn(isn, 0));
                         if rtt || spans {
                             syn_ts.insert(ip, t);
                         }
@@ -803,10 +840,15 @@ mod tests {
                     }
                     2 | 3 => {
                         let ev = events[rng.below(events.len() as u64) as usize];
-                        obs.emit(now, ip, Event::Session(ev));
                         eager.note_state(ip, t, ev);
-                        if matches!(ev, SessionEvent::SynRetried { .. }) {
+                        if let SessionEvent::SynRetried { attempt } = ev {
+                            // A retransmission is a SYN event of its own.
+                            let isn = flow().isn(ip);
+                            obs.emit(now, ip, Event::Syn(isn, attempt));
+                            eager.note_wire(ip, t, true, Flags::SYN.bits(), isn, 0, 0);
                             syn_ts.remove(&ip);
+                        } else {
+                            obs.emit(now, ip, Event::Session(ev));
                         }
                         seen[2] += u32::from(flight_held);
                     }

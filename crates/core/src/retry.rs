@@ -1,5 +1,4 @@
-//! Retransmission FIFOs: the scanner's SYN and discovery retries, off
-//! the timer wheel.
+//! Retransmission FIFOs: the scanner's SYN retries, off the timer wheel.
 //!
 //! Every retransmission at backoff level `k` waits the same constant
 //! delay (`SYN_BACKOFF << k`) and is queued at a monotonic `now`, so a
@@ -21,8 +20,8 @@
 //! and `rearm` tell the caller when, and for how long, to arm the level's
 //! timer, so the `armed` flag is the single guard against arming twice.
 //! [`RetryLevels`] is one retry path's stack of levels and does the
-//! arming with the drain-timer token its owner names per level; the
-//! stateful SYN path and the discovery path each hold one.
+//! arming with the drain-timer token its owner names per level; the SYN
+//! retry path holds one.
 
 use crate::config::SYN_BACKOFF;
 use iw_netsim::{Duration, Effects, Instant, TimerToken};

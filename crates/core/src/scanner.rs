@@ -6,24 +6,24 @@
 //! paces stateless SYNs (or ICMP echos) with a token bucket. The receive
 //! side validates SYN-ACKs against the ISN cookie and only then
 //! allocates the stateful per-host probe session — the "lightweight
-//! fashion" extension the paper adds to ZMap (§3.4).
+//! fashion" extension the paper adds to ZMap (§3.4). A silent target
+//! costs no state beyond its address in a retry FIFO while a
+//! retransmission is owed.
 //!
 //! This file holds the dispatch: every packet and timer is routed on its
 //! target's `Target` state or its `Timer`, plus pacing, session open
 //! and output, and the telemetry ticks. The state with a life of its own
-//! sits in three submodules: `discovery` (the stateless-first phase, its
-//! retry FIFOs and the promotion queue), `resilience` (the SYN-retry
-//! FIFOs, the eviction order and the watchdog) and `mtu` (the RFC 1191
-//! prober); `timer` holds the one timer-token layout.
+//! sits in two submodules: `resilience` (the SYN-retry FIFOs, the
+//! eviction order and the watchdog) and `mtu` (the RFC 1191 prober);
+//! `timer` holds the one timer-token layout.
 
-mod discovery;
 mod mtu;
 mod resilience;
 mod timer;
 
 use crate::checkpoint::ShardCheckpoint;
 use crate::config::{ScanConfig, TargetSpec, SYN_BACKOFF};
-use crate::cookie::{self, CookieKey};
+use crate::cookie::{CookieKey, SynAckCheck};
 use crate::observe::{error_counter, outcome_counters, Event, Observer, ScanTelemetry, SynFlow};
 use crate::permutation::{Permutation, ShardIter};
 use crate::rate::{shard_rate, TokenBucket};
@@ -31,7 +31,6 @@ use crate::results::{ErrorKind, HostResult, MssVerdict, MtuResult, ProbeOutcome,
 use crate::session::{HostSession, SessionOutput, SessionParams};
 use crate::table::IpMap;
 use crate::target::{Target, Targets};
-use discovery::Discovery;
 use iw_hoststack::{tcb::synack_retransmit_span, OsProfile};
 use iw_internet::util::mix;
 use iw_netsim::{Duration, Effects, Endpoint, HostFactory, Instant, Sim, TimerToken};
@@ -103,10 +102,6 @@ pub struct Scanner {
     /// sessions. A silent target has no entry: while it owes a retry its
     /// address waits in a retry FIFO, whose level is its attempt count.
     targets: Targets,
-    /// The stateless-first discovery phase: `Some` exactly when it
-    /// applies (the inference protocols handshake over TCP and benefit;
-    /// `PortScan` is already stateless and `IcmpMtu` has no handshake).
-    discovery: Option<Discovery>,
     /// Stateful SYN retries and the `max_sessions` eviction order.
     resilience: Resilience,
     /// Set by [`Self::begin_drain`]: no response opens new work.
@@ -119,9 +114,10 @@ pub struct Scanner {
     ident: u16,
     /// Prebuilt SYN datagram (source, destination port, window and MSS
     /// option are fixed for the whole scan). Per target only the address,
-    /// the IPv4 ident, the source port (discovery: the attempt) and the
-    /// cookie ISN are patched in.
+    /// the IPv4 ident, the source port and the cookie ISN are patched in.
     syn_template: SynTemplate,
+    /// The flow of every target's first SYN and its retries.
+    syn_flow: SynFlow,
     /// The metrics and every telemetry product, fed through
     /// [`Observer::emit`]. It holds the one stamp of each target whose
     /// first SYN a product still needs; telemetry only, no decision
@@ -191,9 +187,6 @@ impl Scanner {
         };
         let obs = Observer::new(&config.telemetry, config.shard.0, syn_flow);
         let targets = Targets::new(concluded_hold(config.resilience.syn_retries));
-        let discovery = (config.stateless_first
-            && matches!(config.protocol, Protocol::Http | Protocol::Tls))
-        .then(Discovery::new);
         let syn_template = SynTemplate::new(
             config.source,
             &tcp::Repr {
@@ -209,7 +202,6 @@ impl Scanner {
             generator,
             exhausted: false,
             targets,
-            discovery,
             resilience: Resilience::new(),
             draining: false,
             domains: IpMap::new(),
@@ -218,6 +210,7 @@ impl Scanner {
             mtu_results: Vec::new(),
             ident: 1,
             syn_template,
+            syn_flow,
             obs,
             targets_total,
         }
@@ -287,13 +280,12 @@ impl Scanner {
         self.obs.watch(ips);
     }
 
-    /// Retransmissions queued behind their backoff, over every level of
-    /// both retry paths (diagnostics; the honest per-target footprint of
-    /// a hardened scan — at most `rate × (backoff window)` entries, and
-    /// zero once the scan drains).
+    /// SYN retransmissions queued behind their backoff, over every level
+    /// (diagnostics; the honest per-target footprint of a hardened scan —
+    /// at most `rate × (backoff window)` entries, and zero once the last
+    /// retry has left, unless the flight recorder waits for give-ups).
     pub fn retry_backlog(&self) -> usize {
-        let discovery = self.discovery.as_ref().map_or(0, Discovery::retry_backlog);
-        self.resilience.retry_backlog() + discovery
+        self.resilience.retry_backlog()
     }
 
     /// Frozen metrics snapshot (merge across shards via [`Snapshot::merge`]).
@@ -311,8 +303,7 @@ impl Scanner {
         let s = sim.scanner_mut();
         let last = s.progress_sample(now);
         let unbalanced = drained.then(|| {
-            let promotions = s.discovery.as_ref().map_or(0, |d| d.queued().len());
-            let left = s.targets.live() + s.targets.promoted() + s.retry_backlog() + promotions;
+            let left = s.targets.live() + s.retry_backlog();
             let ips = s.results.iter().map(|r| r.ip);
             let records = ips.chain(s.open_ports.iter().copied()).collect();
             let started = s.obs.metrics.counter_value(Counter::SessionsStarted);
@@ -351,13 +342,6 @@ impl Scanner {
             targets_sent: self.targets_sent(),
             pending: self.pending_syns(),
             sessions,
-            // Queue order is state (promotion is FIFO), so the capture
-            // is NOT sorted — a resumed replay must reproduce the exact
-            // drain order for the tail to stay byte-identical.
-            promotions: self
-                .discovery
-                .as_ref()
-                .map_or_else(Vec::new, Discovery::queued),
             results_recorded: (self.results.len() + self.open_ports.len() + self.mtu_results.len())
                 as u64,
             stream_records: self.obs.stream_len() as u64,
@@ -375,19 +359,17 @@ impl Scanner {
     }
 
     /// Graceful-shutdown drain: stop target generation, drop every queued
-    /// retransmission and promotion, and force-conclude every live
-    /// session (recorded as [`ErrorKind::CollectTimeout`]) so the event
-    /// loop winds down on its own; from here on no response opens new
-    /// work. Every queued entry, session and MTU probe cut short counts
-    /// into `scan.checkpoint.drain_forced`.
+    /// retransmission, and force-conclude every live session (recorded
+    /// as [`ErrorKind::CollectTimeout`]) so the event loop winds down on
+    /// its own; from here on no response opens new work. Every queued
+    /// entry, session and MTU probe cut short counts into
+    /// `scan.checkpoint.drain_forced`.
     pub fn begin_drain(&mut self, now: Instant, fx: &mut Effects) {
         self.exhausted = true;
         self.draining = true;
-        // Queued retransmissions and queued responders are cut short
-        // alike: each dropped entry is forced-drain pressure. (The
+        // Each dropped retransmission is forced-drain pressure. (The
         // levels' outstanding drain timers fire into empty queues.)
-        let dropped =
-            self.drop_syn_retries(now) + self.discovery.as_mut().map_or(0, Discovery::clear);
+        let dropped = self.drop_syn_retries(now);
         self.obs
             .metrics
             .add(Counter::CheckpointDrainForced, dropped as u64);
@@ -417,14 +399,12 @@ impl Scanner {
     }
 
     /// Move `ip` to `to`, counting an undeclared edge (see
-    /// [`Targets::set`]). A target with an entry outside `Handshake` has
-    /// no SYN left to time, and a concluded one no domain.
+    /// [`Targets::set`]). A target that changes state has no SYN left to
+    /// time, and a concluded one no domain.
     fn set_target(&mut self, ip: u32, to: Option<Target>, now: Instant) {
         let undeclared = self.targets.set(ip, to, now);
         (self.obs.metrics).add(Counter::InvariantUndeclaredEdges, undeclared);
-        if to != Some(Target::Handshake) {
-            self.obs.emit(now, ip, Event::Untimed);
-        }
+        self.obs.emit(now, ip, Event::Untimed);
         if to == Some(Target::Concluded) {
             self.domains.remove(ip);
         }
@@ -489,10 +469,8 @@ impl Scanner {
     fn send_initial_probe(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
         if self.config.protocol == Protocol::IcmpMtu {
             self.start_mtu_probe(ip, now, fx);
-        } else if self.discovery.is_some() {
-            self.discover(ip, now, fx);
         } else {
-            self.send_stateful_syn(ip, false, now, fx);
+            self.send_stateful_syn(ip, now, fx);
         }
     }
 
@@ -507,14 +485,12 @@ impl Scanner {
 
     /// A cookie-valid RST answered the target's SYN: host up, port
     /// closed. A terminal verdict with no session behind it.
-    fn refusal(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
+    fn refusal(&mut self, ip: u32, now: Instant) {
         self.obs
             .emit(now, ip, Event::Session(SessionEvent::Refused));
         // A refusal is a clean conclusion: the black box is dropped.
         self.obs.emit(now, ip, Event::Verdict("refused", None));
         self.set_target(ip, Some(Target::Concluded), now);
-        // A promoted handshake's slot frees up.
-        self.try_drain_promotions(now, fx);
     }
 
     /// Periodic telemetry sweep: SYN stamps past the expiry belong to
@@ -640,9 +616,6 @@ impl Scanner {
                 .metrics
                 .gauge_set(Gauge::SessionsLivePeak, live as u64);
             self.compact_eviction_order();
-            // A concluded session frees a `max_sessions` slot: pull the
-            // next queued responder in (stateless-first mode).
-            self.try_drain_promotions(now, fx);
         }
     }
 
@@ -650,12 +623,6 @@ impl Scanner {
     fn on_tcp(&mut self, src: Ipv4Addr, seg: &tcp::Segment<'_>, now: Instant, fx: &mut Effects) {
         let ip = src.to_u32();
         self.obs.emit(now, ip, Event::Wire(false, seg));
-        // Stateless-first discovery flows live in their own source-port
-        // block, so the destination port alone routes the segment.
-        if self.discovery.is_some() && cookie::discovery_attempt(seg.dst_port).is_some() {
-            self.on_discovery_segment(src, seg, now, fx);
-            return;
-        }
         match self.targets.get(ip) {
             Some(Target::Live(index)) => {
                 if let Some(session) = self.targets.session_at(index) {
@@ -665,20 +632,22 @@ impl Scanner {
             }
             // Outside a session only the flow of the target's first SYN
             // (probe 0, conn 0) carries an answer.
-            _ if seg.dst_port != self.params.sport(0, 0, 0) => {}
-            None | Some(Target::Handshake) => self.on_answer(src, seg, false, now, fx),
+            _ if seg.dst_port != self.syn_flow.sport => {}
+            None => self.on_answer(src, seg, false, now, fx),
             Some(Target::Concluded) => self.on_answer(src, seg, true, now, fx),
-            Some(Target::Queued | Target::Mtu { .. }) => {}
+            Some(Target::Mtu { .. }) => {}
         }
     }
 
     /// A segment on the flow of the target's first SYN, with no session
     /// open. Only a cookie-valid one (acking the cookie ISN + 1) counts: a
     /// SYN-ACK opens the session (a port scan records the open port), an
-    /// RST records the refusal. If the target has its verdict already,
-    /// the answer is late — its host retransmitting because ours was
-    /// lost: the SYN-ACK is reset, both are counted, neither mints a
-    /// second verdict.
+    /// RST records the refusal. A SYN-ACK that fails the cookie is
+    /// counted by how it fails (`scan.synack.*`), a cookie-less RST into
+    /// `scan.rst_ignored`; neither mints a verdict. If the target has its
+    /// verdict already, the answer is late — its host retransmitting
+    /// because ours was lost: the SYN-ACK is reset, both are counted,
+    /// neither mints a second verdict.
     fn on_answer(
         &mut self,
         src: Ipv4Addr,
@@ -688,10 +657,25 @@ impl Scanner {
         fx: &mut Effects,
     ) {
         let ip = src.to_u32();
-        let (sport, dport) = (self.params.sport(0, 0, 0), self.config.protocol.port());
+        let SynFlow {
+            cookie,
+            sport,
+            dport,
+        } = self.syn_flow;
         if seg.flags.contains(Flags::SYN) && seg.flags.contains(Flags::ACK) {
-            if seg.src_port != dport || !self.params.cookie.validate(ip, sport, dport, seg.ack) {
+            if seg.src_port != dport {
                 return;
+            }
+            match cookie.classify_synack(ip, sport, dport, seg.ack) {
+                SynAckCheck::Valid => {}
+                SynAckCheck::RawIsnEcho => {
+                    self.obs.metrics.inc(Counter::SynackRawIsnEcho);
+                    return;
+                }
+                SynAckCheck::Mismatch => {
+                    self.obs.metrics.inc(Counter::SynackCookieMismatch);
+                    return;
+                }
             }
             if concluded {
                 self.reset(src, seg, now, fx);
@@ -703,13 +687,13 @@ impl Scanner {
                 self.open_session(src, seg, now, fx);
             }
         } else if seg.flags.contains(Flags::RST) {
-            if !self.params.cookie.validate(ip, sport, dport, seg.ack) {
+            if !cookie.validate(ip, sport, dport, seg.ack) {
                 // Spoofed or stale: counted, no verdict.
                 self.obs.metrics.inc(Counter::RstIgnored);
             } else if concluded {
                 self.obs.metrics.inc(Counter::LateAnswers);
             } else {
-                self.refusal(ip, now, fx);
+                self.refusal(ip, now);
             }
         }
     }
@@ -755,8 +739,6 @@ impl Scanner {
             Event::Session(SessionEvent::ProbeStarted { probe: 0, mss }),
         );
         let out = session.on_segment(seg, now);
-        // A promoted handshake's slot becomes the session's slot (net
-        // occupancy unchanged, so no promotion drain here).
         let undeclared = self.targets.open(ip, session, now);
         (self.obs.metrics).add(Counter::InvariantUndeclaredEdges, undeclared);
         if let Some(deadline) = self.config.resilience.session_deadline {
@@ -849,15 +831,13 @@ impl Scanner {
                     self.apply_session_output(ip, out, now, fx);
                 }
             }
-            (state @ (None | Some(Target::Handshake)), icmp::Message::DstUnreachable { .. }) => {
+            (None, icmp::Message::DstUnreachable { .. }) => {
                 // The SYN it answers earns no RTT sample either way.
                 self.obs.emit(now, ip, Event::Untimed);
-                // A promoted handshake is in flight, and so is an
-                // untracked source still owed a SYN retry or its give-up
-                // (a silent classic target keeps no entry). Any other
-                // untracked source is not a target in flight.
-                let in_flight = state.is_some() || self.retry_owed()(None);
-                if !in_flight {
+                // An untracked source still owed a SYN retry is a target
+                // in flight (a silent target keeps no entry); any other
+                // untracked source is not.
+                if !self.retry_owed()(None) {
                     return;
                 }
                 self.obs
@@ -874,7 +854,6 @@ impl Scanner {
                 // SYN-ACK that still arrives is a late answer: the stream
                 // already carries this target's verdict.
                 self.set_target(ip, Some(Target::Concluded), now);
-                self.try_drain_promotions(now, fx);
             }
             _ => {}
         }
@@ -929,7 +908,6 @@ impl Endpoint for Scanner {
             },
             Some(Timer::SynRetry(level)) => self.drain_syn_retries(level, now, fx),
             Some(Timer::Watchdog(ip)) => self.watchdog_fire(ip, now, fx),
-            Some(Timer::DiscoveryRetry(level)) => self.drain_discovery_retries(level, now, fx),
             None => {}
         }
     }

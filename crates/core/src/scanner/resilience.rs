@@ -1,30 +1,29 @@
 //! The stateful SYN and the resilience layer around it: SYN retries,
 //! the `max_sessions` eviction order and the per-session watchdog.
 //!
-//! A silent classic target keeps no table entry: while it owes a SYN
-//! retry (or, once the budget is spent, its give-up) its address waits in
-//! the SYN-retry FIFO whose level is the retries it has sent. A promoted
-//! target reads its count there too, beside its `Handshake` entry; one
-//! promoted without SYN retries waits at level 0 for its give-up alone.
-//! [`Scanner::retry_owed`] is the one answer to "does this address still
-//! owe a SYN retry or its give-up?", which the ICMP fast-fail, the
-//! flight-history sweep and the checkpoint's `pending` list all ask.
+//! A silent target keeps no table entry: while it owes a SYN retry its
+//! address waits in the SYN-retry FIFO whose level is the retries it has
+//! sent. Once the budget is spent it waits one more backoff for its
+//! give-up only when the flight recorder is on, since a give-up does
+//! nothing but dump the target's black box. [`Scanner::retry_owed`] is
+//! the one answer to "does this address still owe a SYN retry or its
+//! give-up?", which the ICMP fast-fail, the flight-history sweep and the
+//! checkpoint's `pending` list all ask.
 
-use super::{concluded_hold, Scanner, Timer};
+use super::{Scanner, Timer};
 use crate::observe::Event;
 use crate::results::{ErrorKind, Protocol};
 use crate::retry::RetryLevels;
 use crate::target::Target;
 use iw_netsim::{Effects, Instant};
 use iw_telemetry::{Counter, SessionEvent};
-use iw_wire::tcp::{self, Flags};
 use std::collections::VecDeque;
 
 /// The scanner state the resilience layer owns.
 pub(super) struct Resilience {
     /// Stateful SYN retransmissions waiting out their backoff, one FIFO
-    /// per level (level = retries already spent; the last level is the
-    /// give-up deadline).
+    /// per level (level = retries already spent; with the flight recorder
+    /// on, the last level is the give-up deadline).
     syn_retries: RetryLevels,
     /// Session creation order (oldest first) for `max_sessions` eviction.
     /// Maintained only when a cap is configured; may hold stale entries
@@ -54,23 +53,16 @@ impl Scanner {
     }
 
     /// Whether an address in a given state still owes a SYN retry or its
-    /// give-up. A promoted `Handshake` always does (a drain untracks
-    /// them all), and so does an untracked address in a classic TCP scan
-    /// while retries run and no drain has cut them off, since a silent
-    /// target keeps no entry. (The discovery phase's own retries are
-    /// stateless, an MTU probe sends no SYN, and every other state has
-    /// its answer.) The answer is a closure, so a caller can ask it while
-    /// it holds the scanner's fields.
+    /// give-up. An untracked address in a TCP scan does while retries run
+    /// and no drain has cut them off, since a silent target keeps no
+    /// entry. (An MTU probe sends no SYN, and every tracked state has its
+    /// answer.) The answer is a closure, so a caller can ask it while it
+    /// holds the scanner's fields.
     pub(super) fn retry_owed(&self) -> impl Fn(Option<Target>) -> bool {
         let untracked = self.config.resilience.syn_retries > 0
             && !self.draining
-            && self.discovery.is_none()
             && self.config.protocol != Protocol::IcmpMtu;
-        move |target| match target {
-            None => untracked,
-            Some(Target::Handshake) => true,
-            Some(_) => false,
-        }
+        move |target| target.is_none() && untracked
     }
 
     /// Every unanswered stateful SYN with the retries it has sent, in
@@ -88,48 +80,22 @@ impl Scanner {
         pending
     }
 
-    /// Send the stateful SYN for a target — directly in classic mode, or
-    /// at promotion time in stateless-first mode. From here on the
-    /// target follows the exact classic lifecycle (its one SYN stamp,
-    /// stateful retry queue), which is what keeps responder
-    /// verdicts byte-identical across the two modes. Only a promoted
-    /// target takes an entry (`Handshake`, for its `max_sessions` slot).
-    pub(super) fn send_stateful_syn(
-        &mut self,
-        ip: u32,
-        promoted: bool,
-        now: Instant,
-        fx: &mut Effects,
-    ) {
-        if promoted {
-            self.set_target(ip, Some(Target::Handshake), now);
-        }
-        let isn = self.emit_syn(ip, fx);
-        self.obs.emit(now, ip, Event::Syn(isn));
+    /// Send a target its first SYN and, if retries run, queue its first
+    /// retry. The target takes no table entry until it answers.
+    pub(super) fn send_stateful_syn(&mut self, ip: u32, now: Instant, fx: &mut Effects) {
+        self.emit_syn(ip, 0, now, fx);
         if self.config.resilience.syn_retries > 0 {
             self.resilience.syn_retries.push(0, ip, now, fx);
-        } else if promoted {
-            // Nothing retransmits this SYN, so only its give-up frees the
-            // `max_sessions` slot when the SYN or its SYN-ACK is lost. It
-            // waits as long as a concluded target absorbs late answers:
-            // a shorter wait ends hosts whose SYN-ACK retransmission is
-            // still on its way.
-            let give_up = concluded_hold(0);
-            (self.resilience.syn_retries).push_after(give_up, 0, ip, now, fx);
         }
     }
 
-    /// Emit the stateless (probe 0, conn 0) SYN for a target and return
-    /// its ISN. Retries use the identical 4-tuple and ISN, so a SYN-ACK
-    /// to any attempt validates against the same cookie.
-    fn emit_syn(&mut self, ip: u32, fx: &mut Effects) -> u32 {
-        let sport = self.params.sport(0, 0, 0);
-        let isn = self
-            .params
-            .cookie
-            .isn(ip, sport, self.config.protocol.port());
-        self.send_syn(ip, sport, isn, fx);
-        isn
+    /// Send the target's (probe 0, conn 0) SYN, transmission `attempt`,
+    /// and report it. Retries use the identical 4-tuple and ISN, so a
+    /// SYN-ACK to any attempt validates against the same cookie.
+    fn emit_syn(&mut self, ip: u32, attempt: u8, now: Instant, fx: &mut Effects) {
+        let isn = self.syn_flow.isn(ip);
+        self.send_syn(ip, self.syn_flow.sport, isn, fx);
+        self.obs.emit(now, ip, Event::Syn(isn, attempt));
     }
 
     /// Drop every queued SYN retransmission (graceful drain), with the
@@ -155,44 +121,33 @@ impl Scanner {
     /// A target's level-`level` stateful SYN backoff elapsed: retransmit
     /// if it is still silent and budget remains, and queue the next
     /// (doubled) level. The level is the retries already sent; a silent
-    /// target has no entry, or a `Handshake` one if it was promoted, and
-    /// any other entry means its answer (or an ICMP fast-fail) came first.
+    /// target has no entry, and an entry means its answer (or an ICMP
+    /// fast-fail) came first.
     fn syn_retry_fire(&mut self, ip: u32, level: usize, now: Instant, fx: &mut Effects) {
-        let promoted = match self.targets.get(ip) {
-            None => false,
-            Some(Target::Handshake) => true,
-            Some(_) => return,
-        };
-        let attempts = level as u32;
-        if attempts >= self.config.resilience.syn_retries {
-            // Budget spent and still silent: give up on the target (its
-            // SYN stopped being timed at the first retry, by Karn's
-            // rule). The
-            // flight recorder dumps the ring — a SYN-blackholed target is
-            // a failure worth a black box even though no session existed.
-            // A promoted target concludes: its discovery answer was
-            // already spent.
-            self.obs.emit(now, ip, Event::GaveUp);
-            if promoted {
-                self.set_target(ip, Some(Target::Concluded), now);
-                self.try_drain_promotions(now, fx);
-            }
+        if self.targets.get(ip).is_some() {
             return;
         }
-        let attempt = (attempts + 1) as u8;
-        self.obs.emit(
-            now,
-            ip,
-            Event::Session(SessionEvent::SynRetried { attempt }),
-        );
-        // The observer applies Karn's rule to the `SynRetried`: a later
+        let retries = self.config.resilience.syn_retries;
+        let attempt = level as u32 + 1;
+        if attempt > retries {
+            // Budget spent and still silent: give up on the target (its
+            // SYN stopped being timed at the first retry, by Karn's
+            // rule). The flight recorder dumps the ring — a
+            // SYN-blackholed target is a failure worth a black box even
+            // though no session existed.
+            self.obs.emit(now, ip, Event::GaveUp);
+            return;
+        }
+        // The observer applies Karn's rule to a retransmission: a later
         // SYN-ACK may answer either transmission, so it earns no RTT
         // sample and no handshake span.
-        let isn = self.emit_syn(ip, fx);
-        let (sport, dport) = (self.params.sport(0, 0, 0), self.config.protocol.port());
-        let syn = tcp::Segment::bare(sport, dport, isn, 0, Flags::SYN, 65535);
-        self.obs.emit(now, ip, Event::Wire(true, &syn));
-        self.resilience.syn_retries.push(level + 1, ip, now, fx);
+        self.emit_syn(ip, attempt as u8, now, fx);
+        // The give-up is queued only for the flight recorder: without it,
+        // giving up changes nothing, and a target whose last SYN has
+        // left holds nothing.
+        if attempt < retries || self.config.telemetry.flight_recorder {
+            self.resilience.syn_retries.push(level + 1, ip, now, fx);
+        }
     }
 
     /// The per-session watchdog fired: force-conclude the session

@@ -3,11 +3,10 @@
 use iw_netsim::TimerToken;
 
 /// Every timer the scanner arms, and its token. The layout: a namespace
-/// in bits 32..40 (0 = session wake-up, 1 = stateful SYN-retry drain,
-/// 2 = session watchdog, 3 = discovery-retry drain); bits ..32 carry the
-/// responder's address for the per-responder timers, bits 40.. the
-/// backoff level for the retry drains (one timer per level, not per
-/// target). The scanner-global ticks (pacing, progress monitor,
+/// in bits 32..40 (0 = session wake-up, 1 = SYN-retry drain, 2 =
+/// session watchdog); bits ..32 carry the responder's address for the
+/// per-responder timers, bits 40.. the backoff level for the retry
+/// drains (one timer per level, not per target). The scanner-global ticks (pacing, progress monitor,
 /// SYN-timestamp sweep, stream snapshot) sit at the very top of the space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Timer {
@@ -18,7 +17,6 @@ pub(super) enum Timer {
     Session(u32),
     SynRetry(usize),
     Watchdog(u32),
-    DiscoveryRetry(usize),
 }
 
 impl Timer {
@@ -31,7 +29,6 @@ impl Timer {
             Timer::Session(ip) => u64::from(ip),
             Timer::SynRetry(level) => (1 << 32) | ((level as u64) << 40),
             Timer::Watchdog(ip) => (2 << 32) | u64::from(ip),
-            Timer::DiscoveryRetry(level) => (3 << 32) | ((level as u64) << 40),
         }
     }
 
@@ -42,7 +39,6 @@ impl Timer {
             0 => Timer::Session(ip),
             1 => Timer::SynRetry(level),
             2 => Timer::Watchdog(ip),
-            3 => Timer::DiscoveryRetry(level),
             0xff => match !token {
                 0 => Timer::Pacing,
                 1 => Timer::Monitor,
@@ -71,7 +67,6 @@ mod tests {
             (Timer::SynRetry(0), 1 << 32),
             (Timer::SynRetry(15), (1 << 32) | (15 << 40)),
             (Timer::Watchdog(u32::MAX), (2 << 32) | 0xffff_ffff),
-            (Timer::DiscoveryRetry(3), (3 << 32) | (3 << 40)),
         ];
         for (timer, token) in timers {
             assert_eq!(timer.token(), token, "{timer:?}");
@@ -79,7 +74,13 @@ mod tests {
         }
         // No timer encodes to these: an unknown namespace, an address in
         // a retry drain, a level on a per-responder timer.
-        let strays = [4 << 32, (1 << 32) | 7, (1 << 40) | 7, (2 << 32) | (1 << 40)];
+        let strays = [
+            3 << 32,
+            (3 << 32) | (3 << 40),
+            (1 << 32) | 7,
+            (1 << 40) | 7,
+            (2 << 32) | (1 << 40),
+        ];
         for token in strays {
             assert_eq!(Timer::decode(token), None, "{token:#x}");
         }

@@ -17,13 +17,6 @@ use iw_netsim::{Duration, Instant};
 /// Where one target stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Target {
-    /// Its discovery SYN-ACK validated; it waits in the promotion queue.
-    Queued,
-    /// It was promoted from discovery and its stateful SYN is
-    /// unanswered: it holds a `max_sessions` slot. (A silent classic
-    /// target has no entry; its SYN-retry FIFO level is its attempt
-    /// count, and a promoted target reads its count there too.)
-    Handshake,
     /// A measurement session runs at this index.
     Live(u32),
     /// A path-MTU echo of this total length is in flight.
@@ -47,8 +40,6 @@ const _: () = assert!(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
     Untracked,
-    Queued,
-    Handshake,
     Live,
     Mtu,
     Concluded,
@@ -57,8 +48,6 @@ enum Stage {
 fn stage(target: Option<Target>) -> Stage {
     match target {
         None => Stage::Untracked,
-        Some(Target::Queued) => Stage::Queued,
-        Some(Target::Handshake) => Stage::Handshake,
         Some(Target::Live(_)) => Stage::Live,
         Some(Target::Mtu { .. }) => Stage::Mtu,
         Some(Target::Concluded) => Stage::Concluded,
@@ -66,21 +55,15 @@ fn stage(target: Option<Target>) -> Stage {
 }
 
 /// Every edge a target may take. A verdict (session result, open port,
-/// refusal), a promoted handshake's give-up and an ICMP fast-fail
-/// conclude; a finished MTU probe and a graceful drain drop the entry.
+/// refusal) and an ICMP fast-fail conclude; a finished MTU probe and a
+/// graceful drain drop the entry.
 /// `Concluded` leaves only when its hold expires, so nothing reopens a
 /// target that has its verdict. [`Targets::set`] counts every change it
 /// makes along an edge missing here.
 const TRANSITIONS: &[(Stage, Stage)] = &[
-    (Stage::Untracked, Stage::Queued),
     (Stage::Untracked, Stage::Live),
     (Stage::Untracked, Stage::Mtu),
     (Stage::Untracked, Stage::Concluded),
-    (Stage::Queued, Stage::Handshake),
-    (Stage::Queued, Stage::Untracked),
-    (Stage::Handshake, Stage::Live),
-    (Stage::Handshake, Stage::Concluded),
-    (Stage::Handshake, Stage::Untracked),
     (Stage::Live, Stage::Concluded),
     (Stage::Mtu, Stage::Mtu),
     (Stage::Mtu, Stage::Untracked),
@@ -97,8 +80,6 @@ fn undeclared(from: Option<Target>, to: Option<Target>) -> u64 {
 pub struct Targets {
     map: IpMap<Target>,
     sessions: Vec<HostSession>,
-    /// Promoted handshakes in flight.
-    promoted: usize,
     /// `Concluded` entries with their expiry, in conclusion order; they
     /// leave whenever another target concludes, so the hold arms no timer.
     hold: RetryQueue,
@@ -111,7 +92,6 @@ impl Targets {
         Targets {
             map: IpMap::new(),
             sessions: Vec::new(),
-            promoted: 0,
             hold: RetryQueue::default(),
             hold_for,
         }
@@ -135,11 +115,6 @@ impl Targets {
     /// Live sessions.
     pub fn live(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// Promoted handshakes in flight.
-    pub fn promoted(&self) -> usize {
-        self.promoted
     }
 
     /// The live session of `ip`.
@@ -180,31 +155,23 @@ impl Targets {
             None => self.map.remove(ip),
         };
         let mut undeclared_edges = undeclared(from, to);
-        match from {
-            Some(Target::Handshake) => self.promoted -= 1,
-            Some(Target::Live(index)) => {
-                self.sessions.swap_remove(index as usize);
-                // A slab drained to a quarter gives half its capacity
-                // back: while sessions conclude, results grow, and the
-                // slab's touched tail would otherwise stay resident.
-                if self.sessions.len() <= self.sessions.capacity() / 4 {
-                    self.sessions.shrink_to(self.sessions.capacity() / 2);
-                }
-                if let Some(moved) = self.sessions.get(index as usize) {
-                    self.map.insert(moved.ip().to_u32(), Target::Live(index));
-                }
+        if let Some(Target::Live(index)) = from {
+            self.sessions.swap_remove(index as usize);
+            // A slab drained to a quarter gives half its capacity
+            // back: while sessions conclude, results grow, and the
+            // slab's touched tail would otherwise stay resident.
+            if self.sessions.len() <= self.sessions.capacity() / 4 {
+                self.sessions.shrink_to(self.sessions.capacity() / 2);
             }
-            _ => {}
+            if let Some(moved) = self.sessions.get(index as usize) {
+                self.map.insert(moved.ip().to_u32(), Target::Live(index));
+            }
         }
-        match to {
-            Some(Target::Handshake) => self.promoted += 1,
-            Some(Target::Concluded) => {
-                while let Some(expired) = self.hold.pop_due(now) {
-                    undeclared_edges += undeclared(self.map.remove(expired), None);
-                }
-                self.hold.push(now + self.hold_for, ip);
+        if to == Some(Target::Concluded) {
+            while let Some(expired) = self.hold.pop_due(now) {
+                undeclared_edges += undeclared(self.map.remove(expired), None);
             }
-            _ => {}
+            self.hold.push(now + self.hold_for, ip);
         }
         undeclared_edges
     }
@@ -219,14 +186,7 @@ mod tests {
 
     /// Every stage. The match in the test stops compiling when one is
     /// added; listed here, the test then demands its edges.
-    const ALL: [Stage; 6] = [
-        Stage::Untracked,
-        Stage::Queued,
-        Stage::Handshake,
-        Stage::Live,
-        Stage::Mtu,
-        Stage::Concluded,
-    ];
+    const ALL: [Stage; 4] = [Stage::Untracked, Stage::Live, Stage::Mtu, Stage::Concluded];
 
     /// The stages `from` reaches along declared edges, itself included.
     fn reach(from: Stage) -> Vec<Stage> {
@@ -238,12 +198,7 @@ mod tests {
         let from_untracked = reach(Stage::Untracked);
         for s in ALL {
             match s {
-                Stage::Untracked
-                | Stage::Queued
-                | Stage::Handshake
-                | Stage::Live
-                | Stage::Mtu
-                | Stage::Concluded => {}
+                Stage::Untracked | Stage::Live | Stage::Mtu | Stage::Concluded => {}
             }
             assert!(from_untracked.contains(&s), "{s:?} is unreachable");
             // No state is a trap: every entry can leave the table again.
@@ -278,19 +233,6 @@ mod tests {
         assert_eq!(targets.get(1), None, "expired on the next conclusion");
         assert_eq!(targets.get(2), Some(Target::Concluded));
         assert_eq!(targets.len(), 2);
-    }
-
-    #[test]
-    fn promoted_handshakes_are_counted_until_they_leave() {
-        let mut targets = Targets::new(Duration::from_secs(1));
-        for ip in [1, 2] {
-            targets.set(ip, Some(Target::Queued), Instant::ZERO);
-            targets.set(ip, Some(Target::Handshake), Instant::ZERO);
-        }
-        assert_eq!(targets.promoted(), 2);
-        targets.set(1, Some(Target::Concluded), Instant::ZERO);
-        targets.set(2, None, Instant::ZERO);
-        assert_eq!(targets.promoted(), 0);
     }
 
     #[test]

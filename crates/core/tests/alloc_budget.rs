@@ -90,12 +90,11 @@ fn peak() -> i64 {
 
 #[test]
 fn silent_sweep_allocates_nothing_per_syn() {
-    // 2^16 addresses, none of them routed, stateless-first + hardened at
-    // the study's 150 kpps: three SYNs per target through the template,
-    // the pool, the retry FIFOs and the kernel's fan-out.
+    // 2^16 addresses, none of them routed, hardened at the study's
+    // 150 kpps: three SYNs per target through the template, the pool, the
+    // retry FIFOs and the kernel's fan-out.
     let space = 1u32 << 16;
     let mut cfg = ScanConfig::study(Protocol::Http, space, 0x51e7);
-    cfg.stateless_first = true;
     cfg.resilience = ResilienceConfig::hardened();
     let sim_config = SimConfig {
         seed: cfg.seed,
@@ -164,14 +163,12 @@ fn a_silent_target_costs_the_flight_recorder_no_allocation() {
 #[test]
 fn a_queued_silent_target_costs_at_most_eight_bytes() {
     // A silent 2^16 space at the study's 150 kpps with the hardened
-    // budget: every target waits out two backoffs in a retry FIFO (three
-    // in classic mode, whose last level is the give-up), and the scan
-    // holds nothing else per target. The heap it holds above the start
-    // at its peak, per target queued at the backlog's peak, is what a
-    // silent target costs.
-    for stateless_first in [false, true] {
+    // budget: every target waits out two backoffs in a retry FIFO, and
+    // the scan holds nothing else per target. The heap it holds above the
+    // start at its peak, per target queued at the backlog's peak, is what
+    // a silent target costs.
+    {
         let mut cfg = ScanConfig::study(Protocol::Http, 1 << 16, 0x51e7);
-        cfg.stateless_first = stateless_first;
         cfg.resilience = ResilienceConfig::hardened();
         let sim_config = SimConfig {
             seed: cfg.seed,
@@ -193,14 +190,42 @@ fn a_queued_silent_target_costs_at_most_eight_bytes() {
         assert_eq!(backlog, 1 << 16, "every silent target queued at once");
         let per_target = held as f64 / backlog as f64;
         println!(
-            "alloc_budget: silent sweep (stateless_first={stateless_first}): peak heap \
-             {held} bytes above the start for a backlog of {backlog} ({per_target:.2} per target)"
+            "alloc_budget: silent sweep: peak heap {held} bytes above the start for a \
+             backlog of {backlog} ({per_target:.2} per target)"
         );
         assert!(
             per_target <= 8.0,
-            "{per_target:.2} bytes per queued silent target (stateless_first={stateless_first}): \
-             a silent target holds more than its address"
+            "{per_target:.2} bytes per queued silent target: a silent target holds more \
+             than its address"
         );
+    }
+}
+
+#[test]
+fn a_silent_target_holds_nothing_once_its_last_syn_has_left() {
+    // The same hardened silent sweep, no telemetry product on: once every
+    // target has sent its three SYNs, nothing waits for anything. Only
+    // the flight recorder keeps a target queued past its last retry, for
+    // the give-up that dumps its black box.
+    for flight_recorder in [false, true] {
+        let space = 1u64 << 14;
+        let mut cfg = ScanConfig::study(Protocol::Http, space as u32, 0x51e7);
+        cfg.resilience = ResilienceConfig::hardened();
+        cfg.telemetry.flight_recorder = flight_recorder;
+        let sim_config = SimConfig {
+            seed: cfg.seed,
+            ..SimConfig::default()
+        };
+        let mut sim = Sim::new(Scanner::new(cfg), |_ip: u32| None, sim_config);
+        sim.kick_scanner(|s, now, fx| s.start(now, fx));
+        while sim.stats().scanner_tx < 3 * space {
+            assert!(sim.step(), "the scan must send three SYNs per target");
+        }
+        let backlog = sim.scanner().retry_backlog();
+        let owed = if flight_recorder { space as usize } else { 0 };
+        assert_eq!(backlog, owed, "flight recorder {flight_recorder}");
+        sim.run_to_completion();
+        assert_eq!(Scanner::harvest(&mut sim).violations(), []);
     }
 }
 
@@ -333,7 +358,6 @@ fn the_counter_sees_an_allocation_behind_dyn_endpoint() {
     // all that differs is one `Box::new` per delivered datagram.
     let sweep = |leaky: bool| {
         let mut cfg = ScanConfig::study(Protocol::Http, 1 << 12, 0x51e7);
-        cfg.stateless_first = true;
         cfg.resilience = ResilienceConfig::hardened();
         let sim_config = SimConfig {
             seed: cfg.seed,

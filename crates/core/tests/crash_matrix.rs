@@ -231,33 +231,6 @@ fn kill_resume_matrix_four_threads() {
     assert!(captures.iter().any(|c| !c.sessions.is_empty()));
 }
 
-#[test]
-fn kill_resume_matrix_stateless_first() {
-    // Stateless-first discovery adds the promotion queue to shard state:
-    // killing while responders wait behind a tight session cap and
-    // resuming must replay the queue (FIFO order and all) byte-exactly.
-    let pop = small_world(0x51f5);
-    let mut config = durable_config(pop.space_size(), 0x51f5);
-    config.stateless_first = true;
-    config.resilience.max_sessions = 4; // force promotions to queue up
-    let probe = run(&pop, &config, 1, RunControl::default());
-    let total = probe
-        .checkpoints
-        .last()
-        .expect("final capture always recorded")
-        .events;
-    assert!(total > 512, "world too small to exercise kill points");
-    let kill_points = [total / 6, total / 3, total / 2, (total * 4) / 5];
-    let captures = kill_resume_matrix(&pop, &config, 1, &kill_points);
-    // At least one kill landed with responders queued behind the cap —
-    // the new state the checkpoint must carry.
-    assert!(
-        captures.iter().any(|c| !c.promotions.is_empty()),
-        "no kill point landed with a live promotion queue: {captures:?}"
-    );
-    assert!(captures.iter().any(|c| !c.sessions.is_empty()));
-}
-
 // ---------------------------------------------------------------------
 // Resume validation: stale or foreign state must fail closed.
 // ---------------------------------------------------------------------
@@ -451,18 +424,15 @@ fn graceful_abort_drains_and_checkpoints() {
     assert_eq!(last.results_recorded, out.results.len() as u64);
 }
 
-/// Regression: the drain used to leave every in-flight target's discovery
-/// retransmission armed, so a stateless-first hardened scan kept SYNing
-/// the silent space for three more virtual seconds after the abort and
-/// promoted late answers into brand-new sessions.
+/// The drain empties the SYN-retry FIFOs, so a hardened scan stops SYNing
+/// the silent space at the abort, and a late answer opens no session.
 #[test]
-fn graceful_abort_stops_discovery_retransmissions_and_promotions() {
+fn graceful_abort_stops_syn_retransmissions() {
     use iw_internet::population::PopulationFactory;
     use iw_netsim::{Instant, Sim, SimConfig};
 
     let pop = small_world(0xab07);
-    let mut config = durable_config(pop.space_size(), 0xab07);
-    config.stateless_first = true;
+    let config = durable_config(pop.space_size(), 0xab07);
     let sim_config = SimConfig {
         seed: config.seed,
         ..SimConfig::default()
@@ -471,7 +441,7 @@ fn graceful_abort_stops_discovery_retransmissions_and_promotions() {
     let mut sim = Sim::new(scanner, PopulationFactory::new(pop.clone()), sim_config);
     sim.kick_scanner(|s, now, fx| s.start(now, fx));
     // 50 ms in: every target has its first SYN out and its retry queued,
-    // and the first responders are mid-discovery and mid-promotion.
+    // and the first responders are mid-session.
     sim.run_until(Instant::ZERO + Duration::from_millis(50));
     assert!(sim.scanner().retry_backlog() > 0, "retries in flight");
     sim.kick_scanner(|s, now, fx| s.begin_drain(now, fx));
@@ -528,10 +498,6 @@ fn random_shard(rng: &mut u64, index: u32) -> ShardCheckpoint {
     let counters: Vec<(String, u64)> = (0..(splitmix(rng) % 6))
         .map(|i| (format!("scan.fuzz.counter_{i:02}"), splitmix(rng)))
         .collect();
-    // Promotion order is FIFO state, so the fuzz keeps it unsorted.
-    let promotions: Vec<u32> = (0..(splitmix(rng) % 5))
-        .map(|_| splitmix(rng) as u32 % 4096)
-        .collect();
     ShardCheckpoint {
         shard: index,
         events: splitmix(rng),
@@ -542,7 +508,6 @@ fn random_shard(rng: &mut u64, index: u32) -> ShardCheckpoint {
         targets_sent: splitmix(rng),
         pending,
         sessions,
-        promotions,
         results_recorded: splitmix(rng),
         stream_records: splitmix(rng),
         counters,

@@ -516,40 +516,13 @@ fn spoofed_rsts_mint_no_refusal_verdicts() {
 }
 
 // ---------------------------------------------------------------------
-// Stateless-first discovery: verdict identity, adversarial cohorts,
-// promotion back-pressure, and the O(responders) memory gate.
+// The stateless sweep: adversarial cohorts, replayed answers, and the
+// rate-bounded retry backlog.
 // ---------------------------------------------------------------------
 
-fn stateless_config(space: u32, seed: u64) -> ScanConfig {
-    let mut config = scan_config(space, seed);
-    config.stateless_first = true;
-    config
-}
-
-#[test]
-fn stateless_first_matches_stateful_verdicts_byte_for_byte() {
-    let space = 128u32;
-    let seed = 0x57a7;
-    let factory = |ip: u32| Some((web_host(ip, seed), LinkConfig::testbed()));
-    let (stateful, ..) = run_matrix(scan_config(space, seed), factory);
-    let (stateless, metrics, _sent, refused) = run_matrix(stateless_config(space, seed), factory);
-    // Discovery changes how responders are found, never what is
-    // measured: per-host results must be byte-identical.
-    assert_eq!(format!("{stateful:?}"), format!("{stateless:?}"));
-    assert_eq!(refused, 0);
-    assert_eq!(metrics.counter("scan.discovery.syns"), u64::from(space));
-    assert_eq!(
-        metrics.counter("scan.discovery.validated"),
-        u64::from(space)
-    );
-    assert_eq!(metrics.counter("scan.discovery.promoted"), u64::from(space));
-    assert_eq!(metrics.counter("scan.discovery.cookie_mismatch"), 0);
-    assert_eq!(metrics.counter("scan.discovery.spoofed_rst"), 0);
-}
-
-/// The adversarial discovery world: four interleaved cohorts — honest
-/// web hosts, SYN-ACKs acking the raw ISN, SYN-ACKs acking garbage, and
-/// cookie-less RSTs. Shared by the 1-shard and 4-shard tests.
+/// The adversarial world: four interleaved cohorts — honest web hosts,
+/// SYN-ACKs acking the raw ISN, SYN-ACKs acking garbage, and cookie-less
+/// RSTs. Shared by the 1-shard and 4-shard tests.
 fn adversarial_factory(seed: u64) -> impl FnMut(u32) -> Option<(Box<dyn Endpoint>, LinkConfig)> {
     move |ip: u32| {
         let host: Box<dyn Endpoint> = match ip % 4 {
@@ -592,50 +565,36 @@ fn check_adversarial(
     assert!((acc - 1.0).abs() < f64::EPSILON, "{label}: accuracy {acc}");
     // No refusal verdicts from cookie-less RSTs.
     assert_eq!(refused, 0, "{label}: spoofed RSTs minted refusals");
-    // Hardened = 2 discovery retries; every adversarial host answers
-    // every attempt, the honest cohort answers before its first retry.
+    // Hardened = 2 SYN retries; every adversarial host answers every
+    // transmission and stays untracked, so it is owed both retries; the
+    // honest cohort answers before its first retry.
     assert_eq!(
-        metrics.counter("scan.discovery.syns"),
+        metrics.counter("scan.targets_sent"),
         u64::from(space),
         "{label}"
     );
     assert_eq!(
-        metrics.counter("scan.discovery.retries"),
+        metrics.counter("scan.syn_retries"),
         cohort * 3 * 2,
         "{label}"
     );
-    assert_eq!(
-        metrics.counter("scan.discovery.raw_isn_echo"),
-        cohort * 3,
-        "{label}"
-    );
-    assert_eq!(
-        metrics.counter("scan.discovery.cookie_mismatch"),
-        cohort * 3,
-        "{label}"
-    );
-    assert_eq!(
-        metrics.counter("scan.discovery.spoofed_rst"),
-        cohort * 3,
-        "{label}"
-    );
-    assert_eq!(
-        metrics.counter("scan.discovery.validated"),
-        cohort,
-        "{label}"
-    );
-    assert_eq!(
-        metrics.counter("scan.discovery.promoted"),
-        cohort,
-        "{label}"
-    );
+    // Each rejected answer is counted by how it failed the cookie.
+    for counter in [
+        "scan.synack.raw_isn_echo",
+        "scan.synack.cookie_mismatch",
+        "scan.rst_ignored",
+    ] {
+        assert_eq!(metrics.counter(counter), cohort * 3, "{label}: {counter}");
+    }
+    assert_eq!(metrics.counter("scan.synacks_validated"), cohort, "{label}");
+    assert_eq!(metrics.counter("scan.sessions_started"), cohort, "{label}");
 }
 
 #[test]
 fn stateless_adversarial_cohorts_inflate_no_verdicts() {
     let space = 128u32;
     let seed = 0xad7e;
-    let mut config = stateless_config(space, seed);
+    let mut config = scan_config(space, seed);
     config.resilience = ResilienceConfig::hardened();
     let (results, metrics, _sent, refused) = run_matrix(config, adversarial_factory(seed));
     check_adversarial(space, &results, &metrics, refused, "1 shard");
@@ -649,7 +608,7 @@ fn stateless_adversarial_cohorts_merge_identically_at_four_shards() {
     let mut merged_metrics: Option<Snapshot> = None;
     let mut refused_total = 0u64;
     for shard in 0..4u32 {
-        let mut config = stateless_config(space, seed);
+        let mut config = scan_config(space, seed);
         config.resilience = ResilienceConfig::hardened();
         config.shard = (shard, 4);
         let (results, metrics, _sent, refused) = run_matrix(config, adversarial_factory(seed));
@@ -664,7 +623,7 @@ fn stateless_adversarial_cohorts_merge_identically_at_four_shards() {
     let metrics = merged_metrics.unwrap();
     check_adversarial(space, &merged_results, &metrics, refused_total, "4 shards");
     // And the merged results are byte-identical to the 1-shard run.
-    let mut config = stateless_config(space, seed);
+    let mut config = scan_config(space, seed);
     config.resilience = ResilienceConfig::hardened();
     let (single, ..) = run_matrix(config, adversarial_factory(seed));
     assert_eq!(format!("{single:?}"), format!("{merged_results:?}"));
@@ -718,26 +677,23 @@ fn replayed_synacks_promote_exactly_once() {
     // the target's session is live or after it concluded (but within the
     // hold, which outlasts the slowest host's SYN-ACK schedule). `late`
     // counts the replays per host that find the target already answered
-    // on the flow of a first SYN: those of the discovery flow, of probe
-    // 0 after the verdict, and a port scan's (it concludes on its first
-    // SYN-ACK). Each must draw exactly one RST and no second record.
+    // on the flow of a first SYN: those of probe 0 after the verdict, and
+    // a port scan's (it concludes on its first SYN-ACK). Each must draw
+    // exactly one RST and no second record.
     // The probes' own flows close with the session and are not counted.
     struct Row {
         label: &'static str,
         protocol: Protocol,
-        stateless: bool,
         after: Duration,
         late: u64,
     }
     let (live, concluded) = (Duration::from_millis(20), Duration::from_secs(100));
     #[rustfmt::skip]
     let rows = [
-        Row { label: "classic, live", protocol: Protocol::Http, stateless: false, after: live, late: 0 },
-        Row { label: "classic, concluded", protocol: Protocol::Http, stateless: false, after: concluded, late: 1 },
-        Row { label: "stateless-first, live", protocol: Protocol::Http, stateless: true, after: live, late: 1 },
-        Row { label: "stateless-first, concluded", protocol: Protocol::Http, stateless: true, after: concluded, late: 2 },
-        Row { label: "port scan, live", protocol: Protocol::PortScan, stateless: false, after: live, late: 1 },
-        Row { label: "port scan, concluded", protocol: Protocol::PortScan, stateless: false, after: concluded, late: 1 },
+        Row { label: "classic, live", protocol: Protocol::Http, after: live, late: 0 },
+        Row { label: "classic, concluded", protocol: Protocol::Http, after: concluded, late: 1 },
+        Row { label: "port scan, live", protocol: Protocol::PortScan, after: live, late: 1 },
+        Row { label: "port scan, concluded", protocol: Protocol::PortScan, after: concluded, late: 1 },
     ];
     let space = 64u32;
     let seed = 0x4e91;
@@ -745,7 +701,6 @@ fn replayed_synacks_promote_exactly_once() {
         let label = row.label;
         let mut config = ScanConfig::study(row.protocol, space, seed);
         config.rate_pps = 2_000_000;
-        config.stateless_first = row.stateless;
         config.resilience = ResilienceConfig::hardened();
         let rsts = Rc::new(Cell::new(0));
         let tap = rsts.clone();
@@ -784,109 +739,17 @@ fn replayed_synacks_promote_exactly_once() {
             );
             assert_eq!(metrics.counter("scan.sessions_started"), hosts, "{label}");
         }
-        if row.stateless {
-            // Every host validated once and was promoted once; the
-            // replayed discovery SYN-ACK is a duplicate.
-            assert_eq!(
-                metrics.counter("scan.discovery.validated"),
-                hosts,
-                "{label}"
-            );
-            assert_eq!(metrics.counter("scan.discovery.promoted"), hosts, "{label}");
-            assert_eq!(
-                metrics.counter("scan.discovery.duplicates"),
-                hosts,
-                "{label}"
-            );
-        }
     }
 }
 
-#[test]
-fn stateless_promotion_waits_out_session_cap_pressure() {
-    let space = 256u32;
-    let cap = 16usize;
-    let seed = 0xcab0;
-    let mut config = stateless_config(space, seed);
-    config.resilience.max_sessions = cap;
-    let (results, metrics, _sent, refused) = run_matrix(config, |ip| {
-        Some((web_host(ip, seed), LinkConfig::testbed()))
-    });
-    // Unlike classic mode (which evicts the oldest session under
-    // admission pressure), promotion *waits*: the queue buffers
-    // responders and concluded sessions pull the next one in. Nobody is
-    // evicted, nobody is lost, and the live set respects the cap.
-    assert_eq!(results.len(), space as usize);
-    let (acc, _) = accuracy(&results);
-    assert!((acc - 1.0).abs() < f64::EPSILON, "accuracy {acc}");
-    assert_eq!(refused, 0);
-    assert_eq!(metrics.counter("scan.sessions.evicted"), 0);
-    assert_eq!(metrics.counter("scan.discovery.promoted"), u64::from(space));
-    let peak = metrics
-        .gauges
-        .get("shard.sessions.live_peak")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    assert!(peak <= cap as u64, "live peak {peak} exceeded cap {cap}");
-    // The queued-state footprint is bounded by the responder count.
-    let state_peak = metrics
-        .gauges
-        .get("scan.discovery.state_peak")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    assert!(state_peak <= u64::from(space), "state peak {state_peak}");
-    assert!(state_peak > 0, "state peak gauge never sampled");
-}
-
-#[test]
-fn a_lost_promoted_handshake_frees_its_slot_without_syn_retries() {
-    // Without SYN retries nothing retransmits a promoted target's
-    // stateful SYN: when it or its SYN-ACK is lost, only the give-up
-    // frees the slot the handshake holds under `max_sessions`. Lost
-    // handshakes that never gave up would fill the cap for good and
-    // strand every responder still queued.
-    let space = 256u32;
-    let seed = 0x9e1d;
-    let run = |cap: usize| {
-        let mut config = stateless_config(space, seed);
-        config.resilience.max_sessions = cap;
-        run_matrix(config, |ip| {
-            Some((web_host(ip, seed), LinkConfig::testbed().with_loss(0.05)))
-        })
-    };
-    let (uncapped, metrics, ..) = run(0);
-    let validated = metrics.counter("scan.discovery.validated");
-    assert_eq!(metrics.counter("scan.discovery.promoted"), validated);
-    assert!(
-        (uncapped.len() as u64) < validated,
-        "the loss must cost some validated responders their result"
-    );
-    let (capped, metrics, ..) = run(8);
-    assert_eq!(metrics.counter("scan.discovery.validated"), validated);
-    assert_eq!(
-        metrics.counter("scan.discovery.promoted"),
-        validated,
-        "every validated responder is promoted under the cap"
-    );
-    // The same hosts get results, with the same host verdicts. (Loss
-    // draws follow the wire order, which the cap reshuffles, so single
-    // probe outcomes may differ.)
-    let verdicts = |results: &[HostResult]| {
-        let verdict = |r: &HostResult| format!("{} {:?}", r.ip, r.host_verdict);
-        results.iter().map(verdict).collect::<Vec<_>>()
-    };
-    assert_eq!(verdicts(&capped), verdicts(&uncapped));
-}
-
 // ---------------------------------------------------------------------
-// The memory-model gate: over a large, mostly-silent space the
-// stateless front-end holds per-target state only for promoted
-// responders — never for the in-flight population.
+// The memory-model gate: over a large, mostly-silent space a silent
+// target holds nothing but its address in a retry FIFO, for as long as
+// it is owed a retransmission.
 // ---------------------------------------------------------------------
 
 #[test]
-fn stateless_discovery_state_is_bounded_by_responders() {
-    use iw_core::{ScanRunner, Topology};
+fn a_silent_sweeps_retry_backlog_is_bounded_by_the_rate() {
     use iw_internet::{Population, PopulationConfig};
     use std::sync::Arc;
 
@@ -897,64 +760,17 @@ fn stateless_discovery_state_is_bounded_by_responders() {
         target_responsive: 2000,
         loss_scale: 0.0,
     }));
-    let run = |stateless: bool| {
-        let mut config = ScanConfig::study(Protocol::Http, space, 0x1b1b);
-        config.rate_pps = 4_000_000;
-        config.resilience = ResilienceConfig::hardened();
-        config.telemetry.record_rtt = true;
-        config.stateless_first = stateless;
-        ScanRunner::new(&pop)
-            .config(config)
-            .topology(Topology::threads(1))
-            .run()
-    };
-    let stateful = run(false);
-    let stateless = run(true);
-    // Same responders, byte-identical verdicts. (Wire-history artifacts
-    // like per-probe `reordered` flags legitimately differ: the extra
-    // discovery handshake shifts each link's jitter draws. What the scan
-    // *measures* must not.)
-    let responders = stateful.results.len() as u64;
-    assert!(responders > 0);
-    let verdicts = |results: &[HostResult]| {
-        results
-            .iter()
-            .map(|r| format!("{} {:?} {:?}", r.ip, r.verdicts, r.host_verdict))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(verdicts(&stateful.results), verdicts(&stateless.results));
-    // The per-target footprint (queued promotions plus in-flight
-    // promoted handshakes, which is what carries the pending-retry and
-    // RTT-stamp maps) peaked at the promoted-responder count — not
-    // anywhere near the 131 072 targets the stateful front-end tracks.
-    let state_peak = stateless
-        .telemetry
-        .metrics
-        .gauges
-        .get("scan.discovery.state_peak")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    assert!(state_peak > 0, "state-peak gauge never sampled");
-    assert!(
-        state_peak <= responders,
-        "state peak {state_peak} exceeds responder count {responders}"
-    );
-    assert!(
-        state_peak < u64::from(space) / 32,
-        "state peak {state_peak} scales with the population, not responders"
-    );
-
-    // The honest half of the gate: the gauge above counts table entries,
-    // but every silent target also waits in a retry FIFO for the length
-    // of its backoff window. Sample the backlog at every event of a
-    // paper-rate-like sweep (slow enough that the bound is far below the
-    // space): level 0 holds one second of targets, level 1 two — never
-    // more than `rate × 3 s` plus the pacing tick in flight.
+    // No silent target has a table entry, but every one waits in a retry
+    // FIFO for the length of its backoff window. Sample the backlog at
+    // every event of a paper-rate-like sweep (slow enough that the bound
+    // is far below the space): level 0 holds one second of targets,
+    // level 1 two — never more than `rate × 3 s` plus the pacing tick in
+    // flight. A target whose last retry has left waits for nothing: a
+    // give-up level would hold `rate × 4 s` more.
     let rate = 20_000u64;
     let mut config = ScanConfig::study(Protocol::Http, space, 0x1b1b);
     config.rate_pps = rate;
     config.resilience = ResilienceConfig::hardened();
-    config.stateless_first = true;
     let sim_config = SimConfig {
         seed: config.seed,
         ..SimConfig::default()
@@ -977,7 +793,10 @@ fn stateless_discovery_state_is_bounded_by_responders() {
          (peak {backlog_peak}, bound {bound})"
     );
     assert_eq!(sim.scanner().retry_backlog(), 0, "backlog drains to zero");
-    assert_eq!(sim.scanner().results().len() as u64, responders);
+    assert!(
+        !sim.scanner().results().is_empty(),
+        "the responders answered"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -1116,8 +935,8 @@ fn flight_scan(mut config: ScanConfig, drain_at: Option<Duration>) -> (bool, usi
 }
 
 #[test]
-fn stateless_first_flight_scan_with_retries_terminates() {
-    let mut config = stateless_config(256, 0xf117);
+fn a_flight_scan_with_retries_terminates() {
+    let mut config = scan_config(256, 0xf117);
     config.resilience.syn_retries = 2;
     let (busy, live) = flight_scan(config, None);
     assert!(!busy, "the scan never went idle");
@@ -1128,17 +947,13 @@ fn stateless_first_flight_scan_with_retries_terminates() {
 fn a_graceful_drain_leaves_no_flight_history() {
     // Four retries: a silent target's history goes stale (8 s) before its
     // give-up, so only the sweep's rule decides whether it stays.
-    for stateless_first in [false, true] {
-        let mut config = scan_config(256, 0xd7a1);
-        config.stateless_first = stateless_first;
-        config.resilience.syn_retries = 4;
-        // 300 ms in: silent targets owe their first retry, and promoted
-        // responders are mid-handshake.
-        let (busy, live) = flight_scan(config, Some(Duration::from_millis(300)));
-        let mode = format!("stateless_first={stateless_first}");
-        assert!(!busy, "{mode}: the drained scan never went idle");
-        assert_eq!(live, 0, "{mode}: the drain left histories behind");
-    }
+    let mut config = scan_config(256, 0xd7a1);
+    config.resilience.syn_retries = 4;
+    // 300 ms in: silent targets owe their first retry, and responders
+    // are mid-session.
+    let (busy, live) = flight_scan(config, Some(Duration::from_millis(300)));
+    assert!(!busy, "the drained scan never went idle");
+    assert_eq!(live, 0, "the drain left histories behind");
 }
 
 // ---------------------------------------------------------------------

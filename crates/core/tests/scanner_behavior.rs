@@ -432,17 +432,18 @@ fn non_tcp_garbage_never_panics_the_scanner() {
 // events.
 // ---------------------------------------------------------------------
 
-/// Scan one silent (unrouted) list target with the hardened retry budget
-/// and return every SYN the scanner put on the wire as `(virtual nanos,
-/// source port)`, plus the drained scanner's metrics.
-fn silent_target_syns(stateless_first: bool) -> (Vec<(u64, u16)>, iw_core::telemetry::Snapshot) {
+/// Scan one silent (unrouted) list target with the hardened retry budget,
+/// the flight recorder on or off, and return every SYN the scanner put on
+/// the wire as `(virtual nanos, source port)`, plus the drained scanner's
+/// metrics.
+fn silent_target_syns(flight_recorder: bool) -> (Vec<(u64, u16)>, iw_core::telemetry::Snapshot) {
     use iw_core::ResilienceConfig;
     use iw_netsim::{Sim, SimConfig};
 
     let mut cfg = config(Protocol::Http);
     cfg.targets = TargetSpec::List(vec![(42, None)]);
     cfg.resilience = ResilienceConfig::hardened();
-    cfg.stateless_first = stateless_first;
+    cfg.telemetry.flight_recorder = flight_recorder;
     let sim_config = SimConfig {
         seed: cfg.seed,
         record_trace: true,
@@ -470,25 +471,21 @@ fn silent_target_syns(stateless_first: bool) -> (Vec<(u64, u16)>, iw_core::telem
 #[test]
 fn silent_target_retransmits_on_the_backoff_schedule_in_both_modes() {
     const SEC: u64 = 1_000_000_000;
-    // Discovery: each attempt names itself in the source port.
-    let (syns, metrics) = silent_target_syns(true);
-    let t0 = syns[0].0;
-    assert_eq!(
-        syns,
-        vec![(t0, 39000), (t0 + SEC, 39001), (t0 + 3 * SEC, 39002)]
-    );
-    assert_eq!(metrics.counter("scan.discovery.syns"), 1);
-    assert_eq!(metrics.counter("scan.discovery.retries"), 2);
-    assert_eq!(metrics.counter("scan.syn_retries"), 0);
-    // Stateful: the fixed (probe 0, conn 0) port, same schedule.
-    let (syns, metrics) = silent_target_syns(false);
-    let t0 = syns[0].0;
-    assert_eq!(
-        syns,
-        vec![(t0, 40000), (t0 + SEC, 40000), (t0 + 3 * SEC, 40000)]
-    );
-    assert_eq!(metrics.counter("scan.syn_retries"), 2);
-    assert_eq!(metrics.counter("scan.discovery.retries"), 0);
+    // The fixed (probe 0, conn 0) port, with the flight recorder off and
+    // on: the recorder adds a give-up wait after the last retry, which
+    // sends nothing and dumps the black box.
+    for flight_recorder in [false, true] {
+        let (syns, metrics) = silent_target_syns(flight_recorder);
+        let t0 = syns[0].0;
+        assert_eq!(
+            syns,
+            vec![(t0, 40000), (t0 + SEC, 40000), (t0 + 3 * SEC, 40000)],
+            "flight recorder {flight_recorder}"
+        );
+        assert_eq!(metrics.counter("scan.syn_retries"), 2);
+        let dumps = metrics.counter("scan.flight_recorder.dumps");
+        assert_eq!(dumps, u64::from(flight_recorder), "a give-up dumps");
+    }
 }
 
 #[test]
@@ -496,13 +493,12 @@ fn silent_space_costs_events_per_tick_not_per_target() {
     use iw_core::ResilienceConfig;
     use iw_netsim::{Sim, SimConfig};
 
-    // 2^16 silent targets, stateless-first + hardened, at the study's
-    // 150 kpps: three SYNs per target, yet the event count follows the
-    // pacing ticks (one pacing event and one drain per level per tick),
-    // not the ~131 k per-target timers this used to cost.
+    // 2^16 silent targets, hardened, at the study's 150 kpps: three SYNs
+    // per target, yet the event count follows the pacing ticks (one
+    // pacing event and one drain per level per tick), not the ~131 k
+    // per-target timers this used to cost.
     let space = 1u32 << 16;
     let mut cfg = ScanConfig::study(Protocol::Http, space, 0x51e7);
-    cfg.stateless_first = true;
     cfg.resilience = ResilienceConfig::hardened();
     let sim_config = SimConfig {
         seed: cfg.seed,
@@ -515,10 +511,7 @@ fn silent_space_costs_events_per_tick_not_per_target() {
     let stats = sim.stats();
     let metrics = sim.scanner().metrics_snapshot();
     assert_eq!(sim.scanner().targets_sent(), u64::from(space));
-    assert_eq!(
-        metrics.counter("scan.discovery.retries"),
-        2 * u64::from(space)
-    );
+    assert_eq!(metrics.counter("scan.syn_retries"), 2 * u64::from(space));
     assert_eq!(stats.scanner_tx, 3 * u64::from(space));
     let ticks = metrics.counter("shard.pace.ticks");
     assert!(

@@ -81,22 +81,10 @@ pub enum Counter {
     IcmpFragNeeded,
     /// Source-quench messages: the rate-limiting signature ("Hidden Treasures").
     IcmpSourceQuench,
-    /// Stateless discovery SYNs sent (first transmissions).
-    DiscoverySyns,
-    /// Stateless discovery SYN retransmissions (attempt encoded in sport).
-    DiscoveryRetries,
-    /// Discovery SYN-ACKs that validated against the ISN cookie.
-    DiscoveryValidated,
-    /// Responders promoted from discovery into a stateful IW session.
-    DiscoveryPromoted,
-    /// Valid SYN-ACKs for targets already discovered, dropped unpromoted.
-    DiscoveryDuplicates,
-    /// Discovery SYN-ACKs whose ack failed cookie validation outright.
-    DiscoveryCookieMismatch,
-    /// Discovery SYN-ACKs acking the raw ISN (missing +1): broken middlebox.
-    DiscoveryRawIsnEcho,
-    /// RSTs to a discovery flow failing cookie validation (no verdict).
-    DiscoverySpoofedRst,
+    /// SYN-ACKs acking the raw cookie ISN (missing +1): broken middlebox.
+    SynackRawIsnEcho,
+    /// SYN-ACKs whose ack failed cookie validation outright.
+    SynackCookieMismatch,
     /// RSTs on any verdict path dropped for failing cookie validation.
     RstIgnored,
     /// Cookie-valid SYN-ACKs and RSTs for a target that already has its
@@ -108,7 +96,7 @@ pub enum Counter {
     InvariantUnconservedToScanner,
     /// Pool buffers still checked out when a world drained.
     InvariantPoolLeaked,
-    /// Sessions, handshakes, retries and promotions left when a world drained.
+    /// Sessions and queued SYN retries left when a world drained.
     InvariantWorkLeft,
     /// Addresses holding more than one record.
     InvariantDuplicateRecords,
@@ -143,8 +131,6 @@ pub enum Counter {
 /// Every gauge the scanner records (the registry keeps the peak).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gauge {
-    /// Distinct targets holding pre-session state: `promotions + promoted_inflight`.
-    DiscoveryStatePeak,
     /// Live sessions.
     SessionsLivePeak,
     /// Pool buffers still checked out when the scan drained (zero when clean).
@@ -168,7 +154,7 @@ pub enum Hist {
 
 /// Name and scope of every [`Counter`], row `i` for discriminant `i`.
 #[rustfmt::skip]
-pub const COUNTERS: [(Counter, &str, Scope); 60] = [
+pub const COUNTERS: [(Counter, &str, Scope); 54] = [
     (Counter::TargetsSent, "scan.targets_sent", Scope::Scan),
     (Counter::SynacksValidated, "scan.synacks_validated", Scope::Scan),
     (Counter::Refused, "scan.refused", Scope::Scan),
@@ -197,8 +183,8 @@ pub const COUNTERS: [(Counter, &str, Scope); 60] = [
     (Counter::ErrHandshakeTimeout, "scan.probes.error_kinds.handshake_timeout", Scope::Scan),
     (Counter::ErrCollectTimeout, "scan.probes.error_kinds.collect_timeout", Scope::Scan),
     (Counter::ErrIcmpUnreachable, "scan.probes.error_kinds.icmp_unreachable", Scope::Scan),
-    // Which hosts send which ICMP, and which targets answer discovery,
-    // is population-determined: these merge exactly across shard counts.
+    // Which hosts send which ICMP, and which answers fail the cookie, is
+    // population-determined: these merge exactly across shard counts.
     (Counter::IcmpMessages, "scan.icmp.messages", Scope::Scan),
     (Counter::IcmpUnreachableNet, "scan.icmp.unreachable_net", Scope::Scan),
     (Counter::IcmpUnreachableHost, "scan.icmp.unreachable_host", Scope::Scan),
@@ -206,14 +192,8 @@ pub const COUNTERS: [(Counter, &str, Scope); 60] = [
     (Counter::IcmpUnreachableOther, "scan.icmp.unreachable_other", Scope::Scan),
     (Counter::IcmpFragNeeded, "scan.icmp.frag_needed", Scope::Scan),
     (Counter::IcmpSourceQuench, "scan.icmp.source_quench", Scope::Scan),
-    (Counter::DiscoverySyns, "scan.discovery.syns", Scope::Scan),
-    (Counter::DiscoveryRetries, "scan.discovery.retries", Scope::Scan),
-    (Counter::DiscoveryValidated, "scan.discovery.validated", Scope::Scan),
-    (Counter::DiscoveryPromoted, "scan.discovery.promoted", Scope::Scan),
-    (Counter::DiscoveryDuplicates, "scan.discovery.duplicates", Scope::Scan),
-    (Counter::DiscoveryCookieMismatch, "scan.discovery.cookie_mismatch", Scope::Scan),
-    (Counter::DiscoveryRawIsnEcho, "scan.discovery.raw_isn_echo", Scope::Scan),
-    (Counter::DiscoverySpoofedRst, "scan.discovery.spoofed_rst", Scope::Scan),
+    (Counter::SynackRawIsnEcho, "scan.synack.raw_isn_echo", Scope::Scan),
+    (Counter::SynackCookieMismatch, "scan.synack.cookie_mismatch", Scope::Scan),
     (Counter::RstIgnored, "scan.rst_ignored", Scope::Scan),
     (Counter::LateAnswers, "scan.late_answers", Scope::Scan),
     (Counter::InvariantUnconservedToHosts, "scan.invariant.unconserved_to_hosts", Scope::Scan),
@@ -244,8 +224,7 @@ pub const COUNTERS: [(Counter, &str, Scope); 60] = [
 /// three are scheduling facts: how much state coexists depends on shard
 /// interleaving.
 #[rustfmt::skip]
-pub const GAUGES: [(Gauge, &str, Scope); 3] = [
-    (Gauge::DiscoveryStatePeak, "scan.discovery.state_peak", Scope::Shard),
+pub const GAUGES: [(Gauge, &str, Scope); 2] = [
     (Gauge::SessionsLivePeak, "shard.sessions.live_peak", Scope::Shard),
     (Gauge::SimPoolOutstanding, "sim.queue.pool_outstanding", Scope::Shard),
 ];
@@ -283,7 +262,7 @@ mod tests {
                 "{name} has invalid characters"
             );
         }
-        assert_eq!(seen.len(), 68);
+        assert_eq!(seen.len(), 61);
     }
 
     #[test]
@@ -335,14 +314,8 @@ mod tests {
             | Counter::IcmpUnreachableOther
             | Counter::IcmpFragNeeded
             | Counter::IcmpSourceQuench
-            | Counter::DiscoverySyns
-            | Counter::DiscoveryRetries
-            | Counter::DiscoveryValidated
-            | Counter::DiscoveryPromoted
-            | Counter::DiscoveryDuplicates
-            | Counter::DiscoveryCookieMismatch
-            | Counter::DiscoveryRawIsnEcho
-            | Counter::DiscoverySpoofedRst
+            | Counter::SynackRawIsnEcho
+            | Counter::SynackCookieMismatch
             | Counter::RstIgnored
             | Counter::LateAnswers
             | Counter::InvariantUnconservedToHosts
@@ -365,7 +338,7 @@ mod tests {
         };
         let last_gauge = |g: Gauge| match g {
             Gauge::SimPoolOutstanding => true,
-            Gauge::DiscoveryStatePeak | Gauge::SessionsLivePeak => false,
+            Gauge::SessionsLivePeak => false,
         };
         let last_hist = |h: Hist| match h {
             Hist::PaceTokenWaitNanos => true,
@@ -389,15 +362,18 @@ mod tests {
 
     #[test]
     fn discovery_scopes_split_correctly() {
-        // Response counters are population-determined (Scan); the state
-        // peak depends on shard interleaving and stays Shard — the
-        // memory gate reads it per shard, never from the canonical
-        // snapshot.
-        assert_eq!(
-            COUNTERS[Counter::DiscoveryValidated as usize].2,
-            Scope::Scan
-        );
-        assert_eq!(COUNTERS[Counter::DiscoveryPromoted as usize].2, Scope::Scan);
-        assert_eq!(GAUGES[Gauge::DiscoveryStatePeak as usize].2, Scope::Shard);
+        // How responders are found is population-determined (Scan): the
+        // validated SYN-ACKs and the ones each cookie check rejects. How
+        // many sessions coexist depends on shard interleaving and stays
+        // Shard, never in the canonical snapshot.
+        for counter in [
+            Counter::SynacksValidated,
+            Counter::SynackRawIsnEcho,
+            Counter::SynackCookieMismatch,
+            Counter::RstIgnored,
+        ] {
+            assert_eq!(COUNTERS[counter as usize].2, Scope::Scan, "{counter:?}");
+        }
+        assert_eq!(GAUGES[Gauge::SessionsLivePeak as usize].2, Scope::Shard);
     }
 }
