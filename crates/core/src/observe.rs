@@ -140,8 +140,7 @@ pub(crate) struct Observer {
     record_rtt: bool,
     /// The SYN's answer feeds the RTT histogram or the handshake span.
     time_answers: bool,
-    /// A product besides the counters reads SYN events: the event log
-    /// (tally or watch set), the RTT stamps or the flight recorder.
+    /// [`Self::reads_syn`], kept current by `new` and `watch`.
     syn_subscribers: bool,
     shard: u32,
     log: EventLog,
@@ -158,8 +157,8 @@ pub(crate) struct Observer {
     last_pace_at: u64,
     /// One stamp per target whose first SYN a product still holds.
     stamps: Stamps,
-    /// The flow of every target's first SYN (the ISN of a ring built from
-    /// a stamp).
+    /// The flow of every target's first SYN: the scanner sends and
+    /// validates on it, and the ISN of a ring built from a stamp is its.
     syn_flow: SynFlow,
 }
 
@@ -267,14 +266,11 @@ impl Observer {
     /// SYNs go out on `syn_flow`: every product is built, enabled or not,
     /// so recording never has to ask.
     pub(crate) fn new(config: &TelemetryConfig, shard: u32, syn_flow: SynFlow) -> Observer {
-        Observer {
+        let mut obs = Observer {
             metrics: MetricsRegistry::from_manifest(),
             record_rtt: config.record_rtt,
             time_answers: config.record_rtt || config.record_spans,
-            syn_subscribers: config.record_events
-                || config.record_rtt
-                || config.record_spans
-                || config.flight_recorder,
+            syn_subscribers: false,
             shard,
             log: EventLog::new(config.record_events),
             tracer: Tracer::new(config.record_spans),
@@ -289,14 +285,28 @@ impl Observer {
             last_pace_at: 0,
             stamps: Stamps::default(),
             syn_flow,
-        }
+        };
+        obs.syn_subscribers = obs.reads_syn();
+        obs
+    }
+
+    /// The flow of every target's first SYN and its retries.
+    pub(crate) fn syn_flow(&self) -> SynFlow {
+        self.syn_flow
     }
 
     /// Keep every later event of these addresses as a record.
     pub(crate) fn watch(&mut self, ips: impl IntoIterator<Item = u32>) {
-        let mut ips = ips.into_iter().peekable();
-        self.syn_subscribers |= ips.peek().is_some();
         self.log.watch(ips);
+        self.syn_subscribers = self.reads_syn();
+    }
+
+    /// A product besides the counters reads SYN events: the products
+    /// the `Event::Syn` arms of [`Self::record`] feed. A product that
+    /// starts reading SYNs joins here, or the inline path of
+    /// [`Self::emit`] drops its SYNs.
+    fn reads_syn(&self) -> bool {
+        self.log.is_recording() || self.time_answers || self.flight.is_enabled()
     }
 
     /// Record one observation in every product that subscribes to it.
@@ -743,6 +753,39 @@ mod tests {
                 payload_len: 0
             }
         );
+    }
+
+    #[test]
+    fn a_syn_skips_record_only_when_no_product_reads_it() {
+        // With no product on, `record` does for a SYN what the inline
+        // path of `emit` does: it counts a retry and nothing else.
+        let (ip, isn) = (4, flow().isn(4));
+        let (mut inline, mut recorded) =
+            (observer(false, false, false), observer(false, false, false));
+        assert!(!inline.syn_subscribers);
+        for attempt in 0..3 {
+            inline.emit(Instant::from_nanos(10), ip, Event::Syn(isn, attempt));
+            recorded.record(Instant::from_nanos(10), ip, Event::Syn(isn, attempt));
+        }
+        assert_eq!(inline.metrics.snapshot(), recorded.metrics.snapshot());
+        assert_eq!(recorded.metrics.counter_value(Counter::SynRetries), 2);
+        assert_eq!((recorded.log.len(), recorded.live_histories()), (0, 0));
+        // Every product that reads a SYN takes it off the inline path.
+        let events = TelemetryConfig {
+            record_events: true,
+            ..TelemetryConfig::default()
+        };
+        let mut watching = observer(false, false, false);
+        watching.watch([ip]);
+        for obs in [
+            Observer::new(&events, 0, flow()),
+            watching,
+            observer(true, false, false),
+            observer(false, true, false),
+            observer(false, false, true),
+        ] {
+            assert!(obs.syn_subscribers);
+        }
     }
 
     #[test]

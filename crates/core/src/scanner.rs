@@ -116,12 +116,12 @@ pub struct Scanner {
     /// option are fixed for the whole scan). Per target only the address,
     /// the IPv4 ident, the source port and the cookie ISN are patched in.
     syn_template: SynTemplate,
-    /// The flow of every target's first SYN and its retries.
-    syn_flow: SynFlow,
     /// The metrics and every telemetry product, fed through
     /// [`Observer::emit`]. It holds the one stamp of each target whose
     /// first SYN a product still needs; telemetry only, no decision
-    /// reads it.
+    /// reads it. It also owns the flow of every target's first SYN and
+    /// its retries ([`Observer::syn_flow`]), which the scanner sends on
+    /// and validates answers against.
     obs: Observer,
     /// Estimated targets this shard will probe (0 = unknown).
     targets_total: u64,
@@ -210,7 +210,6 @@ impl Scanner {
             mtu_results: Vec::new(),
             ident: 1,
             syn_template,
-            syn_flow,
             obs,
             targets_total,
         }
@@ -632,7 +631,7 @@ impl Scanner {
             }
             // Outside a session only the flow of the target's first SYN
             // (probe 0, conn 0) carries an answer.
-            _ if seg.dst_port != self.syn_flow.sport => {}
+            _ if seg.dst_port != self.obs.syn_flow().sport => {}
             None => self.on_answer(src, seg, false, now, fx),
             Some(Target::Concluded) => self.on_answer(src, seg, true, now, fx),
             Some(Target::Mtu { .. }) => {}
@@ -661,7 +660,7 @@ impl Scanner {
             cookie,
             sport,
             dport,
-        } = self.syn_flow;
+        } = self.obs.syn_flow();
         if seg.flags.contains(Flags::SYN) && seg.flags.contains(Flags::ACK) {
             if seg.src_port != dport {
                 return;

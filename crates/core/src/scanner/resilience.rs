@@ -93,8 +93,9 @@ impl Scanner {
     /// and report it. Retries use the identical 4-tuple and ISN, so a
     /// SYN-ACK to any attempt validates against the same cookie.
     fn emit_syn(&mut self, ip: u32, attempt: u8, now: Instant, fx: &mut Effects) {
-        let isn = self.syn_flow.isn(ip);
-        self.send_syn(ip, self.syn_flow.sport, isn, fx);
+        let flow = self.obs.syn_flow();
+        let isn = flow.isn(ip);
+        self.send_syn(ip, flow.sport, isn, fx);
         self.obs.emit(now, ip, Event::Syn(isn, attempt));
     }
 

@@ -750,6 +750,7 @@ fn replayed_synacks_promote_exactly_once() {
 
 #[test]
 fn a_silent_sweeps_retry_backlog_is_bounded_by_the_rate() {
+    use iw_core::{ScanRunner, Topology};
     use iw_internet::{Population, PopulationConfig};
     use std::sync::Arc;
 
@@ -771,6 +772,19 @@ fn a_silent_sweeps_retry_backlog_is_bounded_by_the_rate() {
     let mut config = ScanConfig::study(Protocol::Http, space, 0x1b1b);
     config.rate_pps = rate;
     config.resilience = ResilienceConfig::hardened();
+    // The same sweep through the runner names the responders the
+    // hand-driven one must record.
+    let run = ScanRunner::new(&pop)
+        .config(config.clone())
+        .topology(Topology::threads(1))
+        .run();
+    let ips = |results: &[HostResult]| {
+        let mut ips: Vec<u32> = results.iter().map(|r| r.ip).collect();
+        ips.sort_unstable();
+        ips
+    };
+    let responders = ips(&run.results);
+    assert!(!responders.is_empty(), "the population has responders");
     let sim_config = SimConfig {
         seed: config.seed,
         ..SimConfig::default()
@@ -793,9 +807,10 @@ fn a_silent_sweeps_retry_backlog_is_bounded_by_the_rate() {
          (peak {backlog_peak}, bound {bound})"
     );
     assert_eq!(sim.scanner().retry_backlog(), 0, "backlog drains to zero");
-    assert!(
-        !sim.scanner().results().is_empty(),
-        "the responders answered"
+    assert_eq!(
+        ips(sim.scanner().results()),
+        responders,
+        "the hand-driven sweep records every responder the runner does"
     );
 }
 

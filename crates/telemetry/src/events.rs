@@ -208,6 +208,12 @@ impl EventLog {
         self.watch.extend(ips);
     }
 
+    /// The log tallies events or watches an address: [`Self::record`]
+    /// does something.
+    pub fn is_recording(&self) -> bool {
+        self.enabled || !self.watch.is_empty()
+    }
+
     /// Count an event, and keep it if its address is watched.
     #[inline]
     pub fn record(&mut self, at_nanos: u64, ip: u32, event: SessionEvent) {

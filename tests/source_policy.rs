@@ -12,7 +12,8 @@
 //!   submodules (`crates/core/src/scanner/`), each in one place;
 //! - one lint policy: a crate's `clippy.toml` replaces the root one
 //!   instead of extending it, so the two crate files are the root file
-//!   plus the hash containers, and no other crate has one;
+//!   plus the hash containers, and no other directory has a
+//!   `clippy.toml` or a `.clippy.toml` (which clippy reads first);
 //! - every library root forbids unsafe code (`[workspace.lints]` can only
 //!   deny it: a `forbid` there would refuse the allocation-budget test's
 //!   allocator);
@@ -97,19 +98,27 @@ fn the_scanner_dispatch_holds_no_retry_eviction_or_mtu_state() {
     assert_eq!(naming(SCANNER, &state), Vec::<String>::new());
 }
 
-#[test]
-fn the_clippy_files_hold_one_policy() {
-    let mut files = vec![String::from("clippy.toml")];
-    for krate in listing(&root().join("crates")) {
-        if root()
-            .join("crates")
-            .join(&krate)
-            .join("clippy.toml")
-            .exists()
-        {
-            files.push(format!("crates/{krate}/clippy.toml"));
+/// Every `clippy.toml` and `.clippy.toml` under `dir`, relative to the
+/// repository root, skipping build output (`target/`) and `.git/`.
+fn clippy_files(dir: &Path, found: &mut Vec<String>) {
+    for name in listing(dir) {
+        let path = dir.join(&name);
+        if path.is_dir() {
+            if name != "target" && name != ".git" {
+                clippy_files(&path, found);
+            }
+        } else if name == "clippy.toml" || name == ".clippy.toml" {
+            let relative = path.strip_prefix(root()).unwrap();
+            found.push(relative.to_string_lossy().into_owned());
         }
     }
+}
+
+#[test]
+fn the_clippy_files_hold_one_policy() {
+    let mut files = Vec::new();
+    clippy_files(&root(), &mut files);
+    files.sort();
     assert_eq!(
         files,
         [
