@@ -22,6 +22,7 @@
 
 use crate::results::ErrorKind;
 use iw_netsim::{Duration, Instant};
+use iw_wire::http::ResponseHead;
 use iw_wire::ipv4::Ipv4Addr;
 use iw_wire::tcp::{self, Flags};
 
@@ -45,8 +46,8 @@ pub struct ConnConfig {
     /// kept only until it is sent: the output whose segment carries it
     /// takes the bytes ([`ConnOutput::request`]).
     pub request: Vec<u8>,
-    /// What of the response the probe layer reads once the connection
-    /// concludes: the only bytes worth storing. Every byte is counted
+    /// What of the response the probe layer reads: the only bytes worth
+    /// storing, and only until they are read. Every byte is counted
     /// either way.
     pub reads: Reads,
     /// Give up on the SYN after this long.
@@ -90,16 +91,46 @@ impl ConnConfig {
     }
 }
 
-/// What a probe driver reads of a connection's response. The paper's
-/// method counts response bytes and never reads them (§3.1, §3.3); only
-/// the HTTP probe looks at the head of its first connection (§3.2).
+/// What a probe reads of a connection's response. The paper's method
+/// counts response bytes and never reads them (§3.1, §3.3); only the
+/// HTTP probe looks at the head of its first connection (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reads {
     /// Nothing: the connection stores no payload.
     Nothing,
     /// The HTTP head: the in-order prefix up to and including its first
-    /// blank line, if that completes within [`RESPONSE_CAP`] bytes.
+    /// blank line, if that completes within [`RESPONSE_CAP`] bytes. It is
+    /// read into an [`HttpHead`] the moment the prefix holds it, or at
+    /// conclusion if it never does.
     HttpHead,
+}
+
+/// What the HTTP probe learns of a response head: the status and a
+/// redirect's `Location` of a head that parsed, or why
+/// [`ResponseHead::parse`] refused it (`Truncated` for a head that never
+/// completed within [`RESPONSE_CAP`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HttpHead {
+    /// The status code, or the parse error.
+    pub status: Result<u16, iw_wire::Error>,
+    /// The `Location` of a redirect: a 3xx head that carried one.
+    pub location: Option<Box<str>>,
+}
+
+impl HttpHead {
+    /// Read the head at the start of `bytes`.
+    pub(crate) fn read(bytes: &[u8]) -> HttpHead {
+        match ResponseHead::parse(bytes) {
+            Ok(head) => HttpHead {
+                status: Ok(head.status),
+                location: head.redirect_location().map(Box::from),
+            },
+            Err(e) => HttpHead {
+                status: Err(e),
+                location: None,
+            },
+        }
+    }
 }
 
 /// Raw result of one connection (before probe-level interpretation).
@@ -143,10 +174,8 @@ pub enum RawOutcome {
 pub struct ConnResult {
     /// The raw outcome.
     pub outcome: RawOutcome,
-    /// The in-order response prefix from offset 0, cut to what the probe
-    /// reads: empty for [`Reads::Nothing`]; for [`Reads::HttpHead`] the
-    /// head once complete, else the prefix up to [`RESPONSE_CAP`].
-    pub response: Vec<u8>,
+    /// The head, for [`Reads::HttpHead`]; `None` for [`Reads::Nothing`].
+    pub head: Option<HttpHead>,
 }
 
 /// Telemetry note: a state transition worth reporting upward. The session
@@ -260,6 +289,10 @@ const TRANSITIONS: &[(Phase, Phase)] = &[
 /// within this many bytes is not parsed.
 pub const RESPONSE_CAP: usize = 8192;
 
+/// What the store reserves for its first byte: a probe's HTTP head fits,
+/// so most stores never grow.
+const STORE_FIRST: usize = 512;
+
 /// The inference machine for one connection.
 #[derive(Debug)]
 pub struct InferenceConn {
@@ -275,13 +308,15 @@ pub struct InferenceConn {
     /// The stored bytes: those of `ranges` below `keep`, concatenated in
     /// stream order with no gaps, so the in-order prefix comes first and
     /// a fragment past a hole costs its own length, not the hole's.
-    response: Vec<u8>,
+    /// Freed once the head is read.
+    store: Vec<u8>,
     /// Bytes at or past this offset are counted, not stored: zero when
-    /// the probe reads nothing; while an HTTP head is incomplete, the
-    /// lowest end of a blank line seen in any fragment (the head ends at
-    /// or before it) or else [`RESPONSE_CAP`]; the head's length once the
-    /// prefix holds it.
+    /// the probe reads nothing or has read the head; while an HTTP head
+    /// is incomplete, the lowest end of a blank line seen in any fragment
+    /// (the head ends at or before it) or else [`RESPONSE_CAP`].
     keep: u32,
+    /// The head, read the moment the in-order prefix held it.
+    head: Option<HttpHead>,
     max_seg: u32,
     fin_seen: bool,
     reordered: bool,
@@ -294,29 +329,25 @@ pub struct InferenceConn {
 impl InferenceConn {
     /// Create the machine and the SYN to transmit.
     pub fn new(cfg: ConnConfig, now: Instant) -> (InferenceConn, ConnOutput) {
-        Self::open(cfg, Vec::new(), Vec::new(), now)
+        Self::open(cfg, Vec::new(), now)
     }
 
     /// Start over as a fresh connection for `cfg`, keeping this one's
-    /// reassembly storage: the range list, and `spare` (a finished
-    /// connection's [`ConnResult::response`], handed back) as the response
-    /// buffer. Returns the SYN to transmit, like [`Self::new`].
-    pub fn restart(&mut self, cfg: ConnConfig, spare: Vec<u8>, now: Instant) -> ConnOutput {
+    /// range list. Returns the SYN to transmit, like [`Self::new`].
+    pub fn restart(&mut self, cfg: ConnConfig, now: Instant) -> ConnOutput {
         let ranges = std::mem::take(&mut self.ranges);
-        let (conn, first) = Self::open(cfg, ranges, spare, now);
+        let (conn, first) = Self::open(cfg, ranges, now);
         *self = conn;
         first
     }
 
-    /// A connection in `SynSent` on (emptied) `ranges`/`response` storage.
+    /// A connection in `SynSent` on (emptied) `ranges` storage.
     fn open(
         cfg: ConnConfig,
         mut ranges: Vec<(u32, u32)>,
-        mut response: Vec<u8>,
         now: Instant,
     ) -> (InferenceConn, ConnOutput) {
         ranges.clear();
-        response.clear();
         let deadline = now + cfg.syn_timeout;
         let keep = match cfg.reads {
             Reads::Nothing => 0,
@@ -328,8 +359,9 @@ impl InferenceConn {
             phase: Phase::SynSent,
             data_base: 0,
             ranges,
-            response,
+            store: Vec::new(),
             keep,
+            head: None,
             max_seg: 0,
             fin_seen: false,
             reordered: false,
@@ -462,7 +494,7 @@ impl InferenceConn {
 
     /// Store the bytes of the fragment `data` at `offset` that lie below
     /// `keep` and are not stored yet, each where it belongs in the
-    /// gap-free `response`. Runs before [`Self::merge_range`] notes the
+    /// gap-free `store`. Runs before [`Self::merge_range`] notes the
     /// fragment: the holes of the current `ranges` are what is new.
     fn store(&mut self, offset: u32, data: &[u8]) {
         let end = (offset + data.len() as u32).min(self.keep);
@@ -475,13 +507,17 @@ impl InferenceConn {
             if from < to {
                 let at = below as usize;
                 let new = &data[(from - offset) as usize..(to - offset) as usize];
-                let old_len = self.response.len();
-                // Exact growth: the session keeps this buffer for all its
-                // connections, so slack would stay for all of them.
-                self.response.reserve_exact(new.len());
-                self.response.resize(old_len + new.len(), 0);
-                self.response.copy_within(at..old_len, at + new.len());
-                self.response[at..at + new.len()].copy_from_slice(new);
+                let old_len = self.store.len();
+                // One reservation a head fits in, then doubling: the store
+                // is freed once the head is read, so no slack outlives it.
+                if self.store.capacity() == 0 {
+                    self.store.reserve_exact(STORE_FIRST.max(new.len()));
+                } else {
+                    self.store.reserve(new.len());
+                }
+                self.store.resize(old_len + new.len(), 0);
+                self.store.copy_within(at..old_len, at + new.len());
+                self.store[at..at + new.len()].copy_from_slice(new);
                 below += to - from;
             }
             if next >= end {
@@ -501,22 +537,25 @@ impl InferenceConn {
         }
     }
 
-    /// Stop storing once the in-order prefix holds a whole HTTP head:
-    /// nothing past its blank line is read. `grown_from` is the prefix's
-    /// length before the last fragment; only what it added is searched.
+    /// Read the head once the in-order prefix holds it whole, then store
+    /// nothing more and free the store: nothing past its blank line is
+    /// read. `grown_from` is the prefix's length before the last
+    /// fragment; only what it added is searched.
     fn close_head(&mut self, grown_from: usize) {
         let prefix = self.prefix_len();
         if prefix <= grown_from {
             return;
         }
         let from = grown_from.saturating_sub(3);
-        if let Some(len) = iw_wire::http::head_len(&self.response[from..prefix]) {
-            self.lower_keep((from + len) as u32);
+        if let Some(len) = iw_wire::http::head_len(&self.store[from..prefix]) {
+            self.head = Some(HttpHead::read(&self.store[..from + len]));
+            self.keep = 0;
+            self.store = Vec::new();
         }
     }
 
     /// Store nothing at or past `bound` any more, and drop what is stored
-    /// there (the tail of the gap-free `response`).
+    /// there (the tail of the gap-free `store`).
     fn lower_keep(&mut self, bound: u32) {
         if bound >= self.keep {
             return;
@@ -527,17 +566,20 @@ impl InferenceConn {
             .iter()
             .map(|&(s, e)| e.min(bound) - s.min(bound))
             .sum();
-        self.response.truncate(below as usize);
+        self.store.truncate(below as usize);
     }
 
-    /// Conclude: the output with the result (the in-order response prefix).
+    /// Conclude: the output with the result. A head that never completed
+    /// is read now, from the in-order prefix.
     fn conclude(&mut self, outcome: RawOutcome) -> ConnOutput {
         let undeclared_edges = self.set_phase(Phase::Done);
         self.deadline = None;
-        self.response.truncate(self.prefix_len());
-        let response = std::mem::take(&mut self.response);
+        let prefix = &self.store[..self.prefix_len()];
+        let head = (self.cfg.reads == Reads::HttpHead)
+            .then(|| self.head.take().unwrap_or_else(|| HttpHead::read(prefix)));
+        self.store = Vec::new();
         ConnOutput {
-            result: Some(ConnResult { outcome, response }),
+            result: Some(ConnResult { outcome, head }),
             undeclared_edges,
             ..ConnOutput::default()
         }
@@ -1170,10 +1212,12 @@ mod tests {
         };
         c.on_segment(&mk(5, b"WORLD"), now);
         c.on_segment(&mk(0, b"HELLO"), now);
-        // Force conclusion via timeout.
+        assert_eq!(c.store, b"HELLOWORLD");
+        // Force conclusion via timeout: no blank line, no head.
         let out = c.on_timer(now + cfg().collect_timeout);
-        let result = out.result.unwrap();
-        assert_eq!(result.response, b"HELLOWORLD");
+        let head = out.result.unwrap().head.unwrap();
+        assert_eq!(head.status, Err(iw_wire::Error::Truncated));
+        assert!(c.store.is_empty());
     }
 
     #[test]
@@ -1186,8 +1230,8 @@ mod tests {
         c.on_segment(&mk(0, b"HELLO"), now);
         // Starts inside what is already in order and reaches past it.
         c.on_segment(&mk(3, b"LOWORLD"), now);
-        let out = c.on_timer(now + cfg().collect_timeout);
-        assert_eq!(out.result.unwrap().response, b"HELLOWORLD");
+        assert_eq!(c.prefix_len(), 10);
+        assert_eq!(c.store, b"HELLOWORLD");
     }
 
     #[test]
@@ -1206,9 +1250,8 @@ mod tests {
             };
             assert!(c.on_segment(seg, now).result.is_none());
         }
-        let out = c.on_timer(now + cfg().collect_timeout);
         let expect: Vec<u8> = (0..100u8).collect();
-        assert_eq!(out.result.unwrap().response, expect);
+        assert_eq!(c.store, expect);
     }
 
     /// The reference the reassembly is checked against: one flag per
@@ -1302,12 +1345,6 @@ mod tests {
             .collect()
     }
 
-    /// What the probe layer learns from a response prefix.
-    fn parsed(response: &[u8]) -> Result<(u16, Option<&str>, usize), iw_wire::Error> {
-        iw_wire::http::ResponseHead::parse(response)
-            .map(|h| (h.status, h.header("location"), h.body_offset))
-    }
-
     #[test]
     fn reassembly_matches_a_byte_map_under_reordering_duplication_and_overlap() {
         let mut rng = iw_internet::util::HashStream::new(0x7ea5_5e3b, 0, 0);
@@ -1370,29 +1407,32 @@ mod tests {
                 assert_eq!(c.ranges, model.ranges(), "round {round}");
                 assert_eq!(counted.ranges, c.ranges, "round {round}");
                 assert_eq!(c.reordered, model.reordered, "round {round}");
-                // Storing stops at the first blank line of the prefix, and
-                // before that at any blank line a fragment held.
+                // Storing stops at any blank line a fragment held; once the
+                // prefix holds the head, it is read and the store freed.
                 let prefix = model.seen.iter().take_while(|seen| **seen).count();
                 let in_order = &stream[..prefix.min(RESPONSE_CAP)];
-                let keep = iw_wire::http::head_len(in_order).unwrap_or(bound);
+                let head = iw_wire::http::head_len(in_order).map(|_| HttpHead::read(in_order));
+                let keep = if head.is_some() { 0 } else { bound };
+                assert_eq!(c.head, head, "round {round}");
                 assert_eq!(c.keep as usize, keep, "round {round}");
-                assert_eq!(
-                    c.response,
-                    stored(&stream, &c.ranges, c.keep),
-                    "round {round}"
-                );
-                assert!(counted.response.is_empty(), "round {round}");
+                let store = stored(&stream, &c.ranges, c.keep);
+                assert_eq!(c.store, store, "round {round}");
+                let freed = c.store.capacity() == 0;
+                assert!(head.is_none() || freed, "round {round}");
+                assert_eq!(counted.store.capacity(), 0, "round {round}");
             }
             let runs = model.ranges();
             let loss_suspected = runs.len() > 1 || runs.first().is_some_and(|(s, _)| *s != 0);
             assert_eq!(c.has_hole(), loss_suspected, "round {round}");
+            // Read at completion or at conclusion, the head is what the
+            // whole in-order prefix parses to.
             let prefix = model.seen.iter().take_while(|seen| **seen).count();
             let in_order = &stream[..prefix.min(RESPONSE_CAP)];
-            let kept = c.conclude(RawOutcome::Open).result.unwrap().response;
-            assert_eq!(parsed(&kept), parsed(in_order), "round {round}");
-            assert!(kept.len() <= in_order.len(), "round {round}");
+            let head = c.conclude(RawOutcome::Open).result.unwrap().head;
+            assert_eq!(head, Some(HttpHead::read(in_order)), "round {round}");
+            assert_eq!(c.store.capacity(), 0, "round {round}");
             let unread = counted.conclude(RawOutcome::Open).result.unwrap();
-            assert!(unread.response.is_empty(), "round {round}");
+            assert_eq!(unread.head, None, "round {round}");
         }
     }
 

@@ -16,7 +16,8 @@
 //!    ([`inference`]) that advertises a tiny MSS, counts segments until
 //!    the first retransmission, and verifies exhaustion with a 2·MSS
 //!    window ACK (§3.1, Fig. 1).
-//! 3. **Probe drivers** ([`probe`]) — HTTP (§3.2: redirects, error-page
+//! 3. **Probes** ([`probe`]), stateless functions of the session's
+//!    indices — HTTP (§3.2: redirects, error-page
 //!    bloating, `Connection: close`), TLS (§3.3: 40-cipher hello, OCSP),
 //!    a single-packet port-scan baseline (§3.4) and the RFC 1191
 //!    ICMP path-MTU probe (footnote 1).

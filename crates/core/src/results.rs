@@ -170,11 +170,6 @@ impl ProbeOutcome {
         }
     }
 
-    /// Whether this is a success.
-    pub fn is_success(&self) -> bool {
-        matches!(self, ProbeOutcome::Success { .. })
-    }
-
     /// The event-log classification of this outcome.
     pub fn outcome_kind(&self) -> OutcomeKind {
         match self {
@@ -617,8 +612,6 @@ mod tests {
         assert!(success.quality() > few.quality());
         assert!(few.quality() > err.quality());
         assert!(err.quality() > ProbeOutcome::Unreachable.quality());
-        assert!(success.is_success());
-        assert!(!few.is_success());
     }
 
     #[test]

@@ -11,11 +11,8 @@
 use crate::config::PROBE_BACKOFF;
 use crate::cookie::CookieKey;
 use crate::inference::{ConnConfig, ConnNote, ConnOutput, InferenceConn, TxBatch};
-use crate::probe::http::HttpProbe;
-use crate::probe::tls::TlsProbe;
-use crate::probe::{ProbeDriver, ProbeStep};
+use crate::probe::{self, ProbeStep};
 use crate::results::{ErrorKind, HostResult, HostVerdict, MssVerdict, ProbeOutcome, Protocol};
-use iw_internet::util::mix;
 use iw_netsim::{Duration, Instant};
 use iw_telemetry::{OutcomeKind, SessionEvent};
 use iw_wire::ipv4::Ipv4Addr;
@@ -114,6 +111,7 @@ pub struct HostSession {
     /// it as the SNI, and no SNI without it.
     domain: Option<Box<str>>,
     probe_idx: u32,
+    /// The connection of the current probe: 0, or 1 for HTTP's follow-up.
     conn_idx: u8,
     /// Retry attempt of the current probe (0 = first try). Strides the
     /// source-port allocation so retry connections use fresh ports.
@@ -123,14 +121,11 @@ pub struct HostSession {
     /// When set, the session is backing off; the next timer at/after this
     /// instant launches the retry connection.
     retry_at: Option<Instant>,
-    driver: Box<dyn ProbeDriver + Send>,
     conn: InferenceConn,
-    /// The last finished connection's response buffer, kept (one per
-    /// session, not one per connection) for the next connection to
-    /// reassemble into.
-    spare: Vec<u8>,
     /// Each concluded probe's outcome at its probe index (the first
-    /// `probe_idx` are set): the whole plan in one fixed-size place.
+    /// `probe_idx` are set): the whole plan in one fixed-size place. A
+    /// probe's first connection leaves its outcome at its index while the
+    /// follow-up runs.
     outcomes: [ProbeOutcome; MAX_PROBES_PER_HOST],
     done: bool,
     /// When the session was created (SYN-ACK arrival); session-lifetime
@@ -145,11 +140,13 @@ pub struct HostSession {
 }
 
 const _: () = assert!(
-    std::mem::size_of::<HostSession>() <= 384,
+    std::mem::size_of::<HostSession>() <= 368,
     "a responder-dense scan keeps every responder's session live at once \
      (dense_http: 12 900, so each byte here is ~13 KB there); a session \
      once added ~250 B of heap to its 368: its own copy of the scan's \
-     parameters, one outcome vector per MSS and a formatted host name"
+     parameters, one outcome vector per MSS and a formatted host name; \
+     and it was 384 B with a boxed probe driver and a kept reassembly \
+     buffer, which held ~340 B of capacity per live session"
 );
 
 impl HostSession {
@@ -164,10 +161,7 @@ impl HostSession {
         now: Instant,
     ) -> HostSession {
         let domain = domain.map(String::into_boxed_str);
-        let mut driver = make_driver(&params, ip, domain.as_deref(), 0);
-        let request = driver.initial_request();
-        let mut cfg = conn_config(&params, ip, 0, 0, 0, request);
-        cfg.reads = driver.reads();
+        let cfg = conn_config(&params, ip, domain.as_deref(), 0, 0, 0, None);
         // Reconstruct the conn machine in SynSent; discard its duplicate
         // SYN (already on the wire).
         let (conn, _discard) = InferenceConn::new(cfg, now);
@@ -181,9 +175,7 @@ impl HostSession {
             attempt: 0,
             retries_used: 0,
             retry_at: None,
-            driver,
             conn,
-            spare: Vec::new(),
             done: false,
             started: now,
             armed: None,
@@ -263,39 +255,28 @@ impl HostSession {
         self.absorb(out, now)
     }
 
-    /// Open the next connection (the current probe/conn/attempt indices)
-    /// with `request`, on the storage the previous one left behind,
-    /// storing what the driver will read of it.
-    fn connect(&mut self, request: Vec<u8>, now: Instant) -> ConnOutput {
-        let mut cfg = conn_config(
+    /// Open the next connection (the current probe/conn/attempt indices;
+    /// a follow-up goes to `location` when the first head redirected).
+    fn connect(&mut self, location: Option<&str>, now: Instant) -> ConnOutput {
+        let (probe, conn, attempt) = (self.probe_idx, self.conn_idx, self.attempt);
+        let domain = self.domain.as_deref();
+        let cfg = conn_config(
             &self.params,
             self.ip,
-            self.probe_idx,
-            self.conn_idx,
-            self.attempt,
-            request,
+            domain,
+            probe,
+            conn,
+            attempt,
+            location,
         );
-        cfg.reads = self.driver.reads();
-        self.conn.restart(cfg, std::mem::take(&mut self.spare), now)
-    }
-
-    /// Open the first connection of the current probe on a fresh driver.
-    fn start_probe(&mut self, now: Instant) -> ConnOutput {
-        self.driver = make_driver(
-            &self.params,
-            self.ip,
-            self.domain.as_deref(),
-            self.probe_idx,
-        );
-        let request = self.driver.initial_request();
-        self.connect(request, now)
+        self.conn.restart(cfg, now)
     }
 
     /// The backoff expired: open a fresh connection for the current probe
     /// on the next attempt's source port.
     fn launch_retry(&mut self, now: Instant) -> SessionOutput {
         self.retry_at = None;
-        let first = self.start_probe(now);
+        let first = self.connect(None, now);
         SessionOutput {
             tx: first.tx,
             request: first.request,
@@ -363,15 +344,15 @@ impl HostSession {
         let Some(result) = out.result else {
             return session_out;
         };
-        let step = self.driver.next_step(&result);
-        self.spare = result.response;
-        match step {
-            ProbeStep::FollowUp(request) => {
+        let first = self.outcomes[self.probe_idx as usize];
+        match probe::next_step(self.params.protocol, self.conn_idx, &result, first) {
+            ProbeStep::FollowUp(first, location) => {
+                self.outcomes[self.probe_idx as usize] = first;
                 self.conn_idx += 1;
                 session_out
                     .events
                     .push(SessionEvent::FollowUpStarted { probe });
-                let first = self.connect(request, now);
+                let first = self.connect(location, now);
                 session_out.tx.extend(first.tx);
                 session_out.deadline = first.deadline;
             }
@@ -434,7 +415,7 @@ impl HostSession {
                         probe: self.probe_idx as u8,
                         mss: self.current_mss(),
                     });
-                    let first = self.start_probe(now);
+                    let first = self.connect(None, now);
                     session_out.tx.extend(first.tx);
                     session_out.deadline = first.deadline;
                 }
@@ -464,46 +445,25 @@ impl HostSession {
     }
 }
 
-fn make_driver(
+/// Connection `conn_idx` of probe `probe_idx`'s attempt `attempt`: its
+/// request (a follow-up's to `location`) and what it reads.
+fn conn_config(
     params: &SessionParams,
     ip: Ipv4Addr,
     domain: Option<&str>,
     probe_idx: u32,
-) -> Box<dyn ProbeDriver + Send> {
-    match params.protocol {
-        Protocol::Http | Protocol::PortScan => Box::new(HttpProbe::new(
-            domain.map_or_else(|| ip.to_string(), str::to_owned),
-        )),
-        Protocol::Tls => {
-            let mut random = [0u8; 32];
-            let h = mix(&[params.seed, u64::from(ip.to_u32()), u64::from(probe_idx)]);
-            for (i, b) in random.iter_mut().enumerate() {
-                *b = (h >> (8 * (i % 8))) as u8 ^ i as u8;
-            }
-            Box::new(TlsProbe::new(domain.map(str::to_owned), random))
-        }
-        #[expect(
-            clippy::unreachable,
-            reason = "callers route ICMP targets to the MTU prober, never here"
-        )]
-        Protocol::IcmpMtu => unreachable!("ICMP probes do not use TCP sessions"),
-    }
-}
-
-fn conn_config(
-    params: &SessionParams,
-    ip: Ipv4Addr,
-    probe_idx: u32,
     conn_idx: u8,
     attempt: u32,
-    request: Vec<u8>,
+    location: Option<&str>,
 ) -> ConnConfig {
+    let request = probe::request(params, ip, domain, probe_idx, conn_idx, location);
     let sport = params.sport(probe_idx, conn_idx, attempt);
     let dport = params.protocol.port();
     let mss_idx = (probe_idx / params.probes_per_mss) as usize;
     let mss = params.mss_list[mss_idx];
     let isn = params.cookie.isn(ip.to_u32(), sport, dport);
     let mut cfg = ConnConfig::new(ip, params.source, sport, dport, mss, isn, request);
+    cfg.reads = probe::reads(params.protocol, conn_idx);
     cfg.verify_exhaustion = params.verify_exhaustion;
     cfg
 }
