@@ -3,9 +3,10 @@
 //! [`Reproduction`] runs every scan the paper's tables, figures and
 //! methodology ablations read, once each, and [`Reproduction::checks`]
 //! holds them against the paper's shapes. `exp_all` prints and writes
-//! that report and `tests/pipeline.rs` asserts it; `exp_identity` is the
-//! thread-count byte-identity gate. A result is a check or it goes: the
-//! testbed studies live in the test suites.
+//! that report and `tests/pipeline.rs` asserts it; `tests/identity.rs`
+//! is the thread-count byte-identity gate (at smoke unless `IW_SCALE`
+//! is set). A result is a check or it goes: the testbed studies live in
+//! the test suites.
 //!
 //! Scale is controlled by the `IW_SCALE` environment variable: `smoke`,
 //! `small` (CI/tests, the default when unset), `medium`, or `large`

@@ -114,7 +114,8 @@ impl ResilienceConfig {
 /// registry and the ICMP harvest always run (both are cheap), but the
 /// other products cost memory per live host and are opt-in. However many
 /// of `record_rtt`, `record_spans` and `flight_recorder` are on, a target
-/// that has sent only its SYN holds one 12-byte stamp.
+/// that has sent only its SYN holds one stamp: an 8-byte table bucket
+/// plus its control byte.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryConfig {
     /// Tally per-session lifecycle events in the scan event log (a

@@ -59,6 +59,7 @@ pub mod results;
 mod retry;
 pub mod scanner;
 pub mod session;
+#[doc(hidden)]
 pub mod table;
 mod target;
 pub mod testbed;

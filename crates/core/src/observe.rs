@@ -14,14 +14,15 @@
 //! history is its first SYN holds one stamp in total, whatever products
 //! need it: the RTT histogram and the handshake span time the SYN's
 //! answer from it, and the flight recorder builds the target's ring from
-//! it when the target's second event arrives. The stamp is a 12-byte
-//! [`IpMap`] slot, an index into the shard's deque of distinct SYN send
-//! instants (a pacing tick sends hundreds of SYNs at one instant) plus
-//! one bit per product still holding it; the ring's ISN is derived from
-//! the cookie, not stored. It lives until its last holder lets go: the
-//! answer is timed, or Karn's rule, an ICMP error, a drain or a table
-//! entry makes it untimable; the recorder builds the ring or
-//! the target concludes; or the sweep expires it.
+//! it when the target's second event arrives. The stamp is an
+//! [`AddrMap`] entry, 8 bytes plus a control byte: an index into the
+//! shard's deque of distinct SYN send instants (a pacing tick sends
+//! hundreds of SYNs at one instant) plus one bit per product still
+//! holding it; the ring's ISN is derived from the cookie, not stored.
+//! It lives until its last holder lets go: the answer is timed, or
+//! Karn's rule, an ICMP error, a drain or a table entry makes it
+//! untimable; the recorder builds the ring or the target concludes; or
+//! the sweep expires it.
 //!
 //! A shard's recording and a run's output are one type, [`ScanTelemetry`]:
 //! [`Observer::harvest`] hands it over and [`ScanTelemetry::merge`] folds
@@ -31,13 +32,12 @@
 use crate::config::{MonitorSink, TelemetryConfig};
 use crate::cookie::CookieKey;
 use crate::results::ErrorKind;
-use crate::table::IpMap;
 use iw_netsim::sim::SimStats;
 use iw_netsim::Instant;
 use iw_telemetry::{
-    BufferSink, Counter, EventLog, FlightRecorder, Gauge, Hist, IcmpHarvest, MetricsRegistry,
-    OutcomeKind, ProgressMonitor, ProgressSample, SessionEvent, Snapshot, StatusSink, StdoutSink,
-    TelemetrySink, Tracer, DEFAULT_RING_CAPACITY,
+    AddrMap, BufferSink, Counter, EventLog, FlightRecorder, Gauge, Hist, IcmpHarvest,
+    MetricsRegistry, OutcomeKind, ProgressMonitor, ProgressSample, SessionEvent, Snapshot,
+    StatusSink, StdoutSink, TelemetrySink, Tracer, DEFAULT_RING_CAPACITY,
 };
 use iw_wire::{icmp, tcp};
 use std::collections::VecDeque;
@@ -187,15 +187,15 @@ const FLIGHT: u32 = 1 << 30;
 const INSTANT: u32 = FLIGHT - 1;
 
 const _: () = assert!(
-    std::mem::size_of::<Option<(u32, u32)>>() == 12,
-    "a stamp is a 12-byte table slot"
+    std::mem::size_of::<(u32, u32)>() == 8,
+    "a stamp is an 8-byte table bucket (plus its control byte)"
 );
 
 /// The one table of first-SYN stamps (see module docs).
 #[derive(Default)]
 struct Stamps {
     /// Per target: its holds (the top bits) and its send instant's index.
-    slots: IpMap<u32>,
+    slots: AddrMap<u32>,
     /// The distinct send instants, oldest first; the sweep trims the ones
     /// no stamp refers to.
     instants: VecDeque<u64>,
@@ -223,14 +223,14 @@ impl Stamps {
     /// Let go of `hold` on the target's stamp, dropping a stamp nothing
     /// holds any more. Returns the SYN's send time if the hold was there.
     fn release(&mut self, ip: u32, hold: u32) -> Option<u64> {
-        let slot = *self.slots.get(ip)?;
+        let slot = *self.slots.get(&ip)?;
         if slot & hold == 0 {
             return None;
         }
         let left = slot & !hold;
         if left & !INSTANT == 0 {
-            self.slots.remove(ip);
-        } else if let Some(held) = self.slots.get_mut(ip) {
+            self.slots.remove(&ip);
+        } else if let Some(held) = self.slots.get_mut(&ip) {
             *held = left;
         }
         Some(self.at(slot))
@@ -871,7 +871,7 @@ mod tests {
                 let ip = rng.below(6) as u32;
                 t += rng.below(3) * 1_000;
                 let now = Instant::from_nanos(t);
-                let flight_held = obs.stamps.slots.get(ip).is_some_and(|s| s & FLIGHT != 0);
+                let flight_held = obs.stamps.slots.get(&ip).is_some_and(|s| s & FLIGHT != 0);
                 match rng.below(12) {
                     0 | 1 => {
                         let isn = flow().isn(ip);
@@ -934,7 +934,7 @@ mod tests {
                             .stamps
                             .slots
                             .iter()
-                            .filter(|&(ip, &slot)| {
+                            .filter(|&(&ip, &slot)| {
                                 slot & FLIGHT != 0 && obs.stamps.at(slot) < cutoff && keep(ip)
                             })
                             .count() as u32;

@@ -29,12 +29,13 @@ use crate::permutation::{Permutation, ShardIter};
 use crate::rate::{shard_rate, TokenBucket};
 use crate::results::{ErrorKind, HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol};
 use crate::session::{HostSession, SessionOutput, SessionParams};
-use crate::table::IpMap;
 use crate::target::{Target, Targets};
 use iw_hoststack::{tcb::synack_retransmit_span, OsProfile};
 use iw_internet::util::mix;
 use iw_netsim::{Duration, Effects, Endpoint, HostFactory, Instant, Sim, TimerToken};
-use iw_telemetry::{Counter, Gauge, Hist, OutcomeKind, ProgressSample, SessionEvent, Snapshot};
+use iw_telemetry::{
+    AddrMap, Counter, Gauge, Hist, OutcomeKind, ProgressSample, SessionEvent, Snapshot,
+};
 use iw_wire::ipv4::Ipv4Addr;
 use iw_wire::tcp::{self, Flags};
 use iw_wire::{icmp, ipv4, IpProtocol, SynTemplate};
@@ -107,7 +108,7 @@ pub struct Scanner {
     /// Set by [`Self::begin_drain`]: no response opens new work.
     draining: bool,
     /// Known domains of list targets, until their session takes them.
-    domains: IpMap<String>,
+    domains: AddrMap<String>,
     results: Vec<HostResult>,
     open_ports: Vec<u32>,
     mtu_results: Vec<MtuResult>,
@@ -204,7 +205,7 @@ impl Scanner {
             targets,
             resilience: Resilience::new(),
             draining: false,
-            domains: IpMap::new(),
+            domains: AddrMap::default(),
             results: Vec::new(),
             open_ports: Vec::new(),
             mtu_results: Vec::new(),
@@ -405,7 +406,7 @@ impl Scanner {
         (self.obs.metrics).add(Counter::InvariantUndeclaredEdges, undeclared);
         self.obs.emit(now, ip, Event::Untimed);
         if to == Some(Target::Concluded) {
-            self.domains.remove(ip);
+            self.domains.remove(&ip);
         }
     }
 
@@ -729,7 +730,7 @@ impl Scanner {
         for ev in [SessionEvent::SynAckValidated, SessionEvent::SessionStarted] {
             self.obs.emit(now, ip, Event::Session(ev));
         }
-        let domain = self.domains.remove(ip);
+        let domain = self.domains.remove(&ip);
         let mut session = HostSession::new(src, self.params.clone(), domain, now);
         let mss = session.current_mss();
         self.obs.emit(

@@ -11,8 +11,8 @@
 
 use crate::retry::RetryQueue;
 use crate::session::HostSession;
-use crate::table::IpMap;
 use iw_netsim::{Duration, Instant};
+use iw_telemetry::AddrMap;
 
 /// Where one target stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +31,7 @@ pub enum Target {
 
 const _: () = assert!(
     std::mem::size_of::<Target>() <= 8,
-    "a Target must fit a 12-byte table slot: the table holds every \
+    "a Target must fit a 12-byte table bucket: the table holds every \
      responder until its hold expires, and a 24-byte slot once took \
      campaign_2t's peak RSS from 130 to 172 MB"
 );
@@ -78,7 +78,7 @@ fn undeclared(from: Option<Target>, to: Option<Target>) -> u64 {
 /// The scanner's one per-address table, the sessions its `Live` entries
 /// index, and the hold of its `Concluded` ones.
 pub struct Targets {
-    map: IpMap<Target>,
+    map: AddrMap<Target>,
     sessions: Vec<HostSession>,
     /// `Concluded` entries with their expiry, in conclusion order; they
     /// leave whenever another target concludes, so the hold arms no timer.
@@ -90,7 +90,7 @@ impl Targets {
     /// An empty table whose concluded entries last `hold_for`.
     pub fn new(hold_for: Duration) -> Targets {
         Targets {
-            map: IpMap::new(),
+            map: AddrMap::default(),
             sessions: Vec::new(),
             hold: RetryQueue::default(),
             hold_for,
@@ -99,12 +99,12 @@ impl Targets {
 
     /// The state of `ip` (`None`: untracked).
     pub fn get(&self, ip: u32) -> Option<Target> {
-        self.map.get(ip).copied()
+        self.map.get(&ip).copied()
     }
 
-    /// Every entry, in hash order.
+    /// Every entry, in no defined order: a caller sorts what it visits.
     pub fn iter(&self) -> impl Iterator<Item = (u32, Target)> + '_ {
-        self.map.iter().map(|(ip, target)| (ip, *target))
+        self.map.iter().map(|(&ip, &target)| (ip, target))
     }
 
     /// Entries, concluded ones included.
@@ -152,7 +152,7 @@ impl Targets {
     pub fn set(&mut self, ip: u32, to: Option<Target>, now: Instant) -> u64 {
         let from = match to {
             Some(target) => self.map.insert(ip, target),
-            None => self.map.remove(ip),
+            None => self.map.remove(&ip),
         };
         let mut undeclared_edges = undeclared(from, to);
         if let Some(Target::Live(index)) = from {
@@ -169,7 +169,7 @@ impl Targets {
         }
         if to == Some(Target::Concluded) {
             while let Some(expired) = self.hold.pop_due(now) {
-                undeclared_edges += undeclared(self.map.remove(expired), None);
+                undeclared_edges += undeclared(self.map.remove(&expired), None);
             }
             self.hold.push(now + self.hold_for, ip);
         }

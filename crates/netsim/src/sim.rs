@@ -14,11 +14,9 @@ use crate::time::{Duration, Instant};
 use crate::trace::{Dir, Trace};
 use crate::wheel::{TimerId, TimerWheel};
 use iw_telemetry::trace::Tracer;
-use iw_telemetry::AddrHasher;
+pub use iw_telemetry::AddrMap;
 use iw_wire::pool::{BufferPool, Packet, PacketBuf, PoolStats};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// Names one timer of one endpoint: each endpoint has at most one
 /// pending timer per token. Arming a token that is pending moves that
@@ -27,9 +25,6 @@ use std::hash::BuildHasherDefault;
 /// endpoint that armed it, which still checks its own state — a timer
 /// can come due for a deadline the endpoint has not reported as moved.
 pub type TimerToken = u64;
-
-/// A `HashMap` keyed by host-order IPv4 address, using [`AddrHasher`].
-pub type AddrMap<V> = HashMap<u32, V, BuildHasherDefault<AddrHasher>>;
 
 /// What an endpoint wants done after handling an event.
 ///
@@ -218,7 +213,7 @@ struct HostSlot {
 }
 
 /// The scanner's pending timers, one per token.
-type TokenMap = HashMap<TimerToken, TimerId, BuildHasherDefault<AddrHasher>>;
+type TokenMap = AddrMap<TimerId, TimerToken>;
 
 /// The simulation: one scanner endpoint `S`, hosts from factory `F`.
 pub struct Sim<S: Endpoint, F: HostFactory> {

@@ -1,7 +1,18 @@
-//! The hasher of the workspace's address-keyed maps: the simulator's
-//! routing tables and the flight recorder's per-target stores.
+//! The workspace's one address-keyed map: the simulator's routing
+//! tables, the scanner's target, stamp and domain tables, and the
+//! flight recorder's per-target stores.
 
-use std::hash::Hasher;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A `HashMap` keyed by host-order IPv4 address, hashed by
+/// [`AddrHasher`]. The simulator's scanner-timer table keys the same
+/// hasher by a `u64` token (`K`). No iteration over one reaches output
+/// unsorted: a caller that writes what it visits sorts it first.
+#[expect(
+    clippy::disallowed_types,
+    reason = "no iteration reaches output unsorted, see above"
+)]
+pub type AddrMap<V, K = u32> = std::collections::HashMap<K, V, BuildHasherDefault<AddrHasher>>;
 
 /// Multiplicative hasher for `u32` address keys: the kernel and the
 /// scanner look an address up in several tables per packet, and the

@@ -72,7 +72,7 @@ pub mod registry;
 pub mod sink;
 pub mod trace;
 
-pub use addr::AddrHasher;
+pub use addr::{AddrHasher, AddrMap};
 pub use events::{EventLog, EventRecord, OutcomeKind, SessionEvent};
 pub use harvest::IcmpHarvest;
 pub use json::{parse_json, JsonError, JsonValue};

@@ -26,12 +26,11 @@
 //! dumps the same casualties in the same order as a single-threaded one.
 //! A run hands over its dumps only ([`FlightRecorder::harvest`]).
 
-use crate::addr::AddrHasher;
+use crate::addr::AddrMap;
 use crate::events::SessionEvent;
 use crate::json::{push_key, push_str_literal, push_u64_field};
 use std::collections::VecDeque;
 use std::fmt::Write;
-use std::hash::BuildHasherDefault;
 
 /// Default per-session ring capacity (entries).
 pub const DEFAULT_RING_CAPACITY: usize = 32;
@@ -245,15 +244,6 @@ impl Ring {
     }
 }
 
-/// The ring store. No iteration over it reaches output: dumps are
-/// appended at conclusion and merged by `(at, ip)`, and the expiry sweep
-/// does not depend on the order it visits.
-#[expect(
-    clippy::disallowed_types,
-    reason = "no iteration reaches output, see above"
-)]
-type AddrMap<V> = std::collections::HashMap<u32, V, BuildHasherDefault<AddrHasher>>;
-
 /// A frozen ring: the black box of a session that ended in an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightDump {
@@ -319,6 +309,9 @@ pub struct FlightRecorder {
     enabled: bool,
     capacity: usize,
     /// Targets with a history past their first SYN, their rings inline.
+    /// No iteration over it reaches output: dumps are appended at
+    /// conclusion and merged by `(at, ip)`, and the expiry sweep does not
+    /// depend on the order it visits.
     rings: AddrMap<Ring>,
     dumps: Vec<FlightDump>,
 }

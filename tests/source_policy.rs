@@ -2,8 +2,8 @@
 //! files they police (each fails on the first line that breaks it):
 //!
 //! - a result is a check or it goes: the paper's results are judged by
-//!   `exp_all` or held by a named test, so the only binaries are that
-//!   report and the byte-identity gate;
+//!   `exp_all` or held by a named test, so the only binary is that
+//!   report;
 //! - one observability spine: the scanner reports each observation to
 //!   `Observer::emit` (`crates/core/src/observe.rs`) and names no
 //!   telemetry product;
@@ -18,7 +18,10 @@
 //!   deny it: a `forbid` there would refuse the allocation-budget test's
 //!   allocator);
 //! - hash containers are legal in `iw-core`, but not on the path that
-//!   writes results: the part of `results.rs` above its tests names none.
+//!   writes results: the part of `results.rs` above its tests names none;
+//! - one address map: `iw_telemetry::AddrMap` is the only map type
+//!   built over a `BuildHasherDefault`, and nothing under `crates/` but
+//!   the benchmark's shim (`crates/core/src/table.rs`) names `IpMap`.
 
 use std::path::{Path, PathBuf};
 
@@ -61,9 +64,9 @@ fn naming(source: &str, words: &[&str]) -> Vec<String> {
 }
 
 #[test]
-fn only_exp_all_and_exp_identity_are_binaries() {
+fn only_exp_all_is_a_binary() {
     let bins = listing(&root().join("crates/bench/src/bin"));
-    assert_eq!(bins, ["exp_all.rs", "exp_identity.rs"]);
+    assert_eq!(bins, ["exp_all.rs"]);
 }
 
 #[test]
@@ -98,16 +101,16 @@ fn the_scanner_dispatch_holds_no_retry_eviction_or_mtu_state() {
     assert_eq!(naming(SCANNER, &state), Vec::<String>::new());
 }
 
-/// Every `clippy.toml` and `.clippy.toml` under `dir`, relative to the
+/// Every file under `dir` whose name `wanted` accepts, relative to the
 /// repository root, skipping build output (`target/`) and `.git/`.
-fn clippy_files(dir: &Path, found: &mut Vec<String>) {
+fn find_files(dir: &Path, wanted: &dyn Fn(&str) -> bool, found: &mut Vec<String>) {
     for name in listing(dir) {
         let path = dir.join(&name);
         if path.is_dir() {
             if name != "target" && name != ".git" {
-                clippy_files(&path, found);
+                find_files(&path, wanted, found);
             }
-        } else if name == "clippy.toml" || name == ".clippy.toml" {
+        } else if wanted(&name) {
             let relative = path.strip_prefix(root()).unwrap();
             found.push(relative.to_string_lossy().into_owned());
         }
@@ -117,7 +120,8 @@ fn clippy_files(dir: &Path, found: &mut Vec<String>) {
 #[test]
 fn the_clippy_files_hold_one_policy() {
     let mut files = Vec::new();
-    clippy_files(&root(), &mut files);
+    let wanted = |name: &str| name == "clippy.toml" || name == ".clippy.toml";
+    find_files(&root(), &wanted, &mut files);
     files.sort();
     assert_eq!(
         files,
@@ -165,4 +169,38 @@ fn results_rs_names_no_hash_container() {
         naming(writer, &["HashMap", "HashSet"]),
         Vec::<String>::new()
     );
+}
+
+#[test]
+fn one_address_map() {
+    let mut sources = Vec::new();
+    find_files(
+        &root().join("crates"),
+        &|name| name.ends_with(".rs"),
+        &mut sources,
+    );
+    let (mut hashers, mut ip_maps) = (Vec::new(), Vec::new());
+    for file in &sources {
+        let text = std::fs::read_to_string(root().join(file)).unwrap();
+        for line in naming(&text, &["BuildHasherDefault"]) {
+            let code = line.split_once(": ").unwrap().1.trim_start();
+            if !code.starts_with("use ") && !code.starts_with("pub use ") {
+                hashers.push(format!("{file}:{line}"));
+            }
+        }
+        if file != "crates/core/src/table.rs" {
+            let named = naming(&text, &["IpMap"]).into_iter();
+            ip_maps.extend(named.map(|line| format!("{file}:{line}")));
+        }
+    }
+    assert_eq!(
+        hashers.len(),
+        1,
+        "one map type over a BuildHasherDefault: {hashers:#?}"
+    );
+    assert!(
+        hashers[0].starts_with("crates/telemetry/src/addr.rs:"),
+        "{hashers:?}"
+    );
+    assert_eq!(ip_maps, Vec::<String>::new());
 }
