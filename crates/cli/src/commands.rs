@@ -97,9 +97,8 @@ fn validate(config: &ScanConfig) -> Result<(), CmdError> {
 /// Wire the scan-style telemetry flags into a scan config.
 fn apply_telemetry(config: &mut ScanConfig, args: &ScanArgs) {
     config.record_trace = args.pcap.is_some();
-    // The snapshot file includes the event-log summary and RTT histogram,
-    // so --metrics-out turns both recorders on.
-    config.telemetry.record_events = args.metrics_out.is_some();
+    // The snapshot file includes the RTT histogram, so --metrics-out
+    // turns its recorder on.
     config.telemetry.record_rtt = args.metrics_out.is_some();
     if args.monitor {
         config.telemetry.monitor = Some(MonitorSpec {
@@ -273,11 +272,11 @@ const EXIT_VIOLATED: i32 = 4;
 /// Write the telemetry products requested by `--metrics-out` / `--pcap`.
 fn write_telemetry(out: &iw_core::ScanOutput, args: &ScanArgs) -> Result<(), CmdError> {
     if let Some(path) = &args.metrics_out {
+        let metrics = &out.telemetry.metrics;
         let json = format!(
-            "{{\"metrics\":{},\"events\":{},\"icmp_harvest\":{}}}",
-            out.telemetry.metrics.to_json(),
-            out.telemetry.events.summary_json(),
-            out.telemetry.icmp.section_json()
+            "{{\"metrics\":{},\"icmp_harvest\":{}}}",
+            metrics.to_json(),
+            out.telemetry.icmp.section_json(metrics)
         );
         output::write_atomic(path, json).map_err(|e| err(format!("write {path}: {e}")))?;
         println!("telemetry snapshot written to {path}");
@@ -769,8 +768,9 @@ mod tests {
         write_telemetry(&out, &args).unwrap();
         let metrics = std::fs::read_to_string(&metrics_path).unwrap();
         assert!(metrics.starts_with("{\"metrics\":{\"scan\":"), "{metrics}");
-        assert!(metrics.contains("\"events\":{"), "{metrics}");
-        assert!(metrics.contains("\"icmp_harvest\":{"), "{metrics}");
+        // Every count is in the `metrics` section; no second tally.
+        assert!(!metrics.contains("\"events\":"), "{metrics}");
+        assert!(metrics.contains("},\"icmp_harvest\":{"), "{metrics}");
         assert!(
             std::fs::read(&pcap_path).unwrap().len() >= 24,
             "pcap header"

@@ -50,9 +50,13 @@ use std::fmt::Write as _;
 /// `scan.discovery.*` counters are gone, `scan.synack.*` counts rejected
 /// SYN-ACKs, and a silent target waits for its give-up only with the
 /// flight recorder on (so `pending` no longer lists spent budgets, and
-/// hardened runs process fewer events). Older files are refused by name
+/// hardened runs process fewer events); 9 = one count: the event log is
+/// gone, and each capture carries four more counters
+/// (`scan.probes.started`, `scan.probes.follow_ups`,
+/// `scan.icmp.echo_replies`, `scan.icmp.other`), and the config digest
+/// drops the inert event-log switch. Older files are refused by name
 /// instead of being replayed into a `Diverged` barrier.
-pub const CHECKPOINT_VERSION: u64 = 8;
+pub const CHECKPOINT_VERSION: u64 = 9;
 
 /// The `kind` discriminator in the file header.
 pub const CHECKPOINT_KIND: &str = "iwscan-campaign-checkpoint";
@@ -484,10 +488,10 @@ mod tests {
         );
         // Files from before the retry FIFOs (1), the one target table (2),
         // keyed timers (3), the constant backoffs (4), the promoted
-        // handshake's give-up (5), the invariant counters (6) or the one
-        // front-end (7) capture different events or state: refused
-        // cleanly, never replayed to a divergence.
-        for other in [1, 2, 3, 4, 5, 6, 7, CHECKPOINT_VERSION + 1] {
+        // handshake's give-up (5), the invariant counters (6), the one
+        // front-end (7) or the one count (8) capture different events or
+        // state: refused cleanly, never replayed to a divergence.
+        for other in [1, 2, 3, 4, 5, 6, 7, 8, CHECKPOINT_VERSION + 1] {
             let foreign = json.replace(&current, &format!("\"version\":{other},"));
             assert_eq!(
                 CampaignCheckpoint::parse(&foreign).unwrap_err(),

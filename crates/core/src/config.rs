@@ -57,7 +57,8 @@ pub struct ScanConfig {
     /// because the benchmark's campaign adapter still sets it.
     #[doc(hidden)]
     pub stateless_first: bool,
-    /// Telemetry knobs (event log, RTT tracking, progress monitor).
+    /// Telemetry knobs (RTT tracking, spans, flight recorder, stream,
+    /// progress monitor).
     pub telemetry: TelemetryConfig,
     /// Resilience knobs (retries, watchdog, concurrency cap).
     pub resilience: ResilienceConfig,
@@ -111,15 +112,18 @@ impl ResilienceConfig {
 
 /// Telemetry knobs for a scan: which products the scan's observer
 /// (`observe.rs`) records into. Everything defaults to off: the metrics
-/// registry and the ICMP harvest always run (both are cheap), but the
-/// other products cost memory per live host and are opt-in. However many
+/// registry (every count the scan keeps, the session events' included)
+/// and the ICMP harvest always run (both are cheap), but the other
+/// products cost memory per live host and are opt-in. However many
 /// of `record_rtt`, `record_spans` and `flight_recorder` are on, a target
 /// that has sent only its SYN holds one stamp: an 8-byte table bucket
 /// plus its control byte.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryConfig {
-    /// Tally per-session lifecycle events in the scan event log (a
-    /// fixed-size count per event and per verdict).
+    /// Inert: no scan reads it, and the digest does not carry it. Every
+    /// session event is a metrics-registry counter, always on; the field
+    /// stays only because the benchmark's campaign adapter still sets it.
+    #[doc(hidden)]
     pub record_events: bool,
     /// Stamp SYN send times to measure the SYN → SYN-ACK RTT (one stamp
     /// per in-flight target).
@@ -224,7 +228,6 @@ impl ScanConfig {
             ("probe_retries", r.probe_retries.into()),
             ("watchdog_nanos", nanos(r.session_deadline)),
             ("max_sessions", (r.max_sessions as u64).into()),
-            ("record_events", t.record_events.into()),
             ("record_rtt", t.record_rtt.into()),
             ("record_spans", t.record_spans.into()),
             ("flight_recorder", t.flight_recorder.into()),
@@ -383,7 +386,7 @@ mod tests {
         // One row per digest input: changing that knob alone makes
         // `first_mismatch` name it.
         type Change = fn(&mut ScanConfig);
-        let rows: [(&str, Change); 23] = [
+        let rows: [(&str, Change); 22] = [
             ("seed", |c| c.seed = 1),
             ("protocol", |c| c.protocol = Protocol::Tls),
             ("targets", |c| c.targets = TargetSpec::List(vec![(1, None)])),
@@ -409,7 +412,6 @@ mod tests {
                 c.resilience.session_deadline = Some(Duration::from_secs(100))
             }),
             ("max_sessions", |c| c.resilience.max_sessions += 1),
-            ("record_events", |c| c.telemetry.record_events = true),
             ("record_rtt", |c| c.telemetry.record_rtt = true),
             ("record_spans", |c| c.telemetry.record_spans = true),
             ("flight_recorder", |c| c.telemetry.flight_recorder = true),
@@ -437,5 +439,10 @@ mod tests {
                 "{msg}"
             );
         }
+        // The inert fields shape nothing, and the digest ignores them.
+        let mut inert = base.clone();
+        inert.stateless_first = true;
+        inert.telemetry.record_events = true;
+        assert_eq!(recorded.first_mismatch(&inert.digest()), None);
     }
 }

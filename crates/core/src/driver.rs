@@ -64,9 +64,10 @@ pub struct RunControl {
     /// Invoked on every capture as it happens (the CLI persists the
     /// assembled campaign file from here; called on shard threads).
     pub on_checkpoint: Option<CheckpointSink>,
-    /// Addresses whose every session event the event log keeps as a
-    /// record (`ScanTelemetry::events.records()`); the log of any other
-    /// address is a tally.
+    /// Addresses whose every flight entry (SYNs, segments and state
+    /// transitions) the flight recorder keeps, unbounded, as a history
+    /// (`ScanTelemetry::flight.histories()`); any other address is only
+    /// counted.
     pub watch: BTreeSet<u32>,
 }
 

@@ -180,7 +180,7 @@ pub struct ConnResult {
 
 /// Telemetry note: a state transition worth reporting upward. The session
 /// layer stamps these with host/time/probe context and forwards them to
-/// the scan event log.
+/// the scan's telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnNote {
     /// The first retransmission was observed: the IW is on the table.
@@ -257,7 +257,7 @@ pub struct ConnOutput {
     pub deadline: Option<Instant>,
     /// Present exactly once, when the connection concludes.
     pub result: Option<ConnResult>,
-    /// Lifecycle transitions for the event log.
+    /// Lifecycle transitions for the scan's telemetry.
     pub notes: Vec<ConnNote>,
     /// Phase changes this event took along an undeclared edge.
     pub undeclared_edges: u32,

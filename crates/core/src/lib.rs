@@ -36,10 +36,11 @@
 //! threads.
 //!
 //! Observability rides on `iw-telemetry` (re-exported as [`telemetry`]):
-//! the scanner always feeds an allocation-free metrics registry, and
-//! [`config::TelemetryConfig`] opts into the session event log, SYN→
-//! SYN-ACK RTT tracking and the ZMap-style progress monitor. Scan-scoped
-//! metrics merge byte-identically across shard counts.
+//! the scanner always feeds an allocation-free metrics registry, the one
+//! place a scan counts, and [`config::TelemetryConfig`] opts into SYN→
+//! SYN-ACK RTT tracking, spans, the flight recorder, the stream and the
+//! ZMap-style progress monitor. Scan-scoped metrics merge
+//! byte-identically across shard counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,13 +2,15 @@
 //! to one [`Observer`], and every product subscribes in one static
 //! `match`.
 //!
-//! The products are the metrics registry, the session event log, the
-//! span tracer, the flight recorder, the streaming sink, the ICMP harvest
-//! and the progress monitor. Each counter that counts an [`Event`] is
-//! incremented in [`Observer::emit`] and nowhere else, so the event log
-//! and the counters cannot drift apart. Counters of things that are not
-//! observations (pacing waits, rejected answers, checkpoint captures)
-//! stay with the scanner, through [`Observer::metrics`].
+//! The products are the metrics registry, the span tracer, the flight
+//! recorder, the streaming sink, the ICMP harvest and the progress
+//! monitor. The registry is the only thing that counts: each counter
+//! that counts an [`Event`] is incremented in [`Observer::emit`] and
+//! nowhere else. The flight recorder is the only per-host history: its
+//! rings are the black boxes, and its watched histories keep every entry
+//! of the addresses [`Observer::watch`] names. Counters of things that
+//! are not observations (pacing waits, rejected answers, checkpoint
+//! captures) stay with the scanner, through [`Observer::metrics`].
 //!
 //! Telemetry holds what is live, not what happened. A target whose only
 //! history is its first SYN holds one stamp in total, whatever products
@@ -35,9 +37,9 @@ use crate::results::ErrorKind;
 use iw_netsim::sim::SimStats;
 use iw_netsim::Instant;
 use iw_telemetry::{
-    AddrMap, BufferSink, Counter, EventLog, FlightRecorder, Gauge, Hist, IcmpHarvest,
-    MetricsRegistry, OutcomeKind, ProgressMonitor, ProgressSample, SessionEvent, Snapshot,
-    StatusSink, StdoutSink, TelemetrySink, Tracer, DEFAULT_RING_CAPACITY,
+    AddrMap, BufferSink, Counter, FlightRecorder, Gauge, Hist, IcmpHarvest, MetricsRegistry,
+    OutcomeKind, ProgressMonitor, ProgressSample, SessionEvent, Snapshot, StatusSink, StdoutSink,
+    TelemetrySink, Tracer, DEFAULT_RING_CAPACITY,
 };
 use iw_wire::{icmp, tcp};
 use std::collections::VecDeque;
@@ -143,7 +145,6 @@ pub(crate) struct Observer {
     /// [`Self::reads_syn`], kept current by `new` and `watch`.
     syn_subscribers: bool,
     shard: u32,
-    log: EventLog,
     /// Session-phase spans (scan scope) plus the count of this shard's
     /// pacing spans; the sim kernel's hot-path counts merge in at harvest.
     tracer: Tracer,
@@ -272,7 +273,6 @@ impl Observer {
             time_answers: config.record_rtt || config.record_spans,
             syn_subscribers: false,
             shard,
-            log: EventLog::new(config.record_events),
             tracer: Tracer::new(config.record_spans),
             flight: FlightRecorder::new(config.flight_recorder, DEFAULT_RING_CAPACITY),
             stream: TelemetrySink::new(config.stream.is_some()),
@@ -295,9 +295,10 @@ impl Observer {
         self.syn_flow
     }
 
-    /// Keep every later event of these addresses as a record.
+    /// Keep every later flight entry of these addresses in the flight
+    /// recorder's watched histories.
     pub(crate) fn watch(&mut self, ips: impl IntoIterator<Item = u32>) {
-        self.log.watch(ips);
+        self.flight.watch(ips);
         self.syn_subscribers = self.reads_syn();
     }
 
@@ -306,7 +307,7 @@ impl Observer {
     /// starts reading SYNs joins here, or the inline path of
     /// [`Self::emit`] drops its SYNs.
     fn reads_syn(&self) -> bool {
-        self.log.is_recording() || self.time_answers || self.flight.is_enabled()
+        self.time_answers || self.flight.is_recording()
     }
 
     /// Record one observation in every product that subscribes to it.
@@ -350,13 +351,14 @@ impl Observer {
                         m.inc(outcome_counters(outcome).1);
                     }
                     SessionEvent::ProbeRetried { .. } => m.inc(Counter::ProbesRetried),
+                    SessionEvent::ProbeStarted { .. } => m.inc(Counter::ProbesStarted),
+                    SessionEvent::FollowUpStarted { .. } => m.inc(Counter::ProbesFollowUps),
                     SessionEvent::WatchdogForced => m.inc(Counter::SessionsWatchdogForced),
                     SessionEvent::SessionEvicted => m.inc(Counter::SessionsEvicted),
                     SessionEvent::IcmpUnreachable => m.inc(Counter::IcmpUnreachable),
-                    SessionEvent::SynSent
-                    | SessionEvent::SynRetried { .. }
-                    | SessionEvent::ProbeStarted { .. }
-                    | SessionEvent::FollowUpStarted { .. } => {}
+                    // Counted where they are sent: `scan.targets_sent`
+                    // and `scan.syn_retries`.
+                    SessionEvent::SynSent | SessionEvent::SynRetried { .. } => {}
                 }
                 if self.tracer.is_enabled() {
                     // Span slots per target: 1 = current probe, 2 = the
@@ -376,11 +378,10 @@ impl Observer {
                         _ => {}
                     }
                 }
-                if self.flight.is_enabled() {
+                if self.flight.is_recording() {
                     self.flight_ring(ip);
                     self.flight.note_state(ip, n, ev);
                 }
-                self.log.record(n, ip, ev);
             }
             Event::Syn(isn, attempt @ 1..) => {
                 m.inc(Counter::SynRetries);
@@ -391,23 +392,22 @@ impl Observer {
                     // not timed.
                     self.stamps.release(ip, TIMED);
                 }
-                if self.flight.is_enabled() {
+                if self.flight.is_recording() {
                     self.flight_ring(ip);
                     self.flight.note_state(ip, n, ev);
                     let syn = tcp::Flags::SYN.bits();
                     self.flight.note_wire(ip, n, true, syn, isn, 0, 0);
                 }
-                self.log.record(n, ip, ev);
             }
             Event::Syn(isn, 0) => {
-                self.log.record(n, ip, SessionEvent::SynSent);
                 let mut holds = if self.time_answers { TIMED } else { 0 };
-                if self.flight.is_enabled() {
+                if self.flight.is_recording() {
                     // A first SYN is the target's stamp; a later one joins
-                    // the ring the stamp became.
-                    if self.flight_ring(ip) {
+                    // the ring the stamp became. A watched target takes
+                    // none: its history starts at the SYN.
+                    if self.flight.is_watched(ip) || self.flight_ring(ip) {
                         self.flight.note_syn(ip, n, isn);
-                    } else {
+                    } else if self.flight.is_enabled() {
                         holds |= FLIGHT;
                     }
                 }
@@ -416,7 +416,8 @@ impl Observer {
                 }
             }
             Event::Wire(tx, seg) => {
-                if self.flight.is_enabled() && self.flight_ring(ip) {
+                if self.flight.is_recording() {
+                    self.flight_ring(ip);
                     let len = seg.payload.len() as u32;
                     let flags = seg.flags.bits();
                     self.flight
@@ -441,23 +442,16 @@ impl Observer {
             Event::GaveUp => self.conclude_flight(ip, n, Some("handshake_timeout")),
             Event::Icmp(msg) => {
                 m.inc(Counter::IcmpMessages);
-                let h = &mut self.icmp;
-                match msg {
+                m.inc(match msg {
                     icmp::Message::DstUnreachable { code } => {
-                        h.note_unreachable(ip, code);
-                        m.inc(IcmpHarvest::unreachable_counter(code));
+                        IcmpHarvest::unreachable_counter(code)
                     }
-                    icmp::Message::FragNeeded { .. } => {
-                        h.note_frag_needed(ip);
-                        m.inc(Counter::IcmpFragNeeded);
-                    }
-                    icmp::Message::EchoReply { .. } => h.note_echo_reply(ip),
-                    icmp::Message::SourceQuench => {
-                        h.note_source_quench(ip);
-                        m.inc(Counter::IcmpSourceQuench);
-                    }
-                    _ => h.note_other(ip),
-                }
+                    icmp::Message::FragNeeded { .. } => Counter::IcmpFragNeeded,
+                    icmp::Message::EchoReply { .. } => Counter::IcmpEchoReplies,
+                    icmp::Message::SourceQuench => Counter::IcmpSourceQuench,
+                    _ => Counter::IcmpOther,
+                });
+                self.icmp.note(ip);
             }
             Event::Pace => {
                 m.inc(Counter::PaceTicks);
@@ -506,7 +500,7 @@ impl Observer {
     /// Conclude the target's black box: an error dumps it (built from its
     /// stamp if need be), a clean verdict drops it.
     fn conclude_flight(&mut self, ip: u32, n: u64, error: Option<&'static str>) {
-        if !self.flight.is_enabled() {
+        if !self.flight.is_recording() {
             return;
         }
         if error.is_some() {
@@ -524,7 +518,8 @@ impl Observer {
         self.stream.len()
     }
 
-    /// Targets holding a stamp or a flight ring.
+    /// Targets holding a stamp or a flight ring (a watched history is
+    /// output, not live state).
     pub(crate) fn live_histories(&self) -> usize {
         self.stamps.len() + self.flight.live_rings()
     }
@@ -568,7 +563,6 @@ impl Observer {
         self.snapshot(now.as_nanos());
         ScanTelemetry {
             metrics: self.metrics.snapshot(),
-            events: std::mem::take(&mut self.log),
             status_lines: std::mem::take(&mut self.captured.lines),
             tracer: std::mem::take(&mut self.tracer),
             flight: self.flight.harvest(),
@@ -600,22 +594,21 @@ impl Observer {
 #[derive(Debug, Clone, Default)]
 pub struct ScanTelemetry {
     /// Metrics snapshot (scan scope merges exactly; see
-    /// [`Snapshot::to_canonical_json`]).
+    /// [`Snapshot::to_canonical_json`]): every count the scan keeps.
     pub metrics: Snapshot,
-    /// Session event tally (empty unless `telemetry.record_events`), and
-    /// the records of the watched addresses.
-    pub events: EventLog,
     /// Captured progress-monitor lines (empty unless a capture monitor ran).
     pub status_lines: Vec<String>,
     /// Scan spans and hot-path span counts (empty unless
     /// `telemetry.record_spans`).
     pub tracer: Tracer,
     /// Flight-recorder dumps for failed sessions (empty unless
-    /// `telemetry.flight_recorder`).
+    /// `telemetry.flight_recorder`), and the history of every watched
+    /// address (`RunControl::watch`, `Scanner::watch`).
     pub flight: FlightRecorder,
     /// Streaming JSONL telemetry (empty unless `telemetry.stream`).
     pub stream: TelemetrySink,
-    /// ICMP control-plane harvest (always collected; cheap).
+    /// ICMP messages per source (always collected; cheap). The subtype
+    /// counts are `scan.icmp.*` counters in [`Self::metrics`].
     pub icmp: IcmpHarvest,
 }
 
@@ -633,7 +626,6 @@ impl ScanTelemetry {
     /// canonical order.
     pub fn merge(&mut self, other: ScanTelemetry) {
         self.metrics.merge(&other.metrics);
-        self.events.merge(&other.events);
         self.status_lines.extend(other.status_lines);
         self.tracer.merge(&other.tracer);
         self.flight.merge(&other.flight);
@@ -769,16 +761,11 @@ mod tests {
         }
         assert_eq!(inline.metrics.snapshot(), recorded.metrics.snapshot());
         assert_eq!(recorded.metrics.counter_value(Counter::SynRetries), 2);
-        assert_eq!((recorded.log.len(), recorded.live_histories()), (0, 0));
+        assert_eq!(recorded.live_histories(), 0);
         // Every product that reads a SYN takes it off the inline path.
-        let events = TelemetryConfig {
-            record_events: true,
-            ..TelemetryConfig::default()
-        };
         let mut watching = observer(false, false, false);
         watching.watch([ip]);
         for obs in [
-            Observer::new(&events, 0, flow()),
             watching,
             observer(true, false, false),
             observer(false, true, false),
@@ -786,6 +773,36 @@ mod tests {
         ] {
             assert!(obs.syn_subscribers);
         }
+    }
+
+    #[test]
+    fn a_watched_target_keeps_its_history_and_holds_nothing_live() {
+        // The recorder is off: a watched target still keeps every entry
+        // from its SYN on, and none of it is live state for the sweep.
+        let mut obs = observer(false, false, false);
+        let (ip, isn) = (4, flow().isn(4));
+        obs.watch([ip]);
+        obs.emit(Instant::from_nanos(10), ip, Event::Syn(isn, 0));
+        obs.emit(Instant::from_nanos(10), 5, Event::Syn(flow().isn(5), 0));
+        let synack = Flags::SYN | Flags::ACK;
+        let answer = tcp::Segment::bare(443, 40000, 5, isn.wrapping_add(1), synack, 65535);
+        obs.emit(Instant::from_nanos(12), ip, Event::Wire(false, &answer));
+        let validated = SessionEvent::SynAckValidated;
+        obs.emit(Instant::from_nanos(12), ip, Event::Session(validated));
+        obs.emit(
+            Instant::from_nanos(13),
+            ip,
+            Event::Verdict("x", Some("malformed")),
+        );
+        assert_eq!(obs.live_histories(), 0);
+        assert_eq!(obs.metrics.counter_value(Counter::SynacksValidated), 1);
+        let out = obs.flight.harvest();
+        assert!(out.dumps().is_empty(), "no ring, no black box");
+        let kinds: Vec<bool> = (out.history(ip).iter())
+            .map(|e| matches!(e, FlightEntry::State { .. }))
+            .collect();
+        assert_eq!(kinds, [true, false, false, true], "{:?}", out.history(ip));
+        assert_eq!(out.histories().len(), 1, "an unwatched target keeps none");
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl ProbeOutcome {
         }
     }
 
-    /// The event-log classification of this outcome.
+    /// The session-event classification of this outcome.
     pub fn outcome_kind(&self) -> OutcomeKind {
         match self {
             ProbeOutcome::Success { .. } => OutcomeKind::Success,
@@ -195,7 +195,7 @@ pub enum MssVerdict {
 }
 
 impl MssVerdict {
-    /// The event-log classification of this verdict.
+    /// The session-event classification of this verdict.
     pub fn outcome_kind(self) -> OutcomeKind {
         match self {
             MssVerdict::Success(_) => OutcomeKind::Success,

@@ -274,8 +274,9 @@ impl Scanner {
         self.obs.live_histories()
     }
 
-    /// Keep every later session event of these addresses as a record in
-    /// the event log (what `RunControl::watch` does for a runner's scan).
+    /// Keep every later flight entry of these addresses as a history in
+    /// the flight recorder (what `RunControl::watch` does for a runner's
+    /// scan).
     pub fn watch(&mut self, ips: impl IntoIterator<Item = u32>) {
         self.obs.watch(ips);
     }
@@ -680,11 +681,13 @@ impl Scanner {
             if concluded {
                 self.reset(src, seg, now, fx);
                 self.obs.metrics.inc(Counter::LateAnswers);
-            } else if self.config.protocol == Protocol::PortScan {
-                self.open_port(src, seg, now, fx);
             } else if !self.draining {
-                // A graceful drain opens no new work.
-                self.open_session(src, seg, now, fx);
+                // A graceful drain opens no new work and records no verdict.
+                if self.config.protocol == Protocol::PortScan {
+                    self.open_port(src, seg, now, fx);
+                } else {
+                    self.open_session(src, seg, now, fx);
+                }
             }
         } else if seg.flags.contains(Flags::RST) {
             if !cookie.validate(ip, sport, dport, seg.ack) {
@@ -765,13 +768,7 @@ impl Scanner {
                 self.targets.live()
             } as u64,
             configured_pps: self.config.rate_pps,
-            verdicts: [
-                OutcomeKind::Success,
-                OutcomeKind::FewData,
-                OutcomeKind::Error,
-                OutcomeKind::Unreachable,
-            ]
-            .map(|k| m.counter_value(outcome_counters(k).1)),
+            verdicts: OutcomeKind::ALL.map(|k| m.counter_value(outcome_counters(k).1)),
         }
     }
 

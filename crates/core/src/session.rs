@@ -95,7 +95,7 @@ pub struct SessionOutput {
     pub deadline: Option<Instant>,
     /// Present once: the finished host record.
     pub result: Option<HostResult>,
-    /// Lifecycle transitions for the scan event log (the scanner stamps
+    /// Lifecycle transitions for the scan's telemetry (the scanner stamps
     /// them with host address and virtual time).
     pub events: Vec<SessionEvent>,
     /// Undeclared phase changes the connection machine took.

@@ -327,19 +327,17 @@ fn a_silent_target_holds_one_stamp_across_all_products() {
     // At 150 kpps the whole space is sent within the 8 s the SYN stamps
     // live, so every target's telemetry is alive at once: what the sweep
     // holds at its peak, per target, is what telemetry makes a silent
-    // target cost. Each product alone, then all four together.
-    // `(events, rtt, spans, flight)`
+    // target cost. Each product alone, then all three together.
+    // `(rtt, spans, flight)`
     let products = [
-        ("events", (true, false, false, false)),
-        ("rtt", (false, true, false, false)),
-        ("spans", (false, false, true, false)),
-        ("flight", (false, false, false, true)),
-        ("all four", (true, true, true, true)),
+        ("rtt", (true, false, false)),
+        ("spans", (false, true, false)),
+        ("flight", (false, false, true)),
+        ("all three", (true, true, true)),
     ];
     let mut all = 0.0;
-    for (name, (record_events, record_rtt, record_spans, flight_recorder)) in products {
+    for (name, (record_rtt, record_spans, flight_recorder)) in products {
         all = silent_sweep_peak_per_target(TelemetryConfig {
-            record_events,
             record_rtt,
             record_spans,
             flight_recorder,
@@ -349,7 +347,7 @@ fn a_silent_target_holds_one_stamp_across_all_products() {
             "alloc_budget: silent 2^16 sweep with {name}: peak heap {all:.1} bytes per target"
         );
     }
-    // Measured 26.9 with each product alone and with all four: the one
+    // Measured 26.9 with each product alone and with all three: the one
     // stamp table's buckets, 8 bytes plus a control byte each, the 2^16
     // it outgrows and the 2^17 it grows into live at once. Its former
     // 12-byte robin-hood slots measured 35.8. Before the stamp table, the
@@ -360,41 +358,6 @@ fn a_silent_target_holds_one_stamp_across_all_products() {
     assert!(
         all <= 29.6,
         "{all:.1} bytes per silent target: a product holds more than the one stamp"
-    );
-}
-
-#[test]
-fn the_event_tally_costs_no_heap() {
-    // A small TLS campaign with the event log on and off: the tally is a
-    // fixed count per event and per verdict, so it adds nothing per target
-    // or per event to the campaign's peak heap.
-    let pop = Arc::new(Population::new(PopulationConfig {
-        seed: 0x7150,
-        space_size: 1 << 14,
-        target_responsive: 256,
-        loss_scale: 0.0,
-    }));
-    let peak_with = |record_events: bool| {
-        let mut config = ScanConfig::study(Protocol::Tls, pop.space_size(), 0x7150);
-        config.telemetry.record_events = record_events;
-        let runner = ScanRunner::new(&pop).config(config);
-        let before = reset_peak();
-        let out = runner.run();
-        assert!(
-            out.summary.reachable > 100,
-            "reachable {}",
-            out.summary.reachable
-        );
-        assert_eq!(out.telemetry.events.is_empty(), !record_events);
-        peak() - before
-    };
-    // Measured equal; a log that kept every event as a record held
-    // 2.6 MB more here.
-    let (off, on) = (peak_with(false), peak_with(true));
-    println!("alloc_budget: tls scan: peak heap {off} bytes with products off, {on} with events");
-    assert!(
-        on <= off + 4096,
-        "{on} vs {off} bytes: the event log holds memory per event again"
     );
 }
 

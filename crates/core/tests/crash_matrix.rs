@@ -472,6 +472,49 @@ fn graceful_abort_stops_syn_retransmissions() {
     assert_eq!(iw_core::Scanner::harvest(&mut sim).violations(), []);
 }
 
+/// A port scan obeys the drain as a measurement scan does: a SYN-ACK
+/// that arrives after it records no open port and draws no RST.
+#[test]
+fn a_drained_port_scan_records_no_late_open_port() {
+    use iw_internet::population::PopulationFactory;
+    use iw_netsim::{Instant, Sim, SimConfig};
+
+    let pop = small_world(0x9057);
+    let mut config = ScanConfig::study(Protocol::PortScan, pop.space_size(), 0x9057);
+    config.rate_pps = 2_000_000;
+    let sim_config = SimConfig {
+        seed: config.seed,
+        ..SimConfig::default()
+    };
+    let factory = PopulationFactory::on_port(pop.clone(), config.protocol.port());
+    let mut sim = Sim::new(iw_core::Scanner::new(config), factory, sim_config);
+    sim.kick_scanner(|s, now, fx| s.start(now, fx));
+    // 5 ms in: the space is half sent, and no SYN-ACK is back yet.
+    sim.run_until(Instant::ZERO + Duration::from_millis(5));
+    sim.kick_scanner(|s, now, fx| s.begin_drain(now, fx));
+    let (tx, rx, open) = (
+        sim.stats().scanner_tx,
+        sim.stats().scanner_rx,
+        sim.scanner().open_ports().len(),
+    );
+    sim.run_to_completion();
+    assert!(
+        sim.stats().scanner_rx > rx,
+        "no answer arrived after the drain"
+    );
+    assert_eq!(
+        sim.scanner().open_ports().len(),
+        open,
+        "an open port was recorded after the drain"
+    );
+    assert_eq!(
+        sim.stats().scanner_tx,
+        tx,
+        "the scanner transmitted after the drain"
+    );
+    assert_eq!(iw_core::Scanner::harvest(&mut sim).violations(), []);
+}
+
 // ---------------------------------------------------------------------
 // File-format properties: round-trip byte-identity, clean rejection.
 // ---------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //! Every scenario is deterministic per seed: identical configurations
 //! must produce byte-identical results and canonical metrics.
 
-use iw_core::telemetry::{OutcomeKind, SessionEvent, Snapshot};
+use iw_core::telemetry::{FlightEntry, IcmpHarvest, OutcomeKind, SessionEvent, Snapshot};
 use iw_core::testbed::{probe_host, TestbedSpec};
 use iw_core::{
     summarize, Confusion, ErrorKind, HostResult, MssVerdict, Protocol, ResilienceConfig,
@@ -304,7 +304,7 @@ fn source_quench_cohort_is_classified_not_fast_failed() {
     );
     sim.kick_scanner(|s, now, fx| s.start(now, fx));
     sim.run_to_completion();
-    let harvest = Scanner::harvest(&mut sim).icmp;
+    let telemetry = Scanner::harvest(&mut sim);
     let scanner = sim.scanner_mut();
     let metrics = scanner.metrics_snapshot();
     let cohort = (0..space).filter(|ip| quenched(*ip)).count() as u64;
@@ -317,12 +317,14 @@ fn source_quench_cohort_is_classified_not_fast_failed() {
     assert_eq!(metrics.counter("scan.syn_retries"), cohort * 2);
     // Nine messages per source crosses the rate-limiting signature
     // threshold: every cohort member is flagged, nobody else is.
+    let harvest = &telemetry.icmp;
     for ip in 0..space {
         assert_eq!(harvest.is_rate_limited(ip), quenched(ip), "ip {ip}");
     }
     assert_eq!(harvest.rate_limited_sources(), cohort);
     // Every harvested message was a quench.
-    assert_eq!(harvest.subtype_rates_per_10k(), [0, 0, 0, 10_000, 0]);
+    let rates = IcmpHarvest::subtype_rates_per_10k(&telemetry.metrics);
+    assert_eq!(rates, [0, 0, 0, 10_000, 0]);
     // The responsive cohort is still measured perfectly.
     let mut results = scanner.results().to_vec();
     results.sort_by_key(|r| r.ip);
@@ -973,17 +975,18 @@ fn a_graceful_drain_leaves_no_flight_history() {
 
 // ---------------------------------------------------------------------
 // The observability spine: every counter that counts an event is derived
-// from the event itself, so the log and the counters cannot drift apart.
+// from the event itself, so the counters and the flight recorder's
+// histories cannot drift apart.
 // ---------------------------------------------------------------------
 
 /// Run `config` over a space of `space` addresses, every one of them
-/// watched, with the event log and the flight recorder on, and return the
-/// harvest.
+/// watched, with the flight recorder on, and return the harvest. The scan
+/// runs to completion: a watched history that kept the sweep armed would
+/// never let it end.
 fn observed_scan<F>(space: u32, mut config: ScanConfig, factory: F) -> ScanTelemetry
 where
     F: FnMut(u32) -> Option<(Box<dyn Endpoint>, LinkConfig)>,
 {
-    config.telemetry.record_events = true;
     config.telemetry.flight_recorder = true;
     let seed = config.seed;
     let sim_config = SimConfig {
@@ -1040,7 +1043,8 @@ impl Endpoint for ResetsEverything {
 
 #[test]
 fn counters_are_derived_from_events() {
-    const PAIRS: [(&str, &str); 10] = [
+    const PAIRS: [(&str, &str); 13] = [
+        ("syn_sent", "scan.targets_sent"),
         ("syn_ack_validated", "scan.synacks_validated"),
         ("session_started", "scan.sessions_started"),
         ("refused", "scan.refused"),
@@ -1051,6 +1055,8 @@ fn counters_are_derived_from_events() {
         ("watchdog_forced", "scan.sessions.watchdog_forced"),
         ("session_evicted", "scan.sessions.evicted"),
         ("icmp_unreachable", "scan.icmp_unreachable"),
+        ("probe_started", "scan.probes.started"),
+        ("follow_up_started", "scan.probes.follow_ups"),
     ];
     let hardened = |space, seed| {
         let mut config = scan_config(space, seed);
@@ -1110,30 +1116,28 @@ fn counters_are_derived_from_events() {
             Some((host, LinkConfig::testbed()))
         }),
     ];
-    let kinds = [
-        OutcomeKind::Success,
-        OutcomeKind::FewData,
-        OutcomeKind::Error,
-        OutcomeKind::Unreachable,
-    ];
     let mut seen: BTreeMap<String, u64> = BTreeMap::new();
     for (i, t) in scans.iter().enumerate() {
-        let (events, m) = (t.events.counts_by_name(), &t.metrics);
-        // Every address is watched: the records hold every tallied event.
-        let recorded = t.events.records().len() as u64;
-        assert_eq!(recorded, t.events.len(), "scan {i}: records vs tally");
+        // Every address is watched: the histories hold every event.
+        let m = &t.metrics;
+        let histories = t.flight.histories().values().flatten();
+        let events: Vec<SessionEvent> = histories
+            .filter_map(|entry| match entry {
+                FlightEntry::State { event, .. } => Some(*event),
+                FlightEntry::Wire { .. } => None,
+            })
+            .collect();
         for (event, counter) in PAIRS {
-            let n = events.get(event).copied().unwrap_or(0);
+            let n = events.iter().filter(|e| e.name() == event).count() as u64;
             assert_eq!(n, m.counter(counter), "scan {i}: {event} vs {counter}");
             *seen.entry(event.to_string()).or_default() += n;
         }
-        for kind in kinds {
+        for kind in OutcomeKind::ALL {
             let count = |probe: bool| {
-                let records = t.events.records().iter();
-                records
-                    .filter(|r| match r.event {
-                        SessionEvent::ProbeConcluded { outcome, .. } => probe && outcome == kind,
-                        SessionEvent::SessionFinished { outcome } => !probe && outcome == kind,
+                (events.iter())
+                    .filter(|e| match e {
+                        SessionEvent::ProbeConcluded { outcome, .. } => probe && *outcome == kind,
+                        SessionEvent::SessionFinished { outcome } => !probe && *outcome == kind,
                         _ => false,
                     })
                     .count() as u64

@@ -277,6 +277,7 @@ fn pace_timer_backs_off_at_low_rates() {
 
 #[test]
 fn a_hardened_scan_ends_at_its_last_session_event() {
+    use iw_core::telemetry::{FlightEntry, SessionEvent};
     use iw_core::{ResilienceConfig, RunControl, ScanRunner};
     use iw_internet::{Population, PopulationConfig};
     use std::sync::Arc;
@@ -294,23 +295,29 @@ fn a_hardened_scan_ends_at_its_last_session_event() {
     }));
     let mut cfg = ScanConfig::study(Protocol::Http, pop.space_size(), 0x1307_2017);
     cfg.rate_pps = 4_000_000;
-    cfg.telemetry.record_events = true;
     cfg.resilience = ResilienceConfig::hardened();
-    // Every address is watched, so the records hold every event.
+    // Every address is watched, so the histories hold every event.
     let control = RunControl {
         watch: (0..pop.space_size()).collect(),
         ..RunControl::default()
     };
     let out = ScanRunner::new(&pop).config(cfg).control(control).run();
-    let records = out.telemetry.events.records();
-    assert_eq!(records.len() as u64, out.telemetry.events.len());
-    let last = records.iter().map(|r| r.at_nanos).max().unwrap();
-    let forced = records
-        .iter()
-        .filter(|r| r.event == iw_core::telemetry::SessionEvent::WatchdogForced)
-        .count();
-    let tallied = out.telemetry.events.counts_by_name();
-    assert_eq!(Some(&(forced as u64)), tallied.get("watchdog_forced"));
+    let events: Vec<(u64, SessionEvent)> = (out.telemetry.flight.histories().values())
+        .flatten()
+        .filter_map(|entry| match *entry {
+            FlightEntry::State { at_nanos, event } => Some((at_nanos, event)),
+            FlightEntry::Wire { .. } => None,
+        })
+        .collect();
+    let last = events.iter().map(|&(at, _)| at).max().unwrap();
+    let forced = (events.iter())
+        .filter(|&&(_, event)| event == SessionEvent::WatchdogForced)
+        .count() as u64;
+    let counted = out
+        .telemetry
+        .metrics
+        .counter("scan.sessions.watchdog_forced");
+    assert_eq!(forced, counted);
     println!(
         "duration {:?}, last session event at {last} ns, {forced} watchdog-forced",
         out.duration

@@ -1,12 +1,13 @@
-//! Scan-level telemetry: the metrics snapshot, the session event log (a
-//! tally, plus the records of a watch set) and the progress monitor,
+//! Scan-level telemetry: the metrics snapshot (every count a scan keeps,
+//! session events included), the session event log of a watch set (the
+//! flight recorder's watched histories) and the progress monitor,
 //! exercised through full simulated scans.
 //!
 //! The load-bearing property is the determinism contract: scan-scoped
-//! metrics and event-log summaries must be byte-identical between a
+//! metrics and each watched host's history must be identical between a
 //! sharded run and a single-thread run of the same scan.
 
-use iw_core::telemetry::{manifest, OutcomeKind, Scope};
+use iw_core::telemetry::{manifest, FlightEntry, OutcomeKind, Scope, SessionEvent};
 use iw_core::{
     MonitorSink, MonitorSpec, Protocol, ResilienceConfig, RunControl, ScanConfig, ScanRunner,
     Topology,
@@ -25,7 +26,7 @@ fn population(seed: u64, space: u32, responsive: u32) -> Arc<Population> {
     }))
 }
 
-/// A control that keeps the records of `ips`.
+/// A control that keeps the histories of `ips`.
 fn watching(ips: impl IntoIterator<Item = u32>) -> RunControl {
     RunControl {
         watch: ips.into_iter().collect(),
@@ -36,7 +37,6 @@ fn watching(ips: impl IntoIterator<Item = u32>) -> RunControl {
 fn telemetry_config(space: u32, seed: u64) -> ScanConfig {
     let mut config = ScanConfig::study(Protocol::Http, space, seed);
     config.rate_pps = 2_000_000; // compress virtual time for tests
-    config.telemetry.record_events = true;
     config.telemetry.record_rtt = true;
     config
 }
@@ -58,16 +58,13 @@ fn sharded_snapshot_is_byte_identical_to_single_thread() {
         sharded.telemetry.metrics.to_canonical_json(),
         "scan-scoped metrics must not depend on the shard count"
     );
-    // The event-log summary (counts per variant and per verdict) is
-    // likewise shard-independent.
-    assert_eq!(
-        single.telemetry.events.summary_json(),
-        sharded.telemetry.events.summary_json()
-    );
+    // The session events' counts (per variant and per verdict) are scan
+    // counters, compared with the rest.
     // Sanity: the scan actually produced telemetry to compare.
     let m = &single.telemetry.metrics;
     assert!(m.counter("scan.targets_sent") > 10_000);
     assert!(m.counter("scan.sessions_started") > 100);
+    assert!(m.counter("scan.probes.started") > 100);
     assert!(m.histogram("scan.rtt_nanos").unwrap().count > 100);
     assert!(m.histogram("scan.session_lifetime_nanos").unwrap().count > 100);
 }
@@ -76,12 +73,24 @@ fn sharded_snapshot_is_byte_identical_to_single_thread() {
 fn summarize_matches_event_log_terminal_counts() {
     let pop = population(0xbeef, 1 << 14, 300);
     let config = telemetry_config(pop.space_size(), 0xbeef);
-    let out = ScanRunner::new(&pop).config(config).run();
+    let control = watching(0..pop.space_size());
+    let out = ScanRunner::new(&pop).config(config).control(control).run();
 
-    let terminal = out.telemetry.events.terminal_counts();
+    // Every address is watched: the histories' `SessionFinished` events
+    // are the scan's terminal counts.
+    let mut terminal: BTreeMap<OutcomeKind, u64> = BTreeMap::new();
+    for entry in out.telemetry.flight.histories().values().flatten() {
+        if let FlightEntry::State {
+            event: SessionEvent::SessionFinished { outcome },
+            ..
+        } = entry
+        {
+            *terminal.entry(*outcome).or_default() += 1;
+        }
+    }
     let count = |k: OutcomeKind| terminal.get(&k).copied().unwrap_or(0);
     // summarize() buckets Unreachable (and verdict-less) sessions under
-    // "error"; the event log keeps them distinct.
+    // "error"; the session events keep them distinct.
     assert_eq!(out.summary.success, count(OutcomeKind::Success));
     assert_eq!(out.summary.few_data, count(OutcomeKind::FewData));
     assert_eq!(
@@ -94,7 +103,7 @@ fn summarize_matches_event_log_terminal_counts() {
         terminal.values().sum::<u64>(),
         "one SessionFinished per host record"
     );
-    // The per-verdict session counters agree with the event log.
+    // The per-verdict session counters agree with the histories.
     let m = &out.telemetry.metrics;
     assert_eq!(
         m.counter("scan.sessions.success"),
@@ -120,7 +129,10 @@ fn event_log_records_exact_session_lifecycles() {
     let pop = population(0xcafe, 1 << 13, 150);
     let config = telemetry_config(pop.space_size(), 0xcafe);
     let out = ScanRunner::new(&pop).config(config.clone()).run();
-    assert!(out.telemetry.events.records().is_empty(), "nothing watched");
+    assert!(
+        out.telemetry.flight.histories().is_empty(),
+        "nothing watched"
+    );
 
     // Pick a host that concluded successfully and replay its lifecycle:
     // the same scan again, watching that one host.
@@ -138,9 +150,29 @@ fn event_log_records_exact_session_lifecycles() {
         format!("{:?}", watched.results),
         format!("{:?}", out.results)
     );
-    let events = watched.telemetry.events.for_ip(success_ip);
-    assert_eq!(events, watched.telemetry.events.records());
-    let names: Vec<&str> = events.iter().map(|r| r.event.name()).collect();
+    let flight = &watched.telemetry.flight;
+    assert_eq!(flight.histories().keys().collect::<Vec<_>>(), [&success_ip]);
+    let entries = flight.history(success_ip);
+    // The history opens with the SYN itself: its transition, then the
+    // segment.
+    assert!(
+        matches!(
+            entries[1],
+            FlightEntry::Wire {
+                tx: true,
+                flags: 0x002,
+                ..
+            }
+        ),
+        "{:?}",
+        &entries[..2]
+    );
+    let names: Vec<&str> = (entries.iter())
+        .filter_map(|e| match e {
+            FlightEntry::State { event, .. } => Some(event.name()),
+            FlightEntry::Wire { .. } => None,
+        })
+        .collect();
     assert_eq!(names[0], "syn_sent", "{names:?}");
     assert_eq!(names[1], "syn_ack_validated", "{names:?}");
     assert_eq!(names[2], "session_started", "{names:?}");
@@ -153,7 +185,9 @@ fn event_log_records_exact_session_lifecycles() {
     let started = names.iter().filter(|n| **n == "probe_started").count();
     assert_eq!(started, 6, "{names:?}");
     // Timestamps never go backwards within a host's lifecycle.
-    assert!(events.windows(2).all(|w| w[0].at_nanos <= w[1].at_nanos));
+    assert!(entries
+        .windows(2)
+        .all(|w| w[0].at_nanos() <= w[1].at_nanos()));
     // A successful inference observed at least one retransmission per
     // concluded probe (that is what ends the collection phase).
     let retransmits = names
@@ -165,10 +199,12 @@ fn event_log_records_exact_session_lifecycles() {
 
 #[test]
 fn sharded_event_log_keeps_each_hosts_causal_order() {
-    // A host lives in exactly one shard, so merging the shards' logs must
-    // not reorder its events: same-instant transitions (SYN-ACK validated
-    // → session started → probe started) stay in the order they happened.
-    // Every responder is watched.
+    // A host lives in exactly one shard, so merging the shards' histories
+    // must not reorder its entries: same-instant transitions (SYN-ACK
+    // validated → session started → probe started) stay in the order
+    // they happened. Pacing differs between shard layouts, so each
+    // history is compared re-based to its first entry. Every responder
+    // is watched.
     let pop = population(0xcafe, 1 << 13, 150);
     let config = telemetry_config(pop.space_size(), 0xcafe);
     let responders = (0..pop.space_size()).filter(|&ip| pop.host_config(ip).is_some());
@@ -179,14 +215,25 @@ fn sharded_event_log_keeps_each_hosts_causal_order() {
             .topology(Topology::threads(threads))
             .control(control.clone())
             .run();
-        let mut hosts: BTreeMap<u32, Vec<&'static str>> = BTreeMap::new();
-        for r in out.telemetry.events.records() {
-            hosts.entry(r.ip).or_default().push(r.event.name());
-        }
-        hosts
+        let rebased = |history: &[FlightEntry]| -> Vec<FlightEntry> {
+            let start = history.first().map_or(0, FlightEntry::at_nanos);
+            let mut history = history.to_vec();
+            for entry in &mut history {
+                match entry {
+                    FlightEntry::State { at_nanos, .. } | FlightEntry::Wire { at_nanos, .. } => {
+                        *at_nanos -= start
+                    }
+                }
+            }
+            history
+        };
+        (out.telemetry.flight.histories().iter())
+            .map(|(ip, history)| (*ip, rebased(history)))
+            .collect::<BTreeMap<u32, Vec<FlightEntry>>>()
     };
     let single = by_host(1);
-    assert!(single.len() > 100, "{} hosts", single.len());
+    let sessions = single.values().filter(|h| h.len() > 2).count();
+    assert!(sessions > 100, "{sessions} hosts answered");
     assert_eq!(single, by_host(4));
 }
 

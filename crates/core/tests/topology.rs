@@ -90,8 +90,7 @@ fn merged_resume_covers_the_space_exactly_once() {
 #[test]
 fn thread_topologies_match_the_single_threaded_reference() {
     let pop = population();
-    let mut config = study_config(&pop, 7);
-    config.telemetry.record_events = true;
+    let config = study_config(&pop, 7);
     let single = ScanRunner::new(&pop)
         .config(config.clone())
         .topology(Topology::threads(1))

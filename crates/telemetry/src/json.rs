@@ -35,6 +35,12 @@ pub fn push_str_literal(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Append an IPv4 address as a dotted-quad string literal.
+pub fn push_ip(out: &mut String, ip: u32) {
+    let [a, b, c, d] = ip.to_be_bytes();
+    let _ = write!(out, "\"{a}.{b}.{c}.{d}\"");
+}
+
 /// Append `"key":` to `out`.
 pub fn push_key(out: &mut String, key: &str) {
     push_str_literal(out, key);

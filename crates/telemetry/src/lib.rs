@@ -12,10 +12,10 @@
 //! * the **metrics manifest** ([`manifest`]) — the scanner's metric set,
 //!   written once: one enum per instrument kind whose variants index a
 //!   table of names and scopes, and are themselves registry handles;
-//! * a **session event log** ([`events`]) — a fixed-size tally of the
-//!   per-host lifecycle transitions (SYN sent → SYN-ACK validated →
-//!   retransmit detected → verify-ACK → verdict), plus the exact records
-//!   of a watch set of addresses that tests assert on;
+//! * the **session event vocabulary** ([`events`]) — the per-host
+//!   lifecycle transitions (SYN sent → SYN-ACK validated → retransmit
+//!   detected → verify-ACK → verdict) that the registry counts and the
+//!   flight recorder keeps;
 //! * a **progress monitor** ([`monitor`]) — periodic ZMap-style status
 //!   lines (send progress, hit rate, pps, verdict mix, ETA) through a
 //!   pluggable sink;
@@ -25,18 +25,20 @@
 //!   event-loop hot path's spans, counted but not stored;
 //! * a **flight recorder** ([`recorder`]) — bounded per-session rings of
 //!   wire and state-transition activity, dumped as JSONL black boxes for
-//!   sessions that end in an error;
+//!   sessions that end in an error, and the unbounded history of every
+//!   address in a watch set, the one per-host record of a scan;
 //! * a **streaming sink** ([`sink`]) — JSONL metric deltas and
 //!   per-target results emitted while the scan runs;
-//! * an **ICMP harvest** ([`harvest`]) — classified control-plane
-//!   side-traffic (unreachable subtypes, per-source counts,
-//!   rate-limiting signatures) for the results manifest.
+//! * an **ICMP harvest** ([`harvest`]) — per-source counts of the
+//!   control-plane side-traffic (rate-limiting signatures, top talkers),
+//!   rendered with the registry's `scan.icmp.*` subtype counters into the
+//!   results manifest.
 //!
 //! The products know nothing of the scanner. The scanner's observer
 //! (`crates/core/src/observe.rs`) owns one of each and feeds them: the
 //! scanner reports each observation once, and one `match` fans it out
-//! and increments the counters that count it, so the counters are
-//! derived from the events.
+//! and increments the counters that count it: the registry is the only
+//! thing that counts, and the flight recorder the only per-host history.
 //!
 //! The crate is dependency-free by design: every recording operation is
 //! allocation-free (array index + integer add), and the JSON emitters are
@@ -73,7 +75,7 @@ pub mod sink;
 pub mod trace;
 
 pub use addr::{AddrHasher, AddrMap};
-pub use events::{EventLog, EventRecord, OutcomeKind, SessionEvent};
+pub use events::{OutcomeKind, SessionEvent};
 pub use harvest::IcmpHarvest;
 pub use json::{parse_json, JsonError, JsonValue};
 pub use manifest::{Counter, Gauge, Hist};

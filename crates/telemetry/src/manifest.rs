@@ -49,6 +49,10 @@ pub enum Counter {
     SynRetries,
     /// Probe connection retries on fresh source ports.
     ProbesRetried,
+    /// Inference probes begun (one MSS trial each).
+    ProbesStarted,
+    /// Same-MSS follow-up connections begun (majority voting).
+    ProbesFollowUps,
     /// Sessions evicted by the `max_sessions` cap.
     SessionsEvicted,
     /// Sessions force-concluded by the per-session watchdog.
@@ -81,6 +85,10 @@ pub enum Counter {
     IcmpFragNeeded,
     /// Source-quench messages: the rate-limiting signature ("Hidden Treasures").
     IcmpSourceQuench,
+    /// Echo replies (path-MTU probe answers).
+    IcmpEchoReplies,
+    /// Any other ICMP message (echo requests, unknown types).
+    IcmpOther,
     /// SYN-ACKs acking the raw cookie ISN (missing +1): broken middlebox.
     SynackRawIsnEcho,
     /// SYN-ACKs whose ack failed cookie validation outright.
@@ -154,7 +162,7 @@ pub enum Hist {
 
 /// Name and scope of every [`Counter`], row `i` for discriminant `i`.
 #[rustfmt::skip]
-pub const COUNTERS: [(Counter, &str, Scope); 54] = [
+pub const COUNTERS: [(Counter, &str, Scope); 58] = [
     (Counter::TargetsSent, "scan.targets_sent", Scope::Scan),
     (Counter::SynacksValidated, "scan.synacks_validated", Scope::Scan),
     (Counter::Refused, "scan.refused", Scope::Scan),
@@ -171,6 +179,8 @@ pub const COUNTERS: [(Counter, &str, Scope); 54] = [
     (Counter::SessionsUnreachable, "scan.sessions.unreachable", Scope::Scan),
     (Counter::SynRetries, "scan.syn_retries", Scope::Scan),
     (Counter::ProbesRetried, "scan.probes.retried", Scope::Scan),
+    (Counter::ProbesStarted, "scan.probes.started", Scope::Scan),
+    (Counter::ProbesFollowUps, "scan.probes.follow_ups", Scope::Scan),
     // Which session is oldest depends on shard interleaving, so eviction
     // is scheduling-determined and MUST stay `Shard` despite the `scan.`
     // name (kept for continuity).
@@ -192,6 +202,8 @@ pub const COUNTERS: [(Counter, &str, Scope); 54] = [
     (Counter::IcmpUnreachableOther, "scan.icmp.unreachable_other", Scope::Scan),
     (Counter::IcmpFragNeeded, "scan.icmp.frag_needed", Scope::Scan),
     (Counter::IcmpSourceQuench, "scan.icmp.source_quench", Scope::Scan),
+    (Counter::IcmpEchoReplies, "scan.icmp.echo_replies", Scope::Scan),
+    (Counter::IcmpOther, "scan.icmp.other", Scope::Scan),
     (Counter::SynackRawIsnEcho, "scan.synack.raw_isn_echo", Scope::Scan),
     (Counter::SynackCookieMismatch, "scan.synack.cookie_mismatch", Scope::Scan),
     (Counter::RstIgnored, "scan.rst_ignored", Scope::Scan),
@@ -262,7 +274,7 @@ mod tests {
                 "{name} has invalid characters"
             );
         }
-        assert_eq!(seen.len(), 61);
+        assert_eq!(seen.len(), 65);
     }
 
     #[test]
@@ -298,6 +310,8 @@ mod tests {
             | Counter::SessionsUnreachable
             | Counter::SynRetries
             | Counter::ProbesRetried
+            | Counter::ProbesStarted
+            | Counter::ProbesFollowUps
             | Counter::SessionsEvicted
             | Counter::SessionsWatchdogForced
             | Counter::IcmpUnreachable
@@ -314,6 +328,8 @@ mod tests {
             | Counter::IcmpUnreachableOther
             | Counter::IcmpFragNeeded
             | Counter::IcmpSourceQuench
+            | Counter::IcmpEchoReplies
+            | Counter::IcmpOther
             | Counter::SynackRawIsnEcho
             | Counter::SynackCookieMismatch
             | Counter::RstIgnored

@@ -25,11 +25,21 @@
 //! time, address)`, which is population-determined, so a sharded scan
 //! dumps the same casualties in the same order as a single-threaded one.
 //! A run hands over its dumps only ([`FlightRecorder::harvest`]).
+//!
+//! The recorder is also the scan's one per-host history. Every address
+//! in its **watch set** keeps every entry, unbounded, whether or not the
+//! recorder is enabled: its SYNs, segments and state transitions, in
+//! order, from the first SYN on (a watched target takes no stamp). The
+//! histories hand over with the dumps and merge by address, since each
+//! host lives in one shard. They are kept beside the rings, not in them:
+//! a watched target's ring is bounded, expired and dumped exactly as an
+//! unwatched one's, and a history is not a live ring (the sweep that
+//! waits for the live rings would never disarm).
 
 use crate::addr::AddrMap;
 use crate::events::SessionEvent;
-use crate::json::{push_key, push_str_literal, push_u64_field};
-use std::collections::VecDeque;
+use crate::json::{push_ip, push_key, push_str_literal, push_u64_field};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write;
 
 /// Default per-session ring capacity (entries).
@@ -77,7 +87,8 @@ pub enum FlightEntry {
 }
 
 impl FlightEntry {
-    fn at_nanos(&self) -> u64 {
+    /// Virtual time of the entry.
+    pub fn at_nanos(&self) -> u64 {
         match self {
             FlightEntry::State { at_nanos, .. } | FlightEntry::Wire { at_nanos, .. } => *at_nanos,
         }
@@ -229,19 +240,6 @@ impl Ring {
         }
         self.push(FlightEntry::State { at_nanos, event });
     }
-
-    /// A first SYN: its `SynSent` transition and the segment itself.
-    fn note_syn(&mut self, at_nanos: u64, isn: u32) {
-        self.note_state(at_nanos, SessionEvent::SynSent);
-        self.push(FlightEntry::Wire {
-            at_nanos,
-            tx: true,
-            flags: SYN,
-            seq: isn,
-            ack: 0,
-            payload_len: 0,
-        });
-    }
 }
 
 /// A frozen ring: the black box of a session that ended in an error.
@@ -269,7 +267,7 @@ impl FlightDump {
         push_u64_field(&mut out, "at_nanos", self.at_nanos);
         out.push(',');
         push_key(&mut out, "ip");
-        push_str_literal(&mut out, &ip_str(self.ip));
+        push_ip(&mut out, self.ip);
         out.push(',');
         push_key(&mut out, "error");
         push_str_literal(&mut out, self.error);
@@ -292,17 +290,6 @@ impl FlightDump {
     }
 }
 
-/// Dotted-quad rendering of an address.
-fn ip_str(ip: u32) -> String {
-    format!(
-        "{}.{}.{}.{}",
-        (ip >> 24) & 0xff,
-        (ip >> 16) & 0xff,
-        (ip >> 8) & 0xff,
-        ip & 0xff
-    )
-}
-
 /// The per-session flight recorder. See module docs.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
@@ -314,6 +301,8 @@ pub struct FlightRecorder {
     /// depend on the order it visits.
     rings: AddrMap<Ring>,
     dumps: Vec<FlightDump>,
+    /// Every entry of each watched address, by address (see module docs).
+    watched: BTreeMap<u32, Vec<FlightEntry>>,
 }
 
 impl FlightRecorder {
@@ -325,13 +314,43 @@ impl FlightRecorder {
             capacity: capacity.max(1),
             rings: AddrMap::default(),
             dumps: Vec::new(),
+            watched: BTreeMap::new(),
         }
     }
 
-    /// Is recording on?
+    /// Is ring recording on?
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// Keep every later entry of these addresses in their histories.
+    pub fn watch(&mut self, ips: impl IntoIterator<Item = u32>) {
+        for ip in ips {
+            self.watched.entry(ip).or_default();
+        }
+    }
+
+    /// Does the recorder keep anything: rings, or a watched history?
+    #[inline]
+    pub fn is_recording(&self) -> bool {
+        self.enabled || !self.watched.is_empty()
+    }
+
+    /// Is the address in the watch set?
+    #[inline]
+    pub fn is_watched(&self, ip: u32) -> bool {
+        self.watched.contains_key(&ip)
+    }
+
+    /// The watched addresses' histories, by address.
+    pub fn histories(&self) -> &BTreeMap<u32, Vec<FlightEntry>> {
+        &self.watched
+    }
+
+    /// One watched address's history (empty for an unwatched one).
+    pub fn history(&self, ip: u32) -> &[FlightEntry] {
+        self.watched.get(&ip).map_or(&[], Vec::as_slice)
     }
 
     /// Does the target have a ring?
@@ -342,18 +361,19 @@ impl FlightRecorder {
 
     /// Record a SYN to the target: its `SynSent` transition and the SYN
     /// segment with ISN `isn`, both at `at_nanos`; opens the target's
-    /// ring. The owner reports a first SYN only when the target's second
-    /// event arrives, from the SYN's stamp (see module docs).
+    /// ring. The owner reports an unwatched target's first SYN only when
+    /// the target's second event arrives, from the SYN's stamp (see
+    /// module docs).
     #[inline]
     pub fn note_syn(&mut self, ip: u32, at_nanos: u64, isn: u32) {
-        if let Some(ring) = self.ring_mut(ip) {
-            ring.note_syn(at_nanos, isn);
-        }
+        self.note_state(ip, at_nanos, SessionEvent::SynSent);
+        self.note_wire(ip, at_nanos, true, SYN, isn, 0, 0);
     }
 
     /// Record a state transition; opens the target's ring.
     #[inline]
     pub fn note_state(&mut self, ip: u32, at_nanos: u64, event: SessionEvent) {
+        self.keep(ip, FlightEntry::State { at_nanos, event });
         if let Some(ring) = self.ring_mut(ip) {
             ring.note_state(at_nanos, event);
         }
@@ -373,15 +393,25 @@ impl FlightRecorder {
         ack: u32,
         payload_len: u32,
     ) {
+        let entry = FlightEntry::Wire {
+            at_nanos,
+            tx,
+            flags,
+            seq,
+            ack,
+            payload_len,
+        };
+        self.keep(ip, entry);
         if let Some(ring) = self.rings.get_mut(&ip) {
-            ring.push(FlightEntry::Wire {
-                at_nanos,
-                tx,
-                flags,
-                seq,
-                ack,
-                payload_len,
-            });
+            ring.push(entry);
+        }
+    }
+
+    /// Append to the address's history if it is watched.
+    #[inline]
+    fn keep(&mut self, ip: u32, entry: FlightEntry) {
+        if let Some(history) = self.watched.get_mut(&ip) {
+            history.push(entry);
         }
     }
 
@@ -435,21 +465,29 @@ impl FlightRecorder {
     }
 
     /// Hand over the recorder's output: a recorder holding this one's
-    /// dumps and nothing else. The live rings stay behind.
+    /// dumps and histories and nothing else. The live rings stay behind.
     pub fn harvest(&mut self) -> FlightRecorder {
         FlightRecorder {
             dumps: std::mem::take(&mut self.dumps),
+            watched: std::mem::take(&mut self.watched),
             ..FlightRecorder::new(self.enabled, self.capacity)
         }
     }
 
-    /// Merge another shard's dumps. Dump order is canonical:
-    /// `(conclusion time, address)`, both population-determined.
+    /// Merge another shard's dumps and histories. Dump order is
+    /// canonical: `(conclusion time, address)`, both
+    /// population-determined; a history is its host's shard's.
     pub fn merge(&mut self, other: &FlightRecorder) {
         self.enabled |= other.enabled;
         self.capacity = self.capacity.max(other.capacity);
         self.dumps.extend(other.dumps.iter().cloned());
         self.dumps.sort_by_key(|d| (d.at_nanos, d.ip));
+        for (ip, history) in &other.watched {
+            self.watched
+                .entry(*ip)
+                .or_default()
+                .extend_from_slice(history);
+        }
     }
 
     /// All dumps as JSONL (one line per dumped session, trailing newline
@@ -638,6 +676,66 @@ mod tests {
         assert_eq!((out.dumps().len(), out.live_rings()), (1, 0));
         assert!(out.is_enabled());
         assert_eq!((r.dumps().len(), r.live_rings()), (0, 1));
+    }
+
+    #[test]
+    fn a_watched_history_is_unbounded_and_its_ring_is_not() {
+        // Two targets, 1 watched and 2 not, live the same 40 entries; a
+        // disabled recorder keeps the watched one's history all the same.
+        for enabled in [true, false] {
+            let mut r = FlightRecorder::new(enabled, 4);
+            r.watch([1]);
+            assert!(r.is_recording() && r.is_watched(1) && !r.is_watched(2));
+            for ip in [1, 2] {
+                r.note_syn(ip, 0, 7);
+                for i in 1..20u64 {
+                    r.note_wire(ip, i, false, 0x010, i as u32, 0, 10);
+                    r.note_state(ip, i, SessionEvent::VerifyAckSent { probe: 0 });
+                }
+            }
+            // The sweep drops rings, never a history, and a history is not
+            // a live ring.
+            r.expire_stale(100, |_| false);
+            assert_eq!(r.live_rings(), 0);
+            r.note_state(1, 100, SessionEvent::Refused);
+            assert_eq!(r.history(1).len(), 2 + 38 + 1, "enabled {enabled}");
+            assert!(r.history(2).is_empty());
+            assert_eq!(r.history(1)[1].at_nanos(), 0);
+            let out = r.harvest();
+            assert_eq!(out.histories().keys().collect::<Vec<_>>(), [&1]);
+        }
+        // A watched target that fails dumps its last entries, the rest
+        // counted as evicted, exactly as an unwatched one does.
+        let mut r = FlightRecorder::new(true, 4);
+        r.watch([1]);
+        for ip in [1, 2] {
+            r.note_syn(ip, 0, 7);
+            for i in 1..10u64 {
+                r.note_wire(ip, i, true, 0x010, 1, i as u32, 0);
+            }
+            assert!(r.conclude(ip, 10, Some("malformed")));
+        }
+        let [watched, unwatched] = [&r.dumps()[0], &r.dumps()[1]];
+        assert_eq!((watched.evicted, watched.entries.len()), (7, 4));
+        assert_eq!(watched.entries, unwatched.entries);
+        assert_eq!(watched.evicted, unwatched.evicted);
+        assert_eq!(r.history(1).len(), 11, "the history outlives the dump");
+    }
+
+    #[test]
+    fn histories_merge_by_address() {
+        let shard = |ip: u32| {
+            let mut r = FlightRecorder::new(false, 4);
+            r.watch([1, 2]);
+            r.note_syn(ip, u64::from(ip), ip);
+            r.harvest()
+        };
+        let (mut a, mut b) = (shard(2), shard(1));
+        a.merge(&shard(1));
+        b.merge(&shard(2));
+        assert_eq!(a.histories(), b.histories());
+        assert_eq!(a.history(1).len(), 2);
+        assert_eq!(a.history(2)[0].at_nanos(), 2);
     }
 
     /// The recorder as a reference model: every target gets a ring at its

@@ -20,7 +20,7 @@
 //! The CLI appends the stream to `--stream-out`; `iw-cli inspect`
 //! summarizes it offline.
 
-use crate::json::{push_key, push_str_literal, push_u64_field};
+use crate::json::{push_ip, push_key, push_str_literal, push_u64_field};
 use crate::registry::Snapshot;
 use std::collections::BTreeMap;
 
@@ -113,16 +113,7 @@ impl TelemetrySink {
         push_u64_field(&mut line, "at_nanos", at_nanos);
         line.push(',');
         push_key(&mut line, "ip");
-        push_str_literal(
-            &mut line,
-            &format!(
-                "{}.{}.{}.{}",
-                (ip >> 24) & 0xff,
-                (ip >> 16) & 0xff,
-                (ip >> 8) & 0xff,
-                ip & 0xff
-            ),
-        );
+        push_ip(&mut line, ip);
         line.push(',');
         push_key(&mut line, "verdict");
         push_str_literal(&mut line, verdict);

@@ -21,7 +21,12 @@
 //!   writes results: the part of `results.rs` above its tests names none;
 //! - one address map: `iw_telemetry::AddrMap` is the only map type
 //!   built over a `BuildHasherDefault`, and nothing under `crates/` but
-//!   the benchmark's shim (`crates/core/src/table.rs`) names `IpMap`.
+//!   the benchmark's shim (`crates/core/src/table.rs`) names `IpMap`;
+//! - one count, one history: the metrics registry is the only thing that
+//!   counts a session event and the flight recorder the only per-host
+//!   history, so nothing under `crates/` names the event log that was a
+//!   second of each, and its switch is named only where it stays inert
+//!   (`crates/core/src/config.rs`).
 
 use std::path::{Path, PathBuf};
 
@@ -72,7 +77,6 @@ fn only_exp_all_is_a_binary() {
 #[test]
 fn the_scanner_names_no_telemetry_product() {
     let products = [
-        "EventLog",
         "Tracer",
         "FlightRecorder",
         "TelemetrySink",
@@ -99,6 +103,17 @@ fn the_scanner_dispatch_holds_no_retry_eviction_or_mtu_state() {
         "evict_oldest",
     ];
     assert_eq!(naming(SCANNER, &state), Vec::<String>::new());
+}
+
+/// The Rust sources under `crates/`, relative to the repository root.
+fn crate_sources() -> Vec<String> {
+    let mut sources = Vec::new();
+    find_files(
+        &root().join("crates"),
+        &|name| name.ends_with(".rs"),
+        &mut sources,
+    );
+    sources
 }
 
 /// Every file under `dir` whose name `wanted` accepts, relative to the
@@ -173,14 +188,8 @@ fn results_rs_names_no_hash_container() {
 
 #[test]
 fn one_address_map() {
-    let mut sources = Vec::new();
-    find_files(
-        &root().join("crates"),
-        &|name| name.ends_with(".rs"),
-        &mut sources,
-    );
     let (mut hashers, mut ip_maps) = (Vec::new(), Vec::new());
-    for file in &sources {
+    for file in &crate_sources() {
         let text = std::fs::read_to_string(root().join(file)).unwrap();
         for line in naming(&text, &["BuildHasherDefault"]) {
             let code = line.split_once(": ").unwrap().1.trim_start();
@@ -203,4 +212,19 @@ fn one_address_map() {
         "{hashers:?}"
     );
     assert_eq!(ip_maps, Vec::<String>::new());
+}
+
+#[test]
+fn one_count_one_history() {
+    let mut found = Vec::new();
+    for file in &crate_sources() {
+        let text = std::fs::read_to_string(root().join(file)).unwrap();
+        let mut words = vec!["EventLog", "EventRecord", "summary_json"];
+        if file != "crates/core/src/config.rs" {
+            words.push("record_events");
+        }
+        let named = naming(&text, &words).into_iter();
+        found.extend(named.map(|line| format!("{file}:{line}")));
+    }
+    assert_eq!(found, Vec::<String>::new());
 }
