@@ -128,7 +128,6 @@ fn study_scan(
     edit: impl FnOnce(&mut ScanConfig),
 ) -> ScanOutput {
     let mut config = ScanConfig::study(protocol, population.space_size(), SEED);
-    config.rate_pps = 4_000_000; // virtual pps: compress virtual time
     edit(&mut config);
     ScanRunner::new(population)
         .config(config)

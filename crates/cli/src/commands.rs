@@ -8,12 +8,13 @@ use iw_analysis::histogram::IwHistogram;
 use iw_analysis::tables::Table1;
 use iw_core::testbed::{probe_host, TestbedSpec};
 use iw_core::{
-    CampaignCheckpoint, MonitorSink, MonitorSpec, Protocol, RunControl, RunDisposition, ScanConfig,
-    ScanRunner, ShardCheckpoint, TargetSpec, Topology,
+    CampaignCheckpoint, MonitorSink, MonitorSpec, Protocol, ResilienceConfig, RunControl,
+    RunDisposition, ScanConfig, ScanOutput, ScanRunner, ShardCheckpoint, TargetSpec,
+    TelemetryConfig, Topology,
 };
 use iw_hoststack::{HostConfig, HttpBehavior, HttpConfig, IwPolicy, OsProfile};
 use iw_internet::{alexa, Population, PopulationConfig};
-use iw_netsim::LinkConfig;
+use iw_netsim::{Duration, LinkConfig};
 use std::fmt;
 use std::sync::Arc;
 
@@ -74,43 +75,49 @@ fn shard_count(args: &ScanArgs, auto_cores: bool) -> u32 {
     }
 }
 
-/// Wire the resilience flags into a scan config. The backoff intervals
-/// are constants (`iw_core::config::SYN_BACKOFF`, `PROBE_BACKOFF`).
-fn apply_resilience(config: &mut ScanConfig, args: &ScanArgs) {
-    config.resilience.syn_retries = args.syn_retries;
-    config.resilience.probe_retries = args.probe_retries;
-    if args.watchdog_secs > 0 {
-        config.resilience.session_deadline =
-            Some(iw_netsim::Duration::from_secs(args.watchdog_secs));
+/// The configuration a scan-style command runs: `ScanConfig::study` over
+/// the population's full space sampled by `--sample`, or over the
+/// synthetic Alexa list (domains known), plus what the resilience and
+/// telemetry flags name, and nothing else. A configuration the scanner
+/// would run without measuring anything (see [`ScanConfig::validate`])
+/// is a usage error, exit 2.
+fn scan_config(
+    args: &ScanArgs,
+    protocol: Protocol,
+    population: &Population,
+    alexa_list: bool,
+) -> Result<ScanConfig, CmdError> {
+    let mut config = ScanConfig::study(protocol, population.space_size(), args.seed);
+    if alexa_list {
+        let list = alexa::build(population, args.n, 1).into_iter();
+        config.targets = TargetSpec::List(list.map(|e| (e.ip, Some(e.domain))).collect());
+    } else {
+        config.sample_fraction = args.sample;
     }
-    config.resilience.max_sessions = args.max_sessions;
-}
-
-/// Reject a configuration the scanner would run without measuring
-/// anything (see [`ScanConfig::validate`]): a usage error, exit 2.
-fn validate(config: &ScanConfig) -> Result<(), CmdError> {
+    config.resilience = ResilienceConfig {
+        syn_retries: args.syn_retries,
+        probe_retries: args.probe_retries,
+        session_deadline: (args.watchdog_secs > 0).then(|| Duration::from_secs(args.watchdog_secs)),
+        max_sessions: args.max_sessions,
+    };
+    config.record_trace = args.pcap.is_some();
+    config.telemetry = TelemetryConfig {
+        // The snapshot file includes the RTT histogram, so --metrics-out
+        // turns its recorder on.
+        record_rtt: args.metrics_out.is_some(),
+        monitor: args.monitor.then_some(MonitorSpec {
+            interval: Duration::from_millis(250),
+            sink: MonitorSink::Stdout,
+        }),
+        record_spans: args.trace_out.is_some(),
+        flight_recorder: args.flight_out.is_some(),
+        stream: args.stream_out.as_ref().map(|_| Duration::from_secs(1)),
+        ..TelemetryConfig::default()
+    };
     config
         .validate()
-        .map_err(|e| err(format!("invalid scan configuration: {e}")))
-}
-
-/// Wire the scan-style telemetry flags into a scan config.
-fn apply_telemetry(config: &mut ScanConfig, args: &ScanArgs) {
-    config.record_trace = args.pcap.is_some();
-    // The snapshot file includes the RTT histogram, so --metrics-out
-    // turns its recorder on.
-    config.telemetry.record_rtt = args.metrics_out.is_some();
-    if args.monitor {
-        config.telemetry.monitor = Some(MonitorSpec {
-            interval: iw_netsim::Duration::from_millis(250),
-            sink: MonitorSink::Stdout,
-        });
-    }
-    config.telemetry.record_spans = args.trace_out.is_some();
-    config.telemetry.flight_recorder = args.flight_out.is_some();
-    if args.stream_out.is_some() {
-        config.telemetry.stream = Some(iw_netsim::Duration::from_secs(1));
-    }
+        .map_err(|e| err(format!("invalid scan configuration: {e}")))?;
+    Ok(config)
 }
 
 /// CLI-level campaign context persisted in the checkpoint's `extra`
@@ -187,7 +194,7 @@ fn durable_setup(
         ..RunControl::default()
     };
     if args.abort_after_secs > 0 {
-        control.abort_at = Some(iw_netsim::Duration::from_secs(args.abort_after_secs));
+        control.abort_at = Some(Duration::from_secs(args.abort_after_secs));
     }
     let mut shards = default_shards;
     let mut every_nanos: u64 = 0;
@@ -213,7 +220,7 @@ fn durable_setup(
         control.resume = Some(Arc::new(ckpt));
     }
     if every_nanos > 0 {
-        control.checkpoint_every = Some(iw_netsim::Duration::from_nanos(every_nanos));
+        control.checkpoint_every = Some(Duration::from_nanos(every_nanos));
     }
     #[expect(
         clippy::disallowed_types,
@@ -249,7 +256,7 @@ fn run_durable(
     population: &Arc<Population>,
     config: ScanConfig,
     default_shards: u32,
-) -> Result<iw_core::ScanOutput, CmdError> {
+) -> Result<ScanOutput, CmdError> {
     let (control, shards, writer) = durable_setup(args, command, &config, default_shards)?;
     let out = ScanRunner::new(population)
         .config(config)
@@ -270,7 +277,7 @@ const EXIT_ABORTED: i32 = 3;
 const EXIT_VIOLATED: i32 = 4;
 
 /// Write the telemetry products requested by `--metrics-out` / `--pcap`.
-fn write_telemetry(out: &iw_core::ScanOutput, args: &ScanArgs) -> Result<(), CmdError> {
+fn write_telemetry(out: &ScanOutput, args: &ScanArgs) -> Result<(), CmdError> {
     if let Some(path) = &args.metrics_out {
         let metrics = &out.telemetry.metrics;
         let json = format!(
@@ -312,7 +319,7 @@ fn write_telemetry(out: &iw_core::ScanOutput, args: &ScanArgs) -> Result<(), Cmd
     Ok(())
 }
 
-fn report(out: &iw_core::ScanOutput, args: &ScanArgs, label: &str) -> Result<(), CmdError> {
+fn report(out: &ScanOutput, args: &ScanArgs, label: &str) -> Result<(), CmdError> {
     println!(
         "{}",
         Table1::new(&[(label, &out.summary)]).render().trim_end()
@@ -337,9 +344,9 @@ fn report(out: &iw_core::ScanOutput, args: &ScanArgs, label: &str) -> Result<(),
 /// campaigns; a killed campaign leaves nothing but the persisted
 /// checkpoint behind, and a diverged resume is a hard error.
 fn conclude(
-    out: &iw_core::ScanOutput,
+    out: &ScanOutput,
     args: &ScanArgs,
-    render: impl FnOnce(&iw_core::ScanOutput, &ScanArgs) -> Result<(), CmdError>,
+    render: impl FnOnce(&ScanOutput, &ScanArgs) -> Result<(), CmdError>,
 ) -> Result<i32, CmdError> {
     match &out.disposition {
         RunDisposition::Diverged { detail } => Err(err(format!("resume failed: {detail}"))),
@@ -376,12 +383,7 @@ fn conclude(
 fn cmd_scan(args: &ScanArgs) -> Result<i32, CmdError> {
     let protocol = parse_protocol(&args.protocol)?;
     let population = build_population(args)?;
-    let mut config = ScanConfig::study(protocol, population.space_size(), args.seed);
-    config.sample_fraction = args.sample;
-    config.rate_pps = 4_000_000;
-    apply_resilience(&mut config, args);
-    apply_telemetry(&mut config, args);
-    validate(&config)?;
+    let config = scan_config(args, protocol, &population, false)?;
     let out = run_durable(args, "scan", &population, config, shard_count(args, true))?;
     let label = args.protocol.to_uppercase();
     conclude(&out, args, |out, args| report(out, args, &label))
@@ -390,15 +392,7 @@ fn cmd_scan(args: &ScanArgs) -> Result<i32, CmdError> {
 fn cmd_alexa(args: &ScanArgs) -> Result<i32, CmdError> {
     let protocol = parse_protocol(&args.protocol)?;
     let population = build_population(args)?;
-    let list = alexa::build(&population, args.n, 1);
-    let targets: Vec<(u32, Option<String>)> =
-        list.into_iter().map(|e| (e.ip, Some(e.domain))).collect();
-    let mut config = ScanConfig::study(protocol, population.space_size(), args.seed);
-    config.targets = TargetSpec::List(targets);
-    config.rate_pps = 4_000_000;
-    apply_resilience(&mut config, args);
-    apply_telemetry(&mut config, args);
-    validate(&config)?;
+    let config = scan_config(args, protocol, &population, true)?;
     // Lists default to one shard; an explicit --threads still fans the
     // round-robin partitions across threads.
     let out = run_durable(args, "alexa", &population, config, shard_count(args, false))?;
@@ -407,12 +401,7 @@ fn cmd_alexa(args: &ScanArgs) -> Result<i32, CmdError> {
 
 fn cmd_mtu(args: &ScanArgs) -> Result<i32, CmdError> {
     let population = build_population(args)?;
-    let mut config = ScanConfig::study(Protocol::IcmpMtu, population.space_size(), args.seed);
-    config.sample_fraction = args.sample;
-    config.rate_pps = 4_000_000;
-    apply_resilience(&mut config, args);
-    apply_telemetry(&mut config, args);
-    validate(&config)?;
+    let config = scan_config(args, Protocol::IcmpMtu, &population, false)?;
     let out = run_durable(args, "mtu", &population, config, shard_count(args, true))?;
     conclude(&out, args, |out, args| {
         write_telemetry(out, args)?;
@@ -618,6 +607,30 @@ pub fn dispatch(cli: &Cli) -> Result<i32, CmdError> {
 mod tests {
     use super::*;
 
+    /// The world a flagless command scans.
+    fn small_world() -> Arc<Population> {
+        build_population(&ScanArgs::default()).unwrap()
+    }
+
+    /// A run that produced nothing but these metrics.
+    fn output(metrics: iw_core::telemetry::Snapshot, disposition: RunDisposition) -> ScanOutput {
+        ScanOutput {
+            results: vec![],
+            open_ports: vec![],
+            mtu_results: vec![],
+            summary: Default::default(),
+            sim_stats: Default::default(),
+            duration: Duration::ZERO,
+            telemetry: iw_core::ScanTelemetry {
+                metrics,
+                ..Default::default()
+            },
+            trace: Default::default(),
+            checkpoints: vec![],
+            disposition,
+        }
+    }
+
     #[test]
     fn protocol_and_scale_parsing() {
         assert_eq!(parse_protocol("http").unwrap(), Protocol::Http);
@@ -649,19 +662,35 @@ mod tests {
             max_sessions: 4096,
             ..ScanArgs::default()
         };
-        let mut config = ScanConfig::study(Protocol::Http, 1 << 10, 1);
-        apply_resilience(&mut config, &args);
-        assert_eq!(config.resilience.syn_retries, 2);
-        assert_eq!(config.resilience.probe_retries, 1);
+        let config = scan_config(&args, Protocol::Http, &small_world(), false).unwrap();
+        let r = config.resilience;
         assert_eq!(
-            config.resilience.session_deadline,
-            Some(iw_netsim::Duration::from_secs(75))
+            (r.syn_retries, r.probe_retries, r.max_sessions),
+            (2, 1, 4096)
         );
-        assert_eq!(config.resilience.max_sessions, 4096);
-        // Default args leave the baseline untouched.
-        let mut config = ScanConfig::study(Protocol::Http, 1 << 10, 1);
-        apply_resilience(&mut config, &ScanArgs::default());
-        assert_eq!(config.resilience, Default::default());
+        assert_eq!(r.session_deadline, Some(Duration::from_secs(75)));
+    }
+
+    #[test]
+    fn a_flagless_command_scans_the_study() {
+        // No flag, no departure: each command's configuration is the
+        // study's (its rate included), over the command's targets.
+        let args = ScanArgs::default();
+        let population = small_world();
+        // `scan`, `alexa` and `mtu`.
+        for (protocol, alexa_list) in [
+            (Protocol::Http, false),
+            (Protocol::Http, true),
+            (Protocol::IcmpMtu, false),
+        ] {
+            let mut study = ScanConfig::study(protocol, population.space_size(), args.seed);
+            if alexa_list {
+                let list = alexa::build(&population, args.n, 1).into_iter();
+                study.targets = TargetSpec::List(list.map(|e| (e.ip, Some(e.domain))).collect());
+            }
+            let built = scan_config(&args, protocol, &population, alexa_list).unwrap();
+            assert_eq!(built.digest(), study.digest(), "{protocol:?} {alexa_list}");
+        }
     }
 
     #[test]
@@ -697,10 +726,7 @@ mod tests {
 
     #[test]
     fn the_default_scan_config_is_valid() {
-        let mut config = ScanConfig::study(Protocol::Http, 1 << 10, 1);
-        apply_resilience(&mut config, &ScanArgs::default());
-        apply_telemetry(&mut config, &ScanArgs::default());
-        assert!(validate(&config).is_ok());
+        assert!(scan_config(&ScanArgs::default(), Protocol::Http, &small_world(), false).is_ok());
         // So are the documented hardened flags.
         let hardened = ScanArgs {
             syn_retries: 2,
@@ -709,8 +735,7 @@ mod tests {
             max_sessions: 65_536,
             ..ScanArgs::default()
         };
-        apply_resilience(&mut config, &hardened);
-        assert!(validate(&config).is_ok());
+        assert!(scan_config(&hardened, Protocol::Http, &small_world(), false).is_ok());
     }
 
     #[test]
@@ -738,18 +763,7 @@ mod tests {
 
     #[test]
     fn telemetry_files_are_written() {
-        let out = iw_core::ScanOutput {
-            results: vec![],
-            open_ports: vec![],
-            mtu_results: vec![],
-            summary: Default::default(),
-            sim_stats: Default::default(),
-            duration: iw_netsim::Duration::ZERO,
-            telemetry: Default::default(),
-            trace: Default::default(),
-            checkpoints: vec![],
-            disposition: RunDisposition::Completed,
-        };
+        let out = output(Default::default(), RunDisposition::Completed);
         let dir = std::env::temp_dir().join("iwscan-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let metrics_path = dir.join("metrics.json");
@@ -796,21 +810,7 @@ mod tests {
     fn a_violated_run_writes_its_metrics_and_exits_4() {
         let mut metrics = iw_core::telemetry::MetricsRegistry::from_manifest();
         metrics.inc(iw_core::telemetry::Counter::InvariantWorkLeft);
-        let out = iw_core::ScanOutput {
-            results: vec![],
-            open_ports: vec![],
-            mtu_results: vec![],
-            summary: Default::default(),
-            sim_stats: Default::default(),
-            duration: iw_netsim::Duration::ZERO,
-            telemetry: iw_core::ScanTelemetry {
-                metrics: metrics.snapshot(),
-                ..Default::default()
-            },
-            trace: Default::default(),
-            checkpoints: vec![],
-            disposition: RunDisposition::Violated,
-        };
+        let out = output(metrics.snapshot(), RunDisposition::Violated);
         assert_eq!(
             out.telemetry.violations(),
             [("scan.invariant.work_left", 1)]
@@ -855,10 +855,7 @@ mod tests {
         };
         let (control, _, _) = durable_setup(&args, "scan", &config, 2).unwrap();
         assert!(control.on_checkpoint.is_some());
-        assert_eq!(
-            control.checkpoint_every,
-            Some(iw_netsim::Duration::from_secs(5))
-        );
+        assert_eq!(control.checkpoint_every, Some(Duration::from_secs(5)));
         // Drive the writer: the file must be a parseable campaign file
         // holding the latest capture per shard.
         let cb = control.on_checkpoint.as_ref().unwrap();
@@ -937,7 +934,7 @@ mod tests {
         assert!(control.resume.is_some());
         assert_eq!(
             control.checkpoint_every,
-            Some(iw_netsim::Duration::from_secs(2)),
+            Some(Duration::from_secs(2)),
             "resume inherits the recorded capture cadence"
         );
 

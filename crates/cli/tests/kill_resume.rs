@@ -102,7 +102,14 @@ fn kill_and_resume(dir: &Path, flags: &[&str]) -> CampaignCheckpoint {
 #[test]
 fn a_killed_campaign_resumes_byte_identically_and_refuses_another_campaign() {
     let dir = out_dir("classic");
-    kill_and_resume(&dir, &["--seed", "7"]);
+    let killed = kill_and_resume(&dir, &["--seed", "7"]);
+    // The kill lands mid-flight, not after a drain: both shards hold
+    // live sessions at the barrier, and the resume rebuilds them.
+    let live: Vec<usize> = killed.shards.iter().map(|s| s.sessions.len()).collect();
+    assert!(
+        live.len() == 2 && !live.contains(&0),
+        "live sessions: {live:?}"
+    );
     // A config-digest field and the CLI context each name themselves.
     for (flags, reason) in [
         (&["--seed", "8"][..], "config field `seed`"),

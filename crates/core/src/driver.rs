@@ -13,6 +13,8 @@ use crate::scanner::Scanner;
 use iw_internet::population::{Population, PopulationFactory};
 use iw_netsim::sim::SimStats;
 use iw_netsim::{Duration, Sim, SimConfig, Trace};
+use iw_telemetry::manifest::COUNTERS;
+use iw_telemetry::Counter;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -163,11 +165,11 @@ impl ScanRunner {
             }
         }
         if shards == 1 {
-            return run_shard(&self.population, self.config, &self.control);
+            return run_shard(&self.population, self.config, &self.control).0;
         }
         let (population, control) = (&self.population, &self.control);
         #[expect(clippy::expect_used, reason = "a shard world's panic propagates")]
-        let outputs: Vec<ScanOutput> = std::thread::scope(|scope| {
+        let worlds: Vec<(ScanOutput, u64)> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..shards)
                 .map(|i| {
                     let mut config = self.config.clone();
@@ -189,7 +191,24 @@ impl ScanRunner {
                 .map(|h| h.join().expect("shard world panicked"))
                 .collect()
         });
-        merge(outputs)
+        // The worlds' rates must add up to the global one, or to one pps
+        // per world where `shard_rate` clamps a rate below the count.
+        let paced: u64 = worlds.iter().map(|w| w.1).sum();
+        let unsummed = paced.abs_diff(self.config.rate_pps.max(u64::from(shards)));
+        let mut out = merge(worlds.into_iter().map(|w| w.0).collect());
+        let (_, name, scope) = COUNTERS[Counter::InvariantRateUnsummed as usize];
+        out.telemetry
+            .metrics
+            .counters
+            .insert(name.into(), (scope, unsummed));
+        let drained = matches!(
+            out.disposition,
+            RunDisposition::Completed | RunDisposition::Aborted
+        );
+        if drained && unsummed > 0 {
+            out.disposition = RunDisposition::Violated;
+        }
+        out
     }
 }
 
@@ -211,8 +230,13 @@ fn diverged_output(detail: String) -> ScanOutput {
 
 /// Run one shard world to completion on the current thread: drive a
 /// self-generating scanner against the population with the
-/// durable-campaign hooks, then harvest.
-fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunControl) -> ScanOutput {
+/// durable-campaign hooks, then harvest. Returns the output and the rate
+/// the world paced at.
+fn run_shard(
+    population: &Arc<Population>,
+    config: ScanConfig,
+    control: &RunControl,
+) -> (ScanOutput, u64) {
     let shard_index = config.shard.0;
     let sim_config = SimConfig {
         seed: config.seed,
@@ -341,7 +365,7 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
     open_ports.sort_unstable();
     mtu_results.sort_by_key(|r| r.ip);
     let summary = summarize(&results, scanner.targets_sent(), scanner.refused());
-    ScanOutput {
+    let output = ScanOutput {
         results,
         open_ports,
         mtu_results,
@@ -352,7 +376,8 @@ fn run_shard(population: &Arc<Population>, config: ScanConfig, control: &RunCont
         trace,
         checkpoints,
         disposition,
-    }
+    };
+    (output, scanner.pace_pps())
 }
 
 /// Build Table 1 aggregates from per-host records.

@@ -28,8 +28,9 @@
 //!
 //! A shard's recording and a run's output are one type, [`ScanTelemetry`]:
 //! [`Observer::harvest`] hands it over and [`ScanTelemetry::merge`] folds
-//! the shards. It holds output only: no stamp, no live ring. Its eight
-//! `scan.invariant.*` counters keep the books (see [`unbalanced`]).
+//! the shards. It holds output only: no stamp, no live ring. Its nine
+//! `scan.invariant.*` counters keep the books (see [`unbalanced`]; the
+//! driver adds `rate_unsummed` when the shard worlds join).
 
 use crate::config::{MonitorSink, TelemetryConfig};
 use crate::cookie::CookieKey;

@@ -258,6 +258,12 @@ impl Scanner {
         self.obs.metrics.counter_value(Counter::Refused)
     }
 
+    /// The rate this world's token bucket paces at: its shard's slice
+    /// of `rate_pps`.
+    pub(crate) fn pace_pps(&self) -> u64 {
+        self.bucket.rate_pps()
+    }
+
     /// Distinct targets probed.
     pub fn targets_sent(&self) -> u64 {
         self.obs.metrics.counter_value(Counter::TargetsSent)

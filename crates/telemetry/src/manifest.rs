@@ -114,6 +114,9 @@ pub enum Counter {
     InvariantStaleTimers,
     /// State changes along an edge missing from a `TRANSITIONS` table.
     InvariantUndeclaredEdges,
+    /// `|Σ worlds' pacing rates − max(rate_pps, worlds)|` of a sharded
+    /// run: the shards' slices of the global rate do not add up to it.
+    InvariantRateUnsummed,
     /// Periodic campaign checkpoints this shard captured.
     CheckpointsTaken,
     /// State entries cut short by a graceful-shutdown drain.
@@ -162,7 +165,7 @@ pub enum Hist {
 
 /// Name and scope of every [`Counter`], row `i` for discriminant `i`.
 #[rustfmt::skip]
-pub const COUNTERS: [(Counter, &str, Scope); 58] = [
+pub const COUNTERS: [(Counter, &str, Scope); 59] = [
     (Counter::TargetsSent, "scan.targets_sent", Scope::Scan),
     (Counter::SynacksValidated, "scan.synacks_validated", Scope::Scan),
     (Counter::Refused, "scan.refused", Scope::Scan),
@@ -216,6 +219,7 @@ pub const COUNTERS: [(Counter, &str, Scope); 58] = [
     (Counter::InvariantUnsessionedRecords, "scan.invariant.unsessioned_records", Scope::Scan),
     (Counter::InvariantStaleTimers, "scan.invariant.stale_timers", Scope::Scan),
     (Counter::InvariantUndeclaredEdges, "scan.invariant.undeclared_edges", Scope::Scan),
+    (Counter::InvariantRateUnsummed, "scan.invariant.rate_unsummed", Scope::Scan),
     // When a checkpoint fires is a per-shard scheduling fact (each shard
     // crosses virtual-time boundaries on its own event stream).
     (Counter::CheckpointsTaken, "scan.checkpoint.taken", Scope::Shard),
@@ -274,7 +278,7 @@ mod tests {
                 "{name} has invalid characters"
             );
         }
-        assert_eq!(seen.len(), 65);
+        assert_eq!(seen.len(), 66);
     }
 
     #[test]
@@ -342,6 +346,7 @@ mod tests {
             | Counter::InvariantUnsessionedRecords
             | Counter::InvariantStaleTimers
             | Counter::InvariantUndeclaredEdges
+            | Counter::InvariantRateUnsummed
             | Counter::CheckpointsTaken
             | Counter::CheckpointDrainForced
             | Counter::FlightDumps

@@ -41,11 +41,9 @@ fn main() {
         list.into_iter().map(|e| (e.ip, Some(e.domain))).collect();
     let mut cfg = ScanConfig::study(Protocol::Http, population.space_size(), 7);
     cfg.targets = TargetSpec::List(targets);
-    cfg.rate_pps = 4_000_000;
     let alexa_scan = ScanRunner::new(&population).config(cfg).run();
 
-    let mut full_cfg = ScanConfig::study(Protocol::Http, population.space_size(), 7);
-    full_cfg.rate_pps = 4_000_000;
+    let full_cfg = ScanConfig::study(Protocol::Http, population.space_size(), 7);
     let full_scan = ScanRunner::new(&population)
         .config(full_cfg)
         .topology(Topology::threads(4))

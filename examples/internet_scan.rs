@@ -32,8 +32,7 @@ fn main() {
 
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get() as u32);
     let scan = |protocol| {
-        let mut config = ScanConfig::study(protocol, population.space_size(), 42);
-        config.rate_pps = 4_000_000;
+        let config = ScanConfig::study(protocol, population.space_size(), 42);
         ScanRunner::new(&population)
             .config(config)
             .topology(Topology::threads(threads))
