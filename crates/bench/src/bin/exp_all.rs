@@ -147,7 +147,8 @@ fn main() {
     print!("{}", ByteLimits::new(&http.results).render());
 
     banner("§3.5 verdicts against ground truth");
-    println!("HTTP: {:?}\nTLS:  {:?}", r.http_confusion, r.tls_confusion);
+    let (http_truth, tls_truth) = (http.telemetry.truth(), tls.telemetry.truth());
+    println!("HTTP: {http_truth:?}\nTLS:  {tls_truth:?}");
 
     // §3.4 (report only): the paper's IW scan took 7.5 h against 6.8 h
     // for a port scan. A lossless port scan sends one SYN per target and
@@ -179,7 +180,7 @@ fn main() {
     );
     println!(
         "wrong TLS verdicts: verified (full space) {}, unverified {}",
-        wrong_verdicts(&r.tls_confusion),
+        wrong_verdicts(&tls_truth),
         wrong_verdicts(&a.unverified_tls)
     );
 
@@ -222,10 +223,10 @@ fn main() {
     push_key(&mut json, "confusion");
     json.push('{');
     push_key(&mut json, "http");
-    r.http_confusion.write_json(&mut json);
+    http_truth.write_json(&mut json);
     json.push(',');
     push_key(&mut json, "tls");
-    r.tls_confusion.write_json(&mut json);
+    tls_truth.write_json(&mut json);
     json.push_str("},\"checks\":[");
     for (i, c) in checks.iter().enumerate() {
         if i > 0 {

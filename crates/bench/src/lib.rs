@@ -19,7 +19,9 @@ use iw_analysis::compare::{self, Check};
 use iw_analysis::figures::{Fig2, Fig5};
 use iw_analysis::histogram::IwHistogram;
 use iw_analysis::tables::{ByteLimits, Table1, Table2, Table3};
-use iw_core::{Confusion, Protocol, ScanConfig, ScanOutput, ScanRunner, TargetSpec, Topology};
+use iw_core::{
+    Confusion, Protocol, RunDisposition, ScanConfig, ScanOutput, ScanRunner, TargetSpec, Topology,
+};
 use iw_internet::{alexa, certs, Population, PopulationConfig};
 use std::sync::Arc;
 
@@ -121,7 +123,9 @@ pub fn bench_topology() -> Topology {
 }
 
 /// Scan with study parameters, after `edit` has changed the
-/// configuration.
+/// configuration. A run that does not complete feeds no check: it fails
+/// here with the invariants it violated named, the truth tally's
+/// included.
 fn study_scan(
     population: &Arc<Population>,
     protocol: Protocol,
@@ -129,10 +133,17 @@ fn study_scan(
 ) -> ScanOutput {
     let mut config = ScanConfig::study(protocol, population.space_size(), SEED);
     edit(&mut config);
-    ScanRunner::new(population)
+    let out = ScanRunner::new(population)
         .config(config)
         .topology(bench_topology())
-        .run()
+        .run();
+    assert!(
+        out.disposition == RunDisposition::Completed,
+        "{protocol:?} scan ended {:?}, violating {:?}",
+        out.disposition,
+        out.telemetry.violations()
+    );
+    out
 }
 
 /// Run a full-space scan of one protocol with study parameters.
@@ -191,7 +202,7 @@ impl Ablations {
                 c.mss_list = vec![64];
                 c.probes_per_mss = probes;
             });
-            Confusion::of_population(&lossy, Protocol::Http, &out.results)
+            out.telemetry.truth()
         };
         let unverified = sample_scan(population, Protocol::Tls, ABLATION_SAMPLE, |c| {
             c.verify_exhaustion = false;
@@ -205,11 +216,7 @@ impl Ablations {
             .0,
             one_probe: voted(1),
             three_probes: voted(3),
-            unverified_tls: Confusion::of_population(
-                population,
-                Protocol::Tls,
-                &unverified.results,
-            ),
+            unverified_tls: unverified.telemetry.truth(),
         }
     }
 }
@@ -232,12 +239,8 @@ pub struct Reproduction {
     pub space_sample: ScanOutput,
     /// The certificate-chain sample behind Fig. 2.
     pub censys: Fig2,
-    /// `http` against the population's ground truth (§3.5).
-    pub http_confusion: Confusion,
-    /// `tls` against the ground truth.
-    pub tls_confusion: Confusion,
     /// The methodology ablations; the MSS one compares against `http`,
-    /// the verification one against `tls_confusion`.
+    /// the verification one against `tls`'s truth tally.
     pub ablations: Ablations,
 }
 
@@ -254,8 +257,6 @@ impl Reproduction {
             space_sample: sample_scan(&population, Protocol::Http, 0.2, |_| {}),
             ablations: Ablations::run(scale, &population),
             censys: Fig2::new(certs::censys_sample(SEED, 200_000)),
-            http_confusion: Confusion::of_population(&population, Protocol::Http, &http.results),
-            tls_confusion: Confusion::of_population(&population, Protocol::Tls, &tls.results),
             http,
             tls,
             population,
@@ -306,15 +307,16 @@ impl Reproduction {
             &Fig5::new(tls, pop),
         ));
         out.extend(compare::check_bytelimit(&ByteLimits::new(http)));
+        let tls_truth = self.tls.telemetry.truth();
         out.extend(compare::check_confusion(
-            &self.http_confusion,
-            &self.tls_confusion,
+            &self.http.telemetry.truth(),
+            &tls_truth,
         ));
         let a = &self.ablations;
         out.extend(compare::check_ablations(
             (self.http.summary.rates().0, a.mss1336_success),
             (&a.one_probe, &a.three_probes),
-            (&self.tls_confusion, &a.unverified_tls),
+            (&tls_truth, &a.unverified_tls),
         ));
         out
     }

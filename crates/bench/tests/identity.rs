@@ -2,9 +2,11 @@
 //! 1 (the reference), 4, 7 and 8 — one self-generating shard world per
 //! thread — in plain and resilience-hardened profiles, and asserts that
 //! everything the scan is specified to produce deterministically —
-//! per-host results, the Table 1 summary, open ports, MTU results, and
-//! the canonical metrics snapshot — is byte-identical across all of
-//! them. This is the gate the sharded engine is held to.
+//! per-host results, the Table 1 summary, open ports, MTU results, the
+//! truth tally and the canonical metrics snapshot — is byte-identical
+//! across all of them, and that each run completes (no invariant, the
+//! truth tally's included, is violated). This is the gate the sharded
+//! engine is held to.
 //!
 //! Virtual `duration` is not compared: the sharded figure is the max
 //! over per-shard clocks, and a single shard pacing the whole space ends
@@ -16,7 +18,7 @@
 //! runs the gate at a larger scale.
 
 use iw_bench::{standard_population, Scale, SEED};
-use iw_core::{Confusion, Protocol, ResilienceConfig, ScanConfig, ScanRunner, Topology};
+use iw_core::{Protocol, ResilienceConfig, RunDisposition, ScanConfig, ScanRunner, Topology};
 use iw_internet::Population;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
@@ -53,16 +55,17 @@ fn dump(population: &Arc<Population>, threads: u32, hardened: bool) -> String {
         .config(config)
         .topology(Topology::threads(threads))
         .run();
-    let c = Confusion::of_population(population, Protocol::Http, &out.results);
+    let violations = out.telemetry.violations();
     assert_eq!(
-        (c.overestimate, c.spurious),
-        (0, 0),
-        "threads {threads}, against ground truth: {c:?}"
+        out.disposition,
+        RunDisposition::Completed,
+        "threads {threads}: {violations:?}"
     );
     let mut s = String::new();
     writeln!(s, "summary: {:?}", out.summary).unwrap();
     writeln!(s, "open_ports: {:?}", out.open_ports).unwrap();
     writeln!(s, "mtu_results: {:?}", out.mtu_results).unwrap();
+    writeln!(s, "truth: {:?}", out.telemetry.truth()).unwrap();
     writeln!(s, "metrics: {}", out.telemetry.metrics.to_canonical_json()).unwrap();
     for r in &out.results {
         writeln!(s, "{r:?}").unwrap();

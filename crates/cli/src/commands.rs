@@ -18,6 +18,15 @@ use iw_netsim::{Duration, LinkConfig};
 use std::fmt;
 use std::sync::Arc;
 
+/// `println!` for everything a command prints to stdout: once stdout is
+/// gone (`iwscan scan … | head`), the lines are dropped instead of
+/// panicking, so the run still writes its files.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        iw_core::telemetry::print_line(format_args!($($arg)*))
+    };
+}
+
 /// Command-layer failure.
 #[derive(Debug)]
 pub struct CmdError(String);
@@ -286,16 +295,16 @@ fn write_telemetry(out: &ScanOutput, args: &ScanArgs) -> Result<(), CmdError> {
             out.telemetry.icmp.section_json(metrics)
         );
         output::write_atomic(path, json).map_err(|e| err(format!("write {path}: {e}")))?;
-        println!("telemetry snapshot written to {path}");
+        say!("telemetry snapshot written to {path}");
     }
     if let Some(path) = &args.pcap {
         output::write_pcap(path, &out.trace).map_err(|e| err(format!("write {path}: {e}")))?;
-        println!("scan trace saved to {path} ({} packets)", out.trace.len());
+        say!("scan trace saved to {path} ({} packets)", out.trace.len());
     }
     if let Some(path) = &args.trace_out {
         output::write_atomic(path, out.telemetry.tracer.to_chrome_json())
             .map_err(|e| err(format!("write {path}: {e}")))?;
-        println!(
+        say!(
             "span trace written to {path} ({} spans; load in ui.perfetto.dev)",
             out.telemetry.tracer.scan_span_count()
         );
@@ -303,7 +312,7 @@ fn write_telemetry(out: &ScanOutput, args: &ScanArgs) -> Result<(), CmdError> {
     if let Some(path) = &args.stream_out {
         output::write_atomic(path, out.telemetry.stream.to_jsonl())
             .map_err(|e| err(format!("write {path}: {e}")))?;
-        println!(
+        say!(
             "telemetry stream written to {path} ({} records)",
             out.telemetry.stream.len()
         );
@@ -311,7 +320,7 @@ fn write_telemetry(out: &ScanOutput, args: &ScanArgs) -> Result<(), CmdError> {
     if let Some(path) = &args.flight_out {
         output::write_atomic(path, out.telemetry.flight.to_jsonl())
             .map_err(|e| err(format!("write {path}: {e}")))?;
-        println!(
+        say!(
             "flight-recorder dumps written to {path} ({} failed sessions)",
             out.telemetry.flight.dumps().len()
         );
@@ -320,19 +329,19 @@ fn write_telemetry(out: &ScanOutput, args: &ScanArgs) -> Result<(), CmdError> {
 }
 
 fn report(out: &ScanOutput, args: &ScanArgs, label: &str) -> Result<(), CmdError> {
-    println!(
+    say!(
         "{}",
         Table1::new(&[(label, &out.summary)]).render().trim_end()
     );
     if !args.quiet {
         let hist = IwHistogram::from_results(&out.results);
-        println!();
-        print!("{}", render_iw_bars(label, &hist, 0.001, false));
+        let bars = render_iw_bars(label, &hist, 0.001, false);
+        say!("\n{}", bars.trim_end_matches('\n'));
     }
     if let Some(path) = &args.json {
         let json = iw_core::HostResult::array_to_json(&out.results);
         output::write_atomic(path, json).map_err(|e| err(format!("write {path}: {e}")))?;
-        println!("\nper-host results written to {path}");
+        say!("\nper-host results written to {path}");
     }
     write_telemetry(out, args)?;
     Ok(())
@@ -356,12 +365,12 @@ fn conclude(
             } else {
                 " (no --checkpoint-out: nothing persisted)"
             };
-            println!("campaign killed after {events} events{note}");
+            say!("campaign killed after {events} events{note}");
             Ok(EXIT_KILLED)
         }
         RunDisposition::Aborted => {
             render(out, args)?;
-            println!(
+            say!(
                 "\ncampaign aborted at the shutdown deadline; sessions drained, artifacts flushed"
             );
             Ok(EXIT_ABORTED)
@@ -406,11 +415,11 @@ fn cmd_mtu(args: &ScanArgs) -> Result<i32, CmdError> {
     conclude(&out, args, |out, args| {
         write_telemetry(out, args)?;
         let n = out.mtu_results.len().max(1) as f64;
-        println!("hosts answering ICMP: {}", out.mtu_results.len());
+        say!("hosts answering ICMP: {}", out.mtu_results.len());
         for mss in [536u32, 1240, 1336, 1436, 1460] {
             let share =
                 out.mtu_results.iter().filter(|r| r.mtu >= mss + 40).count() as f64 / n * 100.0;
-            println!("  MSS {mss:>5} supported by {share:>5.1}%");
+            say!("  MSS {mss:>5} supported by {share:>5.1}%");
         }
         Ok(())
     })
@@ -468,16 +477,16 @@ fn cmd_probe(args: &ProbeArgs) -> Result<i32, CmdError> {
         Some(result) => {
             for (mss, outcomes) in &result.runs {
                 for (i, o) in outcomes.iter().enumerate() {
-                    println!("MSS {mss:>3} probe {}: {o:?}", i + 1);
+                    say!("MSS {mss:>3} probe {}: {o:?}", i + 1);
                 }
             }
-            println!("\nverdict: {:?}", result.host_verdict);
+            say!("\nverdict: {:?}", result.host_verdict);
         }
-        None => println!("host did not answer"),
+        None => say!("host did not answer"),
     }
     if let Some(path) = &args.pcap {
         output::write_pcap(path, &trace).map_err(|e| err(format!("write {path}: {e}")))?;
-        println!("packet trace saved to {path} ({} packets)", trace.len());
+        say!("packet trace saved to {path} ({} packets)", trace.len());
     }
     Ok(0)
 }
@@ -508,9 +517,9 @@ fn render_breakdown(title: &str, tallies: &std::collections::BTreeMap<String, u6
     }
     let mut rows: Vec<(&String, &u64)> = tallies.iter().collect();
     rows.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-    println!("{title}:");
+    say!("{title}:");
     for (label, count) in rows.into_iter().take(top) {
-        println!("  {label:<28} {count}");
+        say!("  {label:<28} {count}");
     }
 }
 
@@ -533,11 +542,11 @@ fn inspect_trace(content: &str, filter: Option<&str>, top: usize) {
         *by_name_ms.entry(name.to_string()).or_default() +=
             json_num_field(chunk, "dur").unwrap_or(0.0) / 1_000.0;
     }
-    println!("chrome trace: {spans} spans");
+    say!("chrome trace: {spans} spans");
     let mut rows: Vec<(&String, &u64)> = by_name.iter().collect();
     rows.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
     for (name, count) in rows.into_iter().take(top) {
-        println!("  {name:<28} {count:>8}  {:>12.3} ms", by_name_ms[name]);
+        say!("  {name:<28} {count:>8}  {:>12.3} ms", by_name_ms[name]);
     }
 }
 
@@ -571,7 +580,7 @@ fn inspect_jsonl(content: &str, filter: Option<&str>, top: usize) {
     }
     let result_count: u64 = results.values().sum();
     let flight_count: u64 = flights.values().sum();
-    println!(
+    say!(
         "{total} records ({snapshots} snapshots, {result_count} results, \
          {flight_count} flight dumps, {other} other)"
     );

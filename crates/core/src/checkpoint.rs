@@ -55,9 +55,10 @@ use std::fmt::Write as _;
 /// (`scan.probes.started`, `scan.probes.follow_ups`,
 /// `scan.icmp.echo_replies`, `scan.icmp.other`), and the config digest
 /// drops the inert event-log switch; 10 = one rate: each capture
-/// carries `scan.invariant.rate_unsummed`. Older files are refused by name
-/// instead of being replayed into a `Diverged` barrier.
-pub const CHECKPOINT_VERSION: u64 = 10;
+/// carries `scan.invariant.rate_unsummed`; 11 = one truth: each capture
+/// carries the six counters of the driver's truth tally. Older files are
+/// refused by name instead of being replayed into a `Diverged` barrier.
+pub const CHECKPOINT_VERSION: u64 = 11;
 
 /// The `kind` discriminator in the file header.
 pub const CHECKPOINT_KIND: &str = "iwscan-campaign-checkpoint";
@@ -490,10 +491,10 @@ mod tests {
         // Files from before the retry FIFOs (1), the one target table (2),
         // keyed timers (3), the constant backoffs (4), the promoted
         // handshake's give-up (5), the invariant counters (6), the one
-        // front-end (7), the one count (8) or the one rate (9) capture
-        // different events or state: refused cleanly, never replayed to a
-        // divergence.
-        for other in [1, 2, 3, 4, 5, 6, 7, 8, 9, CHECKPOINT_VERSION + 1] {
+        // front-end (7), the one count (8), the one rate (9) or the one
+        // truth (10) capture different events or state: refused cleanly,
+        // never replayed to a divergence.
+        for other in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, CHECKPOINT_VERSION + 1] {
             let foreign = json.replace(&current, &format!("\"version\":{other},"));
             assert_eq!(
                 CampaignCheckpoint::parse(&foreign).unwrap_err(),

@@ -6,6 +6,7 @@ use crate::blacklist::ScanFilter;
 use crate::checkpoint::ConfigDigest;
 use crate::results::Protocol;
 use crate::session::MAX_PROBES_PER_HOST;
+use iw_internet::util::mix;
 use iw_netsim::Duration;
 use iw_telemetry::JsonValue;
 use iw_wire::ipv4::Ipv4Addr;
@@ -191,6 +192,22 @@ impl ScanConfig {
             telemetry: TelemetryConfig::default(),
             resilience: ResilienceConfig::default(),
         }
+    }
+
+    /// Whether the scan probes `ip` when its generator yields it: the
+    /// filter lets it through and it falls in the sample. The sample
+    /// depends only on `(seed, sample_salt, ip)`, never on which shard
+    /// asks. The scanner's pacing and the driver's truth tally both ask
+    /// here, so the tally counts a host as missed only if it was a target.
+    pub fn admits(&self, ip: u32) -> bool {
+        if !self.filter.admits(ip) {
+            return false;
+        }
+        if self.sample_fraction >= 1.0 {
+            return true;
+        }
+        let h = mix(&[self.seed, self.sample_salt, u64::from(ip)]);
+        ((h >> 11) as f64 / (1u64 << 53) as f64) < self.sample_fraction
     }
 
     /// Every knob that shapes the simulation, one named value each, in

@@ -6,14 +6,15 @@
 //! so results stay byte-identical at every thread count.
 
 use crate::checkpoint::{CampaignCheckpoint, RunDisposition, ShardCheckpoint};
-use crate::config::ScanConfig;
+use crate::config::{ScanConfig, TargetSpec};
 use crate::observe::ScanTelemetry;
-use crate::results::{HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol, ScanSummary};
-use crate::scanner::Scanner;
+use crate::results::{
+    Confusion, HostResult, MssVerdict, MtuResult, ProbeOutcome, Protocol, ScanSummary,
+};
+use crate::scanner::{Scanner, TargetIter};
 use iw_internet::population::{Population, PopulationFactory};
 use iw_netsim::sim::SimStats;
 use iw_netsim::{Duration, Sim, SimConfig, Trace};
-use iw_telemetry::manifest::COUNTERS;
 use iw_telemetry::Counter;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -165,7 +166,8 @@ impl ScanRunner {
             }
         }
         if shards == 1 {
-            return run_shard(&self.population, self.config, &self.control).0;
+            let (out, _) = run_shard(&self.population, self.config.clone(), &self.control);
+            return settle(out, &self.population, &self.config, 0);
         }
         let (population, control) = (&self.population, &self.control);
         #[expect(clippy::expect_used, reason = "a shard world's panic propagates")]
@@ -195,20 +197,54 @@ impl ScanRunner {
         // per world where `shard_rate` clamps a rate below the count.
         let paced: u64 = worlds.iter().map(|w| w.1).sum();
         let unsummed = paced.abs_diff(self.config.rate_pps.max(u64::from(shards)));
-        let mut out = merge(worlds.into_iter().map(|w| w.0).collect());
-        let (_, name, scope) = COUNTERS[Counter::InvariantRateUnsummed as usize];
-        out.telemetry
-            .metrics
-            .counters
-            .insert(name.into(), (scope, unsummed));
-        let drained = matches!(
-            out.disposition,
-            RunDisposition::Completed | RunDisposition::Aborted
-        );
-        if drained && unsummed > 0 {
-            out.disposition = RunDisposition::Violated;
+        let out = merge(worlds.into_iter().map(|w| w.0).collect());
+        // Together the worlds scan what an unsharded config targets.
+        let mut whole = self.config;
+        whole.shard = (0, 1);
+        settle(out, &self.population, &whole, unsummed)
+    }
+}
+
+/// The run-level step, once the worlds have joined (one world or `n`):
+/// record `unsummed`, the worlds' rates against the global one (0 for a
+/// one-world run), and tally a drained HTTP or TLS scan's records
+/// against the population's truth, over the hosts `config` targets. A
+/// non-zero `scan.invariant.*` counter makes a drained run `Violated`.
+/// The worlds are gone by now, so the tally's walk adds to the run's
+/// wall time but not to its peak memory.
+fn settle(
+    mut out: ScanOutput,
+    population: &Population,
+    config: &ScanConfig,
+    unsummed: u64,
+) -> ScanOutput {
+    let telemetry = &mut out.telemetry;
+    telemetry.set(Counter::InvariantRateUnsummed, unsummed);
+    let drained = matches!(
+        out.disposition,
+        RunDisposition::Completed | RunDisposition::Aborted | RunDisposition::Violated
+    );
+    if drained && matches!(config.protocol, Protocol::Http | Protocol::Tls) {
+        let truth = Confusion::of_population(population, config, targeted(config), &out.results);
+        telemetry.record_truth(&truth);
+    }
+    if drained && !telemetry.violations().is_empty() {
+        out.disposition = RunDisposition::Violated;
+    }
+    out
+}
+
+/// Every address `config`'s generator yields, before
+/// [`ScanConfig::admits`] turns any away. A whole space is walked in
+/// address order: a full cycle of the permutation visits each address
+/// once, and stepping the cycle costs a 128-bit remainder per address.
+fn targeted(config: &ScanConfig) -> Box<dyn Iterator<Item = u32> + '_> {
+    match &config.targets {
+        TargetSpec::FullSpace { size } if config.shard.1 <= 1 => Box::new(0..*size),
+        _ => {
+            let (mut generator, _) = TargetIter::new(config);
+            Box::new(std::iter::from_fn(move || generator.next()).map(|(ip, _)| ip))
         }
-        out
     }
 }
 
@@ -450,6 +486,50 @@ fn merge(outputs: Vec<ScanOutput>) -> ScanOutput {
 mod tests {
     use super::*;
     use crate::results::{HostVerdict, Protocol};
+    use iw_internet::PopulationConfig;
+
+    #[test]
+    fn an_overestimate_and_a_spurious_record_violate_the_run() {
+        let population = Arc::new(Population::new(PopulationConfig {
+            seed: 3,
+            space_size: 1 << 13,
+            target_responsive: 200,
+            loss_scale: 0.0,
+        }));
+        let mut config = ScanConfig::study(Protocol::Http, population.space_size(), 3);
+        config.rate_pps = 2_000_000;
+        let mut out = ScanRunner::new(&population).config(config.clone()).run();
+        assert_eq!(out.disposition, RunDisposition::Completed);
+        assert_eq!(out.telemetry.truth().overestimate, 0);
+        // One window above the truth at a real host (the world is
+        // lossless, so every `Success` is exact)...
+        let (at, n) = (out.results.iter().enumerate())
+            .find_map(|(at, r)| match r.verdicts.first() {
+                Some(&(_, MssVerdict::Success(n))) => Some((at, n)),
+                _ => None,
+            })
+            .unwrap();
+        out.results[at].verdicts[0].1 = MssVerdict::Success(n + 1);
+        // ...and a record where no host lives.
+        let empty = (0..population.space_size())
+            .find(|&ip| population.ground_truth(ip).is_none())
+            .unwrap();
+        let planted = HostResult {
+            ip: empty,
+            ..out.results[0].clone()
+        };
+        out.results.push(planted);
+        out.results.sort_by_key(|r| r.ip);
+        let out = settle(out, &population, &config, 0);
+        assert_eq!(out.disposition, RunDisposition::Violated);
+        assert_eq!(
+            out.telemetry.violations(),
+            [
+                ("scan.invariant.truth_overestimate", 1),
+                ("scan.invariant.truth_spurious", 1)
+            ]
+        );
+    }
 
     #[test]
     fn summarize_counts_categories() {

@@ -28,15 +28,17 @@
 //!
 //! A shard's recording and a run's output are one type, [`ScanTelemetry`]:
 //! [`Observer::harvest`] hands it over and [`ScanTelemetry::merge`] folds
-//! the shards. It holds output only: no stamp, no live ring. Its nine
+//! the shards. It holds output only: no stamp, no live ring. Its eleven
 //! `scan.invariant.*` counters keep the books (see [`unbalanced`]; the
-//! driver adds `rate_unsummed` when the shard worlds join).
+//! driver adds `rate_unsummed` and the truth tally's two when the shard
+//! worlds join, [`ScanTelemetry::truth`]).
 
 use crate::config::{MonitorSink, TelemetryConfig};
 use crate::cookie::CookieKey;
-use crate::results::ErrorKind;
+use crate::results::{Confusion, ErrorKind};
 use iw_netsim::sim::SimStats;
 use iw_netsim::Instant;
+use iw_telemetry::manifest::COUNTERS;
 use iw_telemetry::{
     AddrMap, BufferSink, Counter, FlightRecorder, Gauge, Hist, IcmpHarvest, MetricsRegistry,
     OutcomeKind, ProgressMonitor, ProgressSample, SessionEvent, Snapshot, StatusSink, StdoutSink,
@@ -621,6 +623,48 @@ impl ScanTelemetry {
         let named = counters.map(|(k, &(_, n))| (k.as_str(), n));
         let broken = |&(k, n): &(&str, u64)| n > 0 && k.starts_with("scan.invariant.");
         named.filter(broken).collect()
+    }
+
+    /// The run's records against the population's truth, as the driver
+    /// tallied them once its worlds joined: the four `scan.truth.*`
+    /// cells, the two gated `scan.invariant.truth_*` ones, and
+    /// `duplicate` read from `scan.invariant.duplicate_records`
+    /// (addresses with a second record). All zero where the driver
+    /// tallies nothing: a killed or diverged run, a port or MTU scan, a
+    /// world driven by hand through `Sim`.
+    pub fn truth(&self) -> Confusion {
+        let count = |counter: Counter| self.metrics.counter(COUNTERS[counter as usize].1);
+        Confusion {
+            exact: count(Counter::TruthExact),
+            underestimate: count(Counter::TruthUnderestimate),
+            overestimate: count(Counter::InvariantTruthOverestimate),
+            inconclusive: count(Counter::TruthInconclusive),
+            missed: count(Counter::TruthMissed),
+            spurious: count(Counter::InvariantTruthSpurious),
+            duplicate: count(Counter::InvariantDuplicateRecords),
+        }
+    }
+
+    /// Record the truth tally's cells, all but `duplicate`, which a world
+    /// already counted.
+    pub(crate) fn record_truth(&mut self, truth: &Confusion) {
+        for (counter, n) in [
+            (Counter::TruthExact, truth.exact),
+            (Counter::TruthUnderestimate, truth.underestimate),
+            (Counter::InvariantTruthOverestimate, truth.overestimate),
+            (Counter::TruthInconclusive, truth.inconclusive),
+            (Counter::TruthMissed, truth.missed),
+            (Counter::InvariantTruthSpurious, truth.spurious),
+        ] {
+            self.set(counter, n);
+        }
+    }
+
+    /// Set a run-level counter, one the driver takes once the worlds have
+    /// joined, on the merged snapshot.
+    pub(crate) fn set(&mut self, counter: Counter, n: u64) {
+        let (_, name, scope) = COUNTERS[counter as usize];
+        self.metrics.counters.insert(name.into(), (scope, n));
     }
 
     /// Fold another shard's harvest in; each product restores its own

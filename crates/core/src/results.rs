@@ -1,5 +1,6 @@
 //! Result types for probes, hosts and whole scans.
 
+use crate::config::ScanConfig;
 use iw_telemetry::json::{push_array, push_bool_field, push_u64_field};
 use iw_telemetry::OutcomeKind;
 use std::fmt::Write;
@@ -375,27 +376,37 @@ impl Confusion {
         c
     }
 
-    /// Tally a scan of `population` for `protocol`, walking the whole
-    /// address space for the hosts that offer it.
-    pub fn of_population(
+    /// Tally a scan of `population` under `config` over the hosts among
+    /// `targeted`, the addresses its generator yields (in any order),
+    /// that `config` admits.
+    pub(crate) fn of_population(
         population: &iw_internet::Population,
-        protocol: Protocol,
+        config: &ScanConfig,
+        targeted: impl Iterator<Item = u32>,
         results: &[HostResult],
     ) -> Confusion {
         let offers = |ip: &u32| {
             population
                 .ground_truth(*ip)
-                .is_some_and(|gt| match protocol {
+                .is_some_and(|gt| match config.protocol {
                     Protocol::Tls => gt.tls,
                     _ => gt.http,
                 })
         };
-        let hosts = (0..population.space_size()).filter(offers);
-        // `hosts` yields only addresses where a host lives; a window of 0
-        // would turn any estimate there into an overestimate.
+        // Hosts are sparse, so the sample is asked of hosts only.
+        let mut hosts: Vec<u32> = targeted
+            .filter(offers)
+            .filter(|&ip| config.admits(ip))
+            .collect();
+        hosts.sort_unstable();
+        // `hosts` holds only addresses where a host lives; a window of 0
+        // would turn any estimate there into an overestimate. The cohort
+        // holds the two fields a window needs: building the host's whole
+        // configuration would allocate its services per record.
         Confusion::new(hosts, results, |ip, mss| {
-            population.host_config(ip).map_or(0, |host| {
-                host.iw.initial_segments(host.os.effective_mss(Some(mss)))
+            population.cohort_at(ip).map_or(0, |(_, cohort)| {
+                let os = cohort.os.profile();
+                cohort.iw.initial_segments(os.effective_mss(Some(mss)))
             })
         })
     }

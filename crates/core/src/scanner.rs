@@ -31,7 +31,6 @@ use crate::results::{ErrorKind, HostResult, MssVerdict, MtuResult, ProbeOutcome,
 use crate::session::{HostSession, SessionOutput, SessionParams};
 use crate::target::{Target, Targets};
 use iw_hoststack::{tcb::synack_retransmit_span, OsProfile};
-use iw_internet::util::mix;
 use iw_netsim::{Duration, Effects, Endpoint, HostFactory, Instant, Sim, TimerToken};
 use iw_telemetry::{
     AddrMap, Counter, Gauge, Hist, OutcomeKind, ProgressSample, SessionEvent, Snapshot,
@@ -43,13 +42,47 @@ use resilience::Resilience;
 use std::sync::Arc;
 use timer::Timer;
 
-enum TargetIter {
+/// A world's target generator: its shard of the permutation, or its
+/// round-robin slice of the target list.
+pub(crate) enum TargetIter {
     Perm(ShardIter),
     List(std::vec::IntoIter<(u32, Option<String>)>),
 }
 
 impl TargetIter {
-    fn next(&mut self) -> Option<(u32, Option<String>)> {
+    /// The generator of `config`'s shard, and the monitor's estimate of
+    /// what it will probe.
+    pub(crate) fn new(config: &ScanConfig) -> (TargetIter, u64) {
+        let (index, count) = (config.shard.0, config.shard.1.max(1));
+        match &config.targets {
+            TargetSpec::FullSpace { size } => {
+                let perm = Permutation::new(u64::from(*size), config.seed);
+                let per_shard = u64::from(*size) / u64::from(count);
+                (
+                    TargetIter::Perm(perm.shard(index, count)),
+                    (per_shard as f64 * config.sample_fraction.clamp(0.0, 1.0)) as u64,
+                )
+            }
+            TargetSpec::List(list) => {
+                // Entry `k` belongs to shard `k % count`, so `count`
+                // worlds cover the list exactly once. An address listed
+                // again (first entry kept) would start a second lifecycle
+                // for a target that already has one.
+                let mut seen = std::collections::HashSet::new();
+                let slice: Vec<(u32, Option<String>)> = list
+                    .iter()
+                    .filter(|(ip, _)| seen.insert(*ip))
+                    .skip(index as usize)
+                    .step_by(count as usize)
+                    .cloned()
+                    .collect();
+                let total = slice.len() as u64;
+                (TargetIter::List(slice.into_iter()), total)
+            }
+        }
+    }
+
+    pub(crate) fn next(&mut self) -> Option<(u32, Option<String>)> {
         match self {
             TargetIter::Perm(iter) => iter.next().map(|ip| (ip as u32, None)),
             TargetIter::List(iter) => iter.next(),
@@ -133,35 +166,7 @@ impl Scanner {
     /// permutation (or its round-robin slice of the target list) while
     /// pacing.
     pub fn new(config: ScanConfig) -> Scanner {
-        let (index, count) = (config.shard.0, config.shard.1.max(1));
-        // `targets_total` is the monitor's estimate of what this shard
-        // will probe.
-        let (generator, targets_total) = match &config.targets {
-            TargetSpec::FullSpace { size } => {
-                let perm = Permutation::new(u64::from(*size), config.seed);
-                let per_shard = u64::from(*size) / u64::from(count);
-                (
-                    TargetIter::Perm(perm.shard(index, count)),
-                    (per_shard as f64 * config.sample_fraction.clamp(0.0, 1.0)) as u64,
-                )
-            }
-            TargetSpec::List(list) => {
-                // Entry `k` belongs to shard `k % count`, so `count`
-                // worlds cover the list exactly once. An address listed
-                // again (first entry kept) would start a second lifecycle
-                // for a target that already has one.
-                let mut seen = std::collections::HashSet::new();
-                let slice: Vec<(u32, Option<String>)> = list
-                    .iter()
-                    .filter(|(ip, _)| seen.insert(*ip))
-                    .skip(index as usize)
-                    .step_by(count as usize)
-                    .cloned()
-                    .collect();
-                let total = slice.len() as u64;
-                (TargetIter::List(slice.into_iter()), total)
-            }
-        };
+        let (generator, targets_total) = TargetIter::new(&config);
         let cookie = CookieKey::new(config.seed);
         let params = Arc::new(SessionParams {
             protocol: config.protocol,
@@ -417,18 +422,6 @@ impl Scanner {
         }
     }
 
-    /// The deterministic per-target sampling decision: a target's
-    /// admission depends only on `(seed, salt, ip)`, never on which
-    /// shard asks.
-    fn sample_admits(&self, ip: u32) -> bool {
-        let c = &self.config;
-        if c.sample_fraction >= 1.0 {
-            return true;
-        }
-        let h = mix(&[c.seed, c.sample_salt, u64::from(ip)]);
-        ((h >> 11) as f64 / (1u64 << 53) as f64) < c.sample_fraction
-    }
-
     fn pace(&mut self, now: Instant, fx: &mut Effects) {
         if self.exhausted {
             return;
@@ -451,7 +444,7 @@ impl Scanner {
                     self.exhausted = true;
                     return; // no re-arm: receive path finishes the scan
                 };
-                if !self.config.filter.admits(ip) || !self.sample_admits(ip) {
+                if !self.config.admits(ip) {
                     continue;
                 }
                 self.obs.metrics.inc(Counter::TargetsSent);
@@ -936,17 +929,14 @@ mod tests {
     fn sampling_fraction_filters_deterministically() {
         let mut config = ScanConfig::study(Protocol::Http, 1 << 16, 7);
         config.sample_fraction = 0.25;
-        let s = Scanner::new(config);
-        let admitted = (0..40_000u32).filter(|ip| s.sample_admits(*ip)).count();
+        let admitted = (0..40_000u32).filter(|ip| config.admits(*ip)).count();
         let frac = admitted as f64 / 40_000.0;
         assert!((0.23..0.27).contains(&frac), "{frac}");
-        // Same seed/salt → same subset.
-        let s2 = Scanner::new(ScanConfig {
-            sample_fraction: 0.25,
-            ..ScanConfig::study(Protocol::Http, 1 << 16, 7)
-        });
+        // Same seed/salt → same subset, whichever shard asks.
+        let mut other = config.clone();
+        other.shard = (2, 3);
         for ip in 0..1000 {
-            assert_eq!(s.sample_admits(ip), s2.sample_admits(ip));
+            assert_eq!(config.admits(ip), other.admits(ip));
         }
     }
 
@@ -989,12 +979,12 @@ mod tests {
             let mut c = ScanConfig::study(Protocol::Http, 1 << 16, 7);
             c.sample_fraction = 0.5;
             c.sample_salt = salt;
-            Scanner::new(c)
+            c
         };
         let a = mk(1);
         let b = mk(2);
         let differing = (0..2000u32)
-            .filter(|ip| a.sample_admits(*ip) != b.sample_admits(*ip))
+            .filter(|ip| a.admits(*ip) != b.admits(*ip))
             .count();
         assert!(differing > 500, "{differing}");
     }

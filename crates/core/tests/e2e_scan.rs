@@ -3,7 +3,8 @@
 
 use iw_core::session::MAX_PROBES_PER_HOST;
 use iw_core::{
-    ConfigError, Confusion, HostVerdict, Protocol, ScanConfig, ScanOutput, ScanRunner, Topology,
+    ConfigError, HostVerdict, Protocol, RunDisposition, ScanConfig, ScanOutput, ScanRunner,
+    Topology,
 };
 use iw_hoststack::IwPolicy;
 use iw_internet::{Population, PopulationConfig};
@@ -24,21 +25,17 @@ fn scan(pop: &Arc<Population>, protocol: Protocol, seed: u64) -> ScanOutput {
     ScanRunner::new(pop).config(config).run()
 }
 
-/// A lossless world: every verdict is exact or inconclusive, and every
-/// host has exactly one record.
-fn assert_recovers_ground_truth(pop: &Population, protocol: Protocol, out: &ScanOutput) {
-    let c = Confusion::of_population(pop, protocol, &out.results);
-    let errors = (
-        c.underestimate,
-        c.overestimate,
-        c.missed,
-        c.spurious,
-        c.duplicate,
-    );
+/// A lossless world: the run completes (so no verdict overestimates and
+/// no record is spurious or duplicated), every verdict is exact or
+/// inconclusive, and every host has a record.
+fn assert_recovers_ground_truth(out: &ScanOutput) {
+    let violations = out.telemetry.violations();
+    assert_eq!(out.disposition, RunDisposition::Completed, "{violations:?}");
+    let c = out.telemetry.truth();
     assert!(c.exact > 50, "expected many exact recoveries: {c:?}");
     assert_eq!(
-        errors,
-        (0, 0, 0, 0, 0),
+        (c.underestimate, c.missed),
+        (0, 0),
         "lossless world must be exact: {c:?}"
     );
 }
@@ -52,7 +49,7 @@ fn http_scan_recovers_ground_truth_iws() {
         "reachable {}",
         out.summary.reachable
     );
-    assert_recovers_ground_truth(&pop, Protocol::Http, &out);
+    assert_recovers_ground_truth(&out);
 }
 
 #[test]
@@ -64,7 +61,28 @@ fn tls_scan_recovers_ground_truth_iws() {
     assert!(success > 50.0, "TLS success rate {success}");
     assert!(few < 45.0, "TLS few-data rate {few}");
     assert!(err < 20.0, "TLS error rate {err}");
-    assert_recovers_ground_truth(&pop, Protocol::Tls, &out);
+    assert_recovers_ground_truth(&out);
+}
+
+/// The truth tally counts a host as missed only if the scan targeted
+/// it: a quarter sample of a lossless world misses nothing, although
+/// three quarters of the world's hosts have no record.
+#[test]
+fn a_sampled_scan_misses_no_host_it_targeted() {
+    let pop = tiny_population(0x25);
+    let mut config = ScanConfig::study(Protocol::Http, pop.space_size(), 0x25);
+    config.rate_pps = 2_000_000;
+    config.sample_fraction = 0.25;
+    let out = ScanRunner::new(&pop).config(config).run();
+    assert_eq!(out.disposition, RunDisposition::Completed);
+    let c = out.telemetry.truth();
+    assert!(c.exact > 0, "{c:?}");
+    assert_eq!(c.missed, 0, "{c:?}");
+    let hosts = (0..pop.space_size())
+        .filter(|ip| pop.ground_truth(*ip).is_some_and(|gt| gt.http))
+        .count() as u64;
+    let tallied = c.exact + c.underestimate + c.overestimate + c.inconclusive;
+    assert!(tallied * 2 < hosts, "{tallied} of {hosts} hosts tallied");
 }
 
 #[test]

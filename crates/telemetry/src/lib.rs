@@ -79,7 +79,9 @@ pub use events::{OutcomeKind, SessionEvent};
 pub use harvest::IcmpHarvest;
 pub use json::{parse_json, JsonError, JsonValue};
 pub use manifest::{Counter, Gauge, Hist};
-pub use monitor::{BufferSink, ProgressMonitor, ProgressSample, StatusSink, StdoutSink};
+pub use monitor::{
+    print_line, BufferSink, ProgressMonitor, ProgressSample, StatusSink, StdoutSink,
+};
 pub use recorder::{FlightDump, FlightEntry, FlightRecorder, DEFAULT_RING_CAPACITY};
 pub use registry::{
     CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricsRegistry, Scope, Snapshot,

@@ -117,6 +117,20 @@ pub enum Counter {
     /// `|Σ worlds' pacing rates − max(rate_pps, worlds)|` of a sharded
     /// run: the shards' slices of the global rate do not add up to it.
     InvariantRateUnsummed,
+    /// Records whose verdict claims more than the host's configured
+    /// window: a `Success(n)` above it or a `FewData` bound above it.
+    InvariantTruthOverestimate,
+    /// Records at a targeted address where no host offers the protocol.
+    InvariantTruthSpurious,
+    /// Hosts whose primary verdict is `Success(n)` with `n` their window.
+    TruthExact,
+    /// Hosts whose primary verdict is `Success(n)` below their window.
+    TruthUnderestimate,
+    /// Hosts with any other primary verdict (a bound at or below their
+    /// window, an error, or none).
+    TruthInconclusive,
+    /// Targeted hosts without a record.
+    TruthMissed,
     /// Periodic campaign checkpoints this shard captured.
     CheckpointsTaken,
     /// State entries cut short by a graceful-shutdown drain.
@@ -165,7 +179,7 @@ pub enum Hist {
 
 /// Name and scope of every [`Counter`], row `i` for discriminant `i`.
 #[rustfmt::skip]
-pub const COUNTERS: [(Counter, &str, Scope); 59] = [
+pub const COUNTERS: [(Counter, &str, Scope); 65] = [
     (Counter::TargetsSent, "scan.targets_sent", Scope::Scan),
     (Counter::SynacksValidated, "scan.synacks_validated", Scope::Scan),
     (Counter::Refused, "scan.refused", Scope::Scan),
@@ -220,6 +234,13 @@ pub const COUNTERS: [(Counter, &str, Scope); 59] = [
     (Counter::InvariantStaleTimers, "scan.invariant.stale_timers", Scope::Scan),
     (Counter::InvariantUndeclaredEdges, "scan.invariant.undeclared_edges", Scope::Scan),
     (Counter::InvariantRateUnsummed, "scan.invariant.rate_unsummed", Scope::Scan),
+    // The driver's tally of a joined run against the population's truth.
+    (Counter::InvariantTruthOverestimate, "scan.invariant.truth_overestimate", Scope::Scan),
+    (Counter::InvariantTruthSpurious, "scan.invariant.truth_spurious", Scope::Scan),
+    (Counter::TruthExact, "scan.truth.exact", Scope::Scan),
+    (Counter::TruthUnderestimate, "scan.truth.underestimate", Scope::Scan),
+    (Counter::TruthInconclusive, "scan.truth.inconclusive", Scope::Scan),
+    (Counter::TruthMissed, "scan.truth.missed", Scope::Scan),
     // When a checkpoint fires is a per-shard scheduling fact (each shard
     // crosses virtual-time boundaries on its own event stream).
     (Counter::CheckpointsTaken, "scan.checkpoint.taken", Scope::Shard),
@@ -278,7 +299,7 @@ mod tests {
                 "{name} has invalid characters"
             );
         }
-        assert_eq!(seen.len(), 66);
+        assert_eq!(seen.len(), 72);
     }
 
     #[test]
@@ -347,6 +368,12 @@ mod tests {
             | Counter::InvariantStaleTimers
             | Counter::InvariantUndeclaredEdges
             | Counter::InvariantRateUnsummed
+            | Counter::InvariantTruthOverestimate
+            | Counter::InvariantTruthSpurious
+            | Counter::TruthExact
+            | Counter::TruthUnderestimate
+            | Counter::TruthInconclusive
+            | Counter::TruthMissed
             | Counter::CheckpointsTaken
             | Counter::CheckpointDrainForced
             | Counter::FlightDumps

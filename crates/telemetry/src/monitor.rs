@@ -14,14 +14,24 @@ pub trait StatusSink {
     fn emit(&mut self, line: &str);
 }
 
-/// Prints each status line to stdout (the CLI's `--monitor` sink).
+/// Prints each status line to stdout (the CLI's `--monitor` sink),
+/// through [`print_line`].
 #[derive(Debug, Default)]
 pub struct StdoutSink;
 
 impl StatusSink for StdoutSink {
     fn emit(&mut self, line: &str) {
-        println!("{line}");
+        print_line(line);
     }
+}
+
+/// Print `line` and a newline to stdout. Where `println!` panics when
+/// stdout is gone (`iwscan … | head` after `head` exits), this drops
+/// the line, and every later one, so the run goes on to write its files.
+pub fn print_line(line: impl std::fmt::Display) {
+    use std::io::Write as _;
+    // A line nobody reads has nowhere to report its loss.
+    let _ = writeln!(std::io::stdout().lock(), "{line}");
 }
 
 /// Collects status lines into a vector (for tests and for surfacing the

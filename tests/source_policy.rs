@@ -26,7 +26,12 @@
 //!   counts a session event and the flight recorder the only per-host
 //!   history, so nothing under `crates/` names the event log that was a
 //!   second of each, and its switch is named only where it stays inert
-//!   (`crates/core/src/config.rs`).
+//!   (`crates/core/src/config.rs`);
+//! - one truth: the driver tallies every HTTP and TLS run against the
+//!   population once, so the scanner (`crates/core/src/scanner*`) names
+//!   neither `ground_truth` nor `Confusion`, and nothing but
+//!   `core/src/driver.rs` and `core/src/results.rs` names the tally,
+//!   `of_population`, among the crates, examples and root tests.
 
 use std::path::{Path, PathBuf};
 
@@ -222,6 +227,33 @@ fn one_count_one_history() {
         let mut words = vec!["EventLog", "EventRecord", "summary_json"];
         if file != "crates/core/src/config.rs" {
             words.push("record_events");
+        }
+        let named = naming(&text, &words).into_iter();
+        found.extend(named.map(|line| format!("{file}:{line}")));
+    }
+    assert_eq!(found, Vec::<String>::new());
+}
+
+#[test]
+fn one_truth() {
+    let mut sources = crate_sources();
+    for dir in ["examples", "tests"] {
+        find_files(
+            &root().join(dir),
+            &|name| name.ends_with(".rs"),
+            &mut sources,
+        );
+    }
+    let mut found = Vec::new();
+    for file in &sources {
+        let text = std::fs::read_to_string(root().join(file)).unwrap();
+        let mut words = Vec::new();
+        if file.starts_with("crates/core/src/scanner") {
+            words.extend(["ground_truth", "Confusion"]);
+        }
+        let tallies = ["crates/core/src/driver.rs", "crates/core/src/results.rs"];
+        if !tallies.contains(&file.as_str()) && file != "tests/source_policy.rs" {
+            words.push("of_population");
         }
         let named = naming(&text, &words).into_iter();
         found.extend(named.map(|line| format!("{file}:{line}")));
