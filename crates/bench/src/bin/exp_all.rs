@@ -18,6 +18,19 @@ use iw_bench::{banner, Reproduction, Scale, ABLATION_SAMPLE};
 use iw_core::telemetry::json::{push_bool_field, push_key, push_str_literal};
 use std::collections::{BTreeMap, HashSet};
 
+/// `println!` that drops its line once stdout is gone (`exp_all | head`),
+/// so the run still writes its files and its exit code.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        iw_core::telemetry::print_line(format_args!($($arg)*))
+    };
+}
+
+/// Print a rendered block, whose lines each end in `\n`, through `say!`.
+fn put(block: &str) {
+    say!("{}", block.strip_suffix('\n').unwrap_or(block));
+}
+
 fn main() {
     let scale = Scale::from_env();
     banner(&format!(
@@ -28,10 +41,7 @@ fn main() {
     let (http, tls) = (&r.http, &r.tls);
 
     banner("Table 1");
-    print!(
-        "{}",
-        Table1::new(&[("HTTP", &http.summary), ("TLS", &tls.summary)]).render()
-    );
+    put(&Table1::new(&[("HTTP", &http.summary), ("TLS", &tls.summary)]).render());
     // §4.1: 7 M dual-protocol hosts, 6.2 M of them agree.
     let http_iw: BTreeMap<u32, u32> = http
         .results
@@ -44,18 +54,18 @@ fn main() {
         .filter_map(|t| Some(*http_iw.get(&t.ip)? == t.iw_estimate()?))
         .collect();
     let agree = dual.iter().filter(|a| **a).count();
-    println!(
+    say!(
         "dual-protocol hosts with estimates: {}; agreeing: {agree} ({:.1}%; paper 6.2M/7M = 88.6%)",
         dual.len(),
         agree as f64 / dual.len().max(1) as f64 * 100.0
     );
 
     banner("Table 2");
-    print!("{}", Table2::new(&http.results).render("HTTP"));
-    print!("{}", Table2::new(&tls.results).render("TLS"));
+    put(&Table2::new(&http.results).render("HTTP"));
+    put(&Table2::new(&tls.results).render("TLS"));
     for (label, row) in [("HTTP", PAPER_TABLE2_HTTP), ("TLS", PAPER_TABLE2_TLS)] {
         let cells: Vec<String> = row.iter().map(|v| format!("{v:>4.1}%")).collect();
-        println!("paper {label:<5} {}", cells.join(" "));
+        say!("paper {label:<5} {}", cells.join(" "));
     }
 
     banner("Table 3");
@@ -63,13 +73,13 @@ fn main() {
         ("HTTP", http, PAPER_TABLE3_HTTP),
         ("TLS", tls, PAPER_TABLE3_TLS),
     ] {
-        println!(
+        say!(
             "measured {label}:\n{}",
             Table3::new(&out.results, pop).render()
         );
-        println!("paper {label} (IW1, IW2, IW4, IW10):");
+        say!("paper {label} (IW1, IW2, IW4, IW10):");
         for (svc, vals) in paper {
-            println!(
+            say!(
                 "  {svc:?} {}",
                 vals.map_or("–".into(), |v| format!("{v:?}"))
             );
@@ -77,7 +87,7 @@ fn main() {
     }
     // §4.3: 38.6 % (62.5 %) of HTTP (TLS) IPs encode their address in the
     // PTR record; the access heuristic classifies 16 % (18.1 %).
-    println!("\nreverse-DNS statistics (paper: encode 38.6/62.5, access 16.0/18.1):");
+    say!("\nreverse-DNS statistics (paper: encode 38.6/62.5, access 16.0/18.1):");
     for (label, out) in [("HTTP", http), ("TLS", tls)] {
         let ptrs: Vec<(u32, Option<String>)> = out
             .results
@@ -91,7 +101,7 @@ fn main() {
                 .count();
             hits as f64 / ptrs.len().max(1) as f64 * 100.0
         };
-        println!(
+        say!(
             "  {label}: IP-encoded PTR {:.1}%, classified access {:.1}% (n={})",
             share(rdns_encodes_ip),
             share(rdns_is_access),
@@ -100,13 +110,13 @@ fn main() {
     }
 
     banner("Figure 2");
-    print!("{}", r.censys.render());
+    put(&r.censys.render());
 
     banner("Figure 3");
     let h_http = IwHistogram::from_results(&http.results);
     let h_tls = IwHistogram::from_results(&tls.results);
-    print!("{}", render_iw_bars("HTTP", &h_http, 0.001, false));
-    print!("{}", render_iw_bars("TLS", &h_tls, 0.001, false));
+    put(&render_iw_bars("HTTP", &h_http, 0.001, false));
+    put(&render_iw_bars("TLS", &h_tls, 0.001, false));
     let small = r.sample_fraction();
     let subsamples: Vec<(String, IwHistogram)> = [0.5, 0.3, small]
         .iter()
@@ -116,19 +126,19 @@ fn main() {
         })
         .collect();
     let stats = repeated_sample_stats(&http.results, small, 30, 0xfade);
-    println!(
+    say!(
         "\nHTTP sampling panel (last two columns: 30 samples at {:.0}%):",
         small * 100.0
     );
-    print!("{}", render_sampling_panel(&h_http, &subsamples, &stats));
+    put(&render_sampling_panel(&h_http, &subsamples, &stats));
 
     banner("Figure 4 (Alexa)");
     let (a_http, a_tls) = (&r.alexa_http, &r.alexa_tls);
     let ah = IwHistogram::from_results(&a_http.results);
     let at = IwHistogram::from_results(&a_tls.results);
-    print!("{}", render_iw_bars("Alexa HTTP", &ah, 0.0, true));
-    print!("{}", render_iw_bars("Alexa TLS", &at, 0.0, true));
-    println!(
+    put(&render_iw_bars("Alexa HTTP", &ah, 0.0, true));
+    put(&render_iw_bars("Alexa TLS", &at, 0.0, true));
+    say!(
         "success rate: HTTP {:.1}% (paper 80), TLS {:.1}% (paper 85)",
         a_http.summary.rates().0,
         a_tls.summary.rates().0
@@ -137,18 +147,18 @@ fn main() {
 
     banner("Figure 5 (DBSCAN)");
     for (label, out) in [("HTTP", http), ("TLS", tls)] {
-        println!(
+        say!(
             "--- {label} ---\n{}",
             Fig5::new(&out.results, pop).render(pop)
         );
     }
 
     banner("§4.2 byte-limited hosts (HTTP)");
-    print!("{}", ByteLimits::new(&http.results).render());
+    put(&ByteLimits::new(&http.results).render());
 
     banner("§3.5 verdicts against ground truth");
     let (http_truth, tls_truth) = (http.telemetry.truth(), tls.telemetry.truth());
-    println!("HTTP: {http_truth:?}\nTLS:  {tls_truth:?}");
+    say!("HTTP: {http_truth:?}\nTLS:  {tls_truth:?}");
 
     // §3.4 (report only): the paper's IW scan took 7.5 h against 6.8 h
     // for a port scan. A lossless port scan sends one SYN per target and
@@ -156,7 +166,7 @@ fn main() {
     banner("§3.4 efficiency (HTTP)");
     let (targets, reachable) = (http.summary.targets, http.summary.reachable);
     let (iw_tx, port_tx) = (http.sim_stats.scanner_tx, targets + reachable);
-    println!(
+    say!(
         "S34: {:.3} scanner packets per target ({iw_tx} for {targets}); \
          {:.1} extra per responder over a port scan's {port_tx}",
         iw_tx as f64 / targets as f64,
@@ -168,17 +178,17 @@ fn main() {
         ABLATION_SAMPLE * 100.0
     ));
     let a = &r.ablations;
-    println!(
+    say!(
         "HTTP success: MSS 64 {:.1}%, MSS 1336 only {:.1}%",
         http.summary.rates().0,
         a.mss1336_success
     );
-    println!(
+    say!(
         "wrong share under 1.5x loss at MSS 64: 1 probe {:.2}%, 3 probes {:.2}%",
         wrong_share(&a.one_probe) * 100.0,
         wrong_share(&a.three_probes) * 100.0
     );
-    println!(
+    say!(
         "wrong TLS verdicts: verified (full space) {}, unverified {}",
         wrong_verdicts(&tls_truth),
         wrong_verdicts(&a.unverified_tls)
@@ -186,9 +196,9 @@ fn main() {
 
     banner("combined shape-check verdict");
     let checks = r.checks();
-    print!("{}", render_checks(&checks));
+    put(&render_checks(&checks));
     let failed = checks.iter().filter(|c| !c.pass).count();
-    println!(
+    say!(
         "\n{} of {} checks passed",
         checks.len() - failed,
         checks.len()
@@ -244,7 +254,7 @@ fn main() {
     }
     json.push_str("]}");
     std::fs::write(dir.join("exp_all.json"), json).expect("write results");
-    println!("results written to target/experiments/exp_all.json");
+    say!("results written to target/experiments/exp_all.json");
     std::process::exit(i32::from(failed > 0));
 }
 
@@ -254,7 +264,7 @@ fn main() {
 fn rank_quartiles(r: &Reproduction) {
     let n = r.scale.alexa_n();
     let list = iw_internet::alexa::build(&r.population, n, 1);
-    println!("IW10 share by rank quartile (rank 1 = most popular):");
+    say!("IW10 share by rank quartile (rank 1 = most popular):");
     for q in 0..4 {
         let ips: HashSet<u32> = list[q * n / 4..(q + 1) * n / 4]
             .iter()
@@ -267,7 +277,7 @@ fn rank_quartiles(r: &Reproduction) {
                 .filter(|h| ips.contains(&h.ip))
                 .filter_map(|h| h.iw_estimate()),
         );
-        println!(
+        say!(
             "  Q{} {:>5.1}%  (n={})",
             q + 1,
             h.fraction(10) * 100.0,

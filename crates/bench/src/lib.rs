@@ -324,9 +324,8 @@ impl Reproduction {
 
 /// Pretty-print a paper-vs-measured header for an experiment.
 pub fn banner(title: &str) {
-    println!("==============================================================");
-    println!("{title}");
-    println!("==============================================================");
+    let rule = "==============================================================";
+    iw_core::telemetry::print_line(format_args!("{rule}\n{title}\n{rule}"));
 }
 
 #[cfg(test)]

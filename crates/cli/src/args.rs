@@ -39,10 +39,9 @@ SCAN FLAGS:
     --trace-out <path>               write session spans as Chrome trace JSON
     --stream-out <path>              stream metric deltas + results as JSONL
     --flight-out <path>              dump failed-session flight records as JSONL
-    --checkpoint-out <path>          write/refresh a campaign checkpoint file
-    --checkpoint-every <secs>        periodic checkpoint interval (virtual time)
-                                     [default: 10, with --checkpoint-out]
-    --resume <path>                  resume a killed campaign from its checkpoint
+    --checkpoint-out <path>          write the campaign file before the run starts
+    --resume <path>                  check a campaign file against this command, then
+                                     rerun its campaign from event zero
     --kill-after-events <n>          crash injection: die after n events per shard
     --abort-after <secs>             graceful shutdown at this virtual time
 
@@ -141,11 +140,9 @@ pub struct ScanArgs {
     pub stream_out: Option<String>,
     /// Optional flight-recorder JSONL output path.
     pub flight_out: Option<String>,
-    /// Optional campaign-checkpoint output path.
+    /// Optional campaign-file output path.
     pub checkpoint_out: Option<String>,
-    /// Periodic checkpoint interval in virtual seconds (0 = final only).
-    pub checkpoint_every_secs: u64,
-    /// Resume from this campaign checkpoint file.
+    /// Rerun the campaign this campaign file names.
     pub resume: Option<String>,
     /// Crash injection: stop each shard after this many events (0 = off).
     pub kill_after_events: u64,
@@ -177,7 +174,6 @@ impl Default for ScanArgs {
             stream_out: None,
             flight_out: None,
             checkpoint_out: None,
-            checkpoint_every_secs: 10,
             resume: None,
             kill_after_events: 0,
             abort_after_secs: 0,
@@ -373,7 +369,6 @@ impl Cli {
                         "--stream-out",
                         "--flight-out",
                         "--checkpoint-out",
-                        "--checkpoint-every",
                         "--resume",
                         "--kill-after-events",
                         "--abort-after",
@@ -420,9 +415,6 @@ impl Cli {
                 }
                 if let Some(v) = get("--n") {
                     args.n = parse_num("--n", &v)?;
-                }
-                if let Some(v) = get("--checkpoint-every") {
-                    args.checkpoint_every_secs = parse_num("--checkpoint-every", &v)?;
                 }
                 if let Some(v) = get("--kill-after-events") {
                     args.kill_after_events = parse_num("--kill-after-events", &v)?;
@@ -657,14 +649,12 @@ mod tests {
     #[test]
     fn scan_durability_flags() {
         let cli = Cli::parse(&argv(
-            "scan --checkpoint-out c.json --checkpoint-every 5 --kill-after-events 9000 \
-             --abort-after 120",
+            "scan --checkpoint-out c.json --kill-after-events 9000 --abort-after 120",
         ))
         .unwrap();
         match cli.command {
             Command::Scan(a) => {
                 assert_eq!(a.checkpoint_out.as_deref(), Some("c.json"));
-                assert_eq!(a.checkpoint_every_secs, 5);
                 assert_eq!(a.kill_after_events, 9000);
                 assert_eq!(a.abort_after_secs, 120);
                 assert_eq!(a.resume, None);
@@ -685,6 +675,11 @@ mod tests {
         assert_eq!(
             Cli::parse(&argv("probe --resume c.json")).unwrap_err(),
             ParseError::UnknownFlag("--resume".into())
+        );
+        // Nothing is captured during a run, so there is no cadence to set.
+        assert_eq!(
+            Cli::parse(&argv("scan --checkpoint-every 5")).unwrap_err(),
+            ParseError::UnknownFlag("--checkpoint-every".into())
         );
     }
 

@@ -9,8 +9,7 @@ use iw_analysis::tables::Table1;
 use iw_core::testbed::{probe_host, TestbedSpec};
 use iw_core::{
     CampaignCheckpoint, MonitorSink, MonitorSpec, Protocol, ResilienceConfig, RunControl,
-    RunDisposition, ScanConfig, ScanOutput, ScanRunner, ShardCheckpoint, TargetSpec,
-    TelemetryConfig, Topology,
+    RunDisposition, ScanConfig, ScanOutput, ScanRunner, TargetSpec, TelemetryConfig, Topology,
 };
 use iw_hoststack::{HostConfig, HttpBehavior, HttpConfig, IwPolicy, OsProfile};
 use iw_internet::{alexa, Population, PopulationConfig};
@@ -129,9 +128,9 @@ fn scan_config(
     Ok(config)
 }
 
-/// CLI-level campaign context persisted in the checkpoint's `extra`
+/// CLI-level campaign context recorded in the campaign file's `extra`
 /// section: knobs that shape the synthetic world but live outside
-/// `ScanConfig` (and thus outside the driver's config digest).
+/// `ScanConfig` (and thus outside the config digest).
 fn campaign_extra(args: &ScanArgs, command: &str) -> Vec<(String, String)> {
     vec![
         ("command".to_string(), command.to_string()),
@@ -140,125 +139,58 @@ fn campaign_extra(args: &ScanArgs, command: &str) -> Vec<(String, String)> {
     ]
 }
 
-/// Serializes checkpoint captures from the shard threads into one
-/// atomically refreshed campaign file: the file on disk is always a
-/// complete, parseable checkpoint holding each shard's latest capture.
-#[expect(
-    clippy::disallowed_types,
-    reason = "the shard threads write their captures into the campaign's one file"
-)]
-struct CheckpointWriter {
-    path: String,
-    header: CampaignCheckpoint,
-    captures: std::sync::Mutex<Captures>,
-}
-
-struct Captures {
-    slots: Vec<Option<ShardCheckpoint>>,
-    /// The first write that failed, reported when the campaign ends.
-    error: Option<String>,
-}
-
-impl CheckpointWriter {
-    fn note(&self, shard: u32, capture: &ShardCheckpoint) {
-        let Ok(mut captures) = self.captures.lock() else {
-            return; // a shard panicked mid-write; nothing to persist
-        };
-        let Some(slot) = captures.slots.get_mut(shard as usize) else {
-            return;
-        };
-        *slot = Some(capture.clone());
-        let mut file = self.header.clone();
-        file.shards = captures.slots.iter().flatten().cloned().collect();
-        // Write while holding the lock so concurrent shard captures
-        // cannot interleave their rename steps.
-        if let Err(e) = output::write_atomic(&self.path, file.to_canonical_json()) {
-            let path = &self.path;
-            captures.error.get_or_insert(format!("write {path}: {e}"));
-        }
-    }
-
-    /// The first checkpoint write that failed, as the campaign's error.
-    fn finish(&self) -> Result<(), CmdError> {
-        match self.captures.lock().map(|c| c.error.clone()) {
-            Ok(Some(e)) => Err(err(e)),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// Wire the durable-campaign flags into a [`RunControl`], resolving
-/// `--resume` against the checkpoint file. Returns the control block,
-/// the shard count to run with (a resumed campaign inherits the shard
-/// count and checkpoint interval it was started with) and the
-/// `--checkpoint-out` writer.
+/// Resolve the durable-campaign flags before any scan work: check
+/// `--resume`'s file against this campaign, then write `--checkpoint-out`'s
+/// campaign file. Returns the run controls and the shard count to run
+/// with (a resumed campaign reruns with the count it recorded).
 fn durable_setup(
     args: &ScanArgs,
     command: &str,
     config: &ScanConfig,
     default_shards: u32,
-) -> Result<(RunControl, u32, Option<Arc<CheckpointWriter>>), CmdError> {
-    let mut control = RunControl {
+) -> Result<(RunControl, u32), CmdError> {
+    let control = RunControl {
         kill_after_events: args.kill_after_events,
+        abort_at: (args.abort_after_secs > 0).then(|| Duration::from_secs(args.abort_after_secs)),
         ..RunControl::default()
     };
-    if args.abort_after_secs > 0 {
-        control.abort_at = Some(Duration::from_secs(args.abort_after_secs));
-    }
-    let mut shards = default_shards;
-    let mut every_nanos: u64 = 0;
-    if args.checkpoint_out.is_some() {
-        every_nanos = args.checkpoint_every_secs.saturating_mul(1_000_000_000);
-    }
-    let extra = campaign_extra(args, command);
+    let mut campaign = CampaignCheckpoint {
+        threads: default_shards,
+        config: config.digest(),
+        extra: campaign_extra(args, command),
+    };
     if let Some(path) = &args.resume {
-        let text = std::fs::read_to_string(path).map_err(|e| err(format!("read {path}: {e}")))?;
-        let ckpt = CampaignCheckpoint::parse(&text).map_err(|e| err(format!("{path}: {e}")))?;
-        let mut recorded = ckpt.extra.clone();
-        recorded.sort();
-        let mut expected = extra.clone();
-        expected.sort();
-        if recorded != expected {
-            return Err(err(format!(
-                "{path}: campaign context differs — checkpoint {recorded:?}, current \
-                 {expected:?}; rerun with the original command, scale and loss"
-            )));
-        }
-        shards = ckpt.threads.max(1);
-        every_nanos = ckpt.checkpoint_every_nanos;
-        control.resume = Some(Arc::new(ckpt));
+        campaign.threads = resume_preflight(path, &campaign)?;
     }
-    if every_nanos > 0 {
-        control.checkpoint_every = Some(Duration::from_nanos(every_nanos));
+    if let Some(path) = &args.checkpoint_out {
+        output::write_atomic(path, campaign.to_canonical_json())
+            .map_err(|e| err(format!("write {path}: {e}")))?;
     }
-    #[expect(
-        clippy::disallowed_types,
-        reason = "the shard threads write their captures into the campaign's one file"
-    )]
-    let writer = args.checkpoint_out.as_ref().map(|path| {
-        Arc::new(CheckpointWriter {
-            path: path.clone(),
-            header: CampaignCheckpoint {
-                threads: shards,
-                checkpoint_every_nanos: every_nanos,
-                config: config.digest(),
-                extra,
-                shards: Vec::new(),
-            },
-            captures: std::sync::Mutex::new(Captures {
-                slots: vec![None; shards as usize],
-                error: None,
-            }),
-        })
-    });
-    if let Some(writer) = writer.clone() {
-        control.on_checkpoint = Some(Arc::new(move |shard, capture| writer.note(shard, capture)));
-    }
-    Ok((control, shards, writer))
+    Ok((control, campaign.threads))
 }
 
-/// Run a campaign under the durable-campaign flags. A checkpoint that
-/// could not be written fails the run.
+/// `--resume`'s check: the campaign file at `path` must be this build's
+/// version and name `campaign`'s context and config digest, or the
+/// first difference is the error. Returns the recorded shard count.
+fn resume_preflight(path: &str, campaign: &CampaignCheckpoint) -> Result<u32, CmdError> {
+    let text = std::fs::read_to_string(path).map_err(|e| err(format!("read {path}: {e}")))?;
+    let recorded = CampaignCheckpoint::parse(&text).map_err(|e| err(format!("{path}: {e}")))?;
+    let (mut was, mut is) = (recorded.extra, campaign.extra.clone());
+    was.sort();
+    is.sort();
+    if was != is {
+        return Err(err(format!(
+            "{path}: campaign context differs — checkpoint {was:?}, current {is:?}; rerun \
+             with the original command, scale and loss"
+        )));
+    }
+    if let Some(detail) = recorded.config.first_mismatch(&campaign.config) {
+        return Err(err(format!("{path}: {detail}")));
+    }
+    Ok(recorded.threads.max(1))
+}
+
+/// Run a campaign under the durable-campaign flags.
 fn run_durable(
     args: &ScanArgs,
     command: &str,
@@ -266,16 +198,12 @@ fn run_durable(
     config: ScanConfig,
     default_shards: u32,
 ) -> Result<ScanOutput, CmdError> {
-    let (control, shards, writer) = durable_setup(args, command, &config, default_shards)?;
-    let out = ScanRunner::new(population)
+    let (control, shards) = durable_setup(args, command, &config, default_shards)?;
+    Ok(ScanRunner::new(population)
         .config(config)
         .topology(Topology::threads(shards))
         .control(control)
-        .run();
-    if let Some(writer) = writer {
-        writer.finish()?;
-    }
-    Ok(out)
+        .run())
 }
 
 /// Exit status for a killed campaign (mirrors `128+SIGKILL` convention).
@@ -350,20 +278,18 @@ fn report(out: &ScanOutput, args: &ScanArgs, label: &str) -> Result<(), CmdError
 /// Resolve a finished run's disposition into an exit code, writing the
 /// report/artifacts only when the outputs are trustworthy (or evidence).
 /// `report` runs for completed, violated and (with a note) aborted
-/// campaigns; a killed campaign leaves nothing but the persisted
-/// checkpoint behind, and a diverged resume is a hard error.
+/// campaigns; a killed campaign leaves nothing but its campaign file
+/// behind.
 fn conclude(
     out: &ScanOutput,
     args: &ScanArgs,
     render: impl FnOnce(&ScanOutput, &ScanArgs) -> Result<(), CmdError>,
 ) -> Result<i32, CmdError> {
     match &out.disposition {
-        RunDisposition::Diverged { detail } => Err(err(format!("resume failed: {detail}"))),
         RunDisposition::Killed { events } => {
-            let note = if args.checkpoint_out.is_some() {
-                "; latest checkpoint persisted"
-            } else {
-                " (no --checkpoint-out: nothing persisted)"
+            let note = match &args.checkpoint_out {
+                Some(path) => format!("; --resume {path} reruns it"),
+                None => " (no --checkpoint-out: nothing to resume)".to_string(),
             };
             say!("campaign killed after {events} events{note}");
             Ok(EXIT_KILLED)
@@ -635,7 +561,6 @@ mod tests {
                 ..Default::default()
             },
             trace: Default::default(),
-            checkpoints: vec![],
             disposition,
         }
     }
@@ -844,64 +769,39 @@ mod tests {
 
     #[test]
     fn durable_setup_wires_control_and_checks_context() {
-        let dir = std::env::temp_dir().join("iwscan-cli-test");
+        let dir = std::env::temp_dir().join(format!("iwscan-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let config = ScanConfig::study(Protocol::Http, 1 << 10, 1);
 
-        // No durable flags: inert control, caller's shard count.
-        let (control, shards, _) = durable_setup(&ScanArgs::default(), "scan", &config, 2).unwrap();
+        // No durable flags: a plain run at the caller's shard count.
+        let (control, shards) = durable_setup(&ScanArgs::default(), "scan", &config, 2).unwrap();
         assert_eq!(shards, 2);
-        assert!(control.resume.is_none());
-        assert!(control.on_checkpoint.is_none());
-        assert_eq!(control.checkpoint_every, None);
+        assert_eq!(control.kill_after_events, 0);
+        assert_eq!(control.abort_at, None);
 
-        // --checkpoint-out turns on the periodic writer.
+        // The crash and abort flags reach the controls, and
+        // --checkpoint-out writes the campaign file before the run.
         let out_path = dir.join("campaign.ckpt").to_string_lossy().into_owned();
         let args = ScanArgs {
             checkpoint_out: Some(out_path.clone()),
-            checkpoint_every_secs: 5,
+            kill_after_events: 500,
+            abort_after_secs: 30,
             ..ScanArgs::default()
         };
-        let (control, _, _) = durable_setup(&args, "scan", &config, 2).unwrap();
-        assert!(control.on_checkpoint.is_some());
-        assert_eq!(control.checkpoint_every, Some(Duration::from_secs(5)));
-        // Drive the writer: the file must be a parseable campaign file
-        // holding the latest capture per shard.
-        let cb = control.on_checkpoint.as_ref().unwrap();
-        cb(
-            1,
-            &ShardCheckpoint {
-                shard: 1,
-                events: 10,
-                ..Default::default()
-            },
-        );
-        cb(
-            0,
-            &ShardCheckpoint {
-                shard: 0,
-                events: 7,
-                ..Default::default()
-            },
-        );
-        cb(
-            0,
-            &ShardCheckpoint {
-                shard: 0,
-                events: 9,
-                ..Default::default()
-            },
-        );
+        let (control, _) = durable_setup(&args, "scan", &config, 2).unwrap();
+        assert_eq!(control.kill_after_events, 500);
+        assert_eq!(control.abort_at, Some(Duration::from_secs(30)));
         let file = CampaignCheckpoint::parse(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
-        assert_eq!(file.shards.len(), 2);
-        assert_eq!(file.shard(0).unwrap().events, 9);
-        assert_eq!(file.shard(1).unwrap().events, 10);
+        assert_eq!(file.threads, 2);
+        assert_eq!(file.config, config.digest());
+        let mut context = campaign_extra(&args, "scan");
+        context.sort();
+        assert_eq!(file.extra, context);
 
-        // Resume rejects a checkpoint from a different world (scale).
+        // Resume rejects a campaign file from a different world (scale).
         let resume_path = dir.join("foreign.ckpt").to_string_lossy().into_owned();
         let foreign = CampaignCheckpoint {
             threads: 3,
-            checkpoint_every_nanos: 0,
             config: config.digest(),
             extra: campaign_extra(
                 &ScanArgs {
@@ -910,48 +810,59 @@ mod tests {
                 },
                 "scan",
             ),
-            shards: vec![],
         };
-        std::fs::write(&resume_path, foreign.to_canonical_json()).unwrap();
         let args = ScanArgs {
             resume: Some(resume_path.clone()),
             ..ScanArgs::default()
         };
-        let msg = match durable_setup(&args, "scan", &config, 2) {
-            Err(e) => e.to_string(),
-            Ok(_) => panic!("foreign-scale checkpoint accepted"),
+        let refusal = |file: &str| {
+            std::fs::write(&resume_path, file).unwrap();
+            match durable_setup(&args, "scan", &config, 2) {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("resumed from {file}"),
+            }
         };
+        let msg = refusal(&foreign.to_canonical_json());
         assert!(msg.contains("campaign context differs"), "{msg}");
 
-        // …and a checkpoint from another command.
+        // …and one from another command, or of another seed.
         let other = CampaignCheckpoint {
             extra: campaign_extra(&ScanArgs::default(), "mtu"),
             ..foreign.clone()
         };
-        std::fs::write(&resume_path, other.to_canonical_json()).unwrap();
-        assert!(durable_setup(&args, "scan", &config, 2).is_err());
-
-        // A matching checkpoint resumes, inheriting its shard count.
+        let msg = refusal(&other.to_canonical_json());
+        assert!(msg.contains("campaign context differs"), "{msg}");
         let matching = CampaignCheckpoint {
             extra: campaign_extra(&ScanArgs::default(), "scan"),
-            checkpoint_every_nanos: 2_000_000_000,
             ..foreign
         };
-        std::fs::write(&resume_path, matching.to_canonical_json()).unwrap();
-        let (control, shards, _) = durable_setup(&args, "scan", &config, 8).unwrap();
-        assert_eq!(shards, 3, "resume inherits the recorded shard count");
-        assert!(control.resume.is_some());
-        assert_eq!(
-            control.checkpoint_every,
-            Some(Duration::from_secs(2)),
-            "resume inherits the recorded capture cadence"
+        let reseeded = CampaignCheckpoint {
+            config: ScanConfig::study(Protocol::Http, 1 << 10, 2).digest(),
+            ..matching.clone()
+        };
+        let msg = refusal(&reseeded.to_canonical_json());
+        assert!(
+            msg.ends_with("config field `seed`: checkpoint 2 vs current 1"),
+            "{msg}"
         );
 
-        // Corrupted checkpoint bytes surface as a clean error.
-        std::fs::write(&resume_path, "{\"kind\":\"iwscan-campaign-checkpoint\",").unwrap();
-        assert!(durable_setup(&args, "scan", &config, 2).is_err());
-        let _ = std::fs::remove_file(&out_path);
-        let _ = std::fs::remove_file(&resume_path);
+        // A file of the replay barrier's version is refused by name.
+        let current = format!("\"version\":{},", iw_core::CHECKPOINT_VERSION);
+        let old = matching
+            .to_canonical_json()
+            .replace(&current, "\"version\":11,");
+        let msg = refusal(&old);
+        assert!(msg.contains("unsupported checkpoint version 11"), "{msg}");
+
+        // Corrupted bytes surface as a clean error.
+        let msg = refusal("{\"kind\":\"iwscan-campaign-checkpoint\",");
+        assert!(msg.contains("malformed checkpoint"), "{msg}");
+
+        // A matching file resumes with its recorded shard count.
+        std::fs::write(&resume_path, matching.to_canonical_json()).unwrap();
+        let (_, shards) = durable_setup(&args, "scan", &config, 8).unwrap();
+        assert_eq!(shards, 3, "resume inherits the recorded shard count");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

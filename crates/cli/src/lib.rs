@@ -19,7 +19,7 @@ pub fn run(argv: &[String]) -> Result<i32, String> {
     let cli = match args::Cli::parse(argv) {
         Ok(cli) => cli,
         Err(ParseError::HelpRequested) => {
-            println!("{}", args::USAGE);
+            iw_core::telemetry::print_line(args::USAGE);
             return Ok(0);
         }
         Err(e) => return Err(format!("{e}\n\n{}", args::USAGE)),

@@ -29,26 +29,29 @@ fn retry_budgets_above_the_maximum_exit_2() {
     }
 }
 
+/// The campaign file is written before the run starts, so a path that
+/// cannot be written fails before any scan work: no Table 1 is printed.
 #[test]
 fn a_checkpoint_that_cannot_be_written_exits_2() {
     let dir = std::env::temp_dir().join(format!("iwscan-no-such-dir-{}", std::process::id()));
     let path = dir.join("x.ckpt").to_string_lossy().into_owned();
-    let (code, stderr) = iwscan(&[
-        "scan",
-        "--scale",
-        "small",
-        "--sample",
-        "0.02",
-        "--seed",
-        "7",
-        "--threads",
-        "2",
-        "--quiet",
-        "--checkpoint-out",
-        &path,
-    ]);
-    assert_eq!(code, Some(2), "{stderr}");
+    let out = Command::new(env!("CARGO_BIN_EXE_iwscan"))
+        .args([
+            "scan", "--scale", "small", "--sample", "0.02", "--seed", "7",
+        ])
+        .args(["--threads", "2", "--quiet", "--checkpoint-out", &path])
+        .output()
+        .expect("iwscan runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains(&format!("write {path}: ")), "{stderr}");
+    assert!(
+        !stdout.contains("Reachable"),
+        "a Table 1 was printed: {stdout}"
+    );
 }
 
 #[test]

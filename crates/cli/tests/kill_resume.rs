@@ -1,15 +1,16 @@
 //! A durable campaign killed and resumed from the command line (DESIGN.md
-//! §12): `iwscan` killed mid-campaign exits 9 and leaves its checkpoint
-//! behind, a resume from that file writes the metrics, the stream and
-//! the final checkpoint of a run never interrupted byte for byte, and a
-//! resume under another campaign is refused with exit 2 before any
-//! replay, naming the difference.
+//! §12): `iwscan` killed mid-campaign exits 9 and leaves the campaign
+//! file it wrote before the run, a resume from that file reruns the
+//! campaign and writes the metrics, the stream and the campaign file of
+//! a run never interrupted byte for byte, and a resume under another
+//! campaign is refused with exit 2 before any scan work, naming the
+//! difference.
 #![expect(
     clippy::expect_used,
     reason = "helpers outside the #[test] fns fail their test by panicking"
 )]
 
-use iw_core::checkpoint::{CampaignCheckpoint, CHECKPOINT_VERSION};
+use iw_core::checkpoint::CHECKPOINT_VERSION;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -60,10 +61,12 @@ fn read(dir: &Path, file: &str) -> String {
 }
 
 /// Run the campaign of `flags` three times: uninterrupted, killed after
-/// 500 events, and resumed from the kill's checkpoint. Asserts the kill's
-/// exit code and that the resume reproduces the uninterrupted run's
-/// metrics, stream and checkpoint; returns the kill checkpoint.
-fn kill_and_resume(dir: &Path, flags: &[&str]) -> CampaignCheckpoint {
+/// 500 events, and resumed from the campaign file the killed run wrote
+/// before it started. The resume asks for one thread, and runs the two
+/// the file records. Asserts the exit codes, that the kill left no
+/// output but the campaign file, and that the resume writes the
+/// uninterrupted run's metrics, stream and campaign file byte for byte.
+fn kill_then_resume(dir: &Path, flags: &[&str]) {
     let run = |ckpt: &str, out: &str, extra: &[&str]| {
         let (metrics, stream) = (
             format!("@{out}.metrics.json"),
@@ -80,11 +83,16 @@ fn kill_and_resume(dir: &Path, flags: &[&str]) -> CampaignCheckpoint {
     assert_eq!(code, Some(9), "a killed campaign exits 9: {stderr}");
     let killed = read(dir, "weekly.ckpt");
     assert!(
-        killed.contains(&format!("\"version\":{CHECKPOINT_VERSION},")),
+        killed.contains(&format!("\"version\":{CHECKPOINT_VERSION},\"threads\":2,")),
         "{killed}"
     );
-    std::fs::write(dir.join("killed.ckpt"), &killed).expect("keep the kill checkpoint");
-    let (code, stderr) = run("@weekly.ckpt", "resumed", &["--resume", "@weekly.ckpt"]);
+    assert!(
+        !dir.join("killed.metrics.json").exists(),
+        "a killed campaign reports nothing"
+    );
+    std::fs::write(dir.join("killed.ckpt"), &killed).expect("keep the kill's campaign file");
+    let resume = ["--resume", "@weekly.ckpt", "--threads", "1"];
+    let (code, stderr) = run("@weekly.ckpt", "resumed", &resume);
     assert_eq!(code, Some(0), "resumed run: {stderr}");
     for (base, resumed) in [
         ("base.metrics.json", "resumed.metrics.json"),
@@ -93,56 +101,48 @@ fn kill_and_resume(dir: &Path, flags: &[&str]) -> CampaignCheckpoint {
     ] {
         assert!(
             read(dir, base) == read(dir, resumed),
-            "{resumed} differs from {base}"
+            "{flags:?}: {resumed} differs from {base}"
         );
     }
-    CampaignCheckpoint::parse(&killed).expect("the kill checkpoint parses")
 }
 
+/// The classic campaign resumes byte-identically; a resume under another
+/// campaign, or from a campaign file of the replay barrier's version, is
+/// refused with exit 2, naming the difference.
 #[test]
 fn a_killed_campaign_resumes_byte_identically_and_refuses_another_campaign() {
     let dir = out_dir("classic");
-    let killed = kill_and_resume(&dir, &["--seed", "7"]);
-    // The kill lands mid-flight, not after a drain: both shards hold
-    // live sessions at the barrier, and the resume rebuilds them.
-    let live: Vec<usize> = killed.shards.iter().map(|s| s.sessions.len()).collect();
-    assert!(
-        live.len() == 2 && !live.contains(&0),
-        "live sessions: {live:?}"
-    );
-    // A config-digest field and the CLI context each name themselves.
-    for (flags, reason) in [
-        (&["--seed", "8"][..], "config field `seed`"),
+    kill_then_resume(&dir, &["--seed", "7"]);
+    // A config-digest field, the CLI context and the version each name
+    // themselves.
+    let current = format!("\"version\":{CHECKPOINT_VERSION},");
+    let barrier = read(&dir, "killed.ckpt").replace(&current, "\"version\":11,");
+    std::fs::write(dir.join("barrier.ckpt"), barrier).expect("write a version-11 file");
+    for (flags, file, reason) in [
+        (&["--seed", "8"][..], "@killed.ckpt", "config field `seed`"),
         (
             &["--seed", "7", "--loss", "1"][..],
+            "@killed.ckpt",
             "campaign context differs",
         ),
+        (
+            &["--seed", "7"][..],
+            "@barrier.ckpt",
+            "unsupported checkpoint version 11",
+        ),
     ] {
-        let (code, stderr) = scan(&dir, flags, &["--resume", "@killed.ckpt"]);
+        let (code, stderr) = scan(&dir, flags, &["--resume", file]);
         assert_eq!(code, Some(2), "{flags:?}: {stderr}");
         assert!(stderr.contains(reason), "{flags:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// With SYN retries the kill lands while silent targets owe retries; the
+/// rerun from event zero still writes the uninterrupted run's files.
 #[test]
 fn a_hardened_campaign_killed_while_retries_are_owed_resumes_byte_identically() {
-    // With SYN retries the kill lands while silent targets owe retries:
-    // the kill checkpoint's `pending` list, read off the retry FIFOs, is
-    // not empty, and the resumed replay reproduces it at the barrier.
-    // Every entry owes a retry: a target whose budget is spent waits for
-    // nothing, and the FIFOs hold no give-up.
     let dir = out_dir("hardened");
-    let killed = kill_and_resume(&dir, &["--seed", "7", "--syn-retries", "2"]);
-    let pending: Vec<(u32, u32)> = killed
-        .shards
-        .iter()
-        .flat_map(|shard| shard.pending.iter().copied())
-        .collect();
-    assert!(!pending.is_empty(), "the kill landed with no retry owed");
-    assert!(
-        pending.iter().all(|&(_, retries)| retries < 2),
-        "a pending entry spent its whole budget: {pending:?}"
-    );
+    kill_then_resume(&dir, &["--seed", "7", "--syn-retries", "2"]);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,7 @@
 //! `(config, shard i of n)`; outputs merge by shard index afterwards —
 //! so results stay byte-identical at every thread count.
 
-use crate::checkpoint::{CampaignCheckpoint, RunDisposition, ShardCheckpoint};
+use crate::checkpoint::RunDisposition;
 use crate::config::{ScanConfig, TargetSpec};
 use crate::observe::ScanTelemetry;
 use crate::results::{
@@ -38,34 +38,28 @@ pub struct ScanOutput {
     pub telemetry: ScanTelemetry,
     /// Recorded wire traffic (empty unless `record_trace`).
     pub trace: Trace,
-    /// Checkpoint captures (periodic, kill-point and final), sorted by
-    /// `(shard, events)`.
-    pub checkpoints: Vec<ShardCheckpoint>,
-    /// How the run ended (kill/abort/divergence poison completion).
+    /// How the run ended (a violation, kill or abort poisons completion).
     pub disposition: RunDisposition,
 }
 
-/// Durable-campaign controls: crash injection, periodic checkpoint
-/// capture, graceful abort and resume validation. The default is a plain
-/// uninterrupted run.
+/// Run controls: crash injection, graceful abort and watched addresses.
+/// The default is a plain uninterrupted run.
 #[derive(Clone, Default)]
 pub struct RunControl {
     /// Stop each shard's event loop after this many events (0 = off).
     /// This is the crash-injection hook: the loop breaks *between*
     /// events, exactly as a `kill -9` between two event handlers would.
     pub kill_after_events: u64,
-    /// Capture a checkpoint each time virtual time crosses a multiple of
-    /// this interval. A resumed run must inherit the interval from the
-    /// checkpoint so its captures land on identical boundaries.
+    /// Inert: nothing captures. Kept only because the benchmark's
+    /// campaign adapter still sets it.
+    #[doc(hidden)]
     pub checkpoint_every: Option<Duration>,
     /// Graceful-shutdown deadline: past this virtual time the scanner
     /// drains in-flight work and the run ends as [`RunDisposition::Aborted`].
     pub abort_at: Option<Duration>,
-    /// A prior campaign checkpoint to resume: the run replays from event
-    /// zero and validates its state against the recorded barrier.
-    pub resume: Option<Arc<CampaignCheckpoint>>,
-    /// Invoked on every capture as it happens (the CLI persists the
-    /// assembled campaign file from here; called on shard threads).
+    /// Inert: never called. Kept only because the benchmark's campaign
+    /// adapter still sets it.
+    #[doc(hidden)]
     pub on_checkpoint: Option<CheckpointSink>,
     /// Addresses whose every flight entry (SYNs, segments and state
     /// transitions) the flight recorder keeps, unbounded, as a history
@@ -74,8 +68,30 @@ pub struct RunControl {
     pub watch: BTreeSet<u32>,
 }
 
-/// Checkpoint-capture callback: `(shard index, capture)`.
+/// The benchmark's names for the replay barrier that resume no longer
+/// has (DESIGN.md §12): a callback type nothing calls, and a capture
+/// that holds nothing. They go when the benchmark stops naming them.
+#[doc(hidden)]
 pub type CheckpointSink = Arc<dyn Fn(u32, &ShardCheckpoint) + Send + Sync>;
+
+/// See [`CheckpointSink`].
+#[doc(hidden)]
+pub struct ShardCheckpoint;
+
+impl ShardCheckpoint {
+    /// Empty: there is no capture to serialise.
+    pub fn canonical_json(&self) -> String {
+        String::new()
+    }
+}
+
+impl Scanner {
+    /// See [`CheckpointSink`]: an empty capture.
+    #[doc(hidden)]
+    pub fn checkpoint(&self, _events: u64, _now: iw_netsim::Instant) -> ShardCheckpoint {
+        ShardCheckpoint
+    }
+}
 
 /// How a scan maps onto OS threads: a shard-world count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,8 +155,8 @@ impl ScanRunner {
         self
     }
 
-    /// Install durable-campaign controls (checkpointing, crash injection,
-    /// graceful abort, resume).
+    /// Install run controls (crash injection, graceful abort, watched
+    /// addresses).
     pub fn control(mut self, control: RunControl) -> ScanRunner {
         self.control = control;
         self
@@ -149,22 +165,6 @@ impl ScanRunner {
     /// Run to completion and merge.
     pub fn run(self) -> ScanOutput {
         let Topology(shards) = self.topology;
-        // Resume pre-flight: the checkpoint must describe this very
-        // campaign, or the replay would diverge by construction. Fail
-        // before any replay work starts, with the offending field named.
-        if let Some(ckpt) = &self.control.resume {
-            if let Some(detail) = ckpt.config.first_mismatch(&self.config.digest()) {
-                return diverged_output(detail);
-            }
-            // The shard count is the partition the checkpoint cursors
-            // are phrased in.
-            if ckpt.threads != shards {
-                return diverged_output(format!(
-                    "checkpoint was taken with {} shard(s), this run has {}",
-                    ckpt.threads, shards
-                ));
-            }
-        }
         if shards == 1 {
             let (out, _) = run_shard(&self.population, self.config.clone(), &self.control);
             return settle(out, &self.population, &self.config, 0);
@@ -248,32 +248,15 @@ fn targeted(config: &ScanConfig) -> Box<dyn Iterator<Item = u32> + '_> {
     }
 }
 
-/// The empty output of a run refused before it started.
-fn diverged_output(detail: String) -> ScanOutput {
-    ScanOutput {
-        results: Vec::new(),
-        open_ports: Vec::new(),
-        mtu_results: Vec::new(),
-        summary: ScanSummary::default(),
-        sim_stats: SimStats::default(),
-        duration: Duration::ZERO,
-        telemetry: ScanTelemetry::default(),
-        trace: Trace::default(),
-        checkpoints: Vec::new(),
-        disposition: RunDisposition::Diverged { detail },
-    }
-}
-
 /// Run one shard world to completion on the current thread: drive a
-/// self-generating scanner against the population with the
-/// durable-campaign hooks, then harvest. Returns the output and the rate
-/// the world paced at.
+/// self-generating scanner against the population under the run
+/// controls, then harvest. Returns the output and the rate the world
+/// paced at.
 fn run_shard(
     population: &Arc<Population>,
     config: ScanConfig,
     control: &RunControl,
 ) -> (ScanOutput, u64) {
-    let shard_index = config.shard.0;
     let sim_config = SimConfig {
         seed: config.seed,
         record_trace: config.record_trace,
@@ -285,46 +268,15 @@ fn run_shard(
     sim.scanner_mut().watch(control.watch.iter().copied());
     sim.kick_scanner(|s, now, fx| s.start(now, fx));
 
-    // Stepwise event loop with the durable-campaign hooks. The replay
-    // barrier, the kill point and the periodic captures are all phrased
-    // in (event count, virtual time), so every run — uninterrupted,
-    // killed or resumed — walks the exact same sequence of states.
-    let barrier = control.resume.as_ref().and_then(|c| c.shard(shard_index));
-    let mut validated = barrier.is_none();
-    let every = control.checkpoint_every.map_or(0, |d| d.as_nanos());
-    let mut next_capture = every;
+    // Stepwise event loop: the kill point is an event count and the
+    // abort deadline a virtual time, so a killed or aborted world is as
+    // deterministic as a completed one.
     let abort_nanos = control.abort_at.map(|d| d.as_nanos());
-    let mut aborted = false;
     let mut processed: u64 = 0;
     let mut disposition = RunDisposition::Completed;
-    let mut checkpoints: Vec<ShardCheckpoint> = Vec::new();
     loop {
-        if let Some(b) = barrier {
-            if !validated && processed == b.events {
-                let now = sim.now();
-                let replayed = sim.scanner_mut().checkpoint(processed, now);
-                if replayed.canonical_json() != b.canonical_json() {
-                    disposition = RunDisposition::Diverged {
-                        detail: format!(
-                            "shard {shard_index}: replayed state at event {} does not match \
-                             the checkpoint (stale file or non-identical campaign?)",
-                            b.events
-                        ),
-                    };
-                    break;
-                }
-                validated = true;
-            }
-        }
         if control.kill_after_events > 0 && processed >= control.kill_after_events {
-            // Crash injection: stop dead between two events, leaving only
-            // what the checkpoint callback persisted.
-            let now = sim.now();
-            let capture = sim.scanner_mut().checkpoint(processed, now);
-            if let Some(cb) = &control.on_checkpoint {
-                cb(shard_index, &capture);
-            }
-            checkpoints.push(capture);
+            // Crash injection: stop dead between two events.
             disposition = RunDisposition::Killed { events: processed };
             break;
         }
@@ -332,60 +284,17 @@ fn run_shard(
             break;
         }
         processed += 1;
-        let now = sim.now();
-        if !aborted {
-            if let Some(deadline) = abort_nanos {
-                if now.as_nanos() >= deadline {
-                    aborted = true;
-                    disposition = RunDisposition::Aborted;
-                    sim.kick_scanner(|s, at, fx| s.begin_drain(at, fx));
-                }
+        if let Some(deadline) = abort_nanos {
+            if disposition == RunDisposition::Completed && sim.now().as_nanos() >= deadline {
+                disposition = RunDisposition::Aborted;
+                sim.kick_scanner(|s, at, fx| s.begin_drain(at, fx));
             }
-        }
-        if every > 0 {
-            while now.as_nanos() >= next_capture {
-                // Count the capture *before* taking it, so the captured
-                // counters include this tick; a resumed run repeats the
-                // same cadence and lands on the same values.
-                let capture = {
-                    let s = sim.scanner_mut();
-                    s.note_checkpoint_taken();
-                    s.checkpoint(processed, now)
-                };
-                if let Some(cb) = &control.on_checkpoint {
-                    cb(shard_index, &capture);
-                }
-                checkpoints.push(capture);
-                next_capture += every;
-            }
-        }
-    }
-    if let Some(b) = barrier {
-        if !validated && disposition == RunDisposition::Completed {
-            disposition = RunDisposition::Diverged {
-                detail: format!(
-                    "shard {shard_index}: replay finished after {processed} events, before \
-                     the checkpoint barrier at event {}",
-                    b.events
-                ),
-            };
         }
     }
     let drained = matches!(
         disposition,
         RunDisposition::Completed | RunDisposition::Aborted
     );
-    if drained {
-        // Final capture (no counter: it adds no tick a resumed run would
-        // have to reproduce) so the persisted campaign file records the
-        // terminal state — exhausted, drained, all results in.
-        let now = sim.now();
-        let capture = sim.scanner_mut().checkpoint(processed, now);
-        if let Some(cb) = &control.on_checkpoint {
-            cb(shard_index, &capture);
-        }
-        checkpoints.push(capture);
-    }
 
     let duration = sim.now() - iw_netsim::Instant::ZERO;
     let sim_stats = sim.stats();
@@ -410,7 +319,6 @@ fn run_shard(
         duration,
         telemetry,
         trace,
-        checkpoints,
         disposition,
     };
     (output, scanner.pace_pps())
@@ -450,7 +358,6 @@ fn merge(outputs: Vec<ScanOutput>) -> ScanOutput {
     let mut duration = Duration::ZERO;
     let mut telemetry = ScanTelemetry::default();
     let mut trace = Trace::default();
-    let mut checkpoints = Vec::new();
     let mut disposition = RunDisposition::Completed;
     for out in outputs {
         results.extend(out.results);
@@ -461,13 +368,11 @@ fn merge(outputs: Vec<ScanOutput>) -> ScanOutput {
         duration = duration.max(out.duration);
         telemetry.merge(out.telemetry);
         trace.merge(out.trace);
-        checkpoints.extend(out.checkpoints);
         disposition = disposition.merge(out.disposition);
     }
     results.sort_by_key(|r| r.ip);
     open_ports.sort_unstable();
     mtu_results.sort_by_key(|r| r.ip);
-    checkpoints.sort_by_key(|c| (c.shard, c.events, c.at_nanos));
     ScanOutput {
         results,
         open_ports,
@@ -477,7 +382,6 @@ fn merge(outputs: Vec<ScanOutput>) -> ScanOutput {
         duration,
         telemetry,
         trace,
-        checkpoints,
         disposition,
     }
 }

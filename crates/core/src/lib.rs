@@ -83,8 +83,8 @@ pub mod prelude {
 }
 
 pub use checkpoint::{
-    CampaignCheckpoint, CheckpointError, ConfigDigest, RunDisposition, ShardCheckpoint,
-    CHECKPOINT_KIND, CHECKPOINT_VERSION,
+    CampaignCheckpoint, CheckpointError, ConfigDigest, RunDisposition, CHECKPOINT_KIND,
+    CHECKPOINT_VERSION,
 };
 pub use config::{
     ConfigError, MonitorSink, MonitorSpec, ResilienceConfig, ScanConfig, TargetSpec,

@@ -9,8 +9,8 @@
 //! nowhere else. The flight recorder is the only per-host history: its
 //! rings are the black boxes, and its watched histories keep every entry
 //! of the addresses [`Observer::watch`] names. Counters of things that
-//! are not observations (pacing waits, rejected answers, checkpoint
-//! captures) stay with the scanner, through [`Observer::metrics`].
+//! are not observations (pacing waits, rejected answers, drained
+//! entries) stay with the scanner, through [`Observer::metrics`].
 //!
 //! Telemetry holds what is live, not what happened. A target whose only
 //! history is its first SYN holds one stamp in total, whatever products
@@ -514,11 +514,6 @@ impl Observer {
         if self.flight.conclude(ip, n, error) {
             self.metrics.inc(Counter::FlightDumps);
         }
-    }
-
-    /// Stream records so far (the checkpoint's `stream_records`).
-    pub(crate) fn stream_len(&self) -> usize {
-        self.stream.len()
     }
 
     /// Targets holding a stamp or a flight ring (a watched history is

@@ -38,11 +38,6 @@ impl Permutation {
         self.size
     }
 
-    /// The group modulus.
-    pub fn modulus(&self) -> u64 {
-        self.p
-    }
-
     /// The generator in use.
     pub fn generator(&self) -> u64 {
         self.generator
@@ -90,32 +85,6 @@ pub struct ShardIter {
     budget: u64,
 }
 
-impl ShardIter {
-    /// The resumable cursor: `(next, produced)` — the group element the
-    /// next call to [`Iterator::next`] will consider, and how many
-    /// elements have been consumed so far. Together with the shard spec
-    /// this pins the iterator's exact position, so a checkpointed scan
-    /// can be reconstructed mid-cycle (or a replay validated against the
-    /// recorded position).
-    pub fn cursor(&self) -> (u64, u64) {
-        (self.next, self.produced)
-    }
-
-    /// Move this iterator to a previously captured [`ShardIter::cursor`].
-    ///
-    /// Returns `false` (leaving the iterator untouched) when the cursor
-    /// is not a position this shard can occupy: `produced` past the
-    /// shard's budget, or `next` outside the group's element range.
-    pub fn seek(&mut self, next: u64, produced: u64) -> bool {
-        if produced > self.budget || next == 0 || next >= self.perm.p {
-            return false;
-        }
-        self.next = next;
-        self.produced = produced;
-        true
-    }
-}
-
 impl Iterator for ShardIter {
     type Item = u64;
 
@@ -153,18 +122,24 @@ mod tests {
 
     #[test]
     fn shards_partition_the_space() {
-        let size = 10_007u64;
-        let perm = Permutation::new(size, 7);
-        for shard_count in [2u32, 3, 8] {
-            let mut all = HashSet::new();
-            let mut total = 0u64;
-            for i in 0..shard_count {
-                for addr in perm.shard(i, shard_count) {
-                    assert!(all.insert(addr), "address visited twice");
-                    total += 1;
+        // Every address falls to exactly one shard, for every seed.
+        for (size, seed) in [
+            (10_007u64, 7u64),
+            (1 << 12, 0x1307),
+            (1 << 12, 9_999_999_999),
+        ] {
+            let perm = Permutation::new(size, seed);
+            for shard_count in [1u32, 2, 3, 8] {
+                let mut all = HashSet::new();
+                let mut total = 0u64;
+                for i in 0..shard_count {
+                    for addr in perm.shard(i, shard_count) {
+                        assert!(all.insert(addr), "address visited twice");
+                        total += 1;
+                    }
                 }
+                assert_eq!(total, size, "{shard_count} shards must cover all");
             }
-            assert_eq!(total, size, "{shard_count} shards must cover all");
         }
     }
 
@@ -189,39 +164,6 @@ mod tests {
             .filter(|w| w[1] == w[0] + 1 || w[0] == w[1] + 1)
             .count();
         assert!(adjacent < 5, "{adjacent} adjacent pairs in 1000 probes");
-    }
-
-    #[test]
-    fn cursor_seek_resumes_mid_cycle() {
-        let perm = Permutation::new(10_007, 11);
-        for shard_count in [1u32, 4] {
-            for index in 0..shard_count {
-                let mut original = perm.shard(index, shard_count);
-                // Consume an arbitrary prefix, capture the cursor …
-                let prefix: Vec<u64> = original.by_ref().take(137).collect();
-                let (next, produced) = original.cursor();
-                // … then rebuild a fresh iterator at that position.
-                let mut resumed = perm.shard(index, shard_count);
-                assert!(resumed.seek(next, produced));
-                assert_eq!(
-                    resumed.collect::<Vec<u64>>(),
-                    original.collect::<Vec<u64>>(),
-                    "shard {index}/{shard_count} tail must continue identically"
-                );
-                assert!(!prefix.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn seek_rejects_impossible_cursors() {
-        let perm = Permutation::new(1000, 3);
-        let mut it = perm.shard(0, 2);
-        let before = it.cursor();
-        assert!(!it.seek(0, 1), "group element 0 does not exist");
-        assert!(!it.seek(perm.modulus(), 1), "next must be < p");
-        assert!(!it.seek(1, u64::MAX), "produced past the budget");
-        assert_eq!(it.cursor(), before, "failed seeks leave the cursor");
     }
 
     #[test]

@@ -21,7 +21,6 @@ mod mtu;
 mod resilience;
 mod timer;
 
-use crate::checkpoint::ShardCheckpoint;
 use crate::config::{ScanConfig, TargetSpec, SYN_BACKOFF};
 use crate::cookie::{CookieKey, SynAckCheck};
 use crate::observe::{error_counter, outcome_counters, Event, Observer, ScanTelemetry, SynFlow};
@@ -86,16 +85,6 @@ impl TargetIter {
         match self {
             TargetIter::Perm(iter) => iter.next().map(|ip| (ip as u32, None)),
             TargetIter::List(iter) => iter.next(),
-        }
-    }
-
-    /// Resumable position: the permutation cursor ([`ShardIter::cursor`]),
-    /// or `(remaining, 0)` for explicit lists. Either way the pair pins
-    /// the generator's exact state for checkpoint barrier comparison.
-    fn cursor(&self) -> (u64, u64) {
-        match self {
-            TargetIter::Perm(iter) => iter.cursor(),
-            TargetIter::List(iter) => (iter.len() as u64, 0),
         }
     }
 }
@@ -325,66 +314,19 @@ impl Scanner {
         s.obs.harvest(now, &stats, unbalanced, sim_spans, &last)
     }
 
-    /// Capture this shard's observable state as a [`ShardCheckpoint`]
-    /// (a pure read — the driver pairs it with its event count). The
-    /// capture is the durable-campaign barrier token: a resumed replay
-    /// reaching `events` must reproduce these bytes exactly.
-    pub fn checkpoint(&self, events: u64, now: Instant) -> ShardCheckpoint {
-        let (cursor_next, cursor_produced) = self.generator.cursor();
-        let mut sessions: Vec<u32> = self
-            .targets
-            .iter()
-            .filter(|(_, target)| matches!(target, Target::Live(_) | Target::Mtu { .. }))
-            .map(|(ip, _)| ip)
-            .collect();
-        sessions.sort_unstable();
-        let snap = self.obs.metrics.snapshot();
-        let counters: Vec<(String, u64)> = snap
-            .counters
-            .iter()
-            .map(|(name, (_, value))| (name.clone(), *value))
-            .collect();
-        ShardCheckpoint {
-            shard: self.config.shard.0,
-            events,
-            at_nanos: now.as_nanos(),
-            cursor_next,
-            cursor_produced,
-            exhausted: self.exhausted,
-            targets_sent: self.targets_sent(),
-            pending: self.pending_syns(),
-            sessions,
-            results_recorded: (self.results.len() + self.open_ports.len() + self.mtu_results.len())
-                as u64,
-            stream_records: self.obs.stream_len() as u64,
-            counters,
-        }
-    }
-
-    /// Count one periodic checkpoint capture. The driver calls this
-    /// *before* [`Self::checkpoint`] on periodic ticks so the captured
-    /// counters include the capture producing them; kill and barrier
-    /// validation captures do not count — a resumed run only has to
-    /// reproduce the periodic cadence to stay byte-identical.
-    pub fn note_checkpoint_taken(&mut self) {
-        self.obs.metrics.inc(Counter::CheckpointsTaken);
-    }
-
     /// Graceful-shutdown drain: stop target generation, drop every queued
     /// retransmission, and force-conclude every live session (recorded
     /// as [`ErrorKind::CollectTimeout`]) so the event loop winds down on
     /// its own; from here on no response opens new work. Every queued
     /// entry, session and MTU probe cut short counts into
-    /// `scan.checkpoint.drain_forced`.
+    /// `scan.drain.forced`.
     pub fn begin_drain(&mut self, now: Instant, fx: &mut Effects) {
         self.exhausted = true;
         self.draining = true;
         // Each dropped retransmission is forced-drain pressure. (The
         // levels' outstanding drain timers fire into empty queues.)
         let dropped = self.drop_syn_retries(now);
-        self.obs
-            .metrics
-            .add(Counter::CheckpointDrainForced, dropped as u64);
+        self.obs.metrics.add(Counter::DrainForced, dropped as u64);
         // Handshakes in flight are cut off with them (their SYN-ACKs may
         // still arrive, but open nothing), and live work is concluded.
         let mut open: Vec<(u32, Target)> = self
@@ -397,12 +339,12 @@ impl Scanner {
             match self.targets.session_mut(ip) {
                 Some(session) => {
                     let out = session.force_conclude(ErrorKind::CollectTimeout);
-                    self.obs.metrics.inc(Counter::CheckpointDrainForced);
+                    self.obs.metrics.inc(Counter::DrainForced);
                     self.apply_session_output(ip, out, now, fx);
                 }
                 None => {
                     if matches!(target, Target::Mtu { .. }) {
-                        self.obs.metrics.inc(Counter::CheckpointDrainForced);
+                        self.obs.metrics.inc(Counter::DrainForced);
                     }
                     self.set_target(ip, None, now);
                 }
@@ -951,13 +893,8 @@ mod tests {
             let want: Vec<u32> = (0..10).filter(|k| k % 3 == i).map(|k| 100 + k).collect();
             assert_eq!(s.targets_total, want.len() as u64);
             let mut got = Vec::new();
-            loop {
-                // The cursor counts what is left of this shard's slice.
-                assert_eq!(s.generator.cursor(), ((want.len() - got.len()) as u64, 0));
-                match s.generator.next() {
-                    Some((ip, _)) => got.push(ip),
-                    None => break,
-                }
+            while let Some((ip, _)) = s.generator.next() {
+                got.push(ip);
             }
             assert_eq!(got, want, "shard {i}/3");
         }

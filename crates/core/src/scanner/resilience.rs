@@ -7,8 +7,8 @@
 //! give-up only when the flight recorder is on, since a give-up does
 //! nothing but dump the target's black box. [`Scanner::retry_owed`] is
 //! the one answer to "does this address still owe a SYN retry or its
-//! give-up?", which the ICMP fast-fail, the flight-history sweep and the
-//! checkpoint's `pending` list all ask.
+//! give-up?", which the ICMP fast-fail and the flight-history sweep both
+//! ask.
 
 use super::{Scanner, Timer};
 use crate::observe::Event;
@@ -63,21 +63,6 @@ impl Scanner {
             && !self.draining
             && self.config.protocol != Protocol::IcmpMtu;
         move |target| target.is_none() && untracked
-    }
-
-    /// Every unanswered stateful SYN with the retries it has sent, in
-    /// address order: the checkpoint's `pending` list. Each waits in the
-    /// FIFO of that level, for its next retry or its give-up, unless its
-    /// answer came first.
-    pub(super) fn pending_syns(&self) -> Vec<(u32, u32)> {
-        let owed = self.retry_owed();
-        let queued = self.resilience.syn_retries.iter();
-        let mut pending: Vec<(u32, u32)> = queued
-            .filter(|&(_, ip)| owed(self.targets.get(ip)))
-            .map(|(level, ip)| (ip, level as u32))
-            .collect();
-        pending.sort_unstable();
-        pending
     }
 
     /// Send a target its first SYN and, if retries run, queue its first

@@ -131,10 +131,8 @@ pub enum Counter {
     TruthInconclusive,
     /// Targeted hosts without a record.
     TruthMissed,
-    /// Periodic campaign checkpoints this shard captured.
-    CheckpointsTaken,
     /// State entries cut short by a graceful-shutdown drain.
-    CheckpointDrainForced,
+    DrainForced,
     /// Flight-recorder dumps retained (targets that ended in an error).
     FlightDumps,
     /// Scan-scoped spans recorded (session phases; partition across shards).
@@ -179,7 +177,7 @@ pub enum Hist {
 
 /// Name and scope of every [`Counter`], row `i` for discriminant `i`.
 #[rustfmt::skip]
-pub const COUNTERS: [(Counter, &str, Scope); 65] = [
+pub const COUNTERS: [(Counter, &str, Scope); 64] = [
     (Counter::TargetsSent, "scan.targets_sent", Scope::Scan),
     (Counter::SynacksValidated, "scan.synacks_validated", Scope::Scan),
     (Counter::Refused, "scan.refused", Scope::Scan),
@@ -241,10 +239,9 @@ pub const COUNTERS: [(Counter, &str, Scope); 65] = [
     (Counter::TruthUnderestimate, "scan.truth.underestimate", Scope::Scan),
     (Counter::TruthInconclusive, "scan.truth.inconclusive", Scope::Scan),
     (Counter::TruthMissed, "scan.truth.missed", Scope::Scan),
-    // When a checkpoint fires is a per-shard scheduling fact (each shard
-    // crosses virtual-time boundaries on its own event stream).
-    (Counter::CheckpointsTaken, "scan.checkpoint.taken", Scope::Shard),
-    (Counter::CheckpointDrainForced, "scan.checkpoint.drain_forced", Scope::Shard),
+    // What a drain cuts short is a per-shard fact: each shard meets the
+    // deadline at its own point of its own event stream.
+    (Counter::DrainForced, "scan.drain.forced", Scope::Shard),
     (Counter::FlightDumps, "scan.flight_recorder.dumps", Scope::Scan),
     (Counter::TraceSpansScan, "trace.spans.scan", Scope::Scan),
     (Counter::TraceSpansShard, "trace.spans.shard", Scope::Shard),
@@ -299,7 +296,7 @@ mod tests {
                 "{name} has invalid characters"
             );
         }
-        assert_eq!(seen.len(), 72);
+        assert_eq!(seen.len(), 71);
     }
 
     #[test]
@@ -374,8 +371,7 @@ mod tests {
             | Counter::TruthUnderestimate
             | Counter::TruthInconclusive
             | Counter::TruthMissed
-            | Counter::CheckpointsTaken
-            | Counter::CheckpointDrainForced
+            | Counter::DrainForced
             | Counter::FlightDumps
             | Counter::TraceSpansScan
             | Counter::TraceSpansShard
