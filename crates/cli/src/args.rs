@@ -38,7 +38,8 @@ SCAN FLAGS:
     --max-sessions <n>               live-session cap, 0 = unbounded    [default: 0]
     --trace-out <path>               write session spans as Chrome trace JSON
     --stream-out <path>              stream metric deltas + results as JSONL
-    --flight-out <path>              dump failed-session flight records as JSONL
+    --flight-out <path>              dump failed-session flight records as JSONL,
+                                     from a rerun that watches the failed hosts
     --checkpoint-out <path>          write the campaign file before the run starts
     --resume <path>                  check a campaign file against this command, then
                                      rerun its campaign from event zero

@@ -7,28 +7,24 @@
 //! monitor. The registry is the only thing that counts: each counter
 //! that counts an [`Event`] is incremented in [`Observer::emit`] and
 //! nowhere else. The flight recorder is the only per-host history: its
-//! rings are the black boxes, and its watched histories keep every entry
-//! of the addresses [`Observer::watch`] names. Counters of things that
-//! are not observations (pacing waits, rejected answers, drained
-//! entries) stay with the scanner, through [`Observer::metrics`].
+//! watched histories keep every entry of the addresses
+//! [`Observer::watch`] names, and it lists the run's casualties, whose
+//! black boxes a replay recovers (`ScanRunner::black_boxes`). Counters of
+//! things that are not observations (pacing waits, rejected answers,
+//! drained entries) stay with the scanner, through [`Observer::metrics`].
 //!
 //! Telemetry holds what is live, not what happened. A target whose only
-//! history is its first SYN holds one stamp in total, whatever products
-//! need it: the RTT histogram and the handshake span time the SYN's
-//! answer from it, and the flight recorder builds the target's ring from
-//! it when the target's second event arrives. The stamp is an
-//! [`AddrMap`] entry, 8 bytes plus a control byte: an index into the
-//! shard's deque of distinct SYN send instants (a pacing tick sends
-//! hundreds of SYNs at one instant) plus one bit per product still
-//! holding it; the ring's ISN is derived from the cookie, not stored.
-//! It lives until its last holder lets go: the answer is timed, or
-//! Karn's rule, an ICMP error, a drain or a table entry makes it
-//! untimable; the recorder builds the ring or the target concludes; or
-//! the sweep expires it.
+//! history is its first SYN holds at most one stamp, for the RTT
+//! histogram and the handshake span, which time the SYN's answer from
+//! it. The stamp is an [`AddrMap`] entry, 8 bytes plus a control byte:
+//! an index into the shard's deque of distinct SYN send instants (a
+//! pacing tick sends hundreds of SYNs at one instant). It lives until
+//! the answer is timed, Karn's rule, an ICMP error, a drain or a table
+//! entry makes it untimable, or the sweep expires it.
 //!
 //! A shard's recording and a run's output are one type, [`ScanTelemetry`]:
 //! [`Observer::harvest`] hands it over and [`ScanTelemetry::merge`] folds
-//! the shards. It holds output only: no stamp, no live ring. Its eleven
+//! the shards. It holds output only: no stamp. Its eleven
 //! `scan.invariant.*` counters keep the books (see [`unbalanced`]; the
 //! driver adds `rate_unsummed` and the truth tally's two when the shard
 //! worlds join, [`ScanTelemetry::truth`]).
@@ -42,7 +38,7 @@ use iw_telemetry::manifest::COUNTERS;
 use iw_telemetry::{
     AddrMap, BufferSink, Counter, FlightRecorder, Gauge, Hist, IcmpHarvest, MetricsRegistry,
     OutcomeKind, ProgressMonitor, ProgressSample, SessionEvent, Snapshot, StatusSink, StdoutSink,
-    TelemetrySink, Tracer, DEFAULT_RING_CAPACITY,
+    TelemetrySink, Tracer,
 };
 use iw_wire::{icmp, tcp};
 use std::collections::VecDeque;
@@ -67,11 +63,11 @@ pub(crate) enum Event<'a> {
     /// holding for the RTT. (A retransmitted SYN is untimed by its
     /// `SynRetried`, Karn's rule.)
     Untimed,
-    /// The target's terminal verdict: its stream label, and the error its
-    /// black box dumps under (`None` = a clean conclusion, dropped).
+    /// The target's terminal verdict: its stream label, and the error it
+    /// is a casualty of (`None` = a clean conclusion).
     Verdict(&'static str, Option<&'static str>),
-    /// A silent target spent its SYN retries: no verdict, and the black
-    /// box dumps as `handshake_timeout`.
+    /// A silent target spent its SYN retries: no verdict, and a
+    /// `handshake_timeout` casualty.
     GaveUp,
     /// An ICMP message arrived from the target.
     Icmp(icmp::Message),
@@ -81,10 +77,9 @@ pub(crate) enum Event<'a> {
     Progress(&'a ProgressSample),
     /// The streaming sink's timer fired.
     Snapshot,
-    /// The sweep: drop the flight histories untouched for this many
-    /// virtual nanoseconds, except the targets the predicate still vouches
-    /// for, and stop timing the SYNs at least that old.
-    Expire(u64, &'a dyn Fn(u32) -> bool),
+    /// The sweep: stop timing the SYNs at least this many virtual
+    /// nanoseconds old.
+    Expire(u64),
 }
 
 /// The `(scan.probes.*, scan.sessions.*)` counters of an [`OutcomeKind`].
@@ -159,10 +154,10 @@ pub(crate) struct Observer {
     captured: BufferSink,
     /// End of the previous pacing tick (for the `pace.tick` span).
     last_pace_at: u64,
-    /// One stamp per target whose first SYN a product still holds.
+    /// One stamp per target whose first SYN's answer is still to be timed.
     stamps: Stamps,
     /// The flow of every target's first SYN: the scanner sends and
-    /// validates on it, and the ISN of a ring built from a stamp is its.
+    /// validates on it.
     syn_flow: SynFlow,
 }
 
@@ -181,15 +176,6 @@ impl SynFlow {
     }
 }
 
-/// A stamp's hold for the RTT histogram and the handshake span: the
-/// SYN's answer is still to be timed.
-const TIMED: u32 = 1 << 31;
-/// A stamp's hold for the flight recorder: the target's ring is still to
-/// be built from it.
-const FLIGHT: u32 = 1 << 30;
-/// The rest of a slot: the absolute index of the SYN's send instant.
-const INSTANT: u32 = FLIGHT - 1;
-
 const _: () = assert!(
     std::mem::size_of::<(u32, u32)>() == 8,
     "a stamp is an 8-byte table bucket (plus its control byte)"
@@ -198,66 +184,52 @@ const _: () = assert!(
 /// The one table of first-SYN stamps (see module docs).
 #[derive(Default)]
 struct Stamps {
-    /// Per target: its holds (the top bits) and its send instant's index.
+    /// Per target: the absolute index of its SYN's send instant.
     slots: AddrMap<u32>,
     /// The distinct send instants, oldest first; the sweep trims the ones
     /// no stamp refers to.
     instants: VecDeque<u64>,
-    /// The absolute index of `instants[0]` (wrapping within [`INSTANT`]).
+    /// The absolute index of `instants[0]` (wrapping).
     base: u32,
 }
 
 impl Stamps {
-    /// Stamp the target's SYN sent at `at` with `holds`, replacing any
-    /// stamp it had. Virtual time never runs backwards, so the deque
-    /// stays sorted.
-    fn insert(&mut self, ip: u32, at: u64, holds: u32) {
+    /// Stamp the target's SYN sent at `at`, replacing any stamp it had.
+    /// Virtual time never runs backwards, so the deque stays sorted.
+    fn insert(&mut self, ip: u32, at: u64) {
         if self.instants.back() != Some(&at) {
             self.instants.push_back(at);
         }
-        let index = self.base.wrapping_add(self.instants.len() as u32 - 1) & INSTANT;
-        self.slots.insert(ip, holds | index);
+        let index = self.base.wrapping_add(self.instants.len() as u32 - 1);
+        self.slots.insert(ip, index);
     }
 
     /// The send instant of a slot.
     fn at(&self, slot: u32) -> u64 {
-        self.instants[(slot.wrapping_sub(self.base) & INSTANT) as usize]
+        self.instants[slot.wrapping_sub(self.base) as usize]
     }
 
-    /// Let go of `hold` on the target's stamp, dropping a stamp nothing
-    /// holds any more. Returns the SYN's send time if the hold was there.
-    fn release(&mut self, ip: u32, hold: u32) -> Option<u64> {
-        let slot = *self.slots.get(&ip)?;
-        if slot & hold == 0 {
-            return None;
-        }
-        let left = slot & !hold;
-        if left & !INSTANT == 0 {
-            self.slots.remove(&ip);
-        } else if let Some(held) = self.slots.get_mut(&ip) {
-            *held = left;
-        }
-        Some(self.at(slot))
+    /// Drop the target's stamp. Returns the SYN's send time if it had one.
+    fn release(&mut self, ip: u32) -> Option<u64> {
+        self.slots.remove(&ip).map(|slot| self.at(slot))
     }
 
-    /// Keep of each stamp the holds `keep(ip, send time, holds)` returns,
-    /// drop the stamps left with none, then the instants no stamp refers
-    /// to.
-    fn sweep(&mut self, mut keep: impl FnMut(u32, u64, u32) -> u32) {
+    /// Keep the stamps whose send time `keep` accepts, then drop the
+    /// instants no stamp refers to.
+    fn sweep(&mut self, keep: impl Fn(u64) -> bool) {
         let (instants, base) = (&self.instants, self.base);
-        let mut oldest = INSTANT;
-        self.slots.retain(|&ip, slot| {
-            let offset = slot.wrapping_sub(base) & INSTANT;
-            let holds = keep(ip, instants[offset as usize], *slot & !INSTANT);
-            *slot = holds | (*slot & INSTANT);
-            if holds != 0 {
+        let mut oldest = u32::MAX;
+        self.slots.retain(|_, slot| {
+            let offset = slot.wrapping_sub(base);
+            let kept = keep(instants[offset as usize]);
+            if kept {
                 oldest = oldest.min(offset);
             }
-            holds != 0
+            kept
         });
         let unused = (oldest as usize).min(self.instants.len());
         self.instants.drain(..unused);
-        self.base = self.base.wrapping_add(unused as u32) & INSTANT;
+        self.base = self.base.wrapping_add(unused as u32);
     }
 
     fn len(&self) -> usize {
@@ -277,7 +249,7 @@ impl Observer {
             syn_subscribers: false,
             shard,
             tracer: Tracer::new(config.record_spans),
-            flight: FlightRecorder::new(config.flight_recorder, DEFAULT_RING_CAPACITY),
+            flight: FlightRecorder::new(config.flight_recorder),
             stream: TelemetrySink::new(config.stream.is_some()),
             icmp: IcmpHarvest::default(),
             monitor: config
@@ -310,7 +282,7 @@ impl Observer {
     /// starts reading SYNs joins here, or the inline path of
     /// [`Self::emit`] drops its SYNs.
     fn reads_syn(&self) -> bool {
-        self.time_answers || self.flight.is_recording()
+        self.time_answers || self.flight.is_watching()
     }
 
     /// Record one observation in every product that subscribes to it.
@@ -381,54 +353,27 @@ impl Observer {
                         _ => {}
                     }
                 }
-                if self.flight.is_recording() {
-                    self.flight_ring(ip);
-                    self.flight.note_state(ip, n, ev);
-                }
+                self.flight.note_state(ip, n, ev);
             }
-            Event::Syn(isn, attempt @ 1..) => {
-                m.inc(Counter::SynRetries);
-                let ev = SessionEvent::SynRetried { attempt };
-                if self.time_answers {
+            Event::Syn(isn, attempt) => {
+                if attempt > 0 {
+                    m.inc(Counter::SynRetries);
                     // Karn's rule: once a SYN is retransmitted, a later
                     // SYN-ACK may answer either transmission, so it is
                     // not timed.
-                    self.stamps.release(ip, TIMED);
+                    self.stamps.release(ip);
+                } else if self.time_answers {
+                    self.stamps.insert(ip, n);
                 }
-                if self.flight.is_recording() {
-                    self.flight_ring(ip);
-                    self.flight.note_state(ip, n, ev);
-                    let syn = tcp::Flags::SYN.bits();
-                    self.flight.note_wire(ip, n, true, syn, isn, 0, 0);
-                }
-            }
-            Event::Syn(isn, 0) => {
-                let mut holds = if self.time_answers { TIMED } else { 0 };
-                if self.flight.is_recording() {
-                    // A first SYN is the target's stamp; a later one joins
-                    // the ring the stamp became. A watched target takes
-                    // none: its history starts at the SYN.
-                    if self.flight.is_watched(ip) || self.flight_ring(ip) {
-                        self.flight.note_syn(ip, n, isn);
-                    } else if self.flight.is_enabled() {
-                        holds |= FLIGHT;
-                    }
-                }
-                if holds != 0 {
-                    self.stamps.insert(ip, n, holds);
-                }
+                self.flight.note_syn(ip, n, isn, attempt);
             }
             Event::Wire(tx, seg) => {
-                if self.flight.is_recording() {
-                    self.flight_ring(ip);
-                    let len = seg.payload.len() as u32;
-                    let flags = seg.flags.bits();
-                    self.flight
-                        .note_wire(ip, n, tx, flags, seg.seq, seg.ack, len);
-                }
+                let len = seg.payload.len() as u32;
+                let flags = seg.flags.bits();
+                (self.flight).note_wire(ip, n, tx, flags, seg.seq, seg.ack, len);
             }
             Event::SynAnswered => {
-                if let Some(syn_at) = self.stamps.release(ip, TIMED) {
+                if let Some(syn_at) = self.stamps.release(ip) {
                     if self.record_rtt {
                         m.observe(Hist::RttNanos, n - syn_at);
                     }
@@ -436,7 +381,7 @@ impl Observer {
                 }
             }
             Event::Untimed => {
-                self.stamps.release(ip, TIMED);
+                self.stamps.release(ip);
             }
             Event::Verdict(label, error) => {
                 self.stream.note_result(n, ip, label);
@@ -470,56 +415,23 @@ impl Observer {
                 }
             }),
             Event::Snapshot => self.snapshot(n),
-            Event::Expire(expiry, keep) => {
-                let cutoff = n.saturating_sub(expiry);
-                self.flight.expire_stale(cutoff, keep);
-                self.stamps.sweep(|ip, at, holds| {
-                    let mut kept = 0;
-                    if holds & TIMED != 0 && n - at < expiry {
-                        kept |= TIMED;
-                    }
-                    if holds & FLIGHT != 0 && (at >= cutoff || keep(ip)) {
-                        kept |= FLIGHT;
-                    }
-                    kept
-                });
+            Event::Expire(expiry) => self.stamps.sweep(|at| n - at < expiry),
+        }
+    }
+
+    /// A target concluded: an error makes it a casualty.
+    fn conclude_flight(&mut self, ip: u32, n: u64, error: Option<&'static str>) {
+        if let Some(error) = error {
+            if self.flight.conclude(ip, n, error) {
+                self.metrics.inc(Counter::FlightDumps);
             }
         }
     }
 
-    /// Does the target have a flight ring? Builds it from the target's
-    /// stamp first if the recorder still holds one.
-    fn flight_ring(&mut self, ip: u32) -> bool {
-        if self.flight.has_ring(ip) {
-            return true;
-        }
-        let Some(at) = self.stamps.release(ip, FLIGHT) else {
-            return false;
-        };
-        self.flight.note_syn(ip, at, self.syn_flow.isn(ip));
-        true
-    }
-
-    /// Conclude the target's black box: an error dumps it (built from its
-    /// stamp if need be), a clean verdict drops it.
-    fn conclude_flight(&mut self, ip: u32, n: u64, error: Option<&'static str>) {
-        if !self.flight.is_recording() {
-            return;
-        }
-        if error.is_some() {
-            self.flight_ring(ip);
-        } else {
-            self.stamps.release(ip, FLIGHT);
-        }
-        if self.flight.conclude(ip, n, error) {
-            self.metrics.inc(Counter::FlightDumps);
-        }
-    }
-
-    /// Targets holding a stamp or a flight ring (a watched history is
-    /// output, not live state).
-    pub(crate) fn live_histories(&self) -> usize {
-        self.stamps.len() + self.flight.live_rings()
+    /// Targets holding a SYN stamp (a watched history is output, not
+    /// live state).
+    pub(crate) fn live_stamps(&self) -> usize {
+        self.stamps.len()
     }
 
     /// Close out the shard when its event loop stops at `now` and hand
@@ -563,7 +475,7 @@ impl Observer {
             metrics: self.metrics.snapshot(),
             status_lines: std::mem::take(&mut self.captured.lines),
             tracer: std::mem::take(&mut self.tracer),
-            flight: self.flight.harvest(),
+            flight: std::mem::take(&mut self.flight),
             stream: std::mem::take(&mut self.stream),
             icmp: std::mem::take(&mut self.icmp),
         }
@@ -599,8 +511,8 @@ pub struct ScanTelemetry {
     /// Scan spans and hot-path span counts (empty unless
     /// `telemetry.record_spans`).
     pub tracer: Tracer,
-    /// Flight-recorder dumps for failed sessions (empty unless
-    /// `telemetry.flight_recorder`), and the history of every watched
+    /// The casualties (empty unless `telemetry.flight_recorder`), the
+    /// black boxes of the watched ones, and the history of every watched
     /// address (`RunControl::watch`, `Scanner::watch`).
     pub flight: FlightRecorder,
     /// Streaming JSONL telemetry (empty unless `telemetry.stream`).
@@ -668,7 +580,7 @@ impl ScanTelemetry {
         self.metrics.merge(&other.metrics);
         self.status_lines.extend(other.status_lines);
         self.tracer.merge(&other.tracer);
-        self.flight.merge(&other.flight);
+        self.flight.merge(other.flight);
         self.stream.merge(&other.stream);
         self.icmp.merge(&other.icmp);
     }
@@ -678,7 +590,7 @@ impl ScanTelemetry {
 mod tests {
     use super::*;
     use iw_telemetry::registry::Histogram;
-    use iw_telemetry::FlightEntry;
+    use iw_telemetry::{Casualty, FlightEntry};
     use iw_wire::tcp::Flags;
     use std::collections::BTreeMap;
 
@@ -745,18 +657,19 @@ mod tests {
 
     #[test]
     fn a_first_syn_is_a_stamp_until_the_next_event() {
+        // Every product on and the target watched, so its failure also
+        // freezes a black box.
         let mut obs = observer(true, true, true);
         let (ip, isn) = (4, flow().isn(4));
+        obs.watch([ip]);
         obs.emit(Instant::from_nanos(10), ip, Event::Syn(isn, 0));
-        assert_eq!(obs.live_histories(), 1, "a silent target holds one stamp");
-        assert!(!obs.flight.has_ring(ip), "and no ring");
+        assert_eq!(obs.live_stamps(), 1, "a silent target holds one stamp");
         let synack = Flags::SYN | Flags::ACK;
         let answer = tcp::Segment::bare(443, 40000, 5, isn.wrapping_add(1), synack, 65535);
         obs.emit(Instant::from_nanos(12), ip, Event::Wire(false, &answer));
-        assert!(obs.flight.has_ring(ip), "the answer builds the ring");
-        assert_eq!(obs.stamps.len(), 1, "the RTT still holds the stamp");
+        assert_eq!(obs.live_stamps(), 1, "the RTT still holds the stamp");
         obs.emit(Instant::from_nanos(12), ip, Event::SynAnswered);
-        assert_eq!(obs.stamps.len(), 0, "the last holder let go");
+        assert_eq!(obs.live_stamps(), 0, "the answer let go");
         assert_eq!(obs.metrics.histogram_value(Hist::RttNanos).sum(), 2);
         assert_eq!(obs.tracer.spans()[0].start_nanos, 10);
         obs.emit(
@@ -764,8 +677,15 @@ mod tests {
             ip,
             Event::Verdict("x", Some("malformed")),
         );
-        assert_eq!(obs.live_histories(), 0);
-        let entries = &obs.flight.dumps()[0].entries;
+        let casualty = Casualty {
+            at_nanos: 13,
+            ip,
+            error: "malformed",
+        };
+        assert_eq!(obs.flight.casualties(), [casualty]);
+        assert_eq!(obs.metrics.counter_value(Counter::FlightDumps), 1);
+        let dumps = obs.flight.dumps();
+        let entries = &dumps[0].entries;
         assert_eq!(entries.len(), 3);
         assert_eq!(
             entries[0],
@@ -789,11 +709,12 @@ mod tests {
 
     #[test]
     fn a_syn_skips_record_only_when_no_product_reads_it() {
-        // With no product on, `record` does for a SYN what the inline
-        // path of `emit` does: it counts a retry and nothing else.
+        // With no product reading SYNs, `record` does for a SYN what the
+        // inline path of `emit` does: it counts a retry and nothing else.
+        // The flight recorder alone reads none: it lists casualties.
         let (ip, isn) = (4, flow().isn(4));
         let (mut inline, mut recorded) =
-            (observer(false, false, false), observer(false, false, false));
+            (observer(false, false, true), observer(false, false, true));
         assert!(!inline.syn_subscribers);
         for attempt in 0..3 {
             inline.emit(Instant::from_nanos(10), ip, Event::Syn(isn, attempt));
@@ -801,7 +722,7 @@ mod tests {
         }
         assert_eq!(inline.metrics.snapshot(), recorded.metrics.snapshot());
         assert_eq!(recorded.metrics.counter_value(Counter::SynRetries), 2);
-        assert_eq!(recorded.live_histories(), 0);
+        assert_eq!(recorded.live_stamps(), 0);
         // Every product that reads a SYN takes it off the inline path.
         let mut watching = observer(false, false, false);
         watching.watch([ip]);
@@ -809,7 +730,6 @@ mod tests {
             watching,
             observer(true, false, false),
             observer(false, true, false),
-            observer(false, false, true),
         ] {
             assert!(obs.syn_subscribers);
         }
@@ -834,10 +754,10 @@ mod tests {
             ip,
             Event::Verdict("x", Some("malformed")),
         );
-        assert_eq!(obs.live_histories(), 0);
+        assert_eq!(obs.live_stamps(), 0);
         assert_eq!(obs.metrics.counter_value(Counter::SynacksValidated), 1);
-        let out = obs.flight.harvest();
-        assert!(out.dumps().is_empty(), "no ring, no black box");
+        let out = &obs.flight;
+        assert!(out.casualties().is_empty() && out.dumps().is_empty());
         let kinds: Vec<bool> = (out.history(ip).iter())
             .map(|e| matches!(e, FlightEntry::State { .. }))
             .collect();
@@ -848,32 +768,31 @@ mod tests {
     #[test]
     fn stamps_share_instants_and_wrap_their_index() {
         let mut stamps = Stamps {
-            base: INSTANT - 1,
+            base: u32::MAX - 1,
             ..Stamps::default()
         };
         // Two pacing ticks of three SYNs each, then a third tick: the
-        // indices wrap past `INSTANT`.
+        // indices wrap past `u32::MAX`.
         for (ip, at) in [(1, 100), (2, 100), (3, 100), (4, 200), (5, 200), (6, 300)] {
-            stamps.insert(ip, at, TIMED | FLIGHT);
+            stamps.insert(ip, at);
         }
         assert_eq!(stamps.instants.len(), 3, "one instant per tick");
-        assert_eq!(stamps.release(5, FLIGHT), Some(200));
-        assert_eq!(stamps.release(5, FLIGHT), None, "a hold is let go once");
-        assert_eq!(stamps.release(5, TIMED), Some(200));
+        assert_eq!(stamps.release(5), Some(200));
+        assert_eq!(stamps.release(5), None, "a stamp is let go once");
         assert_eq!(stamps.len(), 5);
         // The sweep keeps what the predicate keeps and trims the instants
         // nothing refers to any more.
-        stamps.sweep(|ip, _, holds| if ip == 4 || ip == 6 { holds } else { 0 });
+        stamps.sweep(|at| at >= 200);
         assert_eq!(stamps.len(), 2);
         assert_eq!(stamps.instants, [200, 300]);
-        assert_eq!(stamps.base, INSTANT);
-        assert_eq!(stamps.release(6, TIMED | FLIGHT), Some(300));
-        assert_eq!(stamps.release(4, TIMED | FLIGHT), Some(200));
-        stamps.sweep(|_, _, holds| holds);
+        assert_eq!(stamps.base, u32::MAX);
+        assert_eq!(stamps.release(6), Some(300));
+        assert_eq!(stamps.release(4), Some(200));
+        stamps.sweep(|_| true);
         assert!(stamps.instants.is_empty());
         assert_eq!(stamps.base, 1, "the base wrapped");
-        stamps.insert(9, 400, FLIGHT);
-        assert_eq!(stamps.release(9, FLIGHT), Some(400));
+        stamps.insert(9, 400);
+        assert_eq!(stamps.release(9), Some(400));
     }
 
     /// SplitMix64: the seeded call sequences.
@@ -890,76 +809,35 @@ mod tests {
     }
 
     #[test]
-    fn one_stamp_table_matches_the_two_it_replaced() {
-        // The reference is the two stores the stamp table replaced: the
-        // RTT map (every SYN stamped; dropped at a retry, an untimed SYN,
-        // an answer or past the expiry) and a recorder that opens every
-        // target's ring at its first SYN.
-        let events = [
-            SessionEvent::SynAckValidated,
-            SessionEvent::SessionStarted,
-            SessionEvent::ProbeStarted { probe: 1, mss: 64 },
-            SessionEvent::SynRetried { attempt: 1 },
-            SessionEvent::SessionFinished {
-                outcome: OutcomeKind::Error,
-            },
-            SessionEvent::Refused,
-            SessionEvent::IcmpUnreachable,
-        ];
+    fn one_stamp_table_matches_the_rtt_map() {
+        // The reference is the map the stamp table replaced: every SYN
+        // stamped, dropped at a retry, an untimed SYN, an answer or past
+        // the expiry.
         // What the sequences must have reached: [an answer timed, an
-        // answer timed past the expiry before a sweep, a ring built from
-        // a stamp, a stamp expired by the sweep, a stamp kept past its
-        // cutoff by the predicate].
-        let mut seen = [0u32; 5];
+        // answer timed past the expiry before a sweep, a stamp expired by
+        // the sweep].
+        let mut seen = [0u32; 3];
         for seed in 0..400u64 {
             let mut rng = Rng(seed);
-            let (rtt, spans, flight) = [
-                (true, true, true),
-                (true, false, false),
-                (false, true, true),
-                (false, false, true),
-            ][seed as usize % 4];
-            let mut obs = observer(rtt, spans, flight);
+            let (rtt, spans) = [(true, true), (true, false), (false, true)][seed as usize % 3];
+            let mut obs = observer(rtt, spans, false);
             let mut syn_ts: BTreeMap<u32, u64> = BTreeMap::new();
-            let mut eager = FlightRecorder::new(flight, DEFAULT_RING_CAPACITY);
             let (mut samples, mut handshakes) = (Histogram::default(), Vec::new());
             let mut t = 0u64;
             for _ in 0..300 {
                 let ip = rng.below(6) as u32;
                 t += rng.below(3) * 1_000;
                 let now = Instant::from_nanos(t);
-                let flight_held = obs.stamps.slots.get(&ip).is_some_and(|s| s & FLIGHT != 0);
-                match rng.below(12) {
+                match rng.below(10) {
                     0 | 1 => {
-                        let isn = flow().isn(ip);
-                        obs.emit(now, ip, Event::Syn(isn, 0));
-                        if rtt || spans {
-                            syn_ts.insert(ip, t);
-                        }
-                        eager.note_syn(ip, t, isn);
+                        obs.emit(now, ip, Event::Syn(flow().isn(ip), 0));
+                        syn_ts.insert(ip, t);
                     }
-                    2 | 3 => {
-                        let ev = events[rng.below(events.len() as u64) as usize];
-                        eager.note_state(ip, t, ev);
-                        if let SessionEvent::SynRetried { attempt } = ev {
-                            // A retransmission is a SYN event of its own.
-                            let isn = flow().isn(ip);
-                            obs.emit(now, ip, Event::Syn(isn, attempt));
-                            eager.note_wire(ip, t, true, Flags::SYN.bits(), isn, 0, 0);
-                            syn_ts.remove(&ip);
-                        } else {
-                            obs.emit(now, ip, Event::Session(ev));
-                        }
-                        seen[2] += u32::from(flight_held);
+                    2 => {
+                        obs.emit(now, ip, Event::Syn(flow().isn(ip), 1));
+                        syn_ts.remove(&ip);
                     }
-                    4 => {
-                        let (tx, seq) = (rng.below(2) == 0, rng.below(1 << 32) as u32);
-                        let seg = tcp::Segment::bare(443, 40000, seq, 7, Flags::ACK, 0);
-                        obs.emit(now, ip, Event::Wire(tx, &seg));
-                        eager.note_wire(ip, t, tx, Flags::ACK.bits(), seq, 7, 0);
-                        seen[2] += u32::from(flight_held);
-                    }
-                    5 | 6 => {
+                    3..=5 => {
                         obs.emit(now, ip, Event::SynAnswered);
                         if let Some(at) = syn_ts.remove(&ip) {
                             if rtt {
@@ -972,55 +850,33 @@ mod tests {
                             seen[1] += u32::from(t - at >= 4_000);
                         }
                     }
-                    7 => {
+                    6 => {
                         obs.emit(now, ip, Event::Untimed);
                         syn_ts.remove(&ip);
                     }
-                    8 | 9 => {
-                        let error = [None, Some("malformed")][rng.below(2) as usize];
-                        obs.emit(now, ip, Event::Verdict("x", error));
-                        eager.conclude(ip, t, error);
+                    7 => {
+                        let ev = SessionEvent::SynAckValidated;
+                        obs.emit(now, ip, Event::Session(ev));
                     }
                     _ => {
                         let expiry = 4_000 + rng.below(3) * 1_000;
-                        let kept = rng.below(1 << 6);
-                        let keep = |ip: u32| kept >> ip & 1 == 1;
-                        let cutoff = t.saturating_sub(expiry);
-                        let before = obs.stamps.len();
-                        seen[4] += obs
-                            .stamps
-                            .slots
-                            .iter()
-                            .filter(|&(&ip, &slot)| {
-                                slot & FLIGHT != 0 && obs.stamps.at(slot) < cutoff && keep(ip)
-                            })
-                            .count() as u32;
-                        obs.emit(now, 0, Event::Expire(expiry, &keep));
+                        let before = obs.live_stamps();
+                        obs.emit(now, 0, Event::Expire(expiry));
                         syn_ts.retain(|_, at| t - *at < expiry);
-                        eager.expire_stale(cutoff, keep);
-                        seen[3] += (before - obs.stamps.len()) as u32;
+                        seen[2] += (before - obs.live_stamps()) as u32;
                     }
                 }
-                assert!(obs.stamps.len() <= 6, "seed {seed}: one stamp per target");
+                assert_eq!(obs.live_stamps(), syn_ts.len(), "seed {seed}");
             }
-            // Whatever is still held must hold the same history.
-            let now = Instant::from_nanos(t);
-            for ip in 0..6 {
-                obs.emit(now, ip, Event::Verdict("end", Some("end")));
-                eager.conclude(ip, t, Some("end"));
-            }
-            assert_eq!(obs.flight.dumps(), eager.dumps(), "seed {seed}");
             assert_eq!(obs.metrics.histogram_value(Hist::RttNanos), &samples);
             let timed: Vec<(u64, u64, u32)> = (obs.tracer.spans().iter())
                 .filter(|s| s.name == "handshake")
                 .map(|s| (s.start_nanos, s.dur_nanos, s.key))
                 .collect();
             assert_eq!(timed, handshakes, "seed {seed}");
-            // Only the SYNs still to be timed hold stamps now, and a late
-            // enough sweep empties the table and its instants.
-            assert_eq!(obs.stamps.len(), syn_ts.len(), "seed {seed}");
-            obs.emit(Instant::from_nanos(t + 1), 0, Event::Expire(1, &|_| false));
-            assert_eq!(obs.live_histories(), 0);
+            // A late enough sweep empties the table and its instants.
+            obs.emit(Instant::from_nanos(t + 1), 0, Event::Expire(1));
+            assert_eq!(obs.live_stamps(), 0);
             assert!(obs.stamps.instants.is_empty());
         }
         assert!(seen.iter().all(|&n| n > 0), "unreached cases: {seen:?}");

@@ -5,16 +5,14 @@
 //! address waits in the SYN-retry FIFO whose level is the retries it has
 //! sent. Once the budget is spent it waits one more backoff for its
 //! give-up only when the flight recorder is on, since a give-up does
-//! nothing but dump the target's black box. [`Scanner::retry_owed`] is
-//! the one answer to "does this address still owe a SYN retry or its
-//! give-up?", which the ICMP fast-fail and the flight-history sweep both
-//! ask.
+//! nothing but list the target as a casualty. [`Scanner::retry_owed`]
+//! answers the ICMP fast-fail's "does an untracked address still owe a
+//! SYN retry or its give-up?".
 
 use super::{Scanner, Timer};
 use crate::observe::Event;
 use crate::results::{ErrorKind, Protocol};
 use crate::retry::RetryLevels;
-use crate::target::Target;
 use iw_netsim::{Effects, Instant};
 use iw_telemetry::{Counter, SessionEvent};
 use std::collections::VecDeque;
@@ -52,17 +50,14 @@ impl Scanner {
         self.resilience.session_order.len()
     }
 
-    /// Whether an address in a given state still owes a SYN retry or its
-    /// give-up. An untracked address in a TCP scan does while retries run
-    /// and no drain has cut them off, since a silent target keeps no
-    /// entry. (An MTU probe sends no SYN, and every tracked state has its
-    /// answer.) The answer is a closure, so a caller can ask it while it
-    /// holds the scanner's fields.
-    pub(super) fn retry_owed(&self) -> impl Fn(Option<Target>) -> bool {
-        let untracked = self.config.resilience.syn_retries > 0
+    /// Whether an untracked address still owes a SYN retry or its
+    /// give-up. In a TCP scan it does while retries run and no drain has
+    /// cut them off, since a silent target keeps no entry. (An MTU probe
+    /// sends no SYN.)
+    pub(super) fn retry_owed(&self) -> bool {
+        self.config.resilience.syn_retries > 0
             && !self.draining
-            && self.config.protocol != Protocol::IcmpMtu;
-        move |target| target.is_none() && untracked
+            && self.config.protocol != Protocol::IcmpMtu
     }
 
     /// Send a target its first SYN and, if retries run, queue its first
@@ -118,7 +113,7 @@ impl Scanner {
         if attempt > retries {
             // Budget spent and still silent: give up on the target (its
             // SYN stopped being timed at the first retry, by Karn's
-            // rule). The flight recorder dumps the ring — a
+            // rule). The flight recorder lists it as a casualty — a
             // SYN-blackholed target is a failure worth a black box even
             // though no session existed.
             self.obs.emit(now, ip, Event::GaveUp);

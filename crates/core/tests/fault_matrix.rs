@@ -465,7 +465,7 @@ fn rtt_map_is_bounded_after_scanning_silent_space() {
         let scanner = sim.scanner_mut();
         assert_eq!(scanner.targets_sent(), 1 << 10);
         assert_eq!(
-            scanner.live_histories(),
+            scanner.live_stamps(),
             0,
             "a SYN stamp leaked with syn_retries={retries}"
         );
@@ -922,8 +922,8 @@ fn default_resilience_is_inert_on_clean_links() {
 /// Run `config` with the flight recorder on over a space whose even
 /// addresses answer across a 100 ms link and whose odd ones are
 /// unrouted, draining at `drain_at` if given, for a virtual hour.
-/// Returns whether events were still queued then, and the live
-/// histories (SYN stamps and flight rings) the scanner still held.
+/// Returns whether events were still queued then, and the targets the
+/// scanner still held (live sessions and queued retries or give-ups).
 fn flight_scan(mut config: ScanConfig, drain_at: Option<Duration>) -> (bool, usize) {
     config.telemetry.flight_recorder = true;
     let seed = config.seed;
@@ -948,7 +948,8 @@ fn flight_scan(mut config: ScanConfig, drain_at: Option<Duration>) -> (bool, usi
     // Far past every timeout: a scan still busy here never ends.
     sim.run_until(Instant::ZERO + Duration::from_secs(3600));
     let busy = sim.step();
-    (busy, sim.scanner().live_histories())
+    let scanner = sim.scanner();
+    (busy, scanner.live_sessions() + scanner.retry_backlog())
 }
 
 #[test]
@@ -957,20 +958,20 @@ fn a_flight_scan_with_retries_terminates() {
     config.resilience.syn_retries = 2;
     let (busy, live) = flight_scan(config, None);
     assert!(!busy, "the scan never went idle");
-    assert_eq!(live, 0, "a history outlived the scan");
+    assert_eq!(live, 0, "a target outlived the scan");
 }
 
 #[test]
 fn a_graceful_drain_leaves_no_flight_history() {
-    // Four retries: a silent target's history goes stale (8 s) before its
-    // give-up, so only the sweep's rule decides whether it stays.
+    // Four retries: a silent target waits 16 s for its give-up, which
+    // the drain must cut off.
     let mut config = scan_config(256, 0xd7a1);
     config.resilience.syn_retries = 4;
     // 300 ms in: silent targets owe their first retry, and responders
     // are mid-session.
     let (busy, live) = flight_scan(config, Some(Duration::from_millis(300)));
     assert!(!busy, "the drained scan never went idle");
-    assert_eq!(live, 0, "the drain left histories behind");
+    assert_eq!(live, 0, "the drain left targets behind");
 }
 
 // ---------------------------------------------------------------------

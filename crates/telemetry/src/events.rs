@@ -4,8 +4,8 @@
 //! SYN-ACK validated → probe started → retransmit detected → verify-ACK
 //! sent → probe concluded → session finished. The scanner's observer
 //! counts each transition in the metrics registry (`scan.*` counters) and
-//! keeps it in the flight recorder's rings and watched histories; this
-//! module only names them.
+//! keeps it in the flight recorder's watched histories; this module only
+//! names them.
 
 /// Terminal classification of a probe or session, mirroring the scanner's
 /// outcome/verdict taxonomy without depending on the core crate.

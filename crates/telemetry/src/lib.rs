@@ -23,10 +23,10 @@
 //!   phases, exported as Chrome trace-event JSON (Perfetto-loadable) with
 //!   a byte-identical canonical form across shard counts, and the
 //!   event-loop hot path's spans, counted but not stored;
-//! * a **flight recorder** ([`recorder`]) — bounded per-session rings of
-//!   wire and state-transition activity, dumped as JSONL black boxes for
-//!   sessions that end in an error, and the unbounded history of every
-//!   address in a watch set, the one per-host record of a scan;
+//! * a **flight recorder** ([`recorder`]) — the unbounded history of
+//!   every address in a watch set, the one per-host record of a scan,
+//!   and the scan's casualties, whose JSONL black boxes are windows of
+//!   their histories in a replay that watches them;
 //! * a **streaming sink** ([`sink`]) — JSONL metric deltas and
 //!   per-target results emitted while the scan runs;
 //! * an **ICMP harvest** ([`harvest`]) — per-source counts of the
@@ -82,7 +82,7 @@ pub use manifest::{Counter, Gauge, Hist};
 pub use monitor::{
     print_line, BufferSink, ProgressMonitor, ProgressSample, StatusSink, StdoutSink,
 };
-pub use recorder::{FlightDump, FlightEntry, FlightRecorder, DEFAULT_RING_CAPACITY};
+pub use recorder::{Casualty, FlightDump, FlightEntry, FlightRecorder, DEFAULT_RING_CAPACITY};
 pub use registry::{
     CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricsRegistry, Scope, Snapshot,
 };

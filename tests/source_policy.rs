@@ -27,6 +27,10 @@
 //!   history, so nothing under `crates/` names the event log that was a
 //!   second of each, and its switch is named only where it stays inert
 //!   (`crates/core/src/config.rs`);
+//! - one history: a black box is a window of a watched history, frozen
+//!   by the recorder, so nothing among the crates, examples and root
+//!   tests but `crates/telemetry/src/recorder.rs` builds a `FlightDump`
+//!   or keeps flight entries in a ring (`VecDeque<FlightEntry>`);
 //! - one truth: the driver tallies every HTTP and TLS run against the
 //!   population once, so the scanner (`crates/core/src/scanner*`) names
 //!   neither `ground_truth` nor `Confusion`, and nothing but
@@ -255,6 +259,28 @@ fn all_sources() -> Vec<String> {
         );
     }
     sources
+}
+
+#[test]
+fn one_history() {
+    let mut found = Vec::new();
+    for file in &all_sources() {
+        if file == "crates/telemetry/src/recorder.rs" || file == "tests/source_policy.rs" {
+            continue;
+        }
+        let text = std::fs::read_to_string(root().join(file)).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            let squeezed: String = line.split_whitespace().collect();
+            let ring = squeezed.match_indices("VecDeque<").any(|(at, _)| {
+                let held = squeezed[at..].split('>').next().unwrap_or_default();
+                held.contains("FlightEntry")
+            });
+            if ring || squeezed.contains("FlightDump{") {
+                found.push(format!("{file}:{}: {line}", n + 1));
+            }
+        }
+    }
+    assert_eq!(found, Vec::<String>::new());
 }
 
 #[test]
