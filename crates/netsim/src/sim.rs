@@ -152,6 +152,9 @@ pub struct SimStats {
     pub scanner_rx_bytes: u64,
     /// Host endpoints spawned.
     pub hosts_spawned: u64,
+    /// Links built: one per distinct host ever spawned, since a link
+    /// outlives its host.
+    pub links: u64,
     /// Events processed.
     pub events: u64,
     /// Fresh slabs the packet-buffer pool allocated (lifetime total).
@@ -182,6 +185,7 @@ impl std::ops::AddAssign for SimStats {
         self.scanner_tx_bytes += rhs.scanner_tx_bytes;
         self.scanner_rx_bytes += rhs.scanner_rx_bytes;
         self.hosts_spawned += rhs.hosts_spawned;
+        self.links += rhs.links;
         self.events += rhs.events;
         self.pool_allocations += rhs.pool_allocations;
         self.pool_recycled += rhs.pool_recycled;
@@ -271,11 +275,19 @@ impl<S: Endpoint, F: HostFactory> Sim<S, F> {
     pub fn stats(&self) -> SimStats {
         let mut stats = self.stats;
         stats.lost = stats.lost_fwd + stats.lost_rev;
+        stats.links = self.links.len() as u64;
         let pool = self.fx.pool.stats();
         stats.pool_allocations = pool.allocated;
         stats.pool_recycled = pool.recycled;
         stats.pool_outstanding = pool.outstanding;
         stats
+    }
+
+    /// Make room for `n` links up front. A world that knows how many hosts
+    /// it will spawn (a replay of a finished run) then builds its link
+    /// table once instead of outgrowing it generation by generation.
+    pub fn reserve_links(&mut self, n: usize) {
+        self.links.reserve(n);
     }
 
     /// Raw counters from the shared packet-buffer pool (leak checks).
@@ -868,6 +880,8 @@ mod tests {
         assert_eq!(sim.live_hosts(), 1, "respawned");
         assert!(fired.borrow().is_empty(), "{:?}", fired.borrow());
         assert_eq!(sim.stats().events, 3, "three deliveries");
+        let stats = sim.stats();
+        assert_eq!((stats.hosts_spawned, stats.links), (2, 1), "one link");
     }
 
     #[test]
@@ -937,6 +951,7 @@ mod tests {
             scanner_tx_bytes: 6,
             scanner_rx_bytes: 7,
             hosts_spawned: 8,
+            links: 81,
             events: 9,
             pool_allocations: 10,
             pool_recycled: 11,
@@ -957,6 +972,7 @@ mod tests {
             scanner_tx_bytes: 60,
             scanner_rx_bytes: 70,
             hosts_spawned: 80,
+            links: 810,
             events: 90,
             pool_allocations: 100,
             pool_recycled: 110,
@@ -980,6 +996,7 @@ mod tests {
                 scanner_tx_bytes: 66,
                 scanner_rx_bytes: 77,
                 hosts_spawned: 88,
+                links: 891,
                 events: 99,
                 pool_allocations: 110,
                 pool_recycled: 121,
